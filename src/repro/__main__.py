@@ -37,7 +37,6 @@ Gives the open-source release a zero-code entry point:
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 
 
@@ -493,18 +492,16 @@ def cmd_batch(args: argparse.Namespace) -> int:
         Condition("energy", QueryOp.GT, PDCType.FLOAT, t) for t in thresholds
     ]
 
-    workers = getattr(args, "workers", 0) or 0
     isolated_bytes = 0.0
     isolated_s = 0.0
     for q in queries:
         system, _, _ = _demo_deployment()
-        with QueryEngine(system, workers=workers) as engine:
-            res = engine.execute(q)
+        res = QueryEngine(system).execute(q)
         isolated_bytes += res.bytes_read_virtual
         isolated_s += res.elapsed_s
 
     system, _, _ = _demo_deployment()
-    sched = QueryScheduler(system, max_width=args.width, workers=workers)
+    sched = QueryScheduler(system, max_width=args.width)
     results = sched.run(queries)
     batched_bytes = sum(b.total_bytes_read_virtual for b in sched.batches)
     sched.close()
@@ -532,7 +529,7 @@ def cmd_selftest(args: argparse.Namespace) -> int:
     trace_path = getattr(args, "trace", None)
     if trace_path:
         system.set_tracer(Tracer())
-    engine = QueryEngine(system, workers=getattr(args, "workers", 0) or 0)
+    engine = QueryEngine(system)
     failures = 0
     for strategy in Strategy:
         res = engine.execute(node, strategy=strategy)
@@ -543,7 +540,6 @@ def cmd_selftest(args: argparse.Namespace) -> int:
             f"  {strategy.paper_label:<9} -> {used:<8} {res.nhits:>6} hits "
             f"({res.elapsed_s * 1e3:7.2f} simulated ms)  {status}"
         )
-    engine.close()
     # Distributed transport cross-check.
     from .pdc.transport import run_distributed_query
 
@@ -698,65 +694,10 @@ def cmd_benchcheck(args: argparse.Namespace) -> int:
         baseline_path=args.baseline,
         update=args.update,
         report_path=args.report,
-        wallclock_workers=(
-            args.workers if getattr(args, "wallclock", False) else None
-        ),
-        wallclock_profile=getattr(args, "profile", False),
-        wallclock_baseline=getattr(args, "wallclock_baseline", None),
-        min_speedup=getattr(args, "min_speedup", None),
     )
     print(text)
     if args.report:
         print(f"report -> {args.report}")
-    return code
-
-
-def cmd_parallel(args: argparse.Namespace) -> int:
-    """Serial-vs-pool wall-clock comparison with a hard identity check,
-    optional overhead-attribution profile, and the statistical gate."""
-    from .obs.regress import (
-        gate_wallclock,
-        load_wallclock_baseline,
-        render_wallclock,
-        run_wallclock_suite,
-        write_wallclock_baseline,
-    )
-
-    wc = run_wallclock_suite(
-        workers=args.workers,
-        elements=args.elements,
-        queries=args.queries,
-        repeats=args.repeats,
-        trials=args.trials,
-        warmup=args.warmup,
-        profile=args.profile,
-        trace_out=args.trace_out,
-        speedscope_out=args.speedscope,
-    )
-    print("real-parallel hot-path execution "
-          "(simulated results are bit-identical by construction)")
-    print(f"  {render_wallclock(wc)}")
-    print(f"  cpu_count={os.cpu_count()}; wall speedup is statistical — "
-          "the hard-gated property is the fingerprint")
-    if args.trace_out:
-        print(f"  pool trace -> {args.trace_out}")
-    if args.speedscope:
-        print(f"  speedscope profile -> {args.speedscope}")
-
-    if args.update_baseline:
-        write_wallclock_baseline(
-            args.baseline, wc, min_speedup=args.min_speedup or 0.0
-        )
-        print(f"  wall-clock baseline -> {args.baseline}")
-        return 0 if wc["fingerprint_match"] else 1
-
-    baseline = None
-    if args.baseline and os.path.exists(args.baseline):
-        baseline = load_wallclock_baseline(args.baseline)
-    code, gate_text = gate_wallclock(
-        wc, baseline, min_speedup=args.min_speedup
-    )
-    print(gate_text)
     return code
 
 
@@ -935,11 +876,6 @@ def main(argv=None) -> int:
         help="also run the continuous-telemetry leg (SLO burn-rate alert "
              "determinism, zero-cost when disabled)",
     )
-    p.add_argument(
-        "--workers", type=int, default=0,
-        help="evaluate hot kernels in a process pool of this size "
-             "(results are bit-identical to serial; default: serial)",
-    )
     p.set_defaults(func=cmd_selftest)
 
     p = sub.add_parser(
@@ -1028,92 +964,7 @@ def main(argv=None) -> int:
         "--report", metavar="FILE",
         help="also write a JSON report (metrics + per-metric verdicts)",
     )
-    p.add_argument(
-        "--wallclock", action="store_true",
-        help="also run the serial-vs-pool wall-clock section (recorded in "
-             "the report; only a fingerprint mismatch fails)",
-    )
-    p.add_argument(
-        "--workers", type=int, default=0,
-        help="pool size for --wallclock (default: min(8, cpu_count))",
-    )
-    p.add_argument(
-        "--profile", action="store_true",
-        help="with --wallclock: add the overhead-attribution profile "
-             "(bucket decomposition, per-worker utilization)",
-    )
-    p.add_argument(
-        "--wallclock-baseline", metavar="FILE",
-        help="with --wallclock: statistical-gate baseline "
-             "(BENCH_wallclock.json); skipped with a notice if the machine "
-             "tag differs",
-    )
-    p.add_argument(
-        "--min-speedup", type=float, default=None,
-        help="with --wallclock: hard-fail if pool speedup drops below this "
-             "floor (overrides the baseline's floor)",
-    )
     p.set_defaults(func=cmd_benchcheck)
-
-    p = sub.add_parser(
-        "parallel",
-        help="real-parallel hot-path demo: serial-vs-pool wall clock with "
-             "a bit-identity check",
-    )
-    p.add_argument(
-        "--workers", type=int, default=0,
-        help="pool size (default: min(8, cpu_count))",
-    )
-    p.add_argument(
-        "--elements", type=int, default=1 << 21,
-        help="elements per object (default: 2^21)",
-    )
-    p.add_argument(
-        "--queries", type=int, default=6,
-        help="distinct conjunct queries (default: 6)",
-    )
-    p.add_argument(
-        "--repeats", type=int, default=1,
-        help="passes over the query list (default: 1)",
-    )
-    p.add_argument(
-        "--trials", type=int, default=3,
-        help="measured trials per mode for the median/MAD summary "
-             "(default: 3)",
-    )
-    p.add_argument(
-        "--warmup", type=int, default=1,
-        help="warm-up passes per mode, measured but excluded (default: 1)",
-    )
-    p.add_argument(
-        "--profile", action="store_true",
-        help="attach the dual-clock wall profiler: bucket decomposition, "
-             "per-worker utilization, speedup-efficiency table",
-    )
-    p.add_argument(
-        "--baseline", default="BENCH_wallclock.json",
-        help="statistical-gate baseline file (default: BENCH_wallclock.json;"
-             " skipped with a notice if absent or from another machine)",
-    )
-    p.add_argument(
-        "--update-baseline", action="store_true",
-        help="rewrite the baseline with this machine's medians",
-    )
-    p.add_argument(
-        "--min-speedup", type=float, default=None,
-        help="hard-fail if pool speedup drops below this floor "
-             "(overrides the baseline's floor)",
-    )
-    p.add_argument(
-        "--trace-out", metavar="FILE",
-        help="with --profile: write the joined pool trace as Chrome "
-             "trace_event JSON to FILE",
-    )
-    p.add_argument(
-        "--speedscope", metavar="FILE",
-        help="with --profile: write a speedscope JSON profile to FILE",
-    )
-    p.set_defaults(func=cmd_parallel)
 
     p = sub.add_parser(
         "metrics", help="run a demo workload and print the metrics registry"
@@ -1166,11 +1017,6 @@ def main(argv=None) -> int:
     p.add_argument(
         "--width", type=int, default=8,
         help="batch window width (default: 8)",
-    )
-    p.add_argument(
-        "--workers", type=int, default=0,
-        help="evaluate hot kernels in a process pool of this size "
-             "(results are bit-identical to serial; default: serial)",
     )
     p.set_defaults(func=cmd_batch)
 
@@ -1274,7 +1120,13 @@ def main(argv=None) -> int:
     p.set_defaults(func=cmd_info)
 
     args = parser.parse_args(argv)
-    return args.func(args)
+    from .errors import PDCError
+
+    try:
+        return args.func(args)
+    except (OSError, PDCError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

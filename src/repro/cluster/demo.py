@@ -223,10 +223,9 @@ def demo_cluster_run(
     # queue statistics.
     from ..query.executor import QueryEngine
 
-    with QueryEngine(system) as warm_engine:
-        warm_engine.execute(
-            Condition("energy", QueryOp.GT, PDCType.FLOAT, 0.0)
-        )
+    QueryEngine(system).execute(
+        Condition("energy", QueryOp.GT, PDCType.FLOAT, 0.0)
+    )
 
     servers_before = len(system.membership.serving_ids)
     t = max(c.now for c in system.all_clocks())

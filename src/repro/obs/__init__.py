@@ -73,7 +73,6 @@ from .timeseries import (
 from .profiler import (
     ProfileReport,
     TrackStats,
-    busy_union,
     profile,
     render_profile,
     to_collapsed,
@@ -82,19 +81,6 @@ from .profiler import (
     write_speedscope,
 )
 from .tracer import NOOP_TRACER, NoopTracer, Span, Tracer
-from .walltime import (
-    BUCKET_NAMES,
-    DispatchTrace,
-    PoolTraceReport,
-    TaskTrace,
-    WallProfiler,
-    build_report,
-    efficiency_table,
-    render_efficiency,
-    render_report,
-    report_to_dict,
-    report_tracer,
-)
 
 __all__ = [
     "BatchAnalysis",
@@ -145,16 +131,4 @@ __all__ = [
     "read_alerts_jsonl",
     "write_alerts_jsonl",
     "replay_frames",
-    "busy_union",
-    "BUCKET_NAMES",
-    "DispatchTrace",
-    "PoolTraceReport",
-    "TaskTrace",
-    "WallProfiler",
-    "build_report",
-    "efficiency_table",
-    "render_efficiency",
-    "render_report",
-    "report_to_dict",
-    "report_tracer",
 ]

@@ -54,19 +54,12 @@ def render_openmetrics(
     slo_monitor=None,
     t_end: Optional[float] = None,
     window_s: float = 0.05,
-    wall_registry=None,
 ) -> str:
     """One OpenMetrics exposition of everything we know.
 
     Any of the sources may be None; the output always ends with
     ``# EOF``.  All derived values are computed from recorded samples at
     simulated instant ``t_end`` (default: the recorder's latest sample).
-
-    ``wall_registry`` is the parallel runtime's own wall-side counter
-    registry (``ParallelRuntime.wall_metrics``: the ``pdc_parallel_*``
-    families).  It renders after the engine registry — kept as a separate
-    argument because those counters live outside the fingerprint-pinned
-    system registry by design.
     """
     if window_s <= 0.0:
         raise ValueError("window_s must be positive")
@@ -74,9 +67,6 @@ def render_openmetrics(
 
     if registry is not None:
         lines.append(registry.render())
-
-    if wall_registry is not None:
-        lines.append(wall_registry.render())
 
     if recorder is not None:
         t = recorder.t_latest if t_end is None else t_end

@@ -147,9 +147,6 @@ class NoopMonitor:
     ) -> None:
         return None
 
-    def on_parallel(self, t_s: float, wall_registry) -> None:
-        return None
-
     def on_tick(self, t_s: float) -> None:
         return None
 
@@ -409,19 +406,6 @@ class ServiceMonitor:
             "pdc_cluster_scale_decisions", t_s, float(amount), action=action
         )
         self.recorder.record("pdc_cluster_servers", t_s, float(n_servers))
-
-    # ------------------------------------------------------ parallel hooks
-    def on_parallel(self, t_s: float, wall_registry) -> None:
-        """Scrape the parallel runtime's wall-side counters
-        (``pdc_parallel_*``: tasks dispatched, in-process fallbacks by
-        reason, snapshot re-forks, IPC result bytes) into the recorder.
-
-        The counters live in a runtime-owned registry — deliberately
-        outside the system's, whose rendered text is fingerprint-pinned
-        across worker counts — so this scrape is the only bridge from
-        pool bookkeeping into series and OpenMetrics export.
-        """
-        self.recorder.scrape(wall_registry, t_s)
 
     # ---------------------------------------------------------------- time
     def on_tick(self, t_s: float) -> None:

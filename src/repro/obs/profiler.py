@@ -35,7 +35,6 @@ from .tracer import Span, Tracer
 __all__ = [
     "TrackStats",
     "ProfileReport",
-    "busy_union",
     "profile",
     "render_profile",
     "to_collapsed",
@@ -90,13 +89,8 @@ def _closed_spans(tracer: Tracer, root: Optional[Span]) -> List[Span]:
     return [s for s in spans if s.end_s is not None]
 
 
-def busy_union(intervals: List[Tuple[float, float]]) -> float:
-    """Total length covered by the intervals, overlaps counted once.
-
-    Public because the wall-clock layer (:mod:`repro.obs.walltime`) uses
-    the same busy-time notion for per-worker pool utilization that this
-    module uses for per-clock simulated utilization.
-    """
+def _busy_union(intervals: List[Tuple[float, float]]) -> float:
+    """Total length covered by the intervals, overlaps counted once."""
     if not intervals:
         return 0.0
     intervals.sort()
@@ -109,10 +103,6 @@ def busy_union(intervals: List[Tuple[float, float]]) -> float:
         else:
             cur_hi = max(cur_hi, hi)
     return total + (cur_hi - cur_lo)
-
-
-#: Backwards-compatible private alias (pre-walltime callers).
-_busy_union = busy_union
 
 
 def profile(tracer: Tracer, root: Optional[Span] = None) -> ProfileReport:

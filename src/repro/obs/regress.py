@@ -27,19 +27,9 @@ from typing import Dict, List, Optional, Tuple
 __all__ = [
     "DEFAULT_BASELINE",
     "DEFAULT_TOLERANCES",
-    "DEFAULT_WALLCLOCK_BASELINE",
-    "DEFAULT_WALLCLOCK_TOLERANCE",
     "MetricCheck",
     "demo_deployment",
     "run_micro_suite",
-    "run_wallclock_suite",
-    "render_wallclock",
-    "machine_tag",
-    "measure_trials",
-    "summarize_trials",
-    "write_wallclock_baseline",
-    "load_wallclock_baseline",
-    "gate_wallclock",
     "load_baseline",
     "write_baseline",
     "compare",
@@ -91,18 +81,11 @@ def demo_deployment(metrics=None):
     return system, node, truth
 
 
-def run_micro_suite(workers: int = 0) -> Dict[str, float]:
+def run_micro_suite() -> Dict[str, float]:
     """Run the deterministic micro-suite; returns metric name → value.
 
     Each strategy runs on a fresh deployment (cold caches) so the
     per-strategy numbers are independent of suite ordering.
-
-    ``workers > 1`` runs the query/batch/get_data/ingest legs through the
-    real-parallel runtime (:mod:`repro.query.parallel`); every metric is
-    guaranteed bit-identical to the serial suite — the determinism tests
-    pin ``run_micro_suite() == run_micro_suite(workers=N)`` exactly.
-    (The service/monitor legs build their engines internally and always
-    run serially here.)
     """
     from ..query.ast import Condition
     from ..query.executor import QueryEngine
@@ -114,8 +97,7 @@ def run_micro_suite(workers: int = 0) -> Dict[str, float]:
 
     for strategy in Strategy:
         system, node, truth = demo_deployment()
-        with QueryEngine(system, workers=workers) as engine:
-            res = engine.execute(node, strategy=strategy)
+        res = QueryEngine(system).execute(node, strategy=strategy)
         tag = strategy.name.lower()
         out[f"query.{tag}.sim_seconds"] = res.elapsed_s
         out[f"query.{tag}.nhits"] = float(res.nhits)
@@ -128,7 +110,7 @@ def run_micro_suite(workers: int = 0) -> Dict[str, float]:
         Condition("energy", QueryOp.GT, PDCType.FLOAT, t)
         for t in (0.5, 1.0, 1.5, 2.0)
     ]
-    sched = QueryScheduler(system, max_width=len(queries), workers=workers)
+    sched = QueryScheduler(system, max_width=len(queries))
     sched.run(queries)
     batch = sched.batches[0]
     sched.close()
@@ -139,13 +121,13 @@ def run_micro_suite(workers: int = 0) -> Dict[str, float]:
 
     # Value materialization on both get_data paths.
     system, node, truth = demo_deployment()
-    with QueryEngine(system, workers=workers) as engine:
-        res = engine.execute(node, strategy=Strategy.SORT_HIST)
-        gd = engine.get_data(res.selection, "x", strategy=Strategy.SORT_HIST)
-        out["get_data.replica.sim_seconds"] = gd.elapsed_s
-        gd = engine.get_data(res.selection, "x", strategy=Strategy.HISTOGRAM)
-        out["get_data.original.sim_seconds"] = gd.elapsed_s
-        out["get_data.original.bytes_virtual"] = gd.bytes_read_virtual
+    engine = QueryEngine(system)
+    res = engine.execute(node, strategy=Strategy.SORT_HIST)
+    gd = engine.get_data(res.selection, "x", strategy=Strategy.SORT_HIST)
+    out["get_data.replica.sim_seconds"] = gd.elapsed_s
+    gd = engine.get_data(res.selection, "x", strategy=Strategy.HISTOGRAM)
+    out["get_data.original.sim_seconds"] = gd.elapsed_s
+    out["get_data.original.bytes_virtual"] = gd.bytes_read_virtual
 
     # Multi-tenant service queueing under a fixed open-loop arrival
     # pattern: WFQ dispatch shares, queue waits, sheds, and rejections
@@ -252,8 +234,7 @@ def run_micro_suite(workers: int = 0) -> Dict[str, float]:
     out["ingest.sim_seconds"] = (
         max(c.now for c in system.all_clocks()) - ingest_start
     )
-    with QueryEngine(system, workers=workers) as engine:
-        res = engine.execute(node)
+    res = QueryEngine(system).execute(node)
     out["ingest.post_query.nhits"] = float(res.nhits)
     out["ingest.post_query.sim_seconds"] = res.elapsed_s
 
@@ -286,9 +267,7 @@ def run_micro_suite(workers: int = 0) -> Dict[str, float]:
     # all pure functions of the simulated event stream, so the fleet
     # trajectory and per-phase tail waits pin exactly.  A drift here
     # means the rebalancer's migration charging, the membership
-    # transitions, or the hysteresis controller changed.  (Like the
-    # service/monitor legs, this one builds its engine internally and
-    # runs serially regardless of ``workers``.)
+    # transitions, or the hysteresis controller changed.
     from ..cluster.demo import demo_cluster_run
 
     crun = demo_cluster_run(requests=120)
@@ -311,436 +290,6 @@ def run_micro_suite(workers: int = 0) -> Dict[str, float]:
     out["cluster.sim_seconds"] = crun.t_end
 
     return out
-
-
-# ---------------------------------------------------------------- wall clock
-#
-# Wall time is the one number the simulator cannot pin, so its gate is
-# *statistical*, not exact: k repeated trials (a warm-up excluded),
-# summarized as median + MAD, compared against a machine-tagged baseline
-# (``BENCH_wallclock.json``) with relative tolerance bands that only
-# WARN.  Hard failure is reserved for the two things that are never
-# noise: the serial-vs-pool correctness fingerprint, and a configured
-# ``min_speedup`` floor.
-
-#: Canonical committed wall-clock baseline (repo root).  Machine-tagged:
-#: compared only on the machine that wrote it, skipped (with an explicit
-#: notice) everywhere else.
-DEFAULT_WALLCLOCK_BASELINE = "BENCH_wallclock.json"
-
-#: Relative band around the baseline medians; out-of-band is a warning,
-#: never a failure (shared runners are noisy).
-DEFAULT_WALLCLOCK_TOLERANCE = 0.25
-
-
-def machine_tag() -> Dict[str, object]:
-    """The identity a wall-clock baseline is valid for.  Timings from a
-    different host/CPU are incomparable, so the gate matches this tag
-    exactly and skips the statistical comparison on mismatch."""
-    import platform
-    import socket
-
-    return {
-        "hostname": socket.gethostname(),
-        "cpu_count": int(os.cpu_count() or 1),
-        "machine": platform.machine(),
-        "system": platform.system(),
-    }
-
-
-def measure_trials(
-    fn,
-    trials: int = 3,
-    warmup: int = 1,
-    timer=None,
-) -> Dict[str, List[float]]:
-    """Time ``fn()`` ``warmup + trials`` times on ``timer`` (injectable;
-    default ``time.perf_counter``).
-
-    The warm-up runs are *measured but excluded* from the statistics —
-    they absorb pool fork, page faults, and cache warm-up, and are
-    reported separately so that cost stays visible.
-    """
-    import time
-
-    timer = timer or time.perf_counter
-    warm: List[float] = []
-    runs: List[float] = []
-    for _ in range(max(0, warmup)):
-        t0 = timer()
-        fn()
-        warm.append(timer() - t0)
-    for _ in range(max(1, trials)):
-        t0 = timer()
-        fn()
-        runs.append(timer() - t0)
-    return {"warmup_s": warm, "trials_s": runs}
-
-
-def summarize_trials(trials_s: List[float]) -> Dict[str, float]:
-    """Median + MAD (median absolute deviation): robust against the
-    one-sided outliers wall timings actually produce (GC pauses, CI
-    neighbors), unlike mean + stddev."""
-    if not trials_s:
-        return {"median_s": 0.0, "mad_s": 0.0}
-    ordered = sorted(trials_s)
-    n = len(ordered)
-    mid = n // 2
-    median = (
-        ordered[mid] if n % 2 else 0.5 * (ordered[mid - 1] + ordered[mid])
-    )
-    devs = sorted(abs(v - median) for v in ordered)
-    mad = devs[mid] if n % 2 else 0.5 * (devs[mid - 1] + devs[mid])
-    return {"median_s": median, "mad_s": mad}
-
-
-def run_wallclock_suite(
-    workers: int = 0,
-    elements: int = 1 << 22,
-    queries: int = 8,
-    repeats: int = 2,
-    trials: int = 3,
-    warmup: int = 1,
-    profile: bool = False,
-    timer=None,
-    trace_out: Optional[str] = None,
-    speedscope_out: Optional[str] = None,
-) -> Dict[str, object]:
-    """Serial-vs-pool *wall-clock* comparison on a scaled-up workload.
-
-    Each mode (serial, then ``workers``-pool) runs one discarded warm-up
-    pass plus ``trials`` measured passes of ``queries × repeats``
-    executions; the summary is median + MAD per mode.  What is hard-gated
-    here is only the correctness fingerprint: both modes hash answers,
-    coordinates, simulated latencies, clocks, and rendered metrics over
-    *all* passes, and the digests must match byte for byte.  The
-    statistical comparison against a committed baseline is
-    :func:`gate_wallclock`'s job.
-
-    ``profile=True`` attaches a :class:`~repro.obs.walltime.WallProfiler`
-    to each mode and attaches the bucket/utilization/skew report under
-    ``"profile"``; ``trace_out``/``speedscope_out`` additionally export
-    the pooled mode's joined dual-clock trace.
-
-    Returns a dict with per-mode statistics plus the backwards-compatible
-    scalars ``serial_s``/``parallel_s``/``speedup`` (medians).
-    """
-    import hashlib
-    import time
-
-    import numpy as np
-
-    from ..obs.metrics import MetricsRegistry
-    from ..obs.walltime import WallProfiler, build_report, report_to_dict
-    from ..pdc import PDCConfig, PDCSystem
-    from ..query.ast import Condition, combine_and
-    from ..query.executor import QueryEngine
-    from ..types import PDCType, QueryOp
-
-    if workers <= 0:
-        workers = min(8, os.cpu_count() or 1)
-    timer = timer or time.perf_counter
-
-    def build():
-        rng = np.random.default_rng(42)
-        # A private registry per run: the process-global default would
-        # accumulate across the serial and pooled runs and poison the
-        # metrics half of the fingerprint.
-        system = PDCSystem(
-            PDCConfig(n_servers=4, region_size_bytes=1 << 20),
-            metrics=MetricsRegistry(),
-        )
-        e = rng.gamma(2.0, 0.7, elements).astype(np.float32)
-        x = (rng.random(elements) * 300.0).astype(np.float32)
-        system.create_object("energy", e)
-        system.create_object("x", x)
-        # Selective conjuncts: the first condition's mask dominates, the
-        # second exercises the parallel candidate re-check.
-        nodes = [
-            combine_and(
-                Condition("energy", QueryOp.GT, PDCType.FLOAT,
-                          4.0 + 0.25 * (i % 4)),
-                Condition("x", QueryOp.LT, PDCType.FLOAT, 150.0),
-            )
-            for i in range(queries)
-        ]
-        return system, nodes
-
-    profilers: Dict[str, WallProfiler] = {}
-
-    def run(n_workers: int, mode: str):
-        system, nodes = build()
-        digest = hashlib.sha256()
-        prof = WallProfiler(timer=timer) if profile else None
-        with QueryEngine(system, workers=n_workers) as engine:
-            if prof is not None:
-                engine.set_wall_profiler(prof)
-                profilers[mode] = prof
-
-            def one_pass():
-                for _ in range(max(1, repeats)):
-                    for node in nodes:
-                        res = engine.execute(node)
-                        digest.update(np.int64(res.nhits).tobytes())
-                        digest.update(res.selection.coords.tobytes())
-                        digest.update(repr(res.elapsed_s).encode())
-
-            if prof is not None:
-                def timed_pass(label):
-                    def inner():
-                        with prof.run(label):
-                            one_pass()
-                    return inner
-                warm: List[float] = []
-                runs: List[float] = []
-                for _ in range(max(0, warmup)):
-                    t0 = timer()
-                    timed_pass("warmup")()
-                    warm.append(timer() - t0)
-                for _ in range(max(1, trials)):
-                    t0 = timer()
-                    timed_pass("trial")()
-                    runs.append(timer() - t0)
-                measured = {"warmup_s": warm, "trials_s": runs}
-            else:
-                measured = measure_trials(
-                    one_pass, trials=trials, warmup=warmup, timer=timer
-                )
-            digest.update(
-                repr([c.now for c in system.all_clocks()]).encode()
-            )
-            digest.update(system.metrics.render().encode())
-        stats = dict(measured)
-        stats.update(summarize_trials(measured["trials_s"]))
-        return stats, digest.hexdigest()
-
-    serial, fp_serial = run(1, "serial")
-    parallel, fp_parallel = run(workers, "parallel")
-    speedup = (
-        serial["median_s"] / parallel["median_s"]
-        if parallel["median_s"] > 0 else float("inf")
-    )
-    out: Dict[str, object] = {
-        "workers": workers,
-        "elements": elements,
-        "queries": queries,
-        "repeats": repeats,
-        "trials": max(1, trials),
-        "warmup": max(0, warmup),
-        "serial": serial,
-        "parallel": parallel,
-        "serial_s": serial["median_s"],
-        "parallel_s": parallel["median_s"],
-        "speedup": speedup,
-        "fingerprint_serial": fp_serial,
-        "fingerprint_parallel": fp_parallel,
-        "fingerprint_match": fp_serial == fp_parallel,
-        "machine": machine_tag(),
-        "profile": None,
-    }
-    if profile:
-        from ..obs.walltime import (
-            efficiency_table,
-            render_report,
-            report_tracer,
-        )
-
-        reports = {
-            mode: build_report(prof) for mode, prof in profilers.items()
-        }
-        out["profile"] = {
-            mode: report_to_dict(rep) for mode, rep in reports.items()
-        }
-        out["profile_text"] = {
-            mode: render_report(rep) for mode, rep in reports.items()
-        }
-        out["efficiency"] = efficiency_table(
-            serial["median_s"], [(workers, parallel["median_s"])]
-        )
-        if trace_out or speedscope_out:
-            tracer = report_tracer(profilers["parallel"])
-            if trace_out:
-                tracer.write_chrome(trace_out)
-            if speedscope_out:
-                from ..obs.profiler import write_speedscope
-
-                write_speedscope(tracer, speedscope_out)
-    return out
-
-
-def render_wallclock(wc: Dict[str, object]) -> str:
-    serial = wc.get("serial") or {}
-    parallel = wc.get("parallel") or {}
-    lines = [
-        f"wallclock: serial {wc['serial_s']:.3f}s vs "
-        f"{wc['workers']}-worker pool {wc['parallel_s']:.3f}s "
-        f"(speedup {wc['speedup']:.2f}x, "
-        f"{wc['elements']} elements x {wc['queries']} queries x "
-        f"{wc['repeats']} repeats) — "
-        f"fingerprints {'MATCH' if wc['fingerprint_match'] else 'MISMATCH'}"
-    ]
-    if serial.get("trials_s"):
-        lines.append(
-            f"  serial   median {serial['median_s']:.3f}s "
-            f"± {serial['mad_s']:.3f}s MAD over "
-            f"{len(serial['trials_s'])} trials "
-            f"(warm-up {sum(serial.get('warmup_s', [])):.3f}s discarded)"
-        )
-    if parallel.get("trials_s"):
-        lines.append(
-            f"  parallel median {parallel['median_s']:.3f}s "
-            f"± {parallel['mad_s']:.3f}s MAD over "
-            f"{len(parallel['trials_s'])} trials "
-            f"(warm-up {sum(parallel.get('warmup_s', [])):.3f}s discarded)"
-        )
-    for text in (wc.get("profile_text") or {}).values():
-        lines.append(text)
-    return "\n".join(lines)
-
-
-# ------------------------------------------------------ wall-clock baseline
-def write_wallclock_baseline(
-    path: str,
-    wc: Dict[str, object],
-    note: str = "",
-    tolerance: float = DEFAULT_WALLCLOCK_TOLERANCE,
-    min_speedup: float = 0.0,
-) -> None:
-    """Persist a machine-tagged wall-clock baseline with provenance.
-
-    ``min_speedup`` is the hard floor the gate enforces *on this
-    machine* (0.0 = fingerprint-only, the right setting for shared CI
-    runners); ``tolerance`` is the warn-only band around the medians.
-    """
-    doc = {
-        "suite": "wallclock",
-        "note": note,
-        "machine": wc["machine"],
-        "workers": wc["workers"],
-        "elements": wc["elements"],
-        "queries": wc["queries"],
-        "repeats": wc["repeats"],
-        "trials": wc["trials"],
-        "serial_median_s": wc["serial"]["median_s"],
-        "serial_mad_s": wc["serial"]["mad_s"],
-        "parallel_median_s": wc["parallel"]["median_s"],
-        "parallel_mad_s": wc["parallel"]["mad_s"],
-        "speedup": wc["speedup"],
-        "tolerance": float(tolerance),
-        "min_speedup": float(min_speedup),
-    }
-    with open(path, "w", encoding="utf-8") as f:
-        json.dump(doc, f, indent=1, sort_keys=True)
-        f.write("\n")
-
-
-def load_wallclock_baseline(path: str) -> Dict:
-    with open(path, "r", encoding="utf-8") as f:
-        doc = json.load(f)
-    if doc.get("suite") != "wallclock":
-        raise ValueError(f"{path}: not a wall-clock baseline")
-    return doc
-
-
-def gate_wallclock(
-    wc: Dict[str, object],
-    baseline: Optional[Dict] = None,
-    min_speedup: Optional[float] = None,
-) -> Tuple[int, str]:
-    """The statistical wall-clock gate.  Returns ``(exit_code, text)``.
-
-    Hard failures (exit 1) — the two deterministic claims:
-
-    * the serial-vs-pool **correctness fingerprint** mismatched;
-    * the measured speedup fell below the ``min_speedup`` floor (the
-      explicit argument wins; otherwise the baseline's, which only
-      applies on the machine that wrote the baseline).
-
-    Everything else is reporting: medians outside the baseline's
-    tolerance band WARN, and a baseline whose machine tag differs from
-    this host is **skipped with an explicit notice** — two machines'
-    wall timings are never silently compared.
-    """
-    lines: List[str] = []
-    code = 0
-    if not wc["fingerprint_match"]:
-        lines.append(
-            "wallclock gate: FAIL — pooled execution diverged from serial "
-            "(correctness fingerprint mismatch)"
-        )
-        code = 1
-
-    floor = min_speedup
-    current_tag = wc.get("machine") or machine_tag()
-    if baseline is not None:
-        base_tag = baseline.get("machine") or {}
-        if base_tag != current_tag:
-            lines.append(
-                "wallclock gate: baseline machine tag mismatch — "
-                f"baseline {base_tag.get('hostname')!r} "
-                f"({base_tag.get('cpu_count')} cpus, "
-                f"{base_tag.get('machine')}), "
-                f"current {current_tag.get('hostname')!r} "
-                f"({current_tag.get('cpu_count')} cpus, "
-                f"{current_tag.get('machine')}); statistical comparison "
-                "SKIPPED (timings from different machines are never "
-                "silently compared) — fingerprint check still applies"
-            )
-            baseline = None
-        elif any(
-            baseline.get(k) is not None and baseline.get(k) != wc.get(k)
-            for k in ("workers", "elements", "queries", "repeats")
-        ):
-            lines.append(
-                "wallclock gate: baseline workload mismatch — baseline "
-                f"{baseline.get('workers')}w/{baseline.get('elements')}el/"
-                f"{baseline.get('queries')}q/{baseline.get('repeats')}r, "
-                f"current {wc.get('workers')}w/{wc.get('elements')}el/"
-                f"{wc.get('queries')}q/{wc.get('repeats')}r; statistical "
-                "comparison SKIPPED (timings of different workloads are "
-                "never silently compared) — fingerprint check still applies"
-            )
-            baseline = None
-        else:
-            tol = float(
-                baseline.get("tolerance", DEFAULT_WALLCLOCK_TOLERANCE)
-            )
-            if floor is None:
-                floor = float(baseline.get("min_speedup", 0.0)) or None
-            for key, label in (
-                ("serial_median_s", "serial median"),
-                ("parallel_median_s", "parallel median"),
-            ):
-                base_v = float(baseline.get(key, 0.0))
-                cur_v = float(
-                    wc["serial" if key.startswith("serial") else "parallel"][
-                        "median_s"
-                    ]
-                )
-                if base_v <= 0.0:
-                    continue
-                rel = (cur_v - base_v) / base_v
-                verdict = "ok" if abs(rel) <= tol else "WARN (out of band)"
-                lines.append(
-                    f"wallclock gate: {label} {base_v:.3f}s -> {cur_v:.3f}s "
-                    f"({rel:+.1%}, band ±{tol:.0%})  {verdict}"
-                )
-
-    if floor is not None and floor > 0.0:
-        if float(wc["speedup"]) < floor:
-            lines.append(
-                f"wallclock gate: FAIL — speedup {wc['speedup']:.2f}x "
-                f"below the min_speedup floor {floor:.2f}x"
-            )
-            code = 1
-        else:
-            lines.append(
-                f"wallclock gate: speedup {wc['speedup']:.2f}x >= "
-                f"floor {floor:.2f}x  ok"
-            )
-    if code == 0:
-        lines.append("wallclock gate: PASS")
-    return code, "\n".join(lines)
 
 
 # ---------------------------------------------------------------- baselines
@@ -861,10 +410,6 @@ def benchcheck(
     baseline_path: str = DEFAULT_BASELINE,
     update: bool = False,
     report_path: Optional[str] = None,
-    wallclock_workers: Optional[int] = None,
-    wallclock_profile: bool = False,
-    wallclock_baseline: Optional[str] = None,
-    min_speedup: Optional[float] = None,
 ) -> Tuple[int, str]:
     """Run the micro-suite and gate against the committed baseline.
 
@@ -873,70 +418,32 @@ def benchcheck(
     ``update=True`` the current numbers become the new baseline.
     ``report_path`` additionally dumps a JSON report (current metrics +
     per-metric verdicts) for CI artifacts.
-
-    ``wallclock_workers`` (0 = auto) appends the serial-vs-pool wall-clock
-    section (statistical: warm-up + median/MAD trials) to the report.
-    ``wallclock_profile`` adds the overhead-attribution buckets.  When
-    ``wallclock_baseline`` names a readable baseline (or ``min_speedup``
-    sets an explicit floor), the statistical gate
-    (:func:`gate_wallclock`) runs too — hard-failing only on fingerprint
-    mismatch or a speedup below the floor, and skipping band comparison
-    with a notice when the baseline's machine tag is not this host.
     """
     current = run_micro_suite()
-    wallclock: Optional[Dict[str, object]] = None
-    gate_text = ""
-    gate_code = 0
-    if wallclock_workers is not None:
-        wallclock = run_wallclock_suite(
-            workers=wallclock_workers, profile=wallclock_profile
-        )
-        wc_base = None
-        if wallclock_baseline and os.path.exists(wallclock_baseline):
-            wc_base = load_wallclock_baseline(wallclock_baseline)
-        if wc_base is not None or min_speedup is not None:
-            gate_code, gate_text = gate_wallclock(
-                wallclock, wc_base, min_speedup=min_speedup
-            )
 
     if update or not os.path.exists(baseline_path):
         action = "updated" if os.path.exists(baseline_path) else "created"
         write_baseline(baseline_path, current)
         if report_path:
-            _write_report(report_path, current, [], wallclock)
-        text = f"baseline {action}: {baseline_path} ({len(current)} metrics)"
-        if wallclock is not None:
-            text += "\n" + render_wallclock(wallclock)
-        if gate_text:
-            text += "\n" + gate_text
-        code = 0 if wallclock is None or wallclock["fingerprint_match"] else 1
-        return (code or gate_code), text
+            _write_report(report_path, current, [])
+        return 0, f"baseline {action}: {baseline_path} ({len(current)} metrics)"
 
     baseline = load_baseline(baseline_path)
     checks = compare(baseline, current)
     if report_path:
-        _write_report(report_path, current, checks, wallclock)
+        _write_report(report_path, current, checks)
     text = f"comparing against {baseline_path}\n" + render_comparison(checks)
-    failed = any(c.failed for c in checks)
-    if wallclock is not None:
-        text += "\n" + render_wallclock(wallclock)
-        failed = failed or not wallclock["fingerprint_match"]
-    if gate_text:
-        text += "\n" + gate_text
-        failed = failed or bool(gate_code)
-    return (1 if failed else 0), text
+    return (1 if any(c.failed for c in checks) else 0), text
 
 
 def _write_report(
     path: str,
     current: Dict[str, float],
     checks: List[MetricCheck],
-    wallclock: Optional[Dict[str, object]] = None,
 ) -> None:
     doc = {
         "suite": "microsuite",
         "metrics": current,
-        "wallclock": wallclock,
         "checks": [
             {
                 "name": c.name,

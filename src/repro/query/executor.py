@@ -266,15 +266,6 @@ class QueryEngine:
     ``enable_ordering`` evaluates multi-object conditions in user order
     (no selectivity planning); disabling ``enable_pruning`` reads every
     region regardless of histogram min/max.
-
-    ``workers > 1`` evaluates the numpy hot kernels (interval masks,
-    candidate re-checks, hit counts) in a forked process pool with a
-    deterministic region-order merge — answers, simulated clocks,
-    metrics, and bench fingerprints are bit-identical to serial
-    execution (see :mod:`repro.query.parallel` and
-    ``docs/parallelism.md``); only wall-clock time changes.  Call
-    :meth:`close` (or use the engine as a context manager) to reap the
-    pool.
     """
 
     def __init__(
@@ -282,55 +273,12 @@ class QueryEngine:
         system: PDCSystem,
         enable_ordering: bool = True,
         enable_pruning: bool = True,
-        workers: int = 0,
-        parallel: Optional["ParallelRuntime"] = None,
     ) -> None:
         self.system = system
         self.enable_ordering = enable_ordering
         self.enable_pruning = enable_pruning
         #: Simulated-time deadline of the query in flight (None = no limit).
         self._deadline: Optional[float] = None
-        #: Real-parallel runtime (None = serial wall-clock execution).
-        self.parallel: Optional["ParallelRuntime"] = None
-        self._owns_runtime = False
-        if parallel is not None:
-            self.parallel = parallel
-        elif workers and int(workers) > 1:
-            from .parallel import ParallelRuntime
-
-            self.parallel = ParallelRuntime(int(workers))
-            self._owns_runtime = True
-        if self.parallel is not None:
-            self.parallel.bind(system)
-        #: Optional :class:`~repro.obs.walltime.WallProfiler` timing the
-        #: *serial* hot-path kernels (the pooled ones are stamped by the
-        #: runtime itself).  None by default: one attribute read per
-        #: kernel call, zero effect on simulated results.
-        self.wall_profiler = None
-
-    @property
-    def workers(self) -> int:
-        """Wall-clock worker count (1 = serial execution)."""
-        return self.parallel.workers if self.parallel is not None else 1
-
-    def set_wall_profiler(self, profiler) -> None:
-        """Install (or remove, with None) a wall-clock profiler on this
-        engine and its parallel runtime, if any."""
-        self.wall_profiler = profiler
-        if self.parallel is not None:
-            self.parallel.profiler = profiler
-
-    def close(self) -> None:
-        """Release the parallel runtime (no-op for serial engines)."""
-        if self.parallel is not None and self._owns_runtime:
-            self.parallel.close()
-            self.parallel = None
-
-    def __enter__(self) -> "QueryEngine":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
 
     def _check_deadline(self) -> None:
         """Raise :class:`QueryTimeoutError` once simulated time passes the
@@ -1762,40 +1710,18 @@ class QueryEngine:
     ) -> np.ndarray:
         """Exact hit coordinates of one condition within the constraint."""
         cstart, cstop = constraint
-        if self.parallel is not None:
-            return self.parallel.mask_coords(obj, interval, cstart, cstop)
-        prof = self.wall_profiler
-        t0 = prof.timer() if prof is not None else 0.0
         window = obj.data[cstart:cstop]
-        out = np.flatnonzero(interval.mask(window)).astype(np.int64) + cstart
-        if prof is not None:
-            prof.record_inline("mask", t0, prof.timer(), cstop - cstart)
-        return out
+        return np.flatnonzero(interval.mask(window)).astype(np.int64) + cstart
 
     def _filter_coords(
         self, obj: StoredObject, interval: Interval, coords: np.ndarray
     ) -> np.ndarray:
         """Candidate re-check: keep the coords whose value matches."""
-        if self.parallel is not None:
-            return self.parallel.filter_coords(obj, interval, coords)
-        prof = self.wall_profiler
-        t0 = prof.timer() if prof is not None else 0.0
-        out = coords[interval.mask(obj.data[coords])]
-        if prof is not None:
-            prof.record_inline("filter", t0, prof.timer(), int(coords.size))
-        return out
+        return coords[interval.mask(obj.data[coords])]
 
     def _count_hits(self, obj: StoredObject, interval: Interval) -> int:
         """Whole-object hit count (metadata+data queries)."""
-        if self.parallel is not None:
-            return self.parallel.count_hits(obj, interval)
-        prof = self.wall_profiler
-        t0 = prof.timer() if prof is not None else 0.0
-        out = int(interval.mask(obj.data).sum())
-        if prof is not None:
-            prof.record_inline("count", t0, prof.timer(),
-                               int(obj.n_elements))
-        return out
+        return int(interval.mask(obj.data).sum())
 
     # -------------------------------------------------------------- get_data
     def _charge_get_data_original(

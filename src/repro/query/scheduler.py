@@ -292,18 +292,11 @@ class QueryScheduler:
         max_width: int = 8,
         selection_cache: Optional[SelectionCache] = None,
         use_selection_cache: bool = True,
-        workers: int = 0,
     ) -> None:
         if max_width < 1:
             raise ValueError("max_width must be >= 1")
         self.system = system
-        #: ``workers > 1`` gives a scheduler-owned engine a real-parallel
-        #: runtime (bit-identical results; see docs/parallelism.md).
-        #: Ignored when an explicit ``engine`` is passed.
-        self._owns_engine = engine is None
-        self.engine = (
-            engine if engine is not None else QueryEngine(system, workers=workers)
-        )
+        self.engine = engine if engine is not None else QueryEngine(system)
         if self.engine.system is not system:
             raise ValueError("engine is bound to a different system")
         self.max_width = max_width
@@ -362,8 +355,6 @@ class QueryScheduler:
                 batch.shared_reads,
                 batch.saved_bytes_virtual,
             )
-            if self.engine.parallel is not None:
-                monitor.on_parallel(t_s, self.engine.parallel.wall_metrics)
         return batch
 
     def analyze_window(self, specs: Sequence[Union[QueryNode, QuerySpec]]):
@@ -423,13 +414,10 @@ class QueryScheduler:
         self.selection_cache.invalidate_object(object_name, spans)
 
     def close(self) -> None:
-        """Flush pending work, unregister the invalidation hook, and reap
-        a scheduler-owned engine's parallel runtime."""
+        """Flush pending work and unregister the invalidation hook."""
         self.flush()
         if self.selection_cache is not None:
             self.system.unregister_invalidation_hook(self._on_invalidate)
-        if self._owns_engine:
-            self.engine.close()
 
     def __enter__(self) -> "QueryScheduler":
         return self

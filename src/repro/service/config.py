@@ -116,10 +116,6 @@ class ServiceConfig:
     #: defaults.  Kept untyped here to avoid importing the ingest stack
     #: for query-only services.
     ingest: Optional[object] = None
-    #: Wall-clock worker processes for the service-owned engine's hot
-    #: kernels (``> 1`` enables the real-parallel runtime; simulated
-    #: results stay bit-identical — see docs/parallelism.md).
-    workers: int = 0
     #: Autoscaler driven from the drain loop
     #: (:class:`repro.cluster.autoscale.Autoscaler`); None disables
     #: elastic scaling.  Kept untyped here to avoid importing the

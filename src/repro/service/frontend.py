@@ -177,7 +177,6 @@ class QueryService:
             engine=engine,
             max_width=self.config.batch_window,
             use_selection_cache=self.config.use_selection_cache,
-            workers=self.config.workers,
         )
         self._policy = make_policy(self.config.policy)
         self._queues: Dict[str, Deque[ServiceRequest]] = {

@@ -1,5 +1,5 @@
-"""Simulated SPMD/MPI runtime: threaded communicator, launcher, reduction
-operators, and simulated-time phase helpers.
+"""Simulated SPMD/MPI runtime: threaded communicator, launcher, and reduction
+operators.
 
 Drop-in shaped like mpi4py's pickle-based API (``comm.send`` / ``comm.recv``
 / ``comm.bcast`` / ...) so the PDC transport code reads like the real thing.
@@ -8,7 +8,6 @@ Drop-in shaped like mpi4py's pickle-based API (``comm.send`` / ``comm.recv``
 from .communicator import ANY_SOURCE, ANY_TAG, CommStats, Communicator, CommWorld, Request
 from .launcher import run_spmd
 from .reduceops import CONCAT, LAND, LOR, MAX, MIN, PROD, SUM, reduce_sequence
-from .timers import ClockGroup, phase_end
 
 __all__ = [
     "ANY_SOURCE",
@@ -26,6 +25,4 @@ __all__ = [
     "PROD",
     "SUM",
     "reduce_sequence",
-    "ClockGroup",
-    "phase_end",
 ]

@@ -1,4 +1,4 @@
-"""Simulated storage substrate: devices, tiers, parallel file system,
+"""Simulated storage substrate: devices, parallel file system,
 read aggregation, region cache, and the simulated-time cost model.
 
 This package replaces the paper's Cori/Lustre testbed with a deterministic
@@ -10,13 +10,6 @@ from .cache import CacheStats, RegionCache
 from .costmodel import CORI_LIKE, CostModel, CostParameters, SimClock
 from .device import DeviceKind, StorageDevice
 from .file import ParallelFileSystem, SimFile
-from .tiers import (
-    default_hierarchy,
-    make_disk_device,
-    make_memory_device,
-    make_nvram_device,
-    make_tape_device,
-)
 
 __all__ = [
     "aggregate_extents",
@@ -32,9 +25,4 @@ __all__ = [
     "StorageDevice",
     "ParallelFileSystem",
     "SimFile",
-    "default_hierarchy",
-    "make_disk_device",
-    "make_memory_device",
-    "make_nvram_device",
-    "make_tape_device",
 ]

@@ -24,6 +24,24 @@ def small_arrays(rng):
     }
 
 
+@pytest.fixture(scope="session")
+def micro_suite():
+    """One real run of the deterministic micro-suite, shared by the session."""
+    from repro.obs.regress import run_micro_suite
+
+    return run_micro_suite()
+
+
+@pytest.fixture
+def cached_micro_suite(micro_suite, monkeypatch):
+    """``benchcheck`` reuses the session's micro-suite numbers instead of
+    re-running the suite (determinism itself is pinned by
+    ``TestMicroSuite::test_deterministic``)."""
+    monkeypatch.setattr(
+        "repro.obs.regress.run_micro_suite", lambda: dict(micro_suite)
+    )
+
+
 def make_system(
     n_servers: int = 4,
     region_size_bytes: int = 1 << 13,

@@ -8,7 +8,7 @@ from repro.obs import MetricsRegistry, Tracer
 from repro.pdc.observability import snapshot
 from repro.query.ast import Condition, combine_and
 from repro.query.executor import QueryEngine
-from repro.simmpi import ClockGroup, CommWorld, run_spmd
+from repro.simmpi import CommWorld, run_spmd
 from repro.strategies import Strategy
 from repro.types import PDCType, QueryOp
 from tests.conftest import make_system
@@ -227,17 +227,6 @@ class TestCommAccounting:
         assert stats.messages_by_op.get("p2p") == 1
         assert reg.get("simmpi_messages_total").labels(op="p2p").value == 1
         assert reg.total("simmpi_bytes_total") == stats.bytes_total
-
-    def test_collective_rendezvous_lands_in_comm_category(self):
-        group = ClockGroup(2)
-        group.servers[0].charge(1.0, "scan")
-        group.sync_collective()
-        assert group.servers[1].breakdown().get("comm", 0.0) == pytest.approx(1.0)
-        assert group.client.breakdown().get("comm", 0.0) == pytest.approx(1.0)
-        # Plain barriers still count as wait.
-        group.servers[0].charge(0.5, "scan")
-        group.sync_all()
-        assert group.servers[1].breakdown().get("wait", 0.0) == pytest.approx(0.5)
 
     def test_query_produces_comm_time(self):
         sysm = build_system(np.random.default_rng(4))

@@ -11,18 +11,10 @@ from repro.obs.regress import (
     benchcheck,
     compare,
     demo_deployment,
-    gate_wallclock,
     load_baseline,
-    load_wallclock_baseline,
-    machine_tag,
-    measure_trials,
     run_micro_suite,
-    run_wallclock_suite,
     render_comparison,
-    render_wallclock,
-    summarize_trials,
     write_baseline,
-    write_wallclock_baseline,
 )
 
 REPO_ROOT = os.path.dirname(
@@ -30,51 +22,46 @@ REPO_ROOT = os.path.dirname(
 )
 
 
-@pytest.fixture(scope="module")
-def suite():
-    return run_micro_suite()
-
-
 class TestMicroSuite:
-    def test_deterministic(self, suite):
+    def test_deterministic(self, micro_suite):
         again = run_micro_suite()
-        assert again == suite  # bit-identical, not approx
+        assert again == micro_suite  # bit-identical, not approx
 
-    def test_covers_every_strategy(self, suite):
+    def test_covers_every_strategy(self, micro_suite):
         from repro.strategies import Strategy
 
         for s in Strategy:
-            assert f"query.{s.name.lower()}.sim_seconds" in suite
-            assert suite[f"query.{s.name.lower()}.sim_seconds"] > 0
+            assert f"query.{s.name.lower()}.sim_seconds" in micro_suite
+            assert micro_suite[f"query.{s.name.lower()}.sim_seconds"] > 0
 
-    def test_all_strategies_agree_on_answer(self, suite):
+    def test_all_strategies_agree_on_answer(self, micro_suite):
         _, _, truth = demo_deployment()
         # The ingest leg queries a deliberately mutated deployment, so its
         # answer differs from the pristine demo truth by design.
         nhits = {
             v
-            for k, v in suite.items()
+            for k, v in micro_suite.items()
             if k.endswith(".nhits") and not k.startswith("ingest.")
         }
         assert nhits == {float(truth)}
 
-    def test_ingest_leg_pinned(self, suite):
-        assert suite["ingest.epochs"] > 0
-        assert suite["ingest.hist_merges"] > 0
-        assert suite["ingest.index_delta_appends"] > 0
-        assert suite["ingest.compactions"] > 0
-        assert suite["ingest.post_query.nhits"] > 0
-        assert suite["ingest.sim_seconds"] > 0
+    def test_ingest_leg_pinned(self, micro_suite):
+        assert micro_suite["ingest.epochs"] > 0
+        assert micro_suite["ingest.hist_merges"] > 0
+        assert micro_suite["ingest.index_delta_appends"] > 0
+        assert micro_suite["ingest.compactions"] > 0
+        assert micro_suite["ingest.post_query.nhits"] > 0
+        assert micro_suite["ingest.sim_seconds"] > 0
 
-    def test_batch_and_get_data_metrics(self, suite):
-        assert suite["batch.sim_seconds"] > 0
-        assert suite["batch.shared_bytes_virtual"] > 0
-        assert suite["batch.saved_bytes_virtual"] > 0
-        assert suite["get_data.replica.sim_seconds"] > 0
+    def test_batch_and_get_data_metrics(self, micro_suite):
+        assert micro_suite["batch.sim_seconds"] > 0
+        assert micro_suite["batch.shared_bytes_virtual"] > 0
+        assert micro_suite["batch.saved_bytes_virtual"] > 0
+        assert micro_suite["get_data.replica.sim_seconds"] > 0
         # The replica path skips reading the original object's regions.
         assert (
-            suite["get_data.replica.sim_seconds"]
-            < suite["get_data.original.sim_seconds"]
+            micro_suite["get_data.replica.sim_seconds"]
+            < micro_suite["get_data.original.sim_seconds"]
         )
 
 
@@ -135,6 +122,7 @@ class TestCompare:
         assert "PASS (2 metrics within tolerance)" in text
 
 
+@pytest.mark.usefixtures("cached_micro_suite")
 class TestBenchcheck:
     def test_creates_baseline_when_missing(self, tmp_path):
         path = tmp_path / "BENCH_t.json"
@@ -149,18 +137,18 @@ class TestBenchcheck:
         code, text = benchcheck(baseline_path=str(path))
         assert code == 0 and "PASS" in text
 
-    def test_fails_on_perturbed_baseline(self, tmp_path, suite):
+    def test_fails_on_perturbed_baseline(self, tmp_path, micro_suite):
         path = tmp_path / "BENCH_t.json"
-        doctored = dict(suite)
+        doctored = dict(micro_suite)
         doctored["batch.sim_seconds"] *= 1.01
         write_baseline(str(path), doctored)
         code, text = benchcheck(baseline_path=str(path))
         assert code == 1 and "FAIL" in text
         assert "batch.sim_seconds" in text
 
-    def test_update_rewrites(self, tmp_path, suite):
+    def test_update_rewrites(self, tmp_path, micro_suite):
         path = tmp_path / "BENCH_t.json"
-        doctored = dict(suite)
+        doctored = dict(micro_suite)
         doctored["batch.sim_seconds"] *= 1.01
         write_baseline(str(path), doctored)
         code, text = benchcheck(baseline_path=str(path), update=True)
@@ -182,230 +170,13 @@ class TestBenchcheck:
         assert doc["metrics"]
 
 
-class FakeClock:
-    """Deterministic injectable timer: ``fn`` advances it explicitly."""
-
-    def __init__(self):
-        self.t = 0.0
-
-    def __call__(self):
-        return self.t
-
-
-def scripted_work(clock, durations):
-    """A workload whose i-th run takes exactly ``durations[i]`` fake
-    seconds."""
-    it = iter(durations)
-
-    def fn():
-        clock.t += next(it)
-
-    return fn
-
-
-def fake_wallclock(serial_trials, parallel_trials, workers=2,
-                   fingerprint_match=True, machine=None):
-    """Assemble the suite-result dict from fake-timer measurements —
-    the same shape ``run_wallclock_suite`` returns, without the heavy
-    workload."""
-    clock = FakeClock()
-    serial = measure_trials(
-        scripted_work(clock, [0.5] + list(serial_trials)),
-        trials=len(serial_trials), warmup=1, timer=clock,
-    )
-    serial.update(summarize_trials(serial["trials_s"]))
-    parallel = measure_trials(
-        scripted_work(clock, [0.9] + list(parallel_trials)),
-        trials=len(parallel_trials), warmup=1, timer=clock,
-    )
-    parallel.update(summarize_trials(parallel["trials_s"]))
-    return {
-        "workers": workers,
-        "elements": 1 << 20,
-        "queries": 4,
-        "repeats": 1,
-        "trials": len(serial_trials),
-        "warmup": 1,
-        "serial": serial,
-        "parallel": parallel,
-        "serial_s": serial["median_s"],
-        "parallel_s": parallel["median_s"],
-        "speedup": serial["median_s"] / parallel["median_s"],
-        "fingerprint_serial": "f" * 8,
-        "fingerprint_parallel": "f" * 8 if fingerprint_match else "0" * 8,
-        "fingerprint_match": fingerprint_match,
-        "machine": machine or machine_tag(),
-        "profile": None,
-    }
-
-
-class TestTrialStatistics:
-    def test_measure_trials_excludes_warmup(self):
-        clock = FakeClock()
-        out = measure_trials(
-            scripted_work(clock, [5.0, 1.0, 1.2, 1.1]),
-            trials=3, warmup=1, timer=clock,
-        )
-        assert out["warmup_s"] == pytest.approx([5.0])  # reported...
-        # ...never averaged in:
-        assert out["trials_s"] == pytest.approx([1.0, 1.2, 1.1])
-        stats = summarize_trials(out["trials_s"])
-        assert stats["median_s"] == pytest.approx(1.1)
-        assert stats["mad_s"] == pytest.approx(0.1)
-
-    def test_median_mad_even_count(self):
-        stats = summarize_trials([1.0, 2.0, 4.0, 10.0])
-        assert stats["median_s"] == pytest.approx(3.0)
-        assert stats["mad_s"] == pytest.approx(1.5)
-
-    def test_median_robust_to_one_outlier(self):
-        clean = summarize_trials([1.0, 1.02, 0.98])
-        spiked = summarize_trials([1.0, 1.02, 9.0])
-        assert spiked["median_s"] == pytest.approx(1.02)
-        assert clean["median_s"] == pytest.approx(1.0)
-
-    def test_empty_trials(self):
-        assert summarize_trials([]) == {"median_s": 0.0, "mad_s": 0.0}
-
-
-class TestWallclockGate:
-    """The statistical gate, driven end to end by an injected fake
-    timer: slowdowns fail, jitter passes, foreign baselines skip."""
-
-    def _baseline(self, tmp_path, wc, **kw):
-        path = tmp_path / "BENCH_wallclock.json"
-        write_wallclock_baseline(str(path), wc, **kw)
-        return load_wallclock_baseline(str(path))
-
-    def test_clean_run_with_jitter_passes(self, tmp_path):
-        base_wc = fake_wallclock([2.0, 2.0, 2.0], [1.0, 1.0, 1.0])
-        baseline = self._baseline(tmp_path, base_wc, min_speedup=1.5)
-        # Same machine, same shape, a few percent of jitter.
-        jittered = fake_wallclock(
-            [2.04, 1.97, 2.01], [1.03, 0.98, 1.02]
-        )
-        code, text = gate_wallclock(jittered, baseline)
-        assert code == 0
-        assert "PASS" in text and "FAIL" not in text
-        assert "ok" in text  # tolerance-band lines rendered
-
-    def test_2x_kernel_slowdown_fails_the_floor(self, tmp_path):
-        base_wc = fake_wallclock([2.0, 2.0, 2.0], [1.0, 1.0, 1.0])
-        baseline = self._baseline(tmp_path, base_wc, min_speedup=1.5)
-        # Parallel kernels took 2x: speedup collapses to ~1.0 < 1.5.
-        slowed = fake_wallclock([2.0, 2.0, 2.0], [2.0, 2.1, 2.0])
-        code, text = gate_wallclock(slowed, baseline)
-        assert code == 1
-        assert "FAIL" in text and "min_speedup floor" in text
-        assert "WARN (out of band)" in text  # median drifted too
-
-    def test_out_of_band_alone_only_warns(self, tmp_path):
-        base_wc = fake_wallclock([2.0, 2.0, 2.0], [1.0, 1.0, 1.0])
-        baseline = self._baseline(tmp_path, base_wc)  # no floor
-        drifted = fake_wallclock([3.0, 3.0, 3.0], [1.5, 1.5, 1.5])
-        code, text = gate_wallclock(drifted, baseline)
-        assert code == 0  # warn-only: same speedup, slower machine day
-        assert "WARN (out of band)" in text and "PASS" in text
-
-    def test_foreign_machine_baseline_skipped_with_notice(self, tmp_path):
-        base_wc = fake_wallclock([2.0, 2.0, 2.0], [1.0, 1.0, 1.0])
-        # A baseline written on another host, with a floor this run's
-        # 1.0x speedup would fail — it must NOT be silently applied.
-        baseline = self._baseline(tmp_path, base_wc, min_speedup=1.5)
-        baseline["machine"] = dict(
-            baseline["machine"], hostname="some-other-host"
-        )
-        current = fake_wallclock([2.0, 2.0, 2.0], [2.0, 2.0, 2.0])
-        code, text = gate_wallclock(current, baseline)
-        assert code == 0
-        assert "SKIPPED" in text
-        assert "never silently compared" in text
-        assert "WARN" not in text  # no band lines against a foreign tag
-
-    def test_different_workload_baseline_skipped_with_notice(self, tmp_path):
-        base_wc = fake_wallclock([2.0, 2.0, 2.0], [1.0, 1.0, 1.0])
-        baseline = self._baseline(tmp_path, base_wc, min_speedup=1.5)
-        current = fake_wallclock(
-            [4.0, 4.0, 4.0], [4.0, 4.0, 4.0], workers=8
-        )
-        code, text = gate_wallclock(current, baseline)
-        assert code == 0
-        assert "workload mismatch" in text and "SKIPPED" in text
-        assert "WARN" not in text
-
-    def test_explicit_floor_survives_foreign_baseline(self, tmp_path):
-        base_wc = fake_wallclock([2.0, 2.0, 2.0], [1.0, 1.0, 1.0])
-        baseline = self._baseline(tmp_path, base_wc)
-        baseline["machine"] = dict(
-            baseline["machine"], hostname="some-other-host"
-        )
-        current = fake_wallclock([2.0, 2.0, 2.0], [2.0, 2.0, 2.0])
-        code, text = gate_wallclock(current, baseline, min_speedup=1.5)
-        assert code == 1 and "min_speedup floor" in text
-
-    def test_fingerprint_mismatch_always_fails(self):
-        wc = fake_wallclock(
-            [2.0, 2.0, 2.0], [1.0, 1.0, 1.0], fingerprint_match=False
-        )
-        code, text = gate_wallclock(wc)
-        assert code == 1 and "fingerprint mismatch" in text
-
-    def test_no_baseline_no_floor_is_fingerprint_only(self):
-        wc = fake_wallclock([2.0, 2.0, 2.0], [2.5, 2.5, 2.5])
-        code, text = gate_wallclock(wc)
-        assert code == 0 and "PASS" in text
-
-    def test_baseline_roundtrip_and_provenance(self, tmp_path):
-        wc = fake_wallclock([2.0, 2.0, 2.0], [1.0, 1.0, 1.0])
-        path = tmp_path / "BENCH_wallclock.json"
-        write_wallclock_baseline(
-            str(path), wc, note="dev box", min_speedup=1.2
-        )
-        doc = load_wallclock_baseline(str(path))
-        assert doc["suite"] == "wallclock"
-        assert doc["machine"] == machine_tag()
-        assert doc["serial_median_s"] == pytest.approx(2.0)
-        assert doc["min_speedup"] == 1.2
-        assert doc["note"] == "dev box"
-
-    def test_micro_baseline_rejected_as_wallclock(self, tmp_path):
-        path = tmp_path / "BENCH_t.json"
-        write_baseline(str(path), {"a": 1.0})
-        with pytest.raises(ValueError):
-            load_wallclock_baseline(str(path))
-
-    def test_render_wallclock_statistics(self):
-        wc = fake_wallclock([2.0, 2.1, 1.9], [1.0, 1.1, 0.9])
-        text = render_wallclock(wc)
-        assert "median" in text and "MAD" in text
-        assert "discarded" in text  # warm-up reported separately
-
-
-class TestWallclockSuiteIntegration:
-    """A tiny real run of the statistical suite (kernels fall back
-    in-process below min_elements — fast, still fingerprinted)."""
-
-    def test_suite_shape_and_fingerprints(self):
-        wc = run_wallclock_suite(
-            workers=2, elements=1 << 12, queries=1, repeats=1,
-            trials=2, warmup=1,
-        )
-        assert wc["fingerprint_match"]
-        assert len(wc["serial"]["trials_s"]) == 2
-        assert len(wc["serial"]["warmup_s"]) == 1
-        assert wc["serial_s"] == wc["serial"]["median_s"]
-        assert wc["machine"] == machine_tag()
-        code, text = gate_wallclock(wc)
-        assert code == 0
-
-
 class TestCommittedBaseline:
     """The repo-root BENCH_microsuite.json is the first entry of the
     BENCH trajectory; current code must reproduce it exactly."""
 
-    def test_current_code_matches_committed_numbers(self, suite):
+    def test_current_code_matches_committed_numbers(self, micro_suite):
         path = os.path.join(REPO_ROOT, DEFAULT_BASELINE)
         assert os.path.exists(path), "committed baseline missing"
-        checks = compare(load_baseline(path), suite)
+        checks = compare(load_baseline(path), micro_suite)
         bad = [c.name for c in checks if c.failed]
         assert not bad, f"drift vs committed baseline: {bad}"

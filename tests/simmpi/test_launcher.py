@@ -4,8 +4,6 @@ import pytest
 
 from repro.errors import RuntimeAbort
 from repro.simmpi import run_spmd
-from repro.simmpi.timers import ClockGroup, phase_end
-from repro.storage.costmodel import SimClock
 
 
 class TestRunSpmd:
@@ -52,34 +50,3 @@ class TestRunSpmd:
         with pytest.raises(RuntimeAbort):
             run_spmd(2, main, timeout=5.0)
 
-
-class TestTimers:
-    def test_phase_end_advances_all(self):
-        a, b = SimClock("a"), SimClock("b")
-        a.charge(1.0)
-        b.charge(3.0)
-        t = phase_end([a, b])
-        assert t == 3.0
-        assert a.now == b.now == 3.0
-
-    def test_phase_end_empty_rejected(self):
-        with pytest.raises(ValueError):
-            phase_end([])
-
-    def test_clock_group(self):
-        g = ClockGroup(3)
-        g.servers[1].charge(2.0)
-        g.client.charge(0.5)
-        assert g.elapsed() == 2.0
-        g.sync_servers()
-        assert all(c.now == 2.0 for c in g.servers)
-        assert g.client.now == 0.5  # client free to run ahead/behind
-        g.sync_all()
-        assert g.client.now == 2.0
-
-    def test_clock_group_reset_and_breakdown(self):
-        g = ClockGroup(2)
-        g.servers[0].charge(1.0, "scan")
-        assert g.breakdown()["server0"] == {"scan": 1.0}
-        g.reset()
-        assert g.elapsed() == 0.0

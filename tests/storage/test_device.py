@@ -1,17 +1,9 @@
-"""Tests for storage devices and hierarchy tiers."""
+"""Tests for storage devices."""
 
 import pytest
 
 from repro.errors import CapacityError, StorageError
 from repro.storage.device import DeviceKind, StorageDevice
-from repro.storage.tiers import (
-    default_hierarchy,
-    make_disk_device,
-    make_memory_device,
-    make_nvram_device,
-    make_tape_device,
-)
-from repro.types import GB
 
 
 def make_dev(capacity=1000):
@@ -87,30 +79,3 @@ class TestStorageDevice:
         with pytest.raises(StorageError):
             make_dev().release("nope")
 
-
-class TestTiers:
-    def test_memory_default_matches_paper_limit(self):
-        # §V: 64 GB per-server memory limit.
-        assert make_memory_device().capacity_bytes == 64 * GB
-
-    def test_bandwidth_ordering_across_tiers(self):
-        mem = make_memory_device()
-        bb = make_nvram_device()
-        disk = make_disk_device()
-        tape = make_tape_device()
-        assert (
-            mem.read_bandwidth_bps
-            > bb.read_bandwidth_bps
-            > disk.read_bandwidth_bps
-            > tape.read_bandwidth_bps
-        )
-
-    def test_latency_ordering_across_tiers(self):
-        h = default_hierarchy()
-        lats = [h[k].access_latency_s for k in DeviceKind.ORDER]
-        assert lats == sorted(lats)
-
-    def test_default_hierarchy_names_unique_per_server(self):
-        h0 = default_hierarchy(0)
-        h1 = default_hierarchy(1)
-        assert h0[DeviceKind.MEMORY].name != h1[DeviceKind.MEMORY].name

@@ -101,6 +101,7 @@ class TestProfileCommand:
         assert "per-clock utilization:" in out and "critical path" in out
 
 
+@pytest.mark.usefixtures("cached_micro_suite")
 class TestBenchcheckCommand:
     def test_create_then_pass(self, capsys, tmp_path):
         baseline = tmp_path / "BENCH_t.json"
@@ -120,6 +121,40 @@ class TestBenchcheckCommand:
             "--report", str(report),
         ]) == 0
         assert json.loads(report.read_text())["failed"] == []
+
+
+class TestOutputPathErrors:
+    """Every flag that names an output file: an unwritable path is a
+    one-line ``error:`` and exit code 2, never a traceback."""
+
+    @pytest.mark.usefixtures("cached_micro_suite")
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["selftest", "--trace"],
+            ["trace", "simple", "--out"],
+            ["trace", "simple", "--out", "{ok}", "--jsonl"],
+            ["explain", "simple", "--analyze", "--flamegraph"],
+            ["explain", "simple", "--analyze", "--speedscope"],
+            ["profile", "simple", "--flamegraph"],
+            ["profile", "simple", "--speedscope"],
+            ["benchcheck", "--baseline"],
+            ["benchcheck", "--baseline", "{ok}", "--report"],
+            ["monitor", "--requests", "30", "--openmetrics"],
+            ["monitor", "--requests", "30", "--series"],
+            ["monitor", "--requests", "30", "--alerts"],
+            ["cluster", "--requests", "30", "--series"],
+        ],
+        ids=lambda argv: " ".join(a for a in argv if not a.startswith("{")),
+    )
+    def test_missing_directory_exits_2(self, argv, capsys, tmp_path):
+        argv = [a.format(ok=tmp_path / "ok.out") for a in argv]
+        code = main(argv + [str(tmp_path / "no_such_dir" / "out")])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert "Traceback" not in captured.err
+        assert captured.err.startswith("error: ")
+        assert len(captured.err.splitlines()) == 1
 
 
 class TestSubprocess:
