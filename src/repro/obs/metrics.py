@@ -77,7 +77,7 @@ class _Metric:
 
     def __init__(self, name: str, help: str = "",
                  label_names: Tuple[str, ...] = (),
-                 max_series: int = 1000) -> None:
+                 max_series: int = 4096) -> None:
         self.name = name
         self.help = help
         self.label_names = tuple(label_names)
@@ -191,7 +191,7 @@ class HistogramMetric(_Metric):
 
     def __init__(self, name: str, help: str = "",
                  label_names: Tuple[str, ...] = (),
-                 max_series: int = 1000, n_bins: int = 32) -> None:
+                 max_series: int = 4096, n_bins: int = 32) -> None:
         super().__init__(name, help, label_names, max_series)
         self.n_bins = n_bins
         self._count = 0
@@ -278,7 +278,7 @@ class MetricsRegistry:
     match), so instrumentation sites need no global coordination.
     """
 
-    def __init__(self, max_series_per_metric: int = 1000) -> None:
+    def __init__(self, max_series_per_metric: int = 4096) -> None:
         self.max_series_per_metric = max_series_per_metric
         self._metrics: Dict[str, _Metric] = {}
         self._lock = threading.Lock()

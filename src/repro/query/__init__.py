@@ -1,6 +1,7 @@
 """PDC-Query: the parallel query service (§III) — condition trees, the
 paper's C-style API, selections, strategies, and the query engine."""
 
+from ..strategies import Strategy, strategy_from_env
 from .api import (
     PDCQuery,
     PDCquery_and,
@@ -35,7 +36,6 @@ from .planner import (
 )
 from .scheduler import QueryScheduler, SelectionCache, SelectionCacheStats
 from .selection import Selection
-from .strategies import Strategy, strategy_from_env
 
 __all__ = [
     "PDCQuery",

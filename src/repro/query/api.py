@@ -29,12 +29,12 @@ import numpy as np
 from ..errors import QueryError, QueryTypeError
 from ..histogram.global_hist import GlobalHistogram
 from ..pdc.system import PDCSystem
+from ..strategies import Strategy
 from ..types import PDCType, QueryOp, Scalar
 from .ast import Condition, QueryNode, combine_and, combine_or
 from .executor import QueryEngine, QueryResult
 from .region_constraint import HyperSlab, RegionConstraint
 from .selection import Selection
-from .strategies import Strategy
 
 __all__ = [
     "PDCQuery",

@@ -23,28 +23,35 @@ bulk-synchronous barriers around the evaluation — exactly the end-to-end
 
 from __future__ import annotations
 
+import zlib
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from functools import partial
+from itertools import groupby
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..errors import (
+    PDCError,
     QueryError,
     QueryShapeError,
     QueryTimeoutError,
     RegionUnavailableError,
 )
-from ..histogram.selectivity import order_by_selectivity
 from ..interval import Interval
 from ..obs.tracer import Span
 from ..pdc.placement import assign_region_ids
 from ..pdc.region import region_key
 from ..pdc.system import PDCSystem, ReplicaGroup, StoredObject
 from ..storage.aggregator import coords_to_extents
-from .ast import Conjunct, QueryNode, conjunct_intervals, objects_of, to_dnf
+from ..storage.device import DeviceKind
+from ..strategies import Strategy
+from . import planner
+from .ast import QueryNode, conjunct_intervals, objects_of, to_dnf
+from .planner import ConjunctPlan, PlanStep, plan_query
 from .region_constraint import RegionConstraint, normalize_constraint
 from .selection import Selection
-from .strategies import Strategy
 
 __all__ = [
     "QueryEngine",
@@ -254,8 +261,6 @@ class MetaDataQueryResult:
 def hash_name(name: str) -> int:
     """Deterministic object-name hash (server assignment for small
     objects)."""
-    import zlib
-
     return zlib.crc32(name.encode("utf-8"))
 
 
@@ -286,10 +291,7 @@ class QueryEngine:
         deadline = self._deadline
         if deadline is None:
             return
-        sysm = self.system
-        now = max(
-            max(s.clock.now for s in sysm.alive_servers), sysm.client_clock.now
-        )
+        now = self._frontier()
         if now > deadline:
             raise QueryTimeoutError(
                 f"query passed its simulated deadline: t={now:.6f}s > "
@@ -320,34 +322,11 @@ class QueryEngine:
         sysm = self.system
         tracer = sysm.tracer
         with tracer.span("query", sysm.client_clock, category="query") as qspan:
-            strat = strategy or sysm.strategy
             with tracer.span("plan", sysm.client_clock, category="plan") as pspan:
-                if strat is Strategy.AUTO:
-                    # Cost-based selection (§IX future work): planning uses
-                    # only server-cached metadata, charged as client-side
-                    # overhead.
-                    from .planner import choose_strategy
-
-                    strat, _ = choose_strategy(sysm, root)
-                    sysm.client_clock.charge(
-                        sysm.cost.params.client_overhead_s, "plan"
-                    )
-                pspan.set(strategy=strat.name)
-                names = objects_of(root)
-                if not names:
-                    raise QueryError("query references no objects")
-                objs = [sysm.get_object(n) for n in names]
-                domain = objs[0].n_elements
-                for o in objs[1:]:
-                    if o.n_elements != domain or o.meta.dims != objs[0].meta.dims:
-                        raise QueryShapeError(
-                            f"objects in one query must share dimensions: "
-                            f"{objs[0].name}={objs[0].meta.dims or domain}, "
-                            f"{o.name}={o.meta.dims or o.n_elements}"
-                        )
-                (cstart, cstop), slab = normalize_constraint(
-                    region_constraint, domain
+                strat, names, objs, constraint, slab = self._resolve(
+                    root, region_constraint, strategy
                 )
+                pspan.set(strategy=strat.name)
             qspan.set(strategy=strat.name, objects=list(names))
 
             t_start = sysm.sync_clocks()
@@ -398,22 +377,24 @@ class QueryEngine:
                     # server).
                     self._ensure_metadata(names)
 
-                # 3. DNF evaluation with OR-union at the client.
-                conjunct_leaf_sets = to_dnf(root)
+                # 3. DNF evaluation with OR-union at the client; each
+                # conjunct is planned once, then charged and answered.
                 coords_acc: Optional[np.ndarray] = None
+                full_count = (
+                    slab.n_elements if slab is not None
+                    else constraint[1] - constraint[0]
+                )
                 try:
                     self._check_deadline()
-                    for ci, leaves in enumerate(conjunct_leaf_sets):
-                        conjunct = conjunct_intervals(leaves)
-                        if conjunct is None:  # contradictory conditions: matches nothing
-                            continue
+                    for ci, cplan in plan_query(
+                        sysm, root, strat, constraint,
+                        self.enable_ordering, self.enable_pruning,
+                    ):
                         with tracer.span(
                             f"conjunct[{ci}]", sysm.client_clock, category="conjunct",
-                            objects=sorted(conjunct),
+                            objects=sorted(s.name for s in cplan.steps),
                         ):
-                            coords = self._eval_conjunct(
-                                conjunct, (cstart, cstop), strat, stats, ci
-                            )
+                            coords = self._eval_conjunct(cplan, constraint, stats, ci)
                         if slab is not None:
                             # Exact N-D filtering of the bounding-range hits; servers
                             # evaluate whole regions intersecting the slab's bounds,
@@ -429,7 +410,6 @@ class QueryEngine:
                             coords_acc = np.union1d(coords_acc, coords)
                         # §III-C special case: a disjunct selecting everything ends the
                         # union early.
-                        full_count = slab.n_elements if slab is not None else cstop - cstart
                         if coords_acc is not None and coords_acc.size == full_count:
                             break
                         self._check_deadline()
@@ -460,7 +440,9 @@ class QueryEngine:
 
             t_end = sysm.sync_clocks()
             stats.nhits = int(coords_acc.size)
-            stats.selection = Selection(coords_acc, domain) if want_selection else None
+            stats.selection = (
+                Selection(coords_acc, objs[0].n_elements) if want_selection else None
+            )
             stats.elapsed_s = t_end - t_start
             qspan.set(
                 nhits=stats.nhits, elapsed_s=stats.elapsed_s,
@@ -469,6 +451,41 @@ class QueryEngine:
         stats.trace = qspan.span
         self._record_query_metrics(stats)
         return stats
+
+    def _resolve(
+        self,
+        root: QueryNode,
+        region_constraint: Optional[RegionConstraint],
+        strategy: Optional[Strategy],
+        speculative: bool = False,
+    ) -> tuple:
+        """What a query fixes before any server works — ``(strategy, object
+        names, objects, flat constraint bounds, exact N-D filter)``.  AUTO
+        is resolved by the cost-based planner (§IX future work): planning
+        uses only server-cached metadata, charged as client-side overhead.
+        The objects must share one shape.  A ``speculative`` resolution
+        (batch demand planning, which :meth:`execute` repeats for real)
+        charges and records nothing."""
+        sysm = self.system
+        strat = strategy or sysm.strategy
+        if strat is Strategy.AUTO:
+            strat, _ = planner.choose_strategy(sysm, root, record=not speculative)
+            if not speculative:
+                sysm.client_clock.charge(sysm.cost.params.client_overhead_s, "plan")
+        names = objects_of(root)
+        if not names:
+            raise QueryError("query references no objects")
+        objs = [sysm.get_object(n) for n in names]
+        domain = objs[0].n_elements
+        for o in objs[1:]:
+            if o.n_elements != domain or o.meta.dims != objs[0].meta.dims:
+                raise QueryShapeError(
+                    f"objects in one query must share dimensions: "
+                    f"{objs[0].name}={objs[0].meta.dims or domain}, "
+                    f"{o.name}={o.meta.dims or o.n_elements}"
+                )
+        constraint, slab = normalize_constraint(region_constraint, domain)
+        return strat, names, objs, constraint, slab
 
     # --------------------------------------------------------- batch execution
     def execute_batch(
@@ -506,12 +523,9 @@ class QueryEngine:
         # runs, unresolvable plans) contribute nothing and amortize through
         # the ordinary region caches instead.
         demand_counts: Dict[Tuple[str, int], int] = {}
-        spec_demands: List[set] = []
+        spec_demands: List[List[Tuple[str, int]]] = []
         for spec in specs:
-            keys = set()
-            for name, rids in self._batch_demand(spec).items():
-                for rid in rids:
-                    keys.add((name, int(rid)))
+            keys = self._batch_demand(spec)
             spec_demands.append(keys)
             for k in keys:
                 demand_counts[k] = demand_counts.get(k, 0) + 1
@@ -602,125 +616,64 @@ class QueryEngine:
         caller can attribute each query its demand-weighted share."""
         sysm = self.system
         read_vbytes: Dict[Tuple[str, int], float] = {}
+
+        def on_lost(server, key, rid, exc):
+            # Leave the region to the demanding queries' own retry/degrade
+            # machinery.
+            batch.server_errors.setdefault(server.server_id, []).append(str(exc))
+
         with sysm.tracer.span(
             "batch_shared_read", sysm.client_clock, category="batch",
             regions=len(shared),
         ):
-            by_object: Dict[str, List[int]] = {}
-            for name, rid in shared:
-                by_object.setdefault(name, []).append(rid)
-            for name in sorted(by_object):
+            # ``shared`` is sorted: objects by name, regions ascending.
+            for name, keys in groupby(shared, key=lambda k: k[0]):
                 obj = sysm.get_object(name)
-                rids = np.asarray(sorted(by_object[name]), dtype=np.int64)
-                readers = self._active_readers(rids)
-                for server, mine in self._regions_by_server(rids):
-                    for rid in mine:
-                        key = region_key(name, int(rid))
-                        nbytes = int(obj.counts[rid]) * obj.itemsize
-                        try:
-                            hit = server.preload_region(
-                                key, nbytes, sysm.config.pdc_stripe_count,
-                                readers, tier=obj.tier_of(int(rid)),
-                            )
-                        except RegionUnavailableError as exc:
-                            # Leave the region to the demanding queries'
-                            # own retry/degrade machinery.
-                            batch.server_errors.setdefault(
-                                server.server_id, []
-                            ).append(str(exc))
-                            continue
-                        if hit:
-                            batch.shared_cached += 1
-                        else:
-                            vbytes = nbytes * sysm.cost.virtual_scale
-                            batch.shared_reads += 1
-                            batch.shared_bytes_virtual += vbytes
-                            batch.saved_bytes_virtual += vbytes * (
-                                demand_counts[(name, int(rid))] - 1
-                            )
-                            read_vbytes[(name, int(rid))] = vbytes
+                rids = np.asarray([rid for _, rid in keys], dtype=np.int64)
+                for _server, rid, nbytes, hit in self._read_regions(
+                    self._regions_by_server(rids), name, obj.counts, obj.itemsize,
+                    self._active_readers(rids), on_lost=on_lost, shared=True,
+                    tier_of=obj.tier_of,
+                ):
+                    if hit:
+                        batch.shared_cached += 1
+                    else:
+                        vbytes = nbytes * sysm.cost.virtual_scale
+                        batch.shared_reads += 1
+                        batch.shared_bytes_virtual += vbytes
+                        batch.saved_bytes_virtual += vbytes * (
+                            demand_counts[(name, rid)] - 1
+                        )
+                        read_vbytes[(name, rid)] = vbytes
         return read_vbytes
 
-    def _batch_demand(self, spec: QuerySpec) -> Dict[str, np.ndarray]:
-        """Data regions a query is expected to read, from metadata alone.
-
-        Mirrors the per-conjunct ordering/pruning of :meth:`_eval_conjunct`
-        without charging any cost.  Paths whose reads are not plain data
-        regions (index probes, sorted-replica runs) return no demand —
-        their sharing happens through the ordinary server caches.  Any
-        failure degrades to "no demand"; the query still runs normally.
+    def _batch_demand(self, spec: QuerySpec) -> List[Tuple[str, int]]:
+        """(object, region) pairs a query is expected to read as plain data,
+        sorted, from metadata alone: the
+        :attr:`~repro.query.planner.ConjunctPlan.data_regions` of the plans
+        :meth:`execute` will charge from, with no cost charged here.  Paths
+        whose reads are not data regions (index probes, sorted-replica
+        runs) contribute nothing — their sharing happens through the
+        ordinary server caches.  A query that cannot be planned (unknown
+        object, mismatched shapes, empty constraint) has no demand; it
+        still runs, and reports its own error, normally.
         """
-        sysm = self.system
-        demand: Dict[str, set] = {}
+        demand: set = set()
         try:
-            strat = spec.strategy or sysm.strategy
-            if strat is Strategy.AUTO:
-                from .planner import choose_strategy
-
-                strat, _ = choose_strategy(sysm, spec.node, record=False)
-            names = objects_of(spec.node)
-            if not names:
-                return {}
-            objs = [sysm.get_object(n) for n in names]
-            domain = objs[0].n_elements
-            for o in objs[1:]:
-                if o.n_elements != domain or o.meta.dims != objs[0].meta.dims:
-                    return {}
-            constraint, _slab = normalize_constraint(
-                spec.region_constraint, domain
+            strat, _names, _objs, constraint, _slab = self._resolve(
+                spec.node, spec.region_constraint, spec.strategy, speculative=True
             )
-            scratch = QueryResult(
-                nhits=0, selection=None, elapsed_s=0.0, strategy=strat
-            )
-            for leaves in to_dnf(spec.node):
-                conjunct = conjunct_intervals(leaves)
-                if conjunct is None:
-                    continue
-                items = list(conjunct.items())
-                if strat.uses_histogram and self.enable_ordering:
-                    hists = {
-                        n: sysm.get_object(n).meta.global_histogram
-                        for n, _ in items
-                        if sysm.get_object(n).meta.global_histogram is not None
-                    }
-                    ordered = [
-                        (n, iv) for n, iv, _ in order_by_selectivity(items, hists)
-                    ]
-                    if any(
-                        hists.get(n) is not None
-                        and hists[n].estimate_hits(iv)[1] == 0
-                        for n, iv in ordered
-                    ):
-                        continue
-                else:
-                    ordered = items
-                first_name, first_iv = ordered[0]
-                if strat is Strategy.FULL_SCAN:
-                    for name, _ in ordered:
-                        o = sysm.get_object(name)
-                        demand.setdefault(name, set()).update(
-                            int(r)
-                            for r in self._regions_in_constraint(o, constraint)
-                        )
-                    continue
-                if strat is Strategy.SORT_HIST:
-                    replica = sysm.replica_covering([n for n, _ in ordered])
-                    if replica is not None and replica.replica.key_name == first_name:
-                        continue  # replica-run reads, not data regions
-                obj = sysm.get_object(first_name)
-                if strat is Strategy.HIST_INDEX and obj.indexes is not None:
-                    continue  # index probes, not data regions
-                surviving = self._prune_regions(obj, first_iv, constraint, scratch)
-                demand.setdefault(first_name, set()).update(
-                    int(r) for r in surviving
-                )
-        except Exception:
-            return {}
-        return {
-            name: np.asarray(sorted(rids), dtype=np.int64)
-            for name, rids in demand.items()
-            if rids
-        }
+            for _ci, cplan in plan_query(
+                self.system, spec.node, strat, constraint,
+                self.enable_ordering, self.enable_pruning,
+            ):
+                for name, rids in cplan.data_regions.items():
+                    demand.update((name, rid) for rid in rids.tolist())
+        except PDCError:
+            return []
+        # Sorted: per-query float sums over a demand must not depend on set
+        # (string-hash) iteration order.
+        return sorted(demand)
 
     def _semantic_key(self, spec: QuerySpec) -> Optional[Tuple[str, Interval]]:
         """(object, interval) when the query is a single-object interval
@@ -824,29 +777,22 @@ class QueryEngine:
             # Resolve AUTO through the cost-based planner, as execute()
             # does; without this the `strat is Strategy.SORT_HIST` test
             # below could never select the sorted-replica read path.
-            from .planner import choose_get_data_strategy
-
-            strat = choose_get_data_strategy(sysm, object_name, selection)
+            strat = planner.choose_get_data_strategy(sysm, object_name, selection)
             sysm.client_clock.charge(sysm.cost.params.client_overhead_s, "plan")
         t_start = sysm.sync_clocks()
         result = GetDataResult(values=obj.data[selection.coords].copy(), elapsed_s=0.0)
 
         replica = sysm.replica_covering([object_name]) if strat is Strategy.SORT_HIST else None
-        if replica is not None:
-            self._charge_get_data_replica(replica, object_name, selection, result)
-        else:
-            self._charge_get_data_original(obj, selection, result)
+        if not selection.is_empty:
+            self._charge_get_data_reads(obj, replica, selection, result)
 
         # Ship hit values to the (parallel) application: per-server streams,
         # then a small completion aggregation at the issuing rank.
-        per_server = self._bytes_per_server(obj, selection.coords, obj.itemsize)
-        for server, nbytes in zip(sysm.alive_servers, per_server):
-            if nbytes:
-                server.clock.charge(sysm.cost.net_time(int(nbytes)), "net")
-        sysm.client_clock.advance_to(
-            max(s.clock.now for s in sysm.alive_servers), category="comm"
+        self._charge_per_server(
+            self._bytes_per_server(obj, selection.coords, obj.itemsize),
+            sysm.cost.net_time, "net",
         )
-        sysm.client_clock.charge(sysm.cost.net_time(16 * sysm.n_servers, scaled=False), "net")
+        self._gather_at_client(16 * sysm.n_servers)
 
         t_end = sysm.sync_clocks()
         result.elapsed_s = t_end - t_start
@@ -920,26 +866,19 @@ class QueryEngine:
             obj = sysm.get_object(name)
             server = alive[hash_name(name) % len(alive)]
             use_index = strat is Strategy.HIST_INDEX and obj.indexes is not None
-            if strat.uses_histogram:
-                # Vectorized region elimination: one min/max overlap test
-                # over all regions, then iterate only the survivors (same
-                # ascending region order, so every charge is identical to
-                # the per-region scalar test this replaces).
-                surviving = np.flatnonzero(
-                    interval.overlaps_range_arrays(obj.rmin, obj.rmax)
-                )
-            else:
-                surviving = range(obj.n_regions)
-            for rid in surviving:
-                nbytes = int(obj.counts[rid]) * obj.itemsize
+            # One min/max overlap test over all regions; only the
+            # survivors are touched, in ascending region order.
+            surviving, _ = planner.surviving_regions(
+                obj, interval, prune=strat.uses_histogram
+            )
+            for rid in surviving.tolist():
+                # Elements to check against raw values: the whole region,
+                # or with an index only the boundary-bin candidates.
+                cand = int(obj.counts[rid])
                 if use_index:
-                    server.ensure_region(
-                        region_key(name, rid, replica="idx"),
-                        int(obj.index_nbytes[rid]),
-                        1,
-                        sysm.config.pdc_stripe_count,
-                        readers,
-                        category="index_read",
+                    self._read_region(
+                        server, rid, name, obj.index_nbytes, 1, readers,
+                        replica="idx", category="index_read",
                     )
                     server.clock.charge(
                         sysm.cost.wah_scan_time(int(obj.index_words[rid])), "scan"
@@ -954,20 +893,11 @@ class QueryEngine:
                                 sysm.cost.scan_time(n_delta), "scan"
                             )
                             cand += n_delta
-                    if cand:
-                        server.ensure_region(
-                            region_key(name, rid), nbytes, 1,
-                            sysm.config.pdc_stripe_count, readers,
-                        )
-                        server.clock.charge(sysm.cost.scan_time(cand), "scan")
-                else:
-                    server.ensure_region(
-                        region_key(name, rid), nbytes, 1,
-                        sysm.config.pdc_stripe_count, readers,
+                if cand:
+                    self._read_region(
+                        server, rid, name, obj.counts, obj.itemsize, readers
                     )
-                    server.clock.charge(
-                        sysm.cost.scan_time(int(obj.counts[rid])), "scan"
-                    )
+                    server.clock.charge(sysm.cost.scan_time(cand), "scan")
             hits = self._count_hits(obj, interval)
             per_object[name] = hits
             total_hits += hits
@@ -975,10 +905,7 @@ class QueryEngine:
         # Ship per-object counts back.
         for server in sysm.alive_servers:
             server.clock.charge(sysm.cost.net_time(16 * max(1, len(names))), "net")
-        sysm.client_clock.advance_to(
-            max(s.clock.now for s in sysm.alive_servers), category="comm"
-        )
-        sysm.client_clock.charge(sysm.cost.net_time(16 * max(1, len(names))), "net")
+        self._gather_at_client(16 * max(1, len(names)), scaled=True)
 
         t_end = sysm.sync_clocks()
         return MetaDataQueryResult(
@@ -996,129 +923,77 @@ class QueryEngine:
             max(s.clock.now for s in sysm.alive_servers), sysm.client_clock.now
         )
 
-    @staticmethod
-    def _counter_snapshot(stats: QueryResult) -> Tuple[int, int, int, int, float]:
-        return (
+    @contextmanager
+    def _record_step(self, stats: QueryResult, step: StepActual) -> Iterator[None]:
+        """Add to ``step`` what the body did: the counter deltas of ``stats``
+        and the frontier advance while it ran (a step recorded twice sums
+        both bodies).  Bookkeeping only — nothing here touches a clock or a
+        cache — and nothing is added if the body raises."""
+        before = (
             stats.regions_read, stats.regions_cached, stats.regions_pruned,
             stats.index_reads, stats.bytes_read_virtual,
         )
-
-    def _make_step(
-        self,
-        stats: QueryResult,
-        ci: int,
-        name: str,
-        interval: Interval,
-        hits: int,
-        before: Tuple[int, int, int, int, float],
-        t0: float,
-        path: str,
-    ) -> StepActual:
-        """A :class:`StepActual` from counter deltas since ``before`` and
-        the frontier advance since ``t0``.  Bookkeeping only — nothing here
-        touches a clock or a cache."""
-        return StepActual(
-            conjunct=ci,
-            object_name=name,
-            interval=interval,
-            hits=int(hits),
-            regions_read=stats.regions_read - before[0],
-            regions_cached=stats.regions_cached - before[1],
-            regions_pruned=stats.regions_pruned - before[2],
-            index_reads=stats.index_reads - before[3],
-            bytes_read_virtual=stats.bytes_read_virtual - before[4],
-            elapsed_s=self._frontier() - t0,
-            access_path=path,
-        )
+        t0 = self._frontier()
+        yield
+        step.regions_read += stats.regions_read - before[0]
+        step.regions_cached += stats.regions_cached - before[1]
+        step.regions_pruned += stats.regions_pruned - before[2]
+        step.index_reads += stats.index_reads - before[3]
+        step.bytes_read_virtual += stats.bytes_read_virtual - before[4]
+        step.elapsed_s += self._frontier() - t0
 
     def _eval_conjunct(
         self,
-        conjunct: Conjunct,
+        plan: ConjunctPlan,
         constraint: Tuple[int, int],
-        strat: Strategy,
         stats: QueryResult,
         ci: int = 0,
     ) -> np.ndarray:
-        """Evaluate one AND-group of per-object intervals; returns sorted
-        hit coordinates."""
+        """Charge and answer one planned AND-group; returns sorted hit
+        coordinates.  PDC-F/H/HI are this one pipeline parameterised by the
+        plan; PDC-SH alone answers from a different structure."""
         sysm = self.system
-        cstart, cstop = constraint
+        if plan.proved_empty:
+            return np.zeros(0, dtype=np.int64)
+        stats.evaluation_order = [s.name for s in plan.steps]
+        #: One measured actual per planned step; recorded on ``stats`` as
+        #: evaluation reaches it.
+        steps = [
+            (s, StepActual(ci, s.name, s.interval, hits=-1, access_path=s.path))
+            for s in plan.steps
+        ]
+        (first, first_step), rest = steps[0], steps[1:]
+        if first.path == "binary-search-run":
+            return self._eval_sorted(plan.replica, steps, constraint, stats)
 
-        # Order conditions by estimated selectivity (histogram strategies).
-        items = list(conjunct.items())
-        if strat.uses_histogram and self.enable_ordering:
-            hists = {
-                n: sysm.get_object(n).meta.global_histogram
-                for n, _ in items
-                if sysm.get_object(n).meta.global_histogram is not None
-            }
-            ordered = [(n, iv) for n, iv, _ in order_by_selectivity(items, hists)]
-            # §III-C: if the histogram proves a condition matches nothing,
-            # skip the whole conjunct without touching storage.
-            for n, iv in ordered:
-                h = hists.get(n)
-                if h is not None and h.estimate_hits(iv)[1] == 0:
-                    return np.zeros(0, dtype=np.int64)
-        else:
-            ordered = items
-        stats.evaluation_order = [n for n, _ in ordered]
-
-        first_name, first_iv = ordered[0]
-
-        if strat is Strategy.SORT_HIST:
-            replica = sysm.replica_covering([n for n, _ in ordered])
-            if replica is not None and replica.replica.key_name == first_name:
-                return self._eval_sorted(replica, ordered, constraint, stats, ci)
-            # Sorted replica not applicable (e.g. the planner put another
-            # object first, Fig. 4's low-energy-selectivity queries):
-            # §VI-B — behaves like the histogram-only path.
-
-        #: Read work done up front for *later* conditions (FULL_SCAN
-        #: pre-loads every object) — folded into those conditions' step
-        #: actuals when the per-condition loop reaches them.
-        preloaded_steps: Dict[str, StepActual] = {}
-        if strat is Strategy.FULL_SCAN:
-            # §III-D1: pre-load all queried objects' data entirely.
-            # (Later objects' lost regions are retried by the per-condition
-            # loop below, so only the first object's losses matter here.)
-            lost = np.zeros(0, dtype=np.int64)
-            first_step: Optional[StepActual] = None
-            for name, iv in ordered:
-                o = sysm.get_object(name)
-                all_regions = self._regions_in_constraint(o, constraint)
-                before = self._counter_snapshot(stats)
-                t0 = self._frontier()
-                lost_o = self._charge_data_reads(o, all_regions, stats)
-                step = self._make_step(
-                    stats, ci, name, iv, -1, before, t0, "full-read+scan"
+        # First condition: make its surviving regions (or their index
+        # files) resident and scan them.
+        obj = sysm.get_object(first.name)
+        preloads = first.path == "full-read+scan"
+        with self._record_step(stats, first_step):
+            stats.regions_pruned += first.pruned
+            if first.path == "index-probe":
+                lost = self._charge_index_reads(
+                    obj, first.regions, first.interval, stats
                 )
-                if name == first_name:
-                    lost = lost_o
-                    first_step = step
-                else:
-                    preloaded_steps[name] = step
-            obj = sysm.get_object(first_name)
-            t0 = self._frontier()
-            self._charge_scan(obj, self._regions_in_constraint(obj, constraint), constraint)
-            coords = self._mask_coords(obj, first_iv, constraint)
-            assert first_step is not None
-            first_step.elapsed_s += self._frontier() - t0
-        else:
-            before = self._counter_snapshot(stats)
-            t0 = self._frontier()
-            obj = sysm.get_object(first_name)
-            surviving = self._prune_regions(obj, first_iv, constraint, stats)
-            if strat is Strategy.HIST_INDEX and obj.indexes is not None:
-                lost = self._charge_index_reads(obj, surviving, first_iv, stats)
-                path = "index-probe"
             else:
-                lost = self._charge_data_reads(obj, surviving, stats)
-                self._charge_scan(obj, surviving, constraint)
-                path = "pruned-read+scan"
-            coords = self._mask_coords(obj, first_iv, constraint)
-            first_step = self._make_step(
-                stats, ci, first_name, first_iv, -1, before, t0, path
-            )
+                lost = self._charge_data_reads(obj, first.regions, stats)
+                if not preloads:
+                    self._charge_scan(obj, first.regions, constraint)
+        if preloads:
+            # §III-D1: PDC-F pre-loads all queried objects' data entirely
+            # before scanning; each object's read cost lands on its own
+            # step, where the plan attributes it.  (Later objects' lost
+            # regions are retried by the per-condition loop below, so only
+            # the first object's losses matter here.)
+            for s, step in rest:
+                with self._record_step(stats, step):
+                    self._charge_data_reads(
+                        sysm.get_object(s.name), s.regions, stats
+                    )
+            with self._record_step(stats, first_step):
+                self._charge_scan(obj, first.regions, constraint)
+        coords = self._mask_coords(obj, first.interval, constraint)
         if lost.size:
             # Degraded mode: hits in unreadable regions are dropped (the
             # answer stays a subset of the truth).
@@ -1127,139 +1002,109 @@ class QueryEngine:
         stats.step_actuals.append(first_step)
 
         # Subsequent conditions: check only already-selected locations.
-        for name, iv in ordered[1:]:
+        for s, step in rest:
             if coords.size == 0:
                 # §III-C special case: an empty intermediate result ends the
                 # conjunct immediately.
                 return coords
             self._check_deadline()
-            before = self._counter_snapshot(stats)
-            t0 = self._frontier()
-            obj = sysm.get_object(name)
-            cand_regions = np.unique(obj.region_of_coords(coords))
-            empty_after_prune = False
-            if strat.uses_histogram and self.enable_pruning:
-                keep = iv.overlaps_range_arrays(
-                    obj.rmin[cand_regions], obj.rmax[cand_regions]
-                )
-                pruned = cand_regions[~keep]
-                stats.regions_pruned += int(pruned.size)
-                cand_regions = cand_regions[keep]
-                if pruned.size:
-                    # Coordinates in pruned regions cannot match (min/max is
-                    # exact); drop them without reading anything.
-                    coord_regions = obj.region_of_coords(coords)
-                    coords = coords[np.isin(coord_regions, cand_regions)]
-                    empty_after_prune = coords.size == 0
-            if not empty_after_prune:
-                if strat is Strategy.HIST_INDEX and obj.indexes is not None:
-                    lost = self._charge_index_reads(obj, cand_regions, iv, stats)
-                    path = "index-probe"
+            with self._record_step(stats, step):
+                obj = sysm.get_object(s.name)
+                coord_regions = obj.region_of_coords(coords)
+                cand_regions = np.unique(coord_regions)
+                if s.pruned:
+                    # Coordinates in regions the plan eliminated cannot
+                    # match (min/max is exact); drop them without reading
+                    # anything.
+                    keep = np.isin(cand_regions, s.regions)
+                    stats.regions_pruned += int(keep.size - np.count_nonzero(keep))
+                    if not keep.all():
+                        cand_regions = cand_regions[keep]
+                        coords = coords[np.isin(coord_regions, cand_regions)]
+                if coords.size == 0:
+                    step.access_path = "recheck"
                 else:
-                    lost = self._charge_data_reads(obj, cand_regions, stats)
-                    self._charge_candidate_scan(obj, coords)
-                    path = "recheck"
-                if lost.size:
-                    coords = coords[~np.isin(obj.region_of_coords(coords), lost)]
-                coords = self._filter_coords(obj, iv, coords)
-            else:
-                path = "recheck"
-            step = self._make_step(
-                stats, ci, name, iv, int(coords.size), before, t0, path
-            )
-            pre = preloaded_steps.pop(name, None)
-            if pre is not None:
-                # Fold this object's FULL_SCAN pre-load into its own step so
-                # the read cost lands where the plan attributes it.
-                step.regions_read += pre.regions_read
-                step.regions_cached += pre.regions_cached
-                step.bytes_read_virtual += pre.bytes_read_virtual
-                step.elapsed_s += pre.elapsed_s
-                step.access_path = pre.access_path
+                    if s.path == "index-probe":
+                        lost = self._charge_index_reads(
+                            obj, cand_regions, s.interval, stats
+                        )
+                    else:
+                        lost = self._charge_data_reads(obj, cand_regions, stats)
+                        # §III-C AND optimization: only the already-selected
+                        # locations are checked (one element per coordinate).
+                        self._charge_owner_scans(obj.region_of_coords(coords))
+                    if lost.size:
+                        coords = coords[~np.isin(obj.region_of_coords(coords), lost)]
+                    coords = self._filter_coords(obj, s.interval, coords)
+            step.hits = int(coords.size)
             stats.step_actuals.append(step)
-            if coords.size == 0 and empty_after_prune:
-                return coords
         return coords
 
     def _eval_sorted(
         self,
         group: ReplicaGroup,
-        ordered: Sequence[Tuple[str, Interval]],
+        steps: Sequence[Tuple[PlanStep, StepActual]],
         constraint: Tuple[int, int],
         stats: QueryResult,
-        ci: int = 0,
     ) -> np.ndarray:
         """PDC-SH fast path: binary search the sorted key, then contiguous
-        companion reads over the matching run (§III-D3)."""
+        companion reads over the matching run (§III-D3).  ``steps`` pairs
+        each planned step with the actual to record it on."""
         sysm = self.system
         replica = group.replica
-        (first_name, first_iv), rest = ordered[0], ordered[1:]
-        key_before = self._counter_snapshot(stats)
-        key_t0 = self._frontier()
-
-        start, stop = replica.search_range(
-            first_iv.lo, first_iv.hi, first_iv.lo_closed, first_iv.hi_closed
-        )
-        run_len = stop - start
-
-        # Locating the run: the replica's per-region key min/max live in the
-        # cached metadata, so the boundary regions are found with zero I/O;
-        # only those (≤2) key regions are read for the in-memory binary
-        # search — and they stay cached for the query sequence.
+        (first, first_step), rest = steps[0], steps[1:]
         lost_parts: List[np.ndarray] = []
-        if run_len > 0:
-            boundary = {start // group.region_elements,
-                        max(start, stop - 1) // group.region_elements}
-            boundary_ids = np.array(
-                sorted(min(b, group.n_regions - 1) for b in boundary), dtype=np.int64
+        with self._record_step(stats, first_step):
+            iv = first.interval
+            start, stop = replica.search_range(
+                iv.lo, iv.hi, iv.lo_closed, iv.hi_closed
             )
-            key_itemsize = sysm.get_object(first_name).itemsize
-            lost_parts.append(self._charge_replica_regions(
-                group, boundary_ids, "key", key_itemsize, stats
-            ))
-        sysm.servers[0].clock.charge(
-            sysm.cost.binary_search_time(replica.n_elements), "scan"
-        )
+            run_len = first_step.hits = max(stop - start, 0)
 
-        if run_len <= 0:
-            stats.step_actuals.append(self._make_step(
-                stats, ci, first_name, first_iv, 0, key_before, key_t0,
-                "binary-search-run",
-            ))
+            # Locating the run: the replica's per-region key min/max live in
+            # the cached metadata, so the boundary regions are found with
+            # zero I/O; only those (≤2) key regions are read for the
+            # in-memory binary search — and they stay cached for the query
+            # sequence.
+            if run_len:
+                boundary = {start // group.region_elements,
+                            max(start, stop - 1) // group.region_elements}
+                boundary_ids = np.array(
+                    sorted(min(b, group.n_regions - 1) for b in boundary), dtype=np.int64
+                )
+                key_itemsize = sysm.get_object(first.name).itemsize
+                lost_parts.append(self._charge_replica_regions(
+                    group, boundary_ids, "key", key_itemsize, stats
+                ))
+            sysm.servers[0].clock.charge(
+                sysm.cost.binary_search_time(replica.n_elements), "scan"
+            )
+            if run_len:
+                run_regions = group.regions_of_run(start, stop)
+                stats.regions_pruned += group.n_regions - int(run_regions.size)
+                # Read the permutation (coordinates) over the run —
+                # contiguous.
+                lost_parts.append(
+                    self._charge_replica_regions(group, run_regions, "perm", 8, stats)
+                )
+        stats.step_actuals.append(first_step)
+        if not run_len:
             return np.zeros(0, dtype=np.int64)
-
-        run_regions = group.regions_of_run(start, stop)
-        stats.regions_pruned += group.n_regions - int(run_regions.size)
-
-        # Read the permutation (coordinates) over the run — contiguous.
-        lost_parts.append(
-            self._charge_replica_regions(group, run_regions, "perm", 8, stats)
-        )
-        stats.step_actuals.append(self._make_step(
-            stats, ci, first_name, first_iv, run_len, key_before, key_t0,
-            "binary-search-run",
-        ))
 
         # Each further condition reads its companion slice — contiguous —
         # and filters the run; the exact answer comes from the replica
         # arrays.
         mask = np.ones(run_len, dtype=bool)
-        for name, iv in rest:
-            before = self._counter_snapshot(stats)
-            t0 = self._frontier()
-            itemsize = sysm.get_object(name).itemsize
-            lost_parts.append(self._charge_replica_regions(
-                group, run_regions, name, itemsize, stats
-            ))
-            per_server_elems = self._replica_elems_per_server(group, run_regions)
-            for server, n in zip(sysm.alive_servers, per_server_elems):
-                if n:
-                    server.clock.charge(sysm.cost.scan_time(int(n)), "scan")
-            mask &= iv.mask(replica.companion_slice(name, start, stop))
-            stats.step_actuals.append(self._make_step(
-                stats, ci, name, iv, int(mask.sum()), before, t0,
-                "replica-slice",
-            ))
+        for s, step in rest:
+            with self._record_step(stats, step):
+                itemsize = sysm.get_object(s.name).itemsize
+                lost_parts.append(self._charge_replica_regions(
+                    group, run_regions, s.name, itemsize, stats
+                ))
+                self._charge_owner_scans(run_regions, group.counts[run_regions])
+                mask &= s.interval.mask(replica.companion_slice(s.name, start, stop))
+            step.hits = int(mask.sum())
+            stats.step_actuals.append(step)
         lost_parts = [part for part in lost_parts if part.size]
         if lost_parts:
             # Degraded mode: sorted positions whose key/perm/companion
@@ -1347,30 +1192,6 @@ class QueryEngine:
                 )
                 server.meta_cached.add(name)
 
-    def _regions_in_constraint(
-        self, obj: StoredObject, constraint: Tuple[int, int]
-    ) -> np.ndarray:
-        cstart, cstop = constraint
-        first = cstart // obj.region_elements
-        last = min((cstop - 1) // obj.region_elements, obj.n_regions - 1)
-        return np.arange(first, last + 1, dtype=np.int64)
-
-    def _prune_regions(
-        self,
-        obj: StoredObject,
-        interval: Interval,
-        constraint: Tuple[int, int],
-        stats: QueryResult,
-    ) -> np.ndarray:
-        """Histogram region elimination (§III-D2): regions whose min/max
-        cannot overlap the condition are never read."""
-        candidates = self._regions_in_constraint(obj, constraint)
-        if not self.enable_pruning:
-            return candidates
-        keep = interval.overlaps_range_arrays(obj.rmin[candidates], obj.rmax[candidates])
-        stats.regions_pruned += int((~keep).sum())
-        return candidates[keep]
-
     def _regions_by_server(self, region_ids: np.ndarray):
         """(server, its region ids) pairs over the *alive* servers —
         failed servers (§ fault tolerance) receive no work."""
@@ -1423,12 +1244,13 @@ class QueryEngine:
         return out
 
     def _record_lost(
-        self, stats: QueryResult, server, key: str, exc: Exception,
-        lost: List[int], rid: int,
+        self, stats: QueryResult, lost: List[int], server, key: str, rid: int,
+        exc: Exception,
     ) -> None:
-        """Bookkeeping for a region that stayed unreadable after retries:
-        the query degrades to a partial result (hits in the region are
-        dropped), never crashes."""
+        """Lost-region policy of query evaluation (:meth:`_read_regions`'
+        ``on_lost`` once ``stats`` and ``lost`` are bound): a region that
+        stayed unreadable after retries degrades the query to a partial
+        result (hits in the region are dropped), never crashes it."""
         stats.complete = False
         stats.lost_regions.append(key)
         stats.server_errors.setdefault(server.server_id, []).append(str(exc))
@@ -1449,6 +1271,115 @@ class QueryEngine:
             return 1
         return int(np.unique(self.system.region_owner_positions(region_ids)).size)
 
+    def _read_regions(
+        self,
+        pairs,
+        name: str,
+        counts: np.ndarray,
+        itemsize: int,
+        readers: int,
+        replica: str = "orig",
+        on_lost: Optional[Callable[[object, str, int, Exception], None]] = None,
+        span: Optional[Dict[str, object]] = None,
+        shared: bool = False,
+        tier_of: Optional[Callable[[int], str]] = None,
+        **read_options,
+    ) -> Iterator[Tuple[object, int, int, bool]]:
+        """The one residency mechanism: each server of ``pairs`` — (server,
+        region ids) — makes its regions of ``name`` resident, a storage read
+        on a miss and free on a hit.  Yields ``(server, region id, real
+        bytes, was_cached)`` as each region is touched, so callers keep only
+        their own counters and interleave their own per-region charges.
+
+        A region still unreadable after the fault-recovery retries goes to
+        ``on_lost(server, key, rid, exc)`` and is skipped (without a policy
+        the error propagates).  ``span``: attributes of an ``eval:serverN``
+        trace span around each server's share; ``shared``: read on behalf of
+        a whole batch (``preload_region``); ``tier_of``: region id → storage
+        tier (disk when omitted); ``read_options`` go to ``ensure_region``.
+        """
+        sysm = self.system
+        stripes = sysm.config.pdc_stripe_count
+        for server, mine in pairs:
+            if len(mine) == 0:
+                continue
+            if span is not None:
+                ctx = sysm.tracer.span(
+                    f"eval:server{server.server_id}", server.clock,
+                    category="server_eval", **span, regions=len(mine),
+                )
+            else:
+                ctx = nullcontext()
+            with ctx:
+                for rid in mine:
+                    rid = int(rid)
+                    key = region_key(name, rid, replica)
+                    nbytes = int(counts[rid]) * itemsize
+                    tier = tier_of(rid) if tier_of is not None else DeviceKind.DISK
+                    try:
+                        if shared:
+                            hit = server.preload_region(
+                                key, nbytes, stripes, readers, tier=tier
+                            )
+                        else:
+                            hit = server.ensure_region(
+                                key, nbytes, 1, stripes, readers, tier=tier,
+                                **read_options,
+                            )
+                    except RegionUnavailableError as exc:
+                        if on_lost is None:
+                            raise
+                        on_lost(server, key, rid, exc)
+                        continue
+                    yield server, rid, nbytes, hit
+
+    def _read_region(self, server, rid: int, *source, **options) -> Tuple[int, bool]:
+        """:meth:`_read_regions` for one region on one server (a read error
+        propagates); returns ``(real bytes, was_cached)``."""
+        ((_server, _rid, nbytes, hit),) = self._read_regions(
+            [(server, [rid])], *source, **options
+        )
+        return nbytes, hit
+
+    def _tally_read(self, target, nbytes: int, hit: bool) -> None:
+        """Count one touched region on a :class:`QueryResult` or
+        :class:`GetDataResult`: cached, or read with its virtual bytes."""
+        if hit:
+            target.regions_cached += 1
+        else:
+            target.regions_read += 1
+            target.bytes_read_virtual += nbytes * self.system.cost.virtual_scale
+
+    def _charge_per_server(
+        self, amounts: np.ndarray, cost_of: Callable[[int], float], category: str
+    ) -> None:
+        """Charge every alive server ``cost_of(its amount)``; servers with
+        nothing to do are charged nothing."""
+        for server, n in zip(self.system.alive_servers, amounts):
+            if n:
+                server.clock.charge(cost_of(int(n)), category)
+
+    def _charge_owner_scans(
+        self, region_ids: np.ndarray, elems: Optional[np.ndarray] = None
+    ) -> None:
+        """Charge each listed region's owner a scan of ``elems`` elements
+        (one element per listing when omitted)."""
+        sysm = self.system
+        per_server = np.bincount(
+            sysm.region_owner_positions(region_ids), weights=elems,
+            minlength=len(sysm.alive_servers),
+        )
+        self._charge_per_server(per_server, sysm.cost.scan_time, "scan")
+
+    def _gather_at_client(self, nbytes: int, scaled: bool = False) -> None:
+        """The issuing rank waits for the slowest server, then receives the
+        small per-server completion records."""
+        sysm = self.system
+        sysm.client_clock.advance_to(
+            max(s.clock.now for s in sysm.alive_servers), category="comm"
+        )
+        sysm.client_clock.charge(sysm.cost.net_time(nbytes, scaled=scaled), "net")
+
     def _charge_data_reads(
         self, obj: StoredObject, region_ids: np.ndarray, stats: QueryResult
     ) -> np.ndarray:
@@ -1458,32 +1389,16 @@ class QueryEngine:
         retries (always empty without an installed fault plan); callers
         drop those regions' hits from the answer (degraded mode).
         """
-        sysm = self.system
         readers = self._active_readers(region_ids)
         lost: List[int] = []
-        for server, mine in self._assignment_with_faults(region_ids, stats):
-            if mine.size == 0:
-                continue
-            with sysm.tracer.span(
-                f"eval:server{server.server_id}", server.clock,
-                category="server_eval", object=obj.name, regions=int(mine.size),
-            ):
-                for rid in mine:
-                    key = region_key(obj.name, int(rid))
-                    nbytes = int(obj.counts[rid]) * obj.itemsize
-                    try:
-                        hit = server.ensure_region(
-                            key, nbytes, 1, sysm.config.pdc_stripe_count, readers,
-                            tier=obj.tier_of(int(rid)),
-                        )
-                    except RegionUnavailableError as exc:
-                        self._record_lost(stats, server, key, exc, lost, int(rid))
-                        continue
-                    if hit:
-                        stats.regions_cached += 1
-                    else:
-                        stats.regions_read += 1
-                        stats.bytes_read_virtual += nbytes * sysm.cost.virtual_scale
+        for _server, _rid, nbytes, hit in self._read_regions(
+            self._assignment_with_faults(region_ids, stats), obj.name,
+            obj.counts, obj.itemsize, readers,
+            on_lost=partial(self._record_lost, stats, lost),
+            span={"object": obj.name},
+            tier_of=obj.tier_of,
+        ):
+            self._tally_read(stats, nbytes, hit)
         return np.asarray(lost, dtype=np.int64)
 
     def _charge_scan(
@@ -1491,28 +1406,10 @@ class QueryEngine:
     ) -> None:
         """Charge the per-server full scan of the given regions (clipped to
         the spatial constraint)."""
-        sysm = self.system
         cstart, cstop = constraint
         starts = np.maximum(obj.offsets[region_ids], cstart)
         stops = np.minimum(obj.offsets[region_ids] + obj.counts[region_ids], cstop)
-        elems = np.maximum(stops - starts, 0)
-        alive = sysm.alive_servers
-        servers_of = sysm.region_owner_positions(region_ids)
-        per_server = np.bincount(servers_of, weights=elems, minlength=len(alive))
-        for server, n in zip(alive, per_server):
-            if n:
-                server.clock.charge(sysm.cost.scan_time(int(n)), "scan")
-
-    def _charge_candidate_scan(self, obj: StoredObject, coords: np.ndarray) -> None:
-        """Charge checking only already-selected locations (§III-C AND
-        optimization)."""
-        sysm = self.system
-        alive = sysm.alive_servers
-        servers_of = sysm.region_owner_positions(obj.region_of_coords(coords))
-        per_server = np.bincount(servers_of, minlength=len(alive))
-        for server, n in zip(alive, per_server):
-            if n:
-                server.clock.charge(sysm.cost.scan_time(int(n)), "scan")
+        self._charge_owner_scans(region_ids, np.maximum(stops - starts, 0))
 
     def _charge_index_reads(
         self,
@@ -1533,6 +1430,7 @@ class QueryEngine:
         assert obj.indexes is not None and obj.index_nbytes is not None
         readers = self._active_readers(region_ids)
         lost: List[int] = []
+        on_lost = partial(self._record_lost, stats, lost)
         for server, mine in self._assignment_with_faults(region_ids, stats):
             if mine.size == 0:
                 continue
@@ -1546,8 +1444,7 @@ class QueryEngine:
                         self._probe_region_index(obj, int(rid), interval, server,
                                                  readers, stats)
                     except RegionUnavailableError as exc:
-                        key = region_key(obj.name, int(rid))
-                        self._record_lost(stats, server, key, exc, lost, int(rid))
+                        on_lost(server, region_key(obj.name, int(rid)), int(rid), exc)
         return np.asarray(lost, dtype=np.int64)
 
     def _probe_region_index(
@@ -1565,16 +1462,10 @@ class QueryEngine:
             # the touched bitmaps (FastBit seeks once into the
             # index file); the index stays cached afterwards, so
             # later probes of this region are in-memory.
-            if sysm.tracer.enabled:
-                with sysm.tracer.span(
-                    f"read:{key}", server.clock, category="index_read",
-                    bytes=probe.bytes_touched,
-                ):
-                    server.faultable_read(
-                        key, self._index_probe_time(probe, readers),
-                        category="index_read",
-                    )
-            else:
+            with sysm.tracer.span(
+                f"read:{key}", server.clock, category="index_read",
+                bytes=probe.bytes_touched,
+            ):
                 server.faultable_read(
                     key, self._index_probe_time(probe, readers),
                     category="index_read",
@@ -1601,17 +1492,11 @@ class QueryEngine:
         # Candidate check: boundary-bin members verified against raw
         # values (whole-region read, block-index style).
         if candidates:
-            nbytes = int(obj.counts[rid]) * obj.itemsize
-            was_hit = server.ensure_region(
-                region_key(obj.name, rid), nbytes, 1,
-                sysm.config.pdc_stripe_count, readers,
+            nbytes, hit = self._read_region(
+                server, rid, obj.name, obj.counts, obj.itemsize, readers
             )
             server.clock.charge(sysm.cost.scan_time(candidates), "scan")
-            if was_hit:
-                stats.regions_cached += 1
-            else:
-                stats.regions_read += 1
-                stats.bytes_read_virtual += nbytes * sysm.cost.virtual_scale
+            self._tally_read(stats, nbytes, hit)
 
     def _index_probe_time(self, probe, readers: int) -> float:
         """Simulated seconds of one cold index probe."""
@@ -1632,42 +1517,23 @@ class QueryEngine:
 
         Returns replica region ids lost to exhausted retries (degraded
         mode), as :meth:`_charge_data_reads` does."""
-        sysm = self.system
         readers = self._active_readers(region_ids)
         key_name = group.replica.key_name
         lost: List[int] = []
-        for server, mine in self._assignment_with_faults(region_ids, stats):
-            if mine.size == 0:
-                continue
-            with sysm.tracer.span(
-                f"eval:server{server.server_id}", server.clock,
-                category="server_eval", object=key_name, replica=which,
-                regions=int(mine.size),
-            ):
-                for rid in mine:
-                    key = region_key(key_name, int(rid), replica=f"sorted:{which}")
-                    nbytes = int(group.counts[rid]) * itemsize
-                    try:
-                        hit = server.ensure_region(
-                            key, nbytes, 1, sysm.config.pdc_stripe_count, readers
-                        )
-                    except RegionUnavailableError as exc:
-                        self._record_lost(stats, server, key, exc, lost, int(rid))
-                        continue
-                    if hit:
-                        stats.regions_cached += 1
-                    else:
-                        stats.regions_read += 1
+        for _server, _rid, _nbytes, hit in self._read_regions(
+            self._assignment_with_faults(region_ids, stats), key_name,
+            group.counts, itemsize, readers, replica=f"sorted:{which}",
+            on_lost=partial(self._record_lost, stats, lost),
+            span={"object": key_name, "replica": which},
+        ):
+            # Known defect, pinned by tests/query/test_plan.py: replica
+            # reads count regions but not virtual bytes (fixing it moves
+            # benchmark baselines — ROADMAP item 1).
+            if hit:
+                stats.regions_cached += 1
+            else:
+                stats.regions_read += 1
         return np.asarray(lost, dtype=np.int64)
-
-    def _replica_elems_per_server(
-        self, group: ReplicaGroup, region_ids: np.ndarray
-    ) -> np.ndarray:
-        n_alive = len(self.system.alive_servers)
-        servers_of = self.system.region_owner_positions(region_ids)
-        return np.bincount(
-            servers_of, weights=group.counts[region_ids], minlength=n_alive
-        )
 
     def _bytes_per_server(
         self, obj: StoredObject, coords: np.ndarray, itemsize: int
@@ -1695,15 +1561,10 @@ class QueryEngine:
             per_server = self._bytes_per_server(obj, coords, 8)
         else:
             per_server = np.full(len(sysm.alive_servers), 8.0)
-        for server, nbytes in zip(sysm.alive_servers, per_server):
-            if nbytes:
-                server.clock.charge(
-                    sysm.cost.net_time(int(nbytes), scaled=nbytes > 8), "net"
-                )
-        sysm.client_clock.advance_to(
-            max(s.clock.now for s in sysm.alive_servers), category="comm"
+        self._charge_per_server(
+            per_server, lambda n: sysm.cost.net_time(n, scaled=n > 8), "net"
         )
-        sysm.client_clock.charge(sysm.cost.net_time(16 * sysm.n_servers, scaled=False), "net")
+        self._gather_at_client(16 * sysm.n_servers)
 
     def _mask_coords(
         self, obj: StoredObject, interval: Interval, constraint: Tuple[int, int]
@@ -1724,89 +1585,57 @@ class QueryEngine:
         return int(interval.mask(obj.data).sum())
 
     # -------------------------------------------------------------- get_data
-    def _charge_get_data_original(
-        self, obj: StoredObject, selection: Selection, result: GetDataResult
+    def _charge_get_data_reads(
+        self, obj: StoredObject, replica: Optional[ReplicaGroup],
+        selection: Selection, result: GetDataResult,
     ) -> None:
-        sysm = self.system
-        if selection.is_empty:
-            return
-        regions = np.unique(obj.region_of_coords(selection.coords))
-        readers = self._active_readers(regions)
-        whole_regions = sysm.config.get_data_whole_regions
-        for server, mine in self._regions_by_server(regions):
-            for rid in mine:
-                key = region_key(obj.name, int(rid))
-                nbytes = int(obj.counts[rid]) * obj.itemsize
-                if whole_regions or server.cache.contains(key):
-                    hit = server.ensure_region(
-                        key, nbytes, 1, sysm.config.pdc_stripe_count, readers,
-                        hit_copy=True,
-                    )
-                    if hit:
-                        result.regions_cached += 1
-                    else:
-                        result.regions_read += 1
-                        result.bytes_read_virtual += (
-                            nbytes * sysm.cost.virtual_scale
-                        )
-                else:
-                    # Ablation mode: read only the hit extents, merged by
-                    # the §III-E aggregator (many small accesses when the
-                    # hits are scattered — the effect whole-region reads
-                    # avoid).
-                    off = int(obj.offsets[rid])
-                    in_region = selection.clip(off, off + int(obj.counts[rid])).coords
-                    extents = coords_to_extents(
-                        in_region, gap_threshold=sysm.config.aggregation_gap_elements
-                    )
-                    nb = sum(b - a for a, b in extents) * obj.itemsize
-                    server.clock.charge(
-                        sysm.cost.pfs_read_time(
-                            nb, len(extents), sysm.config.pdc_stripe_count, readers
-                        ),
-                        "pfs_read",
-                    )
-                    result.regions_read += 1
-                    result.bytes_read_virtual += nb * sysm.cost.virtual_scale
-
-    def _charge_get_data_replica(
-        self, group: ReplicaGroup, object_name: str, selection: Selection,
-        result: GetDataResult,
-    ) -> None:
-        """PDC-SH get_data: hits live contiguously on the sorted replica,
+        """Make the regions holding a selection's hits resident and copy
+        them out: whole regions of the original object, or — PDC-SH — of
+        the sorted replica, where the hits live contiguously and were
         already cached by the evaluation pass."""
         sysm = self.system
-        if selection.is_empty:
-            return
-        inv = self._inverse_permutation(group)
-        positions = np.sort(inv[selection.coords])
-        regions = np.unique(positions // group.region_elements)
-        regions = np.minimum(regions, group.n_regions - 1)
-        itemsize = sysm.get_object(object_name).itemsize
+        name, counts, tag = obj.name, obj.counts, "orig"
+        if replica is None:
+            regions = np.unique(obj.region_of_coords(selection.coords))
+        else:
+            regions = planner.replica_regions_of(replica, selection.coords)
+            name, counts = replica.replica.key_name, replica.counts
+            tag = f"sorted:{obj.name if obj.name != name else 'key'}"
         readers = self._active_readers(regions)
-        which = object_name if object_name != group.replica.key_name else "key"
-        for server, mine in self._regions_by_server(regions):
-            for rid in mine:
-                key = region_key(
-                    group.replica.key_name, int(rid), replica=f"sorted:{which}"
-                )
-                nbytes = int(group.counts[rid]) * itemsize
-                hit = server.ensure_region(
-                    key, nbytes, 1, sysm.config.pdc_stripe_count, readers,
-                    hit_copy=True,
-                )
-                if hit:
-                    result.regions_cached += 1
-                else:
-                    result.regions_read += 1
-                    result.bytes_read_virtual += nbytes * sysm.cost.virtual_scale
+        pairs = self._regions_by_server(regions)
+        if replica is None and not sysm.config.get_data_whole_regions:
+            pairs = self._read_hit_extents(obj, selection, pairs, readers, result)
+        for _server, _rid, nbytes, hit in self._read_regions(
+            pairs, name, counts, obj.itemsize, readers, replica=tag, hit_copy=True
+        ):
+            self._tally_read(result, nbytes, hit)
 
-    def _inverse_permutation(self, group: ReplicaGroup) -> np.ndarray:
-        inv = getattr(group, "_inverse_perm", None)
-        if inv is None:
-            inv = np.empty_like(group.replica.permutation)
-            inv[group.replica.permutation] = np.arange(
-                group.replica.n_elements, dtype=np.int64
-            )
-            group._inverse_perm = inv  # type: ignore[attr-defined]
-        return inv
+    def _read_hit_extents(
+        self, obj: StoredObject, selection: Selection, pairs, readers: int,
+        result: GetDataResult,
+    ):
+        """Ablation mode (``get_data_whole_regions=False``): of a region not
+        yet resident only the hit extents are read, merged by the §III-E
+        aggregator (many small accesses when the hits are scattered — the
+        effect whole-region reads avoid).  Passes the resident regions
+        through, in place, to the ordinary memory-copy path."""
+        sysm = self.system
+        for server, mine in pairs:
+            for rid in mine:
+                if server.cache.contains(region_key(obj.name, int(rid))):
+                    yield server, [rid]
+                    continue
+                off = int(obj.offsets[rid])
+                in_region = selection.clip(off, off + int(obj.counts[rid])).coords
+                extents = coords_to_extents(
+                    in_region, gap_threshold=sysm.config.aggregation_gap_elements
+                )
+                nb = sum(b - a for a, b in extents) * obj.itemsize
+                server.clock.charge(
+                    sysm.cost.pfs_read_time(
+                        nb, len(extents), sysm.config.pdc_stripe_count, readers
+                    ),
+                    "pfs_read",
+                )
+                result.regions_read += 1
+                result.bytes_read_virtual += nb * sysm.cost.virtual_scale

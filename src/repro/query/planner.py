@@ -11,8 +11,13 @@ surviving-region counts) and per-region sizes — so planning itself is
 O(regions) arithmetic with no I/O, exactly the regime the paper's global
 histogram enables.
 
-Two public entry points:
+Three public entry points:
 
+* :func:`plan_conjunct` — the one per-conjunct decision of §III-C/§III-D2
+  (evaluation order, min/max region elimination, access path) as a
+  :class:`ConjunctPlan` value: the executor charges and answers from it,
+  batch demand planning reads its :attr:`~ConjunctPlan.data_regions`, and
+  the estimates below price it;
 * :func:`choose_strategy` — the ``Strategy.AUTO`` resolver used by the
   executor;
 * :func:`explain` — a human-readable plan (evaluation order, selectivity
@@ -23,18 +28,22 @@ Two public entry points:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
 from ..histogram.selectivity import order_by_selectivity
 from ..interval import Interval
 from ..pdc.region import region_key
-from ..pdc.system import PDCSystem, StoredObject
+from ..pdc.system import PDCSystem, ReplicaGroup, StoredObject
 from ..strategies import Strategy
-from .ast import QueryNode, conjunct_intervals, to_dnf
+from .ast import Conjunct, QueryNode, conjunct_intervals, to_dnf
 
 __all__ = [
+    "PlanStep",
+    "ConjunctPlan",
+    "plan_conjunct",
+    "plan_query",
     "StepEstimate",
     "PlanEstimate",
     "estimate_plan",
@@ -47,6 +56,166 @@ __all__ = [
 _INDEX_BYTES_PER_HIT = 16.0
 #: Fixed per-region probe overhead (directory) in bytes.
 _INDEX_DIR_BYTES = 2048.0
+
+
+@dataclass
+class PlanStep:
+    """One condition's place in a :class:`ConjunctPlan`."""
+
+    name: str
+    interval: Interval
+    #: (lower, upper) global-histogram selectivity bounds; (0, 1) unknown.
+    selectivity: Tuple[float, float]
+    #: How the step touches storage, in ``StepActual.access_path`` terms.
+    path: str
+    #: Region ids inside the spatial constraint that may hold matches (the
+    #: survivors of min/max elimination; all of them when nothing prunes).
+    #: The first step touches every one, later steps those still holding
+    #: candidates; unused on the sorted-replica path, whose run the binary
+    #: search locates.
+    regions: np.ndarray
+    #: Regions of the constraint eliminated by min/max — never read.
+    pruned: int = 0
+
+
+@dataclass
+class ConjunctPlan:
+    """How one AND-group of per-object intervals will be evaluated —
+    decided once, from server-cached metadata alone (building a plan
+    touches no clock, cache or metric)."""
+
+    #: Conditions in evaluation order.
+    steps: List[PlanStep]
+    #: §III-C: a histogram proves some condition matches nothing, so the
+    #: whole conjunct is skipped without touching storage.
+    proved_empty: bool = False
+    #: A sorted replica covering every queried object and keyed on the
+    #: first condition, if one exists — what PDC-SH answers from.
+    replica: Optional[ReplicaGroup] = None
+
+    @property
+    def data_regions(self) -> Dict[str, np.ndarray]:
+        """Plain data regions read up front, per object: the first
+        condition's survivors, or every object's regions under PDC-F's
+        pre-load — the reads a batch's shared-scan pass can do once.  Empty
+        for index probes and replica runs, which read other files."""
+        if self.proved_empty:
+            return {}
+        return {
+            s.name: s.regions for s in self.steps
+            if s.path in ("full-read+scan", "pruned-read+scan")
+        }
+
+
+def surviving_regions(
+    obj: StoredObject,
+    interval: Interval,
+    constraint: Optional[Tuple[int, int]] = None,
+    prune: bool = True,
+) -> Tuple[np.ndarray, int]:
+    """Histogram region elimination (§III-D2): the regions intersecting
+    ``constraint`` (flat half-open bounds; None = the whole object) whose
+    min/max can overlap the condition, and how many were eliminated —
+    those are never read.  ``prune=False`` keeps every region."""
+    first, last = 0, obj.n_regions - 1
+    if constraint is not None:
+        first = constraint[0] // obj.region_elements
+        last = min((constraint[1] - 1) // obj.region_elements, last)
+    candidates = np.arange(first, last + 1, dtype=np.int64)
+    if not prune:
+        return candidates, 0
+    keep = interval.overlaps_range_arrays(
+        obj.rmin[first : last + 1], obj.rmax[first : last + 1]
+    )
+    return candidates[keep], int(keep.size - np.count_nonzero(keep))
+
+
+def plan_conjunct(
+    system: PDCSystem,
+    conjunct: Conjunct,
+    strategy: Strategy,
+    constraint: Optional[Tuple[int, int]] = None,
+    ordering: bool = True,
+    pruning: bool = True,
+) -> ConjunctPlan:
+    """Decide how ``strategy`` evaluates one conjunct within ``constraint``:
+    conditions ordered by global-histogram selectivity (§III-C), regions
+    eliminated by min/max (§III-D2), and the access path of each step.
+
+    ``ordering`` / ``pruning`` are the engine's ablation knobs: without the
+    first, conditions keep user order (and nothing is proved empty);
+    without the second, every region of the constraint survives.  PDC-F
+    uses neither (§III-D1).
+    """
+    items = list(conjunct.items())
+    proved_empty, replica = False, None
+    if strategy.uses_histogram and ordering:
+        hists = {}
+        for name, _ in items:
+            hist = system.get_object(name).meta.global_histogram
+            if hist is not None:
+                hists[name] = hist
+        ordered = order_by_selectivity(items, hists)
+        # An upper selectivity bound of zero: no histogram bin overlaps.
+        proved_empty = any(
+            est is not None and est.upper == 0.0 for _, _, est in ordered
+        )
+    else:
+        ordered = [(name, interval, None) for name, interval in items]
+    if strategy.uses_histogram:
+        group = system.replica_covering([name for name, _, _ in ordered])
+        if group is not None and group.replica.key_name == ordered[0][0]:
+            replica = group
+    # Without an applicable replica — e.g. selectivity put another object
+    # first, Fig. 4's last queries — PDC-SH behaves like PDC-H (§VI-B).
+    sorted_run = strategy is Strategy.SORT_HIST and replica is not None
+    steps: List[PlanStep] = []
+    for i, (name, interval, est) in enumerate(ordered):
+        obj = system.get_object(name)
+        if sorted_run:
+            path = "binary-search-run" if i == 0 else "replica-slice"
+        elif strategy is Strategy.FULL_SCAN:
+            path = "full-read+scan"
+        elif strategy is Strategy.HIST_INDEX and obj.indexes is not None:
+            path = "index-probe"
+        else:
+            path = "pruned-read+scan" if i == 0 else "recheck"
+        regions, pruned = np.zeros(0, dtype=np.int64), 0
+        if not sorted_run:  # the binary search, not min/max, locates the run
+            regions, pruned = surviving_regions(
+                obj, interval, constraint, strategy.uses_histogram and pruning
+            )
+        sel = (est.lower, est.upper) if est is not None else (0.0, 1.0)
+        steps.append(PlanStep(name, interval, sel, path, regions, pruned))
+    return ConjunctPlan(steps, proved_empty, replica)
+
+
+def plan_query(
+    system: PDCSystem, node: QueryNode, strategy: Strategy, *plan_args
+) -> Iterator[Tuple[int, ConjunctPlan]]:
+    """``(DNF conjunct index, plan)`` per satisfiable conjunct of a
+    condition tree, built lazily in evaluation order (a conjunct whose
+    conditions contradict each other matches nothing and has no plan);
+    ``plan_args`` are :func:`plan_conjunct`'s constraint and knobs."""
+    for ci, leaves in enumerate(to_dnf(node)):
+        conjunct = conjunct_intervals(leaves)
+        if conjunct:
+            yield ci, plan_conjunct(system, conjunct, strategy, *plan_args)
+
+
+def replica_regions_of(group: ReplicaGroup, coords: np.ndarray) -> np.ndarray:
+    """Replica region ids holding the given original coordinates, through
+    the inverse permutation (computed once and cached on the group)."""
+    inv = getattr(group, "_inverse_perm", None)
+    if inv is None:
+        inv = np.empty_like(group.replica.permutation)
+        inv[group.replica.permutation] = np.arange(
+            group.replica.n_elements, dtype=np.int64
+        )
+        group._inverse_perm = inv  # type: ignore[attr-defined]
+    return np.minimum(
+        np.unique(inv[coords] // group.region_elements), group.n_regions - 1
+    )
 
 
 @dataclass
@@ -90,15 +259,20 @@ class PlanEstimate:
     notes: List[str] = field(default_factory=list)
 
 
-def _uncached_fraction(system: PDCSystem, obj: StoredObject, region_ids: np.ndarray) -> float:
-    """Fraction of the given regions not resident in any server cache."""
+def _uncached_fraction(
+    system: PDCSystem, name: str, region_ids: np.ndarray, replica: str = "orig"
+) -> float:
+    """Fraction of the given regions not resident in their live owner's
+    cache — the server the executor would route each read to, which after
+    a failover, retirement or rebalance is not ``rid % n_servers``."""
     if region_ids.size == 0:
         return 0.0
-    missing = 0
-    for rid in region_ids:
-        server = system.servers[int(rid) % system.n_servers]
-        if not server.cache.contains(region_key(obj.name, int(rid))):
-            missing += 1
+    alive = system.alive_servers
+    owners = system.region_owner_positions(region_ids)
+    missing = sum(
+        not alive[pos].cache.contains(region_key(name, rid, replica))
+        for rid, pos in zip(region_ids.tolist(), owners.tolist())
+    )
     return missing / region_ids.size
 
 
@@ -117,82 +291,67 @@ def _scan_cost(system: PDCSystem, n_elements: float) -> float:
     return system.cost.scan_time(int(n_elements / system.n_servers))
 
 
-def _conjunct_steps(
-    system: PDCSystem, conjunct: Dict[str, Interval]
-) -> List[Tuple[str, Interval, Tuple[float, float], np.ndarray]]:
-    """Selectivity-ordered steps with surviving-region sets."""
-    hists = {
-        name: system.get_object(name).meta.global_histogram
-        for name in conjunct
-        if system.get_object(name).meta.global_histogram is not None
-    }
-    ordered = order_by_selectivity(list(conjunct.items()), hists)
-    out = []
-    for name, interval, est in ordered:
-        obj = system.get_object(name)
-        keep = interval.overlaps_range_arrays(obj.rmin, obj.rmax)
-        surviving = np.flatnonzero(keep).astype(np.int64)
-        sel = (est.lower, est.upper) if est is not None else (0.0, 1.0)
-        out.append((name, interval, sel, surviving))
-    return out
-
-
-def estimate_plan(
-    system: PDCSystem, node: QueryNode, strategy: Strategy
+def _estimate(
+    system: PDCSystem,
+    plans: List[Tuple[int, ConjunctPlan]],
+    strategy: Strategy,
+    histogram: Optional[PlanEstimate] = None,
 ) -> PlanEstimate:
-    """Estimate the simulated cost of one strategy for a query tree."""
+    """Price ``strategy`` over already-planned conjuncts.  ``histogram`` is
+    the PDC-H estimate over the same plans when the caller already has it
+    (PDC-SH falls back to it where no sorted replica applies)."""
     plan = PlanEstimate(strategy=strategy, est_seconds=0.0)
     total = system.cost.params.client_overhead_s
 
-    for ci, leaves in enumerate(to_dnf(node)):
-        conjunct = conjunct_intervals(leaves)
-        if conjunct is None:
-            continue
-        steps = _conjunct_steps(system, conjunct)
-        if not steps:
-            continue
-        first_name, first_iv, first_sel, first_surv = steps[0]
-        first_obj = system.get_object(first_name)
+    for ci, conjunct in plans:
+        steps = conjunct.steps
+        first = steps[0]
+        first_obj = system.get_object(first.name)
         n_elems = first_obj.n_elements
         itemsize = first_obj.itemsize
         # Upper-bound hit estimate drives candidate work for later steps.
-        hits_ub = first_sel[1] * n_elems
+        hits_ub = first.selectivity[1] * n_elems
         # Cumulative surviving-hit bounds after each step (independence
         # assumption within the conjunct) — what EXPLAIN ANALYZE compares
         # against the executor's measured per-step hits.
         cum_hits: List[Tuple[float, float]] = []
         lo_acc, hi_acc = 1.0, 1.0
-        for _, _, sel, _ in steps:
-            lo_acc *= sel[0]
-            hi_acc *= sel[1]
+        for s in steps:
+            lo_acc *= s.selectivity[0]
+            hi_acc *= s.selectivity[1]
             cum_hits.append((lo_acc * n_elems, hi_acc * n_elems))
 
+        def add_step(j: int, surviving: int, total_regions: int, path: str) -> None:
+            s = steps[j]
+            plan.steps.append(
+                StepEstimate(
+                    s.name, s.interval, s.selectivity, surviving, total_regions,
+                    path, conjunct=ci, est_hits=cum_hits[j],
+                )
+            )
+
         if strategy is Strategy.FULL_SCAN:
-            for j, (name, interval, sel, _) in enumerate(steps):
-                obj = system.get_object(name)
+            for j, s in enumerate(steps):
+                obj = system.get_object(s.name)
                 all_rids = np.arange(obj.n_regions, dtype=np.int64)
-                frac = _uncached_fraction(system, obj, all_rids)
+                frac = _uncached_fraction(system, s.name, all_rids)
                 total += _read_cost(
                     system, obj.data.nbytes * frac, obj.n_regions * frac
                 )
-                plan.steps.append(
-                    StepEstimate(
-                        name, interval, sel, obj.n_regions, obj.n_regions,
-                        "full-read+scan", conjunct=ci, est_hits=cum_hits[j],
-                    )
-                )
+                add_step(j, obj.n_regions, obj.n_regions, "full-read+scan")
             total += _scan_cost(system, n_elems)
             total += _scan_cost(system, hits_ub * (len(steps) - 1))
 
         elif strategy in (Strategy.HISTOGRAM, Strategy.HIST_INDEX):
             use_index = (
                 strategy is Strategy.HIST_INDEX
-                and all(system.get_object(n).indexes is not None for n, _, _, _ in steps)
+                and all(system.get_object(s.name).indexes is not None for s in steps)
             )
             if strategy is Strategy.HIST_INDEX and not use_index:
                 plan.notes.append("index missing on some objects: data reads instead")
-            for i, (name, interval, sel, surviving) in enumerate(steps):
-                obj = system.get_object(name)
+            for i, s in enumerate(steps):
+                obj = system.get_object(s.name)
+                surviving = s.regions
                 if i > 0:
                     # Later steps touch at most the regions holding the
                     # current candidates.
@@ -201,35 +360,29 @@ def estimate_plan(
                     )
                     surviving = surviving[:cand_regions]
                 region_bytes = float(obj.counts[surviving].sum()) * obj.itemsize
+                frac = _uncached_fraction(system, s.name, surviving)
                 if use_index:
                     touched = hits_ub * _INDEX_BYTES_PER_HIT + surviving.size * _INDEX_DIR_BYTES
-                    frac = _uncached_fraction(system, obj, surviving)
                     total += _read_cost(system, touched / system.cost.virtual_scale * frac, surviving.size * frac)
                     total += system.cost.wah_scan_time(int(touched / 8))
                     path = "index-probe"
                 else:
-                    frac = _uncached_fraction(system, obj, surviving)
                     total += _read_cost(system, region_bytes * frac, surviving.size * frac)
                     total += _scan_cost(
                         system,
                         float(obj.counts[surviving].sum()) if i == 0 else hits_ub,
                     )
                     path = "pruned-read+scan"
-                plan.steps.append(
-                    StepEstimate(
-                        name, interval, sel, int(surviving.size),
-                        obj.n_regions, path, conjunct=ci, est_hits=cum_hits[i],
-                    )
-                )
+                add_step(i, int(surviving.size), obj.n_regions, path)
 
         elif strategy is Strategy.SORT_HIST:
-            group = system.replica_covering([n for n, _, _, _ in steps])
-            if group is None or group.replica.key_name != first_name:
+            group = conjunct.replica
+            if group is None:
                 plan.notes.append(
                     "sorted replica not applicable (missing or planner puts "
                     "another object first): histogram path"
                 )
-                fallback = estimate_plan(system, node, Strategy.HISTOGRAM)
+                fallback = histogram or _estimate(system, plans, Strategy.HISTOGRAM)
                 plan.steps = fallback.steps
                 plan.est_seconds = fallback.est_seconds
                 return plan
@@ -238,27 +391,25 @@ def estimate_plan(
             total += system.cost.binary_search_time(n_elems)
             total += _read_cost(system, run_bytes, max(1.0, run_elems / group.region_elements))
             total += _scan_cost(system, run_elems * max(0, len(steps) - 1))
-            plan.steps.append(
-                StepEstimate(
-                    first_name, first_iv, first_sel,
-                    int(np.ceil(run_elems / group.region_elements)),
-                    group.n_regions, "binary-search-run",
-                    conjunct=ci, est_hits=cum_hits[0],
-                )
+            add_step(
+                0, int(np.ceil(run_elems / group.region_elements)),
+                group.n_regions, "binary-search-run",
             )
-            for j, (name, interval, sel, _) in enumerate(steps[1:], start=1):
-                plan.steps.append(
-                    StepEstimate(
-                        name, interval, sel, 0, group.n_regions,
-                        "replica-slice", conjunct=ci, est_hits=cum_hits[j],
-                    )
-                )
+            for j in range(1, len(steps)):
+                add_step(j, 0, group.n_regions, "replica-slice")
 
         # Result transfer (selection coordinates).
         total += system.cost.net_time(int(hits_ub * 8 / system.n_servers))
 
     plan.est_seconds = total
     return plan
+
+
+def estimate_plan(
+    system: PDCSystem, node: QueryNode, strategy: Strategy
+) -> PlanEstimate:
+    """Estimate the simulated cost of one strategy for a query tree."""
+    return _estimate(system, list(plan_query(system, node, Strategy.HISTOGRAM)), strategy)
 
 
 def choose_strategy(
@@ -272,10 +423,16 @@ def choose_strategy(
     resolutions (batch demand planning) that the executor will repeat
     for real.
     """
+    # Each conjunct is ordered and pruned once, over the whole object; the
+    # four estimates only differ in how they price the same steps.
+    plans = list(plan_query(system, node, Strategy.HISTOGRAM))
     candidates = [
-        estimate_plan(system, node, s)
-        for s in (Strategy.FULL_SCAN, Strategy.HISTOGRAM, Strategy.HIST_INDEX, Strategy.SORT_HIST)
+        _estimate(system, plans, s)
+        for s in (Strategy.FULL_SCAN, Strategy.HISTOGRAM, Strategy.HIST_INDEX)
     ]
+    candidates.append(
+        _estimate(system, plans, Strategy.SORT_HIST, histogram=candidates[1])
+    )
     candidates.sort(key=lambda p: p.est_seconds)
     winner = candidates[0].strategy
     if record:
@@ -311,30 +468,15 @@ def choose_get_data_strategy(
     itemsize = obj.itemsize
 
     orig_regions = np.unique(obj.region_of_coords(selection.coords))
-    frac_orig = _uncached_fraction(system, obj, orig_regions)
+    frac_orig = _uncached_fraction(system, object_name, orig_regions)
     orig_bytes = float(obj.counts[orig_regions].sum()) * itemsize * frac_orig
 
-    # Replica path: map hits to sorted positions via the cached inverse
-    # permutation, then to replica regions.
-    inv = getattr(group, "_inverse_perm", None)
-    if inv is None:
-        inv = np.empty_like(group.replica.permutation)
-        inv[group.replica.permutation] = np.arange(
-            group.replica.n_elements, dtype=np.int64
-        )
-        group._inverse_perm = inv
-    positions = inv[selection.coords]
-    repl_regions = np.minimum(
-        np.unique(positions // group.region_elements), group.n_regions - 1
-    )
+    # Replica path: hits mapped to sorted positions, then replica regions.
+    repl_regions = replica_regions_of(group, selection.coords)
     which = object_name if object_name != group.replica.key_name else "key"
-    missing = 0
-    for rid in repl_regions:
-        server = system.servers[int(rid) % system.n_servers]
-        key = region_key(group.replica.key_name, int(rid), replica=f"sorted:{which}")
-        if not server.cache.contains(key):
-            missing += 1
-    frac_repl = missing / repl_regions.size if repl_regions.size else 0.0
+    frac_repl = _uncached_fraction(
+        system, group.replica.key_name, repl_regions, replica=f"sorted:{which}"
+    )
     repl_bytes = float(group.counts[repl_regions].sum()) * itemsize * frac_repl
 
     if repl_bytes < orig_bytes or (

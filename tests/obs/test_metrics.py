@@ -59,6 +59,15 @@ class TestCounter:
         with pytest.raises(MetricsError):
             c.labels(op="one-too-many")
 
+    def test_default_cap_fits_the_papers_largest_deployment(self):
+        # Fig. 6 scales to 512 servers and the cache-removal family has
+        # three reasons per server; a default cap of 1000 made
+        # `python -m repro fig6` (and `all`) die building that system.
+        from repro.pdc import PDCConfig, PDCSystem
+
+        system = PDCSystem(PDCConfig(n_servers=512), metrics=MetricsRegistry())
+        assert len(system.servers) == 512
+
 
 class TestGauge:
     def test_set_inc_dec(self, reg):

@@ -156,3 +156,78 @@ class TestExplain:
         # energy is more selective: listed first despite user order.
         lines = [l for l in text.splitlines() if l.strip().startswith(("1.", "2."))]
         assert "energy" in lines[0] and "x" in lines[1]
+
+
+def warm_estimates(sysm):
+    """Estimates of the data-reading strategies once every region of both
+    objects is resident (on whichever server the executor routes it to)."""
+    QueryEngine(sysm).preload(["energy", "x"])
+    node = combine_and(cond("energy", ">", 0.5), cond("x", "<", 150.0))
+    return [
+        estimate_plan(sysm, node, s).est_seconds
+        for s in (Strategy.FULL_SCAN, Strategy.HISTOGRAM)
+    ]
+
+
+def all_resident_at_live_owner(sysm, name):
+    obj = sysm.get_object(name)
+    rids = np.arange(obj.n_regions)
+    alive = sysm.alive_servers
+    return all(
+        alive[pos].cache.contains(f"{name}:orig:r{rid}")
+        for rid, pos in zip(rids, sysm.region_owner_positions(rids))
+    )
+
+
+class TestResidencyFollowsLiveOwner:
+    """Regression: the planner looked for region ``rid`` in
+    ``servers[rid % n_servers]`` — not where the executor routes it once a
+    server failed or a rebalance committed — and so priced a fully
+    resident object as (mostly) cold."""
+
+    @pytest.fixture
+    def canonical_warm(self, env):
+        return warm_estimates(env[0])
+
+    @pytest.fixture
+    def twin(self):
+        """A second, identical deployment (same seed as ``env``)."""
+        sysm = make_system(region_size_bytes=1 << 11)
+        rng = np.random.default_rng(12345)
+        n = 1 << 13
+        e = rng.gamma(2.0, 0.4, n).astype(np.float32)
+        e[n // 2 : n // 2 + n // 16] += 5.0
+        sysm.create_object("energy", e)
+        sysm.create_object("x", (rng.random(n) * 300.0).astype(np.float32))
+        return sysm
+
+    def test_after_fail_server(self, twin, canonical_warm):
+        twin.fail_server(1)
+        assert warm_estimates(twin) == canonical_warm
+        assert all_resident_at_live_owner(twin, "energy")
+
+    def test_under_non_canonical_placement(self, twin, canonical_warm):
+        from repro.cluster import ClusterManager
+
+        ClusterManager(twin).balance(loads={0: 100.0, 1: 1.0, 2: 1.0, 3: 1.0})
+        assert not twin.placement_map().is_canonical_for([0, 1, 2, 3])
+        assert warm_estimates(twin) == canonical_warm
+        assert all_resident_at_live_owner(twin, "x")
+
+    def test_replica_regions_after_fail_server(self, env):
+        from repro.query.planner import _uncached_fraction, choose_get_data_strategy
+
+        sysm, _, _ = env
+        sysm.fail_server(1)
+        res = QueryEngine(sysm).execute(
+            combine_and(cond("energy", ">", 5.0), cond("x", "<", 150.0)),
+            strategy=Strategy.SORT_HIST,
+        )
+        group = sysm.replicas["energy"]
+        # The companion regions the evaluation just made resident.
+        run = np.flatnonzero([
+            any(s.cache.contains(f"energy:sorted:x:r{rid}") for s in sysm.alive_servers)
+            for rid in range(group.n_regions)
+        ])
+        assert run.size and _uncached_fraction(sysm, "energy", run, replica="sorted:x") == 0.0
+        assert choose_get_data_strategy(sysm, "x", res.selection) is Strategy.SORT_HIST
