@@ -71,6 +71,11 @@ class RegionBitmapIndex:
     #: True content minimum/maximum per occupied bin (aligned to bin_ids).
     bin_min: np.ndarray
     bin_max: np.ndarray
+    #: Compressed words / set bits per occupied bin (aligned to bin_ids):
+    #: what a probe's footprint is summed from, instead of walking and
+    #: re-popcounting ``bitmaps`` on every probe.
+    bin_words: np.ndarray
+    bin_counts: np.ndarray
     #: bin id → compressed WAH words (only bins with members are present).
     bitmaps: Dict[int, np.ndarray]
     n_elements: int
@@ -86,14 +91,16 @@ class RegionBitmapIndex:
         values = data.astype(np.float64, copy=False)
         edges = sig_digit_edges(float(values.min()), float(values.max()), precision)
         bin_idx = assign_bins(values, edges)
-        occupied = np.unique(bin_idx)
+        occupied, bin_counts = np.unique(bin_idx, return_counts=True)
         bitmaps: Dict[int, np.ndarray] = {}
         bin_min = np.empty(occupied.size)
         bin_max = np.empty(occupied.size)
+        bin_words = np.empty(occupied.size, dtype=np.int64)
         for k, b in enumerate(occupied):
             member = bin_idx == b
             words, _ = wah.compress(member)
             bitmaps[int(b)] = words
+            bin_words[k] = words.size
             members = values[member]
             bin_min[k] = members.min()
             bin_max[k] = members.max()
@@ -102,6 +109,8 @@ class RegionBitmapIndex:
             bin_ids=occupied.astype(np.int64),
             bin_min=bin_min,
             bin_max=bin_max,
+            bin_words=bin_words,
+            bin_counts=bin_counts,
             bitmaps=bitmaps,
             n_elements=int(values.size),
         )
@@ -128,16 +137,16 @@ class RegionBitmapIndex:
         )
 
     def total_words(self) -> int:
-        return sum(int(w.size) for w in self.bitmaps.values())
+        return int(self.bin_words.sum())
 
     # ------------------------------------------------------------------ query
     def _classify_occupied(self, interval: Interval) -> Tuple[np.ndarray, np.ndarray]:
-        """(fully-covered, partial) occupied-bin ids for ``interval``,
-        classified against true per-bin content ranges."""
+        """(fully-covered, partial) boolean masks over the occupied bins
+        (aligned to ``bin_ids``) for ``interval``, classified against true
+        per-bin content ranges."""
         overlap = interval.overlaps_range_arrays(self.bin_min, self.bin_max)
         full = overlap & interval.contains_range_arrays(self.bin_min, self.bin_max)
-        partial = overlap & ~full
-        return self.bin_ids[full], self.bin_ids[partial]
+        return full, overlap & ~full
 
     def query(self, interval: Interval) -> BitmapQueryResult:
         """Probe the index for an interval condition.
@@ -145,7 +154,8 @@ class RegionBitmapIndex:
         ORs the fully-covered bins' bitmaps on the compressed form; partial
         (boundary) bins become candidates.
         """
-        full_bins, partial_bins = self._classify_occupied(interval)
+        full, partial = self._classify_occupied(interval)
+        full_bins, partial_bins = self.bin_ids[full], self.bin_ids[partial]
 
         words_scanned = 0
         acc: Optional[np.ndarray] = None
@@ -180,25 +190,11 @@ class RegionBitmapIndex:
             words_scanned=words_scanned,
         )
 
-    def _count_bins(self, bins: np.ndarray) -> int:
-        """Total set bits across a set of bins, in one vectorized popcount
-        pass: :func:`wah.count_set_bits` is word-local, so the count over
-        the concatenated streams equals the sum of per-bin counts without
-        a Python-level loop per bin."""
-        streams = [
-            self.bitmaps[int(b)] for b in bins if int(b) in self.bitmaps
-        ]
-        if not streams:
-            return 0
-        if len(streams) == 1:
-            return wah.count_set_bits(streams[0])
-        return wah.count_set_bits(np.concatenate(streams))
-
     def count_range(self, interval: Interval) -> Tuple[int, int]:
         """(sure_hits, candidates) counts without materializing positions —
         the get-nhits fast path when no candidate check is needed."""
-        full_bins, partial_bins = self._classify_occupied(interval)
-        return self._count_bins(full_bins), self._count_bins(partial_bins)
+        full, partial = self._classify_occupied(interval)
+        return int(self.bin_counts[full].sum()), int(self.bin_counts[partial].sum())
 
     def query_cost(self, interval: Interval) -> "IndexProbeCost":
         """What a FastBit-style probe of this index touches for an interval.
@@ -207,18 +203,17 @@ class RegionBitmapIndex:
         condition (plus the small bin directory), so query-time index I/O is
         proportional to the touched bins, not the whole index file.
         """
-        full_bins, partial_bins = self._classify_occupied(interval)
-        touched = np.concatenate([full_bins, partial_bins])
-        words = int(sum(self.bitmaps[int(b)].size for b in touched))
-        candidates = self._count_bins(partial_bins)
+        full, partial = self._classify_occupied(interval)
+        touched = full | partial
+        words = int(self.bin_words[touched].sum())
         # Directory: edges + per-bin (id, offset, minmax) records.
         header_bytes = self.edges.size * 8 + self.n_occupied_bins * 32
         return IndexProbeCost(
             words_touched=words,
             bytes_touched=words * 8,
             header_bytes=int(header_bytes),
-            n_bins_touched=int(touched.size),
-            candidates=int(candidates),
+            n_bins_touched=int(np.count_nonzero(touched)),
+            candidates=int(self.bin_counts[partial].sum()),
         )
 
     # ---------------------------------------------------------- serialization
@@ -245,17 +240,24 @@ class RegionBitmapIndex:
     @classmethod
     def from_arrays(cls, arrays: Dict[str, np.ndarray]) -> "RegionBitmapIndex":
         bitmaps: Dict[int, np.ndarray] = {}
+        # The file stores each bin's word count but not its set bits: those
+        # are popcounted once here, never per probe.
+        bin_counts = []
         offset = 0
         for b, ln in zip(arrays["bin_ids"], arrays["lengths"]):
-            bitmaps[int(b)] = np.asarray(
+            words = np.asarray(
                 arrays["payload"][offset : offset + int(ln)], dtype=np.uint64
             )
+            bitmaps[int(b)] = words
+            bin_counts.append(wah.count_set_bits(words))
             offset += int(ln)
         return cls(
             edges=np.asarray(arrays["edges"], dtype=np.float64),
             bin_ids=np.asarray(arrays["bin_ids"], dtype=np.int64),
             bin_min=np.asarray(arrays["bin_min"], dtype=np.float64),
             bin_max=np.asarray(arrays["bin_max"], dtype=np.float64),
+            bin_words=np.asarray(arrays["lengths"], dtype=np.int64),
+            bin_counts=np.array(bin_counts, dtype=np.int64),
             bitmaps=bitmaps,
             n_elements=int(arrays["meta"][0]),
         )

@@ -133,34 +133,34 @@ class Interval:
             return False
         return True
 
+    def _within(self, above: np.ndarray, below: np.ndarray) -> np.ndarray:
+        """Elementwise: ``above`` clears the lower bound and ``below`` the
+        upper one.  Each present bound is one comparison (the second is
+        AND-ed into the first in place); an absent bound tests nothing."""
+        m = None
+        if self.lo is not None:
+            m = (above >= self.lo) if self.lo_closed else (above > self.lo)
+        if self.hi is not None:
+            h = (below <= self.hi) if self.hi_closed else (below < self.hi)
+            if m is None:
+                m = h
+            else:
+                m &= h
+        return np.ones(np.shape(above), dtype=bool) if m is None else m
+
     def contains_range_arrays(self, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
         """Vectorized :meth:`contains_range` over arrays of closed value
         ranges ``[lo[i], hi[i]]``."""
-        m = np.ones(np.shape(lo), dtype=bool)
-        if self.lo is not None:
-            m &= (lo >= self.lo) if self.lo_closed else (lo > self.lo)
-        if self.hi is not None:
-            m &= (hi <= self.hi) if self.hi_closed else (hi < self.hi)
-        return m
+        return self._within(lo, hi)
 
     def overlaps_range_arrays(self, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
         """Vectorized :meth:`overlaps_range` over arrays of closed value
         ranges ``[lo[i], hi[i]]``."""
-        m = np.ones(np.shape(lo), dtype=bool)
-        if self.lo is not None:
-            m &= (hi >= self.lo) if self.lo_closed else (hi > self.lo)
-        if self.hi is not None:
-            m &= (lo <= self.hi) if self.hi_closed else (lo < self.hi)
-        return m
+        return self._within(hi, lo)
 
     def mask(self, data: np.ndarray) -> np.ndarray:
         """Vectorized membership test over an array."""
-        m = np.ones(data.shape, dtype=bool)
-        if self.lo is not None:
-            m &= (data >= self.lo) if self.lo_closed else (data > self.lo)
-        if self.hi is not None:
-            m &= (data <= self.hi) if self.hi_closed else (data < self.hi)
-        return m
+        return self._within(data, data)
 
     # -------------------------------------------------------------- inspection
     @property

@@ -181,9 +181,14 @@ class StoredObject:
             return DeviceKind.DISK
         return self.region_tier[region_id]
 
-    def region_of_coords(self, coords: np.ndarray) -> np.ndarray:
-        """Region id of each element coordinate (uniform partitioning)."""
-        return np.minimum(coords // self.region_elements, self.n_regions - 1)
+    def region_hits(self, coords: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """``(region ids, hits per region)`` of *ascending* element
+        coordinates, regions holding none left out.  Regions are contiguous,
+        so one boundary search per region replaces a pass over the
+        coordinates — the work follows the region count, not the hit count."""
+        hits = np.diff(np.searchsorted(coords, self.offsets), append=coords.size)
+        region_ids = np.flatnonzero(hits)
+        return region_ids, hits[region_ids]
 
     def region_bytes(self, region_ids: np.ndarray) -> np.ndarray:
         """Real payload bytes of the given regions."""

@@ -993,11 +993,12 @@ class QueryEngine:
                     )
             with self._record_step(stats, first_step):
                 self._charge_scan(obj, first.regions, constraint)
-        coords = self._mask_coords(obj, first.interval, constraint)
+        scanned = first.regions
         if lost.size:
-            # Degraded mode: hits in unreadable regions are dropped (the
-            # answer stays a subset of the truth).
-            coords = coords[~np.isin(obj.region_of_coords(coords), lost)]
+            # Degraded mode: unreadable regions are not scanned, so their
+            # hits are dropped (the answer stays a subset of the truth).
+            scanned = scanned[~np.isin(scanned, lost)]
+        coords = self._mask_coords(obj, first.interval, constraint, scanned)
         first_step.hits = int(coords.size)
         stats.step_actuals.append(first_step)
 
@@ -1010,8 +1011,7 @@ class QueryEngine:
             self._check_deadline()
             with self._record_step(stats, step):
                 obj = sysm.get_object(s.name)
-                coord_regions = obj.region_of_coords(coords)
-                cand_regions = np.unique(coord_regions)
+                cand_regions, hits = obj.region_hits(coords)
                 if s.pruned:
                     # Coordinates in regions the plan eliminated cannot
                     # match (min/max is exact); drop them without reading
@@ -1019,8 +1019,8 @@ class QueryEngine:
                     keep = np.isin(cand_regions, s.regions)
                     stats.regions_pruned += int(keep.size - np.count_nonzero(keep))
                     if not keep.all():
-                        cand_regions = cand_regions[keep]
-                        coords = coords[np.isin(coord_regions, cand_regions)]
+                        coords = coords[np.repeat(keep, hits)]
+                        cand_regions, hits = cand_regions[keep], hits[keep]
                 if coords.size == 0:
                     step.access_path = "recheck"
                 else:
@@ -1032,9 +1032,9 @@ class QueryEngine:
                         lost = self._charge_data_reads(obj, cand_regions, stats)
                         # §III-C AND optimization: only the already-selected
                         # locations are checked (one element per coordinate).
-                        self._charge_owner_scans(obj.region_of_coords(coords))
+                        self._charge_owner_scans(cand_regions, hits)
                     if lost.size:
-                        coords = coords[~np.isin(obj.region_of_coords(coords), lost)]
+                        coords = coords[np.repeat(~np.isin(cand_regions, lost), hits)]
                     coords = self._filter_coords(obj, s.interval, coords)
             step.hits = int(coords.size)
             stats.step_actuals.append(step)
@@ -1359,11 +1359,9 @@ class QueryEngine:
             if n:
                 server.clock.charge(cost_of(int(n)), category)
 
-    def _charge_owner_scans(
-        self, region_ids: np.ndarray, elems: Optional[np.ndarray] = None
-    ) -> None:
-        """Charge each listed region's owner a scan of ``elems`` elements
-        (one element per listing when omitted)."""
+    def _charge_owner_scans(self, region_ids: np.ndarray, elems: np.ndarray) -> None:
+        """Charge each listed region's owner a scan of its ``elems``
+        elements."""
         sysm = self.system
         per_server = np.bincount(
             sysm.region_owner_positions(region_ids), weights=elems,
@@ -1539,11 +1537,11 @@ class QueryEngine:
         self, obj: StoredObject, coords: np.ndarray, itemsize: int
     ) -> np.ndarray:
         """Result bytes each *alive* server ships, by hit ownership."""
-        n_alive = len(self.system.alive_servers)
-        if coords.size == 0:
-            return np.zeros(n_alive)
-        servers_of = self.system.region_owner_positions(obj.region_of_coords(coords))
-        return np.bincount(servers_of, minlength=n_alive) * itemsize
+        region_ids, hits = obj.region_hits(coords)
+        return np.bincount(
+            self.system.region_owner_positions(region_ids), weights=hits,
+            minlength=len(self.system.alive_servers),
+        ) * itemsize
 
     def _charge_result_transfer(
         self, obj: StoredObject, coords: np.ndarray, want_selection: bool
@@ -1567,12 +1565,26 @@ class QueryEngine:
         self._gather_at_client(16 * sysm.n_servers)
 
     def _mask_coords(
-        self, obj: StoredObject, interval: Interval, constraint: Tuple[int, int]
+        self, obj: StoredObject, interval: Interval, constraint: Tuple[int, int],
+        region_ids: np.ndarray,
     ) -> np.ndarray:
-        """Exact hit coordinates of one condition within the constraint."""
+        """Exact hit coordinates of one condition inside the given ascending
+        regions, clipped to the constraint.  Adjacent regions coalesce into
+        runs and only those slices are masked; every region of the
+        constraint is one run, the whole window."""
+        if region_ids.size == 0:
+            return np.zeros(0, dtype=np.int64)
         cstart, cstop = constraint
-        window = obj.data[cstart:cstop]
-        return np.flatnonzero(interval.mask(window)).astype(np.int64) + cstart
+        breaks = np.flatnonzero(np.diff(region_ids) != 1) + 1
+        firsts = region_ids[np.concatenate(([0], breaks))]
+        lasts = region_ids[np.concatenate((breaks - 1, [-1]))]
+        starts = np.maximum(obj.offsets[firsts], cstart).tolist()
+        stops = np.minimum(obj.offsets[lasts] + obj.counts[lasts], cstop).tolist()
+        parts = [
+            np.flatnonzero(interval.mask(obj.data[lo:hi])) + lo
+            for lo, hi in zip(starts, stops)
+        ]
+        return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
     def _filter_coords(
         self, obj: StoredObject, interval: Interval, coords: np.ndarray
@@ -1596,7 +1608,7 @@ class QueryEngine:
         sysm = self.system
         name, counts, tag = obj.name, obj.counts, "orig"
         if replica is None:
-            regions = np.unique(obj.region_of_coords(selection.coords))
+            regions, _ = obj.region_hits(selection.coords)
         else:
             regions = planner.replica_regions_of(replica, selection.coords)
             name, counts = replica.replica.key_name, replica.counts

@@ -467,7 +467,7 @@ def choose_get_data_strategy(
     obj = system.get_object(object_name)
     itemsize = obj.itemsize
 
-    orig_regions = np.unique(obj.region_of_coords(selection.coords))
+    orig_regions, _ = obj.region_hits(selection.coords)
     frac_orig = _uncached_fraction(system, object_name, orig_regions)
     orig_bytes = float(obj.counts[orig_regions].sum()) * itemsize * frac_orig
 

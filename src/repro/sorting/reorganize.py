@@ -87,6 +87,22 @@ class SortedReplica:
         )
 
     # ------------------------------------------------------------------ search
+    def _probe(self, bound: float):
+        """``bound`` as ``np.searchsorted`` should receive it.  A Python
+        float makes numpy cast the *whole key array* to float64 per search;
+        the same bound typed as the key dtype searches the keys in place and
+        compares identically when neither conversion loses anything (keys
+        to float64, bound to key dtype).  Any other bound — fractional on
+        integer keys, off the float32 grid, beyond the dtype's range, NaN —
+        keeps the float64 comparison."""
+        dtype = self.key_values.dtype
+        if np.can_cast(dtype, np.float64):
+            with np.errstate(over="ignore", invalid="ignore"):
+                typed = np.float64(bound).astype(dtype)
+            if float(typed) == bound:
+                return typed
+        return bound
+
     def search_range(
         self,
         lo: Optional[float],
@@ -100,12 +116,12 @@ class SortedReplica:
             start = 0
         else:
             side = "left" if lo_closed else "right"
-            start = int(np.searchsorted(self.key_values, lo, side=side))
+            start = int(np.searchsorted(self.key_values, self._probe(lo), side=side))
         if hi is None:
             stop = self.n_elements
         else:
             side = "right" if hi_closed else "left"
-            stop = int(np.searchsorted(self.key_values, hi, side=side))
+            stop = int(np.searchsorted(self.key_values, self._probe(hi), side=side))
         return start, max(start, stop)
 
     def original_coords(self, start: int, stop: int) -> np.ndarray:

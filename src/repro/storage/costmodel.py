@@ -30,6 +30,7 @@ from dataclasses import dataclass, field, replace
 from typing import Dict
 
 from ..types import GB
+from .device import DeviceKind
 
 __all__ = ["CostParameters", "SimClock", "CostModel", "CORI_LIKE"]
 
@@ -212,8 +213,6 @@ class CostModel:
         a node-local burst buffer (no cross-server contention); memory is a
         plain copy; tape is mount-latency-bound.
         """
-        from ..storage.device import DeviceKind
-
         p = self.params
         vbytes = nbytes * (self.virtual_scale if scaled else 1.0)
         if tier == DeviceKind.DISK:

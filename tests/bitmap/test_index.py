@@ -5,6 +5,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from repro.bitmap import wah
 from repro.bitmap.index import RegionBitmapIndex
 from repro.errors import IndexError_
 from repro.interval import Interval
@@ -19,6 +20,38 @@ def resolve(idx, interval, data):
     verified = {int(p) for p in res.candidate_positions if interval.contains_value(float(data[p]))}
     assert not (sure & verified)
     return sure | verified
+
+
+def probe_from_bitmaps(idx, interval):
+    """``(words, bins, sure, candidates)`` of a probe, recomputed bin by
+    bin from ``bitmaps`` (stream sizes and popcounts) and the scalar range
+    tests — the definition the per-bin tables must reproduce."""
+    words = bins = sure = candidates = 0
+    for b, lo, hi in zip(idx.bin_ids.tolist(), idx.bin_min.tolist(), idx.bin_max.tolist()):
+        if not interval.overlaps_range(lo, hi):
+            continue
+        stream = idx.bitmaps[b]
+        words += int(stream.size)
+        bins += 1
+        if interval.contains_range(lo, hi):
+            sure += wah.count_set_bits(stream)
+        else:
+            candidates += wah.count_set_bits(stream)
+    return words, bins, sure, candidates
+
+
+def assert_probes_match_bitmaps(idx, rng, n=60):
+    lo_hi = np.sort(rng.uniform(-0.5, 6.0, (n, 2)), axis=1)
+    for (lo, hi), lc, hc in zip(lo_hi.tolist(), rng.random(n) < 0.5, rng.random(n) < 0.5):
+        iv = Interval(lo=round(lo, 1), hi=round(hi, 1) + 0.1, lo_closed=lc, hi_closed=hc)
+        for interval in (iv, Interval(lo=lo, hi=hi + 1e-9), Interval(lo=lo), Interval(hi=hi)):
+            words, bins, sure, candidates = probe_from_bitmaps(idx, interval)
+            probe = idx.query_cost(interval)
+            assert (probe.words_touched, probe.n_bins_touched, probe.candidates) == (
+                words, bins, candidates,
+            ), interval
+            assert probe.bytes_touched == words * 8
+            assert idx.count_range(interval) == (sure, candidates), interval
 
 
 @pytest.fixture
@@ -139,6 +172,29 @@ class TestCountsAndCosts:
         wide = idx.query_cost(Interval(lo=0.1, hi=5.0))
         assert wide.words_touched >= narrow.words_touched
         assert wide.n_bins_touched > narrow.n_bins_touched
+
+    def test_probe_tables_match_bitmaps(self, idx, rng):
+        """Built, and re-read from the index file (where set bits are not
+        stored and must be popcounted back)."""
+        assert_probes_match_bitmaps(idx, rng)
+        assert_probes_match_bitmaps(RegionBitmapIndex.from_bytes(idx.to_bytes()), rng)
+
+    def test_probe_tables_follow_a_replaced_region_index(self, indexed_system, rng):
+        """A delta write leaves a region's base index in place; compaction
+        replaces it — its tables must describe the new bitmaps."""
+        obj = indexed_system.get_object("energy")
+        rid = 1
+        before = obj.indexes[rid]
+        indexed_system.update_object_region(
+            "energy", int(obj.offsets[rid]) + 7,
+            rng.uniform(3.0, 5.0, 200).astype(np.float32), maintenance="delta",
+        )
+        assert obj.indexes[rid] is before and obj.index_delta_counts[rid] == 200
+        assert_probes_match_bitmaps(obj.indexes[rid], rng)
+        indexed_system.compact_region_index("energy", rid)
+        assert obj.indexes[rid] is not before
+        assert_probes_match_bitmaps(obj.indexes[rid], rng)
+        assert obj.indexes[rid].count_range(Interval(lo=3.0, hi=5.0))[0] >= 200
 
     def test_nbytes_accounts_everything(self, idx):
         assert idx.nbytes > idx.total_words() * 8

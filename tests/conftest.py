@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,25 @@ from repro.strategies import Strategy
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)
+
+
+@pytest.fixture
+def peak_alloc():
+    """``peak_alloc(fn)`` runs ``fn`` and returns the most bytes it held
+    above what was live when it started (numpy buffers included) — an
+    allocation guard with no clock in it."""
+
+    def measure(fn) -> int:
+        tracemalloc.start()
+        try:
+            live = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            fn()
+            return tracemalloc.get_traced_memory()[1] - live
+        finally:
+            tracemalloc.stop()
+
+    return measure
 
 
 @pytest.fixture

@@ -8,6 +8,7 @@ import pytest
 
 from repro.errors import RegionUnavailableError, RuntimeAbort, TransportError
 from repro.faults import FaultConfig, FaultPlan
+from repro.pdc.region import region_key
 from repro.pdc.transport import run_distributed_query
 from repro.query.ast import Condition, combine_and
 from repro.query.executor import QueryEngine
@@ -84,6 +85,31 @@ class TestRetries:
         assert res.nhits <= truth
         # Everything was unreadable, so nothing survives.
         assert res.nhits == 0
+
+    @pytest.mark.parametrize("strategy", [Strategy.HISTOGRAM, Strategy.FULL_SCAN])
+    def test_region_lost_from_the_middle_of_a_surviving_run(self, rng, strategy):
+        """The first condition is masked over runs of adjacent surviving
+        regions; a region lost inside a run takes exactly its own hits."""
+
+        class LoseRegion(FaultPlan):
+            def pfs_read_fails(self, key: str) -> bool:
+                return key == region_key("energy", 4)
+
+        per = 2048  # 8 KiB regions of float32
+        e = rng.random(8 * per).astype(np.float32)
+        e[2 * per : 6 * per : 7] = 2.5  # regions 2-5 survive `> 2` as one run
+        sysm = make_system()
+        sysm.create_object("energy", e)
+        sysm.set_fault_plan(LoseRegion(seed=0, config=FaultConfig(max_retries=1)))
+        res = QueryEngine(sysm).execute(
+            Condition("energy", QueryOp.GT, PDCType.FLOAT, 2.0), strategy=strategy
+        )
+        truth = np.flatnonzero(e > 2.0)
+        kept = truth[(truth < 4 * per) | (truth >= 5 * per)]
+        assert 0 < kept.size < truth.size
+        assert np.array_equal(res.selection.coords, kept)
+        assert not res.complete
+        assert res.lost_regions == [region_key("energy", 4)]
 
     def test_faultable_read_raises_after_budget(self, rng):
         sysm, _, _ = _loaded_system(rng)

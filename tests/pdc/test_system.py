@@ -89,11 +89,12 @@ class TestCreateObject:
         with pytest.raises(ObjectNotFoundError):
             make_system().get_object_by_id(42)
 
-    def test_region_of_coords(self, rng):
+    def test_region_hits(self, rng):
         sysm = make_system(region_size_bytes=1 << 12)
         obj = sysm.create_object("o", rng.random(3000).astype(np.float32))
-        coords = np.array([0, 1023, 1024, 2999])
-        assert obj.region_of_coords(coords).tolist() == [0, 0, 1, 2]
+        region_ids, hits = obj.region_hits(np.array([0, 1023, 1024, 2999]))
+        assert region_ids.tolist() == [0, 1, 2]
+        assert hits.tolist() == [2, 1, 1]
 
     def test_no_histogram_mode(self, rng):
         sysm = make_system()

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.interval import Interval
 from repro.query.ast import combine_and, combine_or, Condition
 from repro.query.executor import QueryEngine
 from repro.strategies import Strategy
@@ -136,6 +137,92 @@ class TestRegionConstraint:
         _, e, x = env
         node = combine_and(cond("energy", ">", 1.5), cond("x", "<", 150.0))
         check_all_strategies(env, node, (e > 1.5) & (x < 150.0), constraint=(100, 8000))
+
+
+class TestRegionRunKernel:
+    """The answer plane follows the plan: the first condition is masked
+    over runs of surviving regions only, and per-region hit counts come
+    from boundary searches on the sorted coordinates."""
+
+    @pytest.fixture
+    def ragged(self):
+        """10 000 elements in 512-element regions: the twentieth is short."""
+        e = np.random.default_rng(5).gamma(2.0, 0.7, 10_000).astype(np.float32)
+        sysm = make_system(region_size_bytes=1 << 11)
+        obj = sysm.create_object("energy", e)
+        assert obj.n_regions == 20 and obj.counts[-1] < obj.region_elements
+        return sysm, obj, e
+
+    def test_equals_whole_window_mask_on_surviving_regions(self, ragged):
+        sysm, obj, e = ragged
+        engine = QueryEngine(sysm)
+        rng = np.random.default_rng(6)
+        iv = Interval(lo=1.0, hi=2.5, lo_closed=False)
+        whole = (0, e.size)
+        cases = [
+            (np.arange(obj.n_regions), whole),  # nothing pruned: one run
+            (np.zeros(0, dtype=np.int64), whole),  # everything pruned
+            (np.array([obj.n_regions - 1]), whole),  # only the short region
+        ]
+        for _ in range(60):
+            regions = np.flatnonzero(rng.random(obj.n_regions) < rng.choice([0.2, 0.5, 0.9]))
+            constraint = whole
+            if regions.size and rng.random() < 0.7:
+                # A constraint that cuts into the first and last survivor.
+                first, last = regions[0], regions[-1]
+                cstart = int(obj.offsets[first] + rng.integers(0, obj.counts[first]))
+                cstop = int(obj.offsets[last] + rng.integers(1, obj.counts[last] + 1))
+                if cstop > cstart:
+                    constraint = (cstart, cstop)
+            cases.append((regions, constraint))
+        for regions, (cstart, cstop) in cases:
+            window = np.flatnonzero(iv.mask(e[cstart:cstop])) + cstart
+            want = window[np.isin(window // obj.region_elements, regions)]
+            got = engine._mask_coords(obj, iv, (cstart, cstop), regions)
+            assert got.dtype == np.int64
+            assert np.array_equal(got, want), (regions, cstart, cstop)
+
+    def test_region_hits_equal_per_coordinate_counts(self, ragged):
+        sysm, obj, e = ragged
+
+        def check(obj, coords):
+            region_ids, hits = obj.region_hits(coords)
+            want = np.unique(coords // obj.region_elements, return_counts=True)
+            assert np.array_equal(region_ids, want[0])
+            assert np.array_equal(hits, want[1])
+
+        none = np.zeros(0, dtype=np.int64)
+        check(obj, none)
+        check(obj, np.flatnonzero(e > 1.0))
+        check(obj, np.array([0, 1, obj.region_elements - 1]))
+        check(obj, np.array([e.size - 1]))
+        single = sysm.create_object("single", e[:100])
+        check(single, none)
+        check(single, np.arange(0, 100, 3))
+        # An append fills the short tail and adds regions; the boundaries
+        # searched must be the re-partitioned ones.
+        sysm.append_to_object("energy", e[:1500])
+        assert obj.n_regions == 23 and obj.n_elements == 11_500
+        check(obj, np.flatnonzero(obj.data > 1.0))
+        check(obj, np.array([10_239, 10_240, 11_499]))
+
+    def test_pruned_query_never_masks_the_whole_window(self, peak_alloc):
+        """One surviving region of 256: the query may not hold even one
+        bool per element of the object (the whole-window mask it used to
+        build whatever the plan had pruned)."""
+        per = 1024
+        data = np.random.default_rng(7).random(256 * per).astype(np.float32)
+        data[100 * per + 10 : 100 * per + 20] = 3.0
+        sysm = make_system(region_size_bytes=per * 4)
+        sysm.create_object("energy", data)
+        engine = QueryEngine(sysm)
+        out = []
+        peak = peak_alloc(lambda: out.append(
+            engine.execute(cond("energy", ">", 2.0), strategy=Strategy.HISTOGRAM)
+        ))
+        assert out[0].regions_pruned == 255 and out[0].regions_read == 1
+        assert out[0].selection.coords.tolist() == list(range(100 * per + 10, 100 * per + 20))
+        assert peak < data.size
 
 
 class TestPropertyBased:

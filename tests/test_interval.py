@@ -106,6 +106,23 @@ class TestMasks:
         for v, m in zip(values, mask):
             assert bool(m) == iv.contains_value(v)
 
+    @pytest.mark.parametrize("lo,lo_closed", [(None, True), (2.0, True), (2.0, False)])
+    @pytest.mark.parametrize("hi,hi_closed", [(None, True), (4.0, True), (4.0, False)])
+    def test_mask_every_bound_shape(self, lo, lo_closed, hi, hi_closed):
+        """Absent / closed / open on either side, ``everything()`` among
+        them: a fresh bool array of the data's shape, also for no data."""
+        iv = Interval(lo=lo, hi=hi, lo_closed=lo_closed, hi_closed=hi_closed)
+        assert (iv == Interval.everything()) == (lo is None and hi is None)
+        data = np.array([1.0, 2.0, 3.0, 4.0, 5.0], dtype=np.float32)
+        above = np.ones(5, bool) if lo is None else (data >= lo if lo_closed else data > lo)
+        below = np.ones(5, bool) if hi is None else (data <= hi if hi_closed else data < hi)
+        for values, want in ((data, above & below), (data[:0], np.zeros(0, bool))):
+            got = iv.mask(values)
+            assert got.dtype == np.bool_ and got.shape == values.shape
+            assert np.array_equal(got, want)
+            got[:] = False  # never a view of something shared
+            assert np.array_equal(iv.mask(values), want)
+
     @given(interval_strategy(), finite, finite)
     @settings(max_examples=200, deadline=None)
     def test_vector_range_tests_match_scalar(self, iv, a, b):

@@ -1,5 +1,8 @@
 """Sorted replicas (§III-D3): build invariants and range search."""
 
+import itertools
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -79,6 +82,41 @@ class TestSearchRange:
         truth = np.flatnonzero(in_lo & in_hi)
         got = np.arange(start, stop)
         assert np.array_equal(got, truth)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64, np.int32])
+    def test_typed_probe_equals_float64_comparison(self, rng, dtype):
+        """Whatever the bound — on the key dtype's grid or off it,
+        fractional on integer keys, infinite, beyond the dtype's range, NaN
+        — the run is numpy's own search over the float64-cast keys, and no
+        cast warning escapes."""
+        keys = np.concatenate(
+            [np.round(rng.normal(0.0, 3.0, 2000) * 4) / 4, [2.0] * 5, [-3.0] * 5]
+        ).astype(dtype)
+        r = SortedReplica.build("k", keys)
+        wide = r.key_values.astype(np.float64)
+        bounds = [
+            2.0, -3.0, float(r.key_values[700]),  # exactly representable, present
+            2.1, -0.3,  # off the float32 grid
+            2.5, -7.75,  # fractional on integer keys
+            np.inf, -np.inf, 1e300, -1e300, 3e9, -3e9, np.nan,
+        ]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for lo, hi in itertools.product(bounds, repeat=2):
+                for lc, hc in itertools.product((True, False), repeat=2):
+                    start = int(np.searchsorted(wide, lo, side="left" if lc else "right"))
+                    stop = int(np.searchsorted(wide, hi, side="right" if hc else "left"))
+                    assert r.search_range(lo, hi, lc, hc) == (start, max(start, stop)), (
+                        lo, hi, lc, hc,
+                    )
+
+    def test_search_does_not_copy_the_keys(self, rng, peak_alloc):
+        """A bound on the key dtype's grid is searched in place: numpy given
+        a Python float would first cast all 4 MiB of float32 keys to
+        float64."""
+        r = SortedReplica.build("k", rng.random(1 << 20).astype(np.float32))
+        lo, hi = float(np.float32(0.25)), float(np.float32(0.26))
+        assert peak_alloc(lambda: r.search_range(lo, hi, False, False)) < 64 << 10
 
     def test_unbounded_sides(self, rng):
         keys = rng.random(100)
