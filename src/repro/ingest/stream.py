@@ -39,7 +39,7 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from ..errors import PDCError
-from ..pdc.system import PDCSystem
+from ..pdc.system import PDCSystem, check_maintenance, check_payload
 
 __all__ = [
     "IngestConfig",
@@ -75,8 +75,7 @@ class IngestConfig:
     def __post_init__(self) -> None:
         if self.epoch_interval_s <= 0:
             raise PDCError("epoch_interval_s must be > 0")
-        if self.maintenance not in ("delta", "rebuild"):
-            raise PDCError(f"unknown maintenance mode {self.maintenance!r}")
+        check_maintenance(self.maintenance)
         if not (0.0 < self.histogram_rebuild_fraction <= 1.0):
             raise PDCError("histogram_rebuild_fraction must be in (0, 1]")
         if not (0.0 <= self.index_compact_fraction <= 1.0):
@@ -180,9 +179,7 @@ class IngestStream:
         self, name: str, offset: Optional[int], values: np.ndarray,
         t_s: Optional[float],
     ) -> WriteOp:
-        values = np.asarray(values)
-        if values.ndim != 1 or values.size == 0:
-            raise PDCError("write payload must be non-empty 1-D")
+        values = check_payload(values)
         if t_s is None:
             t_s = self.system.client_clock.now
         if self._pending and t_s < self._pending[-1].t_s:
@@ -332,22 +329,18 @@ class IngestStream:
                 continue
             if obj.index_delta_counts is None:
                 continue
-            compacted_any = False
             for rid in range(obj.n_regions):
                 n_delta = int(obj.index_delta_counts[rid])
                 if not n_delta:
                     continue
                 if n_delta < cfg.index_compact_fraction * int(obj.counts[rid]):
                     continue
-                sysm.compact_region_index(name, rid, rewrite_file=False)
-                compacted_any = True
+                sysm.compact_region_index(name, rid)
                 done += 1
                 if self.monitor.enabled:
                     self.monitor.on_compaction(
                         sysm.sync_clocks(), name, rid, n_delta
                     )
-            if compacted_any:
-                sysm._rewrite_index_file(obj)
         return done
 
     # -------------------------------------------------------------- reporting

@@ -9,7 +9,6 @@ bitmap indexes and sorted replicas).  The query engine
 
 from __future__ import annotations
 
-import inspect
 import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -41,7 +40,14 @@ from .metaserver import MetadataService
 from .region import RegionMeta, partition, region_key
 from .server import PDCServer
 
-__all__ = ["PDCConfig", "PDCSystem", "StoredObject", "ReplicaGroup"]
+__all__ = [
+    "PDCConfig",
+    "PDCSystem",
+    "StoredObject",
+    "ReplicaGroup",
+    "check_maintenance",
+    "check_payload",
+]
 
 
 @dataclass(frozen=True)
@@ -233,26 +239,46 @@ class ReplicaGroup:
 
 @dataclass
 class _RegionDerived:
-    """Refreshed-but-uncommitted derived state for one region (the unit
-    of the write path's compute-then-commit atomicity)."""
+    """One region's derived state — histogram with its exact min/max,
+    bitmap index — as :meth:`PDCSystem._derive_region` computed it and
+    before anything installed it: the unit of the write path's
+    compute-then-commit atomicity.  A part left ``None`` stands as it is."""
 
-    hist: MergeableHistogram
-    rmin: float
-    rmax: float
-    index: Optional[RegionBitmapIndex]
-    index_delta: int
-    dirty_elements: int
-    maint_seconds: float
+    rid: int
+    hist: Optional[MergeableHistogram] = None
+    #: Elements overwritten since ``hist`` was last built from scratch.
+    dirty_elements: int = 0
+    #: A freshly built bitmap — or, instead, how many more elements only
+    #: an uncompacted WAH delta segment covers.
+    index: Optional[RegionBitmapIndex] = None
+    index_delta: int = 0
+    #: ``"ingest_maint"`` seconds owed by the owning server, one charge each.
+    charges: Tuple[float, ...] = ()
+    #: The ``last_write_stats`` counters this derivation bumps.
+    actions: Tuple[str, ...] = ()
 
 
-def _new_write_stats() -> Dict[str, int]:
-    return {
-        "hist_merges": 0,
-        "hist_rebuilds": 0,
-        "minmax_rescans": 0,
-        "index_delta_appends": 0,
-        "index_rebuilds": 0,
-    }
+def check_maintenance(mode: str) -> None:
+    """The one test of a write-maintenance mode name."""
+    if mode not in ("rebuild", "delta"):
+        raise PDCError(f"unknown maintenance mode {mode!r}")
+
+
+def check_payload(values, dtype=None) -> np.ndarray:
+    """The one admission test of a write payload, run before any state is
+    touched: non-empty, 1-D and — as cast to the object's ``dtype`` —
+    finite (a NaN or an infinity has no histogram bin)."""
+    values = np.ascontiguousarray(values, dtype=dtype)
+    if values.ndim != 1 or values.size == 0:
+        raise PDCError("write payload must be non-empty 1-D")
+    if not np.isfinite(values).all():
+        raise PDCError("write payload must be finite (no NaN or infinity)")
+    return values
+
+
+#: The maintenance counters of ``PDCSystem.last_write_stats``.
+_WRITE_STATS = ("hist_merges", "hist_rebuilds", "minmax_rescans",
+                "index_delta_appends", "index_rebuilds")
 
 
 class PDCSystem:
@@ -318,14 +344,10 @@ class PDCSystem:
         self.objects: Dict[str, StoredObject] = {}
         #: sort-key object name → replica group.
         self.replicas: Dict[str, ReplicaGroup] = {}
-        #: Listeners notified when derived query state for an object goes
-        #: stale: called with the object name after a region rewrite, with
-        #: ``None`` after a server failure (conservative whole-system
-        #: signal).  Registered by semantic selection caches.
+        #: Listeners notified when derived query state goes stale (see
+        #: :meth:`register_invalidation_hook`).  Registered by semantic
+        #: selection caches.
         self._invalidation_hooks: List = []
-        #: Subset of hooks that accept ``(name, regions)`` (decided at
-        #: registration time by signature introspection).
-        self._region_aware_hooks: List = []
         #: Maintenance counters of the most recent write-path call
         #: (:meth:`update_object_region` / :meth:`append_to_object`);
         #: the ingest stream aggregates these into epoch results.
@@ -515,51 +537,20 @@ class PDCSystem:
         self.membership.crash(t, server_id)
 
     def register_invalidation_hook(self, hook) -> None:
-        """Subscribe ``hook(object_name_or_None)`` to staleness events:
-        it is called with the object name after a region rewrite and with
-        ``None`` after a server failure.
-
-        Hooks that accept a second positional argument additionally
-        receive the affected region ids (a list, or ``None`` for a
-        whole-object/whole-system signal), enabling region-granular
-        cache maintenance; single-argument hooks keep working unchanged.
-        """
+        """Subscribe ``hook(name, regions)`` to staleness events: the
+        object name and affected region ids after a write, ``(None,
+        None)`` — the conservative whole-system signal — after a server
+        failure or a placement change."""
         if hook not in self._invalidation_hooks:
             self._invalidation_hooks.append(hook)
-            if self._hook_accepts_regions(hook):
-                self._region_aware_hooks.append(hook)
 
     def unregister_invalidation_hook(self, hook) -> None:
         if hook in self._invalidation_hooks:
             self._invalidation_hooks.remove(hook)
-        if hook in self._region_aware_hooks:
-            self._region_aware_hooks.remove(hook)
-
-    @staticmethod
-    def _hook_accepts_regions(hook) -> bool:
-        """Whether ``hook`` can take ``(name, regions)`` — decided once at
-        registration so notification never misroutes a hook's own
-        ``TypeError``."""
-        try:
-            sig = inspect.signature(hook)
-        except (TypeError, ValueError):  # pragma: no cover - builtins
-            return False
-        params = list(sig.parameters.values())
-        if any(p.kind == p.VAR_POSITIONAL for p in params):
-            return True
-        positional = [
-            p
-            for p in params
-            if p.kind in (p.POSITIONAL_ONLY, p.POSITIONAL_OR_KEYWORD)
-        ]
-        return len(positional) >= 2
 
     def _notify_invalidation(self, name, regions=None) -> None:
         for hook in list(self._invalidation_hooks):
-            if hook in self._region_aware_hooks:
-                hook(name, regions)
-            else:
-                hook(name)
+            hook(name, regions)
 
     def recover_server(self, server_id: int) -> None:
         """Bring a failed server back (cold caches, clock rejoins at the
@@ -622,54 +613,19 @@ class PDCSystem:
             imbalance=self.config.hdf5_imbalance,
         )
 
-        oid = self.metadata.allocate_object_id()
-        regions: List[RegionMeta] = []
-        rmin = np.empty(len(extents))
-        rmax = np.empty(len(extents))
-        hist_by_region: Dict[int, MergeableHistogram] = {}
-        n_bins = self.config.histogram_bins_for(self.config.region_size_bytes)
-        for rid, (off, count) in enumerate(extents):
-            hist = None
-            if build_histograms:
-                hist = MergeableHistogram.from_data(
-                    data[off : off + count],
-                    n_bins=n_bins,
-                    seed=(oid * 100003 + rid) & 0x7FFFFFFF,
-                )
-                hist_by_region[rid] = hist
-                rmin[rid], rmax[rid] = hist.data_min, hist.data_max
-            else:
-                seg = data[off : off + count]
-                rmin[rid], rmax[rid] = float(seg.min()), float(seg.max())
-            regions.append(
-                RegionMeta(
-                    region_id=rid,
-                    object_name=name,
-                    offset=off,
-                    n_elements=count,
-                    file_path=file_path,
-                    histogram=hist,
-                )
-            )
-
-        global_hist = GlobalHistogram.build(hist_by_region) if hist_by_region else None
         meta = ObjectMeta(
             name=name,
-            object_id=oid,
+            object_id=self.metadata.allocate_object_id(),
             pdc_type=pdc_type,
             n_elements=int(data.size),
             dims=dims,
             container=container,
             tags=dict(tags or {}),
-            regions=regions,
-            global_histogram=global_hist,
-            created_at=self.metadata.tick(),
+            regions=[
+                RegionMeta(rid, name, off, count, file_path)
+                for rid, (off, count) in enumerate(extents)
+            ],
         )
-        self.metadata.create(meta)
-        if container not in self.containers:
-            self.create_container(container)
-        self.containers[container].add(name)
-
         obj = StoredObject(
             meta=meta,
             data=data,
@@ -678,10 +634,25 @@ class PDCSystem:
             region_elements=region_elems,
             offsets=np.array([e[0] for e in extents], dtype=np.int64),
             counts=np.array([e[1] for e in extents], dtype=np.int64),
-            rmin=rmin,
-            rmax=rmax,
+            rmin=np.empty(len(extents)),
+            rmax=np.empty(len(extents)),
             region_tier=[DeviceKind.DISK] * len(extents),
         )
+        for rid, (off, count) in enumerate(extents):
+            segment = data[off : off + count]
+            if build_histograms:
+                self._install_region(obj, self._derive_region(obj, rid, segment))
+            else:
+                obj.rmin[rid], obj.rmax[rid] = float(segment.min()), float(segment.max())
+        if build_histograms:
+            meta.global_histogram = GlobalHistogram.build(
+                {r.region_id: r.histogram for r in meta.regions}
+            )
+        meta.created_at = self.metadata.tick()
+        self.metadata.create(meta)
+        if container not in self.containers:
+            self.create_container(container)
+        self.containers[container].add(name)
         self.objects[name] = obj
         return obj
 
@@ -715,73 +686,47 @@ class PDCSystem:
           invalidated on every server regardless of policy;
         * stale cache entries on every server are invalidated.
 
-        The refresh is atomic: derived state is computed for every
-        affected region before any of it is committed or charged, and on
-        failure the payload write itself is rolled back — a mid-loop
-        error can no longer leave clocks charged for writes whose derived
-        state was never refreshed.
+        The write is atomic: every affected region's state is derived
+        from a patched *copy* of the region before the payload, any
+        derived state or any clock is touched, so a failure while
+        deriving leaves the system exactly as it was — a mid-loop error
+        can no longer leave clocks charged for writes whose derived state
+        was never refreshed (:meth:`append_to_object` shares the rule and
+        the :meth:`_derive_region` / :meth:`_commit_write` pair).
 
         Returns the affected region ids.  Write time is charged to the
         owning servers' clocks; delta-maintenance work is charged under
         ``"ingest_maint"``.
         """
-        if maintenance not in ("rebuild", "delta"):
-            raise PDCError(f"unknown maintenance mode {maintenance!r}")
+        check_maintenance(maintenance)
         obj = self.get_object(name)
-        values = np.ascontiguousarray(values, dtype=obj.data.dtype)
-        if values.ndim != 1 or values.size == 0:
-            raise PDCError("update payload must be non-empty 1-D")
+        values = check_payload(values, obj.data.dtype)
         stop = offset + values.size
         if offset < 0 or stop > obj.n_elements:
             raise PDCError(
                 f"update [{offset}, {stop}) out of bounds for {name!r} "
                 f"({obj.n_elements} elements)"
             )
-        stats = _new_write_stats()
-        # Write through (obj.data is the same array the PFS file holds),
-        # keeping the overwritten payload for rollback and for the delta
-        # path's exact subtraction.
-        old = obj.data[offset:stop].copy()
-        obj.data[offset:stop] = values
-        first = offset // obj.region_elements
-        last = (stop - 1) // obj.region_elements
-        affected = list(range(first, min(last, obj.n_regions - 1) + 1))
-
-        try:
-            refreshed = [
-                self._refresh_region_derived(
-                    obj, rid, offset, old, maintenance, rebuild_fraction, stats
+        derived = []
+        for rid in range(
+            offset // obj.region_elements, (stop - 1) // obj.region_elements + 1
+        ):
+            roff, count = int(obj.offsets[rid]), int(obj.counts[rid])
+            lo, hi = max(offset, roff) - roff, min(stop, roff + count) - roff
+            segment = obj.data[roff : roff + count].copy()
+            segment[lo:hi] = values[roff + lo - offset : roff + hi - offset]
+            # The replaced values feed the delta path's exact subtraction
+            # (a view: the payload is not written until all is derived).
+            replaced = obj.data[roff + lo : roff + hi]
+            derived.append(
+                self._derive_region(
+                    obj, rid, segment, maintenance, rebuild_fraction,
+                    written=(lo, hi, replaced),
                 )
-                for rid in affected
-            ]
-        except Exception:
-            # Atomic failure path: restore the payload so data and the
-            # (untouched) derived state agree again, conservatively
-            # invalidate caches, and charge nothing.
-            obj.data[offset:stop] = old
-            self._invalidate_region_caches(name, affected)
-            self._notify_invalidation(name, affected)
-            raise
-
-        for rid, derived in zip(affected, refreshed):
-            self._commit_region_derived(obj, rid, derived)
-            self._invalidate_region_caches(name, [rid])
-            count = int(obj.counts[rid])
-            server = self.servers[self.server_of_region(rid)]
-            server.clock.charge(
-                self.cost.pfs_write_time(
-                    count * obj.itemsize, 1, self.config.pdc_stripe_count
-                ),
-                "pfs_write",
             )
-
-        self.remerge_global_histogram(name)
-        if any(d.index is not None for d in refreshed):
-            self._rewrite_index_file(obj)
-        self._handle_replica_staleness(name, values.size, stats)
-        self.last_write_stats = stats
-        self._notify_invalidation(name, affected)
-        return affected
+        # Write through (obj.data is the same array the PFS file holds).
+        obj.data[offset:stop] = values
+        return self._commit_write(obj, derived, values.size)
 
     def append_to_object(
         self,
@@ -798,24 +743,35 @@ class PDCSystem:
         ``maintenance="delta"`` the grown tail's histogram is updated by
         an exact Algorithm 1 merge of the appended elements' delta
         histogram and its bitmap gains a WAH delta segment instead of a
-        rebuild.  Returns the affected region ids (grown tail + new
-        regions).
+        rebuild.  Atomic like :meth:`update_object_region`: the object
+        grows only after every affected region has been derived from the
+        would-be payload.  Returns the affected region ids (grown tail +
+        new regions).
         """
-        if maintenance not in ("rebuild", "delta"):
-            raise PDCError(f"unknown maintenance mode {maintenance!r}")
+        check_maintenance(maintenance)
         obj = self.get_object(name)
         if obj.meta.dims is not None:
             raise PDCError("append only supports 1-D objects")
-        values = np.ascontiguousarray(values, dtype=obj.data.dtype)
-        if values.ndim != 1 or values.size == 0:
-            raise PDCError("append payload must be non-empty 1-D")
-        stats = _new_write_stats()
-        old_n = obj.n_elements
-        old_n_regions = obj.n_regions
-        old_tail_count = int(obj.counts[old_n_regions - 1])
-
+        values = check_payload(values, obj.data.dtype)
+        tail = obj.n_regions - 1
+        tail_count = int(obj.counts[tail])
         data = np.concatenate([obj.data, values])
         extents = partition(data.size, obj.region_elements)
+        derived = []
+        # A full tail does not grow: the regions after it are the affected ones.
+        first = tail if extents[tail][1] > tail_count else tail + 1
+        for rid in range(first, len(extents)):
+            off, count = extents[rid]
+            # An append is a write that replaced nothing; a region it
+            # opens has nothing to patch.
+            written = (tail_count, count, values[:0]) if rid == tail else None
+            derived.append(
+                self._derive_region(
+                    obj, rid, data[off : off + count], maintenance,
+                    rebuild_fraction, written=written,
+                )
+            )
+
         # The PFS files hold the payload array itself: recreate them so
         # reads resolve against the grown array.
         for path, stripe, imbalance in (
@@ -829,250 +785,183 @@ class PDCSystem:
         obj.meta.n_elements = int(data.size)
         obj.offsets = np.array([e[0] for e in extents], dtype=np.int64)
         obj.counts = np.array([e[1] for e in extents], dtype=np.int64)
-        n_regions = len(extents)
-        grow = n_regions - old_n_regions
+        obj.meta.regions[tail].n_elements = extents[tail][1]
+        grow = len(extents) - tail - 1
         if grow:
+            obj.meta.regions.extend(
+                RegionMeta(rid, name, off, count, obj.file_path)
+                for rid, (off, count) in enumerate(extents)
+                if rid > tail
+            )
             pad = np.zeros(grow)
             obj.rmin = np.concatenate([obj.rmin, pad])
             obj.rmax = np.concatenate([obj.rmax, pad])
             if obj.region_tier is not None:
                 obj.region_tier.extend([DeviceKind.DISK] * grow)
+            if obj.indexes is not None:
+                obj.indexes.extend([None] * grow)  # installed by the commit
             for arr_name in ("index_nbytes", "index_words", "index_delta_counts",
                              "hist_dirty_elements"):
                 arr = getattr(obj, arr_name)
                 if arr is not None:
                     setattr(obj, arr_name, np.concatenate(
                         [arr, np.zeros(grow, dtype=np.int64)]))
-
-        affected: List[int] = []
-        tail = old_n_regions - 1
-        tail_grew = int(obj.counts[tail]) > old_tail_count
-        if tail_grew:
-            affected.append(tail)
-            self._refresh_appended_tail(obj, tail, old_n, maintenance, stats)
-        for rid in range(old_n_regions, n_regions):
-            affected.append(rid)
-            self._create_appended_region(obj, rid, maintenance, stats)
-
-        for rid in affected:
-            self._invalidate_region_caches(name, [rid])
-            count = int(obj.counts[rid])
-            server = self.servers[self.server_of_region(rid)]
-            server.clock.charge(
-                self.cost.pfs_write_time(
-                    count * obj.itemsize, 1, self.config.pdc_stripe_count
-                ),
-                "pfs_write",
-            )
-
-        self.remerge_global_histogram(name)
-        if obj.indexes is not None:
-            self._rewrite_index_file(obj)
-        self._handle_replica_staleness(name, values.size, stats)
-        self.last_write_stats = stats
-        self._notify_invalidation(name, affected)
-        return affected
+        return self._commit_write(obj, derived, values.size)
 
     # ------------------------------------------------------ write-path helpers
-    def _refresh_region_derived(
+    def _derive_region(
         self,
         obj: StoredObject,
         rid: int,
-        w_off: int,
-        old: np.ndarray,
-        maintenance: str,
-        rebuild_fraction: float,
-        stats: Dict[str, int],
-    ) -> "_RegionDerived":
-        """Compute (without committing) a region's refreshed derived
-        state after an overwrite of ``[w_off, w_off + old.size)``."""
-        roff, count = int(obj.offsets[rid]), int(obj.counts[rid])
-        segment = obj.data[roff : roff + count]
-        lo = max(w_off, roff)
-        hi = min(w_off + old.size, roff + count)
-        span = hi - lo
-        h = obj.meta.regions[rid].histogram
-        prev_dirty = 0
-        if obj.hist_dirty_elements is not None:
-            prev_dirty = int(obj.hist_dirty_elements[rid])
-        dirty = prev_dirty + span
-        maint = 0.0
-        use_delta = (
+        segment: np.ndarray,
+        maintenance: str = "rebuild",
+        rebuild_fraction: float = 0.5,
+        written: Optional[Tuple[int, int, np.ndarray]] = None,
+        index_only: bool = False,
+    ) -> _RegionDerived:
+        """Derive — reading the system, changing nothing — the state of
+        region ``rid`` once it holds ``segment``.
+
+        ``written=(lo, hi, replaced)``: the write put ``segment[lo:hi]``
+        where the values ``replaced`` were (none, for an append); ``None``:
+        nothing of an existing region was written.  Under
+        ``"delta"`` maintenance such a region is *patched* — exact
+        same-grid subtract/merge of the write's delta histograms, a WAH
+        delta segment on the bitmap — until ``rebuild_fraction`` of it
+        has been overwritten since its histogram was last built.
+        Everything else is built from scratch: ``"rebuild"`` maintenance,
+        a region with no histogram to patch (import, a region opened by
+        an append) and ``index_only`` — index build and compaction, where
+        the values did not change and only the bitmap is built.
+        """
+        count = int(segment.size)
+        d = _RegionDerived(rid)
+        seconds: List[float] = []
+        actions: List[str] = []
+        lo, hi, replaced = written if written is not None else (0, 0, segment[:0])
+        known = rid < len(obj.meta.regions)  # False: a region this write opens
+        h = obj.meta.regions[rid].histogram if known else None
+        dirty = int(replaced.size)
+        if known and obj.hist_dirty_elements is not None:
+            dirty += int(obj.hist_dirty_elements[rid])
+        patch = (
             maintenance == "delta"
+            and hi > lo
             and h is not None
             and dirty < rebuild_fraction * count
         )
-        if use_delta:
-            old_span = old[lo - w_off : hi - w_off].astype(np.float64, copy=False)
-            new_span = segment[lo - roff : hi - roff].astype(np.float64, copy=False)
-            # Exact extrema: a removal can only disturb an extremum when
-            # an overwritten value attains it; then a charged region
-            # rescan recovers the truth.
-            if (
-                float(old_span.min()) <= h.data_min
-                or float(old_span.max()) >= h.data_max
-            ):
-                new_min = float(segment.min())
-                new_max = float(segment.max())
-                maint += self.cost.scan_time(count)
-                stats["minmax_rescans"] += 1
-            else:
-                new_min = min(h.data_min, float(new_span.min()))
-                new_max = max(h.data_max, float(new_span.max()))
-            delta_old = MergeableHistogram.from_data_width(old_span, h.bin_width)
-            delta_new = MergeableHistogram.from_data_width(new_span, h.bin_width)
-            hist = h.subtract(
-                delta_old, data_min=new_min, data_max=new_max
-            ).merge(delta_new)
-            maint += self.cost.scan_time(2 * span)
-            stats["hist_merges"] += 1
-            new_dirty = dirty
-        else:
-            hist = MergeableHistogram.from_data(
+        if patch:
+            base = h
+            if replaced.size:
+                replaced = replaced.astype(np.float64, copy=False)
+                # Exact extrema: a removal can only disturb an extremum
+                # when a replaced value attains it; then a charged region
+                # rescan recovers the truth (otherwise the old extrema
+                # stand and the merge below folds in the new values').
+                extrema: Tuple[float, ...] = ()
+                if (
+                    float(replaced.min()) <= h.data_min
+                    or float(replaced.max()) >= h.data_max
+                ):
+                    extrema = (float(segment.min()), float(segment.max()))
+                    seconds.append(self.cost.scan_time(count))
+                    actions.append("minmax_rescans")
+                base = h.subtract(
+                    MergeableHistogram.from_data_width(replaced, h.bin_width),
+                    *extrema,
+                )
+            d.hist = base.merge(
+                MergeableHistogram.from_data_width(
+                    segment[lo:hi].astype(np.float64, copy=False), h.bin_width
+                )
+            )
+            d.dirty_elements = dirty
+            seconds.append(self.cost.scan_time(int(replaced.size) + hi - lo))
+            actions.append("hist_merges")
+        elif not index_only:
+            d.hist = MergeableHistogram.from_data(
                 segment,
                 n_bins=self.config.histogram_bins_for(self.config.region_size_bytes),
                 seed=(obj.meta.object_id * 100003 + rid) & 0x7FFFFFFF,
             )
             if maintenance == "delta":
-                maint += self.cost.scan_time(count)
-            stats["hist_rebuilds"] += 1
-            new_dirty = 0
+                seconds.append(self.cost.scan_time(count))
+            actions.append("hist_rebuilds")
 
-        index = None
-        index_delta = 0
-        if obj.indexes is not None:
-            if use_delta:
-                index_delta = span
-                maint += self.cost.scan_time(span)
-                stats["index_delta_appends"] += 1
+        if index_only or obj.indexes is not None:
+            if patch:
+                d.index_delta = hi - lo
+                seconds.append(self.cost.scan_time(hi - lo))
+                actions.append("index_delta_appends")
             else:
-                index = RegionBitmapIndex.build(
+                d.index = RegionBitmapIndex.build(
                     segment, precision=self.config.index_precision
                 )
-                stats["index_rebuilds"] += 1
-        return _RegionDerived(
-            hist=hist,
-            rmin=hist.data_min,
-            rmax=hist.data_max,
-            index=index,
-            index_delta=index_delta,
-            dirty_elements=new_dirty,
-            maint_seconds=maint,
-        )
+                actions.append("index_rebuilds")
+        # Grouping is pinned, not principled: an overwrite's seconds have
+        # always been one pre-summed charge and an append's one charge
+        # each, and regrouping either moves a clock by an ulp.
+        if replaced.size and seconds:
+            seconds = [sum(seconds)]
+        d.charges, d.actions = tuple(seconds), tuple(actions)
+        return d
 
-    def _commit_region_derived(
-        self, obj: StoredObject, rid: int, derived: "_RegionDerived"
-    ) -> None:
-        obj.meta.regions[rid].histogram = derived.hist
-        obj.rmin[rid], obj.rmax[rid] = derived.rmin, derived.rmax
-        if obj.hist_dirty_elements is None and derived.dirty_elements:
-            obj.hist_dirty_elements = np.zeros(obj.n_regions, dtype=np.int64)
-        if obj.hist_dirty_elements is not None:
-            obj.hist_dirty_elements[rid] = derived.dirty_elements
-        if derived.index is not None:
-            obj.indexes[rid] = derived.index
-            obj.index_nbytes[rid] = derived.index.nbytes
-            obj.index_words[rid] = derived.index.total_words()
+    def _install_region(self, obj: StoredObject, d: _RegionDerived) -> None:
+        """Make derived state the region's state (no charge, no follow-up)."""
+        rid = d.rid
+        if d.hist is not None:
+            obj.meta.regions[rid].histogram = d.hist
+            obj.rmin[rid], obj.rmax[rid] = d.hist.data_min, d.hist.data_max
+            if obj.hist_dirty_elements is None and d.dirty_elements:
+                obj.hist_dirty_elements = np.zeros(obj.n_regions, dtype=np.int64)
+            if obj.hist_dirty_elements is not None:
+                obj.hist_dirty_elements[rid] = d.dirty_elements
+        if d.index is not None:
+            obj.indexes[rid] = d.index
+            obj.index_nbytes[rid] = d.index.nbytes
+            obj.index_words[rid] = d.index.total_words()
             if obj.index_delta_counts is not None:
                 obj.index_delta_counts[rid] = 0
-        elif derived.index_delta:
+        elif d.index_delta:
             if obj.index_delta_counts is None:
                 obj.index_delta_counts = np.zeros(obj.n_regions, dtype=np.int64)
-            obj.index_delta_counts[rid] += derived.index_delta
-        if derived.maint_seconds > 0.0:
-            server = self.servers[self.server_of_region(rid)]
-            server.clock.charge(derived.maint_seconds, "ingest_maint")
+            obj.index_delta_counts[rid] += d.index_delta
 
-    def _refresh_appended_tail(
-        self,
-        obj: StoredObject,
-        rid: int,
-        old_n: int,
-        maintenance: str,
-        stats: Dict[str, int],
-    ) -> None:
-        """Refresh the grown tail region after an append: a pure exact
-        merge in delta mode (appends remove nothing), a rebuild
-        otherwise."""
-        roff, count = int(obj.offsets[rid]), int(obj.counts[rid])
-        segment = obj.data[roff : roff + count]
-        appended = segment[old_n - roff :]
-        h = obj.meta.regions[rid].histogram
-        if maintenance == "delta" and h is not None:
-            delta = MergeableHistogram.from_data_width(
-                appended.astype(np.float64, copy=False), h.bin_width
-            )
-            hist = h.merge(delta)
-            server = self.servers[self.server_of_region(rid)]
+    def _commit_write(
+        self, obj: StoredObject, derived: List[_RegionDerived], n_written: int
+    ) -> List[int]:
+        """The second half of every write, run once the payload is in
+        place and nothing can fail any more: install each region's
+        derived state, invalidate and charge on its owning server, then
+        the whole-object follow-ups, each exactly once.  Returns the
+        affected region ids."""
+        name = obj.name
+        stats = dict.fromkeys(_WRITE_STATS, 0)
+        affected = [d.rid for d in derived]
+        for d in derived:
+            self._install_region(obj, d)
+            for action in d.actions:
+                stats[action] += 1
+            self._invalidate_region_caches(name, [d.rid])
+            server = self.servers[self.server_of_region(d.rid)]
+            for seconds in d.charges:
+                server.clock.charge(seconds, "ingest_maint")
             server.clock.charge(
-                self.cost.scan_time(int(appended.size)), "ingest_maint"
+                self.cost.pfs_write_time(
+                    int(obj.counts[d.rid]) * obj.itemsize, 1,
+                    self.config.pdc_stripe_count,
+                ),
+                "pfs_write",
             )
-            stats["hist_merges"] += 1
-            if obj.indexes is not None:
-                if obj.index_delta_counts is None:
-                    obj.index_delta_counts = np.zeros(obj.n_regions, dtype=np.int64)
-                obj.index_delta_counts[rid] += int(appended.size)
-                server.clock.charge(
-                    self.cost.scan_time(int(appended.size)), "ingest_maint"
-                )
-                stats["index_delta_appends"] += 1
-        else:
-            hist = MergeableHistogram.from_data(
-                segment,
-                n_bins=self.config.histogram_bins_for(self.config.region_size_bytes),
-                seed=(obj.meta.object_id * 100003 + rid) & 0x7FFFFFFF,
-            )
-            stats["hist_rebuilds"] += 1
-            if obj.indexes is not None:
-                idx = RegionBitmapIndex.build(
-                    segment, precision=self.config.index_precision
-                )
-                obj.indexes[rid] = idx
-                obj.index_nbytes[rid] = idx.nbytes
-                obj.index_words[rid] = idx.total_words()
-                if obj.index_delta_counts is not None:
-                    obj.index_delta_counts[rid] = 0
-                stats["index_rebuilds"] += 1
-        obj.meta.regions[rid].histogram = hist
-        obj.meta.regions[rid].n_elements = count
-        obj.rmin[rid], obj.rmax[rid] = hist.data_min, hist.data_max
-
-    def _create_appended_region(
-        self, obj: StoredObject, rid: int, maintenance: str, stats: Dict[str, int]
-    ) -> None:
-        """Materialize a brand-new region opened by an append (exact
-        histogram and index in either mode — there is nothing to patch)."""
-        roff, count = int(obj.offsets[rid]), int(obj.counts[rid])
-        segment = obj.data[roff : roff + count]
-        hist = MergeableHistogram.from_data(
-            segment,
-            n_bins=self.config.histogram_bins_for(self.config.region_size_bytes),
-            seed=(obj.meta.object_id * 100003 + rid) & 0x7FFFFFFF,
-        )
-        stats["hist_rebuilds"] += 1
-        obj.meta.regions.append(
-            RegionMeta(
-                region_id=rid,
-                object_name=obj.name,
-                offset=roff,
-                n_elements=count,
-                file_path=obj.file_path,
-                histogram=hist,
-            )
-        )
-        obj.rmin[rid], obj.rmax[rid] = hist.data_min, hist.data_max
-        if maintenance == "delta":
-            server = self.servers[self.server_of_region(rid)]
-            server.clock.charge(self.cost.scan_time(count), "ingest_maint")
-        if obj.indexes is not None:
-            idx = RegionBitmapIndex.build(
-                segment, precision=self.config.index_precision
-            )
-            obj.indexes.append(idx)
-            obj.index_nbytes[rid] = idx.nbytes
-            obj.index_words[rid] = idx.total_words()
-            obj.meta.regions[rid].index_path = f"/pdc/index/{obj.name}"
-            stats["index_rebuilds"] += 1
+        self.remerge_global_histogram(name)
+        # The index file is a function of the index objects alone: a
+        # write that only appended delta segments leaves it as it is.
+        if any(d.index is not None for d in derived):
+            self._rewrite_index_file(obj)
+        self._handle_replica_staleness(name, n_written, stats)
+        self.last_write_stats = stats
+        self._notify_invalidation(name, affected)
+        return affected
 
     def _invalidate_region_caches(self, name: str, region_ids: Sequence[int]) -> None:
         for server in self.servers:
@@ -1090,8 +979,8 @@ class PDCSystem:
             )
 
     def _rewrite_index_file(self, obj: StoredObject) -> None:
-        if obj.indexes is None:
-            return
+        """Persist one concatenated index file per object (regions are
+        extents within it, like the data file)."""
         path = f"/pdc/index/{obj.name}"
         if self.pfs.exists(path):
             self.pfs.delete(path)
@@ -1100,6 +989,8 @@ class PDCSystem:
             np.concatenate([idx.to_bytes() for idx in obj.indexes]),
             stripe_count=self.config.pdc_stripe_count,
         )
+        for region in obj.meta.regions:
+            region.index_path = path
 
     def _invalidate_replica_caches(self, key_name: str, group: ReplicaGroup) -> None:
         """Invalidate every server's cached sorted-replica bytes for one
@@ -1178,9 +1069,7 @@ class PDCSystem:
             s.clock.charge(new.build_time_s, "replica_rebuild")
         return new
 
-    def compact_region_index(
-        self, name: str, rid: int, rewrite_file: bool = True
-    ) -> int:
+    def compact_region_index(self, name: str, rid: int) -> int:
         """Fold a region's WAH delta segments into a freshly built bitmap
         (background compaction).  Charges a region scan plus the index
         write to the owning server under ``"compaction"``; returns the
@@ -1192,28 +1081,24 @@ class PDCSystem:
         if not (0 <= rid < obj.n_regions):
             raise PDCError(f"object {name!r} has no region {rid}")
         roff, count = int(obj.offsets[rid]), int(obj.counts[rid])
-        idx = RegionBitmapIndex.build(
-            obj.data[roff : roff + count], precision=self.config.index_precision
+        derived = self._derive_region(
+            obj, rid, obj.data[roff : roff + count], index_only=True
         )
-        obj.indexes[rid] = idx
-        obj.index_nbytes[rid] = idx.nbytes
-        obj.index_words[rid] = idx.total_words()
         n_delta = 0
         if obj.index_delta_counts is not None:
             n_delta = int(obj.index_delta_counts[rid])
-            obj.index_delta_counts[rid] = 0
+        self._install_region(obj, derived)
         server = self.servers[self.server_of_region(rid)]
         server.clock.charge(
             self.cost.scan_time(count)
             + self.cost.pfs_write_time(
-                int(idx.nbytes), 1, self.config.pdc_stripe_count
+                int(derived.index.nbytes), 1, self.config.pdc_stripe_count
             ),
             "compaction",
         )
         for s in self.servers:
             s.cache.invalidate(region_key(name, rid, replica="idx"))
-        if rewrite_file:
-            self._rewrite_index_file(obj)
+        self._rewrite_index_file(obj)
         return n_delta
 
     def migrate_regions(
@@ -1256,12 +1141,7 @@ class PDCSystem:
         for path in (group.key_file, group.perm_file, *group.companion_files.values()):
             if self.pfs.exists(path):
                 self.pfs.delete(path)
-        for server in self.servers:
-            for rid in range(group.n_regions):
-                for which in ("key", "perm", *group.companion_files):
-                    server.cache.invalidate(
-                        region_key(key_name, rid, replica=f"sorted:{which}")
-                    )
+        self._invalidate_replica_caches(key_name, group)
         for obj in self.objects.values():
             if obj.meta.sorted_by == key_name:
                 obj.meta.sorted_by = None
@@ -1285,29 +1165,18 @@ class PDCSystem:
         obj = self.get_object(name)
         if obj.indexes is not None:
             return
-        indexes: List[RegionBitmapIndex] = []
-        nbytes = np.empty(obj.n_regions, dtype=np.int64)
-        words = np.empty(obj.n_regions, dtype=np.int64)
-        for rid in range(obj.n_regions):
-            off, count = int(obj.offsets[rid]), int(obj.counts[rid])
-            idx = RegionBitmapIndex.build(
-                obj.data[off : off + count], precision=self.config.index_precision
+        derived = [
+            self._derive_region(
+                obj, rid, obj.data[off : off + count], index_only=True
             )
-            indexes.append(idx)
-            nbytes[rid] = idx.nbytes
-            words[rid] = idx.total_words()
-        # Persist one concatenated index file per object (regions are
-        # extents within it, like the data file).
-        payload = np.concatenate([idx.to_bytes() for idx in indexes])
-        path = f"/pdc/index/{name}"
-        if self.pfs.exists(path):
-            self.pfs.delete(path)
-        self.pfs.create(path, payload, stripe_count=self.config.pdc_stripe_count)
-        obj.indexes = indexes
-        obj.index_nbytes = nbytes
-        obj.index_words = words
-        for rid, region in enumerate(obj.meta.regions):
-            region.index_path = path
+            for rid, (off, count) in enumerate(zip(obj.offsets, obj.counts))
+        ]
+        obj.indexes = [None] * obj.n_regions
+        obj.index_nbytes = np.empty(obj.n_regions, dtype=np.int64)
+        obj.index_words = np.empty(obj.n_regions, dtype=np.int64)
+        for d in derived:
+            self._install_region(obj, d)
+        self._rewrite_index_file(obj)
 
     def index_size_bytes(self, name: str) -> int:
         """Total index-file size for one object (paper §V: 15–17 % of the

@@ -398,6 +398,9 @@ class QueryScheduler:
         object_name: Optional[str],
         regions: Optional[Sequence[int]] = None,
     ) -> None:
+        """The system's invalidation hook, ``(name, regions)``: a write
+        makes that object's entries stale over the written regions' spans;
+        ``(None, None)`` — a failure or placement change — clears the cache."""
         if self.selection_cache is None:
             return
         if object_name is None:

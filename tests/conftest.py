@@ -6,9 +6,24 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from repro.pdc import PDCConfig, PDCSystem
 from repro.strategies import Strategy
+
+# Tier-1 is fixed-seed; CI's long leg passes ``--hypothesis-profile=long``.
+# ``max_examples`` x ``stateful_step_count`` is the budget of the state
+# machine in ``tests/test_stateful_fuzz.py`` (every ``@given`` test sets
+# its own ``max_examples``).
+settings.register_profile(
+    "default", max_examples=12, stateful_step_count=30, deadline=None,
+    derandomize=True,
+)
+settings.register_profile(
+    "long", max_examples=200, stateful_step_count=50, deadline=None,
+    derandomize=False,
+)
+settings.load_profile("default")
 
 
 @pytest.fixture

@@ -85,7 +85,7 @@ def assert_matches_rebuild(sysm):
             obj.index_delta_counts is not None
             and obj.index_delta_counts[rid]
         ):
-            sysm.compact_region_index("obj", rid, rewrite_file=False)
+            sysm.compact_region_index("obj", rid)
         expect = RegionBitmapIndex.build(
             span, precision=sysm.config.index_precision
         )

@@ -52,6 +52,10 @@ class TestBuffering:
             stream.append("obj", np.zeros(0, dtype=np.float32))
         with pytest.raises(PDCError):
             stream.update("obj", 0, np.zeros((2, 2), dtype=np.float32))
+        # Refused at submission, not when its epoch applies.
+        with pytest.raises(PDCError, match="finite"):
+            stream.append("obj", np.array([1.0, np.nan], dtype=np.float32))
+        assert stream.pending == 0
 
     def test_rejects_out_of_order_arrivals(self):
         sysm = loaded()

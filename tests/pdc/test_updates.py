@@ -131,61 +131,138 @@ class TestDerivedStateMaintenance:
         assert "obj" not in sysm.replicas
 
 
+def _state(sysm, name):
+    """Everything a write may touch.  Arrays are copied (compared by
+    value); histograms, index objects and PFS files are kept as the
+    objects themselves (compared by identity — a failed write must not
+    even have replaced one with an equal copy)."""
+    obj = sysm.get_object(name)
+    arrays = ("data", "offsets", "counts", "rmin", "rmax", "index_nbytes",
+              "index_words", "index_delta_counts", "hist_dirty_elements")
+    return {
+        "arrays": {
+            a: None if getattr(obj, a) is None else getattr(obj, a).copy()
+            for a in arrays
+        },
+        "sizes": (obj.n_elements, obj.meta.n_elements, obj.n_regions,
+                  [r.n_elements for r in obj.meta.regions]),
+        "objects": [r.histogram for r in obj.meta.regions]
+        + [obj.meta.global_histogram, *obj.indexes]
+        + [sysm.pfs.stat(path) for path in sysm.pfs.listdir()],
+        "files": sysm.pfs.listdir(),
+        "clocks": {c.name: (c.now, c.breakdown()) for c in sysm.all_clocks()},
+    }
+
+
+def _assert_untouched(before, after):
+    for key in ("sizes", "files", "clocks"):
+        assert after[key] == before[key], key
+    for name, arr in before["arrays"].items():
+        got = after["arrays"][name]
+        assert (arr is None and got is None) or np.array_equal(arr, got), name
+    assert len(after["objects"]) == len(before["objects"])
+    assert all(a is b for a, b in zip(after["objects"], before["objects"]))
+
+
+#: 3,996 f32 in 512-element regions: seven full regions and a 412-element
+#: tail with room for 100 more.
+ATOMIC_N = (1 << 12) - 100
+
+WRITES = {
+    "overwrite_two_regions": (
+        lambda s, v, m: s.update_object_region("obj", 500, v, maintenance=m),
+        100, [0, 1],
+    ),
+    "append_into_tail": (
+        lambda s, v, m: s.append_to_object("obj", v, maintenance=m), 50, [7],
+    ),
+    "append_opening_region": (
+        lambda s, v, m: s.append_to_object("obj", v, maintenance=m), 200, [7, 8],
+    ),
+}
+
+
 class TestAtomicCommit:
+    @pytest.mark.parametrize("maintenance", ["rebuild", "delta"])
+    @pytest.mark.parametrize("write", list(WRITES))
     def test_mid_write_failure_rolls_back_and_charges_nothing(
-        self, env, monkeypatch
+        self, write, maintenance, rng, monkeypatch
     ):
-        """A failure while refreshing the *second* affected region must
-        leave the system exactly as before the write: payload restored,
-        derived state untouched, and no simulated time charged."""
+        """A failure while deriving the *last* affected region — after
+        every other region was derived — must leave the system exactly
+        as before the write: payload, extents, metadata, derived state,
+        PFS namespace and every clock; the same write then succeeds."""
         from repro.histogram.mergeable import MergeableHistogram
 
-        sysm, _ = env
-        sysm.build_index("obj")
-        obj = sysm.get_object("obj")
-        before_data = obj.data.copy()
-        before_rmin = obj.rmin.copy()
-        before_rmax = obj.rmax.copy()
-        before_hists = [r.histogram for r in obj.meta.regions]
-        before_clocks = {
-            c.name: (c.now, dict(c.breakdown())) for c in sysm.all_clocks()
-        }
+        apply, n_values, regions = WRITES[write]
+        values = np.full(n_values, 123.0, dtype=np.float32)
+        data = rng.random(ATOMIC_N).astype(np.float32)
 
-        real = MergeableHistogram.from_data.__func__
-        calls = {"n": 0}
+        def deployment():
+            sysm = make_system(region_size_bytes=1 << 11)
+            sysm.create_object("obj", data.copy())
+            sysm.build_index("obj")
+            return sysm
 
-        def boom(cls, *args, **kwargs):
-            calls["n"] += 1
-            if calls["n"] == 2:
-                raise RuntimeError("simulated maintenance failure")
-            return real(cls, *args, **kwargs)
+        twin, sysm = deployment(), deployment()
+        calls = {"n": 0, "fail_at": None}
 
-        monkeypatch.setattr(
-            MergeableHistogram, "from_data", classmethod(boom)
-        )
-        # Spans the 512-element region boundary: regions 0 and 1.
-        with pytest.raises(RuntimeError, match="simulated maintenance"):
-            sysm.update_object_region(
-                "obj", 500, np.full(100, 123.0, dtype=np.float32)
+        def counted(real):
+            def wrapper(cls, *args, **kwargs):
+                calls["n"] += 1
+                if calls["n"] == calls["fail_at"]:
+                    raise RuntimeError("simulated maintenance failure")
+                return real(cls, *args, **kwargs)
+
+            return classmethod(wrapper)
+
+        for method in ("from_data", "from_data_width"):
+            monkeypatch.setattr(
+                MergeableHistogram, method,
+                counted(getattr(MergeableHistogram, method).__func__),
             )
-        assert calls["n"] == 2  # region 0 refreshed, region 1 blew up
+        # The twin counts the histogram constructions of the whole write,
+        # so the write under test can fail in the very last of them.
+        apply(twin, values, maintenance)
+        calls["fail_at"], calls["n"] = calls["n"], 0
 
-        assert np.array_equal(obj.data, before_data)
-        assert np.array_equal(obj.rmin, before_rmin)
-        assert np.array_equal(obj.rmax, before_rmax)
-        for r, h in zip(obj.meta.regions, before_hists):
-            assert r.histogram is h  # not even region 0 was committed
-        after_clocks = {
-            c.name: (c.now, dict(c.breakdown())) for c in sysm.all_clocks()
-        }
-        assert after_clocks == before_clocks
+        before = _state(sysm, "obj")
+        with pytest.raises(RuntimeError, match="simulated maintenance"):
+            apply(sysm, values, maintenance)
+        assert calls["n"] == calls["fail_at"] >= len(regions)
+        _assert_untouched(before, _state(sysm, "obj"))
 
         # The system is fully usable afterwards: the same write succeeds
         # once the fault clears, and queries see it.
         monkeypatch.undo()
-        affected = sysm.update_object_region(
-            "obj", 500, np.full(100, 123.0, dtype=np.float32)
-        )
-        assert affected == [0, 1]
+        assert apply(sysm, values, maintenance) == regions
         res = QueryEngine(sysm).execute(cond("obj", ">", 100.0))
-        assert res.nhits == 100
+        assert res.nhits == n_values
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    @pytest.mark.parametrize("maintenance", ["rebuild", "delta"])
+    def test_non_finite_payload_refused_before_anything_changes(
+        self, bad, maintenance, rng
+    ):
+        """A NaN or infinity has no histogram bin: overwrite and append
+        refuse it with a typed error and touch nothing — every strategy
+        still answers like numpy on the unchanged payload."""
+        sysm = make_system(region_size_bytes=1 << 12)  # 1024 f32/region
+        data = rng.gamma(2.0, 0.7, 5000).astype(np.float32)
+        sysm.create_object("o", data.copy())
+        sysm.create_object("x", rng.random(5000).astype(np.float32))
+        sysm.build_index("o")
+        sysm.build_sorted_replica("o", ["x"])
+        before = _state(sysm, "o")
+        payload = np.array([bad] * 3, dtype=np.float32)
+        with pytest.raises(PDCError, match="finite"):
+            sysm.append_to_object("o", payload, maintenance=maintenance)
+        with pytest.raises(PDCError, match="finite"):
+            sysm.update_object_region("o", 10, payload, maintenance=maintenance)
+        _assert_untouched(before, _state(sysm, "o"))
+        assert "o" in sysm.replicas
+        truth = np.flatnonzero(data > np.float32(2.0))
+        for strategy in Strategy:
+            res = QueryEngine(sysm).execute(cond("o", ">", 2.0), strategy=strategy)
+            assert res.complete and res.nhits == truth.size, strategy
+            assert np.array_equal(res.selection.coords, truth), strategy

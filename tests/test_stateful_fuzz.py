@@ -1,20 +1,24 @@
 """Stateful fuzzing of a whole deployment.
 
 A hypothesis state machine drives a PDCSystem through random interleaved
-operations — imports, updates, index/replica builds and drops, tier
+operations — imports, overwrites and appends under both maintenance
+modes, index/replica builds and drops, index compaction, tier
 migrations, server failures/recoveries, cache drops, and queries under
 every strategy — while holding the system to its core invariants:
 
 * every query answer equals a numpy model kept alongside;
 * simulated clocks never go backwards;
-* derived state (region min/max) always matches the model data.
+* derived state (extents, region min/max, histogram totals, index
+  lists) always matches the model data.
+
+The example budget comes from the hypothesis profile in
+``tests/conftest.py`` (fixed-seed in tier-1, ``long`` in CI).
 
 This is the net for cross-feature interactions the unit suites don't
 enumerate (e.g. update → failed server → sorted query).
 """
 
 import numpy as np
-from hypothesis import settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, precondition, rule
 
@@ -52,11 +56,33 @@ class PDCStateMachine(RuleBasedStateMachine):
         offset=st.integers(0, N - 64),
         value=st.floats(min_value=0.0, max_value=10.0, allow_nan=False, width=32),
         length=st.integers(1, 64),
+        maintenance=st.sampled_from(["rebuild", "delta"]),
     )
-    def update_region(self, name, offset, value, length):
+    def update_region(self, name, offset, value, length, maintenance):
         payload = np.full(length, value, dtype=np.float32)
-        self.system.update_object_region(name, offset, payload)
+        self.system.update_object_region(
+            name, offset, payload, maintenance=maintenance
+        )
         self.model[name][offset : offset + length] = payload
+
+    @rule(
+        value=st.floats(min_value=0.0, max_value=10.0, allow_nan=False, width=32),
+        length=st.integers(1, 300),  # up to a region and a bit (256 f32)
+        maintenance=st.sampled_from(["rebuild", "delta"]),
+    )
+    def append(self, value, length, maintenance):
+        """``a`` and ``b`` grow in lockstep: a joint query needs equal
+        dimensions."""
+        payload = np.full(length, value, dtype=np.float32)
+        for name in ("a", "b"):
+            self.system.append_to_object(name, payload, maintenance=maintenance)
+            self.model[name] = np.concatenate([self.model[name], payload])
+
+    @rule(name=st.sampled_from(["a", "b"]), rid=st.integers(0, 1 << 16))
+    def compact(self, name, rid):
+        obj = self.system.get_object(name)
+        if obj.indexes is not None:
+            self.system.compact_region_index(name, rid % obj.n_regions)
 
     @rule(name=st.sampled_from(["a", "b"]))
     def build_index(self, name):
@@ -131,15 +157,20 @@ class PDCStateMachine(RuleBasedStateMachine):
         self.last_elapsed = t
 
     @invariant()
-    def region_minmax_matches_model(self):
+    def derived_state_matches_model(self):
         if not hasattr(self, "system"):
             return
         for name, data in self.model.items():
             obj = self.system.get_object(name)
+            assert obj.n_elements == obj.meta.n_elements == data.size
+            assert int(obj.counts.sum()) == data.size
+            assert len(obj.meta.regions) == obj.n_regions
+            assert len(obj.indexes or obj.meta.regions) == obj.n_regions
             for rid in range(obj.n_regions):
                 seg = data[obj.offsets[rid] : obj.offsets[rid] + obj.counts[rid]]
                 assert obj.rmin[rid] == seg.min()
                 assert obj.rmax[rid] == seg.max()
+                assert obj.meta.regions[rid].histogram.total == obj.counts[rid]
 
     @invariant()
     def alive_count_consistent(self):
@@ -148,7 +179,4 @@ class PDCStateMachine(RuleBasedStateMachine):
         assert len(self.system.alive_servers) == N_SERVERS - len(self.failed)
 
 
-PDCStateMachine.TestCase.settings = settings(
-    max_examples=12, stateful_step_count=30, deadline=None
-)
 TestPDCStateMachine = PDCStateMachine.TestCase
