@@ -13,8 +13,7 @@
    buffer (§II's deep memory hierarchy).
 5. **Fault tolerance** — server failure/recovery and metadata
    checkpoint/restore.
-6. **Deployment persistence + observability** — save/load the whole
-   deployment and print its status report.
+6. **Observability** — the deployment's status report.
 
 Run:  python examples/advanced_features.py
 """
@@ -145,22 +144,11 @@ def demo_failures(system, eo):
           f"({len(system.metadata)} objects)")
 
 
-def demo_persistence(system):
+def demo_report(system):
     print("=" * 70)
-    print("6. deployment persistence")
-    import tempfile
-
-    from repro.pdc import load_system, save_system
-
-    with tempfile.TemporaryDirectory() as tmp:
-        path = save_system(system, tmp + "/deployment")
-        loaded = load_system(path)
-        print(f"  saved + reloaded: {len(loaded.objects)} objects, "
-              f"indexes={sorted(n for n, o in loaded.objects.items() if o.indexes)}, "
-              f"replicas={sorted(loaded.replicas)}")
-
+    print("6. deployment status report")
     from repro.pdc import report
-    print()
+
     print(report(system, top_servers=4))
 
 
@@ -171,4 +159,4 @@ if __name__ == "__main__":
     demo_hyperslab()
     demo_migration(system, eo)
     demo_failures(system, eo)
-    demo_persistence(system)
+    demo_report(system)

@@ -29,8 +29,7 @@ Gives the open-source release a zero-code entry point:
   fail on any drift from the committed ``BENCH_*.json`` baseline;
 * ``python -m repro serve`` — multi-tenant query-service demo: open-loop
   seeded arrivals through admission control and fair-share dispatch, with
-  a per-tenant SLO table (``--smoke`` re-runs the same seed and fails on
-  any nondeterminism);
+  a per-tenant SLO table;
 * ``python -m repro info`` — version, scale presets, strategy list.
 """
 
@@ -38,6 +37,27 @@ from __future__ import annotations
 
 import argparse
 import sys
+
+
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {text}")
+    return value
+
+
+def _positive_float(text: str) -> float:
+    value = float(text)
+    if not value > 0.0:
+        raise argparse.ArgumentTypeError(f"must be > 0, got {text}")
+    return value
+
+
+def _mb_list(text: str) -> list:
+    """Comma-separated region sizes in MB -> bytes."""
+    from .types import MB
+
+    return [_positive_int(part) * MB for part in text.split(",")]
 
 
 def _add_scale_arg(p: argparse.ArgumentParser) -> None:
@@ -52,16 +72,11 @@ def _add_scale_arg(p: argparse.ArgumentParser) -> None:
 def cmd_figures(args: argparse.Namespace) -> int:
     from .bench.figures import run_fig3, run_fig4, run_fig5, run_fig6, run_index_size
     from .bench.harness import SCALES
-    from .types import MB
 
     scale = SCALES[args.scale]
     which = args.command
     if which in ("fig3", "all"):
-        sizes = (
-            [int(s) * MB for s in args.region_sizes.split(",")]
-            if getattr(args, "region_sizes", None)
-            else None
-        )
+        sizes = args.region_sizes
         run_fig3(scale, **({"region_sizes": sizes} if sizes else {}))
     if which in ("fig4", "all"):
         run_fig4(scale)
@@ -84,229 +99,6 @@ def _demo_deployment(metrics=None):
     return demo_deployment(metrics=metrics)
 
 
-def _selftest_faults() -> int:
-    """Fault-enabled selftest leg: deterministic injection must keep every
-    *complete* result exact, and the same seed must reproduce the same
-    retries/failovers/answer bit for bit."""
-    from .faults import FaultConfig, FaultPlan
-    from .query.executor import QueryEngine
-    from .strategies import Strategy
-
-    config = FaultConfig(
-        pfs_read_error_rate=0.05,
-        pfs_slow_rate=0.05,
-        server_slow_rate=0.1,
-        msg_drop_rate=0.02,
-    )
-    failures = 0
-    runs = []
-    for _ in range(2):  # identical seed twice: must be bit-identical
-        system, node, truth = _demo_deployment()
-        system.set_fault_plan(FaultPlan(seed=1234, config=config))
-        engine = QueryEngine(system)
-        run = []
-        for strategy in Strategy:
-            res = engine.execute(node, strategy=strategy)
-            run.append((res.nhits, res.retries, res.complete, res.elapsed_s))
-        runs.append(run)
-    for strategy, (nhits, retries, complete, elapsed_s) in zip(Strategy, runs[0]):
-        ok = nhits == truth if complete else nhits <= truth
-        failures += not ok
-        tag = "ok" if ok else "FAIL"
-        if complete and ok:
-            detail = f"{retries} retries"
-        else:
-            detail = "DEGRADED" if not complete else "wrong answer"
-        print(
-            f"  faults {strategy.paper_label:<9} {nhits:>6} hits "
-            f"({elapsed_s * 1e3:7.2f} simulated ms, {detail})  {tag}"
-        )
-    if runs[0] != runs[1]:
-        failures += 1
-        print("  faults determinism      same seed diverged  FAIL")
-    else:
-        print("  faults determinism      same seed, same run  ok")
-    return failures
-
-
-def _selftest_batch() -> int:
-    """Shared-scan batch leg: a window of overlapping threshold queries
-    must match ground truth while reading strictly fewer bytes than the
-    same queries on fresh deployments, and an exact repeat must be served
-    by the semantic selection cache with zero I/O."""
-    import numpy as np
-
-    from .query.ast import Condition
-    from .query.executor import QueryEngine
-    from .query.scheduler import QueryScheduler
-    from .types import PDCType, QueryOp
-
-    failures = 0
-    thresholds = [0.5, 1.0, 1.5, 2.0]
-    queries = [
-        Condition("energy", QueryOp.GT, PDCType.FLOAT, t) for t in thresholds
-    ]
-
-    # Isolated baseline: each query on its own cold deployment.
-    isolated_bytes = 0.0
-    truths = []
-    for q in queries:
-        system, _, _ = _demo_deployment()
-        res = QueryEngine(system).execute(q)
-        isolated_bytes += res.bytes_read_virtual
-        truths.append(res.nhits)
-
-    system, node, truth = _demo_deployment()
-    e = system.get_object("energy").data
-    sched = QueryScheduler(system, max_width=len(queries))
-    results = sched.run(queries)
-    batch = sched.batches[0]
-    answers_ok = all(
-        r.nhits == int((e > t).sum()) and r.nhits == tn
-        for r, t, tn in zip(results, thresholds, truths)
-    )
-    bytes_ok = batch.total_bytes_read_virtual < isolated_bytes
-    ok = answers_ok and bytes_ok and batch.shared_reads > 0
-    failures += not ok
-    print(
-        f"  batch x{batch.width} shared      {batch.shared_reads:>3} shared reads, "
-        f"{batch.total_bytes_read_virtual / 1024:.0f} vs "
-        f"{isolated_bytes / 1024:.0f} KiB isolated  {'ok' if ok else 'FAIL'}"
-    )
-
-    # Exact repeat: every answer comes from the semantic cache.
-    repeat = sched.run(queries)
-    ok = all(r.semantic_cache == "hit" for r in repeat) and [
-        r.nhits for r in repeat
-    ] == truths
-    failures += not ok
-    print(
-        f"  batch semantic repeat   {sum(r.semantic_cache == 'hit' for r in repeat)}"
-        f"/{len(repeat)} exact hits  {'ok' if ok else 'FAIL'}"
-    )
-
-    # Narrowing: a tighter interval is filtered from a cached superset.
-    narrow = sched.run(
-        [Condition("energy", QueryOp.GT, PDCType.FLOAT, 5.0)]
-    )[0]
-    ok = narrow.semantic_cache == "narrowed" and narrow.nhits == int(
-        (e > np.float32(5.0)).sum()
-    )
-    failures += not ok
-    print(
-        f"  batch semantic narrow   {narrow.nhits:>6} hits "
-        f"({narrow.semantic_cache or 'miss'})  {'ok' if ok else 'FAIL'}"
-    )
-    sched.close()
-    return failures
-
-
-def _selftest_service() -> int:
-    """Query-service leg: the passthrough config must be bit-identical to
-    driving the scheduler directly, and a multi-tenant WFQ config must
-    reproduce its admission/dispatch decisions exactly across runs."""
-    from .query.ast import Condition
-    from .query.scheduler import QueryScheduler
-    from .service import QueryService, ServiceConfig, Tenant
-    from .types import PDCType, QueryOp
-
-    failures = 0
-    queries = [
-        Condition("energy", QueryOp.GT, PDCType.FLOAT, 0.5 + 0.25 * i)
-        for i in range(8)
-    ]
-
-    # Passthrough: twin deployments, one driven directly, one through a
-    # single-tenant/FIFO/no-limit service.
-    system_a, _, _ = _demo_deployment()
-    sched = QueryScheduler(system_a, max_width=4, use_selection_cache=False)
-    direct = sched.run(list(queries))
-    sched.close()
-    system_b, _, _ = _demo_deployment()
-    with QueryService(system_b, ServiceConfig(batch_window=4)) as svc:
-        served = svc.run("default", list(queries))
-    ok = (
-        [(r.nhits, r.elapsed_s, r.bytes_read_virtual) for r in direct]
-        == [(r.nhits, r.elapsed_s, r.bytes_read_virtual) for r in served]
-        and [c.now for c in system_a.all_clocks()]
-        == [c.now for c in system_b.all_clocks()]
-    )
-    failures += not ok
-    print(f"  service passthrough     bit-identical twin run  "
-          f"{'ok' if ok else 'FAIL'}")
-
-    # Multi-tenant WFQ: same submissions twice must make identical
-    # decisions, and the heavy tenant must not starve the light one.
-    def run_once():
-        system, _, _ = _demo_deployment()
-        cfg = ServiceConfig(
-            tenants=(
-                Tenant("heavy", weight=3.0),
-                Tenant("light", weight=1.0),
-                Tenant("limited", rate_limit_qps=0.5, burst=1.0, queue_cap=2),
-            ),
-            policy="wfq",
-            batch_window=1,
-        )
-        svc = QueryService(system, cfg)
-        t0 = max(c.now for c in system.all_clocks())
-        tenants = ["heavy", "heavy", "heavy", "light", "limited", "limited"]
-        tickets = [
-            svc.submit(tenants[i % len(tenants)], q, arrival_s=t0 + 1e-3 * i)
-            for i, q in enumerate(queries + queries)
-        ]
-        order = [r.tenant.name for r in svc.drain() if r.status == "done"]
-        svc.close()
-        return [(t.status, t.reject_reason) for t in tickets], order
-
-    (dec1, order1), (dec2, order2) = run_once(), run_once()
-    ok = dec1 == dec2 and order1 == order2
-    failures += not ok
-    print(f"  service determinism     same config, same decisions  "
-          f"{'ok' if ok else 'FAIL'}")
-    light_served = order1.count("light")
-    ok = light_served > 0 and any(s == "rejected" for s, _ in dec1)
-    failures += not ok
-    print(f"  service wfq+admission   light served {light_served}x, "
-          f"{sum(s == 'rejected' for s, _ in dec1)} rejected  "
-          f"{'ok' if ok else 'FAIL'}")
-    return failures
-
-
-def _selftest_monitor() -> int:
-    """Continuous-telemetry leg: the shared overload scenario must fire a
-    fast-burn alert and clear it, replay byte-identically, and cost
-    nothing when the monitor is disabled."""
-    from .obs.monitor import demo_monitor_run
-
-    failures = 0
-    run1 = demo_monitor_run()
-    run2 = demo_monitor_run()
-    fp1, fp2 = run1.monitor.fingerprint(), run2.monitor.fingerprint()
-    ok = fp1 == fp2 and len(run1.alerts) > 0
-    failures += not ok
-    print(f"  monitor determinism     {len(run1.alerts)} alerts, "
-          f"fingerprint {fp1[:12]}  {'ok' if ok else 'FAIL'}")
-
-    kinds = {(a.window, a.kind) for a in run1.alerts}
-    ok = ("fast", "fire") in kinds and ("fast", "clear") in kinds
-    failures += not ok
-    print(f"  monitor burn cycle      fast-burn fire+clear  "
-          f"{'ok' if ok else 'FAIL'}")
-
-    off = demo_monitor_run(monitored=False)
-    on = run1
-    ok = (
-        [(t.status, t.reject_reason) for t in off.tickets]
-        == [(t.status, t.reject_reason) for t in on.tickets]
-        and off.t_end == on.t_end
-    )
-    failures += not ok
-    print(f"  monitor zero-cost       disabled vs enabled bit-identical  "
-          f"{'ok' if ok else 'FAIL'}")
-    return failures
-
-
 def cmd_serve(args: argparse.Namespace) -> int:
     """Multi-tenant query-service demo: open-loop seeded arrivals against
     the demo deployment, per-tenant SLO table out."""
@@ -316,36 +108,33 @@ def cmd_serve(args: argparse.Namespace) -> int:
     from .service import QueryService, ServiceConfig, Tenant
     from .types import PDCType, QueryOp
 
-    def run_once():
-        system, _, _ = _demo_deployment()
-        cfg = ServiceConfig(
-            tenants=(
-                Tenant("batch", weight=1.0, queue_deadline_s=0.0003),
-                Tenant("interactive", weight=4.0, default_timeout_s=0.5),
-                Tenant("adhoc", weight=1.0, rate_limit_qps=200.0, burst=4.0,
-                       queue_cap=8),
-            ),
-            policy=args.policy,
-            batch_window=args.window,
+    system, _, _ = _demo_deployment()
+    cfg = ServiceConfig(
+        tenants=(
+            Tenant("batch", weight=1.0, queue_deadline_s=0.0003),
+            Tenant("interactive", weight=4.0, default_timeout_s=0.5),
+            Tenant("adhoc", weight=1.0, rate_limit_qps=200.0, burst=4.0,
+                   queue_cap=8),
+        ),
+        policy=args.policy,
+        batch_window=args.window,
+    )
+    svc = QueryService(system, cfg)
+    rng = np.random.default_rng(args.seed)
+    t = max(c.now for c in system.all_clocks())
+    names = [ten.name for ten in cfg.tenants]
+    tickets = []
+    for _ in range(args.requests):
+        t += float(rng.exponential(1.0 / args.rate))
+        tenant = names[int(rng.integers(len(names)))]
+        q = Condition(
+            "energy", QueryOp.GT, PDCType.FLOAT,
+            float(np.float32(rng.uniform(0.5, 3.0))),
         )
-        svc = QueryService(system, cfg)
-        rng = np.random.default_rng(args.seed)
-        t = max(c.now for c in system.all_clocks())
-        names = [ten.name for ten in cfg.tenants]
-        tickets = []
-        for _ in range(args.requests):
-            t += float(rng.exponential(1.0 / args.rate))
-            tenant = names[int(rng.integers(len(names)))]
-            q = Condition(
-                "energy", QueryOp.GT, PDCType.FLOAT,
-                float(np.float32(rng.uniform(0.5, 3.0))),
-            )
-            tickets.append(svc.submit(tenant, q, arrival_s=t))
-        svc.drain()
-        svc.close()
-        return svc, tickets
+        tickets.append(svc.submit(tenant, q, arrival_s=t))
+    svc.drain()
+    svc.close()
 
-    svc, tickets = run_once()
     print(f"query-service demo: {args.requests} requests, policy "
           f"{args.policy}, window {args.window}, seed {args.seed}")
     print(f"  {'tenant':<12} {'admit':>6} {'rej':>4} {'shed':>5} "
@@ -361,18 +150,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
     if hung:
         print(f"  {len(hung)} requests left non-terminal  FAIL")
         return 1
-    if args.smoke:
-        svc2, tickets2 = run_once()
-        same = [(t.status, t.reject_reason) for t in tickets] == [
-            (t.status, t.reject_reason) for t in tickets2
-        ] and {n: s.queue_wait_total_s for n, s in svc.stats.items()} == {
-            n: s.queue_wait_total_s for n, s in svc2.stats.items()
-        }
-        served = sum(1 for t in tickets if t.status == "done")
-        print(f"  smoke: {served} served, determinism "
-              f"{'ok' if same else 'FAIL'}")
-        if not same or served == 0:
-            return 1
     return 0
 
 
@@ -423,15 +200,6 @@ def cmd_monitor(args: argparse.Namespace) -> int:
     if args.alerts:
         write_alerts_jsonl(run.alerts, args.alerts)
         print(f"{len(run.alerts)} alert records -> {args.alerts}")
-    if args.smoke:
-        run2 = demo_monitor_run(seed=args.seed, requests=args.requests)
-        same = run2.monitor.fingerprint() == mon.fingerprint()
-        kinds = {(a.window, a.kind) for a in run.alerts}
-        cycled = ("fast", "fire") in kinds and ("fast", "clear") in kinds
-        print(f"  smoke: determinism {'ok' if same else 'FAIL'}, "
-              f"fast-burn cycle {'ok' if cycled else 'FAIL'}")
-        if not (same and cycled):
-            return 1
     return 0
 
 
@@ -462,20 +230,6 @@ def cmd_cluster(args: argparse.Namespace) -> int:
     if args.series:
         run.monitor.recorder.write_jsonl(args.series)
         print(f"{run.monitor.recorder.total_samples()} samples -> {args.series}")
-    if args.smoke:
-        run2 = demo_cluster_run(
-            seed=args.seed,
-            requests=args.requests,
-            n_servers=args.servers,
-            max_servers=args.max_servers,
-        )
-        same = run2.fingerprint() == run.fingerprint()
-        scaled = run.n_scale_out >= 1
-        print(f"  smoke: determinism {'ok' if same else 'FAIL'}, "
-              f"scale-out {'ok' if scaled else 'FAIL'}, "
-              f"p99 recovery {'ok' if run.recovered else 'FAIL'}")
-        if not (same and scaled and run.recovered):
-            return 1
     return 0
 
 
@@ -547,13 +301,6 @@ def cmd_selftest(args: argparse.Namespace) -> int:
     wire_ok = wire.size == truth
     failures += not wire_ok
     print(f"  simmpi wire path        {wire.size:>6} hits  {'ok' if wire_ok else 'FAIL'}")
-    failures += _selftest_batch()
-    if getattr(args, "faults", False):
-        failures += _selftest_faults()
-    if getattr(args, "service", False):
-        failures += _selftest_service()
-    if getattr(args, "monitor", False):
-        failures += _selftest_monitor()
     if trace_path:
         system.tracer.write_chrome(trace_path)
         print(f"  trace: {len(system.tracer.spans)} spans -> {trace_path}")
@@ -707,26 +454,7 @@ def cmd_metrics(args: argparse.Namespace) -> int:
     from .strategies import Strategy
 
     registry = MetricsRegistry()
-    import numpy as np
-
-    from .pdc import PDCConfig, PDCSystem
-    from .query.ast import Condition, combine_and
-    from .types import PDCType, QueryOp
-
-    rng = np.random.default_rng(0)
-    system = PDCSystem(
-        PDCConfig(n_servers=4, region_size_bytes=1 << 13), metrics=registry
-    )
-    n = 1 << 14
-    e = rng.gamma(2.0, 0.7, n).astype(np.float32)
-    x = (rng.random(n) * 300).astype(np.float32)
-    system.create_object("energy", e)
-    system.create_object("x", x)
-    system.build_index("energy")
-    node = combine_and(
-        Condition("energy", QueryOp.GT, PDCType.FLOAT, 2.0),
-        Condition("x", QueryOp.LT, PDCType.FLOAT, 150.0),
-    )
+    system, node, _ = _demo_deployment(metrics=registry)
     engine = QueryEngine(system)
     for strategy in (Strategy.HISTOGRAM, Strategy.HIST_INDEX, Strategy.HISTOGRAM):
         engine.execute(node, strategy=strategy)
@@ -848,7 +576,7 @@ def main(argv=None) -> int:
         _add_scale_arg(p)
         if name in ("fig3", "all"):
             p.add_argument(
-                "--region-sizes",
+                "--region-sizes", type=_mb_list,
                 help="comma-separated region sizes in MB (fig3 only), e.g. 4,32,128",
             )
         p.set_defaults(func=cmd_figures)
@@ -861,20 +589,6 @@ def main(argv=None) -> int:
     p.add_argument(
         "--trace", metavar="FILE",
         help="write a Chrome trace of the selftest queries to FILE",
-    )
-    p.add_argument(
-        "--faults", action="store_true",
-        help="also run the deterministic fault-injection leg",
-    )
-    p.add_argument(
-        "--service", action="store_true",
-        help="also run the query-service leg (passthrough bit-identity, "
-             "WFQ determinism)",
-    )
-    p.add_argument(
-        "--monitor", action="store_true",
-        help="also run the continuous-telemetry leg (SLO burn-rate alert "
-             "determinism, zero-cost when disabled)",
     )
     p.set_defaults(func=cmd_selftest)
 
@@ -1015,7 +729,7 @@ def main(argv=None) -> int:
         help="number of overlapping threshold queries (default: 8)",
     )
     p.add_argument(
-        "--width", type=int, default=8,
+        "--width", type=_positive_int, default=8,
         help="batch window width (default: 8)",
     )
     p.set_defaults(func=cmd_batch)
@@ -1030,7 +744,7 @@ def main(argv=None) -> int:
         help="number of open-loop requests (default: 60)",
     )
     p.add_argument(
-        "--rate", type=float, default=400.0,
+        "--rate", type=_positive_float, default=400.0,
         help="aggregate arrival rate, queries per simulated second "
              "(default: 400)",
     )
@@ -1041,10 +755,6 @@ def main(argv=None) -> int:
     p.add_argument(
         "--window", type=int, default=4,
         help="batch window width (default: 4)",
-    )
-    p.add_argument(
-        "--smoke", action="store_true",
-        help="re-run with the same seed and fail on any nondeterminism",
     )
     p.set_defaults(func=cmd_serve)
 
@@ -1064,7 +774,7 @@ def main(argv=None) -> int:
              "p99, alert transitions)",
     )
     p.add_argument(
-        "--step", type=float, default=0.01,
+        "--step", type=_positive_float, default=0.01,
         help="--watch frame width in simulated seconds (default: 0.01)",
     )
     p.add_argument(
@@ -1079,11 +789,6 @@ def main(argv=None) -> int:
     p.add_argument(
         "--alerts", metavar="FILE",
         help="write the alert stream as JSONL to FILE",
-    )
-    p.add_argument(
-        "--smoke", action="store_true",
-        help="re-run with the same seed and fail on any nondeterminism "
-             "or a missing fast-burn fire/clear cycle",
     )
     p.set_defaults(func=cmd_monitor)
 
@@ -1108,11 +813,6 @@ def main(argv=None) -> int:
     p.add_argument(
         "--series", metavar="FILE",
         help="write the recorded time series as JSONL to FILE",
-    )
-    p.add_argument(
-        "--smoke", action="store_true",
-        help="re-run with the same seed and fail on nondeterminism, a "
-             "missing scale-out, or an unrecovered p99",
     )
     p.set_defaults(func=cmd_cluster)
 

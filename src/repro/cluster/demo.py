@@ -1,6 +1,5 @@
 """The deterministic elastic-scaling scenario shared by the CLI demo
-(``python -m repro cluster``), the elastic benchmark, and the regression
-micro-suite.
+(``python -m repro cluster``) and the regression micro-suite.
 
 One open-loop arrival stream in two phases: a light warm-up at a rate a
 small fleet absorbs comfortably, then the offered load doubles and stays
@@ -44,14 +43,6 @@ class ClusterRun:
     p99_peak_s: float = math.nan
     p99_recovered_s: float = math.nan
     alerts: List[object] = field(default_factory=list)
-
-    @property
-    def decisions(self) -> List[object]:
-        return list(self.autoscaler.decisions)
-
-    @property
-    def n_scale_out(self) -> int:
-        return sum(1 for d in self.autoscaler.decisions if d.action == "scale_out")
 
     @property
     def recovered(self) -> bool:

@@ -11,7 +11,6 @@ from __future__ import annotations
 __all__ = [
     "PDCError",
     "StorageError",
-    "CapacityError",
     "ObjectNotFoundError",
     "RegionNotFoundError",
     "MetadataError",
@@ -34,10 +33,6 @@ class PDCError(Exception):
 
 class StorageError(PDCError):
     """A simulated storage operation failed (bad offset, missing file, ...)."""
-
-
-class CapacityError(StorageError):
-    """A storage device or cache ran out of capacity."""
 
 
 class RegionUnavailableError(StorageError):

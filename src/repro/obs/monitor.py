@@ -25,9 +25,9 @@ both properties.
 
 :func:`demo_monitor_run` is the shared deterministic overload scenario
 (seeded Poisson arrivals overrunning a rate-limited tenant, then
-receding) used by the ``python -m repro monitor`` CLI, the selftest
-monitor leg, the bench-regression micro-suite, and the alert-determinism
-tests — one scenario, one set of pinned numbers.
+receding) used by the ``python -m repro monitor`` CLI, the
+bench-regression micro-suite, and the alert-determinism tests — one
+scenario, one set of pinned numbers.
 """
 
 from __future__ import annotations

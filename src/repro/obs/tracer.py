@@ -24,6 +24,7 @@ import json
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
+from ..errors import PDCError
 from ..storage.costmodel import SimClock
 
 __all__ = ["Span", "Tracer", "NoopTracer", "NOOP_TRACER"]
@@ -361,7 +362,11 @@ class Tracer:
 
     @classmethod
     def read_jsonl(cls, path: str) -> "Tracer":
-        """Load a trace written by :meth:`write_jsonl`."""
-        with open(path, "r", encoding="utf-8") as f:
-            records = [json.loads(line) for line in f if line.strip()]
-        return cls.from_jsonl_records(records)
+        """Load a trace written by :meth:`write_jsonl`; anything else is a
+        :class:`~repro.errors.PDCError` naming the file."""
+        try:
+            with open(path, "r", encoding="utf-8") as f:
+                records = [json.loads(line) for line in f if line.strip()]
+            return cls.from_jsonl_records(records)
+        except (ValueError, KeyError, TypeError) as exc:  # bad JSON / not a trace record
+            raise PDCError(f"{path}: not a JSONL trace ({exc!r})") from exc

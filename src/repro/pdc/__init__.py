@@ -5,8 +5,7 @@ from .container import Container
 from .metadata import ObjectMeta
 from .metaserver import MetadataService
 from .observability import SystemSnapshot, report, snapshot
-from .persistence import load_system, save_system
-from .placement import POLICIES, assign_region_ids, block, least_loaded, round_robin
+from .placement import assign_region_ids
 from .region import RegionMeta, partition, region_key
 from .server import PDCServer
 from .system import PDCConfig, PDCSystem, ReplicaGroup, StoredObject
@@ -16,15 +15,9 @@ __all__ = [
     "ObjectMeta",
     "MetadataService",
     "SystemSnapshot",
-    "load_system",
-    "save_system",
     "report",
     "snapshot",
-    "POLICIES",
     "assign_region_ids",
-    "block",
-    "least_loaded",
-    "round_robin",
     "RegionMeta",
     "partition",
     "region_key",

@@ -1,197 +1,28 @@
-"""Region-to-server assignment policies.
+"""Failover re-assignment of a crashed server's region share.
 
 §III-C: *"Upon the receipt of a query request, different regions of the
 queried object are assigned to the servers in a load-balanced fashion."*
-Three policies are provided; round-robin is the default (it balances both
-element counts and storage locality for equal-size regions, which is the
-common case).
+Ordinary work is routed by :meth:`PDCSystem.region_owner_positions` (and a
+committed :class:`~repro.cluster.rebalance.PlacementMap`); this module only
+re-spreads the share of a server that died mid-query.
 """
 
 from __future__ import annotations
 
-import heapq
-from typing import Dict, List, Optional, Sequence
+from typing import List
 
 import numpy as np
 
 from ..errors import PDCError
-from .region import RegionMeta
 
-__all__ = [
-    "round_robin",
-    "block",
-    "least_loaded",
-    "POLICIES",
-    "assign_region_ids",
-    "incremental_assign",
-]
-
-Assignment = Dict[int, List[RegionMeta]]
+__all__ = ["assign_region_ids"]
 
 
-def _check(regions: Sequence[RegionMeta], n_servers: int) -> None:
-    if n_servers < 1:
-        raise PDCError("need at least one server")
-
-
-def round_robin(regions: Sequence[RegionMeta], n_servers: int) -> Assignment:
-    """Region ``i`` goes to server ``i mod n_servers``."""
-    _check(regions, n_servers)
-    out: Assignment = {s: [] for s in range(n_servers)}
-    for i, r in enumerate(regions):
-        out[i % n_servers].append(r)
-    return out
-
-
-def block(regions: Sequence[RegionMeta], n_servers: int) -> Assignment:
-    """Contiguous blocks of regions per server (maximizes each server's
-    read contiguity, at the cost of skew when surviving regions cluster)."""
-    _check(regions, n_servers)
-    out: Assignment = {s: [] for s in range(n_servers)}
-    n = len(regions)
-    base, extra = divmod(n, n_servers)
-    start = 0
-    for s in range(n_servers):
-        count = base + (1 if s < extra else 0)
-        out[s] = list(regions[start : start + count])
-        start += count
-    return out
-
-
-def least_loaded(regions: Sequence[RegionMeta], n_servers: int) -> Assignment:
-    """Greedy longest-processing-time balancing on region element counts —
-    useful when regions have uneven sizes (the tail region, sorted-replica
-    runs)."""
-    _check(regions, n_servers)
-    out: Assignment = {s: [] for s in range(n_servers)}
-    heap = [(0, s) for s in range(n_servers)]
-    heapq.heapify(heap)
-    for r in sorted(regions, key=lambda r: -r.n_elements):
-        load, s = heapq.heappop(heap)
-        out[s].append(r)
-        heapq.heappush(heap, (load + r.n_elements, s))
-    for s in out:
-        out[s].sort(key=lambda r: r.region_id)
-    return out
-
-
-POLICIES = {
-    "round_robin": round_robin,
-    "block": block,
-    "least_loaded": least_loaded,
-}
-
-
-def assign_region_ids(
-    region_ids: np.ndarray,
-    n_targets: int,
-    policy: str = "round_robin",
-    weights: Sequence[float] = (),
-    current: Optional[Sequence[Sequence[int]]] = None,
-) -> List[np.ndarray]:
-    """Split bare region ids across ``n_targets`` servers by policy name.
-
-    Failover helper: when a server dies mid-query its region share is
-    re-assigned across the survivors with the same policies that place
-    ordinary work, but operating on ids (no :class:`RegionMeta` needed).
-    ``weights`` optionally seeds ``least_loaded`` with each target's
-    existing load so failover work goes to the idlest survivors first.
-    Ids within each share keep ascending order (deterministic).
-
-    ``policy="incremental"`` dispatches to :func:`incremental_assign`,
-    which keeps regions where ``current`` already placed them and moves
-    only what balance requires (stable assignment under view change).
-    """
-    if n_targets < 1:
-        raise PDCError("need at least one target server")
-    if policy == "incremental":
-        return incremental_assign(region_ids, n_targets, current=current)
-    if policy not in POLICIES:
-        raise PDCError(f"unknown placement policy {policy!r}")
-    ids = np.asarray(region_ids, dtype=np.int64)
-    out: List[List[int]] = [[] for _ in range(n_targets)]
-    if policy == "round_robin":
-        for i, rid in enumerate(ids):
-            out[i % n_targets].append(int(rid))
-    elif policy == "block":
-        base, extra = divmod(ids.size, n_targets)
-        start = 0
-        for s in range(n_targets):
-            count = base + (1 if s < extra else 0)
-            out[s] = [int(r) for r in ids[start : start + count]]
-            start += count
-    else:  # least_loaded: LPT on unit weights, seeded with existing load
-        heap = [
-            (float(weights[s]) if s < len(weights) else 0.0, s)
-            for s in range(n_targets)
-        ]
-        heapq.heapify(heap)
-        for rid in ids:
-            load, s = heapq.heappop(heap)
-            out[s].append(int(rid))
-            heapq.heappush(heap, (load + 1.0, s))
-    return [np.asarray(sorted(share), dtype=np.int64) for share in out]
-
-
-def incremental_assign(
-    region_ids: np.ndarray,
-    n_targets: int,
-    current: Optional[Sequence[Sequence[int]]] = None,
-) -> List[np.ndarray]:
-    """Stable re-assignment: keep regions where they are, move the minimum.
-
-    ``current`` gives each target's existing share (position ``s`` holds
-    the ids target ``s`` owns now; targets beyond ``len(current)`` are
-    new and start empty).  The result covers exactly ``region_ids``,
-    every share stays within one region of the even split, and a region
-    only moves when its current owner is over quota or no longer exists.
-    A no-op view change (``current`` already covering ``region_ids``
-    with balanced shares over the same target count) moves **zero**
-    regions — the property consistent hashing is built for, done here by
-    explicit quota trimming so the result is exact, not probabilistic.
-
-    Determinism: overfull owners surrender their *largest* ids first and
-    orphans are placed ascending onto the least-loaded target (ties to
-    the lowest target index), so the outcome is a pure function of the
-    inputs.
-    """
+def assign_region_ids(region_ids: np.ndarray, n_targets: int) -> List[np.ndarray]:
+    """Split bare region ids round-robin across ``n_targets`` survivors:
+    the ``i``-th id goes to target ``i mod n_targets``.  Ids within each
+    share keep ascending order (deterministic)."""
     if n_targets < 1:
         raise PDCError("need at least one target server")
     ids = np.asarray(region_ids, dtype=np.int64)
-    wanted = {int(r) for r in ids}
-    base, extra = divmod(ids.size, n_targets)
-    ceil_quota = base + (1 if extra else 0)
-
-    kept: List[List[int]] = [[] for _ in range(n_targets)]
-    seen: set = set()
-    if current is not None:
-        for s in range(min(len(current), n_targets)):
-            for rid in sorted(int(r) for r in current[s]):
-                if rid in wanted and rid not in seen:
-                    kept[s].append(rid)
-                    seen.add(rid)
-    # Trim overfull owners: surrender largest ids (any choice is one
-    # move each; largest-first is stable).  At most `extra` targets may
-    # keep ceil_quota — if more do, the highest-index ones give one up,
-    # so an already-balanced layout (in any permutation) trims nothing.
-    orphans: List[int] = sorted(wanted - seen)
-    for s in range(n_targets):
-        while len(kept[s]) > ceil_quota:
-            orphans.append(kept[s].pop())
-    at_ceil = [s for s in range(n_targets) if len(kept[s]) == ceil_quota]
-    if ceil_quota > base:
-        for s in reversed(at_ceil[extra:]):
-            orphans.append(kept[s].pop())
-    orphans.sort()
-    heap = [(len(kept[s]), s) for s in range(n_targets)]
-    heapq.heapify(heap)
-    for rid in orphans:
-        while True:
-            load, s = heapq.heappop(heap)
-            if load != len(kept[s]):  # stale heap entry
-                heapq.heappush(heap, (len(kept[s]), s))
-                continue
-            break
-        kept[s].append(rid)
-        heapq.heappush(heap, (len(kept[s]), s))
-    return [np.asarray(sorted(share), dtype=np.int64) for share in kept]
+    return [np.sort(ids[s::n_targets]) for s in range(n_targets)]

@@ -54,9 +54,6 @@ class PDCServer:
         #: Object names whose region metadata + global histogram this server
         #: has cached (charged once, on first use).
         self.meta_cached: Set[str] = set()
-        #: Region-index files this server has loaded (index reads are cached
-        #: in memory alongside data regions).
-        self.index_cached: Set[str] = set()
         #: Tracer shared with the owning system (swapped by
         #: :meth:`PDCSystem.set_tracer`); the default no-op records nothing.
         self.tracer = NOOP_TRACER
@@ -218,14 +215,10 @@ class PDCServer:
             ).inc()
         return hit
 
-    def reset_clock(self) -> None:
-        self.clock.reset()
-
     def drop_caches(self) -> None:
         """Cold-start this server (ablation: caching on/off)."""
         self.cache.clear()
         self.meta_cached.clear()
-        self.index_cached.clear()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

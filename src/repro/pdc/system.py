@@ -90,9 +90,6 @@ class PDCConfig:
     get_data_whole_regions: bool = True
     #: Metadata shards; 0 means one per server.
     n_meta_shards: int = 0
-    #: Placement policy used to re-assign a crashed server's region share
-    #: across the survivors (see :mod:`repro.pdc.placement`).
-    failover_policy: str = "round_robin"
     #: What happens to a sorted replica when a covered object is written:
     #: ``"drop"`` deletes it (the pre-ingest behaviour — a sorted copy
     #: cannot be patched in place, §III-D3), ``"mark_stale"`` keeps the
@@ -195,10 +192,6 @@ class StoredObject:
         hits = np.diff(np.searchsorted(coords, self.offsets), append=coords.size)
         region_ids = np.flatnonzero(hits)
         return region_ids, hits[region_ids]
-
-    def region_bytes(self, region_ids: np.ndarray) -> np.ndarray:
-        """Real payload bytes of the given regions."""
-        return self.counts[region_ids] * self.itemsize
 
 
 @dataclass

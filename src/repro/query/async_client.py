@@ -11,14 +11,9 @@ returns a :class:`concurrent.futures.Future` immediately; a single
 background thread drains the request queue in FIFO order (the simulated
 server clocks are shared state, so requests are serialized — which also
 mirrors the paper's sequential query evaluation) and resolves each future
-with its :class:`~repro.query.executor.QueryResult`.
-
-With ``batch_window > 1`` the drain thread additionally gathers up to
-that many *consecutive queued queries* into one shared-scan batch
-(:class:`~repro.query.scheduler.QueryScheduler`): concurrent submitters
-naturally fill the window, and regions demanded by several in-flight
-queries are read once.  A lone query in the queue still executes
-immediately — the window is opportunistic, never a delay.
+with its :class:`~repro.query.executor.QueryResult`.  Shared-scan batching
+of concurrent requests is the query service's job
+(:class:`~repro.service.QueryService`), not this client's.
 """
 
 from __future__ import annotations
@@ -26,7 +21,7 @@ from __future__ import annotations
 import queue
 import threading
 from concurrent.futures import Future
-from typing import Any, List, Optional, Tuple
+from typing import Any, Optional, Tuple
 
 from ..errors import QueryError
 from ..pdc.system import PDCSystem
@@ -43,7 +38,7 @@ class AsyncQueryClient:
 
     Use as a context manager::
 
-        with AsyncQueryClient(system, batch_window=4) as client:
+        with AsyncQueryClient(system) as client:
             f1 = client.submit(query1.node)
             f2 = client.submit(query2.node)
             ... do other work ...
@@ -52,26 +47,9 @@ class AsyncQueryClient:
 
     _SHUTDOWN = object()
 
-    def __init__(
-        self,
-        system: PDCSystem,
-        batch_window: int = 1,
-        scheduler=None,
-    ) -> None:
-        if batch_window < 1:
-            raise QueryError("batch_window must be >= 1")
+    def __init__(self, system: PDCSystem) -> None:
         self.system = system
         self.engine = QueryEngine(system)
-        self.batch_window = batch_window
-        self.scheduler = scheduler
-        self._owns_scheduler = False
-        if batch_window > 1 and scheduler is None:
-            from .scheduler import QueryScheduler
-
-            self.scheduler = QueryScheduler(
-                system, engine=self.engine, max_width=batch_window
-            )
-            self._owns_scheduler = True
         self._requests: "queue.Queue" = queue.Queue()
         self._worker = threading.Thread(
             target=self._drain, name="pdc-client-aggregator", daemon=True
@@ -131,30 +109,7 @@ class AsyncQueryClient:
             item = self._requests.get()
             if item is self._SHUTDOWN:
                 return
-            kind, payload, future = item
-            if kind == "query" and self.batch_window > 1:
-                # Opportunistic window: everything already queued behind
-                # this query (up to the window, stopping at the first
-                # non-query request to preserve FIFO semantics) executes
-                # as one shared-scan batch.
-                held: List[Tuple[QuerySpec, Future]] = [(payload, future)]
-                carry = None
-                while len(held) < self.batch_window:
-                    try:
-                        nxt = self._requests.get_nowait()
-                    except queue.Empty:
-                        break
-                    if nxt is self._SHUTDOWN or nxt[0] != "query":
-                        carry = nxt
-                        break
-                    held.append((nxt[1], nxt[2]))
-                self._run_batch(held)
-                if carry is self._SHUTDOWN:
-                    return
-                if carry is not None:
-                    self._run_one(*carry)
-                continue
-            self._run_one(kind, payload, future)
+            self._run_one(*item)
 
     def _run_one(self, kind: str, payload: Any, future: Future) -> None:
         if not future.set_running_or_notify_cancel():
@@ -175,28 +130,6 @@ class AsyncQueryClient:
         except BaseException as exc:  # noqa: BLE001 - delivered via future
             future.set_exception(exc)
 
-    def _run_batch(self, held: List[Tuple[QuerySpec, Future]]) -> None:
-        specs: List[QuerySpec] = []
-        futures: List[Future] = []
-        for spec, future in held:
-            if future.set_running_or_notify_cancel():
-                specs.append(spec)
-                futures.append(future)
-        if not specs:
-            return
-        try:
-            batch = self.scheduler.execute_window(specs)
-        except BaseException as exc:  # noqa: BLE001 - delivered via futures
-            for future in futures:
-                future.set_exception(exc)
-            return
-        for i, future in enumerate(futures):
-            err = batch.errors.get(i)
-            if err is not None:
-                future.set_exception(err)
-            else:
-                future.set_result(batch.results[i])
-
     # ------------------------------------------------------------- lifecycle
     def wait_all(self, timeout: Optional[float] = None) -> None:
         """Block until every queued request has been processed."""
@@ -214,8 +147,6 @@ class AsyncQueryClient:
         self._worker.join(timeout=timeout)
         if self._worker.is_alive():  # pragma: no cover - defensive
             raise QueryError("client aggregator thread did not stop")
-        if self._owns_scheduler and self.scheduler is not None:
-            self.scheduler.close()
         # Belt and braces: fail anything still queued (nothing can land here
         # once _closed is set, but a pre-fix pickle or subclass might have
         # raced) so no caller blocks forever on an unresolved future.

@@ -1203,8 +1203,8 @@ class QueryEngine:
     def _assignment_with_faults(self, region_ids: np.ndarray, stats: QueryResult):
         """Like :meth:`_regions_by_server`, but servers may crash at the
         dispatch point (fault injection): a crashed server is failed out of
-        the system and its region share is re-assigned across the survivors
-        with the configured failover placement policy."""
+        the system and its region share is re-assigned round-robin across
+        the survivors."""
         sysm = self.system
         plan = sysm.fault_plan
         pairs = self._regions_by_server(region_ids)
@@ -1232,10 +1232,7 @@ class QueryEngine:
                     "Mid-query server crashes recovered by failover.",
                 ).inc()
                 survivors = sysm.alive_servers
-                shares = assign_region_ids(
-                    mine, len(survivors), policy=sysm.config.failover_policy,
-                    weights=[s.clock.now for s in survivors],
-                )
+                shares = assign_region_ids(mine, len(survivors))
                 for survivor, share in zip(survivors, shares):
                     if share.size:
                         out.append((survivor, share))

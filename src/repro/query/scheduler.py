@@ -100,8 +100,9 @@ class SelectionCache:
 
     Only *complete* (non-degraded, non-timed-out) single-object interval
     answers are cached; see :meth:`QueryEngine.execute_batch`.  Per-object
-    entries are LRU-bounded.  Thread-safe: :class:`AsyncQueryClient`'s
-    drain thread and the caller's thread may both touch it.
+    entries are LRU-bounded.  Thread-safe: the invalidation hook runs on
+    whichever thread writes to the system, which need not be the
+    scheduler's.
     """
 
     def __init__(self, max_entries_per_object: int = 32) -> None:

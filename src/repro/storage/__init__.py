@@ -1,4 +1,4 @@
-"""Simulated storage substrate: devices, parallel file system,
+"""Simulated storage substrate: hierarchy layer names, parallel file system,
 read aggregation, region cache, and the simulated-time cost model.
 
 This package replaces the paper's Cori/Lustre testbed with a deterministic
@@ -8,7 +8,7 @@ simulator — see DESIGN.md §2 for the substitution argument.
 from .aggregator import aggregate_extents, coords_to_extents, extent_stats
 from .cache import CacheStats, RegionCache
 from .costmodel import CORI_LIKE, CostModel, CostParameters, SimClock
-from .device import DeviceKind, StorageDevice
+from .device import DeviceKind
 from .file import ParallelFileSystem, SimFile
 
 __all__ = [
@@ -22,7 +22,6 @@ __all__ = [
     "CostParameters",
     "SimClock",
     "DeviceKind",
-    "StorageDevice",
     "ParallelFileSystem",
     "SimFile",
 ]

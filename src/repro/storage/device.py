@@ -1,20 +1,14 @@
-"""Simulated storage devices and capacity accounting.
+"""Names of the memory/storage hierarchy layers.
 
-A :class:`StorageDevice` is one addressable unit of the memory/storage
-hierarchy (a compute node's DRAM, a burst-buffer SSD, a Lustre OST, a tape
-drive).  Regions of PDC objects are placed on devices (§II: *"a region ...
-can reside on any layer of the memory/storage hierarchy"*); the device's
-bandwidth/latency pair feeds the cost model when a region is read.
+Regions of PDC objects are placed on a layer (§II: *"a region ... can
+reside on any layer of the memory/storage hierarchy"*); the layer's
+bandwidth/latency pair in :class:`~repro.storage.costmodel.CostParameters`
+feeds the cost model when a region is read.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Optional
-
-from ..errors import CapacityError, StorageError
-
-__all__ = ["DeviceKind", "StorageDevice"]
+__all__ = ["DeviceKind"]
 
 
 class DeviceKind:
@@ -26,82 +20,3 @@ class DeviceKind:
     TAPE = "tape"
 
     ORDER = (MEMORY, NVRAM, DISK, TAPE)
-
-    @staticmethod
-    def is_faster(a: str, b: str) -> bool:
-        """True when layer ``a`` is higher (faster) in the hierarchy than
-        ``b``."""
-        return DeviceKind.ORDER.index(a) < DeviceKind.ORDER.index(b)
-
-
-@dataclass
-class StorageDevice:
-    """One device with finite capacity and an allocation table.
-
-    Allocation is tracked per named extent; the device never stores payload
-    bytes itself (payloads live in the owning :class:`~repro.storage.file.SimFile`
-    or region), it only accounts for capacity and performance parameters.
-    """
-
-    name: str
-    kind: str
-    capacity_bytes: int
-    read_bandwidth_bps: float
-    write_bandwidth_bps: float
-    access_latency_s: float
-    _allocations: Dict[str, int] = field(default_factory=dict, repr=False)
-
-    def __post_init__(self) -> None:
-        if self.kind not in DeviceKind.ORDER:
-            raise StorageError(f"unknown device kind {self.kind!r}")
-        if self.capacity_bytes <= 0:
-            raise StorageError("device capacity must be positive")
-
-    # ------------------------------------------------------------ allocation
-    @property
-    def used_bytes(self) -> int:
-        return sum(self._allocations.values())
-
-    @property
-    def free_bytes(self) -> int:
-        return self.capacity_bytes - self.used_bytes
-
-    def allocate(self, extent_name: str, nbytes: int) -> None:
-        """Reserve ``nbytes`` under ``extent_name``.
-
-        Raises :class:`CapacityError` when the device is full and
-        :class:`StorageError` on a duplicate extent name.
-        """
-        if nbytes < 0:
-            raise StorageError(f"negative allocation {nbytes} on {self.name}")
-        if extent_name in self._allocations:
-            raise StorageError(f"extent {extent_name!r} already allocated on {self.name}")
-        if nbytes > self.free_bytes:
-            raise CapacityError(
-                f"device {self.name} full: need {nbytes}, free {self.free_bytes}"
-            )
-        self._allocations[extent_name] = nbytes
-
-    def resize(self, extent_name: str, nbytes: int) -> None:
-        """Grow or shrink an existing extent."""
-        if extent_name not in self._allocations:
-            raise StorageError(f"extent {extent_name!r} not allocated on {self.name}")
-        delta = nbytes - self._allocations[extent_name]
-        if delta > self.free_bytes:
-            raise CapacityError(
-                f"device {self.name} full: need {delta} more, free {self.free_bytes}"
-            )
-        self._allocations[extent_name] = nbytes
-
-    def release(self, extent_name: str) -> int:
-        """Free an extent; returns the bytes released."""
-        try:
-            return self._allocations.pop(extent_name)
-        except KeyError:
-            raise StorageError(f"extent {extent_name!r} not allocated on {self.name}") from None
-
-    def holds(self, extent_name: str) -> bool:
-        return extent_name in self._allocations
-
-    def allocation_of(self, extent_name: str) -> Optional[int]:
-        return self._allocations.get(extent_name)

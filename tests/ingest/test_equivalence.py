@@ -14,6 +14,8 @@ point of delta maintenance — see docs/ingest.md).
 
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -78,7 +80,11 @@ def schedule(seed=7, n_epochs=6, ops_per_epoch=4, write_size=48):
 
 
 def run_mode(mode, plan, fault_seed=None, use_batches=False):
-    sysm = build(fault_seed=fault_seed)
+    sysm, answers, _ = drive(build(fault_seed=fault_seed), mode, plan, use_batches)
+    return sysm, answers
+
+
+def drive(sysm, mode, plan, use_batches=False):
     stream = IngestStream(
         sysm,
         IngestConfig(
@@ -114,7 +120,7 @@ def run_mode(mode, plan, fault_seed=None, use_batches=False):
     stream.flush()
     if sched is not None:
         sched.close()
-    return sysm, answers
+    return sysm, answers, stream
 
 
 def assert_state_equivalent(sys_a, sys_b):
@@ -157,6 +163,33 @@ class TestInterleavedEquivalence:
         sys_r, ans_r = run_mode("rebuild", plan, fault_seed=11)
         assert ans_d == ans_r
         assert_state_equivalent(sys_d, sys_r)
+
+    def test_same_seed_fingerprint_pinned(self):
+        """One committed digest over everything a same-seed delta run
+        produces on a replica-backed deployment whose replica re-sorts
+        itself (``replica_staleness_policy="rebuild"``): answers, region
+        min/max, maintenance counters and every clock's charge breakdown,
+        bit-exact.  A pure refactor must not move it."""
+        sysm = build(
+            replica_staleness_policy="rebuild", replica_rebuild_threshold=0.05
+        )
+        sysm.build_sorted_replica("energy", ["x"])
+        _, answers, stream = drive(sysm, "delta", schedule())
+        def exact(values):  # float.hex(): no rounding hides a moved ulp
+            return repr(sorted((k, float(v).hex()) for k, v in values.items())).encode()
+
+        h = hashlib.sha256()
+        for nhits, coords in answers:
+            h.update(str(nhits).encode() + coords)
+        for name in sorted(sysm.objects):
+            h.update(sysm.objects[name].rmin.tobytes())
+            h.update(sysm.objects[name].rmax.tobytes())
+        h.update(exact(stream.totals()))
+        for clock in sysm.all_clocks():
+            h.update(clock.name.encode() + exact(clock.breakdown()))
+        assert h.hexdigest() == (
+            "78d1ea6357412f7664bc18ea1ce35960a9df21746b7d6da8841f3bdb323320a6"
+        )
 
     def test_delta_matches_fresh_rebuild_probe_queries(self):
         """After full compaction, a probe query over the delta-maintained

@@ -117,8 +117,8 @@ class TestZeroCost:
         off = demo_monitor_run(monitored=False)
         assert off.monitor is None and off.alerts == []
         assert [
-            (t.status, t.reject_reason) for t in off.tickets
-        ] == [(t.status, t.reject_reason) for t in run.tickets]
+            (t.status, t.reject_reason, t.queue_wait_s) for t in off.tickets
+        ] == [(t.status, t.reject_reason, t.queue_wait_s) for t in run.tickets]
         assert [
             getattr(t.result, "nhits", None) for t in off.tickets
         ] == [getattr(t.result, "nhits", None) for t in run.tickets]

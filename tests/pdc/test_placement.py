@@ -1,4 +1,4 @@
-"""Region-to-server placement policies."""
+"""Failover re-assignment of region ids (round-robin over survivors)."""
 
 import numpy as np
 import pytest
@@ -6,203 +6,28 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import PDCError
-from repro.pdc.placement import (
-    POLICIES,
-    assign_region_ids,
-    block,
-    incremental_assign,
-    least_loaded,
-    round_robin,
-)
-from repro.pdc.region import RegionMeta
-
-
-def make_regions(sizes):
-    return [
-        RegionMeta(region_id=i, object_name="o", offset=0, n_elements=s, file_path="/p")
-        for i, s in enumerate(sizes)
-    ]
-
-
-@pytest.mark.parametrize("policy", list(POLICIES.values()))
-class TestAllPolicies:
-    @given(st.lists(st.integers(1, 1000), min_size=0, max_size=60), st.integers(1, 9))
-    @settings(max_examples=100, deadline=None)
-    def test_every_region_assigned_exactly_once(self, policy, sizes, n_servers):
-        regions = make_regions(sizes)
-        assignment = policy(regions, n_servers)
-        assert set(assignment) == set(range(n_servers))
-        seen = [r.region_id for regs in assignment.values() for r in regs]
-        assert sorted(seen) == list(range(len(regions)))
-
-    def test_zero_servers_rejected(self, policy):
-        with pytest.raises(PDCError):
-            policy(make_regions([10]), 0)
-
-
-class TestRoundRobin:
-    def test_modulo_mapping(self):
-        a = round_robin(make_regions([10] * 7), 3)
-        assert [r.region_id for r in a[0]] == [0, 3, 6]
-        assert [r.region_id for r in a[1]] == [1, 4]
-        assert [r.region_id for r in a[2]] == [2, 5]
-
-
-class TestBlock:
-    def test_contiguous_blocks(self):
-        a = block(make_regions([10] * 10), 3)
-        assert [r.region_id for r in a[0]] == [0, 1, 2, 3]
-        assert [r.region_id for r in a[1]] == [4, 5, 6]
-        assert [r.region_id for r in a[2]] == [7, 8, 9]
-
-
-class TestLeastLoaded:
-    def test_balances_uneven_sizes(self):
-        # One huge region + many small ones: LPT keeps loads close.
-        sizes = [1000] + [100] * 10
-        a = least_loaded(make_regions(sizes), 2)
-        loads = [sum(r.n_elements for r in regs) for regs in a.values()]
-        assert max(loads) - min(loads) <= 1000
-
-    def test_beats_round_robin_on_skew(self):
-        sizes = [1000, 1, 1000, 1, 1000, 1]
-        regions = make_regions(sizes)
-        rr_loads = [
-            sum(r.n_elements for r in regs) for regs in round_robin(regions, 2).values()
-        ]
-        ll_loads = [
-            sum(r.n_elements for r in regs) for regs in least_loaded(regions, 2).values()
-        ]
-        assert max(ll_loads) <= max(rr_loads)
-
-    def test_region_order_preserved_within_server(self):
-        a = least_loaded(make_regions([5, 4, 3, 2, 1]), 2)
-        for regs in a.values():
-            ids = [r.region_id for r in regs]
-            assert ids == sorted(ids)
-
-
-def owners_of(shares):
-    """region id -> owning target index."""
-    return {
-        int(rid): s for s, share in enumerate(shares) for rid in share
-    }
-
+from repro.pdc.placement import assign_region_ids
 
 ids_strategy = st.sets(st.integers(0, 200), max_size=60).map(
     lambda s: np.asarray(sorted(s), dtype=np.int64)
 )
 
 
-class TestIncrementalAssign:
-    """Satellite property: stable assignment moves the minimum, and a
-    no-op view change moves zero regions."""
+class TestRoundRobin:
+    def test_modulo_mapping(self):
+        shares = assign_region_ids(np.arange(7), 3)
+        assert [list(s) for s in shares] == [[0, 3, 6], [1, 4], [2, 5]]
 
-    @given(ids_strategy, st.integers(1, 8))
+    @given(ids_strategy, st.integers(1, 9))
     @settings(max_examples=100, deadline=None)
-    def test_partition_covers_exactly_once_and_balances(self, ids, n):
-        shares = incremental_assign(ids, n)
-        seen = sorted(int(r) for share in shares for r in share)
-        assert seen == [int(r) for r in ids]
+    def test_every_region_assigned_exactly_once(self, ids, n_targets):
+        shares = assign_region_ids(ids, n_targets)
+        assert len(shares) == n_targets
+        assert sorted(int(r) for share in shares for r in share) == list(ids)
         sizes = [len(share) for share in shares]
         assert max(sizes) - min(sizes) <= 1
-
-    @given(ids_strategy, st.integers(1, 8))
-    @settings(max_examples=100, deadline=None)
-    def test_noop_view_change_moves_zero_regions(self, ids, n):
-        base = incremental_assign(ids, n)
-        again = incremental_assign(ids, n, current=base)
-        assert all(
-            np.array_equal(a, b) for a, b in zip(base, again)
-        )
-
-    @given(ids_strategy, st.integers(1, 8), st.integers(0, 2**31 - 1))
-    @settings(max_examples=100, deadline=None)
-    def test_balanced_permutations_are_not_disturbed(self, ids, n, seed):
-        # Any balanced layout — not just ours — survives unmoved, even
-        # with the shares shuffled across target indices.
-        base = incremental_assign(ids, n)
-        perm = np.random.default_rng(seed).permutation(n)
-        shuffled = [base[p] for p in perm]
-        again = incremental_assign(ids, n, current=shuffled)
-        assert all(
-            np.array_equal(a, b) for a, b in zip(shuffled, again)
-        )
-
-    @given(ids_strategy, st.integers(1, 7))
-    @settings(max_examples=100, deadline=None)
-    def test_growth_moves_only_the_new_targets_share(self, ids, n):
-        base = incremental_assign(ids, n)
-        grown = incremental_assign(ids, n + 1, current=base)
-        before, after = owners_of(base), owners_of(grown)
-        moved = [r for r in after if before[r] != after[r]]
-        # Every move lands on the new target; nothing shuffles among the
-        # old ones.
-        assert all(after[r] == n for r in moved)
-        assert len(moved) == len(grown[n])
-        sizes = [len(share) for share in grown]
-        assert max(sizes) - min(sizes) <= 1
-
-    @given(ids_strategy, st.integers(2, 8))
-    @settings(max_examples=100, deadline=None)
-    def test_shrink_moves_only_the_lost_targets_share(self, ids, n):
-        base = incremental_assign(ids, n)
-        shrunk = incremental_assign(ids, n - 1, current=base)
-        before, after = owners_of(base), owners_of(shrunk)
-        orphaned = {int(r) for r in base[n - 1]}
-        moved = {r for r in after if before[r] != after[r]}
-        # The removed target's regions respread; survivors may surrender
-        # at most what rebalancing to the new quota strictly requires.
-        assert orphaned <= moved or not orphaned
-        sizes = [len(share) for share in shrunk]
-        if sizes:
-            assert max(sizes) - min(sizes) <= 1
-
-    def test_moves_are_minimal_on_growth(self):
-        ids = np.arange(12, dtype=np.int64)
-        base = incremental_assign(ids, 3)  # 4 regions per target
-        grown = incremental_assign(ids, 4, current=base)
-        before, after = owners_of(base), owners_of(grown)
-        moved = [r for r in after if before[r] != after[r]]
-        # Exactly the new target's even share moves — 3 of 12 — where a
-        # from-scratch modulo re-split would move 6.
-        assert len(moved) == 3
-        fresh = owners_of(incremental_assign(ids, 4))
-        resplit = [r for r in fresh if before[r] != fresh[r]]
-        assert len(resplit) > len(moved)
-
-    def test_overfull_owner_surrenders_largest_ids_first(self):
-        ids = np.arange(6, dtype=np.int64)
-        current = [[0, 1, 2, 3, 4, 5], []]
-        shares = incremental_assign(ids, 2, current=current)
-        assert list(shares[0]) == [0, 1, 2]
-        assert list(shares[1]) == [3, 4, 5]
-
-    def test_unknown_and_duplicate_current_ids_ignored(self):
-        ids = np.asarray([1, 2, 3], dtype=np.int64)
-        # 9 no longer exists; 2 is claimed by both targets (first wins).
-        shares = incremental_assign(ids, 2, current=[[2, 9], [2, 3]])
-        assert owners_of(shares)[2] == 0
-        assert sorted(r for share in shares for r in share) == [1, 2, 3]
-
-    @given(ids_strategy, st.integers(1, 8))
-    @settings(max_examples=50, deadline=None)
-    def test_deterministic(self, ids, n):
-        a = incremental_assign(ids, n)
-        b = incremental_assign(ids, n)
-        assert all(np.array_equal(x, y) for x, y in zip(a, b))
-
-    def test_dispatch_via_assign_region_ids(self):
-        ids = np.arange(8, dtype=np.int64)
-        current = incremental_assign(ids, 2)
-        via_policy = assign_region_ids(
-            ids, 3, policy="incremental", current=current
-        )
-        direct = incremental_assign(ids, 3, current=current)
-        assert all(
-            np.array_equal(a, b) for a, b in zip(via_policy, direct)
-        )
+        assert all(list(share) == sorted(share) for share in shares)
 
     def test_zero_targets_rejected(self):
         with pytest.raises(PDCError):
-            incremental_assign(np.arange(3), 0)
+            assign_region_ids(np.arange(3), 0)

@@ -126,7 +126,7 @@ class TestSchedulerPriorityWindows:
 class TestAsyncClientPriority:
     def test_submit_forwards_priority_into_spec(self):
         sysm = fresh_deployment()
-        client = AsyncQueryClient(sysm, batch_window=1)
+        client = AsyncQueryClient(sysm)
         try:
             fut = client.submit(
                 Condition("energy", QueryOp.GT, PDCType.FLOAT, 2.0),

@@ -157,6 +157,69 @@ class TestOutputPathErrors:
         assert len(captured.err.splitlines()) == 1
 
 
+DEMOS = [
+    (["faults", "--seed", "1234"], "faults demo: PASS"),
+    (["batch", "--queries", "4"], "shared reads: 8"),
+    (["metrics"], "# TYPE pdc_query_sim_seconds histogram"),
+    (["serve", "--requests", "12"], "query-service demo: 12 requests"),
+    (["monitor", "--requests", "30"], "alert fingerprint: "),
+    (["cluster", "--requests", "30"], "run fingerprint: "),
+    (["selftest", "--report"], "selftest: PASS"),
+]
+
+
+class TestDemos:
+    """The demo subcommands print their scenario and exit 0; the contracts
+    they illustrate are gated by each subsystem's own tests and pins."""
+
+    @pytest.mark.parametrize(
+        "argv, marker", DEMOS, ids=[" ".join(argv) for argv, _ in DEMOS]
+    )
+    def test_demo_runs(self, argv, marker, capsys):
+        assert main(argv) == 0
+        assert marker in capsys.readouterr().out
+
+
+class TestBadInput:
+    """A bad value is a usage error naming the argument (or a one-line
+    ``error:`` for a bad input file): exit 2, never a traceback."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["fig3", "--scale", "tiny", "--region-sizes", "abc"],
+            ["fig3", "--scale", "tiny", "--region-sizes", "4,,8"],
+            ["serve", "--rate", "0"],
+            ["serve", "--rate", "-5"],
+            ["batch", "--width", "0"],
+            ["monitor", "--requests", "30", "--watch", "--step", "0"],
+        ],
+        ids=" ".join,
+    )
+    def test_bad_value_is_usage_error(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        err = capsys.readouterr().err
+        assert exc.value.code == 2
+        assert "Traceback" not in err
+        assert sum("error:" in line for line in err.splitlines()) == 1
+        assert f"argument {argv[-2]}" in err.splitlines()[-1]
+
+    @pytest.mark.parametrize(
+        "content",
+        ["not json\n", '{"a": 1}\n', "[1, 2]\n"],
+        ids=["not-json", "not-a-trace-record", "not-an-object"],
+    )
+    def test_profile_load_rejects_non_trace_file(self, content, capsys, tmp_path):
+        path = tmp_path / "bad.jsonl"
+        path.write_text(content)
+        assert main(["profile", "--load", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err.startswith(f"error: {path}: not a JSONL trace")
+        assert len(err.splitlines()) == 1
+
+
 class TestSubprocess:
     def test_module_entrypoint(self):
         res = subprocess.run(
