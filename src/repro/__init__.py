@@ -34,7 +34,7 @@ from .errors import (
 )
 from .faults import FaultConfig, FaultPlan
 from .interval import Interval
-from .obs import MetricsRegistry, Tracer, get_registry
+from .obs import MetricsRegistry, Tracer
 from .pdc import PDCConfig, PDCSystem
 from .query import (
     AsyncQueryClient,
@@ -76,7 +76,6 @@ __all__ = [
     "Interval",
     "MetricsRegistry",
     "Tracer",
-    "get_registry",
     "PDCConfig",
     "PDCSystem",
     "PDCQuery",

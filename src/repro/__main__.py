@@ -38,6 +38,13 @@ from __future__ import annotations
 import argparse
 import sys
 
+from .scenarios import (
+    demo_cluster_run,
+    demo_deployment,
+    demo_monitor_run,
+    demo_serve_run,
+)
+
 
 def _positive_int(text: str) -> int:
     value = int(text)
@@ -89,64 +96,25 @@ def cmd_figures(args: argparse.Namespace) -> int:
     return 0
 
 
-def _demo_deployment(metrics=None):
-    """The small two-object deployment shared by selftest/trace/metrics:
-    an indexed, replica-backed system plus the demo condition tree and its
-    ground-truth hit count.  Also the bench-regression micro-suite's
-    deployment — defined there so both stay one system."""
-    from .obs.regress import demo_deployment
-
-    return demo_deployment(metrics=metrics)
-
-
 def cmd_serve(args: argparse.Namespace) -> int:
     """Multi-tenant query-service demo: open-loop seeded arrivals against
     the demo deployment, per-tenant SLO table out."""
-    import numpy as np
-
-    from .query.ast import Condition
-    from .service import QueryService, ServiceConfig, Tenant
-    from .types import PDCType, QueryOp
-
-    system, _, _ = _demo_deployment()
-    cfg = ServiceConfig(
-        tenants=(
-            Tenant("batch", weight=1.0, queue_deadline_s=0.0003),
-            Tenant("interactive", weight=4.0, default_timeout_s=0.5),
-            Tenant("adhoc", weight=1.0, rate_limit_qps=200.0, burst=4.0,
-                   queue_cap=8),
-        ),
-        policy=args.policy,
-        batch_window=args.window,
+    run = demo_serve_run(
+        seed=args.seed, requests=args.requests, rate_qps=args.rate,
+        policy=args.policy, batch_window=args.window,
     )
-    svc = QueryService(system, cfg)
-    rng = np.random.default_rng(args.seed)
-    t = max(c.now for c in system.all_clocks())
-    names = [ten.name for ten in cfg.tenants]
-    tickets = []
-    for _ in range(args.requests):
-        t += float(rng.exponential(1.0 / args.rate))
-        tenant = names[int(rng.integers(len(names)))]
-        q = Condition(
-            "energy", QueryOp.GT, PDCType.FLOAT,
-            float(np.float32(rng.uniform(0.5, 3.0))),
-        )
-        tickets.append(svc.submit(tenant, q, arrival_s=t))
-    svc.drain()
-    svc.close()
-
     print(f"query-service demo: {args.requests} requests, policy "
           f"{args.policy}, window {args.window}, seed {args.seed}")
     print(f"  {'tenant':<12} {'admit':>6} {'rej':>4} {'shed':>5} "
           f"{'done':>5} {'degr':>5} {'t/o':>4} {'avg wait ms':>12} "
           f"{'max wait ms':>12}")
-    for name, st in sorted(svc.stats.items()):
+    for name, st in sorted(run.service.stats.items()):
         avg_wait = st.queue_wait_total_s / st.dispatched if st.dispatched else 0.0
         print(f"  {name:<12} {st.admitted:>6} "
               f"{st.rejected_rate + st.rejected_queue:>4} {st.shed:>5} "
               f"{st.done:>5} {st.degraded:>5} {st.timed_out:>4} "
               f"{avg_wait * 1e3:>12.3f} {st.queue_wait_max_s * 1e3:>12.3f}")
-    hung = [t for t in tickets if not t.finished]
+    hung = [t for t in run.tickets if not t.finished]
     if hung:
         print(f"  {len(hung)} requests left non-terminal  FAIL")
         return 1
@@ -162,7 +130,6 @@ def cmd_monitor(args: argparse.Namespace) -> int:
         replay_frames,
         write_alerts_jsonl,
     )
-    from .obs.monitor import demo_monitor_run
 
     run = demo_monitor_run(seed=args.seed, requests=args.requests)
     mon = run.monitor
@@ -208,8 +175,6 @@ def cmd_cluster(args: argparse.Namespace) -> int:
     autoscaler grows the fleet off the monitor's queue-wait p99 and the
     tail latency recovers, with every region migration charged in
     simulated time."""
-    from .cluster.demo import demo_cluster_run
-
     run = demo_cluster_run(
         seed=args.seed,
         requests=args.requests,
@@ -249,12 +214,12 @@ def cmd_batch(args: argparse.Namespace) -> int:
     isolated_bytes = 0.0
     isolated_s = 0.0
     for q in queries:
-        system, _, _ = _demo_deployment()
+        system, _, _ = demo_deployment()
         res = QueryEngine(system).execute(q)
         isolated_bytes += res.bytes_read_virtual
         isolated_s += res.elapsed_s
 
-    system, _, _ = _demo_deployment()
+    system, _, _ = demo_deployment()
     sched = QueryScheduler(system, max_width=args.width)
     results = sched.run(queries)
     batched_bytes = sum(b.total_bytes_read_virtual for b in sched.batches)
@@ -279,7 +244,7 @@ def cmd_selftest(args: argparse.Namespace) -> int:
     from .query.executor import QueryEngine
     from .strategies import Strategy
 
-    system, node, truth = _demo_deployment()
+    system, node, truth = demo_deployment()
     trace_path = getattr(args, "trace", None)
     if trace_path:
         system.set_tracer(Tracer())
@@ -337,7 +302,7 @@ def cmd_trace(args: argparse.Namespace) -> int:
     from .query.executor import QueryEngine
     from .strategies import Strategy
 
-    system, _, _ = _demo_deployment()
+    system, _, _ = demo_deployment()
     tracer = Tracer()
     system.set_tracer(tracer)
     node = _demo_query(args.query)
@@ -364,7 +329,7 @@ def cmd_explain(args: argparse.Namespace) -> int:
     from .query.planner import explain
     from .strategies import Strategy
 
-    system, _, _ = _demo_deployment()
+    system, _, _ = demo_deployment()
     node = _demo_query(args.query)
     strategy = Strategy(args.strategy) if args.strategy else None
     if not args.analyze:
@@ -382,7 +347,7 @@ def cmd_explain(args: argparse.Namespace) -> int:
         from .obs import Tracer
 
         tracer = Tracer()
-        system2, _, _ = _demo_deployment()
+        system2, _, _ = demo_deployment()
         system2.set_tracer(tracer)
         from .query.executor import QueryEngine
 
@@ -398,6 +363,7 @@ def cmd_explain(args: argparse.Namespace) -> int:
 
 def cmd_profile(args: argparse.Namespace) -> int:
     """Profile a demo query's trace: utilization, skew, critical path."""
+    from .errors import PDCError
     from .obs import Tracer
     from .obs.profiler import (
         profile,
@@ -410,9 +376,11 @@ def cmd_profile(args: argparse.Namespace) -> int:
 
     if args.load:
         tracer = Tracer.read_jsonl(args.load)
+        if not tracer.spans:
+            raise PDCError(f"{args.load}: trace has no spans")
         root = None
     else:
-        system, _, _ = _demo_deployment()
+        system, _, _ = demo_deployment()
         tracer = Tracer()
         system.set_tracer(tracer)
         node = _demo_query(args.query)
@@ -454,7 +422,7 @@ def cmd_metrics(args: argparse.Namespace) -> int:
     from .strategies import Strategy
 
     registry = MetricsRegistry()
-    system, node, _ = _demo_deployment(metrics=registry)
+    system, node, _ = demo_deployment(metrics=registry)
     engine = QueryEngine(system)
     for strategy in (Strategy.HISTOGRAM, Strategy.HIST_INDEX, Strategy.HISTOGRAM):
         engine.execute(node, strategy=strategy)
@@ -478,7 +446,7 @@ def cmd_faults(args: argparse.Namespace) -> int:
         query_timeout_s=args.timeout,
     )
     registry = MetricsRegistry()
-    system, node, truth = _demo_deployment(metrics=registry)
+    system, node, truth = demo_deployment(metrics=registry)
     plan = FaultPlan(seed=args.seed, config=config)
     system.set_fault_plan(plan)
     engine = QueryEngine(system)
@@ -725,7 +693,7 @@ def main(argv=None) -> int:
         help="shared-scan batching demo: isolated vs batched overlapping queries",
     )
     p.add_argument(
-        "--queries", type=int, default=8,
+        "--queries", type=_positive_int, default=8,
         help="number of overlapping threshold queries (default: 8)",
     )
     p.add_argument(
@@ -740,7 +708,7 @@ def main(argv=None) -> int:
     )
     p.add_argument("--seed", type=int, default=1234, help="arrival RNG seed")
     p.add_argument(
-        "--requests", type=int, default=60,
+        "--requests", type=_positive_int, default=60,
         help="number of open-loop requests (default: 60)",
     )
     p.add_argument(
@@ -765,7 +733,7 @@ def main(argv=None) -> int:
     )
     p.add_argument("--seed", type=int, default=1234, help="arrival RNG seed")
     p.add_argument(
-        "--requests", type=int, default=150,
+        "--requests", type=_positive_int, default=150,
         help="number of open-loop requests (default: 150)",
     )
     p.add_argument(
@@ -799,7 +767,7 @@ def main(argv=None) -> int:
     )
     p.add_argument("--seed", type=int, default=1234, help="arrival RNG seed")
     p.add_argument(
-        "--requests", type=int, default=160,
+        "--requests", type=_positive_int, default=160,
         help="number of open-loop requests (default: 160)",
     )
     p.add_argument(

@@ -64,10 +64,6 @@ class HDF5FullScanEngine:
             c.advance_to(t)
         return t
 
-    @property
-    def elapsed(self) -> float:
-        return max(c.now for c in self.clocks)
-
     # ------------------------------------------------------------------- VPIC
     def preload(self, names: Sequence[str]) -> float:
         """Parallel read of each object's HDF5 file into process memory.

@@ -1,7 +1,7 @@
 """Bitmap-index subsystem: WAH compression, FastBit-style precision
 binning, and per-region bitmap indexes (§III-D4)."""
 
-from .binning import assign_bins, classify_bins, sig_digit_edges
+from .binning import assign_bins, sig_digit_edges
 from .index import BitmapQueryResult, RegionBitmapIndex
 from .wah import (
     GROUP_BITS,
@@ -10,13 +10,11 @@ from .wah import (
     count_set_bits,
     decompress,
     logical_and,
-    logical_not,
     logical_or,
 )
 
 __all__ = [
     "assign_bins",
-    "classify_bins",
     "sig_digit_edges",
     "BitmapQueryResult",
     "RegionBitmapIndex",
@@ -26,6 +24,5 @@ __all__ = [
     "count_set_bits",
     "decompress",
     "logical_and",
-    "logical_not",
     "logical_or",
 ]

@@ -12,14 +12,12 @@ paper calls precision 2 *"sufficient for the queries evaluated"*.
 from __future__ import annotations
 
 import math
-from typing import Tuple
 
 import numpy as np
 
 from ..errors import IndexError_
-from ..interval import Interval
 
-__all__ = ["sig_digit_edges", "assign_bins", "classify_bins"]
+__all__ = ["sig_digit_edges", "assign_bins"]
 
 
 def _decade_edges(precision: int, decade: int) -> np.ndarray:
@@ -86,34 +84,3 @@ def assign_bins(data: np.ndarray, edges: np.ndarray) -> np.ndarray:
     if idx.size and (idx.min() < 0 or idx.max() >= edges.size - 1):
         raise IndexError_("data outside bin-edge span")
     return idx.astype(np.int64)
-
-
-def classify_bins(edges: np.ndarray, interval: Interval) -> Tuple[np.ndarray, np.ndarray]:
-    """Split bins into (fully-inside, partially-overlapping) for a query.
-
-    Returns two int arrays of bin indices.  Fully-inside bins contribute
-    their bitmaps directly; partial bins need a raw-data candidate check
-    (empty when query endpoints lie on the edge grid — the precision-2
-    sweet spot)."""
-    lo_edges = edges[:-1]
-    hi_edges = edges[1:]
-    q_lo, q_hi = interval.finite_bounds()
-
-    # Bin content is [lo_edge, hi_edge): overlap/containment tests below
-    # account for the half-open upper edge.
-    overlap = np.ones(lo_edges.size, dtype=bool)
-    if interval.lo is not None:
-        # Bin overlaps iff some value < hi_edge satisfies the lower bound.
-        overlap &= hi_edges > q_lo
-    if interval.hi is not None:
-        overlap &= (lo_edges <= q_hi) if interval.hi_closed else (lo_edges < q_hi)
-
-    full = overlap.copy()
-    if interval.lo is not None:
-        full &= (lo_edges > q_lo) | ((lo_edges == q_lo) & interval.lo_closed)
-    if interval.hi is not None:
-        # Entire bin [lo, hi) inside iff hi_edge <= q_hi (strict values only
-        # reach hi_edge - ulp); for open upper bound hi_edge <= q_hi works too.
-        full &= hi_edges <= q_hi
-    partial = overlap & ~full
-    return np.flatnonzero(full), np.flatnonzero(partial)

@@ -38,10 +38,6 @@ class BitmapQueryResult:
     candidate_positions: np.ndarray
     words_scanned: int
 
-    @property
-    def needs_candidate_check(self) -> bool:
-        return self.candidate_positions.size > 0
-
 
 @dataclass(frozen=True)
 class IndexProbeCost:
@@ -116,10 +112,6 @@ class RegionBitmapIndex:
         )
 
     # -------------------------------------------------------------- inspection
-    @property
-    def n_bins(self) -> int:
-        return int(self.edges.size - 1)
-
     @property
     def n_occupied_bins(self) -> int:
         return len(self.bitmaps)

@@ -36,7 +36,6 @@ __all__ = [
     "decode_groups",
     "logical_and",
     "logical_or",
-    "logical_not",
     "count_set_bits",
     "compressed_nbytes",
 ]
@@ -255,28 +254,6 @@ def logical_and(w1: np.ndarray, w2: np.ndarray) -> np.ndarray:
 def logical_or(w1: np.ndarray, w2: np.ndarray) -> np.ndarray:
     """OR of two compressed bitmaps over the same domain."""
     return _binary_op(w1, w2, np.bitwise_or)
-
-
-def logical_not(words: np.ndarray, n_bits: int) -> np.ndarray:
-    """Complement within an ``n_bits`` domain (padding bits stay 0)."""
-    if n_bits < 0:
-        raise IndexError_(f"n_bits must be non-negative, got {n_bits}")
-    groups = np.bitwise_xor(decode_groups(words), _PAYLOAD_MASK)
-    if groups.size * GROUP_BITS < n_bits:
-        raise IndexError_(
-            f"compressed stream covers {groups.size * GROUP_BITS} bits, need {n_bits}"
-        )
-    # Truncate to the domain's groups (a longer stream would otherwise leak
-    # complemented padding as set bits) and clear the final group's padding
-    # so counts stay correct.  The old tail computation went negative for
-    # short n_bits, wrapping the uint64 shift into a garbage mask.
-    n_groups = (n_bits + GROUP_BITS - 1) // GROUP_BITS
-    groups = groups[:n_groups]
-    if n_groups:
-        tail_bits = n_bits - (n_groups - 1) * GROUP_BITS
-        tail_mask = (np.uint64(1) << np.uint64(tail_bits)) - np.uint64(1)
-        groups[-1] &= tail_mask
-    return encode_groups(groups)
 
 
 def count_set_bits(words: np.ndarray) -> int:

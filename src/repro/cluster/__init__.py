@@ -16,8 +16,8 @@ Three layers, each usable alone:
   scale-out/scale-in decisions.
 
 ``membership`` and ``rebalance`` are imported eagerly (the PDC system
-depends on them); ``autoscale`` and ``demo`` load lazily because they
-pull in the observability and service stacks.
+depends on them); ``autoscale`` loads lazily because it pulls in the
+observability and service stacks.
 """
 
 from .membership import (
@@ -52,14 +52,12 @@ __all__ = [
     "Autoscaler",
     "AutoscalerConfig",
     "ScalingDecision",
-    "demo_cluster_run",
 ]
 
 _LAZY = {
     "Autoscaler": ("autoscale", "Autoscaler"),
     "AutoscalerConfig": ("autoscale", "AutoscalerConfig"),
     "ScalingDecision": ("autoscale", "ScalingDecision"),
-    "demo_cluster_run": ("demo", "demo_cluster_run"),
 }
 
 

@@ -122,18 +122,6 @@ class MembershipView:
     #: view is a full history-aware snapshot, not just the live set).
     members: Tuple[Tuple[int, str], ...]
 
-    def ids_in(self, *states: str) -> Tuple[int, ...]:
-        return tuple(sid for sid, st in self.members if st in states)
-
-    @property
-    def serving_ids(self) -> Tuple[int, ...]:
-        """Servers currently owning regions (live + draining)."""
-        return self.ids_in(*SERVING_STATES)
-
-    @property
-    def live_ids(self) -> Tuple[int, ...]:
-        return self.ids_in(LIVE)
-
 
 class MembershipRegistry:
     """Deterministic membership state machine with heartbeat leases.
@@ -189,10 +177,6 @@ class MembershipRegistry:
         stream order (what the owning system and the rebalancer attach)."""
         if callback not in self._subscribers:
             self._subscribers.append(callback)
-
-    def unsubscribe(self, callback: Callable[[MembershipEvent], None]) -> None:
-        if callback in self._subscribers:
-            self._subscribers.remove(callback)
 
     def _transition(self, t_s: float, server_id: int, kind: str) -> MembershipEvent:
         allowed, new_state = _TRANSITIONS[kind]

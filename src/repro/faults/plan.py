@@ -186,12 +186,5 @@ class FaultPlan:
         with self._lock:
             return dict(self._injected)
 
-    def reset(self) -> None:
-        """Forget all draw counters and injection counts (replay from the
-        beginning of the plan)."""
-        with self._lock:
-            self._counters.clear()
-            self._injected.clear()
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"FaultPlan(seed={self.seed}, injected={self.injected()})"

@@ -51,10 +51,6 @@ class GlobalHistogram:
 
     # ------------------------------------------------------------ planner api
     @property
-    def total(self) -> int:
-        return self.merged.total
-
-    @property
     def n_regions(self) -> int:
         return len(self.region_minmax)
 
@@ -80,17 +76,3 @@ class GlobalHistogram:
         if not self.region_minmax:
             return 0.0
         return 1.0 - len(self.surviving_regions(interval)) / len(self.region_minmax)
-
-    # ---------------------------------------------------------- serialization
-    def to_dict(self) -> dict:
-        return {
-            "merged": self.merged.to_dict(),
-            "region_minmax": {int(k): list(v) for k, v in self.region_minmax.items()},
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "GlobalHistogram":
-        return cls(
-            merged=MergeableHistogram.from_dict(d["merged"]),
-            region_minmax={int(k): (float(v[0]), float(v[1])) for k, v in d["region_minmax"].items()},
-        )

@@ -435,24 +435,3 @@ class MergeableHistogram:
             data_min=min(h.data_min for h in histograms),
             data_max=max(h.data_max for h in histograms),
         )
-
-    # ------------------------------------------------------------ serialization
-    def to_dict(self) -> dict:
-        """Plain-dict form for the metadata service / transport layer."""
-        return {
-            "bin_width": self.bin_width,
-            "start": self.start,
-            "counts": self.counts.tolist(),
-            "data_min": self.data_min,
-            "data_max": self.data_max,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "MergeableHistogram":
-        return cls(
-            bin_width=float(d["bin_width"]),
-            start=float(d["start"]),
-            counts=np.asarray(d["counts"], dtype=np.int64),
-            data_min=float(d["data_min"]),
-            data_max=float(d["data_max"]),
-        )

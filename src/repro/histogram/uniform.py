@@ -41,10 +41,6 @@ class _BoundaryHistogram:
     def n_bins(self) -> int:
         return int(self.counts.size)
 
-    @property
-    def total(self) -> int:
-        return int(self.counts.sum())
-
     def overlaps(self, interval: Interval) -> bool:
         return interval.overlaps_range(self.data_min, self.data_max)
 
@@ -71,13 +67,6 @@ class _BoundaryHistogram:
             full &= (content_hi < q_hi) | ((content_hi == q_hi) & interval.hi_closed)
 
         return (int(self.counts[full].sum()), int(self.counts[partial].sum()))
-
-    def estimate_selectivity(self, interval: Interval) -> Tuple[float, float]:
-        lower, upper = self.estimate_hits(interval)
-        total = self.total
-        if total == 0:
-            return (0.0, 0.0)
-        return (lower / total, upper / total)
 
     def merge(self, other: "_BoundaryHistogram") -> "_BoundaryHistogram":
         """Merging requires *identical* boundaries — the limitation that

@@ -214,10 +214,6 @@ class IngestStream:
         """Buffer a tail append arriving at simulated ``t_s``."""
         return self._submit(name, None, values, t_s)
 
-    @property
-    def pending(self) -> int:
-        return len(self._pending)
-
     # ------------------------------------------------------------ application
     def epoch_of(self, t_s: float) -> int:
         return int(t_s // self.config.epoch_interval_s)

@@ -58,10 +58,6 @@ class Interval:
             return cls(lo=None, hi=v, hi_closed=True)
         return cls(lo=v, hi=v, lo_closed=True, hi_closed=True)
 
-    @classmethod
-    def everything(cls) -> "Interval":
-        return cls()
-
     # ------------------------------------------------------------- operations
     def intersect(self, other: "Interval") -> Optional["Interval"]:
         """Intersection, or ``None`` when it is empty."""
@@ -119,11 +115,6 @@ class Interval:
             return False
         return True
 
-    def contains_range(self, lo: float, hi: float) -> bool:
-        """True when the closed value range ``[lo, hi]`` lies fully inside
-        this interval (used for "bin fully overlaps" tests)."""
-        return self.contains_value(lo) and self.contains_value(hi)
-
     def overlaps_range(self, lo: float, hi: float) -> bool:
         """True when the closed value range ``[lo, hi]`` intersects this
         interval at all (region/bin elimination test)."""
@@ -149,8 +140,8 @@ class Interval:
         return np.ones(np.shape(above), dtype=bool) if m is None else m
 
     def contains_range_arrays(self, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-        """Vectorized :meth:`contains_range` over arrays of closed value
-        ranges ``[lo[i], hi[i]]``."""
+        """Which closed value ranges ``[lo[i], hi[i]]`` lie fully inside
+        this interval (vectorized "bin fully covered" test)."""
         return self._within(lo, hi)
 
     def overlaps_range_arrays(self, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
@@ -163,14 +154,6 @@ class Interval:
         return self._within(data, data)
 
     # -------------------------------------------------------------- inspection
-    @property
-    def is_everything(self) -> bool:
-        return self.lo is None and self.hi is None
-
-    @property
-    def is_point(self) -> bool:
-        return self.lo is not None and self.lo == self.hi
-
     def finite_bounds(self) -> Tuple[float, float]:
         """Bounds with infinities substituted for missing endpoints."""
         return (

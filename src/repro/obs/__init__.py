@@ -29,20 +29,16 @@ The analysis layer builds on those two primitives:
 """
 
 from .analyze import (
-    BatchAnalysis,
     QueryAnalysis,
     StepJoin,
     analyze,
-    analyze_batch,
     render_analysis,
-    render_batch_analysis,
 )
 from .export import (
     read_alerts_jsonl,
     render_openmetrics,
     replay_frames,
     write_alerts_jsonl,
-    write_openmetrics,
 )
 from .metrics import (
     REGISTRY,
@@ -53,15 +49,11 @@ from .metrics import (
     MetricsRegistry,
     escape_label_value,
     format_labels,
-    get_registry,
 )
 from .monitor import (
     NOOP_MONITOR,
-    MonitorRun,
     NoopMonitor,
     ServiceMonitor,
-    demo_monitor_run,
-    demo_slos,
 )
 from .slo import SLI_NAMES, SLO, Alert, SLOMonitor, SLOState
 from .timeseries import (
@@ -83,13 +75,10 @@ from .profiler import (
 from .tracer import NOOP_TRACER, NoopTracer, Span, Tracer
 
 __all__ = [
-    "BatchAnalysis",
     "QueryAnalysis",
     "StepJoin",
     "analyze",
-    "analyze_batch",
     "render_analysis",
-    "render_batch_analysis",
     "ProfileReport",
     "TrackStats",
     "profile",
@@ -104,7 +93,6 @@ __all__ = [
     "MetricsError",
     "MetricsRegistry",
     "REGISTRY",
-    "get_registry",
     "NOOP_TRACER",
     "NoopTracer",
     "Span",
@@ -123,11 +111,7 @@ __all__ = [
     "NOOP_MONITOR",
     "NoopMonitor",
     "ServiceMonitor",
-    "MonitorRun",
-    "demo_monitor_run",
-    "demo_slos",
     "render_openmetrics",
-    "write_openmetrics",
     "read_alerts_jsonl",
     "write_alerts_jsonl",
     "replay_frames",

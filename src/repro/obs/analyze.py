@@ -21,13 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..query.executor import (
-    BatchResult,
-    QueryEngine,
-    QueryResult,
-    QuerySpec,
-    StepActual,
-)
+from ..query.executor import QueryEngine, QueryResult, StepActual
 from ..query.planner import PlanEstimate, StepEstimate, choose_strategy, estimate_plan
 from ..strategies import Strategy
 from .profiler import ProfileReport, profile
@@ -36,11 +30,8 @@ from .tracer import Tracer
 __all__ = [
     "StepJoin",
     "QueryAnalysis",
-    "BatchAnalysis",
     "analyze",
-    "analyze_batch",
     "render_analysis",
-    "render_batch_analysis",
 ]
 
 
@@ -105,14 +96,6 @@ class QueryAnalysis:
         if self.est_seconds <= 0.0:
             return float("inf") if self.actual_seconds > 0 else 1.0
         return self.actual_seconds / self.est_seconds
-
-
-@dataclass
-class BatchAnalysis:
-    """EXPLAIN ANALYZE output for one shared-scan batch window."""
-
-    batch: BatchResult
-    queries: List[Optional[QueryAnalysis]] = field(default_factory=list)
 
 
 def _join_steps(
@@ -211,60 +194,6 @@ def analyze(
     )
 
 
-def analyze_batch(
-    system,
-    specs: Sequence[QuerySpec],
-    engine: Optional[QueryEngine] = None,
-    selection_cache=None,
-) -> BatchAnalysis:
-    """EXPLAIN ANALYZE for a shared-scan batch window.
-
-    Each query is planned cold (before the window runs), then the window
-    executes as one :meth:`QueryEngine.execute_batch`; per-query actuals
-    include the attributed share of the shared read pass, so preloaded
-    regions do not make a query look free.
-    """
-    if engine is None:
-        engine = QueryEngine(system)
-    specs = [
-        s if isinstance(s, QuerySpec) else QuerySpec(node=s) for s in specs
-    ]
-    plans: List[Tuple[Strategy, PlanEstimate, Dict[str, float]]] = []
-    for spec in specs:
-        strat, candidates = _resolve_strategy(system, spec.node, spec.strategy)
-        plans.append((strat, estimate_plan(system, spec.node, strat), candidates))
-
-    own_tracer = not system.tracer.enabled
-    if own_tracer:
-        system.set_tracer(Tracer())
-    try:
-        batch = engine.execute_batch(specs, selection_cache=selection_cache)
-        analyses: List[Optional[QueryAnalysis]] = []
-        for (strat, plan, candidates), result in zip(plans, batch.results):
-            if result is None:
-                analyses.append(None)
-                continue
-            analyses.append(
-                QueryAnalysis(
-                    strategy=strat,
-                    plan=plan,
-                    result=result,
-                    steps=_join_steps(plan, result.step_actuals),
-                    profile=(
-                        profile(system.tracer, result.trace)
-                        if result.trace is not None else None
-                    ),
-                    candidates=candidates,
-                )
-            )
-    finally:
-        if own_tracer:
-            from .tracer import NOOP_TRACER
-
-            system.set_tracer(NOOP_TRACER)
-    return BatchAnalysis(batch=batch, queries=analyses)
-
-
 # ------------------------------------------------------------------ render
 def _fmt_hits(j: StepJoin) -> str:
     e, a = j.estimate, j.actual
@@ -343,12 +272,6 @@ def render_analysis(qa: QueryAnalysis, label: str = "QUERY") -> str:
         )
         + ("" if res.complete else "  [DEGRADED]")
     )
-    if res.batch_shared_bytes_virtual > 0:
-        lines.append(
-            f"batch share: {res.batch_shared_bytes_virtual / 1024:.1f} KiB "
-            f"read by the shared pass on this query's behalf "
-            f"(+{res.batch_shared_elapsed_s * 1e3:.3f} ms attributed)"
-        )
     if qa.profile is not None and qa.profile.tracks:
         lines.append("per-server utilization:")
         for t in qa.profile.tracks:
@@ -361,22 +284,4 @@ def render_analysis(qa: QueryAnalysis, label: str = "QUERY") -> str:
                 f"  imbalance ratio (max/mean server busy): "
                 f"{qa.profile.imbalance_ratio:.3f}"
             )
-    return "\n".join(lines)
-
-
-def render_batch_analysis(ba: BatchAnalysis) -> str:
-    b = ba.batch
-    lines = [
-        f"EXPLAIN ANALYZE BATCH  width {b.width}, "
-        f"{b.elapsed_s * 1e3:.3f} ms, shared reads {b.shared_reads} "
-        f"({b.shared_bytes_virtual / 1024:.1f} KiB, saved "
-        f"{b.saved_bytes_virtual / 1024:.1f} KiB)"
-    ]
-    for i, qa in enumerate(ba.queries):
-        lines.append("")
-        if qa is None:
-            err = b.errors.get(i)
-            lines.append(f"query[{i}]: failed: {err!r}")
-            continue
-        lines.append(render_analysis(qa, label=f"query[{i}]"))
     return "\n".join(lines)

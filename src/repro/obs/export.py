@@ -30,7 +30,6 @@ from .timeseries import TimeSeriesRecorder
 
 __all__ = [
     "render_openmetrics",
-    "write_openmetrics",
     "write_alerts_jsonl",
     "read_alerts_jsonl",
     "replay_frames",
@@ -104,11 +103,6 @@ def render_openmetrics(
 
     lines.append("# EOF")
     return "\n".join(lines)
-
-
-def write_openmetrics(path: str, **kwargs) -> None:
-    with open(path, "w", encoding="utf-8") as f:
-        f.write(render_openmetrics(**kwargs) + "\n")
 
 
 # ------------------------------------------------------------- alert JSONL

@@ -17,7 +17,7 @@ their own :class:`MetricsRegistry` and hand it to ``PDCSystem``.
 from __future__ import annotations
 
 import threading
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Dict, Iterable, Iterator, List, Tuple
 
 import numpy as np
 
@@ -28,7 +28,6 @@ __all__ = [
     "HistogramMetric",
     "MetricsRegistry",
     "REGISTRY",
-    "get_registry",
     "escape_label_value",
     "format_labels",
 ]
@@ -140,11 +139,6 @@ class Counter(_Metric):
             raise MetricsError(f"counter {self.name!r} cannot decrease")
         self._value += amount
 
-    @property
-    def value(self) -> float:
-        self._check_unlabeled()
-        return self._value
-
     def total(self) -> float:
         """Sum over every labeled series (the family's value when
         unlabeled)."""
@@ -163,18 +157,6 @@ class Gauge(_Metric):
     def set(self, value: float) -> None:
         self._check_unlabeled()
         self._value = float(value)
-
-    def inc(self, amount: float = 1.0) -> None:
-        self._check_unlabeled()
-        self._value += amount
-
-    def dec(self, amount: float = 1.0) -> None:
-        self.inc(-amount)
-
-    @property
-    def value(self) -> float:
-        self._check_unlabeled()
-        return self._value
 
 
 class HistogramMetric(_Metric):
@@ -319,9 +301,6 @@ class MetricsRegistry:
         return self._declare(HistogramMetric, name, help, labels, n_bins=n_bins)  # type: ignore[return-value]
 
     # ------------------------------------------------------------- inspect
-    def get(self, name: str) -> Optional[_Metric]:
-        return self._metrics.get(name)
-
     def total(self, name: str) -> float:
         """Sum of a counter family over all label sets (0.0 when absent)."""
         metric = self._metrics.get(name)
@@ -368,14 +347,6 @@ class MetricsRegistry:
             lines.append(f"{name}{format_labels(labels)} {value:g}")
         return "\n".join(lines)
 
-    def reset(self) -> None:
-        with self._lock:
-            self._metrics.clear()
-
 
 #: The process-wide default registry the library instruments against.
 REGISTRY = MetricsRegistry()
-
-
-def get_registry() -> MetricsRegistry:
-    return REGISTRY

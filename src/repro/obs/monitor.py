@@ -12,7 +12,7 @@ hangs them off the event points of a running deployment:
 * terminal request outcomes additionally feed an
   :class:`~repro.obs.slo.SLOMonitor`, whose multi-window burn-rate
   evaluation emits the deterministic :class:`~repro.obs.slo.Alert`
-  stream controllers subscribe to.
+  stream.
 
 Install with :meth:`PDCSystem.set_monitor`; the default on every system
 is :data:`NOOP_MONITOR`, which — like the no-op tracer — records
@@ -23,28 +23,21 @@ clocks (each hook receives the instant explicitly), so even enabled
 monitoring never changes results, clocks, or engine metrics; tests pin
 both properties.
 
-:func:`demo_monitor_run` is the shared deterministic overload scenario
-(seeded Poisson arrivals overrunning a rate-limited tenant, then
-receding) used by the ``python -m repro monitor`` CLI, the
-bench-regression micro-suite, and the alert-determinism tests — one
-scenario, one set of pinned numbers.
+The shared deterministic overload scenario that drives it (CLI, micro-suite
+pins, alert-determinism tests) is :func:`repro.scenarios.demo_monitor_run`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from .slo import SLO, Alert, SLOMonitor, SLOState
+from .slo import SLO, Alert, SLOMonitor
 from .timeseries import TimeSeriesRecorder, WindowStats
 
 __all__ = [
     "NoopMonitor",
     "NOOP_MONITOR",
     "ServiceMonitor",
-    "MonitorRun",
-    "demo_slos",
-    "demo_monitor_run",
 ]
 
 
@@ -428,10 +421,6 @@ class ServiceMonitor:
     def alerts(self) -> List[Alert]:
         return self.slo.alerts
 
-    def subscribe(self, callback) -> None:
-        """Forward to :meth:`SLOMonitor.subscribe`."""
-        self.slo.subscribe(callback)
-
     def fingerprint(self) -> str:
         """The alert stream's deterministic fingerprint."""
         return self.slo.fingerprint()
@@ -459,9 +448,6 @@ class ServiceMonitor:
                 "pdc_service_outcomes", t, w, tenant=tenant, outcome=outcome
             )
         return out
-
-    def slo_rows(self) -> List[SLOState]:
-        return list(self.slo.states)
 
     def render_status(
         self, t_end: Optional[float] = None, width_s: Optional[float] = None
@@ -514,151 +500,3 @@ class ServiceMonitor:
 
 def _ms(v: float) -> str:
     return "-" if v != v else f"{v * 1e3:.3f}"  # NaN-safe
-
-
-# --------------------------------------------------------------- demo run
-@dataclass
-class MonitorRun:
-    """Everything the shared overload scenario produced."""
-
-    system: object
-    service: object
-    monitor: Optional[ServiceMonitor]
-    tickets: List[object]
-    #: Simulated end of the run (latest clock after drain).
-    t_end: float
-    alerts: List[Alert] = field(default_factory=list)
-
-
-def demo_slos(
-    fast_window_s: float = 0.008, slow_window_s: float = 0.04
-) -> Tuple[SLO, ...]:
-    """The demo scenario's SLOs: shed rate on the rate-limited tenant,
-    p-high queue wait on the steady tenant, error rate across tenants."""
-    return (
-        SLO(
-            name="bursty-shed",
-            tenant="bursty",
-            sli="shed",
-            objective=0.90,
-            fast_window_s=fast_window_s,
-            slow_window_s=slow_window_s,
-            fast_burn=5.0,
-            slow_burn=1.0,
-        ),
-        SLO(
-            name="steady-wait",
-            tenant="steady",
-            sli="queue_wait",
-            objective=0.95,
-            threshold_s=0.004,
-            fast_window_s=fast_window_s,
-            slow_window_s=slow_window_s,
-            fast_burn=5.0,
-            slow_burn=1.0,
-        ),
-        SLO(
-            name="any-error",
-            tenant="*",
-            sli="error",
-            objective=0.99,
-            fast_window_s=fast_window_s,
-            slow_window_s=slow_window_s,
-            fast_burn=5.0,
-            slow_burn=1.0,
-        ),
-    )
-
-
-def demo_monitor_run(
-    seed: int = 1234,
-    requests: int = 150,
-    monitored: bool = True,
-    fault_plan=None,
-    scrape_interval_s: Optional[float] = 0.002,
-) -> MonitorRun:
-    """The deterministic overload scenario every monitor surface shares.
-
-    Two tenants on the demo deployment: ``steady`` (no knobs) and
-    ``bursty`` (rate-limited with a queue deadline).  Seeded Poisson
-    arrivals run light → overload (the burst tenant's offered load far
-    exceeds its rate limit, queues back up, sheds begin) → light again,
-    so the fast-burn alert must fire during the surge and clear once the
-    backlog drains.  With ``monitored=False`` the run is the zero-cost
-    control: no monitor is installed and the system behaves exactly as a
-    pre-monitor build.
-    """
-    import numpy as np
-
-    from ..service import QueryService, ServiceConfig, Tenant
-    from ..query.ast import Condition
-    from ..types import PDCType, QueryOp
-    from .metrics import MetricsRegistry
-    from .regress import demo_deployment
-
-    # An isolated registry: the scrape cadence records counter series,
-    # so sharing the process-wide registry would make the sample count
-    # depend on whatever else ran in this process.
-    system, _, _ = demo_deployment(metrics=MetricsRegistry())
-    monitor: Optional[ServiceMonitor] = None
-    if monitored:
-        monitor = ServiceMonitor(
-            slos=demo_slos(),
-            registry=system.metrics,
-            scrape_interval_s=scrape_interval_s,
-        )
-        system.set_monitor(monitor)
-    if fault_plan is not None:
-        system.set_fault_plan(fault_plan)
-
-    cfg = ServiceConfig(
-        tenants=(
-            Tenant("steady", weight=2.0),
-            Tenant(
-                "bursty",
-                weight=1.0,
-                rate_limit_qps=2000.0,
-                burst=4.0,
-                queue_cap=32,
-                queue_deadline_s=0.002,
-            ),
-        ),
-        policy="wfq",
-        batch_window=4,
-    )
-    svc = QueryService(system, cfg)
-
-    rng = np.random.default_rng(seed)
-    t = max(c.now for c in system.all_clocks())
-    n_light = requests // 3
-    n_heavy = requests - 2 * n_light
-    phases = (
-        # (count, aggregate rate qps, bursty share)
-        (n_light, 400.0, 0.3),
-        (n_heavy, 6000.0, 0.7),
-        (n_light, 400.0, 0.3),
-    )
-    tickets = []
-    for count, rate, bursty_share in phases:
-        for _ in range(count):
-            t += float(rng.exponential(1.0 / rate))
-            tenant = "bursty" if rng.random() < bursty_share else "steady"
-            q = Condition(
-                "energy", QueryOp.GT, PDCType.FLOAT,
-                float(np.float32(rng.uniform(0.5, 3.0))),
-            )
-            tickets.append(svc.submit(tenant, q, arrival_s=t))
-    svc.drain()
-    svc.close()
-    t_end = max(c.now for c in system.all_clocks())
-    if monitor is not None:
-        # Final tick so burn rates settle at the drained frontier.
-        monitor.on_tick(t_end)
-    return MonitorRun(
-        system=system,
-        service=svc,
-        monitor=monitor,
-        tickets=tickets,
-        t_end=t_end,
-        alerts=list(monitor.alerts) if monitor is not None else [],
-    )

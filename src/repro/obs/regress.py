@@ -28,7 +28,6 @@ __all__ = [
     "DEFAULT_BASELINE",
     "DEFAULT_TOLERANCES",
     "MetricCheck",
-    "demo_deployment",
     "run_micro_suite",
     "load_baseline",
     "write_baseline",
@@ -50,37 +49,6 @@ DEFAULT_TOLERANCES: Dict[str, float] = {
 }
 
 
-def demo_deployment(metrics=None):
-    """The small two-object deployment shared by selftest/trace/metrics
-    and the micro-suite: an indexed, replica-backed 4-server system plus
-    the demo condition tree and its ground-truth hit count."""
-    import numpy as np
-
-    from ..pdc import PDCConfig, PDCSystem
-    from ..query.ast import Condition, combine_and
-    from ..types import PDCType, QueryOp
-
-    rng = np.random.default_rng(0)
-    system = PDCSystem(
-        PDCConfig(n_servers=4, region_size_bytes=1 << 13), metrics=metrics
-    )
-    n = 1 << 14
-    e = rng.gamma(2.0, 0.7, n).astype(np.float32)
-    x = (rng.random(n) * 300).astype(np.float32)
-    system.create_object("energy", e)
-    system.create_object("x", x)
-    system.build_index("energy")
-    system.build_index("x")
-    system.build_sorted_replica("energy", ["x"])
-
-    node = combine_and(
-        Condition("energy", QueryOp.GT, PDCType.FLOAT, 2.0),
-        Condition("x", QueryOp.LT, PDCType.FLOAT, 150.0),
-    )
-    truth = int(((e > 2.0) & (x < 150.0)).sum())
-    return system, node, truth
-
-
 def run_micro_suite() -> Dict[str, float]:
     """Run the deterministic micro-suite; returns metric name → value.
 
@@ -90,6 +58,7 @@ def run_micro_suite() -> Dict[str, float]:
     from ..query.ast import Condition
     from ..query.executor import QueryEngine
     from ..query.scheduler import QueryScheduler
+    from ..scenarios import demo_cluster_run, demo_deployment, demo_monitor_run
     from ..strategies import Strategy
     from ..types import PDCType, QueryOp
 
@@ -243,8 +212,6 @@ def run_micro_suite() -> Dict[str, float]:
     # fire/clear instants, sample volume, and per-tenant tail waits pin
     # exactly like any cost number.  A drift here means either the
     # service's simulated decisions or the monitor's evaluation changed.
-    from .monitor import demo_monitor_run
-
     mrun = demo_monitor_run(requests=90)
     out["monitor.alerts"] = float(len(mrun.alerts))
     fast = [a for a in mrun.alerts if a.window == "fast"]
@@ -268,8 +235,6 @@ def run_micro_suite() -> Dict[str, float]:
     # trajectory and per-phase tail waits pin exactly.  A drift here
     # means the rebalancer's migration charging, the membership
     # transitions, or the hysteresis controller changed.
-    from ..cluster.demo import demo_cluster_run
-
     crun = demo_cluster_run(requests=120)
     out["cluster.scale_out"] = float(
         sum(1 for d in crun.autoscaler.decisions if d.action == "scale_out")

@@ -25,9 +25,7 @@ transitions append to a deterministic, replayable :class:`Alert` stream:
 identical inputs produce a byte-identical stream
 (:meth:`~SLOMonitor.fingerprint`), which is what lets a future
 autoscaler treat alerts as a reliable control signal rather than a
-flaky notification.  Controllers subscribe with
-:meth:`~SLOMonitor.subscribe`; callbacks fire synchronously in stream
-order.
+flaky notification.
 """
 
 from __future__ import annotations
@@ -36,7 +34,7 @@ import hashlib
 import json
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Deque, Dict, List, Optional, Tuple
+from typing import Deque, Dict, List, Optional, Tuple
 
 from ..errors import PDCError
 
@@ -261,31 +259,6 @@ class SLOMonitor:
             raise PDCError(f"duplicate SLO names: {sorted(names)}")
         self.states: List[SLOState] = [SLOState(slo=s) for s in slos]
         self.alerts: List[Alert] = []
-        self._subscribers: List[Callable[[Alert], None]] = []
-
-    @property
-    def slos(self) -> Tuple[SLO, ...]:
-        return tuple(st.slo for st in self.states)
-
-    def state(self, name: str) -> SLOState:
-        for st in self.states:
-            if st.slo.name == name:
-                return st
-        raise PDCError(
-            f"unknown SLO {name!r}; configured: "
-            f"{sorted(st.slo.name for st in self.states)}"
-        )
-
-    # ------------------------------------------------------------- callbacks
-    def subscribe(self, callback: Callable[[Alert], None]) -> None:
-        """Receive every subsequent alert, synchronously, in stream order
-        (the hook a controller/autoscaler attaches to)."""
-        if callback not in self._subscribers:
-            self._subscribers.append(callback)
-
-    def unsubscribe(self, callback: Callable[[Alert], None]) -> None:
-        if callback in self._subscribers:
-            self._subscribers.remove(callback)
 
     # ------------------------------------------------------------ event feed
     def observe(
@@ -298,7 +271,7 @@ class SLOMonitor:
     ) -> List[Alert]:
         """Feed one terminal request outcome and re-evaluate matching SLOs.
 
-        Returns (and records, and dispatches to subscribers) any alert
+        Returns (and records) any alert
         transitions this observation caused.
         """
         fired: List[Alert] = []
@@ -317,7 +290,7 @@ class SLOMonitor:
             while st.events and st.events[0][0] <= horizon:
                 st.events.popleft()
             fired.extend(st.evaluate(t_s))
-        self._emit(fired)
+        self.alerts.extend(fired)
         return fired
 
     def evaluate(self, t_s: float) -> List[Alert]:
@@ -326,26 +299,10 @@ class SLOMonitor:
         fired: List[Alert] = []
         for st in self.states:
             fired.extend(st.evaluate(t_s))
-        self._emit(fired)
+        self.alerts.extend(fired)
         return fired
 
-    def _emit(self, fired: List[Alert]) -> None:
-        self.alerts.extend(fired)
-        for alert in fired:
-            for callback in list(self._subscribers):
-                callback(alert)
-
     # ------------------------------------------------------------ inspection
-    def firing(self) -> List[Tuple[str, str]]:
-        """Currently-firing ``(slo_name, window)`` pairs, sorted."""
-        out = []
-        for st in self.states:
-            if st.firing_fast:
-                out.append((st.slo.name, "fast"))
-            if st.firing_slow:
-                out.append((st.slo.name, "slow"))
-        return sorted(out)
-
     def to_records(self) -> List[Dict[str, object]]:
         return [a.to_record() for a in self.alerts]
 

@@ -98,10 +98,6 @@ class WindowStats:
     p95: float = math.nan
     p99: float = math.nan
 
-    @property
-    def width_s(self) -> float:
-        return self.t_end - self.t_start
-
 
 class TimeSeries:
     """One labeled series: a bounded, time-ordered ring of samples."""
@@ -141,10 +137,6 @@ class TimeSeries:
 
     def __len__(self) -> int:
         return len(self.samples)
-
-    @property
-    def latest(self) -> Optional[Sample]:
-        return self.samples[-1] if self.samples else None
 
     def in_window(self, t_end: float, width_s: float) -> List[Sample]:
         """Samples with ``t_start < t <= t_end`` where
@@ -194,16 +186,6 @@ class TimeSeries:
                 values, (0.50, 0.95, 0.99), quantile_bins
             )
         return ws
-
-    def tumbling(
-        self, t_end: float, width_s: float, n_windows: int
-    ) -> List[WindowStats]:
-        """The last ``n_windows`` aligned tumbling windows ending at
-        ``t_end`` (oldest first)."""
-        return [
-            self.window(t_end - i * width_s, width_s)
-            for i in range(n_windows - 1, -1, -1)
-        ]
 
 
 def _percentiles(
@@ -308,9 +290,6 @@ class TimeSeriesRecorder:
         iteration."""
         for key in sorted(self._series):
             yield self._series[key]
-
-    def names(self) -> List[str]:
-        return sorted({name for name, _ in self._series})
 
     def window(
         self,

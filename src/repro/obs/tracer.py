@@ -181,16 +181,7 @@ class Tracer:
         )
         self._next_id += 1
 
-    def reset(self) -> None:
-        self.spans.clear()
-        self.events.clear()
-        self._open.clear()
-        self._next_id = 1
-
     # ------------------------------------------------------------- inspection
-    def children_of(self, span: Span) -> List[Span]:
-        return [s for s in self.spans if s.parent_id == span.span_id]
-
     def subtree(self, root: Span) -> List[Span]:
         """``root`` plus all descendants, in recording order."""
         keep = {root.span_id}

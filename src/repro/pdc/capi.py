@@ -161,8 +161,7 @@ def PDCobj_del(pdc: PDCSystem, obj_id: int) -> None:
 
 def PDCquery_set_priority(query, priority: int) -> None:
     """Set a query's service-level dispatch priority (higher runs first
-    under priority-aware scheduling — the strict-priority service policy
-    and :meth:`QueryScheduler.flush` windows).
+    under the service's strict-priority dispatch policy).
 
     ``query`` is a :class:`~repro.query.api.PDCQuery` (duck-typed here so
     the object layer need not import the query layer)."""

@@ -4,7 +4,7 @@ collection of objects in a number of containers"*)."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Set
+from typing import Dict, Set
 
 from ..errors import MetadataError, ObjectNotFoundError
 
@@ -37,12 +37,3 @@ class Container:
             raise ObjectNotFoundError(
                 f"object {object_name!r} not in container {self.name!r}"
             ) from None
-
-    def members(self) -> List[str]:
-        return sorted(self._members)
-
-    def __contains__(self, object_name: str) -> bool:
-        return object_name in self._members
-
-    def __len__(self) -> int:
-        return len(self._members)

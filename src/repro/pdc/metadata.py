@@ -81,26 +81,6 @@ class ObjectMeta:
         if self.n_elements <= 0:
             raise MetadataError(f"object {self.name!r} must have elements")
 
-    # -------------------------------------------------------------- accessors
-    @property
-    def nbytes(self) -> int:
-        """Payload size of the object."""
-        return self.n_elements * self.pdc_type.itemsize
-
-    @property
-    def n_regions(self) -> int:
-        return len(self.regions)
-
-    def region_by_id(self, region_id: int) -> RegionMeta:
-        for r in self.regions:
-            if r.region_id == region_id:
-                return r
-        raise MetadataError(f"object {self.name!r} has no region {region_id}")
-
-    def regions_overlapping(self, start: int, stop: int) -> List[RegionMeta]:
-        """Regions intersecting a coordinate range (spatial constraint)."""
-        return [r for r in self.regions if r.overlaps_coords(start, stop)]
-
     def matches_tags(self, conditions: Dict[str, TagPredicate]) -> bool:
         """Key-value metadata predicate (§VI-C).
 
@@ -114,18 +94,3 @@ class ObjectMeta:
             if v is _MISSING or not tag_matches(v, predicate):
                 return False
         return True
-
-    # ---------------------------------------------------------- serialization
-    def summary(self) -> Dict[str, Any]:
-        """Small transport-friendly summary (no region payload metadata)."""
-        return {
-            "name": self.name,
-            "object_id": self.object_id,
-            "pdc_type": self.pdc_type.value,
-            "n_elements": self.n_elements,
-            "dims": self.dims,
-            "container": self.container,
-            "tags": dict(self.tags),
-            "n_regions": self.n_regions,
-            "sorted_by": self.sorted_by,
-        }

@@ -81,15 +81,6 @@ class MetadataService:
         view must never shift ``created_at`` of later objects."""
         self._views.append((float(t_s), int(view.generation), tuple(view.members)))
 
-    def latest_view(self) -> Optional[tuple]:
-        """The most recently recorded ``(t_s, generation, members)``
-        tuple, or None before any membership event."""
-        return self._views[-1] if self._views else None
-
-    @property
-    def views(self) -> List[tuple]:
-        return list(self._views)
-
     def create(self, meta: ObjectMeta) -> None:
         shard = self._shards[self.shard_of(meta.name)]
         if meta.name in shard:
@@ -103,24 +94,11 @@ class MetadataService:
         except KeyError:
             raise ObjectNotFoundError(f"no metadata for object {name!r}") from None
 
-    def get_by_id(self, object_id: int) -> ObjectMeta:
-        for shard in self._shards:
-            for meta in shard.values():
-                if meta.object_id == object_id:
-                    return meta
-        raise ObjectNotFoundError(f"no metadata for object id {object_id}")
-
-    def exists(self, name: str) -> bool:
-        return name in self._shards[self.shard_of(name)]
-
     def delete(self, name: str) -> None:
         shard = self._shards[self.shard_of(name)]
         if name not in shard:
             raise ObjectNotFoundError(f"no metadata for object {name!r}")
         del shard[name]
-
-    def all_names(self) -> List[str]:
-        return sorted(n for shard in self._shards for n in shard)
 
     def __len__(self) -> int:
         return sum(len(s) for s in self._shards)

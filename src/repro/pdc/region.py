@@ -48,28 +48,6 @@ class RegionMeta:
                 f"bad region extent offset={self.offset} n={self.n_elements}"
             )
 
-    @property
-    def stop(self) -> int:
-        """One past the last element offset."""
-        return self.offset + self.n_elements
-
-    @property
-    def extent(self) -> Tuple[int, int]:
-        """Half-open element extent within the object."""
-        return (self.offset, self.stop)
-
-    @property
-    def minmax(self) -> Tuple[float, float]:
-        """True value extrema, from the histogram."""
-        if self.histogram is None:
-            raise PDCError(f"region {self.region_id} has no histogram")
-        return (self.histogram.data_min, self.histogram.data_max)
-
-    def overlaps_coords(self, start: int, stop: int) -> bool:
-        """Does this region intersect the coordinate range ``[start, stop)``
-        (spatial region constraint, §III-A)?"""
-        return start < self.stop and stop > self.offset
-
 
 def partition(n_elements: int, region_elements: int) -> List[Tuple[int, int]]:
     """Split ``n_elements`` into ``(offset, count)`` chunks of at most

@@ -1276,10 +1276,6 @@ class PDCSystem:
         for s in self.servers:
             s.drop_caches()
 
-    def reset_clocks(self) -> None:
-        for c in self.all_clocks():
-            c.reset()
-
     def cache_stats(self) -> Dict[int, Tuple[int, int]]:
         """server id → (hits, misses)."""
         return {s.server_id: (s.cache.stats.hits, s.cache.stats.misses) for s in self.servers}

@@ -169,8 +169,8 @@ class QuerySpec:
     strategy: Optional[Strategy] = None
     timeout_s: Optional[float] = None
     #: Service-level dispatch priority (higher first).  The engine itself
-    #: ignores it; the service frontend and priority-aware schedulers
-    #: order on it (``PDCquery_set_priority``).
+    #: ignores it; the service frontend's ``priority`` policy orders on
+    #: it (``PDCquery_set_priority``).
     priority: int = 0
 
 

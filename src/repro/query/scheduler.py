@@ -272,13 +272,12 @@ class SelectionCache:
 
 
 class QueryScheduler:
-    """Admits queries into shared-scan batch windows.
+    """Executes queries in shared-scan batch windows.
 
-    Queries accumulate via :meth:`submit` until the window reaches
-    ``max_width`` (auto-flush) or :meth:`flush` is called; each window
-    runs as one :meth:`QueryEngine.execute_batch`.  :meth:`run` is the
-    batteries-included form: chunk a query list into windows, execute
-    them, and return the flat per-query results.
+    :meth:`execute_window` runs one finished window as one
+    :meth:`QueryEngine.execute_batch`; :meth:`run` chunks a query list
+    into ``max_width``-sized windows, executes them, and returns the flat
+    per-query results.
 
     The scheduler owns a :class:`SelectionCache` (unless disabled) and
     registers it with the system's invalidation hooks; :meth:`close`
@@ -307,39 +306,10 @@ class QueryScheduler:
                 selection_cache if selection_cache is not None else SelectionCache()
             )
             system.register_invalidation_hook(self._on_invalidate)
-        self._pending: List[QuerySpec] = []
         #: Every executed window's :class:`BatchResult`, in order.
         self.batches: List[BatchResult] = []
 
-    # ------------------------------------------------------------- admission
-    def submit(
-        self, query: Union[QueryNode, QuerySpec], **kwargs
-    ) -> Optional[BatchResult]:
-        """Queue one query (``kwargs`` become :class:`QuerySpec` fields).
-
-        Returns the executed :class:`BatchResult` when this submission
-        filled the window (auto-flush), else ``None``.
-        """
-        spec = query if isinstance(query, QuerySpec) else QuerySpec(node=query, **kwargs)
-        self._pending.append(spec)
-        if len(self._pending) >= self.max_width:
-            return self.flush()
-        return None
-
-    def flush(self) -> Optional[BatchResult]:
-        """Execute the pending window; ``None`` when nothing is queued.
-
-        When any pending spec carries a non-zero priority
-        (``PDCquery_set_priority``), the window executes highest-priority
-        first (stable: submission order within a level).  An all-default
-        window keeps pure submission order, bit-identically."""
-        if not self._pending:
-            return None
-        window, self._pending = self._pending, []
-        if any(s.priority for s in window):
-            window.sort(key=lambda s: -s.priority)
-        return self.execute_window(window)
-
+    # ------------------------------------------------------------- execution
     def execute_window(self, specs: Sequence[QuerySpec]) -> BatchResult:
         """Execute one window as a shared-scan batch."""
         batch = self.engine.execute_batch(
@@ -357,23 +327,6 @@ class QueryScheduler:
                 batch.saved_bytes_virtual,
             )
         return batch
-
-    def analyze_window(self, specs: Sequence[Union[QueryNode, QuerySpec]]):
-        """EXPLAIN ANALYZE one window: plan each query cold, execute the
-        window as a shared-scan batch (through this scheduler's selection
-        cache), and return the joined estimates/actuals — see
-        :func:`repro.obs.analyze.analyze_batch`."""
-        from ..obs.analyze import analyze_batch
-
-        window = [
-            s if isinstance(s, QuerySpec) else QuerySpec(node=s) for s in specs
-        ]
-        ba = analyze_batch(
-            self.system, window, engine=self.engine,
-            selection_cache=self.selection_cache,
-        )
-        self.batches.append(ba.batch)
-        return ba
 
     def run(
         self, queries: Sequence[Union[QueryNode, QuerySpec]], **kwargs
@@ -418,13 +371,6 @@ class QueryScheduler:
         self.selection_cache.invalidate_object(object_name, spans)
 
     def close(self) -> None:
-        """Flush pending work and unregister the invalidation hook."""
-        self.flush()
+        """Unregister the invalidation hook."""
         if self.selection_cache is not None:
             self.system.unregister_invalidation_hook(self._on_invalidate)
-
-    def __enter__(self) -> "QueryScheduler":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()

@@ -45,14 +45,6 @@ class Selection:
         """Sort + deduplicate raw hit coordinates."""
         return cls(np.unique(np.asarray(coords, dtype=np.int64)), domain_size)
 
-    @classmethod
-    def empty(cls, domain_size: int) -> "Selection":
-        return cls(np.zeros(0, dtype=np.int64), domain_size)
-
-    @classmethod
-    def full(cls, domain_size: int) -> "Selection":
-        return cls(np.arange(domain_size, dtype=np.int64), domain_size)
-
     # ------------------------------------------------------------- set algebra
     def _check_domain(self, other: "Selection") -> None:
         if self.domain_size != other.domain_size:
@@ -89,15 +81,6 @@ class Selection:
     @property
     def is_empty(self) -> bool:
         return self.coords.size == 0
-
-    @property
-    def is_full(self) -> bool:
-        return self.coords.size == self.domain_size
-
-    @property
-    def nbytes(self) -> int:
-        """Wire size when shipping this selection client-ward."""
-        return int(self.coords.nbytes)
 
     def clip(self, start: int, stop: int) -> "Selection":
         """Restrict to the coordinate range ``[start, stop)`` (spatial

@@ -153,10 +153,6 @@ class TenantStats:
         return hist.quantile(q)
 
     @property
-    def p95_queue_wait_s(self) -> float:
-        return self.queue_wait_quantile_s(0.95)
-
-    @property
     def p99_queue_wait_s(self) -> float:
         return self.queue_wait_quantile_s(0.99)
 

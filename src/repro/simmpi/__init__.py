@@ -1,13 +1,14 @@
-"""Simulated SPMD/MPI runtime: threaded communicator, launcher, and reduction
-operators.
+"""Simulated SPMD/MPI runtime: threaded communicator, launcher, and the
+reduction operator.
 
-Drop-in shaped like mpi4py's pickle-based API (``comm.send`` / ``comm.recv``
-/ ``comm.bcast`` / ...) so the PDC transport code reads like the real thing.
+Shaped like mpi4py's pickle-based API (``comm.send`` / ``comm.recv`` /
+``comm.bcast`` / ``comm.gather`` / ``comm.reduce``) so the PDC transport
+code reads like the real thing.
 """
 
-from .communicator import ANY_SOURCE, ANY_TAG, CommStats, Communicator, CommWorld, Request
+from .communicator import ANY_SOURCE, ANY_TAG, CommStats, Communicator, CommWorld
 from .launcher import run_spmd
-from .reduceops import CONCAT, LAND, LOR, MAX, MIN, PROD, SUM, reduce_sequence
+from .reduceops import SUM, reduce_sequence
 
 __all__ = [
     "ANY_SOURCE",
@@ -15,14 +16,7 @@ __all__ = [
     "CommStats",
     "Communicator",
     "CommWorld",
-    "Request",
     "run_spmd",
-    "CONCAT",
-    "LAND",
-    "LOR",
-    "MAX",
-    "MIN",
-    "PROD",
     "SUM",
     "reduce_sequence",
 ]

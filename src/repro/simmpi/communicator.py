@@ -4,18 +4,21 @@ The PDC client library *"serializes the query conditions and broadcasts
 them to all available servers"* and a background thread *"aggregates the
 results received from all servers"* (§III-C).  This module provides the
 message-passing substrate those components run on: an mpi4py-lookalike
-communicator whose ranks are Python threads in one process.
+communicator whose ranks are Python threads in one process.  It carries
+exactly the client↔server traffic of that protocol — broadcast, gather,
+reduce, barrier, and blocking point-to-point — and nothing else: the
+paper's servers never talk to each other after metadata distribution, so
+there is no scatter/allgather/allreduce/alltoall and no non-blocking half.
 
 Semantics follow mpi4py's lower-case (pickle-based) API:
 
 * ``send``/``recv`` are blocking point-to-point with (source, tag) matching
   and FIFO ordering per (source, dest, tag) channel;
 * messages are deep-copied on send, so no mutable state is shared;
-* collectives (``bcast``, ``scatter``, ``gather``, ``allgather``,
-  ``reduce``, ``allreduce``, ``alltoall``, ``barrier``) are built from
-  point-to-point traffic on a reserved internal tag space, sequenced by a
-  per-rank collective counter — correct as long as usage is SPMD, which the
-  launcher enforces by construction.
+* collectives (``bcast``, ``gather``, ``reduce``, ``barrier``) are built
+  from point-to-point traffic on a reserved internal tag space, sequenced
+  by a per-rank collective counter — correct as long as usage is SPMD,
+  which the launcher enforces by construction.
 
 Reductions always fold in rank order (see ``reduce_sequence``), so results
 are bit-deterministic regardless of thread scheduling.
@@ -25,12 +28,12 @@ from __future__ import annotations
 
 import pickle
 import threading
-from typing import Any, List, Optional, Sequence, Tuple
+from typing import Any, List, Optional, Tuple
 
 from ..errors import TransportError
 from .reduceops import SUM, ReduceOp, reduce_sequence
 
-__all__ = ["Communicator", "CommStats", "Request", "ANY_SOURCE", "ANY_TAG", "CommWorld"]
+__all__ = ["Communicator", "CommStats", "ANY_SOURCE", "ANY_TAG", "CommWorld"]
 
 #: Wildcard source for ``recv``.
 ANY_SOURCE = -1
@@ -50,10 +53,9 @@ class CommStats:
     """Wire traffic counters shared by all ranks of one communicator.
 
     Every message is attributed to the operation that shipped it
-    (``p2p``, ``bcast``, ``scatter``, ``gather``, ``alltoall``);
-    composite collectives (``allgather``, ``reduce``, ``allreduce``)
-    decompose into the gather/bcast traffic they generate.  Byte counts
-    are serialized (pickled) payload sizes — the wire form.
+    (``p2p``, ``bcast``, ``gather``); ``reduce`` is the gather traffic it
+    generates.  Byte counts are serialized (pickled) payload sizes — the
+    wire form.
     """
 
     def __init__(self, metrics=None) -> None:
@@ -169,77 +171,10 @@ class _Mailbox:
                 idx = _match()
             return self._messages.pop(idx)
 
-    def try_take(self, source: int, tag: int) -> Optional[Tuple[int, int, Any]]:
-        """Non-blocking matched receive; None when nothing matches yet."""
-        with self._cond:
-            for i, (src, t, _) in enumerate(self._messages):
-                if (source == ANY_SOURCE or src == source) and (
-                    tag == ANY_TAG or t == tag
-                ):
-                    return self._messages.pop(i)
-            return None
-
     def close(self) -> None:
         with self._cond:
             self._closed = True
             self._cond.notify_all()
-
-
-class Request:
-    """Handle for a non-blocking operation (cf. ``mpi4py.MPI.Request``).
-
-    ``test()`` polls without blocking; ``wait()`` blocks until completion
-    and returns the received payload (``None`` for sends).
-    """
-
-    def __init__(
-        self,
-        kind: str,
-        mailbox: Optional["_Mailbox"] = None,
-        source: int = ANY_SOURCE,
-        tag: int = ANY_TAG,
-        timeout: Optional[float] = None,
-    ) -> None:
-        self.kind = kind
-        self._mailbox = mailbox
-        self._source = source
-        self._tag = tag
-        self._timeout = timeout
-        self._done = False
-        self._payload: Any = None
-
-    def _complete(self, payload: Any) -> None:
-        self._done = True
-        self._payload = payload
-
-    @property
-    def completed(self) -> bool:
-        return self._done
-
-    def test(self) -> Tuple[bool, Any]:
-        """(done, payload-or-None) without blocking."""
-        if self._done:
-            return True, self._payload
-        assert self._mailbox is not None
-        hit = self._mailbox.try_take(self._source, self._tag)
-        if hit is None:
-            return False, None
-        self._complete(hit[2])
-        return True, self._payload
-
-    def wait(self) -> Any:
-        """Block until the operation completes; returns the payload."""
-        if self._done:
-            return self._payload
-        assert self._mailbox is not None
-        _, _, payload = self._mailbox.take(self._source, self._tag, self._timeout)
-        self._complete(payload)
-        return self._payload
-
-    @staticmethod
-    def waitall(requests: Sequence["Request"]) -> List[Any]:
-        """Wait on many requests; payloads in request order."""
-        return [r.wait() for r in requests]
 
 
 class _SharedState:
@@ -276,12 +211,6 @@ class Communicator:
 
     @property
     def size(self) -> int:
-        return self._state.size
-
-    def Get_rank(self) -> int:  # mpi4py spelling
-        return self._rank
-
-    def Get_size(self) -> int:  # mpi4py spelling
         return self._state.size
 
     @property
@@ -326,34 +255,6 @@ class Communicator:
         self._check_user_tag(tag)
         self._ship(obj, dest, tag, "p2p")
 
-    def isend(self, obj: Any, dest: int, tag: int = 0) -> "Request":
-        """Non-blocking send; returns a :class:`Request`.
-
-        The eager-buffered transport copies the payload at call time, so
-        the request is already complete — matching mpi4py's behaviour for
-        small messages.
-        """
-        self.send(obj, dest, tag)
-        req = Request(kind="send")
-        req._complete(None)
-        return req
-
-    def irecv(self, source: int = ANY_SOURCE, tag: int = ANY_TAG) -> "Request":
-        """Non-blocking receive; ``Request.wait()`` yields the payload.
-
-        The matching message is claimed lazily: the first ``test``/``wait``
-        that finds it completes the request.
-        """
-        if source != ANY_SOURCE:
-            self._check_peer(source)
-        return Request(
-            kind="recv",
-            mailbox=self._state.mailboxes[self._rank],
-            source=source,
-            tag=tag,
-            timeout=self._state.timeout,
-        )
-
     def recv(self, source: int = ANY_SOURCE, tag: int = ANY_TAG) -> Any:
         """Blocking matched receive; returns the payload."""
         if source != ANY_SOURCE:
@@ -362,13 +263,6 @@ class Communicator:
             source, tag, self._state.timeout
         )
         return payload
-
-    def recv_with_status(self, source: int = ANY_SOURCE, tag: int = ANY_TAG) -> Tuple[Any, int, int]:
-        """Like :meth:`recv` but also returns ``(payload, source, tag)``."""
-        src, t, payload = self._state.mailboxes[self._rank].take(
-            source, tag, self._state.timeout
-        )
-        return payload, src, t
 
     # ------------------------------------------------------------ collectives
     def _next_coll_tag(self) -> int:
@@ -393,22 +287,6 @@ class Communicator:
         _, _, payload = self._state.mailboxes[self._rank].take(root, tag, self._state.timeout)
         return payload
 
-    def scatter(self, sendobjs: Optional[Sequence[Any]], root: int = 0) -> Any:
-        """Distribute ``sendobjs[i]`` to rank ``i``; non-root passes None."""
-        self._check_peer(root)
-        tag = self._next_coll_tag()
-        if self._rank == root:
-            if sendobjs is None or len(sendobjs) != self.size:
-                raise TransportError(
-                    f"scatter at root needs exactly {self.size} items"
-                )
-            for dest in range(self.size):
-                if dest != root:
-                    self._ship(sendobjs[dest], dest, tag, "scatter")
-            return _copy_message(sendobjs[root])
-        _, _, payload = self._state.mailboxes[self._rank].take(root, tag, self._state.timeout)
-        return payload
-
     def gather(self, obj: Any, root: int = 0) -> Optional[List[Any]]:
         """Collect one value per rank at ``root`` (rank order); others get
         None."""
@@ -426,11 +304,6 @@ class Communicator:
         self._ship(obj, root, tag, "gather")
         return None
 
-    def allgather(self, obj: Any) -> List[Any]:
-        """Gather to rank 0, then broadcast the full list."""
-        gathered = self.gather(obj, root=0)
-        return self.bcast(gathered, root=0)
-
     def reduce(self, obj: Any, op: ReduceOp = SUM, root: int = 0) -> Optional[Any]:
         """Fold ``op`` over all ranks' values (rank order) at ``root``."""
         gathered = self.gather(obj, root=root)
@@ -438,29 +311,6 @@ class Communicator:
             assert gathered is not None
             return reduce_sequence(gathered, op)
         return None
-
-    def allreduce(self, obj: Any, op: ReduceOp = SUM) -> Any:
-        """Reduce then broadcast the result to everyone."""
-        reduced = self.reduce(obj, op=op, root=0)
-        return self.bcast(reduced, root=0)
-
-    def alltoall(self, sendobjs: Sequence[Any]) -> List[Any]:
-        """Rank ``i`` sends ``sendobjs[j]`` to rank ``j``; returns the list
-        of values received, indexed by source rank."""
-        if len(sendobjs) != self.size:
-            raise TransportError(f"alltoall needs exactly {self.size} items")
-        tag = self._next_coll_tag()
-        for dest in range(self.size):
-            if dest != self._rank:
-                self._ship(sendobjs[dest], dest, tag, "alltoall")
-        results: List[Any] = [None] * self.size
-        results[self._rank] = _copy_message(sendobjs[self._rank])
-        for _ in range(self.size - 1):
-            src, _, payload = self._state.mailboxes[self._rank].take(
-                ANY_SOURCE, tag, self._state.timeout
-            )
-            results[src] = payload
-        return results
 
     # ---------------------------------------------------------------- checks
     def _check_peer(self, rank: int) -> None:

@@ -1,60 +1,22 @@
-"""Reduction operators for the simulated MPI runtime.
+"""Reduction operator for the simulated MPI runtime.
 
-Mirrors mpi4py's ``MPI.SUM`` / ``MPI.MAX`` / ... constants with plain Python
-callables that combine two values pairwise.  All operators work elementwise
-on numpy arrays as well as on scalars, matching mpi4py's pickle-based
-lower-case ``reduce``/``allreduce`` semantics.
+Mirrors mpi4py's ``MPI.SUM`` constant with a plain Python callable that
+combines two values pairwise; it works elementwise on numpy arrays as well
+as on scalars, matching mpi4py's pickle-based lower-case ``reduce``
+semantics.  ``reduce`` accepts any such callable.
 """
 
 from __future__ import annotations
 
 from typing import Any, Callable, Sequence
 
-import numpy as np
-
-__all__ = ["SUM", "PROD", "MAX", "MIN", "LOR", "LAND", "CONCAT", "reduce_sequence"]
+__all__ = ["SUM", "reduce_sequence"]
 
 ReduceOp = Callable[[Any, Any], Any]
 
 
 def SUM(a: Any, b: Any) -> Any:
     return a + b
-
-
-def PROD(a: Any, b: Any) -> Any:
-    return a * b
-
-
-def MAX(a: Any, b: Any) -> Any:
-    if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
-        return np.maximum(a, b)
-    return max(a, b)
-
-
-def MIN(a: Any, b: Any) -> Any:
-    if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
-        return np.minimum(a, b)
-    return min(a, b)
-
-
-def LOR(a: Any, b: Any) -> Any:
-    if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
-        return np.logical_or(a, b)
-    return bool(a) or bool(b)
-
-
-def LAND(a: Any, b: Any) -> Any:
-    if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
-        return np.logical_and(a, b)
-    return bool(a) and bool(b)
-
-
-def CONCAT(a: Any, b: Any) -> Any:
-    """List/array concatenation — handy for gathering variable-length
-    results (e.g. per-server selections)."""
-    if isinstance(a, np.ndarray) and isinstance(b, np.ndarray):
-        return np.concatenate([a, b])
-    return list(a) + list(b)
 
 
 def reduce_sequence(values: Sequence[Any], op: ReduceOp) -> Any:

@@ -5,7 +5,7 @@ This package replaces the paper's Cori/Lustre testbed with a deterministic
 simulator — see DESIGN.md §2 for the substitution argument.
 """
 
-from .aggregator import aggregate_extents, coords_to_extents, extent_stats
+from .aggregator import aggregate_extents, coords_to_extents
 from .cache import CacheStats, RegionCache
 from .costmodel import CORI_LIKE, CostModel, CostParameters, SimClock
 from .device import DeviceKind
@@ -14,7 +14,6 @@ from .file import ParallelFileSystem, SimFile
 __all__ = [
     "aggregate_extents",
     "coords_to_extents",
-    "extent_stats",
     "CacheStats",
     "RegionCache",
     "CORI_LIKE",

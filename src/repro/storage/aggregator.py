@@ -13,7 +13,7 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 
-__all__ = ["aggregate_extents", "coords_to_extents", "extent_stats"]
+__all__ = ["aggregate_extents", "coords_to_extents"]
 
 Extent = Tuple[int, int]
 
@@ -64,8 +64,3 @@ def coords_to_extents(coords: np.ndarray, gap_threshold: int = 0) -> List[Extent
     if gap_threshold > 0:
         return aggregate_extents(runs, gap_threshold)
     return runs
-
-
-def extent_stats(extents: Sequence[Extent]) -> Tuple[int, int]:
-    """``(n_accesses, n_elements)`` covered by a set of extents."""
-    return len(extents), sum(b - a for a, b in extents)

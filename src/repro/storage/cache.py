@@ -100,23 +100,6 @@ class RegionCache:
             self._m_clear = removals.labels(server=owner, reason="clear")
 
     # ------------------------------------------------------------------- api
-    def get(self, key: Hashable) -> Optional[np.ndarray]:
-        """Cached payload (or ``None`` payload for size-only entries);
-        returns ``None`` and counts a miss when absent.  Refreshes LRU
-        position.  Use :meth:`lookup` to distinguish a size-only hit from a
-        miss."""
-        entry = self._entries.get(key)
-        if entry is None:
-            self.stats.misses += 1
-            if self._m_miss is not None:
-                self._m_miss.inc()
-            return None
-        self._entries.move_to_end(key)
-        self.stats.hits += 1
-        if self._m_hit is not None:
-            self._m_hit.inc()
-        return entry.payload
-
     def lookup(self, key: Hashable) -> bool:
         """True when ``key`` is resident (counts hit/miss, refreshes LRU)."""
         entry = self._entries.get(key)

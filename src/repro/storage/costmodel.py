@@ -26,7 +26,7 @@ real data.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Dict
 
 from ..types import GB
@@ -78,10 +78,6 @@ class CostParameters:
     tape_bandwidth_bps: float = 0.3 * GB
     #: Fixed client-side cost to serialize/deserialize a query plan, seconds.
     client_overhead_s: float = 5.0e-4
-
-    def with_updates(self, **kwargs: float) -> "CostParameters":
-        """Return a copy with some constants replaced (ablation helper)."""
-        return replace(self, **kwargs)
 
 
 #: Default parameter set used by the benchmark harness.
@@ -141,10 +137,6 @@ class SimClock:
     def breakdown(self) -> Dict[str, float]:
         """Charged seconds per category (copy)."""
         return dict(self._by_category)
-
-    def reset(self) -> None:
-        self._now = 0.0
-        self._by_category.clear()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"SimClock({self.name!r}, now={self._now:.6f}s)"

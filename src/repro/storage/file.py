@@ -246,8 +246,3 @@ class ParallelFileSystem:
                 if clock is not None:
                     clock.charge(plan.backoff_s(attempt), category="retry_backoff")
                     clock.charge(extent_time, category="pfs_read")
-
-    def reset_counters(self) -> None:
-        self.bytes_read = 0.0
-        self.bytes_written = 0.0
-        self.read_accesses = 0

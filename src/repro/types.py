@@ -23,7 +23,6 @@ __all__ = [
     "MB",
     "GB",
     "TB",
-    "dtype_of",
     "pdc_type_of_dtype",
     "check_value_type",
 ]
@@ -62,27 +61,6 @@ class QueryOp(enum.Enum):
             return data <= value
         return data == value
 
-    def flip(self) -> "QueryOp":
-        """Mirror operator (``a < x``  ⇔  ``x > a``), used when normalizing
-        range conditions."""
-        return {
-            QueryOp.GT: QueryOp.LT,
-            QueryOp.GTE: QueryOp.LTE,
-            QueryOp.LT: QueryOp.GT,
-            QueryOp.LTE: QueryOp.GTE,
-            QueryOp.EQ: QueryOp.EQ,
-        }[self]
-
-    @property
-    def is_lower_bound(self) -> bool:
-        """True for ``>`` / ``>=`` — the condition bounds values from below."""
-        return self in (QueryOp.GT, QueryOp.GTE)
-
-    @property
-    def is_upper_bound(self) -> bool:
-        """True for ``<`` / ``<=`` — the condition bounds values from above."""
-        return self in (QueryOp.LT, QueryOp.LTE)
-
 
 class PDCType(enum.Enum):
     """Element type of a PDC data object (``pdc_type_t``)."""
@@ -97,10 +75,6 @@ class PDCType(enum.Enum):
     @property
     def np_dtype(self) -> np.dtype:
         return _PDC_TO_NP[self]
-
-    @property
-    def itemsize(self) -> int:
-        return self.np_dtype.itemsize
 
     @property
     def is_integral(self) -> bool:
@@ -118,13 +92,8 @@ _PDC_TO_NP = {
 _NP_TO_PDC = {v: k for k, v in _PDC_TO_NP.items()}
 
 
-def dtype_of(pdc_type: PDCType) -> np.dtype:
-    """numpy dtype backing a :class:`PDCType`."""
-    return pdc_type.np_dtype
-
-
 def pdc_type_of_dtype(dtype: np.dtype) -> PDCType:
-    """Inverse of :func:`dtype_of`.
+    """The :class:`PDCType` backed by a numpy dtype.
 
     Raises :class:`QueryTypeError` for dtypes PDC does not model.
     """

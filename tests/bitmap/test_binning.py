@@ -6,8 +6,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.errors import IndexError_
-from repro.bitmap.binning import assign_bins, classify_bins, sig_digit_edges
-from repro.interval import Interval
+from repro.bitmap.binning import assign_bins, sig_digit_edges
 
 values = st.floats(min_value=-1e5, max_value=1e5, allow_nan=False, width=32)
 
@@ -77,34 +76,3 @@ class TestAssignBins:
         edges = np.array([0.0, 1.0, 2.0])
         with pytest.raises(IndexError_):
             assign_bins(np.array([5.0]), edges)
-
-
-class TestClassifyBins:
-    def setup_method(self):
-        self.edges = np.array([0.0, 1.0, 2.0, 3.0, 4.0])
-
-    def test_aligned_window_all_full(self):
-        full, partial = classify_bins(self.edges, Interval(lo=1.0, hi=3.0, hi_closed=False))
-        assert full.tolist() == [1, 2]
-        assert partial.tolist() == []
-
-    def test_offgrid_endpoint_makes_partial(self):
-        full, partial = classify_bins(self.edges, Interval(lo=1.5, hi=3.0, hi_closed=False))
-        assert full.tolist() == [2]
-        assert partial.tolist() == [1]
-
-    def test_point_query_is_partial(self):
-        full, partial = classify_bins(self.edges, Interval(lo=1.5, hi=1.5))
-        assert full.size == 0
-        assert partial.tolist() == [1]
-
-    def test_unbounded_interval(self):
-        full, partial = classify_bins(self.edges, Interval(lo=2.0, hi=None))
-        assert full.tolist() == [2, 3]
-        assert partial.size == 0
-
-    def test_full_and_partial_disjoint_and_cover_overlaps(self):
-        iv = Interval(lo=0.5, hi=3.5)
-        full, partial = classify_bins(self.edges, iv)
-        assert set(full) & set(partial) == set()
-        assert sorted(set(full) | set(partial)) == [0, 1, 2, 3]

@@ -33,7 +33,7 @@ def probe_from_bitmaps(idx, interval):
         stream = idx.bitmaps[b]
         words += int(stream.size)
         bins += 1
-        if interval.contains_range(lo, hi):
+        if interval.contains_value(lo) and interval.contains_value(hi):
             sure += wah.count_set_bits(stream)
         else:
             candidates += wah.count_set_bits(stream)

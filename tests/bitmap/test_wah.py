@@ -71,31 +71,12 @@ class TestLogicalOps:
         wb, _ = wah.compress(b)
         assert np.array_equal(wah.decompress(wah.logical_and(wa, wb), n), a & b)
         assert np.array_equal(wah.decompress(wah.logical_or(wa, wb), n), a | b)
-        assert np.array_equal(wah.decompress(wah.logical_not(wa, n), n), ~a)
-
-    def test_not_clears_padding(self):
-        """Complement must not set bits beyond n_bits (they would corrupt
-        counts)."""
-        a = np.zeros(10, dtype=bool)
-        wa, _ = wah.compress(a)
-        complemented = wah.logical_not(wa, 10)
-        assert wah.count_set_bits(complemented) == 10
 
     def test_mismatched_domains_rejected(self):
         wa, _ = wah.compress(np.zeros(63, dtype=bool))
         wb, _ = wah.compress(np.zeros(126, dtype=bool))
         with pytest.raises(IndexError_):
             wah.logical_and(wa, wb)
-
-    def test_demorgan(self, rng):
-        n = 500
-        a = rng.random(n) < 0.4
-        b = rng.random(n) < 0.4
-        wa, _ = wah.compress(a)
-        wb, _ = wah.compress(b)
-        lhs = wah.logical_not(wah.logical_and(wa, wb), n)
-        rhs = wah.logical_or(wah.logical_not(wa, n), wah.logical_not(wb, n))
-        assert np.array_equal(wah.decompress(lhs, n), wah.decompress(rhs, n))
 
 
 class TestCounting:
@@ -142,8 +123,7 @@ class TestCompression:
 
 
 class TestEdgeDomains:
-    """Exact group-boundary and degenerate domains (regression: the old
-    logical_not wrapped its tail mask for inconsistent n_bits)."""
+    """Exact group-boundary and degenerate domains."""
 
     @pytest.mark.parametrize("n_groups", [1, 2, 7])
     def test_exact_multiple_of_group_bits(self, n_groups, rng):
@@ -153,45 +133,19 @@ class TestEdgeDomains:
         assert nb == n
         assert np.array_equal(wah.decompress(w, nb), bits)
         assert wah.count_set_bits(w) == int(bits.sum())
-        comp = wah.logical_not(w, nb)
-        assert np.array_equal(wah.decompress(comp, nb), ~bits)
-        assert wah.count_set_bits(comp) == n - int(bits.sum())
 
     def test_empty_domain(self):
         w, nb = wah.compress(np.zeros(0, dtype=bool))
         assert w.size == 0 and nb == 0
         assert wah.count_set_bits(w) == 0
-        comp = wah.logical_not(w, 0)
-        assert comp.size == 0
-        assert wah.decompress(comp, 0).size == 0
+        assert wah.decompress(w, 0).size == 0
 
     def test_all_ones(self):
         for n in (1, wah.GROUP_BITS, wah.GROUP_BITS * 3 + 5):
             bits = np.ones(n, dtype=bool)
             w, nb = wah.compress(bits)
             assert wah.count_set_bits(w) == n
-            comp = wah.logical_not(w, nb)
-            assert wah.count_set_bits(comp) == 0
-            assert np.array_equal(wah.decompress(comp, nb), np.zeros(n, dtype=bool))
-
-    def test_not_rejects_negative_n_bits(self):
-        w, _ = wah.compress(np.ones(10, dtype=bool))
-        with pytest.raises(IndexError_):
-            wah.logical_not(w, -1)
-
-    def test_not_rejects_short_stream(self):
-        w, _ = wah.compress(np.ones(10, dtype=bool))
-        with pytest.raises(IndexError_):
-            wah.logical_not(w, wah.GROUP_BITS + 1)
-
-    def test_not_truncates_oversized_stream(self):
-        # A stream covering more groups than the domain must not leak
-        # complemented padding groups as set bits.
-        bits = np.zeros(wah.GROUP_BITS * 3, dtype=bool)
-        w, _ = wah.compress(bits)
-        comp = wah.logical_not(w, 5)
-        assert wah.count_set_bits(comp) == 5
-        assert np.array_equal(wah.decompress(comp, 5), np.ones(5, dtype=bool))
+            assert np.array_equal(wah.decompress(w, nb), bits)
 
 
 class TestPopcountFallback:

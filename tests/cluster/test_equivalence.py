@@ -22,7 +22,7 @@ from repro.obs.monitor import ServiceMonitor
 from repro.query.ast import Condition, combine_and
 from repro.query.executor import QueryEngine
 from repro.types import PDCType, QueryOp
-from tests.conftest import make_system
+from tests.conftest import make_system, zero_clocks
 
 
 def cond(name, op, value):
@@ -76,7 +76,7 @@ class TestStaticEquivalence:
     def test_scale_out_matches_static_cluster(self):
         elastic = build_system(2)
         ClusterManager(elastic).scale_out(2)  # 2 -> 4, canonical view
-        elastic.reset_clocks()
+        zero_clocks(elastic)
         elastic.drop_all_caches()
         static = build_system(4)
         assert elastic._placement is None
@@ -85,7 +85,7 @@ class TestStaticEquivalence:
     def test_scale_in_matches_static_cluster(self):
         elastic = build_system(4)
         ClusterManager(elastic).scale_in(1)  # 4 -> 3, server 3 gone
-        elastic.reset_clocks()
+        zero_clocks(elastic)
         elastic.drop_all_caches()
         static = build_system(3)
         assert elastic.n_servers == 3
@@ -96,7 +96,7 @@ class TestStaticEquivalence:
         manager = ClusterManager(elastic)
         manager.scale_out(2)  # 2 -> 4
         manager.scale_in(2)   # 4 -> 2: back to servers {0, 1}
-        elastic.reset_clocks()
+        zero_clocks(elastic)
         elastic.drop_all_caches()
         static = build_system(2)
         assert run_workload(elastic) == run_workload(static)

@@ -78,6 +78,24 @@ def cached_micro_suite(micro_suite, monkeypatch):
     )
 
 
+def metric_sample(registry, name: str, **labels) -> float:
+    """One sample of the registry's exposition (``collect``), by name and
+    exact label set."""
+    want = {k: str(v) for k, v in labels.items()}
+    return next(
+        value for n, _, got, value in registry.collect()
+        if n == name and got == want
+    )
+
+
+def zero_clocks(system) -> None:
+    """Zero every simulated clock, so that what two systems charge from
+    here on compares bit for bit (differences of floats would not)."""
+    for clock in system.all_clocks():
+        clock._now = 0.0
+        clock._by_category.clear()
+
+
 def make_system(
     n_servers: int = 4,
     region_size_bytes: int = 1 << 13,

@@ -96,15 +96,6 @@ class TestSameSeedSameRun:
             for s in range(1, 6)
         )
 
-    def test_plan_reset_replays_identically(self):
-        plan = FaultPlan(seed=99, config=FAULTY)
-        res_a, _ = _run(plan, Strategy.FULL_SCAN)
-        snap = plan.snapshot()
-        plan.reset()
-        res_b, _ = _run(plan, Strategy.FULL_SCAN)
-        assert _fingerprint(res_a) == _fingerprint(res_b)
-        assert plan.snapshot() == snap
-
 
 class TestZeroRatePlanIsInvisible:
     @pytest.mark.parametrize(

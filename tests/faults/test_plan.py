@@ -42,15 +42,6 @@ class TestDraws:
         mean = sum(draws) / len(draws)
         assert 0.45 < mean < 0.55
 
-    def test_reset_replays_from_start(self):
-        plan = FaultPlan(seed=3, config=FaultConfig(pfs_read_error_rate=0.5))
-        first = [plan.pfs_read_fails("k") for _ in range(20)]
-        count = plan.injected("pfs_read_error")
-        plan.reset()
-        assert plan.injected() == 0
-        assert [plan.pfs_read_fails("k") for _ in range(20)] == first
-        assert plan.injected("pfs_read_error") == count
-
 
 class TestRates:
     def test_zero_rate_never_draws(self):

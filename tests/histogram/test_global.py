@@ -29,7 +29,7 @@ class TestBuild:
             GlobalHistogram.build({})
 
     def test_total_and_region_count(self, ghist):
-        assert ghist.total == 8000
+        assert ghist.merged.total == 8000
         assert ghist.n_regions == 4
 
     def test_region_minmax_recorded(self, ghist, regions):
@@ -83,11 +83,3 @@ class TestEstimation:
     def test_selectivity_normalized(self, ghist):
         lo, hi = ghist.estimate_selectivity(Interval(lo=0.0, hi=2.0))
         assert 0.0 <= lo <= hi <= 1.0
-
-
-class TestSerialization:
-    def test_roundtrip(self, ghist):
-        g2 = GlobalHistogram.from_dict(ghist.to_dict())
-        assert g2.total == ghist.total
-        assert g2.region_minmax == ghist.region_minmax
-        assert np.array_equal(g2.merged.counts, ghist.merged.counts)

@@ -247,14 +247,6 @@ class TestEstimation:
 
 
 class TestSerialization:
-    def test_roundtrip(self, rng):
-        h = MergeableHistogram.from_data(rng.normal(0, 3, 500), n_bins=32)
-        h2 = MergeableHistogram.from_dict(h.to_dict())
-        assert h2.bin_width == h.bin_width
-        assert h2.start == h.start
-        assert np.array_equal(h2.counts, h.counts)
-        assert (h2.data_min, h2.data_max) == (h.data_min, h.data_max)
-
     def test_nbytes_positive_and_scales_with_bins(self, rng):
         small = MergeableHistogram.from_data(rng.random(500), n_bins=8)
         big = MergeableHistogram.from_data(rng.random(500), n_bins=128)

@@ -26,7 +26,7 @@ from repro.query.executor import QueryEngine
 from repro.query.scheduler import QueryScheduler
 from repro.strategies import Strategy
 from repro.types import PDCType, QueryOp
-from tests.conftest import make_system
+from tests.conftest import make_system, zero_clocks
 
 
 def gt(name, v):
@@ -222,8 +222,7 @@ class TestInterleavedEquivalence:
             QueryEngine(sysm).execute(
                 gt("energy", 2.0), strategy=Strategy.FULL_SCAN
             )
-            for c in sysm.all_clocks():
-                c.reset()
+            zero_clocks(sysm)
         for strategy in (Strategy.FULL_SCAN, Strategy.HISTOGRAM,
                          Strategy.HIST_INDEX):
             ra = QueryEngine(sys_d).execute(

@@ -157,5 +157,5 @@ class TestRebuildPolicy:
             "Sorted-replica staleness actions taken on object writes",
             labels=("action",),
         )
-        assert counter.labels(action="mark_stale").value == 1
-        assert counter.labels(action="rebuild").value == 1
+        assert counter.labels(action="mark_stale").total() == 1
+        assert counter.labels(action="rebuild").total() == 1

@@ -40,7 +40,7 @@ class TestBuffering:
         before = sysm.get_object("obj").data.copy()
         stream.update("obj", 0, np.full(8, 9.0, dtype=np.float32), t_s=0.1)
         stream.append("obj", np.full(4, 9.0, dtype=np.float32), t_s=0.2)
-        assert stream.pending == 2
+        assert len(stream._pending) == 2
         # Nothing applied yet: payload untouched.
         assert np.array_equal(sysm.get_object("obj").data, before)
         assert stream.epochs == []
@@ -55,7 +55,7 @@ class TestBuffering:
         # Refused at submission, not when its epoch applies.
         with pytest.raises(PDCError, match="finite"):
             stream.append("obj", np.array([1.0, np.nan], dtype=np.float32))
-        assert stream.pending == 0
+        assert len(stream._pending) == 0
 
     def test_rejects_out_of_order_arrivals(self):
         sysm = loaded()
@@ -87,7 +87,7 @@ class TestEpochs:
         stream.update("obj", 16, np.full(8, 6.0, dtype=np.float32), t_s=0.6)
         applied = stream.advance_to(0.5)
         assert [e.epoch for e in applied] == [0]
-        assert stream.pending == 1
+        assert len(stream._pending) == 1
         obj = sysm.get_object("obj")
         assert np.all(obj.data[0:8] == 5.0)
         assert not np.any(obj.data[16:24] == 6.0)
@@ -102,7 +102,7 @@ class TestEpochs:
         stream.update("obj", 0, np.full(8, 5.0, dtype=np.float32), t_s=0.1)
         ep = stream.flush()
         assert ep is not None and ep.n_ops == 1 and ep.n_elements == 8
-        assert stream.pending == 0
+        assert len(stream._pending) == 0
         assert np.all(sysm.get_object("obj").data[0:8] == 5.0)
 
     def test_epoch_result_counters_and_regions(self):
@@ -203,7 +203,7 @@ class TestTelemetry:
             "pdc_ingest_lag_sim_seconds", labels={"tenant": "ingest"}
         )
         assert lag is not None
-        state = mon.slo.state("ingest-lag")
+        state = mon.slo.states[0]
         assert state.total == 1  # the epoch was judged by the ingest SLI
 
     def test_request_slis_ignore_ingest_epochs(self):
@@ -221,4 +221,4 @@ class TestTelemetry:
         stream.update("obj", 0, np.ones(32, dtype=np.float32), t_s=0.1)
         stream.advance_to(0.5)
         # Ingest epochs are outside every request-oriented SLI population.
-        assert mon.slo.state("waits").total == 0
+        assert mon.slo.states[0].total == 0

@@ -1,18 +1,14 @@
-"""EXPLAIN ANALYZE: estimate/actual joins, batch attribution, and the
-zero-cost invariant of an analyzed run."""
+"""EXPLAIN ANALYZE: estimate/actual joins, the zero-cost invariant of an
+analyzed run, and the shared-pass attribution its actuals build on."""
 
 import pytest
 
 from repro.obs import NOOP_TRACER
-from repro.obs.analyze import (
-    analyze,
-    analyze_batch,
-    render_analysis,
-    render_batch_analysis,
-)
-from repro.obs.regress import demo_deployment
+from repro.obs.analyze import analyze, render_analysis
 from repro.query.ast import Condition
 from repro.query.executor import QueryEngine
+from repro.query.scheduler import QueryScheduler
+from repro.scenarios import demo_deployment
 from repro.strategies import Strategy
 from repro.types import PDCType, QueryOp
 
@@ -111,6 +107,9 @@ class TestAnalyzeSingle:
 
 
 class TestAnalyzeBatch:
+    """Per-query attribution of a window's shared read pass
+    (``QueryResult.batch_shared_*``)."""
+
     @pytest.fixture
     def window(self):
         return [
@@ -118,26 +117,30 @@ class TestAnalyzeBatch:
             for t in (0.5, 1.0, 1.5, 2.0)
         ]
 
+    @staticmethod
+    def run_window(system, window):
+        sched = QueryScheduler(system, max_width=len(window))
+        results = sched.run(window)
+        sched.close()
+        return sched.batches[0], results
+
     def test_shared_bytes_fully_attributed(self, deployment, window):
         system, _, _ = deployment
-        ba = analyze_batch(system, window)
-        assert ba.batch.shared_bytes_virtual > 0
-        shares = [
-            qa.result.batch_shared_bytes_virtual for qa in ba.queries
-        ]
+        batch, results = self.run_window(system, window)
+        assert batch.shared_bytes_virtual > 0
+        shares = [r.batch_shared_bytes_virtual for r in results]
         # Every query demanded the shared energy regions, so each gets a
         # share, and the shares partition the shared pass exactly.
         assert all(s > 0 for s in shares)
-        assert sum(shares) == pytest.approx(ba.batch.shared_bytes_virtual)
+        assert sum(shares) == pytest.approx(batch.shared_bytes_virtual)
 
     def test_elapsed_share_proportional_to_bytes(self, deployment, window):
         system, _, _ = deployment
-        ba = analyze_batch(system, window)
-        for qa in ba.queries:
-            r = qa.result
+        _, results = self.run_window(system, window)
+        first = results[0]
+        for r in results:
             assert r.batch_shared_elapsed_s > 0
             ratio = r.batch_shared_elapsed_s / r.batch_shared_bytes_virtual
-            first = ba.queries[0].result
             assert ratio == pytest.approx(
                 first.batch_shared_elapsed_s
                 / first.batch_shared_bytes_virtual
@@ -149,22 +152,5 @@ class TestAnalyzeBatch:
             system, _, _ = demo_deployment()
             solo.append(QueryEngine(system).execute(node).nhits)
         system, _, _ = demo_deployment()
-        ba = analyze_batch(system, window)
-        assert [qa.result.nhits for qa in ba.queries] == solo
-
-    def test_render_batch(self, deployment, window):
-        system, _, _ = deployment
-        text = render_batch_analysis(analyze_batch(system, window))
-        assert "EXPLAIN ANALYZE BATCH" in text
-        assert "batch share:" in text
-        assert text.count("query[") >= len(window)
-
-    def test_scheduler_analyze_window(self, deployment, window):
-        from repro.query.scheduler import QueryScheduler
-
-        system, _, _ = deployment
-        sched = QueryScheduler(system, max_width=len(window))
-        ba = sched.analyze_window(window)
-        sched.close()
-        assert len(ba.queries) == len(window)
-        assert sched.batches and sched.batches[0] is ba.batch
+        _, results = self.run_window(system, window)
+        assert [r.nhits for r in results] == solo

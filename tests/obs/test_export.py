@@ -11,9 +11,9 @@ from repro.obs.export import (
     write_alerts_jsonl,
 )
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.monitor import demo_monitor_run
 from repro.obs.slo import SLO, SLOMonitor
 from repro.obs.timeseries import TimeSeriesRecorder
+from repro.scenarios import demo_monitor_run
 
 
 @pytest.fixture(scope="module")

@@ -11,7 +11,7 @@ from repro.query.executor import QueryEngine
 from repro.simmpi import CommWorld, run_spmd
 from repro.strategies import Strategy
 from repro.types import PDCType, QueryOp
-from tests.conftest import make_system
+from tests.conftest import make_system, metric_sample
 
 
 def cond(name, op, value):
@@ -126,36 +126,34 @@ class TestQueryMetrics:
         engine.execute(NODE, strategy=Strategy.HIST_INDEX)
 
         assert reg.total("pdc_queries_total") == 2
-        queries = reg.get("pdc_queries_total")
-        assert queries.labels(strategy="HISTOGRAM").value == 1
-        assert queries.labels(strategy="HIST_INDEX").value == 1
+        assert metric_sample(reg, "pdc_queries_total", strategy="HISTOGRAM") == 1
+        assert metric_sample(reg, "pdc_queries_total", strategy="HIST_INDEX") == 1
         assert reg.total("pdc_query_regions_read_total") > 0
         assert reg.total("pdc_query_index_reads_total") > 0
         assert reg.total("pdc_cache_lookups_total") > 0
         assert reg.total("pdc_pfs_bytes_written_virtual_total") > 0
-        hist = reg.get("pdc_query_sim_seconds")
-        assert hist.count == 2 and hist.sum > 0
+        assert metric_sample(reg, "pdc_query_sim_seconds_count") == 2
+        assert metric_sample(reg, "pdc_query_sim_seconds_sum") > 0
 
     def test_second_query_hits_cache_in_metrics(self):
         reg = MetricsRegistry()
         sysm = build_system(np.random.default_rng(2), metrics=reg)
         engine = QueryEngine(sysm)
         engine.execute(NODE, strategy=Strategy.HISTOGRAM)
-        hits_before = reg.get("pdc_cache_lookups_total").labels(
-            server="server0", result="hit"
-        ).value
+        hits_before = metric_sample(
+            reg, "pdc_cache_lookups_total", server="server0", result="hit"
+        )
         engine.execute(NODE, strategy=Strategy.HISTOGRAM)
-        hits_after = reg.get("pdc_cache_lookups_total").labels(
-            server="server0", result="hit"
-        ).value
+        hits_after = metric_sample(
+            reg, "pdc_cache_lookups_total", server="server0", result="hit"
+        )
         assert hits_after > hits_before
 
     def test_planner_decision_metric(self):
         reg = MetricsRegistry()
         sysm = build_system(np.random.default_rng(2), metrics=reg)
         res = QueryEngine(sysm).execute(NODE, strategy=Strategy.AUTO)
-        plans = reg.get("pdc_plans_total")
-        assert plans.labels(strategy=res.strategy.name).value == 1
+        assert metric_sample(reg, "pdc_plans_total", strategy=res.strategy.name) == 1
 
     def test_snapshot_surfaces_registry_totals(self):
         reg = MetricsRegistry()
@@ -225,7 +223,7 @@ class TestCommAccounting:
         assert stats.messages_total == 1
         assert stats.bytes_total > 0
         assert stats.messages_by_op.get("p2p") == 1
-        assert reg.get("simmpi_messages_total").labels(op="p2p").value == 1
+        assert metric_sample(reg, "simmpi_messages_total", op="p2p") == 1
         assert reg.total("simmpi_bytes_total") == stats.bytes_total
 
     def test_query_produces_comm_time(self):

@@ -156,7 +156,7 @@ class TestFlamegraphs:
 
 class TestOnRealQuery:
     def test_profile_of_demo_query(self):
-        from repro.obs.regress import demo_deployment
+        from repro.scenarios import demo_deployment
         from repro.query.executor import QueryEngine
         from repro.strategies import Strategy
 

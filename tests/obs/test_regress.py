@@ -10,12 +10,12 @@ from repro.obs.regress import (
     DEFAULT_BASELINE,
     benchcheck,
     compare,
-    demo_deployment,
     load_baseline,
     run_micro_suite,
     render_comparison,
     write_baseline,
 )
+from repro.scenarios import demo_deployment
 
 REPO_ROOT = os.path.dirname(
     os.path.dirname(os.path.dirname(os.path.abspath(__file__)))

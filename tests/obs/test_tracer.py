@@ -104,14 +104,6 @@ class TestSpanNesting:
         assert summary["query"] == pytest.approx(3.0)
         assert tr.summary()["query"] == pytest.approx(8.0)
 
-    def test_reset(self, clock):
-        tr = Tracer()
-        with tr.span("s", clock):
-            pass
-        tr.instant("e", clock)
-        tr.reset()
-        assert tr.spans == [] and tr.events == []
-
 
 class TestNoopTracer:
     def test_disabled_and_inert(self, clock):

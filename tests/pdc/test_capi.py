@@ -121,8 +121,8 @@ class TestDelete:
         assert not pdc.pfs.exists("/pdc/data/Energy")
         assert not pdc.pfs.exists("/pdc/index/Energy")
         assert "Energy" not in pdc.replicas
-        assert "Energy" not in pdc.containers["c1"]
-        assert not pdc.metadata.exists("Energy")
+        assert "Energy" not in pdc.containers["c1"]._members
+        assert pdc.metadata.query_tags({}) == []
 
     def test_name_reusable_after_delete(self, pdc):
         obj_id = create_energy(pdc)
@@ -137,4 +137,4 @@ class TestClose:
         PDCclose(pdc)
         pdc.metadata._shards = [dict() for _ in range(pdc.metadata.n_shards)]
         pdc.metadata.restore()
-        assert pdc.metadata.exists("Energy")
+        assert pdc.metadata.query_tags({}) == ["Energy"]

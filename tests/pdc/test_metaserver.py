@@ -30,7 +30,6 @@ class TestCRUD:
         svc = make_service()
         svc.create(make_meta(svc, "obj1"))
         assert svc.get("obj1").name == "obj1"
-        assert svc.exists("obj1")
         assert len(svc) == 1
 
     def test_duplicate_rejected(self):
@@ -43,19 +42,11 @@ class TestCRUD:
         with pytest.raises(ObjectNotFoundError):
             make_service().get("nope")
 
-    def test_get_by_id(self):
-        svc = make_service()
-        m = make_meta(svc, "obj1")
-        svc.create(m)
-        assert svc.get_by_id(m.object_id).name == "obj1"
-        with pytest.raises(ObjectNotFoundError):
-            svc.get_by_id(999)
-
     def test_delete(self):
         svc = make_service()
         svc.create(make_meta(svc, "obj1"))
         svc.delete("obj1")
-        assert not svc.exists("obj1")
+        assert len(svc) == 0
         with pytest.raises(ObjectNotFoundError):
             svc.delete("obj1")
 
@@ -63,12 +54,6 @@ class TestCRUD:
         svc = make_service()
         ids = {svc.allocate_object_id() for _ in range(100)}
         assert len(ids) == 100
-
-    def test_all_names_sorted(self):
-        svc = make_service()
-        for n in ("c", "a", "b"):
-            svc.create(make_meta(svc, n))
-        assert svc.all_names() == ["a", "b", "c"]
 
     def test_zero_shards_rejected(self):
         with pytest.raises(MetadataError):

@@ -48,28 +48,11 @@ class TestRegionMeta:
             region_id=0, object_name="o", offset=offset, n_elements=n, file_path="/p"
         )
 
-    def test_extent(self):
-        r = self.make(offset=50, n=100)
-        assert r.extent == (50, 150)
-        assert r.stop == 150
-
     def test_bad_extent_rejected(self):
         with pytest.raises(PDCError):
             self.make(offset=-1)
         with pytest.raises(PDCError):
             self.make(n=0)
-
-    def test_overlaps_coords(self):
-        r = self.make(offset=100, n=100)  # [100, 200)
-        assert r.overlaps_coords(150, 160)
-        assert r.overlaps_coords(0, 101)
-        assert r.overlaps_coords(199, 300)
-        assert not r.overlaps_coords(200, 300)
-        assert not r.overlaps_coords(0, 100)
-
-    def test_minmax_requires_histogram(self):
-        with pytest.raises(PDCError):
-            self.make().minmax
 
 
 class TestRegionKey:

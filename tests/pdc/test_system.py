@@ -49,7 +49,7 @@ class TestCreateObject:
         data = rng.random(4096).astype(np.float32)
         obj = sysm.create_object("o", data)
         assert obj.meta.global_histogram is not None
-        assert obj.meta.global_histogram.total == 4096
+        assert obj.meta.global_histogram.merged.total == 4096
         for rid in range(obj.n_regions):
             seg = data[obj.offsets[rid] : obj.offsets[rid] + obj.counts[rid]]
             assert obj.rmin[rid] == seg.min()
@@ -81,7 +81,7 @@ class TestCreateObject:
     def test_container_membership(self, rng):
         sysm = make_system()
         sysm.create_object("o", rng.random(10).astype(np.float32), container="vpic")
-        assert "o" in sysm.containers["vpic"]
+        assert "o" in sysm.containers["vpic"]._members
 
     def test_get_object_missing(self):
         with pytest.raises(ObjectNotFoundError):

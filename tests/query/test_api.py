@@ -149,7 +149,7 @@ class TestHistogramAndTags:
     def test_get_histogram(self, env):
         sysm, e, _, eid, _ = env
         h = PDCquery_get_histogram(sysm, eid)
-        assert h.total == e.size
+        assert h.merged.total == e.size
 
     def test_get_histogram_missing(self, env, rng):
         sysm, _, _, _, _ = env

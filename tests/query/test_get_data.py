@@ -46,14 +46,14 @@ class TestValues:
     def test_empty_selection(self, env):
         sysm, _, _ = env
         engine = QueryEngine(sysm)
-        gd = engine.get_data(Selection.empty(1 << 12), "energy")
+        gd = engine.get_data(Selection(np.zeros(0, dtype=np.int64), 1 << 12), "energy")
         assert gd.values.size == 0
         assert gd.elapsed_s >= 0
 
     def test_domain_mismatch_rejected(self, env):
         sysm, _, _ = env
         with pytest.raises(QueryError):
-            QueryEngine(sysm).get_data(Selection.empty(999), "energy")
+            QueryEngine(sysm).get_data(Selection(np.zeros(0, dtype=np.int64), 999), "energy")
 
 
 class TestBatches:

@@ -10,11 +10,11 @@ import pytest
 
 from repro.errors import ObjectNotFoundError
 from repro.obs import MetricsRegistry
-from repro.obs.regress import demo_deployment
 from repro.query import planner
 from repro.query.ast import Condition, combine_and, combine_or, conjunct_intervals, to_dnf
 from repro.query.executor import QueryEngine, QuerySpec
 from repro.query.planner import choose_strategy, plan_conjunct
+from repro.scenarios import demo_deployment
 from repro.strategies import Strategy
 from repro.types import PDCType, QueryOp
 

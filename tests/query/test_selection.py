@@ -11,6 +11,10 @@ from repro.query.selection import Selection
 coord_sets = st.sets(st.integers(0, 999), max_size=200)
 
 
+def empty(domain_size):
+    return Selection(np.zeros(0, dtype=np.int64), domain_size)
+
+
 class TestInvariants:
     def test_sorted_unique_enforced(self):
         with pytest.raises(SelectionError):
@@ -30,9 +34,9 @@ class TestInvariants:
         assert s.nhits == 3
 
     def test_empty_and_full(self):
-        assert Selection.empty(10).is_empty
-        assert Selection.full(10).is_full
-        assert Selection.full(10).nhits == 10
+        assert empty(10).is_empty
+        full = Selection(np.arange(10), 10)
+        assert full.nhits == 10 and not full.is_empty
 
     def test_2d_rejected(self):
         with pytest.raises(SelectionError):
@@ -50,8 +54,8 @@ class TestAlgebra:
         assert set(sa.difference(sb).coords.tolist()) == a - b
 
     def test_domain_mismatch_rejected(self):
-        a = Selection.empty(10)
-        b = Selection.empty(20)
+        a = empty(10)
+        b = empty(20)
         with pytest.raises(SelectionError):
             a.union(b)
 
@@ -81,12 +85,9 @@ class TestClipAndBatches:
             assert c.nhits == bs
 
     def test_empty_selection_yields_one_empty_batch(self):
-        chunks = list(Selection.empty(10).batches(5))
+        chunks = list(empty(10).batches(5))
         assert len(chunks) == 1 and chunks[0].is_empty
 
     def test_bad_batch_size(self):
         with pytest.raises(SelectionError):
-            list(Selection.empty(10).batches(0))
-
-    def test_nbytes(self):
-        assert Selection(np.array([1, 2, 3]), 10).nbytes == 24
+            list(empty(10).batches(0))

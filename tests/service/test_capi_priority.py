@@ -15,7 +15,6 @@ from repro.query import (
     PDCquery_execute_batch,
     PDCquery_get_nhits,
     QueryScheduler,
-    QuerySpec,
 )
 from repro.query.ast import Condition
 from repro.types import PDCType, QueryOp
@@ -89,35 +88,15 @@ class TestCapiSetters:
 
 
 class TestSchedulerPriorityWindows:
-    def test_flush_orders_by_priority_stable(self):
-        sysm = fresh_deployment()
-        sched = QueryScheduler(sysm, max_width=8, use_selection_cache=False)
-        lo1 = QuerySpec(node=Condition("energy", QueryOp.GT, PDCType.FLOAT, 1.0))
-        hi = QuerySpec(
-            node=Condition("energy", QueryOp.GT, PDCType.FLOAT, 2.0), priority=9
-        )
-        lo2 = QuerySpec(node=Condition("energy", QueryOp.GT, PDCType.FLOAT, 3.0))
-        for s in (lo1, hi, lo2):
-            sched.submit(s)
-        batch = sched.flush()
-        e = sysm.get_object("energy").data
-        expected = [
-            int((e > np.float32(2.0)).sum()),  # hi first
-            int((e > np.float32(1.0)).sum()),  # then submission order
-            int((e > np.float32(3.0)).sum()),
-        ]
-        assert [r.nhits for r in batch.results] == expected
-        sched.close()
-
     def test_default_priorities_keep_submission_order(self):
         sysm = fresh_deployment()
         sched = QueryScheduler(sysm, max_width=8, use_selection_cache=False)
         values = [1.0, 2.0, 3.0]
-        for v in values:
-            sched.submit(Condition("energy", QueryOp.GT, PDCType.FLOAT, v))
-        batch = sched.flush()
+        results = sched.run(
+            [Condition("energy", QueryOp.GT, PDCType.FLOAT, v) for v in values]
+        )
         e = sysm.get_object("energy").data
-        assert [r.nhits for r in batch.results] == [
+        assert [r.nhits for r in results] == [
             int((e > np.float32(v)).sum()) for v in values
         ]
         sched.close()

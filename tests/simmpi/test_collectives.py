@@ -1,10 +1,11 @@
 """Collective operations across various communicator sizes."""
 
+import operator
+
 import numpy as np
 import pytest
 
-from repro.errors import TransportError
-from repro.simmpi import CONCAT, MAX, MIN, PROD, SUM, run_spmd
+from repro.simmpi import SUM, run_spmd
 
 SIZES = [1, 2, 3, 5, 8]
 
@@ -31,13 +32,6 @@ class TestBcast:
 
 @pytest.mark.parametrize("n", SIZES)
 class TestScatterGather:
-    def test_scatter(self, n):
-        def main(comm):
-            items = [i * i for i in range(comm.size)] if comm.rank == 0 else None
-            return comm.scatter(items, root=0)
-
-        assert run_spmd(n, main) == [i * i for i in range(n)]
-
     def test_gather_rank_order(self, n):
         def main(comm):
             return comm.gather(comm.rank * 10, root=0)
@@ -45,13 +39,6 @@ class TestScatterGather:
         res = run_spmd(n, main)
         assert res[0] == [i * 10 for i in range(n)]
         assert all(r is None for r in res[1:])
-
-    def test_allgather(self, n):
-        def main(comm):
-            return comm.allgather(chr(ord("a") + comm.rank))
-
-        expected = [chr(ord("a") + i) for i in range(n)]
-        assert run_spmd(n, main) == [expected] * n
 
 
 @pytest.mark.parametrize("n", SIZES)
@@ -62,45 +49,33 @@ class TestReduce:
 
         res = run_spmd(n, main)
         assert res[0] == n * (n + 1) // 2
+        assert all(r is None for r in res[1:])
 
-    def test_allreduce_max_min(self, n):
+    def test_reduce_numpy_elementwise(self, n):
         def main(comm):
-            return (comm.allreduce(comm.rank, MAX), comm.allreduce(comm.rank, MIN))
+            return comm.reduce(np.full(3, comm.rank + 1), SUM, root=0)
 
-        assert run_spmd(n, main) == [(n - 1, 0)] * n
-
-    def test_allreduce_numpy_elementwise(self, n):
-        def main(comm):
-            return comm.allreduce(np.full(3, comm.rank + 1), SUM)
-
-        res = run_spmd(n, main)
-        for r in res:
-            assert np.array_equal(r, np.full(3, n * (n + 1) // 2))
+        assert np.array_equal(run_spmd(n, main)[0], np.full(3, n * (n + 1) // 2))
 
     def test_reduce_prod(self, n):
+        """Any pairwise callable is a reduce op."""
+
         def main(comm):
-            return comm.reduce(2, PROD, root=0)
+            return comm.reduce(2, operator.mul, root=0)
 
         assert run_spmd(n, main)[0] == 2**n
 
     def test_reduce_concat(self, n):
+        """A non-commutative op shows the fold runs in rank order."""
+
         def main(comm):
-            return comm.reduce([comm.rank], CONCAT, root=0)
+            return comm.reduce([comm.rank], operator.add, root=0)
 
         assert run_spmd(n, main)[0] == list(range(n))
 
 
 @pytest.mark.parametrize("n", SIZES)
 class TestAlltoallBarrier:
-    def test_alltoall(self, n):
-        def main(comm):
-            sends = [f"{comm.rank}->{j}" for j in range(comm.size)]
-            return comm.alltoall(sends)
-
-        res = run_spmd(n, main)
-        for j in range(n):
-            assert res[j] == [f"{i}->{j}" for i in range(n)]
-
     def test_barrier_many_times(self, n):
         def main(comm):
             for _ in range(5):
@@ -117,34 +92,19 @@ class TestCollectiveSequencing:
         def main(comm):
             a = comm.bcast("A" if comm.rank == 0 else None, root=0)
             b = comm.bcast("B" if comm.rank == 0 else None, root=0)
-            c = comm.allreduce(1, SUM)
+            c = comm.bcast(comm.reduce(1, SUM, root=0), root=0)
             return (a, b, c)
 
         res = run_spmd(4, main)
         assert res == [("A", "B", 4)] * 4
 
-    def test_scatter_wrong_length_rejected(self):
-        def main(comm):
-            items = [1] if comm.rank == 0 else None
-            return comm.scatter(items, root=0)
-
-        with pytest.raises(Exception):
-            run_spmd(3, main)
-
-    def test_alltoall_wrong_length_rejected(self):
-        def main(comm):
-            return comm.alltoall([1, 2])
-
-        with pytest.raises(Exception):
-            run_spmd(3, main)
-
     def test_collectives_after_p2p(self):
         def main(comm):
             if comm.rank == 0:
                 comm.send("p2p", dest=1, tag=3)
-            total = comm.allreduce(comm.rank, SUM)
+            total = comm.reduce(comm.rank, SUM, root=0)
             extra = comm.recv(source=0, tag=3) if comm.rank == 1 else None
             return (total, extra)
 
         res = run_spmd(2, main)
-        assert res == [(1, None), (1, "p2p")]
+        assert res == [(1, None), (None, "p2p")]

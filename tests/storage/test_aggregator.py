@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.storage.aggregator import aggregate_extents, coords_to_extents, extent_stats
+from repro.storage.aggregator import aggregate_extents, coords_to_extents
 
 
 class TestAggregateExtents:
@@ -89,11 +89,3 @@ class TestCoordsToExtents:
         for a, b in extents:
             covered.update(range(a, b))
         assert covered == coords
-
-
-class TestExtentStats:
-    def test_counts(self):
-        assert extent_stats([(0, 4), (10, 12)]) == (2, 6)
-
-    def test_empty(self):
-        assert extent_stats([]) == (0, 0)

@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from repro.storage.costmodel import CORI_LIKE, CostModel, CostParameters, SimClock
+from repro.storage.costmodel import CostModel, SimClock
 from repro.types import GB, MB
 
 
@@ -36,19 +36,6 @@ class TestSimClock:
         c.advance_to(3.0)
         assert c.now == 3.0
         assert c.breakdown()["wait"] == pytest.approx(1.0)
-
-    def test_reset(self):
-        c = SimClock()
-        c.charge(1.0)
-        c.reset()
-        assert c.now == 0.0 and c.breakdown() == {}
-
-
-class TestCostParameters:
-    def test_with_updates_returns_copy(self):
-        p = CORI_LIKE.with_updates(seek_latency_s=1.0)
-        assert p.seek_latency_s == 1.0
-        assert CORI_LIKE.seek_latency_s != 1.0
 
 
 class TestCostModel:

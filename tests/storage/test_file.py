@@ -116,8 +116,6 @@ class TestReads:
         pfs.read("/a", 0, 500)
         assert pfs.bytes_read == 2000
         assert pfs.read_accesses == 1
-        pfs.reset_counters()
-        assert pfs.bytes_read == 0 and pfs.read_accesses == 0
 
     def test_write_charges_clock(self, pfs, data):
         clock = SimClock()

@@ -193,6 +193,10 @@ class TestBadInput:
             ["serve", "--rate", "-5"],
             ["batch", "--width", "0"],
             ["monitor", "--requests", "30", "--watch", "--step", "0"],
+            ["cluster", "--requests", "-3"],
+            ["serve", "--requests", "-1"],
+            ["monitor", "--requests", "0"],
+            ["batch", "--queries", "-1"],
         ],
         ids=" ".join,
     )
@@ -218,6 +222,14 @@ class TestBadInput:
         assert "Traceback" not in err
         assert err.startswith(f"error: {path}: not a JSONL trace")
         assert len(err.splitlines()) == 1
+
+    def test_profile_load_rejects_empty_trace(self, capsys, tmp_path):
+        path = tmp_path / "empty.jsonl"
+        path.write_text("")
+        assert main(["profile", "--load", str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: {path}: trace has no spans\n"
 
 
 class TestSubprocess:

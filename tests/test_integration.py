@@ -92,7 +92,7 @@ class TestPaperWorkflow:
     def test_histogram_available_for_free(self, vpic_env):
         sysm, ds, ids = vpic_env
         h = PDCquery_get_histogram(sysm, ids["Energy"])
-        assert h.total == ds.n_particles
+        assert h.merged.total == ds.n_particles
         lo, hi = h.estimate_selectivity(
             __import__("repro.interval", fromlist=["Interval"]).Interval(lo=2.0, hi=None, lo_closed=False)
         )
@@ -141,7 +141,7 @@ class TestFaultTolerance:
 class TestTagWorkflow:
     def test_container_and_tags(self, vpic_env):
         sysm, _, ids = vpic_env
-        assert set(sysm.containers["vpic"].members()) == {"Energy", "x", "y", "z"}
+        assert sysm.containers["vpic"]._members == {"Energy", "x", "y", "z"}
 
     def test_boss_style_tag_then_data(self, rng):
         sysm = PDCSystem(PDCConfig(n_servers=2, region_size_bytes=1 << 16))
