@@ -20,16 +20,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Set
+from typing import Dict, Optional, Sequence, Set
 
 import numpy as np
 
 from ..errors import QueryError
 from ..interval import Interval
 from ..pdc.system import PDCSystem
+from ..query.ast import typed_conjuncts
 from ..storage.costmodel import SimClock
-from ..types import MB, QueryOp
-from ..workloads.queries import QuerySpec
+from ..types import MB
+from ..workloads.queries import QuerySpec, build_pdc_query
 from .hdf5_fullscan import BaselineResult
 
 __all__ = ["BlockIndexEngine"]
@@ -111,28 +112,20 @@ class BlockIndexEngine:
         """Evaluate conditions in **user order** (no selectivity planner),
         pruning and reading whole blocks via the min/max index."""
         sysm = self.system
-        per_object: Dict[str, Interval] = {}
-        order: List[str] = []
-        for obj_name, op, value in spec.conditions:
+        for obj_name, _, _ in spec.conditions:
             if obj_name not in self._blocks:
                 raise QueryError(f"block index not built for {obj_name!r}")
-            iv = Interval.from_op(QueryOp(op), value)
-            if obj_name in per_object:
-                merged = per_object[obj_name].intersect(iv)
-                if merged is None:
-                    return BaselineResult(nhits=0, elapsed_s=0.0)
-                per_object[obj_name] = merged
-            else:
-                per_object[obj_name] = iv
-                order.append(obj_name)
+        conjuncts = typed_conjuncts(build_pdc_query(sysm, spec).node, sysm.type_of)
+        if not conjuncts:
+            return BaselineResult(nhits=0, elapsed_s=0.0)
+        (first, first_iv), *rest = conjuncts[0][1].items()
 
         t0 = self._sync()
-        first = order[0]
-        coords = self._eval_first(first, per_object[first])
-        for obj_name in order[1:]:
+        coords = self._eval_first(first, first_iv)
+        for obj_name, interval in rest:
             if coords.size == 0:
                 break
-            coords = self._eval_candidates(obj_name, per_object[obj_name], coords)
+            coords = self._eval_candidates(obj_name, interval, coords)
 
         if want_selection and coords.size:
             share = int(coords.size * 8 / self.n_processes)

@@ -20,16 +20,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Set
+from typing import Dict, Optional, Sequence, Set
 
 import numpy as np
 
 from ..errors import QueryError
 from ..interval import Interval
 from ..pdc.system import PDCSystem
+from ..query.ast import typed_conjuncts
 from ..storage.costmodel import SimClock
-from ..types import MB, QueryOp
-from ..workloads.queries import QuerySpec
+from ..types import MB
+from ..workloads.queries import QuerySpec, build_pdc_query
 
 __all__ = ["HDF5FullScanEngine", "BaselineResult"]
 
@@ -124,35 +125,27 @@ class HDF5FullScanEngine:
             raise QueryError(f"objects not preloaded: {missing}")
         t0 = self._sync()
 
-        # Group conditions per object, in spec order (no selectivity
+        # One typed interval per object, in spec order (no selectivity
         # planner here — the baseline has no histograms).
-        per_object: Dict[str, Interval] = {}
-        order: List[str] = []
-        for obj_name, op, value in spec.conditions:
-            iv = Interval.from_op(QueryOp(op), value)
-            if obj_name in per_object:
-                merged = per_object[obj_name].intersect(iv)
-                if merged is None:
-                    return BaselineResult(nhits=0, elapsed_s=self._sync() - t0)
-                per_object[obj_name] = merged
-            else:
-                per_object[obj_name] = iv
-                order.append(obj_name)
+        conjuncts = typed_conjuncts(build_pdc_query(sysm, spec).node, sysm.type_of)
+        if not conjuncts:
+            return BaselineResult(nhits=0, elapsed_s=self._sync() - t0)
+        (first_name, first_iv), *rest = conjuncts[0][1].items()
 
-        first = sysm.get_object(order[0])
+        first = sysm.get_object(first_name)
         n = first.n_elements
         per_rank = n / self.n_processes
         for clock in self.clocks:
             clock.charge(sysm.cost.scan_time(int(per_rank)), "scan")
-        coords = np.flatnonzero(per_object[order[0]].mask(first.data)).astype(np.int64)
+        coords = np.flatnonzero(first_iv.mask(first.data)).astype(np.int64)
 
-        for obj_name in order[1:]:
+        for obj_name, interval in rest:
             obj = sysm.get_object(obj_name)
             for clock in self.clocks:
                 clock.charge(
                     sysm.cost.scan_time(int(coords.size / self.n_processes)), "scan"
                 )
-            coords = coords[per_object[obj_name].mask(obj.data[coords])]
+            coords = coords[interval.mask(obj.data[coords])]
 
         # Result shipping: each process streams its share to the parallel
         # application; a small count aggregation lands on rank 0.
@@ -206,7 +199,7 @@ class HDF5FullScanEngine:
                 "pfs_read",
             )
             clock.charge(sysm.cost.scan_time(obj.n_elements), "scan")
-            total_hits += int(interval.mask(obj.data).sum())
+            total_hits += int(interval.typed(obj.meta.pdc_type).mask(obj.data).sum())
 
         self.clocks[0].charge(sysm.cost.net_time(16 * len(object_names)), "net")
         return BaselineResult(nhits=total_hits, elapsed_s=self._sync() - t0)

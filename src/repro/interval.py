@@ -17,7 +17,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .errors import QueryError
-from .types import QueryOp, Scalar
+from .types import PDCType, QueryOp, Scalar, check_value_type
 
 __all__ = ["Interval"]
 
@@ -57,6 +57,21 @@ class Interval:
         if op is QueryOp.LTE:
             return cls(lo=None, hi=v, hi_closed=True)
         return cls(lo=v, hi=v, lo_closed=True, hi_closed=True)
+
+    def typed(self, pdc_type: PDCType) -> "Interval":
+        """This interval under the one comparison rule: each present bound
+        becomes a value of its object's element type ``pdc_type``
+        (:func:`~repro.types.check_value_type`: floats round to the type's
+        width, an integral type refuses a fraction) and only then is
+        compared.  Such bounds are exact in the object's dtype, so mask,
+        min/max pruning, bin classification and binary search cannot
+        disagree.  Bounds that round onto one value with an open endpoint
+        raise like any empty interval."""
+        lo, hi = (
+            b if b is None else float(check_value_type(b, pdc_type))
+            for b in (self.lo, self.hi)
+        )
+        return Interval(lo, hi, self.lo_closed, self.hi_closed)
 
     # ------------------------------------------------------------- operations
     def intersect(self, other: "Interval") -> Optional["Interval"]:
@@ -109,11 +124,7 @@ class Interval:
         return True
 
     def contains_value(self, v: float) -> bool:
-        if self.lo is not None and (v < self.lo or (v == self.lo and not self.lo_closed)):
-            return False
-        if self.hi is not None and (v > self.hi or (v == self.hi and not self.hi_closed)):
-            return False
-        return True
+        return self.overlaps_range(v, v)
 
     def overlaps_range(self, lo: float, hi: float) -> bool:
         """True when the closed value range ``[lo, hi]`` intersects this

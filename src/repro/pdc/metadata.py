@@ -10,8 +10,6 @@ time and stored as in-memory objects."*
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-
-import numpy as np
 from typing import Any, Dict, List, Optional, Tuple
 
 from ..errors import MetadataError
@@ -34,21 +32,19 @@ _MISSING = object()
 
 def tag_matches(value: TagValue, predicate: TagPredicate) -> bool:
     """Evaluate one tag predicate against one tag value."""
-    if isinstance(predicate, Interval):
-        if not isinstance(value, (int, float)) or isinstance(value, bool):
-            return False
-        return predicate.contains_value(float(value))
     if (
         isinstance(predicate, tuple)
         and len(predicate) == 2
         and isinstance(predicate[0], (str, QueryOp))
     ):
-        op = predicate[0] if isinstance(predicate[0], QueryOp) else QueryOp(predicate[0])
+        op = QueryOp(predicate[0])
         if op is QueryOp.EQ:
             return value == predicate[1]
+        predicate = Interval.from_op(op, predicate[1])
+    if isinstance(predicate, Interval):
         if not isinstance(value, (int, float)) or isinstance(value, bool):
             return False
-        return bool(op.apply(np.asarray(value), predicate[1]))
+        return predicate.contains_value(float(value))
     return value == predicate
 
 

@@ -32,7 +32,7 @@ from ..strategies import Strategy, strategy_from_env
 from ..sorting.reorganize import SortedReplica
 from ..storage.costmodel import CostModel, CostParameters, CORI_LIKE, SimClock
 from ..storage.file import ParallelFileSystem
-from ..types import GB, MB, pdc_type_of_dtype
+from ..types import GB, MB, PDCType, pdc_type_of_dtype
 from ..storage.device import DeviceKind
 from .container import Container
 from .metadata import ObjectMeta, TagValue
@@ -1144,6 +1144,10 @@ class PDCSystem:
             return self.objects[name]
         except KeyError:
             raise ObjectNotFoundError(f"no object named {name!r}") from None
+
+    def type_of(self, name: str) -> PDCType:
+        """Element type of a named object: the query gate's lookup."""
+        return self.get_object(name).meta.pdc_type
 
     def get_object_by_id(self, object_id: int) -> StoredObject:
         for obj in self.objects.values():

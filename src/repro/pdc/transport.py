@@ -23,7 +23,7 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from ..errors import TransportError
-from ..query.ast import QueryNode, conjunct_intervals, node_from_dict, to_dnf
+from ..query.ast import QueryNode, node_from_dict, typed_conjuncts
 from ..simmpi.communicator import Communicator
 from ..simmpi.launcher import run_spmd
 from .system import PDCSystem
@@ -77,10 +77,7 @@ def _evaluate_share(
     from the (simulated) PFS like a real server would."""
     node = node_from_dict(request.tree)
     all_coords: List[np.ndarray] = []
-    for leaves in to_dnf(node):
-        conjunct = conjunct_intervals(leaves)
-        if conjunct is None:
-            continue
+    for _, conjunct in typed_conjuncts(node, system.type_of):
         coords: Optional[np.ndarray] = None
         for name, interval in conjunct.items():
             obj, mine = _server_share(system, n_servers, server_index, name)
@@ -129,6 +126,9 @@ def run_distributed_query(
     n_servers = system.n_servers if n_server_ranks is None else n_server_ranks
     if n_servers < 1:
         raise TransportError("need at least one server rank")
+    # The client refuses an unknown object or an untypable bound itself; a
+    # rank that raised would surface only as a RuntimeAbort.
+    typed_conjuncts(node, system.type_of)
     request = QueryRequest(tree=node.to_dict(), region_constraint=region_constraint)
 
     def rank_main(comm: Communicator) -> Optional[np.ndarray]:

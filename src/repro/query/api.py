@@ -31,9 +31,9 @@ from ..histogram.global_hist import GlobalHistogram
 from ..pdc.system import PDCSystem
 from ..strategies import Strategy
 from ..types import PDCType, QueryOp, Scalar
-from .ast import Condition, QueryNode, combine_and, combine_or
+from .ast import Condition, QueryNode, combine_and, combine_or, typed_conjuncts
 from .executor import QueryEngine, QueryResult
-from .region_constraint import HyperSlab, RegionConstraint
+from .region_constraint import HyperSlab, RegionConstraint, normalize_constraint
 from .selection import Selection
 
 __all__ = [
@@ -197,16 +197,11 @@ def PDCquery_estimate_nhits(query: PDCQuery) -> Tuple[int, int]:
     may overlap, so the upper bound stays safe but the lower bound is
     taken from the largest single conjunct).
     """
-    from .ast import conjunct_intervals, to_dnf
-
     system = query.system
     total_lower = 0
     total_upper = 0
     domain = None
-    for leaves in to_dnf(query.node):
-        conjunct = conjunct_intervals(leaves)
-        if conjunct is None:
-            continue
+    for _, conjunct in typed_conjuncts(query.node, system.type_of):
         lower = None
         upper = None
         for name, interval in conjunct.items():
@@ -228,8 +223,6 @@ def PDCquery_estimate_nhits(query: PDCQuery) -> Tuple[int, int]:
     if domain is not None:
         total_upper = min(total_upper, domain)
         if query.region is not None:
-            from .region_constraint import normalize_constraint
-
             (start, stop), slab = normalize_constraint(query.region, domain)
             cap = slab.n_elements if slab is not None else stop - start
             total_upper = min(total_upper, cap)

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Optional, Tuple, Union
 
 from ..errors import QueryError
 from ..interval import Interval
@@ -158,20 +158,28 @@ def to_dnf(node: QueryNode) -> List[List[Condition]]:
     raise QueryError(f"bad query node {node!r}")
 
 
-def conjunct_intervals(leaves: Sequence[Condition]) -> Optional[Conjunct]:
-    """Intersect a conjunct's conditions per object.
+def typed_conjuncts(
+    node: QueryNode, type_of: Callable[[str], PDCType]
+) -> List[Tuple[int, Conjunct]]:
+    """The one gate between a condition tree and every evaluator:
+    ``(DNF conjunct index, object → interval)`` per satisfiable conjunct.
 
-    Returns ``None`` when some object's conditions are contradictory
-    (e.g. ``x > 5 AND x < 3``) — the conjunct matches nothing.
+    Each leaf's bound is typed to its object's element type
+    (:meth:`Interval.typed`; ``type_of`` maps object name → type) *before*
+    the per-object intersection, so two bounds that round to one value meet
+    as equals.  A conjunct whose conditions contradict each other
+    (``x > 5 AND x < 3``) matches nothing and is dropped.
     """
-    result: Conjunct = {}
-    for leaf in leaves:
-        iv = leaf.interval
-        if leaf.object_name in result:
-            merged = result[leaf.object_name].intersect(iv)
-            if merged is None:
-                return None
-            result[leaf.object_name] = merged
+    out: List[Tuple[int, Conjunct]] = []
+    for ci, leaves in enumerate(to_dnf(node)):
+        conjunct: Conjunct = {}
+        for leaf in leaves:
+            iv: Optional[Interval] = leaf.interval.typed(type_of(leaf.object_name))
+            if leaf.object_name in conjunct:
+                iv = conjunct[leaf.object_name].intersect(iv)
+                if iv is None:
+                    break
+            conjunct[leaf.object_name] = iv
         else:
-            result[leaf.object_name] = iv
-    return result
+            out.append((ci, conjunct))
+    return out

@@ -48,7 +48,7 @@ from ..storage.aggregator import coords_to_extents
 from ..storage.device import DeviceKind
 from ..strategies import Strategy
 from . import planner
-from .ast import QueryNode, conjunct_intervals, objects_of, to_dnf
+from .ast import QueryNode, objects_of, typed_conjuncts
 from .planner import ConjunctPlan, PlanStep, plan_query
 from .region_constraint import RegionConstraint, normalize_constraint
 from .selection import Selection
@@ -682,15 +682,12 @@ class QueryEngine:
         if spec.region_constraint is not None:
             return None
         try:
-            leaf_sets = to_dnf(spec.node)
-        except QueryError:
+            conjuncts = typed_conjuncts(spec.node, self.system.type_of)
+        except PDCError:  # unknown object, untypable bound: execute reports it
             return None
-        if len(leaf_sets) != 1:
+        if len(conjuncts) != 1 or len(conjuncts[0][1]) != 1:
             return None
-        conjunct = conjunct_intervals(leaf_sets[0])
-        if conjunct is None or len(conjunct) != 1:
-            return None
-        ((name, interval),) = conjunct.items()
+        ((name, interval),) = conjuncts[0][1].items()
         return name, interval
 
     def _cache_served_result(
@@ -868,8 +865,9 @@ class QueryEngine:
             use_index = strat is Strategy.HIST_INDEX and obj.indexes is not None
             # One min/max overlap test over all regions; only the
             # survivors are touched, in ascending region order.
+            typed = interval.typed(obj.meta.pdc_type)
             surviving, _ = planner.surviving_regions(
-                obj, interval, prune=strat.uses_histogram
+                obj, typed, prune=strat.uses_histogram
             )
             for rid in surviving.tolist():
                 # Elements to check against raw values: the whole region,
@@ -883,7 +881,7 @@ class QueryEngine:
                     server.clock.charge(
                         sysm.cost.wah_scan_time(int(obj.index_words[rid])), "scan"
                     )
-                    _, cand = obj.indexes[rid].count_range(interval)
+                    _, cand = obj.indexes[rid].count_range(typed)
                     if obj.index_delta_counts is not None:
                         # Uncompacted WAH delta segments: every delta
                         # position is a candidate until compaction.
@@ -898,7 +896,7 @@ class QueryEngine:
                         server, rid, name, obj.counts, obj.itemsize, readers
                     )
                     server.clock.charge(sysm.cost.scan_time(cand), "scan")
-            hits = self._count_hits(obj, interval)
+            hits = int(typed.mask(obj.data).sum())
             per_object[name] = hits
             total_hits += hits
 
@@ -1588,10 +1586,6 @@ class QueryEngine:
     ) -> np.ndarray:
         """Candidate re-check: keep the coords whose value matches."""
         return coords[interval.mask(obj.data[coords])]
-
-    def _count_hits(self, obj: StoredObject, interval: Interval) -> int:
-        """Whole-object hit count (metadata+data queries)."""
-        return int(interval.mask(obj.data).sum())
 
     # -------------------------------------------------------------- get_data
     def _charge_get_data_reads(

@@ -37,7 +37,7 @@ from ..interval import Interval
 from ..pdc.region import region_key
 from ..pdc.system import PDCSystem, ReplicaGroup, StoredObject
 from ..strategies import Strategy
-from .ast import Conjunct, QueryNode, conjunct_intervals, to_dnf
+from .ast import Conjunct, QueryNode, typed_conjuncts
 
 __all__ = [
     "PlanStep",
@@ -193,14 +193,11 @@ def plan_conjunct(
 def plan_query(
     system: PDCSystem, node: QueryNode, strategy: Strategy, *plan_args
 ) -> Iterator[Tuple[int, ConjunctPlan]]:
-    """``(DNF conjunct index, plan)`` per satisfiable conjunct of a
-    condition tree, built lazily in evaluation order (a conjunct whose
-    conditions contradict each other matches nothing and has no plan);
-    ``plan_args`` are :func:`plan_conjunct`'s constraint and knobs."""
-    for ci, leaves in enumerate(to_dnf(node)):
-        conjunct = conjunct_intervals(leaves)
-        if conjunct:
-            yield ci, plan_conjunct(system, conjunct, strategy, *plan_args)
+    """``(DNF conjunct index, plan)`` per satisfiable, typed conjunct of a
+    condition tree (:func:`typed_conjuncts`), built lazily in evaluation
+    order; ``plan_args`` are :func:`plan_conjunct`'s constraint and knobs."""
+    for ci, conjunct in typed_conjuncts(node, system.type_of):
+        yield ci, plan_conjunct(system, conjunct, strategy, *plan_args)
 
 
 def replica_regions_of(group: ReplicaGroup, coords: np.ndarray) -> np.ndarray:

@@ -20,7 +20,8 @@ from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-from ..errors import QueryError
+from ..errors import QueryError, QueryTypeError
+from ..types import check_value_type, pdc_type_of_dtype
 
 __all__ = ["SortedReplica"]
 
@@ -88,20 +89,15 @@ class SortedReplica:
 
     # ------------------------------------------------------------------ search
     def _probe(self, bound: float):
-        """``bound`` as ``np.searchsorted`` should receive it.  A Python
-        float makes numpy cast the *whole key array* to float64 per search;
-        the same bound typed as the key dtype searches the keys in place and
-        compares identically when neither conversion loses anything (keys
-        to float64, bound to key dtype).  Any other bound — fractional on
-        integer keys, off the float32 grid, beyond the dtype's range, NaN —
-        keeps the float64 comparison."""
+        """``bound`` as a key-dtype scalar, so ``np.searchsorted`` searches
+        the keys in place (a Python float makes it cast the *whole key
+        array* to float64 per search).  Every interval past the query gate
+        (:meth:`~repro.interval.Interval.typed`) holds such bounds; any
+        other is refused, never compared under a second rule."""
         dtype = self.key_values.dtype
-        if np.can_cast(dtype, np.float64):
-            with np.errstate(over="ignore", invalid="ignore"):
-                typed = np.float64(bound).astype(dtype)
-            if float(typed) == bound:
-                return typed
-        return bound
+        if check_value_type(bound, pdc_type_of_dtype(dtype)) != bound:
+            raise QueryTypeError(f"bound {bound!r} is not a {dtype} value")
+        return dtype.type(bound)
 
     def search_range(
         self,

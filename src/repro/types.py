@@ -9,6 +9,7 @@ helpers between PDC types and numpy dtypes.
 from __future__ import annotations
 
 import enum
+import math
 from typing import Union
 
 import numpy as np
@@ -90,6 +91,14 @@ _PDC_TO_NP = {
     PDCType.UINT64: np.dtype(np.uint64),
 }
 _NP_TO_PDC = {v: k for k, v in _PDC_TO_NP.items()}
+#: Finite values a bound of each type may take.  Interval bounds are float64,
+#: so an integer beyond 2**53 would not survive them.
+_VALUE_RANGE = {
+    t: (max(np.iinfo(d).min, -(2**53)), min(np.iinfo(d).max, 2**53))
+    if t.is_integral
+    else (-float(np.finfo(d).max), float(np.finfo(d).max))
+    for t, d in _PDC_TO_NP.items()
+}
 
 
 def pdc_type_of_dtype(dtype: np.dtype) -> PDCType:
@@ -104,19 +113,23 @@ def pdc_type_of_dtype(dtype: np.dtype) -> PDCType:
 
 
 def check_value_type(value: Scalar, pdc_type: PDCType) -> Scalar:
-    """Validate that ``value`` is representable in ``pdc_type``.
+    """``value`` as a value of ``pdc_type`` — the C API's requirement that
+    the value pointer matches the declared ``pdc_type_t``.
 
-    Mirrors the C API's requirement that the value pointer matches the
-    declared ``pdc_type_t``.  Returns the value cast to the Python type that
-    round-trips through the numpy dtype.
+    Returns the Python number that round-trips through the numpy dtype
+    (floats round to the type's width); NaN, a fraction for an integral
+    type and a finite value outside :data:`_VALUE_RANGE` raise
+    :class:`QueryTypeError`.
     """
     if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
         raise QueryTypeError(f"query value must be a number, got {type(value).__name__}")
-    np_value = np.asarray(value).astype(pdc_type.np_dtype)
+    if isinstance(value, np.generic):
+        value = value.item()  # a NumPy scalar would compare in its own width
+    lo, hi = _VALUE_RANGE[pdc_type]
     if pdc_type.is_integral:
-        if float(value) != float(np_value):
-            raise QueryTypeError(
-                f"value {value!r} is not representable as {pdc_type.value}"
-            )
-        return int(np_value)
-    return float(np_value)
+        # NaN and the infinities fail the range test.
+        if lo <= value <= hi and value == int(value):
+            return int(value)
+    elif lo <= value <= hi or value in (math.inf, -math.inf):
+        return float(pdc_type.np_dtype.type(value))
+    raise QueryTypeError(f"value {value!r} is not representable as {pdc_type.value}")

@@ -1,5 +1,6 @@
 """Query condition trees: construction, DNF, serialization."""
 
+import numpy as np
 import pytest
 
 from repro.errors import QueryError, QueryTypeError
@@ -9,10 +10,10 @@ from repro.query.ast import (
     OrNode,
     combine_and,
     combine_or,
-    conjunct_intervals,
     node_from_dict,
     objects_of,
     to_dnf,
+    typed_conjuncts,
 )
 from repro.types import PDCType, QueryOp
 
@@ -81,21 +82,51 @@ class TestDNF:
             to_dnf(q)
 
 
+FLOAT_OBJECTS = {"a": PDCType.FLOAT, "b": PDCType.FLOAT, "e": PDCType.FLOAT}.__getitem__
+
+
 class TestConjunctIntervals:
     def test_same_object_intersected(self):
-        leaves = [cond(op=QueryOp.GT, value=1.0), cond(op=QueryOp.LT, value=2.0)]
-        conj = conjunct_intervals(leaves)
-        assert conj is not None
+        q = combine_and(cond(op=QueryOp.GT, value=1.0), cond(op=QueryOp.LT, value=2.0))
+        ((ci, conj),) = typed_conjuncts(q, FLOAT_OBJECTS)
+        assert ci == 0
         iv = conj["e"]
         assert iv.lo == 1.0 and iv.hi == 2.0
 
     def test_contradiction_returns_none(self):
-        leaves = [cond(op=QueryOp.GT, value=5.0), cond(op=QueryOp.LT, value=3.0)]
-        assert conjunct_intervals(leaves) is None
+        q = combine_and(cond(op=QueryOp.GT, value=5.0), cond(op=QueryOp.LT, value=3.0))
+        assert typed_conjuncts(q, FLOAT_OBJECTS) == []
+        # The survivor of an OR keeps its DNF index.
+        ((ci, conj),) = typed_conjuncts(combine_or(q, cond("a")), FLOAT_OBJECTS)
+        assert ci == 1 and set(conj) == {"a"}
 
     def test_multiple_objects(self):
-        conj = conjunct_intervals([cond("a"), cond("b", QueryOp.LT, 1.0)])
-        assert set(conj) == {"a", "b"}
+        q = combine_and(cond("a"), cond("b", QueryOp.LT, 1.0))
+        ((_, conj),) = typed_conjuncts(q, FLOAT_OBJECTS)
+        assert list(conj) == ["a", "b"]
+
+    def test_bounds_typed_to_the_object_before_intersection(self):
+        """Whatever a leaf declares, its bound becomes a value of the
+        object's type first: two DOUBLE bounds that round to the same
+        float32 meet as equals instead of as an empty interval."""
+        f32 = float(np.float32(2.2))
+        lo = Condition("e", QueryOp.GTE, PDCType.DOUBLE, 2.2)
+        ((_, conj),) = typed_conjuncts(lo, FLOAT_OBJECTS)
+        assert conj["e"].lo == f32
+        hi = Condition("e", QueryOp.LTE, PDCType.DOUBLE, float(np.nextafter(f32, 0.0)))
+        ((_, conj),) = typed_conjuncts(combine_and(lo, hi), FLOAT_OBJECTS)
+        assert (conj["e"].lo, conj["e"].hi) == (f32, f32)
+        open_hi = Condition("e", QueryOp.LT, PDCType.DOUBLE, hi.value)
+        assert typed_conjuncts(combine_and(lo, open_hi), FLOAT_OBJECTS) == []
+        # A float object keeps a DOUBLE bound; an integral one refuses a
+        # fractional bound, in any branch of the tree.
+        ((_, conj),) = typed_conjuncts(lo, {"e": PDCType.DOUBLE}.__getitem__)
+        assert conj["e"].lo == 2.2
+        with pytest.raises(QueryTypeError):
+            typed_conjuncts(
+                combine_or(cond("a"), Condition("e", QueryOp.GT, PDCType.DOUBLE, 2.5)),
+                {"a": PDCType.FLOAT, "e": PDCType.INT}.__getitem__,
+            )
 
 
 class TestSerialization:

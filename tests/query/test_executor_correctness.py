@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.errors import QueryError, QueryTypeError
 from repro.interval import Interval
 from repro.query.ast import combine_and, combine_or, Condition
 from repro.query.executor import QueryEngine
@@ -225,68 +226,162 @@ class TestRegionRunKernel:
         assert peak < data.size
 
 
-def _agreement_data():
-    """4,096 float32 values, two of them exactly ``float32(2.2)``."""
-    e = np.random.default_rng(0).gamma(2.0, 0.7, 4096).astype(np.float32)
+def _agreement_objects():
+    """One object per element type, 4,096 elements in 512-element regions.
+
+    ``e`` (float32) holds ``float32(2.2)`` twice, and two regions end
+    exactly on the float32 images of 2.3 and 0.7: region 0 tops out at
+    ``float32(2.3)``, region 1 bottoms out at ``float32(0.7)``, several
+    elements each — the ties a float64 min/max test and a float32 mask used
+    to answer differently.  ``d`` is the same draw in float64, ``i`` int32.
+    """
+    rng = np.random.default_rng(0)
+    d = rng.gamma(2.0, 0.7, 4096)
+    e = d.astype(np.float32)
     e[[10, 2000]] = np.float32(2.2)
-    return e
+    e[:512] = np.minimum(e[:512], np.float32(2.3))
+    e[512:1024] = np.maximum(e[512:1024], np.float32(0.7))
+    return {"e": e, "d": d, "i": rng.integers(-40, 40, 4096).astype(np.int32)}
+
+
+def _neighbours(v):
+    """``v`` and the float32 / float64 values either side of it."""
+    out = [("", float(v))]
+    for width, wide in (("32", np.float32), ("64", np.float64)):
+        for sign, toward in (("-", -np.inf), ("+", np.inf)):
+            out.append((f"{sign}u{width}", float(np.nextafter(wide(v), wide(toward)))))
+    return out
+
+
+def _agreement_bounds():
+    """object → [(label, bound)]: the data's own values, their float32 and
+    float64 neighbours, the literals whose float32 images are ``e``'s
+    region-boundary ties, whole numbers, the infinities."""
+    data = _agreement_objects()
+    e, d, i = data["e"], data["d"], data["i"]
+    floats = [("2.2lit", 2.2), ("2.3lit", 2.3), ("0.7lit", 0.7), ("2", 2.0),
+              ("+inf", np.inf), ("-inf", -np.inf)]
+    return {
+        "e": floats
+        + [(f"2.2{s}", b) for s, b in _neighbours(np.float32(2.2))]
+        + [(f"e1234{s}", b) for s, b in _neighbours(e[1234])],
+        "d": floats + [(f"d77{s}", b) for s, b in _neighbours(d[77])],
+        "i": [("i5", float(i[5])), ("i5+1", float(i[5]) + 1), ("min", float(i.min())),
+              ("max+1", float(i.max()) + 1)],
+    }
 
 
 def _agreement_cases():
-    """(bound, op, declared type) with bounds drawn from the data's own
-    values and their float32/float64 neighbours.  A case where float32
-    rounding moves a DOUBLE bound across a value the data holds is ROADMAP
-    item 1's live wrong answer (the mask compares in float32, the sorted
-    replica in float64): strict xfail until one comparison rule is decided."""
-    e = _agreement_data()
+    """Every (object, bound, operator, declared type) a ``Condition`` can be
+    built from: a declared ``INT`` takes only the whole-number bounds, an
+    integral object only bounds that are still whole once declared."""
     cases = []
-    for name, v in (("2.2", np.float32(2.2)), ("e1234", e[1234])):
-        bounds = [(name, float(v))] + ([("2.2lit", 2.2)] if name == "2.2" else [])
-        for width, wide in (("32", np.float32), ("64", np.float64)):
-            for sign, toward in (("-", -np.inf), ("+", np.inf)):
-                bounds.append(
-                    (f"{name}{sign}u{width}", float(np.nextafter(wide(v), wide(toward))))
-                )
+    for name, bounds in _agreement_bounds().items():
         for label, b in bounds:
-            moved_up, moved_down = float(np.float32(b)) > b, float(np.float32(b)) < b
-            for op in (QueryOp.GT, QueryOp.GTE, QueryOp.LT, QueryOp.LTE):
-                for pdc_type in (PDCType.FLOAT, PDCType.DOUBLE):
-                    disagrees = pdc_type is PDCType.DOUBLE and np.float32(b) in e and (
-                        (moved_up and op in (QueryOp.GT, QueryOp.LTE))
-                        or (moved_down and op in (QueryOp.GTE, QueryOp.LT))
-                    )
-                    marks = (
-                        [pytest.mark.xfail(strict=True, reason="ROADMAP item 1")]
-                        if disagrees else []
-                    )
+            for pdc_type in (PDCType.FLOAT, PDCType.DOUBLE, PDCType.INT):
+                if (pdc_type.is_integral or name == "i") and not float(b).is_integer():
+                    continue
+                prefix = "" if name == "e" else f"{name}-"
+                for op in QueryOp:
                     cases.append(pytest.param(
-                        b, op, pdc_type, marks=marks,
-                        id=f"{op.name}-{pdc_type.name}-{label}",
+                        name, b, op, pdc_type,
+                        id=f"{prefix}{op.name}-{pdc_type.name}-{label}",
                     ))
     return cases
 
 
 class TestCrossStrategyAgreement:
-    """The five strategies answer a one-sided condition with the same
-    coordinates, whatever the bound's width and the declared type."""
+    """One comparison rule — a bound is converted to its object's element
+    type, then compared — so the five strategies, the simmpi transport, both
+    baselines and the histogram estimate answer every condition alike,
+    whatever the bound's width and the declared type, and that answer is
+    NumPy's own."""
 
     @pytest.fixture(scope="class")
-    def engine(self):
-        sysm = make_system(n_servers=2, region_size_bytes=1 << 11)
-        sysm.create_object("e", _agreement_data())
-        sysm.build_index("e")
-        sysm.build_sorted_replica("e", [])
-        return QueryEngine(sysm)
+    def deployment(self):
+        from repro.baselines import BlockIndexEngine, HDF5FullScanEngine
 
-    @pytest.mark.parametrize("bound,op,pdc_type", _agreement_cases())
-    def test_agree(self, engine, bound, op, pdc_type):
-        node = Condition("e", op, pdc_type, bound)
-        answers = [
-            engine.execute(node, strategy=s, want_selection=True).selection.coords
-            for s in ALL_STRATEGIES
+        sysm = make_system(n_servers=2, region_size_bytes=1 << 11)
+        objects = _agreement_objects()
+        names = list(objects)
+        for name, data in objects.items():
+            sysm.create_object(name, data, tags={"object": name})
+            sysm.build_index(name)
+            sysm.build_sorted_replica(name, [])
+        h5 = HDF5FullScanEngine(sysm)
+        h5.preload(names)
+        blocks = BlockIndexEngine(sysm, block_bytes=1 << 11)
+        blocks.build(names)
+        return sysm, QueryEngine(sysm), (h5, blocks)
+
+    @pytest.mark.parametrize("name,bound,op,pdc_type", _agreement_cases())
+    def test_agree(self, deployment, name, bound, op, pdc_type):
+        from repro.pdc.transport import run_distributed_query
+        from repro.query.api import PDCQuery, PDCquery_estimate_nhits
+        from repro.workloads.queries import QuerySpec
+
+        sysm, engine, baselines = deployment
+        node = Condition(name, op, pdc_type, bound)
+        truth = np.flatnonzero(op.apply(sysm.get_object(name).data, node.value))
+        for strategy in ALL_STRATEGIES:
+            res = engine.execute(node, strategy=strategy, want_selection=True)
+            assert np.array_equal(res.selection.coords, truth), strategy
+        assert np.array_equal(run_distributed_query(sysm, node), truth)
+        lower, upper = PDCquery_estimate_nhits(PDCQuery(sysm, node))
+        assert lower <= truth.size <= upper
+        spec = QuerySpec("t", ((name, op.value, node.value),))
+        for baseline in baselines:
+            res = baseline.query(spec, want_selection=True)
+            assert np.array_equal(res.coords, truth), type(baseline).__name__
+
+    @pytest.mark.parametrize("name", list(_agreement_objects()))
+    def test_raw_interval_doors_agree(self, deployment, name):
+        """``metadata_data_query`` and ``boss_traverse`` take an untyped
+        two-sided :class:`Interval`; they type it per matched object."""
+        sysm, engine, (h5, _) = deployment
+        data = sysm.get_object(name).data
+        bounds = sorted({b for _, b in _agreement_bounds()[name]})
+        catalog = list(sysm.objects)
+        for lo, hi in zip(bounds, bounds[1:]):
+            for lo_closed, hi_closed in ((True, True), (False, True), (True, False)):
+                iv = Interval(lo, hi, lo_closed, hi_closed)
+                above = data >= lo if lo_closed else data > lo
+                below = data <= hi if hi_closed else data < hi
+                truth = int((above & below).sum())
+                if data.dtype.type(lo) == data.dtype.type(hi) and not (lo_closed and hi_closed):
+                    # Empty in the object's type: refused like Interval(v, v, open).
+                    assert truth == 0
+                    with pytest.raises(QueryError):
+                        engine.metadata_data_query({"object": name}, iv)
+                    with pytest.raises(QueryError):
+                        h5.boss_traverse({"object": name}, iv, catalog)
+                    continue
+                for strategy in ALL_STRATEGIES:
+                    res = engine.metadata_data_query({"object": name}, iv, strategy)
+                    assert res.per_object_hits == {name: truth}, (iv, strategy)
+                assert h5.boss_traverse({"object": name}, iv, catalog).nhits == truth
+
+    def test_fractional_bound_on_integral_object_refused(self, deployment):
+        """Every door refuses what the paper-API door always has."""
+        from repro.pdc.transport import run_distributed_query
+        from repro.query.api import PDCQuery, PDCquery_estimate_nhits
+        from repro.workloads.queries import QuerySpec
+
+        sysm, engine, (h5, blocks) = deployment
+        node = Condition("i", QueryOp.GT, PDCType.DOUBLE, 2.5)
+        spec = QuerySpec("t", (("i", ">", 2.5),))
+        iv = Interval(lo=2.5, hi=7.0)
+        doors = [lambda s=s: engine.execute(node, strategy=s) for s in ALL_STRATEGIES] + [
+            lambda: run_distributed_query(sysm, node),
+            lambda: PDCquery_estimate_nhits(PDCQuery(sysm, node)),
+            lambda: h5.query(spec),
+            lambda: blocks.query(spec),
+            lambda: engine.metadata_data_query({"object": "i"}, iv),
+            lambda: h5.boss_traverse({"object": "i"}, iv, ["i"]),
         ]
-        for strategy, coords in zip(ALL_STRATEGIES[1:], answers[1:]):
-            assert np.array_equal(coords, answers[0]), strategy
+        for door in doors:
+            with pytest.raises(QueryTypeError):
+                door()
 
 
 class TestPropertyBased:

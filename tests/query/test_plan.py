@@ -11,7 +11,7 @@ import pytest
 from repro.errors import ObjectNotFoundError
 from repro.obs import MetricsRegistry
 from repro.query import planner
-from repro.query.ast import Condition, combine_and, combine_or, conjunct_intervals, to_dnf
+from repro.query.ast import Condition, combine_and, combine_or, typed_conjuncts
 from repro.query.executor import QueryEngine, QuerySpec
 from repro.query.planner import choose_strategy, plan_conjunct
 from repro.scenarios import demo_deployment
@@ -81,8 +81,7 @@ class TestPlanIsWhatRuns:
         rng = np.random.default_rng(2020)
         seen_paths, pruned_cases, empty_cases = set(), 0, 0
         for node in random_conjuncts(rng, 12):
-            (leaves,) = to_dnf(node)
-            conjunct = conjunct_intervals(leaves)
+            ((_, conjunct),) = typed_conjuncts(node, system.type_of)
             for strategy in FIXED:
                 for constraint in (None, (1500, 13000)):
                     system.drop_all_caches()

@@ -9,8 +9,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from repro.errors import QueryError
+from repro.errors import QueryError, QueryTypeError
+from repro.query.ast import Condition
+from repro.query.executor import QueryEngine
 from repro.sorting import SortedReplica
+from repro.strategies import Strategy
+from repro.types import PDCType, QueryOp
+from tests.conftest import make_system
 
 key_arrays = hnp.arrays(
     dtype=np.float64,
@@ -84,39 +89,65 @@ class TestSearchRange:
         assert np.array_equal(got, truth)
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64, np.int32])
-    def test_typed_probe_equals_float64_comparison(self, rng, dtype):
-        """Whatever the bound — on the key dtype's grid or off it,
-        fractional on integer keys, infinite, beyond the dtype's range, NaN
-        — the run is numpy's own search over the float64-cast keys, and no
-        cast warning escapes."""
+    def test_key_typed_bounds_searched_in_place_others_refused(self, rng, dtype):
+        """A bound that is a value of the key dtype — what the query gate
+        hands every evaluator — gives numpy's own search over the keys as
+        they are; any other bound (off the float32 grid, fractional or
+        infinite on integer keys, beyond the dtype's range, NaN) is refused,
+        never compared under a second rule, and no cast warning escapes."""
         keys = np.concatenate(
             [np.round(rng.normal(0.0, 3.0, 2000) * 4) / 4, [2.0] * 5, [-3.0] * 5]
         ).astype(dtype)
         r = SortedReplica.build("k", keys)
-        wide = r.key_values.astype(np.float64)
-        bounds = [
-            2.0, -3.0, float(r.key_values[700]),  # exactly representable, present
-            2.1, -0.3,  # off the float32 grid
-            2.5, -7.75,  # fractional on integer keys
-            np.inf, -np.inf, 1e300, -1e300, 3e9, -3e9, np.nan,
-        ]
+        is_float = np.issubdtype(dtype, np.floating)
+        typed = [2.0, -3.0, float(r.key_values[700]), 40.0, -40.0]
+        refused = [np.nan]
+        (typed if dtype is np.float64 else refused).extend([1e300, -1e300])
+        if is_float:
+            typed += [float(dtype(2.1)), 2.5, -7.75, np.inf, -np.inf]
+        else:
+            refused += [2.5, -7.75, np.inf, -np.inf, 3e9, -3e9]
+        if dtype is np.float32:
+            refused += [2.1, -0.3]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            for lo, hi in itertools.product(bounds, repeat=2):
+            for lo, hi in itertools.product(typed, repeat=2):
                 for lc, hc in itertools.product((True, False), repeat=2):
-                    start = int(np.searchsorted(wide, lo, side="left" if lc else "right"))
-                    stop = int(np.searchsorted(wide, hi, side="right" if hc else "left"))
+                    start = int(np.searchsorted(r.key_values, dtype(lo), side="left" if lc else "right"))
+                    stop = int(np.searchsorted(r.key_values, dtype(hi), side="right" if hc else "left"))
                     assert r.search_range(lo, hi, lc, hc) == (start, max(start, stop)), (
                         lo, hi, lc, hc,
                     )
+            for bad in refused:
+                for lo, hi in ((bad, None), (None, bad), (2.0, bad), (bad, 2.0)):
+                    with pytest.raises(QueryTypeError):
+                        r.search_range(lo, hi)
 
     def test_search_does_not_copy_the_keys(self, rng, peak_alloc):
-        """A bound on the key dtype's grid is searched in place: numpy given
-        a Python float would first cast all 4 MiB of float32 keys to
-        float64."""
-        r = SortedReplica.build("k", rng.random(1 << 20).astype(np.float32))
+        """A search never casts the 4 MiB of float32 keys to float64 (what
+        numpy does when handed a Python float): not for a bound on the key
+        dtype's grid, and not for an off-grid ``DOUBLE`` bound driven through
+        the engine on PDC-SH — the gate has typed it before the replica sees
+        it."""
+        keys = rng.random(1 << 20).astype(np.float32)
+        r = SortedReplica.build("k", keys)
         lo, hi = float(np.float32(0.25)), float(np.float32(0.26))
         assert peak_alloc(lambda: r.search_range(lo, hi, False, False)) < 64 << 10
+
+        sysm = make_system(region_size_bytes=1 << 18)
+        sysm.create_object("k", keys)
+        sysm.build_sorted_replica("k", [])
+        engine = QueryEngine(sysm)
+        engine.execute(  # first use imports lazily
+            Condition("k", QueryOp.LT, PDCType.DOUBLE, 0.0001), strategy=Strategy.SORT_HIST
+        )
+        node = Condition("k", QueryOp.GT, PDCType.DOUBLE, 0.9999)
+        out = []
+        peak = peak_alloc(lambda: out.append(
+            engine.execute(node, strategy=Strategy.SORT_HIST, want_selection=False)
+        ))
+        assert out[0].nhits == int((keys > 0.9999).sum())
+        assert peak < 1 << 20
 
     def test_unbounded_sides(self, rng):
         keys = rng.random(100)

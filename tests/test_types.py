@@ -88,3 +88,42 @@ class TestCheckValueType:
     def test_numpy_scalars_accepted(self):
         assert check_value_type(np.float64(1.5), PDCType.DOUBLE) == 1.5
         assert check_value_type(np.int32(3), PDCType.INT64) == 3
+
+    def test_infinities_are_float_values(self):
+        assert check_value_type(np.inf, PDCType.FLOAT) == np.inf
+        assert check_value_type(-np.inf, PDCType.DOUBLE) == -np.inf
+        with pytest.raises(QueryTypeError):
+            check_value_type(np.inf, PDCType.INT64)
+
+    @pytest.mark.parametrize("pdc_type", list(PDCType))
+    @pytest.mark.parametrize("nan", [float("nan"), np.float32("nan")])
+    def test_nan_rejected(self, pdc_type, nan):
+        with pytest.raises(QueryTypeError):
+            check_value_type(nan, pdc_type)
+
+    def test_finite_value_beyond_the_type_rejected_without_a_warning(self):
+        """``1e300`` as FLOAT used to leak ``RuntimeWarning: overflow
+        encountered in cast`` and come back as ``inf``."""
+        for value, pdc_type in [
+            (1e300, PDCType.FLOAT), (-1e300, PDCType.FLOAT),
+            (np.float64(1e39), PDCType.FLOAT), (10**400, PDCType.DOUBLE),
+            (3e9, PDCType.INT), (-1, PDCType.UINT), (2**32, PDCType.UINT),
+        ]:
+            with pytest.raises(QueryTypeError):
+                check_value_type(value, pdc_type)
+        assert check_value_type(3e38, PDCType.FLOAT) == float(np.float32(3e38))
+        assert check_value_type(np.float32(3e38), PDCType.DOUBLE) == float(np.float32(3e38))
+
+    def test_integer_beyond_float64_exactness_rejected(self):
+        """Interval bounds are float64: ``2**53 + 1`` would be compared as
+        ``2**53`` (an int64 object ``arange(2**53 - 512, 2**53 + 512)``
+        answered ``id = 2**53 + 1`` with 2 hits, truth 1)."""
+        for pdc_type in (PDCType.INT64, PDCType.UINT64):
+            assert check_value_type(2**53, pdc_type) == 2**53
+            with pytest.raises(QueryTypeError):
+                check_value_type(2**53 + 1, pdc_type)
+            with pytest.raises(QueryTypeError):
+                check_value_type(np.uint64(2**63), pdc_type)
+        assert check_value_type(-(2**53), PDCType.INT64) == -(2**53)
+        with pytest.raises(QueryTypeError):
+            check_value_type(-(2**53) - 1, PDCType.INT64)
