@@ -11,7 +11,7 @@ boundary bins for a raw-data candidate check.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -20,7 +20,7 @@ from ..interval import Interval
 from . import wah
 from .binning import assign_bins, sig_digit_edges
 
-__all__ = ["RegionBitmapIndex", "BitmapQueryResult"]
+__all__ = ["RegionBitmapIndex", "BitmapQueryResult", "IndexProbeTable"]
 
 
 @dataclass
@@ -48,6 +48,17 @@ class IndexProbeCost:
     header_bytes: int
     n_bins_touched: int
     candidates: int
+
+
+def _classify_occupied(
+    interval: Interval, bin_min: np.ndarray, bin_max: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """(fully-covered, partial) boolean masks over occupied bins — one
+    index's, or every row of an :class:`IndexProbeTable` — for ``interval``,
+    classified against true per-bin content ranges."""
+    overlap = interval.overlaps_range_arrays(bin_min, bin_max)
+    full = overlap & interval.contains_range_arrays(bin_min, bin_max)
+    return full, overlap & ~full
 
 
 @dataclass
@@ -131,22 +142,20 @@ class RegionBitmapIndex:
     def total_words(self) -> int:
         return int(self.bin_words.sum())
 
-    # ------------------------------------------------------------------ query
-    def _classify_occupied(self, interval: Interval) -> Tuple[np.ndarray, np.ndarray]:
-        """(fully-covered, partial) boolean masks over the occupied bins
-        (aligned to ``bin_ids``) for ``interval``, classified against true
-        per-bin content ranges."""
-        overlap = interval.overlaps_range_arrays(self.bin_min, self.bin_max)
-        full = overlap & interval.contains_range_arrays(self.bin_min, self.bin_max)
-        return full, overlap & ~full
+    @property
+    def header_bytes(self) -> int:
+        """The bin directory a probe always reads: edges + per-bin (id,
+        offset, minmax) records."""
+        return int(self.edges.size * 8 + self.n_occupied_bins * 32)
 
+    # ------------------------------------------------------------------ query
     def query(self, interval: Interval) -> BitmapQueryResult:
         """Probe the index for an interval condition.
 
         ORs the fully-covered bins' bitmaps on the compressed form; partial
         (boundary) bins become candidates.
         """
-        full, partial = self._classify_occupied(interval)
+        full, partial = _classify_occupied(interval, self.bin_min, self.bin_max)
         full_bins, partial_bins = self.bin_ids[full], self.bin_ids[partial]
 
         words_scanned = 0
@@ -185,7 +194,7 @@ class RegionBitmapIndex:
     def count_range(self, interval: Interval) -> Tuple[int, int]:
         """(sure_hits, candidates) counts without materializing positions —
         the get-nhits fast path when no candidate check is needed."""
-        full, partial = self._classify_occupied(interval)
+        full, partial = _classify_occupied(interval, self.bin_min, self.bin_max)
         return int(self.bin_counts[full].sum()), int(self.bin_counts[partial].sum())
 
     def query_cost(self, interval: Interval) -> "IndexProbeCost":
@@ -195,15 +204,13 @@ class RegionBitmapIndex:
         condition (plus the small bin directory), so query-time index I/O is
         proportional to the touched bins, not the whole index file.
         """
-        full, partial = self._classify_occupied(interval)
+        full, partial = _classify_occupied(interval, self.bin_min, self.bin_max)
         touched = full | partial
         words = int(self.bin_words[touched].sum())
-        # Directory: edges + per-bin (id, offset, minmax) records.
-        header_bytes = self.edges.size * 8 + self.n_occupied_bins * 32
         return IndexProbeCost(
             words_touched=words,
             bytes_touched=words * 8,
-            header_bytes=int(header_bytes),
+            header_bytes=self.header_bytes,
             n_bins_touched=int(np.count_nonzero(touched)),
             candidates=int(self.bin_counts[partial].sum()),
         )
@@ -289,3 +296,47 @@ class RegionBitmapIndex:
         if off != buf.size:
             raise IndexError_(f"index file corrupt: {buf.size - off} trailing bytes")
         return cls.from_arrays(arrays)
+
+
+@dataclass(frozen=True)
+class IndexProbeTable:
+    """The per-bin tables of all of an object's region indexes, stacked
+    ``[n_regions, max_bins]`` so one classification prices the probes of a
+    whole plan step.  Ragged rows are padded with an empty content range
+    (``+inf``/``-inf``) of zero words and zero members: a pad overlaps no
+    bounded interval and adds nothing to any sum."""
+
+    bin_min: np.ndarray
+    bin_max: np.ndarray
+    bin_words: np.ndarray
+    bin_counts: np.ndarray
+    #: Per-region :attr:`RegionBitmapIndex.header_bytes`.
+    header_bytes: np.ndarray
+
+    @classmethod
+    def stack(cls, indexes: Sequence[RegionBitmapIndex]) -> "IndexProbeTable":
+        def padded(name: str, fill: float) -> np.ndarray:
+            rows = [getattr(ix, name) for ix in indexes]
+            out = np.full((len(rows), max(map(len, rows))), fill, dtype=rows[0].dtype)
+            for out_row, row in zip(out, rows):
+                out_row[: row.size] = row
+            return out
+
+        return cls(
+            padded("bin_min", np.inf), padded("bin_max", -np.inf),
+            padded("bin_words", 0), padded("bin_counts", 0),
+            np.array([ix.header_bytes for ix in indexes], dtype=np.int64),
+        )
+
+    def footprint(
+        self, interval: Interval, region_ids: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """``(words touched, candidates)`` of probing each listed region —
+        :meth:`RegionBitmapIndex.query_cost` for all of them at once."""
+        full, partial = _classify_occupied(
+            interval, self.bin_min[region_ids], self.bin_max[region_ids]
+        )
+        return (
+            (self.bin_words[region_ids] * (full | partial)).sum(axis=1),
+            (self.bin_counts[region_ids] * partial).sum(axis=1),
+        )

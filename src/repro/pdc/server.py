@@ -18,7 +18,7 @@ spans of a query trace.
 
 from __future__ import annotations
 
-from typing import Set
+from typing import List, Sequence, Set, Tuple
 
 from ..errors import RegionUnavailableError
 from ..obs.monitor import NOOP_MONITOR
@@ -107,13 +107,9 @@ class PDCServer:
             self.retries_total += 1
             self._count_retry()
             backoff = plan.backoff_s(attempt)
-            if self.tracer.enabled:
-                with self.tracer.span(
-                    f"retry:{key}", self.clock, category="fault",
-                    attempt=attempt,
-                ):
-                    self.clock.charge(backoff, category="retry_backoff")
-            else:
+            with self.tracer.span(
+                f"retry:{key}", self.clock, category="fault", attempt=attempt
+            ):
                 self.clock.charge(backoff, category="retry_backoff")
 
     def _count_fault(self, kind: str) -> None:
@@ -141,50 +137,37 @@ class PDCServer:
         stripe_count: int,
         concurrent_readers: int,
         category: str = "pfs_read",
-        scaled: bool = True,
         hit_copy: bool = False,
         tier: str = "disk",
     ) -> bool:
         """Charge for making a region resident: a PFS read on miss; free on
         a hit (scans run in place over cached buffers) unless ``hit_copy``
-        asks for a memory-copy charge (get_data materialization).
-
-        ``scaled=False`` for metadata-sized payloads (index directories)
-        whose size does not grow with the virtual dataset.
+        asks for a memory-copy charge (get_data materialization).  The
+        per-region body — fault draws, retries, a ``read:`` span — of what
+        :meth:`touch_share` does for a whole share at once.
         """
         if self.cache.lookup(key):
             if hit_copy:
-                self.clock.charge(
-                    self.cost.mem_copy_time(nbytes, scaled=scaled), category="mem_copy"
-                )
-            if self.monitor.enabled:
-                # Warm-cache traffic must stay visible to the time-series
-                # utilization view; ``result="hit"`` keeps it separable
-                # from actual PFS reads.
-                self.monitor.on_region_read(
-                    self.clock.now, self.server_id, float(nbytes), category,
-                    result="hit",
-                )
+                self.clock.charge(self.cost.mem_copy_time(nbytes), category="mem_copy")
+            # Warm-cache traffic must stay visible to the time-series
+            # utilization view; ``result="hit"`` keeps it separable from
+            # actual PFS reads.
+            self.monitor.on_region_read(
+                self.clock.now, self.server_id, float(nbytes), category, result="hit"
+            )
             return True
         read_time = self.cost.tier_read_time(
-            nbytes, n_accesses, tier, stripe_count, concurrent_readers,
-            scaled=scaled,
+            nbytes, n_accesses, tier, stripe_count, concurrent_readers
         )
-        if self.tracer.enabled:
-            span_cat = "index_read" if category == "index_read" else "storage_read"
-            with self.tracer.span(
-                f"read:{key}", self.clock, category=span_cat,
-                bytes=nbytes, tier=tier,
-            ):
-                self.faultable_read(key, read_time, category=category)
-        else:
+        with self.tracer.span(
+            f"read:{key}", self.clock, bytes=nbytes, tier=tier,
+            category="index_read" if category == "index_read" else "storage_read",
+        ):
             self.faultable_read(key, read_time, category=category)
-        self.cache.put(key, nbytes=nbytes if scaled else 0)
-        if self.monitor.enabled:
-            self.monitor.on_region_read(
-                self.clock.now, self.server_id, float(nbytes), category,
-                result="read",
-            )
+        self.cache.put(key, nbytes=nbytes)
+        self.monitor.on_region_read(
+            self.clock.now, self.server_id, float(nbytes), category, result="read"
+        )
         return False
 
     def preload_region(
@@ -204,16 +187,53 @@ class PDCServer:
         hit = self.ensure_region(
             key, nbytes, 1, stripe_count, concurrent_readers, tier=tier
         )
-        if self.metrics is not None:
+        self._count_preloads("hit" if hit else "read", 1)
+        return hit
+
+    def _count_preloads(self, result: str, n: int) -> None:
+        if n and self.metrics is not None:
             self.metrics.counter(
                 "pdc_batch_preloads_total",
                 "Shared-scan batch region preloads by server and result.",
                 labels=("server", "result"),
-            ).labels(
-                server=f"server{self.server_id}",
+            ).labels(server=f"server{self.server_id}", result=result).inc(n)
+
+    def touch_share(self, accesses: Sequence[tuple], preload: bool = False) -> List[bool]:
+        """One server's whole share of a plan step in two passes, for when
+        no fault plan is installed and the tracer is the no-op (nothing here
+        draws a fault or opens a ``read:`` span; :meth:`ensure_region` does).
+
+        ``accesses`` lists, in the per-region loop's order, ``(key, nbytes,
+        on_miss, on_hit, is_data, then)``: a payload to make resident, the
+        ``(seconds, category)`` a miss and a hit charge (``None``: free),
+        whether it is a data region — what ``ensure_region`` samples for the
+        monitor and ``preload`` counts — and the charges that follow either
+        way.  Residency first: the loop's cache operations in the loop's
+        order (the cache never reads the clock, so it may run ahead); then
+        every charge as one sequence.  Returns the was-cached flags.
+        """
+        hits = self.cache.touch_many([a[0] for a in accesses], [a[1] for a in accesses])
+        sampled = self.monitor.enabled
+        charges: List[Tuple[float, str]] = []
+        reads = []
+        for hit, (_, nbytes, on_miss, on_hit, is_data, then) in zip(hits, accesses):
+            charge = on_hit if hit else on_miss
+            if charge is not None:
+                charges.append(charge)
+            if is_data and sampled:
+                reads.append((len(charges), nbytes, hit))
+            charges += then
+        stamps = [self.clock.now, *self.clock.charge_many(charges)]
+        for n_charged, nbytes, hit in reads:
+            self.monitor.on_region_read(
+                stamps[n_charged], self.server_id, float(nbytes), "pfs_read",
                 result="hit" if hit else "read",
-            ).inc()
-        return hit
+            )
+        if preload:
+            n_hit = sum(hits)
+            self._count_preloads("hit", n_hit)
+            self._count_preloads("read", len(hits) - n_hit)
+        return hits
 
     def drop_caches(self) -> None:
         """Cold-start this server (ablation: caching on/off)."""

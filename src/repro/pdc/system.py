@@ -15,7 +15,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..bitmap.index import RegionBitmapIndex
+from ..bitmap.index import IndexProbeTable, RegionBitmapIndex
 from ..cluster.membership import (
     CRASHED,
     GONE,
@@ -148,7 +148,7 @@ class StoredObject:
     rmax: np.ndarray
     #: Storage tier currently holding each region's authoritative copy
     #: (§II: any layer of the memory/storage hierarchy).
-    region_tier: Optional[List[str]] = None
+    region_tier: List[str]
     #: Optional per-region bitmap indexes (built by ``build_index``).
     indexes: Optional[List[RegionBitmapIndex]] = None
     #: Per-region index-file sizes / compressed word counts.
@@ -159,6 +159,9 @@ class StoredObject:
     #: rebuilding the bitmap; probes treat delta positions as candidates
     #: until background compaction folds them in).
     index_delta_counts: Optional[np.ndarray] = None
+    #: ``indexes`` stacked for whole-step probes (:meth:`index_probe_table`);
+    #: dropped where an index is installed (``PDCSystem._install_region``).
+    probe_table: Optional[IndexProbeTable] = None
     #: Per-region element count overwritten since the histogram was last
     #: rebuilt from scratch (drift gauge for the delta-merge path).
     hist_dirty_elements: Optional[np.ndarray] = None
@@ -180,9 +183,13 @@ class StoredObject:
         return int(self.data.dtype.itemsize)
 
     def tier_of(self, region_id: int) -> str:
-        if self.region_tier is None:
-            return DeviceKind.DISK
         return self.region_tier[region_id]
+
+    def index_probe_table(self) -> IndexProbeTable:
+        """The probe table of the current ``indexes``, stacked on first use."""
+        if self.probe_table is None:
+            self.probe_table = IndexProbeTable.stack(self.indexes)
+        return self.probe_table
 
     def region_hits(self, coords: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """``(region ids, hits per region)`` of *ascending* element
@@ -337,6 +344,7 @@ class PDCSystem:
         self.objects: Dict[str, StoredObject] = {}
         #: sort-key object name → replica group.
         self.replicas: Dict[str, ReplicaGroup] = {}
+        self._region_keys: Dict[Tuple[str, str], List[str]] = {}
         #: Listeners notified when derived query state goes stale (see
         #: :meth:`register_invalidation_hook`).  Registered by semantic
         #: selection caches.
@@ -789,8 +797,7 @@ class PDCSystem:
             pad = np.zeros(grow)
             obj.rmin = np.concatenate([obj.rmin, pad])
             obj.rmax = np.concatenate([obj.rmax, pad])
-            if obj.region_tier is not None:
-                obj.region_tier.extend([DeviceKind.DISK] * grow)
+            obj.region_tier.extend([DeviceKind.DISK] * grow)
             if obj.indexes is not None:
                 obj.indexes.extend([None] * grow)  # installed by the commit
             for arr_name in ("index_nbytes", "index_words", "index_delta_counts",
@@ -911,6 +918,7 @@ class PDCSystem:
                 obj.hist_dirty_elements[rid] = d.dirty_elements
         if d.index is not None:
             obj.indexes[rid] = d.index
+            obj.probe_table = None
             obj.index_nbytes[rid] = d.index.nbytes
             obj.index_words[rid] = d.index.total_words()
             if obj.index_delta_counts is not None:
@@ -1144,6 +1152,17 @@ class PDCSystem:
             return self.objects[name]
         except KeyError:
             raise ObjectNotFoundError(f"no object named {name!r}") from None
+
+    def region_keys(self, name: str, replica: str, n_regions: int) -> List[str]:
+        """Cache keys of (at least) regions ``0..n_regions-1`` of one
+        (object, replica), indexed by region id: each string is built once,
+        not per region per touch (a key depends on the names alone)."""
+        keys = self._region_keys.setdefault((name, replica), [])
+        if len(keys) < n_regions:
+            keys.extend(
+                region_key(name, rid, replica) for rid in range(len(keys), n_regions)
+            )
+        return keys
 
     def type_of(self, name: str) -> PDCType:
         """Element type of a named object: the query gate's lookup."""

@@ -630,14 +630,14 @@ class QueryEngine:
             for name, keys in groupby(shared, key=lambda k: k[0]):
                 obj = sysm.get_object(name)
                 rids = np.asarray([rid for _, rid in keys], dtype=np.int64)
-                for _server, rid, nbytes, hit in self._read_regions(
+                for _server, mine, sizes, hits in self._read_regions(
                     self._regions_by_server(rids), name, obj.counts, obj.itemsize,
                     self._active_readers(rids), on_lost=on_lost, shared=True,
-                    tier_of=obj.tier_of,
                 ):
-                    if hit:
-                        batch.shared_cached += 1
-                    else:
+                    for rid, nbytes, hit in zip(mine, sizes, hits):
+                        if hit:
+                            batch.shared_cached += 1
+                            continue
                         vbytes = nbytes * sysm.cost.virtual_scale
                         batch.shared_reads += 1
                         batch.shared_bytes_virtual += vbytes
@@ -1277,73 +1277,121 @@ class QueryEngine:
         on_lost: Optional[Callable[[object, str, int, Exception], None]] = None,
         span: Optional[Dict[str, object]] = None,
         shared: bool = False,
-        tier_of: Optional[Callable[[int], str]] = None,
-        **read_options,
-    ) -> Iterator[Tuple[object, int, int, bool]]:
+        hit_copy: bool = False,
+    ) -> Iterator[Tuple[object, List[int], List[int], List[bool]]]:
         """The one residency mechanism: each server of ``pairs`` — (server,
         region ids) — makes its regions of ``name`` resident, a storage read
-        on a miss and free on a hit.  Yields ``(server, region id, real
-        bytes, was_cached)`` as each region is touched, so callers keep only
-        their own counters and interleave their own per-region charges.
+        on a miss and free on a hit (``hit_copy``: a memory copy).  Yields
+        ``(server, region ids, real bytes, was_cached)`` lists, one per
+        server share, so callers keep only their own counters.
 
-        A region still unreadable after the fault-recovery retries goes to
-        ``on_lost(server, key, rid, exc)`` and is skipped (without a policy
-        the error propagates).  ``span``: attributes of an ``eval:serverN``
-        trace span around each server's share; ``shared``: read on behalf of
-        a whole batch (``preload_region``); ``tier_of``: region id → storage
-        tier (disk when omitted); ``read_options`` go to ``ensure_region``.
+        With no fault plan and a no-op tracer a share is one residency pass
+        and one charge pass (:meth:`PDCServer.touch_share`), its seconds
+        taken from arrays over the whole step.  Otherwise every region goes
+        through :meth:`_read_region`: one still unreadable after the
+        fault-recovery retries goes to ``on_lost(server, key, rid, exc)``
+        and is left out (without a policy the error propagates), and
+        ``span`` — attributes of an ``eval:serverN`` trace span — wraps each
+        share.  ``shared``: read on behalf of a whole batch.
         """
         sysm = self.system
-        stripes = sysm.config.pdc_stripe_count
+        pairs = [(server, mine) for server, mine in pairs if len(mine)]
+        if pairs and sysm.fault_plan is None and not sysm.tracer.enabled:
+            rids = pairs[0][1]
+            if len(pairs) > 1:
+                rids = np.concatenate([mine for _, mine in pairs])
+            nbytes = counts[rids] * itemsize
+            sizes = nbytes.tolist()
+            on_hit = [None] * len(sizes)
+            if hit_copy:
+                on_hit = [(s, "mem_copy") for s in sysm.cost.mem_copy_time(nbytes).tolist()]
+            keys = sysm.region_keys(name, replica, len(counts))
+            accesses = [
+                (keys[rid], size, (read_s, "pfs_read"), copy, True, ())
+                for rid, size, read_s, copy in zip(
+                    rids.tolist(), sizes,
+                    self._cold_read_seconds(name, replica, rids, nbytes, readers), on_hit,
+                )
+            ]
+            start = 0
+            for server, mine in pairs:
+                stop = start + len(mine)
+                hits = server.touch_share(accesses[start:stop], preload=shared)
+                yield server, mine.tolist(), sizes[start:stop], hits
+                start = stop
+            return
         for server, mine in pairs:
-            if len(mine) == 0:
-                continue
+            done: List[Tuple[int, int, bool]] = []
+            ctx = nullcontext()
             if span is not None:
                 ctx = sysm.tracer.span(
                     f"eval:server{server.server_id}", server.clock,
                     category="server_eval", **span, regions=len(mine),
                 )
-            else:
-                ctx = nullcontext()
             with ctx:
-                for rid in mine:
-                    rid = int(rid)
-                    key = region_key(name, rid, replica)
-                    nbytes = int(counts[rid]) * itemsize
-                    tier = tier_of(rid) if tier_of is not None else DeviceKind.DISK
+                for rid in mine.tolist():
                     try:
-                        if shared:
-                            hit = server.preload_region(
-                                key, nbytes, stripes, readers, tier=tier
-                            )
-                        else:
-                            hit = server.ensure_region(
-                                key, nbytes, 1, stripes, readers, tier=tier,
-                                **read_options,
-                            )
+                        done.append((rid, *self._read_region(
+                            server, rid, name, counts, itemsize, readers,
+                            replica=replica, shared=shared, hit_copy=hit_copy,
+                        )))
                     except RegionUnavailableError as exc:
                         if on_lost is None:
                             raise
-                        on_lost(server, key, rid, exc)
-                        continue
-                    yield server, rid, nbytes, hit
+                        on_lost(server, region_key(name, rid, replica), rid, exc)
+            if done:
+                yield (server, *map(list, zip(*done)))
 
-    def _read_region(self, server, rid: int, *source, **options) -> Tuple[int, bool]:
-        """:meth:`_read_regions` for one region on one server (a read error
-        propagates); returns ``(real bytes, was_cached)``."""
-        ((_server, _rid, nbytes, hit),) = self._read_regions(
-            [(server, [rid])], *source, **options
-        )
+    def _cold_read_seconds(
+        self, name: str, replica: str, rids: np.ndarray, nbytes: np.ndarray,
+        readers: int,
+    ) -> List[float]:
+        """``CostModel.tier_read_time`` of reading each listed region whole
+        from where it lives: index and replica files on disk, an object's
+        own payload on the tier each region was migrated to."""
+        cost, stripes = self.system.cost, self.system.config.pdc_stripe_count
+        seconds = cost.tier_read_time(nbytes, 1, DeviceKind.DISK, stripes, readers).tolist()
+        tiers = self.system.get_object(name).region_tier if replica == "orig" else ()
+        if tiers.count(DeviceKind.DISK) < len(tiers):  # some region was migrated
+            for i, rid in enumerate(rids.tolist()):
+                if tiers[rid] != DeviceKind.DISK:
+                    seconds[i] = cost.tier_read_time(
+                        int(nbytes[i]), 1, tiers[rid], stripes, readers
+                    )
+        return seconds
+
+    def _read_region(
+        self, server, rid: int, name: str, counts: np.ndarray, itemsize: int,
+        readers: int, replica: str = "orig", shared: bool = False, **read_options,
+    ) -> Tuple[int, bool]:
+        """One region made resident through the per-region body, which draws
+        faults and records ``read:`` spans (a read error propagates);
+        returns ``(real bytes, was_cached)``.  ``read_options`` go to
+        ``ensure_region``."""
+        stripes = self.system.config.pdc_stripe_count
+        key = region_key(name, rid, replica)
+        nbytes = int(counts[rid]) * itemsize
+        tier = DeviceKind.DISK
+        if replica == "orig":
+            tier = self.system.get_object(name).tier_of(rid)
+        if shared:
+            hit = server.preload_region(key, nbytes, stripes, readers, tier=tier)
+        else:
+            hit = server.ensure_region(
+                key, nbytes, 1, stripes, readers, tier=tier, **read_options
+            )
         return nbytes, hit
 
-    def _tally_read(self, target, nbytes: int, hit: bool) -> None:
-        """Count one touched region on a :class:`QueryResult` or
-        :class:`GetDataResult`: cached, or read with its virtual bytes."""
-        if hit:
-            target.regions_cached += 1
-        else:
-            target.regions_read += 1
-            target.bytes_read_virtual += nbytes * self.system.cost.virtual_scale
+    def _tally_reads(self, target, nbytes: Sequence[int], hits: Sequence[bool]) -> None:
+        """Count touched regions on a :class:`QueryResult` or
+        :class:`GetDataResult`: cached, or read with their virtual bytes."""
+        scale = self.system.cost.virtual_scale
+        for size, hit in zip(nbytes, hits):
+            if hit:
+                target.regions_cached += 1
+            else:
+                target.regions_read += 1
+                target.bytes_read_virtual += size * scale
 
     def _charge_per_server(
         self, amounts: np.ndarray, cost_of: Callable[[int], float], category: str
@@ -1384,14 +1432,13 @@ class QueryEngine:
         """
         readers = self._active_readers(region_ids)
         lost: List[int] = []
-        for _server, _rid, nbytes, hit in self._read_regions(
+        for _server, _rids, nbytes, hits in self._read_regions(
             self._assignment_with_faults(region_ids, stats), obj.name,
             obj.counts, obj.itemsize, readers,
             on_lost=partial(self._record_lost, stats, lost),
             span={"object": obj.name},
-            tier_of=obj.tier_of,
         ):
-            self._tally_read(stats, nbytes, hit)
+            self._tally_reads(stats, nbytes, hits)
         return np.asarray(lost, dtype=np.int64)
 
     def _charge_scan(
@@ -1422,81 +1469,138 @@ class QueryEngine:
         sysm = self.system
         assert obj.indexes is not None and obj.index_nbytes is not None
         readers = self._active_readers(region_ids)
+        pairs = [
+            (server, mine)
+            for server, mine in self._assignment_with_faults(region_ids, stats)
+            if mine.size
+        ]
+        if pairs and sysm.fault_plan is None and not sysm.tracer.enabled:
+            self._probe_shares(obj, pairs, interval, readers, stats)
+            return np.zeros(0, dtype=np.int64)
         lost: List[int] = []
-        on_lost = partial(self._record_lost, stats, lost)
-        for server, mine in self._assignment_with_faults(region_ids, stats):
-            if mine.size == 0:
-                continue
+        for server, mine in pairs:
             with sysm.tracer.span(
-                f"eval:server{server.server_id}", server.clock,
-                category="server_eval", object=obj.name, regions=int(mine.size),
-                index=True,
+                f"eval:server{server.server_id}", server.clock, category="server_eval",
+                object=obj.name, regions=len(mine), index=True,
             ):
-                for rid in mine:
+                for rid in mine.tolist():
                     try:
-                        self._probe_region_index(obj, int(rid), interval, server,
-                                                 readers, stats)
+                        self._probe_region_index(obj, rid, interval, server, readers, stats)
                     except RegionUnavailableError as exc:
-                        on_lost(server, region_key(obj.name, int(rid)), int(rid), exc)
+                        self._record_lost(
+                            stats, lost, server, region_key(obj.name, rid), rid, exc
+                        )
         return np.asarray(lost, dtype=np.int64)
+
+    def _probe_shares(
+        self, obj: StoredObject, pairs, interval: Interval, readers: int,
+        stats: QueryResult,
+    ) -> None:
+        """:meth:`_probe_region_index` over every server's share, with no
+        fault plan and a no-op tracer: the probe footprints (one
+        classification of the object's probe table) and every charge's
+        seconds are arrays over the whole step, and each server takes its
+        index files, candidate regions and charges in the per-region order
+        through :meth:`PDCServer.touch_share`."""
+        sysm = self.system
+        cost, scale = sysm.cost, sysm.cost.virtual_scale
+        rids = np.concatenate([mine for _, mine in pairs])  # pairs: not empty
+        table = obj.index_probe_table()
+        words, candidates = table.footprint(interval, rids)
+        n_delta = np.zeros(rids.size, dtype=np.int64)
+        if obj.index_delta_counts is not None:
+            n_delta = obj.index_delta_counts[rids]
+        candidates = candidates + n_delta
+        nbytes = obj.counts[rids] * obj.itemsize
+        index_keys = sysm.region_keys(obj.name, "idx", obj.n_regions)
+        data_keys = sysm.region_keys(obj.name, "orig", obj.n_regions)
+        rows = list(zip(
+            rids.tolist(), obj.index_nbytes[rids].tolist(), nbytes.tolist(),
+            n_delta.tolist(), candidates.tolist(),
+            self._index_probe_time(words * 8, table.header_bytes[rids], readers).tolist(),
+            cost.wah_scan_time(words).tolist(), cost.scan_time(n_delta).tolist(),
+            self._cold_read_seconds(obj.name, "orig", rids, nbytes, readers),
+            cost.scan_time(candidates).tolist(), (words * 8 * scale).tolist(),
+        ))
+        stats.index_reads += rids.size
+        start = 0
+        for server, mine in pairs:
+            accesses, on_miss = [], []  # on_miss: (regions read, virtual bytes) to tally
+            for (rid, index_size, size, deltas, to_check, probe_s, wah_s, delta_s,
+                 read_s, check_s, probe_vbytes) in rows[start:start + len(mine)]:
+                scans = [(wah_s, "scan")]
+                if deltas:
+                    scans.append((delta_s, "scan"))
+                accesses.append((index_keys[rid], index_size, (probe_s, "index_read"),
+                                 None, False, scans))
+                on_miss.append((0, probe_vbytes))
+                if to_check:
+                    accesses.append((data_keys[rid], size, (read_s, "pfs_read"),
+                                     None, True, [(check_s, "scan")]))
+                    on_miss.append((1, size * scale))
+            start += len(mine)
+            for hit, (n_read, vbytes) in zip(server.touch_share(accesses), on_miss):
+                if hit:
+                    stats.regions_cached += 1
+                else:
+                    stats.regions_read += n_read
+                    stats.bytes_read_virtual += vbytes
 
     def _probe_region_index(
         self, obj: StoredObject, rid: int, interval: Interval, server,
         readers: int, stats: QueryResult,
     ) -> None:
-        """One PDC-HI index probe: seek + bitmap read (cold), WAH scan, and
-        an optional raw-region candidate check."""
+        """One PDC-HI index probe, the per-region body a fault plan or a
+        recording tracer needs: seek + bitmap read (cold), WAH scan, and an
+        optional raw-region candidate check."""
         sysm = self.system
         probe = obj.indexes[rid].query_cost(interval)
         stats.index_reads += 1
         key = region_key(obj.name, rid, replica="idx")
         if not server.cache.lookup(key):
-            # Cold probe: one seek reading the bin directory plus
-            # the touched bitmaps (FastBit seeks once into the
-            # index file); the index stays cached afterwards, so
-            # later probes of this region are in-memory.
+            # Cold probe: one seek reading the bin directory plus the
+            # touched bitmaps (FastBit seeks once into the index file); the
+            # index stays cached, so later probes of it are in-memory.
             with sysm.tracer.span(
                 f"read:{key}", server.clock, category="index_read",
                 bytes=probe.bytes_touched,
             ):
                 server.faultable_read(
-                    key, self._index_probe_time(probe, readers),
+                    key,
+                    self._index_probe_time(probe.bytes_touched, probe.header_bytes, readers),
                     category="index_read",
                 )
             server.cache.put(key, nbytes=int(obj.index_nbytes[rid]))
-            stats.bytes_read_virtual += (
-                probe.bytes_touched * sysm.cost.virtual_scale
-            )
+            stats.bytes_read_virtual += probe.bytes_touched * sysm.cost.virtual_scale
         else:
             stats.regions_cached += 1
-        server.clock.charge(
-            sysm.cost.wah_scan_time(probe.words_touched), "scan"
-        )
+        server.clock.charge(sysm.cost.wah_scan_time(probe.words_touched), "scan")
         # Uncompacted WAH delta segments (continuous ingest): the base
-        # bitmap predates the deltas, so every delta position must be
-        # treated as a candidate until background compaction folds the
-        # segments in.
+        # bitmap predates them, so every delta position is scanned and stays
+        # a candidate until background compaction folds the segments in.
         candidates = probe.candidates
         if obj.index_delta_counts is not None:
             n_delta = int(obj.index_delta_counts[rid])
             if n_delta:
                 server.clock.charge(sysm.cost.scan_time(n_delta), "scan")
                 candidates += n_delta
-        # Candidate check: boundary-bin members verified against raw
-        # values (whole-region read, block-index style).
+        # Candidate check: boundary-bin members verified against raw values
+        # (whole-region read, block-index style).
         if candidates:
             nbytes, hit = self._read_region(
                 server, rid, obj.name, obj.counts, obj.itemsize, readers
             )
             server.clock.charge(sysm.cost.scan_time(candidates), "scan")
-            self._tally_read(stats, nbytes, hit)
+            self._tally_reads(stats, (nbytes,), (hit,))
 
-    def _index_probe_time(self, probe, readers: int) -> float:
-        """Simulated seconds of one cold index probe."""
+    def _index_probe_time(self, bytes_touched, header_bytes, readers: int):
+        """Simulated seconds of a cold index probe touching ``bytes_touched``
+        of bitmaps behind a ``header_bytes`` directory (scalars, or arrays
+        over many probes)."""
         sysm = self.system
         return sysm.cost.pfs_read_time(
-            probe.bytes_touched, 1, sysm.config.pdc_stripe_count, readers
-        ) + sysm.cost.pfs_read_time(probe.header_bytes, 0, 1, 1, scaled=False)
+            bytes_touched, 1, sysm.config.pdc_stripe_count, readers
+        ) + sysm.cost.pfs_read_time(header_bytes, 0, 1, 1, scaled=False)
 
     def _charge_replica_regions(
         self,
@@ -1513,7 +1617,7 @@ class QueryEngine:
         readers = self._active_readers(region_ids)
         key_name = group.replica.key_name
         lost: List[int] = []
-        for _server, _rid, _nbytes, hit in self._read_regions(
+        for _server, _rids, _nbytes, hits in self._read_regions(
             self._assignment_with_faults(region_ids, stats), key_name,
             group.counts, itemsize, readers, replica=f"sorted:{which}",
             on_lost=partial(self._record_lost, stats, lost),
@@ -1522,10 +1626,8 @@ class QueryEngine:
             # Known defect, pinned by tests/query/test_plan.py: replica
             # reads count regions but not virtual bytes (fixing it moves
             # benchmark baselines — ROADMAP item 1).
-            if hit:
-                stats.regions_cached += 1
-            else:
-                stats.regions_read += 1
+            stats.regions_cached += sum(hits)
+            stats.regions_read += len(hits) - sum(hits)
         return np.asarray(lost, dtype=np.int64)
 
     def _bytes_per_server(
@@ -1607,26 +1709,31 @@ class QueryEngine:
         readers = self._active_readers(regions)
         pairs = self._regions_by_server(regions)
         if replica is None and not sysm.config.get_data_whole_regions:
-            pairs = self._read_hit_extents(obj, selection, pairs, readers, result)
-        for _server, _rid, nbytes, hit in self._read_regions(
+            self._read_hit_extents(obj, selection, pairs, readers, result)
+            return
+        for _server, _rids, nbytes, hits in self._read_regions(
             pairs, name, counts, obj.itemsize, readers, replica=tag, hit_copy=True
         ):
-            self._tally_read(result, nbytes, hit)
+            self._tally_reads(result, nbytes, hits)
 
     def _read_hit_extents(
         self, obj: StoredObject, selection: Selection, pairs, readers: int,
         result: GetDataResult,
-    ):
+    ) -> None:
         """Ablation mode (``get_data_whole_regions=False``): of a region not
         yet resident only the hit extents are read, merged by the §III-E
         aggregator (many small accesses when the hits are scattered — the
-        effect whole-region reads avoid).  Passes the resident regions
-        through, in place, to the ordinary memory-copy path."""
+        effect whole-region reads avoid); a resident region is copied from
+        memory as usual."""
         sysm = self.system
         for server, mine in pairs:
-            for rid in mine:
-                if server.cache.contains(region_key(obj.name, int(rid))):
-                    yield server, [rid]
+            for rid in mine.tolist():
+                if server.cache.contains(region_key(obj.name, rid)):
+                    nbytes, hit = self._read_region(
+                        server, rid, obj.name, obj.counts, obj.itemsize, readers,
+                        hit_copy=True,
+                    )
+                    self._tally_reads(result, (nbytes,), (hit,))
                     continue
                 off = int(obj.offsets[rid])
                 in_region = selection.clip(off, off + int(obj.counts[rid])).coords

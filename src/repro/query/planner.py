@@ -34,8 +34,8 @@ import numpy as np
 
 from ..histogram.selectivity import order_by_selectivity
 from ..interval import Interval
-from ..pdc.region import region_key
 from ..pdc.system import PDCSystem, ReplicaGroup, StoredObject
+from ..storage.cache import RegionCache
 from ..strategies import Strategy
 from .ast import Conjunct, QueryNode, typed_conjuncts
 
@@ -264,13 +264,14 @@ def _uncached_fraction(
     a failover, retirement or rebalance is not ``rid % n_servers``."""
     if region_ids.size == 0:
         return 0.0
-    alive = system.alive_servers
-    owners = system.region_owner_positions(region_ids)
-    missing = sum(
-        not alive[pos].cache.contains(region_key(name, rid, replica))
-        for rid, pos in zip(region_ids.tolist(), owners.tolist())
-    )
-    return missing / region_ids.size
+    keys = system.region_keys(name, replica, int(region_ids.max()) + 1)
+    caches = [server.cache for server in system.alive_servers]
+    resident = sum(map(
+        RegionCache.contains,
+        map(caches.__getitem__, system.region_owner_positions(region_ids).tolist()),
+        map(keys.__getitem__, region_ids.tolist()),
+    ))
+    return (region_ids.size - resident) / region_ids.size
 
 
 def _read_cost(system: PDCSystem, nbytes: float, n_accesses: float) -> float:

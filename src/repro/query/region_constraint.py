@@ -80,8 +80,9 @@ class HyperSlab:
         if coords.size == 0:
             return np.zeros(0, dtype=bool)
         nd = np.unravel_index(coords, self.shape)
-        mask = np.ones(coords.shape, dtype=bool)
-        for axis_coords, (start, stop) in zip(nd, self.ranges):
+        start, stop = self.ranges[0]
+        mask = (nd[0] >= start) & (nd[0] < stop)
+        for axis_coords, (start, stop) in zip(nd[1:], self.ranges[1:]):
             mask &= (axis_coords >= start) & (axis_coords < stop)
         return mask
 

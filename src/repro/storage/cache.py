@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Hashable, List, Optional, Tuple
+from typing import Hashable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -113,6 +113,29 @@ class RegionCache:
         if self._m_hit is not None:
             self._m_hit.inc()
         return True
+
+    def touch_many(self, keys: Sequence[Hashable], nbytes: Sequence[int]) -> List[bool]:
+        """For each key in turn, :meth:`lookup` it and on a miss :meth:`put`
+        a size-only entry of ``nbytes[i]``: a server's whole share made
+        resident in one call, with exactly the LRU order, evictions (a miss
+        may evict a key later in the same share) and counts of that
+        lookup/put sequence.  Returns each key's was-resident flag."""
+        entries = self._entries
+        hits = []
+        for key, size in zip(keys, nbytes):
+            hit = key in entries
+            if hit:
+                entries.move_to_end(key)
+            else:
+                self.put(key, nbytes=size)
+            hits.append(hit)
+        n_hit = sum(hits)
+        self.stats.hits += n_hit
+        self.stats.misses += len(hits) - n_hit
+        if self._m_hit is not None:
+            self._m_hit.inc(n_hit)
+            self._m_miss.inc(len(hits) - n_hit)
+        return hits
 
     def contains(self, key: Hashable) -> bool:
         """Presence check that does not disturb LRU order or stats."""

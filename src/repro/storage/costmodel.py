@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict
+from typing import Dict, Iterable, List, Tuple
 
 from ..types import GB
 from .device import DeviceKind
@@ -121,6 +121,23 @@ class SimClock:
         self._by_category[category] = self._by_category.get(category, 0.0) + seconds
         return self._now
 
+    def charge_many(self, charges: Iterable[Tuple[float, str]]) -> List[float]:
+        """:meth:`charge` each ``(seconds, category)`` in the order given:
+        one sequential float accumulate (never a pairwise sum), so the clock
+        and every category entry end bit-identical to that many ``charge``
+        calls.  Returns the clock time after each charge."""
+        by_category, drag, now = self._by_category, self.drag, self._now
+        stamps = []
+        for seconds, category in charges:
+            if not 0.0 <= seconds < math.inf:
+                raise ValueError(f"invalid charge {seconds!r} on clock {self.name}")
+            if drag != 1.0:
+                seconds = seconds * drag
+            self._now = now = now + seconds
+            by_category[category] = by_category.get(category, 0.0) + seconds
+            stamps.append(now)
+        return stamps
+
     def advance_to(self, t: float, category: str = "wait") -> float:
         """Move the clock to time ``t`` if ``t`` is later (waiting).
 
@@ -149,6 +166,10 @@ class CostModel:
     One :class:`CostModel` is shared by all servers of a PDC deployment so
     contention can be modeled globally.  The model is stateless apart from
     its parameters; all state (elapsed time) lives in the clocks.
+
+    A size argument (``nbytes``, ``n_elements``, ``n_words``) may be an
+    integer array: every expression is elementwise, so entry *i* is the
+    float the scalar call on element *i* returns.
     """
 
     params: CostParameters = field(default_factory=lambda: CORI_LIKE)
@@ -196,7 +217,6 @@ class CostModel:
         tier: str,
         stripe_count: int,
         concurrent_readers: int = 1,
-        scaled: bool = True,
     ) -> float:
         """Read time from a given hierarchy layer (§II: regions can live
         on memory, NVRAM, disk, or tape).
@@ -206,11 +226,9 @@ class CostModel:
         plain copy; tape is mount-latency-bound.
         """
         p = self.params
-        vbytes = nbytes * (self.virtual_scale if scaled else 1.0)
+        vbytes = nbytes * self.virtual_scale
         if tier == DeviceKind.DISK:
-            return self.pfs_read_time(
-                nbytes, n_accesses, stripe_count, concurrent_readers, scaled=scaled
-            )
+            return self.pfs_read_time(nbytes, n_accesses, stripe_count, concurrent_readers)
         if tier == DeviceKind.MEMORY:
             return vbytes / p.mem_bandwidth_bps
         if tier == DeviceKind.NVRAM:

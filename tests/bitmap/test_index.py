@@ -6,7 +6,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.bitmap import wah
-from repro.bitmap.index import RegionBitmapIndex
+from repro.bitmap.index import IndexProbeTable, RegionBitmapIndex
 from repro.errors import IndexError_
 from repro.interval import Interval
 from repro.types import QueryOp
@@ -198,6 +198,82 @@ class TestCountsAndCosts:
 
     def test_nbytes_accounts_everything(self, idx):
         assert idx.nbytes > idx.total_words() * 8
+
+
+def assert_table_matches_indexes(table, indexes, intervals):
+    """Every table row prices a probe as that region's ``query_cost``."""
+    rows = np.arange(len(indexes))
+    assert table.header_bytes.tolist() == [ix.header_bytes for ix in indexes]
+    for interval in intervals:
+        words, candidates = table.footprint(interval, rows)
+        probes = [ix.query_cost(interval) for ix in indexes]
+        assert words.tolist() == [p.words_touched for p in probes], interval
+        assert candidates.tolist() == [p.candidates for p in probes], interval
+
+
+#: Open, closed, one-sided, degenerate, off-the-data and unbounded windows.
+TABLE_INTERVALS = [
+    Interval(lo=2.1, hi=2.2, lo_closed=False, hi_closed=False),
+    Interval(lo=2.1, hi=2.2), Interval(lo=0.123, hi=4.56, hi_closed=False),
+    Interval(lo=1.5), Interval(lo=1.5, lo_closed=False), Interval(hi=0.7),
+    Interval(hi=0.7, hi_closed=False), Interval(lo=3.0, hi=3.0),
+    Interval(lo=1e6, hi=2e6), Interval(), Interval(lo=-np.inf, hi=np.inf),
+]
+
+
+class TestProbeTable:
+    def test_rows_match_query_cost_on_ragged_indexes(self, rng):
+        """Regions with 1, few and many occupied bins share one table: the
+        padding of the short rows never overlaps and never adds."""
+        regions = [
+            np.full(50, 2.15), rng.uniform(2.0, 2.3, 400), rng.gamma(2.0, 0.7, 3000),
+            rng.uniform(-5.0, 5.0, 1000), rng.gamma(2.0, 0.7, 10),
+        ]
+        indexes = [RegionBitmapIndex.build(r) for r in regions]
+        assert len({ix.bin_ids.size for ix in indexes}) == len(indexes)
+        table = IndexProbeTable.stack(indexes)
+        assert table.bin_min.shape == (5, max(ix.bin_ids.size for ix in indexes))
+        assert_table_matches_indexes(table, indexes, TABLE_INTERVALS)
+        # A subset of rows, in the order asked for.
+        words, _ = table.footprint(TABLE_INTERVALS[2], [3, 0])
+        assert words.tolist() == [
+            indexes[r].query_cost(TABLE_INTERVALS[2]).words_touched for r in (3, 0)
+        ]
+
+    def test_table_follows_every_installed_index(self, indexed_system, rng):
+        """An index-rebuilding overwrite, a region-opening append and a
+        compaction each replace region indexes; the table stacked before
+        them must not outlive them (a delta write installs none)."""
+        sysm, obj = indexed_system, indexed_system.get_object("energy")
+
+        def check():
+            table = obj.index_probe_table()
+            assert table is obj.index_probe_table()  # stacked once
+            assert_table_matches_indexes(table, obj.indexes, TABLE_INTERVALS)
+            return table
+
+        first = check()
+        sysm.update_object_region(
+            "energy", 5, rng.uniform(3.0, 9.0, 300).astype(np.float32),
+            maintenance="rebuild",
+        )
+        rebuilt = check()
+        assert rebuilt is not first
+        sysm.update_object_region(
+            "energy", int(obj.offsets[2]) + 3,
+            rng.uniform(0.0, 0.2, 100).astype(np.float32), maintenance="delta",
+        )
+        assert obj.index_delta_counts[2] == 100 and check() is rebuilt
+        n_regions = obj.n_regions
+        sysm.append_to_object(
+            "energy", rng.gamma(2.0, 0.7, obj.region_elements + 10).astype(np.float32),
+            maintenance="delta",
+        )
+        assert obj.n_regions > n_regions
+        appended = check()
+        assert appended.header_bytes.size == obj.n_regions
+        sysm.compact_region_index("energy", 2)
+        assert check() is not appended
 
 
 class TestSerialization:

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from repro.errors import PDCError
-from repro.query.ast import Condition
+from repro.query.ast import AndNode, Condition
 from repro.query.executor import QueryEngine
 from repro.storage.device import DeviceKind
+from repro.strategies import Strategy
 from repro.types import PDCType, QueryOp
 from tests.conftest import make_system
 
@@ -94,3 +95,39 @@ class TestMigration:
         sysm.migrate_regions("obj", [0], DeviceKind.NVRAM)
         sysm.migrate_regions("obj", [1], DeviceKind.TAPE)
         assert engine.execute(cond("obj", ">", 0.7)).nhits == truth
+
+    @pytest.mark.parametrize("path", ["index_probe", "get_data"])
+    def test_every_data_read_honours_the_regions_tier(self, env, path):
+        """The regression: PDC-HI's candidate check and ``get_data`` charged
+        an NVRAM-resident region as a Lustre read (only PDC-F/H looked at
+        the tier).  Each cold data-region read costs exactly
+        ``CostModel.tier_read_time`` of the tier that holds it."""
+        sysm, _ = env
+        sysm.build_index("obj")
+        engine = QueryEngine(sysm)
+        obj = sysm.get_object("obj")
+        # Off the bin grid: boundary-bin candidates force raw-region reads.
+        node = AndNode((cond("obj", ">", 0.123), cond("obj", "<", 0.456)))
+        selection = engine.execute(node, strategy=Strategy.HISTOGRAM).selection
+
+        def cold_read_seconds():
+            sysm.drop_all_caches()
+            before = sum(s.clock.breakdown().get("pfs_read", 0.0) for s in sysm.servers)
+            if path == "index_probe":
+                res = engine.execute(node, strategy=Strategy.HIST_INDEX)
+            else:
+                res = engine.get_data(selection, "obj", strategy=Strategy.HISTOGRAM)
+            assert res.regions_read == obj.n_regions
+            after = sum(s.clock.breakdown().get("pfs_read", 0.0) for s in sysm.servers)
+            return after - before
+
+        on_disk = cold_read_seconds()
+        sysm.migrate_regions("obj", range(obj.n_regions), DeviceKind.NVRAM)
+        on_nvram = cold_read_seconds()
+        assert on_nvram < on_disk
+        assert on_nvram == pytest.approx(sum(
+            sysm.cost.tier_read_time(
+                int(n) * obj.itemsize, 1, DeviceKind.NVRAM, sysm.config.pdc_stripe_count
+            )
+            for n in obj.counts
+        ))
