@@ -98,26 +98,31 @@ class RegionBitmapIndex:
         values = data.astype(np.float64, copy=False)
         edges = sig_digit_edges(float(values.min()), float(values.max()), precision)
         bin_idx = assign_bins(values, edges)
-        occupied, bin_counts = np.unique(bin_idx, return_counts=True)
-        bitmaps: Dict[int, np.ndarray] = {}
-        bin_min = np.empty(occupied.size)
-        bin_max = np.empty(occupied.size)
-        bin_words = np.empty(occupied.size, dtype=np.int64)
-        for k, b in enumerate(occupied):
-            member = bin_idx == b
-            words, _ = wah.compress(member)
-            bitmaps[int(b)] = words
-            bin_words[k] = words.size
-            members = values[member]
-            bin_min[k] = members.min()
-            bin_max[k] = members.max()
+        # Stable: each bin's members stay in ascending position order.  The
+        # key is cast to the narrowest type holding a bin id because numpy
+        # radix-sorts keys of 16 bits or fewer.
+        order = np.argsort(
+            bin_idx.astype(np.min_scalar_type(edges.size)), kind="stable"
+        )
+        sorted_bins = bin_idx[order]
+        starts = np.flatnonzero(np.diff(sorted_bins, prepend=-1))
+        occupied = sorted_bins[starts]
+        by_bin = values[order]
+        words, bin_words = wah.compress_partition(order, starts, values.size)
+        stops = np.cumsum(bin_words)
+        bitmaps = {
+            b: words[lo:hi]
+            for b, lo, hi in zip(
+                occupied.tolist(), (stops - bin_words).tolist(), stops.tolist()
+            )
+        }
         return cls(
             edges=edges,
-            bin_ids=occupied.astype(np.int64),
-            bin_min=bin_min,
-            bin_max=bin_max,
+            bin_ids=occupied,
+            bin_min=np.minimum.reduceat(by_bin, starts),
+            bin_max=np.maximum.reduceat(by_bin, starts),
             bin_words=bin_words,
-            bin_counts=bin_counts,
+            bin_counts=np.diff(starts, append=values.size),
             bitmaps=bitmaps,
             n_elements=int(values.size),
         )

@@ -29,6 +29,7 @@ from ..errors import IndexError_
 __all__ = [
     "GROUP_BITS",
     "compress",
+    "compress_partition",
     "decompress",
     "bits_to_groups",
     "groups_to_bits",
@@ -142,6 +143,63 @@ def compress(bits: np.ndarray) -> Tuple[np.ndarray, int]:
     """Compress a boolean vector; returns ``(words, n_bits)``."""
     groups, n_bits = bits_to_groups(bits)
     return encode_groups(groups), n_bits
+
+
+def compress_partition(
+    positions: np.ndarray, starts: np.ndarray, n_bits: int
+) -> Tuple[np.ndarray, np.ndarray]:
+    """:func:`compress` for every set of a partition of ``range(n_bits)``
+    in one pass over the members.
+
+    ``positions`` lists each set's members ascending, set after set;
+    ``starts`` is where each set begins in it.  Returns ``(words,
+    words_per_set)``: the sets' streams back to back, each byte-identical
+    to ``compress`` of that set's membership mask.  A stream is built from
+    its *occupied* groups alone — a zero fill for the gap before one, the
+    group as a literal or folded into a one-fill with its all-ones
+    neighbours, a zero fill after the last — so the work follows the
+    member count, not sets × groups.  (No run reaches the 2^62-group fill
+    limit ``encode_groups`` splits at: ``n_bits`` is an array length.)
+    """
+    n_groups = -(-n_bits // GROUP_BITS)
+    group = positions // GROUP_BITS
+    bit = (positions - group * GROUP_BITS).astype(np.uint64)
+    # A segment: the members one set has in one group.
+    new_segment = np.empty(positions.size, dtype=bool)
+    np.not_equal(group[1:], group[:-1], out=new_segment[1:])
+    new_segment[starts] = True  # position 0 included: it starts the first set
+    seg_starts = np.flatnonzero(new_segment)
+    payload = np.bitwise_or.reduceat(np.uint64(1) << bit, seg_starts)
+    seg_group = group[seg_starts]
+    set_first = np.searchsorted(seg_starts, starts)  # each set's first segment
+    first = np.zeros(seg_starts.size, dtype=bool)
+    first[set_first] = True
+    # Zero groups between a segment and its predecessor in the same set.
+    gap = np.diff(seg_group, prepend=-1) - 1
+    gap[set_first] = seg_group[set_first]
+    ones = payload == _PAYLOAD_MASK
+    continues = ones & ~first & (gap == 0)
+    continues[1:] &= ones[:-1]
+    # One word per segment that does not extend a one-fill; a one-fill's
+    # length is the distance to the next such segment.
+    emitted = np.flatnonzero(~continues)
+    run = np.diff(emitted, append=seg_starts.size).astype(np.uint64)
+    word = np.where(ones[emitted], _FILL_FLAG | _FILL_VALUE | run, payload[emitted])
+    gap = gap[emitted]
+    # Zero groups after a set's last segment, held by its last word.
+    set_first_word = np.flatnonzero(first[emitted])
+    trail = np.zeros(emitted.size, dtype=np.int64)
+    trail[np.append(set_first_word[1:], emitted.size) - 1] = (
+        n_groups - 1 - seg_group[np.append(set_first[1:], seg_starts.size) - 1]
+    )
+    has_gap, has_trail = gap > 0, trail > 0
+    n_out = 1 + has_gap + has_trail
+    offset = np.cumsum(n_out) - n_out
+    words = np.empty(int(n_out.sum()), dtype=np.uint64)
+    words[offset + has_gap] = word
+    words[offset[has_gap]] = _FILL_FLAG | gap[has_gap].astype(np.uint64)
+    words[(offset + n_out - 1)[has_trail]] = _FILL_FLAG | trail[has_trail].astype(np.uint64)
+    return words, np.add.reduceat(n_out, set_first_word)
 
 
 def decompress(words: np.ndarray, n_bits: int) -> np.ndarray:

@@ -13,7 +13,7 @@ provenance (which regions it covers) and the planner-facing helpers.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ..errors import QueryError
 from ..interval import Interval
@@ -35,19 +35,47 @@ class GlobalHistogram:
     merged: MergeableHistogram
     #: region id → (data_min, data_max)
     region_minmax: Dict[int, Tuple[float, float]]
+    #: region id → (the region histogram, it coarsened to ``merged``'s
+    #: width): the merge's operands, kept so the next merge re-coarsens only
+    #: what changed.
+    operands: Dict[int, Tuple[MergeableHistogram, MergeableHistogram]]
 
     @classmethod
     def build(
-        cls, region_histograms: Dict[int, MergeableHistogram]
+        cls,
+        region_histograms: Dict[int, MergeableHistogram],
+        previous: Optional["GlobalHistogram"] = None,
     ) -> "GlobalHistogram":
-        """Merge per-region histograms (keyed by region id) into one."""
+        """Merge per-region histograms (keyed by region id) into one.
+
+        ``previous`` — the global histogram this one replaces — lends its
+        coarsened operand for every region whose histogram is still the
+        same object at the same merged width.  A histogram is never
+        changed in place (every writer installs a new one), so a lent
+        operand is what :meth:`MergeableHistogram.coarsened` would return
+        again and the result equals a build without ``previous`` field for
+        field.
+        """
         if not region_histograms:
             raise QueryError("cannot build a global histogram from zero regions")
-        merged = MergeableHistogram.merge_many(list(region_histograms.values()))
+        width = max(h.bin_width for h in region_histograms.values())
+        kept = {}
+        if previous is not None and previous.merged.bin_width == width:
+            kept = previous.operands
+        operands = {}
+        for rid, h in region_histograms.items():
+            source, coarse = kept.get(rid, (None, None))
+            operands[rid] = (h, coarse if source is h else h.coarsened(width))
+        merged = MergeableHistogram.merge_aligned([c for _, c in operands.values()])
         minmax = {
             rid: (h.data_min, h.data_max) for rid, h in region_histograms.items()
         }
-        return cls(merged=merged, region_minmax=minmax)
+        return cls(merged=merged, region_minmax=minmax, operands=operands)
+
+    def __getstate__(self) -> dict:
+        # Operands are working state of the merge, recomputable from the
+        # region histograms: a metadata checkpoint does not carry them.
+        return {**self.__dict__, "operands": {}}
 
     # ------------------------------------------------------------ planner api
     @property

@@ -420,7 +420,14 @@ class MergeableHistogram:
         if not histograms:
             raise QueryError("merge_many needs at least one histogram")
         width = max(h.bin_width for h in histograms)
-        coarse = [h.coarsened(width) for h in histograms]
+        return cls.merge_aligned([h.coarsened(width) for h in histograms])
+
+    @classmethod
+    def merge_aligned(cls, coarse: Sequence["MergeableHistogram"]) -> "MergeableHistogram":
+        """The adding half of :meth:`merge_many`: histograms already on one
+        width (coarsening keeps each one's extrema) into one
+        span-covering count array."""
+        width = coarse[0].bin_width
         start = min(h.start for h in coarse)
         end = max(h.start + h.n_bins * width for h in coarse)
         n_bins = round((end - start) / width)
@@ -432,6 +439,6 @@ class MergeableHistogram:
             bin_width=width,
             start=start,
             counts=counts,
-            data_min=min(h.data_min for h in histograms),
-            data_max=max(h.data_max for h in histograms),
+            data_min=min(h.data_min for h in coarse),
+            data_max=max(h.data_max for h in coarse),
         )

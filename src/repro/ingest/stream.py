@@ -323,14 +323,14 @@ class IngestStream:
             obj = sysm.objects.get(name)
             if obj is None or obj.indexes is None:
                 continue
-            if obj.index_delta_counts is None:
+            deltas = obj.index_delta_counts
+            if deltas is None:
                 continue
-            for rid in range(obj.n_regions):
-                n_delta = int(obj.index_delta_counts[rid])
-                if not n_delta:
-                    continue
-                if n_delta < cfg.index_compact_fraction * int(obj.counts[rid]):
-                    continue
+            # Compacting a region zeroes its own delta count, no other's,
+            # so the regions over threshold are picked before the first.
+            over = deltas >= cfg.index_compact_fraction * obj.counts
+            for rid in np.flatnonzero(over).tolist():
+                n_delta = int(deltas[rid])
                 sysm.compact_region_index(name, rid)
                 done += 1
                 if self.monitor.enabled:

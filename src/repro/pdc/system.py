@@ -154,6 +154,9 @@ class StoredObject:
     #: Per-region index-file sizes / compressed word counts.
     index_nbytes: Optional[np.ndarray] = None
     index_words: Optional[np.ndarray] = None
+    #: Byte offset of each region's extent in the index file, plus the
+    #: file's size (``n_regions + 1`` entries), as last written.
+    index_extents: Optional[np.ndarray] = None
     #: Per-region count of elements covered only by *uncompacted* WAH
     #: delta segments (continuous ingest appends deltas instead of
     #: rebuilding the bitmap; probes treat delta positions as candidates
@@ -957,8 +960,9 @@ class PDCSystem:
         self.remerge_global_histogram(name)
         # The index file is a function of the index objects alone: a
         # write that only appended delta segments leaves it as it is.
-        if any(d.index is not None for d in derived):
-            self._rewrite_index_file(obj)
+        reindexed = [d.rid for d in derived if d.index is not None]
+        if reindexed:
+            self._rewrite_index_file(obj, reindexed)
         self._handle_replica_staleness(name, n_written, stats)
         self.last_write_stats = stats
         self._notify_invalidation(name, affected)
@@ -976,28 +980,43 @@ class PDCSystem:
         obj = self.get_object(name)
         if obj.meta.global_histogram is not None:
             obj.meta.global_histogram = GlobalHistogram.build(
-                {r.region_id: r.histogram for r in obj.meta.regions if r.histogram}
+                {r.region_id: r.histogram for r in obj.meta.regions if r.histogram},
+                previous=obj.meta.global_histogram,
             )
 
-    def _rewrite_index_file(self, obj: StoredObject) -> None:
+    def _rewrite_index_file(self, obj: StoredObject, changed: Sequence[int]) -> None:
         """Persist one concatenated index file per object (regions are
-        extents within it, like the data file)."""
+        extents within it, like the data file): the ``changed`` regions'
+        indexes (ascending ids) are serialised, every other region keeps
+        the bytes of its recorded extent in the file being replaced."""
         path = f"/pdc/index/{obj.name}"
-        if self.pfs.exists(path):
+        bounds = obj.index_extents
+        sizes = np.zeros(obj.n_regions, dtype=np.int64)
+        old = None
+        if bounds is not None:
+            sizes[: bounds.size - 1] = np.diff(bounds)
+            old = self.pfs.stat(path).data
+        parts, done = [], 0
+        for rid in changed:
+            if rid > done:
+                parts.append(old[bounds[done] : bounds[rid]])
+            parts.append(obj.indexes[rid].to_bytes())
+            sizes[rid] = parts[-1].size
+            obj.meta.regions[rid].index_path = path
+            done = rid + 1
+        if done < obj.n_regions:
+            parts.append(old[bounds[done] :])
+        spliced = np.concatenate(parts)
+        if old is not None:
             self.pfs.delete(path)
-        self.pfs.create(
-            path,
-            np.concatenate([idx.to_bytes() for idx in obj.indexes]),
-            stripe_count=self.config.pdc_stripe_count,
-        )
-        for region in obj.meta.regions:
-            region.index_path = path
+        self.pfs.create(path, spliced, stripe_count=self.config.pdc_stripe_count)
+        obj.index_extents = np.concatenate(([0], np.cumsum(sizes)))
 
     def _invalidate_replica_caches(self, key_name: str, group: ReplicaGroup) -> None:
         """Invalidate every server's cached sorted-replica bytes for one
-        replica group — on *any* write to a covered object, regardless of
-        staleness policy, so a cached sorted read can never serve
-        pre-update bytes."""
+        replica group — when a write to a covered object finds it readable
+        and when it is dropped, whatever the staleness policy, so a cached
+        sorted read can never serve pre-update bytes."""
         for server in self.servers:
             for rid in range(group.n_regions):
                 for which in ("key", "perm", *group.companion_files):
@@ -1021,11 +1040,15 @@ class PDCSystem:
             covered = {key_name, *group.replica.companions}
             if name not in covered:
                 continue
-            self._invalidate_replica_caches(key_name, group)
             if policy == "drop":
-                self.drop_sorted_replica(key_name)
+                self.drop_sorted_replica(key_name)  # invalidates its bytes
                 action = "drop"
             else:
+                # A stale group has no resident bytes to invalidate: going
+                # stale invalidated them, and only ``replica_covering``,
+                # which skips a stale group, leads to a read that caches more.
+                if not group.stale:
+                    self._invalidate_replica_caches(key_name, group)
                 group.stale = True
                 group.stale_elements += int(n_written)
                 action = "mark_stale"
@@ -1099,7 +1122,7 @@ class PDCSystem:
         )
         for s in self.servers:
             s.cache.invalidate(region_key(name, rid, replica="idx"))
-        self._rewrite_index_file(obj)
+        self._rewrite_index_file(obj, [rid])
         return n_delta
 
     def migrate_regions(
@@ -1192,7 +1215,7 @@ class PDCSystem:
         obj.index_words = np.empty(obj.n_regions, dtype=np.int64)
         for d in derived:
             self._install_region(obj, d)
-        self._rewrite_index_file(obj)
+        self._rewrite_index_file(obj, range(obj.n_regions))
 
     def index_size_bytes(self, name: str) -> int:
         """Total index-file size for one object (paper §V: 15–17 % of the

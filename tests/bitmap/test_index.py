@@ -6,6 +6,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.bitmap import wah
+from repro.bitmap.binning import assign_bins, sig_digit_edges
 from repro.bitmap.index import IndexProbeTable, RegionBitmapIndex
 from repro.errors import IndexError_
 from repro.interval import Interval
@@ -95,6 +96,100 @@ class TestBuild:
         assert idx.n_occupied_bins == 1
         got = resolve(idx, Interval(lo=2.0, hi=3.0), np.full(100, 2.5))
         assert got == set(range(100))
+
+
+def build_bin_by_bin(data, precision=2):
+    """The definition ``RegionBitmapIndex.build`` must reproduce byte for
+    byte: one membership mask, one ``wah.compress`` and one min/max per
+    occupied bin."""
+    values = np.asarray(data).astype(np.float64)
+    edges = sig_digit_edges(float(values.min()), float(values.max()), precision)
+    bin_idx = assign_bins(values, edges)
+    occupied, bin_counts = np.unique(bin_idx, return_counts=True)
+    members = [bin_idx == b for b in occupied]
+    bitmaps = {int(b): wah.compress(m)[0] for b, m in zip(occupied, members)}
+    return RegionBitmapIndex(
+        edges=edges,
+        bin_ids=occupied.astype(np.int64),
+        bin_min=np.array([values[m].min() for m in members]),
+        bin_max=np.array([values[m].max() for m in members]),
+        bin_words=np.array([w.size for w in bitmaps.values()], dtype=np.int64),
+        bin_counts=bin_counts,
+        bitmaps=bitmaps,
+        n_elements=int(values.size),
+    )
+
+
+def assert_same_index(got, want):
+    for name in ("edges", "bin_ids", "bin_min", "bin_max", "bin_words", "bin_counts"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and np.array_equal(a, b), name
+    assert list(got.bitmaps) == list(want.bitmaps)
+    for b, words in want.bitmaps.items():
+        assert got.bitmaps[b].dtype == np.uint64
+        assert np.array_equal(got.bitmaps[b], words), b
+    assert got.n_elements == want.n_elements
+    assert np.array_equal(got.to_bytes(), want.to_bytes())
+
+
+#: Region lengths around the 63-bit group size: one group part-filled, one
+#: bit short, exactly full, one bit over, two groups, a full last group.
+LENGTHS = [1, 62, 63, 64, 126, 63 * 5]
+
+
+@st.composite
+def region_values(draw):
+    n = draw(st.sampled_from(LENGTHS + [draw(st.integers(1, 700))]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    shape = draw(st.sampled_from(["random", "sorted", "constant", "two-valued", "runs"]))
+    if shape == "constant":
+        values = np.full(n, rng.gamma(2.0, 0.7) + 1.0)
+    elif shape == "two-valued":
+        values = rng.choice([1.5, 3.5], n)
+    elif shape == "runs":
+        # Runs long enough for one-fills, short enough to end mid-group.
+        run = int(draw(st.integers(1, 200)))
+        levels = rng.integers(1, 6, n // run + 1).astype(np.float64)
+        values = np.repeat(levels, run)[:n]
+    else:
+        values = rng.gamma(2.0, 0.7, n) * 10.0 + 1.0
+        if shape == "sorted":
+            values.sort()
+    return values.astype(draw(st.sampled_from([np.float32, np.float64, np.int32])))
+
+
+class TestBuildMatchesBinByBin:
+    @given(region_values(), st.sampled_from([1, 2, 3]))
+    @settings(max_examples=150, deadline=None)
+    def test_byte_for_byte(self, values, precision):
+        assert_same_index(
+            RegionBitmapIndex.build(values, precision=precision),
+            build_bin_by_bin(values, precision),
+        )
+
+    @pytest.mark.parametrize("n", LENGTHS)
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64, np.int32])
+    def test_group_boundary_lengths(self, n, dtype, rng):
+        for values in (
+            rng.gamma(2.0, 0.7, n) * 10.0 + 1.0,
+            np.sort(rng.gamma(2.0, 0.7, n) * 10.0 + 1.0),
+            np.full(n, 4.0),
+            rng.choice([1.5, 3.5], n),
+        ):
+            values = values.astype(dtype)
+            assert_same_index(RegionBitmapIndex.build(values), build_bin_by_bin(values))
+
+    def test_one_fill_spanning_several_groups(self):
+        """A bin owning groups 1-4 whole, flanked by part-filled groups, is
+        one one-fill word of length four between two literals."""
+        values = np.concatenate(
+            [np.full(40, 1.0), np.full(23 + 63 * 4 + 10, 2.0), np.full(100, 3.0)]
+        )
+        idx = RegionBitmapIndex.build(values)
+        assert_same_index(idx, build_bin_by_bin(values))
+        twos = idx.bitmaps[int(idx.bin_ids[1])]
+        one_fill = (np.uint64(3) << np.uint64(62)) | np.uint64(4)
+        assert twos.size == 4 and twos[1] == one_fill  # literal, fill, literal, zero fill
 
 
 class TestQueryExactness:

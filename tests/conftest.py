@@ -8,6 +8,8 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
+from repro.bitmap.index import RegionBitmapIndex
+from repro.histogram.global_hist import GlobalHistogram
 from repro.pdc import PDCConfig, PDCSystem
 from repro.strategies import Strategy
 
@@ -94,6 +96,45 @@ def zero_clocks(system) -> None:
     for clock in system.all_clocks():
         clock._now = 0.0
         clock._by_category.clear()
+
+
+def assert_same_global_histogram(got, want) -> None:
+    """Field for field: merged grid, counts and extrema, ``region_minmax``
+    in order, and each region's kept operand — the same source histogram,
+    coarsened to the same thing."""
+    for field in ("bin_width", "start", "data_min", "data_max"):
+        assert getattr(got.merged, field) == getattr(want.merged, field), field
+    assert np.array_equal(got.merged.counts, want.merged.counts)
+    assert list(got.region_minmax.items()) == list(want.region_minmax.items())
+    assert list(got.operands) == list(want.operands)
+    for rid, (source, coarse) in got.operands.items():
+        fresh_source, fresh = want.operands[rid]
+        assert source is fresh_source, rid
+        assert (coarse.bin_width, coarse.start) == (fresh.bin_width, fresh.start)
+        assert np.array_equal(coarse.counts, fresh.counts), rid
+
+
+def assert_global_histogram_fresh(obj) -> None:
+    """The maintained global histogram equals ``GlobalHistogram.build``
+    from scratch over the object's region histograms."""
+    assert_same_global_histogram(
+        obj.meta.global_histogram,
+        GlobalHistogram.build({r.region_id: r.histogram for r in obj.meta.regions}),
+    )
+
+
+def assert_index_file_fresh(system, obj) -> None:
+    """The index file holds exactly the current index objects' bytes, and
+    every recorded extent decodes back to its region's index."""
+    stored = system.pfs.stat(f"/pdc/index/{obj.name}").data
+    parts = [idx.to_bytes() for idx in obj.indexes]
+    assert np.array_equal(stored, np.concatenate(parts))
+    extents = obj.index_extents
+    assert extents.size == obj.n_regions + 1
+    assert extents[0] == 0 and extents[-1] == stored.size
+    for rid, part in enumerate(parts):
+        decoded = RegionBitmapIndex.from_bytes(stored[extents[rid] : extents[rid + 1]])
+        assert np.array_equal(decoded.to_bytes(), part), rid
 
 
 def make_system(

@@ -1,5 +1,7 @@
 """Global histogram: merge provenance, region elimination, estimation."""
 
+import pickle
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from repro.histogram.global_hist import GlobalHistogram
 from repro.histogram.mergeable import MergeableHistogram
 from repro.interval import Interval
 from repro.types import QueryOp
+from tests.conftest import assert_same_global_histogram
 
 
 @pytest.fixture
@@ -36,6 +39,68 @@ class TestBuild:
         for rid, data in regions.items():
             lo, hi = ghist.region_minmax[rid]
             assert lo == data.min() and hi == data.max()
+
+
+class TestOperandReuse:
+    """``build(..., previous=...)`` re-coarsens only what changed and is
+    field-for-field the build without ``previous``."""
+
+    @pytest.fixture
+    def hists(self, rng):
+        """Region 2 spans 0-64 and alone carries the merged width; the
+        others span one unit each on grids 64 times finer."""
+        spans = {0: 1.0, 1: 1.0, 2: 64.0, 3: 1.0}
+        return {
+            rid: MergeableHistogram.from_data(rng.random(2000) * span + rid, n_bins=32)
+            for rid, span in spans.items()
+        }
+
+    def test_unchanged_regions_lend_their_operands(self, hists, rng):
+        previous = GlobalHistogram.build(hists)
+        assert previous.merged.bin_width == hists[2].bin_width > hists[0].bin_width
+        hists[1] = MergeableHistogram.from_data(rng.random(500) + 7.0, n_bins=32)
+        rebuilt = GlobalHistogram.build(hists, previous=previous)
+        assert_same_global_histogram(rebuilt, GlobalHistogram.build(hists))
+        for rid in (0, 2, 3):
+            assert rebuilt.operands[rid][1] is previous.operands[rid][1]
+        assert rebuilt.operands[1][1] is not previous.operands[1][1]
+        assert previous.merged.total == 8000  # the lender is left as it was
+
+    def test_overwriting_the_width_carrying_region_narrows_the_grid(self, hists, rng):
+        previous = GlobalHistogram.build(hists)
+        hists[2] = MergeableHistogram.from_data(rng.random(2000) + 2.0, n_bins=32)
+        rebuilt = GlobalHistogram.build(hists, previous=previous)
+        assert rebuilt.merged.bin_width < previous.merged.bin_width
+        assert_same_global_histogram(rebuilt, GlobalHistogram.build(hists))
+        # Operands coarsened to the old width are of no use on the new grid.
+        assert all(c.bin_width == rebuilt.merged.bin_width for _, c in rebuilt.operands.values())
+
+    def test_a_coarser_newcomer_widens_the_grid(self, hists, rng):
+        previous = GlobalHistogram.build(hists)
+        hists[0] = MergeableHistogram.from_data(rng.random(2000) * 512.0, n_bins=32)
+        rebuilt = GlobalHistogram.build(hists, previous=previous)
+        assert rebuilt.merged.bin_width > previous.merged.bin_width
+        assert_same_global_histogram(rebuilt, GlobalHistogram.build(hists))
+
+    def test_region_opening_append(self, hists, rng):
+        previous = GlobalHistogram.build(hists)
+        hists[4] = MergeableHistogram.from_data(rng.random(300) + 100.0, n_bins=32)
+        rebuilt = GlobalHistogram.build(hists, previous=previous)
+        assert_same_global_histogram(rebuilt, GlobalHistogram.build(hists))
+        assert list(rebuilt.region_minmax) == [0, 1, 2, 3, 4]
+        assert rebuilt.merged.data_max == hists[4].data_max
+        assert rebuilt.operands[0][1] is previous.operands[0][1]
+
+
+    def test_a_checkpoint_carries_no_operands(self, hists, rng):
+        """Pickled (the metadata checkpoint) a global histogram is the size
+        it was before operands were kept; restored, it lends nothing and
+        the next build is still the from-scratch one."""
+        restored = pickle.loads(pickle.dumps(GlobalHistogram.build(hists)))
+        assert restored.operands == {}
+        assert_same_global_histogram(
+            GlobalHistogram.build(hists, previous=restored), GlobalHistogram.build(hists)
+        )
 
 
 class TestRegionElimination:

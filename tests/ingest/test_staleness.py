@@ -35,6 +35,13 @@ def replicated(policy, threshold=0.25, seed=12345, metrics=None):
     return sysm
 
 
+def resident_sorted_keys(sysm):
+    return [
+        key for server in sysm.servers for key, _ in server.cache.entries()
+        if ":sorted:" in key
+    ]
+
+
 class TestPolicyConfig:
     def test_unknown_policy_rejected(self):
         with pytest.raises(PDCError):
@@ -95,6 +102,53 @@ class TestMarkStalePolicy:
         assert res.nhits == 200
         truth = np.flatnonzero(sysm.objects["energy"].data > np.float32(50.0))
         assert np.array_equal(res.selection.coords, truth)
+
+
+class TestInvalidationOnlyWhereItCanHit:
+    @pytest.mark.parametrize("policy", ["drop", "mark_stale", "rebuild"])
+    def test_a_write_sweeps_a_readable_group_only(self, policy, monkeypatch):
+        """A covered write invalidates the group's cached sorted bytes when
+        planning could have read them; a group already stale is unreadable,
+        holds none, and is not swept again until it is readable again."""
+        sysm = replicated(policy, threshold=0.5)
+        engine = QueryEngine(sysm)
+        sweeps = []
+        real = sysm._invalidate_replica_caches
+        monkeypatch.setattr(
+            sysm, "_invalidate_replica_caches",
+            lambda key_name, group: (sweeps.append(key_name), real(key_name, group)),
+        )
+        small = np.ones(16, dtype=np.float32)
+
+        def sorted_query():
+            res = engine.execute(gt("energy", 2.0), strategy=Strategy.SORT_HIST)
+            assert res.nhits == int((sysm.objects["energy"].data > 2.0).sum())
+
+        sorted_query()
+        assert resident_sorted_keys(sysm)
+        sysm.update_object_region("energy", 0, small)
+        assert len(sweeps) == 1 and not resident_sorted_keys(sysm)
+        if policy == "drop":
+            assert "energy" not in sysm.replicas
+            return
+
+        sorted_query()  # falls back: a stale group is not read
+        sysm.update_object_region("energy", 32, small)
+        sysm.update_object_region("x", 0, small)
+        assert len(sweeps) == 1 and not resident_sorted_keys(sysm)
+
+        if policy == "rebuild":
+            sysm.update_object_region("energy", 0, np.ones(2048, dtype=np.float32))
+            assert sysm.last_write_stats.get("replica_rebuild") == 1
+        else:
+            sysm.refresh_sorted_replica("energy")
+        assert not sysm.replicas["energy"].stale
+        sorted_query()
+        assert resident_sorted_keys(sysm)
+        swept = len(sweeps)
+        sysm.update_object_region("energy", 64, small)
+        assert len(sweeps) == swept + 1 and not resident_sorted_keys(sysm)
+        assert sysm.replicas["energy"].stale
 
 
 class TestRebuildPolicy:

@@ -4,12 +4,15 @@ replicas, caches)."""
 import numpy as np
 import pytest
 
+from repro.bitmap.index import RegionBitmapIndex
 from repro.errors import PDCError
 from repro.query.ast import Condition
 from repro.query.executor import QueryEngine
 from repro.strategies import Strategy
 from repro.types import PDCType, QueryOp
-from tests.conftest import make_system
+from tests.conftest import (
+    assert_global_histogram_fresh, assert_index_file_fresh, make_system,
+)
 
 
 def cond(name, op, value):
@@ -58,6 +61,25 @@ class TestDerivedStateMaintenance:
         obj = sysm.get_object("obj")
         assert obj.rmin[0] == 99.0 and obj.rmax[0] == 99.0
         assert obj.meta.global_histogram.merged.data_max == 99.0
+
+    @pytest.mark.parametrize("maintenance", ["rebuild", "delta"])
+    def test_overwriting_the_widest_region_narrows_the_global_grid(
+        self, rng, maintenance
+    ):
+        """Region 1 alone carries the merged bin width; once overwritten,
+        the re-merge must land on the finer grid a from-scratch merge
+        picks, not on the grid its kept operands were coarsened to."""
+        sysm = make_system(region_size_bytes=1 << 11)
+        data = rng.random(1 << 12).astype(np.float32)
+        data[512:1024] *= 64.0
+        obj = sysm.create_object("obj", data)
+        wide = obj.meta.global_histogram.merged.bin_width
+        assert wide == obj.meta.regions[1].histogram.bin_width
+        sysm.update_object_region(
+            "obj", 512, rng.random(512).astype(np.float32), maintenance=maintenance
+        )
+        assert obj.meta.global_histogram.merged.bin_width < wide
+        assert_global_histogram_fresh(obj)
 
     def test_queries_correct_after_update(self, env):
         sysm, _ = env
@@ -138,16 +160,26 @@ def _state(sysm, name):
     even have replaced one with an equal copy)."""
     obj = sysm.get_object(name)
     arrays = ("data", "offsets", "counts", "rmin", "rmax", "index_nbytes",
-              "index_words", "index_delta_counts", "hist_dirty_elements")
+              "index_words", "index_extents", "index_delta_counts",
+              "hist_dirty_elements")
+    ghist = obj.meta.global_histogram
     return {
         "arrays": {
-            a: None if getattr(obj, a) is None else getattr(obj, a).copy()
-            for a in arrays
+            **{
+                a: None if getattr(obj, a) is None else getattr(obj, a).copy()
+                for a in arrays
+            },
+            "index file": sysm.pfs.stat(f"/pdc/index/{name}").data.copy(),
+            "merged counts": ghist.merged.counts.copy(),
         },
+        "global": (ghist.merged.bin_width, ghist.merged.start,
+                   list(ghist.region_minmax.items())),
+        "replicas": {k: (g.stale, g.stale_elements) for k, g in sysm.replicas.items()},
         "sizes": (obj.n_elements, obj.meta.n_elements, obj.n_regions,
                   [r.n_elements for r in obj.meta.regions]),
         "objects": [r.histogram for r in obj.meta.regions]
         + [obj.meta.global_histogram, *obj.indexes]
+        + [h for operand in ghist.operands.values() for h in operand]
         + [sysm.pfs.stat(path) for path in sysm.pfs.listdir()],
         "files": sysm.pfs.listdir(),
         "clocks": {c.name: (c.now, c.breakdown()) for c in sysm.all_clocks()},
@@ -155,7 +187,7 @@ def _state(sysm, name):
 
 
 def _assert_untouched(before, after):
-    for key in ("sizes", "files", "clocks"):
+    for key in ("sizes", "files", "clocks", "global", "replicas"):
         assert after[key] == before[key], key
     for name, arr in before["arrays"].items():
         got = after["arrays"][name]
@@ -199,9 +231,12 @@ class TestAtomicCommit:
         data = rng.random(ATOMIC_N).astype(np.float32)
 
         def deployment():
-            sysm = make_system(region_size_bytes=1 << 11)
+            sysm = make_system(
+                region_size_bytes=1 << 11, replica_staleness_policy="mark_stale"
+            )
             sysm.create_object("obj", data.copy())
             sysm.build_index("obj")
+            sysm.build_sorted_replica("obj")
             return sysm
 
         twin, sysm = deployment(), deployment()
@@ -238,6 +273,15 @@ class TestAtomicCommit:
         assert apply(sysm, values, maintenance) == regions
         res = QueryEngine(sysm).execute(cond("obj", ">", 100.0))
         assert res.nhits == n_values
+        # What the write maintained piecewise equals the whole rebuilt.
+        obj = sysm.get_object("obj")
+        assert_global_histogram_fresh(obj)
+        assert_index_file_fresh(sysm, obj)
+        assert sysm.replicas["obj"].stale
+        if maintenance == "rebuild":
+            for rid, (off, n) in enumerate(zip(obj.offsets, obj.counts)):
+                fresh = RegionBitmapIndex.build(obj.data[off : off + n])
+                assert np.array_equal(obj.indexes[rid].to_bytes(), fresh.to_bytes())
 
     @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
     @pytest.mark.parametrize("maintenance", ["rebuild", "delta"])

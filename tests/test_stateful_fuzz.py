@@ -9,7 +9,12 @@ every strategy — while holding the system to its core invariants:
 * every query answer equals a numpy model kept alongside;
 * simulated clocks never go backwards;
 * derived state (extents, region min/max, histogram totals, index
-  lists) always matches the model data.
+  lists) always matches the model data;
+* what a write maintains piecewise equals the whole rebuilt: the global
+  histogram a from-scratch merge, the index file the concatenation of the
+  index objects' bytes;
+* no server holds sorted-replica bytes of a group planning cannot read
+  (stale or dropped).
 
 The example budget comes from the hypothesis profile in
 ``tests/conftest.py`` (fixed-seed in tier-1, ``long`` in CI).
@@ -28,17 +33,24 @@ from repro.query.executor import QueryEngine
 from repro.storage.device import DeviceKind
 from repro.strategies import Strategy
 from repro.types import PDCType, QueryOp
+from tests.conftest import assert_global_histogram_fresh, assert_index_file_fresh
 
 N = 1 << 11
 N_SERVERS = 3
 
 
 class PDCStateMachine(RuleBasedStateMachine):
-    @initialize(seed=st.integers(0, 2**31))
-    def setup(self, seed):
+    @initialize(
+        seed=st.integers(0, 2**31),
+        staleness=st.sampled_from(["drop", "mark_stale", "rebuild"]),
+    )
+    def setup(self, seed, staleness):
         self.rng = np.random.default_rng(seed)
         self.system = PDCSystem(
-            PDCConfig(n_servers=N_SERVERS, region_size_bytes=1 << 10)
+            PDCConfig(
+                n_servers=N_SERVERS, region_size_bytes=1 << 10,
+                replica_staleness_policy=staleness,
+            )
         )
         self.engine = QueryEngine(self.system)
         self.model = {}  # name -> numpy array (ground truth)
@@ -92,6 +104,13 @@ class PDCStateMachine(RuleBasedStateMachine):
     def build_replica(self):
         if "a" not in self.system.replicas:
             self.system.build_sorted_replica("a", ["b"])
+
+    @rule()
+    def refresh_replica(self):
+        """A stale group becomes readable again (``a`` and ``b`` are the
+        same length between rules)."""
+        if "a" in self.system.replicas:
+            self.system.refresh_sorted_replica("a")
 
     @rule(
         name=st.sampled_from(["a", "b"]),
@@ -171,6 +190,26 @@ class PDCStateMachine(RuleBasedStateMachine):
                 assert obj.rmin[rid] == seg.min()
                 assert obj.rmax[rid] == seg.max()
                 assert obj.meta.regions[rid].histogram.total == obj.counts[rid]
+
+    @invariant()
+    def maintained_state_equals_rebuilt(self):
+        if not hasattr(self, "system"):
+            return
+        for name in self.model:
+            obj = self.system.get_object(name)
+            assert_global_histogram_fresh(obj)
+            if obj.indexes is not None:
+                assert_index_file_fresh(self.system, obj)
+
+    @invariant()
+    def no_unreadable_replica_bytes_resident(self):
+        if not hasattr(self, "system"):
+            return
+        readable = {k for k, g in self.system.replicas.items() if not g.stale}
+        for server in self.system.servers:
+            for key, _ in server.cache.entries():
+                name, replica = key.split(":")[:2]
+                assert replica != "sorted" or name in readable, key
 
     @invariant()
     def alive_count_consistent(self):
