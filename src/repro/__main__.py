@@ -36,6 +36,7 @@ Gives the open-source release a zero-code entry point:
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 from .scenarios import (
@@ -55,8 +56,8 @@ def _positive_int(text: str) -> int:
 
 def _positive_float(text: str) -> float:
     value = float(text)
-    if not value > 0.0:
-        raise argparse.ArgumentTypeError(f"must be > 0, got {text}")
+    if not 0.0 < value < math.inf:
+        raise argparse.ArgumentTypeError(f"must be finite and > 0, got {text}")
     return value
 
 
@@ -683,7 +684,7 @@ def main(argv=None) -> int:
         help="wire message delay probability (default: 0.05)",
     )
     p.add_argument(
-        "--timeout", type=float, default=None,
+        "--timeout", type=_positive_float, default=None,
         help="per-query simulated-seconds deadline (default: none)",
     )
     p.set_defaults(func=cmd_faults)

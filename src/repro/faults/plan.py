@@ -27,6 +27,7 @@ installing a zero-rate plan is bit-identical to running without one.
 from __future__ import annotations
 
 import hashlib
+import math
 import threading
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple
@@ -77,6 +78,13 @@ class FaultConfig:
             rate = getattr(self, name)
             if not (0.0 <= rate <= 1.0):
                 raise PDCError(f"{name}={rate!r} outside [0, 1]")
+        for name in (
+            "pfs_slow_factor", "server_slow_factor", "max_retries",
+            "retry_backoff_s", "backoff_multiplier", "query_timeout_s",
+        ):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise PDCError(f"{name}={value!r} must be finite")
         if self.max_retries < 0:
             raise PDCError("max_retries must be >= 0")
         if self.retry_backoff_s < 0 or self.backoff_multiplier < 1.0:

@@ -53,11 +53,12 @@ class Span:
 class _SpanHandle:
     """Context manager for one open span."""
 
-    __slots__ = ("_tracer", "span")
+    __slots__ = ("_tracer", "span", "_clock")
 
-    def __init__(self, tracer: "Tracer", span: Span) -> None:
+    def __init__(self, tracer: "Tracer", span: Span, clock: Optional[SimClock]) -> None:
         self._tracer = tracer
         self.span = span
+        self._clock = clock
 
     def set(self, **attrs: Any) -> "_SpanHandle":
         """Attach attributes to the span (visible in both exports)."""
@@ -68,7 +69,9 @@ class _SpanHandle:
         return self
 
     def __exit__(self, exc_type, exc, tb) -> None:
-        self._tracer._close(self.span)
+        # The span ends at its clock's time now (an unclocked one at its start).
+        clock = self._clock
+        self._tracer.close_at(self.span, clock.now if clock is not None else self.span.start_s)
 
 
 class _NoopSpan:
@@ -107,6 +110,13 @@ class NoopTracer:
                 category: str = "event", **attrs: Any) -> None:
         return None
 
+    def open_at(self, at: float, name: str, track: str,
+                category: str = "query", **attrs: Any) -> None:
+        return None
+
+    def close_at(self, span: None, at: float) -> None:
+        return None
+
 
 #: The process-wide disabled tracer (the default on every PDCSystem).
 NOOP_TRACER = NoopTracer()
@@ -137,26 +147,26 @@ class Tracer:
         start = clock.now if clock is not None else (
             self._open[-1].start_s if self._open else 0.0
         )
-        sp = Span(
-            span_id=self._next_id,
-            parent_id=self._open[-1].span_id if self._open else None,
-            name=name,
-            category=category,
-            track=clock.name if clock is not None else
-                  (self._open[-1].track if self._open else "client"),
-            start_s=start,
-            attrs=dict(attrs) if attrs else {},
+        track = clock.name if clock is not None else (
+            self._open[-1].track if self._open else "client"
         )
-        # Bind the closing clock so _close can read the end instant.
-        sp.attrs["__clock"] = clock
+        return _SpanHandle(self, self.open_at(start, name, track, category, **attrs), clock)
+
+    def open_at(self, at: float, name: str, track: str,
+                category: str = "query", **attrs: Any) -> Span:
+        """Open a span that began at simulated time ``at`` on ``track`` (a
+        clock's name) — a charge already made, replayed from its stamp; end
+        it with :meth:`close_at`."""
+        sp = Span(self._next_id, self._open[-1].span_id if self._open else None,
+                  name, category, track, at, attrs=attrs)
         self._next_id += 1
         self.spans.append(sp)
         self._open.append(sp)
-        return _SpanHandle(self, sp)
+        return sp
 
-    def _close(self, span: Span) -> None:
-        clock = span.attrs.pop("__clock", None)
-        span.end_s = clock.now if clock is not None else span.start_s
+    def close_at(self, span: Span, at: float) -> None:
+        """End ``span`` at simulated time ``at``."""
+        span.end_s = at
         # Close out-of-order defensively (exceptions unwinding).
         if self._open and self._open[-1] is span:
             self._open.pop()
@@ -164,9 +174,12 @@ class Tracer:
             self._open.remove(span)
 
     def instant(self, name: str, clock: Optional[SimClock] = None,
-                category: str = "event", **attrs: Any) -> None:
-        """Record a point-in-time event."""
-        t = clock.now if clock is not None else 0.0
+                category: str = "event", at: Optional[float] = None,
+                **attrs: Any) -> None:
+        """Record a point-in-time event at ``clock``'s time, or at ``at`` (a
+        replayed charge's stamp) on ``clock``'s track."""
+        if at is None:
+            at = clock.now if clock is not None else 0.0
         self.events.append(
             Span(
                 span_id=self._next_id,
@@ -174,8 +187,8 @@ class Tracer:
                 name=name,
                 category=category,
                 track=clock.name if clock is not None else "client",
-                start_s=t,
-                end_s=t,
+                start_s=at,
+                end_s=at,
                 attrs=dict(attrs),
             )
         )
@@ -221,9 +234,6 @@ class Tracer:
         return out
 
     # ---------------------------------------------------------------- export
-    def _public_attrs(self, span: Span) -> Dict[str, Any]:
-        return {k: v for k, v in span.attrs.items() if not k.startswith("__")}
-
     def to_chrome_trace(self) -> Dict[str, Any]:
         """Chrome ``trace_event`` JSON object (Perfetto/``chrome://tracing``
         compatible): complete ``X`` events, one tid per simulated clock."""
@@ -247,7 +257,7 @@ class Tracer:
                     "dur": max(0.0, s.duration_s) * 1e6,
                     "pid": 0,
                     "tid": tid_of(s.track),
-                    "args": self._public_attrs(s),
+                    "args": dict(s.attrs),
                 }
             )
         for e in self.events:
@@ -260,7 +270,7 @@ class Tracer:
                     "ts": e.start_s * 1e6,
                     "pid": 0,
                     "tid": tid_of(e.track),
-                    "args": self._public_attrs(e),
+                    "args": dict(e.attrs),
                 }
             )
         meta: List[Dict[str, Any]] = [
@@ -301,7 +311,7 @@ class Tracer:
                     "track": s.track,
                     "t0": s.start_s,
                     "t1": s.end_s,
-                    "attrs": self._public_attrs(s),
+                    "attrs": dict(s.attrs),
                 }
             )
         for e in self.events:
@@ -314,7 +324,7 @@ class Tracer:
                     "cat": e.category,
                     "track": e.track,
                     "t": e.start_s,
-                    "attrs": self._public_attrs(e),
+                    "attrs": dict(e.attrs),
                 }
             )
         return records

@@ -11,14 +11,15 @@ The query executor charges all storage/scan/network time to the server's
 clock; the answer itself is computed vectorized on whole-object arrays (the
 simulator holds real data), which keeps semantics exact while the cost
 accounting stays per-server.  When a real tracer is installed on the
-owning system, each region made resident emits a ``storage_read`` /
-``index_read`` leaf span on this server's clock — the finest-grained
-spans of a query trace.
+owning system, each storage read emits a ``storage_read`` / ``index_read``
+leaf span on this server's clock — the finest-grained spans of a query
+trace — replayed from the stamps of the charge pass (:meth:`touch_share`).
 """
 
 from __future__ import annotations
 
-from typing import List, Sequence, Set, Tuple
+from functools import partial
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..errors import RegionUnavailableError
 from ..obs.monitor import NOOP_MONITOR
@@ -28,6 +29,13 @@ from ..storage.costmodel import CostModel, SimClock
 from ..types import GB
 
 __all__ = ["PDCServer"]
+
+#: Counter families a server feeds: (name, help).
+_PRELOADS = ("pdc_batch_preloads_total",
+             "Shared-scan batch region preloads by server and result.")
+_FAULTS = ("pdc_faults_injected_total", "Faults injected by the active FaultPlan")
+_RETRIES = ("pdc_fault_retries_total",
+            "Storage-read retries performed during fault recovery")
 
 
 class PDCServer:
@@ -68,66 +76,6 @@ class PDCServer:
         #: Read retries this server has performed (fault recovery).
         self.retries_total = 0
 
-    # ------------------------------------------------------------ fault layer
-    def faultable_read(
-        self, key: str, seconds: float, category: str = "pfs_read"
-    ) -> None:
-        """Charge a storage read of ``key``, subject to fault injection.
-
-        With no plan installed this is exactly ``clock.charge(seconds)``.
-        Otherwise the read may suffer a latency spike (multiplied cost) or
-        fail; failures retry with exponential backoff charged to this
-        server's clock, and raise :class:`RegionUnavailableError` once the
-        retry budget is exhausted.
-        """
-        plan = self.fault_plan
-        if plan is None:
-            self.clock.charge(seconds, category=category)
-            return
-        attempt = 0
-        while True:
-            # Latency spikes are per *attempt*: a retry is a fresh PFS
-            # request, so its slow factor is re-drawn rather than reusing
-            # the first attempt's draw for every retry.  Zero-rate plans
-            # never draw (``pfs_slow_factor`` short-circuits), so this
-            # stays bit-identical to the no-fault path.
-            slow = plan.pfs_slow_factor(key)
-            if slow != 1.0:
-                self._count_fault("pfs_slow")
-            self.clock.charge(seconds * slow, category=category)
-            if not plan.pfs_read_fails(key):
-                return
-            attempt += 1
-            self._count_fault("pfs_read_error")
-            if attempt > plan.config.max_retries:
-                raise RegionUnavailableError(
-                    f"server{self.server_id}: read of {key!r} failed "
-                    f"after {attempt} attempts"
-                )
-            self.retries_total += 1
-            self._count_retry()
-            backoff = plan.backoff_s(attempt)
-            with self.tracer.span(
-                f"retry:{key}", self.clock, category="fault", attempt=attempt
-            ):
-                self.clock.charge(backoff, category="retry_backoff")
-
-    def _count_fault(self, kind: str) -> None:
-        if self.metrics is not None:
-            self.metrics.counter(
-                "pdc_faults_injected_total",
-                "Faults injected by the active FaultPlan",
-                labels=("kind",),
-            ).labels(kind=kind).inc()
-
-    def _count_retry(self) -> None:
-        if self.metrics is not None:
-            self.metrics.counter(
-                "pdc_fault_retries_total",
-                "Storage-read retries performed during fault recovery",
-                labels=("server",),
-            ).labels(server=str(self.server_id)).inc()
-
     # ----------------------------------------------------------------- caching
     def ensure_region(
         self,
@@ -140,35 +88,19 @@ class PDCServer:
         hit_copy: bool = False,
         tier: str = "disk",
     ) -> bool:
-        """Charge for making a region resident: a PFS read on miss; free on
-        a hit (scans run in place over cached buffers) unless ``hit_copy``
-        asks for a memory-copy charge (get_data materialization).  The
-        per-region body — fault draws, retries, a ``read:`` span — of what
-        :meth:`touch_share` does for a whole share at once.
-        """
-        if self.cache.lookup(key):
-            if hit_copy:
-                self.clock.charge(self.cost.mem_copy_time(nbytes), category="mem_copy")
-            # Warm-cache traffic must stay visible to the time-series
-            # utilization view; ``result="hit"`` keeps it separable from
-            # actual PFS reads.
-            self.monitor.on_region_read(
-                self.clock.now, self.server_id, float(nbytes), category, result="hit"
-            )
-            return True
-        read_time = self.cost.tier_read_time(
+        """Make one region resident: a storage read on a miss, free on a hit
+        (scans run in place over cached buffers) unless ``hit_copy`` asks
+        for a memory-copy charge (get_data materialization) — one access of
+        :meth:`touch_share`, so a read still failing after its retries
+        raises :class:`RegionUnavailableError`."""
+        read_s = self.cost.tier_read_time(
             nbytes, n_accesses, tier, stripe_count, concurrent_readers
         )
-        with self.tracer.span(
-            f"read:{key}", self.clock, bytes=nbytes, tier=tier,
-            category="index_read" if category == "index_read" else "storage_read",
-        ):
-            self.faultable_read(key, read_time, category=category)
-        self.cache.put(key, nbytes=nbytes)
-        self.monitor.on_region_read(
-            self.clock.now, self.server_id, float(nbytes), category, result="read"
-        )
-        return False
+        on_hit = (self.cost.mem_copy_time(nbytes), "mem_copy") if hit_copy else None
+        (hit,) = self.touch_share([
+            (key, nbytes, (read_s, category), on_hit, True, (), key, nbytes, tier),
+        ])
+        return hit
 
     def preload_region(
         self,
@@ -187,53 +119,144 @@ class PDCServer:
         hit = self.ensure_region(
             key, nbytes, 1, stripe_count, concurrent_readers, tier=tier
         )
-        self._count_preloads("hit" if hit else "read", 1)
+        self._count(*_PRELOADS, server=f"server{self.server_id}",
+                    result="hit" if hit else "read")
         return hit
 
-    def _count_preloads(self, result: str, n: int) -> None:
-        if n and self.metrics is not None:
-            self.metrics.counter(
-                "pdc_batch_preloads_total",
-                "Shared-scan batch region preloads by server and result.",
-                labels=("server", "result"),
-            ).labels(server=f"server{self.server_id}", result=result).inc(n)
+    def touch_share(
+        self, accesses: Sequence[tuple], preload: bool = False, on_lost=None,
+        span: Optional[Dict[str, object]] = None,
+    ) -> List[Optional[bool]]:
+        """One server's whole share of a plan step in two passes — the one
+        body that makes regions resident.
 
-    def touch_share(self, accesses: Sequence[tuple], preload: bool = False) -> List[bool]:
-        """One server's whole share of a plan step in two passes, for when
-        no fault plan is installed and the tracer is the no-op (nothing here
-        draws a fault or opens a ``read:`` span; :meth:`ensure_region` does).
-
-        ``accesses`` lists, in the per-region loop's order, ``(key, nbytes,
-        on_miss, on_hit, is_data, then)``: a payload to make resident, the
-        ``(seconds, category)`` a miss and a hit charge (``None``: free),
-        whether it is a data region — what ``ensure_region`` samples for the
-        monitor and ``preload`` counts — and the charges that follow either
-        way.  Residency first: the loop's cache operations in the loop's
-        order (the cache never reads the clock, so it may run ahead); then
-        every charge as one sequence.  Returns the was-cached flags.
+        ``accesses`` lists, in region order, ``(key, nbytes, on_miss, on_hit,
+        sampled, then, region, span_bytes, tier)``: a payload to make
+        resident, the ``(seconds, category)`` of its read and of a hit
+        (``None``: free), whether the monitor samples it, the charges that
+        follow either way, the region it belongs to, and the ``bytes`` and
+        ``tier`` (``None``: not recorded) of its ``read:`` span.  The
+        residency pass runs the cache operations in order and decides each
+        miss's read as it is met (:meth:`_read_attempts`); a read failing for
+        good is not inserted and drops the rest of its region.  The charge
+        pass makes every charge, attempts and backoffs included, in one
+        :meth:`SimClock.charge_many`, then replays monitor samples, the
+        ``read:``/``retry:`` spans (inside an ``eval:serverN`` span with the
+        attributes ``span``, if given, its ``regions`` set to the share's
+        region count) and ``on_lost(self, region, error, t)`` at their
+        stamps.  Without ``on_lost`` the first lost read ends the
+        share and is raised once what came before it is charged.  Returns the
+        was-cached flags, ``None`` where lost or dropped.
         """
-        hits = self.cache.touch_many([a[0] for a in accesses], [a[1] for a in accesses])
-        sampled = self.monitor.enabled
+        plan, traced = self.fault_plan, self.tracer.enabled
+        keys, sizes = [a[0] for a in accesses], [a[1] for a in accesses]
+        decided: List[List[float]] = []  # each decided read's slow factors
+        fetch = None if plan is None else partial(self._read_attempts, decided)
+        flags = self.cache.touch_many(keys, sizes, fetch)
+        # A lost read ends the pass; with a policy, the rest of its region is
+        # dropped and the pass resumes after it.
+        while flags and flags[-1] is None and on_lost is not None:
+            region = accesses[len(flags) - 1][6]
+            while len(flags) < len(accesses) and accesses[len(flags)][6] == region:
+                flags.append(None)
+            if len(flags) == len(accesses):
+                break
+            flags += self.cache.touch_many(keys[len(flags):], sizes[len(flags):], fetch)
+        fast, monitored, dropping = plan is None and not traced, self.monitor.enabled, None
         charges: List[Tuple[float, str]] = []
-        reads = []
-        for hit, (_, nbytes, on_miss, on_hit, is_data, then) in zip(hits, accesses):
-            charge = on_hit if hit else on_miss
-            if charge is not None:
-                charges.append(charge)
-            if is_data and sampled:
-                reads.append((len(charges), nbytes, hit))
+        marks: List[tuple] = []  # (charges made before it, event, *args)
+        if traced and span is not None:
+            span = dict(span, regions=len({a[6] for a in accesses}))
+            marks.append((0, "open", f"eval:server{self.server_id}", "server_eval", span))
+        for flag, access in zip(flags, accesses):
+            key, nbytes, on_miss, on_hit, sampled, then, region, span_bytes, tier = access
+            if flag:
+                if on_hit is not None:
+                    charges.append(on_hit)
+            elif flag is None and region == dropping:
+                continue
+            elif fast:
+                charges.append(on_miss)
+            else:  # a read span over every attempt, a retry span per backoff
+                slows = (1.0,) if plan is None else decided.pop(0)
+                seconds, category = on_miss
+                kind = "index_read" if category == "index_read" else "storage_read"
+                attrs = {"bytes": span_bytes}
+                if tier is not None:
+                    attrs["tier"] = tier
+                marks.append((len(charges), "open", f"read:{key}", kind, attrs))
+                for attempt, slow in enumerate(slows, 1):
+                    charges.append((seconds * slow, category))
+                    if attempt < len(slows):
+                        marks.append((len(charges), "open", f"retry:{key}", "fault",
+                                      {"attempt": attempt}))
+                        charges.append((plan.backoff_s(attempt), "retry_backoff"))
+                        marks.append((len(charges), "close"))
+                marks.append((len(charges), "close"))
+                if flag is None:
+                    marks.append((len(charges), "lost", region, RegionUnavailableError(
+                        f"server{self.server_id}: read of {key!r} failed "
+                        f"after {len(slows)} attempts"
+                    )))
+                    dropping = region
+                    continue
+            if sampled and monitored:
+                marks.append((len(charges), "sample", nbytes, on_miss[1],
+                              "hit" if flag else "read"))
             charges += then
-        stamps = [self.clock.now, *self.clock.charge_many(charges)]
-        for n_charged, nbytes, hit in reads:
-            self.monitor.on_region_read(
-                stamps[n_charged], self.server_id, float(nbytes), "pfs_read",
-                result="hit" if hit else "read",
-            )
+        if traced and span is not None:
+            marks.append((len(charges), "close"))
         if preload:
-            n_hit = sum(hits)
-            self._count_preloads("hit", n_hit)
-            self._count_preloads("read", len(hits) - n_hit)
-        return hits
+            for result, flag in (("hit", True), ("read", False)):
+                self._count(*_PRELOADS, flags.count(flag),
+                            server=f"server{self.server_id}", result=result)
+        stamps = [self.clock.now, *self.clock.charge_many(charges)]
+        opened, error = [], None
+        for n_charged, event, *args in marks:
+            at = stamps[n_charged]
+            if event == "sample":
+                self.monitor.on_region_read(at, self.server_id, float(args[0]), args[1],
+                                            result=args[2])
+            elif event == "open":
+                opened.append(self.tracer.open_at(at, args[0], self.clock.name, args[1],
+                                                  **args[2]))
+            elif event == "close":
+                self.tracer.close_at(opened.pop(), at)
+            elif on_lost is not None:
+                on_lost(self, args[0], args[1], at)
+            else:
+                error = args[1]  # raised once the share's spans are closed
+        if error is not None:
+            raise error
+        return flags
+
+    def _read_attempts(self, decided: List[List[float]], key: str) -> bool:
+        """Decide one storage read of ``key`` under the fault plan, attempt
+        by attempt: a latency-spike factor (a retry is a fresh request, so
+        it is re-drawn), then a failure draw, retried after a backoff until
+        ``max_retries`` are spent.  A draw is a pure function of the seed,
+        the key and its count, so deciding before any charge replays
+        exactly.  Appends the slow factors to ``decided``; True on success."""
+        plan = self.fault_plan
+        slows: List[float] = []
+        decided.append(slows)
+        while True:
+            slow = plan.pfs_slow_factor(key)
+            if slow != 1.0:
+                self._count(*_FAULTS, kind="pfs_slow")
+            slows.append(slow)
+            if not plan.pfs_read_fails(key):
+                return True
+            self._count(*_FAULTS, kind="pfs_read_error")
+            if len(slows) > plan.config.max_retries:
+                return False
+            self.retries_total += 1
+            self._count(*_RETRIES, server=str(self.server_id))
+
+    def _count(self, name: str, help: str, n: int = 1, **labels: str) -> None:
+        """Add ``n`` to one labelled counter of the shared registry."""
+        if n and self.metrics is not None:
+            self.metrics.counter(name, help, labels=tuple(labels)).labels(**labels).inc(n)
 
     def drop_caches(self) -> None:
         """Cold-start this server (ablation: caching on/off)."""

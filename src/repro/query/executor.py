@@ -24,7 +24,7 @@ bulk-synchronous barriers around the evaluation — exactly the end-to-end
 from __future__ import annotations
 
 import zlib
-from contextlib import contextmanager, nullcontext
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import partial
 from itertools import groupby
@@ -37,7 +37,6 @@ from ..errors import (
     QueryError,
     QueryShapeError,
     QueryTimeoutError,
-    RegionUnavailableError,
 )
 from ..interval import Interval
 from ..obs.tracer import Span
@@ -617,7 +616,7 @@ class QueryEngine:
         sysm = self.system
         read_vbytes: Dict[Tuple[str, int], float] = {}
 
-        def on_lost(server, key, rid, exc):
+        def on_lost(keys, server, rid, exc, at):
             # Leave the region to the demanding queries' own retry/degrade
             # machinery.
             batch.server_errors.setdefault(server.server_id, []).append(str(exc))
@@ -637,6 +636,7 @@ class QueryEngine:
                     for rid, nbytes, hit in zip(mine, sizes, hits):
                         if hit:
                             batch.shared_cached += 1
+                        if hit is not False:  # cached, or lost: nothing read
                             continue
                         vbytes = nbytes * sysm.cost.virtual_scale
                         batch.shared_reads += 1
@@ -857,7 +857,7 @@ class QueryEngine:
 
         total_hits = 0
         per_object: Dict[str, int] = {}
-        readers = sysm.n_servers
+        readers, stripes = sysm.n_servers, sysm.config.pdc_stripe_count
         alive = sysm.alive_servers
         for name in names:
             obj = sysm.get_object(name)
@@ -874,9 +874,9 @@ class QueryEngine:
                 # or with an index only the boundary-bin candidates.
                 cand = int(obj.counts[rid])
                 if use_index:
-                    self._read_region(
-                        server, rid, name, obj.index_nbytes, 1, readers,
-                        replica="idx", category="index_read",
+                    server.ensure_region(
+                        region_key(name, rid, "idx"), int(obj.index_nbytes[rid]), 1,
+                        stripes, readers, category="index_read",
                     )
                     server.clock.charge(
                         sysm.cost.wah_scan_time(int(obj.index_words[rid])), "scan"
@@ -892,8 +892,9 @@ class QueryEngine:
                             )
                             cand += n_delta
                 if cand:
-                    self._read_region(
-                        server, rid, name, obj.counts, obj.itemsize, readers
+                    server.ensure_region(
+                        region_key(name, rid), int(obj.counts[rid]) * obj.itemsize, 1,
+                        stripes, readers, tier=obj.tier_of(rid),
                     )
                     server.clock.charge(sysm.cost.scan_time(cand), "scan")
             hits = int(typed.mask(obj.data).sum())
@@ -1239,19 +1240,20 @@ class QueryEngine:
         return out
 
     def _record_lost(
-        self, stats: QueryResult, lost: List[int], server, key: str, rid: int,
-        exc: Exception,
+        self, stats: QueryResult, lost: List[int], keys: Sequence[str], server,
+        rid: int, exc: Exception, at: float,
     ) -> None:
         """Lost-region policy of query evaluation (:meth:`_read_regions`'
         ``on_lost`` once ``stats`` and ``lost`` are bound): a region that
         stayed unreadable after retries degrades the query to a partial
         result (hits in the region are dropped), never crashes it."""
+        key = keys[rid]
         stats.complete = False
         stats.lost_regions.append(key)
         stats.server_errors.setdefault(server.server_id, []).append(str(exc))
         lost.append(rid)
         self.system.tracer.instant(
-            f"lost:{key}", server.clock, category="fault",
+            f"lost:{key}", server.clock, category="fault", at=at,
         )
         self.system.metrics.counter(
             "pdc_query_regions_lost_total",
@@ -1274,122 +1276,80 @@ class QueryEngine:
         itemsize: int,
         readers: int,
         replica: str = "orig",
-        on_lost: Optional[Callable[[object, str, int, Exception], None]] = None,
+        on_lost: Optional[Callable[..., None]] = None,
         span: Optional[Dict[str, object]] = None,
         shared: bool = False,
         hit_copy: bool = False,
-    ) -> Iterator[Tuple[object, List[int], List[int], List[bool]]]:
-        """The one residency mechanism: each server of ``pairs`` — (server,
-        region ids) — makes its regions of ``name`` resident, a storage read
-        on a miss and free on a hit (``hit_copy``: a memory copy).  Yields
-        ``(server, region ids, real bytes, was_cached)`` lists, one per
-        server share, so callers keep only their own counters.
-
-        With no fault plan and a no-op tracer a share is one residency pass
-        and one charge pass (:meth:`PDCServer.touch_share`), its seconds
-        taken from arrays over the whole step.  Otherwise every region goes
-        through :meth:`_read_region`: one still unreadable after the
-        fault-recovery retries goes to ``on_lost(server, key, rid, exc)``
-        and is left out (without a policy the error propagates), and
-        ``span`` — attributes of an ``eval:serverN`` trace span — wraps each
-        share.  ``shared``: read on behalf of a whole batch.
+    ) -> Iterator[Tuple[object, List[int], List[int], List[Optional[bool]]]]:
+        """Each server of ``pairs`` — (server, region ids) — makes its
+        regions of ``name`` resident in one :meth:`PDCServer.touch_share`, a
+        storage read on a miss and free on a hit (``hit_copy``: a memory
+        copy), every charge's seconds taken from arrays over the whole step.
+        Yields ``(server, region ids, real bytes, was_cached)`` lists per
+        share.  A region still unreadable after the fault-recovery retries
+        goes to ``on_lost(keys, server, rid, error, t)`` (``keys[rid]`` its
+        key) and is flagged ``None`` (without a policy the error propagates);
+        ``span``, attributes of an ``eval:serverN`` span, wraps each share.
+        ``shared``: read on behalf of a whole batch.
         """
         sysm = self.system
         pairs = [(server, mine) for server, mine in pairs if len(mine)]
-        if pairs and sysm.fault_plan is None and not sysm.tracer.enabled:
-            rids = pairs[0][1]
-            if len(pairs) > 1:
-                rids = np.concatenate([mine for _, mine in pairs])
-            nbytes = counts[rids] * itemsize
-            sizes = nbytes.tolist()
-            on_hit = [None] * len(sizes)
-            if hit_copy:
-                on_hit = [(s, "mem_copy") for s in sysm.cost.mem_copy_time(nbytes).tolist()]
-            keys = sysm.region_keys(name, replica, len(counts))
-            accesses = [
-                (keys[rid], size, (read_s, "pfs_read"), copy, True, ())
-                for rid, size, read_s, copy in zip(
-                    rids.tolist(), sizes,
-                    self._cold_read_seconds(name, replica, rids, nbytes, readers), on_hit,
-                )
-            ]
-            start = 0
-            for server, mine in pairs:
-                stop = start + len(mine)
-                hits = server.touch_share(accesses[start:stop], preload=shared)
-                yield server, mine.tolist(), sizes[start:stop], hits
-                start = stop
+        if not pairs:
             return
+        rids = pairs[0][1] if len(pairs) == 1 else np.concatenate([m for _, m in pairs])
+        nbytes = counts[rids] * itemsize
+        sizes = nbytes.tolist()
+        on_hit = [None] * len(sizes)
+        if hit_copy:
+            on_hit = [(s, "mem_copy") for s in sysm.cost.mem_copy_time(nbytes).tolist()]
+        keys = sysm.region_keys(name, replica, len(counts))
+        seconds, tiers = self._cold_reads(name, replica, rids, nbytes, readers)
+        accesses = [
+            (keys[rid], size, (read_s, "pfs_read"), copy, True, (), rid, size, tier)
+            for rid, size, read_s, tier, copy in zip(
+                rids.tolist(), sizes, seconds, tiers, on_hit
+            )
+        ]
+        report = None if on_lost is None else partial(on_lost, keys)
+        start = 0
         for server, mine in pairs:
-            done: List[Tuple[int, int, bool]] = []
-            ctx = nullcontext()
-            if span is not None:
-                ctx = sysm.tracer.span(
-                    f"eval:server{server.server_id}", server.clock,
-                    category="server_eval", **span, regions=len(mine),
-                )
-            with ctx:
-                for rid in mine.tolist():
-                    try:
-                        done.append((rid, *self._read_region(
-                            server, rid, name, counts, itemsize, readers,
-                            replica=replica, shared=shared, hit_copy=hit_copy,
-                        )))
-                    except RegionUnavailableError as exc:
-                        if on_lost is None:
-                            raise
-                        on_lost(server, region_key(name, rid, replica), rid, exc)
-            if done:
-                yield (server, *map(list, zip(*done)))
+            stop = start + len(mine)
+            hits = server.touch_share(
+                accesses[start:stop], preload=shared, on_lost=report,
+                span=span,
+            )
+            yield server, mine.tolist(), sizes[start:stop], hits
+            start = stop
 
-    def _cold_read_seconds(
+    def _cold_reads(
         self, name: str, replica: str, rids: np.ndarray, nbytes: np.ndarray,
         readers: int,
-    ) -> List[float]:
-        """``CostModel.tier_read_time`` of reading each listed region whole
-        from where it lives: index and replica files on disk, an object's
-        own payload on the tier each region was migrated to."""
+    ) -> Tuple[List[float], List[str]]:
+        """Where each listed region is read from whole — index and replica
+        files on disk, an object's own payload on the tier each region was
+        migrated to — and that read's ``CostModel.tier_read_time``."""
         cost, stripes = self.system.cost, self.system.config.pdc_stripe_count
         seconds = cost.tier_read_time(nbytes, 1, DeviceKind.DISK, stripes, readers).tolist()
-        tiers = self.system.get_object(name).region_tier if replica == "orig" else ()
-        if tiers.count(DeviceKind.DISK) < len(tiers):  # some region was migrated
+        tiers = [DeviceKind.DISK] * len(seconds)
+        region_tier = self.system.get_object(name).region_tier if replica == "orig" else ()
+        if region_tier.count(DeviceKind.DISK) < len(region_tier):  # some region was migrated
             for i, rid in enumerate(rids.tolist()):
-                if tiers[rid] != DeviceKind.DISK:
+                tiers[i] = region_tier[rid]
+                if tiers[i] != DeviceKind.DISK:
                     seconds[i] = cost.tier_read_time(
-                        int(nbytes[i]), 1, tiers[rid], stripes, readers
+                        int(nbytes[i]), 1, tiers[i], stripes, readers
                     )
-        return seconds
-
-    def _read_region(
-        self, server, rid: int, name: str, counts: np.ndarray, itemsize: int,
-        readers: int, replica: str = "orig", shared: bool = False, **read_options,
-    ) -> Tuple[int, bool]:
-        """One region made resident through the per-region body, which draws
-        faults and records ``read:`` spans (a read error propagates);
-        returns ``(real bytes, was_cached)``.  ``read_options`` go to
-        ``ensure_region``."""
-        stripes = self.system.config.pdc_stripe_count
-        key = region_key(name, rid, replica)
-        nbytes = int(counts[rid]) * itemsize
-        tier = DeviceKind.DISK
-        if replica == "orig":
-            tier = self.system.get_object(name).tier_of(rid)
-        if shared:
-            hit = server.preload_region(key, nbytes, stripes, readers, tier=tier)
-        else:
-            hit = server.ensure_region(
-                key, nbytes, 1, stripes, readers, tier=tier, **read_options
-            )
-        return nbytes, hit
+        return seconds, tiers
 
     def _tally_reads(self, target, nbytes: Sequence[int], hits: Sequence[bool]) -> None:
         """Count touched regions on a :class:`QueryResult` or
-        :class:`GetDataResult`: cached, or read with their virtual bytes."""
+        :class:`GetDataResult`: cached, or read with their virtual bytes
+        (a lost one, flagged ``None``, is neither)."""
         scale = self.system.cost.virtual_scale
         for size, hit in zip(nbytes, hits):
             if hit:
                 target.regions_cached += 1
-            else:
+            elif hit is not None:
                 target.regions_read += 1
                 target.bytes_read_virtual += size * scale
 
@@ -1463,50 +1423,31 @@ class QueryEngine:
         FastBit seeks into the index file and reads only the bitmaps of
         bins overlapping the condition (cached afterwards); candidate bins
         (off-grid endpoints) additionally force a raw region read to verify
-        boundary values.  Returns region ids lost to exhausted retries
+        boundary values.  Footprints and seconds are arrays over the step
+        (one classification of the object's probe table); each server takes
+        its index files, candidate reads and scans in region order through
+        :meth:`PDCServer.touch_share`, where a lost index file drops the rest
+        of its region.  Returns region ids lost to exhausted retries
         (degraded mode), as :meth:`_charge_data_reads` does.
         """
         sysm = self.system
         assert obj.indexes is not None and obj.index_nbytes is not None
+        cost, scale = sysm.cost, sysm.cost.virtual_scale
         readers = self._active_readers(region_ids)
         pairs = [
             (server, mine)
             for server, mine in self._assignment_with_faults(region_ids, stats)
             if mine.size
         ]
-        if pairs and sysm.fault_plan is None and not sysm.tracer.enabled:
-            self._probe_shares(obj, pairs, interval, readers, stats)
-            return np.zeros(0, dtype=np.int64)
         lost: List[int] = []
-        for server, mine in pairs:
-            with sysm.tracer.span(
-                f"eval:server{server.server_id}", server.clock, category="server_eval",
-                object=obj.name, regions=len(mine), index=True,
-            ):
-                for rid in mine.tolist():
-                    try:
-                        self._probe_region_index(obj, rid, interval, server, readers, stats)
-                    except RegionUnavailableError as exc:
-                        self._record_lost(
-                            stats, lost, server, region_key(obj.name, rid), rid, exc
-                        )
-        return np.asarray(lost, dtype=np.int64)
-
-    def _probe_shares(
-        self, obj: StoredObject, pairs, interval: Interval, readers: int,
-        stats: QueryResult,
-    ) -> None:
-        """:meth:`_probe_region_index` over every server's share, with no
-        fault plan and a no-op tracer: the probe footprints (one
-        classification of the object's probe table) and every charge's
-        seconds are arrays over the whole step, and each server takes its
-        index files, candidate regions and charges in the per-region order
-        through :meth:`PDCServer.touch_share`."""
-        sysm = self.system
-        cost, scale = sysm.cost, sysm.cost.virtual_scale
-        rids = np.concatenate([mine for _, mine in pairs])  # pairs: not empty
+        if not pairs:
+            return np.asarray(lost, dtype=np.int64)
+        rids = np.concatenate([mine for _, mine in pairs])
         table = obj.index_probe_table()
         words, candidates = table.footprint(interval, rids)
+        # Uncompacted WAH delta segments (continuous ingest): the base bitmap
+        # predates them, so every delta position is scanned and stays a
+        # candidate until background compaction folds the segments in.
         n_delta = np.zeros(rids.size, dtype=np.int64)
         if obj.index_delta_counts is not None:
             n_delta = obj.index_delta_counts[rids]
@@ -1514,84 +1455,41 @@ class QueryEngine:
         nbytes = obj.counts[rids] * obj.itemsize
         index_keys = sysm.region_keys(obj.name, "idx", obj.n_regions)
         data_keys = sysm.region_keys(obj.name, "orig", obj.n_regions)
+        report = partial(self._record_lost, stats, lost, data_keys)
+        span = {"object": obj.name, "regions": None, "index": True}  # regions: per share
         rows = list(zip(
             rids.tolist(), obj.index_nbytes[rids].tolist(), nbytes.tolist(),
-            n_delta.tolist(), candidates.tolist(),
+            n_delta.tolist(), candidates.tolist(), (words * 8).tolist(),
             self._index_probe_time(words * 8, table.header_bytes[rids], readers).tolist(),
             cost.wah_scan_time(words).tolist(), cost.scan_time(n_delta).tolist(),
-            self._cold_read_seconds(obj.name, "orig", rids, nbytes, readers),
-            cost.scan_time(candidates).tolist(), (words * 8 * scale).tolist(),
+            *self._cold_reads(obj.name, "orig", rids, nbytes, readers),
+            cost.scan_time(candidates).tolist(),
         ))
         stats.index_reads += rids.size
         start = 0
         for server, mine in pairs:
             accesses, on_miss = [], []  # on_miss: (regions read, virtual bytes) to tally
-            for (rid, index_size, size, deltas, to_check, probe_s, wah_s, delta_s,
-                 read_s, check_s, probe_vbytes) in rows[start:start + len(mine)]:
+            for (rid, index_size, size, deltas, to_check, probe_bytes, probe_s, wah_s,
+                 delta_s, read_s, tier, check_s) in rows[start:start + len(mine)]:
                 scans = [(wah_s, "scan")]
                 if deltas:
                     scans.append((delta_s, "scan"))
                 accesses.append((index_keys[rid], index_size, (probe_s, "index_read"),
-                                 None, False, scans))
-                on_miss.append((0, probe_vbytes))
+                                 None, False, scans, rid, probe_bytes, None))
+                on_miss.append((0, probe_bytes * scale))
                 if to_check:
-                    accesses.append((data_keys[rid], size, (read_s, "pfs_read"),
-                                     None, True, [(check_s, "scan")]))
+                    accesses.append((data_keys[rid], size, (read_s, "pfs_read"), None,
+                                     True, [(check_s, "scan")], rid, size, tier))
                     on_miss.append((1, size * scale))
             start += len(mine)
-            for hit, (n_read, vbytes) in zip(server.touch_share(accesses), on_miss):
+            hits = server.touch_share(accesses, on_lost=report, span=span)
+            for hit, (n_read, vbytes) in zip(hits, on_miss):
                 if hit:
                     stats.regions_cached += 1
-                else:
+                elif hit is not None:
                     stats.regions_read += n_read
                     stats.bytes_read_virtual += vbytes
-
-    def _probe_region_index(
-        self, obj: StoredObject, rid: int, interval: Interval, server,
-        readers: int, stats: QueryResult,
-    ) -> None:
-        """One PDC-HI index probe, the per-region body a fault plan or a
-        recording tracer needs: seek + bitmap read (cold), WAH scan, and an
-        optional raw-region candidate check."""
-        sysm = self.system
-        probe = obj.indexes[rid].query_cost(interval)
-        stats.index_reads += 1
-        key = region_key(obj.name, rid, replica="idx")
-        if not server.cache.lookup(key):
-            # Cold probe: one seek reading the bin directory plus the
-            # touched bitmaps (FastBit seeks once into the index file); the
-            # index stays cached, so later probes of it are in-memory.
-            with sysm.tracer.span(
-                f"read:{key}", server.clock, category="index_read",
-                bytes=probe.bytes_touched,
-            ):
-                server.faultable_read(
-                    key,
-                    self._index_probe_time(probe.bytes_touched, probe.header_bytes, readers),
-                    category="index_read",
-                )
-            server.cache.put(key, nbytes=int(obj.index_nbytes[rid]))
-            stats.bytes_read_virtual += probe.bytes_touched * sysm.cost.virtual_scale
-        else:
-            stats.regions_cached += 1
-        server.clock.charge(sysm.cost.wah_scan_time(probe.words_touched), "scan")
-        # Uncompacted WAH delta segments (continuous ingest): the base
-        # bitmap predates them, so every delta position is scanned and stays
-        # a candidate until background compaction folds the segments in.
-        candidates = probe.candidates
-        if obj.index_delta_counts is not None:
-            n_delta = int(obj.index_delta_counts[rid])
-            if n_delta:
-                server.clock.charge(sysm.cost.scan_time(n_delta), "scan")
-                candidates += n_delta
-        # Candidate check: boundary-bin members verified against raw values
-        # (whole-region read, block-index style).
-        if candidates:
-            nbytes, hit = self._read_region(
-                server, rid, obj.name, obj.counts, obj.itemsize, readers
-            )
-            server.clock.charge(sysm.cost.scan_time(candidates), "scan")
-            self._tally_reads(stats, (nbytes,), (hit,))
+        return np.asarray(lost, dtype=np.int64)
 
     def _index_probe_time(self, bytes_touched, header_bytes, readers: int):
         """Simulated seconds of a cold index probe touching ``bytes_touched``
@@ -1626,8 +1524,8 @@ class QueryEngine:
             # Known defect, pinned by tests/query/test_plan.py: replica
             # reads count regions but not virtual bytes (fixing it moves
             # benchmark baselines — ROADMAP item 1).
-            stats.regions_cached += sum(hits)
-            stats.regions_read += len(hits) - sum(hits)
+            stats.regions_cached += hits.count(True)
+            stats.regions_read += hits.count(False)
         return np.asarray(lost, dtype=np.int64)
 
     def _bytes_per_server(
@@ -1726,14 +1624,16 @@ class QueryEngine:
         effect whole-region reads avoid); a resident region is copied from
         memory as usual."""
         sysm = self.system
+        stripes = sysm.config.pdc_stripe_count
         for server, mine in pairs:
             for rid in mine.tolist():
-                if server.cache.contains(region_key(obj.name, rid)):
-                    nbytes, hit = self._read_region(
-                        server, rid, obj.name, obj.counts, obj.itemsize, readers,
+                key = region_key(obj.name, rid)
+                if server.cache.contains(key):  # a hit: copied from memory
+                    server.ensure_region(
+                        key, int(obj.counts[rid]) * obj.itemsize, 1, stripes, readers,
                         hit_copy=True,
                     )
-                    self._tally_reads(result, (nbytes,), (hit,))
+                    result.regions_cached += 1
                     continue
                 off = int(obj.offsets[rid])
                 in_region = selection.clip(off, off + int(obj.counts[rid])).coords
@@ -1742,9 +1642,7 @@ class QueryEngine:
                 )
                 nb = sum(b - a for a, b in extents) * obj.itemsize
                 server.clock.charge(
-                    sysm.cost.pfs_read_time(
-                        nb, len(extents), sysm.config.pdc_stripe_count, readers
-                    ),
+                    sysm.cost.pfs_read_time(nb, len(extents), stripes, readers),
                     "pfs_read",
                 )
                 result.regions_read += 1

@@ -28,6 +28,7 @@ directly — see docs/service.md.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Optional, Tuple
 
@@ -73,6 +74,12 @@ class Tenant:
             raise PDCError(
                 f"tenant {self.name!r}: kind must be 'query' or 'write'"
             )
+        for fname in (
+            "weight", "rate_limit_qps", "burst", "queue_deadline_s", "default_timeout_s",
+        ):
+            v = getattr(self, fname)
+            if v is not None and not math.isfinite(v):
+                raise PDCError(f"tenant {self.name!r}: {fname}={v!r} must be finite")
         if self.weight <= 0.0:
             raise PDCError(f"tenant {self.name!r}: weight must be positive")
         if self.rate_limit_qps is not None and self.rate_limit_qps <= 0.0:

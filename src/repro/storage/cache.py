@@ -9,19 +9,17 @@ region payloads it has read, bounded by the server memory limit (64 GB in
 the paper's runs — tracked in *virtual* bytes so the limit is meaningful at
 paper scale).
 
-Entries may carry a real payload array or be **size-only**: the query
-executor computes query answers on whole-object arrays (vectorized) while
-charging I/O per region, so for cost accounting the cache only needs to
-know *whether* a region is resident and how big it is.
+Entries are **size-only**: the query executor computes query answers on
+whole-object arrays (vectorized) while charging I/O per region, so for cost
+accounting the cache only needs to know *whether* a region is resident and
+how big it is.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Hashable, List, Optional, Sequence, Tuple
-
-import numpy as np
+from typing import Callable, Hashable, List, Optional, Sequence, Tuple
 
 __all__ = ["RegionCache", "CacheStats"]
 
@@ -45,15 +43,8 @@ class CacheStats:
         return self.hits / total if total else 0.0
 
 
-@dataclass
-class _Entry:
-    payload: Optional[np.ndarray]
-    vbytes: float
-
-
 class RegionCache:
-    """LRU mapping from region key → (payload?, size), bounded in virtual
-    bytes.
+    """LRU mapping from region key → size, bounded in virtual bytes.
 
     ``virtual_scale`` converts real (scaled-down) payload sizes into the
     paper-scale footprint the 64 GB limit applies to.  A single entry larger
@@ -71,7 +62,8 @@ class RegionCache:
             raise ValueError("cache capacity must be positive")
         self.capacity_bytes = float(capacity_bytes)
         self.virtual_scale = float(virtual_scale)
-        self._entries: "OrderedDict[Hashable, _Entry]" = OrderedDict()
+        #: key -> virtual bytes, least recently used first.
+        self._entries: "OrderedDict[Hashable, float]" = OrderedDict()
         self._used = 0.0
         self.stats = CacheStats()
         # Optional MetricsRegistry feed; labeled children are resolved once
@@ -100,36 +92,33 @@ class RegionCache:
             self._m_clear = removals.labels(server=owner, reason="clear")
 
     # ------------------------------------------------------------------- api
-    def lookup(self, key: Hashable) -> bool:
-        """True when ``key`` is resident (counts hit/miss, refreshes LRU)."""
-        entry = self._entries.get(key)
-        if entry is None:
-            self.stats.misses += 1
-            if self._m_miss is not None:
-                self._m_miss.inc()
-            return False
-        self._entries.move_to_end(key)
-        self.stats.hits += 1
-        if self._m_hit is not None:
-            self._m_hit.inc()
-        return True
-
-    def touch_many(self, keys: Sequence[Hashable], nbytes: Sequence[int]) -> List[bool]:
-        """For each key in turn, :meth:`lookup` it and on a miss :meth:`put`
-        a size-only entry of ``nbytes[i]``: a server's whole share made
-        resident in one call, with exactly the LRU order, evictions (a miss
-        may evict a key later in the same share) and counts of that
-        lookup/put sequence.  Returns each key's was-resident flag."""
+    def touch_many(
+        self,
+        keys: Sequence[Hashable],
+        nbytes: Sequence[int],
+        fetch: Optional[Callable[[Hashable], bool]] = None,
+    ) -> List[Optional[bool]]:
+        """For each key in turn, look it up (a hit refreshes its LRU
+        position) and on a miss put a size-only entry of ``nbytes[i]``: a
+        server's whole share made resident in one call, with exactly the LRU
+        order, evictions (a miss may evict a key later in the same share)
+        and hit/miss counts of that lookup/put sequence.  ``fetch(key)``,
+        when given, is asked whether a miss's read succeeds; a failed read
+        is not inserted, its flag is ``None`` and the pass stops there.
+        Returns each looked-up key's was-resident flag."""
         entries = self._entries
-        hits = []
+        hits: List[Optional[bool]] = []
         for key, size in zip(keys, nbytes):
             hit = key in entries
             if hit:
                 entries.move_to_end(key)
+            elif fetch is None or fetch(key):
+                self.put(key, size)
             else:
-                self.put(key, nbytes=size)
+                hits.append(None)
+                break
             hits.append(hit)
-        n_hit = sum(hits)
+        n_hit = hits.count(True)
         self.stats.hits += n_hit
         self.stats.misses += len(hits) - n_hit
         if self._m_hit is not None:
@@ -141,42 +130,30 @@ class RegionCache:
         """Presence check that does not disturb LRU order or stats."""
         return key in self._entries
 
-    def put(
-        self,
-        key: Hashable,
-        payload: Optional[np.ndarray] = None,
-        nbytes: Optional[int] = None,
-    ) -> bool:
-        """Insert an entry; pass ``nbytes`` for size-only entries.
-
-        Returns False when the entry cannot fit at all.
-        """
-        if nbytes is None:
-            if payload is None:
-                raise ValueError("put() needs a payload or an explicit nbytes")
-            nbytes = payload.nbytes
+    def put(self, key: Hashable, nbytes: float) -> bool:
+        """Insert a region of ``nbytes`` real bytes; False when it cannot
+        fit at all."""
         vsize = nbytes * self.virtual_scale
         if vsize > self.capacity_bytes:
             return False
         if key in self._entries:
-            self._used -= self._entries[key].vbytes
-            del self._entries[key]
+            self._used -= self._entries.pop(key)
         while self._used + vsize > self.capacity_bytes and self._entries:
             _, evicted = self._entries.popitem(last=False)
-            self._used -= evicted.vbytes
+            self._used -= evicted
             self.stats.evictions += 1
             if self._m_evict is not None:
                 self._m_evict.inc()
-        self._entries[key] = _Entry(payload=payload, vbytes=vsize)
+        self._entries[key] = vsize
         self._used += vsize
         self.stats.inserts += 1
         return True
 
     def invalidate(self, key: Hashable) -> bool:
-        entry = self._entries.pop(key, None)
-        if entry is None:
+        vbytes = self._entries.pop(key, None)
+        if vbytes is None:
             return False
-        self._used -= entry.vbytes
+        self._used -= vbytes
         self.stats.invalidations += 1
         if self._m_invalidate is not None:
             self._m_invalidate.inc()
@@ -197,7 +174,7 @@ class RegionCache:
         Does not disturb LRU position or stats — used by the cluster
         rebalancer to size migrations without perturbing cache behavior.
         """
-        return [(k, e.vbytes) for k, e in self._entries.items()]
+        return list(self._entries.items())
 
     @property
     def used_bytes(self) -> float:

@@ -111,15 +111,16 @@ class TestRetries:
         assert not res.complete
         assert res.lost_regions == [region_key("energy", 4)]
 
-    def test_faultable_read_raises_after_budget(self, rng):
+    def test_ensure_region_raises_after_budget(self, rng):
         sysm, _, _ = _loaded_system(rng)
         server = sysm.servers[0]
         server.fault_plan = FaultPlan(
             seed=0, config=FaultConfig(pfs_read_error_rate=1.0, max_retries=1)
         )
         with pytest.raises(RegionUnavailableError, match="after 2 attempts"):
-            server.faultable_read("region:k", 1e-4)
+            server.ensure_region("region:k", 4096, 1, 4, 1)
         assert server.retries_total == 1
+        assert not server.cache.contains("region:k")
 
 
 class TestFailover:

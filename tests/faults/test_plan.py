@@ -111,5 +111,20 @@ class TestConfigValidation:
         with pytest.raises(PDCError):
             FaultConfig(**kwargs)
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")], ids=["nan", "inf"])
+    @pytest.mark.parametrize(
+        "field",
+        [
+            "query_timeout_s", "retry_backoff_s", "backoff_multiplier",
+            "pfs_slow_factor", "server_slow_factor", "max_retries",
+        ],
+    )
+    def test_rejects_non_finite_knob(self, field, value):
+        """NaN passes every ordering check and inf every lower bound: a
+        NaN factor or backoff used to surface as an untyped charge error, an
+        infinite straggler as a complete result with ``elapsed_s=inf``."""
+        with pytest.raises(PDCError, match=field):
+            FaultConfig(**{field: value})
+
     def test_defaults_are_zero_faults(self):
         assert FaultConfig() == ZERO_FAULTS

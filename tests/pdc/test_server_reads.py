@@ -13,6 +13,7 @@ from repro.faults import FaultConfig, FaultPlan
 from repro.obs.monitor import ServiceMonitor
 from repro.query.ast import Condition
 from repro.query.executor import QueryEngine
+from repro.storage.costmodel import SimClock
 from repro.strategies import Strategy
 from repro.types import PDCType, QueryOp
 from tests.conftest import make_system
@@ -64,6 +65,15 @@ class TestCacheHitMonitoring:
         assert warm.get("hit", 0) >= cold["read"]
 
 
+def replayed(charges):
+    """Clock time after ``charges`` one by one on a fresh clock — the exact
+    float sum the server's clock must reach."""
+    clock = SimClock()
+    for seconds in charges:
+        clock.charge(seconds)
+    return clock.now
+
+
 class TestPerAttemptSlowRedraw:
     def test_slow_factor_redrawn_each_retry(self):
         """Each retry is a fresh PFS request: its latency spike is drawn
@@ -79,18 +89,21 @@ class TestPerAttemptSlowRedraw:
         server = sysm.servers[0]
         server.fault_plan = FaultPlan(seed=7, config=cfg)
 
-        seconds = 1e-3
-        t0 = server.clock.now
+        seconds = server.cost.tier_read_time(4096, 1, "disk", 4, 1)
+        assert server.clock.now == 0.0
         with pytest.raises(RegionUnavailableError):
-            server.faultable_read("region:k", seconds)
+            server.ensure_region("region:k", 4096, 1, 4, 1)
 
         # Replay the exact draw sequence on a fresh identical plan: three
         # attempts consume three consecutive slow draws for this key.
         ref = FaultPlan(seed=7, config=cfg)
         factors = [ref.pfs_slow_factor("region:k") for _ in range(3)]
         assert len(set(factors)) > 1, "seed must mix slow and normal draws"
-        expected = seconds * sum(factors) + ref.backoff_s(1) + ref.backoff_s(2)
-        assert repr(server.clock.now - t0) == repr(expected)
+        expected = replayed([
+            seconds * factors[0], ref.backoff_s(1), seconds * factors[1],
+            ref.backoff_s(2), seconds * factors[2],
+        ])
+        assert repr(server.clock.now) == repr(expected)
 
     def test_zero_rate_plan_is_bit_identical(self):
         """A plan with every rate at zero never draws: the charge pattern
@@ -100,9 +113,10 @@ class TestPerAttemptSlowRedraw:
         planned.fault_plan = FaultPlan(seed=123, config=FaultConfig())
 
         for i in range(50):
-            bare.faultable_read(f"region:k{i % 7}", 1e-4 * (i + 1))
-            planned.faultable_read(f"region:k{i % 7}", 1e-4 * (i + 1))
+            for server in (bare, planned):
+                server.ensure_region(f"region:k{i % 7}", 4096 * (i + 1), 1, 4, 1)
         assert repr(bare.clock.now) == repr(planned.clock.now)
+        assert bare.cache.entries() == planned.cache.entries()
         assert planned.retries_total == 0
 
     def test_all_attempts_slow_when_rate_is_one(self):
@@ -118,10 +132,12 @@ class TestPerAttemptSlowRedraw:
         server = sysm.servers[0]
         server.fault_plan = FaultPlan(seed=0, config=cfg)
 
-        seconds = 1e-3
-        t0 = server.clock.now
+        seconds = server.cost.tier_read_time(4096, 1, "disk", 4, 1)
         ref = FaultPlan(seed=0, config=cfg)
         with pytest.raises(RegionUnavailableError):
-            server.faultable_read("region:k", seconds)
-        expected = 3 * seconds * 4.0 + ref.backoff_s(1) + ref.backoff_s(2)
-        assert repr(server.clock.now - t0) == repr(expected)
+            server.ensure_region("region:k", 4096, 1, 4, 1)
+        expected = replayed([
+            seconds * 4.0, ref.backoff_s(1), seconds * 4.0, ref.backoff_s(2),
+            seconds * 4.0,
+        ])
+        assert repr(server.clock.now) == repr(expected)

@@ -1,29 +1,35 @@
-"""The array charge path ≡ the per-region loop.
+"""The two-pass charge path ≡ the per-region loop.
 
-With no fault plan and a no-op tracer, ``QueryEngine._read_regions`` and
-``_charge_index_reads`` make a server's whole share resident in one pass and
-charge it in one pass; a fault plan or a recording tracer sends every region
-through the per-region body instead.  A zero-rate ``FaultPlan`` draws
-nothing, so two same-seed deployments that differ only in having one
-installed must end in *identical* state — clocks (values and category
-order), cache LRU order and counters, the metrics registry, the monitor's
-read samples and every result counter — whatever the caches held before.
+``PDCServer.touch_share`` makes a server's whole share resident in one pass
+and charges it in one pass, in every configuration: fault outcomes are
+decided in the residency pass, spans, lost-region events and monitor samples
+replayed from the charge pass's stamps.  It is held to a per-region loop
+written here, under faults, tracing and eviction.  And a zero-rate
+``FaultPlan`` draws nothing, so two same-seed deployments that differ only in
+having one installed must end in *identical* state — clocks (values and
+category order), cache LRU order and counters, the metrics registry, the
+monitor's read samples and every result counter — whatever the caches held
+before.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import itertools
 
 import numpy as np
 import pytest
 
+from repro.errors import RegionUnavailableError
 from repro.faults import FaultConfig, FaultPlan
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.monitor import ServiceMonitor
+from repro.obs.tracer import Tracer
 from repro.pdc.region import region_key
 from repro.pdc.server import PDCServer
 from repro.query.ast import Condition, combine_and
 from repro.query.executor import QueryEngine, QuerySpec
+from repro.storage.costmodel import CostModel
 from repro.storage.device import DeviceKind
 from repro.strategies import Strategy
 from repro.types import PDCType, QueryOp
@@ -44,9 +50,9 @@ def window(name, lo, hi):
     )
 
 
-def deployment(per_region: bool, memory: float = 64e9, monitor: bool = True):
+def deployment(planned: bool, memory: float = 64e9, monitor: bool = True):
     """32 regions x 3 servers, both objects indexed, a sorted replica; the
-    ``per_region`` twin carries a zero-rate fault plan."""
+    ``planned`` twin carries a zero-rate fault plan."""
     sysm = make_system(
         n_servers=N_SERVERS, region_size_bytes=REGION_BYTES, virtual_scale=64.0,
         server_memory_bytes=memory, metrics=MetricsRegistry(),
@@ -57,7 +63,7 @@ def deployment(per_region: bool, memory: float = 64e9, monitor: bool = True):
     sysm.build_index("energy")
     sysm.build_index("x")
     sysm.build_sorted_replica("energy", ["x"])
-    if per_region:
+    if planned:
         sysm.set_fault_plan(FaultPlan(seed=1, config=FaultConfig()))
     if monitor:
         sysm.set_monitor(ServiceMonitor())
@@ -189,8 +195,8 @@ def all_pruned(sysm, engine):
 
 def run_twins(script, **options):
     runs = []
-    for per_region in (False, True):
-        sysm, engine = deployment(per_region, **options)
+    for planned in (False, True):
+        sysm, engine = deployment(planned, **options)
         runs.append((outcome(script(sysm, engine)), state(sysm)))
     return runs
 
@@ -240,9 +246,232 @@ def test_a_miss_evicts_a_region_later_in_the_same_share():
     assert got == want and got_state == want_state
 
 
-def test_one_guard_routes_both_passes(monkeypatch):
-    """No plan, no tracer: no region goes through the per-region body; a
-    zero-rate plan: every one does."""
+# ------------------------------------------------- the per-region reference
+def count(owner, name, help, **labels):
+    if owner.metrics is not None:
+        owner.metrics.counter(name, help, labels=tuple(labels)).labels(**labels).inc()
+
+
+def lookup(server, key):
+    """A cache lookup on its own (what ``RegionCache.lookup`` was): True
+    when resident; counts the hit or miss and refreshes the LRU order."""
+    cache = server.cache
+    hit = cache.contains(key)
+    if hit:
+        cache._entries.move_to_end(key)
+    cache.stats.hits += hit
+    cache.stats.misses += not hit
+    count(server, "pdc_cache_lookups_total", "Region-cache lookups by server and result.",
+          server="server0", result="hit" if hit else "miss")
+    return hit
+
+
+def reference_share(server, accesses, preload=False, on_lost=None, span=None):
+    """The per-region loop ``touch_share`` replaces, inside a real
+    ``eval:serverN`` span when ``span`` gives its attributes."""
+    if span is None:
+        return reference_loop(server, accesses, preload, on_lost)
+    with server.tracer.span(f"eval:server{server.server_id}", server.clock,
+                            category="server_eval", **span):
+        return reference_loop(server, accesses, preload, on_lost)
+
+
+def reference_loop(server, accesses, preload, on_lost):
+    """Per access, look the key up; on a miss, per attempt draw the slow
+    factor and the failure and charge the attempt and any backoff inside
+    real spans, and put the payload only once a read succeeds.  A read
+    failing for good drops the rest of its region (``on_lost``) or ends the
+    share by raising."""
+    plan, tracer, clock = server.fault_plan, server.tracer, server.clock
+    flags, dropping = [], None
+    for key, nbytes, on_miss, on_hit, sampled, then, region, span_bytes, tier in accesses:
+        if region == dropping:
+            flags.append(None)
+            continue
+        dropping, failed = None, []
+
+        def read(key, seconds=on_miss[0], category=on_miss[1], span_bytes=span_bytes,
+                 tier=tier):
+            kind = "index_read" if category == "index_read" else "storage_read"
+            attrs = {"bytes": span_bytes} if tier is None else {"bytes": span_bytes, "tier": tier}
+            with tracer.span(f"read:{key}", clock, category=kind, **attrs):
+                for attempt in itertools.count(1):
+                    slow = 1.0 if plan is None else plan.pfs_slow_factor(key)
+                    if slow != 1.0:
+                        count(server, "pdc_faults_injected_total",
+                              "Faults injected by the active FaultPlan", kind="pfs_slow")
+                    clock.charge(seconds * slow, category)
+                    if plan is None or not plan.pfs_read_fails(key):
+                        return True
+                    count(server, "pdc_faults_injected_total",
+                          "Faults injected by the active FaultPlan", kind="pfs_read_error")
+                    if attempt > plan.config.max_retries:
+                        failed.append(RegionUnavailableError(
+                            f"server{server.server_id}: read of {key!r} failed "
+                            f"after {attempt} attempts"
+                        ))
+                        return False
+                    server.retries_total += 1
+                    count(server, "pdc_fault_retries_total",
+                          "Storage-read retries performed during fault recovery",
+                          server=str(server.server_id))
+                    with tracer.span(f"retry:{key}", clock, category="fault", attempt=attempt):
+                        clock.charge(plan.backoff_s(attempt), "retry_backoff")
+
+        flag = lookup(server, key)
+        if not flag:
+            if read(key):
+                server.cache.put(key, nbytes=nbytes)
+            else:
+                flag = None
+        flags.append(flag)
+        if flag is None:
+            if on_lost is None:
+                raise failed[0]
+            on_lost(server, region, failed[0], clock.now)
+            dropping = region
+            continue
+        if flag and on_hit is not None:
+            clock.charge(*on_hit)
+        if sampled:
+            server.monitor.on_region_read(
+                clock.now, server.server_id, float(nbytes), on_miss[1],
+                result="hit" if flag else "read",
+            )
+        for charge in then:
+            clock.charge(*charge)
+        if preload:
+            count(server, "pdc_batch_preloads_total",
+                  "Shared-scan batch region preloads by server and result.",
+                  server=f"server{server.server_id}", result="hit" if flag else "read")
+    return flags
+
+
+KEY_BYTES = 4000
+FAULT_CASES = {
+    "none": None,
+    "zero": FaultConfig(),
+    "errors": FaultConfig(pfs_read_error_rate=0.35, max_retries=2),
+    "slow": FaultConfig(pfs_slow_rate=0.4, pfs_slow_factor=3.0),
+    "both": FaultConfig(pfs_read_error_rate=0.3, pfs_slow_rate=0.3, max_retries=1),
+    "doomed": FaultConfig(pfs_read_error_rate=1.0, max_retries=0),
+}
+
+
+def random_shares(seed, n_shares=6):
+    """Shares of regions of one or two accesses (an index file, then a
+    candidate read) over a small key pool, so keys repeat and evict."""
+    rng = np.random.default_rng(seed)
+    region = itertools.count()
+    shares = []
+    for _ in range(n_shares):
+        accesses = []
+        for _ in range(int(rng.integers(1, 9))):
+            rid = next(region)
+            for step in range(int(rng.integers(1, 3))):
+                key = f"k{int(rng.integers(0, 10))}:{step}"
+                nbytes = int(rng.integers(KEY_BYTES // 2, KEY_BYTES))
+                on_miss = (float(rng.random()) * 1e-3, ("pfs_read", "index_read")[step])
+                on_hit = (float(rng.random()) * 1e-5, "mem_copy") if rng.random() < 0.3 else None
+                then = [(float(rng.random()) * 1e-4, "scan")] * int(rng.integers(0, 3))
+                sampled = bool(step == 0 or rng.random() < 0.5)
+                span_bytes, tier = (nbytes, "disk") if step else (nbytes // 3, None)
+                accesses.append((key, nbytes, on_miss, on_hit, sampled, then, rid,
+                                 span_bytes, tier))
+        shares.append(accesses)
+    return shares
+
+
+def reference_server(faults, capacity, traced, monitored):
+    server = PDCServer(0, CostModel(), memory_limit_bytes=capacity, metrics=MetricsRegistry())
+    if faults is not None:
+        server.fault_plan = FaultPlan(seed=9, config=faults)
+    if traced:
+        server.tracer = Tracer()
+    if monitored:
+        server.monitor = ServiceMonitor()
+    return server
+
+
+def server_state(server):
+    events = []
+    if server.tracer.enabled:
+        events = [
+            (s.span_id, s.parent_id, s.name, s.category, s.track, s.start_s, s.end_s, s.attrs)
+            for s in server.tracer.spans + server.tracer.events
+        ]
+    return {
+        "clock": (server.clock.now, list(server.clock.breakdown().items())),
+        "cache": (server.cache.entries(), server.cache.stats),
+        "metrics": list(server.metrics.collect()),
+        "spans": events,
+        "plan": server.fault_plan and server.fault_plan.snapshot(),
+        "retries": server.retries_total,
+        "reads": server.monitor.enabled and server.monitor.recorder.to_jsonl_records(),
+    }
+
+
+def drive(share_fn, server, shares, with_policy, preload):
+    """Run every share through ``share_fn``; returns each share's flags (or
+    its error) and the lost regions the policy saw."""
+    lost, out = [], []
+
+    def on_lost(owner, region, exc, at):
+        lost.append((owner.server_id, region, str(exc), at))
+        owner.tracer.instant(f"lost:{region}", owner.clock, category="fault", at=at)
+
+    for i, accesses in enumerate(shares):
+        # Every other share inside an eval span, as a query step's are.
+        span = {"object": "o", "regions": len({a[6] for a in accesses})} if i % 2 else None
+        try:
+            out.append(share_fn(server, accesses, preload=preload,
+                                on_lost=on_lost if with_policy else None, span=span))
+        except RegionUnavailableError as exc:
+            out.append(("raised", str(exc)))
+    return out, lost
+
+
+@pytest.mark.parametrize("faults", sorted(FAULT_CASES))
+@pytest.mark.parametrize("capacity", [1e18, 2.5 * KEY_BYTES], ids=["inf", "2.5"])
+@pytest.mark.parametrize("with_policy", [True, False], ids=["on_lost", "raise"])
+def test_touch_share_equals_the_per_region_loop(faults, capacity, with_policy):
+    for seed, (traced, monitored) in enumerate(itertools.product((True, False), repeat=2)):
+        shares = random_shares(seed)
+        runs = []
+        for share_fn in (PDCServer.touch_share, reference_share):
+            server = reference_server(FAULT_CASES[faults], capacity, traced, monitored)
+            runs.append((drive(share_fn, server, shares, with_policy, seed % 2 == 0),
+                         server_state(server)))
+        (got, got_state), (want, want_state) = runs
+        assert got == want
+        for part in want_state:
+            assert got_state[part] == want_state[part], (part, traced, monitored)
+
+
+def test_the_reference_reaches_what_it_is_meant_to():
+    """The crossed cases above see retries, losses inside a two-access
+    region, raises and evictions — else they would prove little."""
+    seen = set()
+    for name in ("errors", "both"):
+        server = reference_server(FAULT_CASES[name], 2.5 * KEY_BYTES, True, True)
+        shares = random_shares(0)
+        flags, lost = drive(reference_share, server, shares, True, False)
+        by_region = {a[6]: [b[0] for b in share if b[6] == a[6]]
+                     for share in shares for a in share}
+        seen.update({"retry" for s in server.tracer.spans if s.name.startswith("retry:")})
+        seen.update({"lost-index" for _, region, error, _ in lost
+                     if len(by_region[region]) == 2 and ":0' failed" in error})
+        seen.update({"evict" for _ in range(server.cache.stats.evictions)})
+    server = reference_server(FAULT_CASES["doomed"], 1e18, False, False)
+    seen.update({"raise" for f in drive(reference_share, server, random_shares(0), False, False)[0]
+                 if f[0] == "raised"})
+    assert seen == {"retry", "lost-index", "evict", "raise"}
+
+
+def test_faults_and_tracing_never_enter_ensure_region(monkeypatch):
+    """Under a nonzero-rate plan and a recording tracer, queries, a batch's
+    shared pass and get_data make regions resident only through
+    ``touch_share`` — there is no per-region body left to route to."""
     calls = {"ensure_region": 0, "touch_share": 0}
     for name in calls:
         original = getattr(PDCServer, name)
@@ -252,11 +481,18 @@ def test_one_guard_routes_both_passes(monkeypatch):
             return _original(self, *args, **kwargs)
 
         monkeypatch.setattr(PDCServer, name, counted)
-    for per_region in (False, True):
-        calls.update(ensure_region=0, touch_share=0)
-        sysm, engine = deployment(per_region)
-        for strat in STRATEGIES:
-            res = engine.execute(window("energy", 0.123, 2.456), strategy=strat)
-        engine.get_data(res.selection, "energy")
-        assert (calls["ensure_region"] > 0) is per_region
-        assert (calls["touch_share"] == 0) is per_region
+    sysm, engine = deployment(False)
+    sysm.set_tracer(Tracer())
+    sysm.set_fault_plan(FaultPlan(seed=4, config=FaultConfig(
+        pfs_read_error_rate=0.2, pfs_slow_rate=0.3, max_retries=8,
+    )))
+    for strat in STRATEGIES + (Strategy.AUTO,):
+        res = engine.execute(window("energy", 0.123, 2.456), strategy=strat)
+    sysm.drop_all_caches()
+    shared_scans(sysm, engine)
+    sysm.drop_all_caches()
+    engine.get_data(res.selection, "energy")
+    assert sysm.fault_plan.injected("pfs_read_error") > 0
+    assert any(s.name.startswith("read:") for s in sysm.tracer.spans)
+    assert calls == {"ensure_region": 0, "touch_share": calls["touch_share"]}
+    assert calls["touch_share"] > 0

@@ -83,6 +83,17 @@ class TestTenantValidation:
         with pytest.raises(PDCError):
             Tenant(**kwargs)
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")], ids=["nan", "inf"])
+    @pytest.mark.parametrize(
+        "field",
+        ["weight", "rate_limit_qps", "burst", "queue_deadline_s", "default_timeout_s"],
+    )
+    def test_rejects_non_finite_knob(self, field, value):
+        """NaN passes every ordering check and inf every lower bound; a
+        limit is a finite number or None."""
+        with pytest.raises(PDCError, match=field):
+            Tenant("t", **{field: value})
+
 
 class TestServiceConfig:
     def test_default_is_passthrough(self):

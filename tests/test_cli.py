@@ -197,6 +197,9 @@ class TestBadInput:
             ["serve", "--requests", "-1"],
             ["monitor", "--requests", "0"],
             ["batch", "--queries", "-1"],
+            ["faults", "--timeout", "0"],
+            ["faults", "--timeout", "nan"],
+            ["faults", "--timeout", "inf"],
         ],
         ids=" ".join,
     )
