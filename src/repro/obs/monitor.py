@@ -29,7 +29,8 @@ pins, alert-determinism tests) is :func:`repro.scenarios.demo_monitor_run`.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+import math
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .slo import SLO, Alert, SLOMonitor
 from .timeseries import TimeSeriesRecorder, WindowStats
@@ -90,8 +91,7 @@ class NoopMonitor:
         return None
 
     def on_region_read(
-        self, t_s: float, server_id: int, nbytes: float, category: str,
-        result: str = "read",
+        self, server_id: int, reads: Sequence[Tuple[float, float, str]]
     ) -> None:
         return None
 
@@ -166,10 +166,11 @@ class ServiceMonitor:
         scrape_interval_s: Optional[float] = None,
         window_s: float = 0.05,
     ) -> None:
-        if scrape_interval_s is not None and scrape_interval_s <= 0.0:
-            raise ValueError("scrape_interval_s must be positive (or None)")
-        if window_s <= 0.0:
-            raise ValueError("window_s must be positive")
+        # ``not 0 < x < inf`` refuses NaN too.
+        if scrape_interval_s is not None and not 0.0 < scrape_interval_s < math.inf:
+            raise ValueError("scrape_interval_s must be positive and finite (or None)")
+        if not 0.0 < window_s < math.inf:
+            raise ValueError("window_s must be positive and finite")
         self.recorder = recorder if recorder is not None else TimeSeriesRecorder()
         self.slo = SLOMonitor(tuple(slos))
         self.registry = registry
@@ -272,16 +273,21 @@ class ServiceMonitor:
 
     # -------------------------------------------------------- server hooks
     def on_region_read(
-        self, t_s: float, server_id: int, nbytes: float, category: str,
-        result: str = "read",
+        self, server_id: int, reads: Sequence[Tuple[float, float, str]]
     ) -> None:
-        # ``result="hit"`` samples are warm-cache region accesses (served
-        # from memory, no PFS read); "read" samples actually paid storage
-        # time.  Both matter for the utilization view.
-        self.recorder.observe(
-            "pdc_server_read_bytes", t_s, float(nbytes),
-            server=f"server{server_id}", result=result,
-        )
+        """One server share's sampled region accesses, ``(t_s, nbytes,
+        result)`` in time order: each ``(server, result)`` series is
+        resolved once and appended to in bulk.  ``result="hit"`` samples are
+        warm-cache accesses (served from memory, no PFS read); "read"
+        samples actually paid storage time.  Both matter for the
+        utilization view."""
+        for result in ("read", "hit"):
+            points = [(t_s, nbytes) for t_s, nbytes, r in reads if r == result]
+            if points:
+                self.recorder.declare(
+                    "pdc_server_read_bytes", "event",
+                    server=f"server{server_id}", result=result,
+                ).extend(points)
 
     # -------------------------------------------------------- ingest hooks
     def on_ingest_epoch(

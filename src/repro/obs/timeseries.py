@@ -32,9 +32,11 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from collections import deque
 from dataclasses import dataclass
-from typing import Deque, Dict, Iterator, List, Optional, Tuple
+from functools import partial
+from typing import Deque, Dict, Iterable, Iterator, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -52,20 +54,28 @@ SERIES_KINDS = ("gauge", "counter", "event")
 #: Default ring-buffer capacity per labeled series.
 DEFAULT_CAPACITY = 4096
 
+#: The earliest instant a sample may carry (a finite one).
+_EARLIEST = -sys.float_info.max
+
 #: Label tuple form used as part of a series key: sorted (name, value).
 _LabelKey = Tuple[Tuple[str, str], ...]
 
 
 def _label_key(labels: Dict[str, str]) -> _LabelKey:
-    return tuple(sorted((str(k), str(v)) for k, v in labels.items()))
+    """The key of a label map whose names and values are already strings."""
+    return tuple(sorted(labels.items()))
 
 
-@dataclass(frozen=True)
-class Sample:
+class Sample(NamedTuple):
     """One recorded observation: a simulated instant and a value."""
 
     t_s: float
     value: float
+
+
+#: ``Sample(t_s, value)`` from a pair, without the Python-level
+#: ``__new__`` call (what ``namedtuple._make`` itself does).
+_sample = partial(tuple.__new__, Sample)
 
 
 @dataclass
@@ -125,15 +135,38 @@ class TimeSeries:
         self.dropped = 0
 
     def append(self, t_s: float, value: float) -> None:
-        if self.samples and t_s < self.samples[-1].t_s:
-            raise ValueError(
-                f"series {self.name!r}: sample at t={t_s} precedes "
-                f"latest t={self.samples[-1].t_s} (simulated time only "
-                "moves forward)"
-            )
-        if len(self.samples) == self.capacity:
+        """Append one sample: a finite instant no earlier than the latest."""
+        t_s, samples = float(t_s), self.samples
+        latest = samples[-1].t_s if samples else _EARLIEST
+        if not latest <= t_s < math.inf:  # NaN fails too
+            raise self._refused(t_s, latest)
+        if len(samples) == self.capacity:
             self.dropped += 1
-        self.samples.append(Sample(float(t_s), float(value)))
+        samples.append(_sample((t_s, float(value))))
+
+    def extend(self, points: Iterable[Tuple[float, float]]) -> None:
+        """Append ``(t_s, value)`` samples in order, each checked as
+        :meth:`append` checks it; a batch holding a refused instant appends
+        nothing."""
+        samples = self.samples
+        latest = samples[-1].t_s if samples else _EARLIEST
+        new = []
+        for t_s, value in points:
+            t_s = float(t_s)
+            if not latest <= t_s < math.inf:
+                raise self._refused(t_s, latest)
+            new.append(_sample((t_s, float(value))))
+            latest = t_s
+        self.dropped += max(0, len(samples) + len(new) - self.capacity)
+        samples.extend(new)
+
+    def _refused(self, t_s: float, latest: float) -> ValueError:
+        if not math.isfinite(t_s):
+            return ValueError(f"series {self.name!r}: sample at t={t_s} is not finite")
+        return ValueError(
+            f"series {self.name!r}: sample at t={t_s} precedes latest t={latest} "
+            "(simulated time only moves forward)"
+        )
 
     def __len__(self) -> int:
         return len(self.samples)
@@ -149,8 +182,7 @@ class TimeSeries:
         self, t_end: float, width_s: float, quantile_bins: int = 64
     ) -> WindowStats:
         """Aggregate this series over ``(t_end - width_s, t_end]``."""
-        if width_s <= 0.0:
-            raise ValueError("window width must be positive")
+        _check_width(width_s)
         inside = self.in_window(t_end, width_s)
         ws = WindowStats(
             name=self.name,
@@ -186,6 +218,11 @@ class TimeSeries:
                 values, (0.50, 0.95, 0.99), quantile_bins
             )
         return ws
+
+
+def _check_width(width_s: float) -> None:
+    if not 0.0 < width_s < math.inf:  # NaN fails too
+        raise ValueError("window width must be positive and finite")
 
 
 def _percentiles(
@@ -237,6 +274,19 @@ class TimeSeriesRecorder:
         existing series with a different ``kind`` is a schema error,
         mirroring the metrics registry's declare-or-fetch.
         """
+        self.declare(name, kind, labels, **label_kw).append(t_s, value)
+
+    def declare(
+        self,
+        name: str,
+        kind: str = "gauge",
+        labels: Optional[Dict[str, object]] = None,
+        **label_kw: object,
+    ) -> TimeSeries:
+        """The series ``(name, labels)``, created on first use: what
+        :meth:`record` appends to, for a caller appending many samples
+        (:meth:`TimeSeries.extend`).  A different ``kind`` than the
+        series was created with is a schema error."""
         merged = {**(labels or {}), **label_kw}
         label_map = {str(k): str(v) for k, v in merged.items()}
         key = (name, _label_key(label_map))
@@ -248,7 +298,7 @@ class TimeSeriesRecorder:
             raise ValueError(
                 f"series {name!r} is {series.kind!r}, not {kind!r}"
             )
-        series.append(t_s, value)
+        return series
 
     def observe(self, name: str, t_s: float, value: float, **labels: object) -> None:
         """Record one occurrence (``event`` kind)."""
@@ -301,6 +351,7 @@ class TimeSeriesRecorder:
     ) -> WindowStats:
         """Aggregate one series over a sliding window; an empty
         :class:`WindowStats` when the series does not exist."""
+        _check_width(width_s)
         merged = {**(labels or {}), **label_kw}
         series = self.series(name, labels=merged)
         if series is None:
@@ -355,12 +406,12 @@ class TimeSeriesRecorder:
         for r in records:
             if r.get("type") != "series":
                 continue
+            labels = {str(k): str(v) for k, v in (r.get("labels") or {}).items()}
             series = TimeSeries(
-                r["name"], dict(r.get("labels") or {}), r["kind"],
+                r["name"], labels, r["kind"],
                 capacity=max(rec.capacity, len(r["samples"]) or 1),
             )
-            for t_s, value in r["samples"]:
-                series.append(t_s, value)
+            series.extend(r["samples"])
             series.dropped = int(r.get("dropped", 0))
             rec._series[(series.name, _label_key(series.labels))] = series
         return rec

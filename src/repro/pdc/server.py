@@ -19,7 +19,7 @@ trace — replayed from the stamps of the charge pass (:meth:`touch_share`).
 from __future__ import annotations
 
 from functools import partial
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from ..errors import RegionUnavailableError
 from ..obs.monitor import NOOP_MONITOR
@@ -140,11 +140,11 @@ class PDCServer:
         miss's read as it is met (:meth:`_read_attempts`); a read failing for
         good is not inserted and drops the rest of its region.  The charge
         pass makes every charge, attempts and backoffs included, in one
-        :meth:`SimClock.charge_many`, then replays monitor samples, the
-        ``read:``/``retry:`` spans (inside an ``eval:serverN`` span with the
-        attributes ``span``, if given, its ``regions`` set to the share's
-        region count) and ``on_lost(self, region, error, t)`` at their
-        stamps.  Without ``on_lost`` the first lost read ends the
+        :meth:`SimClock.charge_many`, hands the monitor the share's samples
+        in one call, and replays the ``read:``/``retry:`` spans (inside an
+        ``eval:serverN`` span with the attributes ``span``, if given, its
+        ``regions`` set to the share's region count) and ``on_lost(self,
+        region, error, t)`` at their stamps.  Without ``on_lost`` the first lost read ends the
         share and is raised once what came before it is charged.  Returns the
         was-cached flags, ``None`` where lost or dropped.
         """
@@ -165,6 +165,7 @@ class PDCServer:
         fast, monitored, dropping = plan is None and not traced, self.monitor.enabled, None
         charges: List[Tuple[float, str]] = []
         marks: List[tuple] = []  # (charges made before it, event, *args)
+        samples: List[Tuple[int, float, str]] = []  # (charges before it, nbytes, result)
         if traced and span is not None:
             span = dict(span, regions=len({a[6] for a in accesses}))
             marks.append((0, "open", f"eval:server{self.server_id}", "server_eval", span))
@@ -201,8 +202,7 @@ class PDCServer:
                     dropping = region
                     continue
             if sampled and monitored:
-                marks.append((len(charges), "sample", nbytes, on_miss[1],
-                              "hit" if flag else "read"))
+                samples.append((len(charges), float(nbytes), "hit" if flag else "read"))
             charges += then
         if traced and span is not None:
             marks.append((len(charges), "close"))
@@ -211,13 +211,14 @@ class PDCServer:
                 self._count(*_PRELOADS, flags.count(flag),
                             server=f"server{self.server_id}", result=result)
         stamps = [self.clock.now, *self.clock.charge_many(charges)]
+        if samples:
+            self.monitor.on_region_read(
+                self.server_id, [(stamps[n], nbytes, result) for n, nbytes, result in samples]
+            )
         opened, error = [], None
         for n_charged, event, *args in marks:
             at = stamps[n_charged]
-            if event == "sample":
-                self.monitor.on_region_read(at, self.server_id, float(args[0]), args[1],
-                                            result=args[2])
-            elif event == "open":
+            if event == "open":
                 opened.append(self.tracer.open_at(at, args[0], self.clock.name, args[1],
                                                   **args[2]))
             elif event == "close":

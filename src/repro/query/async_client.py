@@ -27,7 +27,7 @@ from ..errors import QueryError
 from ..pdc.system import PDCSystem
 from ..strategies import Strategy
 from .ast import QueryNode
-from .executor import QueryEngine, QuerySpec
+from .executor import GetDataResult, QueryEngine, QueryResult, QuerySpec
 from .selection import Selection
 
 __all__ = ["AsyncQueryClient"]

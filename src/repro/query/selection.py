@@ -19,6 +19,29 @@ from ..errors import SelectionError
 __all__ = ["Selection"]
 
 
+def _int64_coords(coords, domain_size) -> np.ndarray:
+    """``coords`` as a 1-D int64 array.  Integer input converts as is; a
+    float coordinate must be integral (a fractional one or NaN is refused,
+    never truncated; an infinite one is outside the domain, checked before
+    the cast); any other dtype, bool included, is refused."""
+    if not isinstance(domain_size, (int, np.integer)) or domain_size < 0:
+        raise SelectionError(
+            f"domain size must be a non-negative integer, not {domain_size!r}"
+        )
+    raw = np.asarray(coords)
+    if raw.ndim != 1:
+        raise SelectionError("selection coords must be 1-D")
+    if raw.dtype.kind in "iu":
+        return raw.astype(np.int64, copy=False)
+    if raw.dtype.kind != "f":
+        raise SelectionError(f"selection coords must be integers, not {raw.dtype}")
+    if not np.array_equal(raw, np.trunc(raw)):  # NaN and infinities fail too
+        raise SelectionError("selection coords must be integral")
+    if raw.size and (raw.min() < 0 or raw.max() >= domain_size):
+        raise SelectionError(f"coords outside domain [0, {domain_size})")
+    return raw.astype(np.int64)
+
+
 @dataclass
 class Selection:
     """Sorted unique coordinates of query hits over a 1-D object space."""
@@ -28,22 +51,26 @@ class Selection:
     domain_size: int
 
     def __post_init__(self) -> None:
-        self.coords = np.asarray(self.coords, dtype=np.int64)
-        if self.coords.ndim != 1:
-            raise SelectionError("selection coords must be 1-D")
-        if self.coords.size:
-            if int(self.coords.min()) < 0 or int(self.coords.max()) >= self.domain_size:
+        self.coords = _int64_coords(self.coords, self.domain_size)
+        c = self.coords
+        if c.size:
+            # One pass: strictly increasing coords put their bounds at the
+            # ends; only a rejected array pays for min/max, so a coordinate
+            # outside the domain is still reported before an unsorted one.
+            ordered = bool(np.greater(c[1:], c[:-1]).all())
+            lo, hi = (c[0], c[-1]) if ordered else (c.min(), c.max())
+            if int(lo) < 0 or int(hi) >= self.domain_size:
                 raise SelectionError(
                     f"coords outside domain [0, {self.domain_size})"
                 )
-            if np.any(np.diff(self.coords) <= 0):
+            if not ordered:
                 raise SelectionError("selection coords must be sorted and unique")
 
     # ------------------------------------------------------------ constructors
     @classmethod
     def from_unsorted(cls, coords: np.ndarray, domain_size: int) -> "Selection":
         """Sort + deduplicate raw hit coordinates."""
-        return cls(np.unique(np.asarray(coords, dtype=np.int64)), domain_size)
+        return cls(np.unique(coords), domain_size)
 
     # ------------------------------------------------------------- set algebra
     def _check_domain(self, other: "Selection") -> None:

@@ -38,7 +38,7 @@ class TestNoopMonitor:
         NOOP_MONITOR.on_dispatch(0.0, "a", 0.1, 0)
         NOOP_MONITOR.on_complete(0.0, "a", "done", 0.1, 0.2)
         NOOP_MONITOR.on_window(0.0, 4, 0.1, 2, 100.0)
-        NOOP_MONITOR.on_region_read(0.0, 0, 1024.0, "pfs_read")
+        NOOP_MONITOR.on_region_read(0, [(0.0, 1024.0, "read")])
         NOOP_MONITOR.on_tick(0.0)
 
 
@@ -175,6 +175,16 @@ class TestStatusSurfaces:
             ServiceMonitor(scrape_interval_s=0.0)
         with pytest.raises(ValueError):
             ServiceMonitor(window_s=-1.0)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_window_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            ServiceMonitor(window_s=bad)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_scrape_interval_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            ServiceMonitor(scrape_interval_s=bad)
 
     def test_duplicate_slo_rejected(self):
         s = SLO(name="x", tenant="*", sli="shed", objective=0.9)

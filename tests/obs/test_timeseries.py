@@ -30,6 +30,44 @@ class TestTimeSeries:
         # Equal timestamps are allowed (several events at one instant).
         s.append(2.0, 2.0)
 
+    def test_nan_instant_rejected(self):
+        # NaN compares False with everything: accepted, it would let any
+        # later instant through and leave the series out of time order.
+        s = TimeSeries("x", {}, "event")
+        s.append(1.0, 1.0)
+        with pytest.raises(ValueError, match="not finite"):
+            s.append(math.nan, 1.0)
+        with pytest.raises(ValueError, match="precedes"):
+            s.append(0.5, 1.0)
+        assert [smp.t_s for smp in s.samples] == [1.0]
+
+    @pytest.mark.parametrize("t_s", [math.inf, -math.inf])
+    def test_infinite_instant_rejected(self, t_s):
+        s = TimeSeries("x", {}, "event")
+        with pytest.raises(ValueError, match="not finite"):
+            s.append(t_s, 1.0)
+        assert len(s) == 0
+
+    def test_extend_checks_every_sample(self):
+        s = TimeSeries("x", {}, "event", capacity=2)
+        s.extend([(1.0, 1.0), (1.0, 2.0), (2.0, 3.0)])
+        assert list(s.samples) == [Sample(1.0, 2.0), Sample(2.0, 3.0)] and s.dropped == 1
+        # A batch with a bad instant anywhere appends nothing.
+        with pytest.raises(ValueError, match="not finite"):
+            s.extend([(3.0, 4.0), (math.nan, 5.0)])
+        with pytest.raises(ValueError, match="precedes"):
+            s.extend([(3.0, 4.0), (2.5, 6.0)])
+        with pytest.raises(ValueError, match="precedes"):
+            s.extend([(1.5, 6.0)])
+        assert list(s.samples) == [Sample(1.0, 2.0), Sample(2.0, 3.0)] and s.dropped == 1
+        s.extend([(3.0, 4.0), (3.0, 5.0), (4.0, 6.0)])
+        assert list(s.samples) == [Sample(3.0, 5.0), Sample(4.0, 6.0)] and s.dropped == 4
+
+    def test_sample_is_a_plain_tuple(self):
+        smp = Sample(1.0, 2.0)
+        assert repr(smp) == "Sample(t_s=1.0, value=2.0)"
+        assert (smp.t_s, smp.value) == tuple(smp) and smp == Sample(1.0, 2.0)
+
     def test_ring_bound_drops_oldest(self):
         s = TimeSeries("x", {}, "event", capacity=3)
         for i in range(5):
@@ -110,6 +148,13 @@ class TestTimeSeries:
         with pytest.raises(ValueError, match="positive"):
             s.window(1.0, 0.0)
 
+    @pytest.mark.parametrize("width_s", [math.nan, math.inf])
+    def test_non_finite_window_width(self, width_s):
+        s = TimeSeries("x", {}, "event")
+        s.append(1.0, 1.0)
+        with pytest.raises(ValueError, match="finite"):
+            s.window(1.0, width_s)
+
 
 class TestTimeSeriesRecorder:
     def test_record_creates_labeled_series(self):
@@ -133,6 +178,24 @@ class TestTimeSeriesRecorder:
         ws = rec.window("nope", 1.0, 1.0, tenant="a")
         assert ws.count == 0
         assert ws.labels == {"tenant": "a"}
+
+    @pytest.mark.parametrize("width_s", [math.nan, math.inf, 0.0])
+    def test_window_width_checked_for_any_series(self, width_s):
+        # A missing series used to answer an empty window whatever the width.
+        rec = TimeSeriesRecorder()
+        rec.observe("waits", 1.0, 0.5)
+        for name in ("waits", "nope"):
+            with pytest.raises(ValueError, match="positive"):
+                rec.window(name, 1.0, width_s)
+
+    def test_declare_is_get_or_create(self):
+        rec = TimeSeriesRecorder()
+        s = rec.declare("x", "event", server="server0")
+        assert rec.declare("x", "event", labels={"server": "server0"}) is s
+        rec.observe("x", 1.0, 2.0, server="server0")
+        assert list(s.samples) == [Sample(1.0, 2.0)]
+        with pytest.raises(ValueError, match="event"):
+            rec.declare("x", "gauge", server="server0")
 
     def test_scrape_registry(self):
         reg = MetricsRegistry()

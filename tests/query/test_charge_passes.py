@@ -24,6 +24,7 @@ from repro.errors import RegionUnavailableError
 from repro.faults import FaultConfig, FaultPlan
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.monitor import ServiceMonitor
+from repro.obs.timeseries import TimeSeriesRecorder
 from repro.obs.tracer import Tracer
 from repro.pdc.region import region_key
 from repro.pdc.server import PDCServer
@@ -333,10 +334,10 @@ def reference_loop(server, accesses, preload, on_lost):
             continue
         if flag and on_hit is not None:
             clock.charge(*on_hit)
-        if sampled:
-            server.monitor.on_region_read(
-                clock.now, server.server_id, float(nbytes), on_miss[1],
-                result="hit" if flag else "read",
+        if sampled and server.monitor.enabled:  # one sample at a time
+            server.monitor.recorder.observe(
+                "pdc_server_read_bytes", clock.now, float(nbytes),
+                server=f"server{server.server_id}", result="hit" if flag else "read",
             )
         for charge in then:
             clock.charge(*charge)
@@ -446,6 +447,63 @@ def test_touch_share_equals_the_per_region_loop(faults, capacity, with_policy):
         assert got == want
         for part in want_state:
             assert got_state[part] == want_state[part], (part, traced, monitored)
+
+
+class FoldLog(ServiceMonitor):
+    """A recording monitor that also logs every ``on_region_read`` call."""
+
+    def __init__(self):
+        super().__init__()
+        self.calls = []
+
+    def on_region_read(self, server_id, reads):
+        self.calls.append((server_id, list(reads)))
+        super().on_region_read(server_id, reads)
+
+
+class SampleLog(TimeSeriesRecorder):
+    """A recorder that also logs every sample observed, in arrival order."""
+
+    def __init__(self):
+        super().__init__()
+        self.log = []
+
+    def observe(self, name, t_s, value, **labels):
+        self.log.append((int(labels["server"][len("server"):]), t_s, value, labels["result"]))
+        super().observe(name, t_s, value, **labels)
+
+
+@pytest.mark.parametrize("faults", ["none", "errors", "slow"])
+@pytest.mark.parametrize("capacity", [1e18, 2.5 * KEY_BYTES], ids=["inf", "2.5"])
+@pytest.mark.parametrize("traced", [True, False], ids=["traced", "untraced"])
+@pytest.mark.parametrize("with_policy", [True, False], ids=["on_lost", "raise"])
+def test_one_monitor_call_per_sampled_share(faults, capacity, traced, with_policy):
+    """``touch_share`` hands the monitor each share's samples in one call —
+    exactly one per share that has any — and what it records equals a
+    per-region walk that observes one sample at a time: the same samples in
+    the same order, overall and per series."""
+    shares = random_shares(3)
+    folded = reference_server(FAULT_CASES[faults], capacity, traced, False)
+    folded.monitor = FoldLog()
+    walked = reference_server(FAULT_CASES[faults], capacity, traced, False)
+    walked.monitor = ServiceMonitor(recorder=SampleLog())
+    per_share = []
+
+    def counted_reference(server, accesses, **kwargs):
+        before = len(server.monitor.recorder.log)
+        try:
+            return reference_share(server, accesses, **kwargs)
+        finally:
+            per_share.append(len(server.monitor.recorder.log) - before)
+
+    assert (drive(PDCServer.touch_share, folded, shares, with_policy, False)
+            == drive(counted_reference, walked, shares, with_policy, False))
+    assert [len(reads) for _, reads in folded.monitor.calls] == [n for n in per_share if n]
+    assert [(server_id, *read) for server_id, reads in folded.monitor.calls
+            for read in reads] == walked.monitor.recorder.log
+    assert (folded.monitor.recorder.to_jsonl_records()
+            == walked.monitor.recorder.to_jsonl_records())
+    assert sum(per_share) > 0
 
 
 def test_the_reference_reaches_what_it_is_meant_to():

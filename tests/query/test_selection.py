@@ -43,6 +43,107 @@ class TestInvariants:
             Selection(np.zeros((2, 2), dtype=np.int64), 10)
 
 
+class TestIntegralCoords:
+    """Coordinates are refused, never truncated, when they are not integers;
+    the domain size is a non-negative integer."""
+
+    def test_fractional_float_rejected(self):
+        with pytest.raises(SelectionError, match="integral"):
+            Selection(np.array([0.5, 1.7, 2.2]), 10)
+
+    def test_from_unsorted_fractional_rejected(self):
+        with pytest.raises(SelectionError, match="integral"):
+            Selection.from_unsorted(np.array([1.5, 1.2]), 10)
+
+    def test_nan_rejected(self):
+        with pytest.raises(SelectionError, match="integral"):
+            Selection(np.array([1.0, np.nan]), 10)
+
+    def test_bool_rejected(self):
+        with pytest.raises(SelectionError, match="integers"):
+            Selection(np.array([False, True]), 10)
+
+    def test_negative_domain_rejected(self):
+        with pytest.raises(SelectionError, match="domain size"):
+            Selection(np.zeros(0, dtype=np.int64), -1)
+
+    def test_fractional_domain_rejected(self):
+        with pytest.raises(SelectionError, match="domain size"):
+            Selection(np.zeros(0, dtype=np.int64), 2.5)
+
+    def test_integral_floats_accepted(self):
+        assert Selection(np.array([1.0, 2.0]), 10).coords.tolist() == [1, 2]
+        assert Selection.from_unsorted(np.array([2.0, 1.0, 2.0]), 10).coords.tolist() == [1, 2]
+        assert Selection(np.array([]), 0).is_empty  # an empty list is float64
+        with pytest.raises(SelectionError, match="outside domain"):
+            Selection(np.array([1.0, np.inf]), 10)
+        with pytest.raises(SelectionError, match="outside domain"):
+            Selection(np.array([1e300]), 10)
+
+
+def parent_check(coords, domain_size):
+    """The check the one-pass version replaced: min, max, then every
+    difference."""
+    c = np.asarray(coords, dtype=np.int64)
+    if c.ndim != 1:
+        raise SelectionError("selection coords must be 1-D")
+    if c.size:
+        if int(c.min()) < 0 or int(c.max()) >= domain_size:
+            raise SelectionError(f"coords outside domain [0, {domain_size})")
+        if np.any(np.diff(c) <= 0):
+            raise SelectionError("selection coords must be sorted and unique")
+
+
+I64 = np.iinfo(np.int64)
+int64_coords = st.one_of(
+    st.integers(-3, 40), st.sampled_from([I64.min, I64.min + 1, I64.max - 1, I64.max]),
+)
+domains = st.one_of(st.integers(0, 45), st.sampled_from([I64.max, 2**63]))
+
+
+def verdict(check, coords, domain_size):
+    try:
+        check(coords, domain_size)
+    except SelectionError as exc:
+        return str(exc)
+    return "ok"
+
+
+class TestOnePassCheck:
+    """``Selection``'s check accepts and rejects what the min/max/diff check
+    did, with the same message: a coordinate outside the domain is reported
+    before an unsorted one."""
+
+    @given(st.lists(int64_coords, max_size=12), domains, st.sampled_from(["raw", "sorted", "set"]))
+    @settings(max_examples=600, deadline=None)
+    def test_equals_the_parent_check(self, values, domain_size, shape):
+        if shape == "sorted":
+            values = sorted(values)
+        elif shape == "set":
+            values = sorted(set(values))
+        coords = np.array(values, dtype=np.int64)
+        assert verdict(Selection, coords, domain_size) == verdict(
+            parent_check, coords, domain_size
+        )
+
+    @pytest.mark.parametrize("values,domain_size,want", [
+        ([], 0, "ok"),
+        ([0], 1, "ok"),
+        ([1, 1], 5, "sorted"),
+        ([4, 2], 5, "sorted"),
+        ([2, 9, 1], 5, "domain"),  # unsorted, ends in the domain, middle not
+        ([3, -1, 4], 5, "domain"),
+        ([I64.min, I64.max], 2**63, "domain"),
+        ([0, I64.max], 2**63, "ok"),
+        ([I64.max, 0], 2**63, "sorted"),
+    ])
+    def test_edges(self, values, domain_size, want):
+        coords = np.array(values, dtype=np.int64)
+        got = verdict(Selection, coords, domain_size)
+        assert got == verdict(parent_check, coords, domain_size)
+        assert want in got if want != "ok" else got == "ok"
+
+
 class TestAlgebra:
     @given(coord_sets, coord_sets)
     @settings(max_examples=200, deadline=None)
