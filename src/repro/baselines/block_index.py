@@ -184,20 +184,13 @@ class BlockIndexEngine:
         sysm = self.system
         obj = sysm.get_object(name)
         blocks = self._blocks[name]
-        cand_blocks = np.unique(
-            np.minimum(coords // blocks.block_elements, blocks.n_blocks - 1)
-        )
-        keep = interval.overlaps_range_arrays(
-            blocks.bmin[cand_blocks], blocks.bmax[cand_blocks]
-        )
-        cand_blocks = cand_blocks[keep]
-        # Coordinates in pruned blocks cannot match.
-        coords = coords[
-            np.isin(
-                np.minimum(coords // blocks.block_elements, blocks.n_blocks - 1),
-                cand_blocks,
-            )
-        ]
+        coord_blocks = np.minimum(coords // blocks.block_elements, blocks.n_blocks - 1)
+        held = np.bincount(coord_blocks, minlength=blocks.n_blocks) > 0
+        # Blocks whose min/max miss the condition are pruned; coordinates
+        # in them cannot match.
+        held &= interval.overlaps_range_arrays(blocks.bmin, blocks.bmax)
+        cand_blocks = np.flatnonzero(held)
+        coords = coords[held[coord_blocks]]
         self._charge_block_reads(name, cand_blocks)
         for clock in self.clocks:
             clock.charge(

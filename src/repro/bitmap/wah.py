@@ -296,7 +296,11 @@ def _binary_op(w1: np.ndarray, w2: np.ndarray, op) -> np.ndarray:
         return np.zeros(0, dtype=np.uint64)
     c1 = np.cumsum(l1)
     c2 = np.cumsum(l2)
-    bounds = np.union1d(c1, c2)  # sorted segment end positions
+    # Sorted segment end positions: both run-end lists ascend, so merge
+    # them by sorting and drop the ends they share (no np.union1d: its
+    # unique takes a hash path).
+    bounds = np.sort(np.concatenate((c1, c2)))
+    bounds = bounds[np.concatenate(([True], bounds[1:] != bounds[:-1]))]
     i1 = np.searchsorted(c1, bounds, side="left")  # covering run per segment
     i2 = np.searchsorted(c2, bounds, side="left")
     seg_vals = op(v1[i1], v2[i2])

@@ -268,14 +268,15 @@ def check_maintenance(mode: str) -> None:
 
 
 def check_payload(values, dtype=None) -> np.ndarray:
-    """The one admission test of a write payload, run before any state is
-    touched: non-empty, 1-D and — as cast to the object's ``dtype`` —
-    finite (a NaN or an infinity has no histogram bin)."""
+    """The one admission test of a payload — an import or a write — run
+    before any state is touched: non-empty, 1-D and — as cast to the
+    object's ``dtype`` — finite (a NaN or an infinity has no histogram bin
+    and would poison its region's min/max)."""
     values = np.ascontiguousarray(values, dtype=dtype)
     if values.ndim != 1 or values.size == 0:
         raise PDCError("write payload must be non-empty 1-D")
     if not np.isfinite(values).all():
-        raise PDCError("write payload must be finite (no NaN or infinity)")
+        raise PDCError("payload must be finite (no NaN or infinity)")
     return values
 
 
@@ -605,6 +606,7 @@ class PDCSystem:
             dims = tuple(int(d) for d in data.shape)
             data = data.reshape(-1)
         pdc_type = pdc_type_of_dtype(data.dtype)
+        data = check_payload(data)
         region_elems = self.config.region_elements(data.dtype.itemsize)
         extents = partition(data.size, region_elems)
         file_path = f"/pdc/data/{name}"

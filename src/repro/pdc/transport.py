@@ -24,6 +24,7 @@ import numpy as np
 
 from ..errors import TransportError
 from ..query.ast import QueryNode, node_from_dict, typed_conjuncts
+from ..query.selection import sorted_unique
 from ..simmpi.communicator import Communicator
 from ..simmpi.launcher import run_spmd
 from .system import PDCSystem
@@ -105,7 +106,7 @@ def _evaluate_share(
     # where servers return region-local results.
     if not all_coords:
         return np.zeros(0, dtype=np.int64)
-    return np.unique(np.concatenate(all_coords))
+    return sorted_unique(np.concatenate(all_coords))
 
 
 def run_distributed_query(
@@ -141,7 +142,7 @@ def run_distributed_query(
         gathered = comm.gather(local, root=0)
         if comm.rank != 0:
             return None
-        merged = np.unique(np.concatenate(gathered))
+        merged = sorted_unique(np.concatenate(gathered))
         if req.region_constraint is not None:
             start, stop = req.region_constraint
             merged = merged[(merged >= start) & (merged < stop)]

@@ -48,9 +48,9 @@ from ..storage.device import DeviceKind
 from ..strategies import Strategy
 from . import planner
 from .ast import QueryNode, objects_of, typed_conjuncts
-from .planner import ConjunctPlan, PlanStep, plan_query
+from .planner import COVERED, PRUNED, STRADDLING, ConjunctPlan, PlanStep, plan_query
 from .region_constraint import RegionConstraint, normalize_constraint
-from .selection import Selection
+from .selection import Selection, sorted_unique
 
 __all__ = [
     "QueryEngine",
@@ -68,6 +68,33 @@ _PLAN_BYTES = 256
 _REGION_META_BYTES = 96
 #: Page size for binary-search probes on sorted replicas.
 _PROBE_BYTES = 4096
+
+
+def _flags(n_regions: int, region_ids: np.ndarray) -> np.ndarray:
+    """A boolean lookup table over ``n_regions`` regions, set at
+    ``region_ids`` — region-id membership without a hash set."""
+    flags = np.zeros(n_regions, dtype=bool)
+    flags[region_ids] = True
+    return flags
+
+
+def filter_coords(
+    obj: StoredObject, interval: Interval, coords: np.ndarray,
+    hits: Optional[np.ndarray], states: Optional[np.ndarray],
+) -> np.ndarray:
+    """Candidate re-check: keep the ascending ``coords`` whose value
+    matches.  ``states`` gives each candidate region (``hits`` coordinates
+    each) its :func:`~repro.query.planner.region_states` outcome: the
+    coordinates of a covered region are kept and those of a pruned one
+    dropped without a look at their values; only straddling regions'
+    values are gathered.  ``None``: every region straddles."""
+    if states is None or (states == STRADDLING).all():
+        return coords[interval.mask(obj.data[coords])]
+    per_coord = np.repeat(states, hits)
+    keep = per_coord == COVERED
+    check = np.flatnonzero(per_coord == STRADDLING)
+    keep[check] = interval.mask(obj.data[coords[check]])
+    return coords[keep]
 
 
 @dataclass
@@ -406,7 +433,9 @@ class QueryEngine:
                             sysm.client_clock.charge(
                                 sysm.cost.scan_time(coords_acc.size + coords.size), "merge"
                             )
-                            coords_acc = np.union1d(coords_acc, coords)
+                            coords_acc = sorted_unique(
+                                np.concatenate((coords_acc, coords))
+                            )
                         # §III-C special case: a disjunct selecting everything ends the
                         # union early.
                         if coords_acc is not None and coords_acc.size == full_count:
@@ -866,7 +895,7 @@ class QueryEngine:
             # One min/max overlap test over all regions; only the
             # survivors are touched, in ascending region order.
             typed = interval.typed(obj.meta.pdc_type)
-            surviving, _ = planner.surviving_regions(
+            surviving, _, _ = planner.surviving_regions(
                 obj, typed, prune=strat.uses_histogram
             )
             for rid in surviving.tolist():
@@ -992,12 +1021,13 @@ class QueryEngine:
                     )
             with self._record_step(stats, first_step):
                 self._charge_scan(obj, first.regions, constraint)
-        scanned = first.regions
+        scanned, covered = first.regions, first.covered
         if lost.size:
             # Degraded mode: unreadable regions are not scanned, so their
             # hits are dropped (the answer stays a subset of the truth).
-            scanned = scanned[~np.isin(scanned, lost)]
-        coords = self._mask_coords(obj, first.interval, constraint, scanned)
+            readable = ~_flags(obj.n_regions, lost)[scanned]
+            scanned, covered = scanned[readable], covered[readable]
+        coords = self._mask_coords(obj, first.interval, constraint, scanned, covered)
         first_step.hits = int(coords.size)
         stats.step_actuals.append(first_step)
 
@@ -1011,15 +1041,21 @@ class QueryEngine:
             with self._record_step(stats, step):
                 obj = sysm.get_object(s.name)
                 cand_regions, hits = obj.region_hits(coords)
+                states = None  # every candidate region straddles
+                if s.pruned or s.covered.any():
+                    states = planner.region_states(
+                        obj.n_regions, s.regions, s.covered
+                    )[cand_regions]
                 if s.pruned:
                     # Coordinates in regions the plan eliminated cannot
                     # match (min/max is exact); drop them without reading
                     # anything.
-                    keep = np.isin(cand_regions, s.regions)
+                    keep = states != PRUNED
                     stats.regions_pruned += int(keep.size - np.count_nonzero(keep))
                     if not keep.all():
                         coords = coords[np.repeat(keep, hits)]
                         cand_regions, hits = cand_regions[keep], hits[keep]
+                        states = states[keep]
                 if coords.size == 0:
                     step.access_path = "recheck"
                 else:
@@ -1033,8 +1069,12 @@ class QueryEngine:
                         # locations are checked (one element per coordinate).
                         self._charge_owner_scans(cand_regions, hits)
                     if lost.size:
-                        coords = coords[np.repeat(~np.isin(cand_regions, lost), hits)]
-                    coords = self._filter_coords(obj, s.interval, coords)
+                        readable = ~_flags(obj.n_regions, lost)[cand_regions]
+                        coords = coords[np.repeat(readable, hits)]
+                        hits = hits[readable]
+                        if states is not None:
+                            states = states[readable]
+                    coords = filter_coords(obj, s.interval, coords, hits, states)
             step.hits = int(coords.size)
             stats.step_actuals.append(step)
         return coords
@@ -1108,12 +1148,12 @@ class QueryEngine:
         if lost_parts:
             # Degraded mode: sorted positions whose key/perm/companion
             # replica regions were unreadable are dropped from the run.
-            lost = np.unique(np.concatenate(lost_parts))
+            lost = _flags(group.n_regions, np.concatenate(lost_parts))
             pos_regions = np.minimum(
                 np.arange(start, stop, dtype=np.int64) // group.region_elements,
                 group.n_regions - 1,
             )
-            mask &= ~np.isin(pos_regions, lost)
+            mask &= ~lost[pos_regions]
         coords = replica.original_coords(start, stop)[mask]
         cstart, cstop = constraint
         if cstart > 0 or cstop < replica.n_elements:
@@ -1266,7 +1306,8 @@ class QueryEngine:
         512-server contention.)"""
         if region_ids.size == 0:
             return 1
-        return int(np.unique(self.system.region_owner_positions(region_ids)).size)
+        owners = self.system.region_owner_positions(region_ids)
+        return int(np.count_nonzero(np.bincount(owners)))
 
     def _read_regions(
         self,
@@ -1561,31 +1602,34 @@ class QueryEngine:
 
     def _mask_coords(
         self, obj: StoredObject, interval: Interval, constraint: Tuple[int, int],
-        region_ids: np.ndarray,
+        region_ids: np.ndarray, covered: np.ndarray,
     ) -> np.ndarray:
         """Exact hit coordinates of one condition inside the given ascending
-        regions, clipped to the constraint.  Adjacent regions coalesce into
-        runs and only those slices are masked; every region of the
-        constraint is one run, the whole window."""
+        regions, clipped to the constraint.  Adjacent regions of one kind
+        coalesce into runs: a run of covered regions (``covered``, aligned
+        with ``region_ids``) is every coordinate in it, and only the other
+        runs are masked.  Every region of the constraint, none covered, is
+        one run: the whole window."""
         if region_ids.size == 0:
             return np.zeros(0, dtype=np.int64)
         cstart, cstop = constraint
-        breaks = np.flatnonzero(np.diff(region_ids) != 1) + 1
-        firsts = region_ids[np.concatenate(([0], breaks))]
+        breaks = np.flatnonzero(
+            (np.diff(region_ids) != 1) | (covered[1:] != covered[:-1])
+        ) + 1
+        heads = np.concatenate(([0], breaks))
+        firsts = region_ids[heads]
         lasts = region_ids[np.concatenate((breaks - 1, [-1]))]
         starts = np.maximum(obj.offsets[firsts], cstart).tolist()
         stops = np.minimum(obj.offsets[lasts] + obj.counts[lasts], cstop).tolist()
-        parts = [
-            np.flatnonzero(interval.mask(obj.data[lo:hi])) + lo
-            for lo, hi in zip(starts, stops)
-        ]
+        parts = []
+        for lo, hi, whole in zip(starts, stops, covered[heads].tolist()):
+            if whole:
+                parts.append(np.arange(lo, hi, dtype=np.int64))
+            else:
+                hits = np.flatnonzero(interval.mask(obj.data[lo:hi]))
+                hits += lo
+                parts.append(hits)
         return parts[0] if len(parts) == 1 else np.concatenate(parts)
-
-    def _filter_coords(
-        self, obj: StoredObject, interval: Interval, coords: np.ndarray
-    ) -> np.ndarray:
-        """Candidate re-check: keep the coords whose value matches."""
-        return coords[interval.mask(obj.data[coords])]
 
     # -------------------------------------------------------------- get_data
     def _charge_get_data_reads(

@@ -74,6 +74,9 @@ class PlanStep:
     #: candidates; unused on the sorted-replica path, whose run the binary
     #: search locates.
     regions: np.ndarray
+    #: Aligned with ``regions``: the survivors whose min/max lie inside the
+    #: interval, so every element is a hit and none is masked.
+    covered: np.ndarray
     #: Regions of the constraint eliminated by min/max — never read.
     pruned: int = 0
 
@@ -107,27 +110,42 @@ class ConjunctPlan:
         }
 
 
+#: What a region's min/max settle about one interval (:func:`region_states`).
+PRUNED, STRADDLING, COVERED = 0, 1, 2
+
+
 def surviving_regions(
     obj: StoredObject,
     interval: Interval,
     constraint: Optional[Tuple[int, int]] = None,
     prune: bool = True,
-) -> Tuple[np.ndarray, int]:
+) -> Tuple[np.ndarray, np.ndarray, int]:
     """Histogram region elimination (§III-D2): the regions intersecting
     ``constraint`` (flat half-open bounds; None = the whole object) whose
-    min/max can overlap the condition, and how many were eliminated —
-    those are never read.  ``prune=False`` keeps every region."""
+    min/max can overlap the condition, which of them the condition covers
+    (min/max inside it: every element matches), and how many were
+    eliminated — those are never read.  ``prune=False`` keeps every
+    region and covers none."""
     first, last = 0, obj.n_regions - 1
     if constraint is not None:
         first = constraint[0] // obj.region_elements
         last = min((constraint[1] - 1) // obj.region_elements, last)
     candidates = np.arange(first, last + 1, dtype=np.int64)
     if not prune:
-        return candidates, 0
-    keep = interval.overlaps_range_arrays(
-        obj.rmin[first : last + 1], obj.rmax[first : last + 1]
-    )
-    return candidates[keep], int(keep.size - np.count_nonzero(keep))
+        return candidates, np.zeros(candidates.size, dtype=bool), 0
+    rmin, rmax = obj.rmin[first : last + 1], obj.rmax[first : last + 1]
+    keep = interval.overlaps_range_arrays(rmin, rmax)
+    covered = interval.contains_range_arrays(rmin, rmax)[keep]
+    return candidates[keep], covered, int(keep.size - np.count_nonzero(keep))
+
+
+def region_states(n_regions: int, regions: np.ndarray, covered: np.ndarray) -> np.ndarray:
+    """Per region of an object, as an ``int8`` lookup table: ``COVERED`` or
+    ``STRADDLING`` for the listed survivors (``covered`` aligned with
+    them), ``PRUNED`` for every other region."""
+    states = np.full(n_regions, PRUNED, dtype=np.int8)
+    states[regions] = STRADDLING + covered
+    return states
 
 
 def plan_conjunct(
@@ -180,13 +198,13 @@ def plan_conjunct(
             path = "index-probe"
         else:
             path = "pruned-read+scan" if i == 0 else "recheck"
-        regions, pruned = np.zeros(0, dtype=np.int64), 0
+        regions, covered, pruned = np.zeros(0, dtype=np.int64), np.zeros(0, dtype=bool), 0
         if not sorted_run:  # the binary search, not min/max, locates the run
-            regions, pruned = surviving_regions(
+            regions, covered, pruned = surviving_regions(
                 obj, interval, constraint, strategy.uses_histogram and pruning
             )
         sel = (est.lower, est.upper) if est is not None else (0.0, 1.0)
-        steps.append(PlanStep(name, interval, sel, path, regions, pruned))
+        steps.append(PlanStep(name, interval, sel, path, regions, covered, pruned))
     return ConjunctPlan(steps, proved_empty, replica)
 
 
@@ -210,9 +228,9 @@ def replica_regions_of(group: ReplicaGroup, coords: np.ndarray) -> np.ndarray:
             group.replica.n_elements, dtype=np.int64
         )
         group._inverse_perm = inv  # type: ignore[attr-defined]
-    return np.minimum(
-        np.unique(inv[coords] // group.region_elements), group.n_regions - 1
-    )
+    # Few distinct regions under many coordinates: count, don't sort.
+    held = np.flatnonzero(np.bincount(inv[coords] // group.region_elements))
+    return np.minimum(held, group.n_regions - 1)
 
 
 @dataclass

@@ -35,8 +35,10 @@ import numpy as np
 
 from ..interval import Interval
 from ..pdc.system import PDCSystem
+from ..types import is_count
 from .ast import QueryNode
-from .executor import BatchResult, QueryEngine, QueryResult, QuerySpec
+from .executor import BatchResult, QueryEngine, QueryResult, QuerySpec, filter_coords
+from .planner import region_states, surviving_regions
 from .selection import Selection
 
 __all__ = ["QueryScheduler", "SelectionCache", "SelectionCacheStats"]
@@ -106,8 +108,11 @@ class SelectionCache:
     """
 
     def __init__(self, max_entries_per_object: int = 32) -> None:
-        if max_entries_per_object < 1:
-            raise ValueError("max_entries_per_object must be >= 1")
+        if not is_count(max_entries_per_object):
+            raise ValueError(
+                f"max_entries_per_object must be an integer >= 1, not "
+                f"{max_entries_per_object!r}"
+            )
         self.max_entries_per_object = max_entries_per_object
         self._entries: Dict[str, "OrderedDict[_IKey, _CachedSelection]"] = {}
         self._lock = threading.Lock()
@@ -173,7 +178,15 @@ class SelectionCache:
             if best is None:
                 self.stats.misses += 1
                 return None
-            coords = best.coords[interval.mask(obj.data[best.coords])]
+            # The live min/max settle most regions of the superset: kept
+            # whole where the narrower interval covers them, dropped where
+            # it misses them; only the rest are gathered.
+            survivors, covered, pruned = surviving_regions(obj, interval)
+            hits = states = None  # None: every region straddles
+            if pruned or covered.any():
+                cand_regions, hits = obj.region_hits(best.coords)
+                states = region_states(obj.n_regions, survivors, covered)[cand_regions]
+            coords = filter_coords(obj, interval, best.coords, hits, states)
             self.stats.narrowed += 1
             sel = Selection(coords, best.domain)
             # The narrowed answer is itself a complete answer: cache it so
@@ -293,8 +306,8 @@ class QueryScheduler:
         selection_cache: Optional[SelectionCache] = None,
         use_selection_cache: bool = True,
     ) -> None:
-        if max_width < 1:
-            raise ValueError("max_width must be >= 1")
+        if not is_count(max_width):
+            raise ValueError(f"max_width must be an integer >= 1, not {max_width!r}")
         self.system = system
         self.engine = engine if engine is not None else QueryEngine(system)
         if self.engine.system is not system:

@@ -15,8 +15,23 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from ..errors import SelectionError
+from ..types import is_count
 
-__all__ = ["Selection"]
+__all__ = ["Selection", "sorted_unique"]
+
+
+def sorted_unique(values) -> np.ndarray:
+    """The sorted distinct values of ``values`` — ``np.unique`` without its
+    hash table: sort, then keep the first of each run of equal neighbours.
+    Like ``np.unique`` it keeps the input dtype and flattens N-D and list
+    input; unlike it, NaNs are not collapsed (NaN != NaN)."""
+    out = np.sort(np.asarray(values), axis=None)
+    if out.size > 1:
+        first = np.empty(out.size, dtype=bool)
+        first[0] = True
+        np.not_equal(out[1:], out[:-1], out=first[1:])
+        out = out[first]
+    return out
 
 
 def _int64_coords(coords, domain_size) -> np.ndarray:
@@ -70,7 +85,7 @@ class Selection:
     @classmethod
     def from_unsorted(cls, coords: np.ndarray, domain_size: int) -> "Selection":
         """Sort + deduplicate raw hit coordinates."""
-        return cls(np.unique(coords), domain_size)
+        return cls(sorted_unique(coords), domain_size)
 
     # ------------------------------------------------------------- set algebra
     def _check_domain(self, other: "Selection") -> None:
@@ -83,7 +98,7 @@ class Selection:
         """Merge + deduplicate (the paper's OR combination, §III-C: results
         are combined *"with a merge sort"*)."""
         self._check_domain(other)
-        merged = np.union1d(self.coords, other.coords)
+        merged = sorted_unique(np.concatenate((self.coords, other.coords)))
         return Selection(merged, self.domain_size)
 
     def intersect(self, other: "Selection") -> "Selection":
@@ -129,13 +144,17 @@ class Selection:
 
     def batches(self, batch_size: int) -> Iterator["Selection"]:
         """Split into chunks of at most ``batch_size`` coordinates
-        (``PDCquery_get_data_batch``)."""
-        if batch_size <= 0:
-            raise SelectionError("batch_size must be positive")
-        for off in range(0, max(1, self.nhits), batch_size):
-            chunk = self.coords[off : off + batch_size]
-            if chunk.size or off == 0:
-                yield Selection(chunk, self.domain_size)
+        (``PDCquery_get_data_batch``); an empty selection is one empty
+        chunk.  A size that is not a positive integer is refused here, at
+        the call."""
+        if not is_count(batch_size):
+            raise SelectionError(
+                f"batch_size must be a positive integer, not {batch_size!r}"
+            )
+        return (
+            Selection(self.coords[off : off + batch_size], self.domain_size)
+            for off in range(0, max(1, self.nhits), batch_size)
+        )
 
     def __len__(self) -> int:
         return self.nhits

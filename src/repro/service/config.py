@@ -33,6 +33,7 @@ from dataclasses import dataclass, field
 from typing import Optional, Tuple
 
 from ..errors import PDCError
+from ..types import is_count
 
 __all__ = ["Tenant", "ServiceConfig", "POLICY_NAMES", "DEFAULT_TENANT"]
 
@@ -88,9 +89,9 @@ class Tenant:
             )
         if self.burst < 1.0:
             raise PDCError(f"tenant {self.name!r}: burst must be >= 1")
-        if self.queue_cap is not None and self.queue_cap < 1:
+        if self.queue_cap is not None and not is_count(self.queue_cap):
             raise PDCError(
-                f"tenant {self.name!r}: queue_cap must be >= 1 (or None)"
+                f"tenant {self.name!r}: queue_cap must be an integer >= 1 (or None)"
             )
         for fname in ("queue_deadline_s", "default_timeout_s"):
             v = getattr(self, fname)
@@ -139,8 +140,10 @@ class ServiceConfig:
             raise PDCError(
                 f"unknown dispatch policy {self.policy!r}; valid: {POLICY_NAMES}"
             )
-        if self.batch_window < 1:
-            raise PDCError("batch_window must be >= 1")
+        if not is_count(self.batch_window):
+            raise PDCError(
+                f"batch_window must be an integer >= 1, not {self.batch_window!r}"
+            )
 
     def tenant(self, name: str) -> Tenant:
         for t in self.tenants:

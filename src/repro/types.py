@@ -26,6 +26,7 @@ __all__ = [
     "TB",
     "pdc_type_of_dtype",
     "check_value_type",
+    "is_count",
 ]
 
 #: Binary size units used throughout (the paper quotes MB/GB region sizes).
@@ -133,3 +134,10 @@ def check_value_type(value: Scalar, pdc_type: PDCType) -> Scalar:
     elif lo <= value <= hi or value in (math.inf, -math.inf):
         return float(pdc_type.np_dtype.type(value))
     raise QueryTypeError(f"value {value!r} is not representable as {pdc_type.value}")
+
+
+def is_count(value) -> bool:
+    """The one test of a count knob (a window width, a batch size, an
+    entry bound): a Python or NumPy integer of at least 1.  A fraction,
+    NaN and the infinities are not counts."""
+    return isinstance(value, (int, np.integer)) and value >= 1

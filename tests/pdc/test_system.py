@@ -104,6 +104,27 @@ class TestCreateObject:
         assert obj.meta.global_histogram is None
         assert obj.rmin[0] == obj.data.min()
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "+inf", "-inf"])
+    @pytest.mark.parametrize("histograms", [True, False], ids=["hist", "nohist"])
+    @pytest.mark.parametrize("shape", [(10_000,), (100, 100)], ids=["1d", "2d"])
+    def test_non_finite_payload_refused(self, bad, histograms, shape):
+        """The write path's admission rule holds at import too: a NaN or an
+        infinity has no histogram bin, and as a region's min/max it would
+        make pruning and covering answer wrongly (``e < 100`` over
+        ``arange(10000)`` with one NaN: PDC-H found 0 of 99 hits)."""
+        sysm = make_system()
+        data = np.arange(10_000, dtype=np.float64)
+        data[5] = bad
+        with pytest.raises(PDCError, match="finite"):
+            sysm.create_object("e", data.reshape(shape), build_histograms=histograms)
+        assert "e" not in sysm.objects
+
+    @pytest.mark.parametrize("dtype", [np.int32, np.int64])
+    def test_integer_payload_admitted(self, dtype):
+        data = np.arange(-50, 50, dtype=dtype)
+        obj = make_system().create_object("o", data)
+        assert obj.rmin[0] == -50 and obj.data.dtype == dtype
+
 
 class TestIndexes:
     def test_build_and_size(self, rng):

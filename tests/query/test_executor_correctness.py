@@ -14,9 +14,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import QueryError, QueryTypeError
+from repro.faults import FaultConfig, FaultPlan
 from repro.interval import Interval
+from repro.pdc.region import region_key
 from repro.query.ast import combine_and, combine_or, Condition
 from repro.query.executor import QueryEngine
+from repro.query.planner import surviving_regions
 from repro.strategies import Strategy
 from repro.types import PDCType, QueryOp
 from tests.conftest import make_system
@@ -39,6 +42,23 @@ def build_full_system(rng, n=1 << 13, region_bytes=1 << 11, n_servers=4):
 
 def cond(name, op, value):
     return Condition(object_name=name, op=QueryOp(op), pdc_type=PDCType.FLOAT, value=value)
+
+
+def _banded(dtype, seed, n_regions=20):
+    """Ragged data in 2 KiB regions, the last one short.  Each region draws
+    from a band of a small grid of values ``k * step`` — a quarter of them
+    one value — so region min/max often equal a grid bound."""
+    per = (1 << 11) // np.dtype(dtype).itemsize
+    n = n_regions * per - per // 3
+    rng = np.random.default_rng(seed)
+    k = np.empty(n)
+    for start in range(0, n, per):
+        lo = rng.integers(0, 9)
+        k[start : start + per] = rng.integers(
+            lo, lo + rng.choice([0, 1, 2, 4]) + 1, min(per, n - start)
+        )
+    step = 1 if np.dtype(dtype).kind == "i" else 0.7
+    return (k * step).astype(dtype), step
 
 
 @pytest.fixture(scope="module")
@@ -179,7 +199,9 @@ class TestRegionRunKernel:
         for regions, (cstart, cstop) in cases:
             window = np.flatnonzero(iv.mask(e[cstart:cstop])) + cstart
             want = window[np.isin(window // obj.region_elements, regions)]
-            got = engine._mask_coords(obj, iv, (cstart, cstop), regions)
+            got = engine._mask_coords(
+                obj, iv, (cstart, cstop), regions, np.zeros(regions.size, dtype=bool)
+            )
             assert got.dtype == np.int64
             assert np.array_equal(got, want), (regions, cstart, cstop)
 
@@ -225,6 +247,117 @@ class TestRegionRunKernel:
         assert out[0].selection.coords.tolist() == list(range(100 * per + 10, 100 * per + 20))
         assert peak < data.size
 
+    def test_covered_query_allocates_no_mask(self, peak_alloc):
+        """Every region's min/max inside the interval: the answer is each
+        coordinate of the window, built without one bool per element (a
+        masked run holds a bool mask beside its hit coordinates)."""
+        per = 1024
+        data = np.random.default_rng(8).random(256 * per).astype(np.float32)
+        sysm = make_system(region_size_bytes=per * 4)
+        sysm.create_object("energy", data)
+        engine = QueryEngine(sysm)
+        out = []
+        peak = peak_alloc(lambda: out.append(engine.execute(
+            cond("energy", ">=", 0.0), want_selection=False, strategy=Strategy.HISTOGRAM,
+        )))
+        assert out[0].nhits == data.size
+        assert peak < 8 * data.size + data.size // 2
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64, np.int32])
+    def test_three_outcomes_equal_the_whole_window_mask(self, dtype):
+        """Pruned, covered and straddling regions are three outcomes of one
+        kernel.  On ragged objects of constant regions, regions inside the
+        interval and regions whose min or max is a bound, under open and
+        closed bounds: a region is covered exactly when every element
+        matches, a pruned one holds no match, and the kernel — clipped by
+        constraints that cut into covered regions, with lost regions taken
+        out — equals the whole-window mask restricted to the survivors."""
+        data, step = _banded(dtype, seed=3)
+        sysm = make_system(region_size_bytes=1 << 11)
+        obj = sysm.create_object("v", data)
+        engine = QueryEngine(sysm)
+        rng = np.random.default_rng(4)
+        grid = [float(data.dtype.type(k * step)) for k in range(-1, 12)]
+        bounds = [None] + grid
+        ties = covered_total = 0
+        for lo in bounds:
+            for hi in bounds:
+                for lo_closed, hi_closed in ((True, True), (False, True), (True, False),
+                                             (False, False)):
+                    if lo is not None and hi is not None and (
+                        lo > hi or (lo == hi and not (lo_closed and hi_closed))
+                    ):
+                        continue
+                    iv = Interval(lo, hi, lo_closed, hi_closed)
+                    cstart, cstop = 0, data.size
+                    if rng.random() < 0.5:
+                        cstart = int(rng.integers(0, data.size // 2))
+                        cstop = int(rng.integers(cstart + 1, data.size + 1))
+                    regions, covered, pruned = surviving_regions(obj, iv, (cstart, cstop))
+                    every = np.logical_and.reduceat(iv.mask(data), obj.offsets)
+                    some = np.logical_or.reduceat(iv.mask(data), obj.offsets)
+                    assert np.array_equal(covered, every[regions]), iv
+                    inside = np.arange(cstart // obj.region_elements,
+                                       (cstop - 1) // obj.region_elements + 1)
+                    assert not some[np.setdiff1d(inside, regions)].any(), iv
+                    assert pruned == inside.size - regions.size
+                    covered_total += int(covered.sum())
+                    if lo is not None:
+                        ties += int((obj.rmin[regions] == lo).sum())
+                    if hi is not None:
+                        ties += int((obj.rmax[regions] == hi).sum())
+                    readable = rng.random(regions.size) >= 0.2  # the rest are lost
+                    regions, covered = regions[readable], covered[readable]
+                    window = np.flatnonzero(iv.mask(data[cstart:cstop])) + cstart
+                    want = window[np.isin(window // obj.region_elements, regions)]
+                    got = engine._mask_coords(obj, iv, (cstart, cstop), regions, covered)
+                    assert got.dtype == np.int64
+                    assert np.array_equal(got, want), (iv, cstart, cstop)
+        assert covered_total > 100 and ties > 10
+
+    @pytest.mark.parametrize("strategy", [Strategy.HISTOGRAM, Strategy.HIST_INDEX])
+    def test_covered_candidates_with_lost_regions(self, strategy):
+        """Later AND steps keep candidates in covered regions without
+        gathering their values; under a fault plan the hits of every lost
+        region — of either object — are dropped, and nothing else."""
+        a, step = _banded(np.float32, seed=5)
+        b, _ = _banded(np.float32, seed=6)
+        sysm = make_system(region_size_bytes=1 << 11)
+        for name, data in (("a", a), ("b", b)):
+            sysm.create_object(name, data)
+            sysm.build_index(name)
+        per = sysm.get_object("a").region_elements
+        lost = {("a", 3), ("a", 11), ("b", 5), ("b", 8), ("b", 19)}
+
+        class LoseRegions(FaultPlan):
+            """Data regions and index files of ``lost`` stay unreadable."""
+
+            def pfs_read_fails(self, key: str) -> bool:
+                return any(
+                    key == region_key(n, r, tag) for n, r in lost for tag in ("orig", "idx")
+                )
+
+        sysm.set_fault_plan(LoseRegions(seed=0, config=FaultConfig(max_retries=1)))
+        engine = QueryEngine(sysm)
+        lo, hi = float(np.float32(2 * step)), float(np.float32(7 * step))
+        degraded = 0
+        for lo_op, hi_op in ((">=", "<="), (">", "<"), (">=", "<")):
+            node = combine_and(
+                combine_and(cond("a", lo_op, lo), cond("a", hi_op, hi)),
+                combine_and(cond("b", lo_op, lo), cond("b", hi_op, hi)),
+            )
+            both = [QueryOp(lo_op).apply(v, np.float32(lo)) & QueryOp(hi_op).apply(v, np.float32(hi))
+                    for v in (a, b)]
+            truth = np.flatnonzero(both[0] & both[1])
+            res = engine.execute(node, strategy=strategy)
+            dropped = {region_key(n, r) for n, r in lost} & set(res.lost_regions)
+            gone = np.zeros(sysm.get_object("a").n_regions, dtype=bool)
+            gone[[r for n, r in lost if region_key(n, r) in dropped]] = True
+            assert res.complete == (not dropped)
+            degraded += bool(dropped)
+            assert np.array_equal(res.selection.coords, truth[~gone[truth // per]])
+        assert degraded
+
 
 def _agreement_objects():
     """One object per element type, 4,096 elements in 512-element regions.
@@ -233,7 +366,10 @@ def _agreement_objects():
     exactly on the float32 images of 2.3 and 0.7: region 0 tops out at
     ``float32(2.3)``, region 1 bottoms out at ``float32(0.7)``, several
     elements each — the ties a float64 min/max test and a float32 mask used
-    to answer differently.  ``d`` is the same draw in float64, ``i`` int32.
+    to answer differently.  Region 2 lies inside ``[float32(0.7),
+    float32(2.3)]`` and attains both ends, so a bound on either literal
+    covers it exactly when that end is closed.  ``d`` is the same draw in
+    float64, ``i`` int32.
     """
     rng = np.random.default_rng(0)
     d = rng.gamma(2.0, 0.7, 4096)
@@ -241,6 +377,7 @@ def _agreement_objects():
     e[[10, 2000]] = np.float32(2.2)
     e[:512] = np.minimum(e[:512], np.float32(2.3))
     e[512:1024] = np.maximum(e[512:1024], np.float32(0.7))
+    e[1024:1536] = np.clip(e[1024:1536], np.float32(0.7), np.float32(2.3))
     return {"e": e, "d": d, "i": rng.integers(-40, 40, 4096).astype(np.int32)}
 
 

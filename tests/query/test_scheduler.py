@@ -33,6 +33,7 @@ from repro.query import (
     SelectionCache,
 )
 from repro.query.ast import Condition, combine_and
+from repro.query.scheduler import _interval_key
 from repro.query.selection import Selection
 from repro.strategies import Strategy
 from repro.types import PDCType, QueryOp
@@ -304,6 +305,17 @@ class TestSelectionCache:
         # survivor covers it.
         assert cache.fetch(sysm, "energy", Interval(lo=1.0, lo_closed=False)) is None
 
+    @pytest.mark.parametrize("bad", [float("nan"), 2.5, float("inf")], ids=["nan", "frac", "inf"])
+    def test_entry_bound_must_be_a_count(self, bad):
+        """A NaN bound never evicted: 100 puts left 100 entries."""
+        with pytest.raises(ValueError, match="max_entries_per_object"):
+            SelectionCache(max_entries_per_object=bad)
+
+    @pytest.mark.parametrize("bad", [float("nan"), 2.5, float("inf")], ids=["nan", "frac", "inf"])
+    def test_window_width_must_be_a_count(self, bad):
+        with pytest.raises(ValueError, match="max_width"):
+            QueryScheduler(fresh_deployment(), max_width=bad)
+
     def test_stale_domain_dropped(self):
         sysm = fresh_deployment()
         cache = SelectionCache()
@@ -346,8 +358,6 @@ class TestInvalidation:
         obj = sysm.get_object("energy")
         sched = QueryScheduler(sysm, max_width=4)
         cache = sched.selection_cache
-        from repro.query.scheduler import _interval_key
-
         iv = Interval(lo=1.0, lo_closed=False)
         coords = np.flatnonzero(iv.mask(obj.data)).astype(np.int64)
         cache._put_locked("energy", iv, coords, obj.n_elements)
@@ -445,6 +455,63 @@ class TestNarrowingProperty:
         sel, kind, _ = served
         assert kind == "narrowed"
         assert np.array_equal(sel.coords, np.flatnonzero(inner.mask(e)))
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        writes=st.lists(
+            st.tuples(
+                st.sampled_from(["overwrite", "append"]), st.integers(0, 2**20),
+                st.integers(1, 1500), st.sampled_from(["rebuild", "delta"]),
+            ),
+            max_size=4,
+        ),
+        bounds=st.lists(st.integers(0, 60), min_size=4, max_size=4, unique=True),
+        closed=st.tuples(*[st.booleans()] * 4),
+    )
+    def test_narrowed_equals_the_gather_path_after_writes(self, writes, bounds, closed):
+        """On data laid out by value the live min/max settle most regions
+        of a cached superset: kept whole, or dropped.  After any overwrite
+        and append sequence the narrowed answer equals filtering every
+        cached coordinate by its value, the gather path it replaced.  A
+        superset dirtied by a write is repaired, never narrowed."""
+        rng = np.random.default_rng(7)
+        x = np.sort(rng.random(8192) * 60.0).astype(np.float32)
+        x[4096:4608] = rng.random(512) * 60.0  # one region spans everything
+        sysm = make_system(region_size_bytes=1 << 11)
+        sysm.create_object("x", x)
+        sched = QueryScheduler(sysm, max_width=1)
+        cache = sched.selection_cache
+        lo_o, lo_i, hi_i, hi_o = sorted(float(b) for b in bounds)
+        outer = Interval(lo_o, hi_o, closed[0], closed[1])
+        inner = Interval(lo_i, hi_i, closed[2], closed[3])
+
+        def query(iv):
+            return combine_and(
+                cond("x", ">=" if iv.lo_closed else ">", iv.lo),
+                cond("x", "<=" if iv.hi_closed else "<", iv.hi),
+            )
+
+        assert sched.run([query(outer)])[0].semantic_cache == ""
+        for kind, offset, size, maintenance in writes:
+            obj = sysm.get_object("x")
+            values = np.sort(rng.random(size) * 60.0).astype(np.float32)
+            if kind == "overwrite":
+                offset %= obj.n_elements
+                sysm.update_object_region(
+                    "x", offset, values[: obj.n_elements - offset], maintenance=maintenance
+                )
+                assert cache.fetch(sysm, "x", inner) is None  # dirty: not narrowed
+                assert sched.run([query(outer)])[0].semantic_cache == "repaired"
+            else:
+                sysm.append_to_object("x", values, maintenance=maintenance)
+                assert sched.run([query(outer)])[0].semantic_cache == ""
+        data = sysm.get_object("x").data
+        cached = cache._entries["x"][_interval_key(outer)].coords
+        gathered = cached[inner.mask(data[cached])]
+        res = sched.run([query(inner)])[0]
+        assert res.semantic_cache == "narrowed"
+        assert np.array_equal(res.selection.coords, gathered)
+        assert np.array_equal(gathered, np.flatnonzero(inner.mask(data)))
 
 
 class TestApiBatch:

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import SelectionError
-from repro.query.selection import Selection
+from repro.query.selection import Selection, sorted_unique
 
 coord_sets = st.sets(st.integers(0, 999), max_size=200)
 
@@ -144,6 +144,63 @@ class TestOnePassCheck:
         assert want in got if want != "ok" else got == "ok"
 
 
+#: NaN-free inputs of every shape ``np.unique`` takes: int64 extremes,
+#: negatives and duplicates, floats with infinities and fractions, bools,
+#: a 2-D array and a plain Python list (each possibly empty or size 1).
+_I64_VALUES = st.one_of(st.integers(-5, 40), st.sampled_from([I64.min, I64.min + 1, I64.max]))
+_SPECIAL_FLOATS = st.sampled_from([0.5, -2.25, 7.0, np.inf, -np.inf])
+_FLOAT_VALUES = st.one_of(st.floats(allow_nan=False), _SPECIAL_FLOATS)
+_FLOAT32_VALUES = st.one_of(st.floats(allow_nan=False, width=32), _SPECIAL_FLOATS)
+_NAN_FREE = st.one_of(
+    st.lists(_I64_VALUES, max_size=30).map(lambda v: np.array(v, dtype=np.int64)),
+    st.lists(_FLOAT_VALUES, max_size=30).map(lambda v: np.array(v, dtype=np.float64)),
+    st.lists(_FLOAT32_VALUES, max_size=30).map(lambda v: np.array(v, dtype=np.float32)),
+    st.lists(st.booleans(), max_size=30).map(lambda v: np.array(v, dtype=bool)),
+    st.lists(_I64_VALUES, max_size=15).map(lambda v: np.array(v + v, dtype=np.int64).reshape(2, -1)),
+    st.lists(st.integers(-5, 40), max_size=30),
+)
+
+
+def with_nans(values, where):
+    """``values`` as a float array with NaN written at the ``where`` slots."""
+    out = np.array(values, dtype=np.float64).ravel()
+    out[[i % out.size for i in where] if out.size else []] = np.nan
+    return out
+
+
+class TestSortedUnique:
+    """The sort-based helper is ``np.unique`` (and ``Selection.union`` is
+    ``np.union1d``) without the hash table: same values, same dtype."""
+
+    @given(_NAN_FREE)
+    @settings(max_examples=400, deadline=None)
+    def test_equals_np_unique(self, values):
+        got, want = sorted_unique(values), np.unique(values)
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
+
+    @given(st.sets(_I64_VALUES.filter(lambda v: v >= 0), max_size=30),
+           st.sets(_I64_VALUES.filter(lambda v: v >= 0), max_size=30))
+    @settings(max_examples=200, deadline=None)
+    def test_union_equals_np_union1d(self, a, b):
+        sa = Selection(np.array(sorted(a), dtype=np.int64), 2**63)
+        sb = Selection(np.array(sorted(b), dtype=np.int64), 2**63)
+        want = np.union1d(sa.coords, sb.coords)
+        got = sa.union(sb).coords
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+
+    @given(_NAN_FREE, st.lists(st.integers(0, 60), max_size=4), domains)
+    @settings(max_examples=400, deadline=None)
+    def test_from_unsorted_verdict_equals_np_unique(self, values, nans, domain_size):
+        """``np.unique`` collapses NaNs and the helper does not, so with NaNs
+        mixed in the two meet in ``Selection``: the same verdict, the same
+        message."""
+        for coords in (values, with_nans(values, nans)):
+            assert verdict(Selection.from_unsorted, coords, domain_size) == verdict(
+                lambda c, d: Selection(np.unique(c), d), coords, domain_size
+            )
+
+
 class TestAlgebra:
     @given(coord_sets, coord_sets)
     @settings(max_examples=200, deadline=None)
@@ -192,3 +249,8 @@ class TestClipAndBatches:
     def test_bad_batch_size(self):
         with pytest.raises(SelectionError):
             list(empty(10).batches(0))
+
+    @pytest.mark.parametrize("bad", [2.5, float("nan"), float("inf"), -float("inf")])
+    def test_non_integer_batch_size_refused_at_the_call(self, bad):
+        with pytest.raises(SelectionError, match="positive integer"):
+            Selection(np.arange(5), 10).batches(bad)

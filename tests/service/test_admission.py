@@ -123,6 +123,18 @@ class TestServiceConfig:
         with pytest.raises(PDCError):
             ServiceConfig(batch_window=0)
 
+    @pytest.mark.parametrize("bad", [float("nan"), 2.5, float("inf")], ids=["nan", "frac", "inf"])
+    def test_batch_window_must_be_a_count(self, bad):
+        """A NaN window never fills, so ``drain`` never returned; 2.5 sent
+        windows of 3."""
+        with pytest.raises(PDCError, match="batch_window"):
+            ServiceConfig(batch_window=bad)
+
+    @pytest.mark.parametrize("bad", [float("nan"), 2.5], ids=["nan", "frac"])
+    def test_queue_cap_must_be_a_count(self, bad):
+        with pytest.raises(PDCError, match="queue_cap"):
+            Tenant("t", queue_cap=bad)
+
     def test_tenant_lookup(self):
         cfg = ServiceConfig(tenants=(Tenant("a"), Tenant("b")))
         assert cfg.tenant("b").name == "b"
