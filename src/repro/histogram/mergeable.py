@@ -27,6 +27,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Sequence, Tuple
 
 import numpy as np
@@ -199,6 +200,27 @@ class MergeableHistogram:
         satisfies the query condition."*)."""
         return interval.overlaps_range(self.data_min, self.data_max)
 
+    @cached_property
+    def _content(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Each bin's actual value extent — its edges tightened to the true
+        data min/max, so edge bins are narrower — and the prefix sum of the
+        counts (``n_bins + 1`` entries).  Both extents are non-decreasing.
+        Built on first use and kept: a histogram is never changed in place
+        (every writer installs a new one)."""
+        edges = self.boundaries
+        return (
+            np.maximum(edges[:-1], self.data_min),
+            np.minimum(edges[1:], self.data_max),
+            np.concatenate(([0], np.cumsum(self.counts))),
+        )
+
+    def __getstate__(self) -> dict:
+        # The estimate arrays are derived; a serialized histogram (the wire,
+        # a metadata checkpoint) does not carry them.
+        state = dict(self.__dict__)
+        state.pop("_content", None)
+        return state
+
     def estimate_hits(self, interval: Interval) -> Tuple[int, int]:
         """Lower/upper bounds on the number of elements in ``interval``.
 
@@ -206,39 +228,36 @@ class MergeableHistogram:
         condition; the lower bound counts only fully-overlapping bins
         (§III-D2).  Bin content ranges are tightened with the true data
         min/max so edge bins don't inflate the upper bound.
+
+        Both extents ascend, so each bound test holds on a suffix (lower
+        bound) or a prefix (upper bound) of the bins: the partial and full
+        bins are two contiguous ranges, found by binary search — an open
+        endpoint excludes a bin that only touches it — and counted off the
+        prefix sum.
         """
         if not self.overlaps(interval):
             return (0, 0)
-        lo_edges = self.boundaries[:-1]
-        hi_edges = self.boundaries[1:]
-        # Actual value extent inside each bin (edge bins are narrower).
-        content_lo = np.maximum(lo_edges, self.data_min)
-        content_hi = np.minimum(hi_edges, self.data_max)
-        q_lo, q_hi = interval.finite_bounds()
-
-        # Partial overlap: the bin's content range intersects the interval.
-        # An open endpoint excludes bins that touch it only at a point.
-        partial = np.ones(self.n_bins, dtype=bool)
+        content_lo, content_hi, cum = self._content
+        first_partial = first_full = 0
+        end_partial = end_full = self.n_bins
         if interval.lo is not None:
-            partial &= (content_hi >= q_lo) if interval.lo_closed else (content_hi > q_lo)
+            side = "left" if interval.lo_closed else "right"
+            first_partial = int(content_hi.searchsorted(interval.lo, side))
+            first_full = int(content_lo.searchsorted(interval.lo, side))
         if interval.hi is not None:
-            partial &= (content_lo <= q_hi) if interval.hi_closed else (content_lo < q_hi)
-
-        # Full overlap: the bin's content range lies inside the interval.
-        full = partial.copy()
-        if interval.lo is not None:
-            full &= (content_lo > q_lo) | ((content_lo == q_lo) & interval.lo_closed)
-        if interval.hi is not None:
-            full &= (content_hi < q_hi) | ((content_hi == q_hi) & interval.hi_closed)
-
-        upper = int(self.counts[partial].sum())
-        lower = int(self.counts[full].sum())
+            side = "right" if interval.hi_closed else "left"
+            end_partial = int(content_lo.searchsorted(interval.hi, side))
+            end_full = int(content_hi.searchsorted(interval.hi, side))
+        first_full = max(first_full, first_partial)
+        end_full = min(end_full, end_partial)
+        upper = int(cum[end_partial] - cum[first_partial]) if end_partial > first_partial else 0
+        lower = int(cum[end_full] - cum[first_full]) if end_full > first_full else 0
         return (lower, upper)
 
     def estimate_selectivity(self, interval: Interval) -> Tuple[float, float]:
         """(lower, upper) selectivity bounds as fractions of total count."""
         lower, upper = self.estimate_hits(interval)
-        total = self.total
+        total = int(self._content[2][-1])
         if total == 0:
             return (0.0, 0.0)
         return (lower / total, upper / total)

@@ -26,7 +26,7 @@ from typing import Dict, Optional, Tuple, Union
 import numpy as np
 
 from ..errors import PDCError, QueryTypeError
-from ..types import PDCType
+from ..types import PDCType, check_timeout
 from .system import PDCConfig, PDCSystem
 
 __all__ = [
@@ -171,10 +171,10 @@ def PDCquery_set_priority(query, priority: int) -> None:
 def PDCquery_set_timeout(query, timeout_s: float) -> None:
     """Bound a query's *simulated* execution time.  A query exceeding the
     budget returns a partial result flagged ``timed_out`` (a subset of
-    the true answer) instead of running on — see docs/robustness.md."""
-    if not (timeout_s > 0.0):
-        raise PDCError(f"timeout_s must be positive, got {timeout_s!r}")
-    query.timeout_s = float(timeout_s)
+    the true answer) instead of running on — see docs/robustness.md.
+    ``None`` removes the budget; anything but a finite number above zero
+    is a :class:`PDCError`."""
+    query.timeout_s = check_timeout(timeout_s)
 
 
 def PDCclose(pdc: PDCSystem) -> None:

@@ -46,9 +46,10 @@ from ..pdc.system import PDCSystem, ReplicaGroup, StoredObject
 from ..storage.aggregator import coords_to_extents
 from ..storage.device import DeviceKind
 from ..strategies import Strategy
+from ..types import check_timeout
 from . import planner
-from .ast import QueryNode, objects_of, typed_conjuncts
-from .planner import COVERED, PRUNED, STRADDLING, ConjunctPlan, PlanStep, plan_query
+from .ast import QueryNode, objects_of
+from .planner import COVERED, PRUNED, STRADDLING, ConjunctPlan, PlanBook, PlanStep
 from .region_constraint import RegionConstraint, normalize_constraint
 from .selection import Selection, sorted_unique
 
@@ -199,6 +200,9 @@ class QuerySpec:
     #: it (``PDCquery_set_priority``).
     priority: int = 0
 
+    def __post_init__(self) -> None:
+        check_timeout(self.timeout_s)
+
 
 @dataclass
 class BatchResult:
@@ -332,6 +336,8 @@ class QueryEngine:
         region_constraint: Optional[RegionConstraint] = None,
         strategy: Optional[Strategy] = None,
         timeout_s: Optional[float] = None,
+        *,
+        book: Optional[PlanBook] = None,
     ) -> QueryResult:
         """Evaluate a condition tree; returns hit count (and selection).
 
@@ -343,14 +349,21 @@ class QueryEngine:
         ``timeout_s`` bounds the query's *simulated* elapsed time
         (defaulting to the installed fault plan's ``query_timeout_s``);
         when exceeded, evaluation stops and a partial result is returned
-        with ``timed_out=True`` and ``complete=False``.
+        with ``timed_out=True`` and ``complete=False``.  It must be a
+        finite number above zero, or None.
+
+        ``book`` is the :class:`~repro.query.planner.PlanBook` of the call
+        this query belongs to (:meth:`execute_batch` passes its window's);
+        omitted, the query opens its own.
         """
+        check_timeout(timeout_s)
         sysm = self.system
         tracer = sysm.tracer
+        book = PlanBook(sysm) if book is None else book
         with tracer.span("query", sysm.client_clock, category="query") as qspan:
             with tracer.span("plan", sysm.client_clock, category="plan") as pspan:
                 strat, names, objs, constraint, slab = self._resolve(
-                    root, region_constraint, strategy
+                    root, region_constraint, strategy, book
                 )
                 pspan.set(strategy=strat.name)
             qspan.set(strategy=strat.name, objects=list(names))
@@ -412,9 +425,8 @@ class QueryEngine:
                 )
                 try:
                     self._check_deadline()
-                    for ci, cplan in plan_query(
-                        sysm, root, strat, constraint,
-                        self.enable_ordering, self.enable_pruning,
+                    for ci, cplan in book.plans(
+                        root, strat, constraint, self.enable_ordering, self.enable_pruning
                     ):
                         with tracer.span(
                             f"conjunct[{ci}]", sysm.client_clock, category="conjunct",
@@ -485,21 +497,19 @@ class QueryEngine:
         root: QueryNode,
         region_constraint: Optional[RegionConstraint],
         strategy: Optional[Strategy],
+        book: PlanBook,
         speculative: bool = False,
     ) -> tuple:
         """What a query fixes before any server works — ``(strategy, object
-        names, objects, flat constraint bounds, exact N-D filter)``.  AUTO
-        is resolved by the cost-based planner (§IX future work): planning
-        uses only server-cached metadata, charged as client-side overhead.
-        The objects must share one shape.  A ``speculative`` resolution
-        (batch demand planning, which :meth:`execute` repeats for real)
-        charges and records nothing."""
+        names, objects, flat constraint bounds, exact N-D filter)``.  The
+        objects must share one shape.  AUTO is resolved by the cost-based
+        planner (§IX future work) over the plans ``book`` holds for this
+        query's constraint and the engine's knobs — the plans execution
+        will run: planning uses only server-cached metadata, charged as
+        client-side overhead.  A ``speculative`` resolution (batch demand
+        planning, which :meth:`execute` repeats for real) charges and
+        records nothing."""
         sysm = self.system
-        strat = strategy or sysm.strategy
-        if strat is Strategy.AUTO:
-            strat, _ = planner.choose_strategy(sysm, root, record=not speculative)
-            if not speculative:
-                sysm.client_clock.charge(sysm.cost.params.client_overhead_s, "plan")
         names = objects_of(root)
         if not names:
             raise QueryError("query references no objects")
@@ -513,6 +523,14 @@ class QueryEngine:
                     f"{o.name}={o.meta.dims or o.n_elements}"
                 )
         constraint, slab = normalize_constraint(region_constraint, domain)
+        strat = strategy or sysm.strategy
+        if strat is Strategy.AUTO:
+            strat, _ = planner.choose_strategy(
+                sysm, root, not speculative,
+                constraint, self.enable_ordering, self.enable_pruning, book=book,
+            )
+            if not speculative:
+                sysm.client_clock.charge(sysm.cost.params.client_overhead_s, "plan")
         return strat, names, objs, constraint, slab
 
     # --------------------------------------------------------- batch execution
@@ -537,12 +555,17 @@ class QueryEngine:
         :class:`~repro.query.scheduler.SelectionCache`: single-object
         interval queries are served from it — exactly, or by narrowing a
         cached superset interval's selection — with zero storage I/O.
+
+        The window shares one :class:`~repro.query.planner.PlanBook`: each
+        query is typed and planned once, and demand, the semantic-cache key
+        and execution read the same plans.
         """
         sysm = self.system
         specs = [
             q if isinstance(q, QuerySpec) else QuerySpec(node=q) for q in queries
         ]
         batch = BatchResult(results=[None] * len(specs), width=len(specs))
+        book = PlanBook(sysm)
         t_start = sysm.sync_clocks()
 
         # Demand estimation: a deterministic, metadata-only dry run of each
@@ -553,7 +576,7 @@ class QueryEngine:
         demand_counts: Dict[Tuple[str, int], int] = {}
         spec_demands: List[List[Tuple[str, int]]] = []
         for spec in specs:
-            keys = self._batch_demand(spec)
+            keys = self._batch_demand(spec, book)
             spec_demands.append(keys)
             for k in keys:
                 demand_counts[k] = demand_counts.get(k, 0) + 1
@@ -588,7 +611,7 @@ class QueryEngine:
                 )
 
         for i, spec in enumerate(specs):
-            ck = self._semantic_key(spec) if selection_cache is not None else None
+            ck = self._semantic_key(spec, book) if selection_cache is not None else None
             if ck is not None:
                 served = selection_cache.fetch(sysm, ck[0], ck[1])
                 if served is not None:
@@ -613,6 +636,7 @@ class QueryEngine:
                     region_constraint=spec.region_constraint,
                     strategy=spec.strategy,
                     timeout_s=spec.timeout_s,
+                    book=book,
                 )
             except Exception as exc:  # per-query isolation inside a batch
                 batch.errors[i] = exc
@@ -676,25 +700,28 @@ class QueryEngine:
                         read_vbytes[(name, rid)] = vbytes
         return read_vbytes
 
-    def _batch_demand(self, spec: QuerySpec) -> List[Tuple[str, int]]:
+    def _batch_demand(
+        self, spec: QuerySpec, book: Optional[PlanBook] = None
+    ) -> List[Tuple[str, int]]:
         """(object, region) pairs a query is expected to read as plain data,
         sorted, from metadata alone: the
         :attr:`~repro.query.planner.ConjunctPlan.data_regions` of the plans
-        :meth:`execute` will charge from, with no cost charged here.  Paths
-        whose reads are not data regions (index probes, sorted-replica
-        runs) contribute nothing — their sharing happens through the
-        ordinary server caches.  A query that cannot be planned (unknown
-        object, mismatched shapes, empty constraint) has no demand; it
-        still runs, and reports its own error, normally.
+        :meth:`execute` will charge from (built into the window's ``book``,
+        where they stay for it), with no cost charged here.  Paths whose
+        reads are not data regions (index probes, sorted-replica runs)
+        contribute nothing — their sharing happens through the ordinary
+        server caches.  A query that cannot be planned (unknown object,
+        mismatched shapes, empty constraint) has no demand; it still runs,
+        and reports its own error, normally.
         """
         demand: set = set()
+        book = PlanBook(self.system) if book is None else book
         try:
             strat, _names, _objs, constraint, _slab = self._resolve(
-                spec.node, spec.region_constraint, spec.strategy, speculative=True
+                spec.node, spec.region_constraint, spec.strategy, book, speculative=True
             )
-            for _ci, cplan in plan_query(
-                self.system, spec.node, strat, constraint,
-                self.enable_ordering, self.enable_pruning,
+            for _ci, cplan in book.plans(
+                spec.node, strat, constraint, self.enable_ordering, self.enable_pruning
             ):
                 for name, rids in cplan.data_regions.items():
                     demand.update((name, rid) for rid in rids.tolist())
@@ -704,14 +731,16 @@ class QueryEngine:
         # (string-hash) iteration order.
         return sorted(demand)
 
-    def _semantic_key(self, spec: QuerySpec) -> Optional[Tuple[str, Interval]]:
+    def _semantic_key(
+        self, spec: QuerySpec, book: PlanBook
+    ) -> Optional[Tuple[str, Interval]]:
         """(object, interval) when the query is a single-object interval
         with no spatial constraint — the only shape the semantic selection
         cache memoizes."""
         if spec.region_constraint is not None:
             return None
         try:
-            conjuncts = typed_conjuncts(spec.node, self.system.type_of)
+            conjuncts = book.conjuncts(spec.node)
         except PDCError:  # unknown object, untypable bound: execute reports it
             return None
         if len(conjuncts) != 1 or len(conjuncts[0][1]) != 1:

@@ -11,13 +11,15 @@ surviving-region counts) and per-region sizes — so planning itself is
 O(regions) arithmetic with no I/O, exactly the regime the paper's global
 histogram enables.
 
-Three public entry points:
+Four public entry points:
 
 * :func:`plan_conjunct` — the one per-conjunct decision of §III-C/§III-D2
   (evaluation order, min/max region elimination, access path) as a
   :class:`ConjunctPlan` value: the executor charges and answers from it,
   batch demand planning reads its :attr:`~ConjunctPlan.data_regions`, and
   the estimates below price it;
+* :class:`PlanBook` — one ``execute`` / ``execute_batch`` call's typed
+  conjuncts and plans, each built once and read by every step of the call;
 * :func:`choose_strategy` — the ``Strategy.AUTO`` resolver used by the
   executor;
 * :func:`explain` — a human-readable plan (evaluation order, selectivity
@@ -27,7 +29,9 @@ Three public entry points:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from operator import contains
 from typing import Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
@@ -35,7 +39,6 @@ import numpy as np
 from ..histogram.selectivity import order_by_selectivity
 from ..interval import Interval
 from ..pdc.system import PDCSystem, ReplicaGroup, StoredObject
-from ..storage.cache import RegionCache
 from ..strategies import Strategy
 from .ast import Conjunct, QueryNode, typed_conjuncts
 
@@ -44,6 +47,7 @@ __all__ = [
     "ConjunctPlan",
     "plan_conjunct",
     "plan_query",
+    "PlanBook",
     "StepEstimate",
     "PlanEstimate",
     "estimate_plan",
@@ -198,11 +202,15 @@ def plan_conjunct(
             path = "index-probe"
         else:
             path = "pruned-read+scan" if i == 0 else "recheck"
-        regions, covered, pruned = np.zeros(0, dtype=np.int64), np.zeros(0, dtype=bool), 0
-        if not sorted_run:  # the binary search, not min/max, locates the run
+        if sorted_run:  # the binary search, not min/max, locates the run
+            regions, covered, pruned = np.zeros(0, dtype=np.int64), np.zeros(0, dtype=bool), 0
+        else:
             regions, covered, pruned = surviving_regions(
                 obj, interval, constraint, strategy.uses_histogram and pruning
             )
+        # A plan is shared by every reader of a book: an in-place edit would
+        # corrupt the next query's plan, so it raises instead.
+        regions.flags.writeable = covered.flags.writeable = False
         sel = (est.lower, est.upper) if est is not None else (0.0, 1.0)
         steps.append(PlanStep(name, interval, sel, path, regions, covered, pruned))
     return ConjunctPlan(steps, proved_empty, replica)
@@ -213,9 +221,66 @@ def plan_query(
 ) -> Iterator[Tuple[int, ConjunctPlan]]:
     """``(DNF conjunct index, plan)`` per satisfiable, typed conjunct of a
     condition tree (:func:`typed_conjuncts`), built lazily in evaluation
-    order; ``plan_args`` are :func:`plan_conjunct`'s constraint and knobs."""
-    for ci, conjunct in typed_conjuncts(node, system.type_of):
-        yield ci, plan_conjunct(system, conjunct, strategy, *plan_args)
+    order; ``plan_args`` are :func:`plan_conjunct`'s constraint and knobs.
+    The standalone form of :meth:`PlanBook.plans`, for a one-off caller."""
+    return PlanBook(system).plans(node, strategy, *plan_args)
+
+
+class PlanBook:
+    """The plans of one :meth:`~repro.query.executor.QueryEngine.execute` or
+    ``execute_batch`` call: each condition tree's typed conjuncts, and its
+    :class:`ConjunctPlan` per (strategy, constraint, ordering, pruning),
+    built on first use and read by every later step of the call — batch
+    demand, the semantic-cache key, ``AUTO``'s pricing and execution.
+
+    Entries are keyed by the tree: trees are frozen values, so equal trees
+    share them, and equal trees type and plan identically.  A book lives
+    for one call and is passed down as a local, never stored: plans read
+    only metadata no query changes (histograms, min/max, indexes,
+    replicas), never cache residency or server membership, and a service
+    window applies its writes before its reads."""
+
+    def __init__(self, system: PDCSystem) -> None:
+        self.system = system
+        #: tree -> (typed conjuncts, plan key -> plan)
+        self._entries: Dict[QueryNode, Tuple[List[Tuple[int, Conjunct]], dict]] = {}
+        #: id(tree) -> (tree, its entry): a call asks about the same tree
+        #: object many times, and hashing a tree walks all of it.
+        self._by_id: Dict[int, tuple] = {}
+
+    def _entry(self, node: QueryNode) -> Tuple[List[Tuple[int, Conjunct]], dict]:
+        seen = self._by_id.get(id(node))
+        if seen is not None and seen[0] is node:
+            return seen[1]
+        entry = self._entries.get(node)
+        if entry is None:  # a tree that fails to type is retried, and fails, each time
+            entry = self._entries[node] = (typed_conjuncts(node, self.system.type_of), {})
+        self._by_id[id(node)] = (node, entry)
+        return entry
+
+    def conjuncts(self, node: QueryNode) -> List[Tuple[int, Conjunct]]:
+        """:func:`typed_conjuncts` of ``node``."""
+        return self._entry(node)[0]
+
+    def plans(
+        self,
+        node: QueryNode,
+        strategy: Strategy,
+        constraint: Optional[Tuple[int, int]] = None,
+        ordering: bool = True,
+        pruning: bool = True,
+    ) -> Iterator[Tuple[int, ConjunctPlan]]:
+        """:func:`plan_query` of ``node`` through the book: each plan is
+        built the first time it is asked for."""
+        conjuncts, plans = self._entry(node)
+        for ci, conjunct in conjuncts:
+            key = (ci, strategy, constraint, ordering, pruning)
+            plan = plans.get(key)
+            if plan is None:
+                plan = plans[key] = plan_conjunct(
+                    self.system, conjunct, strategy, constraint, ordering, pruning
+                )
+            yield ci, plan
 
 
 def replica_regions_of(group: ReplicaGroup, coords: np.ndarray) -> np.ndarray:
@@ -283,48 +348,68 @@ def _uncached_fraction(
     if region_ids.size == 0:
         return 0.0
     keys = system.region_keys(name, replica, int(region_ids.max()) + 1)
-    caches = [server.cache for server in system.alive_servers]
+    resident_keys = [server.cache.resident for server in system.alive_servers]
     resident = sum(map(
-        RegionCache.contains,
-        map(caches.__getitem__, system.region_owner_positions(region_ids).tolist()),
+        contains,
+        map(resident_keys.__getitem__, system.region_owner_positions(region_ids).tolist()),
         map(keys.__getitem__, region_ids.tolist()),
     ))
     return (region_ids.size - resident) / region_ids.size
 
 
-def _read_cost(system: PDCSystem, nbytes: float, n_accesses: float) -> float:
-    """Estimated parallel read seconds for work spread over all servers."""
-    n = system.n_servers
-    per_server_bytes = nbytes / n
-    per_server_accesses = max(1.0, n_accesses / n)
-    return system.cost.pfs_read_time(
-        int(per_server_bytes), int(per_server_accesses),
-        system.config.pdc_stripe_count, n,
-    )
+def _estimates(book: PlanBook, node: QueryNode, plan_args: tuple) -> List[PlanEstimate]:
+    """PDC-F, PDC-H, PDC-HI and PDC-SH priced over ``book``'s plans of
+    ``node`` under ``plan_args`` (constraint and knobs), in that order.
 
+    PDC-H's plans carry the order, selectivities, survivors and replica
+    that PDC-HI and PDC-SH run too (they differ from it only in access
+    path); PDC-F reads its own plans' regions.  One pass over the
+    conjuncts: the steps, their hit bounds and the result transfer are
+    shared, only the read and scan terms differ; each strategy sums its own
+    terms in plan order.  PDC-SH takes PDC-H's estimate when some conjunct
+    has no applicable sorted replica."""
+    system = book.system
+    cost, n, stripes = system.cost, system.n_servers, system.config.pdc_stripe_count
+    full_plans = [plan for _, plan in book.plans(node, Strategy.FULL_SCAN, *plan_args)]
+    region_sets: Dict[Tuple[str, bytes], Tuple[float, float]] = {}
 
-def _scan_cost(system: PDCSystem, n_elements: float) -> float:
-    return system.cost.scan_time(int(n_elements / system.n_servers))
+    def region_set(name: str, region_ids: np.ndarray) -> Tuple[float, float]:
+        """(elements held, uncached fraction) of regions of ``name``, found
+        once per region set: residency cannot change during one pricing,
+        PDC-H and PDC-HI price the same survivors, and PDC-F's regions are
+        the survivors whenever nothing prunes."""
+        key = (name, region_ids.tobytes())
+        found = region_sets.get(key)
+        if found is None:
+            found = region_sets[key] = (
+                float(system.get_object(name).counts[region_ids].sum()),
+                _uncached_fraction(system, name, region_ids),
+            )
+        return found
 
+    def read_cost(nbytes: float, n_accesses: float) -> float:
+        """Estimated parallel read seconds for work spread over all servers."""
+        return cost.pfs_read_time(
+            int(nbytes / n), int(max(1.0, n_accesses / n)), stripes, n
+        )
 
-def _estimate(
-    system: PDCSystem,
-    plans: List[Tuple[int, ConjunctPlan]],
-    strategy: Strategy,
-    histogram: Optional[PlanEstimate] = None,
-) -> PlanEstimate:
-    """Price ``strategy`` over already-planned conjuncts.  ``histogram`` is
-    the PDC-H estimate over the same plans when the caller already has it
-    (PDC-SH falls back to it where no sorted replica applies)."""
-    plan = PlanEstimate(strategy=strategy, est_seconds=0.0)
-    total = system.cost.params.client_overhead_s
+    def scan_cost(n_elements: float) -> float:
+        return cost.scan_time(int(n_elements / n))
 
-    for ci, conjunct in plans:
+    full, hist, index, run = estimates = [
+        PlanEstimate(strategy=s, est_seconds=0.0)
+        for s in (Strategy.FULL_SCAN, Strategy.HISTOGRAM, Strategy.HIST_INDEX, Strategy.SORT_HIST)
+    ]
+    t_full = t_hist = t_index = t_run = cost.params.client_overhead_s
+    no_replica = False
+    for (ci, conjunct), full_plan in zip(
+        book.plans(node, Strategy.HISTOGRAM, *plan_args), full_plans
+    ):
         steps = conjunct.steps
-        first = steps[0]
-        first_obj = system.get_object(first.name)
+        objs = [system.get_object(s.name) for s in steps]
+        first, first_obj = steps[0], objs[0]
         n_elems = first_obj.n_elements
-        itemsize = first_obj.itemsize
+        later = len(steps) - 1
         # Upper-bound hit estimate drives candidate work for later steps.
         hits_ub = first.selectivity[1] * n_elems
         # Cumulative surviving-hit bounds after each step (independence
@@ -337,99 +422,105 @@ def _estimate(
             hi_acc *= s.selectivity[1]
             cum_hits.append((lo_acc * n_elems, hi_acc * n_elems))
 
-        def add_step(j: int, surviving: int, total_regions: int, path: str) -> None:
+        def step(j: int, surviving: int, total_regions: int, path: str) -> StepEstimate:
             s = steps[j]
-            plan.steps.append(
-                StepEstimate(
-                    s.name, s.interval, s.selectivity, surviving, total_regions,
-                    path, conjunct=ci, est_hits=cum_hits[j],
-                )
+            return StepEstimate(
+                s.name, s.interval, s.selectivity, surviving, total_regions,
+                path, conjunct=ci, est_hits=cum_hits[j],
             )
 
-        if strategy is Strategy.FULL_SCAN:
-            for j, s in enumerate(steps):
-                obj = system.get_object(s.name)
-                all_rids = np.arange(obj.n_regions, dtype=np.int64)
-                frac = _uncached_fraction(system, s.name, all_rids)
-                total += _read_cost(
-                    system, obj.data.nbytes * frac, obj.n_regions * frac
-                )
-                add_step(j, obj.n_regions, obj.n_regions, "full-read+scan")
-            total += _scan_cost(system, n_elems)
-            total += _scan_cost(system, hits_ub * (len(steps) - 1))
+        # PDC-F: pre-load every region its plan reads, scan the first object,
+        # check the candidates against the others.
+        reads = full_plan.data_regions
+        for j, (s, obj) in enumerate(zip(steps, objs)):
+            rids = reads[s.name]
+            elems, frac = region_set(s.name, rids)
+            t_full += read_cost(elems * obj.itemsize * frac, rids.size * frac)
+            full.steps.append(step(j, rids.size, obj.n_regions, "full-read+scan"))
+        t_full += scan_cost(region_set(first.name, reads[first.name])[0])
+        t_full += scan_cost(hits_ub * later)
 
-        elif strategy in (Strategy.HISTOGRAM, Strategy.HIST_INDEX):
-            use_index = (
-                strategy is Strategy.HIST_INDEX
-                and all(system.get_object(s.name).indexes is not None for s in steps)
+        # PDC-H reads and scans the survivors; PDC-HI probes their indexes
+        # instead, or reads like PDC-H where some object has none.
+        use_index = all(obj.indexes is not None for obj in objs)
+        if not use_index:
+            index.notes.append("index missing on some objects: data reads instead")
+        for i, (s, obj) in enumerate(zip(steps, objs)):
+            surviving = s.regions
+            if i > 0:
+                # Later steps touch at most the regions holding the current
+                # candidates.
+                cand_regions = min(
+                    surviving.size, math.ceil(hits_ub / max(1, obj.region_elements))
+                )
+                surviving = surviving[:cand_regions]
+            elems, frac = region_set(s.name, surviving)
+            read_s = read_cost(elems * obj.itemsize * frac, surviving.size * frac)
+            scan_s = scan_cost(elems if i == 0 else hits_ub)
+            t_hist += read_s
+            t_hist += scan_s
+            hist.steps.append(step(i, int(surviving.size), obj.n_regions, "pruned-read+scan"))
+            if use_index:
+                touched = hits_ub * _INDEX_BYTES_PER_HIT + surviving.size * _INDEX_DIR_BYTES
+                t_index += read_cost(touched / cost.virtual_scale * frac, surviving.size * frac)
+                t_index += cost.wah_scan_time(int(touched / 8))
+                index.steps.append(step(i, int(surviving.size), obj.n_regions, "index-probe"))
+            else:
+                t_index += read_s
+                t_index += scan_s
+                index.steps.append(hist.steps[-1])
+
+        # PDC-SH: a binary search, then the run's permutation and companions.
+        group = conjunct.replica
+        no_replica = no_replica or group is None
+        if not no_replica:
+            t_run += cost.binary_search_time(n_elems)
+            t_run += read_cost(
+                hits_ub * (8 + first_obj.itemsize * later),
+                max(1.0, hits_ub / group.region_elements),
             )
-            if strategy is Strategy.HIST_INDEX and not use_index:
-                plan.notes.append("index missing on some objects: data reads instead")
-            for i, s in enumerate(steps):
-                obj = system.get_object(s.name)
-                surviving = s.regions
-                if i > 0:
-                    # Later steps touch at most the regions holding the
-                    # current candidates.
-                    cand_regions = min(
-                        surviving.size, int(np.ceil(hits_ub / max(1, obj.region_elements)))
-                    )
-                    surviving = surviving[:cand_regions]
-                region_bytes = float(obj.counts[surviving].sum()) * obj.itemsize
-                frac = _uncached_fraction(system, s.name, surviving)
-                if use_index:
-                    touched = hits_ub * _INDEX_BYTES_PER_HIT + surviving.size * _INDEX_DIR_BYTES
-                    total += _read_cost(system, touched / system.cost.virtual_scale * frac, surviving.size * frac)
-                    total += system.cost.wah_scan_time(int(touched / 8))
-                    path = "index-probe"
-                else:
-                    total += _read_cost(system, region_bytes * frac, surviving.size * frac)
-                    total += _scan_cost(
-                        system,
-                        float(obj.counts[surviving].sum()) if i == 0 else hits_ub,
-                    )
-                    path = "pruned-read+scan"
-                add_step(i, int(surviving.size), obj.n_regions, path)
-
-        elif strategy is Strategy.SORT_HIST:
-            group = conjunct.replica
-            if group is None:
-                plan.notes.append(
-                    "sorted replica not applicable (missing or planner puts "
-                    "another object first): histogram path"
-                )
-                fallback = histogram or _estimate(system, plans, Strategy.HISTOGRAM)
-                plan.steps = fallback.steps
-                plan.est_seconds = fallback.est_seconds
-                return plan
-            run_elems = hits_ub
-            run_bytes = run_elems * (8 + itemsize * max(0, len(steps) - 1))
-            total += system.cost.binary_search_time(n_elems)
-            total += _read_cost(system, run_bytes, max(1.0, run_elems / group.region_elements))
-            total += _scan_cost(system, run_elems * max(0, len(steps) - 1))
-            add_step(
-                0, int(np.ceil(run_elems / group.region_elements)),
+            t_run += scan_cost(hits_ub * later)
+            run.steps.append(step(
+                0, math.ceil(hits_ub / group.region_elements),
                 group.n_regions, "binary-search-run",
+            ))
+            run.steps.extend(
+                step(j, 0, group.n_regions, "replica-slice") for j in range(1, len(steps))
             )
-            for j in range(1, len(steps)):
-                add_step(j, 0, group.n_regions, "replica-slice")
 
         # Result transfer (selection coordinates).
-        total += system.cost.net_time(int(hits_ub * 8 / system.n_servers))
+        net_s = cost.net_time(int(hits_ub * 8 / n))
+        t_full += net_s
+        t_hist += net_s
+        t_index += net_s
+        t_run += net_s
 
-    plan.est_seconds = total
-    return plan
+    full.est_seconds, hist.est_seconds, index.est_seconds = t_full, t_hist, t_index
+    run.est_seconds = t_run
+    if no_replica:
+        run.notes.append(
+            "sorted replica not applicable (missing or planner puts another "
+            "object first): histogram path"
+        )
+        run.steps, run.est_seconds = hist.steps, hist.est_seconds
+    return estimates
 
 
 def estimate_plan(
     system: PDCSystem, node: QueryNode, strategy: Strategy
 ) -> PlanEstimate:
-    """Estimate the simulated cost of one strategy for a query tree."""
-    return _estimate(system, list(plan_query(system, node, Strategy.HISTOGRAM)), strategy)
+    """Estimate the simulated cost of one fixed strategy for a query tree
+    over the whole objects."""
+    estimates = _estimates(PlanBook(system), node, ())
+    return {p.strategy: p for p in estimates}[strategy]
 
 
 def choose_strategy(
-    system: PDCSystem, node: QueryNode, record: bool = True
+    system: PDCSystem,
+    node: QueryNode,
+    record: bool = True,
+    *plan_args,
+    book: Optional[PlanBook] = None,
 ) -> Tuple[Strategy, List[PlanEstimate]]:
     """Pick the cheapest applicable strategy for a query.
 
@@ -437,18 +528,15 @@ def choose_strategy(
     cheapest first), so callers can explain the decision.  ``record=False``
     skips the planner metrics/trace side effects — for speculative
     resolutions (batch demand planning) that the executor will repeat
-    for real.
+    for real.  ``plan_args`` are :func:`plan_conjunct`'s constraint and
+    knobs — the executor prices the plans it would run; omitted, the whole
+    objects are priced.  ``book``: the calling query's :class:`PlanBook`,
+    whose plans the estimates read; only cache residency is priced live.
     """
-    # Each conjunct is ordered and pruned once, over the whole object; the
-    # four estimates only differ in how they price the same steps.
-    plans = list(plan_query(system, node, Strategy.HISTOGRAM))
-    candidates = [
-        _estimate(system, plans, s)
-        for s in (Strategy.FULL_SCAN, Strategy.HISTOGRAM, Strategy.HIST_INDEX)
-    ]
-    candidates.append(
-        _estimate(system, plans, Strategy.SORT_HIST, histogram=candidates[1])
-    )
+    # Each conjunct is ordered and pruned once; the four estimates only
+    # differ in how they price the same steps.
+    book = PlanBook(system) if book is None else book
+    candidates = _estimates(book, node, plan_args)
     candidates.sort(key=lambda p: p.est_seconds)
     winner = candidates[0].strategy
     if record:

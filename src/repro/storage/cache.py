@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Callable, Hashable, List, Optional, Sequence, Tuple
+from typing import Callable, Hashable, KeysView, List, Optional, Sequence, Tuple
 
 __all__ = ["RegionCache", "CacheStats"]
 
@@ -129,6 +129,12 @@ class RegionCache:
     def contains(self, key: Hashable) -> bool:
         """Presence check that does not disturb LRU order or stats."""
         return key in self._entries
+
+    @property
+    def resident(self) -> KeysView:
+        """The resident keys, a live view: presence checks over many keys
+        without disturbing LRU order or stats."""
+        return self._entries.keys()
 
     def put(self, key: Hashable, nbytes: float) -> bool:
         """Insert a region of ``nbytes`` real bytes; False when it cannot

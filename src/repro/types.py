@@ -10,11 +10,11 @@ from __future__ import annotations
 
 import enum
 import math
-from typing import Union
+from typing import Optional, Union
 
 import numpy as np
 
-from .errors import QueryTypeError
+from .errors import PDCError, QueryTypeError
 
 __all__ = [
     "QueryOp",
@@ -27,6 +27,7 @@ __all__ = [
     "pdc_type_of_dtype",
     "check_value_type",
     "is_count",
+    "check_timeout",
 ]
 
 #: Binary size units used throughout (the paper quotes MB/GB region sizes).
@@ -141,3 +142,21 @@ def is_count(value) -> bool:
     entry bound): a Python or NumPy integer of at least 1.  A fraction,
     NaN and the infinities are not counts."""
     return isinstance(value, (int, np.integer)) and value >= 1
+
+
+def check_timeout(value) -> Optional[float]:
+    """The one rule of a per-query time budget (simulated seconds):
+    ``None`` (no budget) or a finite number above zero, returned as a
+    float.  NaN, the infinities, zero, negatives and non-numbers raise
+    :class:`PDCError`."""
+    if value is None:
+        return None
+    seconds = math.nan
+    if not isinstance(value, bool) and isinstance(value, (int, float, np.integer, np.floating)):
+        try:
+            seconds = float(value)
+        except OverflowError:  # an integer past the float range
+            seconds = math.inf
+    if not (math.isfinite(seconds) and seconds > 0):
+        raise PDCError(f"timeout_s must be a finite number > 0 (or None), not {value!r}")
+    return seconds

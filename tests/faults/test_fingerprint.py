@@ -1,4 +1,4 @@
-"""One pinned digest over a fault-injected, traced scenario.
+"""Pinned digests over fault-injected, traced scenarios.
 
 Every way a region is made resident — the five strategies' data reads,
 index probes and replica reads, PDC-HI over uncompacted delta segments, a
@@ -10,6 +10,12 @@ state: every result field but the trace object, each clock's time and
 per-category charges, the caches' LRU contents and counters, the metrics
 registry, the plan's injected-fault counts, the monitor's read samples and
 every span and event.  A pure refactor of the read path must not move it.
+
+The second digest, over the same deployment, holds the planning of
+``AUTO`` windows: shared-scan windows through a scheduler and its semantic
+cache (exact hits, narrowing, a repair after a write), equal trees in one
+window, OR trees, contradictions, unknown objects, a time budget, and
+servers crashing mid-window.  A refactor of planning must not move it.
 """
 
 from __future__ import annotations
@@ -25,8 +31,9 @@ from repro.interval import Interval
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.monitor import ServiceMonitor
 from repro.obs.tracer import Tracer
-from repro.query.ast import Condition, combine_and
+from repro.query.ast import Condition, combine_and, combine_or
 from repro.query.executor import QueryEngine, QuerySpec
+from repro.query.scheduler import QueryScheduler
 from repro.query.selection import Selection
 from repro.strategies import Strategy
 from repro.types import PDCType, QueryOp
@@ -39,6 +46,7 @@ FAULTS = FaultConfig(
     server_crash_rate=0.04, server_slow_rate=0.2,
 )
 DIGEST = "4744b2e75ae1d80483611e58733e2225c8d598224f3e8985f1ec6f169eff466e"
+WINDOW_DIGEST = "450e22840a4b47933fdf5814d9c57ef2a8f7089e3f683dfee8ddc0b59d8f7c24"
 
 
 def window(name, lo, hi):
@@ -189,3 +197,65 @@ def test_fault_trace_fingerprint_pinned():
     assert any(e.name.startswith("lost:") for e in sysm.tracer.events)
     assert any(s.cache.stats.evictions for s in sysm.servers)
     assert fingerprint(sysm, outcomes, plans) == DIGEST
+
+
+def auto(node, **kwargs):
+    return QuerySpec(node, strategy=Strategy.AUTO, **kwargs)
+
+
+def run_windows(sysm, engine):
+    """``AUTO`` windows through a scheduler whose semantic cache is hooked
+    to the system's writes; returns each window's batch, the cache's
+    counters and the fault plan."""
+    scheduler = QueryScheduler(sysm, engine)
+    wide, narrow_x = window("energy", 1.0, 3.0), window("x", 20.0, 200.0)
+    both = combine_and(window("energy", 1.7, 3.9), window("x", 20.5, 240.0))
+    either = combine_or(window("energy", 4.0, 6.0), window("x", 250.0, 280.0))
+    out = [scheduler.execute_window([
+        auto(wide), auto(wide), auto(narrow_x), auto(both), auto(either),
+        auto(window("energy", 5.0, 3.0)),  # contradiction: no conjunct left
+        auto(window("nope", 0.0, 1.0)),
+        auto(window("energy", 0.5, 4.0), timeout_s=2e-4),
+    ])]
+    # Exact hits and narrowed supersets.
+    out.append(scheduler.execute_window([
+        auto(wide), auto(window("energy", 1.5, 2.5)), auto(narrow_x),
+        auto(window("x", 50.0, 60.0)), auto(both), auto(either),
+    ]))
+    # A region write between windows: the cached energy selections are
+    # repaired over the written span.
+    energy = sysm.get_object("energy")
+    sysm.update_object_region(
+        "energy", int(energy.offsets[6]) + 3, np.linspace(0.5, 3.5, 40, dtype=np.float32)
+    )
+    out.append(scheduler.execute_window([
+        auto(wide), auto(window("energy", 1.2, 2.8)), auto(wide), auto(narrow_x),
+    ]))
+    # Servers crash mid-window and reads fail.
+    plan = FaultPlan(seed=5, config=FaultConfig(
+        server_crash_rate=0.15, pfs_read_error_rate=0.1, max_retries=1,
+    ))
+    sysm.set_fault_plan(plan)
+    out.append(scheduler.execute_window([
+        auto(window("energy", 0.3, 2.2)), auto(window("energy", 0.3, 2.2)),
+        auto(window("x", 10.0, 120.0)), auto(both), auto(either),
+        auto(window("energy", 2.0, 2.4)), auto(window("x", 100.0, 110.0)),
+        auto(window("energy", 0.3, 2.2), timeout_s=5e-3),
+    ]))
+    sysm.set_fault_plan(None)
+    scheduler.close()
+    return out, scheduler.selection_cache.stats, plan
+
+
+def test_window_fingerprint_pinned():
+    sysm, engine = deployment()
+    batches, stats, plan = run_windows(sysm, engine)
+    results = [r for b in batches for r in b.results if r is not None]
+    # The windows reach what they are meant to reach.
+    assert batches[1].semantic_hits and batches[1].semantic_narrowed
+    assert batches[2].semantic_repaired
+    assert any(r.timed_out for r in results)
+    assert any(r.failovers for r in batches[3].results if r is not None)
+    assert len(batches[0].errors) == 1 and batches[0].results[5].nhits == 0
+    assert {Strategy.FULL_SCAN, Strategy.HISTOGRAM} <= {r.strategy for r in results}
+    assert fingerprint(sysm, [batches, stats], [plan]) == WINDOW_DIGEST

@@ -138,7 +138,7 @@ class TestPlanIsWhatRuns:
         assert len(demand) == sum(demo.get_object(n).n_regions for n in ("energy", "x"))
 
     def test_choose_strategy_plans_each_conjunct_once(self, demo, monkeypatch):
-        calls = {"order": 0, "prune": 0}
+        calls = {"order": 0, "prune": 0, "every region": 0}
 
         def counting(name, fn):
             def wrapper(*args, **kwargs):
@@ -146,10 +146,15 @@ class TestPlanIsWhatRuns:
                 return fn(*args, **kwargs)
             return wrapper
 
+        def surviving(obj, interval, constraint=None, prune=True):
+            # PDC-F's own plan lists every region, pruning nothing.
+            calls["prune" if prune else "every region"] += 1
+            return original(obj, interval, constraint, prune)
+
+        original = planner.surviving_regions
         monkeypatch.setattr(planner, "order_by_selectivity",
                             counting("order", planner.order_by_selectivity))
-        monkeypatch.setattr(planner, "surviving_regions",
-                            counting("prune", planner.surviving_regions))
+        monkeypatch.setattr(planner, "surviving_regions", surviving)
         # Two conjuncts, three conditions; the second one puts x first, so
         # PDC-SH has no applicable replica and falls back to the PDC-H
         # estimate — which must be reused, not re-planned.
@@ -159,7 +164,7 @@ class TestPlanIsWhatRuns:
         )
         _winner, candidates = choose_strategy(demo, node, record=False)
         assert len(candidates) == 4
-        assert calls == {"order": 2, "prune": 3}
+        assert calls == {"order": 2, "prune": 3, "every region": 3}
         sh = next(p for p in candidates if p.strategy is Strategy.SORT_HIST)
         h = next(p for p in candidates if p.strategy is Strategy.HISTOGRAM)
         assert sh.notes and sh.est_seconds == h.est_seconds
