@@ -49,7 +49,8 @@ from ..strategies import Strategy
 from ..types import check_timeout
 from . import planner
 from .ast import QueryNode, objects_of
-from .planner import COVERED, PRUNED, STRADDLING, ConjunctPlan, PlanBook, PlanStep
+from .kernels import filter_coords, mask_coords, run_coords
+from .planner import PRUNED, ConjunctPlan, PlanBook, PlanStep
 from .region_constraint import RegionConstraint, normalize_constraint
 from .selection import Selection, sorted_unique
 
@@ -77,25 +78,6 @@ def _flags(n_regions: int, region_ids: np.ndarray) -> np.ndarray:
     flags = np.zeros(n_regions, dtype=bool)
     flags[region_ids] = True
     return flags
-
-
-def filter_coords(
-    obj: StoredObject, interval: Interval, coords: np.ndarray,
-    hits: Optional[np.ndarray], states: Optional[np.ndarray],
-) -> np.ndarray:
-    """Candidate re-check: keep the ascending ``coords`` whose value
-    matches.  ``states`` gives each candidate region (``hits`` coordinates
-    each) its :func:`~repro.query.planner.region_states` outcome: the
-    coordinates of a covered region are kept and those of a pruned one
-    dropped without a look at their values; only straddling regions'
-    values are gathered.  ``None``: every region straddles."""
-    if states is None or (states == STRADDLING).all():
-        return coords[interval.mask(obj.data[coords])]
-    per_coord = np.repeat(states, hits)
-    keep = per_coord == COVERED
-    check = np.flatnonzero(per_coord == STRADDLING)
-    keep[check] = interval.mask(obj.data[coords[check]])
-    return coords[keep]
 
 
 @dataclass
@@ -1056,7 +1038,7 @@ class QueryEngine:
             # hits are dropped (the answer stays a subset of the truth).
             readable = ~_flags(obj.n_regions, lost)[scanned]
             scanned, covered = scanned[readable], covered[readable]
-        coords = self._mask_coords(obj, first.interval, constraint, scanned, covered)
+        coords = mask_coords(obj, first.interval, constraint, scanned, covered)
         first_step.hits = int(coords.size)
         stats.step_actuals.append(first_step)
 
@@ -1183,12 +1165,7 @@ class QueryEngine:
                 group.n_regions - 1,
             )
             mask &= ~lost[pos_regions]
-        coords = replica.original_coords(start, stop)[mask]
-        cstart, cstop = constraint
-        if cstart > 0 or cstop < replica.n_elements:
-            coords = coords[(coords >= cstart) & (coords < cstop)]
-        coords.sort()
-        return coords
+        return run_coords(replica, start, stop, mask, constraint)
 
     # ---------------------------------------------------------- observability
     def _record_query_metrics(self, stats: QueryResult) -> None:
@@ -1628,37 +1605,6 @@ class QueryEngine:
             per_server, lambda n: sysm.cost.net_time(n, scaled=n > 8), "net"
         )
         self._gather_at_client(16 * sysm.n_servers)
-
-    def _mask_coords(
-        self, obj: StoredObject, interval: Interval, constraint: Tuple[int, int],
-        region_ids: np.ndarray, covered: np.ndarray,
-    ) -> np.ndarray:
-        """Exact hit coordinates of one condition inside the given ascending
-        regions, clipped to the constraint.  Adjacent regions of one kind
-        coalesce into runs: a run of covered regions (``covered``, aligned
-        with ``region_ids``) is every coordinate in it, and only the other
-        runs are masked.  Every region of the constraint, none covered, is
-        one run: the whole window."""
-        if region_ids.size == 0:
-            return np.zeros(0, dtype=np.int64)
-        cstart, cstop = constraint
-        breaks = np.flatnonzero(
-            (np.diff(region_ids) != 1) | (covered[1:] != covered[:-1])
-        ) + 1
-        heads = np.concatenate(([0], breaks))
-        firsts = region_ids[heads]
-        lasts = region_ids[np.concatenate((breaks - 1, [-1]))]
-        starts = np.maximum(obj.offsets[firsts], cstart).tolist()
-        stops = np.minimum(obj.offsets[lasts] + obj.counts[lasts], cstop).tolist()
-        parts = []
-        for lo, hi, whole in zip(starts, stops, covered[heads].tolist()):
-            if whole:
-                parts.append(np.arange(lo, hi, dtype=np.int64))
-            else:
-                hits = np.flatnonzero(interval.mask(obj.data[lo:hi]))
-                hits += lo
-                parts.append(hits)
-        return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
     # -------------------------------------------------------------- get_data
     def _charge_get_data_reads(

@@ -1,0 +1,129 @@
+"""Answer kernels: the exact hit coordinates of a condition on live data.
+
+Two structures answer a range condition, and both the engine and the
+semantic selection cache call the same code for them:
+
+* a **region run** (:func:`mask_coords`): adjacent surviving regions of
+  one kind coalesce into runs; a run of covered regions is every
+  coordinate in it, any other run is masked — PDC-F/H/HI's scan;
+* a **sorted-replica run** (:func:`run_coords`): a binary search gives the
+  contiguous run of sorted positions whose key matches, and the run's
+  permutation slice, sorted, is the answer — PDC-SH (§III-D3).
+
+:func:`filter_coords` re-checks candidates of a later AND step, and
+:func:`interval_coords` answers one interval over a whole object with the
+cheaper of the two kernels, counted in elements.
+"""
+
+from __future__ import annotations
+
+from typing import Optional, Tuple
+
+import numpy as np
+
+from ..interval import Interval
+from ..pdc.system import PDCSystem, StoredObject
+from ..sorting import SortedReplica
+from .planner import COVERED, STRADDLING, surviving_regions
+
+__all__ = [
+    "REPLICA_RUN_SHARE",
+    "filter_coords",
+    "interval_coords",
+    "mask_coords",
+    "run_coords",
+]
+
+#: A replica run answers :func:`interval_coords` while its length is below
+#: this share of the elements a region-run scan would mask.  Sorting a run
+#: of k coordinates costs O(k log k), masking costs O(straddling elements);
+#: on a 1 Mi float32 object the two cross near a fifth (DESIGN.md §5, "A
+#: cached answer costs what it returns").
+REPLICA_RUN_SHARE = 0.2
+
+
+def mask_coords(
+    obj: StoredObject, interval: Interval, constraint: Tuple[int, int],
+    region_ids: np.ndarray, covered: np.ndarray,
+) -> np.ndarray:
+    """Exact hit coordinates of one condition inside the given ascending
+    regions, clipped to the constraint.  Adjacent regions of one kind
+    coalesce into runs: a run of covered regions (``covered``, aligned
+    with ``region_ids``) is every coordinate in it, and only the other
+    runs are masked.  Every region of the constraint, none covered, is
+    one run: the whole window."""
+    if region_ids.size == 0:
+        return np.zeros(0, dtype=np.int64)
+    cstart, cstop = constraint
+    breaks = np.flatnonzero(
+        (np.diff(region_ids) != 1) | (covered[1:] != covered[:-1])
+    ) + 1
+    heads = np.concatenate(([0], breaks))
+    firsts = region_ids[heads]
+    lasts = region_ids[np.concatenate((breaks - 1, [-1]))]
+    starts = np.maximum(obj.offsets[firsts], cstart).tolist()
+    stops = np.minimum(obj.offsets[lasts] + obj.counts[lasts], cstop).tolist()
+    parts = []
+    for lo, hi, whole in zip(starts, stops, covered[heads].tolist()):
+        if whole:
+            parts.append(np.arange(lo, hi, dtype=np.int64))
+        else:
+            hits = np.flatnonzero(interval.mask(obj.data[lo:hi]))
+            hits += lo
+            parts.append(hits)
+    return parts[0] if len(parts) == 1 else np.concatenate(parts)
+
+
+def run_coords(
+    replica: SortedReplica, start: int, stop: int,
+    keep: Optional[np.ndarray] = None,
+    constraint: Optional[Tuple[int, int]] = None,
+) -> np.ndarray:
+    """Ascending original coordinates of the sorted run ``[start, stop)``:
+    the permutation slice — only its ``keep`` positions, when given —
+    clipped to the constraint and sorted."""
+    coords = replica.original_coords(start, stop)
+    coords = coords.copy() if keep is None else coords[keep]
+    if constraint is not None:
+        cstart, cstop = constraint
+        if cstart > 0 or cstop < replica.n_elements:
+            coords = coords[(coords >= cstart) & (coords < cstop)]
+    coords.sort()
+    return coords
+
+
+def filter_coords(
+    obj: StoredObject, interval: Interval, coords: np.ndarray,
+    hits: Optional[np.ndarray], states: Optional[np.ndarray],
+) -> np.ndarray:
+    """Candidate re-check: keep the ascending ``coords`` whose value
+    matches.  ``states`` gives each candidate region (``hits`` coordinates
+    each) its :func:`~repro.query.planner.region_states` outcome: the
+    coordinates of a covered region are kept and those of a pruned one
+    dropped without a look at their values; only straddling regions'
+    values are gathered.  ``None``: every region straddles."""
+    if states is None or (states == STRADDLING).all():
+        return coords[interval.mask(obj.data[coords])]
+    per_coord = np.repeat(states, hits)
+    keep = per_coord == COVERED
+    check = np.flatnonzero(per_coord == STRADDLING)
+    keep[check] = interval.mask(obj.data[coords[check]])
+    return coords[keep]
+
+
+def interval_coords(system: PDCSystem, obj: StoredObject, interval: Interval) -> np.ndarray:
+    """The exact ascending coordinates of ``interval`` over all of ``obj``'s
+    live payload.  A fresh replica keyed by the object answers with its run
+    while the run is shorter than :data:`REPLICA_RUN_SHARE` of the elements
+    in straddling regions; otherwise — a stale replica, none, or the object
+    only a companion of another's — the survivors' region runs answer."""
+    survivors, covered, _ = surviving_regions(obj, interval)
+    group = system.replicas.get(obj.name)
+    if group is not None and not group.stale:
+        straddling = int(obj.counts[survivors[~covered]].sum())
+        start, stop = group.replica.search_range(
+            interval.lo, interval.hi, interval.lo_closed, interval.hi_closed
+        )
+        if stop - start < REPLICA_RUN_SHARE * straddling:
+            return run_coords(group.replica, start, stop)
+    return mask_coords(obj, interval, (0, obj.n_elements), survivors, covered)

@@ -15,9 +15,11 @@ one step further, to *concurrent* queries:
 
 * :class:`SelectionCache` memoizes complete query answers semantically:
   ``(object, interval) → Selection``.  A repeated interval is answered
-  with zero I/O; a *narrower* interval subsumed by a cached one is
-  answered by vectorized filtering of the cached superset's coordinates
-  (:meth:`Interval.covers`), again with zero storage traffic.  Entries
+  with zero I/O by the memoized selection itself; a *narrower* interval
+  subsumed by a clean cached one (:meth:`Interval.covers`) is answered by
+  the engine's own kernels on the live payload
+  (:func:`~repro.query.kernels.interval_coords`), again with zero storage
+  traffic and at a cost that follows the answer, not the superset.  Entries
   are invalidated through :meth:`PDCSystem.register_invalidation_hook`
   when an object is rewritten (per object) or a server fails (whole
   cache, conservatively — failovers reshuffle region ownership, and a
@@ -28,7 +30,7 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -37,8 +39,8 @@ from ..interval import Interval
 from ..pdc.system import PDCSystem
 from ..types import is_count
 from .ast import QueryNode
-from .executor import BatchResult, QueryEngine, QueryResult, QuerySpec, filter_coords
-from .planner import region_states, surviving_regions
+from .executor import BatchResult, QueryEngine, QueryResult, QuerySpec
+from .kernels import interval_coords
 from .selection import Selection
 
 __all__ = ["QueryScheduler", "SelectionCache", "SelectionCacheStats"]
@@ -67,11 +69,18 @@ class SelectionCacheStats:
     repaired: int = 0
 
 
+def _frozen(coords: np.ndarray) -> np.ndarray:
+    """``coords`` made read-only: a memoized answer is shared by every
+    caller the cache serves it to."""
+    coords.flags.writeable = False
+    return coords
+
+
 @dataclass
 class _CachedSelection:
     interval: Interval
-    coords: np.ndarray
-    domain: int
+    #: The memoized answer, its coordinates read-only; a hit returns it.
+    selection: Selection
     #: Element spans rewritten since this entry was cached.  A write
     #: anywhere in the object can add or remove hits *only* inside the
     #: written spans, so a dirty entry is healed at fetch time by
@@ -79,11 +88,7 @@ class _CachedSelection:
     #: staleness without the unsound "evict only intersecting
     #: selections" shortcut (a write can create hits in regions the
     #: cached selection never touched).
-    dirty: List[Tuple[int, int]] = None  # type: ignore[assignment]
-
-    def __post_init__(self) -> None:
-        if self.dirty is None:
-            self.dirty = []
+    dirty: List[Tuple[int, int]] = field(default_factory=list)
 
 
 def _merge_spans(spans: List[Tuple[int, int]]) -> List[Tuple[int, int]]:
@@ -125,14 +130,15 @@ class SelectionCache:
         """Serve ``interval`` over ``object_name`` from the cache.
 
         Returns ``(selection, kind, scanned)`` where ``kind`` is ``"hit"``
-        (exact interval match, ``scanned == 0``), ``"narrowed"`` (a
-        cached superset's coordinates were filtered down; ``scanned`` is
-        the number of cached coordinates the filter touched, for cost
-        accounting), or ``"repaired"`` (an exact match carrying dirty
-        spans from region-scoped writes was healed by re-evaluating just
-        those spans against live data; ``scanned`` is the span element
-        count).  Returns ``None`` on a miss.  Entries whose domain no
-        longer matches the live object are dropped rather than served.
+        (exact interval match: the memoized selection itself, ``scanned ==
+        0``), ``"narrowed"`` (a cached superset covers the interval;
+        ``scanned`` is the superset's coordinate count, what the filter of
+        its coordinates is charged), or ``"repaired"`` (an exact match
+        carrying dirty spans from region-scoped writes was healed by
+        re-evaluating just those spans against live data; ``scanned`` is
+        the span element count).  Returns ``None`` on a miss.  Entries
+        whose domain no longer matches the live object are dropped rather
+        than served.
         """
         if object_name not in system.objects:
             # Unknown object: a cache miss, not the cache's error to raise
@@ -149,7 +155,7 @@ class SelectionCache:
             key = _interval_key(interval)
             entry = per_obj.get(key)
             if entry is not None:
-                if entry.domain != obj.n_elements:
+                if entry.selection.domain_size != obj.n_elements:
                     del per_obj[key]
                     self.stats.misses += 1
                     return None
@@ -157,60 +163,51 @@ class SelectionCache:
                 if entry.dirty:
                     scanned = self._repair_locked(obj, entry)
                     self.stats.repaired += 1
-                    return (
-                        Selection(entry.coords, entry.domain),
-                        "repaired",
-                        scanned,
-                    )
+                    return entry.selection, "repaired", scanned
                 self.stats.hits += 1
-                return Selection(entry.coords, entry.domain), "hit", 0
+                return entry.selection, "hit", 0
 
-            # Subsumption: the smallest cached superset minimizes the
-            # narrowing scan.  Dirty candidates are skipped — their
-            # coordinate sets no longer describe the live payload.
-            best: Optional[_CachedSelection] = None
-            for cand in per_obj.values():
-                if cand.domain != obj.n_elements or cand.dirty:
+            # Subsumption: the smallest cached superset prices the
+            # narrowing.  Dirty candidates are skipped — their coordinate
+            # sets no longer describe the live payload.
+            best_key, best = None, None
+            for cand_key, cand in per_obj.items():
+                if cand.selection.domain_size != obj.n_elements or cand.dirty:
                     continue
                 if cand.interval.covers(interval):
-                    if best is None or cand.coords.size < best.coords.size:
-                        best = cand
+                    if best is None or cand.selection.nhits < best.selection.nhits:
+                        best_key, best = cand_key, cand
             if best is None:
                 self.stats.misses += 1
                 return None
-            # The live min/max settle most regions of the superset: kept
-            # whole where the narrower interval covers them, dropped where
-            # it misses them; only the rest are gathered.
-            survivors, covered, pruned = surviving_regions(obj, interval)
-            hits = states = None  # None: every region straddles
-            if pruned or covered.any():
-                cand_regions, hits = obj.region_hits(best.coords)
-                states = region_states(obj.n_regions, survivors, covered)[cand_regions]
-            coords = filter_coords(obj, interval, best.coords, hits, states)
+            # A clean superset with the live domain is exactly the live
+            # answer of its interval, so the narrower interval's answer is
+            # its exact answer on the live payload: the engine's kernels
+            # compute it without gathering the superset.  The superset was
+            # used: it must not be the entry the insert below evicts.
+            per_obj.move_to_end(best_key)
+            sel = Selection(_frozen(interval_coords(system, obj, interval)), obj.n_elements)
             self.stats.narrowed += 1
-            sel = Selection(coords, best.domain)
             # The narrowed answer is itself a complete answer: cache it so
             # an exact repeat costs nothing.
-            self._put_locked(object_name, interval, coords, best.domain)
-            return sel, "narrowed", int(best.coords.size)
+            self._put_locked(object_name, interval, sel)
+            return sel, "narrowed", best.selection.nhits
 
     def put(self, object_name: str, interval: Interval, selection: Selection) -> None:
-        """Memoize a complete answer."""
+        """Memoize a complete answer.  Its coordinates become read-only: the
+        selection is handed as is to every later exact hit."""
+        _frozen(selection.coords)
         with self._lock:
-            self._put_locked(
-                object_name, interval, selection.coords, selection.domain_size
-            )
+            self._put_locked(object_name, interval, selection)
 
     def _put_locked(
-        self, object_name: str, interval: Interval, coords: np.ndarray, domain: int
+        self, object_name: str, interval: Interval, selection: Selection
     ) -> None:
         per_obj = self._entries.setdefault(object_name, OrderedDict())
         key = _interval_key(interval)
         if key in per_obj:
             del per_obj[key]
-        per_obj[key] = _CachedSelection(
-            interval=interval, coords=coords, domain=domain
-        )
+        per_obj[key] = _CachedSelection(interval=interval, selection=selection)
         self.stats.inserts += 1
         while len(per_obj) > self.max_entries_per_object:
             per_obj.popitem(last=False)
@@ -224,13 +221,13 @@ class SelectionCache:
         re-execution — outside the spans nothing changed by definition,
         inside them we recompute from data."""
         spans = _merge_spans(entry.dirty)
-        coords = entry.coords
+        coords, domain = entry.selection.coords, entry.selection.domain_size
         pieces: List[np.ndarray] = []
         scanned = 0
         prev = 0
         for lo, hi in spans:
-            lo = max(0, min(lo, entry.domain))
-            hi = max(lo, min(hi, entry.domain))
+            lo = max(0, min(lo, domain))
+            hi = max(lo, min(hi, domain))
             a = int(np.searchsorted(coords, lo, side="left"))
             b = int(np.searchsorted(coords, hi, side="left"))
             pieces.append(coords[prev:a])
@@ -239,7 +236,7 @@ class SelectionCache:
             scanned += hi - lo
             prev = b
         pieces.append(coords[prev:])
-        entry.coords = np.concatenate(pieces) if pieces else coords
+        entry.selection = Selection(_frozen(np.concatenate(pieces)), domain)
         entry.dirty = []
         return scanned
 

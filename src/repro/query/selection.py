@@ -39,7 +39,11 @@ def _int64_coords(coords, domain_size) -> np.ndarray:
     float coordinate must be integral (a fractional one or NaN is refused,
     never truncated; an infinite one is outside the domain, checked before
     the cast); any other dtype, bool included, is refused."""
-    if not isinstance(domain_size, (int, np.integer)) or domain_size < 0:
+    if (
+        not isinstance(domain_size, (int, np.integer))
+        or isinstance(domain_size, bool)
+        or domain_size < 0
+    ):
         raise SelectionError(
             f"domain size must be a non-negative integer, not {domain_size!r}"
         )
@@ -57,17 +61,21 @@ def _int64_coords(coords, domain_size) -> np.ndarray:
     return raw.astype(np.int64)
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class Selection:
-    """Sorted unique coordinates of query hits over a 1-D object space."""
+    """Sorted unique coordinates of query hits over a 1-D object space.
+
+    Frozen: an answer the semantic cache memoizes is handed to every caller
+    that asks for it, so its attributes cannot be rebound (the cache also
+    makes the memoized ``coords`` array read-only)."""
 
     coords: np.ndarray
     #: Size of the coordinate space the selection indexes into.
     domain_size: int
 
     def __post_init__(self) -> None:
-        self.coords = _int64_coords(self.coords, self.domain_size)
-        c = self.coords
+        c = _int64_coords(self.coords, self.domain_size)
+        object.__setattr__(self, "coords", c)
         if c.size:
             # One pass: strictly increasing coords put their bounds at the
             # ends; only a rejected array pays for min/max, so a coordinate

@@ -140,8 +140,12 @@ def check_value_type(value: Scalar, pdc_type: PDCType) -> Scalar:
 def is_count(value) -> bool:
     """The one test of a count knob (a window width, a batch size, an
     entry bound): a Python or NumPy integer of at least 1.  A fraction,
-    NaN and the infinities are not counts."""
-    return isinstance(value, (int, np.integer)) and value >= 1
+    NaN, the infinities and a bool are not counts."""
+    return (
+        isinstance(value, (int, np.integer))
+        and not isinstance(value, bool)
+        and value >= 1
+    )
 
 
 def check_timeout(value) -> Optional[float]:

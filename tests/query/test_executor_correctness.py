@@ -19,6 +19,7 @@ from repro.interval import Interval
 from repro.pdc.region import region_key
 from repro.query.ast import combine_and, combine_or, Condition
 from repro.query.executor import QueryEngine
+from repro.query.kernels import mask_coords
 from repro.query.planner import surviving_regions
 from repro.strategies import Strategy
 from repro.types import PDCType, QueryOp
@@ -176,7 +177,6 @@ class TestRegionRunKernel:
 
     def test_equals_whole_window_mask_on_surviving_regions(self, ragged):
         sysm, obj, e = ragged
-        engine = QueryEngine(sysm)
         rng = np.random.default_rng(6)
         iv = Interval(lo=1.0, hi=2.5, lo_closed=False)
         whole = (0, e.size)
@@ -199,7 +199,7 @@ class TestRegionRunKernel:
         for regions, (cstart, cstop) in cases:
             window = np.flatnonzero(iv.mask(e[cstart:cstop])) + cstart
             want = window[np.isin(window // obj.region_elements, regions)]
-            got = engine._mask_coords(
+            got = mask_coords(
                 obj, iv, (cstart, cstop), regions, np.zeros(regions.size, dtype=bool)
             )
             assert got.dtype == np.int64
@@ -275,7 +275,6 @@ class TestRegionRunKernel:
         data, step = _banded(dtype, seed=3)
         sysm = make_system(region_size_bytes=1 << 11)
         obj = sysm.create_object("v", data)
-        engine = QueryEngine(sysm)
         rng = np.random.default_rng(4)
         grid = [float(data.dtype.type(k * step)) for k in range(-1, 12)]
         bounds = [None] + grid
@@ -310,7 +309,7 @@ class TestRegionRunKernel:
                     regions, covered = regions[readable], covered[readable]
                     window = np.flatnonzero(iv.mask(data[cstart:cstop])) + cstart
                     want = window[np.isin(window // obj.region_elements, regions)]
-                    got = engine._mask_coords(obj, iv, (cstart, cstop), regions, covered)
+                    got = mask_coords(obj, iv, (cstart, cstop), regions, covered)
                     assert got.dtype == np.int64
                     assert np.array_equal(got, want), (iv, cstart, cstop)
         assert covered_total > 100 and ties > 10

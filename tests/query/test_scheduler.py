@@ -360,7 +360,7 @@ class TestInvalidation:
         cache = sched.selection_cache
         iv = Interval(lo=1.0, lo_closed=False)
         coords = np.flatnonzero(iv.mask(obj.data)).astype(np.int64)
-        cache._put_locked("energy", iv, coords, obj.n_elements)
+        cache._put_locked("energy", iv, Selection(coords, obj.n_elements))
         entry = cache._entries["energy"][_interval_key(iv)]
         sysm.update_object_region(
             "energy", 0, np.zeros(16, dtype=np.float32)
@@ -506,7 +506,7 @@ class TestNarrowingProperty:
                 sysm.append_to_object("x", values, maintenance=maintenance)
                 assert sched.run([query(outer)])[0].semantic_cache == ""
         data = sysm.get_object("x").data
-        cached = cache._entries["x"][_interval_key(outer)].coords
+        cached = cache._entries["x"][_interval_key(outer)].selection.coords
         gathered = cached[inner.mask(data[cached])]
         res = sched.run([query(inner)])[0]
         assert res.semantic_cache == "narrowed"

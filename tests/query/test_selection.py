@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from repro.errors import SelectionError
 from repro.query.selection import Selection, sorted_unique
+from repro.types import is_count
 
 coord_sets = st.sets(st.integers(0, 999), max_size=200)
 
@@ -70,6 +71,14 @@ class TestIntegralCoords:
     def test_fractional_domain_rejected(self):
         with pytest.raises(SelectionError, match="domain size"):
             Selection(np.zeros(0, dtype=np.int64), 2.5)
+
+    @pytest.mark.parametrize("flag", [True, False, np.True_], ids=["true", "false", "np_true"])
+    def test_bool_domain_rejected(self, flag):
+        """``Selection(coords, True)`` was accepted and kept ``True`` as its
+        domain size; a bool is refused, as ``is_count`` refuses one."""
+        with pytest.raises(SelectionError, match="domain size"):
+            Selection(np.zeros(0, dtype=np.int64), flag)
+        assert not is_count(flag)
 
     def test_integral_floats_accepted(self):
         assert Selection(np.array([1.0, 2.0]), 10).coords.tolist() == [1, 2]
