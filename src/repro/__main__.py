@@ -432,6 +432,7 @@ def cmd_metrics(args: argparse.Namespace) -> int:
 
 
 def cmd_faults(args: argparse.Namespace) -> int:
+    from .cluster.membership import CRASHED
     from .faults import FaultConfig, FaultPlan
     from .obs import MetricsRegistry
     from .query.executor import QueryEngine
@@ -473,7 +474,7 @@ def cmd_faults(args: argparse.Namespace) -> int:
             for err in errors:
                 print(f"      server{sid}: {err}")
         # Crashed servers rejoin (cold) before the next strategy runs.
-        for sid in sorted(system._failed_servers):
+        for sid in system.membership.ids_in(CRASHED):
             system.recover_server(sid)
     # Wire-path leg: message drops are retransmitted deterministically.
     from .errors import TransportError

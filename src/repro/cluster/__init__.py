@@ -4,20 +4,20 @@ Three layers, each usable alone:
 
 * :mod:`repro.cluster.membership` — the deterministic membership
   registry (join/activate/drain/leave/crash/recover on simulated
-  clocks, heartbeat leases, generation-numbered views, fingerprintable
-  event stream).  :class:`~repro.pdc.system.PDCSystem` always owns one;
-  ``fail_server`` is just its ``crash`` transition.
-* :mod:`repro.cluster.rebalance` — placement maps (slot tables whose
-  canonical form *is* the static modulo routing) and copy-then-commit
-  migrations with transfer time charged in simulated seconds, driven by
-  :class:`~repro.cluster.rebalance.ClusterManager`.
+  clocks, generation-numbered views, fingerprintable event stream).
+  :class:`~repro.pdc.system.PDCSystem` always owns one; ``fail_server``
+  is just its ``crash`` transition.  Routing reads only its serving set:
+  region ``rid`` is served by ``serving[rid % len(serving)]``.
+* :mod:`repro.cluster.rebalance` — copy-then-commit migrations from one
+  serving set to the next, with transfer time charged in simulated
+  seconds, driven by :class:`~repro.cluster.rebalance.ClusterManager`.
 * :mod:`repro.cluster.autoscale` — the hysteresis controller that turns
   the service monitor's ``pdc_service_*`` series into replayable
   scale-out/scale-in decisions.
 
 ``membership`` and ``rebalance`` are imported eagerly (the PDC system
-depends on them); ``autoscale`` loads lazily because it pulls in the
-observability and service stacks.
+depends on ``membership``); ``autoscale`` loads lazily because it pulls
+in the observability and service stacks.
 """
 
 from .membership import (
@@ -32,7 +32,7 @@ from .membership import (
     MembershipRegistry,
     MembershipView,
 )
-from .rebalance import ClusterManager, Migration, PlacementMap, RegionMove
+from .rebalance import ClusterManager, Migration, RegionMove
 
 __all__ = [
     "JOINING",
@@ -45,7 +45,6 @@ __all__ = [
     "MembershipEvent",
     "MembershipView",
     "MembershipRegistry",
-    "PlacementMap",
     "RegionMove",
     "Migration",
     "ClusterManager",

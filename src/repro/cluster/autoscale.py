@@ -39,6 +39,7 @@ import numpy as np
 
 from ..errors import PDCError
 from ..obs.timeseries import _percentiles
+from ..types import is_count
 from .membership import LIVE
 
 __all__ = ["AutoscalerConfig", "ScalingDecision", "Autoscaler"]
@@ -71,8 +72,15 @@ class AutoscalerConfig:
     step: int = 1
 
     def __post_init__(self) -> None:
-        if self.min_servers < 1:
-            raise PDCError("min_servers must be >= 1")
+        for name in ("min_servers", "max_servers", "breach_ticks", "idle_ticks", "step"):
+            value = getattr(self, name)
+            if not is_count(value):
+                raise PDCError(f"{name} must be an integer >= 1, got {value!r}")
+        for name in ("target_p99_wait_s", "low_p99_wait_s", "max_shed_rate",
+                     "window_s", "evaluate_interval_s", "cooldown_s"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not math.isfinite(value):
+                raise PDCError(f"{name} must be a finite number, got {value!r}")
         if self.max_servers < self.min_servers:
             raise PDCError("max_servers must be >= min_servers")
         if self.low_p99_wait_s >= self.target_p99_wait_s:
@@ -82,8 +90,8 @@ class AutoscalerConfig:
             )
         if self.window_s <= 0.0 or self.evaluate_interval_s <= 0.0:
             raise PDCError("window_s and evaluate_interval_s must be positive")
-        if self.breach_ticks < 1 or self.idle_ticks < 1 or self.step < 1:
-            raise PDCError("breach_ticks, idle_ticks, and step must be >= 1")
+        if self.max_shed_rate < 0.0 or self.cooldown_s < 0.0:
+            raise PDCError("max_shed_rate and cooldown_s must be >= 0")
 
 
 @dataclass(frozen=True)

@@ -6,8 +6,9 @@ service needs the piece the paper leaves implicit: a **membership
 registry** that knows, at every simulated instant, which servers exist,
 which are serving, and which are on their way in or out.  The design
 follows the classic datanode-registration shape (a metadata service
-tracks members through heartbeat leases and explicit state transitions)
-recast onto simulated time so every run replays bit-identically.
+tracks members through explicit state transitions) recast onto simulated
+time so every run replays bit-identically.  There is no failure
+detector: ``fail_server`` and the fault plan decide crashes.
 
 States and transitions::
 
@@ -19,7 +20,7 @@ States and transitions::
 
 * ``JOINING`` servers exist (their clocks run) but serve no regions
   until a rebalance commit activates them.
-* ``LIVE`` servers serve their placement share.
+* ``LIVE`` servers serve their share of the regions.
 * ``DRAINING`` servers keep serving while a rebalance migrates their
   share away; ``leave`` retires them to ``GONE``.
 * ``CRASHED`` is the failure state — :meth:`PDCSystem.fail_server` is
@@ -28,19 +29,15 @@ States and transitions::
 * ``GONE`` servers are fully decommissioned: excluded from routing,
   from ``n_servers``, and from every charge site.
 
+Routing reads the serving set (``LIVE`` ∪ ``DRAINING``, ascending id) and
+nothing else: region ``rid`` is served by ``serving[rid % len(serving)]``.
+
 Every transition increments the **generation** and appends a
 :class:`MembershipEvent`; the event stream is deterministic and
 fingerprintable (same seed + same calls → byte-identical stream),
-mirroring the SLO alert stream's replayability contract.
-
-**Heartbeat leases** run on simulated clocks: members renew with
-:meth:`MembershipRegistry.heartbeat`, and :meth:`expire_leases` crashes
-any serving member whose lease lapsed.  Expiry is explicit (called from
-service ticks), never timer-driven, so lease faults are as replayable
-as injected ones.  With ``lease_s=None`` (the default) leases are
-disabled and the registry is purely transition-driven — a system that
-never sees a membership call behaves exactly as one built before this
-module existed.
+mirroring the SLO alert stream's replayability contract.  A system that
+never sees a membership call has an empty stream and behaves exactly as
+a fixed fleet.
 """
 
 from __future__ import annotations
@@ -48,7 +45,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, List, Tuple
 
 from ..errors import PDCError
 
@@ -84,7 +81,6 @@ _TRANSITIONS: Dict[str, Tuple[Tuple[str, ...], str]] = {
     "drain": ((LIVE,), DRAINING),
     "leave": ((JOINING, DRAINING), GONE),
     "crash": ((JOINING, LIVE, DRAINING), CRASHED),
-    "lease_expire": ((LIVE, DRAINING), CRASHED),
     "recover": ((CRASHED,), LIVE),
 }
 
@@ -97,7 +93,7 @@ class MembershipEvent:
     generation: int
     server_id: int
     #: Transition kind ("join", "activate", "drain", "leave", "crash",
-    #: "lease_expire", "recover").
+    #: "recover").
     kind: str
     #: State the server is in after this event.
     state: str
@@ -124,28 +120,18 @@ class MembershipView:
 
 
 class MembershipRegistry:
-    """Deterministic membership state machine with heartbeat leases.
+    """Deterministic membership state machine.
 
     The initial fleet registers at generation 0 without events (a system
     that never changes membership has an empty, zero-cost event stream).
     """
 
-    def __init__(
-        self,
-        server_ids: Iterable[int],
-        lease_s: Optional[float] = None,
-    ) -> None:
-        if lease_s is not None and lease_s <= 0.0:
-            raise PDCError("lease_s must be positive (or None to disable)")
+    def __init__(self, server_ids: Iterable[int]) -> None:
         self._states: Dict[int, str] = {int(s): LIVE for s in server_ids}
         if not self._states:
             raise PDCError("membership needs at least one initial server")
-        self.lease_s = lease_s
         self.generation = 0
         self.events: List[MembershipEvent] = []
-        self._last_heartbeat: Dict[int, float] = {
-            sid: 0.0 for sid in self._states
-        }
         self._subscribers: List[Callable[[MembershipEvent], None]] = []
 
     # -------------------------------------------------------------- queries
@@ -208,8 +194,6 @@ class MembershipRegistry:
             state=new_state,
         )
         self.events.append(event)
-        if kind in ("join", "recover", "activate"):
-            self._last_heartbeat[server_id] = float(t_s)
         for callback in list(self._subscribers):
             callback(event)
         return event
@@ -237,38 +221,6 @@ class MembershipRegistry:
     def recover(self, t_s: float, server_id: int) -> MembershipEvent:
         """A crashed server rejoins service."""
         return self._transition(t_s, server_id, "recover")
-
-    # ---------------------------------------------------------------- leases
-    def heartbeat(self, t_s: float, server_id: int) -> None:
-        """Renew a member's lease at a simulated instant (no event)."""
-        self.state(server_id)  # must be known
-        prev = self._last_heartbeat.get(server_id, 0.0)
-        self._last_heartbeat[server_id] = max(prev, float(t_s))
-
-    def lease_deadline(self, server_id: int) -> Optional[float]:
-        """Instant this member's lease lapses (None when leases are off)."""
-        if self.lease_s is None:
-            return None
-        return self._last_heartbeat.get(server_id, 0.0) + self.lease_s
-
-    def expire_leases(self, t_s: float) -> List[MembershipEvent]:
-        """Crash every serving member whose lease lapsed by ``t_s``.
-
-        Deterministic: members are checked in ascending id order, and a
-        member is never expired if it would leave no serving server (the
-        same invariant ``fail_server`` enforces — somebody must keep
-        answering).
-        """
-        if self.lease_s is None:
-            return []
-        expired: List[MembershipEvent] = []
-        for sid in self.ids_in(*SERVING_STATES):
-            if t_s - self._last_heartbeat.get(sid, 0.0) <= self.lease_s:
-                continue
-            if len(self.serving_ids) <= 1:
-                break
-            expired.append(self._transition(t_s, sid, "lease_expire"))
-        return expired
 
     # ----------------------------------------------------------- inspection
     def to_records(self) -> List[Dict[str, object]]:

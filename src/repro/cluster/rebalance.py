@@ -1,39 +1,33 @@
-"""Live region rebalancing: placement maps and copy-then-commit migration.
+"""Copy-then-commit region migration between serving sets.
 
 The paper assigns a query's regions to servers *"in a load-balanced
-fashion"* (§III-C) with a fixed fleet; this module makes the assignment
-elastic.  The routing contract stays what it always was — a pure,
-deterministic function from region id to serving server — but the
-function itself can now change at well-defined commit instants.
+fashion"* (§III-C) with a fixed fleet.  Routing here has one rule for
+every fleet: region ``rid`` is served by ``serving[rid % len(serving)]``,
+where ``serving`` is the ascending id list of the live and draining
+servers (:attr:`PDCSystem.alive_servers`).  The fleet changes only by
+membership transitions, so a migration is fully determined by
+membership: its *target* is the serving set after every joining server
+activates and every draining server leaves.
 
-**Placement maps.**  A :class:`PlacementMap` is a slot table: region
-``r`` is owned by ``slots[r % len(slots)]``.  The *canonical* map for a
-serving set is its ascending id list — exactly the modulo routing a
-static cluster uses, so whenever the committed map is canonical the
-system drops it entirely (``_placement = None``) and routes through the
-untouched pre-cluster fast path.  Splitting doubles the slot table
-(each slot now covers half the region share) and re-homes duplicate
-slots of hot servers; merging halves a table whose halves agree.
-
-**Copy-then-commit migration.**  A :class:`Migration` moves the cached
-region bytes that the target map re-homes, charging simulated transfer
-time (bytes over the interconnect via the cost model) to *both* ends of
-every copy, throttled to ``max_concurrent_moves`` per round with a
-clock barrier between rounds.  Until :meth:`Migration.commit`, routing
-still follows the old map — queries, ingest epochs, and faults that
-interleave with the copy phase see a consistent cluster.  Commit is a
-single instant: cached entries transfer (each region's bytes leave the
-source exactly when they land on the destination — no region is lost or
-duplicated, even if the migration is aborted by a crash first), the map
-flips, joining servers activate, and drained servers leave.  After a
-commit to the canonical map of the final view, routing is
-position-identical to a static cluster built at that view.
+**Copy-then-commit.**  A :class:`Migration` moves the cached region
+bytes whose owner differs between the current serving set and the
+target, charging simulated transfer time (bytes over the interconnect
+via the cost model) to *both* ends of every copy, throttled to
+``max_concurrent_moves`` per round with a clock barrier between rounds.
+Until :meth:`Migration.commit`, routing still follows the current
+serving set — queries, ingest epochs, and faults that interleave with
+the copy phase see a consistent cluster.  Commit is a single instant:
+cached entries transfer (each region's bytes leave the source exactly
+when they land on the destination — no region is lost or duplicated,
+even if the migration is aborted by a crash first), joining servers
+activate, and drained servers leave.  After a commit, routing is
+position-identical to a static cluster built at the final view.
 
 :class:`ClusterManager` drives the lifecycle: ``scale_out`` /
-``scale_in`` / ``rebalance`` / ``balance`` plan and run migrations, and
-a membership subscription aborts any in-flight migration when a server
-crashes (the committed map is then repaired around the dead server, so
-in-flight work is abandoned, never half-applied).
+``scale_in`` / ``rebalance`` plan and run migrations, and a membership
+subscription aborts any in-flight migration when a server crashes (the
+crash re-routes over the survivors, and in-flight work is abandoned,
+never half-applied).
 """
 
 from __future__ import annotations
@@ -45,16 +39,10 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..errors import PDCError
+from ..types import is_count
 from .membership import DRAINING, JOINING, LIVE
 
-__all__ = ["PlacementMap", "RegionMove", "Migration", "ClusterManager"]
-
-#: Combined slot spaces larger than this skip the exact moved-slot-share
-#: metric (the migration itself never enumerates slots, only cached keys).
-_MAX_SLOT_ENUM = 1 << 16
-
-#: Split ceiling: balance() never grows a slot table beyond this.
-_MAX_SLOT_TABLE = 1 << 10
+__all__ = ["RegionMove", "Migration", "ClusterManager"]
 
 
 def _region_id_of_key(key) -> Optional[int]:
@@ -67,109 +55,13 @@ def _region_id_of_key(key) -> Optional[int]:
     return int(tail)
 
 
-class PlacementMap:
-    """Immutable slot table mapping region ids to owning server ids."""
-
-    __slots__ = ("_slots",)
-
-    def __init__(self, slots: Sequence[int]) -> None:
-        arr = np.asarray(list(slots), dtype=np.int64)
-        if arr.size < 1:
-            raise PDCError("placement needs at least one slot")
-        if (arr < 0).any():
-            raise PDCError("placement slots must be server ids (>= 0)")
-        self._slots = arr
-        self._slots.setflags(write=False)
-
-    # ------------------------------------------------------------- routing
-    def __len__(self) -> int:
-        return int(self._slots.size)
-
-    @property
-    def slots(self) -> Tuple[int, ...]:
-        return tuple(int(s) for s in self._slots)
-
-    def owner_of(self, region_id: int) -> int:
-        return int(self._slots[region_id % self._slots.size])
-
-    def owners_of(self, region_ids: np.ndarray) -> np.ndarray:
-        ids = np.asarray(region_ids, dtype=np.int64)
-        return self._slots[ids % self._slots.size]
-
-    def positions(self, region_ids: np.ndarray, alive_ids: Sequence[int]) -> np.ndarray:
-        """Each region's owner as a *position* into ``alive_ids`` — the
-        shape every executor routing site consumes (it indexes the alive
-        server list, not raw ids)."""
-        owners = self.owners_of(region_ids)
-        alive = np.asarray(list(alive_ids), dtype=np.int64)
-        lut = np.full(int(self._slots.max()) + 1 if self._slots.size else 1, -1,
-                      dtype=np.int64)
-        lut_size = max(lut.size, int(alive.max()) + 1 if alive.size else 1)
-        if lut_size > lut.size:
-            lut = np.full(lut_size, -1, dtype=np.int64)
-        lut[alive] = np.arange(alive.size, dtype=np.int64)
-        pos = lut[owners]
-        if (pos < 0).any():
-            dead = sorted(set(int(o) for o in owners[pos < 0]))
-            raise PDCError(f"placement routes to non-serving servers {dead}")
-        return pos
-
-    # ----------------------------------------------------------- structure
-    @classmethod
-    def canonical(cls, serving_ids: Sequence[int]) -> "PlacementMap":
-        """The static-cluster map: one slot per serving server, ascending."""
-        return cls(sorted(set(int(s) for s in serving_ids)))
-
-    def is_canonical_for(self, serving_ids: Sequence[int]) -> bool:
-        want = sorted(set(int(s) for s in serving_ids))
-        return self.slots == tuple(want)
-
-    def owner_ids(self) -> List[int]:
-        return sorted(set(int(s) for s in self._slots))
-
-    def share_of(self, server_id: int) -> float:
-        """Fraction of the region space this server owns."""
-        return float((self._slots == server_id).sum()) / self._slots.size
-
-    def doubled(self) -> "PlacementMap":
-        """Split: every server's share now spans twice as many slots, each
-        half as wide — the unit a hot server's share is carved from."""
-        return PlacementMap(np.concatenate([self._slots, self._slots]))
-
-    def halved(self) -> "PlacementMap":
-        """Merge: undo a split whose halves have re-converged (no-op when
-        the halves differ or the table is odd)."""
-        n = self._slots.size
-        if n % 2 == 0 and bool((self._slots[: n // 2] == self._slots[n // 2 :]).all()):
-            return PlacementMap(self._slots[: n // 2])
-        return self
-
-    def with_slot(self, slot: int, server_id: int) -> "PlacementMap":
-        slots = self._slots.copy()
-        slots[slot] = server_id
-        return PlacementMap(slots)
-
-    def repair(self, dead_id: int, replacement_ids: Sequence[int]) -> "PlacementMap":
-        """Re-home a dead server's slots across the replacements,
-        round-robin in slot order (deterministic; mirrors the modulo
-        fast path's behaviour of spreading a dead server's share)."""
-        repl = sorted(set(int(s) for s in replacement_ids) - {int(dead_id)})
-        if not repl:
-            raise PDCError("cannot repair placement: no replacement servers")
-        slots = self._slots.copy()
-        holes = np.flatnonzero(slots == dead_id)
-        for i, slot in enumerate(holes):
-            slots[slot] = repl[i % len(repl)]
-        return PlacementMap(slots)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, PlacementMap) and self.slots == other.slots
-
-    def __hash__(self) -> int:
-        return hash(self.slots)
-
-    def __repr__(self) -> str:
-        return f"PlacementMap({list(self.slots)!r})"
+def _moved_share(source: Sequence[int], target: Sequence[int]) -> float:
+    """Fraction of the region space changing owner between two serving
+    sets: ownership repeats with period ``lcm(len(source), len(target))``."""
+    ids = np.arange(math.lcm(len(source), len(target)), dtype=np.int64)
+    src = np.asarray(source, dtype=np.int64)[ids % len(source)]
+    dst = np.asarray(target, dtype=np.int64)[ids % len(target)]
+    return float((src != dst).sum()) / ids.size
 
 
 @dataclass(frozen=True)
@@ -187,47 +79,54 @@ class RegionMove:
 
 
 class Migration:
-    """One copy-then-commit placement change on a live system.
+    """One copy-then-commit change of the serving set on a live system.
 
     Stepwise API so tests (and faults) can interleave work mid-flight:
     :meth:`step` copies the next throttled round of moves, :meth:`run`
     drains every round and commits, :meth:`abort` abandons in-flight
-    work (old placement stays authoritative; nothing was applied).
+    work (the current serving set stays authoritative; nothing was
+    applied).
     """
 
-    def __init__(
-        self,
-        system,
-        target: PlacementMap,
-        max_concurrent_moves: int = 4,
-    ) -> None:
-        if max_concurrent_moves < 1:
-            raise PDCError("max_concurrent_moves must be >= 1")
+    def __init__(self, system, max_concurrent_moves: int = 4) -> None:
+        if not is_count(max_concurrent_moves):
+            raise PDCError(
+                f"max_concurrent_moves must be an integer >= 1, got {max_concurrent_moves!r}"
+            )
+        registry = system.membership
         self.system = system
-        self.target = target
         self.max_concurrent_moves = int(max_concurrent_moves)
         self.state = "planned"
         self.t_begin = float(max(c.now for c in system.all_clocks()))
         self.t_commit: Optional[float] = None
         self._cursor = 0
-        self.source = system.placement_map()
+        #: Membership generation the plan was made at; commit refuses a
+        #: plan that membership has moved past.
+        self.generation = registry.generation
+        #: Serving ids now, and after commit (joiners in, drainers out).
+        self.source: Tuple[int, ...] = tuple(registry.serving_ids)
+        self.target: Tuple[int, ...] = tuple(registry.ids_in(LIVE, JOINING))
+        if not self.target:
+            raise PDCError("migration would leave no serving server")
         self.moves: List[RegionMove] = self._plan()
-        self.slot_space, self.slots_moved = self._slot_delta()
+        #: Fraction of the region space changing owner, independent of
+        #: cache warmth.
+        self.moved_share = _moved_share(self.source, self.target)
 
     # ------------------------------------------------------------- planning
     def _plan(self) -> List[RegionMove]:
-        """Group the source servers' cached entries that the target map
+        """Group the source servers' cached entries that the target
         re-homes into per-(region, src, dst) moves, deterministic order."""
         grouped: Dict[Tuple[int, int, int], Tuple[List[str], float]] = {}
-        for server in self.system.alive_servers:
-            sid = server.server_id
-            for key, vbytes in server.cache.entries():
+        n_src, n_dst = len(self.source), len(self.target)
+        for sid in self.source:
+            for key, vbytes in self.system.servers[sid].cache.entries():
                 rid = _region_id_of_key(key)
                 if rid is None:
                     continue
-                if self.source.owner_of(rid) != sid:
-                    continue  # stale residue from an older placement
-                dst = self.target.owner_of(rid)
+                if self.source[rid % n_src] != sid:
+                    continue  # stale residue from an older serving set
+                dst = self.target[rid % n_dst]
                 if dst == sid:
                     continue
                 keys, total = grouped.setdefault((rid, sid, dst), ([], 0.0))
@@ -241,25 +140,9 @@ class Migration:
             for (rid, src, dst), (keys, total) in sorted(grouped.items())
         ]
 
-    def _slot_delta(self) -> Tuple[int, int]:
-        """(combined slot space, ownership changes in it): the share of
-        the region space changing hands, independent of cache warmth."""
-        space = math.lcm(len(self.source), len(self.target))
-        if space > _MAX_SLOT_ENUM:
-            return space, -1
-        ids = np.arange(space, dtype=np.int64)
-        moved = int((self.source.owners_of(ids) != self.target.owners_of(ids)).sum())
-        return space, moved
-
     @property
     def total_vbytes(self) -> float:
         return sum(m.vbytes for m in self.moves)
-
-    @property
-    def moved_share(self) -> float:
-        """Fraction of the region space changing owner (nan when the
-        combined slot space was too large to enumerate)."""
-        return self.slots_moved / self.slot_space if self.slots_moved >= 0 else math.nan
 
     # ------------------------------------------------------------ execution
     def step(self) -> bool:
@@ -288,9 +171,9 @@ class Migration:
         return True
 
     def commit(self) -> None:
-        """Atomically apply the migration: transfer cache entries, flip
-        the placement map, activate joining servers the target routes to,
-        and retire drained servers it no longer routes to."""
+        """Atomically apply the migration: transfer cache entries,
+        activate joining servers, retire draining ones, and clear the
+        selection caches (routing changed, as after a crash)."""
         if self.state == "aborted":
             raise PDCError("migration was aborted")
         if self.state == "committed":
@@ -300,6 +183,12 @@ class Migration:
                 f"cannot commit: {len(self.moves) - self._cursor} moves not copied"
             )
         sysm = self.system
+        registry = sysm.membership
+        if registry.generation != self.generation:
+            raise PDCError(
+                f"cannot commit: membership moved from generation "
+                f"{self.generation} to {registry.generation} since the plan"
+            )
         scale = sysm.cost.virtual_scale
         servers = sysm.servers
         resident = {
@@ -315,15 +204,11 @@ class Migration:
                 dst.cache.put(key, nbytes=vbytes / scale)
                 src.cache.invalidate(key)
         t = float(max(c.now for c in sysm.all_clocks()))
-        registry = sysm.membership
-        owners = set(self.target.owner_ids())
         for sid in registry.ids_in(JOINING):
-            if sid in owners:
-                registry.activate(t, sid)
+            registry.activate(t, sid)
         for sid in registry.ids_in(DRAINING):
-            if sid not in owners:
-                registry.leave(t, sid)
-        sysm.set_placement(self.target)
+            registry.leave(t, sid)
+        sysm._notify_invalidation(None)
         self.state = "committed"
         self.t_commit = t
         sysm.monitor.on_migration(
@@ -335,9 +220,9 @@ class Migration:
         )
 
     def abort(self) -> None:
-        """Abandon the migration: nothing applied, old placement stays
-        authoritative, copied-but-uncommitted bytes are discarded (their
-        transfer time stays charged — wasted work is still work)."""
+        """Abandon the migration: nothing applied, the current serving set
+        stays authoritative, copied-but-uncommitted bytes are discarded
+        (their transfer time stays charged — wasted work is still work)."""
         if self.state in ("committed", "aborted"):
             return
         self.state = "aborted"
@@ -382,32 +267,29 @@ class MigrationRecord:
 
 
 class ClusterManager:
-    """Elastic-cluster driver: scaling, draining, and hot balancing.
+    """Elastic-cluster driver: scaling out, scaling in, and completing
+    pending joins and drains.
 
     Owns the in-flight :class:`Migration` (at most one) and aborts it if
-    any serving member crashes mid-flight — the crash repairs the
-    *committed* placement, and the abandoned migration is simply
-    re-planned by the next scaling call.
+    any member crashes mid-flight — the crash re-routes over the
+    survivors, and the abandoned migration is simply re-planned by the
+    next scaling call.
     """
 
-    def __init__(
-        self,
-        system,
-        max_concurrent_moves: int = 4,
-        balance_factor: float = 1.5,
-    ) -> None:
-        if balance_factor < 1.0:
-            raise PDCError("balance_factor must be >= 1.0")
+    def __init__(self, system, max_concurrent_moves: int = 4) -> None:
+        if not is_count(max_concurrent_moves):
+            raise PDCError(
+                f"max_concurrent_moves must be an integer >= 1, got {max_concurrent_moves!r}"
+            )
         self.system = system
         self.max_concurrent_moves = int(max_concurrent_moves)
-        self.balance_factor = float(balance_factor)
         self.history: List[MigrationRecord] = []
         self._active: Optional[Migration] = None
         system.membership.subscribe(self._on_membership_event)
 
     # -------------------------------------------------------------- events
     def _on_membership_event(self, event) -> None:
-        if event.kind in ("crash", "lease_expire") and self._active is not None:
+        if event.kind == "crash" and self._active is not None:
             mig = self._active
             if mig.state in ("planned", "copying"):
                 mig.abort()
@@ -430,14 +312,16 @@ class ClusterManager:
         )
 
     # ------------------------------------------------------------- scaling
-    def begin_migration(self, target: PlacementMap) -> Migration:
-        """Plan a migration to ``target`` without running it (stepwise
-        control for tests and fault interleavings)."""
+    def _refuse_in_flight(self) -> None:
         if self._active is not None and self._active.state in ("planned", "copying"):
             raise PDCError("a migration is already in flight")
-        mig = Migration(
-            self.system, target, max_concurrent_moves=self.max_concurrent_moves
-        )
+
+    def begin_migration(self) -> Migration:
+        """Plan the migration that completes the pending joins and drains,
+        without running it (stepwise control for tests and fault
+        interleavings)."""
+        self._refuse_in_flight()
+        mig = Migration(self.system, max_concurrent_moves=self.max_concurrent_moves)
         self._active = mig
         return mig
 
@@ -452,81 +336,35 @@ class ClusterManager:
         return mig
 
     def scale_out(self, n: int = 1) -> Migration:
-        """Add ``n`` servers and migrate them into the canonical map of
-        the grown view (join → copy → commit activates them)."""
-        if n < 1:
-            raise PDCError("scale_out needs n >= 1")
-        new_ids = [self.system.add_server() for _ in range(n)]
-        serving = [s.server_id for s in self.system.alive_servers]
-        target = PlacementMap.canonical(serving + new_ids)
-        return self._finish(self.begin_migration(target))
+        """Add ``n`` servers and migrate them in (join → copy → commit
+        activates them).  A refused call changes nothing."""
+        if not is_count(n):
+            raise PDCError(f"scale_out: n must be an integer >= 1, got {n!r}")
+        self._refuse_in_flight()
+        for _ in range(n):
+            self.system.add_server()
+        return self._finish(self.begin_migration())
 
     def scale_in(self, n: int = 1) -> Migration:
         """Drain the ``n`` highest-id live servers and migrate their
-        shares away (drain → copy → commit retires them)."""
-        if n < 1:
-            raise PDCError("scale_in needs n >= 1")
+        shares away (drain → copy → commit retires them).  A refused call
+        changes nothing."""
+        if not is_count(n):
+            raise PDCError(f"scale_in: n must be an integer >= 1, got {n!r}")
         registry = self.system.membership
         live = registry.ids_in(LIVE)
         if len(live) - n < 1:
             raise PDCError("scale_in would leave no live server")
-        victims = live[-n:]
+        self._refuse_in_flight()
         t = float(max(c.now for c in self.system.all_clocks()))
-        for sid in victims:
+        for sid in live[-n:]:
             registry.drain(t, sid)
-        keep = [s for s in registry.serving_ids if s not in victims]
-        target = PlacementMap.canonical(keep)
-        return self._finish(self.begin_migration(target))
+        return self._finish(self.begin_migration())
 
     def rebalance(self) -> Migration:
-        """Migrate back to the canonical map of the current serving set
-        (e.g. after a recovery or an aborted migration)."""
-        serving = [s.server_id for s in self.system.alive_servers]
-        return self._finish(self.begin_migration(PlacementMap.canonical(serving)))
-
-    # ------------------------------------------------------------ balancing
-    def loads(self) -> Dict[int, float]:
-        """Per-serving-server load signal: cached virtual bytes (a cheap,
-        deterministic stand-in for read traffic; the monitor's
-        ``pdc_server_read_bytes`` series refines it when installed)."""
-        return {
-            s.server_id: float(s.cache.used_bytes)
-            for s in self.system.alive_servers
-        }
-
-    def balance(self, loads: Optional[Dict[int, float]] = None) -> Optional[Migration]:
-        """One balancing step: if the hottest serving server's load
-        exceeds ``balance_factor ×`` the mean, split its region share
-        (doubling the slot table when needed) and re-home one of its
-        slots onto the coldest server; otherwise try to merge a
-        previously split table back.  Returns the migration run, or None
-        when already balanced."""
-        sysm = self.system
-        if loads is None:
-            loads = self.loads()
-        serving = sorted(loads)
-        if len(serving) < 2:
-            return None
-        placement = sysm.placement_map()
-        mean = sum(loads.values()) / len(loads)
-        hot = max(serving, key=lambda s: (loads[s], s))
-        cold = min(serving, key=lambda s: (loads[s], -s))
-        if mean <= 0.0 or loads[hot] <= self.balance_factor * mean:
-            merged = placement.halved()
-            if merged is not placement:
-                return self._finish(self.begin_migration(merged))
-            return None
-        if hot not in placement.owner_ids():
-            return None  # hot load is cache residue, not owned regions
-        target = placement
-        n_hot = sum(1 for s in target.slots if s == hot)
-        if n_hot < 2:
-            if len(target) * 2 > _MAX_SLOT_TABLE:
-                return None  # split ceiling: keep the routing table bounded
-            target = target.doubled()
-        hot_slots = [i for i, s in enumerate(target.slots) if s == hot]
-        target = target.with_slot(hot_slots[-1], cold)
-        return self._finish(self.begin_migration(target))
+        """Complete whatever joins and drains are pending (e.g. after an
+        explicit drain or an aborted migration)."""
+        return self._finish(self.begin_migration())
 
     # ----------------------------------------------------------- inspection
     @property

@@ -361,7 +361,7 @@ class ServiceMonitor:
         n_serving: int,
     ) -> None:
         """One membership transition (join/activate/drain/leave/crash/
-        lease_expire/recover) plus the fleet gauges it implies."""
+        recover) plus the fleet gauges it implies."""
         self.recorder.record(
             "pdc_cluster_membership_events", t_s, 1.0, kind="event",
             # The transition kind is a label legitimately named like the

@@ -21,6 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List
 
+from ..cluster.membership import CRASHED
 from .system import PDCSystem
 
 __all__ = ["ServerStats", "SystemSnapshot", "snapshot", "report"]
@@ -126,7 +127,7 @@ def snapshot(system: PDCSystem) -> SystemSnapshot:
         servers.append(
             ServerStats(
                 server_id=s.server_id,
-                alive=s.server_id not in system._failed_servers,
+                alive=system.membership.state(s.server_id) != CRASHED,
                 sim_time_s=s.clock.now,
                 busy_s=busy,
                 time_breakdown=breakdown,

@@ -2,9 +2,9 @@
 
 §III-C: *"Upon the receipt of a query request, different regions of the
 queried object are assigned to the servers in a load-balanced fashion."*
-Ordinary work is routed by :meth:`PDCSystem.region_owner_positions` (and a
-committed :class:`~repro.cluster.rebalance.PlacementMap`); this module only
-re-spreads the share of a server that died mid-query.
+Ordinary work is routed by :meth:`PDCSystem.region_owner_positions`
+(``serving[rid % len(serving)]``); this module only re-spreads the share
+of a server that died mid-query.
 """
 
 from __future__ import annotations

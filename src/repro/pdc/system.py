@@ -327,19 +327,14 @@ class PDCSystem:
             s.tracer = self.tracer
             s.monitor = self.monitor
         self.client_clock = SimClock("client")
-        self._failed_servers: set = set()
-        #: Servers not receiving region routing: joining ∪ crashed ∪ gone
-        #: (``_failed_servers`` stays the crashed subset — the executor's
-        #: failover path reads it directly).
-        self._inactive_servers: set = set()
-        self._gone_servers: set = set()
-        #: Committed non-canonical placement (:class:`PlacementMap`), or
-        #: ``None`` for the canonical modulo-over-alive routing — the fast
-        #: path every pre-cluster deployment stays on.
-        self._placement = None
         #: Membership registry: every server lifecycle change (including
         #: :meth:`fail_server`) is one of its transitions.
         self.membership = MembershipRegistry(range(self.config.n_servers))
+        #: The serving set (live and draining servers, ascending id), the
+        #: one input of routing; rebuilt on every membership event, so a
+        #: caller's earlier copy keeps its view.
+        self._serving: Tuple[PDCServer, ...] = tuple(self.servers)
+        self._n_servers = len(self.servers)
         self.membership.subscribe(self._on_membership_event)
         self._cluster_events_metric = None
         #: Deterministic fault plan (:mod:`repro.faults`); None = no faults.
@@ -365,7 +360,7 @@ class PDCSystem:
         count — the pre-cluster fleet size semantics — while servers that
         completed a drain-and-leave are excluded, so after a scale-in the
         count matches a static cluster of the final view."""
-        return len(self.servers) - len(self._gone_servers)
+        return self._n_servers
 
     @property
     def strategy(self) -> Strategy:
@@ -385,55 +380,27 @@ class PDCSystem:
         return t
 
     def server_of_region(self, region_id: int) -> int:
-        """Stable region→server mapping (load-balanced for equal-size
-        regions, and cache-friendly across a query sequence).  Routes
-        around failed servers; honours a committed rebalanced placement
-        when one exists."""
-        if self._placement is not None:
-            return self._placement.owner_of(region_id)
-        alive = self.alive_servers
-        return alive[region_id % len(alive)].server_id
+        """The routing rule: region ``rid`` is served by
+        ``serving[rid % len(serving)]`` over :attr:`alive_servers` (load-
+        balanced for equal-size regions, cache-friendly across a query
+        sequence, and the same rule before and after any membership
+        change)."""
+        serving = self._serving
+        return serving[region_id % len(serving)].server_id
 
     def region_owner_positions(self, region_ids: np.ndarray) -> np.ndarray:
         """Vectorized routing: each region's owner as a *position* into
         :attr:`alive_servers` (the shape the executor's assignment and
-        charge sites consume).  On the canonical placement this is
-        exactly ``region_ids % len(alive_servers)`` — bit-identical to
-        the pre-cluster modulo routing."""
-        ids = np.asarray(region_ids, dtype=np.int64)
-        alive = self.alive_servers
-        if self._placement is None:
-            return ids % len(alive)
-        return self._placement.positions(ids, [s.server_id for s in alive])
-
-    def placement_map(self):
-        """The committed placement as an explicit map (the canonical map
-        of the current serving set when the fast path is active)."""
-        from ..cluster.rebalance import PlacementMap
-
-        if self._placement is not None:
-            return self._placement
-        return PlacementMap.canonical([s.server_id for s in self.alive_servers])
-
-    def set_placement(self, placement) -> None:
-        """Commit a placement map.  A canonical map (or ``None``) drops
-        back to the modulo fast path.  Selection caches are invalidated
-        conservatively — routing changed, so cached per-server cost state
-        is stale even though answers are placement-independent."""
-        alive_ids = [s.server_id for s in self.alive_servers]
-        if placement is None or placement.is_canonical_for(alive_ids):
-            self._placement = None
-        else:
-            self._placement = placement
-        self._notify_invalidation(None)
+        charge sites consume)."""
+        return np.asarray(region_ids, dtype=np.int64) % len(self._serving)
 
     # ------------------------------------------------------------- membership
     @property
-    def alive_servers(self) -> List[PDCServer]:
+    def alive_servers(self) -> Tuple[PDCServer, ...]:
         """Servers currently in service, ascending by id (live and
         draining members; joining, crashed, and retired servers are
         excluded from routing)."""
-        return [s for s in self.servers if s.server_id not in self._inactive_servers]
+        return self._serving
 
     def add_server(self) -> int:
         """Provision one new server in the JOINING state: its clock runs
@@ -458,41 +425,22 @@ class PDCSystem:
         t = max(c.now for c in self.all_clocks())
         self.membership.drain(t, server_id)
 
-    def retire_server(self, server_id: int) -> None:
-        """Retire a drained (or never-activated joining) server."""
-        t = max(c.now for c in self.all_clocks())
-        self.membership.leave(t, server_id)
-
     def _on_membership_event(self, event) -> None:
         """The single code path every membership change funnels through:
-        routing-set maintenance, cache drops, placement repair, and
-        observability all happen here whether the trigger was
-        ``fail_server``, a lease expiry, or a scaling migration."""
+        the serving set, cache drops, and observability all follow here
+        whether the trigger was ``fail_server`` or a scaling migration."""
         sid = event.server_id
         kind = event.kind
-        if kind == "join":
-            self._inactive_servers.add(sid)
-        elif kind == "activate":
-            self._inactive_servers.discard(sid)
-        elif kind in ("crash", "lease_expire"):
-            self._failed_servers.add(sid)
-            self._inactive_servers.add(sid)
+        registry = self.membership
+        self._serving = tuple(self.servers[i] for i in registry.serving_ids)
+        self._n_servers = len(self.servers) - len(registry.ids_in(GONE))
+        if kind == "crash":
             self.servers[sid].drop_caches()
-            if self._placement is not None:
-                alive_ids = [s.server_id for s in self.alive_servers]
-                repaired = self._placement.repair(sid, alive_ids)
-                self._placement = (
-                    None if repaired.is_canonical_for(alive_ids) else repaired
-                )
             self._notify_invalidation(None)
         elif kind == "recover":
-            self._failed_servers.discard(sid)
-            self._inactive_servers.discard(sid)
             t = max(c.now for c in self.all_clocks())
             self.servers[sid].clock.advance_to(t)
         elif kind == "leave":
-            self._inactive_servers.add(sid)
-            self._gone_servers.add(sid)
             self.servers[sid].drop_caches()
         if self._cluster_events_metric is None:
             # Lazily declared so a deployment with no membership events
@@ -511,7 +459,7 @@ class PDCSystem:
                 kind=kind,
                 state=event.state,
                 generation=event.generation,
-                n_serving=len(self.membership.serving_ids),
+                n_serving=len(self._serving),
             )
 
     # ------------------------------------------------------------- failures
@@ -522,8 +470,8 @@ class PDCSystem:
         survivors.  Queries keep working because region payloads live on
         the PFS and metadata is re-distributed on demand.  At least one
         server must survive.  This is the membership registry's ``crash``
-        transition — failover, cache invalidation, placement repair, and
-        monitor series all observe the one event stream.
+        transition — failover, cache invalidation, and monitor series all
+        observe the one event stream.
         """
         if not self.membership.knows(server_id) or (
             self.membership.state(server_id) == GONE
@@ -545,7 +493,7 @@ class PDCSystem:
         """Subscribe ``hook(name, regions)`` to staleness events: the
         object name and affected region ids after a write, ``(None,
         None)`` — the conservative whole-system signal — after a server
-        failure or a placement change."""
+        failure or a migration commit."""
         if hook not in self._invalidation_hooks:
             self._invalidation_hooks.append(hook)
 

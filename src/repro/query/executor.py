@@ -1259,7 +1259,6 @@ class QueryEngine:
         for server, mine in pairs:
             if (
                 mine.size
-                and server.server_id not in sysm._failed_servers
                 and len(sysm.alive_servers) > 1
                 and plan.server_crashes(server.server_id)
             ):

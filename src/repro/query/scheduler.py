@@ -364,7 +364,7 @@ class QueryScheduler:
     ) -> None:
         """The system's invalidation hook, ``(name, regions)``: a write
         makes that object's entries stale over the written regions' spans;
-        ``(None, None)`` — a failure or placement change — clears the cache."""
+        ``(None, None)`` — a failure or a migration commit — clears the cache."""
         if self.selection_cache is None:
             return
         if object_name is None:

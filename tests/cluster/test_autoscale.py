@@ -67,6 +67,18 @@ class TestConfigValidation:
             {"breach_ticks": 0},
             {"idle_ticks": 0},
             {"step": 0},
+            {"step": 1.5},
+            {"step": True},
+            {"max_servers": 4.0},
+            {"breach_ticks": math.inf},
+            {"target_p99_wait_s": math.nan},
+            {"low_p99_wait_s": -math.inf},
+            {"window_s": math.inf},
+            {"evaluate_interval_s": math.nan},
+            {"cooldown_s": math.nan},
+            {"cooldown_s": -1.0},
+            {"max_shed_rate": math.nan},
+            {"max_shed_rate": -0.1},
         ],
     )
     def test_bad_knobs_rejected(self, bad):

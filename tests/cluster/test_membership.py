@@ -1,4 +1,4 @@
-"""Membership registry: transitions, leases, views, and determinism."""
+"""Membership registry: transitions, views, and determinism."""
 
 import pytest
 
@@ -24,10 +24,6 @@ class TestInitialFleet:
     def test_empty_fleet_rejected(self):
         with pytest.raises(PDCError):
             MembershipRegistry([])
-
-    def test_nonpositive_lease_rejected(self):
-        with pytest.raises(PDCError):
-            MembershipRegistry([0], lease_s=0.0)
 
 
 class TestTransitions:
@@ -137,47 +133,6 @@ class TestSubscribers:
         assert [(e.kind, e.server_id) for e in seen] == [
             ("crash", 1), ("recover", 1),
         ]
-
-
-class TestLeases:
-    def test_heartbeat_renews_and_never_rewinds(self):
-        reg = MembershipRegistry([0, 1], lease_s=1.0)
-        reg.heartbeat(5.0, 0)
-        assert reg.lease_deadline(0) == 6.0
-        reg.heartbeat(3.0, 0)  # late arrival must not rewind the lease
-        assert reg.lease_deadline(0) == 6.0
-
-    def test_deadline_none_when_leases_disabled(self):
-        reg = MembershipRegistry([0])
-        assert reg.lease_deadline(0) is None
-        assert reg.expire_leases(100.0) == []
-
-    def test_expiry_crashes_lapsed_members(self):
-        reg = MembershipRegistry([0, 1, 2], lease_s=1.0)
-        reg.heartbeat(5.0, 0)
-        expired = reg.expire_leases(5.0)
-        assert [(e.server_id, e.kind) for e in expired] == [
-            (1, "lease_expire"), (2, "lease_expire"),
-        ]
-        assert reg.state(1) == CRASHED
-        assert reg.serving_ids == [0]
-
-    def test_expiry_never_empties_the_serving_set(self):
-        reg = MembershipRegistry([0, 1], lease_s=1.0)
-        # Nobody heartbeats: the lower-id member expires, then the check
-        # stops — someone must keep answering.
-        expired = reg.expire_leases(10.0)
-        assert [e.server_id for e in expired] == [0]
-        assert reg.serving_ids == [1]
-        assert reg.expire_leases(20.0) == []
-
-    def test_activation_stamps_a_fresh_lease(self):
-        reg = MembershipRegistry([0], lease_s=1.0)
-        reg.heartbeat(4.0, 0)
-        reg.join(4.0, 1)
-        reg.activate(4.5, 1)
-        assert reg.lease_deadline(1) == 5.5
-        assert reg.expire_leases(5.0) == []
 
 
 class TestFingerprint:

@@ -1,15 +1,17 @@
-"""Placement maps and copy-then-commit migrations.
+"""One routing rule and copy-then-commit migrations.
 
-The routing contract under test: queries stay exact through scale-out,
-scale-in, hot-share splitting, and crashes that interrupt an in-flight
-migration — and a crash mid-copy neither loses nor duplicates a region.
+The routing contract under test: region ``rid`` is served by
+``serving[rid % len(serving)]`` before and after every membership
+change; queries stay exact through scale-out, scale-in, and crashes that
+interrupt an in-flight migration — and a crash mid-copy neither loses nor
+duplicates a region.
 """
 
 import numpy as np
 import pytest
 
 from repro.cluster.membership import DRAINING, GONE, JOINING, LIVE
-from repro.cluster.rebalance import ClusterManager, Migration, PlacementMap
+from repro.cluster.rebalance import ClusterManager, Migration
 from repro.errors import PDCError
 from repro.query.ast import Condition
 from repro.query.executor import QueryEngine
@@ -44,54 +46,39 @@ def cached_region_keys(sysm):
     ]
 
 
-class TestPlacementMap:
-    def test_canonical_is_modulo_routing(self):
-        pm = PlacementMap.canonical([2, 0, 1, 0])
-        assert pm.slots == (0, 1, 2)
-        assert pm.is_canonical_for([0, 1, 2])
-        assert [pm.owner_of(r) for r in range(5)] == [0, 1, 2, 0, 1]
-        ids = np.arange(6)
-        np.testing.assert_array_equal(
-            pm.positions(ids, [0, 1, 2]), ids % 3
-        )
+def routed_ids(sysm, n_regions):
+    return [sysm.server_of_region(r) for r in range(n_regions)]
 
-    def test_positions_index_the_alive_list(self):
-        # Owner ids are translated to positions in the (possibly gappy)
-        # alive list — the shape the executor consumes.
-        pm = PlacementMap([0, 2, 3])
-        pos = pm.positions(np.arange(3), [0, 2, 3])
-        np.testing.assert_array_equal(pos, [0, 1, 2])
-        with pytest.raises(PDCError, match="non-serving servers"):
-            pm.positions(np.arange(3), [0, 3])  # 2 not serving
 
-    def test_doubled_preserves_routing_and_halved_undoes_it(self):
-        pm = PlacementMap([0, 1, 2])
-        ids = np.arange(12)
-        np.testing.assert_array_equal(
-            pm.doubled().owners_of(ids), pm.owners_of(ids)
-        )
-        assert pm.doubled().halved() == pm
-        # Uneven halves (a re-homed slot) refuse to merge.
-        split = pm.doubled().with_slot(3, 1)
-        assert split.halved() is split
+class TestRouting:
+    def test_region_is_served_by_serving_rid_mod_n(self, env):
+        sysm, _, _, _ = env
+        assert routed_ids(sysm, 6) == [0, 1, 2, 3, 0, 1]
+        sysm.fail_server(1)
+        assert routed_ids(sysm, 6) == [0, 2, 3, 0, 2, 3]
+        ClusterManager(sysm).scale_out(1)
+        assert routed_ids(sysm, 6) == [0, 2, 3, 4, 0, 2]
+        sysm.recover_server(1)
+        assert routed_ids(sysm, 6) == [0, 1, 2, 3, 4, 0]
 
-    def test_repair_rehomes_dead_slots_round_robin(self):
-        pm = PlacementMap([0, 1, 0, 1, 0])
-        repaired = pm.repair(0, [1, 2])
-        assert repaired.slots == (1, 1, 2, 1, 1)
-        with pytest.raises(PDCError, match="no replacement"):
-            pm.repair(0, [0])
+    def test_positions_index_the_alive_list(self, env):
+        # The executor consumes positions into the (possibly gappy)
+        # serving list, never raw ids.
+        sysm, _, _, _ = env
+        sysm.fail_server(2)
+        ids = np.arange(7)
+        pos = sysm.region_owner_positions(ids)
+        np.testing.assert_array_equal(pos, ids % 3)
+        assert [sysm.alive_servers[p].server_id for p in pos] == routed_ids(sysm, 7)
 
-    def test_share_of(self):
-        pm = PlacementMap([0, 1, 0, 2])
-        assert pm.share_of(0) == 0.5
-        assert pm.share_of(3) == 0.0
-
-    def test_invalid_slots_rejected(self):
-        with pytest.raises(PDCError):
-            PlacementMap([])
-        with pytest.raises(PDCError):
-            PlacementMap([0, -1])
+    def test_an_earlier_serving_list_keeps_its_view(self, env):
+        # A caller holding the list across a failover (the executor's
+        # crash-at-dispatch path) keeps a consistent view.
+        sysm, _, _, _ = env
+        before = sysm.alive_servers
+        sysm.fail_server(3)
+        assert [s.server_id for s in before] == [0, 1, 2, 3]
+        assert [s.server_id for s in sysm.alive_servers] == [0, 1, 2]
 
 
 class TestScaleOut:
@@ -100,10 +87,9 @@ class TestScaleOut:
         manager = ClusterManager(sysm)
         mig = manager.scale_out(2)
         assert mig.state == "committed"
-        # The grown view's canonical map drops back to the modulo fast
-        # path — routing is position-identical to a static 6-server
-        # cluster.
-        assert sysm._placement is None
+        # Routing is position-identical to a static 6-server cluster.
+        assert mig.target == (0, 1, 2, 3, 4, 5)
+        assert routed_ids(sysm, 12) == [r % 6 for r in range(12)]
         assert sysm.n_servers == 6
         assert [s.server_id for s in sysm.alive_servers] == [0, 1, 2, 3, 4, 5]
         assert sysm.membership.state(4) == LIVE
@@ -134,11 +120,27 @@ class TestScaleOut:
         # No cached region entry was lost or duplicated by the transfer.
         assert {key for _, key in after} == before
         assert len(after) == len({key for _, key in after})
-        # Every transferred entry lives where the new map routes it.
-        pm = sysm.placement_map()
+        # Every transferred entry lives where the new serving set routes it.
         for sid, key in after:
             rid = int(key.rpartition(":r")[2])
-            assert pm.owner_of(rid) == sid
+            assert sysm.server_of_region(rid) == sid
+
+    def test_commit_clears_selection_caches(self, env):
+        # Routing changed at the commit, as after a crash: the semantic
+        # cache starts over.
+        from repro.query.scheduler import QueryScheduler
+
+        sysm, _, _, truth = env
+        sched = QueryScheduler(sysm, max_width=1)
+        sched.run([cond("energy", ">", 0.5)])
+        assert len(sched.selection_cache) == 1
+        mig = ClusterManager(sysm).begin_migration()
+        assert len(sched.selection_cache) == 1  # planning changes nothing
+        while mig.step():
+            pass
+        mig.commit()
+        assert len(sched.selection_cache) == 0
+        assert sched.run([cond("energy", ">", 0.5)])[0].nhits == truth
 
 
 class TestScaleIn:
@@ -149,7 +151,7 @@ class TestScaleIn:
         assert mig.state == "committed"
         assert sysm.membership.state(3) == GONE
         assert sysm.n_servers == 3
-        assert sysm._placement is None
+        assert routed_ids(sysm, 6) == [0, 1, 2, 0, 1, 2]
         assert engine.execute(cond("energy", ">", 0.5)).nhits == truth
         # The retired server's caches are dropped and it gets no work.
         assert len(sysm.servers[3].cache) == 0
@@ -166,8 +168,7 @@ class TestScaleIn:
         assert sysm.membership.state(2) == DRAINING
         # Draining servers keep serving until a commit excludes them.
         assert 2 in [s.server_id for s in sysm.alive_servers]
-        target = PlacementMap.canonical([0, 1, 3])
-        manager._finish(manager.begin_migration(target))
+        assert manager.rebalance().target == (0, 1, 3)
         assert sysm.membership.state(2) == GONE
         assert engine.execute(cond("energy", ">", 0.5)).nhits == truth
 
@@ -181,9 +182,8 @@ class TestCrashMidMigration:
         manager = ClusterManager(sysm)
         sid = sysm.add_server()
         assert sysm.membership.state(sid) == JOINING
-        mig = manager.begin_migration(
-            PlacementMap.canonical([0, 1, 2, 3, sid])
-        )
+        mig = manager.begin_migration()
+        assert mig.target == (0, 1, 2, 3, sid)
         before = cached_region_keys(sysm)
         assert mig.step()  # copy one round, then the source crashes
         sysm.fail_server(1)
@@ -192,7 +192,6 @@ class TestCrashMidMigration:
         assert mig.state == "aborted"
         assert manager.in_flight is None
         assert manager.history[-1].status == "aborted"
-        assert sysm._placement is None
         assert sysm.membership.state(sid) == JOINING  # never activated
 
         # No region duplicated, none half-moved: the cache layout is
@@ -216,28 +215,13 @@ class TestCrashMidMigration:
         sysm, engine, _, truth = env
         manager = ClusterManager(sysm)
         sid = sysm.add_server()
-        mig = manager.begin_migration(
-            PlacementMap.canonical([0, 1, 2, 3, sid])
-        )
-        mig.step()
+        manager.begin_migration().step()
         sysm.fail_server(1)
         # Re-plan over the survivors: the joining server finally serves.
-        replan = manager._finish(
-            manager.begin_migration(PlacementMap.canonical([0, 2, 3, sid]))
-        )
+        replan = manager.rebalance()
+        assert replan.target == (0, 2, 3, sid)
         assert replan.state == "committed"
         assert sysm.membership.state(sid) == LIVE
-        assert engine.execute(cond("energy", ">", 0.5)).nhits == truth
-
-    def test_crash_repairs_a_committed_noncanonical_placement(self, env):
-        sysm, engine, _, truth = env
-        sysm.set_placement(PlacementMap([0, 1, 2, 0]))
-        assert sysm._placement is not None
-        sysm.fail_server(1)
-        # The dead server's slots were re-homed across the survivors.
-        obj = sysm.get_object("energy")
-        owners = {sysm.server_of_region(r) for r in range(obj.n_regions)}
-        assert 1 not in owners
         assert engine.execute(cond("energy", ">", 0.5)).nhits == truth
 
 
@@ -245,10 +229,8 @@ class TestMigrationGuards:
     def test_commit_requires_all_moves_copied(self, env):
         sysm, _, _, _ = env
         manager = ClusterManager(sysm)
-        sid = sysm.add_server()
-        mig = manager.begin_migration(
-            PlacementMap.canonical([0, 1, 2, 3, sid])
-        )
+        sysm.add_server()
+        mig = manager.begin_migration()
         assert len(mig.moves) > mig.max_concurrent_moves
         mig.step()
         with pytest.raises(PDCError, match="not copied"):
@@ -257,10 +239,8 @@ class TestMigrationGuards:
     def test_aborted_migration_is_terminal(self, env):
         sysm, _, _, _ = env
         manager = ClusterManager(sysm)
-        sid = sysm.add_server()
-        mig = manager.begin_migration(
-            PlacementMap.canonical([0, 1, 2, 3, sid])
-        )
+        sysm.add_server()
+        mig = manager.begin_migration()
         mig.abort()
         with pytest.raises(PDCError, match="aborted"):
             mig.step()
@@ -271,55 +251,76 @@ class TestMigrationGuards:
     def test_single_inflight_migration(self, env):
         sysm, _, _, _ = env
         manager = ClusterManager(sysm)
-        sid = sysm.add_server()
-        manager.begin_migration(PlacementMap.canonical([0, 1, 2, 3, sid]))
+        sysm.add_server()
+        manager.begin_migration()
         with pytest.raises(PDCError, match="already in flight"):
-            manager.begin_migration(PlacementMap.canonical([0, 1, 2, 3]))
+            manager.begin_migration()
 
     def test_throttle_rounds(self, env):
         sysm, _, _, _ = env
-        mig = Migration(
-            sysm, PlacementMap.canonical([0, 1]), max_concurrent_moves=2
-        )
+        sysm.drain_server(2)
+        sysm.drain_server(3)
+        mig = Migration(sysm, max_concurrent_moves=2)
+        assert mig.target == (0, 1)
         rounds = 0
         while mig.step():
             rounds += 1
         assert rounds == -(-len(mig.moves) // 2)  # ceil division
         with pytest.raises(PDCError):
-            Migration(sysm, PlacementMap.canonical([0, 1]),
-                      max_concurrent_moves=0)
+            Migration(sysm, max_concurrent_moves=0)
 
 
-class TestBalance:
-    def test_hot_share_is_split_toward_the_coldest(self, env):
-        sysm, engine, _, truth = env
+    def test_refused_scaling_changes_nothing(self, env):
+        # Both calls used to join / drain first and only then find the
+        # migration in flight, leaving servers stuck JOINING / DRAINING.
+        sysm, _, _, _ = env
         manager = ClusterManager(sysm)
-        mig = manager.balance(loads={0: 100.0, 1: 0.0, 2: 0.0, 3: 0.0})
-        assert mig is not None and mig.state == "committed"
-        pm = sysm.placement_map()
-        # The canonical table doubled and one of the hot server's slots
-        # was re-homed onto the coldest server.
-        assert len(pm) == 8
-        assert pm.share_of(0) == 1 / 8
-        assert pm.share_of(3) == 3 / 8
+        sysm.add_server()
+        manager.begin_migration()
+        view, n = sysm.membership.view(), len(sysm.servers)
+        for call in (manager.scale_out, manager.scale_in):
+            with pytest.raises(PDCError, match="already in flight"):
+                call(1)
+        assert sysm.membership.view() == view
+        assert len(sysm.servers) == n
+
+    @pytest.mark.parametrize("bad", [0, -1, 1.5, True, np.float64(2.0), None])
+    def test_count_knobs_refused(self, env, bad):
+        sysm, _, _, _ = env
+        with pytest.raises(PDCError, match="integer >= 1"):
+            ClusterManager(sysm, max_concurrent_moves=bad)
+        with pytest.raises(PDCError, match="integer >= 1"):
+            Migration(sysm, max_concurrent_moves=bad)
+        manager = ClusterManager(sysm)
+        for call in (manager.scale_out, manager.scale_in):
+            with pytest.raises(PDCError, match="integer >= 1"):
+                call(bad)
+        assert sysm.membership.events == []
+        assert len(sysm.servers) == 4
+
+    def test_commit_refuses_a_plan_membership_moved_past(self, env):
+        sysm, engine, _, truth = env
+        sysm.add_server()
+        mig = Migration(sysm)  # not managed: no crash subscription
+        while mig.step():
+            pass
+        sysm.fail_server(1)
+        with pytest.raises(PDCError, match="membership moved"):
+            mig.commit()
+        assert mig.state == "copying"
         assert engine.execute(cond("energy", ">", 0.5)).nhits == truth
 
-    def test_balanced_loads_merge_a_split_table_back(self, env):
+    def test_a_migration_needs_a_serving_target(self, env):
         sysm, _, _, _ = env
-        manager = ClusterManager(sysm)
-        sysm.set_placement(PlacementMap([0, 1, 2, 3, 0, 1, 2, 3]))
-        mig = manager.balance(loads={0: 1.0, 1: 1.0, 2: 1.0, 3: 1.0})
-        assert mig is not None and mig.state == "committed"
-        # The merged table is the canonical map: back on the fast path.
-        assert sysm._placement is None
+        for sid in range(4):
+            sysm.drain_server(sid)
+        with pytest.raises(PDCError, match="no serving server"):
+            Migration(sysm)
 
-    def test_already_balanced_is_a_noop(self, env):
+    def test_moved_share_counts_owner_changes_over_one_period(self, env):
         sysm, _, _, _ = env
-        manager = ClusterManager(sysm)
-        assert manager.balance(loads={s: 1.0 for s in range(4)}) is None
-        assert manager.history == []
-
-    def test_balance_factor_validated(self, env):
-        sysm, _, _, _ = env
-        with pytest.raises(PDCError):
-            ClusterManager(sysm, balance_factor=0.5)
+        sysm.add_server()
+        mig = Migration(sysm)
+        # Owners repeat every lcm(4, 5) = 20 regions; of those, region r
+        # keeps its owner iff r % 4 == r % 5, i.e. r in 0..3.
+        assert mig.moved_share == 16 / 20

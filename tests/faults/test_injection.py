@@ -6,6 +6,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.cluster.membership import CRASHED
 from repro.errors import RegionUnavailableError, RuntimeAbort, TransportError
 from repro.faults import FaultConfig, FaultPlan
 from repro.pdc.region import region_key
@@ -134,7 +135,7 @@ class TestFailover:
         assert res.complete
         assert res.nhits == truth
         assert res.failovers >= 1
-        assert sysm._failed_servers
+        assert sysm.membership.ids_in(CRASHED)
         assert len(sysm.alive_servers) >= 1
         for errors in res.server_errors.values():
             assert any("crashed" in e for e in errors)

@@ -182,7 +182,7 @@ def all_resident_at_live_owner(sysm, name):
 class TestResidencyFollowsLiveOwner:
     """Regression: the planner looked for region ``rid`` in
     ``servers[rid % n_servers]`` — not where the executor routes it once a
-    server failed or a rebalance committed — and so priced a fully
+    server failed or a migration committed — and so priced a fully
     resident object as (mostly) cold."""
 
     @pytest.fixture
@@ -206,12 +206,14 @@ class TestResidencyFollowsLiveOwner:
         assert warm_estimates(twin) == canonical_warm
         assert all_resident_at_live_owner(twin, "energy")
 
-    def test_under_non_canonical_placement(self, twin, canonical_warm):
+    def test_after_scale_out(self, twin):
         from repro.cluster import ClusterManager
 
-        ClusterManager(twin).balance(loads={0: 100.0, 1: 1.0, 2: 1.0, 3: 1.0})
-        assert not twin.placement_map().is_canonical_for([0, 1, 2, 3])
-        assert warm_estimates(twin) == canonical_warm
+        ClusterManager(twin).scale_out(1)
+        static = make_system(n_servers=5, region_size_bytes=1 << 11)
+        for name in ("energy", "x"):
+            static.create_object(name, twin.get_object(name).data)
+        assert warm_estimates(twin) == warm_estimates(static)
         assert all_resident_at_live_owner(twin, "x")
 
     def test_replica_regions_after_fail_server(self, env):
