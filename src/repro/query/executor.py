@@ -539,8 +539,10 @@ class QueryEngine:
         cached superset interval's selection — with zero storage I/O.
 
         The window shares one :class:`~repro.query.planner.PlanBook`: each
-        query is typed and planned once, and demand, the semantic-cache key
-        and execution read the same plans.
+        query is typed and planned once, and the semantic-cache key, demand
+        and execution read the same plans.  A query the cache would serve
+        is typed only: it is neither planned nor given a share of the
+        shared pass.
         """
         sysm = self.system
         specs = [
@@ -550,17 +552,25 @@ class QueryEngine:
         book = PlanBook(sysm)
         t_start = sysm.sync_clocks()
 
+        # The semantic key first: a query the cache would serve now reads
+        # nothing, so it is not planned.  Execution still fetches in window
+        # order: one whose entry an earlier insert evicts simply executes.
+        keys = [
+            self._semantic_key(spec, book) if selection_cache is not None else None
+            for spec in specs
+        ]
         # Demand estimation: a deterministic, metadata-only dry run of each
-        # query's first-condition region set.  Queries whose demand cannot
-        # be derived from metadata alone (index probes, sorted-replica
+        # other query's first-condition region set.  Queries whose demand
+        # cannot be derived from metadata alone (index probes, sorted-replica
         # runs, unresolvable plans) contribute nothing and amortize through
         # the ordinary region caches instead.
         demand_counts: Dict[Tuple[str, int], int] = {}
         spec_demands: List[List[Tuple[str, int]]] = []
-        for spec in specs:
-            keys = self._batch_demand(spec, book)
-            spec_demands.append(keys)
-            for k in keys:
+        for spec, ck in zip(specs, keys):
+            servable = ck is not None and selection_cache.would_serve(sysm, *ck)
+            demand = [] if servable else self._batch_demand(spec, book)
+            spec_demands.append(demand)
+            for k in demand:
                 demand_counts[k] = demand_counts.get(k, 0) + 1
         shared = sorted(k for k, c in demand_counts.items() if c >= 2)
         batch.shared_regions = len(shared)
@@ -592,8 +602,7 @@ class QueryEngine:
                     shared_elapsed * share / batch.shared_bytes_virtual
                 )
 
-        for i, spec in enumerate(specs):
-            ck = self._semantic_key(spec, book) if selection_cache is not None else None
+        for i, (spec, ck) in enumerate(zip(specs, keys)):
             if ck is not None:
                 served = selection_cache.fetch(sysm, ck[0], ck[1])
                 if served is not None:

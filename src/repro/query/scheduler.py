@@ -19,11 +19,12 @@ one step further, to *concurrent* queries:
   subsumed by a clean cached one (:meth:`Interval.covers`) is answered by
   the engine's own kernels on the live payload
   (:func:`~repro.query.kernels.interval_coords`), again with zero storage
-  traffic and at a cost that follows the answer, not the superset.  Entries
-  are invalidated through :meth:`PDCSystem.register_invalidation_hook`
-  when an object is rewritten (per object) or a server fails (whole
-  cache, conservatively — failovers reshuffle region ownership, and a
-  cheap full drop is always safe).
+  traffic and at a cost that follows the answer, not the superset.  A
+  write reported through :meth:`PDCSystem.register_invalidation_hook`
+  marks the object's entries dirty over the written spans and an append's
+  growth, and the exact re-lookup repairs them over just those spans; a
+  server failure clears the whole cache (conservatively — failovers
+  reshuffle region ownership, and a cheap full drop is always safe).
 """
 
 from __future__ import annotations
@@ -81,13 +82,17 @@ class _CachedSelection:
     interval: Interval
     #: The memoized answer, its coordinates read-only; a hit returns it.
     selection: Selection
-    #: Element spans rewritten since this entry was cached.  A write
-    #: anywhere in the object can add or remove hits *only* inside the
-    #: written spans, so a dirty entry is healed at fetch time by
-    #: re-evaluating just those spans against live data — region-aware
-    #: staleness without the unsound "evict only intersecting
-    #: selections" shortcut (a write can create hits in regions the
-    #: cached selection never touched).
+    #: The object's element count as this entry last saw it (put, then
+    #: each write the hook reported).  An entry whose ``domain`` is not
+    #: the live count missed a growth: it is dropped, never served.
+    domain: int
+    #: Element spans rewritten or appended since this entry was cached,
+    #: merged (at most one span per written region).  A write anywhere in
+    #: the object can add or remove hits *only* inside the written spans,
+    #: so a dirty entry is healed at fetch time by re-evaluating just
+    #: those spans against live data — region-aware staleness without the
+    #: unsound "evict only intersecting selections" shortcut (a write can
+    #: create hits in regions the cached selection never touched).
     dirty: List[Tuple[int, int]] = field(default_factory=list)
 
 
@@ -134,64 +139,76 @@ class SelectionCache:
         0``), ``"narrowed"`` (a cached superset covers the interval;
         ``scanned`` is the superset's coordinate count, what the filter of
         its coordinates is charged), or ``"repaired"`` (an exact match
-        carrying dirty spans from region-scoped writes was healed by
-        re-evaluating just those spans against live data; ``scanned`` is
-        the span element count).  Returns ``None`` on a miss.  Entries
-        whose domain no longer matches the live object are dropped rather
-        than served.
+        carrying dirty spans from writes — overwritten regions, appended
+        elements — was healed by re-evaluating just those spans against
+        live data; ``scanned`` is the span element count).  Returns
+        ``None`` on a miss.  An exact entry whose recorded domain is not
+        the live element count is dropped rather than served.
         """
-        if object_name not in system.objects:
-            # Unknown object: a cache miss, not the cache's error to raise
-            # — normal execution surfaces ObjectNotFoundError per query.
-            with self._lock:
-                self.stats.misses += 1
-            return None
-        obj = system.get_object(object_name)
         with self._lock:
-            per_obj = self._entries.get(object_name)
-            if not per_obj:
+            found = self._lookup_locked(system, object_name, interval)
+            if found is None:
+                # A miss; an exact entry, if there is one, missed a growth.
+                self._entries.get(object_name, {}).pop(_interval_key(interval), None)
                 self.stats.misses += 1
                 return None
-            key = _interval_key(interval)
-            entry = per_obj.get(key)
-            if entry is not None:
-                if entry.selection.domain_size != obj.n_elements:
-                    del per_obj[key]
-                    self.stats.misses += 1
-                    return None
-                per_obj.move_to_end(key)
+            key, entry, exact = found
+            self._entries[object_name].move_to_end(key)
+            obj = system.get_object(object_name)
+            if exact:
                 if entry.dirty:
                     scanned = self._repair_locked(obj, entry)
                     self.stats.repaired += 1
                     return entry.selection, "repaired", scanned
                 self.stats.hits += 1
                 return entry.selection, "hit", 0
-
-            # Subsumption: the smallest cached superset prices the
-            # narrowing.  Dirty candidates are skipped — their coordinate
-            # sets no longer describe the live payload.
-            best_key, best = None, None
-            for cand_key, cand in per_obj.items():
-                if cand.selection.domain_size != obj.n_elements or cand.dirty:
-                    continue
-                if cand.interval.covers(interval):
-                    if best is None or cand.selection.nhits < best.selection.nhits:
-                        best_key, best = cand_key, cand
-            if best is None:
-                self.stats.misses += 1
-                return None
             # A clean superset with the live domain is exactly the live
             # answer of its interval, so the narrower interval's answer is
             # its exact answer on the live payload: the engine's kernels
             # compute it without gathering the superset.  The superset was
-            # used: it must not be the entry the insert below evicts.
-            per_obj.move_to_end(best_key)
+            # used (moved to the LRU end above): it must not be the entry
+            # the insert below evicts.
             sel = Selection(_frozen(interval_coords(system, obj, interval)), obj.n_elements)
             self.stats.narrowed += 1
             # The narrowed answer is itself a complete answer: cache it so
             # an exact repeat costs nothing.
             self._put_locked(object_name, interval, sel)
-            return sel, "narrowed", best.selection.nhits
+            return sel, "narrowed", entry.selection.nhits
+
+    def would_serve(self, system: PDCSystem, object_name: str, interval: Interval) -> bool:
+        """Whether :meth:`fetch` would serve ``interval`` now.  Counts
+        nothing and leaves LRU order as it is."""
+        with self._lock:
+            return self._lookup_locked(system, object_name, interval) is not None
+
+    def _lookup_locked(
+        self, system: PDCSystem, object_name: str, interval: Interval
+    ) -> Optional[Tuple[_IKey, _CachedSelection, bool]]:
+        """How ``interval`` would be served, changing nothing: ``(key,
+        entry, True)`` for an exact entry that saw every growth (clean: a
+        hit; dirty: a repair), ``(key, entry, False)`` for the smallest clean
+        covering superset (a narrowing), ``None`` for a miss — an unknown
+        object, no entry, or an exact entry that missed a growth."""
+        per_obj = self._entries.get(object_name)
+        if not per_obj or object_name not in system.objects:
+            # Unknown object: a miss, not the cache's error to raise —
+            # normal execution surfaces ObjectNotFoundError per query.
+            return None
+        n = system.objects[object_name].n_elements
+        key = _interval_key(interval)
+        entry = per_obj.get(key)
+        if entry is not None:
+            return (key, entry, True) if entry.domain == n else None
+        # Subsumption: the smallest cached superset prices the narrowing.
+        # Dirty candidates are skipped — their coordinate sets no longer
+        # describe the live payload.
+        best_key, best = None, None
+        for cand_key, cand in per_obj.items():
+            if cand.domain != n or cand.dirty or not cand.interval.covers(interval):
+                continue
+            if best is None or cand.selection.nhits < best.selection.nhits:
+                best_key, best = cand_key, cand
+        return None if best is None else (best_key, best, False)
 
     def put(self, object_name: str, interval: Interval, selection: Selection) -> None:
         """Memoize a complete answer.  Its coordinates become read-only: the
@@ -207,7 +224,7 @@ class SelectionCache:
         key = _interval_key(interval)
         if key in per_obj:
             del per_obj[key]
-        per_obj[key] = _CachedSelection(interval=interval, selection=selection)
+        per_obj[key] = _CachedSelection(interval, selection, selection.domain_size)
         self.stats.inserts += 1
         while len(per_obj) > self.max_entries_per_object:
             per_obj.popitem(last=False)
@@ -216,16 +233,15 @@ class SelectionCache:
     def _repair_locked(self, obj, entry: _CachedSelection) -> int:
         """Heal a dirty entry in place: drop cached coordinates inside
         the dirty spans and re-evaluate exactly those spans against the
-        live payload.  Returns the number of elements scanned (the cost
-        the caller charges).  The result is bit-identical to a cold
-        re-execution — outside the spans nothing changed by definition,
-        inside them we recompute from data."""
-        spans = _merge_spans(entry.dirty)
-        coords, domain = entry.selection.coords, entry.selection.domain_size
+        live payload, over the entry's recorded (live) domain.  Returns
+        the number of elements scanned (the cost the caller charges).  The
+        result is bit-identical to a cold re-execution — outside the spans
+        nothing changed by definition, inside them we recompute from data."""
+        coords, domain = entry.selection.coords, entry.domain
         pieces: List[np.ndarray] = []
         scanned = 0
         prev = 0
-        for lo, hi in spans:
+        for lo, hi in entry.dirty:
             lo = max(0, min(lo, domain))
             hi = max(lo, min(hi, domain))
             a = int(np.searchsorted(coords, lo, side="left"))
@@ -242,7 +258,8 @@ class SelectionCache:
 
     # ---------------------------------------------------------- invalidation
     def invalidate_object(
-        self, object_name: str, spans: Optional[List[Tuple[int, int]]] = None
+        self, object_name: str, spans: Optional[List[Tuple[int, int]]] = None,
+        n_elements: Optional[int] = None,
     ) -> int:
         """Handle a write to ``object_name``.
 
@@ -252,7 +269,11 @@ class SelectionCache:
         *kept* and marked dirty; they are healed lazily at fetch time by
         re-evaluating only the written spans (see :meth:`fetch`), so a
         write to region 0 no longer evicts a selection whose answer the
-        cache can cheaply patch.
+        cache can cheaply patch.  ``n_elements`` is the object's element
+        count after the write: an entry that recorded fewer marks the
+        growth ``[recorded, n_elements)`` dirty too and records the new
+        count, so an append extends a cached answer instead of dropping
+        it.  Spans are merged as they are marked.
         """
         with self._lock:
             if spans is None:
@@ -263,8 +284,13 @@ class SelectionCache:
             per_obj = self._entries.get(object_name)
             if not per_obj:
                 return 0
+            spans = [(int(lo), int(hi)) for lo, hi in spans]
             for entry in per_obj.values():
-                entry.dirty.extend((int(lo), int(hi)) for lo, hi in spans)
+                marked = entry.dirty + spans
+                if n_elements is not None and n_elements > entry.domain:
+                    marked.append((entry.domain, int(n_elements)))
+                    entry.domain = int(n_elements)
+                entry.dirty = _merge_spans(marked)
             self.stats.marked_dirty += len(per_obj)
             return 0
 
@@ -363,22 +389,24 @@ class QueryScheduler:
         regions: Optional[Sequence[int]] = None,
     ) -> None:
         """The system's invalidation hook, ``(name, regions)``: a write
-        makes that object's entries stale over the written regions' spans;
-        ``(None, None)`` — a failure or a migration commit — clears the cache."""
+        makes that object's entries stale over the written regions' spans
+        and records its element count; ``(None, None)`` — a failure or a
+        migration commit — clears the cache."""
         if self.selection_cache is None:
             return
         if object_name is None:
             self.selection_cache.clear()
             return
-        spans: Optional[List[Tuple[int, int]]] = None
-        if regions is not None and object_name in self.system.objects:
-            obj = self.system.get_object(object_name)
-            spans = [
-                (int(obj.offsets[rid]), int(obj.offsets[rid] + obj.counts[rid]))
-                for rid in regions
-                if 0 <= rid < obj.n_regions
-            ]
-        self.selection_cache.invalidate_object(object_name, spans)
+        if regions is None or object_name not in self.system.objects:
+            self.selection_cache.invalidate_object(object_name)
+            return
+        obj = self.system.get_object(object_name)
+        spans = [
+            (int(obj.offsets[rid]), int(obj.offsets[rid] + obj.counts[rid]))
+            for rid in regions
+            if 0 <= rid < obj.n_regions
+        ]
+        self.selection_cache.invalidate_object(object_name, spans, obj.n_elements)
 
     def close(self) -> None:
         """Unregister the invalidation hook."""

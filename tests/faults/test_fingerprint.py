@@ -46,7 +46,7 @@ FAULTS = FaultConfig(
     server_crash_rate=0.04, server_slow_rate=0.2,
 )
 DIGEST = "4744b2e75ae1d80483611e58733e2225c8d598224f3e8985f1ec6f169eff466e"
-WINDOW_DIGEST = "450e22840a4b47933fdf5814d9c57ef2a8f7089e3f683dfee8ddc0b59d8f7c24"
+WINDOW_DIGEST = "ce8adeb5134592442183007030a14582fdc5f0c9b6d162c02b50e128c161665a"
 
 
 def window(name, lo, hi):

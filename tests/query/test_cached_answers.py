@@ -149,7 +149,7 @@ class TestNarrowingProperty:
             else:
                 for name in ("k", "c", "p"):
                     sysm.append_to_object(name, values, maintenance=maintenance)
-                assert sched.run([query(target, outer)])[0].semantic_cache == ""
+                assert sched.run([query(target, outer)])[0].semantic_cache == "repaired"
         group = sysm.replicas["k"]
         if refresh and group.stale:
             sysm.refresh_sorted_replica("k")

@@ -504,7 +504,7 @@ class TestNarrowingProperty:
                 assert sched.run([query(outer)])[0].semantic_cache == "repaired"
             else:
                 sysm.append_to_object("x", values, maintenance=maintenance)
-                assert sched.run([query(outer)])[0].semantic_cache == ""
+                assert sched.run([query(outer)])[0].semantic_cache == "repaired"
         data = sysm.get_object("x").data
         cached = cache._entries["x"][_interval_key(outer)].selection.coords
         gathered = cached[inner.mask(data[cached])]
