@@ -303,6 +303,12 @@ class RegionBitmapIndex:
         return cls.from_arrays(arrays)
 
 
+#: The per-bin rows of an :class:`IndexProbeTable`, and each one's dtype
+#: and pad value.
+_ROWS = ("bin_min", "bin_max", "bin_words", "bin_counts")
+_PADS = ((np.float64, np.inf), (np.float64, -np.inf), (np.int64, 0), (np.int64, 0))
+
+
 @dataclass(frozen=True)
 class IndexProbeTable:
     """The per-bin tables of all of an object's region indexes, stacked
@@ -320,18 +326,39 @@ class IndexProbeTable:
 
     @classmethod
     def stack(cls, indexes: Sequence[RegionBitmapIndex]) -> "IndexProbeTable":
-        def padded(name: str, fill: float) -> np.ndarray:
-            rows = [getattr(ix, name) for ix in indexes]
-            out = np.full((len(rows), max(map(len, rows))), fill, dtype=rows[0].dtype)
-            for out_row, row in zip(out, rows):
-                out_row[: row.size] = row
-            return out
+        table = cls._blank(len(indexes), max(ix.bin_ids.size for ix in indexes))
+        for rid, ix in enumerate(indexes):
+            table._fill(rid, ix)
+        return table
 
+    def put(self, rid: int, index: RegionBitmapIndex) -> "IndexProbeTable":
+        """A new table: this one with row ``rid`` describing ``index`` —
+        an existing row replaced, or rows appended up to ``rid`` — and the
+        padding widened when ``index`` has more bins than any row holds."""
+        rows, width = self.bin_min.shape
+        table = self._blank(max(rows, rid + 1), max(width, index.bin_ids.size))
+        for name in _ROWS:
+            getattr(table, name)[:rows, :width] = getattr(self, name)
+        table.header_bytes[:rows] = self.header_bytes
+        table._fill(rid, index)
+        return table
+
+    @classmethod
+    def _blank(cls, rows: int, width: int) -> "IndexProbeTable":
         return cls(
-            padded("bin_min", np.inf), padded("bin_max", -np.inf),
-            padded("bin_words", 0), padded("bin_counts", 0),
-            np.array([ix.header_bytes for ix in indexes], dtype=np.int64),
+            *(np.full((rows, width), fill, dtype=dtype) for dtype, fill in _PADS),
+            np.zeros(rows, dtype=np.int64),
         )
+
+    def _fill(self, rid: int, index: RegionBitmapIndex) -> None:
+        """Write row ``rid`` of a table being built: ``index``'s per-bin
+        tables, pads after them."""
+        k = index.bin_ids.size
+        for name, (_, fill) in zip(_ROWS, _PADS):
+            row = getattr(self, name)[rid]
+            row[:k] = getattr(index, name)
+            row[k:] = fill
+        self.header_bytes[rid] = index.header_bytes
 
     def footprint(
         self, interval: Interval, region_ids: np.ndarray

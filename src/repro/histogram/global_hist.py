@@ -53,8 +53,11 @@ class GlobalHistogram:
         same object at the same merged width.  A histogram is never
         changed in place (every writer installs a new one), so a lent
         operand is what :meth:`MergeableHistogram.coarsened` would return
-        again and the result equals a build without ``previous`` field for
-        field.
+        again.  At an unchanged width the merged counts are then the
+        previous ones with only the changed regions' operands swapped
+        (:meth:`MergeableHistogram.replaced`); otherwise every operand is
+        merged again.  Either way the result equals a build without
+        ``previous`` field for field.
         """
         if not region_histograms:
             raise QueryError("cannot build a global histogram from zero regions")
@@ -62,11 +65,22 @@ class GlobalHistogram:
         kept = {}
         if previous is not None and previous.merged.bin_width == width:
             kept = previous.operands
-        operands = {}
+        operands, removed, added = {}, [], []
         for rid, h in region_histograms.items():
-            source, coarse = kept.get(rid, (None, None))
-            operands[rid] = (h, coarse if source is h else h.coarsened(width))
-        merged = MergeableHistogram.merge_aligned([c for _, c in operands.values()])
+            operand = kept.get(rid)
+            if operand is None or operand[0] is not h:
+                if operand is not None:
+                    removed.append(operand[1])
+                operand = (h, h.coarsened(width))
+                added.append(operand[1])
+            operands[rid] = operand
+        coarse_all = [c for _, c in operands.values()]
+        # A region no longer listed would have to be taken out as well:
+        # merge from scratch then (a write never removes one).
+        if kept and len(kept) == len(operands) - len(added) + len(removed):
+            merged = previous.merged.replaced(coarse_all, removed, added)
+        else:
+            merged = MergeableHistogram.merge_aligned(coarse_all)
         minmax = {
             rid: (h.data_min, h.data_max) for rid, h in region_histograms.items()
         }

@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 from typing import Sequence, Tuple
 
@@ -35,7 +34,11 @@ import numpy as np
 from ..errors import QueryError
 from ..interval import Interval
 
-__all__ = ["MergeableHistogram", "round_down_pow2"]
+__all__ = ["MAX_BINS", "MergeableHistogram", "round_down_pow2"]
+
+#: Most bins one histogram's grid may span: a counting pass coarsens past
+#: it, and a delta patch that would cross it rebuilds instead.
+MAX_BINS = 1 << 20
 
 
 def round_down_pow2(x: float) -> float:
@@ -144,7 +147,7 @@ class MergeableHistogram:
         n_bins = int(math.floor((true_max - start) / width)) + 1
         # Guard against pathological widths producing absurd bin counts
         # (e.g. one extreme outlier): coarsen until manageable.
-        while n_bins > 1 << 20:
+        while n_bins > MAX_BINS:
             width *= 2.0
             start = math.floor(true_min / width) * width
             n_bins = int(math.floor((true_max - start) / width)) + 1
@@ -167,6 +170,15 @@ class MergeableHistogram:
             data_min=true_min,
             data_max=true_max,
         )
+
+    def grid_holds(self, values: np.ndarray) -> bool:
+        """Whether this grid, extended over ``values``, stays within
+        :data:`MAX_BINS` bins: the condition for merging them at this
+        width (a tiny width and a far value would otherwise ask for an
+        astronomical count array)."""
+        lo = min(self.start, float(values.min()))
+        hi = max(self.start + self.n_bins * self.bin_width, float(values.max()))
+        return (hi - lo) / self.bin_width < MAX_BINS
 
     # -------------------------------------------------------------- inspection
     @property
@@ -320,9 +332,7 @@ class MergeableHistogram:
         # subtraction ``self.start - new_start`` absorbs the fine start
         # entirely and would shift every fine bin by the lost amount.
         ratio_i = int(ratio)
-        offset_bins = int(
-            (Fraction(self.start) - Fraction(new_start)) / Fraction(self.bin_width)
-        )
+        offset_bins = _exact_offset(self.start, new_start, self.bin_width)
         if ratio_i < (1 << 62) and offset_bins + self.n_bins < (1 << 62):
             fine_idx = offset_bins + np.arange(self.n_bins, dtype=np.int64)
             coarse_idx = fine_idx // ratio_i
@@ -347,8 +357,7 @@ class MergeableHistogram:
         """Merge two mergeable histograms exactly (§IV merging procedure:
         coarsen to the larger width, then aggregate counts bin-by-bin)."""
         width = max(self.bin_width, other.bin_width)
-        a = self.coarsened(width)
-        b = other.coarsened(width)
+        a, b = (h if h.bin_width == width else h.coarsened(width) for h in (self, other))
         start = min(a.start, b.start)
         end = max(a.start + a.n_bins * width, b.start + b.n_bins * width)
         n_bins = round((end - start) / width)
@@ -445,19 +454,74 @@ class MergeableHistogram:
     def merge_aligned(cls, coarse: Sequence["MergeableHistogram"]) -> "MergeableHistogram":
         """The adding half of :meth:`merge_many`: histograms already on one
         width (coarsening keeps each one's extrema) into one
-        span-covering count array."""
-        width = coarse[0].bin_width
-        start = min(h.start for h in coarse)
-        end = max(h.start + h.n_bins * width for h in coarse)
-        n_bins = round((end - start) / width)
-        counts = np.zeros(n_bins, dtype=np.int64)
-        for h in coarse:
-            off = round((h.start - start) / width)
-            counts[off : off + h.n_bins] += h.counts
-        return cls(
-            bin_width=width,
-            start=start,
-            counts=counts,
-            data_min=min(h.data_min for h in coarse),
-            data_max=max(h.data_max for h in coarse),
+        span-covering count array, added in one ``np.add.at`` over the
+        operands' stacked bin offsets."""
+        width, start, n_bins, data_min, data_max = _aligned_span(coarse)
+        sizes = np.array([h.counts.size for h in coarse], dtype=np.int64)
+        offsets = np.rint(
+            (np.array([h.start for h in coarse]) - start) / width
+        ).astype(np.int64)
+        # Bin j of operand i lands at offsets[i] + j.
+        first = np.cumsum(sizes) - sizes
+        idx = np.arange(int(sizes.sum()), dtype=np.int64) + np.repeat(
+            offsets - first, sizes
         )
+        counts = np.zeros(n_bins, dtype=np.int64)
+        np.add.at(counts, idx, np.concatenate([h.counts for h in coarse]))
+        return cls(
+            bin_width=width, start=start, counts=counts,
+            data_min=data_min, data_max=data_max,
+        )
+
+    def replaced(
+        self,
+        coarse: Sequence["MergeableHistogram"],
+        removed: Sequence["MergeableHistogram"],
+        added: Sequence["MergeableHistogram"],
+    ) -> "MergeableHistogram":
+        """This :meth:`merge_aligned` result with the ``removed`` operands
+        taken out and the ``added`` ones put in, where ``coarse`` is the
+        whole new operand list: equal field for field to
+        ``merge_aligned(coarse)``.  The span and the extrema come from
+        ``coarse``; the counts are this merge's, minus and plus the changed
+        operands' — integers, so exact in any order — and the work follows
+        the changed operands, not all of them."""
+        width, start, n_bins, data_min, data_max = _aligned_span(coarse)
+        # Work on the union of the old and new spans, then cut the new one
+        # out: an operand that set the old span may be one just removed.
+        lo = min(start, self.start)
+        hi = max(start + n_bins * width, self.start + self.n_bins * width)
+        counts = np.zeros(round((hi - lo) / width), dtype=np.int64)
+        for h, sign in ((self, 1), *((h, -1) for h in removed), *((h, 1) for h in added)):
+            off = round((h.start - lo) / width)
+            counts[off : off + h.n_bins] += sign * h.counts
+        first = round((start - lo) / width)
+        return MergeableHistogram(
+            bin_width=width, start=start, counts=counts[first : first + n_bins],
+            data_min=data_min, data_max=data_max,
+        )
+
+
+def _exact_offset(start: float, new_start: float, width: float) -> int:
+    """``(start - new_start) / width`` in exact rationals: each float is
+    the ratio of two integers.  Both starts lie on the grid of ``width``,
+    so the quotient is an integer and ``//`` is exact."""
+    (a, da), (b, db), (w, dw) = (
+        x.as_integer_ratio() for x in (start, new_start, width)
+    )
+    return (a * db - b * da) * dw // (da * db * w)
+
+
+def _aligned_span(
+    coarse: Sequence[MergeableHistogram],
+) -> Tuple[float, float, int, float, float]:
+    """``(width, start, n_bins, data_min, data_max)`` of the merge of
+    histograms on one width: the grid spanning every operand's, and the
+    extrema of all."""
+    width = coarse[0].bin_width
+    start = min([h.start for h in coarse])
+    end = max([h.start + h.counts.size * width for h in coarse])
+    return (
+        width, start, round((end - start) / width),
+        min([h.data_min for h in coarse]), max([h.data_max for h in coarse]),
+    )

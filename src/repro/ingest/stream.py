@@ -34,12 +34,15 @@ bit-reproducible (the bench pins a fingerprint).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import TYPE_CHECKING, Dict, List, Optional
 
 import numpy as np
 
 from ..errors import PDCError
-from ..pdc.system import PDCSystem, check_maintenance, check_payload
+from .maintain import check_maintenance, check_offset, check_payload
+
+if TYPE_CHECKING:
+    from ..pdc.system import PDCSystem
 
 __all__ = [
     "IngestConfig",
@@ -179,6 +182,8 @@ class IngestStream:
         self, name: str, offset: Optional[int], values: np.ndarray,
         t_s: Optional[float],
     ) -> WriteOp:
+        if offset is not None:
+            check_offset(offset)
         values = check_payload(values)
         if t_s is None:
             t_s = self.system.client_clock.now
@@ -206,7 +211,7 @@ class IngestStream:
     ) -> WriteOp:
         """Buffer an in-place overwrite arriving at simulated ``t_s``
         (default: the client clock's now)."""
-        return self._submit(name, int(offset), values, t_s)
+        return self._submit(name, offset, values, t_s)
 
     def append(
         self, name: str, values: np.ndarray, t_s: Optional[float] = None

@@ -24,7 +24,7 @@ from ..cluster.membership import (
 )
 from ..errors import ObjectNotFoundError, PDCError, QueryError
 from ..histogram.global_hist import GlobalHistogram
-from ..histogram.mergeable import MergeableHistogram
+from ..ingest import maintain as write
 from ..obs.metrics import REGISTRY
 from ..obs.monitor import NOOP_MONITOR
 from ..obs.tracer import NOOP_TRACER
@@ -32,7 +32,7 @@ from ..strategies import Strategy, strategy_from_env
 from ..sorting.reorganize import SortedReplica
 from ..storage.costmodel import CostModel, CostParameters, CORI_LIKE, SimClock
 from ..storage.file import ParallelFileSystem
-from ..types import GB, MB, PDCType, pdc_type_of_dtype
+from ..types import GB, MB, PDCType, is_index, pdc_type_of_dtype
 from ..storage.device import DeviceKind
 from .container import Container
 from .metadata import ObjectMeta, TagValue
@@ -45,8 +45,6 @@ __all__ = [
     "PDCSystem",
     "StoredObject",
     "ReplicaGroup",
-    "check_maintenance",
-    "check_payload",
 ]
 
 
@@ -134,7 +132,7 @@ class StoredObject:
     """A PDC data object plus the simulator-side bookkeeping arrays."""
 
     meta: ObjectMeta
-    #: Full payload (the real, scaled-down array).
+    #: Full payload (the real, scaled-down array): ``buffer[:n_elements]``.
     data: np.ndarray
     file_path: str
     hdf5_path: str
@@ -163,11 +161,18 @@ class StoredObject:
     #: until background compaction folds them in).
     index_delta_counts: Optional[np.ndarray] = None
     #: ``indexes`` stacked for whole-step probes (:meth:`index_probe_table`);
-    #: dropped where an index is installed (``PDCSystem._install_region``).
+    #: an installed index replaces its row (``repro.ingest.maintain``).
     probe_table: Optional[IndexProbeTable] = None
     #: Per-region element count overwritten since the histogram was last
     #: rebuilt from scratch (drift gauge for the delta-merge path).
     hist_dirty_elements: Optional[np.ndarray] = None
+    #: The payload's storage: elements past ``data`` are spare capacity an
+    #: append writes into (a new object's buffer is its ``data``).
+    buffer: Optional[np.ndarray] = None
+
+    def __post_init__(self) -> None:
+        if self.buffer is None:
+            self.buffer = self.data
 
     @property
     def name(self) -> str:
@@ -238,51 +243,6 @@ class ReplicaGroup:
         first = start // self.region_elements
         last = (stop - 1) // self.region_elements
         return np.arange(first, min(last, self.n_regions - 1) + 1, dtype=np.int64)
-
-
-@dataclass
-class _RegionDerived:
-    """One region's derived state — histogram with its exact min/max,
-    bitmap index — as :meth:`PDCSystem._derive_region` computed it and
-    before anything installed it: the unit of the write path's
-    compute-then-commit atomicity.  A part left ``None`` stands as it is."""
-
-    rid: int
-    hist: Optional[MergeableHistogram] = None
-    #: Elements overwritten since ``hist`` was last built from scratch.
-    dirty_elements: int = 0
-    #: A freshly built bitmap — or, instead, how many more elements only
-    #: an uncompacted WAH delta segment covers.
-    index: Optional[RegionBitmapIndex] = None
-    index_delta: int = 0
-    #: ``"ingest_maint"`` seconds owed by the owning server, one charge each.
-    charges: Tuple[float, ...] = ()
-    #: The ``last_write_stats`` counters this derivation bumps.
-    actions: Tuple[str, ...] = ()
-
-
-def check_maintenance(mode: str) -> None:
-    """The one test of a write-maintenance mode name."""
-    if mode not in ("rebuild", "delta"):
-        raise PDCError(f"unknown maintenance mode {mode!r}")
-
-
-def check_payload(values, dtype=None) -> np.ndarray:
-    """The one admission test of a payload — an import or a write — run
-    before any state is touched: non-empty, 1-D and — as cast to the
-    object's ``dtype`` — finite (a NaN or an infinity has no histogram bin
-    and would poison its region's min/max)."""
-    values = np.ascontiguousarray(values, dtype=dtype)
-    if values.ndim != 1 or values.size == 0:
-        raise PDCError("write payload must be non-empty 1-D")
-    if not np.isfinite(values).all():
-        raise PDCError("payload must be finite (no NaN or infinity)")
-    return values
-
-
-#: The maintenance counters of ``PDCSystem.last_write_stats``.
-_WRITE_STATS = ("hist_merges", "hist_rebuilds", "minmax_rescans",
-                "index_delta_appends", "index_rebuilds")
 
 
 class PDCSystem:
@@ -554,7 +514,7 @@ class PDCSystem:
             dims = tuple(int(d) for d in data.shape)
             data = data.reshape(-1)
         pdc_type = pdc_type_of_dtype(data.dtype)
-        data = check_payload(data)
+        data = write.check_payload(data)
         region_elems = self.config.region_elements(data.dtype.itemsize)
         extents = partition(data.size, region_elems)
         file_path = f"/pdc/data/{name}"
@@ -595,7 +555,7 @@ class PDCSystem:
         for rid, (off, count) in enumerate(extents):
             segment = data[off : off + count]
             if build_histograms:
-                self._install_region(obj, self._derive_region(obj, rid, segment))
+                write.install_region(obj, write.derive_region(self, obj, rid, segment))
             else:
                 obj.rmin[rid], obj.rmax[rid] = float(segment.min()), float(segment.max())
         if build_histograms:
@@ -630,7 +590,7 @@ class PDCSystem:
           delta histograms (``"delta"``, Algorithm 1 merges as the delta
           unit) with a from-scratch rebuild once ``rebuild_fraction`` of
           the region has been overwritten since the last rebuild;
-        * the global histogram is re-merged;
+        * the global histogram swaps in the written regions' operands;
         * affected regions' bitmap indexes are rebuilt (rebuild mode) or
           extended with WAH delta segments (delta mode; probes treat
           delta positions as candidates until compaction);
@@ -652,11 +612,12 @@ class PDCSystem:
         owning servers' clocks; delta-maintenance work is charged under
         ``"ingest_maint"``.
         """
-        check_maintenance(maintenance)
+        write.check_maintenance(maintenance)
+        write.check_offset(offset)
         obj = self.get_object(name)
-        values = check_payload(values, obj.data.dtype)
+        values = write.check_payload(values, obj.data.dtype)
         stop = offset + values.size
-        if offset < 0 or stop > obj.n_elements:
+        if stop > obj.n_elements:
             raise PDCError(
                 f"update [{offset}, {stop}) out of bounds for {name!r} "
                 f"({obj.n_elements} elements)"
@@ -673,14 +634,14 @@ class PDCSystem:
             # (a view: the payload is not written until all is derived).
             replaced = obj.data[roff + lo : roff + hi]
             derived.append(
-                self._derive_region(
-                    obj, rid, segment, maintenance, rebuild_fraction,
+                write.derive_region(
+                    self, obj, rid, segment, maintenance, rebuild_fraction,
                     written=(lo, hi, replaced),
                 )
             )
         # Write through (obj.data is the same array the PFS file holds).
         obj.data[offset:stop] = values
-        return self._commit_write(obj, derived, values.size)
+        return write.commit_write(self, obj, derived, values.size)
 
     def append_to_object(
         self,
@@ -702,265 +663,45 @@ class PDCSystem:
         would-be payload.  Returns the affected region ids (grown tail +
         new regions).
         """
-        check_maintenance(maintenance)
+        write.check_maintenance(maintenance)
         obj = self.get_object(name)
         if obj.meta.dims is not None:
             raise PDCError("append only supports 1-D objects")
-        values = check_payload(values, obj.data.dtype)
+        values = write.check_payload(values, obj.data.dtype)
+        n, size = obj.n_elements, obj.n_elements + values.size
+        buffer = obj.buffer
+        if size > buffer.size:
+            # Geometric growth: a run of appends reallocates a logarithmic
+            # number of times.
+            buffer = np.empty(size + size // 16, dtype=obj.data.dtype)
+            buffer[:n] = obj.data
+        # Past ``n`` nothing reads the buffer until the commit below moves
+        # ``obj.data``'s end: a failed derivation leaves the object as it was.
+        buffer[n:size] = values
         tail = obj.n_regions - 1
         tail_count = int(obj.counts[tail])
-        data = np.concatenate([obj.data, values])
-        extents = partition(data.size, obj.region_elements)
-        derived = []
-        # A full tail does not grow: the regions after it are the affected ones.
-        first = tail if extents[tail][1] > tail_count else tail + 1
-        for rid in range(first, len(extents)):
-            off, count = extents[rid]
-            # An append is a write that replaced nothing; a region it
-            # opens has nothing to patch.
-            written = (tail_count, count, values[:0]) if rid == tail else None
-            derived.append(
-                self._derive_region(
-                    obj, rid, data[off : off + count], maintenance,
-                    rebuild_fraction, written=written,
-                )
+        absorbed = min(obj.region_elements - tail_count, values.size)
+        # The tail fills up to the region size; the rest opens new regions.
+        offsets = np.arange(n + absorbed, size, obj.region_elements, dtype=np.int64)
+        opened = list(zip(
+            range(tail + 1, tail + 1 + offsets.size), offsets.tolist(),
+            np.minimum(size - offsets, obj.region_elements).tolist(),
+        ))
+        # An append is a write that replaced nothing.
+        derived = [write.derive_region(
+            self, obj, tail, buffer[int(obj.offsets[tail]) : n + absorbed],
+            maintenance, rebuild_fraction,
+            written=(tail_count, tail_count + absorbed, values[:0]),
+        )] if absorbed else []
+        derived += [
+            write.derive_region(
+                self, obj, rid, buffer[off : off + count], maintenance,
+                rebuild_fraction,
             )
-
-        # The PFS files hold the payload array itself: recreate them so
-        # reads resolve against the grown array.
-        for path, stripe, imbalance in (
-            (obj.file_path, self.config.pdc_stripe_count, 1.0),
-            (obj.hdf5_path, self.config.hdf5_stripe_count, self.config.hdf5_imbalance),
-        ):
-            if self.pfs.exists(path):
-                self.pfs.delete(path)
-            self.pfs.create(path, data, stripe_count=stripe, imbalance=imbalance)
-        obj.data = data
-        obj.meta.n_elements = int(data.size)
-        obj.offsets = np.array([e[0] for e in extents], dtype=np.int64)
-        obj.counts = np.array([e[1] for e in extents], dtype=np.int64)
-        obj.meta.regions[tail].n_elements = extents[tail][1]
-        grow = len(extents) - tail - 1
-        if grow:
-            obj.meta.regions.extend(
-                RegionMeta(rid, name, off, count, obj.file_path)
-                for rid, (off, count) in enumerate(extents)
-                if rid > tail
-            )
-            pad = np.zeros(grow)
-            obj.rmin = np.concatenate([obj.rmin, pad])
-            obj.rmax = np.concatenate([obj.rmax, pad])
-            obj.region_tier.extend([DeviceKind.DISK] * grow)
-            if obj.indexes is not None:
-                obj.indexes.extend([None] * grow)  # installed by the commit
-            for arr_name in ("index_nbytes", "index_words", "index_delta_counts",
-                             "hist_dirty_elements"):
-                arr = getattr(obj, arr_name)
-                if arr is not None:
-                    setattr(obj, arr_name, np.concatenate(
-                        [arr, np.zeros(grow, dtype=np.int64)]))
-        return self._commit_write(obj, derived, values.size)
-
-    # ------------------------------------------------------ write-path helpers
-    def _derive_region(
-        self,
-        obj: StoredObject,
-        rid: int,
-        segment: np.ndarray,
-        maintenance: str = "rebuild",
-        rebuild_fraction: float = 0.5,
-        written: Optional[Tuple[int, int, np.ndarray]] = None,
-        index_only: bool = False,
-    ) -> _RegionDerived:
-        """Derive — reading the system, changing nothing — the state of
-        region ``rid`` once it holds ``segment``.
-
-        ``written=(lo, hi, replaced)``: the write put ``segment[lo:hi]``
-        where the values ``replaced`` were (none, for an append); ``None``:
-        nothing of an existing region was written.  Under
-        ``"delta"`` maintenance such a region is *patched* — exact
-        same-grid subtract/merge of the write's delta histograms, a WAH
-        delta segment on the bitmap — until ``rebuild_fraction`` of it
-        has been overwritten since its histogram was last built.
-        Everything else is built from scratch: ``"rebuild"`` maintenance,
-        a region with no histogram to patch (import, a region opened by
-        an append) and ``index_only`` — index build and compaction, where
-        the values did not change and only the bitmap is built.
-        """
-        count = int(segment.size)
-        d = _RegionDerived(rid)
-        seconds: List[float] = []
-        actions: List[str] = []
-        lo, hi, replaced = written if written is not None else (0, 0, segment[:0])
-        known = rid < len(obj.meta.regions)  # False: a region this write opens
-        h = obj.meta.regions[rid].histogram if known else None
-        dirty = int(replaced.size)
-        if known and obj.hist_dirty_elements is not None:
-            dirty += int(obj.hist_dirty_elements[rid])
-        patch = (
-            maintenance == "delta"
-            and hi > lo
-            and h is not None
-            and dirty < rebuild_fraction * count
-        )
-        if patch:
-            base = h
-            if replaced.size:
-                replaced = replaced.astype(np.float64, copy=False)
-                # Exact extrema: a removal can only disturb an extremum
-                # when a replaced value attains it; then a charged region
-                # rescan recovers the truth (otherwise the old extrema
-                # stand and the merge below folds in the new values').
-                extrema: Tuple[float, ...] = ()
-                if (
-                    float(replaced.min()) <= h.data_min
-                    or float(replaced.max()) >= h.data_max
-                ):
-                    extrema = (float(segment.min()), float(segment.max()))
-                    seconds.append(self.cost.scan_time(count))
-                    actions.append("minmax_rescans")
-                base = h.subtract(
-                    MergeableHistogram.from_data_width(replaced, h.bin_width),
-                    *extrema,
-                )
-            d.hist = base.merge(
-                MergeableHistogram.from_data_width(
-                    segment[lo:hi].astype(np.float64, copy=False), h.bin_width
-                )
-            )
-            d.dirty_elements = dirty
-            seconds.append(self.cost.scan_time(int(replaced.size) + hi - lo))
-            actions.append("hist_merges")
-        elif not index_only:
-            d.hist = MergeableHistogram.from_data(
-                segment,
-                n_bins=self.config.histogram_bins_for(self.config.region_size_bytes),
-                seed=(obj.meta.object_id * 100003 + rid) & 0x7FFFFFFF,
-            )
-            if maintenance == "delta":
-                seconds.append(self.cost.scan_time(count))
-            actions.append("hist_rebuilds")
-
-        if index_only or obj.indexes is not None:
-            if patch:
-                d.index_delta = hi - lo
-                seconds.append(self.cost.scan_time(hi - lo))
-                actions.append("index_delta_appends")
-            else:
-                d.index = RegionBitmapIndex.build(
-                    segment, precision=self.config.index_precision
-                )
-                actions.append("index_rebuilds")
-        # Grouping is pinned, not principled: an overwrite's seconds have
-        # always been one pre-summed charge and an append's one charge
-        # each, and regrouping either moves a clock by an ulp.
-        if replaced.size and seconds:
-            seconds = [sum(seconds)]
-        d.charges, d.actions = tuple(seconds), tuple(actions)
-        return d
-
-    def _install_region(self, obj: StoredObject, d: _RegionDerived) -> None:
-        """Make derived state the region's state (no charge, no follow-up)."""
-        rid = d.rid
-        if d.hist is not None:
-            obj.meta.regions[rid].histogram = d.hist
-            obj.rmin[rid], obj.rmax[rid] = d.hist.data_min, d.hist.data_max
-            if obj.hist_dirty_elements is None and d.dirty_elements:
-                obj.hist_dirty_elements = np.zeros(obj.n_regions, dtype=np.int64)
-            if obj.hist_dirty_elements is not None:
-                obj.hist_dirty_elements[rid] = d.dirty_elements
-        if d.index is not None:
-            obj.indexes[rid] = d.index
-            obj.probe_table = None
-            obj.index_nbytes[rid] = d.index.nbytes
-            obj.index_words[rid] = d.index.total_words()
-            if obj.index_delta_counts is not None:
-                obj.index_delta_counts[rid] = 0
-        elif d.index_delta:
-            if obj.index_delta_counts is None:
-                obj.index_delta_counts = np.zeros(obj.n_regions, dtype=np.int64)
-            obj.index_delta_counts[rid] += d.index_delta
-
-    def _commit_write(
-        self, obj: StoredObject, derived: List[_RegionDerived], n_written: int
-    ) -> List[int]:
-        """The second half of every write, run once the payload is in
-        place and nothing can fail any more: install each region's
-        derived state, invalidate and charge on its owning server, then
-        the whole-object follow-ups, each exactly once.  Returns the
-        affected region ids."""
-        name = obj.name
-        stats = dict.fromkeys(_WRITE_STATS, 0)
-        affected = [d.rid for d in derived]
-        for d in derived:
-            self._install_region(obj, d)
-            for action in d.actions:
-                stats[action] += 1
-            self._invalidate_region_caches(name, [d.rid])
-            server = self.servers[self.server_of_region(d.rid)]
-            for seconds in d.charges:
-                server.clock.charge(seconds, "ingest_maint")
-            server.clock.charge(
-                self.cost.pfs_write_time(
-                    int(obj.counts[d.rid]) * obj.itemsize, 1,
-                    self.config.pdc_stripe_count,
-                ),
-                "pfs_write",
-            )
-        self.remerge_global_histogram(name)
-        # The index file is a function of the index objects alone: a
-        # write that only appended delta segments leaves it as it is.
-        reindexed = [d.rid for d in derived if d.index is not None]
-        if reindexed:
-            self._rewrite_index_file(obj, reindexed)
-        self._handle_replica_staleness(name, n_written, stats)
-        self.last_write_stats = stats
-        self._notify_invalidation(name, affected)
-        return affected
-
-    def _invalidate_region_caches(self, name: str, region_ids: Sequence[int]) -> None:
-        for server in self.servers:
-            for rid in region_ids:
-                server.cache.invalidate(region_key(name, rid))
-                server.cache.invalidate(region_key(name, rid, replica="idx"))
-
-    def remerge_global_histogram(self, name: str) -> None:
-        """Re-merge an object's global histogram from its (refreshed)
-        region histograms (no-op for histogram-less objects)."""
-        obj = self.get_object(name)
-        if obj.meta.global_histogram is not None:
-            obj.meta.global_histogram = GlobalHistogram.build(
-                {r.region_id: r.histogram for r in obj.meta.regions if r.histogram},
-                previous=obj.meta.global_histogram,
-            )
-
-    def _rewrite_index_file(self, obj: StoredObject, changed: Sequence[int]) -> None:
-        """Persist one concatenated index file per object (regions are
-        extents within it, like the data file): the ``changed`` regions'
-        indexes (ascending ids) are serialised, every other region keeps
-        the bytes of its recorded extent in the file being replaced."""
-        path = f"/pdc/index/{obj.name}"
-        bounds = obj.index_extents
-        sizes = np.zeros(obj.n_regions, dtype=np.int64)
-        old = None
-        if bounds is not None:
-            sizes[: bounds.size - 1] = np.diff(bounds)
-            old = self.pfs.stat(path).data
-        parts, done = [], 0
-        for rid in changed:
-            if rid > done:
-                parts.append(old[bounds[done] : bounds[rid]])
-            parts.append(obj.indexes[rid].to_bytes())
-            sizes[rid] = parts[-1].size
-            obj.meta.regions[rid].index_path = path
-            done = rid + 1
-        if done < obj.n_regions:
-            parts.append(old[bounds[done] :])
-        spliced = np.concatenate(parts)
-        if old is not None:
-            self.pfs.delete(path)
-        self.pfs.create(path, spliced, stripe_count=self.config.pdc_stripe_count)
-        obj.index_extents = np.concatenate(([0], np.cumsum(sizes)))
+            for rid, off, count in opened
+        ]
+        write.extend_object(self, obj, buffer, size, absorbed, opened)
+        return write.commit_write(self, obj, derived, values.size)
 
     def _invalidate_replica_caches(self, key_name: str, group: ReplicaGroup) -> None:
         """Invalidate every server's cached sorted-replica bytes for one
@@ -973,56 +714,6 @@ class PDCSystem:
                     server.cache.invalidate(
                         region_key(key_name, rid, replica=f"sorted:{which}")
                     )
-
-    def _handle_replica_staleness(
-        self, name: str, n_written: int, stats: Dict[str, int]
-    ) -> None:
-        """Apply :attr:`PDCConfig.replica_staleness_policy` to every
-        sorted replica covering a just-written object."""
-        policy = self.config.replica_staleness_policy
-        counter = self.metrics.counter(
-            "pdc_replica_staleness_total",
-            "Sorted-replica staleness actions taken on object writes",
-            labels=("action",),
-        )
-        for key_name in list(self.replicas):
-            group = self.replicas[key_name]
-            covered = {key_name, *group.replica.companions}
-            if name not in covered:
-                continue
-            if policy == "drop":
-                self.drop_sorted_replica(key_name)  # invalidates its bytes
-                action = "drop"
-            else:
-                # A stale group has no resident bytes to invalidate: going
-                # stale invalidated them, and only ``replica_covering``,
-                # which skips a stale group, leads to a read that caches more.
-                if not group.stale:
-                    self._invalidate_replica_caches(key_name, group)
-                group.stale = True
-                group.stale_elements += int(n_written)
-                action = "mark_stale"
-                if (
-                    policy == "rebuild"
-                    and group.stale_elements
-                    >= self.config.replica_rebuild_threshold
-                    * group.replica.n_elements
-                    # The replica zips key and companions positionally,
-                    # so a rebuild must wait out uneven growth (e.g. the
-                    # key appended, its companion not yet): stay stale
-                    # until every covered object is the same length
-                    # again — the next covered write re-checks.
-                    and all(
-                        self.objects[c].n_elements
-                        == self.objects[key_name].n_elements
-                        for c in group.replica.companions
-                        if c in self.objects
-                    )
-                ):
-                    self.refresh_sorted_replica(key_name)
-                    action = "rebuild"
-            counter.labels(action=action).inc()
-            stats[f"replica_{action}"] = stats.get(f"replica_{action}", 0) + 1
 
     def refresh_sorted_replica(self, key_name: str) -> ReplicaGroup:
         """Re-sort a stale replica from the objects' current payloads.
@@ -1051,17 +742,17 @@ class PDCSystem:
         obj = self.get_object(name)
         if obj.indexes is None:
             raise QueryError(f"object {name!r} has no index")
+        if not (is_index(rid) and rid < obj.n_regions):
+            raise PDCError(f"object {name!r} has no region {rid!r}")
         rid = int(rid)
-        if not (0 <= rid < obj.n_regions):
-            raise PDCError(f"object {name!r} has no region {rid}")
         roff, count = int(obj.offsets[rid]), int(obj.counts[rid])
-        derived = self._derive_region(
-            obj, rid, obj.data[roff : roff + count], index_only=True
+        derived = write.derive_region(
+            self, obj, rid, obj.data[roff : roff + count], index_only=True
         )
         n_delta = 0
         if obj.index_delta_counts is not None:
             n_delta = int(obj.index_delta_counts[rid])
-        self._install_region(obj, derived)
+        write.install_region(obj, derived)
         server = self.servers[self.server_of_region(rid)]
         server.clock.charge(
             self.cost.scan_time(count)
@@ -1072,7 +763,7 @@ class PDCSystem:
         )
         for s in self.servers:
             s.cache.invalidate(region_key(name, rid, replica="idx"))
-        self._rewrite_index_file(obj, [rid])
+        write.rewrite_index_file(self, obj, [rid])
         return n_delta
 
     def migrate_regions(
@@ -1155,8 +846,8 @@ class PDCSystem:
         if obj.indexes is not None:
             return
         derived = [
-            self._derive_region(
-                obj, rid, obj.data[off : off + count], index_only=True
+            write.derive_region(
+                self, obj, rid, obj.data[off : off + count], index_only=True
             )
             for rid, (off, count) in enumerate(zip(obj.offsets, obj.counts))
         ]
@@ -1164,8 +855,8 @@ class PDCSystem:
         obj.index_nbytes = np.empty(obj.n_regions, dtype=np.int64)
         obj.index_words = np.empty(obj.n_regions, dtype=np.int64)
         for d in derived:
-            self._install_region(obj, d)
-        self._rewrite_index_file(obj, range(obj.n_regions))
+            write.install_region(obj, d)
+        write.rewrite_index_file(self, obj, range(obj.n_regions))
 
     def index_size_bytes(self, name: str) -> int:
         """Total index-file size for one object (paper §V: 15–17 % of the

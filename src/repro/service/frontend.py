@@ -52,6 +52,7 @@ import numpy as np
 
 from ..errors import PDCError
 from ..ingest import IngestConfig, IngestStream, WriteResult, WriteSpec
+from ..ingest.maintain import check_offset
 from ..pdc.system import PDCSystem
 from ..query.ast import QueryNode
 from ..query.executor import BatchResult, QueryEngine, QueryResult, QuerySpec
@@ -357,6 +358,8 @@ class QueryService:
         """
         if self._closed:
             raise PDCError("service is closed")
+        if offset is not None:
+            check_offset(offset)
         ten = self.config.tenant(tenant)
         if ten.kind != "write":
             raise PDCError(

@@ -2,15 +2,14 @@
 
 PDC's internal data files (§III-E) are hidden from users and striped across
 the parallel file system's storage devices.  :class:`SimFile` stores the
-actual payload as a 1-D numpy array (so query answers are real), while
+actual payload as 1-D numpy arrays (so query answers are real), while
 :class:`ParallelFileSystem` accounts for simulated read/write time through a
 :class:`~repro.storage.costmodel.CostModel`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -23,9 +22,10 @@ __all__ = ["SimFile", "ParallelFileSystem", "Extent"]
 Extent = Tuple[int, int]
 
 
-@dataclass
 class SimFile:
-    """One file: a named, striped 1-D array of fixed dtype.
+    """One file: a named, striped 1-D payload of fixed dtype, held as
+    chunks — one array, or one per region of an index file, so a rewrite
+    replaces only the chunks that changed.
 
     ``imbalance`` models OST hotspotting: PDC distributes its internal data
     files across the PFS's storage devices and aggregates small reads
@@ -34,30 +34,41 @@ class SimFile:
     HDF5-F's ~2× slower reads to exactly this).
     """
 
-    path: str
-    data: np.ndarray
-    stripe_count: int
-    imbalance: float = 1.0
-
-    def __post_init__(self) -> None:
-        if self.data.ndim != 1:
-            raise StorageError(f"SimFile {self.path!r} payload must be 1-D")
-        if self.stripe_count < 1:
+    def __init__(
+        self,
+        path: str,
+        data: Union[np.ndarray, List[np.ndarray]],
+        stripe_count: int,
+        imbalance: float = 1.0,
+    ) -> None:
+        chunks = list(data) if isinstance(data, (list, tuple)) else [data]
+        chunks = [np.ascontiguousarray(c) for c in chunks]
+        if not chunks or any(
+            c.ndim != 1 or c.dtype != chunks[0].dtype for c in chunks
+        ):
+            raise StorageError(
+                f"SimFile {path!r} payload must be 1-D chunks of one dtype"
+            )
+        if stripe_count < 1:
             raise StorageError("stripe_count must be >= 1")
-        if self.imbalance < 1.0:
+        if imbalance < 1.0:
             raise StorageError("imbalance factor must be >= 1.0")
+        self.path = path
+        self.chunks = chunks
+        self.stripe_count = stripe_count
+        self.imbalance = imbalance
+        self.n_elements = sum(int(c.shape[0]) for c in chunks)
+        self.itemsize = int(chunks[0].dtype.itemsize)
+        self.nbytes = self.n_elements * self.itemsize
+        self._data = chunks[0] if len(chunks) == 1 else None
 
     @property
-    def n_elements(self) -> int:
-        return int(self.data.shape[0])
-
-    @property
-    def nbytes(self) -> int:
-        return int(self.data.nbytes)
-
-    @property
-    def itemsize(self) -> int:
-        return int(self.data.dtype.itemsize)
+    def data(self) -> np.ndarray:
+        """The whole payload: the one chunk itself, or the chunks joined on
+        first read."""
+        if self._data is None:
+            self._data = np.concatenate(self.chunks)
+        return self._data
 
 
 class ParallelFileSystem:
@@ -126,16 +137,16 @@ class ParallelFileSystem:
     def create(
         self,
         path: str,
-        data: np.ndarray,
+        data: Union[np.ndarray, List[np.ndarray]],
         stripe_count: Optional[int] = None,
         clock: Optional[SimClock] = None,
         concurrent_writers: int = 1,
         imbalance: float = 1.0,
     ) -> SimFile:
-        """Create ``path`` holding ``data`` (1-D); charges write time."""
+        """Create ``path`` holding ``data`` (one 1-D array, or its chunks in
+        order); charges write time."""
         if path in self._files:
             raise StorageError(f"file exists: {path!r}")
-        data = np.ascontiguousarray(data)
         f = SimFile(
             path=path,
             data=data,

@@ -27,6 +27,7 @@ __all__ = [
     "pdc_type_of_dtype",
     "check_value_type",
     "is_count",
+    "is_index",
     "check_timeout",
 ]
 
@@ -145,6 +146,17 @@ def is_count(value) -> bool:
         isinstance(value, (int, np.integer))
         and not isinstance(value, bool)
         and value >= 1
+    )
+
+
+def is_index(value) -> bool:
+    """The one test of a position (a write offset, a region id): a Python
+    or NumPy integer of at least 0.  A fraction, a numeric string and a
+    bool are not positions."""
+    return (
+        isinstance(value, (int, np.integer))
+        and not isinstance(value, bool)
+        and value >= 0
     )
 
 

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from repro.bitmap.index import RegionBitmapIndex
+from repro.bitmap.index import IndexProbeTable, RegionBitmapIndex
 from repro.histogram.global_hist import GlobalHistogram
 from repro.pdc import PDCConfig, PDCSystem
 from repro.strategies import Strategy
@@ -135,6 +135,28 @@ def assert_index_file_fresh(system, obj) -> None:
     for rid, part in enumerate(parts):
         decoded = RegionBitmapIndex.from_bytes(stored[extents[rid] : extents[rid + 1]])
         assert np.array_equal(decoded.to_bytes(), part), rid
+
+
+def assert_probe_table_fresh(obj) -> None:
+    """The maintained probe table describes the current indexes as
+    ``IndexProbeTable.stack`` does; past the stacked width (a row that
+    lost bins keeps the padding it was widened to) it holds only pads."""
+    table, fresh = obj.probe_table, IndexProbeTable.stack(obj.indexes)
+    width = fresh.bin_min.shape[1]
+    assert table.bin_min.shape[0] == obj.n_regions
+    assert np.array_equal(table.header_bytes, fresh.header_bytes)
+    for name, pad in (("bin_min", np.inf), ("bin_max", -np.inf),
+                      ("bin_words", 0), ("bin_counts", 0)):
+        got = getattr(table, name)
+        assert np.array_equal(got[:, :width], getattr(fresh, name)), name
+        assert (got[:, width:] == pad).all(), name
+
+
+def assert_payload_is_a_prefix_view(obj) -> None:
+    """``obj.data`` is ``buffer[:n]``: same memory, no longer than it."""
+    assert obj.data.size <= obj.buffer.size
+    assert obj.data.__array_interface__["data"][0] == obj.buffer.__array_interface__["data"][0]
+    assert np.shares_memory(obj.data, obj.buffer)
 
 
 def make_system(

@@ -92,6 +92,13 @@ class TestOperandReuse:
         assert rebuilt.operands[0][1] is previous.operands[0][1]
 
 
+    def test_a_removed_region_merges_from_scratch(self, hists):
+        previous = GlobalHistogram.build(hists)
+        del hists[1]
+        rebuilt = GlobalHistogram.build(hists, previous=previous)
+        assert_same_global_histogram(rebuilt, GlobalHistogram.build(hists))
+        assert rebuilt.merged.total == 6000
+
     def test_a_checkpoint_carries_no_operands(self, hists, rng):
         """Pickled (the metadata checkpoint) a global histogram is the size
         it was before operands were kept; restored, it lends nothing and

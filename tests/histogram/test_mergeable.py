@@ -200,6 +200,64 @@ class TestMerge:
             h.coarsened(h.bin_width / 2)
 
 
+def merge_aligned_reference(coarse):
+    """The per-operand loop ``merge_aligned`` replaced."""
+    width = coarse[0].bin_width
+    start = min(h.start for h in coarse)
+    end = max(h.start + h.n_bins * width for h in coarse)
+    counts = np.zeros(round((end - start) / width), dtype=np.int64)
+    for h in coarse:
+        off = round((h.start - start) / width)
+        counts[off : off + h.n_bins] += h.counts
+    return start, counts
+
+
+class TestAlignedMerge:
+    @pytest.fixture
+    def coarse(self, rng):
+        hists = [
+            MergeableHistogram.from_data(rng.gamma(2.0, 0.7, 500) + shift, n_bins=16)
+            for shift in (0.0, 3.0, -2.5, 40.0, 3.0)
+        ]
+        width = max(h.bin_width for h in hists)
+        return [h.coarsened(width) for h in hists]
+
+    def test_equals_the_loop(self, coarse):
+        merged = MergeableHistogram.merge_aligned(coarse)
+        start, counts = merge_aligned_reference(coarse)
+        assert merged.start == start
+        assert np.array_equal(merged.counts, counts)
+        assert merged.data_min == min(h.data_min for h in coarse)
+        assert merged.data_max == max(h.data_max for h in coarse)
+
+    @pytest.mark.parametrize("changed", [[0], [3], [1, 3], [0, 1, 2, 3, 4]])
+    def test_replaced_equals_a_full_merge(self, coarse, rng, changed):
+        """Swapping operands — the one that sets the span's top (3) or
+        bottom (2) included — equals merging the new list from scratch."""
+        previous = MergeableHistogram.merge_aligned(coarse)
+        width = previous.bin_width
+        new = list(coarse)
+        for i in changed:
+            fresh = MergeableHistogram.from_data(rng.uniform(1.0, 2.0, 300), n_bins=4)
+            assert fresh.bin_width <= width
+            new[i] = fresh.coarsened(width)
+        got = previous.replaced(new, [coarse[i] for i in changed], [new[i] for i in changed])
+        want = MergeableHistogram.merge_aligned(new)
+        for field in ("bin_width", "start", "data_min", "data_max"):
+            assert getattr(got, field) == getattr(want, field), field
+        assert np.array_equal(got.counts, want.counts)
+
+    def test_merge_of_equal_widths_coarsens_nothing(self, coarse, monkeypatch):
+        calls = []
+        real = MergeableHistogram.coarsened
+        monkeypatch.setattr(
+            MergeableHistogram, "coarsened",
+            lambda self, w: (calls.append(w), real(self, w))[1],
+        )
+        coarse[0].merge(coarse[1])
+        assert calls == []
+
+
 class TestEstimation:
     @given(
         data_arrays,
@@ -322,6 +380,26 @@ class TestExtremeWidthRatios:
             range=(merged.start, merged.start + merged.n_bins * merged.bin_width),
         )
         assert np.array_equal(merged.counts, expected)
+
+    def test_offset_equals_the_fraction_formula(self):
+        """The fine-bin offset ``coarsened`` computes in integer ratios is
+        the ``Fraction`` quotient it replaced — for subnormal, huge,
+        negative and mixed-sign starts on the fine grid."""
+        from fractions import Fraction
+
+        from repro.histogram.mergeable import _exact_offset
+
+        rng = np.random.default_rng(5)
+        cases = [(5e-324, 0.0, 5e-324), (-5e-324, -0.0, 5e-324), (-3.0, -4.0, 0.25),
+                 (1e300, 0.0, 2.0 ** 900)]
+        for _ in range(300):
+            width = 2.0 ** int(rng.integers(-1074, 60))
+            start = int(rng.integers(-2**52, 2**52)) * width  # on the fine grid
+            new_width = width * 2.0 ** int(rng.integers(1, 200))
+            cases.append((start, math.floor(start / new_width) * new_width, width))
+        for start, new_start, width in cases:
+            want = int((Fraction(start) - Fraction(new_start)) / Fraction(width))
+            assert _exact_offset(start, new_start, width) == want, (start, new_start, width)
 
     def test_merge_many_mixed_extreme_widths(self):
         rng = np.random.default_rng(0)

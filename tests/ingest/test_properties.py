@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.bitmap.index import RegionBitmapIndex
-from tests.conftest import make_system
+from tests.conftest import assert_payload_is_a_prefix_view, make_system
 
 N = 1 << 12          # object elements
 REGION = 1 << 9      # 512 f32 per region at region_size_bytes=1<<11
@@ -50,6 +50,31 @@ writes_strategy = st.lists(
     min_size=1,
     max_size=5,
 )
+
+
+# Appends before the overwrites: the object starts with no spare capacity
+# and a full tail, so the first append reallocates and opens a region;
+# later ones land in the capacity it grew (n/16 elements) or cross it.
+appends_strategy = st.lists(
+    st.tuples(
+        st.one_of(
+            st.integers(min_value=1, max_value=2 * REGION + 1),
+            st.just(N // 16 + 1),           # one past the grown capacity
+        ),
+        st.integers(min_value=0, max_value=2 ** 20),
+    ),
+    max_size=3,
+)
+
+
+def apply_appends(sysm, appends, maintenance):
+    """Append each ``(size, seed)``; returns the appended payload."""
+    grown = []
+    for size, seed in appends:
+        values = payload(seed, size, np.float32)
+        sysm.append_to_object("obj", values, maintenance=maintenance)
+        grown.append(values)
+    return np.concatenate(grown) if grown else np.zeros(0, dtype=np.float32)
 
 
 def apply_writes(sysm, writes, maintenance):
@@ -96,10 +121,20 @@ def assert_matches_rebuild(sysm):
 
 class TestDeltaMaintenanceProperties:
     @settings(max_examples=30, deadline=None)
-    @given(writes=writes_strategy)
-    def test_any_write_pattern_matches_rebuild(self, writes):
+    @given(writes=writes_strategy, appends=appends_strategy)
+    def test_any_write_pattern_matches_rebuild(self, writes, appends):
         sysm = fresh_system()
+        expect = np.concatenate(
+            [sysm.get_object("obj").data.copy(),
+             apply_appends(sysm, appends, maintenance="delta")]
+        )
         apply_writes(sysm, writes, maintenance="delta")
+        for offset, size, seed, dtype in writes:
+            size = min(size, N - offset)
+            expect[offset : offset + size] = payload(seed, size, dtype)
+        obj = sysm.get_object("obj")
+        assert np.array_equal(obj.data, expect)
+        assert_payload_is_a_prefix_view(obj)
         assert_matches_rebuild(sysm)
 
     @settings(max_examples=15, deadline=None)
@@ -160,6 +195,25 @@ class TestExplicitEdgeCases:
             obj.data[10:13], vals64.astype(np.float32)
         )
         assert_matches_rebuild(sysm)
+
+    def test_far_value_onto_a_tiny_grid_rebuilds(self):
+        """A tail region holding 0.0 and the smallest normal float32 gets
+        a histogram width near 1e-40; patching a 1.0 onto that grid asked
+        for ~1e40 bins (a bare ValueError).  It is rebuilt instead, and
+        answers as a rebuild-mode twin does."""
+        sysm = make_system(region_size_bytes=1 << 11)
+        sysm.create_object("obj", np.zeros(REGION, dtype=np.float32))
+        sysm.append_to_object("obj", np.zeros(1, dtype=np.float32), maintenance="rebuild")
+        sysm.append_to_object(
+            "obj", np.full(79, np.finfo(np.float32).tiny, dtype=np.float32),
+            maintenance="rebuild",
+        )
+        tail = sysm.get_object("obj").meta.regions[-1].histogram
+        assert not tail.grid_holds(np.ones(1))
+        sysm.append_to_object("obj", np.ones(1, dtype=np.float32), maintenance="delta")
+        assert sysm.last_write_stats["hist_rebuilds"] == 1
+        obj = sysm.get_object("obj")
+        assert obj.rmax[-1] == 1.0 and obj.meta.regions[-1].histogram.total == 81
 
     def test_append_then_overwrite_new_tail(self):
         sysm = fresh_system()

@@ -1,0 +1,214 @@
+"""A write costs what it wrote: an append lands in spare capacity, the
+global histogram swaps only the written regions' operands, the index file
+only their chunks and the probe table only their rows — and each result
+equals the whole rebuilt (``tests/conftest.py``)."""
+
+from __future__ import annotations
+
+import numpy as np
+import pytest
+
+from repro.bitmap.index import IndexProbeTable, RegionBitmapIndex
+from repro.histogram.mergeable import MergeableHistogram
+from repro.query.ast import Condition
+from repro.query.executor import QueryEngine
+from repro.strategies import Strategy
+from repro.types import PDCType, QueryOp
+from tests.conftest import (
+    assert_global_histogram_fresh,
+    assert_index_file_fresh,
+    assert_payload_is_a_prefix_view,
+    assert_probe_table_fresh,
+    make_system,
+)
+
+REGION = 512  # f32 elements per region at region_size_bytes=1<<11
+N = 16 * REGION
+
+
+def indexed(n=N):
+    sysm = make_system(region_size_bytes=1 << 11)
+    rng = np.random.default_rng(11)
+    sysm.create_object("obj", rng.gamma(2.0, 0.7, n).astype(np.float32))
+    sysm.build_index("obj")
+    return sysm, sysm.get_object("obj")
+
+
+def gamma(n, seed=3):
+    return np.random.default_rng(seed).gamma(2.0, 0.7, n).astype(np.float32)
+
+
+def counting(monkeypatch, owner, attr):
+    """Replace ``owner.attr`` with a wrapper recording each call's
+    ``self`` (or first argument)."""
+    calls = []
+    real = getattr(owner, attr)
+
+    def spy(*args, **kwargs):
+        calls.append(args[0] if args else None)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(owner, attr, spy)
+    return calls
+
+
+class TestAppendIntoCapacity:
+    def test_an_append_that_fits_shares_the_previous_payload(self):
+        sysm, obj = indexed()
+        first = gamma(100)
+        sysm.append_to_object("obj", first)  # no spare room: reallocates
+        assert obj.buffer.size == (N + 100) + (N + 100) // 16
+        previous, buffer = obj.data, obj.buffer
+        second = gamma(300, seed=4)
+        sysm.append_to_object("obj", second)
+        assert obj.buffer is buffer
+        assert np.shares_memory(previous, obj.data)
+        assert obj.data.size == N + 400
+        assert np.array_equal(obj.data[N:], np.concatenate([first, second]))
+        assert_payload_is_a_prefix_view(obj)
+        # Both PFS files are views of the same payload.
+        for path in (obj.file_path, obj.hdf5_path):
+            assert np.shares_memory(sysm.pfs.stat(path).data, obj.data)
+            assert sysm.pfs.stat(path).n_elements == obj.n_elements
+
+    def test_an_append_past_capacity_reallocates_geometrically(self):
+        sysm, obj = indexed()
+        sysm.append_to_object("obj", gamma(10))
+        room = obj.buffer.size - obj.n_elements
+        previous = obj.data
+        sysm.append_to_object("obj", gamma(room + 1, seed=5))
+        size = N + 10 + room + 1
+        assert obj.buffer.size == size + size // 16
+        assert not np.shares_memory(previous, obj.data)
+        assert np.array_equal(obj.data[: previous.size], previous)
+
+    def test_extents_are_extended_not_repartitioned(self):
+        sysm, obj = indexed(N - 100)
+        held = obj.counts
+        offsets, counts = obj.offsets.copy(), obj.counts.copy()
+        affected = sysm.append_to_object("obj", gamma(100 + 2 * REGION + 7))
+        assert affected == [15, 16, 17, 18]
+        assert obj.offsets[:16].tolist() == offsets.tolist()
+        assert obj.offsets[16:].tolist() == [N, N + REGION, N + 2 * REGION]
+        assert obj.counts.tolist() == counts[:15].tolist() + [REGION] * 3 + [7]
+        assert [r.n_elements for r in obj.meta.regions] == obj.counts.tolist()
+        # An array a reader may hold is replaced, not edited.
+        assert held[15] == REGION - 100 and held is not obj.counts
+
+    def test_a_tail_append_replaces_the_counts_array(self):
+        """A reader holding ``obj.counts`` keeps the extents it read."""
+        sysm, obj = indexed(N - 100)
+        held = obj.counts
+        assert sysm.append_to_object("obj", gamma(10)) == [15]
+        assert held[15] == REGION - 100 and obj.counts[15] == REGION - 90
+
+    def test_a_failed_append_leaves_the_payload_as_it_was(self, monkeypatch):
+        sysm, obj = indexed()
+        sysm.append_to_object("obj", gamma(10))
+        data, buffer = obj.data, obj.buffer
+
+        def boom(*args, **kwargs):
+            raise RuntimeError("derive failed")
+
+        monkeypatch.setattr(RegionBitmapIndex, "build", boom)
+        with pytest.raises(RuntimeError):
+            sysm.append_to_object("obj", gamma(20))
+        assert obj.data is data and obj.buffer is buffer
+        assert obj.n_elements == N + 10
+        assert sysm.pfs.stat(obj.file_path).n_elements == N + 10
+
+
+class TestGlobalHistogramByChangedRegions:
+    @pytest.mark.parametrize("maintenance", ["rebuild", "delta"])
+    def test_a_one_region_overwrite_coarsens_at_most_once(self, monkeypatch, maintenance):
+        sysm, obj = indexed()
+        width = obj.meta.global_histogram.merged.bin_width
+        calls = counting(monkeypatch, MergeableHistogram, "coarsened")
+        sysm.update_object_region("obj", 3 * REGION + 5, gamma(40), maintenance=maintenance)
+        assert obj.meta.global_histogram.merged.bin_width == width
+        assert len(calls) <= 1
+        assert_global_histogram_fresh(obj)
+
+    def test_no_full_merge_at_an_unchanged_width(self, monkeypatch):
+        sysm, obj = indexed()
+        calls = counting(monkeypatch, MergeableHistogram, "merge_aligned")
+        sysm.update_object_region("obj", 7, gamma(40), maintenance="delta")
+        sysm.append_to_object("obj", gamma(REGION + 3), maintenance="delta")
+        assert calls == []
+        assert_global_histogram_fresh(obj)
+
+    def test_an_overwrite_that_shrinks_the_span(self):
+        """The region holding the object's maximum is overwritten with
+        small values: the merged grid loses its top bins."""
+        sysm, obj = indexed()
+        rid = int(np.argmax(obj.rmax))
+        top = obj.meta.global_histogram.merged
+        sysm.update_object_region(
+            "obj", int(obj.offsets[rid]), np.full(REGION, 1.0, dtype=np.float32)
+        )
+        merged = obj.meta.global_histogram.merged
+        assert merged.data_max < top.data_max
+        assert merged.start + merged.n_bins * merged.bin_width <= (
+            top.start + top.n_bins * top.bin_width
+        )
+        assert_global_histogram_fresh(obj)
+
+
+class TestIndexFileByRegion:
+    def test_a_rewrite_serialises_only_changed_regions(self, monkeypatch):
+        sysm, obj = indexed()
+        path = f"/pdc/index/{obj.name}"
+        before = sysm.pfs.stat(path)
+        written = sysm.pfs.bytes_written
+        calls = counting(monkeypatch, RegionBitmapIndex, "to_bytes")
+        sysm.update_object_region("obj", 2 * REGION - 10, gamma(20), maintenance="rebuild")
+        after = sysm.pfs.stat(path)
+        assert calls == [obj.indexes[1], obj.indexes[2]]
+        assert len(after.chunks) == obj.n_regions
+        for rid, chunk in enumerate(after.chunks):
+            assert (chunk is before.chunks[rid]) == (rid not in (1, 2)), rid
+        # The model still writes the whole file on every rewrite.
+        assert sysm.pfs.bytes_written - written == sysm.cost.virtual_bytes(after.nbytes)
+        assert_index_file_fresh(sysm, obj)
+
+    def test_an_append_adds_chunks(self):
+        sysm, obj = indexed()
+        sysm.append_to_object("obj", gamma(2 * REGION + 1), maintenance="rebuild")
+        assert len(sysm.pfs.stat(f"/pdc/index/{obj.name}").chunks) == N // REGION + 3
+        assert_index_file_fresh(sysm, obj)
+
+
+class TestProbeTableRows:
+    def test_an_index_install_never_restacks(self, monkeypatch):
+        sysm, obj = indexed()
+        obj.index_probe_table()
+        calls = counting(monkeypatch, IndexProbeTable, "stack")
+        sysm.update_object_region("obj", 5, gamma(300) * 4, maintenance="rebuild")
+        sysm.append_to_object("obj", gamma(REGION + 9), maintenance="rebuild")
+        sysm.update_object_region("obj", REGION + 1, gamma(9), maintenance="delta")
+        sysm.compact_region_index("obj", 1)
+        res = QueryEngine(sysm).execute(
+            Condition("obj", QueryOp.GT, PDCType.FLOAT, 2.0), strategy=Strategy.HIST_INDEX
+        )
+        assert calls == []
+        assert res.nhits == int((obj.data > np.float32(2.0)).sum())
+        assert_probe_table_fresh(obj)
+
+    def test_put_widens_appends_and_narrows(self, rng):
+        regions = [rng.gamma(2.0, 0.7, 300), rng.uniform(2.0, 2.3, 300)]
+        indexes = [RegionBitmapIndex.build(r) for r in regions]
+        table = IndexProbeTable.stack(indexes)
+        wide = RegionBitmapIndex.build(rng.uniform(-5.0, 5.0, 3000))
+        narrow = RegionBitmapIndex.build(np.full(40, 2.15))
+        assert wide.bin_ids.size > table.bin_min.shape[1]
+        for rid, ix in ((1, wide), (2, indexes[0]), (0, narrow)):
+            grown = table.put(rid, ix)
+            assert grown is not table
+            indexes[rid:rid + 1] = [ix]
+            table = grown
+            fresh = IndexProbeTable.stack(indexes)
+            width = fresh.bin_min.shape[1]
+            assert table.bin_min.shape == (len(indexes), max(width, table.bin_min.shape[1]))
+            for name in ("bin_min", "bin_max", "bin_words", "bin_counts"):
+                assert np.array_equal(getattr(table, name)[:, :width], getattr(fresh, name))
+            assert np.array_equal(table.header_bytes, fresh.header_bytes)

@@ -38,6 +38,38 @@ class TestSimFile:
         assert f.itemsize == 4
 
 
+class TestChunks:
+    """A file is held as chunks (one per region of an index file); a
+    single array is one chunk, and the whole payload is joined only when
+    read."""
+
+    def test_one_array_is_one_chunk(self, data):
+        f = SimFile("p", data, 4)
+        assert len(f.chunks) == 1 and f.data is data
+
+    def test_chunks_sum_without_joining(self, pfs):
+        parts = [np.arange(3, dtype=np.uint8), np.arange(5, dtype=np.uint8)]
+        f = pfs.create("/idx", parts)
+        assert (f.n_elements, f.nbytes, f.itemsize) == (8, 8, 1)
+        assert f.chunks[1] is parts[1]
+        assert f._data is None  # not joined yet
+        assert pfs.read("/idx", 2, 5).tolist() == [2, 0, 1]
+        assert np.array_equal(f.data, np.concatenate(parts))
+
+    def test_create_counts_the_whole_file(self, pfs):
+        pfs.create("/idx", [np.zeros(3, dtype=np.uint8), np.zeros(9, dtype=np.uint8)])
+        assert pfs.bytes_written == 12
+
+    @pytest.mark.parametrize(
+        "chunks",
+        [[], [np.zeros(2, np.uint8), np.zeros(2, np.int64)], [np.zeros((2, 2), np.uint8)]],
+        ids=["empty", "mixed dtypes", "2-D"],
+    )
+    def test_bad_chunks_rejected(self, chunks):
+        with pytest.raises(StorageError):
+            SimFile("p", chunks, 1)
+
+
 class TestNamespace:
     def test_create_and_stat(self, pfs, data):
         pfs.create("/a/b", data)

@@ -12,7 +12,10 @@ every strategy — while holding the system to its core invariants:
   lists) always matches the model data;
 * what a write maintains piecewise equals the whole rebuilt: the global
   histogram a from-scratch merge, the index file the concatenation of the
-  index objects' bytes;
+  index objects' bytes, the probe table a fresh stack of the indexes;
+* the payload is a prefix view of its buffer (an append writes into spare
+  capacity), and ``pfs.bytes_written`` counts every (re)written file
+  whole;
 * no server holds sorted-replica bytes of a group planning cannot read
   (stale or dropped).
 
@@ -33,7 +36,12 @@ from repro.query.executor import QueryEngine
 from repro.storage.device import DeviceKind
 from repro.strategies import Strategy
 from repro.types import PDCType, QueryOp
-from tests.conftest import assert_global_histogram_fresh, assert_index_file_fresh
+from tests.conftest import (
+    assert_global_histogram_fresh,
+    assert_index_file_fresh,
+    assert_payload_is_a_prefix_view,
+    assert_probe_table_fresh,
+)
 
 N = 1 << 11
 N_SERVERS = 3
@@ -56,6 +64,18 @@ class PDCStateMachine(RuleBasedStateMachine):
         self.model = {}  # name -> numpy array (ground truth)
         self.failed = set()
         self.last_elapsed = 0.0
+        # Every file the PFS (re)creates is accounted whole, by the size of
+        # its joined bytes.
+        pfs = self.system.pfs
+        self.bytes_written = pfs.bytes_written
+        real_create = pfs.create
+
+        def create(path, *args, **kwargs):
+            f = real_create(path, *args, **kwargs)
+            self.bytes_written += pfs.cost.virtual_bytes(f.data.nbytes)
+            return f
+
+        pfs.create = create
         # Two starting objects so queries always have targets.
         for name in ("a", "b"):
             data = self.rng.gamma(2.0, 0.7, N).astype(np.float32)
@@ -195,11 +215,17 @@ class PDCStateMachine(RuleBasedStateMachine):
     def maintained_state_equals_rebuilt(self):
         if not hasattr(self, "system"):
             return
-        for name in self.model:
+        for name, data in self.model.items():
             obj = self.system.get_object(name)
+            assert np.array_equal(obj.data, data)
+            assert_payload_is_a_prefix_view(obj)
             assert_global_histogram_fresh(obj)
             if obj.indexes is not None:
                 assert_index_file_fresh(self.system, obj)
+                # Stacked once here, the table is kept current by writes.
+                obj.index_probe_table()
+                assert_probe_table_fresh(obj)
+        assert self.system.pfs.bytes_written == self.bytes_written
 
     @invariant()
     def no_unreadable_replica_bytes_resident(self):
