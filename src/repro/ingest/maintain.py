@@ -230,12 +230,12 @@ def install_region(obj: "StoredObject", d: RegionDerived) -> None:
 
 def commit_write(
     system: "PDCSystem", obj: "StoredObject", derived: List[RegionDerived],
-    n_written: int,
+    span: Tuple[int, int],
 ) -> List[int]:
-    """The second half of every write, run once the payload is in
-    place and nothing can fail any more: install each region's
-    derived state, invalidate and charge on its owning server, then
-    the whole-object follow-ups, each exactly once.  Returns the
+    """The second half of every write of coordinates ``span``, run once
+    the payload is in place and nothing can fail any more: install each
+    region's derived state, invalidate and charge on its owning server,
+    then the whole-object follow-ups, each exactly once.  Returns the
     affected region ids."""
     name = obj.name
     stats = dict.fromkeys(WRITE_STATS, 0)
@@ -261,7 +261,7 @@ def commit_write(
     reindexed = [d.rid for d in derived if d.index is not None]
     if reindexed:
         rewrite_index_file(system, obj, reindexed)
-    handle_replica_staleness(system, name, n_written, stats)
+    handle_replica_staleness(system, name, span, stats)
     system.last_write_stats = stats
     system._notify_invalidation(name, affected)
     return affected
@@ -359,49 +359,34 @@ def rewrite_index_file(
 
 
 def handle_replica_staleness(
-    system: "PDCSystem", name: str, n_written: int, stats: Dict[str, int]
+    system: "PDCSystem", name: str, span: Tuple[int, int], stats: Dict[str, int]
 ) -> None:
-    """Apply :attr:`PDCConfig.replica_staleness_policy` to every
-    sorted replica covering a just-written object."""
-    policy = system.config.replica_staleness_policy
+    """Keep every sorted replica covering a just-written object exact:
+    drop it (the ``"drop"`` policy), or mark the written ``span`` dirty —
+    its sorted base, and so its cached bytes, never change — and re-sort
+    once dirty and appended elements reach ``replica_rebuild_threshold``
+    of the base while every covered object has the key's length."""
     counter = system.metrics.counter(
         "pdc_replica_staleness_total",
         "Sorted-replica staleness actions taken on object writes",
         labels=("action",),
     )
     for key_name in list(system.replicas):
-        group = system.replicas[key_name]
-        covered = {key_name, *group.replica.companions}
+        replica = system.replicas[key_name].replica
+        covered = (key_name, *replica.companions)
         if name not in covered:
             continue
-        if policy == "drop":
+        if system.config.replica_staleness_policy == "drop":
             system.drop_sorted_replica(key_name)  # invalidates its bytes
             action = "drop"
         else:
-            # A stale group has no resident bytes to invalidate: going
-            # stale invalidated them, and only ``replica_covering``,
-            # which skips a stale group, leads to a read that caches more.
-            if not group.stale:
-                system._invalidate_replica_caches(key_name, group)
-            group.stale = True
-            group.stale_elements += int(n_written)
-            action = "mark_stale"
+            replica.mark_dirty(*span)
+            action = "mark_dirty"
+            lengths = {system.objects[c].n_elements for c in covered}
             if (
-                policy == "rebuild"
-                and group.stale_elements
-                >= system.config.replica_rebuild_threshold
-                * group.replica.n_elements
-                # The replica zips key and companions positionally,
-                # so a rebuild must wait out uneven growth (e.g. the
-                # key appended, its companion not yet): stay stale
-                # until every covered object is the same length
-                # again — the next covered write re-checks.
-                and all(
-                    system.objects[c].n_elements
-                    == system.objects[key_name].n_elements
-                    for c in group.replica.companions
-                    if c in system.objects
-                )
+                len(lengths) == 1
+                and replica.dirty.size + lengths.pop() - replica.n_elements
+                >= system.config.replica_rebuild_threshold * replica.n_elements
             ):
                 system.refresh_sorted_replica(key_name)
                 action = "rebuild"

@@ -140,7 +140,7 @@ class EpochResult:
     index_delta_appends: int = 0
     index_rebuilds: int = 0
     compactions: int = 0
-    #: staleness action -> count (e.g. ``{"mark_stale": 2}``).
+    #: staleness action -> count (e.g. ``{"mark_dirty": 2}``).
     replica_actions: Dict[str, int] = field(default_factory=dict)
     #: Apply instant minus the earliest buffered op's arrival.
     lag_s: float = 0.0

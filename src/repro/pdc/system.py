@@ -90,13 +90,13 @@ class PDCConfig:
     n_meta_shards: int = 0
     #: What happens to a sorted replica when a covered object is written:
     #: ``"drop"`` deletes it (the pre-ingest behaviour — a sorted copy
-    #: cannot be patched in place, §III-D3), ``"mark_stale"`` keeps the
-    #: files but removes the replica from planning until explicitly
-    #: refreshed, ``"rebuild"`` marks stale and re-sorts automatically
-    #: once :attr:`replica_rebuild_threshold` of the key is overwritten.
+    #: cannot be patched in place, §III-D3); ``"mark_stale"`` and
+    #: ``"rebuild"`` (one rule, both names kept) mark the written
+    #: coordinates dirty, answered from the live payload, and re-sort once
+    #: :attr:`replica_rebuild_threshold` of the base is dirty or appended.
     replica_staleness_policy: str = "drop"
-    #: Fraction of replica elements written since the last (re)build that
-    #: triggers an automatic re-sort under the ``"rebuild"`` policy.
+    #: Share of the replica's base, dirty or appended since the last
+    #: (re)build, that triggers a re-sort.
     replica_rebuild_threshold: float = 0.25
 
     def __post_init__(self) -> None:
@@ -225,12 +225,6 @@ class ReplicaGroup:
     key_rmax: np.ndarray
     #: One-time reorganization cost in simulated seconds (sort + write).
     build_time_s: float = 0.0
-    #: Under the ``"mark_stale"``/``"rebuild"`` staleness policies a
-    #: written-to replica stays on disk but is skipped by planning until
-    #: refreshed; ``stale_elements`` counts elements written since the
-    #: last (re)build and drives the rebuild threshold.
-    stale: bool = False
-    stale_elements: int = 0
 
     @property
     def n_regions(self) -> int:
@@ -595,9 +589,8 @@ class PDCSystem:
           extended with WAH delta segments (delta mode; probes treat
           delta positions as candidates until compaction);
         * sorted replicas covering the object follow
-          :attr:`PDCConfig.replica_staleness_policy` (drop / mark-stale /
-          rebuild-on-threshold), and their cached sorted-region bytes are
-          invalidated on every server regardless of policy;
+          :attr:`PDCConfig.replica_staleness_policy`: dropped, or the
+          written coordinates marked dirty (re-sorted on threshold);
         * stale cache entries on every server are invalidated.
 
         The write is atomic: every affected region's state is derived
@@ -641,7 +634,7 @@ class PDCSystem:
             )
         # Write through (obj.data is the same array the PFS file holds).
         obj.data[offset:stop] = values
-        return write.commit_write(self, obj, derived, values.size)
+        return write.commit_write(self, obj, derived, (offset, stop))
 
     def append_to_object(
         self,
@@ -701,33 +694,26 @@ class PDCSystem:
             for rid, off, count in opened
         ]
         write.extend_object(self, obj, buffer, size, absorbed, opened)
-        return write.commit_write(self, obj, derived, values.size)
-
-    def _invalidate_replica_caches(self, key_name: str, group: ReplicaGroup) -> None:
-        """Invalidate every server's cached sorted-replica bytes for one
-        replica group — when a write to a covered object finds it readable
-        and when it is dropped, whatever the staleness policy, so a cached
-        sorted read can never serve pre-update bytes."""
-        for server in self.servers:
-            for rid in range(group.n_regions):
-                for which in ("key", "perm", *group.companion_files):
-                    server.cache.invalidate(
-                        region_key(key_name, rid, replica=f"sorted:{which}")
-                    )
+        return write.commit_write(self, obj, derived, (n, size))
 
     def refresh_sorted_replica(self, key_name: str) -> ReplicaGroup:
-        """Re-sort a stale replica from the objects' current payloads.
+        """Re-sort a replica from the objects' current payloads, folding
+        its dirty and appended coordinates into a new base.
 
         The rebuild cost (sort + parallel write, the same formula as the
         initial build) is charged to every alive server under
         ``"replica_rebuild"`` — unlike the initial build, refreshes
         happen *during* service and compete with queries for simulated
-        time.
+        time.  Refused, with nothing changed, while a covered object's
+        length differs from the key's.
         """
         group = self.replicas.get(key_name)
         if group is None:
             raise PDCError(f"no sorted replica keyed by {key_name!r}")
         companions = tuple(group.replica.companions)
+        n = self.get_object(key_name).n_elements
+        if any(self.get_object(c).n_elements != n for c in companions):
+            raise PDCError(f"cannot re-sort {key_name!r}: companions differ in length")
         self.drop_sorted_replica(key_name)
         new = self.build_sorted_replica(key_name, companions)
         for s in self.alive_servers:
@@ -806,7 +792,13 @@ class PDCSystem:
         for path in (group.key_file, group.perm_file, *group.companion_files.values()):
             if self.pfs.exists(path):
                 self.pfs.delete(path)
-        self._invalidate_replica_caches(key_name, group)
+        # A later replica of the same key must not read these bytes.
+        for server in self.servers:
+            for rid in range(group.n_regions):
+                for which in ("key", "perm", *group.companion_files):
+                    server.cache.invalidate(
+                        region_key(key_name, rid, replica=f"sorted:{which}")
+                    )
         for obj in self.objects.values():
             if obj.meta.sorted_by == key_name:
                 obj.meta.sorted_by = None
@@ -870,9 +862,17 @@ class PDCSystem:
     def build_sorted_replica(self, key_name: str, companions: Sequence[str] = ()) -> ReplicaGroup:
         """Build a by-value sorted replica of ``key_name`` (and companion
         objects), §III-D3.  The one-time sort+write cost is recorded on the
-        group, not charged to query clocks."""
-        if key_name in self.replicas:
-            return self.replicas[key_name]
+        group, not charged to query clocks.  Building an existing replica
+        again returns it; other companions for the same key, the key as
+        its own companion or a repeated companion are refused."""
+        companions = tuple(companions)
+        if key_name in companions or len(set(companions)) != len(companions):
+            raise PDCError(f"replica companions must be distinct and not the key: {companions}")
+        group = self.replicas.get(key_name)
+        if group is not None:
+            if set(companions) != set(group.replica.companions):
+                raise PDCError(f"replica of {key_name!r} already exists with other companions")
+            return group
         key_obj = self.get_object(key_name)
         comp_data = {c: self.get_object(c).data for c in companions}
         replica = SortedReplica.build(key_name, key_obj.data, comp_data)
@@ -918,12 +918,8 @@ class PDCSystem:
 
     def replica_covering(self, object_names: Sequence[str]) -> Optional[ReplicaGroup]:
         """A replica whose key+companions cover all the given objects, if
-        one exists.  Stale replicas (``mark_stale``/``rebuild`` staleness
-        policies) are skipped — planning must never consult a sorted copy
-        that no longer matches the payload."""
+        one exists."""
         for key_name, group in self.replicas.items():
-            if group.stale:
-                continue
             covered = {key_name, *group.replica.companions}
             if all(n in covered for n in object_names):
                 return group

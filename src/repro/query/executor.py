@@ -49,7 +49,7 @@ from ..strategies import Strategy
 from ..types import check_timeout
 from . import planner
 from .ast import QueryNode, objects_of
-from .kernels import filter_coords, mask_coords, run_coords
+from .kernels import filter_coords, interval_coords, mask_coords, replica_coords
 from .planner import PRUNED, ConjunctPlan, PlanBook, PlanStep
 from .region_constraint import RegionConstraint, normalize_constraint
 from .selection import Selection, sorted_unique
@@ -1107,12 +1107,18 @@ class QueryEngine:
         stats: QueryResult,
     ) -> np.ndarray:
         """PDC-SH fast path: binary search the sorted key, then contiguous
-        companion reads over the matching run (§III-D3).  ``steps`` pairs
-        each planned step with the actual to record it on."""
+        companion reads over the matching run (§III-D3).  Coordinates
+        written since the replica's build are read from each object's own
+        regions instead, as PDC-H reads them.  ``steps`` pairs each
+        planned step with the actual to record it on."""
         sysm = self.system
         replica = group.replica
+        objs = [sysm.get_object(s.name) for s, _ in steps]
+        dirty = replica.dirty_coords(objs[0].n_elements)
+        n_dirty = dirty.size
         (first, first_step), rest = steps[0], steps[1:]
         lost_parts: List[np.ndarray] = []
+        run_regions = np.zeros(0, dtype=np.int64)
         with self._record_step(stats, first_step):
             iv = first.interval
             start, stop = replica.search_range(
@@ -1131,9 +1137,8 @@ class QueryEngine:
                 boundary_ids = np.array(
                     sorted(min(b, group.n_regions - 1) for b in boundary), dtype=np.int64
                 )
-                key_itemsize = sysm.get_object(first.name).itemsize
                 lost_parts.append(self._charge_replica_regions(
-                    group, boundary_ids, "key", key_itemsize, stats
+                    group, boundary_ids, "key", objs[0].itemsize, stats
                 ))
             sysm.servers[0].clock.charge(
                 sysm.cost.binary_search_time(replica.n_elements), "scan"
@@ -1146,25 +1151,30 @@ class QueryEngine:
                 lost_parts.append(
                     self._charge_replica_regions(group, run_regions, "perm", 8, stats)
                 )
+            dirty = self._read_dirty(objs[0], dirty, stats)
         stats.step_actuals.append(first_step)
-        if not run_len:
+        if not (run_len or n_dirty):
             return np.zeros(0, dtype=np.int64)
 
         # Each further condition reads its companion slice — contiguous —
         # and filters the run; the exact answer comes from the replica
         # arrays.
         mask = np.ones(run_len, dtype=bool)
-        for s, step in rest:
+        for (s, step), obj in zip(rest, objs[1:]):
             with self._record_step(stats, step):
-                itemsize = sysm.get_object(s.name).itemsize
-                lost_parts.append(self._charge_replica_regions(
-                    group, run_regions, s.name, itemsize, stats
-                ))
-                self._charge_owner_scans(run_regions, group.counts[run_regions])
-                mask &= s.interval.mask(replica.companion_slice(s.name, start, stop))
+                if run_len:
+                    lost_parts.append(self._charge_replica_regions(
+                        group, run_regions, s.name, obj.itemsize, stats
+                    ))
+                    self._charge_owner_scans(run_regions, group.counts[run_regions])
+                    mask &= s.interval.mask(replica.companion_slice(s.name, start, stop))
+                dirty = self._read_dirty(obj, dirty, stats)
             step.hits = int(mask.sum())
             stats.step_actuals.append(step)
         lost_parts = [part for part in lost_parts if part.size]
+        if not (rest or lost_parts) and dirty.size == n_dirty:
+            # Nothing lost: the cheaper of the run and region runs.
+            return interval_coords(sysm, objs[0], iv, constraint, (start, stop))
         if lost_parts:
             # Degraded mode: sorted positions whose key/perm/companion
             # replica regions were unreadable are dropped from the run.
@@ -1174,7 +1184,23 @@ class QueryEngine:
                 group.n_regions - 1,
             )
             mask &= ~lost[pos_regions]
-        return run_coords(replica, start, stop, mask, constraint)
+        checks = [(obj, s.interval) for obj, (s, _) in zip(objs, steps)]
+        return replica_coords(replica, checks, start, stop, mask, constraint, dirty)
+
+    def _read_dirty(
+        self, obj: StoredObject, dirty: np.ndarray, stats: QueryResult
+    ) -> np.ndarray:
+        """Read and scan the regions of ``obj`` holding the ascending
+        ``dirty`` coordinates, as PDC-H reads a region; returns the
+        coordinates left once lost regions' are dropped (degraded mode)."""
+        if not dirty.size:
+            return dirty
+        regions, hits = obj.region_hits(dirty)
+        lost = self._charge_data_reads(obj, regions, stats)
+        self._charge_owner_scans(regions, hits)
+        if lost.size:
+            dirty = dirty[np.repeat(~_flags(obj.n_regions, lost)[regions], hits)]
+        return dirty
 
     # ---------------------------------------------------------- observability
     def _record_query_metrics(self, stats: QueryResult) -> None:
@@ -1623,23 +1649,27 @@ class QueryEngine:
         them out: whole regions of the original object, or — PDC-SH — of
         the sorted replica, where the hits live contiguously and were
         already cached by the evaluation pass."""
-        sysm = self.system
-        name, counts, tag = obj.name, obj.counts, "orig"
+        sysm, parts = self.system, []
         if replica is None:
-            regions, _ = obj.region_hits(selection.coords)
-        else:
-            regions = planner.replica_regions_of(replica, selection.coords)
-            name, counts = replica.replica.key_name, replica.counts
+            orig, _ = obj.region_hits(selection.coords)
+            if not sysm.config.get_data_whole_regions:
+                readers, pairs = self._active_readers(orig), self._regions_by_server(orig)
+                self._read_hit_extents(obj, selection, pairs, readers, result)
+                return
+        else:  # dirty coordinates' values live only in the original regions
+            regions, orig = planner.replica_regions_of(replica, obj, selection.coords)
+            name = replica.replica.key_name
             tag = f"sorted:{obj.name if obj.name != name else 'key'}"
-        readers = self._active_readers(regions)
-        pairs = self._regions_by_server(regions)
-        if replica is None and not sysm.config.get_data_whole_regions:
-            self._read_hit_extents(obj, selection, pairs, readers, result)
-            return
-        for _server, _rids, nbytes, hits in self._read_regions(
-            pairs, name, counts, obj.itemsize, readers, replica=tag, hit_copy=True
-        ):
-            self._tally_reads(result, nbytes, hits)
+            parts.append((regions, name, replica.counts, tag))
+        if orig.size:
+            parts.append((orig, obj.name, obj.counts, "orig"))
+        for regions, name, counts, tag in parts:
+            readers = self._active_readers(regions)
+            for _server, _rids, nbytes, hits in self._read_regions(
+                self._regions_by_server(regions), name, counts, obj.itemsize,
+                readers, replica=tag, hit_copy=True,
+            ):
+                self._tally_reads(result, nbytes, hits)
 
     def _read_hit_extents(
         self, obj: StoredObject, selection: Selection, pairs, readers: int,

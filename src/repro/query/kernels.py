@@ -8,16 +8,19 @@ semantic selection cache call the same code for them:
   coordinate in it, any other run is masked — PDC-F/H/HI's scan;
 * a **sorted-replica run** (:func:`run_coords`): a binary search gives the
   contiguous run of sorted positions whose key matches, and the run's
-  permutation slice, sorted, is the answer — PDC-SH (§III-D3).
+  permutation slice, sorted, is the answer — PDC-SH (§III-D3).  The
+  sorted base is exact outside the coordinates written since its build
+  and the live payload inside them, so :func:`replica_coords` adds the
+  dirty coordinates whose live values match to the run's clean ones.
 
 :func:`filter_coords` re-checks candidates of a later AND step, and
-:func:`interval_coords` answers one interval over a whole object with the
+:func:`interval_coords` answers one interval over an object with the
 cheaper of the two kernels, counted in elements.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -31,6 +34,7 @@ __all__ = [
     "filter_coords",
     "interval_coords",
     "mask_coords",
+    "replica_coords",
     "run_coords",
 ]
 
@@ -40,6 +44,8 @@ __all__ = [
 #: on a 1 Mi float32 object the two cross near a fifth (DESIGN.md §5, "A
 #: cached answer costs what it returns").
 REPLICA_RUN_SHARE = 0.2
+
+_INT32_MAX = np.iinfo(np.int32).max
 
 
 def mask_coords(
@@ -81,15 +87,21 @@ def run_coords(
 ) -> np.ndarray:
     """Ascending original coordinates of the sorted run ``[start, stop)``:
     the permutation slice — only its ``keep`` positions, when given —
-    clipped to the constraint and sorted."""
+    without the dirty coordinates, clipped to the constraint and sorted."""
     coords = replica.original_coords(start, stop)
-    coords = coords.copy() if keep is None else coords[keep]
+    if keep is not None:
+        coords = coords[keep]
+    if replica.dirty.size:
+        coords = coords[~replica.dirty_mask[coords]]
     if constraint is not None:
         cstart, cstop = constraint
         if cstart > 0 or cstop < replica.n_elements:
             coords = coords[(coords >= cstart) & (coords < cstop)]
+    # Sorted as 32-bit integers where they fit: twice as fast as 64-bit.
+    narrow = np.int32 if replica.n_elements <= _INT32_MAX else np.int64
+    coords = coords.astype(narrow)  # a copy, sorted in place
     coords.sort()
-    return coords
+    return coords.astype(np.int64, copy=False)
 
 
 def filter_coords(
@@ -111,19 +123,56 @@ def filter_coords(
     return coords[keep]
 
 
-def interval_coords(system: PDCSystem, obj: StoredObject, interval: Interval) -> np.ndarray:
-    """The exact ascending coordinates of ``interval`` over all of ``obj``'s
-    live payload.  A fresh replica keyed by the object answers with its run
-    while the run is shorter than :data:`REPLICA_RUN_SHARE` of the elements
-    in straddling regions; otherwise — a stale replica, none, or the object
-    only a companion of another's — the survivors' region runs answer."""
-    survivors, covered, _ = surviving_regions(obj, interval)
+def replica_coords(
+    replica: SortedReplica, checks: Sequence[Tuple[StoredObject, Interval]],
+    start: int, stop: int, keep: Optional[np.ndarray] = None,
+    constraint: Optional[Tuple[int, int]] = None,
+    dirty: Optional[np.ndarray] = None,
+) -> np.ndarray:
+    """The one answer rule for a replica range: the clean coordinates of
+    the run (:func:`run_coords`) plus the ascending ``dirty`` candidates —
+    every dirty coordinate of the live objects when ``None`` — whose live
+    values match every ``(object, interval)`` check."""
+    coords = run_coords(replica, start, stop, keep, constraint)
+    if dirty is None:
+        dirty = replica.dirty_coords(checks[0][0].n_elements)
+    if not dirty.size:
+        return coords
+    if constraint is not None:
+        dirty = dirty[(dirty >= constraint[0]) & (dirty < constraint[1])]
+    for obj, interval in checks:
+        dirty = dirty[interval.mask(obj.data[dirty])]
+    if not dirty.size:
+        return coords
+    coords = np.concatenate((coords, dirty))
+    # Two ascending runs: the stable sort (a merge sort) merges them.
+    coords.sort(kind="stable")
+    return coords
+
+
+def interval_coords(
+    system: PDCSystem, obj: StoredObject, interval: Interval,
+    constraint: Optional[Tuple[int, int]] = None,
+    run: Optional[Tuple[int, int]] = None,
+) -> np.ndarray:
+    """The exact ascending coordinates of ``interval`` over ``obj``'s live
+    payload within ``constraint`` (None: all of it).  A replica keyed by
+    the object answers (:func:`replica_coords`; ``run`` is its sorted run,
+    when already searched) while its run plus its dirty coordinates are
+    fewer than :data:`REPLICA_RUN_SHARE` of the elements in straddling
+    regions; otherwise — no replica, or the object only a companion of
+    another's — the survivors' region runs answer."""
+    survivors, covered, _ = surviving_regions(obj, interval, constraint)
     group = system.replicas.get(obj.name)
-    if group is not None and not group.stale:
+    if group is not None:
+        replica = group.replica
         straddling = int(obj.counts[survivors[~covered]].sum())
-        start, stop = group.replica.search_range(
+        start, stop = run or replica.search_range(
             interval.lo, interval.hi, interval.lo_closed, interval.hi_closed
         )
-        if stop - start < REPLICA_RUN_SHARE * straddling:
-            return run_coords(group.replica, start, stop)
-    return mask_coords(obj, interval, (0, obj.n_elements), survivors, covered)
+        dirty = replica.dirty_coords(obj.n_elements)
+        if stop - start + dirty.size < REPLICA_RUN_SHARE * straddling:
+            return replica_coords(replica, [(obj, interval)], start, stop,
+                                  constraint=constraint, dirty=dirty)
+    constraint = constraint or (0, obj.n_elements)
+    return mask_coords(obj, interval, constraint, survivors, covered)

@@ -283,9 +283,21 @@ class PlanBook:
             yield ci, plan
 
 
-def replica_regions_of(group: ReplicaGroup, coords: np.ndarray) -> np.ndarray:
-    """Replica region ids holding the given original coordinates, through
-    the inverse permutation (computed once and cached on the group)."""
+def replica_regions_of(
+    group: ReplicaGroup, obj: StoredObject, coords: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Where PDC-SH reads the values of ``obj`` at the ascending original
+    ``coords``: the replica region ids holding the clean ones, through the
+    inverse permutation (computed once and cached on the group), and the
+    regions of ``obj`` holding the dirty ones, whose values the replica
+    does not hold."""
+    replica, orig = group.replica, np.zeros(0, dtype=np.int64)
+    dirty = coords >= replica.n_elements  # appended
+    if replica.dirty_mask is not None:
+        dirty |= replica.dirty_mask[np.minimum(coords, replica.n_elements - 1)]
+    if dirty.any():
+        orig, _ = obj.region_hits(coords[dirty])
+        coords = coords[~dirty]
     inv = getattr(group, "_inverse_perm", None)
     if inv is None:
         inv = np.empty_like(group.replica.permutation)
@@ -295,7 +307,7 @@ def replica_regions_of(group: ReplicaGroup, coords: np.ndarray) -> np.ndarray:
         group._inverse_perm = inv  # type: ignore[attr-defined]
     # Few distinct regions under many coordinates: count, don't sort.
     held = np.flatnonzero(np.bincount(inv[coords] // group.region_elements))
-    return np.minimum(held, group.n_regions - 1)
+    return np.minimum(held, group.n_regions - 1), orig
 
 
 @dataclass
@@ -487,6 +499,15 @@ def _estimates(book: PlanBook, node: QueryNode, plan_args: tuple) -> List[PlanEs
             run.steps.extend(
                 step(j, 0, group.n_regions, "replica-slice") for j in range(1, len(steps))
             )
+            # Coordinates written since the build: every queried object's
+            # regions holding them are read and scanned, as PDC-H does.
+            dirty = group.replica.dirty_coords(n_elems)
+            if dirty.size:
+                for s, obj in zip(steps, objs):
+                    rids, _ = obj.region_hits(dirty)
+                    elems, frac = region_set(s.name, rids)
+                    t_run += read_cost(elems * obj.itemsize * frac, rids.size * frac)
+                    t_run += scan_cost(dirty.size)
 
         # Result transfer (selection coordinates).
         net_s = cost.net_time(int(hits_ub * 8 / n))
@@ -575,13 +596,16 @@ def choose_get_data_strategy(
     frac_orig = _uncached_fraction(system, object_name, orig_regions)
     orig_bytes = float(obj.counts[orig_regions].sum()) * itemsize * frac_orig
 
-    # Replica path: hits mapped to sorted positions, then replica regions.
-    repl_regions = replica_regions_of(group, selection.coords)
+    # Replica path: clean hits mapped to sorted positions, then replica
+    # regions; dirty hits read from the original regions.
+    repl_regions, dirty_regions = replica_regions_of(group, obj, selection.coords)
     which = object_name if object_name != group.replica.key_name else "key"
     frac_repl = _uncached_fraction(
         system, group.replica.key_name, repl_regions, replica=f"sorted:{which}"
     )
     repl_bytes = float(group.counts[repl_regions].sum()) * itemsize * frac_repl
+    frac_dirty = _uncached_fraction(system, object_name, dirty_regions)
+    repl_bytes += float(obj.counts[dirty_regions].sum()) * itemsize * frac_dirty
 
     if repl_bytes < orig_bytes or (
         repl_bytes == orig_bytes and repl_regions.size <= orig_regions.size

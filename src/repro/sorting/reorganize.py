@@ -11,11 +11,15 @@ The replica keeps a permutation array mapping sorted positions back to the
 original coordinates, because query results must be reported in the
 *original* object's coordinate space (and non-key objects are materialized
 through the same permutation).
+
+The sorted arrays are never written after the build: a write to a covered
+object marks its coordinates *dirty*, answered from the live payload
+(:func:`repro.query.kernels.replica_coords`) until a re-sort folds them in.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple
 
 import numpy as np
@@ -41,6 +45,11 @@ class SortedReplica:
     key_values: np.ndarray
     permutation: np.ndarray
     companions: Dict[str, np.ndarray]
+    #: Base coordinates written since the build, as a mask over the base
+    #: (``None`` until the first write) and as the same set ascending.  A
+    #: coordinate past the base came from an append: dirty by position.
+    dirty_mask: Optional[np.ndarray] = None
+    dirty: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int64))
 
     # ------------------------------------------------------------ construction
     @classmethod
@@ -86,6 +95,28 @@ class SortedReplica:
             + self.permutation.nbytes
             + sum(a.nbytes for a in self.companions.values())
         )
+
+    # ------------------------------------------------------------------ writes
+    def mark_dirty(self, start: int, stop: int) -> None:
+        """Record a write of coordinates ``[start, stop)``: O(span) on the
+        mask, one splice of the ascending set."""
+        stop = min(stop, self.n_elements)
+        if start >= stop:
+            return
+        if self.dirty_mask is None:
+            self.dirty_mask = np.zeros(self.n_elements, dtype=bool)
+        self.dirty_mask[start:stop] = True
+        lo, hi = np.searchsorted(self.dirty, (start, stop))
+        span = np.arange(start, stop, dtype=np.int64)
+        self.dirty = np.concatenate((self.dirty[:lo], span, self.dirty[hi:]))
+
+    def dirty_coords(self, n_live: int) -> np.ndarray:
+        """Ascending coordinates of an ``n_live``-element object that the
+        base does not hold: the dirty set, then the appended tail."""
+        if n_live <= self.n_elements:
+            return self.dirty
+        tail = np.arange(self.n_elements, n_live, dtype=np.int64)
+        return np.concatenate((self.dirty, tail)) if self.dirty.size else tail
 
     # ------------------------------------------------------------------ search
     def _probe(self, bound: float):

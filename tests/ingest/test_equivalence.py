@@ -166,10 +166,10 @@ class TestInterleavedEquivalence:
 
     def test_same_seed_fingerprint_pinned(self):
         """One committed digest over everything a same-seed delta run
-        produces on a replica-backed deployment whose replica re-sorts
-        itself (``replica_staleness_policy="rebuild"``): answers, region
-        min/max, maintenance counters and every clock's charge breakdown,
-        bit-exact.  A pure refactor must not move it."""
+        produces on a replica-backed deployment whose replica follows the
+        writes and re-sorts itself (``replica_staleness_policy="rebuild"``):
+        answers, region min/max, maintenance counters and every clock's
+        charge breakdown, bit-exact.  A pure refactor must not move it."""
         sysm = build(
             replica_staleness_policy="rebuild", replica_rebuild_threshold=0.05
         )
@@ -188,7 +188,7 @@ class TestInterleavedEquivalence:
         for clock in sysm.all_clocks():
             h.update(clock.name.encode() + exact(clock.breakdown()))
         assert h.hexdigest() == (
-            "78d1ea6357412f7664bc18ea1ce35960a9df21746b7d6da8841f3bdb323320a6"
+            "e086fc237df58fc8902f5da98d480fd5efbebb2702ce03b65d65d73d3420c595"
         )
 
     def test_delta_matches_fresh_rebuild_probe_queries(self):

@@ -1,6 +1,9 @@
-"""Sorted-replica staleness policies under writes: drop, mark-stale,
-and rebuild-on-threshold — plus the cache-invalidation guarantee that a
-covered write can never leave pre-update sorted bytes servable."""
+"""Sorted replicas under writes: ``drop`` deletes the replica; otherwise
+(``mark_stale`` and ``rebuild`` are one rule) a covered write marks its
+coordinates dirty, the replica keeps answering — clean coordinates from
+the sorted run, dirty ones from the live payload — and a re-sort folds the
+dirty set in once it reaches the threshold.  The sorted base never
+changes, so no write sweeps its cached bytes; a drop does."""
 
 from __future__ import annotations
 
@@ -59,18 +62,19 @@ class TestDropPolicy:
 
 
 class TestMarkStalePolicy:
-    def test_write_marks_stale_and_skips_planning(self):
+    def test_write_marks_its_span_dirty_and_keeps_planning(self):
         sysm = replicated("mark_stale")
-        sysm.update_object_region("energy", 0, np.ones(16, dtype=np.float32))
-        group = sysm.replicas["energy"]
-        assert group.stale and group.stale_elements == 16
-        # Planning must not consult the stale sorted copy.
-        assert sysm.replica_covering(["energy"]) is None
-        assert sysm.last_write_stats.get("replica_mark_stale") == 1
+        sysm.update_object_region("energy", 8, np.ones(16, dtype=np.float32))
+        sysm.update_object_region("x", 16, np.ones(16, dtype=np.float32))
+        replica = sysm.replicas["energy"].replica
+        assert replica.dirty.tolist() == list(range(8, 32))
+        assert replica.dirty_mask.sum() == 24 and replica.dirty_mask[8:32].all()
+        assert sysm.replica_covering(["energy", "x"]) is sysm.replicas["energy"]
+        assert sysm.last_write_stats.get("replica_mark_dirty") == 1
 
     def test_stale_replica_answers_stay_exact(self):
-        """SORT_HIST on a stale replica degrades to an exact fallback
-        path rather than serving the stale sorted copy."""
+        """SORT_HIST on a written replica still runs the replica, and the
+        dirty coordinates are answered from the live payload."""
         sysm = replicated("mark_stale")
         sysm.update_object_region(
             "energy", 0, np.full(64, 9.0, dtype=np.float32)
@@ -78,13 +82,15 @@ class TestMarkStalePolicy:
         res = QueryEngine(sysm).execute(
             gt("energy", 8.0), strategy=Strategy.SORT_HIST
         )
-        truth = int((sysm.objects["energy"].data > 8.0).sum())
-        assert res.nhits == truth == 64
+        assert res.step_actuals[0].access_path == "binary-search-run"
+        truth = np.flatnonzero(sysm.objects["energy"].data > np.float32(8.0))
+        assert res.nhits == truth.size >= 64
+        assert np.array_equal(res.selection.coords, truth)
 
     def test_no_stale_sorted_bytes_served_after_update(self):
-        """The satellite-1 regression: a warmed sorted-replica cache must
-        be invalidated by a covered write, so a later replica read (after
-        an explicit refresh) serves post-update bytes."""
+        """A warmed sorted-replica cache serves the base, which a write
+        never changes; after a re-sort the new base's bytes are read, not
+        the old ones."""
         sysm = replicated("mark_stale")
         engine = QueryEngine(sysm)
         # Warm the sorted-replica caches.
@@ -97,7 +103,7 @@ class TestMarkStalePolicy:
             "energy", 100, np.full(200, 77.0, dtype=np.float32)
         )
         sysm.refresh_sorted_replica("energy")
-        assert not sysm.replicas["energy"].stale
+        assert sysm.replicas["energy"].replica.dirty.size == 0
         res = engine.execute(gt("energy", 50.0), strategy=Strategy.SORT_HIST)
         assert res.nhits == 200
         truth = np.flatnonzero(sysm.objects["energy"].data > np.float32(50.0))
@@ -106,49 +112,35 @@ class TestMarkStalePolicy:
 
 class TestInvalidationOnlyWhereItCanHit:
     @pytest.mark.parametrize("policy", ["drop", "mark_stale", "rebuild"])
-    def test_a_write_sweeps_a_readable_group_only(self, policy, monkeypatch):
-        """A covered write invalidates the group's cached sorted bytes when
-        planning could have read them; a group already stale is unreadable,
-        holds none, and is not swept again until it is readable again."""
+    def test_only_a_drop_or_a_resort_sweeps(self, policy):
+        """A covered write leaves the group's cached sorted bytes resident
+        (the base they hold did not change); a drop, and a re-sort, which
+        replaces the base, invalidate them."""
         sysm = replicated(policy, threshold=0.5)
         engine = QueryEngine(sysm)
-        sweeps = []
-        real = sysm._invalidate_replica_caches
-        monkeypatch.setattr(
-            sysm, "_invalidate_replica_caches",
-            lambda key_name, group: (sweeps.append(key_name), real(key_name, group)),
-        )
         small = np.ones(16, dtype=np.float32)
 
         def sorted_query():
             res = engine.execute(gt("energy", 2.0), strategy=Strategy.SORT_HIST)
-            assert res.nhits == int((sysm.objects["energy"].data > 2.0).sum())
+            truth = np.flatnonzero(sysm.objects["energy"].data > np.float32(2.0))
+            assert np.array_equal(res.selection.coords, truth)
 
         sorted_query()
-        assert resident_sorted_keys(sysm)
+        resident = resident_sorted_keys(sysm)
+        assert resident
         sysm.update_object_region("energy", 0, small)
-        assert len(sweeps) == 1 and not resident_sorted_keys(sysm)
         if policy == "drop":
             assert "energy" not in sysm.replicas
+            assert not resident_sorted_keys(sysm)
             return
-
-        sorted_query()  # falls back: a stale group is not read
-        sysm.update_object_region("energy", 32, small)
-        sysm.update_object_region("x", 0, small)
-        assert len(sweeps) == 1 and not resident_sorted_keys(sysm)
-
-        if policy == "rebuild":
-            sysm.update_object_region("energy", 0, np.ones(2048, dtype=np.float32))
-            assert sysm.last_write_stats.get("replica_rebuild") == 1
-        else:
-            sysm.refresh_sorted_replica("energy")
-        assert not sysm.replicas["energy"].stale
+        sysm.update_object_region("x", 32, small)
+        sysm.append_to_object("energy", small)
+        sysm.append_to_object("x", small)
+        assert resident_sorted_keys(sysm) == resident
         sorted_query()
-        assert resident_sorted_keys(sysm)
-        swept = len(sweeps)
-        sysm.update_object_region("energy", 64, small)
-        assert len(sweeps) == swept + 1 and not resident_sorted_keys(sysm)
-        assert sysm.replicas["energy"].stale
+        sysm.refresh_sorted_replica("energy")
+        assert not resident_sorted_keys(sysm)
+        sorted_query()
 
 
 class TestRebuildPolicy:
@@ -157,40 +149,49 @@ class TestRebuildPolicy:
         sysm.update_object_region(
             "energy", 0, np.ones(128, dtype=np.float32)
         )
-        assert sysm.replicas["energy"].stale  # below threshold: stale
-        assert sysm.last_write_stats.get("replica_mark_stale") == 1
+        # Rewriting dirty coordinates adds nothing to the dirty set.
+        sysm.update_object_region(
+            "x", 64, np.ones(64, dtype=np.float32)
+        )
+        assert sysm.replicas["energy"].replica.dirty.size == 128  # below
+        assert sysm.last_write_stats.get("replica_mark_dirty") == 1
         before = max(s.clock.now for s in sysm.servers)
         sysm.update_object_region(
             "energy", 256, np.ones(128, dtype=np.float32)
         )
         group = sysm.replicas["energy"]
-        assert not group.stale and group.stale_elements == 0
+        assert group.replica.dirty.size == 0 and group.replica.dirty_mask is None
         assert sysm.last_write_stats.get("replica_rebuild") == 1
         # The rebuild charged simulated time to the servers.
         assert max(s.clock.now for s in sysm.servers) > before
         assert any(
             "replica_rebuild" in s.clock.breakdown() for s in sysm.servers
         )
-        # And the rebuilt replica is usable again.
-        assert sysm.replica_covering(["energy"]) is not None
+        assert sysm.replica_covering(["energy"]) is group
 
     def test_rebuild_defers_while_growth_uneven(self):
-        """A threshold crossing during lockstep appends must wait until
-        key and companion are the same length again (the replica zips
-        them positionally)."""
+        """Appended elements are dirty by position and count toward the
+        threshold, but the re-sort must wait until key and companion are
+        the same length again (the replica zips them positionally)."""
         sysm = replicated("rebuild", threshold=0.01)
         rng = np.random.default_rng(1)
         sysm.append_to_object(
             "energy", rng.gamma(2.0, 0.7, 256).astype(np.float32)
         )
         # energy grew, x did not: rebuild must defer, not crash.
-        assert sysm.replicas["energy"].stale
-        assert sysm.last_write_stats.get("replica_mark_stale") == 1
+        replica = sysm.replicas["energy"].replica
+        assert replica.n_elements == 1 << 12
+        assert sysm.last_write_stats.get("replica_mark_dirty") == 1
+        res = QueryEngine(sysm).execute(
+            gt("energy", 2.0), strategy=Strategy.SORT_HIST
+        )
+        truth = np.flatnonzero(sysm.objects["energy"].data > np.float32(2.0))
+        assert np.array_equal(res.selection.coords, truth)
         sysm.append_to_object(
             "x", (rng.random(256) * 300.0).astype(np.float32)
         )
         # Lengths agree again: this covered write triggers the rebuild.
-        assert not sysm.replicas["energy"].stale
+        assert sysm.replicas["energy"].replica.n_elements == (1 << 12) + 256
         assert sysm.last_write_stats.get("replica_rebuild") == 1
         res = QueryEngine(sysm).execute(
             gt("energy", 2.0), strategy=Strategy.SORT_HIST
@@ -211,5 +212,20 @@ class TestRebuildPolicy:
             "Sorted-replica staleness actions taken on object writes",
             labels=("action",),
         )
-        assert counter.labels(action="mark_stale").total() == 1
+        assert counter.labels(action="mark_dirty").total() == 1
         assert counter.labels(action="rebuild").total() == 1
+
+
+class TestRefusedRefresh:
+    def test_uneven_lengths_refused_and_replica_kept(self):
+        """A re-sort of a key whose companion has another length is
+        refused before anything is dropped."""
+        sysm = replicated("mark_stale")
+        sysm.append_to_object("energy", np.ones(8, dtype=np.float32))
+        group = sysm.replicas["energy"]
+        files = sysm.pfs.listdir()
+        with pytest.raises(PDCError, match="length"):
+            sysm.refresh_sorted_replica("energy")
+        assert sysm.replicas["energy"] is group
+        assert sysm.pfs.listdir() == files
+        assert sysm.get_object("energy").meta.sorted_by == "energy"

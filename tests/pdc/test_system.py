@@ -175,6 +175,35 @@ class TestReplicas:
         g2 = sysm.build_sorted_replica("e")
         assert g1 is g2
 
+    def test_other_companions_refused(self, rng):
+        """The same key with another companion set is refused, not
+        answered with the old group."""
+        sysm = make_system()
+        for n in ("a", "b", "c"):
+            sysm.create_object(n, rng.random(100).astype(np.float32))
+        group = sysm.build_sorted_replica("a", ["b"])
+        with pytest.raises(PDCError, match="already exists"):
+            sysm.build_sorted_replica("a", ["b", "c"])
+        assert sysm.replicas["a"] is group
+        assert list(group.replica.companions) == ["b"]
+        assert sysm.build_sorted_replica("a", ["b"]) is group
+
+    def test_key_as_its_own_companion_refused(self, rng):
+        sysm = make_system()
+        sysm.create_object("a", rng.random(100).astype(np.float32))
+        with pytest.raises(PDCError, match="distinct"):
+            sysm.build_sorted_replica("a", ["a"])
+        assert "a" not in sysm.replicas
+        assert not [p for p in sysm.pfs.listdir() if p.startswith("/pdc/sorted")]
+
+    def test_repeated_companion_refused(self, rng):
+        sysm = make_system()
+        for n in ("a", "b"):
+            sysm.create_object(n, rng.random(100).astype(np.float32))
+        with pytest.raises(PDCError, match="distinct"):
+            sysm.build_sorted_replica("a", ["b", "b"])
+        assert "a" not in sysm.replicas
+
     def test_replica_covering(self, rng):
         sysm = make_system()
         for n in ("e", "x", "y"):

@@ -174,7 +174,7 @@ def _state(sysm, name):
         },
         "global": (ghist.merged.bin_width, ghist.merged.start,
                    list(ghist.region_minmax.items())),
-        "replicas": {k: (g.stale, g.stale_elements) for k, g in sysm.replicas.items()},
+        "replicas": {k: g.replica.dirty.tolist() for k, g in sysm.replicas.items()},
         "sizes": (obj.n_elements, obj.meta.n_elements, obj.n_regions,
                   [r.n_elements for r in obj.meta.regions]),
         "objects": [r.histogram for r in obj.meta.regions]
@@ -223,7 +223,8 @@ class TestAtomicCommit:
         """A failure while deriving the *last* affected region — after
         every other region was derived — must leave the system exactly
         as before the write: payload, extents, metadata, derived state,
-        PFS namespace and every clock; the same write then succeeds."""
+        the replica's dirty set, PFS namespace and every clock; the same
+        write then succeeds and marks exactly its span dirty."""
         from repro.histogram.mergeable import MergeableHistogram
 
         apply, n_values, regions = WRITES[write]
@@ -277,7 +278,9 @@ class TestAtomicCommit:
         obj = sysm.get_object("obj")
         assert_global_histogram_fresh(obj)
         assert_index_file_fresh(sysm, obj)
-        assert sysm.replicas["obj"].stale
+        replica = sysm.replicas["obj"].replica
+        written = np.flatnonzero(obj.data == np.float32(123.0))
+        assert np.array_equal(replica.dirty_coords(obj.n_elements), written)
         if maintenance == "rebuild":
             for rid, (off, n) in enumerate(zip(obj.offsets, obj.counts)):
                 fresh = RegionBitmapIndex.build(obj.data[off : off + n])

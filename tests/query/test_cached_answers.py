@@ -8,11 +8,12 @@ What holds it:
 
 * the narrowed answer equals the gather path it replaced — every cached
   coordinate of the superset filtered by its live value — on objects with
-  a fresh, a stale or no replica and on a replica companion, after
+  a clean, a written or no replica and on a replica companion, after
   overwrites and lockstep appends under both maintenance modes
   (hypothesis; fixed seed in tier-1, random under the long profile);
-* the kernel is chosen by counting elements, and a stale replica or a
-  companion's replica is never read;
+* the kernel is chosen by counting elements — a written replica's dirty
+  coordinates count with its run — and a companion's replica is never
+  read;
 * a hit constructs nothing, and what the cache memoizes cannot be edited
   by one caller under another's feet;
 * a superset that serves a narrowing is used, in LRU order.
@@ -124,7 +125,7 @@ class TestNarrowingProperty:
     )
     def test_narrowed_equals_the_gather_path(self, target, writes, refresh, bounds, closed):
         """Nested intervals with open and closed ends, on the replica's key
-        (fresh, or stale after a write), its companion and a plain object,
+        (clean, or dirty after a write), its companion and a plain object,
         after overwrites of the target and appends to all three objects:
         the narrowed answer equals filtering the cached superset by value,
         and the live answer."""
@@ -150,8 +151,7 @@ class TestNarrowingProperty:
                 for name in ("k", "c", "p"):
                     sysm.append_to_object(name, values, maintenance=maintenance)
                 assert sched.run([query(target, outer)])[0].semantic_cache == "repaired"
-        group = sysm.replicas["k"]
-        if refresh and group.stale:
+        if refresh:  # lockstep appends: the lengths agree
             sysm.refresh_sorted_replica("k")
             sched.run([query(target, outer)])
         cached = cache._entries[target][_interval_key(outer)].selection.coords
@@ -163,9 +163,9 @@ class TestNarrowingProperty:
 
 
 class TestKernelChoice:
-    """The replica answers only while its run is shorter than
-    ``REPLICA_RUN_SHARE`` of the straddling elements; nothing but a fresh
-    replica keyed by the object is ever searched."""
+    """The replica answers only while its run and its dirty coordinates
+    are fewer than ``REPLICA_RUN_SHARE`` of the straddling elements;
+    nothing but a replica keyed by the object is ever searched."""
 
     OUTER = Interval(10.0, 50.0)
 
@@ -184,16 +184,17 @@ class TestKernelChoice:
         assert np.array_equal(sel.coords, live(sysm, "k", inner))
 
     @pytest.mark.parametrize("policy", ["mark_stale", "rebuild"])
-    def test_a_stale_replica_takes_region_runs(self, kernel_calls, policy):
+    def test_a_written_replica_still_answers(self, kernel_calls, policy):
         sysm = deployment(policy)
         obj = sysm.get_object("k")
         # Move a region's values into the narrow interval (below the
-        # rebuild threshold): the stale replica's run would miss them.
+        # rebuild threshold): the sorted base misses them, the dirty
+        # coordinates' live values hold them.
         sysm.update_object_region("k", 0, np.full(512, 20.5, dtype=np.float32))
-        assert sysm.replicas["k"].stale
+        assert sysm.replicas["k"].replica.dirty.tolist() == list(range(512))
         inner = Interval(20.0, 21.0)
         sel = narrow(sysm, "k", self.OUTER, inner)
-        assert kernel_calls == ["mask_coords"]
+        assert kernel_calls == ["run_coords"]
         assert sel.nhits > 512
         assert np.array_equal(sel.coords, live(sysm, "k", inner))
         assert np.array_equal(sel.coords, np.flatnonzero(inner.mask(obj.data)))

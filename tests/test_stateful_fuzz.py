@@ -16,8 +16,9 @@ every strategy — while holding the system to its core invariants:
 * the payload is a prefix view of its buffer (an append writes into spare
   capacity), and ``pfs.bytes_written`` counts every (re)written file
   whole;
-* no server holds sorted-replica bytes of a group planning cannot read
-  (stale or dropped).
+* every sorted replica answers like the model — clean coordinates from
+  its sorted run, dirty ones from the live payload — and its dirty set is
+  the union of the spans written since its build.
 
 The example budget comes from the hypothesis profile in
 ``tests/conftest.py`` (fixed-seed in tier-1, ``long`` in CI).
@@ -30,7 +31,9 @@ import numpy as np
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, precondition, rule
 
+from repro.interval import Interval
 from repro.pdc import PDCConfig, PDCSystem
+from repro.query.kernels import replica_coords
 from repro.query.ast import Condition, combine_and
 from repro.query.executor import QueryEngine
 from repro.storage.device import DeviceKind
@@ -64,6 +67,8 @@ class PDCStateMachine(RuleBasedStateMachine):
         self.model = {}  # name -> numpy array (ground truth)
         self.failed = set()
         self.last_elapsed = 0.0
+        # The replica of ``a`` and the coordinates written since its build.
+        self.group, self.dirty = None, set()
         # Every file the PFS (re)creates is accounted whole, by the size of
         # its joined bytes.
         pfs = self.system.pfs
@@ -96,6 +101,16 @@ class PDCStateMachine(RuleBasedStateMachine):
             name, offset, payload, maintenance=maintenance
         )
         self.model[name][offset : offset + length] = payload
+        self.track_dirty(offset, offset + length)
+
+    def track_dirty(self, start, stop):
+        """Model the dirty set: a (re)built or dropped group starts over,
+        a kept one gains the written base coordinates."""
+        group = self.system.replicas.get("a")
+        if group is not self.group:
+            self.group, self.dirty = group, set()
+        elif group is not None:
+            self.dirty.update(range(start, min(stop, group.replica.n_elements)))
 
     @rule(
         value=st.floats(min_value=0.0, max_value=10.0, allow_nan=False, width=32),
@@ -107,8 +122,10 @@ class PDCStateMachine(RuleBasedStateMachine):
         dimensions."""
         payload = np.full(length, value, dtype=np.float32)
         for name in ("a", "b"):
+            n = self.model[name].size
             self.system.append_to_object(name, payload, maintenance=maintenance)
             self.model[name] = np.concatenate([self.model[name], payload])
+            self.track_dirty(n, n + length)
 
     @rule(name=st.sampled_from(["a", "b"]), rid=st.integers(0, 1 << 16))
     def compact(self, name, rid):
@@ -124,13 +141,15 @@ class PDCStateMachine(RuleBasedStateMachine):
     def build_replica(self):
         if "a" not in self.system.replicas:
             self.system.build_sorted_replica("a", ["b"])
+            self.track_dirty(0, 0)
 
     @rule()
     def refresh_replica(self):
-        """A stale group becomes readable again (``a`` and ``b`` are the
+        """Fold the dirty set into a new base (``a`` and ``b`` are the
         same length between rules)."""
         if "a" in self.system.replicas:
             self.system.refresh_sorted_replica("a")
+            self.track_dirty(0, 0)
 
     @rule(
         name=st.sampled_from(["a", "b"]),
@@ -228,14 +247,25 @@ class PDCStateMachine(RuleBasedStateMachine):
         assert self.system.pfs.bytes_written == self.bytes_written
 
     @invariant()
-    def no_unreadable_replica_bytes_resident(self):
-        if not hasattr(self, "system"):
+    def replica_answers_equal_the_model(self):
+        if not hasattr(self, "system") or "a" not in self.system.replicas:
             return
-        readable = {k for k, g in self.system.replicas.items() if not g.stale}
-        for server in self.system.servers:
-            for key, _ in server.cache.entries():
-                name, replica = key.split(":")[:2]
-                assert replica != "sorted" or name in readable, key
+        replica = self.system.replicas["a"].replica
+        assert replica.dirty.tolist() == sorted(self.dirty)
+        mask = replica.dirty_mask
+        assert np.array_equal(np.flatnonzero(mask) if mask is not None else [], replica.dirty)
+        a, b = (self.system.get_object(n) for n in ("a", "b"))
+        for ia, ib in ((Interval(1.0, None, False), None),
+                       (Interval(0.5, 2.0), Interval(None, 3.0, hi_closed=False))):
+            start, stop = replica.search_range(ia.lo, ia.hi, ia.lo_closed, ia.hi_closed)
+            checks, want = [(a, ia)], ia.mask(self.model["a"])
+            keep = None
+            if ib is not None:
+                checks.append((b, ib))
+                want &= ib.mask(self.model["b"])
+                keep = ib.mask(replica.companion_slice("b", start, stop))
+            got = replica_coords(replica, checks, start, stop, keep)
+            assert np.array_equal(got, np.flatnonzero(want))
 
     @invariant()
     def alive_count_consistent(self):
