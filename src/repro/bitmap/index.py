@@ -5,7 +5,8 @@ reconstructs the index instead of the region's data.  A
 :class:`RegionBitmapIndex` holds one WAH-compressed bitmap per occupied bin
 of the significant-digit grid; a range query ORs the bitmaps of
 fully-covered bins and (only when endpoints fall off the grid) flags
-boundary bins for a raw-data candidate check.
+boundary bins for a raw-data candidate check.  The index keeps its bins
+decoded too, as the region's positions in bin order (``kernels.index_coords``).
 """
 
 from __future__ import annotations
@@ -20,7 +21,16 @@ from ..interval import Interval
 from . import wah
 from .binning import assign_bins, sig_digit_edges
 
-__all__ = ["RegionBitmapIndex", "BitmapQueryResult", "IndexProbeTable"]
+__all__ = ["RegionBitmapIndex", "BitmapQueryResult", "IndexProbeTable", "position_dtype"]
+
+#: Integers from this magnitude on do not all survive a float64 copy.
+_EXACT_INT = 2.0 ** 53
+
+
+def position_dtype(n_elements: int) -> np.dtype:
+    """The narrowest unsigned dtype holding every position of a region of
+    ``n_elements``."""
+    return np.dtype(np.min_scalar_type(max(n_elements - 1, 0)))
 
 
 @dataclass
@@ -86,6 +96,11 @@ class RegionBitmapIndex:
     #: bin id → compressed WAH words (only bins with members are present).
     bitmaps: Dict[int, np.ndarray]
     n_elements: int
+    #: The region's positions in bin order, each bin's ascending — the
+    #: bitmaps decoded once, at build or read (:func:`position_dtype`) —
+    #: and where each occupied bin starts in them.
+    positions: Optional[np.ndarray] = None
+    bin_starts: Optional[np.ndarray] = None
 
     # ------------------------------------------------------------ construction
     @classmethod
@@ -116,15 +131,24 @@ class RegionBitmapIndex:
                 occupied.tolist(), (stops - bin_words).tolist(), stops.tolist()
             )
         }
+        bin_min = np.minimum.reduceat(by_bin, starts)
+        bin_max = np.maximum.reduceat(by_bin, starts)
+        if data.dtype.kind in "iu" and data.dtype.itemsize > 4:
+            # A 64-bit integer past 2**53 rounds in its float64 copy: widen such
+            # a range one ulp outward, so a full bin's members all match.
+            bin_min = np.where(abs(bin_min) >= _EXACT_INT, np.nextafter(bin_min, -np.inf), bin_min)
+            bin_max = np.where(abs(bin_max) >= _EXACT_INT, np.nextafter(bin_max, np.inf), bin_max)
         return cls(
             edges=edges,
             bin_ids=occupied,
-            bin_min=np.minimum.reduceat(by_bin, starts),
-            bin_max=np.maximum.reduceat(by_bin, starts),
+            bin_min=bin_min,
+            bin_max=bin_max,
             bin_words=bin_words,
             bin_counts=np.diff(starts, append=values.size),
             bitmaps=bitmaps,
             n_elements=int(values.size),
+            positions=order.astype(position_dtype(values.size)),
+            bin_starts=starts.astype(position_dtype(values.size)),
         )
 
     # -------------------------------------------------------------- inspection
@@ -155,46 +179,21 @@ class RegionBitmapIndex:
 
     # ------------------------------------------------------------------ query
     def query(self, interval: Interval) -> BitmapQueryResult:
-        """Probe the index for an interval condition.
-
-        ORs the fully-covered bins' bitmaps on the compressed form; partial
-        (boundary) bins become candidates.
-        """
+        """Probe the index for an interval condition: the members of the
+        fully-covered bins are sure hits, those of partial (boundary) bins
+        candidates, read off the decoded bins."""
         full, partial = _classify_occupied(interval, self.bin_min, self.bin_max)
-        full_bins, partial_bins = self.bin_ids[full], self.bin_ids[partial]
-
-        words_scanned = 0
-        acc: Optional[np.ndarray] = None
-        for b in full_bins:
-            words = self.bitmaps.get(int(b))
-            if words is None:
-                continue
-            words_scanned += int(words.size)
-            acc = words if acc is None else wah.logical_or(acc, words)
-        if acc is None:
-            sure = np.zeros(0, dtype=np.int64)
-        else:
-            sure = np.flatnonzero(wah.decompress(acc, self.n_elements)).astype(np.int64)
-
-        cand_acc: Optional[np.ndarray] = None
-        for b in partial_bins:
-            words = self.bitmaps.get(int(b))
-            if words is None:
-                continue
-            words_scanned += int(words.size)
-            cand_acc = words if cand_acc is None else wah.logical_or(cand_acc, words)
-        if cand_acc is None:
-            candidates = np.zeros(0, dtype=np.int64)
-        else:
-            candidates = np.flatnonzero(
-                wah.decompress(cand_acc, self.n_elements)
-            ).astype(np.int64)
-
         return BitmapQueryResult(
-            sure_positions=sure,
-            candidate_positions=candidates,
-            words_scanned=words_scanned,
+            sure_positions=self._members(full),
+            candidate_positions=self._members(partial),
+            words_scanned=int(self.bin_words[full | partial].sum()),
         )
+
+    def _members(self, bins: np.ndarray) -> np.ndarray:
+        """The ascending positions of the selected occupied bins."""
+        runs = [self.positions[start : start + count] for start, count in zip(
+            self.bin_starts[bins].tolist(), self.bin_counts[bins].tolist())]
+        return np.sort(np.concatenate(runs or [np.zeros(0, np.int64)])).astype(np.int64)
 
     def count_range(self, interval: Interval) -> Tuple[int, int]:
         """(sure_hits, candidates) counts without materializing positions —
@@ -244,26 +243,28 @@ class RegionBitmapIndex:
     @classmethod
     def from_arrays(cls, arrays: Dict[str, np.ndarray]) -> "RegionBitmapIndex":
         bitmaps: Dict[int, np.ndarray] = {}
-        # The file stores each bin's word count but not its set bits: those
-        # are popcounted once here, never per probe.
-        bin_counts = []
-        offset = 0
+        # The file stores each bin's words but not its members: they are
+        # decoded once here — counts and positions — never per probe.
+        n, members, offset = int(arrays["meta"][0]), [np.zeros(0, np.int64)], 0
         for b, ln in zip(arrays["bin_ids"], arrays["lengths"]):
             words = np.asarray(
                 arrays["payload"][offset : offset + int(ln)], dtype=np.uint64
             )
             bitmaps[int(b)] = words
-            bin_counts.append(wah.count_set_bits(words))
+            members.append(np.flatnonzero(wah.decompress(words, n)))
             offset += int(ln)
+        bin_counts = np.array([m.size for m in members[1:]], dtype=np.int64)
         return cls(
             edges=np.asarray(arrays["edges"], dtype=np.float64),
             bin_ids=np.asarray(arrays["bin_ids"], dtype=np.int64),
             bin_min=np.asarray(arrays["bin_min"], dtype=np.float64),
             bin_max=np.asarray(arrays["bin_max"], dtype=np.float64),
             bin_words=np.asarray(arrays["lengths"], dtype=np.int64),
-            bin_counts=np.array(bin_counts, dtype=np.int64),
+            bin_counts=bin_counts,
             bitmaps=bitmaps,
-            n_elements=int(arrays["meta"][0]),
+            n_elements=n,
+            positions=np.concatenate(members).astype(position_dtype(n)),
+            bin_starts=(np.cumsum(bin_counts) - bin_counts).astype(position_dtype(n)),
         )
 
     def to_bytes(self) -> np.ndarray:
@@ -305,8 +306,9 @@ class RegionBitmapIndex:
 
 #: The per-bin rows of an :class:`IndexProbeTable`, and each one's dtype
 #: and pad value.
-_ROWS = ("bin_min", "bin_max", "bin_words", "bin_counts")
-_PADS = ((np.float64, np.inf), (np.float64, -np.inf), (np.int64, 0), (np.int64, 0))
+_ROWS = ("bin_min", "bin_max", "bin_words", "bin_counts", "bin_starts")
+_PADS = ((np.float64, np.inf), (np.float64, -np.inf), (np.int64, 0), (np.int64, 0),
+         (np.int64, 0))
 
 
 @dataclass(frozen=True)
@@ -321,8 +323,12 @@ class IndexProbeTable:
     bin_max: np.ndarray
     bin_words: np.ndarray
     bin_counts: np.ndarray
-    #: Per-region :attr:`RegionBitmapIndex.header_bytes`.
+    #: Where each bin starts in its region's bin-ordered positions.
+    bin_starts: np.ndarray
+    #: Per-region :attr:`RegionBitmapIndex.header_bytes` and the element
+    #: count each index describes.
     header_bytes: np.ndarray
+    n_elements: np.ndarray
 
     @classmethod
     def stack(cls, indexes: Sequence[RegionBitmapIndex]) -> "IndexProbeTable":
@@ -340,6 +346,7 @@ class IndexProbeTable:
         for name in _ROWS:
             getattr(table, name)[:rows, :width] = getattr(self, name)
         table.header_bytes[:rows] = self.header_bytes
+        table.n_elements[:rows] = self.n_elements
         table._fill(rid, index)
         return table
 
@@ -347,6 +354,7 @@ class IndexProbeTable:
     def _blank(cls, rows: int, width: int) -> "IndexProbeTable":
         return cls(
             *(np.full((rows, width), fill, dtype=dtype) for dtype, fill in _PADS),
+            np.zeros(rows, dtype=np.int64),
             np.zeros(rows, dtype=np.int64),
         )
 
@@ -359,6 +367,7 @@ class IndexProbeTable:
             row[:k] = getattr(index, name)
             row[k:] = fill
         self.header_bytes[rid] = index.header_bytes
+        self.n_elements[rid] = index.n_elements
 
     def footprint(
         self, interval: Interval, region_ids: np.ndarray

@@ -10,7 +10,8 @@ and calls these; :class:`repro.ingest.IngestStream` batches writes into
 them.  Each follow-up costs what the write changed: the global histogram
 swaps only the changed regions' operands
 (:meth:`repro.histogram.mergeable.MergeableHistogram.replaced`), the
-index file only their chunks, the probe table only their rows.
+index file only their chunks, the probe table only their rows and the
+position store only their slices.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..bitmap.index import RegionBitmapIndex
+from ..bitmap.index import RegionBitmapIndex, position_dtype
 from ..errors import PDCError
 from ..histogram.global_hist import GlobalHistogram
 from ..histogram.mergeable import MergeableHistogram
@@ -216,6 +217,7 @@ def install_region(obj: "StoredObject", d: RegionDerived) -> None:
             obj.hist_dirty_elements[rid] = d.dirty_elements
     if d.index is not None:
         obj.indexes[rid] = d.index
+        install_positions(obj, rid, d.index)
         if obj.probe_table is not None:
             obj.probe_table = obj.probe_table.put(rid, d.index)
         obj.index_nbytes[rid] = d.index.nbytes
@@ -226,6 +228,25 @@ def install_region(obj: "StoredObject", d: RegionDerived) -> None:
         if obj.index_delta_counts is None:
             obj.index_delta_counts = np.zeros(obj.n_regions, dtype=np.int64)
         obj.index_delta_counts[rid] += d.index_delta
+
+
+def install_positions(obj: "StoredObject", rid: int, index: RegionBitmapIndex) -> None:
+    """Write ``index``'s bin-ordered positions into region ``rid``'s slice
+    of the object's position store (as long as the payload's buffer, as
+    narrow as a region's positions allow) and make them a view of it: an
+    object holds its decoded bins once.  Growing it re-points every index."""
+    off, positions, store = int(obj.offsets[rid]), index.positions, obj.index_positions
+    stop = off + index.n_elements
+    if store is None or store.size < stop or not np.can_cast(positions.dtype, store.dtype):
+        old = np.zeros(0, position_dtype(obj.region_elements)) if store is None else store
+        store = np.zeros(max(obj.buffer.size, stop), np.promote_types(old.dtype, positions.dtype))
+        store[: old.size] = old
+        obj.index_positions = store
+        for r, ix in enumerate(obj.indexes):
+            if ix is not None:
+                ix.positions = store[obj.offsets[r] : obj.offsets[r] + ix.n_elements]
+    store[off:stop] = positions
+    index.positions = store[off:stop]
 
 
 def commit_write(

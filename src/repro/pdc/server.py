@@ -13,12 +13,12 @@ simulator holds real data), which keeps semantics exact while the cost
 accounting stays per-server.  When a real tracer is installed on the
 owning system, each storage read emits a ``storage_read`` / ``index_read``
 leaf span on this server's clock — the finest-grained spans of a query
-trace — replayed from the stamps of the charge pass (:meth:`touch_share`).
+trace — stamped from the running time of its share's pass (:meth:`touch_share`).
 """
 
 from __future__ import annotations
 
-from functools import partial
+import math
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from ..errors import RegionUnavailableError
@@ -96,10 +96,10 @@ class PDCServer:
         read_s = self.cost.tier_read_time(
             nbytes, n_accesses, tier, stripe_count, concurrent_readers
         )
-        on_hit = (self.cost.mem_copy_time(nbytes), "mem_copy") if hit_copy else None
-        (hit,) = self.touch_share([
-            (key, nbytes, (read_s, category), on_hit, True, (), key, nbytes, tier),
-        ])
+        hit_s = [self.cost.mem_copy_time(nbytes)] if hit_copy else None
+        (hit,) = self.touch_share(
+            [key], [nbytes], [key], [read_s], [category], hit_s=hit_s, tiers=[tier],
+        )
         return hit
 
     def preload_region(
@@ -124,133 +124,158 @@ class PDCServer:
         return hit
 
     def touch_share(
-        self, accesses: Sequence[tuple], preload: bool = False, on_lost=None,
-        span: Optional[Dict[str, object]] = None,
+        self, keys: Sequence[str], sizes: Sequence[int], regions: Sequence[object],
+        miss_s: Sequence[float], miss_category: Sequence[str],
+        hit_s: Optional[Sequence[Optional[float]]] = None,
+        then: Sequence[Tuple[Sequence[Optional[float]], str]] = (),
+        sampled: Optional[Sequence[bool]] = None, span_bytes: Optional[Sequence[int]] = None,
+        tiers: Optional[Sequence[Optional[str]]] = None, rows: Optional[range] = None,
+        preload: bool = False, on_lost=None, span: Optional[Dict[str, object]] = None,
     ) -> List[Optional[bool]]:
-        """One server's whole share of a plan step in two passes — the one
-        body that makes regions resident.
+        """One server's share of a plan step in one pass — the one body that
+        makes regions resident (DESIGN.md §5, "Charging at array speed").
 
-        ``accesses`` lists, in region order, ``(key, nbytes, on_miss, on_hit,
-        sampled, then, region, span_bytes, tier)``: a payload to make
-        resident, the ``(seconds, category)`` of its read and of a hit
-        (``None``: free), whether the monitor samples it, the charges that
-        follow either way, the region it belongs to, and the ``bytes`` and
-        ``tier`` (``None``: not recorded) of its ``read:`` span.  The
-        residency pass runs the cache operations in order and decides each
-        miss's read as it is met (:meth:`_read_attempts`); a read failing for
-        good is not inserted and drops the rest of its region.  The charge
-        pass makes every charge, attempts and backoffs included, in one
-        :meth:`SimClock.charge_many`, hands the monitor the share's samples
-        in one call, and replays the ``read:``/``retry:`` spans (inside an
-        ``eval:serverN`` span with the attributes ``span``, if given, its
-        ``regions`` set to the share's region count) and ``on_lost(self,
-        region, error, t)`` at their stamps.  Without ``on_lost`` the first lost read ends the
-        share and is raised once what came before it is charged.  Returns the
-        was-cached flags, ``None`` where lost or dropped.
+        The share is parallel columns, one entry per access in region order
+        (the ``rows`` of a step's columns; default: all): ``keys[i]`` of
+        ``sizes[i]`` bytes in ``regions[i]``, the ``miss_s[i]`` seconds and
+        ``miss_category[i]`` of its read, a hit's ``mem_copy`` seconds
+        (``hit_s``), per ``(column, category)`` of ``then`` a charge made
+        either way (``None``: none), the ``sampled`` accesses (default: all)
+        and a ``read:`` span's ``span_bytes`` (default: sizes) and ``tiers``.
+        Per access: lookup, a miss's read decided under the fault plan
+        (:meth:`_read_attempts`), insert, and each charge added to the
+        clock's running time, which stamps spans (inside ``eval:serverN``
+        with the attributes ``span``) and samples.  A read failing for good
+        goes to ``on_lost(self, region, error, t)`` and drops the rest of its
+        region; without ``on_lost`` it is raised once what came before it is
+        charged.  Returns the was-cached flags, ``None`` where lost or
+        dropped.
         """
-        plan, traced = self.fault_plan, self.tracer.enabled
-        keys, sizes = [a[0] for a in accesses], [a[1] for a in accesses]
-        decided: List[List[float]] = []  # each decided read's slow factors
-        fetch = None if plan is None else partial(self._read_attempts, decided)
-        flags = self.cache.touch_many(keys, sizes, fetch)
-        # A lost read ends the pass; with a policy, the rest of its region is
-        # dropped and the pass resumes after it.
-        while flags and flags[-1] is None and on_lost is not None:
-            region = accesses[len(flags) - 1][6]
-            while len(flags) < len(accesses) and accesses[len(flags)][6] == region:
-                flags.append(None)
-            if len(flags) == len(accesses):
-                break
-            flags += self.cache.touch_many(keys[len(flags):], sizes[len(flags):], fetch)
-        fast, monitored, dropping = plan is None and not traced, self.monitor.enabled, None
-        charges: List[Tuple[float, str]] = []
-        marks: List[tuple] = []  # (charges made before it, event, *args)
-        samples: List[Tuple[int, float, str]] = []  # (charges before it, nbytes, result)
+        plan, tracer, cache, clock = self.fault_plan, self.tracer, self.cache, self.clock
+        traced, lookup, admit, resident = tracer.enabled, cache.lookup, cache.admit, cache.resident
+        by_category, drag, track = clock._by_category, clock.drag, clock.name
+        samples: Optional[list] = [] if self.monitor.enabled else None
+        flags: List[Optional[bool]] = []
+        n_hit = n_miss = n_evicted = 0
+        dropping = error = opened = None
+        rows = range(len(keys)) if rows is None else rows
+        walk_reads = plan is not None or traced  # else a miss is one charge
+        now = clock._now
         if traced and span is not None:
-            span = dict(span, regions=len({a[6] for a in accesses}))
-            marks.append((0, "open", f"eval:server{self.server_id}", "server_eval", span))
-        for flag, access in zip(flags, accesses):
-            key, nbytes, on_miss, on_hit, sampled, then, region, span_bytes, tier = access
-            if flag:
-                if on_hit is not None:
-                    charges.append(on_hit)
-            elif flag is None and region == dropping:
-                continue
-            elif fast:
-                charges.append(on_miss)
-            else:  # a read span over every attempt, a retry span per backoff
-                slows = (1.0,) if plan is None else decided.pop(0)
-                seconds, category = on_miss
-                kind = "index_read" if category == "index_read" else "storage_read"
-                attrs = {"bytes": span_bytes}
-                if tier is not None:
-                    attrs["tier"] = tier
-                marks.append((len(charges), "open", f"read:{key}", kind, attrs))
-                for attempt, slow in enumerate(slows, 1):
-                    charges.append((seconds * slow, category))
-                    if attempt < len(slows):
-                        marks.append((len(charges), "open", f"retry:{key}", "fault",
-                                      {"attempt": attempt}))
-                        charges.append((plan.backoff_s(attempt), "retry_backoff"))
-                        marks.append((len(charges), "close"))
-                marks.append((len(charges), "close"))
-                if flag is None:
-                    marks.append((len(charges), "lost", region, RegionUnavailableError(
-                        f"server{self.server_id}: read of {key!r} failed "
-                        f"after {len(slows)} attempts"
-                    )))
-                    dropping = region
+            opened = tracer.open_at(
+                now, f"eval:server{self.server_id}", track, "server_eval",
+                **dict(span, regions=len(set(regions[rows.start:rows.stop]))),
+            )
+        try:
+            for i in rows:
+                key, region = keys[i], regions[i]
+                if region == dropping:
+                    flags.append(None)
                     continue
-            if sampled and monitored:
-                samples.append((len(charges), float(nbytes), "hit" if flag else "read"))
-            charges += then
-        if traced and span is not None:
-            marks.append((len(charges), "close"))
+                dropping = seconds = None
+                if key in resident and lookup(key):  # a hit refreshes its LRU place
+                    n_hit += 1
+                    flag: Optional[bool] = True
+                    if hit_s is not None:
+                        seconds, category = hit_s[i], "mem_copy"
+                elif not walk_reads:
+                    n_miss += 1
+                    flag = False
+                    n_evicted += admit(key, sizes[i])
+                    seconds, category = miss_s[i], miss_category[i]
+                else:  # a read span over every attempt, a retry span per backoff
+                    n_miss += 1
+                    slows, read = [1.0], True
+                    if plan is not None:
+                        slows, read = self._read_attempts(key)
+                    flag = False if read else None
+                    if read:
+                        n_evicted += admit(key, sizes[i])
+                    category = miss_category[i]
+                    if traced:
+                        attrs = {"bytes": (span_bytes or sizes)[i]}
+                        if tiers is not None and tiers[i] is not None:
+                            attrs["tier"] = tiers[i]
+                        kind = "index_read" if category == "index_read" else "storage_read"
+                        read_span = tracer.open_at(now, f"read:{key}", track, kind, **attrs)
+                    clock._now = now  # this path charges through the clock itself
+                    for attempt, slow in enumerate(slows, 1):
+                        clock.charge(miss_s[i] * slow, category)
+                        if attempt < len(slows):
+                            retry = traced and tracer.open_at(
+                                clock.now, f"retry:{key}", track, "fault", attempt=attempt
+                            )
+                            clock.charge(plan.backoff_s(attempt), "retry_backoff")
+                            if traced:
+                                tracer.close_at(retry, clock.now)
+                    now = clock.now
+                    if traced:
+                        tracer.close_at(read_span, now)
+                    if not read:
+                        flags.append(None)
+                        error = RegionUnavailableError(
+                            f"server{self.server_id}: read of {key!r} failed "
+                            f"after {len(slows)} attempts"
+                        )
+                        if on_lost is None:
+                            break
+                        on_lost(self, region, error, now)
+                        error, dropping = None, region
+                        continue
+                flags.append(flag)
+                if seconds is not None:  # SimClock.charge, inline on the hot path
+                    if not 0.0 <= seconds < math.inf:
+                        raise ValueError(f"invalid charge {seconds!r} on clock {track}")
+                    if drag != 1.0:
+                        seconds = seconds * drag
+                    now += seconds
+                    by_category[category] = by_category.get(category, 0.0) + seconds
+                if samples is not None and (sampled is None or sampled[i]):
+                    samples.append((now, float(sizes[i]), "hit" if flag else "read"))
+                for column, category in then:
+                    seconds = column[i]
+                    if seconds is not None:  # the same, inline
+                        if not 0.0 <= seconds < math.inf:
+                            raise ValueError(f"invalid charge {seconds!r} on clock {track}")
+                        if drag != 1.0:
+                            seconds = seconds * drag
+                        now += seconds
+                        by_category[category] = by_category.get(category, 0.0) + seconds
+        finally:
+            clock._now = now
+        if opened is not None:
+            tracer.close_at(opened, now)
+        cache.tally(n_hit, n_miss, n_evicted)
         if preload:
             for result, flag in (("hit", True), ("read", False)):
                 self._count(*_PRELOADS, flags.count(flag),
                             server=f"server{self.server_id}", result=result)
-        stamps = [self.clock.now, *self.clock.charge_many(charges)]
         if samples:
-            self.monitor.on_region_read(
-                self.server_id, [(stamps[n], nbytes, result) for n, nbytes, result in samples]
-            )
-        opened, error = [], None
-        for n_charged, event, *args in marks:
-            at = stamps[n_charged]
-            if event == "open":
-                opened.append(self.tracer.open_at(at, args[0], self.clock.name, args[1],
-                                                  **args[2]))
-            elif event == "close":
-                self.tracer.close_at(opened.pop(), at)
-            elif on_lost is not None:
-                on_lost(self, args[0], args[1], at)
-            else:
-                error = args[1]  # raised once the share's spans are closed
+            self.monitor.on_region_read(self.server_id, samples)
         if error is not None:
             raise error
         return flags
 
-    def _read_attempts(self, decided: List[List[float]], key: str) -> bool:
+    def _read_attempts(self, key: str) -> Tuple[List[float], bool]:
         """Decide one storage read of ``key`` under the fault plan, attempt
         by attempt: a latency-spike factor (a retry is a fresh request, so
         it is re-drawn), then a failure draw, retried after a backoff until
         ``max_retries`` are spent.  A draw is a pure function of the seed,
-        the key and its count, so deciding before any charge replays
-        exactly.  Appends the slow factors to ``decided``; True on success."""
+        the key and its count, so deciding before the read's charges
+        replays exactly.  Returns the attempts' slow factors and whether
+        the last one succeeded."""
         plan = self.fault_plan
         slows: List[float] = []
-        decided.append(slows)
         while True:
             slow = plan.pfs_slow_factor(key)
             if slow != 1.0:
                 self._count(*_FAULTS, kind="pfs_slow")
             slows.append(slow)
             if not plan.pfs_read_fails(key):
-                return True
+                return slows, True
             self._count(*_FAULTS, kind="pfs_read_error")
             if len(slows) > plan.config.max_retries:
-                return False
+                return slows, False
             self.retries_total += 1
             self._count(*_RETRIES, server=str(self.server_id))
 

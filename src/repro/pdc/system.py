@@ -15,7 +15,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..bitmap.index import IndexProbeTable, RegionBitmapIndex
+from ..bitmap.index import IndexProbeTable, RegionBitmapIndex, position_dtype
 from ..cluster.membership import (
     CRASHED,
     GONE,
@@ -163,6 +163,9 @@ class StoredObject:
     #: ``indexes`` stacked for whole-step probes (:meth:`index_probe_table`);
     #: an installed index replaces its row (``repro.ingest.maintain``).
     probe_table: Optional[IndexProbeTable] = None
+    #: Every index's bin-ordered positions, region ``rid``'s at ``offsets[rid]``
+    #: (the payload's layout); each index's ``positions`` views its slice.
+    index_positions: Optional[np.ndarray] = None
     #: Per-region element count overwritten since the histogram was last
     #: rebuilt from scratch (drift gauge for the delta-merge path).
     hist_dirty_elements: Optional[np.ndarray] = None
@@ -297,7 +300,7 @@ class PDCSystem:
         self.objects: Dict[str, StoredObject] = {}
         #: sort-key object name → replica group.
         self.replicas: Dict[str, ReplicaGroup] = {}
-        self._region_keys: Dict[Tuple[str, str], List[str]] = {}
+        self._region_keys: Dict[Tuple[str, str], np.ndarray] = {}
         #: Listeners notified when derived query state goes stale (see
         #: :meth:`register_invalidation_hook`).  Registered by semantic
         #: selection caches.
@@ -809,15 +812,16 @@ class PDCSystem:
         except KeyError:
             raise ObjectNotFoundError(f"no object named {name!r}") from None
 
-    def region_keys(self, name: str, replica: str, n_regions: int) -> List[str]:
+    def region_keys(self, name: str, replica: str, n_regions: int) -> np.ndarray:
         """Cache keys of (at least) regions ``0..n_regions-1`` of one
-        (object, replica), indexed by region id: each string is built once,
-        not per region per touch (a key depends on the names alone)."""
-        keys = self._region_keys.setdefault((name, replica), [])
-        if len(keys) < n_regions:
-            keys.extend(
-                region_key(name, rid, replica) for rid in range(len(keys), n_regions)
-            )
+        (object, replica), an object array indexed by region id: each string
+        is built once, not per region per touch (a key depends on the names
+        alone), and a step's keys are one fancy index."""
+        keys = self._region_keys.get((name, replica))
+        if keys is None or keys.size < n_regions:
+            have = [] if keys is None else keys.tolist()
+            have += [region_key(name, rid, replica) for rid in range(len(have), n_regions)]
+            keys = self._region_keys[(name, replica)] = np.array(have, dtype=object)
         return keys
 
     def type_of(self, name: str) -> PDCType:
@@ -837,13 +841,19 @@ class PDCSystem:
         obj = self.get_object(name)
         if obj.indexes is not None:
             return
-        derived = [
-            write.derive_region(
+        store = np.zeros(obj.buffer.size, position_dtype(obj.region_elements))
+        derived = []
+        for rid, (off, count) in enumerate(zip(obj.offsets.tolist(), obj.counts.tolist())):
+            d = write.derive_region(
                 self, obj, rid, obj.data[off : off + count], index_only=True
             )
-            for rid, (off, count) in enumerate(zip(obj.offsets, obj.counts))
-        ]
+            # Each region's decoded bins go to the store as they are built,
+            # so the object never holds them twice.
+            store[off : off + count] = d.index.positions
+            d.index.positions = store[off : off + count]
+            derived.append(d)
         obj.indexes = [None] * obj.n_regions
+        obj.index_positions = store
         obj.index_nbytes = np.empty(obj.n_regions, dtype=np.int64)
         obj.index_words = np.empty(obj.n_regions, dtype=np.int64)
         for d in derived:

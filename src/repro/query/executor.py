@@ -27,7 +27,7 @@ import zlib
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import partial
-from itertools import groupby
+from itertools import compress, groupby, repeat
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -49,7 +49,7 @@ from ..strategies import Strategy
 from ..types import check_timeout
 from . import planner
 from .ast import QueryNode, objects_of
-from .kernels import filter_coords, interval_coords, mask_coords, replica_coords
+from .kernels import filter_coords, index_coords, interval_coords, mask_coords, replica_coords
 from .planner import PRUNED, ConjunctPlan, PlanBook, PlanStep
 from .region_constraint import RegionConstraint, normalize_constraint
 from .selection import Selection, sorted_unique
@@ -70,6 +70,15 @@ _PLAN_BYTES = 256
 _REGION_META_BYTES = 96
 #: Page size for binary-search probes on sorted replicas.
 _PROBE_BYTES = 4096
+
+
+def _interleave(selector: List[bool], index_file: list, data: list) -> list:
+    """One access column of a PDC-HI step from its per-region values: each
+    region's index-file value, then its data value where ``selector`` (the
+    kept slots) says the region has candidates to check."""
+    column = [None] * (2 * len(index_file))
+    column[0::2], column[1::2] = index_file, data
+    return list(compress(column, selector))
 
 
 def _flags(n_regions: int, region_ids: np.ndarray) -> np.ndarray:
@@ -674,8 +683,8 @@ class QueryEngine:
                 obj = sysm.get_object(name)
                 rids = np.asarray([rid for _, rid in keys], dtype=np.int64)
                 for _server, mine, sizes, hits in self._read_regions(
-                    self._regions_by_server(rids), name, obj.counts, obj.itemsize,
-                    self._active_readers(rids), on_lost=on_lost, shared=True,
+                    *self._route(rids), name, obj.counts, obj.itemsize,
+                    on_lost=on_lost, shared=True,
                 ):
                     for rid, nbytes, hit in zip(mine, sizes, hits):
                         if hit:
@@ -771,31 +780,25 @@ class QueryEngine:
         m.histogram(
             "pdc_batch_width", "Queries admitted per shared-scan batch."
         ).observe(batch.width)
-        m.counter(
-            "pdc_batch_shared_regions_total",
-            "Regions demanded by more than one query of a batch.",
-        ).inc(batch.shared_regions)
-        m.counter(
-            "pdc_batch_shared_reads_total",
-            "Shared regions read once on behalf of a whole batch.",
-        ).inc(batch.shared_reads)
-        m.counter(
-            "pdc_batch_saved_bytes_virtual_total",
-            "Virtual bytes saved by shared-scan batching vs sequential reads.",
-        ).inc(batch.saved_bytes_virtual)
+        for name, help, n in (
+            ("pdc_batch_shared_regions_total",
+             "Regions demanded by more than one query of a batch.", batch.shared_regions),
+            ("pdc_batch_shared_reads_total",
+             "Shared regions read once on behalf of a whole batch.", batch.shared_reads),
+            ("pdc_batch_saved_bytes_virtual_total",
+             "Virtual bytes saved by shared-scan batching vs sequential reads.",
+             batch.saved_bytes_virtual),
+        ):
+            m.counter(name, help).inc(n)
         lookups = m.counter(
             "pdc_semantic_cache_lookups_total",
             "Semantic selection-cache lookups by result.",
             labels=("result",),
         )
-        if batch.semantic_hits:
-            lookups.labels(result="hit").inc(batch.semantic_hits)
-        if batch.semantic_narrowed:
-            lookups.labels(result="narrowed").inc(batch.semantic_narrowed)
-        if batch.semantic_repaired:
-            lookups.labels(result="repaired").inc(batch.semantic_repaired)
-        if batch.semantic_misses:
-            lookups.labels(result="miss").inc(batch.semantic_misses)
+        for result, n in (("hit", batch.semantic_hits), ("narrowed", batch.semantic_narrowed),
+                          ("repaired", batch.semantic_repaired), ("miss", batch.semantic_misses)):
+            if n:
+                lookups.labels(result=result).inc(n)
 
     def get_data(
         self,
@@ -1047,7 +1050,8 @@ class QueryEngine:
             # hits are dropped (the answer stays a subset of the truth).
             readable = ~_flags(obj.n_regions, lost)[scanned]
             scanned, covered = scanned[readable], covered[readable]
-        coords = mask_coords(obj, first.interval, constraint, scanned, covered)
+        answer = index_coords if first.path == "index-probe" else mask_coords
+        coords = answer(obj, first.interval, constraint, scanned, covered)
         first_step.hits = int(coords.size)
         stats.step_actuals.append(first_step)
 
@@ -1214,41 +1218,27 @@ class QueryEngine:
             "pdc_query_sim_seconds",
             "End-to-end simulated query latency (seconds).",
         ).observe(stats.elapsed_s)
-        m.counter(
-            "pdc_query_regions_read_total",
-            "Data regions read from storage during query evaluation.",
-        ).inc(stats.regions_read)
-        m.counter(
-            "pdc_query_regions_pruned_total",
-            "Regions eliminated by histogram min/max pruning.",
-        ).inc(stats.regions_pruned)
-        m.counter(
-            "pdc_query_regions_cached_total",
-            "Regions served from server caches during query evaluation.",
-        ).inc(stats.regions_cached)
-        m.counter(
-            "pdc_query_index_reads_total",
-            "Region index probes issued (PDC-HI).",
-        ).inc(stats.index_reads)
-        m.counter(
-            "pdc_query_bytes_read_virtual_total",
-            "Virtual bytes read from storage by queries.",
-        ).inc(stats.bytes_read_virtual)
-        if stats.retries:
-            m.counter(
-                "pdc_query_retries_total",
-                "Storage-read retries performed during query evaluation.",
-            ).inc(stats.retries)
-        if not stats.complete:
-            m.counter(
-                "pdc_query_degraded_total",
-                "Queries that returned a degraded (partial) result.",
-            ).inc()
-        if stats.timed_out:
-            m.counter(
-                "pdc_query_timeouts_total",
-                "Queries cut off by their simulated-time budget.",
-            ).inc()
+        for name, help, n, always in (
+            ("pdc_query_regions_read_total",
+             "Data regions read from storage during query evaluation.", stats.regions_read, True),
+            ("pdc_query_regions_pruned_total",
+             "Regions eliminated by histogram min/max pruning.", stats.regions_pruned, True),
+            ("pdc_query_regions_cached_total",
+             "Regions served from server caches during query evaluation.",
+             stats.regions_cached, True),
+            ("pdc_query_index_reads_total",
+             "Region index probes issued (PDC-HI).", stats.index_reads, True),
+            ("pdc_query_bytes_read_virtual_total",
+             "Virtual bytes read from storage by queries.", stats.bytes_read_virtual, True),
+            ("pdc_query_retries_total",
+             "Storage-read retries performed during query evaluation.", stats.retries, False),
+            ("pdc_query_degraded_total",
+             "Queries that returned a degraded (partial) result.", int(not stats.complete), False),
+            ("pdc_query_timeouts_total",
+             "Queries cut off by their simulated-time budget.", int(stats.timed_out), False),
+        ):
+            if always or n:
+                m.counter(name, help).inc(n)
 
     # ---------------------------------------------------------- cost helpers
     def _ensure_metadata(self, names: Sequence[str]) -> None:
@@ -1272,24 +1262,31 @@ class QueryEngine:
                 )
                 server.meta_cached.add(name)
 
-    def _regions_by_server(self, region_ids: np.ndarray):
-        """(server, its region ids) pairs over the *alive* servers —
-        failed servers (§ fault tolerance) receive no work."""
+    def _route(self, region_ids: np.ndarray):
+        """``(pairs, readers)``: each alive server with its region ids,
+        ascending (failed servers receive no work), from one stable sort of
+        the owners, and how many servers read — what contends on the PFS
+        (a selective query touching 5 regions does not suffer 512-server
+        contention)."""
         alive = self.system.alive_servers
-        n = len(alive)
-        idx = self.system.region_owner_positions(region_ids)
-        return [(alive[i], region_ids[idx == i]) for i in range(n)]
+        owners = self.system.region_owner_positions(region_ids)
+        ordered = region_ids[np.argsort(owners, kind="stable")]
+        counts = np.bincount(owners, minlength=len(alive)).tolist()
+        pairs, start = [], 0
+        for server, n in zip(alive, counts):
+            pairs.append((server, ordered[start : start + n]))
+            start += n
+        return pairs, max(1, len(counts) - counts.count(0))
 
     def _assignment_with_faults(self, region_ids: np.ndarray, stats: QueryResult):
-        """Like :meth:`_regions_by_server`, but servers may crash at the
-        dispatch point (fault injection): a crashed server is failed out of
-        the system and its region share is re-assigned round-robin across
-        the survivors."""
+        """:meth:`_route`, but servers may crash at the dispatch point
+        (fault injection): a crashed server is failed out of the system and
+        its region share is re-assigned round-robin across the survivors."""
         sysm = self.system
         plan = sysm.fault_plan
-        pairs = self._regions_by_server(region_ids)
+        pairs, readers = self._route(region_ids)
         if plan is None or plan.config.server_crash_rate <= 0.0:
-            return pairs
+            return pairs, readers
         out = []
         for server, mine in pairs:
             if (
@@ -1317,7 +1314,7 @@ class QueryEngine:
                         out.append((survivor, share))
             else:
                 out.append((server, mine))
-        return out
+        return out, readers
 
     def _record_lost(
         self, stats: QueryResult, lost: List[int], keys: Sequence[str], server,
@@ -1340,22 +1337,13 @@ class QueryEngine:
             "Regions dropped from query answers after exhausting retries.",
         ).inc()
 
-    def _active_readers(self, region_ids: np.ndarray) -> int:
-        """Servers actually reading in this phase — what contends on the
-        PFS.  (A selective query touching 5 regions does not suffer
-        512-server contention.)"""
-        if region_ids.size == 0:
-            return 1
-        owners = self.system.region_owner_positions(region_ids)
-        return int(np.count_nonzero(np.bincount(owners)))
-
     def _read_regions(
         self,
         pairs,
+        readers: int,
         name: str,
         counts: np.ndarray,
         itemsize: int,
-        readers: int,
         replica: str = "orig",
         on_lost: Optional[Callable[..., None]] = None,
         span: Optional[Dict[str, object]] = None,
@@ -1363,15 +1351,14 @@ class QueryEngine:
         hit_copy: bool = False,
     ) -> Iterator[Tuple[object, List[int], List[int], List[Optional[bool]]]]:
         """Each server of ``pairs`` — (server, region ids) — makes its
-        regions of ``name`` resident in one :meth:`PDCServer.touch_share`, a
-        storage read on a miss and free on a hit (``hit_copy``: a memory
-        copy), every charge's seconds taken from arrays over the whole step.
-        Yields ``(server, region ids, real bytes, was_cached)`` lists per
-        share.  A region still unreadable after the fault-recovery retries
-        goes to ``on_lost(keys, server, rid, error, t)`` (``keys[rid]`` its
-        key) and is flagged ``None`` (without a policy the error propagates);
-        ``span``, attributes of an ``eval:serverN`` span, wraps each share.
-        ``shared``: read on behalf of a whole batch.
+        regions of ``name`` resident in one :meth:`PDCServer.touch_share`
+        over the step's columns, priced as arrays with ``readers`` servers
+        contending: a storage read on a miss, free on a hit (``hit_copy``: a
+        memory copy).  Yields ``(server, region ids, real bytes,
+        was_cached)`` lists per share.  A region still unreadable after the
+        retries goes to ``on_lost(keys, server, rid, error, t)`` and is
+        flagged ``None`` (no policy: the error propagates); ``span`` holds
+        an ``eval:serverN`` span's attributes; ``shared``: for a batch.
         """
         sysm = self.system
         pairs = [(server, mine) for server, mine in pairs if len(mine)]
@@ -1379,27 +1366,21 @@ class QueryEngine:
             return
         rids = pairs[0][1] if len(pairs) == 1 else np.concatenate([m for _, m in pairs])
         nbytes = counts[rids] * itemsize
-        sizes = nbytes.tolist()
-        on_hit = [None] * len(sizes)
-        if hit_copy:
-            on_hit = [(s, "mem_copy") for s in sysm.cost.mem_copy_time(nbytes).tolist()]
+        sizes, regions = nbytes.tolist(), rids.tolist()
+        hit_s = sysm.cost.mem_copy_time(nbytes).tolist() if hit_copy else None
         keys = sysm.region_keys(name, replica, len(counts))
         seconds, tiers = self._cold_reads(name, replica, rids, nbytes, readers)
-        accesses = [
-            (keys[rid], size, (read_s, "pfs_read"), copy, True, (), rid, size, tier)
-            for rid, size, read_s, tier, copy in zip(
-                rids.tolist(), sizes, seconds, tiers, on_hit
-            )
-        ]
+        categories = ["pfs_read"] * len(sizes)
         report = None if on_lost is None else partial(on_lost, keys)
-        start = 0
+        share_keys, start = keys[rids].tolist(), 0
         for server, mine in pairs:
             stop = start + len(mine)
             hits = server.touch_share(
-                accesses[start:stop], preload=shared, on_lost=report,
-                span=span,
+                share_keys, sizes, regions, seconds, categories, hit_s=hit_s,
+                tiers=tiers, rows=range(start, stop), preload=shared,
+                on_lost=report, span=span,
             )
-            yield server, mine.tolist(), sizes[start:stop], hits
+            yield server, regions[start:stop], sizes[start:stop], hits
             start = stop
 
     def _cold_reads(
@@ -1422,16 +1403,20 @@ class QueryEngine:
                     )
         return seconds, tiers
 
-    def _tally_reads(self, target, nbytes: Sequence[int], hits: Sequence[bool]) -> None:
-        """Count touched regions on a :class:`QueryResult` or
-        :class:`GetDataResult`: cached, or read with their virtual bytes
-        (a lost one, flagged ``None``, is neither)."""
+    def _tally_reads(
+        self, target, nbytes: Sequence[int], hits: Sequence[bool],
+        regions: Optional[Sequence[bool]] = None,
+    ) -> None:
+        """Count touched accesses on a :class:`QueryResult` or
+        :class:`GetDataResult`: cached, or read with their virtual bytes and,
+        where ``regions`` says (default: every access), as a region read (a
+        lost one, flagged ``None``, is neither)."""
         scale = self.system.cost.virtual_scale
-        for size, hit in zip(nbytes, hits):
+        for size, hit, region in zip(nbytes, hits, repeat(1) if regions is None else regions):
             if hit:
                 target.regions_cached += 1
             elif hit is not None:
-                target.regions_read += 1
+                target.regions_read += region
                 target.bytes_read_virtual += size * scale
 
     def _charge_per_server(
@@ -1471,11 +1456,10 @@ class QueryEngine:
         retries (always empty without an installed fault plan); callers
         drop those regions' hits from the answer (degraded mode).
         """
-        readers = self._active_readers(region_ids)
         lost: List[int] = []
         for _server, _rids, nbytes, hits in self._read_regions(
-            self._assignment_with_faults(region_ids, stats), obj.name,
-            obj.counts, obj.itemsize, readers,
+            *self._assignment_with_faults(region_ids, stats), obj.name,
+            obj.counts, obj.itemsize,
             on_lost=partial(self._record_lost, stats, lost),
             span={"object": obj.name},
         ):
@@ -1493,10 +1477,7 @@ class QueryEngine:
         self._charge_owner_scans(region_ids, np.maximum(stops - starts, 0))
 
     def _charge_index_reads(
-        self,
-        obj: StoredObject,
-        region_ids: np.ndarray,
-        interval: Interval,
+        self, obj: StoredObject, region_ids: np.ndarray, interval: Interval,
         stats: QueryResult,
     ) -> np.ndarray:
         """PDC-HI: probe region indexes instead of reading data (§III-D4).
@@ -1504,22 +1485,16 @@ class QueryEngine:
         FastBit seeks into the index file and reads only the bitmaps of
         bins overlapping the condition (cached afterwards); candidate bins
         (off-grid endpoints) additionally force a raw region read to verify
-        boundary values.  Footprints and seconds are arrays over the step
-        (one classification of the object's probe table); each server takes
-        its index files, candidate reads and scans in region order through
-        :meth:`PDCServer.touch_share`, where a lost index file drops the rest
-        of its region.  Returns region ids lost to exhausted retries
-        (degraded mode), as :meth:`_charge_data_reads` does.
+        boundary values.  The step's footprints and seconds are arrays (one
+        classification of the object's probe table), its accesses columns
+        (index file, then candidate read, region by region) each server
+        walks in :meth:`PDCServer.touch_share`.  Returns region ids lost to
+        exhausted retries (degraded mode), as :meth:`_charge_data_reads`.
         """
-        sysm = self.system
+        sysm, cost = self.system, self.system.cost
         assert obj.indexes is not None and obj.index_nbytes is not None
-        cost, scale = sysm.cost, sysm.cost.virtual_scale
-        readers = self._active_readers(region_ids)
-        pairs = [
-            (server, mine)
-            for server, mine in self._assignment_with_faults(region_ids, stats)
-            if mine.size
-        ]
+        pairs, readers = self._assignment_with_faults(region_ids, stats)
+        pairs = [(server, mine) for server, mine in pairs if mine.size]
         lost: List[int] = []
         if not pairs:
             return np.asarray(lost, dtype=np.int64)
@@ -1534,42 +1509,49 @@ class QueryEngine:
             n_delta = obj.index_delta_counts[rids]
         candidates = candidates + n_delta
         nbytes = obj.counts[rids] * obj.itemsize
+        probe_bytes = words * 8
+        read_s, tiers = self._cold_reads(obj.name, "orig", rids, nbytes, readers)
+        # The step's accesses, in region order: each region's index file,
+        # then — when it has candidates — its data for the check.
+        checks, n = candidates > 0, rids.size
+        selector = [True] * (2 * n)
+        selector[1::2] = checks.tolist()
         index_keys = sysm.region_keys(obj.name, "idx", obj.n_regions)
         data_keys = sysm.region_keys(obj.name, "orig", obj.n_regions)
+        regions, sizes = rids.tolist(), nbytes.tolist()
+        probe = probe_bytes.tolist()
+        keys = _interleave(selector, index_keys[rids].tolist(), data_keys[rids].tolist())
+        miss_s = _interleave(
+            selector,
+            self._index_probe_time(probe_bytes, table.header_bytes[rids], readers).tolist(),
+            read_s,
+        )
+        then = [(_interleave(selector, cost.wah_scan_time(words).tolist(),
+                             cost.scan_time(candidates).tolist()), "scan")]
+        if n_delta.any():
+            deltas = [s if d else None
+                      for s, d in zip(cost.scan_time(n_delta).tolist(), n_delta.tolist())]
+            then.append((_interleave(selector, deltas, [None] * n), "scan"))
+        data = _interleave(selector, [False] * n, [True] * n)
+        columns = dict(
+            keys=keys, sizes=_interleave(selector, obj.index_nbytes[rids].tolist(), sizes),
+            regions=_interleave(selector, regions, regions), miss_s=miss_s,
+            miss_category=_interleave(selector, ["index_read"] * n, ["pfs_read"] * n),
+            then=then, sampled=data, span_bytes=_interleave(selector, probe, sizes),
+            tiers=_interleave(selector, [None] * n, tiers),
+        )
+        stops = np.cumsum(1 + checks)[np.cumsum([mine.size for _, mine in pairs]) - 1]
         report = partial(self._record_lost, stats, lost, data_keys)
         span = {"object": obj.name, "regions": None, "index": True}  # regions: per share
-        rows = list(zip(
-            rids.tolist(), obj.index_nbytes[rids].tolist(), nbytes.tolist(),
-            n_delta.tolist(), candidates.tolist(), (words * 8).tolist(),
-            self._index_probe_time(words * 8, table.header_bytes[rids], readers).tolist(),
-            cost.wah_scan_time(words).tolist(), cost.scan_time(n_delta).tolist(),
-            *self._cold_reads(obj.name, "orig", rids, nbytes, readers),
-            cost.scan_time(candidates).tolist(),
-        ))
         stats.index_reads += rids.size
         start = 0
-        for server, mine in pairs:
-            accesses, on_miss = [], []  # on_miss: (regions read, virtual bytes) to tally
-            for (rid, index_size, size, deltas, to_check, probe_bytes, probe_s, wah_s,
-                 delta_s, read_s, tier, check_s) in rows[start:start + len(mine)]:
-                scans = [(wah_s, "scan")]
-                if deltas:
-                    scans.append((delta_s, "scan"))
-                accesses.append((index_keys[rid], index_size, (probe_s, "index_read"),
-                                 None, False, scans, rid, probe_bytes, None))
-                on_miss.append((0, probe_bytes * scale))
-                if to_check:
-                    accesses.append((data_keys[rid], size, (read_s, "pfs_read"), None,
-                                     True, [(check_s, "scan")], rid, size, tier))
-                    on_miss.append((1, size * scale))
-            start += len(mine)
-            hits = server.touch_share(accesses, on_lost=report, span=span)
-            for hit, (n_read, vbytes) in zip(hits, on_miss):
-                if hit:
-                    stats.regions_cached += 1
-                elif hit is not None:
-                    stats.regions_read += n_read
-                    stats.bytes_read_virtual += vbytes
+        for (server, _), stop in zip(pairs, stops.tolist()):
+            hits = server.touch_share(
+                **columns, rows=range(start, stop), on_lost=report, span=span,
+            )
+            # An index file's read is not a region read.
+            self._tally_reads(stats, columns["span_bytes"][start:stop], hits, data[start:stop])
+            start = stop
         return np.asarray(lost, dtype=np.int64)
 
     def _index_probe_time(self, bytes_touched, header_bytes, readers: int):
@@ -1593,12 +1575,11 @@ class QueryEngine:
 
         Returns replica region ids lost to exhausted retries (degraded
         mode), as :meth:`_charge_data_reads` does."""
-        readers = self._active_readers(region_ids)
         key_name = group.replica.key_name
         lost: List[int] = []
         for _server, _rids, _nbytes, hits in self._read_regions(
-            self._assignment_with_faults(region_ids, stats), key_name,
-            group.counts, itemsize, readers, replica=f"sorted:{which}",
+            *self._assignment_with_faults(region_ids, stats), key_name,
+            group.counts, itemsize, replica=f"sorted:{which}",
             on_lost=partial(self._record_lost, stats, lost),
             span={"object": key_name, "replica": which},
         ):
@@ -1653,7 +1634,7 @@ class QueryEngine:
         if replica is None:
             orig, _ = obj.region_hits(selection.coords)
             if not sysm.config.get_data_whole_regions:
-                readers, pairs = self._active_readers(orig), self._regions_by_server(orig)
+                pairs, readers = self._route(orig)
                 self._read_hit_extents(obj, selection, pairs, readers, result)
                 return
         else:  # dirty coordinates' values live only in the original regions
@@ -1664,10 +1645,9 @@ class QueryEngine:
         if orig.size:
             parts.append((orig, obj.name, obj.counts, "orig"))
         for regions, name, counts, tag in parts:
-            readers = self._active_readers(regions)
             for _server, _rids, nbytes, hits in self._read_regions(
-                self._regions_by_server(regions), name, counts, obj.itemsize,
-                readers, replica=tag, hit_copy=True,
+                *self._route(regions), name, counts, obj.itemsize,
+                replica=tag, hit_copy=True,
             ):
                 self._tally_reads(result, nbytes, hits)
 

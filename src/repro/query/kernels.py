@@ -1,11 +1,14 @@
 """Answer kernels: the exact hit coordinates of a condition on live data.
 
-Two structures answer a range condition, and both the engine and the
+Three structures answer a range condition, and the engine and the
 semantic selection cache call the same code for them:
 
 * a **region run** (:func:`mask_coords`): adjacent surviving regions of
   one kind coalesce into runs; a run of covered regions is every
-  coordinate in it, any other run is masked — PDC-F/H/HI's scan;
+  coordinate in it, any other run is masked — PDC-F/H's scan;
+* a **probed bin run** (:func:`index_coords`): the bins a condition
+  overlaps are one run of the index's bin-ordered positions; full bins'
+  members match, the two end bins' are checked — PDC-HI (§III-D4);
 * a **sorted-replica run** (:func:`run_coords`): a binary search gives the
   contiguous run of sorted positions whose key matches, and the run's
   permutation slice, sorted, is the answer — PDC-SH (§III-D3).  The
@@ -32,6 +35,7 @@ from .planner import COVERED, STRADDLING, surviving_regions
 __all__ = [
     "REPLICA_RUN_SHARE",
     "filter_coords",
+    "index_coords",
     "interval_coords",
     "mask_coords",
     "replica_coords",
@@ -78,6 +82,78 @@ def mask_coords(
             hits += lo
             parts.append(hits)
     return parts[0] if len(parts) == 1 else np.concatenate(parts)
+
+
+def index_coords(
+    obj: StoredObject, interval: Interval, constraint: Tuple[int, int],
+    region_ids: np.ndarray, covered: np.ndarray,
+) -> np.ndarray:
+    """:func:`mask_coords`'s answer, read from the probed bins where that
+    is cheaper: a straddling region whose index is current (no uncompacted
+    delta, as long as the region), whose type embeds in float64 (bin
+    extrema are exact) and whose overlapped bins hold fewer than
+    :data:`REPLICA_RUN_SHARE` of its elements answers from its bin-ordered
+    positions — full bins' members are hits, the two boundary bins'
+    members are checked on the raw values.  Other regions are masked."""
+    straddling = np.flatnonzero(~covered)
+    if not straddling.size or obj.data.dtype.itemsize > 4 and obj.data.dtype.kind != "f":
+        return mask_coords(obj, interval, constraint, region_ids, covered)
+    rids = region_ids[straddling]
+    table = obj.index_probe_table()
+    bin_min, bin_max = table.bin_min[rids], table.bin_max[rids]
+    overlap = interval.overlaps_range_arrays(bin_min, bin_max)
+    # The overlapped bins are contiguous in bin order: [first, last], and
+    # every bin strictly between the two is full.
+    rows = np.arange(rids.size)
+    first = overlap.argmax(axis=1)
+    last = overlap.shape[1] - 1 - overlap[:, ::-1].argmax(axis=1)
+    found = overlap[rows, first]  # else no bin overlaps: no hit
+    lo = table.bin_starts[rids, first]
+    hi = np.where(found, table.bin_starts[rids, last] + table.bin_counts[rids, last], lo)
+    counts = obj.counts[rids]
+    use = (table.n_elements[rids] == counts) & (hi - lo < REPLICA_RUN_SHARE * counts)
+    if obj.index_delta_counts is not None:
+        use &= obj.index_delta_counts[rids] == 0
+    if not use.any():
+        return mask_coords(obj, interval, constraint, region_ids, covered)
+    scan = np.ones(region_ids.size, dtype=bool)
+    scan[straddling[use]] = False
+    coords = mask_coords(obj, interval, constraint, region_ids[scan], covered[scan])
+    use &= found
+    rows, first, last, lo, hi, rids = (
+        rows[use], first[use], last[use], lo[use], hi[use], rids[use]
+    )
+    # A partial end bin's members are checked.
+    head = np.where(interval.contains_range_arrays(bin_min[rows, first], bin_max[rows, first]),
+                    0, table.bin_counts[rids, first])
+    tail = np.where(interval.contains_range_arrays(bin_min[rows, last], bin_max[rows, last])
+                    | (last == first), 0, table.bin_counts[rids, last])
+    base = obj.offsets[rids]
+    sure = _gather(obj, base, lo + head, hi - tail - lo - head)
+    check = _gather(obj, np.concatenate((base, base)),
+                    np.concatenate((lo, hi - tail)), np.concatenate((head, tail)))
+    hits = np.concatenate((sure, check[interval.mask(obj.data[check])]))
+    cstart, cstop = constraint
+    if cstart > 0 or cstop < obj.n_elements:
+        hits = hits[(hits >= cstart) & (hits < cstop)]
+    hits.sort()
+    if coords.size:  # two ascending runs: the stable sort (a merge sort) merges them
+        hits = np.concatenate((coords, hits))
+        hits.sort(kind="stable")
+    return hits
+
+
+def _gather(
+    obj: StoredObject, base: np.ndarray, starts: np.ndarray, lengths: np.ndarray
+) -> np.ndarray:
+    """The coordinates at ``[starts[i], starts[i] + lengths[i])`` of the
+    bin-ordered positions of the region at payload offset ``base[i]``."""
+    total = int(lengths.sum())
+    if not total:
+        return np.zeros(0, dtype=np.int64)
+    ends = np.cumsum(lengths)
+    at = np.arange(total) + np.repeat(base + starts - (ends - lengths), lengths)
+    return obj.index_positions[at] + np.repeat(base, lengths)
 
 
 def run_coords(

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Callable, Hashable, KeysView, List, Optional, Sequence, Tuple
+from typing import Hashable, KeysView, List, Tuple
 
 __all__ = ["RegionCache", "CacheStats"]
 
@@ -92,39 +92,43 @@ class RegionCache:
             self._m_clear = removals.labels(server=owner, reason="clear")
 
     # ------------------------------------------------------------------- api
-    def touch_many(
-        self,
-        keys: Sequence[Hashable],
-        nbytes: Sequence[int],
-        fetch: Optional[Callable[[Hashable], bool]] = None,
-    ) -> List[Optional[bool]]:
-        """For each key in turn, look it up (a hit refreshes its LRU
-        position) and on a miss put a size-only entry of ``nbytes[i]``: a
-        server's whole share made resident in one call, with exactly the LRU
-        order, evictions (a miss may evict a key later in the same share)
-        and hit/miss counts of that lookup/put sequence.  ``fetch(key)``,
-        when given, is asked whether a miss's read succeeds; a failed read
-        is not inserted, its flag is ``None`` and the pass stops there.
-        Returns each looked-up key's was-resident flag."""
-        entries = self._entries
-        hits: List[Optional[bool]] = []
-        for key, size in zip(keys, nbytes):
-            hit = key in entries
-            if hit:
-                entries.move_to_end(key)
-            elif fetch is None or fetch(key):
-                self.put(key, size)
-            else:
-                hits.append(None)
-                break
-            hits.append(hit)
-        n_hit = hits.count(True)
-        self.stats.hits += n_hit
-        self.stats.misses += len(hits) - n_hit
+    def lookup(self, key: Hashable) -> bool:
+        """Whether ``key`` is resident; a hit refreshes its LRU position
+        (counted by the caller's :meth:`tally`)."""
+        if key in self._entries:
+            self._entries.move_to_end(key)
+            return True
+        return False
+
+    def admit(self, key: Hashable, nbytes: float) -> int:
+        """Put a size-only entry of ``nbytes`` real bytes (nothing when it
+        cannot fit at all), evicting least recently used entries to make
+        room; returns how many, for the caller's :meth:`tally`."""
+        vsize = nbytes * self.virtual_scale
+        if vsize > self.capacity_bytes:
+            return 0
+        entries, evicted = self._entries, 0
+        if key in entries:
+            self._used -= entries.pop(key)
+        while self._used + vsize > self.capacity_bytes and entries:
+            self._used -= entries.popitem(last=False)[1]
+            evicted += 1
+        entries[key] = vsize
+        self._used += vsize
+        self.stats.inserts += 1
+        return evicted
+
+    def tally(self, hits: int, misses: int, evictions: int) -> None:
+        """Count a share's lookups and evictions
+        (:meth:`repro.pdc.server.PDCServer.touch_share`) at once."""
+        self.stats.hits += hits
+        self.stats.misses += misses
+        self.stats.evictions += evictions
         if self._m_hit is not None:
-            self._m_hit.inc(n_hit)
-            self._m_miss.inc(len(hits) - n_hit)
-        return hits
+            self._m_hit.inc(hits)
+            self._m_miss.inc(misses)
+            if evictions:
+                self._m_evict.inc(evictions)
 
     def contains(self, key: Hashable) -> bool:
         """Presence check that does not disturb LRU order or stats."""
@@ -139,20 +143,9 @@ class RegionCache:
     def put(self, key: Hashable, nbytes: float) -> bool:
         """Insert a region of ``nbytes`` real bytes; False when it cannot
         fit at all."""
-        vsize = nbytes * self.virtual_scale
-        if vsize > self.capacity_bytes:
+        if nbytes * self.virtual_scale > self.capacity_bytes:
             return False
-        if key in self._entries:
-            self._used -= self._entries.pop(key)
-        while self._used + vsize > self.capacity_bytes and self._entries:
-            _, evicted = self._entries.popitem(last=False)
-            self._used -= evicted
-            self.stats.evictions += 1
-            if self._m_evict is not None:
-                self._m_evict.inc()
-        self._entries[key] = vsize
-        self._used += vsize
-        self.stats.inserts += 1
+        self.tally(0, 0, self.admit(key, nbytes))
         return True
 
     def invalidate(self, key: Hashable) -> bool:

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Tuple
+from typing import Dict
 
 from ..types import GB
 from .device import DeviceKind
@@ -89,7 +89,8 @@ class SimClock:
 
     A clock only moves forward.  ``charge`` adds a duration; ``advance_to``
     implements a rendezvous with another clock (used when a server must wait
-    for data produced elsewhere).
+    for data produced elsewhere).  ``PDCServer.touch_share`` adds a share's
+    charges to ``_now`` and ``_by_category`` in one pass, as ``charge`` would.
     """
 
     __slots__ = ("_now", "name", "_by_category", "drag")
@@ -120,23 +121,6 @@ class SimClock:
         self._now += seconds
         self._by_category[category] = self._by_category.get(category, 0.0) + seconds
         return self._now
-
-    def charge_many(self, charges: Iterable[Tuple[float, str]]) -> List[float]:
-        """:meth:`charge` each ``(seconds, category)`` in the order given:
-        one sequential float accumulate (never a pairwise sum), so the clock
-        and every category entry end bit-identical to that many ``charge``
-        calls.  Returns the clock time after each charge."""
-        by_category, drag, now = self._by_category, self.drag, self._now
-        stamps = []
-        for seconds, category in charges:
-            if not 0.0 <= seconds < math.inf:
-                raise ValueError(f"invalid charge {seconds!r} on clock {self.name}")
-            if drag != 1.0:
-                seconds = seconds * drag
-            self._now = now = now + seconds
-            by_category[category] = by_category.get(category, 0.0) + seconds
-            stamps.append(now)
-        return stamps
 
     def advance_to(self, t: float, category: str = "wait") -> float:
         """Move the clock to time ``t`` if ``t`` is later (waiting).

@@ -246,6 +246,46 @@ class TestQueryExactness:
         assert res.sure_positions.size == 0 and res.candidate_positions.size == 0
 
 
+    @pytest.mark.parametrize(
+        "data,iv",
+        [
+            ([2**53 - 1, 2**53, 2**53 + 1], Interval(None, float(2**53))),
+            ([-(2**53) - 1, -(2**53), -(2**53) + 1], Interval(float(-(2**53)), None)),
+            ([2**53 + 1, 2**53 + 3, 2**53 + 5], Interval(None, float(2**53 + 4))),
+        ],
+    )
+    def test_64_bit_integers_beyond_float64_classify_exactly(self, data, iv):
+        """A bin's float64 range must hold its members, or a rounded
+        member passes as a sure hit: the bin is partial, its members
+        candidates, and every count and cost says so."""
+        data = np.array(data, dtype=np.int64)
+        idx = RegionBitmapIndex.build(data)
+        exact = set(
+            i for i, v in enumerate(data.tolist())
+            if (iv.lo is None or v >= int(iv.lo)) and (iv.hi is None or v <= int(iv.hi))
+        )
+        res = idx.query(iv)
+        sure, candidates = set(res.sure_positions.tolist()), set(res.candidate_positions.tolist())
+        assert sure <= exact <= sure | candidates
+        assert candidates
+        assert idx.count_range(iv) == (len(sure), len(candidates))
+        assert idx.query_cost(iv).candidates == len(candidates)
+        _, table_candidates = IndexProbeTable.stack([idx]).footprint(iv, np.array([0]))
+        assert table_candidates.tolist() == [len(candidates)]
+
+    def test_decoded_positions_survive_a_reread(self, idx):
+        """The bin-ordered positions kept at build equal those a re-read
+        index decodes from its bitmaps; each bin's run holds its members."""
+        reread = RegionBitmapIndex.from_bytes(idx.to_bytes())
+        assert np.array_equal(reread.positions, idx.positions)
+        assert np.array_equal(reread.bin_starts, idx.bin_starts)
+        assert idx.positions.dtype == np.uint16
+        for k, b in enumerate(idx.bin_ids.tolist()):
+            run = idx.positions[idx.bin_starts[k] : idx.bin_starts[k] + idx.bin_counts[k]]
+            members = np.flatnonzero(wah.decompress(idx.bitmaps[b], idx.n_elements))
+            assert np.array_equal(run, members), b
+
+
 class TestCountsAndCosts:
     def test_count_range_matches_query(self, idx, gamma_data):
         iv = Interval(lo=2.1, hi=2.2, lo_closed=False, hi_closed=False)

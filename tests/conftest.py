@@ -145,11 +145,26 @@ def assert_probe_table_fresh(obj) -> None:
     width = fresh.bin_min.shape[1]
     assert table.bin_min.shape[0] == obj.n_regions
     assert np.array_equal(table.header_bytes, fresh.header_bytes)
+    assert np.array_equal(table.n_elements, fresh.n_elements)
     for name, pad in (("bin_min", np.inf), ("bin_max", -np.inf),
-                      ("bin_words", 0), ("bin_counts", 0)):
+                      ("bin_words", 0), ("bin_counts", 0), ("bin_starts", 0)):
         got = getattr(table, name)
         assert np.array_equal(got[:, :width], getattr(fresh, name)), name
         assert (got[:, width:] == pad).all(), name
+
+
+def assert_index_positions_fresh(obj) -> None:
+    """Each index's bin-ordered positions are a view of its region's slice
+    of the object's one position store, and equal what its bitmaps decode
+    to (an index re-read from its bytes)."""
+    store = obj.index_positions
+    for rid, idx in enumerate(obj.indexes):
+        off = int(obj.offsets[rid])
+        assert np.shares_memory(idx.positions, store), rid
+        assert np.array_equal(store[off : off + idx.n_elements], idx.positions), rid
+        reread = RegionBitmapIndex.from_bytes(idx.to_bytes())
+        assert np.array_equal(reread.positions, idx.positions), rid
+        assert np.array_equal(reread.bin_starts, idx.bin_starts), rid
 
 
 def assert_payload_is_a_prefix_view(obj) -> None:

@@ -1,9 +1,9 @@
-"""The two-pass charge path ≡ the per-region loop.
+"""The one-pass charge path ≡ the per-region loop.
 
-``PDCServer.touch_share`` makes a server's whole share resident in one pass
-and charges it in one pass, in every configuration: fault outcomes are
-decided in the residency pass, spans, lost-region events and monitor samples
-replayed from the charge pass's stamps.  It is held to a per-region loop
+``PDCServer.touch_share`` makes a server's whole share resident and charges
+it in one pass over the share's columns, in every configuration: each
+access's lookup, fault attempts, insert, charges, spans, lost-region event
+and monitor sample in order, at the clock's running time.  It is held to a per-region loop
 written here, under faults, tracing and eviction.  And a zero-rate
 ``FaultPlan`` draws nothing, so two same-seed deployments that differ only in
 having one installed must end in *identical* state — clocks (values and
@@ -14,12 +14,16 @@ before.
 
 from __future__ import annotations
 
+import ast
 import dataclasses
+import inspect
 import itertools
+import pathlib
 
 import numpy as np
 import pytest
 
+import repro
 from repro.errors import RegionUnavailableError
 from repro.faults import FaultConfig, FaultPlan
 from repro.obs.metrics import MetricsRegistry
@@ -30,7 +34,8 @@ from repro.pdc.region import region_key
 from repro.pdc.server import PDCServer
 from repro.query.ast import Condition, combine_and
 from repro.query.executor import QueryEngine, QuerySpec
-from repro.storage.costmodel import CostModel
+from repro.storage.cache import RegionCache
+from repro.storage.costmodel import CostModel, SimClock
 from repro.storage.device import DeviceKind
 from repro.strategies import Strategy
 from repro.types import PDCType, QueryOp
@@ -412,6 +417,23 @@ def server_state(server):
     }
 
 
+def one_pass(server, accesses, **kwargs):
+    """``touch_share`` over the columns of a list of access tuples (the
+    reference's input form)."""
+    (keys, sizes, on_miss, on_hit, sampled, then, regions, span_bytes,
+     tiers) = map(list, zip(*accesses))
+    assert all(h is None or h[1] == "mem_copy" for h in on_hit)
+    assert all(category == "scan" for charges in then for _, category in charges)
+    width = max(len(charges) for charges in then)
+    return PDCServer.touch_share(
+        server, keys, sizes, regions, [s for s, _ in on_miss], [c for _, c in on_miss],
+        hit_s=[None if h is None else h[0] for h in on_hit],
+        then=[([c[j][0] if j < len(c) else None for c in then], "scan")
+              for j in range(width)],
+        sampled=sampled, span_bytes=span_bytes, tiers=tiers, **kwargs,
+    )
+
+
 def drive(share_fn, server, shares, with_policy, preload):
     """Run every share through ``share_fn``; returns each share's flags (or
     its error) and the lost regions the policy saw."""
@@ -439,7 +461,7 @@ def test_touch_share_equals_the_per_region_loop(faults, capacity, with_policy):
     for seed, (traced, monitored) in enumerate(itertools.product((True, False), repeat=2)):
         shares = random_shares(seed)
         runs = []
-        for share_fn in (PDCServer.touch_share, reference_share):
+        for share_fn in (one_pass, reference_share):
             server = reference_server(FAULT_CASES[faults], capacity, traced, monitored)
             runs.append((drive(share_fn, server, shares, with_policy, seed % 2 == 0),
                          server_state(server)))
@@ -496,7 +518,7 @@ def test_one_monitor_call_per_sampled_share(faults, capacity, traced, with_polic
         finally:
             per_share.append(len(server.monitor.recorder.log) - before)
 
-    assert (drive(PDCServer.touch_share, folded, shares, with_policy, False)
+    assert (drive(one_pass, folded, shares, with_policy, False)
             == drive(counted_reference, walked, shares, with_policy, False))
     assert [len(reads) for _, reads in folded.monitor.calls] == [n for n in per_share if n]
     assert [(server_id, *read) for server_id, reads in folded.monitor.calls
@@ -554,3 +576,46 @@ def test_faults_and_tracing_never_enter_ensure_region(monkeypatch):
     assert any(s.name.startswith("read:") for s in sysm.tracer.spans)
     assert calls == {"ensure_region": 0, "touch_share": calls["touch_share"]}
     assert calls["touch_share"] > 0
+
+
+def test_shares_arrive_as_columns_through_one_body(monkeypatch):
+    """Every share reaches ``touch_share`` as columns — lists of plain
+    values, no per-access tuple — and the LRU walk has no second home:
+    ``RegionCache.admit`` / ``tally`` are called from ``touch_share`` and
+    ``RegionCache.put`` alone, and the per-access passes the one pass
+    replaced (``touch_many``, ``charge_many``) are gone."""
+    shares = []
+    original = PDCServer.touch_share
+
+    def spy(self, keys, sizes, regions, miss_s, miss_category, **kwargs):
+        columns = [keys, sizes, regions, miss_s, miss_category]
+        columns += [kwargs.get(name) for name in ("hit_s", "sampled", "span_bytes", "tiers")]
+        columns += [charges for charges, _ in kwargs.get("then", ())]
+        for column in columns:
+            if column is not None:
+                assert type(column) is list and len(column) == len(keys)
+                assert not any(isinstance(v, (tuple, list, np.ndarray)) for v in column)
+        shares.append(len(keys))
+        return original(self, keys, sizes, regions, miss_s, miss_category, **kwargs)
+
+    monkeypatch.setattr(PDCServer, "touch_share", spy)
+    for script in (cold_and_warm, half_warm, delta_segments, mixed_tiers, shared_scans):
+        sysm, engine = deployment(False)
+        sysm.set_tracer(Tracer())
+        sysm.set_fault_plan(FaultPlan(seed=4, config=FaultConfig(
+            pfs_read_error_rate=0.2, pfs_slow_rate=0.3, max_retries=8,
+        )))
+        script(sysm, engine)
+    assert len(shares) > 100 and max(shares) > 1
+
+    assert not hasattr(RegionCache, "touch_many") and not hasattr(SimClock, "charge_many")
+    callers = set()
+    for path in pathlib.Path(inspect.getfile(repro)).parent.rglob("*.py"):
+        tree = ast.parse(path.read_text())
+        for cls in [n for n in ast.walk(tree) if isinstance(n, ast.ClassDef)]:
+            for fn in [n for n in cls.body if isinstance(n, ast.FunctionDef)]:
+                for node in ast.walk(fn):
+                    if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                            and node.func.attr in ("admit", "tally")):
+                        callers.add(f"{cls.name}.{fn.name}")
+    assert callers == {"PDCServer.touch_share", "RegionCache.put"}

@@ -18,7 +18,10 @@ every strategy — while holding the system to its core invariants:
   whole;
 * every sorted replica answers like the model — clean coordinates from
   its sorted run, dirty ones from the live payload — and its dirty set is
-  the union of the spans written since its build.
+  the union of the spans written since its build;
+* PDC-HI's answer from the probed bins (``kernels.index_coords``) equals
+  the model, and each index's positions are its slice of the object's one
+  position store.
 
 The example budget comes from the hypothesis profile in
 ``tests/conftest.py`` (fixed-seed in tier-1, ``long`` in CI).
@@ -33,7 +36,8 @@ from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, pr
 
 from repro.interval import Interval
 from repro.pdc import PDCConfig, PDCSystem
-from repro.query.kernels import replica_coords
+from repro.query.kernels import index_coords, replica_coords
+from repro.query.planner import surviving_regions
 from repro.query.ast import Condition, combine_and
 from repro.query.executor import QueryEngine
 from repro.storage.device import DeviceKind
@@ -42,6 +46,7 @@ from repro.types import PDCType, QueryOp
 from tests.conftest import (
     assert_global_histogram_fresh,
     assert_index_file_fresh,
+    assert_index_positions_fresh,
     assert_payload_is_a_prefix_view,
     assert_probe_table_fresh,
 )
@@ -244,6 +249,7 @@ class PDCStateMachine(RuleBasedStateMachine):
                 # Stacked once here, the table is kept current by writes.
                 obj.index_probe_table()
                 assert_probe_table_fresh(obj)
+                assert_index_positions_fresh(obj)
         assert self.system.pfs.bytes_written == self.bytes_written
 
     @invariant()
@@ -266,6 +272,20 @@ class PDCStateMachine(RuleBasedStateMachine):
                 keep = ib.mask(replica.companion_slice("b", start, stop))
             got = replica_coords(replica, checks, start, stop, keep)
             assert np.array_equal(got, np.flatnonzero(want))
+
+    @invariant()
+    def index_answers_equal_the_model(self):
+        if not hasattr(self, "system"):
+            return
+        for name, data in self.model.items():
+            obj = self.system.get_object(name)
+            if obj.indexes is None:
+                continue
+            for iv in (Interval(1.0, 1.3, False), Interval(2.0, 2.05),
+                       Interval(None, 0.4, hi_closed=False)):
+                regions, covered, _ = surviving_regions(obj, iv)
+                got = index_coords(obj, iv, (0, data.size), regions, covered)
+                assert np.array_equal(got, np.flatnonzero(iv.mask(data))), iv
 
     @invariant()
     def alive_count_consistent(self):
