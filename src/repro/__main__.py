@@ -40,7 +40,6 @@ import math
 import sys
 
 from .scenarios import (
-    demo_cluster_run,
     demo_deployment,
     demo_monitor_run,
     demo_serve_run,
@@ -168,34 +167,6 @@ def cmd_monitor(args: argparse.Namespace) -> int:
     if args.alerts:
         write_alerts_jsonl(run.alerts, args.alerts)
         print(f"{len(run.alerts)} alert records -> {args.alerts}")
-    return 0
-
-
-def cmd_cluster(args: argparse.Namespace) -> int:
-    """Elastic-scaling demo: the load-doubling scenario where the
-    autoscaler grows the fleet off the monitor's queue-wait p99 and the
-    tail latency recovers, with every region migration charged in
-    simulated time."""
-    run = demo_cluster_run(
-        seed=args.seed,
-        requests=args.requests,
-        n_servers=args.servers,
-        max_servers=args.max_servers,
-    )
-    print(run.render())
-    if run.alerts:
-        print("alert stream:")
-        for a in run.alerts:
-            print(f"  {a.t_s * 1e3:9.3f} ms  {a.kind.upper():<5} "
-                  f"{a.slo} [{a.window}] burn={a.burn_rate:.2f}")
-    print("membership events:")
-    for ev in run.system.membership.events:
-        print(f"  {ev.t_s * 1e3:9.3f} ms  gen {ev.generation:<3} "
-              f"server {ev.server_id:<3} {ev.kind:<12} -> {ev.state}")
-    print(f"run fingerprint: {run.fingerprint()}")
-    if args.series:
-        run.monitor.recorder.write_jsonl(args.series)
-        print(f"{run.monitor.recorder.total_samples()} samples -> {args.series}")
     return 0
 
 
@@ -761,30 +732,6 @@ def main(argv=None) -> int:
         help="write the alert stream as JSONL to FILE",
     )
     p.set_defaults(func=cmd_monitor)
-
-    p = sub.add_parser(
-        "cluster",
-        help="elastic-scaling demo: membership, live region rebalancing, "
-             "and the metrics-driven autoscaler on a load-doubling run",
-    )
-    p.add_argument("--seed", type=int, default=1234, help="arrival RNG seed")
-    p.add_argument(
-        "--requests", type=_positive_int, default=160,
-        help="number of open-loop requests (default: 160)",
-    )
-    p.add_argument(
-        "--servers", type=int, default=2,
-        help="initial (and minimum) fleet size (default: 2)",
-    )
-    p.add_argument(
-        "--max-servers", type=int, default=8,
-        help="autoscaler fleet ceiling (default: 8)",
-    )
-    p.add_argument(
-        "--series", metavar="FILE",
-        help="write the recorded time series as JSONL to FILE",
-    )
-    p.set_defaults(func=cmd_cluster)
 
     p = sub.add_parser("info", help="version, strategies, scale presets")
     p.set_defaults(func=cmd_info)

@@ -125,21 +125,6 @@ class NoopMonitor:
     ) -> None:
         return None
 
-    def on_migration(
-        self,
-        t_s: float,
-        n_moves: int,
-        moved_vbytes: float,
-        duration_s: float,
-        status: str,
-    ) -> None:
-        return None
-
-    def on_scale_decision(
-        self, t_s: float, action: str, amount: int, n_servers: int, reason: str
-    ) -> None:
-        return None
-
     def on_tick(self, t_s: float) -> None:
         return None
 
@@ -341,16 +326,17 @@ class ServiceMonitor:
             object=object_name,
         )
 
-    # ------------------------------------------------------- cluster hooks
+    # ------------------------------------------------------- cluster hook
     #
-    # Cluster hooks stamp clock-frontier instants (a migration commits at
-    # the post-transfer barrier), which can run *ahead* of the drain
-    # loop's dispatch frontier.  Like the submission-side hooks above,
-    # they therefore only touch series fed exclusively from the cluster
-    # path and never drive the scrape cadence — otherwise a scrape at the
-    # migration frontier would poison drain-fed series (queue depth is
-    # both a registry gauge and a dispatch-hook series) with a timestamp
-    # the next dispatch sample would then precede.
+    # A membership event is stamped at the clock frontier (the latest of
+    # every clock when ``fail_server`` / ``recover_server`` runs), which
+    # can run *ahead* of the drain loop's dispatch frontier.  Like the
+    # submission-side hooks above, it therefore only touches series fed
+    # exclusively from the cluster path and never drives the scrape
+    # cadence — otherwise a scrape at a crash's frontier would poison
+    # drain-fed series (queue depth is both a registry gauge and a
+    # dispatch-hook series) with a timestamp the next dispatch sample
+    # would then precede.
     def on_membership(
         self,
         t_s: float,
@@ -360,8 +346,8 @@ class ServiceMonitor:
         generation: int,
         n_serving: int,
     ) -> None:
-        """One membership transition (join/activate/drain/leave/crash/
-        recover) plus the fleet gauges it implies."""
+        """One membership transition (crash or recover) plus the fleet
+        gauges it implies."""
         self.recorder.record(
             "pdc_cluster_membership_events", t_s, 1.0, kind="event",
             # The transition kind is a label legitimately named like the
@@ -373,38 +359,6 @@ class ServiceMonitor:
         self.recorder.record(
             "pdc_cluster_serving_servers", t_s, float(n_serving)
         )
-
-    def on_migration(
-        self,
-        t_s: float,
-        n_moves: int,
-        moved_vbytes: float,
-        duration_s: float,
-        status: str,
-    ) -> None:
-        """One finished (committed or aborted) region migration: volume
-        series plus the migration-duration SLI."""
-        self.recorder.observe(
-            "pdc_cluster_migration_moves", t_s, float(n_moves), status=status
-        )
-        self.recorder.observe(
-            "pdc_cluster_migration_bytes_virtual", t_s, float(moved_vbytes),
-            status=status,
-        )
-        self.recorder.observe(
-            "pdc_cluster_migration_sim_seconds", t_s, float(duration_s),
-            status=status,
-        )
-        self.slo.observe(t_s, "cluster", "migration", queue_wait_s=duration_s)
-
-    def on_scale_decision(
-        self, t_s: float, action: str, amount: int, n_servers: int, reason: str
-    ) -> None:
-        """One autoscaler action and the resulting fleet size."""
-        self.recorder.observe(
-            "pdc_cluster_scale_decisions", t_s, float(amount), action=action
-        )
-        self.recorder.record("pdc_cluster_servers", t_s, float(n_servers))
 
     # ---------------------------------------------------------------- time
     def on_tick(self, t_s: float) -> None:

@@ -58,7 +58,7 @@ def run_micro_suite() -> Dict[str, float]:
     from ..query.ast import Condition
     from ..query.executor import QueryEngine
     from ..query.scheduler import QueryScheduler
-    from ..scenarios import demo_cluster_run, demo_deployment, demo_monitor_run
+    from ..scenarios import demo_deployment, demo_monitor_run
     from ..strategies import Strategy
     from ..types import PDCType, QueryOp
 
@@ -228,31 +228,6 @@ def run_micro_suite() -> Dict[str, float]:
     out["monitor.bursty.p99_queue_wait_sim_seconds"] = (
         mrun.service.stats["bursty"].p99_queue_wait_s
     )
-
-    # Elastic-cluster pins: the load-doubling scenario's membership
-    # events, copy-then-commit migrations, and autoscaler decisions are
-    # all pure functions of the simulated event stream, so the fleet
-    # trajectory and per-phase tail waits pin exactly.  A drift here
-    # means the rebalancer's migration charging, the membership
-    # transitions, or the hysteresis controller changed.
-    crun = demo_cluster_run(requests=120)
-    out["cluster.scale_out"] = float(
-        sum(1 for d in crun.autoscaler.decisions if d.action == "scale_out")
-    )
-    out["cluster.scale_in"] = float(
-        sum(1 for d in crun.autoscaler.decisions if d.action == "scale_in")
-    )
-    out["cluster.servers_after"] = float(crun.servers_after)
-    out["cluster.membership_events"] = float(
-        len(crun.system.membership.events)
-    )
-    out["cluster.migrations"] = float(len(crun.manager.to_records()))
-    out["cluster.moved_bytes_virtual"] = float(
-        sum(r["moved_vbytes"] for r in crun.manager.to_records())
-    )
-    out["cluster.p99_pre_sim_seconds"] = crun.p99_pre_s
-    out["cluster.p99_recovered_sim_seconds"] = crun.p99_recovered_s
-    out["cluster.sim_seconds"] = crun.t_end
 
     return out
 

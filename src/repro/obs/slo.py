@@ -23,9 +23,8 @@ with their simulated timestamps, each observation (and each explicit
 :meth:`~SLOMonitor.evaluate` tick) re-evaluates burn rates, and state
 transitions append to a deterministic, replayable :class:`Alert` stream:
 identical inputs produce a byte-identical stream
-(:meth:`~SLOMonitor.fingerprint`), which is what lets a future
-autoscaler treat alerts as a reliable control signal rather than a
-flaky notification.
+(:meth:`~SLOMonitor.fingerprint`), so a run's alerts replay exactly
+from its seed.
 """
 
 from __future__ import annotations
@@ -51,10 +50,8 @@ __all__ = ["SLI_NAMES", "SLO", "Alert", "SLOState", "SLOMonitor"]
 #: * ``timeout``   — bad when the completed request hit its simulated
 #:   execution deadline;
 #: * ``ingest_lag`` — judges ``ingest_epoch`` observations only: bad
-#:   when the epoch's apply lag exceeded ``threshold_s``;
-#: * ``migration`` — judges cluster ``migration`` observations only: bad
-#:   when the migration's simulated duration exceeded ``threshold_s``.
-SLI_NAMES = ("queue_wait", "shed", "error", "timeout", "ingest_lag", "migration")
+#:   when the epoch's apply lag exceeded ``threshold_s``.
+SLI_NAMES = ("queue_wait", "shed", "error", "timeout", "ingest_lag")
 
 
 @dataclass(frozen=True)
@@ -86,7 +83,7 @@ class SLO:
                 f"SLO {self.name!r}: objective must be in (0, 1), "
                 f"got {self.objective}"
             )
-        if self.sli in ("queue_wait", "ingest_lag", "migration") and (
+        if self.sli in ("queue_wait", "ingest_lag") and (
             self.threshold_s is None or self.threshold_s < 0.0
         ):
             raise PDCError(
@@ -128,14 +125,8 @@ class SLO:
             if outcome != "ingest_epoch" or queue_wait_s is None:
                 return None
             return queue_wait_s > self.threshold_s
-        if self.sli == "migration":
-            # Judges migrations only; queue_wait_s carries the duration.
-            if outcome != "migration" or queue_wait_s is None:
-                return None
-            return queue_wait_s > self.threshold_s
-        if outcome in ("ingest_epoch", "migration"):
-            # Ingest epochs and migrations are outside every
-            # request-oriented SLI.
+        if outcome == "ingest_epoch":
+            # Ingest epochs are outside every request-oriented SLI.
             return None
         if self.sli == "queue_wait":
             if outcome == "shed":

@@ -16,12 +16,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..bitmap.index import IndexProbeTable, RegionBitmapIndex, position_dtype
-from ..cluster.membership import (
-    CRASHED,
-    GONE,
-    SERVING_STATES,
-    MembershipRegistry,
-)
+from ..cluster.membership import CRASHED, LIVE, MembershipRegistry
 from ..errors import ObjectNotFoundError, PDCError, QueryError
 from ..histogram.global_hist import GlobalHistogram
 from ..ingest import maintain as write
@@ -86,8 +81,6 @@ class PDCConfig:
     #: get_data reads whole regions holding hits (block-index style, the
     #: PDC behaviour); False reads aggregated hit extents (ablation).
     get_data_whole_regions: bool = True
-    #: Metadata shards; 0 means one per server.
-    n_meta_shards: int = 0
     #: What happens to a sorted replica when a covered object is written:
     #: ``"drop"`` deletes it (the pre-ingest behaviour — a sorted copy
     #: cannot be patched in place, §III-D3); ``"mark_stale"`` and
@@ -272,8 +265,7 @@ class PDCSystem:
             default_stripe_count=self.config.pdc_stripe_count,
             metrics=self.metrics,
         )
-        n_shards = self.config.n_meta_shards or self.config.n_servers
-        self.metadata = MetadataService(n_shards, self.pfs, self.cost)
+        self.metadata = MetadataService(self.config.n_servers, self.pfs, self.cost)
         self.servers: List[PDCServer] = [
             PDCServer(
                 i, self.cost, self.config.server_memory_bytes, metrics=self.metrics
@@ -284,15 +276,13 @@ class PDCSystem:
             s.tracer = self.tracer
             s.monitor = self.monitor
         self.client_clock = SimClock("client")
-        #: Membership registry: every server lifecycle change (including
-        #: :meth:`fail_server`) is one of its transitions.
+        #: Membership registry: :meth:`fail_server` and
+        #: :meth:`recover_server` are its two transitions.
         self.membership = MembershipRegistry(range(self.config.n_servers))
-        #: The serving set (live and draining servers, ascending id), the
-        #: one input of routing; rebuilt on every membership event, so a
-        #: caller's earlier copy keeps its view.
+        #: The serving set (live servers, ascending id), the one input of
+        #: routing; rebuilt on every membership event, so a caller's
+        #: earlier copy keeps its view.
         self._serving: Tuple[PDCServer, ...] = tuple(self.servers)
-        self._n_servers = len(self.servers)
-        self.membership.subscribe(self._on_membership_event)
         self._cluster_events_metric = None
         #: Deterministic fault plan (:mod:`repro.faults`); None = no faults.
         self.fault_plan = None
@@ -313,11 +303,8 @@ class PDCSystem:
     # ----------------------------------------------------------------- config
     @property
     def n_servers(self) -> int:
-        """Provisioned (non-retired) server count.  Crashed servers still
-        count — the pre-cluster fleet size semantics — while servers that
-        completed a drain-and-leave are excluded, so after a scale-in the
-        count matches a static cluster of the final view."""
-        return self._n_servers
+        """Provisioned server count; crashed servers still count."""
+        return len(self.servers)
 
     @property
     def strategy(self) -> Strategy:
@@ -354,51 +341,21 @@ class PDCSystem:
     # ------------------------------------------------------------- membership
     @property
     def alive_servers(self) -> Tuple[PDCServer, ...]:
-        """Servers currently in service, ascending by id (live and
-        draining members; joining, crashed, and retired servers are
-        excluded from routing)."""
+        """Servers currently in service, ascending by id (crashed servers
+        are excluded from routing)."""
         return self._serving
-
-    def add_server(self) -> int:
-        """Provision one new server in the JOINING state: its clock runs
-        from the current frontier but it serves no regions until a
-        rebalance commit activates it.  Returns the new server id."""
-        t = max(c.now for c in self.all_clocks())
-        sid = len(self.servers)
-        server = PDCServer(
-            sid, self.cost, self.config.server_memory_bytes, metrics=self.metrics
-        )
-        server.tracer = self.tracer
-        server.monitor = self.monitor
-        server.fault_plan = self.fault_plan
-        server.clock.advance_to(t)
-        self.servers.append(server)
-        self.membership.join(t, sid)
-        return sid
-
-    def drain_server(self, server_id: int) -> None:
-        """Begin decommissioning: the server keeps serving its share
-        until a rebalance commit migrates it away and retires it."""
-        t = max(c.now for c in self.all_clocks())
-        self.membership.drain(t, server_id)
 
     def _on_membership_event(self, event) -> None:
         """The single code path every membership change funnels through:
-        the serving set, cache drops, and observability all follow here
-        whether the trigger was ``fail_server`` or a scaling migration."""
+        the serving set, cache drops, and observability all follow here."""
         sid = event.server_id
         kind = event.kind
-        registry = self.membership
-        self._serving = tuple(self.servers[i] for i in registry.serving_ids)
-        self._n_servers = len(self.servers) - len(registry.ids_in(GONE))
+        self._serving = tuple(self.servers[i] for i in self.membership.ids_in(LIVE))
         if kind == "crash":
             self.servers[sid].drop_caches()
             self._notify_invalidation(None)
-        elif kind == "recover":
-            t = max(c.now for c in self.all_clocks())
-            self.servers[sid].clock.advance_to(t)
-        elif kind == "leave":
-            self.servers[sid].drop_caches()
+        else:
+            self.servers[sid].clock.advance_to(event.t_s)
         if self._cluster_events_metric is None:
             # Lazily declared so a deployment with no membership events
             # renders exactly the pre-cluster metric families.
@@ -430,27 +387,24 @@ class PDCSystem:
         transition — failover, cache invalidation, and monitor series all
         observe the one event stream.
         """
-        if not self.membership.knows(server_id) or (
-            self.membership.state(server_id) == GONE
-        ):
+        if not self.membership.knows(server_id):
             raise PDCError(f"no server {server_id}")
-        state = self.membership.state(server_id)
-        if state == CRASHED:
+        if self.membership.state(server_id) == CRASHED:
             # Idempotent re-crash (pre-membership behaviour): re-drop the
             # caches and re-signal invalidation, no new event.
             self.servers[server_id].drop_caches()
             self._notify_invalidation(None)
             return
-        if state in SERVING_STATES and len(self.alive_servers) <= 1:
+        if len(self.alive_servers) <= 1:
             raise PDCError("cannot fail the last alive server")
         t = max(c.now for c in self.all_clocks())
-        self.membership.crash(t, server_id)
+        self._on_membership_event(self.membership.crash(t, server_id))
 
     def register_invalidation_hook(self, hook) -> None:
         """Subscribe ``hook(name, regions)`` to staleness events: the
         object name and affected region ids after a write, ``(None,
         None)`` — the conservative whole-system signal — after a server
-        failure or a migration commit."""
+        failure."""
         if hook not in self._invalidation_hooks:
             self._invalidation_hooks.append(hook)
 
@@ -471,7 +425,7 @@ class PDCSystem:
         ):
             raise PDCError(f"server {server_id} is not failed")
         t = max(c.now for c in self.all_clocks())
-        self.membership.recover(t, server_id)
+        self._on_membership_event(self.membership.recover(t, server_id))
 
     # ------------------------------------------------------------- containers
     def create_container(self, name: str, tags: Optional[Dict[str, TagValue]] = None) -> Container:

@@ -356,7 +356,7 @@ def _uncached_fraction(
 ) -> float:
     """Fraction of the given regions not resident in their live owner's
     cache — the server the executor would route each read to, which after
-    a failover, retirement or rebalance is not ``rid % n_servers``."""
+    a failover is not ``rid % n_servers``."""
     if region_ids.size == 0:
         return 0.0
     keys = system.region_keys(name, replica, int(region_ids.max()) + 1)

@@ -390,8 +390,8 @@ class QueryScheduler:
     ) -> None:
         """The system's invalidation hook, ``(name, regions)``: a write
         makes that object's entries stale over the written regions' spans
-        and records its element count; ``(None, None)`` — a failure or a
-        migration commit — clears the cache."""
+        and records its element count; ``(None, None)`` — a server
+        failure — clears the cache."""
         if self.selection_cache is None:
             return
         if object_name is None:

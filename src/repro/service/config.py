@@ -29,7 +29,7 @@ directly — see docs/service.md.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Tuple
 
 from ..errors import PDCError
@@ -124,11 +124,6 @@ class ServiceConfig:
     #: defaults.  Kept untyped here to avoid importing the ingest stack
     #: for query-only services.
     ingest: Optional[object] = None
-    #: Autoscaler driven from the drain loop
-    #: (:class:`repro.cluster.autoscale.Autoscaler`); None disables
-    #: elastic scaling.  Kept untyped here to avoid importing the
-    #: cluster stack for fixed-fleet services.
-    autoscaler: Optional[object] = None
 
     def __post_init__(self) -> None:
         if not self.tenants:

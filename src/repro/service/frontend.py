@@ -466,11 +466,6 @@ class QueryService:
             now = self._now()
             if monitor.enabled:
                 monitor.on_tick(now)
-            if self.config.autoscaler is not None:
-                # Elastic scaling rides the same heartbeat as SLO
-                # re-evaluation: decisions are a pure function of the
-                # simulated event stream, so drains replay bit-identically.
-                self.config.autoscaler.on_tick(now)
             processed.extend(self._shed_expired(now))
             eligible = self._eligible_heads(now)
             if not eligible:

@@ -1,11 +1,10 @@
-"""Elastic-cluster equivalence contracts.
+"""Cluster equivalence contracts.
 
-Two claims ride the whole subsystem:
+Two claims ride membership:
 
-* **Static equivalence** — after elastic churn lands on the canonical
-  map of some final view, a workload replayed from reset clocks and
-  cold caches is bit-identical (answers *and* clocks) to the same
-  workload on a static cluster built at that view.
+* **Recovered equivalence** — after a crash and a recovery, a workload
+  replayed from reset clocks and cold caches is bit-identical (answers
+  *and* clocks) to the same workload on a fleet that never failed.
 * **Default-off bit-identity** — a deployment that never exercises the
   cluster APIs behaves exactly as one built before the subsystem
   existed: no membership events, no ``pdc_cluster_*`` series, identical
@@ -15,7 +14,6 @@ Two claims ride the whole subsystem:
 
 import numpy as np
 
-from repro.cluster.rebalance import ClusterManager
 from repro.faults import FaultConfig, FaultPlan
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.monitor import ServiceMonitor
@@ -32,12 +30,10 @@ def cond(name, op, value):
 
 
 def build_system(n_servers, metrics=None):
-    """Identical payloads on any fleet size (fixed meta shards so the
-    metadata layout never depends on the starting fleet)."""
+    """Identical payloads on any fleet size."""
     sysm = make_system(
         n_servers=n_servers,
         region_size_bytes=1 << 11,
-        n_meta_shards=4,
         metrics=metrics,
     )
     rng = np.random.default_rng(99)
@@ -69,47 +65,31 @@ def run_workload(sysm):
     return answers, clocks, sysm.client_clock.now
 
 
-class TestStaticEquivalence:
-    """Satellite: elastic churn, then the canonical final view replays
-    bit-identically to a static cluster built at that view."""
+class TestRecoveredEquivalence:
+    """A crashed-then-recovered fleet replays bit-identically to a fleet
+    that never failed: recovery rejoins by the routing rule, so nothing
+    has to be copied back."""
 
-    def test_scale_out_matches_static_cluster(self):
-        elastic = build_system(2)
-        ClusterManager(elastic).scale_out(2)  # 2 -> 4, canonical view
-        zero_clocks(elastic)
-        elastic.drop_all_caches()
+    def test_recovered_matches_static_cluster(self):
+        recovered = build_system(4)
+        recovered.fail_server(2)
+        QueryEngine(recovered).execute(WORKLOAD[1])  # runs on 3 servers
+        recovered.recover_server(2)
+        zero_clocks(recovered)
+        recovered.drop_all_caches()
         static = build_system(4)
-        assert list(elastic.alive_servers) == elastic.servers
-        assert run_workload(elastic) == run_workload(static)
-
-    def test_scale_in_matches_static_cluster(self):
-        elastic = build_system(4)
-        ClusterManager(elastic).scale_in(1)  # 4 -> 3, server 3 gone
-        zero_clocks(elastic)
-        elastic.drop_all_caches()
-        static = build_system(3)
-        assert elastic.n_servers == 3
-        assert run_workload(elastic) == run_workload(static)
-
-    def test_churned_cluster_matches_static_after_out_and_in(self):
-        elastic = build_system(2)
-        manager = ClusterManager(elastic)
-        manager.scale_out(2)  # 2 -> 4
-        manager.scale_in(2)   # 4 -> 2: back to servers {0, 1}
-        zero_clocks(elastic)
-        elastic.drop_all_caches()
-        static = build_system(2)
-        assert run_workload(elastic) == run_workload(static)
+        assert list(recovered.alive_servers) == recovered.servers
+        assert run_workload(recovered) == run_workload(static)
 
 
 class TestInterleavings:
-    """Satellite: migrations interleaved with ingest, batch windows, and
+    """Crash and recovery interleaved with ingest, batch windows, and
     fault plans keep answers exact and replay bit-identically."""
 
     def interleaved_run(self, seed):
         from repro.service import QueryService, ServiceConfig, Tenant
 
-        sysm = build_system(2)
+        sysm = build_system(3)
         sysm.set_fault_plan(
             FaultPlan(
                 seed=seed,
@@ -118,7 +98,6 @@ class TestInterleavings:
         )
         monitor = ServiceMonitor()
         sysm.set_monitor(monitor)
-        manager = ClusterManager(sysm)
         svc = QueryService(
             sysm,
             ServiceConfig(tenants=(Tenant("t"),), policy="fifo", batch_window=2),
@@ -137,38 +116,39 @@ class TestInterleavings:
             svc.drain()
             return t, tickets
 
+        # (threshold, ticket, truth as of its burst) for every request.
         tickets = []
         t = max(c.now for c in sysm.all_clocks())
         t, got = burst(t)
-        tickets += got
-        manager.scale_out(1)  # 2 -> 3 mid-workload
+        tickets += [(thr, tk, truth) for thr, tk in got]
+        sysm.fail_server(1)  # 3 -> 2 serving, mid-workload
         extra = rng.gamma(2.0, 0.7, 1 << 10).astype(np.float32)
         sysm.append_to_object("energy", extra)  # ingest between windows
         truth = np.concatenate([truth, extra])
         t = max(t, max(c.now for c in sysm.all_clocks()))
         t, got = burst(t)
-        tickets += got
-        manager.scale_in(1)  # 3 -> 2
+        tickets += [(thr, tk, truth) for thr, tk in got]
+        sysm.recover_server(1)  # 2 -> 3 serving
         t = max(t, max(c.now for c in sysm.all_clocks()))
         t, got = burst(t)
-        tickets += got
+        tickets += [(thr, tk, truth) for thr, tk in got]
         svc.close()
 
-        for thr, ticket in tickets:
+        for thr, ticket, _ in tickets:
             assert ticket.status == "done"
-            # Exactness through every interleaving: each answer matches
-            # the ground truth as of its batch (appends land between
-            # bursts, never inside one).
         state = tuple(
-            (tk.status, tk.queue_wait_s, tk.result.nhits) for _, tk in tickets
+            (tk.status, tk.queue_wait_s, tk.result.nhits) for _, tk, _ in tickets
         )
         clocks = tuple(c.now for c in sysm.all_clocks())
-        return state, clocks, sysm.membership.fingerprint(), truth, tickets
+        return state, clocks, list(sysm.membership.events), tickets
 
     def test_answers_exact_through_churn_and_ingest(self):
-        state, _, _, truth, tickets = self.interleaved_run(31)
-        # The last burst ran against the fully appended object.
-        for thr, ticket in tickets[-6:]:
+        _, _, events, tickets = self.interleaved_run(31)
+        assert [e.kind for e in events] == ["crash", "recover"]
+        # Exactness through every interleaving: each answer matches the
+        # ground truth as of its burst (appends land between bursts,
+        # never inside one).
+        for thr, ticket, truth in tickets:
             assert ticket.result.nhits == int((truth > thr).sum())
 
     def test_same_seed_interleaved_run_is_bit_identical(self):

@@ -65,16 +65,6 @@ class TestMicroSuite:
         )
 
 
-    def test_cluster_leg_scales_out_and_recovers(self, micro_suite):
-        # The load-doubling scenario's contract, so a re-baseline cannot
-        # silently pin a run that never reacted or never recovered.
-        assert micro_suite["cluster.scale_out"] >= 1
-        assert (
-            micro_suite["cluster.p99_recovered_sim_seconds"]
-            <= 2 * micro_suite["cluster.p99_pre_sim_seconds"]
-        )
-
-
 class TestCompare:
     def _baseline(self, metrics, tolerances=None):
         return {"metrics": metrics, "tolerances": tolerances or {"*": 1e-9}}

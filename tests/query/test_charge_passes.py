@@ -327,7 +327,7 @@ def reference_loop(server, accesses, preload, on_lost):
         flag = lookup(server, key)
         if not flag:
             if read(key):
-                server.cache.put(key, nbytes=nbytes)
+                server.cache.tally(0, 0, server.cache.admit(key, nbytes))
             else:
                 flag = None
         flags.append(flag)
@@ -581,9 +581,9 @@ def test_faults_and_tracing_never_enter_ensure_region(monkeypatch):
 def test_shares_arrive_as_columns_through_one_body(monkeypatch):
     """Every share reaches ``touch_share`` as columns — lists of plain
     values, no per-access tuple — and the LRU walk has no second home:
-    ``RegionCache.admit`` / ``tally`` are called from ``touch_share`` and
-    ``RegionCache.put`` alone, and the per-access passes the one pass
-    replaced (``touch_many``, ``charge_many``) are gone."""
+    ``RegionCache.admit`` / ``tally`` are called from ``touch_share``
+    alone, and the per-access passes the one pass replaced
+    (``touch_many``, ``charge_many``, ``RegionCache.put``) are gone."""
     shares = []
     original = PDCServer.touch_share
 
@@ -609,6 +609,7 @@ def test_shares_arrive_as_columns_through_one_body(monkeypatch):
     assert len(shares) > 100 and max(shares) > 1
 
     assert not hasattr(RegionCache, "touch_many") and not hasattr(SimClock, "charge_many")
+    assert not hasattr(RegionCache, "put")
     callers = set()
     for path in pathlib.Path(inspect.getfile(repro)).parent.rglob("*.py"):
         tree = ast.parse(path.read_text())
@@ -618,4 +619,4 @@ def test_shares_arrive_as_columns_through_one_body(monkeypatch):
                     if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
                             and node.func.attr in ("admit", "tally")):
                         callers.add(f"{cls.name}.{fn.name}")
-    assert callers == {"PDCServer.touch_share", "RegionCache.put"}
+    assert callers == {"PDCServer.touch_share"}

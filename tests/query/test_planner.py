@@ -182,8 +182,8 @@ def all_resident_at_live_owner(sysm, name):
 class TestResidencyFollowsLiveOwner:
     """Regression: the planner looked for region ``rid`` in
     ``servers[rid % n_servers]`` — not where the executor routes it once a
-    server failed or a migration committed — and so priced a fully
-    resident object as (mostly) cold."""
+    server failed — and so priced a fully resident object as (mostly)
+    cold."""
 
     @pytest.fixture
     def canonical_warm(self, env):
@@ -206,14 +206,10 @@ class TestResidencyFollowsLiveOwner:
         assert warm_estimates(twin) == canonical_warm
         assert all_resident_at_live_owner(twin, "energy")
 
-    def test_after_scale_out(self, twin):
-        from repro.cluster import ClusterManager
-
-        ClusterManager(twin).scale_out(1)
-        static = make_system(n_servers=5, region_size_bytes=1 << 11)
-        for name in ("energy", "x"):
-            static.create_object(name, twin.get_object(name).data)
-        assert warm_estimates(twin) == warm_estimates(static)
+    def test_after_recover_server(self, twin, canonical_warm):
+        twin.fail_server(1)
+        twin.recover_server(1)
+        assert warm_estimates(twin) == canonical_warm
         assert all_resident_at_live_owner(twin, "x")
 
     def test_replica_regions_after_fail_server(self, env):

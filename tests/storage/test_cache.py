@@ -10,6 +10,12 @@ from repro.storage.cache import RegionCache
 from repro.storage.costmodel import CostModel
 
 
+def put(c, key, nbytes):
+    """Insert the way ``PDCServer.touch_share`` does: admit, then tally
+    the evictions it made."""
+    c.tally(0, 0, c.admit(key, nbytes))
+
+
 class TestBasics:
     def test_miss_then_hit(self):
         c = RegionCache(100)
@@ -22,7 +28,7 @@ class TestBasics:
 
     def test_lookup_size_only_entry(self):
         c = RegionCache(100)
-        c.put("a", nbytes=10)
+        put(c, "a", nbytes=10)
         assert c.lookup("a")
         assert c.contains("a")
 
@@ -32,7 +38,7 @@ class TestBasics:
         the rest of its region is dropped."""
         server = PDCServer(0, CostModel())
         c = server.cache
-        c.put("a", nbytes=10)
+        put(c, "a", nbytes=10)
         plan = FaultPlan(0, FaultConfig(pfs_read_error_rate=1.0, max_retries=0))
         asked = []
         fails = plan.pfs_read_fails
@@ -56,12 +62,12 @@ class TestBasics:
         assert asked == ["b", "b"] and not c.contains("c")
 
     def test_admit_leaves_evictions_to_the_tally(self):
-        """``admit`` evicts as ``put`` does but counts the evictions only
-        when the caller tallies them, once — stats and metric alike."""
+        """``admit`` evicts but counts the evictions only when the caller
+        tallies them, once — stats and metric alike."""
         m = MetricsRegistry()
         c = RegionCache(25, metrics=m, owner="s0")
-        c.put("a", 10)
-        c.put("b", 10)
+        put(c, "a", 10)
+        put(c, "b", 10)
         assert c.admit("c", 20) == 2
         assert c.stats.evictions == 0 and list(dict(c.entries())) == ["c"]
         c.tally(0, 1, 2)
@@ -73,9 +79,9 @@ class TestBasics:
         assert removals["capacity"] == 2.0
         assert c.admit("big", 30) == 0 and not c.contains("big")
 
-    def test_put_requires_size(self):
+    def test_admit_requires_size(self):
         with pytest.raises(TypeError):
-            RegionCache(100).put("a")
+            RegionCache(100).admit("a")
 
     def test_bad_capacity(self):
         with pytest.raises(ValueError):
@@ -83,15 +89,15 @@ class TestBasics:
 
     def test_invalidate(self):
         c = RegionCache(100)
-        c.put("a", 10)
+        put(c, "a", 10)
         assert c.invalidate("a")
         assert not c.invalidate("a")
         assert not c.contains("a")
 
     def test_clear(self):
         c = RegionCache(100)
-        c.put("a", 10)
-        c.put("b", 10)
+        put(c, "a", 10)
+        put(c, "b", 10)
         c.clear()
         assert len(c) == 0 and c.used_bytes == 0
 
@@ -99,30 +105,30 @@ class TestBasics:
 class TestEviction:
     def test_lru_eviction_order(self):
         c = RegionCache(30)
-        c.put("a", 10)
-        c.put("b", 10)
-        c.put("c", 10)
+        put(c, "a", 10)
+        put(c, "b", 10)
+        put(c, "c", 10)
         assert c.lookup("a")  # refresh a → b is LRU
-        c.put("d", 10)
+        put(c, "d", 10)
         assert c.contains("a") and c.contains("c") and c.contains("d")
         assert not c.contains("b")
         assert c.stats.evictions == 1
 
     def test_oversized_entry_not_cached(self):
         c = RegionCache(10)
-        assert not c.put("big", 20)
+        assert c.admit("big", 20) == 0
         assert len(c) == 0
 
     def test_replace_same_key(self):
         c = RegionCache(100)
-        c.put("a", 10)
-        c.put("a", 30)
+        put(c, "a", 10)
+        put(c, "a", 30)
         assert c.used_bytes == 30 and len(c) == 1
 
     def test_capacity_respected(self):
         c = RegionCache(50)
         for i in range(20):
-            c.put(f"k{i}", 10)
+            put(c, f"k{i}", 10)
         assert c.used_bytes <= 50
         assert len(c) <= 5
 
@@ -134,8 +140,8 @@ class TestRemovalAccounting:
 
     def test_invalidate_counted_in_stats(self):
         c = RegionCache(100)
-        c.put("a", 10)
-        c.put("b", 10)
+        put(c, "a", 10)
+        put(c, "b", 10)
         assert c.invalidate("a")
         assert c.stats.invalidations == 1
         assert c.stats.evictions == 0  # not a capacity eviction
@@ -145,7 +151,7 @@ class TestRemovalAccounting:
     def test_clear_counts_dropped_entries(self):
         c = RegionCache(100)
         for i in range(3):
-            c.put(f"k{i}", 10)
+            put(c, f"k{i}", 10)
         c.clear()
         assert c.stats.clears == 3
         c.clear()  # empty cache: nothing more to count
@@ -154,7 +160,7 @@ class TestRemovalAccounting:
     def test_removal_reasons_reconcile_with_inserts(self):
         c = RegionCache(30)
         for i in range(4):
-            c.put(f"k{i}", 10)  # 4th insert evicts k0
+            put(c, f"k{i}", 10)  # 4th insert evicts k0
         c.invalidate("k1")
         c.clear()
         removed = c.stats.evictions + c.stats.invalidations + c.stats.clears
@@ -165,7 +171,7 @@ class TestRemovalAccounting:
         registry = MetricsRegistry()
         c = RegionCache(30, metrics=registry, owner="server0")
         for i in range(4):
-            c.put(f"k{i}", 10)
+            put(c, f"k{i}", 10)
         c.invalidate("k1")
         c.clear()
         fam = registry.counter(
@@ -184,15 +190,15 @@ class TestVirtualScale:
         # 64 "virtual GB" capacity with scale 1000: a 1 KB real payload
         # occupies 1 MB virtual.
         c = RegionCache(5_000_000, virtual_scale=1000.0)
-        c.put("a", 1000)
+        put(c, "a", 1000)
         assert c.used_bytes == pytest.approx(1_000_000)
         for i in range(10):
-            c.put(f"k{i}", 1000)
+            put(c, f"k{i}", 1000)
         assert c.used_bytes <= 5_000_000
 
     def test_contains_does_not_touch_stats(self):
         c = RegionCache(100)
-        c.put("a", 10)
+        put(c, "a", 10)
         h, m = c.stats.hits, c.stats.misses
         c.contains("a")
         c.contains("zzz")
@@ -201,6 +207,6 @@ class TestVirtualScale:
     def test_hit_rate(self):
         c = RegionCache(100)
         assert c.stats.hit_rate == 0.0
-        c.put("a", 1)
+        put(c, "a", 1)
         c.tally(c.lookup("a"), not c.lookup("b"), 0)
         assert c.stats.hit_rate == pytest.approx(0.5)

@@ -143,7 +143,6 @@ class TestOutputPathErrors:
             ["monitor", "--requests", "30", "--openmetrics"],
             ["monitor", "--requests", "30", "--series"],
             ["monitor", "--requests", "30", "--alerts"],
-            ["cluster", "--requests", "30", "--series"],
         ],
         ids=lambda argv: " ".join(a for a in argv if not a.startswith("{")),
     )
@@ -163,7 +162,6 @@ DEMOS = [
     (["metrics"], "# TYPE pdc_query_sim_seconds histogram"),
     (["serve", "--requests", "12"], "query-service demo: 12 requests"),
     (["monitor", "--requests", "30"], "alert fingerprint: "),
-    (["cluster", "--requests", "30"], "run fingerprint: "),
     (["selftest", "--report"], "selftest: PASS"),
 ]
 
@@ -193,7 +191,6 @@ class TestBadInput:
             ["serve", "--rate", "-5"],
             ["batch", "--width", "0"],
             ["monitor", "--requests", "30", "--watch", "--step", "0"],
-            ["cluster", "--requests", "-3"],
             ["serve", "--requests", "-1"],
             ["monitor", "--requests", "0"],
             ["batch", "--queries", "-1"],
