@@ -3,9 +3,10 @@ systems.
 
 Reproduction of Tang, Byna, Dong & Koziol, *"Parallel Query Service for
 Object-centric Data Management Systems"*, IPDPS 2020.  The package builds
-every system the paper depends on — a simulated SPMD runtime, a simulated
-Lustre-like parallel file system with a calibrated cost model, the PDC
-object-management substrate, mergeable global histograms (Algorithm 1),
+every system the paper depends on — a simulated Lustre-like parallel file
+system with a calibrated cost model, the PDC object-management substrate
+(in-process servers whose plan broadcast and result gather are priced on
+simulated clocks), mergeable global histograms (Algorithm 1),
 WAH bitmap indexes, sorted replicas — and the PDC-Query engine on top.
 
 Quickstart::

@@ -14,8 +14,8 @@ Gives the open-source release a zero-code entry point:
 * ``python -m repro metrics`` — run a demo workload and print the metrics
   registry in Prometheus text exposition format;
 * ``python -m repro faults`` — run the demo workload under deterministic
-  fault injection (PFS read errors, stragglers, server crashes, message
-  drops) and report retries, failovers, and degraded results;
+  fault injection (PFS read errors, stragglers, server crashes) and
+  report retries, failovers, and degraded results;
 * ``python -m repro batch`` — shared-scan batching demo: bytes read by a
   window of overlapping queries, isolated vs batched;
 * ``python -m repro explain <demo-query>`` — the planner's plan
@@ -231,13 +231,6 @@ def cmd_selftest(args: argparse.Namespace) -> int:
             f"  {strategy.paper_label:<9} -> {used:<8} {res.nhits:>6} hits "
             f"({res.elapsed_s * 1e3:7.2f} simulated ms)  {status}"
         )
-    # Distributed transport cross-check.
-    from .pdc.transport import run_distributed_query
-
-    wire = run_distributed_query(system, node, n_server_ranks=4)
-    wire_ok = wire.size == truth
-    failures += not wire_ok
-    print(f"  simmpi wire path        {wire.size:>6} hits  {'ok' if wire_ok else 'FAIL'}")
     if trace_path:
         system.tracer.write_chrome(trace_path)
         print(f"  trace: {len(system.tracer.spans)} spans -> {trace_path}")
@@ -414,8 +407,6 @@ def cmd_faults(args: argparse.Namespace) -> int:
         pfs_slow_rate=args.pfs_slow_rate,
         server_crash_rate=args.crash_rate,
         server_slow_rate=args.slow_rate,
-        msg_drop_rate=args.drop_rate,
-        msg_delay_rate=args.delay_rate,
         query_timeout_s=args.timeout,
     )
     registry = MetricsRegistry()
@@ -447,17 +438,6 @@ def cmd_faults(args: argparse.Namespace) -> int:
         # Crashed servers rejoin (cold) before the next strategy runs.
         for sid in system.membership.ids_in(CRASHED):
             system.recover_server(sid)
-    # Wire-path leg: message drops are retransmitted deterministically.
-    from .errors import TransportError
-    from .pdc.transport import run_distributed_query
-
-    try:
-        wire = run_distributed_query(system, node, n_server_ranks=4)
-        wire_ok = wire.size == truth
-        failures += not wire_ok
-        print(f"  simmpi wire {wire.size:>6}/{truth} hits  {'ok' if wire_ok else 'FAIL'}")
-    except TransportError as exc:
-        print(f"  simmpi wire gave up after retransmit budget: {exc}")
     print()
     print("injected faults by kind:")
     for kind, count in sorted(plan.snapshot().items()):
@@ -467,8 +447,7 @@ def cmd_faults(args: argparse.Namespace) -> int:
     fault_metrics = [
         line
         for line in registry.render().splitlines()
-        if ("fault" in line or "lost" in line or "degraded" in line
-            or "timeout" in line or "dropped" in line or "delayed" in line)
+        if ("fault" in line or "lost" in line or "degraded" in line or "timeout" in line)
         and not line.startswith("#")
     ]
     if fault_metrics:
@@ -646,14 +625,6 @@ def main(argv=None) -> int:
     p.add_argument(
         "--slow-rate", type=float, default=0.1,
         help="per-query server straggler probability (default: 0.1)",
-    )
-    p.add_argument(
-        "--drop-rate", type=float, default=0.02,
-        help="wire message drop probability (default: 0.02)",
-    )
-    p.add_argument(
-        "--delay-rate", type=float, default=0.05,
-        help="wire message delay probability (default: 0.05)",
     )
     p.add_argument(
         "--timeout", type=_positive_float, default=None,

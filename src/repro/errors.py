@@ -2,8 +2,7 @@
 
 Every error raised by the library derives from :class:`PDCError`, so callers
 can catch a single base class.  Sub-classes mirror the major subsystems:
-storage, metadata, query construction / evaluation, and the simulated
-runtime.
+storage, metadata, and query construction / evaluation.
 """
 
 from __future__ import annotations
@@ -21,8 +20,6 @@ __all__ = [
     "SelectionError",
     "QueryTimeoutError",
     "RegionUnavailableError",
-    "TransportError",
-    "RuntimeAbort",
     "IndexError_",
 ]
 
@@ -77,14 +74,6 @@ class SelectionError(QueryError):
 
 class QueryTimeoutError(QueryError):
     """A query exceeded its simulated-time budget (see :mod:`repro.faults`)."""
-
-
-class TransportError(PDCError):
-    """The simulated client/server transport failed to deliver a message."""
-
-
-class RuntimeAbort(PDCError):
-    """The simulated SPMD runtime aborted (a rank raised an exception)."""
 
 
 class IndexError_(PDCError):

@@ -1,24 +1,24 @@
 """Deterministic fault plans: seeded, reproducible failure injection.
 
 The query service must survive the failure modes a production deployment
-sees — failed or slow PFS reads, crashed or straggling servers, dropped
-messages on the wire (the same concerns that drove the parallel-zone
-query federation of Nieto-Santisteban et al., MSR-TR-2005-169).  A
+sees — failed or slow PFS reads, crashed or straggling servers (the same
+concerns that drove the parallel-zone query federation of
+Nieto-Santisteban et al., MSR-TR-2005-169).  A
 :class:`FaultPlan` decides *when* those faults fire, and does so
 **deterministically**: every decision is a pure function of
 
 * the plan's ``seed``,
 * the fault *kind* (``pfs_read_error``, ``server_crash``, ...),
-* a stable *site key* naming the operation (a region cache key, a server
-  id, a ``src->dst:op`` wire channel), and
+* a stable *site key* naming the operation (a region cache key or a
+  server id), and
 * a per-``(kind, key)`` draw counter.
 
 No wall-clock randomness is involved, so the same seed replays the exact
 same fault sequence — bit-identical query results, retry counts, and
-simulated elapsed times across runs (regression-tested).  Keys are chosen
-so that every draw sequence is advanced from a single thread (the engine
-is single-threaded; wire keys include the sending rank), which keeps
-multi-threaded runs reproducible too.
+simulated elapsed times across runs (regression-tested).  The engine
+advances every draw sequence from one thread at a time; the counters sit
+behind a lock because :class:`~repro.query.async_client.AsyncQueryClient`
+drives the engine from a background thread.
 
 With every rate at zero a plan never draws and never perturbs a cost, so
 installing a zero-rate plan is bit-identical to running without one.
@@ -59,9 +59,6 @@ class FaultConfig:
     #: Probability a server straggles for one query, and how much.
     server_slow_rate: float = 0.0
     server_slow_factor: float = 3.0
-    #: Probability one wire message is dropped (retransmitted) / delayed.
-    msg_drop_rate: float = 0.0
-    msg_delay_rate: float = 0.0
     #: Recovery: retries per read before giving up, and the exponential
     #: backoff charged to the reader's simulated clock.
     max_retries: int = 3
@@ -72,8 +69,7 @@ class FaultConfig:
 
     def __post_init__(self) -> None:
         for name in (
-            "pfs_read_error_rate", "pfs_slow_rate", "server_crash_rate",
-            "server_slow_rate", "msg_drop_rate", "msg_delay_rate",
+            "pfs_read_error_rate", "pfs_slow_rate", "server_crash_rate", "server_slow_rate",
         ):
             rate = getattr(self, name)
             if not (0.0 <= rate <= 1.0):
@@ -105,9 +101,7 @@ class FaultPlan:
     """Seeded fault oracle shared by every layer of one deployment.
 
     Install with :meth:`repro.pdc.system.PDCSystem.set_fault_plan`; the
-    system threads the plan through its servers, its parallel file
-    system, and the query engine.  The plan is also usable standalone
-    (the simmpi wire takes one directly).
+    system threads the plan through its servers and the query engine.
     """
 
     seed: int
@@ -162,15 +156,6 @@ class FaultPlan:
         if self._fires("server_slow", str(server_id), self.config.server_slow_rate):
             return self.config.server_slow_factor
         return 1.0
-
-    def msg_dropped(self, channel: str) -> bool:
-        """Is this wire message dropped?  ``channel`` must include the
-        sending rank so each draw sequence stays single-threaded."""
-        return self._fires("msg_drop", channel, self.config.msg_drop_rate)
-
-    def msg_delayed(self, channel: str) -> bool:
-        """Is this wire message delayed in flight?"""
-        return self._fires("msg_delay", channel, self.config.msg_delay_rate)
 
     # --------------------------------------------------------------- recovery
     def backoff_s(self, attempt: int) -> float:

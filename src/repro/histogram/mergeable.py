@@ -227,8 +227,8 @@ class MergeableHistogram:
         )
 
     def __getstate__(self) -> dict:
-        # The estimate arrays are derived; a serialized histogram (the wire,
-        # a metadata checkpoint) does not carry them.
+        # The estimate arrays are derived; a serialized histogram (a metadata
+        # checkpoint) does not carry them.
         state = dict(self.__dict__)
         state.pop("_content", None)
         return state

@@ -9,7 +9,7 @@ structured snapshot (:func:`snapshot`) and a rendered text report
 Counters come from two places.  Per-server exact numbers (cache hits,
 clock breakdowns) are read off the server instances themselves; the
 process-wide :class:`~repro.obs.metrics.MetricsRegistry` totals the
-system feeds (queries, planner decisions, PFS traffic, simmpi bytes) are
+system feeds (queries, planner decisions, PFS writes, cache lookups) are
 surfaced in :attr:`SystemSnapshot.metrics`.  Note the registry defaults
 to the shared process-wide one, so its totals span every system feeding
 it — pass an isolated registry to :class:`PDCSystem` for per-deployment
@@ -35,9 +35,7 @@ _SNAPSHOT_METRICS = (
     "pdc_query_regions_cached_total",
     "pdc_query_index_reads_total",
     "pdc_query_bytes_read_virtual_total",
-    "pdc_pfs_bytes_read_virtual_total",
     "pdc_pfs_bytes_written_virtual_total",
-    "pdc_pfs_read_accesses_total",
     "pdc_cache_lookups_total",
     "pdc_cache_evictions_total",
     "pdc_batches_total",
@@ -46,8 +44,6 @@ _SNAPSHOT_METRICS = (
     "pdc_batch_saved_bytes_virtual_total",
     "pdc_batch_preloads_total",
     "pdc_semantic_cache_lookups_total",
-    "simmpi_messages_total",
-    "simmpi_bytes_total",
 )
 
 
@@ -85,8 +81,6 @@ class SystemSnapshot:
     replicas: List[str]
     pfs_files: int
     pfs_bytes_stored: int
-    pfs_bytes_read_virtual: float
-    pfs_read_accesses: int
     metadata_records: int
     #: Registry counter totals (family name → summed value) at snapshot time.
     metrics: Dict[str, float] = field(default_factory=dict)
@@ -159,8 +153,6 @@ def snapshot(system: PDCSystem) -> SystemSnapshot:
         replicas=sorted(system.replicas),
         pfs_files=len(system.pfs.listdir()),
         pfs_bytes_stored=system.pfs.total_bytes(),
-        pfs_bytes_read_virtual=system.pfs.bytes_read,
-        pfs_read_accesses=system.pfs.read_accesses,
         metadata_records=len(system.metadata),
         metrics=metrics,
     )
@@ -186,9 +178,7 @@ def report(system: PDCSystem, top_servers: int = 8) -> str:
         f"{snap.metadata_records} metadata records)",
         f"indexes: {', '.join(snap.indexed_objects) or 'none'}; "
         f"sorted replicas: {', '.join(snap.replicas) or 'none'}",
-        f"storage: {snap.pfs_files} files, {_fmt_bytes(snap.pfs_bytes_stored)} "
-        f"stored; {_fmt_bytes(snap.pfs_bytes_read_virtual)} virtual read in "
-        f"{snap.pfs_read_accesses} accesses",
+        f"storage: {snap.pfs_files} files, {_fmt_bytes(snap.pfs_bytes_stored)} stored",
         f"cache: {snap.aggregate_cache_hit_rate * 100:.1f}% aggregate hit rate "
         f"over {sum(s.cache_lookups for s in snap.servers)} lookups",
     ]
@@ -198,7 +188,9 @@ def report(system: PDCSystem, top_servers: int = 8) -> str:
             f"queries: {queries:.0f} executed, "
             f"{snap.metrics.get('pdc_query_regions_read_total', 0.0):.0f} regions read, "
             f"{snap.metrics.get('pdc_query_regions_pruned_total', 0.0):.0f} pruned, "
-            f"{snap.metrics.get('pdc_query_index_reads_total', 0.0):.0f} index probes"
+            f"{snap.metrics.get('pdc_query_index_reads_total', 0.0):.0f} index probes, "
+            f"{_fmt_bytes(snap.metrics.get('pdc_query_bytes_read_virtual_total', 0.0))} "
+            "virtual read"
         )
     lines.append("servers (busiest first):")
     ranked = sorted(snap.servers, key=lambda s: -s.busy_s)[:top_servers]

@@ -76,24 +76,22 @@ class PDCConfig:
     histogram_bins: int = 0
     #: FastBit binning precision (§III-D4 default: 2).
     index_precision: int = 2
-    #: Gap threshold (elements) for read aggregation in get_data (§III-E).
-    aggregation_gap_elements: int = 256
     #: get_data reads whole regions holding hits (block-index style, the
     #: PDC behaviour); False reads aggregated hit extents (ablation).
     get_data_whole_regions: bool = True
     #: What happens to a sorted replica when a covered object is written:
     #: ``"drop"`` deletes it (the pre-ingest behaviour — a sorted copy
-    #: cannot be patched in place, §III-D3); ``"mark_stale"`` and
-    #: ``"rebuild"`` (one rule, both names kept) mark the written
-    #: coordinates dirty, answered from the live payload, and re-sort once
-    #: :attr:`replica_rebuild_threshold` of the base is dirty or appended.
+    #: cannot be patched in place, §III-D3); ``"mark_stale"`` marks the
+    #: written coordinates dirty, answered from the live payload, and
+    #: re-sorts once :attr:`replica_rebuild_threshold` of the base is
+    #: dirty or appended.
     replica_staleness_policy: str = "drop"
     #: Share of the replica's base, dirty or appended since the last
     #: (re)build, that triggers a re-sort.
     replica_rebuild_threshold: float = 0.25
 
     def __post_init__(self) -> None:
-        if self.replica_staleness_policy not in ("drop", "mark_stale", "rebuild"):
+        if self.replica_staleness_policy not in ("drop", "mark_stale"):
             raise PDCError(
                 f"unknown replica_staleness_policy "
                 f"{self.replica_staleness_policy!r}"
@@ -891,14 +889,13 @@ class PDCSystem:
 
     # ------------------------------------------------------------- fault plan
     def set_fault_plan(self, plan) -> None:
-        """Install a :class:`repro.faults.FaultPlan` on this system, every
-        server, and the PFS (None uninstalls).  With no plan — or a plan
-        whose rates are all zero — query costs are bit-identical to the
+        """Install a :class:`repro.faults.FaultPlan` on this system and
+        every server (None uninstalls).  With no plan — or a plan whose
+        rates are all zero — query costs are bit-identical to the
         pre-fault code path."""
         self.fault_plan = plan
         for s in self.servers:
             s.fault_plan = plan
-        self.pfs.fault_plan = plan
 
     # ------------------------------------------------------------- observability
     def set_tracer(self, tracer) -> None:

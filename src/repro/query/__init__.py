@@ -17,7 +17,7 @@ from .api import (
     PDCquery_set_region,
     PDCquery_tag,
 )
-from .ast import AndNode, Condition, OrNode, QueryNode, node_from_dict
+from .ast import AndNode, Condition, OrNode, QueryNode
 from .async_client import AsyncQueryClient
 from .executor import (
     BatchResult,
@@ -55,7 +55,6 @@ __all__ = [
     "Condition",
     "OrNode",
     "QueryNode",
-    "node_from_dict",
     "AsyncQueryClient",
     "BatchResult",
     "GetDataResult",

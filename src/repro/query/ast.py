@@ -19,7 +19,7 @@ from ..errors import QueryError
 from ..interval import Interval
 from ..types import PDCType, QueryOp, Scalar, check_value_type
 
-__all__ = ["Condition", "AndNode", "OrNode", "QueryNode", "node_from_dict", "Conjunct"]
+__all__ = ["Condition", "AndNode", "OrNode", "QueryNode", "Conjunct"]
 
 
 @dataclass(frozen=True)
@@ -38,15 +38,6 @@ class Condition:
     def interval(self) -> Interval:
         return Interval.from_op(self.op, self.value)
 
-    def to_dict(self) -> dict:
-        return {
-            "kind": "cond",
-            "object": self.object_name,
-            "op": self.op.value,
-            "type": self.pdc_type.value,
-            "value": self.value,
-        }
-
     def __str__(self) -> str:
         return f"{self.object_name} {self.op.value} {self.value:g}"
 
@@ -56,9 +47,6 @@ class AndNode:
     """Intersection of child conditions (``PDCquery_and``)."""
 
     children: Tuple["QueryNode", ...]
-
-    def to_dict(self) -> dict:
-        return {"kind": "and", "children": [c.to_dict() for c in self.children]}
 
     def __str__(self) -> str:
         return "(" + " AND ".join(str(c) for c in self.children) + ")"
@@ -70,9 +58,6 @@ class OrNode:
 
     children: Tuple["QueryNode", ...]
 
-    def to_dict(self) -> dict:
-        return {"kind": "or", "children": [c.to_dict() for c in self.children]}
-
     def __str__(self) -> str:
         return "(" + " OR ".join(str(c) for c in self.children) + ")"
 
@@ -81,24 +66,6 @@ QueryNode = Union[Condition, AndNode, OrNode]
 
 #: One conjunct of the DNF: object name → intersected interval.
 Conjunct = Dict[str, Interval]
-
-
-def node_from_dict(d: dict) -> QueryNode:
-    """Deserialize a condition tree (the transport wire format)."""
-    kind = d.get("kind")
-    if kind == "cond":
-        return Condition(
-            object_name=d["object"],
-            op=QueryOp(d["op"]),
-            pdc_type=PDCType(d["type"]),
-            value=d["value"],
-        )
-    if kind in ("and", "or"):
-        children = tuple(node_from_dict(c) for c in d["children"])
-        if len(children) < 2:
-            raise QueryError(f"{kind} node needs >= 2 children")
-        return AndNode(children) if kind == "and" else OrNode(children)
-    raise QueryError(f"bad query node kind {kind!r}")
 
 
 def combine_and(a: QueryNode, b: QueryNode) -> QueryNode:

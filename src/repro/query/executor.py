@@ -70,6 +70,8 @@ _PLAN_BYTES = 256
 _REGION_META_BYTES = 96
 #: Page size for binary-search probes on sorted replicas.
 _PROBE_BYTES = 4096
+#: Gap threshold (elements) for read aggregation in get_data (§III-E).
+_AGGREGATION_GAP_ELEMENTS = 256
 
 
 def _interleave(selector: List[bool], index_file: list, data: list) -> list:
@@ -1675,7 +1677,7 @@ class QueryEngine:
                 off = int(obj.offsets[rid])
                 in_region = selection.clip(off, off + int(obj.counts[rid])).coords
                 extents = coords_to_extents(
-                    in_region, gap_threshold=sysm.config.aggregation_gap_elements
+                    in_region, gap_threshold=_AGGREGATION_GAP_ELEMENTS
                 )
                 nb = sum(b - a for a, b in extents) * obj.itemsize
                 server.clock.charge(

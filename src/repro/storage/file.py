@@ -13,7 +13,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from ..errors import RegionUnavailableError, StorageError
+from ..errors import StorageError
 from .costmodel import CostModel, SimClock
 
 __all__ = ["SimFile", "ParallelFileSystem", "Extent"]
@@ -88,27 +88,15 @@ class ParallelFileSystem:
         self.cost = cost or CostModel()
         self.default_stripe_count = default_stripe_count
         self._files: Dict[str, SimFile] = {}
-        #: Total (virtual) bytes read since creation — benchmark observability.
-        self.bytes_read: float = 0.0
+        #: Total (virtual) bytes written since creation.  PDC query reads
+        #: are counted where they are charged (``PDCServer.touch_share``).
         self.bytes_written: float = 0.0
-        self.read_accesses: int = 0
-        #: Fault plan (:mod:`repro.faults`) injected by the owning system;
-        #: None leaves every read on the pre-fault code path.
-        self.fault_plan = None
-        # Optional MetricsRegistry feed (children resolved once).
-        self._m_bytes_read = self._m_bytes_written = self._m_accesses = None
+        # Optional MetricsRegistry feed (child resolved once).
+        self._m_bytes_written = None
         if metrics is not None:
-            self._m_bytes_read = metrics.counter(
-                "pdc_pfs_bytes_read_virtual_total",
-                "Virtual bytes read from the simulated PFS.",
-            )
             self._m_bytes_written = metrics.counter(
                 "pdc_pfs_bytes_written_virtual_total",
                 "Virtual bytes written to the simulated PFS.",
-            )
-            self._m_accesses = metrics.counter(
-                "pdc_pfs_read_accesses_total",
-                "Contiguous read accesses issued to the simulated PFS.",
             )
 
     # -------------------------------------------------------------- namespace
@@ -204,11 +192,6 @@ class ParallelFileSystem:
                 )
             views.append(f.data[start:stop])
             nbytes += (stop - start) * f.itemsize
-        self.bytes_read += self.cost.virtual_bytes(nbytes)
-        self.read_accesses += len(extents)
-        if self._m_bytes_read is not None:
-            self._m_bytes_read.inc(self.cost.virtual_bytes(nbytes))
-            self._m_accesses.inc(len(extents))
         if clock is not None and extents:
             clock.charge(
                 f.imbalance
@@ -217,43 +200,4 @@ class ParallelFileSystem:
                 ),
                 category="pfs_read",
             )
-        if self.fault_plan is not None and extents:
-            self._inject_read_faults(f, extents, clock, concurrent_readers)
         return views
-
-    def _inject_read_faults(
-        self,
-        f: SimFile,
-        extents: Sequence[Extent],
-        clock: Optional[SimClock],
-        concurrent_readers: int,
-    ) -> None:
-        """Per-extent fault injection for :meth:`read_extents`.
-
-        A latency spike on an extent charges the extra ``(factor - 1)×``
-        of that extent's read time; a read error re-charges the extent
-        (one re-read per retry) plus exponential backoff, and raises
-        :class:`RegionUnavailableError` once the plan's retry budget is
-        exhausted.  Draws are keyed by ``path:start`` so each extent has
-        its own deterministic sequence regardless of batching.
-        """
-        plan = self.fault_plan
-        for start, stop in extents:
-            key = f"{f.path}:{start}"
-            extent_time = f.imbalance * self.cost.pfs_read_time(
-                (stop - start) * f.itemsize, 1, f.stripe_count, concurrent_readers
-            )
-            slow = plan.pfs_slow_factor(key)
-            if slow != 1.0 and clock is not None:
-                clock.charge((slow - 1.0) * extent_time, category="pfs_read")
-            attempt = 0
-            while plan.pfs_read_fails(key):
-                attempt += 1
-                if attempt > plan.config.max_retries:
-                    raise RegionUnavailableError(
-                        f"read of {f.path!r} extent [{start}, {stop}) failed "
-                        f"after {attempt} attempts"
-                    )
-                if clock is not None:
-                    clock.charge(plan.backoff_s(attempt), category="retry_backoff")
-                    clock.charge(extent_time, category="pfs_read")

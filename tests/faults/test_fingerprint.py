@@ -45,8 +45,8 @@ FAULTS = FaultConfig(
     pfs_read_error_rate=0.3, max_retries=1, pfs_slow_rate=0.25,
     server_crash_rate=0.04, server_slow_rate=0.2,
 )
-DIGEST = "4744b2e75ae1d80483611e58733e2225c8d598224f3e8985f1ec6f169eff466e"
-WINDOW_DIGEST = "ce8adeb5134592442183007030a14582fdc5f0c9b6d162c02b50e128c161665a"
+DIGEST = "1f56f5606dfb2688af679b2e27c0f18f070624d33df64946df4a6dc97c38871c"
+WINDOW_DIGEST = "80c7e45f068ae40afe87418d7bf9ee6df9691ff064d13cf03acd95595f1579fc"
 
 
 def window(name, lo, hi):

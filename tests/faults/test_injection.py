@@ -1,5 +1,5 @@
 """Fault injection through the full stack: retries, failover, degraded
-results, timeouts, and wire drops."""
+results and timeouts."""
 
 from __future__ import annotations
 
@@ -7,13 +7,11 @@ import numpy as np
 import pytest
 
 from repro.cluster.membership import CRASHED
-from repro.errors import RegionUnavailableError, RuntimeAbort, TransportError
+from repro.errors import RegionUnavailableError
 from repro.faults import FaultConfig, FaultPlan
 from repro.pdc.region import region_key
-from repro.pdc.transport import run_distributed_query
 from repro.query.ast import Condition, combine_and
 from repro.query.executor import QueryEngine
-from repro.simmpi.launcher import run_spmd
 from repro.strategies import Strategy
 from repro.types import PDCType, QueryOp
 
@@ -183,60 +181,6 @@ class TestTimeout:
         )
         assert res.complete and not res.timed_out
         assert res.nhits == truth
-
-
-class TestWire:
-    # max_retries=16 keeps a 30% drop rate from ever killing a link
-    # (0.3^17), so these tests exercise retransmission, not link death.
-    _DROPPY = FaultConfig(msg_drop_rate=0.3, max_retries=16)
-
-    def test_message_drops_are_retransmitted(self, rng):
-        sysm, node, truth = _loaded_system(rng)
-        plan = FaultPlan(seed=4, config=self._DROPPY)
-        coords = run_distributed_query(sysm, node, fault_plan=plan)
-        assert coords.size == truth
-        assert plan.injected("msg_drop") > 0
-
-    def test_installed_plan_reaches_the_wire(self, rng):
-        sysm, node, truth = _loaded_system(rng)
-        sysm.set_fault_plan(FaultPlan(seed=4, config=self._DROPPY))
-        coords = run_distributed_query(sysm, node)
-        assert coords.size == truth
-        assert sysm.fault_plan.injected("msg_drop") > 0
-
-    def test_drop_storm_exhausts_retransmit_budget(self):
-        plan = FaultPlan(
-            seed=0, config=FaultConfig(msg_drop_rate=1.0, max_retries=2)
-        )
-
-        def rank_main(comm):
-            if comm.rank == 0:
-                comm.send(b"payload", dest=1)
-            else:
-                return comm.recv(source=0)
-
-        with pytest.raises(RuntimeAbort) as excinfo:
-            run_spmd(2, rank_main, timeout=10.0, fault_plan=plan)
-        assert isinstance(excinfo.value.__cause__, TransportError)
-
-    def test_drop_and_delay_accounting(self):
-        plan = FaultPlan(
-            seed=7,
-            config=FaultConfig(
-                msg_drop_rate=0.3, msg_delay_rate=0.3, max_retries=16
-            ),
-        )
-
-        def rank_main(comm):
-            for _ in range(20):
-                token = comm.bcast(b"x" if comm.rank == 0 else None, root=0)
-                comm.gather(token, root=0)
-            return comm.stats.snapshot()
-
-        snaps = run_spmd(3, rank_main, timeout=30.0, fault_plan=plan)
-        # CommStats is shared world state; every rank sees the same totals.
-        assert snaps[0]["drops_total"] == plan.injected("msg_drop") > 0
-        assert snaps[0]["delays_total"] == plan.injected("msg_delay") > 0
 
 
 class TestMetrics:

@@ -50,8 +50,6 @@ class TestRates:
         assert plan.pfs_slow_factor("k") == 1.0
         assert not plan.server_crashes(0)
         assert plan.server_slow_factor(0) == 1.0
-        assert not plan.msg_dropped("0->1:send")
-        assert not plan.msg_delayed("0->1:send")
         # Crucially: no draw counters advanced, so a zero-rate plan is
         # indistinguishable from no plan at all.
         assert plan._counters == {}
@@ -70,14 +68,14 @@ class TestRates:
     def test_snapshot_by_kind(self):
         plan = FaultPlan(
             seed=5,
-            config=FaultConfig(pfs_read_error_rate=1.0, msg_drop_rate=1.0),
+            config=FaultConfig(pfs_read_error_rate=1.0, server_crash_rate=1.0),
         )
         plan.pfs_read_fails("a")
         plan.pfs_read_fails("b")
-        plan.msg_dropped("0->1:send")
-        assert plan.snapshot() == {"pfs_read_error": 2, "msg_drop": 1}
+        plan.server_crashes(0)
+        assert plan.snapshot() == {"pfs_read_error": 2, "server_crash": 1}
         assert plan.injected() == 3
-        assert plan.injected("msg_drop") == 1
+        assert plan.injected("server_crash") == 1
 
 
 class TestBackoff:
@@ -97,7 +95,7 @@ class TestConfigValidation:
         [
             {"pfs_read_error_rate": -0.1},
             {"pfs_read_error_rate": 1.5},
-            {"msg_drop_rate": 2.0},
+            {"server_crash_rate": 2.0},
             {"max_retries": -1},
             {"retry_backoff_s": -1.0},
             {"backoff_multiplier": 0.5},

@@ -167,11 +167,11 @@ class TestInterleavedEquivalence:
     def test_same_seed_fingerprint_pinned(self):
         """One committed digest over everything a same-seed delta run
         produces on a replica-backed deployment whose replica follows the
-        writes and re-sorts itself (``replica_staleness_policy="rebuild"``):
+        writes and re-sorts itself (``replica_staleness_policy="mark_stale"``):
         answers, region min/max, maintenance counters and every clock's
         charge breakdown, bit-exact.  A pure refactor must not move it."""
         sysm = build(
-            replica_staleness_policy="rebuild", replica_rebuild_threshold=0.05
+            replica_staleness_policy="mark_stale", replica_rebuild_threshold=0.05
         )
         sysm.build_sorted_replica("energy", ["x"])
         _, answers, stream = drive(sysm, "delta", schedule())

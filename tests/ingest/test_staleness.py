@@ -1,9 +1,9 @@
-"""Sorted replicas under writes: ``drop`` deletes the replica; otherwise
-(``mark_stale`` and ``rebuild`` are one rule) a covered write marks its
-coordinates dirty, the replica keeps answering — clean coordinates from
-the sorted run, dirty ones from the live payload — and a re-sort folds the
-dirty set in once it reaches the threshold.  The sorted base never
-changes, so no write sweeps its cached bytes; a drop does."""
+"""Sorted replicas under writes: ``drop`` deletes the replica;
+``mark_stale`` marks a covered write's coordinates dirty, the replica keeps
+answering — clean coordinates from the sorted run, dirty ones from the live
+payload — and a re-sort folds the dirty set in once it reaches the
+threshold.  The sorted base never changes, so no write sweeps its cached
+bytes; a drop does."""
 
 from __future__ import annotations
 
@@ -111,7 +111,7 @@ class TestMarkStalePolicy:
 
 
 class TestInvalidationOnlyWhereItCanHit:
-    @pytest.mark.parametrize("policy", ["drop", "mark_stale", "rebuild"])
+    @pytest.mark.parametrize("policy", ["drop", "mark_stale"])
     def test_only_a_drop_or_a_resort_sweeps(self, policy):
         """A covered write leaves the group's cached sorted bytes resident
         (the base they hold did not change); a drop, and a re-sort, which
@@ -145,7 +145,7 @@ class TestInvalidationOnlyWhereItCanHit:
 
 class TestRebuildPolicy:
     def test_small_writes_accumulate_then_rebuild(self):
-        sysm = replicated("rebuild", threshold=0.05)  # 5% of 4096 = 204.8
+        sysm = replicated("mark_stale", threshold=0.05)  # 5% of 4096 = 204.8
         sysm.update_object_region(
             "energy", 0, np.ones(128, dtype=np.float32)
         )
@@ -173,7 +173,7 @@ class TestRebuildPolicy:
         """Appended elements are dirty by position and count toward the
         threshold, but the re-sort must wait until key and companion are
         the same length again (the replica zips them positionally)."""
-        sysm = replicated("rebuild", threshold=0.01)
+        sysm = replicated("mark_stale", threshold=0.01)
         rng = np.random.default_rng(1)
         sysm.append_to_object(
             "energy", rng.gamma(2.0, 0.7, 256).astype(np.float32)
@@ -201,7 +201,7 @@ class TestRebuildPolicy:
     def test_staleness_metric_labels_actions(self):
         from repro.obs.metrics import MetricsRegistry
 
-        sysm = replicated("rebuild", threshold=0.05,
+        sysm = replicated("mark_stale", threshold=0.05,
                           metrics=MetricsRegistry())
         sysm.update_object_region("energy", 0, np.ones(16, dtype=np.float32))
         sysm.update_object_region(

@@ -8,7 +8,6 @@ from repro.obs import MetricsRegistry, Tracer
 from repro.pdc.observability import snapshot
 from repro.query.ast import Condition, combine_and
 from repro.query.executor import QueryEngine
-from repro.simmpi import CommWorld, run_spmd
 from repro.strategies import Strategy
 from repro.types import PDCType, QueryOp
 from tests.conftest import make_system, metric_sample
@@ -192,40 +191,6 @@ class TestCacheHitRateAggregation:
 
 
 class TestCommAccounting:
-    def test_collective_bytes_counted(self):
-        def job(comm):
-            data = comm.bcast(b"x" * 1000 if comm.rank == 0 else None, root=0)
-            comm.gather(comm.rank, root=0)
-            comm.barrier()
-            return (len(data), comm.stats.snapshot())
-
-        results = run_spmd(4, job)
-        assert [r[0] for r in results] == [1000] * 4
-        stats = results[0][1]
-        assert stats["bytes_by_op"]["bcast"] >= 3 * 1000
-        assert stats["messages_by_op"]["gather"] >= 3
-        assert stats["bytes_total"] == sum(stats["bytes_by_op"].values())
-
-    def test_commworld_stats_feed_registry(self):
-        reg = MetricsRegistry()
-        world = CommWorld(2, metrics=reg)
-        import threading
-
-        def rank0():
-            world[0].send({"k": 1}, dest=1, tag=0)
-
-        def rank1():
-            world[1].recv(source=0, tag=0)
-
-        t0, t1 = threading.Thread(target=rank0), threading.Thread(target=rank1)
-        t0.start(); t1.start(); t0.join(); t1.join()
-        stats = world[0].stats
-        assert stats.messages_total == 1
-        assert stats.bytes_total > 0
-        assert stats.messages_by_op.get("p2p") == 1
-        assert metric_sample(reg, "simmpi_messages_total", op="p2p") == 1
-        assert reg.total("simmpi_bytes_total") == stats.bytes_total
-
     def test_query_produces_comm_time(self):
         sysm = build_system(np.random.default_rng(4))
         QueryEngine(sysm).execute(NODE)

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.pdc.observability import report, snapshot
+from repro.obs import MetricsRegistry
+from repro.pdc.observability import _fmt_bytes, report, snapshot
 from repro.query.ast import Condition
 from repro.query.executor import QueryEngine
 from repro.types import PDCType, QueryOp
@@ -80,8 +81,7 @@ class TestAggregateCacheHitRate:
             n_servers=len(servers), n_alive=len(servers), strategy="histogram",
             virtual_scale=1.0, elapsed_s=0.0, servers=servers, n_objects=0,
             n_regions_total=0, indexed_objects=[], replicas=[], pfs_files=0,
-            pfs_bytes_stored=0, pfs_bytes_read_virtual=0.0, pfs_read_accesses=0,
-            metadata_records=0,
+            pfs_bytes_stored=0, metadata_records=0,
         )
 
     def test_weighted_by_lookup_counts(self):
@@ -115,6 +115,18 @@ class TestReport:
         assert "4/4 servers alive" in text
         assert "energy" in text
         assert "server" in text and "cache" in text
+
+    def test_reports_the_bytes_queries_read(self, rng):
+        """The server share walk is the one read site; the report shows
+        what it read."""
+        sysm = make_system(n_servers=4, region_size_bytes=1 << 11, metrics=MetricsRegistry())
+        sysm.create_object("energy", rng.gamma(2.0, 0.7, 1 << 12).astype(np.float32))
+        res = QueryEngine(sysm).execute(cond("energy", ">", 1.0))
+        assert res.bytes_read_virtual > 0
+        metrics = snapshot(sysm).metrics
+        assert metrics["pdc_query_bytes_read_virtual_total"] == res.bytes_read_virtual
+        (line,) = [ln for ln in report(sysm).splitlines() if ln.startswith("queries:")]
+        assert line.endswith(f", {_fmt_bytes(res.bytes_read_virtual)} virtual read")
 
     def test_marks_failed_servers(self, env):
         env.fail_server(1)

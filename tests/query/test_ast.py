@@ -1,4 +1,4 @@
-"""Query condition trees: construction, DNF, serialization."""
+"""Query condition trees: construction, DNF, rendering."""
 
 import numpy as np
 import pytest
@@ -10,7 +10,6 @@ from repro.query.ast import (
     OrNode,
     combine_and,
     combine_or,
-    node_from_dict,
     objects_of,
     to_dnf,
     typed_conjuncts,
@@ -130,22 +129,6 @@ class TestConjunctIntervals:
 
 
 class TestSerialization:
-    def test_roundtrip_complex_tree(self):
-        q = combine_or(
-            combine_and(cond("a"), cond("b", QueryOp.LTE, 5.0)),
-            cond("c", QueryOp.EQ, 1.0),
-        )
-        back = node_from_dict(q.to_dict())
-        assert back == q
-
-    def test_bad_kind_rejected(self):
-        with pytest.raises(QueryError):
-            node_from_dict({"kind": "xor", "children": []})
-
-    def test_single_child_combinator_rejected(self):
-        with pytest.raises(QueryError):
-            node_from_dict({"kind": "and", "children": [cond().to_dict()]})
-
     def test_str_rendering(self):
         q = combine_and(cond("a"), cond("b", QueryOp.LT, 1.0))
         assert str(q) == "(a > 2 AND b < 1)"

@@ -47,14 +47,14 @@ def _grid(values):
     return (np.round(np.asarray(values) * 4) / 4).astype(np.float32)
 
 
-def deployment(policy="mark_stale"):
+def deployment():
     """``k`` keys a sorted replica with companion ``c``; ``p`` has none and
     is laid out by value except one region that spans everything, so its
     min/max settle most regions (covered or pruned) and one straddles."""
     rng = np.random.default_rng(11)
     p = _grid(np.sort(rng.random(N) * 60.0))
     p[4096:4608] = _grid(rng.random(512) * 60.0)
-    sysm = make_system(region_size_bytes=1 << 11, replica_staleness_policy=policy)
+    sysm = make_system(region_size_bytes=1 << 11, replica_staleness_policy="mark_stale")
     sysm.create_object("k", _grid(rng.random(N) * 60.0))
     sysm.create_object("c", _grid(rng.random(N) * 60.0))
     sysm.create_object("p", p)
@@ -183,9 +183,8 @@ class TestKernelChoice:
         assert kernel_calls == ["mask_coords"]
         assert np.array_equal(sel.coords, live(sysm, "k", inner))
 
-    @pytest.mark.parametrize("policy", ["mark_stale", "rebuild"])
-    def test_a_written_replica_still_answers(self, kernel_calls, policy):
-        sysm = deployment(policy)
+    def test_a_written_replica_still_answers(self, kernel_calls):
+        sysm = deployment()
         obj = sysm.get_object("k")
         # Move a region's values into the narrow interval (below the
         # rebuild threshold): the sorted base misses them, the dirty

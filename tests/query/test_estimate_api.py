@@ -97,13 +97,20 @@ class TestBoundsSoundness:
 
 class TestCost:
     def test_no_clock_movement(self, env):
-        """The estimate is free: no simulated time, no storage traffic."""
+        """The estimate is free: no simulated time, no region read (every
+        PDC read starts with a server cache lookup)."""
         sysm, eid, _ = env
-        t_before = max(c.now for c in sysm.all_clocks())
-        reads_before = sysm.pfs.read_accesses
-        PDCquery_estimate_nhits(PDCquery_create(sysm, eid, ">", "float", 2.0))
+
+        def lookups():
+            return sum(s.cache.stats.hits + s.cache.stats.misses for s in sysm.servers)
+
+        t_before, lookups_before = max(c.now for c in sysm.all_clocks()), lookups()
+        q = PDCquery_create(sysm, eid, ">", "float", 2.0)
+        PDCquery_estimate_nhits(q)
         assert max(c.now for c in sysm.all_clocks()) == t_before
-        assert sysm.pfs.read_accesses == reads_before
+        assert lookups() == lookups_before
+        PDCquery_get_nhits(q)
+        assert lookups() > lookups_before
 
     def test_impossible_condition_estimates_zero(self, env):
         sysm, eid, _ = env

@@ -2,7 +2,7 @@
 exactly the numpy ground truth, for any query shape.
 
 All four strategies (full scan, histogram, histogram+index, sorted+
-histogram), the simmpi transport path, and the HDF5 baseline must agree
+histogram) and the HDF5 baseline must agree
 with each other and with a direct mask evaluation — including AND/OR
 combinations, equality conditions, spatial region constraints, empty and
 full results.
@@ -428,8 +428,8 @@ def _agreement_cases():
 
 class TestCrossStrategyAgreement:
     """One comparison rule — a bound is converted to its object's element
-    type, then compared — so the five strategies, the simmpi transport, both
-    baselines and the histogram estimate answer every condition alike,
+    type, then compared — so the five strategies, both baselines and the
+    histogram estimate answer every condition alike,
     whatever the bound's width and the declared type, and that answer is
     NumPy's own."""
 
@@ -452,7 +452,6 @@ class TestCrossStrategyAgreement:
 
     @pytest.mark.parametrize("name,bound,op,pdc_type", _agreement_cases())
     def test_agree(self, deployment, name, bound, op, pdc_type):
-        from repro.pdc.transport import run_distributed_query
         from repro.query.api import PDCQuery, PDCquery_estimate_nhits
         from repro.workloads.queries import QuerySpec
 
@@ -462,7 +461,6 @@ class TestCrossStrategyAgreement:
         for strategy in ALL_STRATEGIES:
             res = engine.execute(node, strategy=strategy, want_selection=True)
             assert np.array_equal(res.selection.coords, truth), strategy
-        assert np.array_equal(run_distributed_query(sysm, node), truth)
         lower, upper = PDCquery_estimate_nhits(PDCQuery(sysm, node))
         assert lower <= truth.size <= upper
         spec = QuerySpec("t", ((name, op.value, node.value),))
@@ -499,7 +497,6 @@ class TestCrossStrategyAgreement:
 
     def test_fractional_bound_on_integral_object_refused(self, deployment):
         """Every door refuses what the paper-API door always has."""
-        from repro.pdc.transport import run_distributed_query
         from repro.query.api import PDCQuery, PDCquery_estimate_nhits
         from repro.workloads.queries import QuerySpec
 
@@ -508,7 +505,6 @@ class TestCrossStrategyAgreement:
         spec = QuerySpec("t", (("i", ">", 2.5),))
         iv = Interval(lo=2.5, hi=7.0)
         doors = [lambda s=s: engine.execute(node, strategy=s) for s in ALL_STRATEGIES] + [
-            lambda: run_distributed_query(sysm, node),
             lambda: PDCquery_estimate_nhits(PDCQuery(sysm, node)),
             lambda: h5.query(spec),
             lambda: blocks.query(spec),
@@ -551,20 +547,6 @@ class TestPropertyBased:
         truth = np.flatnonzero(m1 | m2 if use_or else m1 & m2)
         res = QueryEngine(sysm).execute(node, want_selection=True, strategy=strat)
         assert np.array_equal(res.selection.coords, truth)
-
-
-class TestTransportAgreement:
-    def test_simmpi_path_matches_engine(self, env):
-        from repro.pdc.transport import run_distributed_query
-
-        sysm, e, x = env
-        node = combine_or(
-            combine_and(cond("energy", ">", 2.0), cond("x", "<", 80.0)),
-            cond("energy", ">", 3.2),
-        )
-        engine_res = QueryEngine(sysm).execute(node, strategy=Strategy.HISTOGRAM)
-        wire_res = run_distributed_query(sysm, node, n_server_ranks=3)
-        assert np.array_equal(engine_res.selection.coords, wire_res)
 
 
 class TestHDF5BaselineAgreement:

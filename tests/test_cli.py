@@ -20,7 +20,7 @@ class TestInProcess:
         assert main(["selftest"]) == 0
         out = capsys.readouterr().out
         assert "selftest: PASS" in out
-        assert out.count("ok") >= 6  # five strategies + wire path
+        assert out.count("ok") == 5  # five strategies
 
     def test_fig3_tiny_one_size(self, capsys):
         assert main(["fig3", "--scale", "tiny", "--region-sizes", "32"]) == 0

@@ -1,11 +1,10 @@
 """End-to-end integration: the full user journey from import to retrieval,
-across subsystems, plus fault-tolerance and the distributed transport."""
+across subsystems, plus fault-tolerance."""
 
 import numpy as np
 import pytest
 
 from repro.pdc import PDCConfig, PDCSystem
-from repro.pdc.transport import run_distributed_query
 from repro.query.api import (
     PDCquery_and,
     PDCquery_create,
@@ -109,18 +108,6 @@ class TestPaperWorkflow:
         PDCquery_set_region(q, (1000, 20_000))
         truth = (a["Energy"] > 3.0) | (a["x"] < 10.0)
         assert PDCquery_get_nhits(q) == int(truth[1000:20_000].sum())
-
-
-class TestDistributedTransport:
-    def test_wire_path_matches_api(self, vpic_env):
-        sysm, ds, ids = vpic_env
-        q = PDCquery_and(
-            PDCquery_create(sysm, ids["Energy"], ">", "float", 2.0),
-            PDCquery_create(sysm, ids["y"], "<", "float", 0.0),
-        )
-        sel = PDCquery_get_selection(q)
-        wire = run_distributed_query(sysm, q.node, n_server_ranks=4)
-        assert np.array_equal(wire, sel.coords)
 
 
 class TestFaultTolerance:

@@ -58,7 +58,7 @@ N_SERVERS = 3
 class PDCStateMachine(RuleBasedStateMachine):
     @initialize(
         seed=st.integers(0, 2**31),
-        staleness=st.sampled_from(["drop", "mark_stale", "rebuild"]),
+        staleness=st.sampled_from(["drop", "mark_stale"]),
     )
     def setup(self, seed, staleness):
         self.rng = np.random.default_rng(seed)
