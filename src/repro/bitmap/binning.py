@@ -68,7 +68,9 @@ def sig_digit_edges(vmin: float, vmax: float, precision: int = 2) -> np.ndarray:
     hi_idx = int(np.searchsorted(edges, vmax, side="right"))
     lo_idx = max(0, lo_idx)
     hi_idx = min(edges.size - 1, hi_idx)
-    out = edges[lo_idx : hi_idx + 1]
+    # A copy: a view would keep the whole mirrored grid (≈ 1.4 k edges at
+    # precision 2) alive in every region's index.
+    out = edges[lo_idx : hi_idx + 1].copy()
     if out.size < 2:
         out = np.array([vmin, math.nextafter(vmax, math.inf)])
     return out

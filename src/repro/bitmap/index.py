@@ -3,10 +3,11 @@
 §III-D4: *"We construct a bitmap for each region"*; querying reads and
 reconstructs the index instead of the region's data.  A
 :class:`RegionBitmapIndex` holds one WAH-compressed bitmap per occupied bin
-of the significant-digit grid; a range query ORs the bitmaps of
-fully-covered bins and (only when endpoints fall off the grid) flags
-boundary bins for a raw-data candidate check.  The index keeps its bins
-decoded too, as the region's positions in bin order (``kernels.index_coords``).
+of the significant-digit grid, all in one word array; a range query ORs
+the bitmaps of fully-covered bins and (only when endpoints fall off the
+grid) flags boundary bins for a raw-data candidate check.  The index keeps
+its bins decoded too, as the region's positions in bin order
+(``kernels.index_coords``).
 """
 
 from __future__ import annotations
@@ -25,6 +26,12 @@ __all__ = ["RegionBitmapIndex", "BitmapQueryResult", "IndexProbeTable", "positio
 
 #: Integers from this magnitude on do not all survive a float64 copy.
 _EXACT_INT = 2.0 ** 53
+
+
+#: The index file's sections, in file order, and the dtype of each.
+_SECTIONS = (("edges", np.float64), ("bin_ids", np.int64), ("bin_min", np.float64),
+             ("bin_max", np.float64), ("lengths", np.int64), ("payload", np.uint64),
+             ("meta", np.int64))
 
 
 def position_dtype(n_elements: int) -> np.dtype:
@@ -90,11 +97,13 @@ class RegionBitmapIndex:
     bin_max: np.ndarray
     #: Compressed words / set bits per occupied bin (aligned to bin_ids):
     #: what a probe's footprint is summed from, instead of walking and
-    #: re-popcounting ``bitmaps`` on every probe.
+    #: re-popcounting the streams on every probe.
     bin_words: np.ndarray
     bin_counts: np.ndarray
-    #: bin id → compressed WAH words (only bins with members are present).
-    bitmaps: Dict[int, np.ndarray]
+    #: Every occupied bin's WAH stream (uint64), back to back in ``bin_ids``
+    #: order: bin ``k``'s is the ``bin_words[k]`` words after the earlier
+    #: bins' — the index file's payload section as it is.
+    words: np.ndarray
     n_elements: int
     #: The region's positions in bin order, each bin's ascending — the
     #: bitmaps decoded once, at build or read (:func:`position_dtype`) —
@@ -124,13 +133,6 @@ class RegionBitmapIndex:
         occupied = sorted_bins[starts]
         by_bin = values[order]
         words, bin_words = wah.compress_partition(order, starts, values.size)
-        stops = np.cumsum(bin_words)
-        bitmaps = {
-            b: words[lo:hi]
-            for b, lo, hi in zip(
-                occupied.tolist(), (stops - bin_words).tolist(), stops.tolist()
-            )
-        }
         bin_min = np.minimum.reduceat(by_bin, starts)
         bin_max = np.maximum.reduceat(by_bin, starts)
         if data.dtype.kind in "iu" and data.dtype.itemsize > 4:
@@ -145,7 +147,7 @@ class RegionBitmapIndex:
             bin_max=bin_max,
             bin_words=bin_words,
             bin_counts=np.diff(starts, append=values.size),
-            bitmaps=bitmaps,
+            words=words,
             n_elements=int(values.size),
             positions=order.astype(position_dtype(values.size)),
             bin_starts=starts.astype(position_dtype(values.size)),
@@ -154,7 +156,7 @@ class RegionBitmapIndex:
     # -------------------------------------------------------------- inspection
     @property
     def n_occupied_bins(self) -> int:
-        return len(self.bitmaps)
+        return int(self.bin_ids.size)
 
     @property
     def nbytes(self) -> int:
@@ -162,14 +164,14 @@ class RegionBitmapIndex:
         per-bitmap headers.  This is what lands in the index file (the paper
         reports 15–17 % of data size for the VPIC objects)."""
         return (
-            sum(wah.compressed_nbytes(w) for w in self.bitmaps.values())
+            wah.compressed_nbytes(self.words)
             + self.edges.size * 8
-            + len(self.bitmaps) * 16  # bin id + word count
-            + len(self.bitmaps) * 16  # content min/max
+            + self.n_occupied_bins * 16  # bin id + word count
+            + self.n_occupied_bins * 16  # content min/max
         )
 
     def total_words(self) -> int:
-        return int(self.bin_words.sum())
+        return int(self.words.size)
 
     @property
     def header_bytes(self) -> int:
@@ -222,37 +224,25 @@ class RegionBitmapIndex:
     # ---------------------------------------------------------- serialization
     def to_arrays(self) -> Dict[str, np.ndarray]:
         """Flatten to arrays for storage as one index file."""
-        bin_ids = np.array(sorted(self.bitmaps), dtype=np.int64)
-        lengths = np.array([self.bitmaps[int(b)].size for b in bin_ids], dtype=np.int64)
-        payload = (
-            np.concatenate([self.bitmaps[int(b)] for b in bin_ids])
-            if bin_ids.size
-            else np.zeros(0, dtype=np.uint64)
-        )
-        order = np.searchsorted(self.bin_ids, bin_ids)
         return {
             "edges": self.edges,
-            "bin_ids": bin_ids,
-            "bin_min": self.bin_min[order],
-            "bin_max": self.bin_max[order],
-            "lengths": lengths,
-            "payload": payload,
+            "bin_ids": self.bin_ids,
+            "bin_min": self.bin_min,
+            "bin_max": self.bin_max,
+            "lengths": self.bin_words,
+            "payload": self.words,
             "meta": np.array([self.n_elements], dtype=np.int64),
         }
 
     @classmethod
     def from_arrays(cls, arrays: Dict[str, np.ndarray]) -> "RegionBitmapIndex":
-        bitmaps: Dict[int, np.ndarray] = {}
         # The file stores each bin's words but not its members: they are
         # decoded once here — counts and positions — never per probe.
         n, members, offset = int(arrays["meta"][0]), [np.zeros(0, np.int64)], 0
-        for b, ln in zip(arrays["bin_ids"], arrays["lengths"]):
-            words = np.asarray(
-                arrays["payload"][offset : offset + int(ln)], dtype=np.uint64
-            )
-            bitmaps[int(b)] = words
-            members.append(np.flatnonzero(wah.decompress(words, n)))
-            offset += int(ln)
+        words = np.asarray(arrays["payload"], dtype=np.uint64)
+        for ln in np.asarray(arrays["lengths"]).tolist():
+            members.append(np.flatnonzero(wah.decompress(words[offset : offset + ln], n)))
+            offset += ln
         bin_counts = np.array([m.size for m in members[1:]], dtype=np.int64)
         return cls(
             edges=np.asarray(arrays["edges"], dtype=np.float64),
@@ -261,25 +251,17 @@ class RegionBitmapIndex:
             bin_max=np.asarray(arrays["bin_max"], dtype=np.float64),
             bin_words=np.asarray(arrays["lengths"], dtype=np.int64),
             bin_counts=bin_counts,
-            bitmaps=bitmaps,
+            words=words,
             n_elements=n,
             positions=np.concatenate(members).astype(position_dtype(n)),
             bin_starts=(np.cumsum(bin_counts) - bin_counts).astype(position_dtype(n)),
         )
 
     def to_bytes(self) -> np.ndarray:
-        """Flat uint8 buffer (the on-storage index-file format):
-        a length header followed by the five payload sections."""
+        """Flat uint8 buffer (the on-storage index-file format): a header
+        of section lengths followed by the sections of ``_SECTIONS``."""
         a = self.to_arrays()
-        sections = [
-            a["edges"].astype(np.float64),
-            a["bin_ids"].astype(np.int64),
-            a["bin_min"].astype(np.float64),
-            a["bin_max"].astype(np.float64),
-            a["lengths"].astype(np.int64),
-            a["payload"].astype(np.uint64),
-            a["meta"].astype(np.int64),
-        ]
+        sections = [np.asarray(a[name], dtype) for name, dtype in _SECTIONS]
         header = np.array([s.size for s in sections], dtype=np.int64)
         return np.concatenate(
             [header.view(np.uint8)] + [s.view(np.uint8) for s in sections]
@@ -289,13 +271,10 @@ class RegionBitmapIndex:
     def from_bytes(cls, buf: np.ndarray) -> "RegionBitmapIndex":
         """Inverse of :meth:`to_bytes`."""
         buf = np.ascontiguousarray(np.asarray(buf, dtype=np.uint8))
-        n_sections = 7
-        header = buf[: n_sections * 8].view(np.int64)
-        dtypes = [np.float64, np.int64, np.float64, np.float64, np.int64, np.uint64, np.int64]
-        names = ["edges", "bin_ids", "bin_min", "bin_max", "lengths", "payload", "meta"]
+        header = buf[: len(_SECTIONS) * 8].view(np.int64)
         arrays: Dict[str, np.ndarray] = {}
-        off = n_sections * 8
-        for name, dt, count in zip(names, dtypes, header):
+        off = len(_SECTIONS) * 8
+        for (name, dt), count in zip(_SECTIONS, header):
             nbytes = int(count) * np.dtype(dt).itemsize
             arrays[name] = buf[off : off + nbytes].view(dt)
             off += nbytes

@@ -30,6 +30,36 @@ from ..types import check_value_type, pdc_type_of_dtype
 __all__ = ["SortedReplica"]
 
 
+def _stable_order(keys: np.ndarray) -> np.ndarray:
+    """``np.argsort(keys, kind="stable")`` as int64, bit for bit.
+
+    A native-order number of at most 4 bytes is mapped to unsigned bits in
+    value order (−0.0 folded to +0.0 first; payloads hold no NaN) and
+    packed above its position: one in-place sort of the uint64 keys —
+    many times faster than numpy's timsort — leaves the stable order in
+    the low halves.  Wider keys, any other dtype and 2**32 elements or
+    more take the stable argsort.
+    """
+    n, dtype = keys.size, keys.dtype
+    width = dtype.itemsize
+    if dtype.kind not in "biuf" or not dtype.isnative or width > 4 or n >= 2**32:
+        return np.argsort(keys, kind="stable")
+    if dtype.kind == "f":
+        keys = keys + dtype.type(0)  # −0.0 + 0.0 is +0.0
+    bits = keys.view(f"u{width}")
+    sign = bits.dtype.type(1 << (8 * width - 1))
+    if dtype.kind == "f":
+        bits = np.where(bits & sign, ~bits, bits | sign)
+    elif dtype.kind == "i":
+        bits = bits ^ sign
+    packed = bits.astype(np.uint64)
+    packed <<= np.uint64(32)
+    packed |= np.arange(n, dtype=np.uint64)
+    packed.sort()
+    packed &= np.uint64(0xFFFFFFFF)
+    return packed.view(np.int64)
+
+
 @dataclass
 class SortedReplica:
     """A by-value sorted copy of one or more objects.
@@ -62,7 +92,8 @@ class SortedReplica:
         """Sort ``key_values`` ascending, applying the same permutation to
         every companion object.
 
-        Uses a stable sort so replicas are bit-deterministic.
+        Uses a stable sort so replicas are bit-deterministic
+        (:func:`_stable_order`).
         """
         key_values = np.asarray(key_values)
         if key_values.ndim != 1 or key_values.size == 0:
@@ -73,7 +104,7 @@ class SortedReplica:
                 raise QueryError(
                     f"companion {name!r} shape {np.asarray(arr).shape} != key shape"
                 )
-        perm = np.argsort(key_values, kind="stable").astype(np.int64)
+        perm = _stable_order(key_values)
         return cls(
             key_name=key_name,
             key_values=key_values[perm],

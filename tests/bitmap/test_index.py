@@ -1,5 +1,7 @@
 """Region bitmap indexes: exactness, candidate handling, serialization."""
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -23,15 +25,21 @@ def resolve(idx, interval, data):
     return sure | verified
 
 
+def bin_stream(idx, k):
+    """The WAH words of occupied bin ``k``: its slice of ``idx.words``."""
+    stop = int(idx.bin_words[: k + 1].sum())
+    return idx.words[stop - int(idx.bin_words[k]) : stop]
+
+
 def probe_from_bitmaps(idx, interval):
     """``(words, bins, sure, candidates)`` of a probe, recomputed bin by
-    bin from ``bitmaps`` (stream sizes and popcounts) and the scalar range
+    bin from the bins' streams (sizes and popcounts) and the scalar range
     tests — the definition the per-bin tables must reproduce."""
     words = bins = sure = candidates = 0
-    for b, lo, hi in zip(idx.bin_ids.tolist(), idx.bin_min.tolist(), idx.bin_max.tolist()):
+    for k, (lo, hi) in enumerate(zip(idx.bin_min.tolist(), idx.bin_max.tolist())):
         if not interval.overlaps_range(lo, hi):
             continue
-        stream = idx.bitmaps[b]
+        stream = bin_stream(idx, k)
         words += int(stream.size)
         bins += 1
         if interval.contains_value(lo) and interval.contains_value(hi):
@@ -77,19 +85,24 @@ class TestBuild:
     def test_each_element_in_exactly_one_bitmap(self, idx, gamma_data):
         from repro.bitmap import wah
 
-        total = sum(wah.count_set_bits(w) for w in idx.bitmaps.values())
+        total = sum(wah.count_set_bits(bin_stream(idx, k)) for k in range(idx.n_occupied_bins))
         assert total == gamma_data.size
 
     def test_bin_minmax_consistent(self, idx, gamma_data):
         from repro.bitmap import wah
 
-        for k, b in enumerate(idx.bin_ids):
+        for k in range(idx.n_occupied_bins):
             positions = np.flatnonzero(
-                wah.decompress(idx.bitmaps[int(b)], idx.n_elements)
+                wah.decompress(bin_stream(idx, k), idx.n_elements)
             )
             members = gamma_data[positions]
             assert idx.bin_min[k] == members.min()
             assert idx.bin_max[k] == members.max()
+
+    def test_edges_hold_only_the_region_grid(self, idx):
+        """The edges own their memory: a view would pin the whole mirrored
+        significant-digit grid in every region's index."""
+        assert idx.edges.base is None and idx.edges.nbytes == idx.edges.size * 8
 
     def test_constant_data(self):
         idx = RegionBitmapIndex.build(np.full(100, 2.5))
@@ -107,27 +120,24 @@ def build_bin_by_bin(data, precision=2):
     bin_idx = assign_bins(values, edges)
     occupied, bin_counts = np.unique(bin_idx, return_counts=True)
     members = [bin_idx == b for b in occupied]
-    bitmaps = {int(b): wah.compress(m)[0] for b, m in zip(occupied, members)}
+    streams = [wah.compress(m)[0] for m in members]
     return RegionBitmapIndex(
         edges=edges,
         bin_ids=occupied.astype(np.int64),
         bin_min=np.array([values[m].min() for m in members]),
         bin_max=np.array([values[m].max() for m in members]),
-        bin_words=np.array([w.size for w in bitmaps.values()], dtype=np.int64),
+        bin_words=np.array([w.size for w in streams], dtype=np.int64),
         bin_counts=bin_counts,
-        bitmaps=bitmaps,
+        words=np.concatenate(streams),
         n_elements=int(values.size),
     )
 
 
 def assert_same_index(got, want):
-    for name in ("edges", "bin_ids", "bin_min", "bin_max", "bin_words", "bin_counts"):
+    for name in ("edges", "bin_ids", "bin_min", "bin_max", "bin_words", "bin_counts", "words"):
         a, b = getattr(got, name), getattr(want, name)
         assert a.dtype == b.dtype and np.array_equal(a, b), name
-    assert list(got.bitmaps) == list(want.bitmaps)
-    for b, words in want.bitmaps.items():
-        assert got.bitmaps[b].dtype == np.uint64
-        assert np.array_equal(got.bitmaps[b], words), b
+    assert got.words.dtype == np.uint64
     assert got.n_elements == want.n_elements
     assert np.array_equal(got.to_bytes(), want.to_bytes())
 
@@ -187,7 +197,7 @@ class TestBuildMatchesBinByBin:
         )
         idx = RegionBitmapIndex.build(values)
         assert_same_index(idx, build_bin_by_bin(values))
-        twos = idx.bitmaps[int(idx.bin_ids[1])]
+        twos = bin_stream(idx, 1)
         one_fill = (np.uint64(3) << np.uint64(62)) | np.uint64(4)
         assert twos.size == 4 and twos[1] == one_fill  # literal, fill, literal, zero fill
 
@@ -280,10 +290,10 @@ class TestQueryExactness:
         assert np.array_equal(reread.positions, idx.positions)
         assert np.array_equal(reread.bin_starts, idx.bin_starts)
         assert idx.positions.dtype == np.uint16
-        for k, b in enumerate(idx.bin_ids.tolist()):
+        for k in range(idx.n_occupied_bins):
             run = idx.positions[idx.bin_starts[k] : idx.bin_starts[k] + idx.bin_counts[k]]
-            members = np.flatnonzero(wah.decompress(idx.bitmaps[b], idx.n_elements))
-            assert np.array_equal(run, members), b
+            members = np.flatnonzero(wah.decompress(bin_stream(idx, k), idx.n_elements))
+            assert np.array_equal(run, members), k
 
 
 class TestCountsAndCosts:
@@ -430,3 +440,32 @@ class TestSerialization:
         buf = idx.to_bytes()
         with pytest.raises(IndexError_):
             RegionBitmapIndex.from_bytes(np.concatenate([buf, np.zeros(3, np.uint8)]))
+
+    @pytest.mark.parametrize(
+        "dtype,sha,nbytes",
+        [
+            ("f4", "ba0fb28d4587010a28d56785bff2f8d9b3c18c2d3ff432f882aa9dac381c1d21", 43112),
+            ("f8", "f2f10911ab7ff2d37a14695d06ced68cc3ba9fda6c4ee3c4e1151e76b2402e0b", 60800),
+            ("i4", "8a92ab4f7a3522d20abf988f1b45a1874caf4bd31979e6951e75443c1e49d3cd", 47824),
+        ],
+        ids=["f4", "f8", "i4"],
+    )
+    def test_index_file_format_pinned(self, dtype, sha, nbytes):
+        """The index file of a seeded region, byte for byte, and its size —
+        recorded when each bin's words were a separate array; a re-read
+        index writes the same bytes."""
+        data = PIN_DRAWS[dtype](np.random.default_rng(2020)).astype(dtype)
+        idx = RegionBitmapIndex.build(data)
+        buf = idx.to_bytes()
+        assert hashlib.sha256(buf.tobytes()).hexdigest() == sha
+        assert idx.nbytes == nbytes
+        reread = RegionBitmapIndex.from_bytes(buf)
+        assert np.array_equal(reread.to_bytes(), buf) and reread.nbytes == nbytes
+
+
+#: The seeded regions of ``test_index_file_format_pinned``.
+PIN_DRAWS = {
+    "f4": lambda rng: rng.gamma(2.0, 0.7, 4096),
+    "f8": lambda rng: rng.normal(0.0, 3.0, 3000),
+    "i4": lambda rng: rng.integers(-5000, 5000, 2500),
+}

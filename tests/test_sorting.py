@@ -69,6 +69,112 @@ class TestBuild:
         assert r.nbytes == keys.nbytes + r.permutation.nbytes + keys.nbytes
 
 
+def assert_stable_order(keys):
+    """The replica's permutation is numpy's stable argsort, bit for bit."""
+    r = SortedReplica.build("k", keys)
+    want = np.argsort(keys, kind="stable")
+    assert r.permutation.dtype == np.int64
+    assert np.array_equal(r.permutation, want)
+    assert np.array_equal(r.key_values.view(np.uint8), keys[want].view(np.uint8))
+
+
+def extremes(dtype):
+    """A dtype's edge values: ±max, the limits of the integers, and for
+    floats ±0.0, the smallest normals and subnormals on both sides."""
+    dtype = np.dtype(dtype)
+    if dtype.kind == "f":
+        info = np.finfo(dtype)
+        tiny, sub = float(info.tiny), float(info.smallest_subnormal)
+        return np.array(
+            [0.0, -0.0, float(info.max), -float(info.max), tiny, -tiny, sub, -sub,
+             sub * 3, -sub * 3, 1.0, -1.0], dtype=dtype,
+        )
+    info = np.iinfo(dtype)
+    return np.array([info.min, info.min + 1, info.max - 1, info.max, 0, 1], dtype=dtype)
+
+
+class TestStableOrder:
+    """``SortedReplica.build`` sorts packed (key bits, position) words for
+    keys of at most 4 bytes and takes the stable argsort for wider ones:
+    either way its permutation is ``np.argsort(kind="stable")``."""
+
+    @pytest.mark.parametrize(
+        "dtype", [np.float32, np.int8, np.int16, np.int32, np.uint8, np.uint16,
+                  np.uint32, np.float64, np.int64],
+    )
+    def test_heavy_ties_and_extremes(self, dtype, rng):
+        edge = extremes(dtype)
+        if np.dtype(dtype).kind == "f":
+            body = np.round(rng.normal(0.0, 3.0, 3000)).astype(dtype)
+        else:
+            info = np.iinfo(dtype)
+            body = rng.integers(max(info.min, -50), min(info.max, 50), 3000).astype(dtype)
+        keys = np.concatenate([body, np.repeat(edge, 40)])
+        assert_stable_order(rng.permutation(keys))
+
+    def test_signed_zeros_keep_their_positions(self):
+        """−0.0 ties +0.0: both keep position order, as argsort does."""
+        keys = np.array([0.0, -0.0, 1.0, -0.0, 0.0, -1.0], dtype=np.float32)
+        assert SortedReplica.build("k", keys).permutation.tolist() == [5, 0, 1, 3, 4, 2]
+        assert_stable_order(keys)
+
+    @given(
+        hnp.arrays(
+            dtype=np.float32, shape=st.integers(1, 400),
+            elements=st.floats(allow_nan=False, allow_infinity=False, width=32)
+            | st.sampled_from([0.0, -0.0, 1e-45, -1e-45, 2.5]),
+        )
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_float32_property(self, keys):
+        assert_stable_order(keys)
+
+    def test_int64_past_float64_precision(self):
+        """Wide keys take the stable argsort: neighbours past 2**53 that a
+        float64 copy would merge stay ordered by value."""
+        big = 2**53
+        keys = np.array(
+            [big + 1, big, big + 1, -big - 1, -big, big - 1, 2**63 - 1, -(2**63), big],
+            dtype=np.int64,
+        )
+        assert_stable_order(keys)
+        assert SortedReplica.build("k", keys).key_values.tolist() == sorted(keys.tolist())
+
+    @pytest.mark.parametrize("dtype", [">f4", ">i4", "S3", "U1", np.bool_, np.float16])
+    def test_other_dtypes_sort_as_argsort(self, dtype, rng):
+        """Byte-swapped numbers and strings fall back to the argsort; bool
+        and float16 take the packed sort."""
+        keys = (rng.integers(-3, 4, 500) * 1000 + rng.integers(0, 3, 500)).astype(dtype)
+        assert_stable_order(keys)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64, np.int32, np.uint32, np.int64])
+    def test_one_element(self, dtype):
+        r = SortedReplica.build("k", np.array([7], dtype=dtype))
+        assert r.permutation.tolist() == [0] and r.permutation.dtype == np.int64
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.int32, np.float64])
+    def test_refresh_after_overwrites_equals_a_fresh_build(self, dtype, rng):
+        sysm = make_system(replica_staleness_policy="mark_stale", replica_rebuild_threshold=1.0)
+        keys = np.round(rng.normal(0.0, 2.0, 6000)).astype(dtype)
+        sysm.create_object("k", keys)
+        sysm.create_object("c", (rng.random(6000) * 100).astype(dtype))
+        sysm.build_sorted_replica("k", ["c"])
+        for offset in (0, 1000, 4500):
+            sysm.update_object_region("k", offset, np.round(rng.normal(0.0, 2.0, 700)).astype(dtype))
+        sysm.update_object_region("c", 2000, (rng.random(300) * 100).astype(dtype))
+        assert sysm.replicas["k"].replica.dirty.size == 700 * 3 + 300
+        refreshed = sysm.refresh_sorted_replica("k").replica
+        fresh = SortedReplica.build(
+            "k", sysm.get_object("k").data, {"c": sysm.get_object("c").data}
+        )
+        assert np.array_equal(refreshed.permutation, fresh.permutation)
+        assert np.array_equal(
+            refreshed.permutation, np.argsort(sysm.get_object("k").data, kind="stable")
+        )
+        assert np.array_equal(refreshed.key_values, fresh.key_values)
+        assert np.array_equal(refreshed.companions["c"], fresh.companions["c"])
+
+
 class TestSearchRange:
     @given(
         key_arrays,
