@@ -41,35 +41,39 @@ def sig_digit_edges(vmin: float, vmax: float, precision: int = 2) -> np.ndarray:
     if not (math.isfinite(vmin) and math.isfinite(vmax)) or vmin > vmax:
         raise IndexError_(f"bad value range [{vmin}, {vmax}]")
 
-    def positive_grid(limit: float) -> np.ndarray:
-        """Grid points in (0, next-grid-point-above(limit)]."""
-        if limit <= 0:
-            return np.zeros(0)
-        hi_decade = int(math.floor(math.log10(limit)))
-        # Cover ~8 decades below the top; anything smaller collapses to the
-        # zero edge, which is plenty for float32 scientific data.
-        decades = range(hi_decade - 7, hi_decade + 1)
-        grid = np.concatenate([_decade_edges(precision, d) for d in decades])
-        above = grid[grid > limit]
-        if above.size:
-            # First grid point strictly above the limit closes the top bin.
-            return np.concatenate([grid[grid <= limit], above[:1]])
-        # limit sits in the top decade's last bin: close with the next
-        # decade's first point.
-        return np.concatenate([grid, _decade_edges(precision, hi_decade + 1)[:1]])
-
     abs_hi = max(abs(vmin), abs(vmax))
     if abs_hi == 0.0:
         return np.array([-1.0, 0.0, 1.0])
-    pos = positive_grid(abs_hi)
-    edges = np.concatenate([-pos[::-1], [0.0], pos])
+    hi_decade = int(math.floor(math.log10(abs_hi)))
+    # Cover ~8 decades below the top; anything smaller collapses to the
+    # zero edge, which is plenty for float32 scientific data.
+    lo_decade = window_floor = hi_decade - 7
+    # A range on one side of zero keeps only the decades from one below its
+    # magnitude nearest zero (one below, should log10 round across a decade
+    # edge): the edge bracketing that end is there, and 0 and the other
+    # side are not needed.
+    near = vmin if vmin >= 0 else -vmax
+    if near > 0:
+        lo_decade = max(lo_decade, int(math.floor(math.log10(near))) - 1)
+    grid = np.concatenate(
+        [_decade_edges(precision, d) for d in range(lo_decade, hi_decade + 1)]
+    )
+    above = grid[grid > abs_hi]
+    # The first grid point strictly above the top closes the top bin; when
+    # the top sits in its decade's last bin, the next decade's first point.
+    closer = above[:1] if above.size else _decade_edges(precision, hi_decade + 1)[:1]
+    pos = np.concatenate([grid[grid <= abs_hi], closer])
+    edges = np.concatenate([
+        -pos[::-1] if vmin < 0 else [],
+        [0.0] if lo_decade == window_floor else [],
+        pos if vmax >= 0 else [],
+    ])
 
     lo_idx = int(np.searchsorted(edges, vmin, side="right") - 1)
     hi_idx = int(np.searchsorted(edges, vmax, side="right"))
     lo_idx = max(0, lo_idx)
     hi_idx = min(edges.size - 1, hi_idx)
-    # A copy: a view would keep the whole mirrored grid (≈ 1.4 k edges at
-    # precision 2) alive in every region's index.
+    # A copy: a view would keep the whole grid alive in every region's index.
     out = edges[lo_idx : hi_idx + 1].copy()
     if out.size < 2:
         out = np.array([vmin, math.nextafter(vmax, math.inf)])

@@ -16,10 +16,12 @@ histogram.  Algorithm 1 achieves this by construction:
 a multiple of the width, which is required for exact nesting when the width
 exceeds 1 and is a strict subset of the paper's boundary set otherwise.)
 
-The full pass then bin-counts every element (``O(N)``, fully vectorized).
-Elements outside the sampled min/max estimate extend the histogram rather
-than clamping into edge bins, so counts stay exact; true min/max are
-recorded for region elimination.
+The full pass then bin-counts every element in three array passes and a
+``bincount``: element ``x`` lies in bin ``floor(x · 2^-e) − start / 2^e``
+for width ``2^e``, and each step is exact (DESIGN.md §5, "Exact
+power-of-two binning").  Elements outside the sampled min/max estimate
+extend the histogram rather than clamping into edge bins, so counts stay
+exact; true min/max are recorded for region elimination.
 """
 
 from __future__ import annotations
@@ -152,17 +154,20 @@ class MergeableHistogram:
             start = math.floor(true_min / width) * width
             n_bins = int(math.floor((true_max - start) / width)) + 1
 
-        # Lines 6-18, vectorized: find each element's bin and aggregate.
-        idx = np.floor((data - start) / width).astype(np.int64)
-        np.clip(idx, 0, n_bins - 1, out=idx)
-        # The division can round across a boundary (e.g. for values a ulp
-        # below an edge).  Grid points start + k*width are exact for
-        # power-of-two widths, so one corrective comparison restores exact
-        # binning: data must satisfy edge(idx) <= data < edge(idx + 1).
-        idx -= (data < start + idx * width).astype(np.int64)
-        idx += (data >= start + (idx + 1) * width).astype(np.int64)
-        np.clip(idx, 0, n_bins - 1, out=idx)
-        counts = np.bincount(idx, minlength=n_bins)
+        # Lines 6-18, vectorized: element x lies in bin floor(x / width) - k
+        # with k = start / width, and each step is exact: scaling by a power
+        # of two (ldexp, subnormal widths included), the floor of an exact
+        # value, and the difference of two whole numbers less than MAX_BINS
+        # apart (Sterbenz's lemma past 2^53).
+        q = np.ldexp(data, 1 - math.frexp(width)[1])
+        np.floor(q, out=q)
+        if width > 1.0 and start < 0.0:
+            # The one rounding: a negative x nearer 0 than width * 2^-1075
+            # scales to -0.0, whose floor is 0 where it should be -1.
+            zero = np.flatnonzero(q == 0.0)
+            q[zero[data[zero] < 0.0]] = -1.0
+        q -= start / width
+        counts = np.bincount(q.astype(np.int64), minlength=n_bins)
         return cls(
             bin_width=width,
             start=start,
@@ -313,42 +318,35 @@ class MergeableHistogram:
         wholly into one coarse bin because the grids nest."""
         if new_width == self.bin_width:
             return self
-        ratio = new_width / self.bin_width
         # The class invariant requires power-of-two widths, so the ratio
-        # must itself be a power of two (2, 4, 8, ...).
-        if ratio < 2 or ratio != int(ratio) or (int(ratio) & (int(ratio) - 1)) != 0:
+        # must itself be a power of two (2, 4, 8, ...), taken from the
+        # exponents: a subnormal grid's ratio to a coarse one can pass 2^1024.
+        mantissa, exponent = math.frexp(new_width)
+        shift = exponent - math.frexp(self.bin_width)[1]
+        if mantissa != 0.5 or shift < 1:
             raise QueryError(
                 f"cannot coarsen width {self.bin_width} to {new_width}: "
                 "not a power-of-two multiple"
             )
         new_start = math.floor(self.start / new_width) * new_width
-        # Index of each fine bin's coarse parent.  Both the ratio and the
-        # fine-bin offset can exceed int64 when the widths differ by a huge
-        # power of two (e.g. 2^-56 vs 2^8), so fall back to Python-int
-        # arithmetic outside the safe range; the *coarse* indexes are
-        # always small because offset_bins < ratio.  The offset itself is
-        # computed in exact rationals: at extreme width ratios (e.g. a
+        # The fine grid starts ``offset_bins`` (< ratio) fine bins into the
+        # first coarse bin, so the coarse bins are ascending runs of fine
+        # ones: the first run ends at fine bin ``ratio - offset_bins`` and
+        # every later run is ``ratio`` long.  Both can exceed int64 when
+        # the widths differ by a huge power of two (e.g. 2^-56 vs 2^8), so
+        # they stay Python ints, clamped to the fine bin count.  The offset
+        # is computed in exact rationals: at extreme width ratios (e.g. a
         # subnormal-width grid coarsened onto a 2^-20 grid) the float
         # subtraction ``self.start - new_start`` absorbs the fine start
         # entirely and would shift every fine bin by the lost amount.
-        ratio_i = int(ratio)
+        ratio_i = 1 << shift
         offset_bins = _exact_offset(self.start, new_start, self.bin_width)
-        if ratio_i < (1 << 62) and offset_bins + self.n_bins < (1 << 62):
-            fine_idx = offset_bins + np.arange(self.n_bins, dtype=np.int64)
-            coarse_idx = fine_idx // ratio_i
-        else:
-            coarse_idx = np.fromiter(
-                ((offset_bins + k) // ratio_i for k in range(self.n_bins)),
-                dtype=np.int64,
-                count=self.n_bins,
-            )
-        n_coarse = int(coarse_idx[-1]) + 1
-        new_counts = np.zeros(n_coarse, dtype=np.int64)
-        np.add.at(new_counts, coarse_idx, self.counts)
+        n = self.n_bins
+        heads = np.arange(min(ratio_i - offset_bins, n), n, min(ratio_i, n))
         return MergeableHistogram(
             bin_width=new_width,
             start=new_start,
-            counts=new_counts,
+            counts=np.add.reduceat(self.counts, np.concatenate(([0], heads))),
             data_min=self.data_min,
             data_max=self.data_max,
         )

@@ -1,12 +1,14 @@
 """Significant-digit binning (FastBit precision binning)."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.errors import IndexError_
-from repro.bitmap.binning import assign_bins, sig_digit_edges
+from repro.bitmap.binning import _decade_edges, assign_bins, sig_digit_edges
 
 values = st.floats(min_value=-1e5, max_value=1e5, allow_nan=False, width=32)
 
@@ -60,6 +62,95 @@ class TestEdges:
             sig_digit_edges(2.0, 1.0, 2)
         with pytest.raises(IndexError_):
             sig_digit_edges(float("nan"), 1.0, 2)
+
+
+def full_grid_edges(vmin: float, vmax: float, precision: int) -> np.ndarray:
+    """The reference: the whole 8-decade grid below the top magnitude,
+    mirrored through 0, then sliced between the extrema's brackets."""
+    abs_hi = max(abs(vmin), abs(vmax))
+    if abs_hi == 0.0:
+        return np.array([-1.0, 0.0, 1.0])
+    hi_decade = int(math.floor(math.log10(abs_hi)))
+    grid = np.concatenate(
+        [_decade_edges(precision, d) for d in range(hi_decade - 7, hi_decade + 1)]
+    )
+    above = grid[grid > abs_hi]
+    if above.size:
+        pos = np.concatenate([grid[grid <= abs_hi], above[:1]])
+    else:
+        pos = np.concatenate([grid, _decade_edges(precision, hi_decade + 1)[:1]])
+    edges = np.concatenate([-pos[::-1], [0.0], pos])
+    lo_idx = max(0, int(np.searchsorted(edges, vmin, side="right") - 1))
+    hi_idx = min(edges.size - 1, int(np.searchsorted(edges, vmax, side="right")))
+    out = edges[lo_idx : hi_idx + 1]
+    if out.size < 2:
+        out = np.array([vmin, math.nextafter(vmax, math.inf)])
+    return out
+
+
+def seeded_extrema(seed: int, count: int):
+    """``count`` (vmin, vmax) pairs of every shape: zero-crossing,
+    negative-only, positive-only, sub-decade, a single value, ±0.0 ends,
+    grid points, powers of ten and their lower neighbours, float32 images,
+    and a magnitude far
+    below the 8-decade window."""
+    rng = np.random.default_rng(seed)
+    magnitude = lambda: float(10.0 ** rng.uniform(-12, 12))  # noqa: E731
+    pairs = []
+    for i in range(count):
+        a, b = sorted((magnitude(), magnitude()))
+        kind = i % 8
+        if kind == 0:
+            pair = (-a if rng.random() < 0.5 else -b, b if rng.random() < 0.5 else a)
+        elif kind == 1:
+            pair = (-b, -a)
+        elif kind == 2:
+            pair = (a, b)
+        elif kind == 3:
+            pair = (a, a * (1 + rng.uniform(0, 0.5)))
+            pair = pair if rng.random() < 0.5 else (-pair[1], -pair[0])
+        elif kind == 4:
+            pair = (a, a) if rng.random() < 0.5 else (-a, -a)
+        elif kind == 5:
+            # A power of ten's lower neighbour: log10 rounds it up to the
+            # next decade (log10(99.99999999999999) == 2.0).
+            ten = 10.0 ** int(rng.integers(-9, 9))
+            grid_point = float(rng.integers(1, 100)) * 10.0 ** int(rng.integers(-9, 9))
+            ends = [grid_point, ten, math.nextafter(ten, 0.0), 0.0, -0.0]
+            pair = sorted(float(v) for v in rng.permutation(ends)[:2])
+            pair = pair if rng.random() < 0.5 else (-pair[1], -pair[0])
+        elif kind == 6:
+            pair = tuple(float(v) for v in np.float32([a, b]))
+        else:
+            pair = (a * 1e-20, b) if rng.random() < 0.5 else (-b, -a * 1e-20)
+        pairs.append((float(pair[0]), float(pair[1])))
+    return pairs
+
+
+class TestDecadeLocalEdges:
+    """Only the decades between the extrema are built; the edges equal the
+    whole mirrored grid's slice bit for bit."""
+
+    @pytest.mark.parametrize("precision,count", [(1, 400), (2, 400), (3, 200), (4, 40), (5, 8)])
+    def test_equals_the_full_grid(self, precision, count):
+        for vmin, vmax in seeded_extrema(precision, count):
+            edges = sig_digit_edges(vmin, vmax, precision)
+            ref = full_grid_edges(vmin, vmax, precision)
+            assert edges.tobytes() == ref.tobytes(), (vmin, vmax, precision)
+
+    @pytest.mark.parametrize("vmin,vmax", [(3.1, 412.0), (3.25, 3.25), (-8.1e4, -2.2e4)])
+    def test_precision_six(self, vmin, vmax):
+        edges = sig_digit_edges(vmin, vmax, 6)
+        assert edges.tobytes() == full_grid_edges(vmin, vmax, 6).tobytes()
+
+    @given(st.lists(values, min_size=1, max_size=20), st.integers(1, 3))
+    @settings(max_examples=100, deadline=None)
+    def test_equals_the_full_grid_on_float32_data(self, vals, precision):
+        data = np.array(vals, dtype=np.float64)
+        vmin, vmax = float(data.min()), float(data.max())
+        assert sig_digit_edges(vmin, vmax, precision).tobytes() == (
+            full_grid_edges(vmin, vmax, precision).tobytes()
+        )
 
 
 class TestAssignBins:

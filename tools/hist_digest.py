@@ -1,0 +1,78 @@
+"""One sha256 per benchmark workload over every histogram it builds.
+
+    python tools/hist_digest.py --seed 2020 --seed 7
+    python tools/hist_digest.py --root /path/to/other/checkout --seed 2020
+
+For each workload of ``benchmarks/e2e`` this builds the deployment the
+benchmark builds, runs one epoch of its requests (the writes of
+``service_rw_mix`` included), and prints two digests: one right after
+set-up and one after the epoch.  Each covers every region histogram and
+every object's global histogram — the merged histogram, each kept coarsened
+operand and the region extrema — field by field: width, start, extrema (as
+``float.hex``, so -0.0 is not 0.0) and the int64 counts.  A change to how
+histograms are built must print the same lines as its parent.  ``--root``
+measures another checkout's ``src`` and benchmark.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import pathlib
+import sys
+
+WORKLOADS = ("selective_reads", "broad_scans", "service_reads", "service_rw_mix")
+
+
+def _feed(h, hist) -> None:
+    for value in (hist.bin_width, hist.start, hist.data_min, hist.data_max):
+        h.update(float(value).hex().encode())
+    h.update(hist.counts.astype("<i8").tobytes())
+
+
+def digest(system) -> str:
+    h = hashlib.sha256()
+    for name in sorted(system.objects):
+        meta = system.objects[name].meta
+        for region in meta.regions:
+            h.update(f"{name}/{region.region_id}".encode())
+            _feed(h, region.histogram)
+        whole = meta.global_histogram
+        _feed(h, whole.merged)
+        for rid in sorted(whole.operands):
+            h.update(str(rid).encode())
+            _feed(h, whole.operands[rid][1])
+        h.update(repr(sorted(whole.region_minmax.items())).encode())
+    return h.hexdigest()
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--root", type=pathlib.Path,
+                    default=pathlib.Path(__file__).resolve().parent.parent)
+    ap.add_argument("--seed", type=int, action="append", required=True)
+    args = ap.parse_args(argv)
+    sys.path[:0] = [str(args.root / "src"), str(args.root / "benchmarks" / "e2e")]
+    from worker import Runner
+    from workloads import make_workload
+
+    for seed in args.seed:
+        for name in WORKLOADS:
+            workload = make_workload(name, seed)
+            built = {}
+
+            def build(arrays, clock, inner=workload.build):
+                dep = inner(arrays, clock)
+                built["dep"], built["setup"] = dep, digest(dep.system)
+                return dep
+
+            workload.build = build
+            epoch = Runner(workload).epoch()
+            print(f"{name} seed={seed} setup={built['setup']} "
+                  f"after={digest(built['dep'].system)} failed={epoch.failed}",
+                  flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
