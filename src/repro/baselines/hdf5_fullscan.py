@@ -90,13 +90,8 @@ class HDF5FullScanEngine:
                 if stop <= start:
                     continue
                 n_accesses = max(1, math.ceil((stop - start) / chunk_elems))
-                # Views are discarded; the read is charged via the clock.
-                sysm.pfs.read_extents(
-                    obj.hdf5_path,
-                    [(start, stop)],
-                    clock=None,
-                    concurrent_readers=self.n_processes,
-                )
+                # The scan reads the payload in place; the read is charged
+                # on this rank's clock.
                 f = sysm.pfs.stat(obj.hdf5_path)
                 clock.charge(
                     f.imbalance

@@ -38,6 +38,12 @@ __all__ = ["FaultConfig", "FaultPlan", "ZERO_FAULTS"]
 
 #: Draws map a 64-bit digest prefix onto [0, 1).
 _DRAW_DENOM = float(1 << 64)
+#: How much slower a read hit by a latency spike is, and a straggling server.
+PFS_SLOW_FACTOR = 4.0
+SERVER_SLOW_FACTOR = 3.0
+#: Backoff before the first retry of a failed read, and its growth per retry.
+RETRY_BACKOFF_S = 1.0e-3
+BACKOFF_MULTIPLIER = 2.0
 
 
 @dataclass(frozen=True)
@@ -51,19 +57,17 @@ class FaultConfig:
 
     #: Probability one PFS/tier read attempt fails (retried with backoff).
     pfs_read_error_rate: float = 0.0
-    #: Probability one PFS/tier read suffers a latency spike, and its size.
+    #: Probability one PFS/tier read suffers a latency spike
+    #: (:data:`PFS_SLOW_FACTOR` times slower).
     pfs_slow_rate: float = 0.0
-    pfs_slow_factor: float = 4.0
     #: Probability a server crashes when work is dispatched to it.
     server_crash_rate: float = 0.0
-    #: Probability a server straggles for one query, and how much.
+    #: Probability a server straggles for one query
+    #: (:data:`SERVER_SLOW_FACTOR` times slower).
     server_slow_rate: float = 0.0
-    server_slow_factor: float = 3.0
-    #: Recovery: retries per read before giving up, and the exponential
-    #: backoff charged to the reader's simulated clock.
+    #: Recovery: retries per read before giving up (each after the
+    #: :meth:`FaultPlan.backoff_s` charged to the reader's simulated clock).
     max_retries: int = 3
-    retry_backoff_s: float = 1.0e-3
-    backoff_multiplier: float = 2.0
     #: Per-query simulated-seconds budget; None disables query timeouts.
     query_timeout_s: Optional[float] = None
 
@@ -74,20 +78,12 @@ class FaultConfig:
             rate = getattr(self, name)
             if not (0.0 <= rate <= 1.0):
                 raise PDCError(f"{name}={rate!r} outside [0, 1]")
-        for name in (
-            "pfs_slow_factor", "server_slow_factor", "max_retries",
-            "retry_backoff_s", "backoff_multiplier", "query_timeout_s",
-        ):
+        for name in ("max_retries", "query_timeout_s"):
             value = getattr(self, name)
             if value is not None and not math.isfinite(value):
                 raise PDCError(f"{name}={value!r} must be finite")
         if self.max_retries < 0:
             raise PDCError("max_retries must be >= 0")
-        if self.retry_backoff_s < 0 or self.backoff_multiplier < 1.0:
-            raise PDCError("backoff must be non-negative with multiplier >= 1")
-        for name in ("pfs_slow_factor", "server_slow_factor"):
-            if getattr(self, name) < 1.0:
-                raise PDCError(f"{name} must be >= 1.0")
         if self.query_timeout_s is not None and self.query_timeout_s <= 0:
             raise PDCError("query_timeout_s must be positive (or None)")
 
@@ -144,7 +140,7 @@ class FaultPlan:
     def pfs_slow_factor(self, key: str) -> float:
         """Latency-spike multiplier for one read of ``key`` (1.0 = none)."""
         if self._fires("pfs_slow", key, self.config.pfs_slow_rate):
-            return self.config.pfs_slow_factor
+            return PFS_SLOW_FACTOR
         return 1.0
 
     def server_crashes(self, server_id: int) -> bool:
@@ -154,16 +150,14 @@ class FaultPlan:
     def server_slow_factor(self, server_id: int) -> float:
         """Straggler multiplier for one server for one query (1.0 = none)."""
         if self._fires("server_slow", str(server_id), self.config.server_slow_rate):
-            return self.config.server_slow_factor
+            return SERVER_SLOW_FACTOR
         return 1.0
 
     # --------------------------------------------------------------- recovery
     def backoff_s(self, attempt: int) -> float:
         """Simulated seconds to back off before retry ``attempt`` (1-based):
-        ``retry_backoff_s * multiplier ** (attempt - 1)``."""
-        return self.config.retry_backoff_s * self.config.backoff_multiplier ** max(
-            0, attempt - 1
-        )
+        ``RETRY_BACKOFF_S * BACKOFF_MULTIPLIER ** (attempt - 1)``."""
+        return RETRY_BACKOFF_S * BACKOFF_MULTIPLIER ** max(0, attempt - 1)
 
     # ------------------------------------------------------------- inspection
     def injected(self, kind: Optional[str] = None) -> int:

@@ -51,6 +51,20 @@ def round_down_pow2(x: float) -> float:
     return 2.0 ** math.floor(math.log2(x))
 
 
+def _constant_width(value: float) -> float:
+    """Width for near-constant data: tiny, so the histogram still localizes
+    the value."""
+    return round_down_pow2(max(abs(value), 1.0) * 2 ** -20)
+
+
+def _aligned_grid(true_min: float, true_max: float, width: float) -> Tuple[float, int]:
+    """Lines 4-5: ``(start, n_bins)`` of the grid of ``width`` anchored at a
+    multiple of it, so every boundary lies in ``{k * width}`` exactly.
+    Raises ``OverflowError`` when the bin count overflows a double."""
+    start = math.floor(true_min / width) * width
+    return start, int(math.floor((true_max - start) / width)) + 1
+
+
 @dataclass
 class MergeableHistogram:
     """A histogram whose bin grid nests with any other instance's grid.
@@ -112,10 +126,7 @@ class MergeableHistogram:
         # Line 2-3: raw width for n_bins bins, rounded down to a power of 2.
         span = approx_max - approx_min
         if span <= 0.0:
-            # Near-constant sample: pick a tiny width so the histogram still
-            # localizes the value.
-            magnitude = max(abs(approx_min), 1.0)
-            width = round_down_pow2(magnitude * 2 ** -20)
+            width = _constant_width(approx_min)
         else:
             width = round_down_pow2(span / n_bins)
 
@@ -143,16 +154,22 @@ class MergeableHistogram:
         """Exact O(N) counting pass on the aligned grid of ``width``."""
         true_min = float(data.min())
         true_max = float(data.max())
-        # Lines 4-5: anchor the grid; alignment to the width keeps all
-        # boundaries in {k * width} exactly.
-        start = math.floor(true_min / width) * width
-        n_bins = int(math.floor((true_max - start) / width)) + 1
+        try:
+            start, n_bins = _aligned_grid(true_min, true_max, width)
+        except OverflowError:
+            # So fine a width for these values that the bin count overflows
+            # a double (a region whose sample held only its subnormals, say):
+            # jump to the largest power of two under span / MAX_BINS, below
+            # which no grid fits, and let the loop finish.
+            span = true_max / MAX_BINS - true_min / MAX_BINS
+            least = round_down_pow2(span) if span > 0.0 else _constant_width(true_min)
+            width = max(width, least)
+            start, n_bins = _aligned_grid(true_min, true_max, width)
         # Guard against pathological widths producing absurd bin counts
         # (e.g. one extreme outlier): coarsen until manageable.
         while n_bins > MAX_BINS:
             width *= 2.0
-            start = math.floor(true_min / width) * width
-            n_bins = int(math.floor((true_max - start) / width)) + 1
+            start, n_bins = _aligned_grid(true_min, true_max, width)
 
         # Lines 6-18, vectorized: element x lies in bin floor(x / width) - k
         # with k = start / width, and each step is exact: scaling by a power

@@ -16,6 +16,7 @@ position store only their slices.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
@@ -27,12 +28,15 @@ from ..histogram.global_hist import GlobalHistogram
 from ..histogram.mergeable import MergeableHistogram
 from ..pdc.region import RegionMeta, region_key
 from ..storage.device import DeviceKind
-from ..types import is_index
+from ..storage.file import HDF5_IMBALANCE, HDF5_STRIPE_COUNT, PDC_STRIPE_COUNT
+from ..types import MB, is_index
 
 if TYPE_CHECKING:
     from ..pdc.system import PDCSystem, StoredObject
 
 __all__ = [
+    "HIST_REBUILD_FRACTION",
+    "INDEX_PRECISION",
     "RegionDerived",
     "WRITE_STATS",
     "check_maintenance",
@@ -42,6 +46,7 @@ __all__ = [
     "derive_region",
     "extend_object",
     "handle_replica_staleness",
+    "histogram_bins_for",
     "install_region",
     "invalidate_region_caches",
     "remerge_global_histogram",
@@ -99,6 +104,22 @@ def check_payload(values, dtype=None) -> np.ndarray:
     return values
 
 
+#: A delta-maintained region's histogram is rebuilt from scratch once this
+#: share of its elements has been overwritten since its last rebuild.
+HIST_REBUILD_FRACTION = 0.5
+#: FastBit binning precision of every bitmap index (§III-D4 default: 2).
+INDEX_PRECISION = 2
+
+
+def histogram_bins_for(region_size_bytes: int) -> int:
+    """Per-region histogram bin count, the paper's adaptive rule over the
+    virtual region size (§III-D2: *"Depending on the region size, we use 50
+    to 100 bins"*): 50 bins for 4 MB regions and below, scaling to 100 for
+    128 MB and above."""
+    span = math.log2(max(1, region_size_bytes) / (4 * MB))
+    return int(min(100, max(50, 50 + 10 * span)))
+
+
 #: The maintenance counters of ``PDCSystem.last_write_stats``.
 WRITE_STATS = ("hist_merges", "hist_rebuilds", "minmax_rescans",
                "index_delta_appends", "index_rebuilds")
@@ -110,7 +131,6 @@ def derive_region(
     rid: int,
     segment: np.ndarray,
     maintenance: str = "rebuild",
-    rebuild_fraction: float = 0.5,
     written: Optional[Tuple[int, int, np.ndarray]] = None,
     index_only: bool = False,
 ) -> RegionDerived:
@@ -122,7 +142,7 @@ def derive_region(
     nothing of an existing region was written.  Under
     ``"delta"`` maintenance such a region is *patched* — exact
     same-grid subtract/merge of the write's delta histograms, a WAH
-    delta segment on the bitmap — until ``rebuild_fraction`` of it
+    delta segment on the bitmap — until :data:`HIST_REBUILD_FRACTION` of it
     has been overwritten since its histogram was last built, or a written
     value lies so far off the histogram's grid that merging it there
     would pass :data:`repro.histogram.mergeable.MAX_BINS`.
@@ -145,7 +165,7 @@ def derive_region(
         maintenance == "delta"
         and hi > lo
         and h is not None
-        and dirty < rebuild_fraction * count
+        and dirty < HIST_REBUILD_FRACTION * count
         and h.grid_holds(segment[lo:hi])
     )
     if patch:
@@ -179,7 +199,7 @@ def derive_region(
     elif not index_only:
         d.hist = MergeableHistogram.from_data(
             segment,
-            n_bins=system.config.histogram_bins_for(system.config.region_size_bytes),
+            n_bins=histogram_bins_for(system.config.region_size_bytes),
             seed=(obj.meta.object_id * 100003 + rid) & 0x7FFFFFFF,
         )
         if maintenance == "delta":
@@ -192,9 +212,7 @@ def derive_region(
             seconds.append(system.cost.scan_time(hi - lo))
             actions.append("index_delta_appends")
         else:
-            d.index = RegionBitmapIndex.build(
-                segment, precision=system.config.index_precision
-            )
+            d.index = RegionBitmapIndex.build(segment, precision=INDEX_PRECISION)
             actions.append("index_rebuilds")
     # Grouping is pinned, not principled: an overwrite's seconds have
     # always been one pre-summed charge and an append's one charge
@@ -271,8 +289,7 @@ def commit_write(
             server.clock.charge(seconds, "ingest_maint")
         server.clock.charge(
             system.cost.pfs_write_time(
-                int(obj.counts[d.rid]) * obj.itemsize, 1,
-                system.config.pdc_stripe_count,
+                int(obj.counts[d.rid]) * obj.itemsize, 1, PDC_STRIPE_COUNT
             ),
             "pfs_write",
         )
@@ -301,10 +318,9 @@ def extend_object(
     obj.buffer, obj.data = buffer, buffer[:size]
     # The PFS files hold the payload itself: re-created as views of the
     # grown payload, so reads resolve against it.
-    config = system.config
     for path, stripe, imbalance in (
-        (obj.file_path, config.pdc_stripe_count, 1.0),
-        (obj.hdf5_path, config.hdf5_stripe_count, config.hdf5_imbalance),
+        (obj.file_path, PDC_STRIPE_COUNT, 1.0),
+        (obj.hdf5_path, HDF5_STRIPE_COUNT, HDF5_IMBALANCE),
     ):
         if system.pfs.exists(path):
             system.pfs.delete(path)
@@ -374,9 +390,8 @@ def rewrite_index_file(
     for rid in changed:
         chunks[rid] = obj.indexes[rid].to_bytes()
         obj.meta.regions[rid].index_path = path
-    system.pfs.create(path, chunks, stripe_count=system.config.pdc_stripe_count)
+    system.pfs.create(path, chunks)
     obj.index_extents = np.concatenate(([0], np.cumsum([c.size for c in chunks])))
-
 
 
 def handle_replica_staleness(

@@ -13,9 +13,10 @@ seconds.  Everything downstream is charged on the simulated clocks:
   exactly subtracted/merged (Algorithm 1 merges as the delta unit).  The
   maintained counts and min/max are *exact* — bit-identical content to a
   from-scratch rebuild — so query answers, pruning decisions, and
-  read-gating never diverge from rebuild mode.  Once a configurable
-  fraction of a region has been overwritten since its last rebuild, the
-  histogram is rebuilt from scratch (drift bound).
+  read-gating never diverge from rebuild mode.  Once half of a region
+  (:data:`repro.ingest.maintain.HIST_REBUILD_FRACTION`) has been
+  overwritten since its last rebuild, the histogram is rebuilt from
+  scratch (drift bound).
 
 * **WAH bitmap delta segments**: written positions are appended to the
   region's index as delta segments; probes treat delta positions as
@@ -54,6 +55,10 @@ __all__ = [
 ]
 
 
+#: Tenant label stamped on the monitor's ingest observations.
+INGEST_TENANT = "ingest"
+
+
 @dataclass(frozen=True)
 class IngestConfig:
     """Knobs of one ingest stream."""
@@ -66,21 +71,14 @@ class IngestConfig:
     #: ``"rebuild"`` rebuilds per write (the legacy
     #: ``update_object_region`` behaviour).
     maintenance: str = "delta"
-    #: Rebuild a region's histogram from scratch once this fraction of
-    #: its elements has been overwritten since the last rebuild.
-    histogram_rebuild_fraction: float = 0.5
     #: Compact a region's bitmap once its uncompacted delta positions
     #: exceed this fraction of the region (0 disables compaction).
     index_compact_fraction: float = 0.25
-    #: Tenant label stamped on monitor/SLO observations.
-    tenant: str = "ingest"
 
     def __post_init__(self) -> None:
         if self.epoch_interval_s <= 0:
             raise PDCError("epoch_interval_s must be > 0")
         check_maintenance(self.maintenance)
-        if not (0.0 < self.histogram_rebuild_fraction <= 1.0):
-            raise PDCError("histogram_rebuild_fraction must be in (0, 1]")
         if not (0.0 <= self.index_compact_fraction <= 1.0):
             raise PDCError("index_compact_fraction must be in [0, 1]")
 
@@ -159,17 +157,9 @@ class IngestStream:
         stream.flush()           # applies whatever is left
     """
 
-    def __init__(
-        self,
-        system: PDCSystem,
-        config: Optional[IngestConfig] = None,
-        monitor=None,
-    ) -> None:
+    def __init__(self, system: PDCSystem, config: Optional[IngestConfig] = None) -> None:
         self.system = system
         self.config = config or IngestConfig()
-        #: Monitor receiving ``on_ingest_epoch``/``on_compaction`` hooks;
-        #: defaults to the system's installed monitor.
-        self.monitor = monitor if monitor is not None else system.monitor
         self._pending: List[WriteOp] = []
         self._seq = 0
         #: Arrival times below this are inside already-applied epochs.
@@ -270,15 +260,11 @@ class IngestStream:
         for op in ops:
             if op.offset is None:
                 affected = sysm.append_to_object(
-                    op.name, op.values,
-                    maintenance=cfg.maintenance,
-                    rebuild_fraction=cfg.histogram_rebuild_fraction,
+                    op.name, op.values, maintenance=cfg.maintenance
                 )
             else:
                 affected = sysm.update_object_region(
-                    op.name, op.offset, op.values,
-                    maintenance=cfg.maintenance,
-                    rebuild_fraction=cfg.histogram_rebuild_fraction,
+                    op.name, op.offset, op.values, maintenance=cfg.maintenance
                 )
             result.n_ops += 1
             result.n_elements += int(op.values.size)
@@ -301,10 +287,12 @@ class IngestStream:
         result.compactions = self._compact(result)
         self._applied_until_s = max(self._applied_until_s, apply_at)
         self.epochs.append(result)
-        if self.monitor.enabled:
-            self.monitor.on_ingest_epoch(
+        # The system's monitor as installed now, like every other hook site.
+        monitor = sysm.monitor
+        if monitor.enabled:
+            monitor.on_ingest_epoch(
                 sysm.sync_clocks(),
-                cfg.tenant,
+                INGEST_TENANT,
                 epoch=result.epoch,
                 n_ops=result.n_ops,
                 n_elements=result.n_elements,
@@ -338,8 +326,8 @@ class IngestStream:
                 n_delta = int(deltas[rid])
                 sysm.compact_region_index(name, rid)
                 done += 1
-                if self.monitor.enabled:
-                    self.monitor.on_compaction(
+                if sysm.monitor.enabled:
+                    sysm.monitor.on_compaction(
                         sysm.sync_clocks(), name, rid, n_delta
                     )
         return done

@@ -160,7 +160,6 @@ def run_micro_suite() -> Dict[str, float]:
         IngestConfig(
             epoch_interval_s=0.002,
             maintenance="delta",
-            histogram_rebuild_fraction=0.5,
             index_compact_fraction=0.05,
         ),
     )

@@ -4,7 +4,7 @@ collection of objects in a number of containers"*)."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Set
+from typing import Set
 
 from ..errors import MetadataError, ObjectNotFoundError
 
@@ -13,11 +13,10 @@ __all__ = ["Container"]
 
 @dataclass
 class Container:
-    """A grouping of object names with its own small metadata."""
+    """A named grouping of object names."""
 
     name: str
-    tags: Dict[str, object] = field(default_factory=dict)
-    _members: Set[str] = field(default_factory=set, repr=False)
+    _members: Set[str] = field(default_factory=set, init=False, repr=False)
 
     def __post_init__(self) -> None:
         if not self.name:

@@ -64,12 +64,12 @@ class ObjectMeta:
     #: Region descriptors, ascending by offset.
     regions: List[RegionMeta] = field(default_factory=list)
     #: Merged whole-object histogram (§III-D2 / §IV).
-    global_histogram: Optional[GlobalHistogram] = None
+    global_histogram: Optional[GlobalHistogram] = field(default=None, init=False)
     #: Name of the sorted-replica key object when a sorted copy exists
     #: (§III-D3 user hint).
-    sorted_by: Optional[str] = None
+    sorted_by: Optional[str] = field(default=None, init=False)
     #: Logical creation timestamp (monotonic counter, not wall clock).
-    created_at: int = 0
+    created_at: int = field(default=0, init=False)
 
     def __post_init__(self) -> None:
         if not self.name:

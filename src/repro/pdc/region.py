@@ -8,7 +8,7 @@ storage location of its payload, its mergeable histogram, and true min/max.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
 from ..errors import PDCError
@@ -35,12 +35,12 @@ class RegionMeta:
     #: PFS path of the file holding the payload.
     file_path: str
     #: Storage tier currently holding the authoritative copy.
-    tier: str = "disk"
+    tier: str = field(default="disk", init=False)
     #: Per-region mergeable histogram (built at import/production time —
     #: §III-D2: "automatically generated ... at no additional cost").
-    histogram: Optional[MergeableHistogram] = None
+    histogram: Optional[MergeableHistogram] = field(default=None, init=False)
     #: PFS path of this region's bitmap-index file, when one was built.
-    index_path: Optional[str] = None
+    index_path: Optional[str] = field(default=None, init=False)
 
     def __post_init__(self) -> None:
         if self.offset < 0 or self.n_elements <= 0:

@@ -9,7 +9,6 @@ bitmap indexes and sorted replicas).  The query engine
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -25,8 +24,8 @@ from ..obs.monitor import NOOP_MONITOR
 from ..obs.tracer import NOOP_TRACER
 from ..strategies import Strategy, strategy_from_env
 from ..sorting.reorganize import SortedReplica
-from ..storage.costmodel import CostModel, CostParameters, CORI_LIKE, SimClock
-from ..storage.file import ParallelFileSystem
+from ..storage.costmodel import CostModel, SimClock
+from ..storage.file import HDF5_IMBALANCE, HDF5_STRIPE_COUNT, PDC_STRIPE_COUNT, ParallelFileSystem
 from ..types import GB, MB, PDCType, is_index, pdc_type_of_dtype
 from ..storage.device import DeviceKind
 from .container import Container
@@ -53,29 +52,11 @@ class PDCConfig:
     region_size_bytes: int = 32 * MB
     #: Each real element stands for this many virtual elements.
     virtual_scale: float = 1.0
-    #: Machine constants of the simulated testbed.
-    cost_params: CostParameters = field(default_factory=lambda: CORI_LIKE)
     #: Per-server memory limit (§V: 64 GB), in virtual bytes.
     server_memory_bytes: float = 64 * GB
     #: Evaluation strategy; None resolves $PDC_QUERY_STRATEGY (default
     #: histogram-only, as in the paper).
     strategy: Optional[Strategy] = None
-    #: Stripe width of PDC's internal data files (PDC distributes data
-    #: across storage devices, §III-E).
-    pdc_stripe_count: int = 64
-    #: Stripe width of the comparison "HDF5" files (typical default
-    #: striping — the source of HDF5-F's ~2x slower reads).
-    hdf5_stripe_count: int = 8
-    #: OST-hotspot straggler factor of the HDF5 files (§III-E: PDC's data
-    #: distribution + read aggregation avoids this; plain files don't).
-    hdf5_imbalance: float = 2.2
-    #: Lower bound on per-region histogram bins.  0 selects the paper's
-    #: adaptive rule (§III-D2: *"Depending on the region size, we use 50
-    #: to 100 bins"*): 50 bins for small regions scaling to 100 for
-    #: 128 MB+ regions.
-    histogram_bins: int = 0
-    #: FastBit binning precision (§III-D4 default: 2).
-    index_precision: int = 2
     #: get_data reads whole regions holding hits (block-index style, the
     #: PDC behaviour); False reads aggregated hit extents (ablation).
     get_data_whole_regions: bool = True
@@ -98,14 +79,6 @@ class PDCConfig:
             )
         if not (0.0 < self.replica_rebuild_threshold <= 1.0):
             raise PDCError("replica_rebuild_threshold must be in (0, 1]")
-
-    def histogram_bins_for(self, region_size_bytes: int) -> int:
-        """Per-region histogram bin count: explicit, or the adaptive
-        50–100 rule over the virtual region size."""
-        if self.histogram_bins > 0:
-            return self.histogram_bins
-        span = math.log2(max(1, region_size_bytes) / (4 * MB))
-        return int(min(100, max(50, 50 + 10 * span)))
 
     def region_elements(self, itemsize: int) -> int:
         """Real elements per region for a given element size."""
@@ -139,34 +112,33 @@ class StoredObject:
     #: (§II: any layer of the memory/storage hierarchy).
     region_tier: List[str]
     #: Optional per-region bitmap indexes (built by ``build_index``).
-    indexes: Optional[List[RegionBitmapIndex]] = None
+    indexes: Optional[List[RegionBitmapIndex]] = field(default=None, init=False)
     #: Per-region index-file sizes / compressed word counts.
-    index_nbytes: Optional[np.ndarray] = None
-    index_words: Optional[np.ndarray] = None
+    index_nbytes: Optional[np.ndarray] = field(default=None, init=False)
+    index_words: Optional[np.ndarray] = field(default=None, init=False)
     #: Byte offset of each region's extent in the index file, plus the
     #: file's size (``n_regions + 1`` entries), as last written.
-    index_extents: Optional[np.ndarray] = None
+    index_extents: Optional[np.ndarray] = field(default=None, init=False)
     #: Per-region count of elements covered only by *uncompacted* WAH
     #: delta segments (continuous ingest appends deltas instead of
     #: rebuilding the bitmap; probes treat delta positions as candidates
     #: until background compaction folds them in).
-    index_delta_counts: Optional[np.ndarray] = None
+    index_delta_counts: Optional[np.ndarray] = field(default=None, init=False)
     #: ``indexes`` stacked for whole-step probes (:meth:`index_probe_table`);
     #: an installed index replaces its row (``repro.ingest.maintain``).
-    probe_table: Optional[IndexProbeTable] = None
+    probe_table: Optional[IndexProbeTable] = field(default=None, init=False)
     #: Every index's bin-ordered positions, region ``rid``'s at ``offsets[rid]``
     #: (the payload's layout); each index's ``positions`` views its slice.
-    index_positions: Optional[np.ndarray] = None
+    index_positions: Optional[np.ndarray] = field(default=None, init=False)
     #: Per-region element count overwritten since the histogram was last
     #: rebuilt from scratch (drift gauge for the delta-merge path).
-    hist_dirty_elements: Optional[np.ndarray] = None
+    hist_dirty_elements: Optional[np.ndarray] = field(default=None, init=False)
     #: The payload's storage: elements past ``data`` are spare capacity an
     #: append writes into (a new object's buffer is its ``data``).
-    buffer: Optional[np.ndarray] = None
+    buffer: np.ndarray = field(init=False)
 
     def __post_init__(self) -> None:
-        if self.buffer is None:
-            self.buffer = self.data
+        self.buffer = self.data
 
     @property
     def name(self) -> str:
@@ -236,33 +208,22 @@ class ReplicaGroup:
 class PDCSystem:
     """One PDC deployment: servers + storage + metadata + object registry."""
 
-    def __init__(
-        self,
-        config: Optional[PDCConfig] = None,
-        tracer=None,
-        metrics=None,
-    ) -> None:
+    def __init__(self, config: Optional[PDCConfig] = None, metrics=None) -> None:
         self.config = config or PDCConfig()
         if self.config.n_servers < 1:
             raise PDCError("need at least one PDC server")
-        #: Observability hooks.  The default tracer is the zero-cost no-op
+        #: Observability hooks.  The tracer starts as the zero-cost no-op
         #: (swap in a real one with :meth:`set_tracer`); metrics default to
         #: the process-wide registry so counters accumulate across systems
         #: unless the caller supplies an isolated registry.
-        self.tracer = tracer if tracer is not None else NOOP_TRACER
+        self.tracer = NOOP_TRACER
         self.metrics = metrics if metrics is not None else REGISTRY
         #: Continuous-telemetry monitor; the default no-op records nothing
         #: and costs one attribute read per event point (see
         #: :meth:`set_monitor`).
         self.monitor = NOOP_MONITOR
-        self.cost = CostModel(
-            params=self.config.cost_params, virtual_scale=self.config.virtual_scale
-        )
-        self.pfs = ParallelFileSystem(
-            cost=self.cost,
-            default_stripe_count=self.config.pdc_stripe_count,
-            metrics=self.metrics,
-        )
+        self.cost = CostModel(virtual_scale=self.config.virtual_scale)
+        self.pfs = ParallelFileSystem(cost=self.cost, metrics=self.metrics)
         self.metadata = MetadataService(self.config.n_servers, self.pfs, self.cost)
         self.servers: List[PDCServer] = [
             PDCServer(
@@ -426,10 +387,10 @@ class PDCSystem:
         self._on_membership_event(self.membership.recover(t, server_id))
 
     # ------------------------------------------------------------- containers
-    def create_container(self, name: str, tags: Optional[Dict[str, TagValue]] = None) -> Container:
+    def create_container(self, name: str) -> Container:
         if name in self.containers:
             raise PDCError(f"container {name!r} exists")
-        cont = Container(name, tags or {})
+        cont = Container(name)
         self.containers[name] = cont
         return cont
 
@@ -468,12 +429,9 @@ class PDCSystem:
         extents = partition(data.size, region_elems)
         file_path = f"/pdc/data/{name}"
         hdf5_path = f"/hdf5/{name}.h5"
-        self.pfs.create(file_path, data, stripe_count=self.config.pdc_stripe_count)
+        self.pfs.create(file_path, data)
         self.pfs.create(
-            hdf5_path,
-            data,
-            stripe_count=self.config.hdf5_stripe_count,
-            imbalance=self.config.hdf5_imbalance,
+            hdf5_path, data, stripe_count=HDF5_STRIPE_COUNT, imbalance=HDF5_IMBALANCE
         )
 
         meta = ObjectMeta(
@@ -525,7 +483,6 @@ class PDCSystem:
         offset: int,
         values: np.ndarray,
         maintenance: str = "rebuild",
-        rebuild_fraction: float = 0.5,
     ) -> List[int]:
         """Overwrite part of an object and maintain all derived state.
 
@@ -537,8 +494,9 @@ class PDCSystem:
           from scratch (``maintenance="rebuild"``, the default), or
           incrementally via exact same-grid subtract/merge of the write's
           delta histograms (``"delta"``, Algorithm 1 merges as the delta
-          unit) with a from-scratch rebuild once ``rebuild_fraction`` of
-          the region has been overwritten since the last rebuild;
+          unit) with a from-scratch rebuild once
+          :data:`repro.ingest.maintain.HIST_REBUILD_FRACTION` of the region
+          has been overwritten since the last rebuild;
         * the global histogram swaps in the written regions' operands;
         * affected regions' bitmap indexes are rebuilt (rebuild mode) or
           extended with WAH delta segments (delta mode; probes treat
@@ -583,8 +541,7 @@ class PDCSystem:
             replaced = obj.data[roff + lo : roff + hi]
             derived.append(
                 write.derive_region(
-                    self, obj, rid, segment, maintenance, rebuild_fraction,
-                    written=(lo, hi, replaced),
+                    self, obj, rid, segment, maintenance, written=(lo, hi, replaced),
                 )
             )
         # Write through (obj.data is the same array the PFS file holds).
@@ -596,7 +553,6 @@ class PDCSystem:
         name: str,
         values: np.ndarray,
         maintenance: str = "rebuild",
-        rebuild_fraction: float = 0.5,
     ) -> List[int]:
         """Grow a 1-D object at the tail and maintain all derived state.
 
@@ -638,14 +594,10 @@ class PDCSystem:
         # An append is a write that replaced nothing.
         derived = [write.derive_region(
             self, obj, tail, buffer[int(obj.offsets[tail]) : n + absorbed],
-            maintenance, rebuild_fraction,
-            written=(tail_count, tail_count + absorbed, values[:0]),
+            maintenance, written=(tail_count, tail_count + absorbed, values[:0]),
         )] if absorbed else []
         derived += [
-            write.derive_region(
-                self, obj, rid, buffer[off : off + count], maintenance,
-                rebuild_fraction,
-            )
+            write.derive_region(self, obj, rid, buffer[off : off + count], maintenance)
             for rid, off, count in opened
         ]
         write.extend_object(self, obj, buffer, size, absorbed, opened)
@@ -698,7 +650,7 @@ class PDCSystem:
         server.clock.charge(
             self.cost.scan_time(count)
             + self.cost.pfs_write_time(
-                int(derived.index.nbytes), 1, self.config.pdc_stripe_count
+                int(derived.index.nbytes), 1, PDC_STRIPE_COUNT
             ),
             "compaction",
         )
@@ -729,10 +681,10 @@ class PDCSystem:
             server = self.servers[self.server_of_region(rid)]
             server.clock.charge(
                 self.cost.tier_read_time(
-                    nbytes, 1, current, self.config.pdc_stripe_count
+                    nbytes, 1, current, PDC_STRIPE_COUNT
                 )
                 + self.cost.tier_read_time(
-                    nbytes, 1, tier, self.config.pdc_stripe_count
+                    nbytes, 1, tier, PDC_STRIPE_COUNT
                 ) / 0.8,
                 "migrate",
             )
@@ -848,16 +800,16 @@ class PDCSystem:
 
         key_file = f"/pdc/sorted/{key_name}/key"
         perm_file = f"/pdc/sorted/{key_name}/perm"
-        self.pfs.create(key_file, replica.key_values, stripe_count=self.config.pdc_stripe_count)
-        self.pfs.create(perm_file, replica.permutation, stripe_count=self.config.pdc_stripe_count)
+        self.pfs.create(key_file, replica.key_values)
+        self.pfs.create(perm_file, replica.permutation)
         companion_files = {}
         for cname, cdata in replica.companions.items():
             cpath = f"/pdc/sorted/{key_name}/{cname}"
-            self.pfs.create(cpath, cdata, stripe_count=self.config.pdc_stripe_count)
+            self.pfs.create(cpath, cdata)
             companion_files[cname] = cpath
 
         build_time = self.cost.sort_time(replica.n_elements) + self.cost.pfs_write_time(
-            replica.nbytes, 1 + len(companion_files), self.config.pdc_stripe_count,
+            replica.nbytes, 1 + len(companion_files), PDC_STRIPE_COUNT,
             self.n_servers,
         )
         group = ReplicaGroup(

@@ -45,6 +45,7 @@ from ..pdc.region import region_key
 from ..pdc.system import PDCSystem, ReplicaGroup, StoredObject
 from ..storage.aggregator import coords_to_extents
 from ..storage.device import DeviceKind
+from ..storage.file import PDC_STRIPE_COUNT
 from ..strategies import Strategy
 from ..types import check_timeout
 from . import planner
@@ -911,7 +912,7 @@ class QueryEngine:
 
         total_hits = 0
         per_object: Dict[str, int] = {}
-        readers, stripes = sysm.n_servers, sysm.config.pdc_stripe_count
+        readers, stripes = sysm.n_servers, PDC_STRIPE_COUNT
         alive = sysm.alive_servers
         for name in names:
             obj = sysm.get_object(name)
@@ -1392,7 +1393,7 @@ class QueryEngine:
         """Where each listed region is read from whole — index and replica
         files on disk, an object's own payload on the tier each region was
         migrated to — and that read's ``CostModel.tier_read_time``."""
-        cost, stripes = self.system.cost, self.system.config.pdc_stripe_count
+        cost, stripes = self.system.cost, PDC_STRIPE_COUNT
         seconds = cost.tier_read_time(nbytes, 1, DeviceKind.DISK, stripes, readers).tolist()
         tiers = [DeviceKind.DISK] * len(seconds)
         region_tier = self.system.get_object(name).region_tier if replica == "orig" else ()
@@ -1560,10 +1561,10 @@ class QueryEngine:
         """Simulated seconds of a cold index probe touching ``bytes_touched``
         of bitmaps behind a ``header_bytes`` directory (scalars, or arrays
         over many probes)."""
-        sysm = self.system
-        return sysm.cost.pfs_read_time(
-            bytes_touched, 1, sysm.config.pdc_stripe_count, readers
-        ) + sysm.cost.pfs_read_time(header_bytes, 0, 1, 1, scaled=False)
+        cost = self.system.cost
+        return cost.pfs_read_time(
+            bytes_touched, 1, PDC_STRIPE_COUNT, readers
+        ) + cost.pfs_read_time(header_bytes, 0, 1, 1, scaled=False)
 
     def _charge_replica_regions(
         self,
@@ -1663,7 +1664,7 @@ class QueryEngine:
         effect whole-region reads avoid); a resident region is copied from
         memory as usual."""
         sysm = self.system
-        stripes = sysm.config.pdc_stripe_count
+        stripes = PDC_STRIPE_COUNT
         for server, mine in pairs:
             for rid in mine.tolist():
                 key = region_key(obj.name, rid)

@@ -39,6 +39,7 @@ import numpy as np
 from ..histogram.selectivity import order_by_selectivity
 from ..interval import Interval
 from ..pdc.system import PDCSystem, ReplicaGroup, StoredObject
+from ..storage.file import PDC_STRIPE_COUNT
 from ..strategies import Strategy
 from .ast import Conjunct, QueryNode, typed_conjuncts
 
@@ -381,7 +382,7 @@ def _estimates(book: PlanBook, node: QueryNode, plan_args: tuple) -> List[PlanEs
     terms in plan order.  PDC-SH takes PDC-H's estimate when some conjunct
     has no applicable sorted replica."""
     system = book.system
-    cost, n, stripes = system.cost, system.n_servers, system.config.pdc_stripe_count
+    cost, n, stripes = system.cost, system.n_servers, PDC_STRIPE_COUNT
     full_plans = [plan for _, plan in book.plans(node, Strategy.FULL_SCAN, *plan_args)]
     region_sets: Dict[Tuple[str, bytes], Tuple[float, float]] = {}
 

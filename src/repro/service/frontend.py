@@ -55,7 +55,7 @@ from ..ingest import IngestConfig, IngestStream, WriteResult, WriteSpec
 from ..ingest.maintain import check_offset
 from ..pdc.system import PDCSystem
 from ..query.ast import QueryNode
-from ..query.executor import BatchResult, QueryEngine, QueryResult, QuerySpec
+from ..query.executor import BatchResult, QueryResult, QuerySpec
 from ..query.scheduler import QueryScheduler
 from .admission import ADMIT, REJECT_QUEUE, REJECT_RATE, AdmissionDecision, TokenBucket
 from .config import ServiceConfig, Tenant
@@ -161,17 +161,11 @@ class TenantStats:
 class QueryService:
     """Multi-tenant query-service frontend over one PDC deployment."""
 
-    def __init__(
-        self,
-        system: PDCSystem,
-        config: Optional[ServiceConfig] = None,
-        engine: Optional[QueryEngine] = None,
-    ) -> None:
+    def __init__(self, system: PDCSystem, config: Optional[ServiceConfig] = None) -> None:
         self.system = system
         self.config = config if config is not None else ServiceConfig()
         self.scheduler = QueryScheduler(
             system,
-            engine=engine,
             max_width=self.config.batch_window,
             use_selection_cache=self.config.use_selection_cache,
         )

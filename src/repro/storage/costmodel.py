@@ -16,8 +16,8 @@ Calibration targets (Cori Haswell + Lustre, §V of the paper):
   the effect that motivates region-size tuning and read aggregation (§III-E).
 * A per-element scan cost for in-memory query evaluation.
 
-All constants live in :class:`CostParameters` so ablation benches can vary
-them.  A ``virtual_scale`` factor maps the scaled-down in-memory arrays used
+All constants live in :class:`CostParameters`; every deployment prices on
+:data:`CORI_LIKE`.  A ``virtual_scale`` factor maps the scaled-down in-memory arrays used
 by this reproduction onto the paper's 3.3 TB dataset: costs are charged in
 *virtual* bytes/elements (real × scale) while correctness is checked on the
 real data.

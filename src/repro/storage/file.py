@@ -9,17 +9,27 @@ actual payload as 1-D numpy arrays (so query answers are real), while
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Union
 
 import numpy as np
 
 from ..errors import StorageError
 from .costmodel import CostModel, SimClock
 
-__all__ = ["SimFile", "ParallelFileSystem", "Extent"]
+__all__ = [
+    "SimFile", "ParallelFileSystem", "PDC_STRIPE_COUNT", "HDF5_STRIPE_COUNT", "HDF5_IMBALANCE",
+]
 
-#: Half-open element range ``(start, stop)`` within a file.
-Extent = Tuple[int, int]
+#: Stripe width of PDC's internal data files (PDC distributes data across
+#: storage devices, §III-E): every file a deployment creates but the
+#: comparison "HDF5" ones.
+PDC_STRIPE_COUNT = 64
+#: Stripe width of the comparison "HDF5" files (typical default striping —
+#: the source of HDF5-F's ~2x slower reads).
+HDF5_STRIPE_COUNT = 8
+#: OST-hotspot straggler factor of the HDF5 files (§III-E: PDC's data
+#: distribution + read aggregation avoids this; plain files don't).
+HDF5_IMBALANCE = 2.2
 
 
 class SimFile:
@@ -79,14 +89,8 @@ class ParallelFileSystem:
     clock when one is supplied.
     """
 
-    def __init__(
-        self,
-        cost: Optional[CostModel] = None,
-        default_stripe_count: int = 8,
-        metrics=None,
-    ) -> None:
+    def __init__(self, cost: Optional[CostModel] = None, metrics=None) -> None:
         self.cost = cost or CostModel()
-        self.default_stripe_count = default_stripe_count
         self._files: Dict[str, SimFile] = {}
         #: Total (virtual) bytes written since creation.  PDC query reads
         #: are counted where they are charged (``PDCServer.touch_share``).
@@ -128,17 +132,17 @@ class ParallelFileSystem:
         data: Union[np.ndarray, List[np.ndarray]],
         stripe_count: Optional[int] = None,
         clock: Optional[SimClock] = None,
-        concurrent_writers: int = 1,
         imbalance: float = 1.0,
     ) -> SimFile:
         """Create ``path`` holding ``data`` (one 1-D array, or its chunks in
-        order); charges write time."""
+        order), striped :data:`PDC_STRIPE_COUNT` wide unless told otherwise;
+        charges write time."""
         if path in self._files:
             raise StorageError(f"file exists: {path!r}")
         f = SimFile(
             path=path,
             data=data,
-            stripe_count=stripe_count or self.default_stripe_count,
+            stripe_count=stripe_count or PDC_STRIPE_COUNT,
             imbalance=imbalance,
         )
         self._files[path] = f
@@ -147,7 +151,7 @@ class ParallelFileSystem:
             self._m_bytes_written.inc(self.cost.virtual_bytes(f.nbytes))
         if clock is not None:
             clock.charge(
-                self.cost.pfs_write_time(f.nbytes, 1, f.stripe_count, concurrent_writers),
+                self.cost.pfs_write_time(f.nbytes, 1, f.stripe_count),
                 category="pfs_write",
             )
         return f
@@ -159,45 +163,20 @@ class ParallelFileSystem:
         start: int = 0,
         stop: Optional[int] = None,
         clock: Optional[SimClock] = None,
-        concurrent_readers: int = 1,
     ) -> np.ndarray:
         """Read elements ``[start, stop)`` of ``path`` as one contiguous
         access; returns a view."""
-        (view,) = self.read_extents(
-            path, [(start, stop if stop is not None else self.stat(path).n_elements)],
-            clock=clock, concurrent_readers=concurrent_readers,
-        )
-        return view
-
-    def read_extents(
-        self,
-        path: str,
-        extents: Sequence[Extent],
-        clock: Optional[SimClock] = None,
-        concurrent_readers: int = 1,
-    ) -> List[np.ndarray]:
-        """Read several element extents; each extent is one PFS access.
-
-        Callers wanting fewer accesses should merge extents first with
-        :func:`repro.storage.aggregator.aggregate_extents`.
-        """
         f = self.stat(path)
-        views: List[np.ndarray] = []
-        nbytes = 0
-        for start, stop in extents:
-            if not (0 <= start <= stop <= f.n_elements):
-                raise StorageError(
-                    f"extent ({start}, {stop}) out of bounds for {path!r} "
-                    f"with {f.n_elements} elements"
-                )
-            views.append(f.data[start:stop])
-            nbytes += (stop - start) * f.itemsize
-        if clock is not None and extents:
+        stop = f.n_elements if stop is None else stop
+        if not (0 <= start <= stop <= f.n_elements):
+            raise StorageError(
+                f"extent ({start}, {stop}) out of bounds for {path!r} "
+                f"with {f.n_elements} elements"
+            )
+        if clock is not None:
             clock.charge(
                 f.imbalance
-                * self.cost.pfs_read_time(
-                    nbytes, len(extents), f.stripe_count, concurrent_readers
-                ),
+                * self.cost.pfs_read_time((stop - start) * f.itemsize, 1, f.stripe_count),
                 category="pfs_read",
             )
-        return views
+        return f.data[start:stop]

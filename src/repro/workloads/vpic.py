@@ -44,42 +44,42 @@ BOX_Z = (0.0, 132.0)
 #: All seven per-particle variables, in the paper's order.
 VARIABLES = ("Energy", "x", "y", "z", "Ux", "Uy", "Uz")
 
+#: Particles per cell (VPIC file layout granularity).
+PARTICLES_PER_CELL = 64
+#: Fraction of particles in the accelerated tail.
+TAIL_FRACTION = 0.053
+#: Exponential tail scale: density ratio across the paper's query span
+#: (2.1 → 3.5) is exp(-1.4 / scale) ≈ 1/3200, giving 1.3 % → 0.0004 %.
+TAIL_SCALE = 0.173
+#: Tail onset energy.
+TAIL_ONSET = 2.0
+#: Thermal bulk: Weibull(shape) × scale.  A steep shape makes the bulk
+#: die out well below the tail onset (so high-energy windows are
+#: prunable and owned by the tail alone) while still putting ~10 % of
+#: particles above 1.3 — which is what flips the planner to x-first on
+#: the weakly-energy-selective multi-object queries (§VI-B).
+THERMAL_SHAPE = 4.0
+THERMAL_SCALE = 1.05
+#: Width (in y) of the reconnection current sheet where tail particles
+#: concentrate.
+SHEET_WIDTH = 25.0
+#: Relative tail weight far from any reconnection site.  Near zero so
+#: quiet regions carry no energetic particles at all (prunable).
+BACKGROUND_FRACTION = 1e-6
+
 
 @dataclass(frozen=True)
 class VPICConfig:
-    """Generator parameters."""
+    """Generator parameters; the distribution's shape is the module's
+    constants."""
 
     #: Real particles to generate (each stands for ``virtual_scale``).
     n_particles: int = 1 << 20
-    #: Particles per cell (VPIC file layout granularity).
-    particles_per_cell: int = 64
-    #: Fraction of particles in the accelerated tail.
-    tail_fraction: float = 0.053
-    #: Exponential tail scale: density ratio across the paper's query span
-    #: (2.1 → 3.5) is exp(-1.4 / scale) ≈ 1/3200, giving 1.3 % → 0.0004 %.
-    tail_scale: float = 0.173
-    #: Tail onset energy.
-    tail_onset: float = 2.0
-    #: Thermal bulk: Weibull(shape) × scale.  A steep shape makes the bulk
-    #: die out well below the tail onset (so high-energy windows are
-    #: prunable and owned by the tail alone) while still putting ~10 % of
-    #: particles above 1.3 — which is what flips the planner to x-first on
-    #: the weakly-energy-selective multi-object queries (§VI-B).
-    thermal_shape: float = 4.0
-    thermal_scale: float = 1.05
-    #: Width (in y) of the reconnection current sheet where tail particles
-    #: concentrate.
-    sheet_width: float = 25.0
-    #: Relative tail weight far from any reconnection site.  Near zero so
-    #: quiet regions carry no energetic particles at all (prunable).
-    background_fraction: float = 1e-6
     seed: int = 2020
 
     def __post_init__(self) -> None:
-        if self.n_particles < self.particles_per_cell:
+        if self.n_particles < PARTICLES_PER_CELL:
             raise PDCError("need at least one full cell of particles")
-        if not (0.0 < self.tail_fraction < 1.0):
-            raise PDCError("tail_fraction must be in (0, 1)")
 
 
 @dataclass
@@ -125,7 +125,7 @@ def generate_vpic(config: Optional[VPICConfig] = None) -> VPICDataset:
     """
     cfg = config or VPICConfig()
     rng = np.random.default_rng(cfg.seed)
-    ppc = cfg.particles_per_cell
+    ppc = PARTICLES_PER_CELL
     n = (cfg.n_particles // ppc) * ppc
     n_cells = n // ppc
     nx, ny, nz = _cell_grid(n_cells)
@@ -161,20 +161,20 @@ def generate_vpic(config: Optional[VPICConfig] = None) -> VPICDataset:
     x_weight = np.exp(
         -((cell_x[:, None] - sites[None, :]) / site_width) ** 2
     ).sum(axis=1)
-    sheet_weight = np.exp(-((cell_y / cfg.sheet_width) ** 2)) * (
-        x_weight + cfg.background_fraction
+    sheet_weight = np.exp(-((cell_y / SHEET_WIDTH) ** 2)) * (
+        x_weight + BACKGROUND_FRACTION
     )
-    # Normalize so the global tail fraction is cfg.tail_fraction.
-    p_cell = cfg.tail_fraction * sheet_weight / sheet_weight.mean()
+    # Normalize so the global tail fraction is TAIL_FRACTION.
+    p_cell = TAIL_FRACTION * sheet_weight / sheet_weight.mean()
     p_cell = np.minimum(p_cell, 0.95)
     # Renormalize after clipping.
-    p_cell *= cfg.tail_fraction / max(p_cell.mean(), 1e-12)
+    p_cell *= TAIL_FRACTION / max(p_cell.mean(), 1e-12)
     p_particle = np.repeat(p_cell, ppc)
 
     is_tail = rng.random(n) < p_particle
-    energy = cfg.thermal_scale * rng.weibull(cfg.thermal_shape, n)
+    energy = THERMAL_SCALE * rng.weibull(THERMAL_SHAPE, n)
     n_tail = int(is_tail.sum())
-    energy[is_tail] = cfg.tail_onset + rng.exponential(cfg.tail_scale, n_tail)
+    energy[is_tail] = TAIL_ONSET + rng.exponential(TAIL_SCALE, n_tail)
 
     # Momenta: thermal Maxwellian plus bulk flow proportional to sqrt(E)
     # for tail particles (keeps |U| consistent with energy).

@@ -187,16 +187,17 @@ def make_system(
     ``tracer``/``metrics`` go to the system (observability hooks); other
     kwargs go to :class:`PDCConfig`.
     """
-    return PDCSystem(
+    sysm = PDCSystem(
         PDCConfig(
             n_servers=n_servers,
             region_size_bytes=region_size_bytes,
             strategy=strategy,
             **kwargs,
         ),
-        tracer=tracer,
         metrics=metrics,
     )
+    sysm.set_tracer(tracer)
+    return sysm
 
 
 @pytest.fixture

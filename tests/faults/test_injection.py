@@ -59,7 +59,7 @@ class TestRetries:
         sysm2.set_fault_plan(
             FaultPlan(
                 seed=11,
-                config=FaultConfig(pfs_slow_rate=1.0, pfs_slow_factor=4.0),
+                config=FaultConfig(pfs_slow_rate=1.0),
             )
         )
         res = QueryEngine(sysm2).execute(node2, strategy=Strategy.FULL_SCAN)
@@ -146,7 +146,7 @@ class TestFailover:
         sysm2.set_fault_plan(
             FaultPlan(
                 seed=3,
-                config=FaultConfig(server_slow_rate=1.0, server_slow_factor=3.0),
+                config=FaultConfig(server_slow_rate=1.0),
             )
         )
         res = QueryEngine(sysm2).execute(node2, strategy=Strategy.FULL_SCAN)

@@ -80,10 +80,7 @@ class TestRates:
 
 class TestBackoff:
     def test_exponential(self):
-        plan = FaultPlan(
-            seed=0,
-            config=FaultConfig(retry_backoff_s=1e-3, backoff_multiplier=2.0),
-        )
+        plan = FaultPlan(seed=0)
         assert plan.backoff_s(1) == pytest.approx(1e-3)
         assert plan.backoff_s(2) == pytest.approx(2e-3)
         assert plan.backoff_s(3) == pytest.approx(4e-3)
@@ -97,10 +94,10 @@ class TestConfigValidation:
             {"pfs_read_error_rate": 1.5},
             {"server_crash_rate": 2.0},
             {"max_retries": -1},
-            {"retry_backoff_s": -1.0},
-            {"backoff_multiplier": 0.5},
-            {"pfs_slow_factor": 0.9},
-            {"server_slow_factor": 0.0},
+            {"pfs_slow_rate": -0.1},
+            {"pfs_slow_rate": 1.5},
+            {"server_slow_rate": -0.5},
+            {"server_slow_rate": 2.0},
             {"query_timeout_s": 0.0},
             {"query_timeout_s": -1.0},
         ],
@@ -112,15 +109,11 @@ class TestConfigValidation:
     @pytest.mark.parametrize("value", [float("nan"), float("inf")], ids=["nan", "inf"])
     @pytest.mark.parametrize(
         "field",
-        [
-            "query_timeout_s", "retry_backoff_s", "backoff_multiplier",
-            "pfs_slow_factor", "server_slow_factor", "max_retries",
-        ],
+        ["query_timeout_s", "max_retries"],
     )
     def test_rejects_non_finite_knob(self, field, value):
-        """NaN passes every ordering check and inf every lower bound: a
-        NaN factor or backoff used to surface as an untyped charge error, an
-        infinite straggler as a complete result with ``elapsed_s=inf``."""
+        """NaN passes every ordering check and inf every lower bound: an
+        infinite budget or retry count is refused, not run."""
         with pytest.raises(PDCError, match=field):
             FaultConfig(**{field: value})
 

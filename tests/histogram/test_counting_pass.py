@@ -27,6 +27,7 @@ from repro.histogram.mergeable import (
     _exact_offset,
     round_down_pow2,
 )
+from tests.conftest import make_system
 
 TINY = 5e-324  # 2^-1074, the least subnormal
 
@@ -51,8 +52,8 @@ def reference_count(data: np.ndarray, width: float):
     return width, start, np.bincount(idx, minlength=n_bins), true_min, true_max
 
 
-def reference_from_data(data, n_bins=64, sample_fraction=0.1, seed=0):
-    """Algorithm 1's width choice, then the reference counting pass."""
+def algorithm1_width(data, n_bins=64, sample_fraction=0.1, seed=0):
+    """Algorithm 1's width choice from a sample."""
     data = np.asarray(data).astype(np.float64, copy=False)
     n_sample = max(1, int(data.size * sample_fraction))
     if n_sample >= data.size:
@@ -61,10 +62,14 @@ def reference_from_data(data, n_bins=64, sample_fraction=0.1, seed=0):
         sample = data[np.random.default_rng(seed).integers(0, data.size, size=n_sample)]
     span = float(sample.max()) - float(sample.min())
     if span <= 0.0:
-        width = round_down_pow2(max(abs(float(sample.min())), 1.0) * 2 ** -20)
-    else:
-        width = round_down_pow2(span / n_bins)
-    return reference_count(data, width)
+        return round_down_pow2(max(abs(float(sample.min())), 1.0) * 2 ** -20)
+    return round_down_pow2(span / n_bins)
+
+
+def reference_from_data(data, n_bins=64, sample_fraction=0.1, seed=0):
+    """Algorithm 1's width choice, then the reference counting pass."""
+    width = algorithm1_width(data, n_bins, sample_fraction, seed)
+    return reference_count(np.asarray(data).astype(np.float64, copy=False), width)
 
 
 def reference_coarsened(h: MergeableHistogram, new_width: float):
@@ -96,17 +101,39 @@ def assert_same(h: MergeableHistogram, ref) -> None:
     np.testing.assert_array_equal(h.counts, counts)
 
 
-def same_or_same_error(build, reference) -> None:
-    """Both succeed and agree, or both refuse with the same error type (the
-    grid itself can overflow, e.g. 1e300 on a subnormal width)."""
+def assert_least_fitting_grid(h: MergeableHistogram, data: np.ndarray, width: float) -> None:
+    """Where the reference's grid of ``width`` overflows, the pass jumps to a
+    coarser one: a power of two at least ``width`` that holds ``data`` in at
+    most ``MAX_BINS`` bins, with exactly the reference's counts at that width,
+    and half of it would not fit (``MAX_BINS`` bins or an overflow)."""
+    values = data.astype(np.float64)
+    assert h.bin_width == round_down_pow2(h.bin_width) and h.bin_width >= width
+    assert h.n_bins <= MAX_BINS and h.total == values.size
+    assert_same(h, reference_count(values, h.bin_width))
+    if h.bin_width > width:
+        try:
+            finer = reference_count(values, h.bin_width / 2)
+        except OverflowError:
+            return
+        assert finer[0] > h.bin_width / 2  # the reference had to coarsen too
+
+
+def same_or_same_error(build, reference, data=None, width=None) -> None:
+    """Both succeed and agree, or the reference's grid overflows (e.g. 1e300
+    on a subnormal width) and the pass either refuses with the same error type
+    or, given ``data`` and the requested ``width``, coarsens to the least
+    grid that fits."""
     try:
         ref = reference()
     except (OverflowError, ValueError) as err:
         try:
-            build()
+            h = build()
         except type(err):
             return
-        raise AssertionError(f"the reference refused with {err!r}, the pass did not")
+        if data is None or not isinstance(err, OverflowError):
+            raise AssertionError(f"the reference refused with {err!r}, the pass did not")
+        assert_least_fitting_grid(h, data, width)
+        return
     assert_same(build(), ref)
 
 
@@ -172,6 +199,7 @@ class TestCountingPass:
         same_or_same_error(
             lambda: MergeableHistogram.from_data_width(data, width),
             lambda: reference_count(values, width),
+            data, width,
         )
 
     @given(datasets(), st.integers(1, 300), st.sampled_from([0.1, 0.5, 1.0]),
@@ -181,6 +209,7 @@ class TestCountingPass:
         same_or_same_error(
             lambda: MergeableHistogram.from_data(data, n_bins, fraction, seed),
             lambda: reference_from_data(data, n_bins, fraction, seed),
+            data, algorithm1_width(data, n_bins, fraction, seed),
         )
 
     def test_negative_subnormal_lands_one_bin_below_zero(self):
@@ -196,6 +225,21 @@ class TestCountingPass:
         assert h.bin_width == TINY and h.start == -3 * TINY
         np.testing.assert_array_equal(h.counts, [1, 0, 1, 1, 1, 0, 0, 0, 0, 0, 1])
         assert_same(h, reference_count(data, TINY))
+
+    def test_a_subnormal_sample_under_an_ordinary_maximum_coarsens(self):
+        """A region whose sample holds only its subnormals picks a subnormal
+        width; its ordinary maximum then overflows the bin count, and the
+        pass jumps to the least grid that fits instead of raising."""
+        data = np.r_[np.arange(1000) * 1e-310, [1.0]]
+        for seed in range(3):
+            h = MergeableHistogram.from_data(data, seed=seed)
+            assert h.bin_width == 2.0 ** -19 and h.start == 0.0
+            assert h.counts[0] == 1000 and h.counts[-1] == 1
+            assert_least_fitting_grid(h, data, algorithm1_width(data, seed=seed))
+        sysm = make_system(region_size_bytes=data.size * 8)
+        obj = sysm.create_object("subnormal", data)
+        assert obj.meta.regions[0].histogram.total == data.size
+        assert (obj.rmin[0], obj.rmax[0]) == (0.0, 1.0)
 
     def test_coarsens_past_max_bins(self):
         data = np.linspace(0.0, 1.0, 1001)

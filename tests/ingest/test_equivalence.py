@@ -88,8 +88,7 @@ def drive(sysm, mode, plan, use_batches=False):
     stream = IngestStream(
         sysm,
         IngestConfig(
-            epoch_interval_s=0.01, maintenance=mode,
-            histogram_rebuild_fraction=0.5, index_compact_fraction=0.1,
+            epoch_interval_s=0.01, maintenance=mode, index_compact_fraction=0.1,
         ),
     )
     engine = QueryEngine(sysm)

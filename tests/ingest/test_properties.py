@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.bitmap.index import RegionBitmapIndex
+from repro.ingest.maintain import INDEX_PRECISION
 from tests.conftest import assert_payload_is_a_prefix_view, make_system
 
 N = 1 << 12          # object elements
@@ -82,7 +83,7 @@ def apply_writes(sysm, writes, maintenance):
         size = min(size, N - offset)  # clamp to the domain
         sysm.update_object_region(
             "obj", offset, payload(seed, size, dtype),
-            maintenance=maintenance, rebuild_fraction=0.5,
+            maintenance=maintenance,
         )
 
 
@@ -111,9 +112,7 @@ def assert_matches_rebuild(sysm):
             and obj.index_delta_counts[rid]
         ):
             sysm.compact_region_index("obj", rid)
-        expect = RegionBitmapIndex.build(
-            span, precision=sysm.config.index_precision
-        )
+        expect = RegionBitmapIndex.build(span, precision=INDEX_PRECISION)
         assert np.array_equal(
             obj.indexes[rid].to_bytes(), expect.to_bytes()
         ), rid

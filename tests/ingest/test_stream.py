@@ -28,8 +28,6 @@ class TestConfig:
         with pytest.raises(PDCError):
             IngestConfig(maintenance="lazy")
         with pytest.raises(PDCError):
-            IngestConfig(histogram_rebuild_fraction=0.0)
-        with pytest.raises(PDCError):
             IngestConfig(index_compact_fraction=1.5)
 
 
@@ -205,6 +203,21 @@ class TestTelemetry:
         assert lag is not None
         state = mon.slo.states[0]
         assert state.total == 1  # the epoch was judged by the ingest SLI
+
+    def test_a_monitor_installed_after_the_first_epoch_sees_the_next(self):
+        """The stream reports to the system's monitor as installed when an
+        epoch applies, as the service's own hooks do, not to the one it
+        found when it was made."""
+        sysm = loaded()
+        stream = IngestStream(sysm, IngestConfig(epoch_interval_s=0.5))
+        stream.update("obj", 0, np.ones(32, dtype=np.float32), t_s=0.1)
+        stream.advance_to(0.5)
+        mon = ServiceMonitor()
+        sysm.set_monitor(mon)
+        stream.update("obj", 64, np.ones(32, dtype=np.float32), t_s=0.6)
+        stream.advance_to(1.0)
+        ops = mon.recorder.series("pdc_ingest_ops", labels={"tenant": "ingest"})
+        assert ops is not None and len(ops.samples) == 1
 
     def test_request_slis_ignore_ingest_epochs(self):
         sysm = loaded()

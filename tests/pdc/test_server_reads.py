@@ -10,6 +10,7 @@ import pytest
 
 from repro.errors import RegionUnavailableError
 from repro.faults import FaultConfig, FaultPlan
+from repro.faults.plan import PFS_SLOW_FACTOR
 from repro.obs.monitor import ServiceMonitor
 from repro.query.ast import Condition
 from repro.query.executor import QueryEngine
@@ -81,7 +82,6 @@ class TestPerAttemptSlowRedraw:
         counter once per attempt — not drawn once and reused."""
         cfg = FaultConfig(
             pfs_slow_rate=0.5,
-            pfs_slow_factor=4.0,
             pfs_read_error_rate=1.0,
             max_retries=2,
         )
@@ -124,7 +124,6 @@ class TestPerAttemptSlowRedraw:
         spike (three slow charges, not one)."""
         cfg = FaultConfig(
             pfs_slow_rate=1.0,
-            pfs_slow_factor=4.0,
             pfs_read_error_rate=1.0,
             max_retries=2,
         )
@@ -137,7 +136,8 @@ class TestPerAttemptSlowRedraw:
         with pytest.raises(RegionUnavailableError):
             server.ensure_region("region:k", 4096, 1, 4, 1)
         expected = replayed([
-            seconds * 4.0, ref.backoff_s(1), seconds * 4.0, ref.backoff_s(2),
-            seconds * 4.0,
+            seconds * PFS_SLOW_FACTOR, ref.backoff_s(1),
+            seconds * PFS_SLOW_FACTOR, ref.backoff_s(2),
+            seconds * PFS_SLOW_FACTOR,
         ])
         assert repr(server.clock.now) == repr(expected)

@@ -264,25 +264,17 @@ class TestAdaptiveHistogramBins:
     """§III-D2: 'Depending on the region size, we use 50 to 100 bins.'"""
 
     def test_adaptive_rule_spans_50_to_100(self):
-        from repro.pdc.system import PDCConfig
+        from repro.ingest.maintain import histogram_bins_for
         from repro.types import MB
 
-        cfg = PDCConfig(histogram_bins=0)
-        assert cfg.histogram_bins_for(4 * MB) == 50
-        assert cfg.histogram_bins_for(128 * MB) == 100
-        mid = cfg.histogram_bins_for(32 * MB)
+        assert histogram_bins_for(4 * MB) == 50
+        assert histogram_bins_for(128 * MB) == 100
+        mid = histogram_bins_for(32 * MB)
         assert 50 < mid < 100
 
-    def test_explicit_bins_override(self):
-        from repro.pdc.system import PDCConfig
-        from repro.types import MB
-
-        cfg = PDCConfig(histogram_bins=64)
-        assert cfg.histogram_bins_for(4 * MB) == 64
-        assert cfg.histogram_bins_for(128 * MB) == 64
-
     def test_objects_get_at_least_requested_bins(self, rng):
-        sysm = make_system(region_size_bytes=1 << 14, histogram_bins=50)
+        # 16 KiB regions: the rule's floor, 50 bins.
+        sysm = make_system(region_size_bytes=1 << 14)
         obj = sysm.create_object("o", rng.random(1 << 14).astype(np.float32))
         for region in obj.meta.regions:
             assert region.histogram.n_bins >= 50

@@ -7,6 +7,7 @@ from repro.errors import PDCError
 from repro.query.ast import AndNode, Condition
 from repro.query.executor import QueryEngine
 from repro.storage.device import DeviceKind
+from repro.storage.file import PDC_STRIPE_COUNT
 from repro.strategies import Strategy
 from repro.types import PDCType, QueryOp
 from tests.conftest import make_system
@@ -127,7 +128,7 @@ class TestMigration:
         assert on_nvram < on_disk
         assert on_nvram == pytest.approx(sum(
             sysm.cost.tier_read_time(
-                int(n) * obj.itemsize, 1, DeviceKind.NVRAM, sysm.config.pdc_stripe_count
+                int(n) * obj.itemsize, 1, DeviceKind.NVRAM, PDC_STRIPE_COUNT
             )
             for n in obj.counts
         ))

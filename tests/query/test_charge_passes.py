@@ -358,7 +358,7 @@ FAULT_CASES = {
     "none": None,
     "zero": FaultConfig(),
     "errors": FaultConfig(pfs_read_error_rate=0.35, max_retries=2),
-    "slow": FaultConfig(pfs_slow_rate=0.4, pfs_slow_factor=3.0),
+    "slow": FaultConfig(pfs_slow_rate=0.4),
     "both": FaultConfig(pfs_read_error_rate=0.3, pfs_slow_rate=0.3, max_retries=1),
     "doomed": FaultConfig(pfs_read_error_rate=1.0, max_retries=0),
 }

@@ -118,22 +118,17 @@ class TestReads:
     def test_out_of_bounds_extent(self, pfs, data):
         pfs.create("/a", data)
         with pytest.raises(StorageError):
-            pfs.read_extents("/a", [(990, 1010)])
+            pfs.read("/a", 990, 1010)
         with pytest.raises(StorageError):
-            pfs.read_extents("/a", [(-1, 10)])
+            pfs.read("/a", -1, 10)
+        with pytest.raises(StorageError):
+            pfs.read("/a", 20, 10)
 
     def test_read_charges_clock(self, pfs, data):
         pfs.create("/a", data)
         clock = SimClock()
         pfs.read("/a", clock=clock)
         assert clock.now > 0
-
-    def test_multiple_extents_charge_multiple_accesses(self, pfs, data):
-        pfs.create("/a", data)
-        one, many = SimClock(), SimClock()
-        pfs.read_extents("/a", [(0, 100)], clock=one)
-        pfs.read_extents("/a", [(0, 25), (25, 50), (50, 75), (75, 100)], clock=many)
-        assert many.now > one.now
 
     def test_imbalance_multiplies_time(self, pfs, data):
         pfs.create("/fast", data, imbalance=1.0)

@@ -22,7 +22,7 @@ class TestStructure:
         assert all(a.dtype == np.float32 for a in ds.arrays.values())
 
     def test_particle_count_rounded_to_cells(self):
-        cfg = VPICConfig(n_particles=1000, particles_per_cell=64)
+        cfg = VPICConfig(n_particles=1000)  # 64 particles per cell
         ds = generate_vpic(cfg)
         assert ds.n_particles == 960  # 15 full cells
 
@@ -43,11 +43,7 @@ class TestStructure:
 
     def test_too_few_particles_rejected(self):
         with pytest.raises(PDCError):
-            VPICConfig(n_particles=10, particles_per_cell=64)
-
-    def test_bad_tail_fraction_rejected(self):
-        with pytest.raises(PDCError):
-            VPICConfig(tail_fraction=0.0)
+            VPICConfig(n_particles=10)
 
 
 class TestCalibration:
