@@ -54,7 +54,7 @@ from .query import (
     QueryEngine,
     Selection,
 )
-from .pdc.capi import PDCquery_set_priority, PDCquery_set_timeout
+from .pdc.capi import PDCquery_set_timeout
 from .service import QueryService, ServiceConfig, Tenant
 from .strategies import Strategy
 from .types import GB, KB, MB, TB, PDCType, QueryOp
@@ -90,7 +90,6 @@ __all__ = [
     "PDCquery_get_selection",
     "PDCquery_or",
     "PDCquery_set_region",
-    "PDCquery_set_priority",
     "PDCquery_set_timeout",
     "PDCquery_tag",
     "QueryEngine",

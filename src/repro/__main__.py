@@ -16,8 +16,8 @@ Gives the open-source release a zero-code entry point:
 * ``python -m repro faults`` — run the demo workload under deterministic
   fault injection (PFS read errors, stragglers, server crashes) and
   report retries, failovers, and degraded results;
-* ``python -m repro batch`` — shared-scan batching demo: bytes read by a
-  window of overlapping queries, isolated vs batched;
+* ``python -m repro batch`` — batching demo: bytes read by a window of
+  overlapping queries, isolated vs batched;
 * ``python -m repro explain <demo-query>`` — the planner's plan
   (evaluation order, selectivity, access paths); ``--analyze``
   additionally runs the query and annotates each step with measured
@@ -98,13 +98,13 @@ def cmd_figures(args: argparse.Namespace) -> int:
 
 def cmd_serve(args: argparse.Namespace) -> int:
     """Multi-tenant query-service demo: open-loop seeded arrivals against
-    the demo deployment, per-tenant SLO table out."""
+    the demo deployment under ``wfq`` dispatch, per-tenant SLO table out."""
     run = demo_serve_run(
         seed=args.seed, requests=args.requests, rate_qps=args.rate,
-        policy=args.policy, batch_window=args.window,
+        batch_window=args.window,
     )
     print(f"query-service demo: {args.requests} requests, policy "
-          f"{args.policy}, window {args.window}, seed {args.seed}")
+          f"wfq, window {args.window}, seed {args.seed}")
     print(f"  {'tenant':<12} {'admit':>6} {'rej':>4} {'shed':>5} "
           f"{'done':>5} {'degr':>5} {'t/o':>4} {'avg wait ms':>12} "
           f"{'max wait ms':>12}")
@@ -197,16 +197,12 @@ def cmd_batch(args: argparse.Namespace) -> int:
     batched_bytes = sum(b.total_bytes_read_virtual for b in sched.batches)
     sched.close()
 
-    print(f"shared-scan batching demo ({n_queries} overlapping queries, "
+    print(f"batching demo ({n_queries} overlapping queries, "
           f"window {args.width})")
     print(f"  isolated: {isolated_bytes / 1024:10.1f} KiB read, "
           f"{isolated_s * 1e3:8.2f} simulated ms")
     print(f"  batched:  {batched_bytes / 1024:10.1f} KiB read, "
           f"{sum(b.elapsed_s for b in sched.batches) * 1e3:8.2f} simulated ms")
-    shared = sum(b.shared_reads for b in sched.batches)
-    saved = sum(b.saved_bytes_virtual for b in sched.batches)
-    print(f"  shared reads: {shared}, bytes saved vs per-query reads: "
-          f"{saved / 1024:.1f} KiB")
     print(f"  answers: {[r.nhits for r in results]}")
     return 0 if batched_bytes <= isolated_bytes else 1
 
@@ -634,7 +630,7 @@ def main(argv=None) -> int:
 
     p = sub.add_parser(
         "batch",
-        help="shared-scan batching demo: isolated vs batched overlapping queries",
+        help="batching demo: isolated vs batched overlapping queries",
     )
     p.add_argument(
         "--queries", type=_positive_int, default=8,
@@ -659,10 +655,6 @@ def main(argv=None) -> int:
         "--rate", type=_positive_float, default=400.0,
         help="aggregate arrival rate, queries per simulated second "
              "(default: 400)",
-    )
-    p.add_argument(
-        "--policy", choices=("fifo", "priority", "wfq"), default="wfq",
-        help="dispatch policy (default: wfq)",
     )
     p.add_argument(
         "--window", type=int, default=4,

@@ -37,6 +37,7 @@ if TYPE_CHECKING:
 __all__ = [
     "HIST_REBUILD_FRACTION",
     "INDEX_PRECISION",
+    "MAX_MAGNITUDE",
     "RegionDerived",
     "WRITE_STATS",
     "check_maintenance",
@@ -88,11 +89,19 @@ def check_offset(offset) -> None:
         raise PDCError(f"write offset must be an integer >= 0, not {offset!r}")
 
 
+#: Largest magnitude a stored value may have.  Every region's and object's
+#: span is then at most 2^1021, and a histogram grid over it — its ends
+#: within one bin width of the extrema — stays below the largest double
+#: (about 2^1024).  Only a 64-bit or wider float can exceed it.
+MAX_MAGNITUDE = 2.0 ** 1020
+
+
 def check_payload(values, dtype=None) -> np.ndarray:
     """The one admission test of a payload — an import or a write — run
     before any state is touched: non-empty, 1-D and — as cast to the
     object's ``dtype`` — finite (a NaN or an infinity has no histogram bin
-    and would poison its region's min/max)."""
+    and would poison its region's min/max) and of magnitude at most
+    :data:`MAX_MAGNITUDE` (so no span the histograms take overflows)."""
     # A value past the dtype's range casts to an infinity, which the
     # finiteness test below refuses.
     with np.errstate(over="ignore", invalid="ignore"):
@@ -101,6 +110,10 @@ def check_payload(values, dtype=None) -> np.ndarray:
         raise PDCError("write payload must be non-empty 1-D")
     if not np.isfinite(values).all():
         raise PDCError("payload must be finite (no NaN or infinity)")
+    if values.dtype.kind == "f" and values.itemsize >= 8 and (
+        values.max() > MAX_MAGNITUDE or values.min() < -MAX_MAGNITUDE
+    ):
+        raise PDCError("payload magnitude must be at most 2**1020")
     return values
 
 

@@ -88,7 +88,7 @@ class QueryAnalysis:
 
     @property
     def actual_seconds(self) -> float:
-        return self.result.elapsed_s + self.result.batch_shared_elapsed_s
+        return self.result.elapsed_s
 
     @property
     def time_error(self) -> float:

@@ -80,14 +80,7 @@ class NoopMonitor:
     ) -> None:
         return None
 
-    def on_window(
-        self,
-        t_s: float,
-        width: int,
-        elapsed_s: float,
-        shared_reads: int,
-        saved_bytes: float,
-    ) -> None:
+    def on_window(self, t_s: float, width: int, elapsed_s: float) -> None:
         return None
 
     def on_region_read(
@@ -238,22 +231,9 @@ class ServiceMonitor:
         )
 
     # ----------------------------------------------------- scheduler hooks
-    def on_window(
-        self,
-        t_s: float,
-        width: int,
-        elapsed_s: float,
-        shared_reads: int,
-        saved_bytes: float,
-    ) -> None:
+    def on_window(self, t_s: float, width: int, elapsed_s: float) -> None:
         self.recorder.observe("pdc_window_width", t_s, float(width))
         self.recorder.observe("pdc_window_sim_seconds", t_s, elapsed_s)
-        self.recorder.observe(
-            "pdc_window_shared_reads", t_s, float(shared_reads)
-        )
-        self.recorder.observe(
-            "pdc_window_saved_bytes_virtual", t_s, saved_bytes
-        )
         self._maybe_scrape(t_s)
 
     # -------------------------------------------------------- server hooks

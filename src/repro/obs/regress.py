@@ -12,7 +12,7 @@ performance changes update the baseline explicitly
 diff of numbers — the BENCH trajectory the roadmap calls for.
 
 The micro-suite covers each access path of the demo deployment (all four
-strategies + AUTO), a shared-scan batch window, and a ``get_data``
+strategies + AUTO), a batch window, and a ``get_data``
 materialization; one run takes well under a second.
 """
 
@@ -73,7 +73,7 @@ def run_micro_suite() -> Dict[str, float]:
         out[f"query.{tag}.bytes_virtual"] = res.bytes_read_virtual
         out[f"query.{tag}.regions_read"] = float(res.regions_read)
 
-    # Shared-scan batch window over overlapping threshold queries.
+    # A batch window over overlapping threshold queries.
     system, node, truth = demo_deployment()
     queries = [
         Condition("energy", QueryOp.GT, PDCType.FLOAT, t)
@@ -84,9 +84,6 @@ def run_micro_suite() -> Dict[str, float]:
     batch = sched.batches[0]
     sched.close()
     out["batch.sim_seconds"] = batch.elapsed_s
-    out["batch.shared_bytes_virtual"] = batch.shared_bytes_virtual
-    out["batch.saved_bytes_virtual"] = batch.saved_bytes_virtual
-    out["batch.shared_reads"] = float(batch.shared_reads)
 
     # Value materialization on both get_data paths.
     system, node, truth = demo_deployment()

@@ -41,7 +41,6 @@ __all__ = [
     "PDCobj_put_tag",
     "PDCobj_get_tag",
     "PDCobj_del",
-    "PDCquery_set_priority",
     "PDCquery_set_timeout",
     "PDCclose",
     "ObjectProperty",
@@ -159,21 +158,14 @@ def PDCobj_del(pdc: PDCSystem, obj_id: int) -> None:
     del pdc.objects[name]
 
 
-def PDCquery_set_priority(query, priority: int) -> None:
-    """Set a query's service-level dispatch priority (higher runs first
-    under the service's strict-priority dispatch policy).
-
-    ``query`` is a :class:`~repro.query.api.PDCQuery` (duck-typed here so
-    the object layer need not import the query layer)."""
-    query.priority = int(priority)
-
-
 def PDCquery_set_timeout(query, timeout_s: float) -> None:
     """Bound a query's *simulated* execution time.  A query exceeding the
     budget returns a partial result flagged ``timed_out`` (a subset of
     the true answer) instead of running on — see docs/robustness.md.
     ``None`` removes the budget; anything but a finite number above zero
-    is a :class:`PDCError`."""
+    is a :class:`PDCError`.  ``query`` is a
+    :class:`~repro.query.api.PDCQuery` (duck-typed here so the object
+    layer need not import the query layer)."""
     query.timeout_s = check_timeout(timeout_s)
 
 

@@ -39,10 +39,6 @@ _SNAPSHOT_METRICS = (
     "pdc_cache_lookups_total",
     "pdc_cache_evictions_total",
     "pdc_batches_total",
-    "pdc_batch_shared_regions_total",
-    "pdc_batch_shared_reads_total",
-    "pdc_batch_saved_bytes_virtual_total",
-    "pdc_batch_preloads_total",
     "pdc_semantic_cache_lookups_total",
 )
 

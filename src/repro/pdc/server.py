@@ -31,8 +31,6 @@ from ..types import GB
 __all__ = ["PDCServer"]
 
 #: Counter families a server feeds: (name, help).
-_PRELOADS = ("pdc_batch_preloads_total",
-             "Shared-scan batch region preloads by server and result.")
 _FAULTS = ("pdc_faults_injected_total", "Faults injected by the active FaultPlan")
 _RETRIES = ("pdc_fault_retries_total",
             "Storage-read retries performed during fault recovery")
@@ -110,18 +108,12 @@ class PDCServer:
         concurrent_readers: int,
         tier: str = "disk",
     ) -> bool:
-        """Shared-scan batch preload: make ``key`` resident on behalf of a
-        whole query batch.  Charging is identical to :meth:`ensure_region`
-        (so a preloaded region costs exactly what the first demanding query
-        would have paid); exists so preloads show up under their own
-        metric.  Returns True when the region was already resident.
-        """
-        hit = self.ensure_region(
+        """Make ``key`` resident ahead of the queries that read it: the
+        one-access :meth:`ensure_region` read.  Returns True when the region
+        was already resident."""
+        return self.ensure_region(
             key, nbytes, 1, stripe_count, concurrent_readers, tier=tier
         )
-        self._count(*_PRELOADS, server=f"server{self.server_id}",
-                    result="hit" if hit else "read")
-        return hit
 
     def touch_share(
         self, keys: Sequence[str], sizes: Sequence[int], regions: Sequence[object],
@@ -130,7 +122,7 @@ class PDCServer:
         then: Sequence[Tuple[Sequence[Optional[float]], str]] = (),
         sampled: Optional[Sequence[bool]] = None, span_bytes: Optional[Sequence[int]] = None,
         tiers: Optional[Sequence[Optional[str]]] = None, rows: Optional[range] = None,
-        preload: bool = False, on_lost=None, span: Optional[Dict[str, object]] = None,
+        on_lost=None, span: Optional[Dict[str, object]] = None,
     ) -> List[Optional[bool]]:
         """One server's share of a plan step in one pass — the one body that
         makes regions resident (DESIGN.md §5, "Charging at array speed").
@@ -246,10 +238,6 @@ class PDCServer:
         if opened is not None:
             tracer.close_at(opened, now)
         cache.tally(n_hit, n_miss, n_evicted)
-        if preload:
-            for result, flag in (("hit", True), ("read", False)):
-                self._count(*_PRELOADS, flags.count(flag),
-                            server=f"server{self.server_id}", result=result)
         if samples:
             self.monitor.on_region_read(self.server_id, samples)
         if error is not None:
@@ -279,10 +267,10 @@ class PDCServer:
             self.retries_total += 1
             self._count(*_RETRIES, server=str(self.server_id))
 
-    def _count(self, name: str, help: str, n: int = 1, **labels: str) -> None:
-        """Add ``n`` to one labelled counter of the shared registry."""
-        if n and self.metrics is not None:
-            self.metrics.counter(name, help, labels=tuple(labels)).labels(**labels).inc(n)
+    def _count(self, name: str, help: str, **labels: str) -> None:
+        """Add one to a labelled counter of the shared registry."""
+        if self.metrics is not None:
+            self.metrics.counter(name, help, labels=tuple(labels)).labels(**labels).inc()
 
     def drop_caches(self) -> None:
         """Cold-start this server (ablation: caching on/off)."""

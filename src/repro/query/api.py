@@ -61,8 +61,6 @@ class PDCQuery:
     node: QueryNode
     region: Optional[RegionConstraint] = None
     strategy: Optional[Strategy] = None
-    #: Service-level dispatch priority (``PDCquery_set_priority``).
-    priority: int = 0
     #: Simulated execution budget (``PDCquery_set_timeout``); exceeding
     #: it yields a partial, ``timed_out`` result.
     timeout_s: Optional[float] = None
@@ -147,7 +145,6 @@ def PDCquery_and(q1: PDCQuery, q2: PDCQuery) -> PDCQuery:
         node=combine_and(q1.node, q2.node),
         region=q1.region or q2.region,
         strategy=q1.strategy or q2.strategy,
-        priority=max(q1.priority, q2.priority),
         timeout_s=_combine_timeout(q1.timeout_s, q2.timeout_s),
     )
 
@@ -160,7 +157,6 @@ def PDCquery_or(q1: PDCQuery, q2: PDCQuery) -> PDCQuery:
         node=combine_or(q1.node, q2.node),
         region=q1.region or q2.region,
         strategy=q1.strategy or q2.strategy,
-        priority=max(q1.priority, q2.priority),
         timeout_s=_combine_timeout(q1.timeout_s, q2.timeout_s),
     )
 
@@ -299,11 +295,11 @@ def PDCquery_execute_batch(
     max_width: Optional[int] = None,
     scheduler=None,
 ) -> List[QueryResult]:
-    """Evaluate several queries as shared-scan batches.
+    """Evaluate several queries in batch windows.
 
-    Regions demanded by more than one query of a window are read from
-    storage once for the whole window (see docs/batching.md); answers are
-    identical to evaluating each query alone.  Each query's
+    A region one query of a window reads is a server cache hit for every
+    later one (see docs/batching.md); answers are identical to evaluating
+    each query alone.  Each query's
     ``last_result`` is set, and the per-query results are returned in
     input order.
 
@@ -336,7 +332,6 @@ def PDCquery_execute_batch(
             region_constraint=q.region,
             strategy=q.strategy,
             timeout_s=q.timeout_s,
-            priority=q.priority,
         )
         for q in queries
     ]

@@ -11,7 +11,7 @@ returns a :class:`concurrent.futures.Future` immediately; a single
 background thread drains the request queue in FIFO order (the simulated
 server clocks are shared state, so requests are serialized — which also
 mirrors the paper's sequential query evaluation) and resolves each future
-with its :class:`~repro.query.executor.QueryResult`.  Shared-scan batching
+with its :class:`~repro.query.executor.QueryResult`.  Batching
 of concurrent requests is the query service's job
 (:class:`~repro.service.QueryService`), not this client's.
 """
@@ -70,7 +70,6 @@ class AsyncQueryClient:
         region_constraint: Optional[Tuple[int, int]] = None,
         strategy: Optional[Strategy] = None,
         timeout_s: Optional[float] = None,
-        priority: int = 0,
     ) -> "Future[QueryResult]":
         """Queue a query; returns immediately with a future."""
         spec = QuerySpec(
@@ -79,7 +78,6 @@ class AsyncQueryClient:
             region_constraint=region_constraint,
             strategy=strategy,
             timeout_s=timeout_s,
-            priority=priority,
         )
         return self._enqueue("query", spec)
 

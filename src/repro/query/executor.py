@@ -27,8 +27,8 @@ import zlib
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import partial
-from itertools import compress, groupby, repeat
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from itertools import compress, repeat
+from typing import Callable, ClassVar, Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -170,13 +170,6 @@ class QueryResult:
     #: Per-condition measured actuals in evaluation order — what EXPLAIN
     #: ANALYZE joins against the planner's :class:`StepEstimate` s.
     step_actuals: List[StepActual] = field(default_factory=list, repr=False)
-    #: This query's attributed share of its batch's shared-scan pass (both
-    #: zero outside a batch): the virtual bytes read on its behalf by the
-    #: shared pass, and the matching slice of the pass's elapsed time.
-    #: Without these, a batched query whose regions were preloaded would
-    #: report zero read cost and EXPLAIN ANALYZE would under-account it.
-    batch_shared_bytes_virtual: float = 0.0
-    batch_shared_elapsed_s: float = 0.0
 
 
 @dataclass
@@ -189,10 +182,6 @@ class QuerySpec:
     region_constraint: Optional[RegionConstraint] = None
     strategy: Optional[Strategy] = None
     timeout_s: Optional[float] = None
-    #: Service-level dispatch priority (higher first).  The engine itself
-    #: ignores it; the service frontend's ``priority`` policy orders on
-    #: it (``PDCquery_set_priority``).
-    priority: int = 0
 
     def __post_init__(self) -> None:
         check_timeout(self.timeout_s)
@@ -200,14 +189,13 @@ class QuerySpec:
 
 @dataclass
 class BatchResult:
-    """Outcome of one shared-scan batch execution.
+    """Outcome of one batch window.
 
     ``results[i]`` is query *i*'s individually-timed :class:`QueryResult`
-    (or ``None`` when it raised — see ``errors``).  The ``shared_*``
-    fields account the batch-level shared-scan pass: regions demanded by
-    more than one query in the window are read exactly once, and their
-    PFS bytes, retries, and fault charges land here instead of on any
-    single query.
+    (or ``None`` when it raised — see ``errors``).  Overlapping reads are
+    shared through the server region caches, so there is no batch-level
+    read to account: ``shared_reads`` and ``saved_bytes_virtual`` are
+    always zero.
     """
 
     results: List[Optional[QueryResult]]
@@ -215,19 +203,6 @@ class BatchResult:
     width: int = 0
     #: Simulated seconds from batch admission to the last query's result.
     elapsed_s: float = 0.0
-    #: Distinct (object, region) pairs demanded by >= 2 queries.
-    shared_regions: int = 0
-    #: Shared regions actually read from storage by the batch pass.
-    shared_reads: int = 0
-    #: Shared regions already resident when the batch pass ran.
-    shared_cached: int = 0
-    #: Virtual bytes the shared pass read from the PFS.
-    shared_bytes_virtual: float = 0.0
-    #: Virtual bytes saved vs each query reading its demand itself:
-    #: sum over shared reads of (demand count - 1) * region bytes.
-    saved_bytes_virtual: float = 0.0
-    #: Storage-read retries charged to the shared pass (fault recovery).
-    retries: int = 0
     #: Queries served by an exact semantic-cache match (zero I/O).
     semantic_hits: int = 0
     #: Queries served by narrowing a cached superset selection (no I/O).
@@ -239,17 +214,14 @@ class BatchResult:
     semantic_misses: int = 0
     #: query index -> exception raised by that query's evaluation.
     errors: Dict[int, Exception] = field(default_factory=dict)
-    #: server id -> shared-pass read errors (regions left for the
-    #: demanding queries to retry individually).
-    server_errors: Dict[int, List[str]] = field(default_factory=dict)
+    shared_reads: ClassVar[int] = 0
+    saved_bytes_virtual: ClassVar[float] = 0.0
 
     @property
     def total_bytes_read_virtual(self) -> float:
-        """Virtual PFS bytes the whole batch read: shared pass plus every
-        query's own reads."""
-        return self.shared_bytes_virtual + sum(
-            r.bytes_read_virtual for r in self.results if r is not None
-        )
+        """Virtual PFS bytes the whole batch read: every query's own
+        reads."""
+        return sum(r.bytes_read_virtual for r in self.results if r is not None)
 
 
 @dataclass
@@ -257,8 +229,8 @@ class GetDataResult:
     """Outcome of materializing a selection's values.
 
     ``elapsed_s`` is the barrier-to-barrier simulated time of the
-    materialization alone; regions preloaded earlier (by evaluation, a
-    batch's shared pass, or :meth:`QueryEngine.preload`) show up as
+    materialization alone; regions made resident earlier (by evaluation
+    or :meth:`QueryEngine.preload`) show up as
     ``regions_cached`` with zero bytes here — their read cost was charged
     where the read actually happened, never dropped.
     """
@@ -492,7 +464,6 @@ class QueryEngine:
         region_constraint: Optional[RegionConstraint],
         strategy: Optional[Strategy],
         book: PlanBook,
-        speculative: bool = False,
     ) -> tuple:
         """What a query fixes before any server works — ``(strategy, object
         names, objects, flat constraint bounds, exact N-D filter)``.  The
@@ -500,9 +471,7 @@ class QueryEngine:
         planner (§IX future work) over the plans ``book`` holds for this
         query's constraint and the engine's knobs — the plans execution
         will run: planning uses only server-cached metadata, charged as
-        client-side overhead.  A ``speculative`` resolution (batch demand
-        planning, which :meth:`execute` repeats for real) charges and
-        records nothing."""
+        client-side overhead."""
         sysm = self.system
         names = objects_of(root)
         if not names:
@@ -520,11 +489,10 @@ class QueryEngine:
         strat = strategy or sysm.strategy
         if strat is Strategy.AUTO:
             strat, _ = planner.choose_strategy(
-                sysm, root, not speculative,
+                sysm, root, True,
                 constraint, self.enable_ordering, self.enable_pruning, book=book,
             )
-            if not speculative:
-                sysm.client_clock.charge(sysm.cost.params.client_overhead_s, "plan")
+            sysm.client_clock.charge(sysm.cost.params.client_overhead_s, "plan")
         return strat, names, objs, constraint, slab
 
     # --------------------------------------------------------- batch execution
@@ -533,16 +501,8 @@ class QueryEngine:
         queries: Sequence[object],
         selection_cache=None,
     ) -> BatchResult:
-        """Evaluate a window of queries with shared-scan batching.
-
-        Regions demanded by **more than one** query of the window are made
-        resident by a single shared read pass before per-query evaluation,
-        so the batch pays their PFS bytes (and any fault retries) once;
-        each query then executes individually, reporting its own simulated
-        latency, trace, and metrics exactly as :meth:`execute` would.  A
-        batch whose queries demand disjoint region sets performs no shared
-        pass at all and is bit-identical to running the queries
-        sequentially.
+        """Evaluate a window of queries, each as :meth:`execute` would,
+        reporting its own simulated latency, trace, and metrics.
 
         ``queries`` items are :class:`QuerySpec` instances or bare
         condition trees.  ``selection_cache`` is an optional
@@ -551,10 +511,10 @@ class QueryEngine:
         cached superset interval's selection — with zero storage I/O.
 
         The window shares one :class:`~repro.query.planner.PlanBook`: each
-        query is typed and planned once, and the semantic-cache key, demand
-        and execution read the same plans.  A query the cache would serve
-        is typed only: it is neither planned nor given a share of the
-        shared pass.
+        query is typed once, and the semantic-cache key and execution read
+        the same typed conjuncts and plans.  Queries whose reads overlap
+        share them through the server region caches: a region the window
+        already read is a cache hit for every later query.
         """
         sysm = self.system
         specs = [
@@ -563,67 +523,15 @@ class QueryEngine:
         batch = BatchResult(results=[None] * len(specs), width=len(specs))
         book = PlanBook(sysm)
         t_start = sysm.sync_clocks()
-
-        # The semantic key first: a query the cache would serve now reads
-        # nothing, so it is not planned.  Execution still fetches in window
-        # order: one whose entry an earlier insert evicts simply executes.
-        keys = [
-            self._semantic_key(spec, book) if selection_cache is not None else None
-            for spec in specs
-        ]
-        # Demand estimation: a deterministic, metadata-only dry run of each
-        # other query's first-condition region set.  Queries whose demand
-        # cannot be derived from metadata alone (index probes, sorted-replica
-        # runs, unresolvable plans) contribute nothing and amortize through
-        # the ordinary region caches instead.
-        demand_counts: Dict[Tuple[str, int], int] = {}
-        spec_demands: List[List[Tuple[str, int]]] = []
-        for spec, ck in zip(specs, keys):
-            servable = ck is not None and selection_cache.would_serve(sysm, *ck)
-            demand = [] if servable else self._batch_demand(spec, book)
-            spec_demands.append(demand)
-            for k in demand:
-                demand_counts[k] = demand_counts.get(k, 0) + 1
-        shared = sorted(k for k, c in demand_counts.items() if c >= 2)
-        batch.shared_regions = len(shared)
-
-        retries_before = sum(s.retries_total for s in sysm.servers)
-        read_vbytes: Dict[Tuple[str, int], float] = {}
-        shared_elapsed = 0.0
-        if shared:
-            read_vbytes = self._shared_read_pass(shared, demand_counts, batch)
-            shared_elapsed = sysm.sync_clocks() - t_start
-        batch.retries = sum(s.retries_total for s in sysm.servers) - retries_before
-
-        def _attribute_share(i: int, res: QueryResult) -> None:
-            # Satellite fix: a query whose regions the shared pass preloaded
-            # would otherwise report zero read cost; give each query its
-            # demand-weighted slice of the pass's bytes and elapsed time.
-            if not read_vbytes:
-                return
-            share = sum(
-                read_vbytes[k] / demand_counts[k]
-                for k in spec_demands[i]
-                if k in read_vbytes
-            )
-            if share <= 0.0:
-                return
-            res.batch_shared_bytes_virtual = share
-            if batch.shared_bytes_virtual > 0.0:
-                res.batch_shared_elapsed_s = (
-                    shared_elapsed * share / batch.shared_bytes_virtual
-                )
-
-        for i, (spec, ck) in enumerate(zip(specs, keys)):
+        for i, spec in enumerate(specs):
+            ck = self._semantic_key(spec, book) if selection_cache is not None else None
             if ck is not None:
                 served = selection_cache.fetch(sysm, ck[0], ck[1])
                 if served is not None:
                     sel, kind, scanned = served
-                    served_res = self._cache_served_result(
+                    batch.results[i] = self._cache_served_result(
                         spec, sel, kind, scanned
                     )
-                    _attribute_share(i, served_res)
-                    batch.results[i] = served_res
                     if kind == "hit":
                         batch.semantic_hits += 1
                     elif kind == "repaired":
@@ -644,7 +552,6 @@ class QueryEngine:
             except Exception as exc:  # per-query isolation inside a batch
                 batch.errors[i] = exc
                 continue
-            _attribute_share(i, res)
             batch.results[i] = res
             if (
                 ck is not None
@@ -657,82 +564,6 @@ class QueryEngine:
         batch.elapsed_s = sysm.sync_clocks() - t_start
         self._record_batch_metrics(batch)
         return batch
-
-    def _shared_read_pass(
-        self,
-        shared: List[Tuple[str, int]],
-        demand_counts: Dict[Tuple[str, int], int],
-        batch: BatchResult,
-    ) -> Dict[Tuple[str, int], float]:
-        """Read each shared (object, region) once, charged to the batch.
-
-        Returns the virtual bytes actually read per (object, region) —
-        cache hits and unreadable regions contribute nothing — so the
-        caller can attribute each query its demand-weighted share."""
-        sysm = self.system
-        read_vbytes: Dict[Tuple[str, int], float] = {}
-
-        def on_lost(keys, server, rid, exc, at):
-            # Leave the region to the demanding queries' own retry/degrade
-            # machinery.
-            batch.server_errors.setdefault(server.server_id, []).append(str(exc))
-
-        with sysm.tracer.span(
-            "batch_shared_read", sysm.client_clock, category="batch",
-            regions=len(shared),
-        ):
-            # ``shared`` is sorted: objects by name, regions ascending.
-            for name, keys in groupby(shared, key=lambda k: k[0]):
-                obj = sysm.get_object(name)
-                rids = np.asarray([rid for _, rid in keys], dtype=np.int64)
-                for _server, mine, sizes, hits in self._read_regions(
-                    *self._route(rids), name, obj.counts, obj.itemsize,
-                    on_lost=on_lost, shared=True,
-                ):
-                    for rid, nbytes, hit in zip(mine, sizes, hits):
-                        if hit:
-                            batch.shared_cached += 1
-                        if hit is not False:  # cached, or lost: nothing read
-                            continue
-                        vbytes = nbytes * sysm.cost.virtual_scale
-                        batch.shared_reads += 1
-                        batch.shared_bytes_virtual += vbytes
-                        batch.saved_bytes_virtual += vbytes * (
-                            demand_counts[(name, rid)] - 1
-                        )
-                        read_vbytes[(name, rid)] = vbytes
-        return read_vbytes
-
-    def _batch_demand(
-        self, spec: QuerySpec, book: Optional[PlanBook] = None
-    ) -> List[Tuple[str, int]]:
-        """(object, region) pairs a query is expected to read as plain data,
-        sorted, from metadata alone: the
-        :attr:`~repro.query.planner.ConjunctPlan.data_regions` of the plans
-        :meth:`execute` will charge from (built into the window's ``book``,
-        where they stay for it), with no cost charged here.  Paths whose
-        reads are not data regions (index probes, sorted-replica runs)
-        contribute nothing — their sharing happens through the ordinary
-        server caches.  A query that cannot be planned (unknown object,
-        mismatched shapes, empty constraint) has no demand; it still runs,
-        and reports its own error, normally.
-        """
-        demand: set = set()
-        book = PlanBook(self.system) if book is None else book
-        try:
-            strat, _names, _objs, constraint, _slab = self._resolve(
-                spec.node, spec.region_constraint, spec.strategy, book, speculative=True
-            )
-            for _ci, cplan in book.plans(
-                spec.node, strat, constraint, self.enable_ordering, self.enable_pruning
-            ):
-                for name, rids in cplan.data_regions.items():
-                    demand.update((name, rid) for rid in rids.tolist())
-        except PDCError:
-            return []
-        # Sorted: per-query float sums over a demand must not depend on set
-        # (string-hash) iteration order.
-        return sorted(demand)
 
     def _semantic_key(
         self, spec: QuerySpec, book: PlanBook
@@ -775,24 +606,14 @@ class QueryEngine:
         )
 
     def _record_batch_metrics(self, batch: BatchResult) -> None:
-        """Fold one batch's shared-scan accounting into the registry."""
+        """Fold one batch's window accounting into the registry."""
         m = self.system.metrics
         m.counter(
-            "pdc_batches_total", "Shared-scan query batches executed."
+            "pdc_batches_total", "Query batch windows executed."
         ).inc()
         m.histogram(
-            "pdc_batch_width", "Queries admitted per shared-scan batch."
+            "pdc_batch_width", "Queries admitted per batch window."
         ).observe(batch.width)
-        for name, help, n in (
-            ("pdc_batch_shared_regions_total",
-             "Regions demanded by more than one query of a batch.", batch.shared_regions),
-            ("pdc_batch_shared_reads_total",
-             "Shared regions read once on behalf of a whole batch.", batch.shared_reads),
-            ("pdc_batch_saved_bytes_virtual_total",
-             "Virtual bytes saved by shared-scan batching vs sequential reads.",
-             batch.saved_bytes_virtual),
-        ):
-            m.counter(name, help).inc(n)
         lookups = m.counter(
             "pdc_semantic_cache_lookups_total",
             "Semantic selection-cache lookups by result.",
@@ -1350,7 +1171,6 @@ class QueryEngine:
         replica: str = "orig",
         on_lost: Optional[Callable[..., None]] = None,
         span: Optional[Dict[str, object]] = None,
-        shared: bool = False,
         hit_copy: bool = False,
     ) -> Iterator[Tuple[object, List[int], List[int], List[Optional[bool]]]]:
         """Each server of ``pairs`` — (server, region ids) — makes its
@@ -1361,7 +1181,7 @@ class QueryEngine:
         was_cached)`` lists per share.  A region still unreadable after the
         retries goes to ``on_lost(keys, server, rid, error, t)`` and is
         flagged ``None`` (no policy: the error propagates); ``span`` holds
-        an ``eval:serverN`` span's attributes; ``shared``: for a batch.
+        an ``eval:serverN`` span's attributes.
         """
         sysm = self.system
         pairs = [(server, mine) for server, mine in pairs if len(mine)]
@@ -1380,8 +1200,7 @@ class QueryEngine:
             stop = start + len(mine)
             hits = server.touch_share(
                 share_keys, sizes, regions, seconds, categories, hit_s=hit_s,
-                tiers=tiers, rows=range(start, stop), preload=shared,
-                on_lost=report, span=span,
+                tiers=tiers, rows=range(start, stop), on_lost=report, span=span,
             )
             yield server, regions[start:stop], sizes[start:stop], hits
             start = stop

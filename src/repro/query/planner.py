@@ -16,8 +16,7 @@ Four public entry points:
 * :func:`plan_conjunct` — the one per-conjunct decision of §III-C/§III-D2
   (evaluation order, min/max region elimination, access path) as a
   :class:`ConjunctPlan` value: the executor charges and answers from it,
-  batch demand planning reads its :attr:`~ConjunctPlan.data_regions`, and
-  the estimates below price it;
+  and the estimates below price it;
 * :class:`PlanBook` — one ``execute`` / ``execute_batch`` call's typed
   conjuncts and plans, each built once and read by every step of the call;
 * :func:`choose_strategy` — the ``Strategy.AUTO`` resolver used by the
@@ -105,8 +104,8 @@ class ConjunctPlan:
     def data_regions(self) -> Dict[str, np.ndarray]:
         """Plain data regions read up front, per object: the first
         condition's survivors, or every object's regions under PDC-F's
-        pre-load — the reads a batch's shared-scan pass can do once.  Empty
-        for index probes and replica runs, which read other files."""
+        pre-load.  Empty for index probes and replica runs, which read
+        other files."""
         if self.proved_empty:
             return {}
         return {
@@ -548,9 +547,8 @@ def choose_strategy(
 
     Returns the winner and the full list of candidate estimates (sorted
     cheapest first), so callers can explain the decision.  ``record=False``
-    skips the planner metrics/trace side effects — for speculative
-    resolutions (batch demand planning) that the executor will repeat
-    for real.  ``plan_args`` are :func:`plan_conjunct`'s constraint and
+    skips the planner metrics/trace side effects — for callers that only
+    explain the decision.  ``plan_args`` are :func:`plan_conjunct`'s constraint and
     knobs — the executor prices the plans it would run; omitted, the whole
     objects are priced.  ``book``: the calling query's :class:`PlanBook`,
     whose plans the estimates read; only cache residency is priced live.

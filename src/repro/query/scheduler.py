@@ -1,17 +1,14 @@
-"""Shared-scan batch scheduling and the semantic selection cache.
+"""Batch windows and the semantic selection cache.
 
 §VI-A measures query *sequences* and credits much of PDC's advantage to
 "the caching mechanism provided by the PDC": regions read by one query
-serve the next from server memory.  This module pushes that observation
-one step further, to *concurrent* queries:
+serve the next from server memory.  This module applies that observation
+to *concurrent* queries:
 
 * :class:`QueryScheduler` admits a window of queries and executes it as
-  one shared-scan batch (:meth:`QueryEngine.execute_batch`): regions
-  demanded by more than one query of the window are read from the PFS
-  exactly once, with the bytes/retries charged to the batch rather than
-  to any single query.  §III-E's rationale — PDC reads whole regions to
-  avoid many small non-contiguous accesses — applies across queries just
-  as it does within one.
+  one batch (:meth:`QueryEngine.execute_batch`): each query is typed and
+  planned once, and a region one query of the window reads is a server
+  cache hit for every later one.
 
 * :class:`SelectionCache` memoizes complete query answers semantically:
   ``(object, interval) → Selection``.  A repeated interval is answered
@@ -175,12 +172,6 @@ class SelectionCache:
             self._put_locked(object_name, interval, sel)
             return sel, "narrowed", entry.selection.nhits
 
-    def would_serve(self, system: PDCSystem, object_name: str, interval: Interval) -> bool:
-        """Whether :meth:`fetch` would serve ``interval`` now.  Counts
-        nothing and leaves LRU order as it is."""
-        with self._lock:
-            return self._lookup_locked(system, object_name, interval) is not None
-
     def _lookup_locked(
         self, system: PDCSystem, object_name: str, interval: Interval
     ) -> Optional[Tuple[_IKey, _CachedSelection, bool]]:
@@ -308,7 +299,7 @@ class SelectionCache:
 
 
 class QueryScheduler:
-    """Executes queries in shared-scan batch windows.
+    """Executes queries in batch windows.
 
     :meth:`execute_window` runs one finished window as one
     :meth:`QueryEngine.execute_batch`; :meth:`run` chunks a query list
@@ -347,7 +338,7 @@ class QueryScheduler:
 
     # ------------------------------------------------------------- execution
     def execute_window(self, specs: Sequence[QuerySpec]) -> BatchResult:
-        """Execute one window as a shared-scan batch."""
+        """Execute one window as one batch."""
         batch = self.engine.execute_batch(
             list(specs), selection_cache=self.selection_cache
         )
@@ -355,13 +346,7 @@ class QueryScheduler:
         monitor = self.system.monitor
         if monitor.enabled:
             t_s = max(c.now for c in self.system.all_clocks())
-            monitor.on_window(
-                t_s,
-                len(specs),
-                batch.elapsed_s,
-                batch.shared_reads,
-                batch.saved_bytes_virtual,
-            )
+            monitor.on_window(t_s, len(specs), batch.elapsed_s)
         return batch
 
     def run(

@@ -123,12 +123,11 @@ def demo_serve_run(
     seed: int = 1234,
     requests: int = 60,
     rate_qps: float = 400.0,
-    policy: str = "wfq",
     batch_window: int = 4,
 ) -> MonitorRun:
     """Multi-tenant fair-share scenario: one steady-rate arrival stream,
     each request from a uniformly drawn tenant, against three tenants
-    with different weights, deadlines and rate limits."""
+    with different weights, deadlines and rate limits, under ``wfq``."""
     system, _, _ = demo_deployment()
     cfg = ServiceConfig(
         tenants=(
@@ -137,7 +136,7 @@ def demo_serve_run(
             Tenant("adhoc", weight=1.0, rate_limit_qps=200.0, burst=4.0,
                    queue_cap=8),
         ),
-        policy=policy,
+        policy="wfq",
         batch_window=batch_window,
     )
     svc = QueryService(system, cfg)

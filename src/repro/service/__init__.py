@@ -1,8 +1,8 @@
 """repro.service — multi-tenant query-service frontend.
 
 The serving layer between clients and the engine: tenants, admission
-control (token buckets + bounded queues), pluggable dispatch policies
-(FIFO / strict priority / weighted-fair with deadline awareness), queue-
+control (token buckets + bounded queues), two dispatch policies
+(FIFO / weighted-fair with deadline awareness), queue-
 deadline load shedding, and per-tenant SLO accounting — all on simulated
 time.  See docs/service.md.
 """
@@ -13,7 +13,6 @@ from .frontend import QueryService, ServiceRequest, ServiceTicket, TenantStats
 from .policies import (
     DispatchPolicy,
     FifoPolicy,
-    PriorityPolicy,
     WfqPolicy,
     make_policy,
 )
@@ -31,7 +30,6 @@ __all__ = [
     "TenantStats",
     "DispatchPolicy",
     "FifoPolicy",
-    "PriorityPolicy",
     "WfqPolicy",
     "make_policy",
 ]

@@ -13,8 +13,6 @@ astronomy query services).  A :class:`ServiceConfig` names the
   that bounds the tenant's sustained admission rate;
 * ``queue_cap`` — bound on queued-but-undispatched requests (overflow is
   rejected, with an explicit decision, never silently dropped);
-* ``priority`` — base priority under the strict-priority policy
-  (per-request ``PDCquery_set_priority`` overrides it);
 * ``queue_deadline_s`` — maximum simulated queue wait before a request
   is shed instead of dispatched;
 * ``default_timeout_s`` — execution budget forwarded into the engine's
@@ -38,7 +36,7 @@ from ..types import is_count
 __all__ = ["Tenant", "ServiceConfig", "POLICY_NAMES", "DEFAULT_TENANT"]
 
 #: Dispatch policies the frontend implements (see policies.py).
-POLICY_NAMES = ("fifo", "priority", "wfq")
+POLICY_NAMES = ("fifo", "wfq")
 
 
 @dataclass(frozen=True)
@@ -55,8 +53,6 @@ class Tenant:
     burst: float = 1.0
     #: Maximum queued (admitted, undispatched) requests; None = unbounded.
     queue_cap: Optional[int] = None
-    #: Base priority under the strict-priority policy (higher wins).
-    priority: int = 0
     #: Maximum simulated queue wait before the request is shed.
     queue_deadline_s: Optional[float] = None
     #: Default execution budget (simulated seconds) for this tenant's
@@ -110,9 +106,9 @@ class ServiceConfig:
     """Configuration of one :class:`~repro.service.frontend.QueryService`."""
 
     tenants: Tuple[Tenant, ...] = (DEFAULT_TENANT,)
-    #: Dispatch policy: "fifo", "priority", or "wfq".
+    #: Dispatch policy: "fifo" or "wfq".
     policy: str = "fifo"
-    #: Maximum queries per dispatched shared-scan batch window.
+    #: Maximum queries per dispatched batch window.
     batch_window: int = 8
     #: Give the underlying scheduler a semantic selection cache.  Off by
     #: default: a *service* serves many tenants, and whether answers may

@@ -1,4 +1,4 @@
-"""The query-service frontend: tenants in, shared-scan windows out.
+"""The query-service frontend: tenants in, batch windows out.
 
 :class:`QueryService` sits between clients and the engine.  Clients
 :meth:`~QueryService.submit` queries under a tenant name and get back a
@@ -10,9 +10,9 @@ loop, which every iteration
 3. **selects** up to ``batch_window`` requests by the dispatch policy —
    ranking per-tenant queue *heads* only, so one tenant's requests never
    reorder among themselves — and
-4. **executes** them as one :class:`QueryScheduler` shared-scan window,
-   so cross-tenant batching (shared region reads, semantic cache) still
-   fires exactly as it does for a single caller.
+4. **executes** them as one :class:`QueryScheduler` window, so
+   cross-tenant batching (one plan book, semantic cache, server region
+   caches) works exactly as it does for a single caller.
 
 Everything runs on simulated time: admission, shedding, queue waits, and
 per-request timeouts (forwarded into the executor's simulated deadlines)
@@ -81,8 +81,6 @@ class ServiceRequest:
     #: A :class:`QuerySpec` (query tenants) or :class:`WriteSpec`
     #: (write tenants) — both classes queue, shed, and dispatch alike.
     spec: Union[QuerySpec, WriteSpec]
-    #: Effective priority (per-request override, else the tenant's base).
-    priority: int
     #: Simulated instant the request arrived at the service.
     arrival_s: float
     #: Absolute simulated instant after which the request is shed instead
@@ -270,7 +268,6 @@ class QueryService:
         tenant: str,
         query: Union[QueryNode, QuerySpec],
         *,
-        priority: Optional[int] = None,
         timeout_s: Optional[float] = None,
         arrival_s: Optional[float] = None,
         **spec_kwargs,
@@ -279,9 +276,8 @@ class QueryService:
 
         ``arrival_s`` places the request at an explicit simulated arrival
         instant (open-loop workloads); omitted, the request arrives "now"
-        (at the deployment's current simulated frontier).  ``priority``
-        overrides the tenant's base priority; ``timeout_s`` overrides the
-        tenant's default execution budget.  Remaining ``spec_kwargs``
+        (at the deployment's current simulated frontier).  ``timeout_s``
+        overrides the tenant's default execution budget.  Remaining ``spec_kwargs``
         become :class:`QuerySpec` fields (``want_selection``,
         ``region_constraint``, ``strategy``).
 
@@ -297,7 +293,6 @@ class QueryService:
                 f"tenant {tenant!r} is a write tenant; use submit_write()"
             )
         arrival = self._now() if arrival_s is None else float(arrival_s)
-        eff_priority = ten.priority if priority is None else int(priority)
         eff_timeout = timeout_s
         if eff_timeout is None and isinstance(query, QuerySpec):
             eff_timeout = query.timeout_s
@@ -306,21 +301,15 @@ class QueryService:
 
         if isinstance(query, QuerySpec):
             spec = query
-            if spec.timeout_s != eff_timeout or spec.priority != eff_priority:
-                spec = replace(spec, timeout_s=eff_timeout, priority=eff_priority)
+            if spec.timeout_s != eff_timeout:
+                spec = replace(spec, timeout_s=eff_timeout)
         else:
-            spec = QuerySpec(
-                node=query,
-                timeout_s=eff_timeout,
-                priority=eff_priority,
-                **spec_kwargs,
-            )
+            spec = QuerySpec(node=query, timeout_s=eff_timeout, **spec_kwargs)
 
         req = ServiceRequest(
             seq=self._seq,
             tenant=ten,
             spec=spec,
-            priority=eff_priority,
             arrival_s=arrival,
             deadline_s=(
                 arrival + ten.queue_deadline_s
@@ -337,7 +326,6 @@ class QueryService:
         values: np.ndarray,
         *,
         offset: Optional[int] = None,
-        priority: Optional[int] = None,
         arrival_s: Optional[float] = None,
     ) -> ServiceRequest:
         """Submit one ingest write under a ``kind="write"`` tenant.
@@ -369,7 +357,6 @@ class QueryService:
             seq=self._seq,
             tenant=ten,
             spec=spec,
-            priority=ten.priority if priority is None else int(priority),
             arrival_s=arrival,
             deadline_s=(
                 arrival + ten.queue_deadline_s
@@ -425,7 +412,6 @@ class QueryService:
                 self.system.client_clock,
                 category="service",
                 seq=req.seq,
-                priority=req.priority,
             )
         return req
 
@@ -509,18 +495,9 @@ class QueryService:
         return shed
 
     def _eligible_heads(self, now: float) -> List[ServiceRequest]:
-        """Dispatch candidates whose arrival instant has been reached.
-
-        Normally the per-tenant queue *heads* only (a tenant's own
-        requests never reorder); a ``ranks_all`` policy (strict priority)
-        considers every queued request instead."""
-        if self._policy.ranks_all:
-            return [
-                r
-                for q in self._queues.values()
-                for r in q
-                if r.arrival_s <= now
-            ]
+        """Dispatch candidates whose arrival instant has been reached: the
+        per-tenant queue *heads* only, so a tenant's own requests never
+        reorder."""
         return [
             q[0] for q in self._queues.values() if q and q[0].arrival_s <= now
         ]
@@ -535,11 +512,7 @@ class QueryService:
         window: List[ServiceRequest] = []
         while len(window) < self.config.batch_window and heads:
             best = min(heads, key=self._policy.key)
-            q = self._queues[best.tenant.name]
-            if q[0] is best:
-                q.popleft()
-            else:  # ranks_all policy picked past the tenant's head
-                q.remove(best)
+            self._queues[best.tenant.name].popleft()
             self._policy.on_dispatch(best)
             window.append(best)
             heads = self._eligible_heads(now)
@@ -601,7 +574,7 @@ class QueryService:
             return window
 
         # Mixed/write window: apply writes first (in window order), then
-        # run the remaining queries as one shared-scan batch, so the
+        # run the remaining queries as one batch, so the
         # window's queries read their tenants' admitted writes.
         reads = [r for r in window if not isinstance(r.spec, WriteSpec)]
         wbatch = self._apply_writes(writes)

@@ -1,4 +1,4 @@
-"""Dispatch policies: who goes in the next shared-scan window.
+"""Dispatch policies: who goes in the next batch window.
 
 The frontend keeps one FIFO queue per tenant (a tenant's own requests
 never reorder) and asks the policy to rank the *queue heads* each time it
@@ -10,16 +10,10 @@ fills a batch window.  A policy is three hooks:
 * :meth:`DispatchPolicy.on_dispatch` — called as a request enters a
   window (WFQ advances virtual time).
 
-Three policies ship:
+Two policies ship:
 
 ``fifo``
     Global arrival order — key ``(seq,)``.  The passthrough baseline.
-
-``priority``
-    Strict priority, key ``(-priority, seq)``: the highest effective
-    priority (per-request value, else the tenant's base) always wins;
-    arrival order breaks ties.  Starvation of low-priority tenants is
-    the *intended* behaviour of this policy.
 
 ``wfq``
     Weighted-fair queueing by virtual finish time (start-time fairness
@@ -51,7 +45,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (frontend imports us)
 __all__ = [
     "DispatchPolicy",
     "FifoPolicy",
-    "PriorityPolicy",
     "WfqPolicy",
     "make_policy",
 ]
@@ -61,11 +54,6 @@ class DispatchPolicy:
     """Base policy: FIFO by admission sequence."""
 
     name = "fifo"
-    #: When False the frontend only offers per-tenant queue *heads* for
-    #: ranking (a tenant's requests keep their arrival order).  Strict
-    #: priority sets True: the highest-priority request dispatches next
-    #: even past earlier same-tenant work.
-    ranks_all = False
 
     def on_admit(self, req: "ServiceRequest") -> None:
         """Stamp policy bookkeeping onto a newly admitted request."""
@@ -79,16 +67,6 @@ class DispatchPolicy:
 
 class FifoPolicy(DispatchPolicy):
     """Global arrival order across all tenants."""
-
-
-class PriorityPolicy(DispatchPolicy):
-    """Strict priority; arrival order within a priority level."""
-
-    name = "priority"
-    ranks_all = True
-
-    def key(self, req: "ServiceRequest") -> Tuple:
-        return (-req.priority, req.seq)
 
 
 class WfqPolicy(DispatchPolicy):
@@ -120,8 +98,6 @@ def make_policy(name: str) -> DispatchPolicy:
     """Instantiate the named policy (fresh state each call)."""
     if name == "fifo":
         return FifoPolicy()
-    if name == "priority":
-        return PriorityPolicy()
     if name == "wfq":
         return WfqPolicy()
     raise PDCError(f"unknown dispatch policy {name!r}; valid: {POLICY_NAMES}")

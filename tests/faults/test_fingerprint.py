@@ -2,7 +2,7 @@
 
 Every way a region is made resident — the five strategies' data reads,
 index probes and replica reads, PDC-HI over uncompacted delta segments, a
-batch's shared pass, ``get_data`` and the metadata + data path — runs here
+batch window, ``get_data`` and the metadata + data path — runs here
 under a fault plan that slows, fails and loses reads, crashes servers and
 drags stragglers, with a recording tracer and a service monitor installed
 and server caches small enough to evict.  The digest covers full-precision
@@ -12,7 +12,7 @@ registry, the plan's injected-fault counts, the monitor's read samples and
 every span and event.  A pure refactor of the read path must not move it.
 
 The second digest, over the same deployment, holds the planning of
-``AUTO`` windows: shared-scan windows through a scheduler and its semantic
+``AUTO`` windows: batch windows through a scheduler and its semantic
 cache (exact hits, narrowing, a repair after a write), equal trees in one
 window, OR trees, contradictions, unknown objects, a time budget, and
 servers crashing mid-window.  A refactor of planning must not move it.
@@ -32,7 +32,7 @@ from repro.obs.metrics import MetricsRegistry
 from repro.obs.monitor import ServiceMonitor
 from repro.obs.tracer import Tracer
 from repro.query.ast import Condition, combine_and, combine_or
-from repro.query.executor import QueryEngine, QuerySpec
+from repro.query.executor import BatchResult, QueryEngine, QuerySpec
 from repro.query.scheduler import QueryScheduler
 from repro.query.selection import Selection
 from repro.strategies import Strategy
@@ -45,8 +45,8 @@ FAULTS = FaultConfig(
     pfs_read_error_rate=0.3, max_retries=1, pfs_slow_rate=0.25,
     server_crash_rate=0.04, server_slow_rate=0.2,
 )
-DIGEST = "1f56f5606dfb2688af679b2e27c0f18f070624d33df64946df4a6dc97c38871c"
-WINDOW_DIGEST = "80c7e45f068ae40afe87418d7bf9ee6df9691ff064d13cf03acd95595f1579fc"
+DIGEST = "dd108b465f894549cba0642729c95979d83ba92ea3973097111705f60dde8abd"
+WINDOW_DIGEST = "7aeedb616b33f7303d4edf03e1f2f0c735ad882f3ef978f7d877fd56e18d0f77"
 
 
 def window(name, lo, hi):
@@ -114,7 +114,7 @@ def run(sysm, engine):
     # delta positions as candidates.
     assert np.count_nonzero(sysm.get_object("energy").index_delta_counts) == 3
     out.append(engine.execute(window("energy", 2.1, 2.2), strategy=Strategy.HIST_INDEX))
-    sysm.drop_all_caches()  # the shared pass reads (and loses) regions
+    sysm.drop_all_caches()  # the window's queries read (and lose) regions
     out.append(engine.execute_batch([
         QuerySpec(window("energy", 1.0, 3.0), strategy=Strategy.HISTOGRAM),
         QuerySpec(window("energy", 1.5, 3.5), strategy=Strategy.HISTOGRAM),
@@ -191,7 +191,8 @@ def test_fault_trace_fingerprint_pinned():
     assert any(r.retries for r in results) and any(r.failovers for r in results)
     assert isinstance(outcomes[-1], RegionUnavailableError)
     assert isinstance(outcomes[-3], RegionUnavailableError)  # metadata path
-    assert [o for o in outcomes if hasattr(o, "shared_reads")][0].server_errors
+    batch = [o for o in outcomes if isinstance(o, BatchResult)][0]
+    assert any(r.lost_regions for r in batch.results)
     assert plans[0].injected("pfs_slow") and plans[0].injected("server_slow")
     assert any(s.name.startswith("retry:") for s in sysm.tracer.spans)
     assert any(e.name.startswith("lost:") for e in sysm.tracer.events)

@@ -1,8 +1,8 @@
-"""Every door a write enters by applies the same two admission rules
-before anything is buffered, charged or written: a write position is an
-integer >= 0 (``repro.types.is_index``), and a payload that is not finite
-once cast to the object's type is refused as such — an overflowing cast
-included."""
+"""Every door a write enters by applies the same admission rules before
+anything is buffered, charged or written: a write position is an integer
+>= 0 (``repro.types.is_index``), a payload that is not finite once cast to
+the object's type is refused as such — an overflowing cast included — and
+so is a value of magnitude beyond ``MAX_MAGNITUDE``."""
 
 from __future__ import annotations
 
@@ -11,9 +11,13 @@ import pytest
 
 from repro.errors import PDCError
 from repro.ingest import IngestConfig, IngestStream
+from repro.ingest.maintain import MAX_MAGNITUDE
 from repro.pdc.capi import PDCobj_put_data
+from repro.query.ast import Condition
+from repro.query.executor import QueryEngine
 from repro.service import QueryService, ServiceConfig, Tenant
-from repro.types import is_count, is_index
+from repro.strategies import Strategy
+from repro.types import PDCType, QueryOp, is_count, is_index
 from tests.conftest import make_system
 
 #: A fraction (truncated to 2 before), a bool (wrote at 1), a numeric
@@ -152,3 +156,62 @@ class TestOverflowingPayload:
             write(sysm, np.array([1.0, value, 2.0]))
         assert_unchanged(sysm, before)
         assert sysm.get_object("obj").n_elements == n_elements
+
+
+class TestMagnitudeBound:
+    """A float64 value beyond ``MAX_MAGNITUDE`` (2**1020) would give its
+    region — or the region it is written into — a span no histogram grid
+    can hold: every door refuses it with ``PDCError`` before any state is
+    touched (it was an untyped ``OverflowError`` from the counting pass).
+    The bound itself is stored and answered at every door."""
+
+    ABOVE = float(np.nextafter(MAX_MAGNITUDE, np.inf))
+
+    @staticmethod
+    def float64_deployment():
+        sysm = make_system(region_size_bytes=1 << 11)
+        rng = np.random.default_rng(7)
+        data = rng.uniform(-1.0, 1.0, 1 << 10)
+        data[5] = -MAX_MAGNITUDE  # region 0 already spans to the bound
+        sysm.create_object("obj", data)
+        sysm.build_index("obj")
+        return sysm
+
+    @staticmethod
+    def write(door, sysm, values):
+        if door == "create_object":
+            sysm.create_object("new", values)
+        elif door == "append_to_object":
+            sysm.append_to_object("obj", values)
+        else:
+            sysm.update_object_region("obj", 0, values)
+
+    DOORS = ["create_object", "append_to_object", "update_object_region"]
+
+    @pytest.mark.parametrize("door", DOORS)
+    @pytest.mark.parametrize(
+        "values",
+        [[-1e308, 1e308], [ABOVE], [-ABOVE, 0.0], [1.7e308]],
+        ids=["both-ends", "above", "below-minus", "region-span"],
+    )
+    def test_refused_before_any_state_is_touched(self, door, values):
+        sysm = self.float64_deployment()
+        obj = sysm.get_object("obj")
+        before = snapshot(sysm)
+        n_elements, files = obj.n_elements, sysm.pfs.listdir()
+        with pytest.raises(PDCError, match="magnitude"):
+            self.write(door, sysm, np.array(values))
+        assert_unchanged(sysm, before)
+        assert obj.n_elements == n_elements
+        assert sysm.pfs.listdir() == files and "new" not in sysm.objects
+
+    @pytest.mark.parametrize("door", DOORS)
+    def test_the_bound_itself_is_stored_and_answered(self, door):
+        sysm = self.float64_deployment()
+        self.write(door, sysm, np.array([MAX_MAGNITUDE, -MAX_MAGNITUDE, 0.5]))
+        name = "new" if door == "create_object" else "obj"
+        data = sysm.get_object(name).data
+        node = Condition(name, QueryOp.GT, PDCType.DOUBLE, 0.25)
+        for strategy in (Strategy.FULL_SCAN, Strategy.HISTOGRAM, Strategy.AUTO):
+            res = QueryEngine(sysm).execute(node, strategy=strategy)
+            assert res.nhits == int((data > 0.25).sum())

@@ -107,8 +107,7 @@ class TestAnalyzeSingle:
 
 
 class TestAnalyzeBatch:
-    """Per-query attribution of a window's shared read pass
-    (``QueryResult.batch_shared_*``)."""
+    """A window's queries answer as they do alone."""
 
     @pytest.fixture
     def window(self):
@@ -123,28 +122,6 @@ class TestAnalyzeBatch:
         results = sched.run(window)
         sched.close()
         return sched.batches[0], results
-
-    def test_shared_bytes_fully_attributed(self, deployment, window):
-        system, _, _ = deployment
-        batch, results = self.run_window(system, window)
-        assert batch.shared_bytes_virtual > 0
-        shares = [r.batch_shared_bytes_virtual for r in results]
-        # Every query demanded the shared energy regions, so each gets a
-        # share, and the shares partition the shared pass exactly.
-        assert all(s > 0 for s in shares)
-        assert sum(shares) == pytest.approx(batch.shared_bytes_virtual)
-
-    def test_elapsed_share_proportional_to_bytes(self, deployment, window):
-        system, _, _ = deployment
-        _, results = self.run_window(system, window)
-        first = results[0]
-        for r in results:
-            assert r.batch_shared_elapsed_s > 0
-            ratio = r.batch_shared_elapsed_s / r.batch_shared_bytes_virtual
-            assert ratio == pytest.approx(
-                first.batch_shared_elapsed_s
-                / first.batch_shared_bytes_virtual
-            )
 
     def test_batch_answers_match_solo_runs(self, window):
         solo = []

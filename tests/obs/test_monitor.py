@@ -37,7 +37,7 @@ class TestNoopMonitor:
         NOOP_MONITOR.on_shed(0.0, "a", 0.1)
         NOOP_MONITOR.on_dispatch(0.0, "a", 0.1, 0)
         NOOP_MONITOR.on_complete(0.0, "a", "done", 0.1, 0.2)
-        NOOP_MONITOR.on_window(0.0, 4, 0.1, 2, 100.0)
+        NOOP_MONITOR.on_window(0.0, 4, 0.1)
         NOOP_MONITOR.on_region_read(0, [(0.0, 1024.0, "read")])
         NOOP_MONITOR.on_tick(0.0)
 

@@ -1,17 +1,16 @@
 """A request the semantic cache can serve costs only its lookup.
 
 ``execute_batch`` takes each query's semantic key first and asks the cache
-whether it would serve it (``SelectionCache.would_serve``: the same
-classification ``fetch`` runs, counting nothing and leaving LRU order as it
-is); only the other queries are planned for the window's shared pass.  An
-append extends a cached answer: the invalidation hook records the object's
-element count on each entry, the growth is a dirty span, and ``fetch``
-repairs the exact entry over the merged spans.  What holds it:
+to serve it (``SelectionCache.fetch``); only a miss is planned and
+executed.  An append extends a cached answer: the invalidation hook
+records the object's element count on each entry, the growth is a dirty
+span, and ``fetch`` repairs the exact entry over the merged spans.  What
+holds it:
 
-* a window of one cached hit and one miss plans only the miss and bills the
-  hit no shared bytes (planning both would bill it 32,768);
-* the lookup changes no counter and no LRU position, and agrees with
-  ``fetch``;
+* a window of one cached hit and one miss prices only the miss, once, and
+  bills the hit no bytes;
+* the classification ``fetch`` runs (``_lookup_locked``) changes no
+  counter and no LRU position, and agrees with ``fetch``;
 * a query whose entry an earlier query of the window evicts still executes
   and returns the live answer;
 * after an append the exact entry is ``"repaired"`` over the merged dirty
@@ -83,9 +82,8 @@ def pricings(monkeypatch):
 
 class TestLookupBeforePlanning:
     def test_a_hit_is_not_planned_and_shares_no_bytes(self, pricings):
-        """Energy > 2 cached, energy < 1 not: both demand every region, so
-        planning both would share a 65,536-byte pass and bill the zero-I/O
-        hit half of it."""
+        """Energy > 2 cached, energy < 1 not: the hit reads nothing and is
+        not priced; the miss is priced once, at execution."""
         sysm = deployment()
         sched = QueryScheduler(sysm, max_width=4)
         hit, miss = auto(cond("energy", ">", 2.0)), auto(cond("energy", "<", 1.0))
@@ -95,10 +93,9 @@ class TestLookupBeforePlanning:
         batch = sched.execute_window([hit, miss])
         served, executed = batch.results
         assert (served.semantic_cache, executed.semantic_cache) == ("hit", "")
-        assert served.batch_shared_bytes_virtual == 0.0
-        assert batch.shared_regions == 0 and batch.shared_bytes_virtual == 0.0
-        # The miss's two plans: speculative for demand, then at execution.
-        assert pricings[0] == 2
+        assert served.bytes_read_virtual == 0.0
+        assert batch.total_bytes_read_virtual == executed.bytes_read_virtual > 0.0
+        assert pricings[0] == 1
         e = sysm.get_object("energy").data
         assert served.nhits == int((e > np.float32(2.0)).sum())
         assert executed.nhits == int((e < np.float32(1.0)).sum())
@@ -121,7 +118,7 @@ class TestLookupBeforePlanning:
             ("nope", wide, False),  # unknown object
         ]
         for name, iv, serves in probes:
-            assert cache.would_serve(sysm, name, iv) is serves
+            assert (cache._lookup_locked(sysm, name, iv) is not None) is serves
         assert dataclasses.asdict(cache.stats) == before
         assert list(cache._entries["energy"]) == order
         for name, iv, serves in probes:
@@ -170,7 +167,7 @@ class TestAppendRepair:
         iv = Interval(2.0, None, lo_closed=False)
         cached(cache, sysm, iv)
         sysm.append_to_object("energy", np.full(10, 3.0, dtype=np.float32))
-        assert not cache.would_serve(sysm, "energy", iv)
+        assert cache._lookup_locked(sysm, "energy", iv) is None
         assert cache.fetch(sysm, "energy", iv) is None
         assert len(cache) == 0
 

@@ -168,18 +168,16 @@ def mixed_tiers(sysm, engine):
     return out
 
 
-def shared_scans(sysm, engine):
-    """Overlapping windows: the batch's shared pass preloads what two or
-    more of them demand (cold, then over whatever stayed resident)."""
+def overlapping_windows(sysm, engine):
+    """Overlapping windows in one batch: a later query finds the regions an
+    earlier one read resident (cold, then over whatever stayed resident)."""
     specs = [
         QuerySpec(window("energy", 2.0, 3.0), strategy=Strategy.HISTOGRAM),
         QuerySpec(window("energy", 2.5, 3.5), strategy=Strategy.HISTOGRAM),
         QuerySpec(window("energy", 0.1, 5.0), strategy=Strategy.FULL_SCAN),
         QuerySpec(window("energy", 2.2, 2.8), strategy=Strategy.HIST_INDEX),
     ]
-    first = engine.execute_batch(specs)
-    assert first.shared_reads > 0
-    return [first, engine.execute_batch(specs)]
+    return [engine.execute_batch(specs), engine.execute_batch(specs)]
 
 
 def all_pruned(sysm, engine):
@@ -219,8 +217,8 @@ def run_twins(script, **options):
         (delta_segments, {}),
         (all_pruned, {}),
         (mixed_tiers, {}),
-        (shared_scans, {}),
-        (shared_scans, {"memory": 6.5 * REGION_BYTES}),
+        (overlapping_windows, {}),
+        (overlapping_windows, {"memory": 6.5 * REGION_BYTES}),
     ],
 )
 def test_array_path_equals_per_region_path(script, options):
@@ -272,17 +270,17 @@ def lookup(server, key):
     return hit
 
 
-def reference_share(server, accesses, preload=False, on_lost=None, span=None):
+def reference_share(server, accesses, on_lost=None, span=None):
     """The per-region loop ``touch_share`` replaces, inside a real
     ``eval:serverN`` span when ``span`` gives its attributes."""
     if span is None:
-        return reference_loop(server, accesses, preload, on_lost)
+        return reference_loop(server, accesses, on_lost)
     with server.tracer.span(f"eval:server{server.server_id}", server.clock,
                             category="server_eval", **span):
-        return reference_loop(server, accesses, preload, on_lost)
+        return reference_loop(server, accesses, on_lost)
 
 
-def reference_loop(server, accesses, preload, on_lost):
+def reference_loop(server, accesses, on_lost):
     """Per access, look the key up; on a miss, per attempt draw the slow
     factor and the failure and charge the attempt and any backoff inside
     real spans, and put the payload only once a read succeeds.  A read
@@ -346,10 +344,6 @@ def reference_loop(server, accesses, preload, on_lost):
             )
         for charge in then:
             clock.charge(*charge)
-        if preload:
-            count(server, "pdc_batch_preloads_total",
-                  "Shared-scan batch region preloads by server and result.",
-                  server=f"server{server.server_id}", result="hit" if flag else "read")
     return flags
 
 
@@ -434,7 +428,7 @@ def one_pass(server, accesses, **kwargs):
     )
 
 
-def drive(share_fn, server, shares, with_policy, preload):
+def drive(share_fn, server, shares, with_policy):
     """Run every share through ``share_fn``; returns each share's flags (or
     its error) and the lost regions the policy saw."""
     lost, out = [], []
@@ -447,7 +441,7 @@ def drive(share_fn, server, shares, with_policy, preload):
         # Every other share inside an eval span, as a query step's are.
         span = {"object": "o", "regions": len({a[6] for a in accesses})} if i % 2 else None
         try:
-            out.append(share_fn(server, accesses, preload=preload,
+            out.append(share_fn(server, accesses,
                                 on_lost=on_lost if with_policy else None, span=span))
         except RegionUnavailableError as exc:
             out.append(("raised", str(exc)))
@@ -463,7 +457,7 @@ def test_touch_share_equals_the_per_region_loop(faults, capacity, with_policy):
         runs = []
         for share_fn in (one_pass, reference_share):
             server = reference_server(FAULT_CASES[faults], capacity, traced, monitored)
-            runs.append((drive(share_fn, server, shares, with_policy, seed % 2 == 0),
+            runs.append((drive(share_fn, server, shares, with_policy),
                          server_state(server)))
         (got, got_state), (want, want_state) = runs
         assert got == want
@@ -518,8 +512,8 @@ def test_one_monitor_call_per_sampled_share(faults, capacity, traced, with_polic
         finally:
             per_share.append(len(server.monitor.recorder.log) - before)
 
-    assert (drive(one_pass, folded, shares, with_policy, False)
-            == drive(counted_reference, walked, shares, with_policy, False))
+    assert (drive(one_pass, folded, shares, with_policy)
+            == drive(counted_reference, walked, shares, with_policy))
     assert [len(reads) for _, reads in folded.monitor.calls] == [n for n in per_share if n]
     assert [(server_id, *read) for server_id, reads in folded.monitor.calls
             for read in reads] == walked.monitor.recorder.log
@@ -535,7 +529,7 @@ def test_the_reference_reaches_what_it_is_meant_to():
     for name in ("errors", "both"):
         server = reference_server(FAULT_CASES[name], 2.5 * KEY_BYTES, True, True)
         shares = random_shares(0)
-        flags, lost = drive(reference_share, server, shares, True, False)
+        flags, lost = drive(reference_share, server, shares, True)
         by_region = {a[6]: [b[0] for b in share if b[6] == a[6]]
                      for share in shares for a in share}
         seen.update({"retry" for s in server.tracer.spans if s.name.startswith("retry:")})
@@ -543,14 +537,14 @@ def test_the_reference_reaches_what_it_is_meant_to():
                      if len(by_region[region]) == 2 and ":0' failed" in error})
         seen.update({"evict" for _ in range(server.cache.stats.evictions)})
     server = reference_server(FAULT_CASES["doomed"], 1e18, False, False)
-    seen.update({"raise" for f in drive(reference_share, server, random_shares(0), False, False)[0]
+    seen.update({"raise" for f in drive(reference_share, server, random_shares(0), False)[0]
                  if f[0] == "raised"})
     assert seen == {"retry", "lost-index", "evict", "raise"}
 
 
 def test_faults_and_tracing_never_enter_ensure_region(monkeypatch):
-    """Under a nonzero-rate plan and a recording tracer, queries, a batch's
-    shared pass and get_data make regions resident only through
+    """Under a nonzero-rate plan and a recording tracer, queries, a batch
+    window and get_data make regions resident only through
     ``touch_share`` — there is no per-region body left to route to."""
     calls = {"ensure_region": 0, "touch_share": 0}
     for name in calls:
@@ -569,7 +563,7 @@ def test_faults_and_tracing_never_enter_ensure_region(monkeypatch):
     for strat in STRATEGIES + (Strategy.AUTO,):
         res = engine.execute(window("energy", 0.123, 2.456), strategy=strat)
     sysm.drop_all_caches()
-    shared_scans(sysm, engine)
+    overlapping_windows(sysm, engine)
     sysm.drop_all_caches()
     engine.get_data(res.selection, "energy")
     assert sysm.fault_plan.injected("pfs_read_error") > 0
@@ -599,7 +593,7 @@ def test_shares_arrive_as_columns_through_one_body(monkeypatch):
         return original(self, keys, sizes, regions, miss_s, miss_category, **kwargs)
 
     monkeypatch.setattr(PDCServer, "touch_share", spy)
-    for script in (cold_and_warm, half_warm, delta_segments, mixed_tiers, shared_scans):
+    for script in (cold_and_warm, half_warm, delta_segments, mixed_tiers, overlapping_windows):
         sysm, engine = deployment(False)
         sysm.set_tracer(Tracer())
         sysm.set_fault_plan(FaultPlan(seed=4, config=FaultConfig(

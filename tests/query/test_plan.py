@@ -1,6 +1,5 @@
-"""One plan per conjunct: what the plan says is what execution touches,
-what batch demand shares and what AUTO prices (docs/query_lifecycle.md,
-"plan → charge → answer").
+"""One plan per conjunct: what the plan says is what execution touches
+and what AUTO prices (docs/query_lifecycle.md, "plan → charge → answer").
 """
 
 from __future__ import annotations
@@ -8,11 +7,10 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.errors import ObjectNotFoundError
 from repro.obs import MetricsRegistry
 from repro.query import planner
 from repro.query.ast import Condition, combine_and, combine_or, typed_conjuncts
-from repro.query.executor import QueryEngine, QuerySpec
+from repro.query.executor import QueryEngine
 from repro.query.planner import choose_strategy, plan_conjunct
 from repro.scenarios import demo_deployment
 from repro.strategies import Strategy
@@ -85,11 +83,8 @@ class TestPlanIsWhatRuns:
             for strategy in FIXED:
                 for constraint in (None, (1500, 13000)):
                     system.drop_all_caches()
-                    spec = QuerySpec(node=node, strategy=strategy, region_constraint=constraint)
                     before = snapshot(system)
                     plan = plan_conjunct(system, conjunct, strategy, constraint)
-                    demand = engine._batch_demand(spec)
-                    engine._batch_demand(QuerySpec(node=node, strategy=Strategy.AUTO))
                     assert snapshot(system) == before
 
                     want = sorted(
@@ -97,11 +92,10 @@ class TestPlanIsWhatRuns:
                         for name, rids in plan.data_regions.items()
                         for rid in rids.tolist()
                     )
-                    assert demand == want
                     res = engine.execute(node, strategy=strategy, region_constraint=constraint)
                     if plan.proved_empty:
                         empty_cases += 1
-                        assert demand == [] and res.step_actuals == [] and res.nhits == 0
+                        assert want == [] and res.step_actuals == [] and res.nhits == 0
                         continue
                     first, actual = plan.steps[0], res.step_actuals[0]
                     seen_paths.add(first.path)
@@ -109,33 +103,33 @@ class TestPlanIsWhatRuns:
                     assert actual.access_path == first.path
                     if first.path == "binary-search-run":
                         # The run is located by the search, not by the plan;
-                        # nothing here is a shareable data region.
-                        assert demand == []
+                        # nothing here is a data region.
+                        assert want == []
                         continue
                     pruned_cases += bool(first.pruned)
                     assert actual.regions_pruned == first.pruned
                     regions = first.regions.tolist()
                     if first.path == "index-probe":
-                        assert demand == []
+                        assert want == []
                         assert actual.index_reads == len(regions)
                         assert resident(system, first.name, "idx") == regions
                     else:
                         assert actual.regions_read + actual.regions_cached == len(regions)
                         assert resident(system, first.name) == regions
-                        assert [rid for name, rid in demand if name == first.name] == regions
+                        assert [rid for name, rid in want if name == first.name] == regions
         assert seen_paths == {
             "full-read+scan", "pruned-read+scan", "index-probe", "binary-search-run",
         }
         assert pruned_cases and empty_cases
 
     def test_full_scan_demand_covers_every_object(self, demo):
+        """PDC-F's plan pre-loads every region of every queried object."""
         node = combine_and(cond("energy", ">", 2.0), cond("x", "<", 150.0))
-        demand = QueryEngine(demo)._batch_demand(
-            QuerySpec(node=node, strategy=Strategy.FULL_SCAN)
-        )
-        assert demand == sorted(demand)
-        assert {name for name, _ in demand} == {"energy", "x"}
-        assert len(demand) == sum(demo.get_object(n).n_regions for n in ("energy", "x"))
+        ((_, conjunct),) = typed_conjuncts(node, demo.type_of)
+        plan = plan_conjunct(demo, conjunct, Strategy.FULL_SCAN)
+        assert sorted(plan.data_regions) == ["energy", "x"]
+        for name, rids in plan.data_regions.items():
+            assert rids.tolist() == list(range(demo.get_object(name).n_regions))
 
     def test_choose_strategy_plans_each_conjunct_once(self, demo, monkeypatch):
         calls = {"order": 0, "prune": 0, "every region": 0}
@@ -168,28 +162,6 @@ class TestPlanIsWhatRuns:
         sh = next(p for p in candidates if p.strategy is Strategy.SORT_HIST)
         h = next(p for p in candidates if p.strategy is Strategy.HISTOGRAM)
         assert sh.notes and sh.est_seconds == h.est_seconds
-
-
-class TestDemandFailures:
-    def test_unknown_object_is_no_demand_and_its_own_error(self, demo):
-        engine = QueryEngine(demo)
-        bad = QuerySpec(node=cond("nope", ">", 1.0))
-        assert engine._batch_demand(bad) == []
-        batch = engine.execute_batch([QuerySpec(node=cond("energy", ">", 2.0)), bad])
-        assert batch.results[0] is not None and batch.results[1] is None
-        assert isinstance(batch.errors[1], ObjectNotFoundError)
-
-    def test_programming_error_in_planning_propagates(self, demo, monkeypatch):
-        def broken(*args, **kwargs):
-            raise TypeError("injected")
-
-        monkeypatch.setattr(planner, "plan_conjunct", broken)
-        engine = QueryEngine(demo)
-        spec = QuerySpec(node=cond("energy", ">", 2.0))
-        with pytest.raises(TypeError, match="injected"):
-            engine._batch_demand(spec)
-        with pytest.raises(TypeError, match="injected"):
-            engine.execute_batch([spec, spec])
 
 
 @pytest.mark.xfail(

@@ -1,7 +1,7 @@
 """One plan book per ``execute`` / ``execute_batch`` call.
 
-A window's demand pass, its semantic-cache keys and every query's execution
-read the same typed conjuncts and plans; only ``AUTO``'s residency probe is
+A window's semantic-cache keys and every query's execution read the same
+typed conjuncts and plans; only ``AUTO``'s residency probe is
 priced live, once per region set per pricing.  The window's answers and the
 plans its queries run are those of each query run alone, and ``AUTO`` prices
 the plans execution will run — with the query's region constraint and the
@@ -128,8 +128,8 @@ class TestOneBookPerWindow:
         assert typed == Counter({tree(0): 1, tree(1): 1, tree(2): 1})
         assert planned and max(planned.values()) == 1
         assert len(probes) == len(set(probes))
-        # Every AUTO resolution still prices: 8 speculative, 8 executed.
-        assert pricings[0] == 16
+        # Each AUTO miss is priced once, when it executes.
+        assert pricings[0] == 8
 
     def test_a_standalone_execute_opens_its_own_book(self, demo, monkeypatch):
         typed = []

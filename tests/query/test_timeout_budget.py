@@ -12,7 +12,13 @@ import pytest
 
 from repro.errors import PDCError
 from repro.pdc.capi import PDCquery_set_timeout
-from repro.query import PDCquery_create
+from repro.query import (
+    PDCquery_and,
+    PDCquery_create,
+    PDCquery_execute_batch,
+    PDCquery_get_nhits,
+    QueryScheduler,
+)
 from repro.query.ast import Condition
 from repro.query.executor import QueryEngine, QuerySpec
 from repro.service import QueryService, ServiceConfig
@@ -85,3 +91,39 @@ def test_none_is_no_budget(system):
     PDCquery_set_timeout(query, 1.0)
     PDCquery_set_timeout(query, None)
     assert query.timeout_s is None
+
+
+def capi_query(sysm, value=2.0, name="energy"):
+    return PDCquery_create(sysm, sysm.get_object(name).meta.object_id, ">", "float", value)
+
+
+def test_capi_timeout_reaches_the_engine_deadline(system):
+    query = capi_query(system)
+    PDCquery_set_timeout(query, 1e-9)
+    PDCquery_get_nhits(query)
+    assert query.last_result.timed_out
+    assert not query.last_result.complete
+
+
+def test_combined_queries_keep_the_tighter_timeout():
+    sysm = make_system()
+    rng = np.random.default_rng(12345)
+    sysm.create_object("energy", rng.gamma(2.0, 0.7, 1 << 12).astype(np.float32))
+    sysm.create_object("x", (rng.random(1 << 12) * 300.0).astype(np.float32))
+    q1, q2 = capi_query(sysm, 2.0, "energy"), capi_query(sysm, 100.0, "x")
+    PDCquery_set_timeout(q1, 5.0)
+    PDCquery_set_timeout(q2, 1.0)
+    assert PDCquery_and(q1, q2).timeout_s == 1.0
+
+
+def test_execute_batch_forwards_each_timeout(system):
+    q1, q2 = capi_query(system, 1.0), capi_query(system, 2.0)
+    PDCquery_set_timeout(q1, 1e-9)
+    sched = QueryScheduler(system, max_width=2, use_selection_cache=False)
+    try:
+        PDCquery_execute_batch(system, [q1, q2], scheduler=sched)
+    finally:
+        sched.close()
+    assert sched.batches[-1].width == 2
+    assert q1.last_result.timed_out
+    assert not q2.last_result.timed_out

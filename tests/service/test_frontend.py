@@ -264,35 +264,6 @@ class TestFairness:
         svc.close()
         assert order == ["heavy"] * 8 + ["light"]
 
-    def test_strict_priority_preempts_order(self):
-        sysm = fresh_deployment()
-        cfg = ServiceConfig(
-            tenants=(Tenant("lo", priority=0), Tenant("hi", priority=10)),
-            policy="priority",
-            batch_window=1,
-        )
-        svc = QueryService(sysm, cfg)
-        for q in queries(3):
-            svc.submit("lo", q)
-        for q in queries(3):
-            svc.submit("hi", q)
-        order = [r.tenant.name for r in svc.drain()]
-        svc.close()
-        assert order == ["hi"] * 3 + ["lo"] * 3
-
-    def test_per_request_priority_overrides_tenant_base(self):
-        sysm = fresh_deployment()
-        cfg = ServiceConfig(
-            tenants=(Tenant("t", priority=0),), policy="priority",
-            batch_window=1,
-        )
-        svc = QueryService(sysm, cfg)
-        low = svc.submit("t", queries(1)[0])
-        high = svc.submit("t", queries(2)[1], priority=5)
-        order = [r.seq for r in svc.drain()]
-        svc.close()
-        assert order == [high.seq, low.seq]
-
 
 class TestDeterminism:
     CFG = dict(

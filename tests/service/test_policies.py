@@ -9,12 +9,11 @@ from repro.service import Tenant, make_policy
 from repro.service.frontend import ServiceRequest
 
 
-def req(seq, tenant, priority=0, deadline_s=None):
+def req(seq, tenant, deadline_s=None):
     return ServiceRequest(
         seq=seq,
         tenant=tenant,
         spec=None,  # policies never look at the spec
-        priority=priority,
         arrival_s=0.0,
         deadline_s=deadline_s,
     )
@@ -37,20 +36,8 @@ def dispatch_order(policy, requests):
 class TestFifo:
     def test_global_arrival_order(self):
         a, b = Tenant("a"), Tenant("b")
-        rs = [req(0, a), req(1, b), req(2, a, priority=99)]
+        rs = [req(0, a), req(1, b), req(2, a)]
         assert dispatch_order(make_policy("fifo"), rs) == [0, 1, 2]
-
-
-class TestPriority:
-    def test_highest_priority_first_stable_within_level(self):
-        a, b = Tenant("a"), Tenant("b")
-        rs = [
-            req(0, a, priority=0),
-            req(1, b, priority=5),
-            req(2, a, priority=5),
-            req(3, b, priority=1),
-        ]
-        assert dispatch_order(make_policy("priority"), rs) == [1, 2, 3, 0]
 
 
 class TestWfq:

@@ -158,7 +158,7 @@ class TestOutputPathErrors:
 
 DEMOS = [
     (["faults", "--seed", "1234"], "faults demo: PASS"),
-    (["batch", "--queries", "4"], "shared reads: 8"),
+    (["batch", "--queries", "4"], "batched:        64.0 KiB read"),
     (["metrics"], "# TYPE pdc_query_sim_seconds histogram"),
     (["serve", "--requests", "12"], "query-service demo: 12 requests"),
     (["monitor", "--requests", "30"], "alert fingerprint: "),
