@@ -39,14 +39,6 @@ def test_wah_decompress(benchmark):
     out = benchmark(wah.decompress, words, n)
     assert np.array_equal(out, bits)
 
-@pytest.mark.benchmark(group="micro-wah")
-def test_wah_logical_and(benchmark):
-    rng = np.random.default_rng(0)
-    wa, _ = wah.compress(rng.random(N) < 0.1)
-    wb, _ = wah.compress(rng.random(N) < 0.1)
-    benchmark(wah.logical_and, wa, wb)
-
-
 @pytest.mark.benchmark(group="micro-histogram")
 def test_histogram_build(benchmark, data):
     h = benchmark(MergeableHistogram.from_data, data, 64)

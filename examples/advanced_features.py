@@ -9,11 +9,9 @@
    background aggregation thread.
 3. **N-D objects + hyperslab region constraints** — `pdc_region_t`-style
    multi-dimensional spatial selection.
-4. **Storage-hierarchy migration** — staging hot regions to the burst
-   buffer (§II's deep memory hierarchy).
-5. **Fault tolerance** — server failure/recovery and metadata
+4. **Fault tolerance** — server failure/recovery and metadata
    checkpoint/restore.
-6. **Observability** — the deployment's status report.
+5. **Observability** — the deployment's status report.
 
 Run:  python examples/advanced_features.py
 """
@@ -30,7 +28,6 @@ from repro.query.api import (
     PDCquery_set_region,
 )
 from repro.query.region_constraint import HyperSlab
-from repro.storage.device import DeviceKind
 
 
 def build_system():
@@ -99,30 +96,9 @@ def demo_hyperslab():
         print(f"  first at grid cell ({rows[0]}, {cols[0]})")
 
 
-def demo_migration(system, eo):
-    print("=" * 70)
-    print("4. storage-hierarchy migration (§II)")
-    from repro.query.executor import QueryEngine
-    from repro.query.ast import Condition
-    from repro.types import PDCType, QueryOp
-
-    engine = QueryEngine(system)
-    node = Condition("Energy", QueryOp(">"), PDCType.FLOAT, 2.0)
-    system.drop_all_caches()
-    disk = engine.execute(node).elapsed_s
-    obj = system.get_object("Energy")
-    hot_regions = np.flatnonzero(obj.rmax > 2.0)
-    system.migrate_regions("Energy", hot_regions, DeviceKind.NVRAM)
-    system.drop_all_caches()
-    bb = engine.execute(node).elapsed_s
-    print(f"  cold query from Lustre:        {disk * 1e3:8.2f} ms")
-    print(f"  cold query from burst buffer:  {bb * 1e3:8.2f} ms "
-          f"({disk / bb:.1f}x after staging {hot_regions.size} hot regions)")
-
-
 def demo_failures(system, eo):
     print("=" * 70)
-    print("5. fault tolerance")
+    print("4. fault tolerance")
     from repro.query.executor import QueryEngine
     from repro.query.ast import Condition
     from repro.types import PDCType, QueryOp
@@ -146,7 +122,7 @@ def demo_failures(system, eo):
 
 def demo_report(system):
     print("=" * 70)
-    print("6. deployment status report")
+    print("5. deployment status report")
     from repro.pdc import report
 
     print(report(system, top_servers=4))
@@ -157,6 +133,5 @@ if __name__ == "__main__":
     demo_auto_and_explain(system, eo, xo)
     demo_async(system, eo)
     demo_hyperslab()
-    demo_migration(system, eo)
     demo_failures(system, eo)
     demo_report(system)

@@ -298,27 +298,11 @@ def cmd_explain(args: argparse.Namespace) -> int:
         return 0
 
     from .obs.analyze import analyze, render_analysis
-    from .obs.profiler import write_collapsed, write_speedscope
 
     # No explicit --strategy: analyze the AUTO-chosen plan, matching what
     # plain `explain` showed.
     qa = analyze(system, node, strategy=strategy or Strategy.AUTO)
     print(render_analysis(qa, label=args.query))
-    if args.flamegraph or args.speedscope:
-        from .obs import Tracer
-
-        tracer = Tracer()
-        system2, _, _ = demo_deployment()
-        system2.set_tracer(tracer)
-        from .query.executor import QueryEngine
-
-        QueryEngine(system2).execute(node, strategy=qa.strategy)
-        if args.flamegraph:
-            write_collapsed(tracer, args.flamegraph)
-            print(f"collapsed stacks -> {args.flamegraph}")
-        if args.speedscope:
-            write_speedscope(tracer, args.speedscope, name=args.query)
-            print(f"speedscope profile -> {args.speedscope}")
     return 0
 
 
@@ -540,14 +524,6 @@ def main(argv=None) -> int:
         "--strategy",
         choices=[s.value for s in Strategy],
         help="evaluation strategy (default: the deployment's)",
-    )
-    p.add_argument(
-        "--flamegraph", metavar="FILE",
-        help="with --analyze: write collapsed-stack flamegraph input to FILE",
-    )
-    p.add_argument(
-        "--speedscope", metavar="FILE",
-        help="with --analyze: write a speedscope JSON profile to FILE",
     )
     p.set_defaults(func=cmd_explain)
 

@@ -9,8 +9,6 @@ from .wah import (
     compressed_nbytes,
     count_set_bits,
     decompress,
-    logical_and,
-    logical_or,
 )
 
 __all__ = [
@@ -23,6 +21,4 @@ __all__ = [
     "compressed_nbytes",
     "count_set_bits",
     "decompress",
-    "logical_and",
-    "logical_or",
 ]

@@ -11,11 +11,8 @@ numpy:
 * maximal runs of identical all-0/all-1 groups are stored as **fill words**
   (MSB = 1, bit 62 = fill value, low 62 bits = run length in groups).
 
-Logical operations decode to the *group* representation (one uint64 payload
-per 63-bit group — still word-aligned, which is exactly the property WAH is
-named for), combine with vectorized bitwise ops, and re-encode.  Bit counts
-come straight off the compressed form: popcount of literals plus 63× the
-one-fill run lengths.
+Bit counts come straight off the compressed form: popcount of literals
+plus 63× the one-fill run lengths.
 """
 
 from __future__ import annotations
@@ -35,8 +32,6 @@ __all__ = [
     "groups_to_bits",
     "encode_groups",
     "decode_groups",
-    "logical_and",
-    "logical_or",
     "count_set_bits",
     "compressed_nbytes",
 ]
@@ -210,112 +205,6 @@ def decompress(words: np.ndarray, n_bits: int) -> np.ndarray:
             f"compressed stream covers {groups.size * GROUP_BITS} bits, need {n_bits}"
         )
     return groups_to_bits(groups, n_bits)
-
-
-def _decode_runs(words: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """WAH words → run-length form ``(values, lengths)``: one entry per
-    word (literals are length-1 runs), *without* expanding fills."""
-    words = np.asarray(words, dtype=np.uint64)
-    if words.size == 0:
-        return np.zeros(0, dtype=np.uint64), np.zeros(0, dtype=np.int64)
-    is_fill = (words & _FILL_FLAG) != 0
-    lengths = np.where(is_fill, (words & _LEN_MASK).astype(np.int64), 1)
-    values = np.where(
-        is_fill,
-        np.where((words & _FILL_VALUE) != 0, _PAYLOAD_MASK, np.uint64(0)),
-        words & _PAYLOAD_MASK,
-    )
-    keep = lengths > 0  # defensive: a zero-length fill encodes nothing
-    if not keep.all():
-        values, lengths = values[keep], lengths[keep]
-    return values, lengths
-
-
-def _encode_runs(values: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-    """:func:`encode_groups` on run-length input without expanding it.
-
-    Produces the canonical encoding — adjacent same-value fillable runs
-    merge into maximal fills (split at the max run length), literal runs
-    pass through — so the output is byte-identical to
-    ``encode_groups(np.repeat(values, lengths))``.
-    """
-    n = values.size
-    if n == 0:
-        return np.zeros(0, dtype=np.uint64)
-    is_zero = values == 0
-    is_ones = values == _PAYLOAD_MASK
-    sig = np.where(is_zero | is_ones, np.where(is_ones, 2, 1), 0)
-    change = np.flatnonzero(np.diff(sig) != 0) + 1
-    starts = np.concatenate(([0], change))
-    stops = np.concatenate((change, [n]))
-
-    out = []
-    max_run = int(_LEN_MASK)
-    for a, b in zip(starts, stops):
-        if sig[a] == 0:
-            # Literal groups: usually length-1 runs straight from a
-            # segment merge; expand the (rare) longer ones.
-            if bool((lengths[a:b] == 1).all()):
-                out.append(values[a:b])
-            else:
-                out.append(np.repeat(values[a:b], lengths[a:b]))
-            continue
-        fill_value = _FILL_VALUE if sig[a] == 2 else np.uint64(0)
-        run = int(lengths[a:b].sum())
-        while run > 0:
-            chunk = min(run, max_run)
-            out.append(
-                np.array([_FILL_FLAG | fill_value | np.uint64(chunk)], dtype=np.uint64)
-            )
-            run -= chunk
-    return np.concatenate(out) if out else np.zeros(0, dtype=np.uint64)
-
-
-def _binary_op(w1: np.ndarray, w2: np.ndarray, op) -> np.ndarray:
-    """Combine two compressed streams run-by-run.
-
-    The previous implementation expanded both streams to one payload per
-    group (``np.repeat``) before combining — O(total groups) work and
-    memory even when the streams are a handful of giant fills.  This
-    merge walks the *runs*: segment boundaries are the union of both
-    streams' cumulative run ends, each segment takes one vectorized
-    ``op``, and the canonical re-encode above restores maximal fills.
-    Work is O(runs₁ + runs₂), independent of fill lengths, and the output
-    is byte-identical to the expand-op-encode reference.
-    """
-    v1, l1 = _decode_runs(w1)
-    v2, l2 = _decode_runs(w2)
-    n1 = int(l1.sum())
-    n2 = int(l2.sum())
-    if n1 != n2:
-        # Align by zero-padding the shorter stream (same bit-vector length,
-        # different trailing-fill omission is not produced by compress, so
-        # a size mismatch means caller error).
-        raise IndexError_(f"bitmap group counts differ: {n1} vs {n2}")
-    if n1 == 0:
-        return np.zeros(0, dtype=np.uint64)
-    c1 = np.cumsum(l1)
-    c2 = np.cumsum(l2)
-    # Sorted segment end positions: both run-end lists ascend, so merge
-    # them by sorting and drop the ends they share (no np.union1d: its
-    # unique takes a hash path).
-    bounds = np.sort(np.concatenate((c1, c2)))
-    bounds = bounds[np.concatenate(([True], bounds[1:] != bounds[:-1]))]
-    i1 = np.searchsorted(c1, bounds, side="left")  # covering run per segment
-    i2 = np.searchsorted(c2, bounds, side="left")
-    seg_vals = op(v1[i1], v2[i2])
-    seg_lens = np.diff(bounds, prepend=0)
-    return _encode_runs(seg_vals, seg_lens)
-
-
-def logical_and(w1: np.ndarray, w2: np.ndarray) -> np.ndarray:
-    """AND of two compressed bitmaps over the same domain."""
-    return _binary_op(w1, w2, np.bitwise_and)
-
-
-def logical_or(w1: np.ndarray, w2: np.ndarray) -> np.ndarray:
-    """OR of two compressed bitmaps over the same domain."""
-    return _binary_op(w1, w2, np.bitwise_or)
 
 
 def count_set_bits(words: np.ndarray) -> int:

@@ -55,9 +55,9 @@ class FaultConfig:
     untouched).
     """
 
-    #: Probability one PFS/tier read attempt fails (retried with backoff).
+    #: Probability one PFS read attempt fails (retried with backoff).
     pfs_read_error_rate: float = 0.0
-    #: Probability one PFS/tier read suffers a latency spike
+    #: Probability one PFS read suffers a latency spike
     #: (:data:`PFS_SLOW_FACTOR` times slower).
     pfs_slow_rate: float = 0.0
     #: Probability a server crashes when work is dispatched to it.

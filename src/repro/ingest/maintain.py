@@ -27,7 +27,6 @@ from ..errors import PDCError
 from ..histogram.global_hist import GlobalHistogram
 from ..histogram.mergeable import MergeableHistogram
 from ..pdc.region import RegionMeta, region_key
-from ..storage.device import DeviceKind
 from ..storage.file import HDF5_IMBALANCE, HDF5_STRIPE_COUNT, PDC_STRIPE_COUNT
 from ..types import MB, is_index
 
@@ -340,7 +339,6 @@ def extend_object(
         system.pfs.create(path, obj.data, stripe_count=stripe, imbalance=imbalance)
     obj.meta.n_elements = size
     tail = obj.n_regions - 1
-    obj.meta.regions[tail].n_elements += absorbed
     grow = len(opened)
     obj.offsets = np.concatenate(
         [obj.offsets, np.array([off for _, off, _ in opened], dtype=np.int64)]
@@ -350,14 +348,10 @@ def extend_object(
     )
     obj.counts[tail] += absorbed
     if grow:
-        obj.meta.regions.extend(
-            RegionMeta(rid, obj.name, off, count, obj.file_path)
-            for rid, off, count in opened
-        )
+        obj.meta.regions.extend(RegionMeta(rid) for rid, _, _ in opened)
         pad = np.zeros(grow)
         obj.rmin = np.concatenate([obj.rmin, pad])
         obj.rmax = np.concatenate([obj.rmax, pad])
-        obj.region_tier.extend([DeviceKind.DISK] * grow)
         if obj.indexes is not None:
             obj.indexes.extend([None] * grow)  # installed by the commit
         for arr_name in ("index_nbytes", "index_words", "index_delta_counts",
@@ -402,7 +396,6 @@ def rewrite_index_file(
     chunks.extend([None] * (obj.n_regions - len(chunks)))  # opened regions
     for rid in changed:
         chunks[rid] = obj.indexes[rid].to_bytes()
-        obj.meta.regions[rid].index_path = path
     system.pfs.create(path, chunks)
     obj.index_extents = np.concatenate(([0], np.cumsum([c.size for c in chunks])))
 

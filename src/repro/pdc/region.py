@@ -2,8 +2,7 @@
 
 Large objects are decomposed into fixed-size regions so data operations
 parallelize and subsets can be read without touching the whole object.
-Each region carries its own metadata — offset/size within the object, the
-storage location of its payload, its mergeable histogram, and true min/max.
+Each region carries its own metadata: its mergeable histogram.
 """
 
 from __future__ import annotations
@@ -19,34 +18,14 @@ __all__ = ["RegionMeta", "partition", "region_key"]
 
 @dataclass
 class RegionMeta:
-    """Metadata of one region of one object.
-
-    The payload itself lives in the object's file on the parallel file
-    system (``file_path`` + element offset) or in a server cache; this
-    record is what the metadata service distributes to query servers.
-    """
+    """Metadata of one region of one object: what the metadata service
+    distributes to query servers.  The region's extent and payload live in
+    :class:`~repro.pdc.system.StoredObject`'s per-region arrays."""
 
     region_id: int
-    object_name: str
-    #: Element offset of this region within the object.
-    offset: int
-    #: Number of elements in this region.
-    n_elements: int
-    #: PFS path of the file holding the payload.
-    file_path: str
-    #: Storage tier currently holding the authoritative copy.
-    tier: str = field(default="disk", init=False)
     #: Per-region mergeable histogram (built at import/production time —
     #: §III-D2: "automatically generated ... at no additional cost").
     histogram: Optional[MergeableHistogram] = field(default=None, init=False)
-    #: PFS path of this region's bitmap-index file, when one was built.
-    index_path: Optional[str] = field(default=None, init=False)
-
-    def __post_init__(self) -> None:
-        if self.offset < 0 or self.n_elements <= 0:
-            raise PDCError(
-                f"bad region extent offset={self.offset} n={self.n_elements}"
-            )
 
 
 def partition(n_elements: int, region_elements: int) -> List[Tuple[int, int]]:

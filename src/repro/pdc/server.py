@@ -84,20 +84,15 @@ class PDCServer:
         concurrent_readers: int,
         category: str = "pfs_read",
         hit_copy: bool = False,
-        tier: str = "disk",
     ) -> bool:
         """Make one region resident: a storage read on a miss, free on a hit
         (scans run in place over cached buffers) unless ``hit_copy`` asks
         for a memory-copy charge (get_data materialization) — one access of
         :meth:`touch_share`, so a read still failing after its retries
         raises :class:`RegionUnavailableError`."""
-        read_s = self.cost.tier_read_time(
-            nbytes, n_accesses, tier, stripe_count, concurrent_readers
-        )
+        read_s = self.cost.pfs_read_time(nbytes, n_accesses, stripe_count, concurrent_readers)
         hit_s = [self.cost.mem_copy_time(nbytes)] if hit_copy else None
-        (hit,) = self.touch_share(
-            [key], [nbytes], [key], [read_s], [category], hit_s=hit_s, tiers=[tier],
-        )
+        (hit,) = self.touch_share([key], [nbytes], [key], [read_s], [category], hit_s=hit_s)
         return hit
 
     def preload_region(
@@ -106,14 +101,11 @@ class PDCServer:
         nbytes: int,
         stripe_count: int,
         concurrent_readers: int,
-        tier: str = "disk",
     ) -> bool:
         """Make ``key`` resident ahead of the queries that read it: the
         one-access :meth:`ensure_region` read.  Returns True when the region
         was already resident."""
-        return self.ensure_region(
-            key, nbytes, 1, stripe_count, concurrent_readers, tier=tier
-        )
+        return self.ensure_region(key, nbytes, 1, stripe_count, concurrent_readers)
 
     def touch_share(
         self, keys: Sequence[str], sizes: Sequence[int], regions: Sequence[object],
@@ -121,8 +113,7 @@ class PDCServer:
         hit_s: Optional[Sequence[Optional[float]]] = None,
         then: Sequence[Tuple[Sequence[Optional[float]], str]] = (),
         sampled: Optional[Sequence[bool]] = None, span_bytes: Optional[Sequence[int]] = None,
-        tiers: Optional[Sequence[Optional[str]]] = None, rows: Optional[range] = None,
-        on_lost=None, span: Optional[Dict[str, object]] = None,
+        rows: Optional[range] = None, on_lost=None, span: Optional[Dict[str, object]] = None,
     ) -> List[Optional[bool]]:
         """One server's share of a plan step in one pass — the one body that
         makes regions resident (DESIGN.md §5, "Charging at array speed").
@@ -133,7 +124,7 @@ class PDCServer:
         ``miss_category[i]`` of its read, a hit's ``mem_copy`` seconds
         (``hit_s``), per ``(column, category)`` of ``then`` a charge made
         either way (``None``: none), the ``sampled`` accesses (default: all)
-        and a ``read:`` span's ``span_bytes`` (default: sizes) and ``tiers``.
+        and a ``read:`` span's ``span_bytes`` (default: sizes).
         Per access: lookup, a miss's read decided under the fault plan
         (:meth:`_read_attempts`), insert, and each charge added to the
         clock's running time, which stamps spans (inside ``eval:serverN``
@@ -185,11 +176,10 @@ class PDCServer:
                         n_evicted += admit(key, sizes[i])
                     category = miss_category[i]
                     if traced:
-                        attrs = {"bytes": (span_bytes or sizes)[i]}
-                        if tiers is not None and tiers[i] is not None:
-                            attrs["tier"] = tiers[i]
                         kind = "index_read" if category == "index_read" else "storage_read"
-                        read_span = tracer.open_at(now, f"read:{key}", track, kind, **attrs)
+                        read_span = tracer.open_at(
+                            now, f"read:{key}", track, kind, bytes=(span_bytes or sizes)[i]
+                        )
                     clock._now = now  # this path charges through the clock itself
                     for attempt, slow in enumerate(slows, 1):
                         clock.charge(miss_s[i] * slow, category)

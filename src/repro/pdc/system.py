@@ -27,7 +27,6 @@ from ..sorting.reorganize import SortedReplica
 from ..storage.costmodel import CostModel, SimClock
 from ..storage.file import HDF5_IMBALANCE, HDF5_STRIPE_COUNT, PDC_STRIPE_COUNT, ParallelFileSystem
 from ..types import GB, MB, PDCType, is_index, pdc_type_of_dtype
-from ..storage.device import DeviceKind
 from .container import Container
 from .metadata import ObjectMeta, TagValue
 from .metaserver import MetadataService
@@ -108,9 +107,6 @@ class StoredObject:
     #: Per-region true value extrema (from the region histograms).
     rmin: np.ndarray
     rmax: np.ndarray
-    #: Storage tier currently holding each region's authoritative copy
-    #: (§II: any layer of the memory/storage hierarchy).
-    region_tier: List[str]
     #: Optional per-region bitmap indexes (built by ``build_index``).
     indexes: Optional[List[RegionBitmapIndex]] = field(default=None, init=False)
     #: Per-region index-file sizes / compressed word counts.
@@ -155,9 +151,6 @@ class StoredObject:
     @property
     def itemsize(self) -> int:
         return int(self.data.dtype.itemsize)
-
-    def tier_of(self, region_id: int) -> str:
-        return self.region_tier[region_id]
 
     def index_probe_table(self) -> IndexProbeTable:
         """The probe table of the current ``indexes``, stacked on first use."""
@@ -442,10 +435,7 @@ class PDCSystem:
             dims=dims,
             container=container,
             tags=dict(tags or {}),
-            regions=[
-                RegionMeta(rid, name, off, count, file_path)
-                for rid, (off, count) in enumerate(extents)
-            ],
+            regions=[RegionMeta(rid) for rid in range(len(extents))],
         )
         obj = StoredObject(
             meta=meta,
@@ -457,7 +447,6 @@ class PDCSystem:
             counts=np.array([e[1] for e in extents], dtype=np.int64),
             rmin=np.empty(len(extents)),
             rmax=np.empty(len(extents)),
-            region_tier=[DeviceKind.DISK] * len(extents),
         )
         for rid, (off, count) in enumerate(extents):
             segment = data[off : off + count]
@@ -658,38 +647,6 @@ class PDCSystem:
             s.cache.invalidate(region_key(name, rid, replica="idx"))
         write.rewrite_index_file(self, obj, [rid])
         return n_delta
-
-    def migrate_regions(
-        self, name: str, region_ids: Sequence[int], tier: str
-    ) -> None:
-        """Move regions' authoritative copies to another hierarchy layer
-        (§II: PDC moves data transparently across the deep memory
-        hierarchy).  Charges read-from-current + write-to-target on the
-        owning servers; subsequent reads of those regions use the new
-        tier's performance."""
-        if tier not in DeviceKind.ORDER:
-            raise PDCError(f"unknown storage tier {tier!r}")
-        obj = self.get_object(name)
-        for rid in region_ids:
-            rid = int(rid)
-            if not (0 <= rid < obj.n_regions):
-                raise PDCError(f"object {name!r} has no region {rid}")
-            current = obj.tier_of(rid)
-            if current == tier:
-                continue
-            nbytes = int(obj.counts[rid]) * obj.itemsize
-            server = self.servers[self.server_of_region(rid)]
-            server.clock.charge(
-                self.cost.tier_read_time(
-                    nbytes, 1, current, PDC_STRIPE_COUNT
-                )
-                + self.cost.tier_read_time(
-                    nbytes, 1, tier, PDC_STRIPE_COUNT
-                ) / 0.8,
-                "migrate",
-            )
-            obj.region_tier[rid] = tier
-            obj.meta.regions[rid].tier = tier
 
     def drop_sorted_replica(self, key_name: str) -> None:
         """Remove a sorted replica and its files/caches."""

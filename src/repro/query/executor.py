@@ -44,7 +44,6 @@ from ..pdc.placement import assign_region_ids
 from ..pdc.region import region_key
 from ..pdc.system import PDCSystem, ReplicaGroup, StoredObject
 from ..storage.aggregator import coords_to_extents
-from ..storage.device import DeviceKind
 from ..storage.file import PDC_STRIPE_COUNT
 from ..strategies import Strategy
 from ..types import check_timeout
@@ -770,7 +769,7 @@ class QueryEngine:
                 if cand:
                     server.ensure_region(
                         region_key(name, rid), int(obj.counts[rid]) * obj.itemsize, 1,
-                        stripes, readers, tier=obj.tier_of(rid),
+                        stripes, readers
                     )
                     server.clock.charge(sysm.cost.scan_time(cand), "scan")
             hits = int(typed.mask(obj.data).sum())
@@ -1192,7 +1191,7 @@ class QueryEngine:
         sizes, regions = nbytes.tolist(), rids.tolist()
         hit_s = sysm.cost.mem_copy_time(nbytes).tolist() if hit_copy else None
         keys = sysm.region_keys(name, replica, len(counts))
-        seconds, tiers = self._cold_reads(name, replica, rids, nbytes, readers)
+        seconds = sysm.cost.pfs_read_time(nbytes, 1, PDC_STRIPE_COUNT, readers).tolist()
         categories = ["pfs_read"] * len(sizes)
         report = None if on_lost is None else partial(on_lost, keys)
         share_keys, start = keys[rids].tolist(), 0
@@ -1200,30 +1199,10 @@ class QueryEngine:
             stop = start + len(mine)
             hits = server.touch_share(
                 share_keys, sizes, regions, seconds, categories, hit_s=hit_s,
-                tiers=tiers, rows=range(start, stop), on_lost=report, span=span,
+                rows=range(start, stop), on_lost=report, span=span,
             )
             yield server, regions[start:stop], sizes[start:stop], hits
             start = stop
-
-    def _cold_reads(
-        self, name: str, replica: str, rids: np.ndarray, nbytes: np.ndarray,
-        readers: int,
-    ) -> Tuple[List[float], List[str]]:
-        """Where each listed region is read from whole — index and replica
-        files on disk, an object's own payload on the tier each region was
-        migrated to — and that read's ``CostModel.tier_read_time``."""
-        cost, stripes = self.system.cost, PDC_STRIPE_COUNT
-        seconds = cost.tier_read_time(nbytes, 1, DeviceKind.DISK, stripes, readers).tolist()
-        tiers = [DeviceKind.DISK] * len(seconds)
-        region_tier = self.system.get_object(name).region_tier if replica == "orig" else ()
-        if region_tier.count(DeviceKind.DISK) < len(region_tier):  # some region was migrated
-            for i, rid in enumerate(rids.tolist()):
-                tiers[i] = region_tier[rid]
-                if tiers[i] != DeviceKind.DISK:
-                    seconds[i] = cost.tier_read_time(
-                        int(nbytes[i]), 1, tiers[i], stripes, readers
-                    )
-        return seconds, tiers
 
     def _tally_reads(
         self, target, nbytes: Sequence[int], hits: Sequence[bool],
@@ -1332,7 +1311,7 @@ class QueryEngine:
         candidates = candidates + n_delta
         nbytes = obj.counts[rids] * obj.itemsize
         probe_bytes = words * 8
-        read_s, tiers = self._cold_reads(obj.name, "orig", rids, nbytes, readers)
+        read_s = cost.pfs_read_time(nbytes, 1, PDC_STRIPE_COUNT, readers).tolist()
         # The step's accesses, in region order: each region's index file,
         # then — when it has candidates — its data for the check.
         checks, n = candidates > 0, rids.size
@@ -1360,7 +1339,6 @@ class QueryEngine:
             regions=_interleave(selector, regions, regions), miss_s=miss_s,
             miss_category=_interleave(selector, ["index_read"] * n, ["pfs_read"] * n),
             then=then, sampled=data, span_bytes=_interleave(selector, probe, sizes),
-            tiers=_interleave(selector, [None] * n, tiers),
         )
         stops = np.cumsum(1 + checks)[np.cumsum([mine.size for _, mine in pairs]) - 1]
         report = partial(self._record_lost, stats, lost, data_keys)

@@ -556,19 +556,7 @@ class QueryService:
         if not writes:
             # Query-only window: exactly the legacy path (the passthrough
             # bit-identity guarantee lives here — zero extra clock work).
-            if tracer.enabled:
-                with tracer.span(
-                    "service.dispatch",
-                    self.system.client_clock,
-                    category="service",
-                    width=len(window),
-                    tenants=sorted({r.tenant.name for r in window}),
-                ):
-                    batch = self.scheduler.execute_window(
-                        [r.spec for r in window]
-                    )
-            else:
-                batch = self.scheduler.execute_window([r.spec for r in window])
+            batch = self._dispatch(window)
             self._m_windows.inc()
             self._account_window(window, batch)
             return window
@@ -579,24 +567,24 @@ class QueryService:
         reads = [r for r in window if not isinstance(r.spec, WriteSpec)]
         wbatch = self._apply_writes(writes)
         if reads:
-            if tracer.enabled:
-                with tracer.span(
-                    "service.dispatch",
-                    self.system.client_clock,
-                    category="service",
-                    width=len(reads),
-                    tenants=sorted({r.tenant.name for r in reads}),
-                ):
-                    batch = self.scheduler.execute_window(
-                        [r.spec for r in reads]
-                    )
-            else:
-                batch = self.scheduler.execute_window([r.spec for r in reads])
+            batch = self._dispatch(reads)
         self._m_windows.inc()
         self._account_window(writes, wbatch)
         if reads:
             self._account_window(reads, batch)
         return window
+
+    def _dispatch(self, reqs: List[ServiceRequest]) -> BatchResult:
+        """Run the queries of ``reqs`` as one scheduler window inside a
+        ``service.dispatch`` span."""
+        with self.system.tracer.span(
+            "service.dispatch",
+            self.system.client_clock,
+            category="service",
+            width=len(reqs),
+            tenants=sorted({r.tenant.name for r in reqs}),
+        ):
+            return self.scheduler.execute_window([r.spec for r in reqs])
 
     def _apply_writes(self, writes: List[ServiceRequest]) -> BatchResult:
         """Apply a window's writes through the service's ingest stream,

@@ -1,5 +1,5 @@
-"""Simulated storage substrate: hierarchy layer names, parallel file system,
-read aggregation, region cache, and the simulated-time cost model.
+"""Simulated storage substrate: parallel file system, read aggregation,
+region cache, and the simulated-time cost model.
 
 This package replaces the paper's Cori/Lustre testbed with a deterministic
 simulator — see DESIGN.md §2 for the substitution argument.
@@ -8,7 +8,6 @@ simulator — see DESIGN.md §2 for the substitution argument.
 from .aggregator import aggregate_extents, coords_to_extents
 from .cache import CacheStats, RegionCache
 from .costmodel import CORI_LIKE, CostModel, CostParameters, SimClock
-from .device import DeviceKind
 from .file import ParallelFileSystem, SimFile
 
 __all__ = [
@@ -20,7 +19,6 @@ __all__ = [
     "CostModel",
     "CostParameters",
     "SimClock",
-    "DeviceKind",
     "ParallelFileSystem",
     "SimFile",
 ]

@@ -30,7 +30,6 @@ from dataclasses import dataclass, field
 from typing import Dict
 
 from ..types import GB
-from .device import DeviceKind
 
 __all__ = ["CostParameters", "SimClock", "CostModel", "CORI_LIKE"]
 
@@ -70,12 +69,6 @@ class CostParameters:
     server_overhead_s: float = 1.0e-4
     #: Cost to examine one metadata record during a metadata query, seconds.
     meta_op_cost_s: float = 150.0e-9
-    #: Node-local burst-buffer (NVRAM) access latency / bandwidth.
-    nvram_latency_s: float = 80.0e-6
-    nvram_bandwidth_bps: float = 6.0 * GB
-    #: Tape archive access latency / bandwidth (never on the fast path).
-    tape_latency_s: float = 30.0
-    tape_bandwidth_bps: float = 0.3 * GB
     #: Fixed client-side cost to serialize/deserialize a query plan, seconds.
     client_overhead_s: float = 5.0e-4
 
@@ -193,33 +186,6 @@ class CostModel:
     ) -> float:
         """Writes are modeled like reads at ~80% of read bandwidth."""
         return self.pfs_read_time(nbytes, n_accesses, stripe_count, concurrent_writers) / 0.8
-
-    def tier_read_time(
-        self,
-        nbytes: int,
-        n_accesses: int,
-        tier: str,
-        stripe_count: int,
-        concurrent_readers: int = 1,
-    ) -> float:
-        """Read time from a given hierarchy layer (§II: regions can live
-        on memory, NVRAM, disk, or tape).
-
-        Disk means the shared Lustre PFS (striping + contention); NVRAM is
-        a node-local burst buffer (no cross-server contention); memory is a
-        plain copy; tape is mount-latency-bound.
-        """
-        p = self.params
-        vbytes = nbytes * self.virtual_scale
-        if tier == DeviceKind.DISK:
-            return self.pfs_read_time(nbytes, n_accesses, stripe_count, concurrent_readers)
-        if tier == DeviceKind.MEMORY:
-            return vbytes / p.mem_bandwidth_bps
-        if tier == DeviceKind.NVRAM:
-            return n_accesses * p.nvram_latency_s + vbytes / p.nvram_bandwidth_bps
-        if tier == DeviceKind.TAPE:
-            return n_accesses * p.tape_latency_s + vbytes / p.tape_bandwidth_bps
-        raise ValueError(f"unknown storage tier {tier!r}")
 
     def mem_copy_time(self, nbytes: int, scaled: bool = True) -> float:
         """Seconds to copy ``nbytes`` (real) within a server's memory

@@ -1,4 +1,4 @@
-"""WAH compression: roundtrip, logical ops, counting — property-heavy."""
+"""WAH compression: roundtrip and counting — property-heavy."""
 
 import numpy as np
 import pytest
@@ -58,25 +58,6 @@ class TestRoundtrip:
     def test_2d_rejected(self):
         with pytest.raises(IndexError_):
             wah.compress(np.zeros((2, 2), dtype=bool))
-
-
-class TestLogicalOps:
-    @given(st.integers(1, 800), st.integers(0, 2**32 - 1))
-    @settings(max_examples=200, deadline=None)
-    def test_and_or_not_match_numpy(self, n, seed):
-        rng = np.random.default_rng(seed)
-        a = rng.random(n) < 0.3
-        b = rng.random(n) < 0.3
-        wa, _ = wah.compress(a)
-        wb, _ = wah.compress(b)
-        assert np.array_equal(wah.decompress(wah.logical_and(wa, wb), n), a & b)
-        assert np.array_equal(wah.decompress(wah.logical_or(wa, wb), n), a | b)
-
-    def test_mismatched_domains_rejected(self):
-        wa, _ = wah.compress(np.zeros(63, dtype=bool))
-        wb, _ = wah.compress(np.zeros(126, dtype=bool))
-        with pytest.raises(IndexError_):
-            wah.logical_and(wa, wb)
 
 
 class TestCounting:
@@ -168,81 +149,3 @@ class TestPopcountFallback:
     def test_extremes(self):
         words = np.array([0, 1, (1 << 64) - 1, 1 << 63], dtype=np.uint64)
         assert list(wah._popcount(words)) == [0, 1, 64, 1]
-
-
-class TestRunMerge:
-    """The run-merge ``_binary_op`` must be byte-identical to the naive
-    expand-combine-encode reference (regression for the O(groups)
-    rewrite), including canonical maximal fills and the length cap."""
-
-    @staticmethod
-    def _reference_op(w1, w2, op):
-        g1, g2 = wah.decode_groups(w1), wah.decode_groups(w2)
-        return wah.encode_groups(op(g1, g2))
-
-    @given(structured_bits, st.integers(0, 2**32 - 1))
-    @settings(max_examples=200, deadline=None)
-    def test_matches_expand_reference(self, a, seed):
-        rng = np.random.default_rng(seed)
-        b = rng.random(a.size) < rng.random()
-        wa, _ = wah.compress(a)
-        wb, _ = wah.compress(b)
-        for op in (np.bitwise_and, np.bitwise_or):
-            got = wah._binary_op(wa, wb, op)
-            want = self._reference_op(wa, wb, op)
-            assert np.array_equal(got, want)
-
-    def test_long_fills_stay_compressed(self):
-        """AND of two giant fills must stay O(runs): one output word, no
-        group expansion."""
-        n_groups = 2_000_000
-        zeros = wah.encode_groups(np.zeros(8, dtype=np.uint64))
-        zeros_big = np.array(
-            [int(zeros[0]) - 8 + n_groups], dtype=np.uint64
-        )  # same fill word, longer run
-        ones_big = wah.encode_groups(
-            np.full(8, (1 << 63) - 1, dtype=np.uint64)
-        )
-        ones_big = np.array([int(ones_big[0]) - 8 + n_groups], dtype=np.uint64)
-        out = wah._binary_op(zeros_big, ones_big, np.bitwise_and)
-        assert out.size == 1
-        assert np.array_equal(out, zeros_big)
-
-    def test_misaligned_runs_and_literals(self):
-        """Fill/literal boundaries landing inside the other stream's runs
-        exercise the segment-union path."""
-        a = np.zeros(63 * 40, dtype=bool)
-        a[63 * 10 : 63 * 30] = True
-        a[5::17] = ~a[5::17]  # sprinkle literals
-        b = np.zeros(63 * 40, dtype=bool)
-        b[63 * 3 : 63 * 37] = True
-        wa, _ = wah.compress(a)
-        wb, _ = wah.compress(b)
-        for op, npop in ((wah.logical_and, np.logical_and),
-                         (wah.logical_or, np.logical_or)):
-            got = wah.decompress(op(wa, wb), a.size)
-            assert np.array_equal(got, npop(a, b))
-
-    def test_encode_runs_splits_at_max_run(self):
-        cap = int(wah._LEN_MASK)
-        values = np.zeros(1, dtype=np.uint64)
-        lengths = np.array([cap + 5], dtype=np.int64)
-        words = wah._encode_runs(values, lengths)
-        assert words.size == 2
-        assert int(words[0] & wah._LEN_MASK) == cap
-        assert int(words[1] & wah._LEN_MASK) == 5
-
-    def test_decode_encode_runs_roundtrip(self, rng):
-        groups = rng.integers(0, 2**63, 300, dtype=np.uint64)
-        groups[20:180] = 0
-        groups[200:290] = (1 << 63) - 1
-        words = wah.encode_groups(groups)
-        values, lengths = wah._decode_runs(words)
-        assert int(lengths.sum()) == groups.size
-        assert np.array_equal(wah._encode_runs(values, lengths), words)
-
-    def test_mismatched_group_counts_report_totals(self):
-        wa, _ = wah.compress(np.zeros(63 * 5, dtype=bool))
-        wb, _ = wah.compress(np.zeros(63 * 9, dtype=bool))
-        with pytest.raises(IndexError_, match=r"group counts differ: 5 vs 9"):
-            wah._binary_op(wa, wb, np.bitwise_and)

@@ -45,8 +45,8 @@ FAULTS = FaultConfig(
     pfs_read_error_rate=0.3, max_retries=1, pfs_slow_rate=0.25,
     server_crash_rate=0.04, server_slow_rate=0.2,
 )
-DIGEST = "dd108b465f894549cba0642729c95979d83ba92ea3973097111705f60dde8abd"
-WINDOW_DIGEST = "7aeedb616b33f7303d4edf03e1f2f0c735ad882f3ef978f7d877fd56e18d0f77"
+DIGEST = "38a1c55b8b4d86cee0a105dbf0ca83db78d58a30f647adf3443179b032f8cd35"
+WINDOW_DIGEST = "9f66d1f6e72a7c1481056a1a884e1688e7d7ea19e9caa4008789b206cad65b1b"
 
 
 def window(name, lo, hi):

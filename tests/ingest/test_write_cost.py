@@ -91,7 +91,7 @@ class TestAppendIntoCapacity:
         assert obj.offsets[:16].tolist() == offsets.tolist()
         assert obj.offsets[16:].tolist() == [N, N + REGION, N + 2 * REGION]
         assert obj.counts.tolist() == counts[:15].tolist() + [REGION] * 3 + [7]
-        assert [r.n_elements for r in obj.meta.regions] == obj.counts.tolist()
+        assert [r.region_id for r in obj.meta.regions] == list(range(obj.n_regions))
         # An array a reader may hold is replaced, not edited.
         assert held[15] == REGION - 100 and held is not obj.counts
 

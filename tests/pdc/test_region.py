@@ -1,11 +1,11 @@
-"""Region partitioning and metadata."""
+"""Region partitioning and keys."""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import PDCError
-from repro.pdc.region import RegionMeta, partition, region_key
+from repro.pdc.region import partition, region_key
 
 
 class TestPartition:
@@ -40,19 +40,6 @@ class TestPartition:
     def test_bad_region_size_rejected(self):
         with pytest.raises(PDCError):
             partition(10, 0)
-
-
-class TestRegionMeta:
-    def make(self, offset=0, n=100):
-        return RegionMeta(
-            region_id=0, object_name="o", offset=offset, n_elements=n, file_path="/p"
-        )
-
-    def test_bad_extent_rejected(self):
-        with pytest.raises(PDCError):
-            self.make(offset=-1)
-        with pytest.raises(PDCError):
-            self.make(n=0)
 
 
 class TestRegionKey:

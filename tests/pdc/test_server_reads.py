@@ -89,7 +89,7 @@ class TestPerAttemptSlowRedraw:
         server = sysm.servers[0]
         server.fault_plan = FaultPlan(seed=7, config=cfg)
 
-        seconds = server.cost.tier_read_time(4096, 1, "disk", 4, 1)
+        seconds = server.cost.pfs_read_time(4096, 1, 4, 1)
         assert server.clock.now == 0.0
         with pytest.raises(RegionUnavailableError):
             server.ensure_region("region:k", 4096, 1, 4, 1)
@@ -131,7 +131,7 @@ class TestPerAttemptSlowRedraw:
         server = sysm.servers[0]
         server.fault_plan = FaultPlan(seed=0, config=cfg)
 
-        seconds = server.cost.tier_read_time(4096, 1, "disk", 4, 1)
+        seconds = server.cost.pfs_read_time(4096, 1, 4, 1)
         ref = FaultPlan(seed=0, config=cfg)
         with pytest.raises(RegionUnavailableError):
             server.ensure_region("region:k", 4096, 1, 4, 1)

@@ -36,7 +36,6 @@ from repro.query.ast import Condition, combine_and
 from repro.query.executor import QueryEngine, QuerySpec
 from repro.storage.cache import RegionCache
 from repro.storage.costmodel import CostModel, SimClock
-from repro.storage.device import DeviceKind
 from repro.strategies import Strategy
 from repro.types import PDCType, QueryOp
 
@@ -155,19 +154,6 @@ def delta_segments(sysm, engine):
     return [engine.execute(node, strategy=Strategy.HIST_INDEX) for _ in range(2)]
 
 
-def mixed_tiers(sysm, engine):
-    obj = sysm.get_object("energy")
-    sysm.migrate_regions("energy", range(0, obj.n_regions, 2), DeviceKind.NVRAM)
-    sysm.migrate_regions("energy", [3, 9], DeviceKind.MEMORY)
-    out = []
-    for strat in (Strategy.HISTOGRAM, Strategy.HIST_INDEX):
-        sysm.drop_all_caches()
-        out.append(engine.execute(window("energy", 0.123, 2.456), strategy=strat))
-    sysm.drop_all_caches()
-    out.append(engine.get_data(out[0].selection, "energy", strategy=Strategy.HISTOGRAM))
-    return out
-
-
 def overlapping_windows(sysm, engine):
     """Overlapping windows in one batch: a later query finds the regions an
     earlier one read resident (cold, then over whatever stayed resident)."""
@@ -216,10 +202,15 @@ def run_twins(script, **options):
         (cold_and_warm, {"memory": 2.5 * REGION_BYTES}),
         (delta_segments, {}),
         (all_pruned, {}),
-        (mixed_tiers, {}),
         (overlapping_windows, {}),
         (overlapping_windows, {"memory": 6.5 * REGION_BYTES}),
     ],
+    # Fixed ids: a case keeps its name when another leaves the list.
+    ids=[f"{name}-options{n}" for name, n in [
+        ("cold_and_warm", 0), ("cold_and_warm", 1), ("half_warm", 2), ("half_warm", 3),
+        ("cold_and_warm", 4), ("delta_segments", 5), ("all_pruned", 6),
+        ("overlapping_windows", 8), ("overlapping_windows", 9),
+    ]],
 )
 def test_array_path_equals_per_region_path(script, options):
     (got, got_state), (want, want_state) = run_twins(script, **options)
@@ -288,17 +279,15 @@ def reference_loop(server, accesses, on_lost):
     share by raising."""
     plan, tracer, clock = server.fault_plan, server.tracer, server.clock
     flags, dropping = [], None
-    for key, nbytes, on_miss, on_hit, sampled, then, region, span_bytes, tier in accesses:
+    for key, nbytes, on_miss, on_hit, sampled, then, region, span_bytes in accesses:
         if region == dropping:
             flags.append(None)
             continue
         dropping, failed = None, []
 
-        def read(key, seconds=on_miss[0], category=on_miss[1], span_bytes=span_bytes,
-                 tier=tier):
+        def read(key, seconds=on_miss[0], category=on_miss[1], span_bytes=span_bytes):
             kind = "index_read" if category == "index_read" else "storage_read"
-            attrs = {"bytes": span_bytes} if tier is None else {"bytes": span_bytes, "tier": tier}
-            with tracer.span(f"read:{key}", clock, category=kind, **attrs):
+            with tracer.span(f"read:{key}", clock, category=kind, bytes=span_bytes):
                 for attempt in itertools.count(1):
                     slow = 1.0 if plan is None else plan.pfs_slow_factor(key)
                     if slow != 1.0:
@@ -375,9 +364,8 @@ def random_shares(seed, n_shares=6):
                 on_hit = (float(rng.random()) * 1e-5, "mem_copy") if rng.random() < 0.3 else None
                 then = [(float(rng.random()) * 1e-4, "scan")] * int(rng.integers(0, 3))
                 sampled = bool(step == 0 or rng.random() < 0.5)
-                span_bytes, tier = (nbytes, "disk") if step else (nbytes // 3, None)
-                accesses.append((key, nbytes, on_miss, on_hit, sampled, then, rid,
-                                 span_bytes, tier))
+                span_bytes = nbytes if step else nbytes // 3
+                accesses.append((key, nbytes, on_miss, on_hit, sampled, then, rid, span_bytes))
         shares.append(accesses)
     return shares
 
@@ -414,8 +402,7 @@ def server_state(server):
 def one_pass(server, accesses, **kwargs):
     """``touch_share`` over the columns of a list of access tuples (the
     reference's input form)."""
-    (keys, sizes, on_miss, on_hit, sampled, then, regions, span_bytes,
-     tiers) = map(list, zip(*accesses))
+    keys, sizes, on_miss, on_hit, sampled, then, regions, span_bytes = map(list, zip(*accesses))
     assert all(h is None or h[1] == "mem_copy" for h in on_hit)
     assert all(category == "scan" for charges in then for _, category in charges)
     width = max(len(charges) for charges in then)
@@ -424,7 +411,7 @@ def one_pass(server, accesses, **kwargs):
         hit_s=[None if h is None else h[0] for h in on_hit],
         then=[([c[j][0] if j < len(c) else None for c in then], "scan")
               for j in range(width)],
-        sampled=sampled, span_bytes=span_bytes, tiers=tiers, **kwargs,
+        sampled=sampled, span_bytes=span_bytes, **kwargs,
     )
 
 
@@ -583,7 +570,7 @@ def test_shares_arrive_as_columns_through_one_body(monkeypatch):
 
     def spy(self, keys, sizes, regions, miss_s, miss_category, **kwargs):
         columns = [keys, sizes, regions, miss_s, miss_category]
-        columns += [kwargs.get(name) for name in ("hit_s", "sampled", "span_bytes", "tiers")]
+        columns += [kwargs.get(name) for name in ("hit_s", "sampled", "span_bytes")]
         columns += [charges for charges, _ in kwargs.get("then", ())]
         for column in columns:
             if column is not None:
@@ -593,7 +580,7 @@ def test_shares_arrive_as_columns_through_one_body(monkeypatch):
         return original(self, keys, sizes, regions, miss_s, miss_category, **kwargs)
 
     monkeypatch.setattr(PDCServer, "touch_share", spy)
-    for script in (cold_and_warm, half_warm, delta_segments, mixed_tiers, overlapping_windows):
+    for script in (cold_and_warm, half_warm, delta_segments, overlapping_windows):
         sysm, engine = deployment(False)
         sysm.set_tracer(Tracer())
         sysm.set_fault_plan(FaultPlan(seed=4, config=FaultConfig(

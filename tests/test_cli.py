@@ -60,22 +60,6 @@ class TestExplainAnalyze:
         assert "per-server utilization:" in out
         assert "imbalance ratio" in out
 
-    def test_explain_analyze_exports(self, capsys, tmp_path):
-        import json
-
-        flame = tmp_path / "flame.collapsed"
-        scope = tmp_path / "prof.json"
-        assert main([
-            "explain", "multi", "--analyze",
-            "--flamegraph", str(flame), "--speedscope", str(scope),
-        ]) == 0
-        lines = flame.read_text().splitlines()
-        assert lines and all(
-            int(line.rsplit(" ", 1)[1]) > 0 for line in lines
-        )
-        doc = json.loads(scope.read_text())
-        assert doc["profiles"] and doc["shared"]["frames"]
-
     def test_unknown_demo_query_rejected(self):
         with pytest.raises(SystemExit):
             main(["explain", "nonsense"])
@@ -88,6 +72,22 @@ class TestProfileCommand:
         assert "per-clock utilization:" in out
         assert "critical path" in out
         assert "imbalance ratio" in out
+
+    def test_profile_exports(self, capsys, tmp_path):
+        import json
+
+        flame = tmp_path / "flame.collapsed"
+        scope = tmp_path / "prof.json"
+        assert main([
+            "profile", "multi", "--strategy", "sort_hist",
+            "--flamegraph", str(flame), "--speedscope", str(scope),
+        ]) == 0
+        lines = flame.read_text().splitlines()
+        assert lines and all(
+            int(line.rsplit(" ", 1)[1]) > 0 for line in lines
+        )
+        doc = json.loads(scope.read_text())
+        assert doc["profiles"] and doc["shared"]["frames"]
 
     def test_profile_saved_trace(self, capsys, tmp_path):
         chrome = tmp_path / "t.json"
@@ -134,8 +134,6 @@ class TestOutputPathErrors:
             ["selftest", "--trace"],
             ["trace", "simple", "--out"],
             ["trace", "simple", "--out", "{ok}", "--jsonl"],
-            ["explain", "simple", "--analyze", "--flamegraph"],
-            ["explain", "simple", "--analyze", "--speedscope"],
             ["profile", "simple", "--flamegraph"],
             ["profile", "simple", "--speedscope"],
             ["benchcheck", "--baseline"],

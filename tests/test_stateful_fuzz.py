@@ -2,9 +2,9 @@
 
 A hypothesis state machine drives a PDCSystem through random interleaved
 operations — imports, overwrites and appends under both maintenance
-modes, index/replica builds and drops, index compaction, tier
-migrations, server failures/recoveries, cache drops, and queries under
-every strategy — while holding the system to its core invariants:
+modes, index/replica builds and drops, index compaction, server
+failures/recoveries, cache drops, and queries under every strategy —
+while holding the system to its core invariants:
 
 * every query answer equals a numpy model kept alongside;
 * simulated clocks never go backwards;
@@ -40,7 +40,6 @@ from repro.query.kernels import index_coords, replica_coords
 from repro.query.planner import surviving_regions
 from repro.query.ast import Condition, combine_and
 from repro.query.executor import QueryEngine
-from repro.storage.device import DeviceKind
 from repro.strategies import Strategy
 from repro.types import PDCType, QueryOp
 from tests.conftest import (
@@ -155,14 +154,6 @@ class PDCStateMachine(RuleBasedStateMachine):
         if "a" in self.system.replicas:
             self.system.refresh_sorted_replica("a")
             self.track_dirty(0, 0)
-
-    @rule(
-        name=st.sampled_from(["a", "b"]),
-        rid=st.integers(0, 1),
-        tier=st.sampled_from([DeviceKind.NVRAM, DeviceKind.DISK, DeviceKind.MEMORY]),
-    )
-    def migrate(self, name, rid, tier):
-        self.system.migrate_regions(name, [rid], tier)
 
     @rule(sid=st.integers(0, N_SERVERS - 1))
     def fail_server(self, sid):
