@@ -59,13 +59,14 @@ def main() -> None:
     hist = PDCquery_get_histogram(system, obj.meta.object_id)
     print(f"global histogram: {hist.merged.n_bins} bins of width "
           f"{hist.merged.bin_width} covering [{hist.merged.data_min:.3f}, "
-          f"{hist.merged.data_max:.3f}], merged from {hist.n_regions} regions")
+          f"{hist.merged.data_max:.3f}], merged from {obj.n_regions} regions")
 
-    # ... and powers region elimination:
+    # Region elimination compares each region's min/max with the condition:
     from repro import Interval
-    pruned = hist.eliminated_fraction(Interval(lo=2.0, hi=None, lo_closed=False))
-    print(f"for 'Energy > 2.0', {pruned * 100:.0f}% of regions are eliminated "
-          "without any I/O")
+    from repro.query.planner import surviving_regions
+    _, _, pruned = surviving_regions(obj, Interval(lo=2.0, hi=None, lo_closed=False))
+    print(f"for 'Energy > 2.0', {pruned / obj.n_regions * 100:.0f}% of regions are "
+          "eliminated without any I/O")
 
     # Tracing: install a Tracer (zero-cost when left at the default no-op)
     # and export a Perfetto-loadable timeline of one query.

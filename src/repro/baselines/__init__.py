@@ -1,7 +1,7 @@
-"""Comparison baselines: the hand-optimized parallel HDF5 full scan
-(HDF5-F) and the related-work block index [26] the paper discusses."""
+"""Comparison baseline: the hand-optimized parallel HDF5 full scan
+(HDF5-F).  The related-work block index [26] is no separate engine: it is
+``QueryEngine(system, enable_ordering=False)`` running PDC-H."""
 
-from .block_index import BlockIndexEngine
 from .hdf5_fullscan import BaselineResult, HDF5FullScanEngine
 
-__all__ = ["BaselineResult", "BlockIndexEngine", "HDF5FullScanEngine"]
+__all__ = ["BaselineResult", "HDF5FullScanEngine"]

@@ -50,11 +50,10 @@ class BaselineResult:
 class HDF5FullScanEngine:
     """Parallel full-scan engine over the ``/hdf5`` comparison files."""
 
-    def __init__(self, system: PDCSystem, n_processes: Optional[int] = None) -> None:
+    def __init__(self, system: PDCSystem) -> None:
         self.system = system
-        self.n_processes = system.n_servers if n_processes is None else n_processes
-        if self.n_processes < 1:
-            raise QueryError("need at least one process")
+        #: One reader process per PDC server: the same parallelism.
+        self.n_processes = system.n_servers
         self.clocks = [SimClock(f"h5rank{i}") for i in range(self.n_processes)]
         self._loaded: Set[str] = set()
 

@@ -7,13 +7,13 @@ metadata distribution, such a global histogram can be used multiple times
 with very low access latency when serving a series of queries."*
 
 :class:`GlobalHistogram` wraps the merged :class:`MergeableHistogram` with
-provenance (which regions it covers) and the planner-facing helpers.
+the operands it was merged from and the planner-facing estimates.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from ..errors import QueryError
 from ..interval import Interval
@@ -24,17 +24,14 @@ __all__ = ["GlobalHistogram"]
 
 @dataclass
 class GlobalHistogram:
-    """Merged histogram of an entire object plus per-region min/max index.
+    """Merged histogram of an entire object.
 
-    ``region_minmax`` keeps each contributing region's true extrema so the
-    planner can prune regions without touching per-region histograms again
-    — this is the "region elimination" path of §III-D2 executed against
-    server-cached metadata only.
+    Region elimination does not go through it: the region extrema live in
+    ``StoredObject.rmin``/``rmax`` and ``planner.surviving_regions`` is the
+    one place they meet an interval.
     """
 
     merged: MergeableHistogram
-    #: region id → (data_min, data_max)
-    region_minmax: Dict[int, Tuple[float, float]]
     #: region id → (the region histogram, it coarsened to ``merged``'s
     #: width): the merge's operands, kept so the next merge re-coarsens only
     #: what changed.
@@ -81,10 +78,7 @@ class GlobalHistogram:
             merged = previous.merged.replaced(coarse_all, removed, added)
         else:
             merged = MergeableHistogram.merge_aligned(coarse_all)
-        minmax = {
-            rid: (h.data_min, h.data_max) for rid, h in region_histograms.items()
-        }
-        return cls(merged=merged, region_minmax=minmax, operands=operands)
+        return cls(merged=merged, operands=operands)
 
     def __getstate__(self) -> dict:
         # Operands are working state of the merge, recomputable from the
@@ -92,29 +86,9 @@ class GlobalHistogram:
         return {**self.__dict__, "operands": {}}
 
     # ------------------------------------------------------------ planner api
-    @property
-    def n_regions(self) -> int:
-        return len(self.region_minmax)
-
     def estimate_selectivity(self, interval: Interval) -> Tuple[float, float]:
         """(lower, upper) selectivity bounds over the whole object."""
         return self.merged.estimate_selectivity(interval)
 
     def estimate_hits(self, interval: Interval) -> Tuple[int, int]:
         return self.merged.estimate_hits(interval)
-
-    def surviving_regions(self, interval: Interval) -> List[int]:
-        """Region ids that may contain matches (min/max overlap test);
-        everything else is eliminated without any I/O."""
-        return [
-            rid
-            for rid, (lo, hi) in self.region_minmax.items()
-            if interval.overlaps_range(lo, hi)
-        ]
-
-    def eliminated_fraction(self, interval: Interval) -> float:
-        """Fraction of regions pruned for ``interval`` — observability for
-        the region-size ablation."""
-        if not self.region_minmax:
-            return 0.0
-        return 1.0 - len(self.surviving_regions(interval)) / len(self.region_minmax)

@@ -337,7 +337,6 @@ def extend_object(
         if system.pfs.exists(path):
             system.pfs.delete(path)
         system.pfs.create(path, obj.data, stripe_count=stripe, imbalance=imbalance)
-    obj.meta.n_elements = size
     tail = obj.n_regions - 1
     grow = len(opened)
     obj.offsets = np.concatenate(

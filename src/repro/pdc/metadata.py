@@ -55,7 +55,6 @@ class ObjectMeta:
     name: str
     object_id: int
     pdc_type: PDCType
-    n_elements: int
     #: Logical (N-D) shape; None for plain 1-D byte-stream objects.
     dims: Optional[Tuple[int, ...]] = None
     container: str = "default"
@@ -74,8 +73,6 @@ class ObjectMeta:
     def __post_init__(self) -> None:
         if not self.name:
             raise MetadataError("object name must be non-empty")
-        if self.n_elements <= 0:
-            raise MetadataError(f"object {self.name!r} must have elements")
 
     def matches_tags(self, conditions: Dict[str, TagPredicate]) -> bool:
         """Key-value metadata predicate (§VI-C).

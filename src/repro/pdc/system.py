@@ -431,7 +431,6 @@ class PDCSystem:
             name=name,
             object_id=self.metadata.allocate_object_id(),
             pdc_type=pdc_type,
-            n_elements=int(data.size),
             dims=dims,
             container=container,
             tags=dict(tags or {}),

@@ -1,4 +1,5 @@
-"""Global histogram: merge provenance, region elimination, estimation."""
+"""Global histogram: merge provenance and estimation; region elimination,
+which reads ``StoredObject.rmin``/``rmax`` and not the global histogram."""
 
 import pickle
 
@@ -9,8 +10,9 @@ from repro.errors import QueryError
 from repro.histogram.global_hist import GlobalHistogram
 from repro.histogram.mergeable import MergeableHistogram
 from repro.interval import Interval
+from repro.query.planner import surviving_regions
 from repro.types import QueryOp
-from tests.conftest import assert_same_global_histogram
+from tests.conftest import assert_same_global_histogram, make_system
 
 
 @pytest.fixture
@@ -33,12 +35,19 @@ class TestBuild:
 
     def test_total_and_region_count(self, ghist):
         assert ghist.merged.total == 8000
-        assert ghist.n_regions == 4
+        assert list(ghist.operands) == [0, 1, 2, 3]
 
-    def test_region_minmax_recorded(self, ghist, regions):
+    def test_region_minmax_recorded(self, regions):
+        """The extrema region elimination reads live on the stored object,
+        equal to each region histogram's: the global histogram keeps no
+        copy."""
+        obj = make_system(region_size_bytes=2000 * 8).create_object(
+            "v", np.concatenate(list(regions.values()))
+        )
         for rid, data in regions.items():
-            lo, hi = ghist.region_minmax[rid]
-            assert lo == data.min() and hi == data.max()
+            assert obj.rmin[rid] == data.min() and obj.rmax[rid] == data.max()
+            source = obj.meta.regions[rid].histogram
+            assert (source.data_min, source.data_max) == (obj.rmin[rid], obj.rmax[rid])
 
 
 class TestOperandReuse:
@@ -87,7 +96,7 @@ class TestOperandReuse:
         hists[4] = MergeableHistogram.from_data(rng.random(300) + 100.0, n_bins=32)
         rebuilt = GlobalHistogram.build(hists, previous=previous)
         assert_same_global_histogram(rebuilt, GlobalHistogram.build(hists))
-        assert list(rebuilt.region_minmax) == [0, 1, 2, 3, 4]
+        assert list(rebuilt.operands) == [0, 1, 2, 3, 4]
         assert rebuilt.merged.data_max == hists[4].data_max
         assert rebuilt.operands[0][1] is previous.operands[0][1]
 
@@ -111,36 +120,50 @@ class TestOperandReuse:
 
 
 class TestRegionElimination:
-    def test_surviving_regions_exact(self, ghist):
-        # Interval (2.5, 2.6) only lives in region 2.
-        surviving = ghist.surviving_regions(Interval(lo=2.5, hi=2.6))
-        assert surviving == [2]
+    """``planner.surviving_regions`` over ``StoredObject.rmin``/``rmax`` —
+    the one place region extrema meet an interval."""
 
-    def test_open_boundary_interval(self, ghist, regions):
-        iv = Interval.from_op(QueryOp.GT, 3.0)
-        surviving = ghist.surviving_regions(iv)
-        assert 3 in surviving
-        assert 0 not in surviving and 1 not in surviving
+    @pytest.fixture
+    def obj(self, regions):
+        """The four regions as one object's four 2000-element regions."""
+        system = make_system(region_size_bytes=2000 * 8)
+        return system.create_object("v", np.concatenate(list(regions.values())))
 
-    def test_nothing_survives_outside_range(self, ghist):
-        assert ghist.surviving_regions(Interval(lo=10.0, hi=11.0)) == []
+    def test_surviving_regions_exact(self, obj):
+        # Interval [2.5, 2.6] only lives in region 2.
+        survivors, covered, pruned = surviving_regions(obj, Interval(lo=2.5, hi=2.6))
+        assert survivors.tolist() == [2] and not covered.any() and pruned == 3
 
-    def test_everything_survives_full_range(self, ghist):
-        assert ghist.surviving_regions(Interval()) == [0, 1, 2, 3]
+    def test_open_boundary_interval(self, obj):
+        survivors, _, _ = surviving_regions(obj, Interval.from_op(QueryOp.GT, 3.0))
+        assert 3 in survivors
+        assert 0 not in survivors and 1 not in survivors
 
-    def test_eliminated_fraction(self, ghist):
-        assert ghist.eliminated_fraction(Interval(lo=2.5, hi=2.6)) == pytest.approx(0.75)
-        assert ghist.eliminated_fraction(Interval()) == 0.0
+    def test_nothing_survives_outside_range(self, obj):
+        survivors, _, pruned = surviving_regions(obj, Interval(lo=10.0, hi=11.0))
+        assert survivors.tolist() == [] and pruned == obj.n_regions
 
-    def test_elimination_never_drops_hits(self, rng, regions, ghist):
-        """Any element matching the interval must live in a surviving
-        region — the exactness property the executor relies on."""
+    def test_everything_survives_full_range(self, obj):
+        survivors, covered, pruned = surviving_regions(obj, Interval())
+        assert survivors.tolist() == [0, 1, 2, 3] and covered.all() and pruned == 0
+
+    def test_eliminated_fraction(self, obj):
+        _, _, pruned = surviving_regions(obj, Interval(lo=2.5, hi=2.6))
+        assert pruned / obj.n_regions == pytest.approx(0.75)
+        assert surviving_regions(obj, Interval())[2] == 0
+
+    def test_elimination_never_drops_hits(self, obj, regions):
+        """Any element matching the interval lives in a surviving region,
+        and every element of a covered one matches — the exactness the
+        executor relies on."""
         for lo in np.linspace(0.0, 3.9, 20):
             iv = Interval(lo=float(lo), hi=float(lo) + 0.05)
-            surviving = set(ghist.surviving_regions(iv))
+            survivors, covered, _ = surviving_regions(obj, iv)
             for rid, data in regions.items():
                 if iv.mask(data).any():
-                    assert rid in surviving
+                    assert rid in survivors
+            for rid in survivors[covered]:
+                assert iv.mask(regions[rid]).all()
 
 
 class TestEstimation:

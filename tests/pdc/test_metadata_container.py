@@ -8,12 +8,11 @@ from repro.pdc.metadata import ObjectMeta
 from repro.types import PDCType
 
 
-def make_meta(name="o", n=100, tags=None, regions=None):
+def make_meta(name="o", tags=None, regions=None):
     return ObjectMeta(
         name=name,
         object_id=1,
         pdc_type=PDCType.FLOAT,
-        n_elements=n,
         tags=tags or {},
         regions=regions or [],
     )
@@ -23,10 +22,6 @@ class TestObjectMeta:
     def test_empty_name_rejected(self):
         with pytest.raises(MetadataError):
             make_meta(name="")
-
-    def test_zero_elements_rejected(self):
-        with pytest.raises(MetadataError):
-            make_meta(n=0)
 
     def test_matches_tags(self):
         m = make_meta(tags={"RADEG": 153.17, "PLATE": 3})

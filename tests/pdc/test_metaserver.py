@@ -20,7 +20,6 @@ def make_meta(svc, name, tags=None):
         name=name,
         object_id=svc.allocate_object_id(),
         pdc_type=PDCType.FLOAT,
-        n_elements=100,
         tags=tags or {},
     )
 

@@ -172,10 +172,9 @@ def _state(sysm, name):
             "index file": sysm.pfs.stat(f"/pdc/index/{name}").data.copy(),
             "merged counts": ghist.merged.counts.copy(),
         },
-        "global": (ghist.merged.bin_width, ghist.merged.start,
-                   list(ghist.region_minmax.items())),
+        "global": (ghist.merged.bin_width, ghist.merged.start),
         "replicas": {k: g.replica.dirty.tolist() for k, g in sysm.replicas.items()},
-        "sizes": (obj.n_elements, obj.meta.n_elements, obj.n_regions, len(obj.meta.regions)),
+        "sizes": (obj.n_elements, obj.n_regions, len(obj.meta.regions)),
         "objects": [r.histogram for r in obj.meta.regions]
         + [obj.meta.global_histogram, *obj.indexes]
         + [h for operand in ghist.operands.values() for h in operand]

@@ -428,14 +428,14 @@ def _agreement_cases():
 
 class TestCrossStrategyAgreement:
     """One comparison rule — a bound is converted to its object's element
-    type, then compared — so the five strategies, both baselines and the
-    histogram estimate answer every condition alike,
+    type, then compared — so the five strategies, the HDF5-F baseline and
+    the histogram estimate answer every condition alike,
     whatever the bound's width and the declared type, and that answer is
     NumPy's own."""
 
     @pytest.fixture(scope="class")
     def deployment(self):
-        from repro.baselines import BlockIndexEngine, HDF5FullScanEngine
+        from repro.baselines import HDF5FullScanEngine
 
         sysm = make_system(n_servers=2, region_size_bytes=1 << 11)
         objects = _agreement_objects()
@@ -446,16 +446,14 @@ class TestCrossStrategyAgreement:
             sysm.build_sorted_replica(name, [])
         h5 = HDF5FullScanEngine(sysm)
         h5.preload(names)
-        blocks = BlockIndexEngine(sysm, block_bytes=1 << 11)
-        blocks.build(names)
-        return sysm, QueryEngine(sysm), (h5, blocks)
+        return sysm, QueryEngine(sysm), h5
 
     @pytest.mark.parametrize("name,bound,op,pdc_type", _agreement_cases())
     def test_agree(self, deployment, name, bound, op, pdc_type):
         from repro.query.api import PDCQuery, PDCquery_estimate_nhits
         from repro.workloads.queries import QuerySpec
 
-        sysm, engine, baselines = deployment
+        sysm, engine, h5 = deployment
         node = Condition(name, op, pdc_type, bound)
         truth = np.flatnonzero(op.apply(sysm.get_object(name).data, node.value))
         for strategy in ALL_STRATEGIES:
@@ -464,15 +462,13 @@ class TestCrossStrategyAgreement:
         lower, upper = PDCquery_estimate_nhits(PDCQuery(sysm, node))
         assert lower <= truth.size <= upper
         spec = QuerySpec("t", ((name, op.value, node.value),))
-        for baseline in baselines:
-            res = baseline.query(spec, want_selection=True)
-            assert np.array_equal(res.coords, truth), type(baseline).__name__
+        assert np.array_equal(h5.query(spec, want_selection=True).coords, truth)
 
     @pytest.mark.parametrize("name", list(_agreement_objects()))
     def test_raw_interval_doors_agree(self, deployment, name):
         """``metadata_data_query`` and ``boss_traverse`` take an untyped
         two-sided :class:`Interval`; they type it per matched object."""
-        sysm, engine, (h5, _) = deployment
+        sysm, engine, h5 = deployment
         data = sysm.get_object(name).data
         bounds = sorted({b for _, b in _agreement_bounds()[name]})
         catalog = list(sysm.objects)
@@ -500,20 +496,63 @@ class TestCrossStrategyAgreement:
         from repro.query.api import PDCQuery, PDCquery_estimate_nhits
         from repro.workloads.queries import QuerySpec
 
-        sysm, engine, (h5, blocks) = deployment
+        sysm, engine, h5 = deployment
         node = Condition("i", QueryOp.GT, PDCType.DOUBLE, 2.5)
         spec = QuerySpec("t", (("i", ">", 2.5),))
         iv = Interval(lo=2.5, hi=7.0)
         doors = [lambda s=s: engine.execute(node, strategy=s) for s in ALL_STRATEGIES] + [
             lambda: PDCquery_estimate_nhits(PDCQuery(sysm, node)),
             lambda: h5.query(spec),
-            lambda: blocks.query(spec),
             lambda: engine.metadata_data_query({"object": "i"}, iv),
             lambda: h5.boss_traverse({"object": "i"}, iv, ["i"]),
         ]
         for door in doors:
             with pytest.raises(QueryTypeError):
                 door()
+
+
+class TestWrittenOrder:
+    """The related-work block index [26] (§VIII): fixed-size regions with
+    min/max, whole-region reads, conditions checked in written order — the
+    PDC-H plan without histogram ordering."""
+
+    @pytest.fixture
+    def clustered(self, rng):
+        sysm = make_system(n_servers=4, region_size_bytes=1 << 11)
+        n = 1 << 13
+        e = rng.gamma(2.0, 0.4, n).astype(np.float32)
+        e[n // 2 : n // 2 + n // 16] += 5.0  # clustered hot stretch
+        x = (rng.random(n) * 300).astype(np.float32)
+        sysm.create_object("energy", e)
+        sysm.create_object("x", x)
+        return sysm, QueryEngine(sysm, enable_ordering=False), e, x
+
+    def test_single_condition(self, clustered):
+        _, engine, e, _ = clustered
+        res = engine.execute(
+            cond("energy", ">", 5.0), want_selection=True, strategy=Strategy.HISTOGRAM
+        )
+        assert np.array_equal(res.selection.coords, np.flatnonzero(e > 5.0))
+
+    def test_multi_condition(self, clustered):
+        _, engine, e, x = clustered
+        # The unselective condition first, as written.
+        node = combine_and(cond("x", "<", 150.0), cond("energy", ">", 5.0))
+        res = engine.execute(node, want_selection=True, strategy=Strategy.HISTOGRAM)
+        assert res.evaluation_order == ["x", "energy"]
+        truth = np.flatnonzero((e > np.float32(5.0)) & (x < np.float32(150.0)))
+        assert np.array_equal(res.selection.coords, truth)
+
+    def test_contradiction(self, clustered):
+        _, engine, _, _ = clustered
+        node = combine_and(cond("energy", ">", 5.0), cond("energy", "<", 1.0))
+        assert engine.execute(node, strategy=Strategy.HISTOGRAM).nhits == 0
+
+    def test_pruning_reads_fewer_regions_than_total(self, clustered):
+        sysm, engine, _, _ = clustered
+        res = engine.execute(cond("energy", ">", 5.0), strategy=Strategy.HISTOGRAM)
+        assert 0 < res.regions_read < sysm.get_object("energy").n_regions
+        assert res.regions_pruned > 0
 
 
 class TestPropertyBased:
@@ -559,7 +598,7 @@ class TestHDF5BaselineAgreement:
             label="t",
             conditions=(("energy", ">", 2.0), ("x", "<", 100.0)),
         )
-        h5 = HDF5FullScanEngine(sysm, n_processes=4)
+        h5 = HDF5FullScanEngine(sysm)
         h5.preload(["energy", "x"])
         res = h5.query(spec, want_selection=True)
         truth = np.flatnonzero((e > 2.0) & (x < 100.0))

@@ -45,11 +45,6 @@ class TestPreload:
         t_pdc = QueryEngine(sysm).preload(["energy"])
         assert t_h5 > t_pdc
 
-    def test_zero_processes_rejected(self, env):
-        sysm, _, _ = env
-        with pytest.raises(QueryError):
-            HDF5FullScanEngine(sysm, n_processes=0)
-
 
 class TestQuery:
     def test_single_condition(self, env):

@@ -216,7 +216,7 @@ class PDCStateMachine(RuleBasedStateMachine):
             return
         for name, data in self.model.items():
             obj = self.system.get_object(name)
-            assert obj.n_elements == obj.meta.n_elements == data.size
+            assert obj.n_elements == data.size
             assert int(obj.counts.sum()) == data.size
             assert len(obj.meta.regions) == obj.n_regions
             assert len(obj.indexes or obj.meta.regions) == obj.n_regions

@@ -42,7 +42,12 @@ def digest(system) -> str:
         for rid in sorted(whole.operands):
             h.update(str(rid).encode())
             _feed(h, whole.operands[rid][1])
-        h.update(repr(sorted(whole.region_minmax.items())).encode())
+        # The region extrema as (region id, (min, max)) pairs: the form the
+        # digest has always hashed, so its lines compare across checkouts.
+        h.update(repr(sorted(
+            (r.region_id, (r.histogram.data_min, r.histogram.data_max))
+            for r in meta.regions if r.histogram
+        )).encode())
     return h.hexdigest()
 
 
