@@ -163,7 +163,10 @@ class StoredObject:
         coordinates, regions holding none left out.  Regions are contiguous,
         so one boundary search per region replaces a pass over the
         coordinates — the work follows the region count, not the hit count."""
-        hits = np.diff(np.searchsorted(coords, self.offsets), append=coords.size)
+        starts = np.searchsorted(coords, self.offsets)
+        hits = np.empty_like(starts)
+        np.subtract(starts[1:], starts[:-1], out=hits[:-1])
+        hits[-1] = coords.size - starts[-1]
         region_ids = np.flatnonzero(hits)
         return region_ids, hits[region_ids]
 

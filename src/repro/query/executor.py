@@ -194,7 +194,9 @@ class BatchResult:
     (or ``None`` when it raised — see ``errors``).  Overlapping reads are
     shared through the server region caches, so there is no batch-level
     read to account: ``shared_reads`` and ``saved_bytes_virtual`` are
-    always zero.
+    always zero.  The batch belongs to the caller; a
+    :class:`~repro.query.scheduler.QueryScheduler` keeps only a
+    :class:`~repro.query.scheduler.WindowRecord` of its counters.
     """
 
     results: List[Optional[QueryResult]]

@@ -29,7 +29,7 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import ClassVar, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -41,7 +41,7 @@ from .executor import BatchResult, QueryEngine, QueryResult, QuerySpec
 from .kernels import interval_coords
 from .selection import Selection
 
-__all__ = ["QueryScheduler", "SelectionCache", "SelectionCacheStats"]
+__all__ = ["QueryScheduler", "SelectionCache", "SelectionCacheStats", "WindowRecord"]
 
 #: Hashable form of an interval: (lo, hi, lo_closed, hi_closed).
 _IKey = Tuple[Optional[float], Optional[float], bool, bool]
@@ -298,6 +298,27 @@ class SelectionCache:
             return sum(len(v) for v in self._entries.values())
 
 
+@dataclass(frozen=True, slots=True)
+class WindowRecord:
+    """What the scheduler keeps of one executed window: its counters.
+
+    The window's :class:`BatchResult` — every :class:`QueryResult`, its
+    selection and any exception — belongs to whoever called
+    :meth:`QueryScheduler.execute_window`, and dies when they drop it.
+    """
+
+    width: int
+    elapsed_s: float
+    semantic_hits: int
+    semantic_narrowed: int
+    semantic_repaired: int
+    #: The window's :attr:`BatchResult.total_bytes_read_virtual`, summed
+    #: once when the window ends.
+    total_bytes_read_virtual: float
+    shared_reads: ClassVar[int] = 0
+    saved_bytes_virtual: ClassVar[float] = 0.0
+
+
 class QueryScheduler:
     """Executes queries in batch windows.
 
@@ -308,8 +329,10 @@ class QueryScheduler:
 
     The scheduler owns a :class:`SelectionCache` (unless disabled) and
     registers it with the system's invalidation hooks; :meth:`close`
-    unregisters.  Executed :class:`BatchResult`\\ s accumulate in
-    ``self.batches`` for inspection.
+    unregisters.  ``self.batches`` keeps one :class:`WindowRecord` of
+    counters per executed window; the per-query results are what
+    :meth:`execute_window` and :meth:`run` return, and the scheduler keeps
+    none of them.
     """
 
     def __init__(
@@ -333,8 +356,8 @@ class QueryScheduler:
                 selection_cache if selection_cache is not None else SelectionCache()
             )
             system.register_invalidation_hook(self._on_invalidate)
-        #: Every executed window's :class:`BatchResult`, in order.
-        self.batches: List[BatchResult] = []
+        #: Every executed window's counters, in order.
+        self.batches: List[WindowRecord] = []
 
     # ------------------------------------------------------------- execution
     def execute_window(self, specs: Sequence[QuerySpec]) -> BatchResult:
@@ -342,7 +365,10 @@ class QueryScheduler:
         batch = self.engine.execute_batch(
             list(specs), selection_cache=self.selection_cache
         )
-        self.batches.append(batch)
+        self.batches.append(WindowRecord(
+            batch.width, batch.elapsed_s, batch.semantic_hits, batch.semantic_narrowed,
+            batch.semantic_repaired, batch.total_bytes_read_virtual,
+        ))
         monitor = self.system.monitor
         if monitor.enabled:
             t_s = max(c.now for c in self.system.all_clocks())

@@ -96,6 +96,28 @@ class TestCreateObject:
         assert region_ids.tolist() == [0, 1, 2]
         assert hits.tolist() == [2, 1, 1]
 
+    @pytest.mark.parametrize("case", ["empty", "first", "last", "every", "appended"])
+    def test_region_hits_equals_the_diff_expression(self, rng, case):
+        """Bit-identical (values and dtype) to ``np.diff`` of the boundary
+        search with the coordinate count appended, also after an append
+        grew the object by a region and a half."""
+        sysm = make_system(region_size_bytes=1 << 12)
+        obj = sysm.create_object("o", rng.random(3000).astype(np.float32))
+        if case == "appended":
+            sysm.append_to_object("o", rng.random(1500).astype(np.float32))
+        n = obj.n_elements
+        coords = {
+            "empty": np.array([], dtype=np.int64),
+            "first": np.array([0], dtype=np.int64),
+            "last": np.array([n - 1], dtype=np.int64),
+        }.get(case, np.arange(n, dtype=np.int64))
+        hits = np.diff(np.searchsorted(coords, obj.offsets), append=coords.size)
+        want_ids = np.flatnonzero(hits)
+        region_ids, got = obj.region_hits(coords)
+        assert region_ids.dtype == want_ids.dtype and got.dtype == hits.dtype
+        assert region_ids.tolist() == want_ids.tolist()
+        assert got.tolist() == hits[want_ids].tolist()
+
     def test_no_histogram_mode(self, rng):
         sysm = make_system()
         obj = sysm.create_object(

@@ -15,6 +15,9 @@ Acceptance properties of the batching subsystem (docs/batching.md):
 
 from __future__ import annotations
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -159,6 +162,20 @@ class TestSharedScan:
         assert list(batch.errors) == [1]
 
 
+class TestRetention:
+    def test_a_windows_answers_die_with_its_caller(self):
+        """The scheduler keeps each window's counters, not its answers: once
+        the caller drops the results, their coordinates are freed."""
+        sched = QueryScheduler(fresh_deployment(), max_width=4, use_selection_cache=False)
+        results = sched.run(OVERLAPPING)
+        refs = [weakref.ref(r.selection.coords) for r in results]
+        del results
+        gc.collect()
+        assert [w.width for w in sched.batches] == [4, 4]
+        assert [ref for ref in refs if ref() is not None] == []
+        sched.close()
+
+
 class TestBitIdentity:
     # Different objects -> provably disjoint region sets.
     DISJOINT = [cond("energy", "<", 0.2), cond("x", ">", 290.0)]
@@ -195,16 +212,18 @@ class TestFaultDeterminism:
         sysm = fresh_deployment()
         sysm.set_fault_plan(FaultPlan(seed=seed, config=self.FAULTY))
         sched = QueryScheduler(sysm, max_width=8, use_selection_cache=False)
-        sched.run(OVERLAPPING)
-        batch = sched.batches[0]
+        results = sched.run(OVERLAPPING)
+        window = sched.batches[0]
         return (
-            [fingerprint(r) for r in batch.results if r is not None],
-            batch.elapsed_s,
-            batch.total_bytes_read_virtual,
+            [fingerprint(r) for r in results],
+            window.elapsed_s,
+            window.total_bytes_read_virtual,
         )
 
     def test_same_seed_same_batch(self):
-        assert self._run(777) == self._run(777)
+        first = self._run(777)
+        assert len(first[0]) == len(OVERLAPPING)
+        assert first == self._run(777)
 
     def test_different_seed_may_differ_but_stays_sound(self):
         sysm = fresh_deployment()

@@ -3,12 +3,15 @@ deadlines, fairness, and determinism."""
 
 from __future__ import annotations
 
+import gc
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from repro.errors import ObjectNotFoundError, PDCError
 from repro.obs.metrics import MetricsRegistry
-from repro.query.ast import Condition
+from repro.query.ast import AndNode, Condition
 from repro.query.scheduler import QueryScheduler
 from repro.service import QueryService, ServiceConfig, Tenant
 from repro.types import PDCType, QueryOp
@@ -349,6 +352,86 @@ class TestAccounting:
             s for s in tracer.spans if s.name.startswith("service.queue:")
         ]
         assert all(s.end_s >= s.start_s for s in queue_spans)
+
+
+class TestRetention:
+    """A service that runs for long keeps per-window counters, not answers."""
+
+    TENANTS = (Tenant("gold", weight=4.0), Tenant("silver", weight=2.0),
+               Tenant("bronze", weight=1.0))
+    #: What the service may keep per window outside its selection cache: a
+    #: counter record, eight queue waits, and the metric observations a
+    #: histogram buffers until 1,024 have arrived.  One window's answers
+    #: are tens of KiB here.
+    BOUND_PER_WINDOW = 4096
+
+    def test_memory_per_window_stays_bounded(self):
+        """Bursts shaped like the service benchmark's (three weighted
+        tenants, windows of eight: a hot repeat, a narrowing of it, fresh
+        misses), each burst's tickets dropped after its drain.  From N to 4N
+        bursts, traced memory minus the selection cache's coordinate bytes
+        grows by less than ``BOUND_PER_WINDOW`` per window.  The cache keeps
+        four selections per object, so it is full, and turning over, from
+        the second burst on."""
+        rng = np.random.default_rng(7)
+        sysm = make_system(metrics=MetricsRegistry())
+        n = 1 << 13
+        sysm.create_object("energy", rng.gamma(2.0, 0.7, n).astype(np.float32))
+        sysm.create_object("x", (rng.random(n) * 300.0).astype(np.float32))
+        svc = QueryService(sysm, ServiceConfig(
+            tenants=self.TENANTS, policy="wfq", batch_window=8, use_selection_cache=True,
+        ))
+        cache = svc.scheduler.selection_cache
+        cache.max_entries_per_object = 4
+
+        def between(name, lo, hi):
+            return AndNode((Condition(name, QueryOp.GTE, PDCType.FLOAT, lo),
+                            Condition(name, QueryOp.LT, PDCType.FLOAT, hi)))
+
+        def burst():
+            requests = []
+            for name, span in (("energy", 4.0), ("x", 300.0)):
+                inside = (0.1 + 0.3 * rng.random()) * span
+                fresh = (0.7 + 0.25 * rng.random()) * span
+                requests += [
+                    ("gold", between(name, 0.1 * span, 0.5 * span)),
+                    ("silver", between(name, inside, inside + 0.05 * span)),
+                    ("bronze", between(name, fresh, fresh + 0.02 * span)),
+                    ("gold", between(name, fresh - 0.1 * span, fresh)),
+                ]
+            tickets = [svc.submit(tenant, node) for tenant, node in requests]
+            svc.drain()
+            assert [t.status for t in tickets] == ["done"] * len(requests)
+
+        def retained():
+            gc.collect()
+            roots = {}
+            for entries in cache._entries.values():
+                for entry in entries.values():
+                    coords = entry.selection.coords
+                    while coords.base is not None:
+                        coords = coords.base
+                    roots[id(coords)] = coords.nbytes
+            traced = tracemalloc.get_traced_memory()[0]
+            return traced - sum(roots.values()), len(svc.scheduler.batches)
+
+        n_bursts = 3
+        tracemalloc.start()
+        try:
+            for _ in range(n_bursts):
+                burst()
+            bytes_n, windows_n = retained()
+            for _ in range(3 * n_bursts):
+                burst()
+            bytes_4n, windows_4n = retained()
+        finally:
+            tracemalloc.stop()
+        svc.close()
+        stats = cache.stats
+        assert stats.hits and stats.narrowed and stats.misses and stats.evictions
+        assert windows_4n == 4 * windows_n == 4 * n_bursts
+        growth = (bytes_4n - bytes_n) / (windows_4n - windows_n)
+        assert growth < self.BOUND_PER_WINDOW
 
 
 class TestTenantStatsPercentiles:
