@@ -376,7 +376,6 @@ def cmd_metrics(args: argparse.Namespace) -> int:
 
 
 def cmd_faults(args: argparse.Namespace) -> int:
-    from .cluster.membership import CRASHED
     from .faults import FaultConfig, FaultPlan
     from .obs import MetricsRegistry
     from .query.executor import QueryEngine
@@ -416,7 +415,7 @@ def cmd_faults(args: argparse.Namespace) -> int:
             for err in errors:
                 print(f"      server{sid}: {err}")
         # Crashed servers rejoin (cold) before the next strategy runs.
-        for sid in system.membership.ids_in(CRASHED):
+        for sid in sorted(system.crashed):
             system.recover_server(sid)
     print()
     print("injected faults by kind:")

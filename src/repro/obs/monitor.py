@@ -108,13 +108,7 @@ class NoopMonitor:
         return None
 
     def on_membership(
-        self,
-        t_s: float,
-        server_id: int,
-        kind: str,
-        state: str,
-        generation: int,
-        n_serving: int,
+        self, t_s: float, server_id: int, kind: str, n_serving: int
     ) -> None:
         return None
 
@@ -318,13 +312,7 @@ class ServiceMonitor:
     # dispatch-hook series) with a timestamp the next dispatch sample
     # would then precede.
     def on_membership(
-        self,
-        t_s: float,
-        server_id: int,
-        kind: str,
-        state: str,
-        generation: int,
-        n_serving: int,
+        self, t_s: float, server_id: int, kind: str, n_serving: int
     ) -> None:
         """One membership transition (crash or recover) plus the fleet
         gauges it implies."""
@@ -335,7 +323,6 @@ class ServiceMonitor:
             # to keep exports unambiguous).
             labels={"server": f"server{server_id}", "event": kind},
         )
-        self.recorder.record("pdc_cluster_generation", t_s, float(generation))
         self.recorder.record(
             "pdc_cluster_serving_servers", t_s, float(n_serving)
         )

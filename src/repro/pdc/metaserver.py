@@ -52,11 +52,6 @@ class MetadataService:
         self._shards: List[Dict[str, ObjectMeta]] = [dict() for _ in range(n_shards)]
         self._next_object_id = 1
         self._logical_time = 0
-        #: Recorded membership views: ``(t_s, generation, members)``
-        #: tuples, appended by the owning system on every membership
-        #: event (the metadata service is the durable home of "who is in
-        #: the cluster", exactly as it is for object ownership).
-        self._views: List[tuple] = []
 
     # ---------------------------------------------------------------- routing
     def shard_of(self, name: str) -> int:
@@ -73,13 +68,6 @@ class MetadataService:
         """Logical timestamp for created_at fields."""
         self._logical_time += 1
         return self._logical_time
-
-    def record_view(self, t_s: float, view) -> None:
-        """Persist one membership view (``view`` is a
-        :class:`~repro.cluster.membership.MembershipView`).  Pure
-        bookkeeping: no logical-time tick, no clock charge — recording a
-        view must never shift ``created_at`` of later objects."""
-        self._views.append((float(t_s), int(view.generation), tuple(view.members)))
 
     def create(self, meta: ObjectMeta) -> None:
         shard = self._shards[self.shard_of(meta.name)]
@@ -143,18 +131,6 @@ class MetadataService:
         if self.pfs.exists(state_path):
             self.pfs.delete(state_path)
         self.pfs.create(state_path, state, clock=clock)
-        views_path = f"{self.CHECKPOINT_PREFIX}/views"
-        if self.pfs.exists(views_path):
-            self.pfs.delete(views_path)
-        if self._views:
-            # Written only when membership events exist, so a deployment
-            # that never changes membership checkpoints (and charges)
-            # exactly as it did before views were recorded.
-            views_payload = np.frombuffer(
-                pickle.dumps(self._views, protocol=pickle.HIGHEST_PROTOCOL),
-                dtype=np.uint8,
-            ).copy()
-            self.pfs.create(views_path, views_payload, clock=clock)
         return self.CHECKPOINT_PREFIX
 
     def restore(self, clock: Optional[SimClock] = None) -> None:
@@ -180,10 +156,3 @@ class MetadataService:
         self._shards = shards
         self._next_object_id = int(state[0])
         self._logical_time = int(state[1])
-        views_path = f"{self.CHECKPOINT_PREFIX}/views"
-        if self.pfs.exists(views_path):
-            # Checkpoints from before membership views existed lack the
-            # file; restoring one simply leaves the view log untouched.
-            self._views = pickle.loads(
-                self.pfs.read(views_path, clock=clock).tobytes()
-            )

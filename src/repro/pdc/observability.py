@@ -21,7 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List
 
-from ..cluster.membership import CRASHED
 from .system import PDCSystem
 
 __all__ = ["ServerStats", "SystemSnapshot", "snapshot", "report"]
@@ -117,7 +116,7 @@ def snapshot(system: PDCSystem) -> SystemSnapshot:
         servers.append(
             ServerStats(
                 server_id=s.server_id,
-                alive=system.membership.state(s.server_id) != CRASHED,
+                alive=s.server_id not in system.crashed,
                 sim_time_s=s.clock.now,
                 busy_s=busy,
                 time_breakdown=breakdown,

@@ -10,12 +10,11 @@ bitmap indexes and sorted replicas).  The query engine
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
 from ..bitmap.index import IndexProbeTable, RegionBitmapIndex, position_dtype
-from ..cluster.membership import CRASHED, LIVE, MembershipRegistry
 from ..errors import ObjectNotFoundError, PDCError, QueryError
 from ..histogram.global_hist import GlobalHistogram
 from ..ingest import maintain as write
@@ -26,7 +25,7 @@ from ..strategies import Strategy, strategy_from_env
 from ..sorting.reorganize import SortedReplica
 from ..storage.costmodel import CostModel, SimClock
 from ..storage.file import HDF5_IMBALANCE, HDF5_STRIPE_COUNT, PDC_STRIPE_COUNT, ParallelFileSystem
-from ..types import GB, MB, PDCType, is_index, pdc_type_of_dtype
+from ..types import GB, MB, PDCType, is_count, is_index, pdc_type_of_dtype
 from .container import Container
 from .metadata import ObjectMeta, TagValue
 from .metaserver import MetadataService
@@ -71,6 +70,10 @@ class PDCConfig:
     replica_rebuild_threshold: float = 0.25
 
     def __post_init__(self) -> None:
+        if not is_count(self.n_servers):
+            raise PDCError(
+                f"n_servers must be an integer >= 1, not {self.n_servers!r}"
+            )
         if self.replica_staleness_policy not in ("drop", "mark_stale"):
             raise PDCError(
                 f"unknown replica_staleness_policy "
@@ -206,8 +209,6 @@ class PDCSystem:
 
     def __init__(self, config: Optional[PDCConfig] = None, metrics=None) -> None:
         self.config = config or PDCConfig()
-        if self.config.n_servers < 1:
-            raise PDCError("need at least one PDC server")
         #: Observability hooks.  The tracer starts as the zero-cost no-op
         #: (swap in a real one with :meth:`set_tracer`); metrics default to
         #: the process-wide registry so counters accumulate across systems
@@ -231,12 +232,12 @@ class PDCSystem:
             s.tracer = self.tracer
             s.monitor = self.monitor
         self.client_clock = SimClock("client")
-        #: Membership registry: :meth:`fail_server` and
-        #: :meth:`recover_server` are its two transitions.
-        self.membership = MembershipRegistry(range(self.config.n_servers))
+        #: Ids of the crashed servers; :meth:`fail_server` and
+        #: :meth:`recover_server` are the only two transitions.
+        self.crashed: Set[int] = set()
         #: The serving set (live servers, ascending id), the one input of
-        #: routing; rebuilt on every membership event, so a caller's
-        #: earlier copy keeps its view.
+        #: routing; rebuilt on every transition, so a caller's earlier
+        #: copy keeps its view.
         self._serving: Tuple[PDCServer, ...] = tuple(self.servers)
         self._cluster_events_metric = None
         #: Deterministic fault plan (:mod:`repro.faults`); None = no faults.
@@ -300,60 +301,64 @@ class PDCSystem:
         are excluded from routing)."""
         return self._serving
 
-    def _on_membership_event(self, event) -> None:
-        """The single code path every membership change funnels through:
-        the serving set, cache drops, and observability all follow here."""
-        sid = event.server_id
-        kind = event.kind
-        self._serving = tuple(self.servers[i] for i in self.membership.ids_in(LIVE))
+    def _server_id(self, server_id) -> int:
+        """``server_id`` as an int, checked before any state changes."""
+        if not (is_index(server_id) and server_id < self.n_servers):
+            raise PDCError(f"no server {server_id!r}")
+        return int(server_id)
+
+    def _transition(self, server_id: int, kind: str) -> None:
+        """The one path both transitions take: the serving set, cache drops
+        or clock catch-up, then the counter and the monitor.  A transition
+        is stamped at the clock frontier."""
+        t = max(c.now for c in self.all_clocks())
+        self._serving = tuple(s for s in self.servers if s.server_id not in self.crashed)
         if kind == "crash":
-            self.servers[sid].drop_caches()
+            self.servers[server_id].drop_caches()
             self._notify_invalidation(None)
         else:
-            self.servers[sid].clock.advance_to(event.t_s)
+            self.servers[server_id].clock.advance_to(t)
         if self._cluster_events_metric is None:
-            # Lazily declared so a deployment with no membership events
-            # renders exactly the pre-cluster metric families.
+            # Lazily declared so a deployment that never fails a server
+            # renders no ``pdc_cluster_*`` family.
             self._cluster_events_metric = self.metrics.counter(
                 "pdc_cluster_membership_total",
                 "Cluster membership transitions by kind.",
                 labels=("kind",),
             )
         self._cluster_events_metric.labels(kind=kind).inc()
-        self.metadata.record_view(event.t_s, self.membership.view())
         if self.monitor.enabled:
             self.monitor.on_membership(
-                t_s=event.t_s,
-                server_id=sid,
-                kind=kind,
-                state=event.state,
-                generation=event.generation,
-                n_serving=len(self._serving),
+                t_s=t, server_id=server_id, kind=kind, n_serving=len(self._serving)
             )
 
-    # ------------------------------------------------------------- failures
     def fail_server(self, server_id: int) -> None:
         """Take a server out of service (crash simulation).
 
         Its cached regions are lost; region assignments reroute to the
         survivors.  Queries keep working because region payloads live on
         the PFS and metadata is re-distributed on demand.  At least one
-        server must survive.  This is the membership registry's ``crash``
-        transition — failover, cache invalidation, and monitor series all
-        observe the one event stream.
+        server must survive.  Failing a crashed server again re-drops its
+        caches and re-signals invalidation, with no new transition.
         """
-        if not self.membership.knows(server_id):
-            raise PDCError(f"no server {server_id}")
-        if self.membership.state(server_id) == CRASHED:
-            # Idempotent re-crash (pre-membership behaviour): re-drop the
-            # caches and re-signal invalidation, no new event.
+        server_id = self._server_id(server_id)
+        if server_id in self.crashed:
             self.servers[server_id].drop_caches()
             self._notify_invalidation(None)
             return
         if len(self.alive_servers) <= 1:
             raise PDCError("cannot fail the last alive server")
-        t = max(c.now for c in self.all_clocks())
-        self._on_membership_event(self.membership.crash(t, server_id))
+        self.crashed.add(server_id)
+        self._transition(server_id, "crash")
+
+    def recover_server(self, server_id: int) -> None:
+        """Bring a failed server back (cold caches, clock rejoins at the
+        current simulated time)."""
+        server_id = self._server_id(server_id)
+        if server_id not in self.crashed:
+            raise PDCError(f"server {server_id} is not failed")
+        self.crashed.discard(server_id)
+        self._transition(server_id, "recover")
 
     def register_invalidation_hook(self, hook) -> None:
         """Subscribe ``hook(name, regions)`` to staleness events: the
@@ -370,17 +375,6 @@ class PDCSystem:
     def _notify_invalidation(self, name, regions=None) -> None:
         for hook in list(self._invalidation_hooks):
             hook(name, regions)
-
-    def recover_server(self, server_id: int) -> None:
-        """Bring a failed server back (cold caches, clock rejoins at the
-        current simulated time) — the registry's ``recover`` transition."""
-        if (
-            not self.membership.knows(server_id)
-            or self.membership.state(server_id) != CRASHED
-        ):
-            raise PDCError(f"server {server_id} is not failed")
-        t = max(c.now for c in self.all_clocks())
-        self._on_membership_event(self.membership.recover(t, server_id))
 
     # ------------------------------------------------------------- containers
     def create_container(self, name: str) -> Container:

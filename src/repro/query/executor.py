@@ -969,7 +969,7 @@ class QueryEngine:
                 lost_parts.append(self._charge_replica_regions(
                     group, boundary_ids, "key", objs[0].itemsize, stats
                 ))
-            sysm.servers[0].clock.charge(
+            sysm.alive_servers[0].clock.charge(
                 sysm.cost.binary_search_time(replica.n_elements), "scan"
             )
             if run_len:

@@ -1,13 +1,13 @@
 """Cluster equivalence contracts.
 
-Two claims ride membership:
+Two claims ride the crash / recover transitions:
 
 * **Recovered equivalence** — after a crash and a recovery, a workload
   replayed from reset clocks and cold caches is bit-identical (answers
   *and* clocks) to the same workload on a fleet that never failed.
 * **Default-off bit-identity** — a deployment that never exercises the
   cluster APIs behaves exactly as one built before the subsystem
-  existed: no membership events, no ``pdc_cluster_*`` series, identical
+  existed: no crashed server, no ``pdc_cluster_*`` series, identical
   results and clocks whether or not read-only cluster surfaces are
   touched.
 """
@@ -52,6 +52,17 @@ WORKLOAD = (
     cond("x", "<=", 30.0),
     cond("energy", ">", 0.2),
 )
+
+
+def membership_samples(monitor):
+    """``(t_s, server, event)`` of every transition the monitor recorded,
+    in time order."""
+    return sorted(
+        (sample.t_s, series.labels["server"], series.labels["event"])
+        for series in monitor.recorder.all_series()
+        if series.name == "pdc_cluster_membership_events"
+        for sample in series.samples
+    )
 
 
 def run_workload(sysm):
@@ -140,11 +151,13 @@ class TestInterleavings:
             (tk.status, tk.queue_wait_s, tk.result.nhits) for _, tk, _ in tickets
         )
         clocks = tuple(c.now for c in sysm.all_clocks())
-        return state, clocks, list(sysm.membership.events), tickets
+        return state, clocks, membership_samples(monitor), tickets
 
     def test_answers_exact_through_churn_and_ingest(self):
         _, _, events, tickets = self.interleaved_run(31)
-        assert [e.kind for e in events] == ["crash", "recover"]
+        assert [(server, event) for _, server, event in events] == [
+            ("server1", "crash"), ("server1", "recover"),
+        ]
         # Exactness through every interleaving: each answer matches the
         # ground truth as of its burst (appends land between bursts,
         # never inside one).
@@ -156,7 +169,7 @@ class TestInterleavings:
         b = self.interleaved_run(31)
         assert a[0] == b[0]  # every ticket's terminal state
         assert a[1] == b[1]  # every clock, position-wise
-        assert a[2] == b[2]  # the membership event stream
+        assert a[2] == b[2]  # the monitor's membership samples
 
 
 class TestDefaultOff:
@@ -170,7 +183,7 @@ class TestDefaultOff:
         if peek_cluster:
             # Read-only cluster surfaces must not perturb anything.
             assert [sysm.server_of_region(r) for r in range(5)] == [0, 1, 2, 3, 0]
-            assert sysm.membership.view().generation == 0
+            assert not sysm.crashed
             np.testing.assert_array_equal(
                 sysm.region_owner_positions(np.arange(8)), np.arange(8) % 4
             )
@@ -180,8 +193,7 @@ class TestDefaultOff:
 
     def test_untouched_cluster_leaves_no_trace(self):
         sysm, monitor, _ = self.run_plain(peek_cluster=False)
-        assert sysm.membership.events == []
-        assert sysm.membership.generation == 0
+        assert sysm.crashed == set()
         assert not any(
             name.startswith("pdc_cluster") for name in sysm.metrics.names()
         )
@@ -200,16 +212,16 @@ class TestDefaultOff:
 
 
 class TestFailServerUnification:
-    """Satellite: ``fail_server`` is the registry's crash transition."""
+    """``fail_server`` / ``recover_server`` are the only transitions."""
 
     def test_fail_and_recover_route_through_membership(self):
         sysm = build_system(4)
         sysm.fail_server(2)
-        assert [e.kind for e in sysm.membership.events] == ["crash"]
-        assert sysm.membership.state(2) == "crashed"
+        assert sysm.crashed == {2}
+        assert [s.server_id for s in sysm.alive_servers] == [0, 1, 3]
         sysm.recover_server(2)
-        assert [e.kind for e in sysm.membership.events] == ["crash", "recover"]
-        assert sysm.membership.state(2) == "live"
+        assert sysm.crashed == set()
+        assert list(sysm.alive_servers) == sysm.servers
         # Fleet-size semantics unchanged: crashes never shrink n_servers.
         sysm.fail_server(2)
         assert sysm.n_servers == 4
@@ -219,3 +231,44 @@ class TestFailServerUnification:
         sysm.fail_server(1)
         sysm.recover_server(1)
         assert sysm.metrics.total("pdc_cluster_membership_total") == 2.0
+
+
+class TestMonitorSeries:
+    """A crash and a recovery under a scraping monitor record their
+    series at the clock frontier without disturbing the drain-fed ones."""
+
+    def test_crash_and_recover_series(self):
+        from repro.service import QueryService, ServiceConfig, Tenant
+
+        sysm = build_system(3, metrics=MetricsRegistry())
+        monitor = ServiceMonitor(registry=sysm.metrics, scrape_interval_s=1e-4)
+        sysm.set_monitor(monitor)
+        svc = QueryService(sysm, ServiceConfig(tenants=(Tenant("t"),)))
+        svc.submit("t", cond("energy", ">", 2.0), arrival_s=0.0)
+        svc.drain()
+        frontier = max(c.now for c in sysm.all_clocks())
+        sysm.fail_server(1)
+        t_crash = frontier
+        QueryEngine(sysm).execute(WORKLOAD[0])
+        t_recover = max(c.now for c in sysm.all_clocks())
+        sysm.recover_server(1)
+        assert membership_samples(monitor) == [
+            (t_crash, "server1", "crash"), (t_recover, "server1", "recover"),
+        ]
+        serving = monitor.recorder.series("pdc_cluster_serving_servers")
+        assert [(s.t_s, s.value) for s in serving.samples] == [
+            (t_crash, 2.0), (t_recover, 3.0),
+        ]
+        waits = monitor.recorder.series(
+            "pdc_service_queue_wait_sim_seconds", tenant="t"
+        )
+        # A request that arrived before the frontier dispatches after the
+        # transitions: its sample still lands, and every series (the
+        # scraped queue-depth gauge included) stays in time order.
+        svc.submit("t", cond("energy", ">", 1.0), arrival_s=0.0)
+        svc.drain()
+        assert len(waits) == 2
+        for series in monitor.recorder.all_series():
+            ts = [s.t_s for s in series.samples]
+            assert ts == sorted(ts), series.name
+        svc.close()

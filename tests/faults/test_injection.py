@@ -6,7 +6,6 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.cluster.membership import CRASHED
 from repro.errors import RegionUnavailableError
 from repro.faults import FaultConfig, FaultPlan
 from repro.pdc.region import region_key
@@ -133,7 +132,7 @@ class TestFailover:
         assert res.complete
         assert res.nhits == truth
         assert res.failovers >= 1
-        assert sysm.membership.ids_in(CRASHED)
+        assert sysm.crashed
         assert len(sysm.alive_servers) >= 1
         for errors in res.server_errors.values():
             assert any("crashed" in e for e in errors)

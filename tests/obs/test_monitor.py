@@ -39,6 +39,7 @@ class TestNoopMonitor:
         NOOP_MONITOR.on_complete(0.0, "a", "done", 0.1, 0.2)
         NOOP_MONITOR.on_window(0.0, 4, 0.1)
         NOOP_MONITOR.on_region_read(0, [(0.0, 1024.0, "read")])
+        NOOP_MONITOR.on_membership(0.0, 1, "crash", 3)
         NOOP_MONITOR.on_tick(0.0)
 
 

@@ -95,10 +95,61 @@ class TestFailSemantics:
         with pytest.raises(PDCError):
             sysm.fail_server(3)
 
-    def test_bad_server_id(self, env):
+    @pytest.mark.parametrize("door", ["fail_server", "recover_server"])
+    @pytest.mark.parametrize(
+        "bad", [99, -1, 1.0, np.float64(1), True, "1"],
+        ids=["99", "-1", "1.0", "np.float64", "True", "str"],
+    )
+    def test_bad_server_id(self, env, bad, door):
+        """A bad id is refused before any state changes."""
         sysm, _, _ = env
+        # fail_server(bad) must not crash server 1, recover_server(bad)
+        # must not revive it.
+        crashed = {1} if door == "recover_server" else set()
+        for sid in crashed:
+            sysm.fail_server(sid)
+        QueryEngine(sysm).execute(cond("energy", ">", 1.0))
+        serving = sysm.alive_servers
+        cached = [len(s.cache) for s in sysm.servers]
+        rendered = sysm.metrics.render()
         with pytest.raises(PDCError):
-            sysm.fail_server(99)
+            getattr(sysm, door)(bad)
+        assert sysm.alive_servers == serving
+        assert sysm.crashed == crashed
+        assert [len(s.cache) for s in sysm.servers] == cached
+        assert sysm.metrics.render() == rendered
+
+    def test_refail_redrops_caches_without_a_transition(self, env):
+        sysm, _, _ = env
+        signals = []
+        sysm.register_invalidation_hook(lambda name, regions: signals.append(name))
+        sysm.fail_server(1)
+        serving = sysm.alive_servers
+        transitions = sysm.metrics.total("pdc_cluster_membership_total")
+        sysm.servers[1].cache.admit("region:stale", 1024)
+        sysm.servers[1].meta_cached.add("energy")
+        sysm.fail_server(1)
+        assert len(sysm.servers[1].cache) == 0
+        assert not sysm.servers[1].meta_cached
+        assert signals == [None, None]
+        assert sysm.alive_servers is serving
+        assert sysm.metrics.total("pdc_cluster_membership_total") == transitions
+
+    def test_crashed_server_zero_does_no_sorted_search(self, env):
+        """PDC-SH's binary search runs on a live server."""
+        sysm, e, _ = env
+        sysm.build_sorted_replica("energy", ["x"])
+        sysm.fail_server(0)
+        busy_before = sysm.servers[0].clock.breakdown()
+        res = QueryEngine(sysm).execute(
+            cond("energy", ">", 2.5), strategy=Strategy.SORT_HIST
+        )
+        assert res.nhits == int((e > 2.5).sum())
+        busy_after = sysm.servers[0].clock.breakdown()
+        grown = {
+            k for k, v in busy_after.items() if v != busy_before.get(k, 0.0)
+        }
+        assert grown <= {"wait"}
 
 
 class TestRecovery:

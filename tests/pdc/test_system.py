@@ -28,6 +28,17 @@ class TestConfig:
         with pytest.raises(PDCError):
             PDCSystem(PDCConfig(n_servers=0))
 
+    @pytest.mark.parametrize(
+        "bad", [2.5, float("nan"), "4", True, -1, np.float64(4)],
+        ids=["2.5", "nan", "str", "True", "-1", "np.float64"],
+    )
+    def test_n_servers_must_be_a_count(self, bad):
+        with pytest.raises(PDCError, match="n_servers"):
+            PDCConfig(n_servers=bad)
+
+    def test_numpy_integer_server_count_accepted(self):
+        assert PDCSystem(PDCConfig(n_servers=np.int64(3))).n_servers == 3
+
 
 class TestCreateObject:
     def test_partitioning(self, rng):

@@ -70,6 +70,8 @@ class PDCStateMachine(RuleBasedStateMachine):
         self.engine = QueryEngine(self.system)
         self.model = {}  # name -> numpy array (ground truth)
         self.failed = set()
+        # Each crashed server's busy categories when it crashed.
+        self.busy_at_crash = {}
         self.last_elapsed = 0.0
         # The replica of ``a`` and the coordinates written since its build.
         self.group, self.dirty = None, set()
@@ -160,6 +162,7 @@ class PDCStateMachine(RuleBasedStateMachine):
         if sid not in self.failed and len(self.failed) < N_SERVERS - 1:
             self.system.fail_server(sid)
             self.failed.add(sid)
+            self.busy_at_crash[sid] = self.busy(sid)
 
     @rule(sid=st.integers(0, N_SERVERS - 1))
     def recover_server(self, sid):
@@ -283,6 +286,19 @@ class PDCStateMachine(RuleBasedStateMachine):
         if not hasattr(self, "system"):
             return
         assert len(self.system.alive_servers) == N_SERVERS - len(self.failed)
+        # A crashed server holds nothing and does no work.
+        assert self.system.crashed == self.failed
+        for sid in self.failed:
+            server = self.system.servers[sid]
+            assert len(server.cache) == 0 and not server.meta_cached
+            assert self.busy(sid) == self.busy_at_crash[sid]
+
+    def busy(self, sid):
+        """A server's clock categories other than idle waiting."""
+        return {
+            k: v for k, v in self.system.servers[sid].clock.breakdown().items()
+            if k not in ("wait", "comm")
+        }
 
 
 TestPDCStateMachine = PDCStateMachine.TestCase
