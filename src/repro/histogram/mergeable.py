@@ -45,10 +45,12 @@ MAX_BINS = 1 << 20
 
 def round_down_pow2(x: float) -> float:
     """Largest power of two ``<= x`` (x > 0).  Exact in binary floating
-    point, so all downstream boundary arithmetic is exact too."""
+    point, so all downstream boundary arithmetic is exact too: the
+    exponent comes from ``frexp``, never from a rounded ``log2`` (which
+    gives 3.0 for 7.999999999999999), and subnormals are exact."""
     if not (x > 0) or math.isinf(x) or math.isnan(x):
         raise ValueError(f"cannot round {x!r} to a power of two")
-    return 2.0 ** math.floor(math.log2(x))
+    return math.ldexp(1.0, math.frexp(x)[1] - 1)
 
 
 def _constant_width(value: float) -> float:

@@ -11,8 +11,11 @@ to *concurrent* queries:
   cache hit for every later one.
 
 * :class:`SelectionCache` memoizes complete query answers semantically:
-  ``(object, interval) → Selection``.  A repeated interval is answered
-  with zero I/O by the memoized selection itself; a *narrower* interval
+  ``(object, interval) → Selection``.  An entry keeps the answer's
+  descriptor (hit count, domain, dirty spans) and its coordinates only
+  once it is served again: a repeated interval is answered with zero I/O,
+  by the live answer built once on its first repeat and by that memoized
+  selection from then on; a *narrower* interval
   subsumed by a clean cached one (:meth:`Interval.covers`) is answered by
   the engine's own kernels on the live payload
   (:func:`~repro.query.kernels.interval_coords`), again with zero storage
@@ -77,8 +80,9 @@ def _frozen(coords: np.ndarray) -> np.ndarray:
 @dataclass
 class _CachedSelection:
     interval: Interval
-    #: The memoized answer, its coordinates read-only; a hit returns it.
-    selection: Selection
+    #: The answer's hit count as of the put or the last build or repair of
+    #: its coordinates: what a narrowing from this entry is charged.
+    nhits: int
     #: The object's element count as this entry last saw it (put, then
     #: each write the hook reported).  An entry whose ``domain`` is not
     #: the live count missed a growth: it is dropped, never served.
@@ -91,6 +95,11 @@ class _CachedSelection:
     #: unsound "evict only intersecting selections" shortcut (a write can
     #: create hits in regions the cached selection never touched).
     dirty: List[Tuple[int, int]] = field(default_factory=list)
+    #: The memoized answer, its coordinates read-only, once the entry is
+    #: served as an exact answer; every later hit returns it.  ``None``
+    #: until then: most entries are never served again, and a narrowing
+    #: reads nothing of its superset but ``nhits``.
+    selection: Optional[Selection] = None
 
 
 def _merge_spans(spans: List[Tuple[int, int]]) -> List[Tuple[int, int]]:
@@ -132,10 +141,11 @@ class SelectionCache:
         """Serve ``interval`` over ``object_name`` from the cache.
 
         Returns ``(selection, kind, scanned)`` where ``kind`` is ``"hit"``
-        (exact interval match: the memoized selection itself, ``scanned ==
-        0``), ``"narrowed"`` (a cached superset covers the interval;
-        ``scanned`` is the superset's coordinate count, what the filter of
-        its coordinates is charged), or ``"repaired"`` (an exact match
+        (exact interval match, ``scanned == 0``: the live answer built by
+        the first hit, and that memoized selection itself from then on),
+        ``"narrowed"`` (a cached superset covers the interval; ``scanned``
+        is the superset's hit count, what the filter of its coordinates is
+        charged), or ``"repaired"`` (an exact match
         carrying dirty spans from writes — overwritten regions, appended
         elements — was healed by re-evaluating just those spans against
         live data; ``scanned`` is the span element count).  Returns
@@ -154,9 +164,13 @@ class SelectionCache:
             obj = system.get_object(object_name)
             if exact:
                 if entry.dirty:
-                    scanned = self._repair_locked(obj, entry)
+                    scanned = self._repair_locked(system, obj, entry)
                     self.stats.repaired += 1
                     return entry.selection, "repaired", scanned
+                if entry.selection is None:
+                    # The first repeat: the entry is clean with the live
+                    # domain, so its answer is the live answer.
+                    self._memoize(entry, interval_coords(system, obj, entry.interval))
                 self.stats.hits += 1
                 return entry.selection, "hit", 0
             # A clean superset with the live domain is exactly the live
@@ -170,7 +184,7 @@ class SelectionCache:
             # The narrowed answer is itself a complete answer: cache it so
             # an exact repeat costs nothing.
             self._put_locked(object_name, interval, sel)
-            return sel, "narrowed", entry.selection.nhits
+            return sel, "narrowed", entry.nhits
 
     def _lookup_locked(
         self, system: PDCSystem, object_name: str, interval: Interval
@@ -197,13 +211,14 @@ class SelectionCache:
         for cand_key, cand in per_obj.items():
             if cand.domain != n or cand.dirty or not cand.interval.covers(interval):
                 continue
-            if best is None or cand.selection.nhits < best.selection.nhits:
+            if best is None or cand.nhits < best.nhits:
                 best_key, best = cand_key, cand
         return None if best is None else (best_key, best, False)
 
     def put(self, object_name: str, interval: Interval, selection: Selection) -> None:
-        """Memoize a complete answer.  Its coordinates become read-only: the
-        selection is handed as is to every later exact hit."""
+        """Record a complete answer.  The entry keeps its descriptor, not the
+        coordinates, which die with the caller; they become read-only all
+        the same, as every answer the cache hands out is."""
         _frozen(selection.coords)
         with self._lock:
             self._put_locked(object_name, interval, selection)
@@ -215,37 +230,49 @@ class SelectionCache:
         key = _interval_key(interval)
         if key in per_obj:
             del per_obj[key]
-        per_obj[key] = _CachedSelection(interval, selection, selection.domain_size)
+        per_obj[key] = _CachedSelection(interval, selection.nhits, selection.domain_size)
         self.stats.inserts += 1
         while len(per_obj) > self.max_entries_per_object:
             per_obj.popitem(last=False)
             self.stats.evictions += 1
 
-    def _repair_locked(self, obj, entry: _CachedSelection) -> int:
+    def _repair_locked(self, system: PDCSystem, obj, entry: _CachedSelection) -> int:
         """Heal a dirty entry in place: drop cached coordinates inside
         the dirty spans and re-evaluate exactly those spans against the
         live payload, over the entry's recorded (live) domain.  Returns
         the number of elements scanned (the cost the caller charges).  The
         result is bit-identical to a cold re-execution — outside the spans
-        nothing changed by definition, inside them we recompute from data."""
-        coords, domain = entry.selection.coords, entry.domain
-        pieces: List[np.ndarray] = []
-        scanned = 0
-        prev = 0
+        nothing changed by definition, inside them we recompute from data.
+        An entry without coordinates is charged the same and memoizes the
+        live answer."""
+        domain = entry.domain
+        spans = []
         for lo, hi in entry.dirty:
             lo = max(0, min(lo, domain))
-            hi = max(lo, min(hi, domain))
-            a = int(np.searchsorted(coords, lo, side="left"))
-            b = int(np.searchsorted(coords, hi, side="left"))
-            pieces.append(coords[prev:a])
-            fresh = np.nonzero(entry.interval.mask(obj.data[lo:hi]))[0]
-            pieces.append(fresh.astype(np.int64) + lo)
-            scanned += hi - lo
-            prev = b
-        pieces.append(coords[prev:])
-        entry.selection = Selection(_frozen(np.concatenate(pieces)), domain)
+            spans.append((lo, max(lo, min(hi, domain))))
+        if entry.selection is None:
+            self._memoize(entry, interval_coords(system, obj, entry.interval))
+        else:
+            coords = entry.selection.coords
+            pieces: List[np.ndarray] = []
+            prev = 0
+            for lo, hi in spans:
+                a = int(np.searchsorted(coords, lo, side="left"))
+                b = int(np.searchsorted(coords, hi, side="left"))
+                pieces.append(coords[prev:a])
+                fresh = np.nonzero(entry.interval.mask(obj.data[lo:hi]))[0]
+                pieces.append(fresh.astype(np.int64) + lo)
+                prev = b
+            pieces.append(coords[prev:])
+            self._memoize(entry, np.concatenate(pieces))
         entry.dirty = []
-        return scanned
+        return sum(hi - lo for lo, hi in spans)
+
+    @staticmethod
+    def _memoize(entry: _CachedSelection, coords: np.ndarray) -> None:
+        """Keep ``coords``, the entry's live answer, as its selection."""
+        entry.selection = Selection(_frozen(coords), entry.domain)
+        entry.nhits = entry.selection.nhits
 
     # ---------------------------------------------------------- invalidation
     def invalidate_object(
@@ -292,6 +319,21 @@ class SelectionCache:
             self._entries.clear()
             self.stats.invalidations += dropped
             return dropped
+
+    def coordinate_bytes(self) -> int:
+        """Bytes of the coordinate arrays the entries hold, each base
+        array counted once."""
+        with self._lock:
+            roots = {}
+            for per_obj in self._entries.values():
+                for entry in per_obj.values():
+                    if entry.selection is None:
+                        continue
+                    coords = entry.selection.coords
+                    while isinstance(coords.base, np.ndarray):
+                        coords = coords.base
+                    roots[id(coords)] = coords.nbytes
+            return sum(roots.values())
 
     def __len__(self) -> int:
         with self._lock:

@@ -42,6 +42,25 @@ class TestRoundDownPow2:
         assert is_power_of_two(r)
         assert r <= x < 2 * r
 
+    @given(st.one_of(
+        st.floats(min_value=5e-324, max_value=1.7e308),
+        st.floats(min_value=5e-324, max_value=2.2250738585072014e-308),  # subnormal
+        st.integers(-1074, 1023).map(lambda k: math.ldexp(1.0, k)),
+        st.integers(-1021, 1023).map(lambda k: math.nextafter(math.ldexp(1.0, k), 0.0)),
+    ))
+    @settings(max_examples=300, deadline=None)
+    def test_result_is_the_largest_pow2_not_above(self, x):
+        """Over normal, subnormal and power-of-two floats and their lower
+        neighbours: ``log2`` rounded 7.999999999999999 up to 8.0."""
+        r = round_down_pow2(x)
+        assert is_power_of_two(r)
+        assert r <= x < 2 * r
+
+    @pytest.mark.parametrize("k", [-1073, -1022, -5, 0, 3, 10, 60, 1023])
+    def test_just_below_a_power_of_two(self, k):
+        x = math.nextafter(math.ldexp(1.0, k), 0.0)
+        assert round_down_pow2(x) == math.ldexp(1.0, k - 1)
+
     @pytest.mark.parametrize("bad", [0.0, -1.0, float("inf"), float("nan")])
     def test_bad_inputs(self, bad):
         with pytest.raises(ValueError):

@@ -1,10 +1,11 @@
 """A cached answer costs what it returns.
 
-``SelectionCache.fetch`` hands an exact hit the memoized selection itself,
-and answers a narrowing with the engine's own kernels on the live payload
+``SelectionCache.fetch`` answers an exact hit and a narrowing with the
+engine's own kernels on the live payload
 (``repro.query.kernels.interval_coords``): a fresh replica keyed by the
 object gives its sorted run while the run is short, region runs otherwise.
-What holds it:
+An entry keeps the coordinates only from its first exact serve on, and
+every later hit hands back that memoized selection.  What holds it:
 
 * the narrowed answer equals the gather path it replaced — every cached
   coordinate of the superset filtered by its live value — on objects with
@@ -14,9 +15,13 @@ What holds it:
 * the kernel is chosen by counting elements — a written replica's dirty
   coordinates count with its run — and a companion's replica is never
   read;
-* a hit constructs nothing, and what the cache memoizes cannot be edited
-  by one caller under another's feet;
-* a superset that serves a narrowing is used, in LRU order.
+* the first serve of an entry builds one selection and every later hit
+  constructs nothing, and what the cache memoizes cannot be edited by one
+  caller under another's feet;
+* a superset that serves a narrowing is used, in LRU order;
+* a scripted sequence of hits, narrowings, repairs, an append and LRU
+  evictions returns the kinds, charges and counters recorded when every
+  entry kept its coordinates.
 """
 
 from __future__ import annotations
@@ -33,7 +38,6 @@ from repro.query import QueryScheduler, SelectionCache
 from repro.query import kernels
 from repro.query.ast import Condition, combine_and
 from repro.query.planner import surviving_regions
-from repro.query.scheduler import _interval_key
 from repro.query.selection import Selection
 from repro.types import PDCType, QueryOp
 
@@ -153,9 +157,9 @@ class TestNarrowingProperty:
                 assert sched.run([query(target, outer)])[0].semantic_cache == "repaired"
         if refresh:  # lockstep appends: the lengths agree
             sysm.refresh_sorted_replica("k")
-            sched.run([query(target, outer)])
-        cached = cache._entries[target][_interval_key(outer)].selection.coords
-        want = gather(sysm, target, cached, inner)
+        served = sched.run([query(target, outer)])[0]
+        assert served.semantic_cache in ("hit", "repaired")
+        want = gather(sysm, target, served.selection.coords, inner)
         res = sched.run([query(target, inner)])[0]
         assert res.semantic_cache == "narrowed"
         assert np.array_equal(res.selection.coords, want)
@@ -237,6 +241,8 @@ class TestSharedAnswers:
     """One memoized selection serves every caller: nobody can change it."""
 
     def test_an_exact_hit_constructs_nothing(self, monkeypatch):
+        """The first serve builds the one selection every later hit hands
+        back; the answer that was put is not kept."""
         sysm = deployment()
         cache = SelectionCache()
         iv = Interval(10.0, 50.0)
@@ -247,11 +253,15 @@ class TestSharedAnswers:
         monkeypatch.setattr(
             Selection, "__post_init__", lambda self: (built.append(1), real(self))[1]
         )
+        first, kind, scanned = cache.fetch(sysm, "k", iv)
+        assert (first, kind, scanned) == (stored, "hit", 0)
+        assert first is not stored
+        assert built == [1]
         for _ in range(3):
             sel, kind, scanned = cache.fetch(sysm, "k", iv)
-            assert (sel, kind, scanned) == (stored, "hit", 0)
-            assert sel is stored
-        assert built == []
+            assert (kind, scanned) == ("hit", 0)
+            assert sel is first
+        assert built == [1]
 
     @pytest.mark.parametrize("kind", ["first", "hit", "narrowed", "repaired"])
     def test_an_in_place_edit_raises(self, kind):
@@ -279,8 +289,10 @@ class TestSharedAnswers:
         sysm = deployment()
         sched = QueryScheduler(sysm, max_width=1)
         iv = Interval(10.0, 50.0)
+        sched.run([query("p", iv)])
         first = sched.run([query("p", iv)])[0]
         hit = sched.run([query("p", iv)])[0]
+        assert first.semantic_cache == hit.semantic_cache == "hit"
         assert hit.selection is first.selection
         with pytest.raises(dataclasses.FrozenInstanceError):
             first.selection.coords = np.arange(3, dtype=np.int64)
@@ -306,3 +318,62 @@ class TestNarrowingUsesItsSuperset:
             kinds.append(served[1] if served else "miss")
         assert kinds == ["narrowed"] * 3
         assert cache.stats.narrowed == 3 and cache.stats.misses == 0
+
+
+class TestServeSequence:
+    """The kinds, charges and counters of a scripted sequence, recorded when
+    every entry kept its coordinates from its put on: exact hits,
+    narrowings, repairs after overwrites, an append extension and LRU
+    evictions (three entries per object).  Each step is ``(kind, scanned,
+    nhits)``; a narrowing's ``scanned`` is its superset's hit count, so a
+    narrowing from a repaired entry checks that count was kept in sync."""
+
+    SEQUENCE = [
+        ("miss", 0, 5356), ("hit", 0, 5356), ("narrowed", 5356, 1400),
+        ("hit", 0, 1400), ("narrowed", 1400, 353), ("miss", 0, 1516),
+        ("repaired", 512, 1700), ("narrowed", 1516, 421), ("repaired", 700, 1817),
+        ("hit", 0, 1817), ("narrowed", 1817, 185), ("miss", 0, 8892),
+        ("narrowed", 8892, 6122), ("narrowed", 6122, 676), ("miss", 0, 5954),
+        ("narrowed", 5954, 185), ("hit", 0, 185), ("repaired", 512, 247),
+        ("repaired", 512, 5971), ("narrowed", 247, 177),
+    ]
+    STATS = {
+        "hits": 4, "narrowed": 8, "misses": 4, "inserts": 12, "evictions": 6,
+        "invalidations": 0, "marked_dirty": 8, "repaired": 4,
+    }
+
+    def test_kinds_charges_and_counters_repeat(self):
+        sysm = deployment()
+        cache = SelectionCache(max_entries_per_object=3)
+        QueryScheduler(sysm, selection_cache=cache)  # hooks the cache to writes
+        seq = []
+
+        def serve(name, lo, hi):
+            iv = Interval(lo, hi)
+            want = live(sysm, name, iv)
+            served = cache.fetch(sysm, name, iv)
+            if served is None:
+                cache.put(name, iv, Selection(want, sysm.get_object(name).n_elements))
+                seq.append(("miss", 0, want.size))
+                return
+            sel, kind, scanned = served
+            assert np.array_equal(sel.coords, want)
+            seq.append((kind, scanned, sel.nhits))
+
+        for lo, hi in ((10.0, 50.0), (10.0, 50.0), (20.0, 30.0), (20.0, 30.0), (22.0, 24.0)):
+            serve("p", lo, hi)
+        sysm.update_object_region("p", 0, np.full(300, 23.0, dtype=np.float32))
+        for lo, hi in ((21.0, 29.0), (20.0, 30.0), (23.0, 23.5)):
+            serve("p", lo, hi)
+        for name in ("k", "c", "p"):
+            sysm.append_to_object(name, np.linspace(0.0, 60.0, 700, dtype=np.float32))
+        for lo, hi in ((20.0, 30.0), (20.0, 30.0), (25.0, 26.0), (0.0, 60.0),
+                       (10.0, 50.0), (22.0, 24.0)):
+            serve("p", lo, hi)
+        for lo, hi in ((10.0, 50.0), (20.0, 21.0), (20.0, 21.0)):
+            serve("k", lo, hi)
+        sysm.update_object_region("k", 512, np.full(64, 20.5, dtype=np.float32))
+        for lo, hi in ((20.0, 21.0), (10.0, 50.0), (20.25, 20.75)):
+            serve("k", lo, hi)
+        assert seq == self.SEQUENCE
+        assert dataclasses.asdict(cache.stats) == self.STATS

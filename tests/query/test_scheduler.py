@@ -175,6 +175,25 @@ class TestRetention:
         assert [ref for ref in refs if ref() is not None] == []
         sched.close()
 
+    def test_a_put_answer_dies_with_its_caller(self):
+        """The cache records a computed answer's descriptor, not its
+        coordinates: they are freed when the caller drops the result, and
+        the first repeat builds the live answer."""
+        sysm = fresh_deployment()
+        sched = QueryScheduler(sysm, max_width=4)
+        q = cond("energy", ">", 2.0)
+        (res,) = sched.run([q])
+        assert res.semantic_cache == "" and len(sched.selection_cache) == 1
+        ref, nhits = weakref.ref(res.selection.coords), res.nhits
+        del res
+        gc.collect()
+        assert ref() is None
+        assert sched.selection_cache.coordinate_bytes() == 0
+        (again,) = sched.run([q])
+        assert (again.semantic_cache, again.nhits) == ("hit", nhits)
+        assert sched.selection_cache.coordinate_bytes() == again.selection.coords.nbytes
+        sched.close()
+
 
 class TestBitIdentity:
     # Different objects -> provably disjoint region sets.
@@ -517,7 +536,9 @@ class TestNarrowingProperty:
                 sysm.append_to_object("x", values, maintenance=maintenance)
                 assert sched.run([query(outer)])[0].semantic_cache == "repaired"
         data = sysm.get_object("x").data
-        cached = cache._entries["x"][_interval_key(outer)].selection.coords
+        served = sched.run([query(outer)])[0]
+        assert served.semantic_cache in ("hit", "repaired")
+        cached = served.selection.coords
         gathered = cached[inner.mask(data[cached])]
         res = sched.run([query(inner)])[0]
         assert res.semantic_cache == "narrowed"

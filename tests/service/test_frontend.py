@@ -365,14 +365,12 @@ class TestRetention:
     #: are tens of KiB here.
     BOUND_PER_WINDOW = 4096
 
-    def test_memory_per_window_stays_bounded(self):
-        """Bursts shaped like the service benchmark's (three weighted
-        tenants, windows of eight: a hot repeat, a narrowing of it, fresh
-        misses), each burst's tickets dropped after its drain.  From N to 4N
-        bursts, traced memory minus the selection cache's coordinate bytes
-        grows by less than ``BOUND_PER_WINDOW`` per window.  The cache keeps
-        four selections per object, so it is full, and turning over, from
-        the second burst on."""
+    def service(self, max_entries_per_object):
+        """A seeded two-object deployment behind a three-tenant WFQ service
+        with the selection cache on, and the burst that drives it: shaped
+        like the service benchmark's (windows of eight: a hot repeat, a
+        narrowing of it, fresh misses).  ``burst()`` returns its tickets,
+        all done."""
         rng = np.random.default_rng(7)
         sysm = make_system(metrics=MetricsRegistry())
         n = 1 << 13
@@ -381,8 +379,7 @@ class TestRetention:
         svc = QueryService(sysm, ServiceConfig(
             tenants=self.TENANTS, policy="wfq", batch_window=8, use_selection_cache=True,
         ))
-        cache = svc.scheduler.selection_cache
-        cache.max_entries_per_object = 4
+        svc.scheduler.selection_cache.max_entries_per_object = max_entries_per_object
 
         def between(name, lo, hi):
             return AndNode((Condition(name, QueryOp.GTE, PDCType.FLOAT, lo),
@@ -402,18 +399,23 @@ class TestRetention:
             tickets = [svc.submit(tenant, node) for tenant, node in requests]
             svc.drain()
             assert [t.status for t in tickets] == ["done"] * len(requests)
+            return tickets
+
+        return svc, burst
+
+    def test_memory_per_window_stays_bounded(self):
+        """Each burst's tickets dropped after its drain: from N to 4N
+        bursts, traced memory minus the selection cache's coordinate bytes
+        grows by less than ``BOUND_PER_WINDOW`` per window.  The cache keeps
+        four entries per object, so it is full, and turning over, from the
+        second burst on."""
+        svc, burst = self.service(max_entries_per_object=4)
+        cache = svc.scheduler.selection_cache
 
         def retained():
             gc.collect()
-            roots = {}
-            for entries in cache._entries.values():
-                for entry in entries.values():
-                    coords = entry.selection.coords
-                    while coords.base is not None:
-                        coords = coords.base
-                    roots[id(coords)] = coords.nbytes
             traced = tracemalloc.get_traced_memory()[0]
-            return traced - sum(roots.values()), len(svc.scheduler.batches)
+            return traced - cache.coordinate_bytes(), len(svc.scheduler.batches)
 
         n_bursts = 3
         tracemalloc.start()
@@ -432,6 +434,25 @@ class TestRetention:
         assert windows_4n == 4 * windows_n == 4 * n_bursts
         growth = (bytes_4n - bytes_n) / (windows_4n - windows_n)
         assert growth < self.BOUND_PER_WINDOW
+
+    def test_only_answers_served_again_keep_coordinates(self):
+        """With room for every entry (nothing evicted), the cache holds the
+        coordinates of exactly the entries it served as hits: one array per
+        entry, however often it was served, and none for an entry that was
+        only put or only narrowed from."""
+        svc, burst = self.service(max_entries_per_object=32)
+        cache = svc.scheduler.selection_cache
+        served = {}
+        for _ in range(4):
+            for ticket in burst():
+                if ticket.result.semantic_cache == "hit":
+                    coords = ticket.result.selection.coords
+                    served[id(coords)] = coords
+        svc.close()
+        stats = cache.stats
+        assert stats.evictions == 0 and stats.narrowed and stats.misses
+        assert 0 < len(served) < len(cache)
+        assert cache.coordinate_bytes() == sum(c.nbytes for c in served.values())
 
 
 class TestTenantStatsPercentiles:

@@ -27,7 +27,9 @@ The example budget comes from the hypothesis profile in
 ``tests/conftest.py`` (fixed-seed in tier-1, ``long`` in CI).
 
 This is the net for cross-feature interactions the unit suites don't
-enumerate (e.g. update → failed server → sorted query).
+enumerate (e.g. update → failed server → sorted query; one rule runs a
+sorted query with server 0 crashed, which separate rules reach too
+rarely at the fixed-seed budget).
 """
 
 import numpy as np
@@ -203,6 +205,19 @@ class PDCStateMachine(RuleBasedStateMachine):
             ((self.model["a"] > np.float32(va)) & (self.model["b"] < np.float32(vb))).sum()
         )
         assert res.nhits == truth
+
+    @rule(
+        op=st.sampled_from([">", ">=", "<", "<="]),
+        v=st.floats(min_value=0.0, max_value=10.0, allow_nan=False),
+    )
+    def sorted_query_with_server_zero_crashed(self, op, v):
+        """Crash server 0 while another stays alive, build the replica if
+        it is missing, and run PDC-SH: drawn rule by rule, the three meet
+        too rarely for the fixed-seed budget.  ``alive_count_consistent``
+        then checks the crashed server did no work."""
+        self.fail_server(0)
+        self.build_replica()
+        self.query_single("a", op, v, Strategy.SORT_HIST)
 
     # ------------------------------------------------------------- invariants
     @invariant()
