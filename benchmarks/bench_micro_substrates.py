@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from repro.bitmap import wah
-from repro.bitmap.index import RegionBitmapIndex
+from repro.bitmap.index import ObjectIndex
 from repro.histogram.mergeable import MergeableHistogram
 from repro.interval import Interval
 from repro.sorting import SortedReplica
@@ -62,19 +62,22 @@ def test_histogram_estimate(benchmark, data):
     benchmark(h.estimate_hits, iv)
 
 
+#: The object of the index benchmarks: ``data`` in 64 regions of 1,024.
+REGIONS = np.full(64, 1 << 10)
+
+
 @pytest.mark.benchmark(group="micro-index")
 def test_bitmap_index_build(benchmark, data):
-    seg = data[: 1 << 13]
-    idx = benchmark(RegionBitmapIndex.build, seg, 2)
-    assert idx.n_elements == seg.size
+    index, chunks = benchmark(ObjectIndex.build, data, REGIONS, 2)
+    assert index.n_elements.tolist() == REGIONS.tolist() and len(chunks) == REGIONS.size
 
 
 @pytest.mark.benchmark(group="micro-index")
 def test_bitmap_index_probe(benchmark, data):
-    idx = RegionBitmapIndex.build(data[: 1 << 13], precision=2)
+    index, _ = ObjectIndex.build(data, REGIONS, precision=2)
     iv = Interval(lo=2.1, hi=2.2, lo_closed=False, hi_closed=False)
-    res = benchmark(idx.query, iv)
-    assert res.candidate_positions.size == 0
+    words, candidates = benchmark(index.footprint, iv, np.arange(REGIONS.size))
+    assert words.all() and not candidates.any()
 
 
 @pytest.mark.benchmark(group="micro-sorted")

@@ -11,7 +11,9 @@ paper calls precision 2 *"sufficient for the queries evaluated"*.
 
 from __future__ import annotations
 
+import functools
 import math
+from typing import Optional
 
 import numpy as np
 
@@ -20,12 +22,33 @@ from ..errors import IndexError_
 __all__ = ["sig_digit_edges", "assign_bins"]
 
 
-def _decade_edges(precision: int, decade: int) -> np.ndarray:
+def _decade_edges(precision: int, decade: int, count: Optional[int] = None) -> np.ndarray:
     """Positive grid points with ``precision`` significant digits in
     ``[10^decade, 10^(decade+1))`` — e.g. precision 2, decade 0:
-    1.0, 1.1, ..., 9.9."""
-    mantissas = np.arange(10 ** (precision - 1), 10 ** precision)
+    1.0, 1.1, ..., 9.9 — or only the first ``count`` of them."""
+    mantissas = np.arange(10 ** (precision - 1), 10 ** precision)[:count]
     return mantissas * (10.0 ** (decade - precision + 1))
+
+
+@functools.lru_cache(maxsize=1024)
+def _signed_grid(
+    precision: int, lo_decade: int, hi_decade: int, negative: bool, zero: bool,
+    positive: bool,
+) -> np.ndarray:
+    """Every edge a range spanning these decades cuts its edges from: the
+    grid points of decades ``lo_decade``..``hi_decade`` and the next
+    decade's first — the top bin's closer when the top sits in its
+    decade's last bin — mirrored for ``negative``, with 0 for ``zero``.
+    Read-only: callers are handed slices of it."""
+    pos = np.concatenate(
+        [_decade_edges(precision, d) for d in range(lo_decade, hi_decade + 1)]
+        + [_decade_edges(precision, hi_decade + 1, 1)]
+    )
+    grid = np.concatenate([
+        -pos[::-1] if negative else [], [0.0] if zero else [], pos if positive else [],
+    ])
+    grid.flags.writeable = False
+    return grid
 
 
 def sig_digit_edges(vmin: float, vmax: float, precision: int = 2) -> np.ndarray:
@@ -34,7 +57,8 @@ def sig_digit_edges(vmin: float, vmax: float, precision: int = 2) -> np.ndarray:
     with 0 on the grid).
 
     The outermost edges are extended one grid step beyond the data so every
-    value falls in a proper bin.
+    value falls in a proper bin.  The edges are a read-only slice of a
+    cached grid.
     """
     if precision < 1 or precision > 6:
         raise IndexError_(f"precision must be in [1, 6], got {precision}")
@@ -55,26 +79,14 @@ def sig_digit_edges(vmin: float, vmax: float, precision: int = 2) -> np.ndarray:
     near = vmin if vmin >= 0 else -vmax
     if near > 0:
         lo_decade = max(lo_decade, int(math.floor(math.log10(near))) - 1)
-    grid = np.concatenate(
-        [_decade_edges(precision, d) for d in range(lo_decade, hi_decade + 1)]
+    edges = _signed_grid(
+        precision, lo_decade, hi_decade, vmin < 0, lo_decade == window_floor, vmax >= 0
     )
-    above = grid[grid > abs_hi]
-    # The first grid point strictly above the top closes the top bin; when
-    # the top sits in its decade's last bin, the next decade's first point.
-    closer = above[:1] if above.size else _decade_edges(precision, hi_decade + 1)[:1]
-    pos = np.concatenate([grid[grid <= abs_hi], closer])
-    edges = np.concatenate([
-        -pos[::-1] if vmin < 0 else [],
-        [0.0] if lo_decade == window_floor else [],
-        pos if vmax >= 0 else [],
-    ])
-
     lo_idx = int(np.searchsorted(edges, vmin, side="right") - 1)
     hi_idx = int(np.searchsorted(edges, vmax, side="right"))
     lo_idx = max(0, lo_idx)
     hi_idx = min(edges.size - 1, hi_idx)
-    # A copy: a view would keep the whole grid alive in every region's index.
-    out = edges[lo_idx : hi_idx + 1].copy()
+    out = edges[lo_idx : hi_idx + 1]
     if out.size < 2:
         out = np.array([vmin, math.nextafter(vmax, math.inf)])
     return out

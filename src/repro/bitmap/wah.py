@@ -141,13 +141,14 @@ def compress(bits: np.ndarray) -> Tuple[np.ndarray, int]:
 
 
 def compress_partition(
-    positions: np.ndarray, starts: np.ndarray, n_bits: int
+    positions: np.ndarray, starts: np.ndarray, n_bits
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """:func:`compress` for every set of a partition of ``range(n_bits)``
+    """:func:`compress` for every set of partitions of ``range(n_bits)``
     in one pass over the members.
 
     ``positions`` lists each set's members ascending, set after set;
-    ``starts`` is where each set begins in it.  Returns ``(words,
+    ``starts`` is where each set begins in it, and ``n_bits`` the length
+    of its bit vector (one for all sets, or one per set).  Returns ``(words,
     words_per_set)``: the sets' streams back to back, each byte-identical
     to ``compress`` of that set's membership mask.  A stream is built from
     its *occupied* groups alone — a zero fill for the gap before one, the

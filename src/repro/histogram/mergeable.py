@@ -376,8 +376,7 @@ class MergeableHistogram:
         width = max(self.bin_width, other.bin_width)
         a, b = (h if h.bin_width == width else h.coarsened(width) for h in (self, other))
         start = min(a.start, b.start)
-        end = max(a.start + a.n_bins * width, b.start + b.n_bins * width)
-        n_bins = round((end - start) / width)
+        n_bins = _bins_spanned(start, width, (a, b))
         counts = np.zeros(n_bins, dtype=np.int64)
         for h in (a, b):
             off = round((h.start - start) / width)
@@ -450,8 +449,7 @@ class MergeableHistogram:
         a = self.coarsened(width)
         b = other.coarsened(width)
         start = min(a.start, b.start)
-        end = max(a.start + a.n_bins * width, b.start + b.n_bins * width)
-        n = round((end - start) / width)
+        n = _bins_spanned(start, width, (a, b))
         ca = np.zeros(n, dtype=np.int64)
         cb = np.zeros(n, dtype=np.int64)
         ca[round((a.start - start) / width) :][: a.n_bins] = a.counts
@@ -507,12 +505,11 @@ class MergeableHistogram:
         # Work on the union of the old and new spans, then cut the new one
         # out: an operand that set the old span may be one just removed.
         lo = min(start, self.start)
-        hi = max(start + n_bins * width, self.start + self.n_bins * width)
-        counts = np.zeros(round((hi - lo) / width), dtype=np.int64)
+        first = round((start - lo) / width)
+        counts = np.zeros(max(first + n_bins, _bins_spanned(lo, width, (self,))), dtype=np.int64)
         for h, sign in ((self, 1), *((h, -1) for h in removed), *((h, 1) for h in added)):
             off = round((h.start - lo) / width)
             counts[off : off + h.n_bins] += sign * h.counts
-        first = round((start - lo) / width)
         return MergeableHistogram(
             bin_width=width, start=start, counts=counts[first : first + n_bins],
             data_min=data_min, data_max=data_max,
@@ -537,8 +534,17 @@ def _aligned_span(
     extrema of all."""
     width = coarse[0].bin_width
     start = min([h.start for h in coarse])
-    end = max([h.start + h.counts.size * width for h in coarse])
     return (
-        width, start, round((end - start) / width),
+        width, start, _bins_spanned(start, width, coarse),
         min([h.data_min for h in coarse]), max([h.data_max for h in coarse]),
     )
+
+
+def _bins_spanned(
+    start: float, width: float, histograms: Sequence[MergeableHistogram]
+) -> int:
+    """Bins of ``width`` from ``start`` (on their common grid) to the end
+    of the last of ``histograms``, counted in whole bins: an end computed
+    as ``start + n * width`` rounds once a bin is narrower than an ulp of
+    the values."""
+    return max([round((h.start - start) / width) + h.counts.size for h in histograms])

@@ -1,8 +1,8 @@
 """The write block: how a write's derived state is computed and installed.
 
-Every write — an import's histograms, an index build, an overwrite, an
-append, a compaction — is :func:`derive_region` for each region it
-touches (reading the system, changing nothing), then
+Every write — an import's histograms, an overwrite, an append — is
+:func:`derive_region` for each region it touches and :func:`derive_index`
+for the bitmaps it rebuilds (reading the system, changing nothing), then
 :func:`commit_write` (install, invalidate, charge, and the whole-object
 follow-ups).  :class:`repro.pdc.system.PDCSystem` keeps the doors
 (``update_object_region``, ``append_to_object``, ``compact_region_index``)
@@ -10,8 +10,8 @@ and calls these; :class:`repro.ingest.IngestStream` batches writes into
 them.  Each follow-up costs what the write changed: the global histogram
 swaps only the changed regions' operands
 (:meth:`repro.histogram.mergeable.MergeableHistogram.replaced`), the
-index file only their chunks, the probe table only their rows and the
-position store only their slices.
+object index only their rows and positions and the index file only their
+chunks.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..bitmap.index import RegionBitmapIndex, position_dtype
+from ..bitmap.index import ObjectIndex
 from ..errors import PDCError
 from ..histogram.global_hist import GlobalHistogram
 from ..histogram.mergeable import MergeableHistogram
@@ -43,10 +43,12 @@ __all__ = [
     "check_offset",
     "check_payload",
     "commit_write",
+    "derive_index",
     "derive_region",
     "extend_object",
     "handle_replica_staleness",
     "histogram_bins_for",
+    "install_index",
     "install_region",
     "invalidate_region_caches",
     "remerge_global_histogram",
@@ -57,7 +59,7 @@ __all__ = [
 @dataclass
 class RegionDerived:
     """One region's derived state — histogram with its exact min/max,
-    bitmap index — as :func:`derive_region` computed it and
+    what becomes of its bitmaps — as :func:`derive_region` computed it and
     before anything installed it: the unit of the write path's
     compute-then-commit atomicity.  A part left ``None`` stands as it is."""
 
@@ -65,9 +67,10 @@ class RegionDerived:
     hist: Optional[MergeableHistogram] = None
     #: Elements overwritten since ``hist`` was last built from scratch.
     dirty_elements: int = 0
-    #: A freshly built bitmap — or, instead, how many more elements only
-    #: an uncompacted WAH delta segment covers.
-    index: Optional[RegionBitmapIndex] = None
+    #: The values its bitmaps are rebuilt from (:func:`derive_index`) —
+    #: or, instead, how many more elements only an uncompacted WAH delta
+    #: segment covers.
+    segment: Optional[np.ndarray] = None
     index_delta: int = 0
     #: ``"ingest_maint"`` seconds owed by the owning server, one charge each.
     charges: Tuple[float, ...] = ()
@@ -144,7 +147,6 @@ def derive_region(
     segment: np.ndarray,
     maintenance: str = "rebuild",
     written: Optional[Tuple[int, int, np.ndarray]] = None,
-    index_only: bool = False,
 ) -> RegionDerived:
     """Derive — reading the system, changing nothing — the state of
     region ``rid`` once it holds ``segment``.
@@ -158,10 +160,10 @@ def derive_region(
     has been overwritten since its histogram was last built, or a written
     value lies so far off the histogram's grid that merging it there
     would pass :data:`repro.histogram.mergeable.MAX_BINS`.
-    Everything else is built from scratch: ``"rebuild"`` maintenance,
-    a region with no histogram to patch (import, a region opened by
-    an append) and ``index_only`` — index build and compaction, where
-    the values did not change and only the bitmap is built.
+    Everything else is built from scratch: ``"rebuild"`` maintenance
+    and a region with no histogram to patch (import, a region opened by
+    an append); an indexed object's bitmaps then wait for
+    :func:`derive_index`.
     """
     count = int(segment.size)
     d = RegionDerived(rid)
@@ -208,7 +210,7 @@ def derive_region(
         d.dirty_elements = dirty
         seconds.append(system.cost.scan_time(int(replaced.size) + hi - lo))
         actions.append("hist_merges")
-    elif not index_only:
+    else:
         d.hist = MergeableHistogram.from_data(
             segment,
             n_bins=histogram_bins_for(system.config.region_size_bytes),
@@ -218,13 +220,13 @@ def derive_region(
             seconds.append(system.cost.scan_time(count))
         actions.append("hist_rebuilds")
 
-    if index_only or obj.indexes is not None:
+    if obj.indexes is not None:
         if patch:
             d.index_delta = hi - lo
             seconds.append(system.cost.scan_time(hi - lo))
             actions.append("index_delta_appends")
         else:
-            d.index = RegionBitmapIndex.build(segment, precision=INDEX_PRECISION)
+            d.segment = segment
             actions.append("index_rebuilds")
     # Grouping is pinned, not principled: an overwrite's seconds have
     # always been one pre-summed charge and an append's one charge
@@ -245,49 +247,46 @@ def install_region(obj: "StoredObject", d: RegionDerived) -> None:
             obj.hist_dirty_elements = np.zeros(obj.n_regions, dtype=np.int64)
         if obj.hist_dirty_elements is not None:
             obj.hist_dirty_elements[rid] = d.dirty_elements
-    if d.index is not None:
-        obj.indexes[rid] = d.index
-        install_positions(obj, rid, d.index)
-        if obj.probe_table is not None:
-            obj.probe_table = obj.probe_table.put(rid, d.index)
-        obj.index_nbytes[rid] = d.index.nbytes
-        obj.index_words[rid] = d.index.total_words()
-        if obj.index_delta_counts is not None:
-            obj.index_delta_counts[rid] = 0
-    elif d.index_delta:
-        if obj.index_delta_counts is None:
-            obj.index_delta_counts = np.zeros(obj.n_regions, dtype=np.int64)
-        obj.index_delta_counts[rid] += d.index_delta
+    if d.index_delta:
+        obj.indexes.delta[rid] += d.index_delta
 
 
-def install_positions(obj: "StoredObject", rid: int, index: RegionBitmapIndex) -> None:
-    """Write ``index``'s bin-ordered positions into region ``rid``'s slice
-    of the object's position store (as long as the payload's buffer, as
-    narrow as a region's positions allow) and make them a view of it: an
-    object holds its decoded bins once.  Growing it re-points every index."""
-    off, positions, store = int(obj.offsets[rid]), index.positions, obj.index_positions
-    stop = off + index.n_elements
-    if store is None or store.size < stop or not np.can_cast(positions.dtype, store.dtype):
-        old = np.zeros(0, position_dtype(obj.region_elements)) if store is None else store
-        store = np.zeros(max(obj.buffer.size, stop), np.promote_types(old.dtype, positions.dtype))
-        store[: old.size] = old
-        obj.index_positions = store
-        for r, ix in enumerate(obj.indexes):
-            if ix is not None:
-                ix.positions = store[obj.offsets[r] : obj.offsets[r] + ix.n_elements]
-    store[off:stop] = positions
-    index.positions = store[off:stop]
+#: The bitmaps a write rebuilds, as :func:`derive_index` built them: the
+#: region ids, their index and their index-file chunks.
+IndexBuild = Tuple[List[int], ObjectIndex, List[np.ndarray]]
+
+
+def derive_index(derived: List[RegionDerived]) -> Optional[IndexBuild]:
+    """Build — changing nothing — the bitmaps of every derived region
+    that rebuilds its own, in one pass over them (None: no such region)."""
+    fresh = [d for d in derived if d.segment is not None]
+    if not fresh:
+        return None
+    part, chunks = ObjectIndex.build(
+        np.concatenate([d.segment for d in fresh]),
+        np.array([d.segment.size for d in fresh]), INDEX_PRECISION,
+    )
+    return [d.rid for d in fresh], part, chunks
+
+
+def install_index(system: "PDCSystem", obj: "StoredObject", built: IndexBuild) -> None:
+    """Make built bitmaps their regions' index: their rows and positions
+    in the object's index, their chunks in the index file."""
+    rids, part, chunks = built
+    obj.indexes.put(rids, part, obj.offsets, obj.buffer.size)
+    rewrite_index_file(system, obj, rids, chunks)
 
 
 def commit_write(
     system: "PDCSystem", obj: "StoredObject", derived: List[RegionDerived],
-    span: Tuple[int, int],
+    span: Tuple[int, int], index: Optional[IndexBuild] = None,
 ) -> List[int]:
     """The second half of every write of coordinates ``span``, run once
     the payload is in place and nothing can fail any more: install each
     region's derived state, invalidate and charge on its owning server,
-    then the whole-object follow-ups, each exactly once.  Returns the
-    affected region ids."""
+    then the whole-object follow-ups — the rebuilt bitmaps (``index``,
+    from :func:`derive_index`) among them — each exactly once.  Returns
+    the affected region ids."""
     name = obj.name
     stats = dict.fromkeys(WRITE_STATS, 0)
     affected = [d.rid for d in derived]
@@ -306,11 +305,10 @@ def commit_write(
             "pfs_write",
         )
     remerge_global_histogram(obj)
-    # The index file is a function of the index objects alone: a
-    # write that only appended delta segments leaves it as it is.
-    reindexed = [d.rid for d in derived if d.index is not None]
-    if reindexed:
-        rewrite_index_file(system, obj, reindexed)
+    # A write that only appended delta segments leaves the index file
+    # as it is.
+    if index is not None:
+        install_index(system, obj, index)
     handle_replica_staleness(system, name, span, stats)
     system.last_write_stats = stats
     system._notify_invalidation(name, affected)
@@ -351,14 +349,9 @@ def extend_object(
         pad = np.zeros(grow)
         obj.rmin = np.concatenate([obj.rmin, pad])
         obj.rmax = np.concatenate([obj.rmax, pad])
-        if obj.indexes is not None:
-            obj.indexes.extend([None] * grow)  # installed by the commit
-        for arr_name in ("index_nbytes", "index_words", "index_delta_counts",
-                         "hist_dirty_elements"):
-            arr = getattr(obj, arr_name)
-            if arr is not None:
-                setattr(obj, arr_name, np.concatenate(
-                    [arr, np.zeros(grow, dtype=np.int64)]))
+        if obj.hist_dirty_elements is not None:
+            obj.hist_dirty_elements = np.concatenate(
+                [obj.hist_dirty_elements, np.zeros(grow, dtype=np.int64)])
 
 
 def invalidate_region_caches(
@@ -381,22 +374,22 @@ def remerge_global_histogram(obj: "StoredObject") -> None:
 
 
 def rewrite_index_file(
-    system: "PDCSystem", obj: "StoredObject", changed: Sequence[int]
+    system: "PDCSystem", obj: "StoredObject", changed: Sequence[int],
+    new: List[np.ndarray],
 ) -> None:
     """Persist one index file per object, one chunk per region (regions
-    are extents within it, like the data file): the ``changed``
-    regions' indexes are serialised into new chunks, every other
-    region keeps its chunk of the file being replaced."""
+    are extents within it, like the data file): the ``changed`` regions
+    get the ``new`` chunks, every other region keeps its chunk of the
+    file being replaced."""
     path = f"/pdc/index/{obj.name}"
     chunks = []
-    if obj.index_extents is not None:
+    if obj.indexes is not None:
         chunks = list(system.pfs.stat(path).chunks)
         system.pfs.delete(path)
     chunks.extend([None] * (obj.n_regions - len(chunks)))  # opened regions
-    for rid in changed:
-        chunks[rid] = obj.indexes[rid].to_bytes()
+    for rid, chunk in zip(changed, new):
+        chunks[rid] = chunk
     system.pfs.create(path, chunks)
-    obj.index_extents = np.concatenate(([0], np.cumsum([c.size for c in chunks])))
 
 
 def handle_replica_staleness(

@@ -316,9 +316,7 @@ class IngestStream:
             obj = sysm.objects.get(name)
             if obj is None or obj.indexes is None:
                 continue
-            deltas = obj.index_delta_counts
-            if deltas is None:
-                continue
+            deltas = obj.indexes.delta
             # Compacting a region zeroes its own delta count, no other's,
             # so the regions over threshold are picked before the first.
             over = deltas >= cfg.index_compact_fraction * obj.counts

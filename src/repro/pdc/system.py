@@ -14,7 +14,7 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
-from ..bitmap.index import IndexProbeTable, RegionBitmapIndex, position_dtype
+from ..bitmap.index import ObjectIndex
 from ..errors import ObjectNotFoundError, PDCError, QueryError
 from ..histogram.global_hist import GlobalHistogram
 from ..ingest import maintain as write
@@ -110,25 +110,9 @@ class StoredObject:
     #: Per-region true value extrema (from the region histograms).
     rmin: np.ndarray
     rmax: np.ndarray
-    #: Optional per-region bitmap indexes (built by ``build_index``).
-    indexes: Optional[List[RegionBitmapIndex]] = field(default=None, init=False)
-    #: Per-region index-file sizes / compressed word counts.
-    index_nbytes: Optional[np.ndarray] = field(default=None, init=False)
-    index_words: Optional[np.ndarray] = field(default=None, init=False)
-    #: Byte offset of each region's extent in the index file, plus the
-    #: file's size (``n_regions + 1`` entries), as last written.
-    index_extents: Optional[np.ndarray] = field(default=None, init=False)
-    #: Per-region count of elements covered only by *uncompacted* WAH
-    #: delta segments (continuous ingest appends deltas instead of
-    #: rebuilding the bitmap; probes treat delta positions as candidates
-    #: until background compaction folds them in).
-    index_delta_counts: Optional[np.ndarray] = field(default=None, init=False)
-    #: ``indexes`` stacked for whole-step probes (:meth:`index_probe_table`);
-    #: an installed index replaces its row (``repro.ingest.maintain``).
-    probe_table: Optional[IndexProbeTable] = field(default=None, init=False)
-    #: Every index's bin-ordered positions, region ``rid``'s at ``offsets[rid]``
-    #: (the payload's layout); each index's ``positions`` views its slice.
-    index_positions: Optional[np.ndarray] = field(default=None, init=False)
+    #: The object's bitmap index (built by ``build_index``); its bitmaps
+    #: are the index file's.
+    indexes: Optional[ObjectIndex] = field(default=None, init=False)
     #: Per-region element count overwritten since the histogram was last
     #: rebuilt from scratch (drift gauge for the delta-merge path).
     hist_dirty_elements: Optional[np.ndarray] = field(default=None, init=False)
@@ -154,12 +138,6 @@ class StoredObject:
     @property
     def itemsize(self) -> int:
         return int(self.data.dtype.itemsize)
-
-    def index_probe_table(self) -> IndexProbeTable:
-        """The probe table of the current ``indexes``, stacked on first use."""
-        if self.probe_table is None:
-            self.probe_table = IndexProbeTable.stack(self.indexes)
-        return self.probe_table
 
     def region_hits(self, coords: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """``(region ids, hits per region)`` of *ascending* element
@@ -497,7 +475,8 @@ class PDCSystem:
         deriving leaves the system exactly as it was — a mid-loop error
         can no longer leave clocks charged for writes whose derived state
         was never refreshed (:meth:`append_to_object` shares the rule and
-        the :meth:`_derive_region` / :meth:`_commit_write` pair).
+        the ``derive_region`` / ``derive_index`` / ``commit_write`` steps
+        of :mod:`repro.ingest.maintain`).
 
         Returns the affected region ids.  Write time is charged to the
         owning servers' clocks; delta-maintenance work is charged under
@@ -529,9 +508,10 @@ class PDCSystem:
                     self, obj, rid, segment, maintenance, written=(lo, hi, replaced),
                 )
             )
+        index = write.derive_index(derived)
         # Write through (obj.data is the same array the PFS file holds).
         obj.data[offset:stop] = values
-        return write.commit_write(self, obj, derived, (offset, stop))
+        return write.commit_write(self, obj, derived, (offset, stop), index)
 
     def append_to_object(
         self,
@@ -585,8 +565,9 @@ class PDCSystem:
             write.derive_region(self, obj, rid, buffer[off : off + count], maintenance)
             for rid, off, count in opened
         ]
+        index = write.derive_index(derived)
         write.extend_object(self, obj, buffer, size, absorbed, opened)
-        return write.commit_write(self, obj, derived, (n, size))
+        return write.commit_write(self, obj, derived, (n, size), index)
 
     def refresh_sorted_replica(self, key_name: str) -> ReplicaGroup:
         """Re-sort a replica from the objects' current payloads, folding
@@ -624,24 +605,19 @@ class PDCSystem:
             raise PDCError(f"object {name!r} has no region {rid!r}")
         rid = int(rid)
         roff, count = int(obj.offsets[rid]), int(obj.counts[rid])
-        derived = write.derive_region(
-            self, obj, rid, obj.data[roff : roff + count], index_only=True
+        part, chunks = ObjectIndex.build(
+            obj.data[roff : roff + count], obj.counts[rid : rid + 1], write.INDEX_PRECISION
         )
-        n_delta = 0
-        if obj.index_delta_counts is not None:
-            n_delta = int(obj.index_delta_counts[rid])
-        write.install_region(obj, derived)
+        n_delta = int(obj.indexes.delta[rid])
+        write.install_index(self, obj, ([rid], part, chunks))
         server = self.servers[self.server_of_region(rid)]
         server.clock.charge(
             self.cost.scan_time(count)
-            + self.cost.pfs_write_time(
-                int(derived.index.nbytes), 1, PDC_STRIPE_COUNT
-            ),
+            + self.cost.pfs_write_time(int(part.nbytes[0]), 1, PDC_STRIPE_COUNT),
             "compaction",
         )
         for s in self.servers:
             s.cache.invalidate(region_key(name, rid, replica="idx"))
-        write.rewrite_index_file(self, obj, [rid])
         return n_delta
 
     def drop_sorted_replica(self, key_name: str) -> None:
@@ -693,37 +669,23 @@ class PDCSystem:
 
     # ----------------------------------------------------------------- indexes
     def build_index(self, name: str) -> None:
-        """Build per-region WAH bitmap indexes for an object and persist
-        them as index files (§III-D4).  Idempotent."""
+        """Build an object's bitmap index — a WAH bitmap per occupied bin
+        of each region — and persist it as the object's index file, one
+        chunk per region (§III-D4).  Idempotent."""
         obj = self.get_object(name)
         if obj.indexes is not None:
             return
-        store = np.zeros(obj.buffer.size, position_dtype(obj.region_elements))
-        derived = []
-        for rid, (off, count) in enumerate(zip(obj.offsets.tolist(), obj.counts.tolist())):
-            d = write.derive_region(
-                self, obj, rid, obj.data[off : off + count], index_only=True
-            )
-            # Each region's decoded bins go to the store as they are built,
-            # so the object never holds them twice.
-            store[off : off + count] = d.index.positions
-            d.index.positions = store[off : off + count]
-            derived.append(d)
-        obj.indexes = [None] * obj.n_regions
-        obj.index_positions = store
-        obj.index_nbytes = np.empty(obj.n_regions, dtype=np.int64)
-        obj.index_words = np.empty(obj.n_regions, dtype=np.int64)
-        for d in derived:
-            write.install_region(obj, d)
-        write.rewrite_index_file(self, obj, range(obj.n_regions))
+        part, chunks = ObjectIndex.build(obj.data, obj.counts, write.INDEX_PRECISION)
+        write.rewrite_index_file(self, obj, range(obj.n_regions), chunks)
+        obj.indexes = part
 
     def index_size_bytes(self, name: str) -> int:
         """Total index-file size for one object (paper §V: 15–17 % of the
         data for VPIC)."""
         obj = self.get_object(name)
-        if obj.index_nbytes is None:
+        if obj.indexes is None:
             raise QueryError(f"object {name!r} has no index")
-        return int(obj.index_nbytes.sum())
+        return int(obj.indexes.nbytes.sum())
 
     # ---------------------------------------------------------------- replicas
     def build_sorted_replica(self, key_name: str, companions: Sequence[str] = ()) -> ReplicaGroup:

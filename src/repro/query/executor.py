@@ -746,28 +746,27 @@ class QueryEngine:
             surviving, _, _ = planner.surviving_regions(
                 obj, typed, prune=strat.uses_histogram
             )
-            for rid in surviving.tolist():
-                # Elements to check against raw values: the whole region,
-                # or with an index only the boundary-bin candidates.
-                cand = int(obj.counts[rid])
+            # Elements to check against raw values: the whole region, or
+            # with an index only the boundary-bin candidates.
+            candidates = obj.counts[surviving].tolist()
+            if use_index:
+                ix = obj.indexes
+                candidates = ix.footprint(typed, surviving)[1].tolist()
+            for rid, cand in zip(surviving.tolist(), candidates):
                 if use_index:
                     server.ensure_region(
-                        region_key(name, rid, "idx"), int(obj.index_nbytes[rid]), 1,
+                        region_key(name, rid, "idx"), int(ix.nbytes[rid]), 1,
                         stripes, readers, category="index_read",
                     )
                     server.clock.charge(
-                        sysm.cost.wah_scan_time(int(obj.index_words[rid])), "scan"
+                        sysm.cost.wah_scan_time(int(ix.words[rid])), "scan"
                     )
-                    _, cand = obj.indexes[rid].count_range(typed)
-                    if obj.index_delta_counts is not None:
-                        # Uncompacted WAH delta segments: every delta
-                        # position is a candidate until compaction.
-                        n_delta = int(obj.index_delta_counts[rid])
-                        if n_delta:
-                            server.clock.charge(
-                                sysm.cost.scan_time(n_delta), "scan"
-                            )
-                            cand += n_delta
+                    # Uncompacted WAH delta segments: every delta position
+                    # is a candidate until compaction.
+                    n_delta = int(ix.delta[rid])
+                    if n_delta:
+                        server.clock.charge(sysm.cost.scan_time(n_delta), "scan")
+                        cand += n_delta
                 if cand:
                     server.ensure_region(
                         region_key(name, rid), int(obj.counts[rid]) * obj.itemsize, 1,
@@ -1289,27 +1288,25 @@ class QueryEngine:
         bins overlapping the condition (cached afterwards); candidate bins
         (off-grid endpoints) additionally force a raw region read to verify
         boundary values.  The step's footprints and seconds are arrays (one
-        classification of the object's probe table), its accesses columns
+        classification of the object index's rows), its accesses columns
         (index file, then candidate read, region by region) each server
         walks in :meth:`PDCServer.touch_share`.  Returns region ids lost to
         exhausted retries (degraded mode), as :meth:`_charge_data_reads`.
         """
         sysm, cost = self.system, self.system.cost
-        assert obj.indexes is not None and obj.index_nbytes is not None
+        table = obj.indexes
+        assert table is not None
         pairs, readers = self._assignment_with_faults(region_ids, stats)
         pairs = [(server, mine) for server, mine in pairs if mine.size]
         lost: List[int] = []
         if not pairs:
             return np.asarray(lost, dtype=np.int64)
         rids = np.concatenate([mine for _, mine in pairs])
-        table = obj.index_probe_table()
         words, candidates = table.footprint(interval, rids)
         # Uncompacted WAH delta segments (continuous ingest): the base bitmap
         # predates them, so every delta position is scanned and stays a
         # candidate until background compaction folds the segments in.
-        n_delta = np.zeros(rids.size, dtype=np.int64)
-        if obj.index_delta_counts is not None:
-            n_delta = obj.index_delta_counts[rids]
+        n_delta = table.delta[rids]
         candidates = candidates + n_delta
         nbytes = obj.counts[rids] * obj.itemsize
         probe_bytes = words * 8
@@ -1337,7 +1334,7 @@ class QueryEngine:
             then.append((_interleave(selector, deltas, [None] * n), "scan"))
         data = _interleave(selector, [False] * n, [True] * n)
         columns = dict(
-            keys=keys, sizes=_interleave(selector, obj.index_nbytes[rids].tolist(), sizes),
+            keys=keys, sizes=_interleave(selector, table.nbytes[rids].tolist(), sizes),
             regions=_interleave(selector, regions, regions), miss_s=miss_s,
             miss_category=_interleave(selector, ["index_read"] * n, ["pfs_read"] * n),
             then=then, sampled=data, span_bytes=_interleave(selector, probe, sizes),

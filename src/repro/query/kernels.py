@@ -99,7 +99,7 @@ def index_coords(
     if not straddling.size or obj.data.dtype.itemsize > 4 and obj.data.dtype.kind != "f":
         return mask_coords(obj, interval, constraint, region_ids, covered)
     rids = region_ids[straddling]
-    table = obj.index_probe_table()
+    table = obj.indexes
     bin_min, bin_max = table.bin_min[rids], table.bin_max[rids]
     overlap = interval.overlaps_range_arrays(bin_min, bin_max)
     # The overlapped bins are contiguous in bin order: [first, last], and
@@ -111,9 +111,8 @@ def index_coords(
     lo = table.bin_starts[rids, first]
     hi = np.where(found, table.bin_starts[rids, last] + table.bin_counts[rids, last], lo)
     counts = obj.counts[rids]
-    use = (table.n_elements[rids] == counts) & (hi - lo < REPLICA_RUN_SHARE * counts)
-    if obj.index_delta_counts is not None:
-        use &= obj.index_delta_counts[rids] == 0
+    use = ((table.n_elements[rids] == counts) & (table.delta[rids] == 0)
+           & (hi - lo < REPLICA_RUN_SHARE * counts))
     if not use.any():
         return mask_coords(obj, interval, constraint, region_ids, covered)
     scan = np.ones(region_ids.size, dtype=bool)
@@ -153,7 +152,7 @@ def _gather(
         return np.zeros(0, dtype=np.int64)
     ends = np.cumsum(lengths)
     at = np.arange(total) + np.repeat(base + starts - (ends - lengths), lengths)
-    return obj.index_positions[at] + np.repeat(base, lengths)
+    return obj.indexes.positions[at] + np.repeat(base, lengths)
 
 
 def run_coords(

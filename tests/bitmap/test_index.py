@@ -1,4 +1,6 @@
-"""Region bitmap indexes: exactness, candidate handling, serialization."""
+"""Bitmap indexes: one object's index built over all its regions in one
+pass, each region's chunk of the index file — exactness, candidate
+handling, serialization."""
 
 import hashlib
 
@@ -9,20 +11,12 @@ from hypothesis import strategies as st
 
 from repro.bitmap import wah
 from repro.bitmap.binning import assign_bins, sig_digit_edges
-from repro.bitmap.index import IndexProbeTable, RegionBitmapIndex
+from repro.bitmap.index import ObjectIndex, RegionBitmapIndex
 from repro.errors import IndexError_
 from repro.interval import Interval
+from repro.pdc import PDCConfig, PDCSystem
 from repro.types import QueryOp
-
-
-def resolve(idx, interval, data):
-    """Index answer = sure hits + verified candidates (the FastBit query
-    protocol)."""
-    res = idx.query(interval)
-    sure = set(res.sure_positions.tolist())
-    verified = {int(p) for p in res.candidate_positions if interval.contains_value(float(data[p]))}
-    assert not (sure & verified)
-    return sure | verified
+from tests.conftest import INDEX_ROWS, assert_index_fresh, region_index
 
 
 def bin_stream(idx, k):
@@ -31,22 +25,42 @@ def bin_stream(idx, k):
     return idx.words[stop - int(idx.bin_words[k]) : stop]
 
 
+def probe(idx, interval):
+    """``(sure, candidates)`` positions of a probe, read off the bitmaps of
+    the bins it overlaps: a bin whose content range the interval holds is
+    sure, any other overlapped bin's members are candidates."""
+    sure, candidates = set(), set()
+    for k, (lo, hi) in enumerate(zip(idx.bin_min.tolist(), idx.bin_max.tolist())):
+        if interval.overlaps_range(lo, hi):
+            members = np.flatnonzero(wah.decompress(bin_stream(idx, k), idx.n_elements))
+            full = interval.contains_value(lo) and interval.contains_value(hi)
+            (sure if full else candidates).update(members.tolist())
+    return sure, candidates
+
+
+def resolve(idx, interval, data):
+    """Index answer = sure hits + verified candidates (the FastBit query
+    protocol)."""
+    sure, candidates = probe(idx, interval)
+    verified = {p for p in candidates if interval.contains_value(float(data[p]))}
+    assert not (sure & verified)
+    return sure | verified
+
+
 def probe_from_bitmaps(idx, interval):
-    """``(words, bins, sure, candidates)`` of a probe, recomputed bin by
-    bin from the bins' streams (sizes and popcounts) and the scalar range
-    tests — the definition the per-bin tables must reproduce."""
-    words = bins = sure = candidates = 0
+    """``(words, bins, candidates)`` of a probe, recomputed bin by bin from
+    the bins' streams (sizes and popcounts) and the scalar range tests —
+    the definition the per-bin tables must reproduce."""
+    words = bins = candidates = 0
     for k, (lo, hi) in enumerate(zip(idx.bin_min.tolist(), idx.bin_max.tolist())):
         if not interval.overlaps_range(lo, hi):
             continue
         stream = bin_stream(idx, k)
         words += int(stream.size)
         bins += 1
-        if interval.contains_value(lo) and interval.contains_value(hi):
-            sure += wah.count_set_bits(stream)
-        else:
+        if not (interval.contains_value(lo) and interval.contains_value(hi)):
             candidates += wah.count_set_bits(stream)
-    return words, bins, sure, candidates
+    return words, bins, candidates
 
 
 def assert_probes_match_bitmaps(idx, rng, n=60):
@@ -54,13 +68,12 @@ def assert_probes_match_bitmaps(idx, rng, n=60):
     for (lo, hi), lc, hc in zip(lo_hi.tolist(), rng.random(n) < 0.5, rng.random(n) < 0.5):
         iv = Interval(lo=round(lo, 1), hi=round(hi, 1) + 0.1, lo_closed=lc, hi_closed=hc)
         for interval in (iv, Interval(lo=lo, hi=hi + 1e-9), Interval(lo=lo), Interval(hi=hi)):
-            words, bins, sure, candidates = probe_from_bitmaps(idx, interval)
-            probe = idx.query_cost(interval)
-            assert (probe.words_touched, probe.n_bins_touched, probe.candidates) == (
+            words, bins, candidates = probe_from_bitmaps(idx, interval)
+            cost = idx.query_cost(interval)
+            assert (cost.words_touched, cost.n_bins_touched, cost.candidates) == (
                 words, bins, candidates,
             ), interval
-            assert probe.bytes_touched == words * 8
-            assert idx.count_range(interval) == (sure, candidates), interval
+            assert cost.bytes_touched == words * 8
 
 
 @pytest.fixture
@@ -70,17 +83,19 @@ def gamma_data(rng):
 
 @pytest.fixture
 def idx(gamma_data):
-    return RegionBitmapIndex.build(gamma_data, precision=2)
+    return region_index(gamma_data, precision=2)
 
 
 class TestBuild:
     def test_empty_rejected(self):
         with pytest.raises(IndexError_):
-            RegionBitmapIndex.build(np.array([]))
+            ObjectIndex.build(np.array([]), [0])
+        with pytest.raises(IndexError_):
+            ObjectIndex.build(np.arange(5.0), [5, 0])  # an empty region
 
     def test_2d_rejected(self):
         with pytest.raises(IndexError_):
-            RegionBitmapIndex.build(np.zeros((3, 3)))
+            ObjectIndex.build(np.zeros((3, 3)), [9])
 
     def test_each_element_in_exactly_one_bitmap(self, idx, gamma_data):
         from repro.bitmap import wah
@@ -99,22 +114,27 @@ class TestBuild:
             assert idx.bin_min[k] == members.min()
             assert idx.bin_max[k] == members.max()
 
-    def test_edges_hold_only_the_region_grid(self, idx):
-        """The edges own their memory: a view would pin the whole mirrored
-        significant-digit grid in every region's index."""
-        assert idx.edges.base is None and idx.edges.nbytes == idx.edges.size * 8
+    def test_edges_hold_only_the_region_grid(self, idx, gamma_data):
+        """A region's chunk holds its own span of the significant-digit
+        grid; the object index holds no edges (nor words) at all."""
+        edges = sig_digit_edges(float(gamma_data.min()), float(gamma_data.max()), 2)
+        assert np.array_equal(idx.edges, edges)
+        index, _ = ObjectIndex.build(gamma_data, [gamma_data.size])
+        shapes = {(1, idx.n_occupied_bins), (1,), (gamma_data.size,)}
+        assert {a.shape for a in vars(index).values()} == shapes
+        assert np.uint64 not in {a.dtype for a in vars(index).values()}  # no WAH words
 
     def test_constant_data(self):
-        idx = RegionBitmapIndex.build(np.full(100, 2.5))
+        idx = region_index(np.full(100, 2.5))
         assert idx.n_occupied_bins == 1
         got = resolve(idx, Interval(lo=2.0, hi=3.0), np.full(100, 2.5))
         assert got == set(range(100))
 
 
 def build_bin_by_bin(data, precision=2):
-    """The definition ``RegionBitmapIndex.build`` must reproduce byte for
-    byte: one membership mask, one ``wah.compress`` and one min/max per
-    occupied bin."""
+    """The definition ``ObjectIndex.build`` must reproduce for each region,
+    byte for byte: one membership mask, one ``wah.compress`` and one
+    min/max per occupied bin."""
     values = np.asarray(data).astype(np.float64)
     edges = sig_digit_edges(float(values.min()), float(values.max()), precision)
     bin_idx = assign_bins(values, edges)
@@ -140,6 +160,33 @@ def assert_same_index(got, want):
     assert got.words.dtype == np.uint64
     assert got.n_elements == want.n_elements
     assert np.array_equal(got.to_bytes(), want.to_bytes())
+
+
+def assert_built_bin_by_bin(regions, precision=2):
+    """One build over ``regions`` back to back: each region's chunk is its
+    bin-by-bin index's bytes, its row that index's tables (pads after),
+    its counts that index's and its positions the bins' members."""
+    index, chunks = ObjectIndex.build(
+        np.concatenate(regions), [r.size for r in regions], precision
+    )
+    assert len(chunks) == len(regions)
+    offset = 0
+    for rid, (values, chunk) in enumerate(zip(regions, chunks)):
+        want = build_bin_by_bin(values, precision)
+        assert_same_index(RegionBitmapIndex.from_bytes(chunk), want)
+        assert np.array_equal(chunk, want.to_bytes()), rid
+        k = want.n_occupied_bins
+        for name, pad in INDEX_ROWS[:4]:
+            row = getattr(index, name)[rid]
+            assert np.array_equal(row[:k], getattr(want, name)) and (row[k:] == pad).all()
+        assert (index.words[rid], index.nbytes[rid], index.header_bytes[rid]) == (
+            want.words.size, want.nbytes, want.header_bytes)
+        assert index.n_elements[rid] == values.size and index.delta[rid] == 0
+        positions = index.positions[offset : offset + values.size]
+        for b, start in enumerate(index.bin_starts[rid, :k].tolist()):
+            members = np.flatnonzero(wah.decompress(bin_stream(want, b), values.size))
+            assert np.array_equal(positions[start : start + members.size], members)
+        offset += values.size
 
 
 #: Region lengths around the 63-bit group size: one group part-filled, one
@@ -169,13 +216,11 @@ def region_values(draw):
 
 
 class TestBuildMatchesBinByBin:
-    @given(region_values(), st.sampled_from([1, 2, 3]))
+    @given(st.lists(region_values(), min_size=1, max_size=3), st.sampled_from([1, 2, 3]))
     @settings(max_examples=150, deadline=None)
-    def test_byte_for_byte(self, values, precision):
-        assert_same_index(
-            RegionBitmapIndex.build(values, precision=precision),
-            build_bin_by_bin(values, precision),
-        )
+    def test_byte_for_byte(self, regions, precision):
+        dtype = regions[0].dtype  # an object holds one type
+        assert_built_bin_by_bin([r.astype(dtype) for r in regions], precision)
 
     @pytest.mark.parametrize("n", LENGTHS)
     @pytest.mark.parametrize("dtype", [np.float32, np.float64, np.int32])
@@ -186,8 +231,7 @@ class TestBuildMatchesBinByBin:
             np.full(n, 4.0),
             rng.choice([1.5, 3.5], n),
         ):
-            values = values.astype(dtype)
-            assert_same_index(RegionBitmapIndex.build(values), build_bin_by_bin(values))
+            assert_built_bin_by_bin([values.astype(dtype)])
 
     def test_one_fill_spanning_several_groups(self):
         """A bin owning groups 1-4 whole, flanked by part-filled groups, is
@@ -195,9 +239,8 @@ class TestBuildMatchesBinByBin:
         values = np.concatenate(
             [np.full(40, 1.0), np.full(23 + 63 * 4 + 10, 2.0), np.full(100, 3.0)]
         )
-        idx = RegionBitmapIndex.build(values)
-        assert_same_index(idx, build_bin_by_bin(values))
-        twos = bin_stream(idx, 1)
+        assert_built_bin_by_bin([values])
+        twos = bin_stream(region_index(values), 1)
         one_fill = (np.uint64(3) << np.uint64(62)) | np.uint64(4)
         assert twos.size == 4 and twos[1] == one_fill  # literal, fill, literal, zero fill
 
@@ -209,10 +252,9 @@ class TestQueryExactness:
     )
     def test_on_grid_windows_no_candidates(self, idx, gamma_data, lo, hi):
         iv = Interval(lo=lo, hi=hi, lo_closed=False, hi_closed=False)
-        res = idx.query(iv)
-        assert res.candidate_positions.size == 0
-        truth = np.flatnonzero(iv.mask(gamma_data))
-        assert np.array_equal(np.sort(res.sure_positions), truth)
+        sure, candidates = probe(idx, iv)
+        assert not candidates and idx.query_cost(iv).candidates == 0
+        assert sorted(sure) == np.flatnonzero(iv.mask(gamma_data)).tolist()
 
     @given(
         st.floats(min_value=0.0, max_value=8.0),
@@ -232,7 +274,7 @@ class TestQueryExactness:
             .astype(np.float32)
             .astype(np.float64)
         )
-        idx = RegionBitmapIndex.build(data, precision=2)
+        idx = region_index(data, precision=2)
         got = resolve(idx, iv, data)
         truth = set(np.flatnonzero(iv.mask(data)).tolist())
         assert got == truth
@@ -252,8 +294,8 @@ class TestQueryExactness:
 
     def test_empty_result(self, idx, gamma_data):
         iv = Interval(lo=1e6, hi=2e6)
-        res = idx.query(iv)
-        assert res.sure_positions.size == 0 and res.candidate_positions.size == 0
+        assert probe(idx, iv) == (set(), set())
+        assert idx.query_cost(iv).n_bins_touched == 0
 
 
     @pytest.mark.parametrize(
@@ -269,41 +311,35 @@ class TestQueryExactness:
         member passes as a sure hit: the bin is partial, its members
         candidates, and every count and cost says so."""
         data = np.array(data, dtype=np.int64)
-        idx = RegionBitmapIndex.build(data)
+        index, chunks = ObjectIndex.build(data, [data.size])
+        idx = RegionBitmapIndex.from_bytes(chunks[0])
         exact = set(
             i for i, v in enumerate(data.tolist())
             if (iv.lo is None or v >= int(iv.lo)) and (iv.hi is None or v <= int(iv.hi))
         )
-        res = idx.query(iv)
-        sure, candidates = set(res.sure_positions.tolist()), set(res.candidate_positions.tolist())
+        sure, candidates = probe(idx, iv)
         assert sure <= exact <= sure | candidates
         assert candidates
-        assert idx.count_range(iv) == (len(sure), len(candidates))
         assert idx.query_cost(iv).candidates == len(candidates)
-        _, table_candidates = IndexProbeTable.stack([idx]).footprint(iv, np.array([0]))
+        _, table_candidates = index.footprint(iv, np.array([0]))
         assert table_candidates.tolist() == [len(candidates)]
 
-    def test_decoded_positions_survive_a_reread(self, idx):
-        """The bin-ordered positions kept at build equal those a re-read
-        index decodes from its bitmaps; each bin's run holds its members."""
-        reread = RegionBitmapIndex.from_bytes(idx.to_bytes())
-        assert np.array_equal(reread.positions, idx.positions)
-        assert np.array_equal(reread.bin_starts, idx.bin_starts)
-        assert idx.positions.dtype == np.uint16
-        for k in range(idx.n_occupied_bins):
-            run = idx.positions[idx.bin_starts[k] : idx.bin_starts[k] + idx.bin_counts[k]]
-            members = np.flatnonzero(wah.decompress(bin_stream(idx, k), idx.n_elements))
-            assert np.array_equal(run, members), k
+    def test_decoded_positions_survive_a_reread(self, gamma_data):
+        """The bin-ordered positions kept at build equal those the region's
+        chunk decodes to; each bin's run holds its members."""
+        index, chunks = ObjectIndex.build(gamma_data, [gamma_data.size])
+        reread = RegionBitmapIndex.from_bytes(chunks[0])
+        k = reread.n_occupied_bins
+        assert np.array_equal(reread.positions, index.positions)
+        assert np.array_equal(reread.bin_starts, index.bin_starts[0, :k])
+        assert index.positions.dtype == np.uint16
+        for b in range(k):
+            start, count = int(index.bin_starts[0, b]), int(index.bin_counts[0, b])
+            members = np.flatnonzero(wah.decompress(bin_stream(reread, b), reread.n_elements))
+            assert np.array_equal(index.positions[start : start + count], members), b
 
 
 class TestCountsAndCosts:
-    def test_count_range_matches_query(self, idx, gamma_data):
-        iv = Interval(lo=2.1, hi=2.2, lo_closed=False, hi_closed=False)
-        sure, cand = idx.count_range(iv)
-        res = idx.query(iv)
-        assert sure == res.sure_positions.size
-        assert cand == res.candidate_positions.size
-
     def test_query_cost_fields(self, idx):
         iv = Interval(lo=2.1, hi=2.2, lo_closed=False, hi_closed=False)
         probe = idx.query_cost(iv)
@@ -319,36 +355,45 @@ class TestCountsAndCosts:
         assert wide.n_bins_touched > narrow.n_bins_touched
 
     def test_probe_tables_match_bitmaps(self, idx, rng):
-        """Built, and re-read from the index file (where set bits are not
-        stored and must be popcounted back)."""
+        """Read from the index file (where set bits are not stored and
+        must be popcounted back), and re-read from its own bytes."""
         assert_probes_match_bitmaps(idx, rng)
         assert_probes_match_bitmaps(RegionBitmapIndex.from_bytes(idx.to_bytes()), rng)
 
     def test_probe_tables_follow_a_replaced_region_index(self, indexed_system, rng):
-        """A delta write leaves a region's base index in place; compaction
-        replaces it — its tables must describe the new bitmaps."""
-        obj = indexed_system.get_object("energy")
-        rid = 1
-        before = obj.indexes[rid]
-        indexed_system.update_object_region(
+        """A delta write leaves a region's bitmaps — row and chunk — in
+        place; compaction replaces them, and both describe the new ones."""
+        sysm, obj, rid = indexed_system, indexed_system.get_object("energy"), 1
+
+        def chunk():
+            return sysm.pfs.stat("/pdc/index/energy").chunks[rid]
+
+        row, before = obj.indexes.bin_min[rid].copy(), chunk()
+        sysm.update_object_region(
             "energy", int(obj.offsets[rid]) + 7,
             rng.uniform(3.0, 5.0, 200).astype(np.float32), maintenance="delta",
         )
-        assert obj.indexes[rid] is before and obj.index_delta_counts[rid] == 200
-        assert_probes_match_bitmaps(obj.indexes[rid], rng)
-        indexed_system.compact_region_index("energy", rid)
-        assert obj.indexes[rid] is not before
-        assert_probes_match_bitmaps(obj.indexes[rid], rng)
-        assert obj.indexes[rid].count_range(Interval(lo=3.0, hi=5.0))[0] >= 200
+        assert chunk() is before and obj.indexes.delta[rid] == 200
+        assert np.array_equal(obj.indexes.bin_min[rid], row)
+        assert_index_fresh(sysm, obj)
+        sysm.compact_region_index("energy", rid)
+        assert chunk() is not before and obj.indexes.delta[rid] == 0
+        assert_probes_match_bitmaps(RegionBitmapIndex.from_bytes(chunk()), rng)
+        assert_index_fresh(sysm, obj)
+        sure, _ = probe(RegionBitmapIndex.from_bytes(chunk()), Interval(lo=3.0, hi=5.0))
+        assert len(sure) >= 200
 
     def test_nbytes_accounts_everything(self, idx):
-        assert idx.nbytes > idx.total_words() * 8
+        assert idx.nbytes > idx.words.size * 8
 
 
-def assert_table_matches_indexes(table, indexes, intervals):
-    """Every table row prices a probe as that region's ``query_cost``."""
+def assert_table_matches_indexes(table, chunks, intervals):
+    """Every row of an object index prices a probe as its region's chunk,
+    read, does in ``query_cost``."""
+    indexes = [RegionBitmapIndex.from_bytes(c) for c in chunks]
     rows = np.arange(len(indexes))
     assert table.header_bytes.tolist() == [ix.header_bytes for ix in indexes]
+    assert table.nbytes.tolist() == [ix.nbytes for ix in indexes]
     for interval in intervals:
         words, candidates = table.footprint(interval, rows)
         probes = [ix.query_cost(interval) for ix in indexes]
@@ -374,11 +419,11 @@ class TestProbeTable:
             np.full(50, 2.15), rng.uniform(2.0, 2.3, 400), rng.gamma(2.0, 0.7, 3000),
             rng.uniform(-5.0, 5.0, 1000), rng.gamma(2.0, 0.7, 10),
         ]
-        indexes = [RegionBitmapIndex.build(r) for r in regions]
+        table, chunks = ObjectIndex.build(np.concatenate(regions), [r.size for r in regions])
+        indexes = [RegionBitmapIndex.from_bytes(c) for c in chunks]
         assert len({ix.bin_ids.size for ix in indexes}) == len(indexes)
-        table = IndexProbeTable.stack(indexes)
         assert table.bin_min.shape == (5, max(ix.bin_ids.size for ix in indexes))
-        assert_table_matches_indexes(table, indexes, TABLE_INTERVALS)
+        assert_table_matches_indexes(table, chunks, TABLE_INTERVALS)
         # A subset of rows, in the order asked for.
         words, _ = table.footprint(TABLE_INTERVALS[2], [3, 0])
         assert words.tolist() == [
@@ -387,28 +432,30 @@ class TestProbeTable:
 
     def test_table_follows_every_installed_index(self, indexed_system, rng):
         """An index-rebuilding overwrite, a region-opening append and a
-        compaction each replace region indexes; the table stacked before
-        them must not outlive them (a delta write installs none)."""
+        compaction each rebuild region bitmaps; their rows follow, in
+        place while no row widens (a delta write rebuilds none)."""
         sysm, obj = indexed_system, indexed_system.get_object("energy")
 
         def check():
-            table = obj.index_probe_table()
-            assert table is obj.index_probe_table()  # stacked once
-            assert_table_matches_indexes(table, obj.indexes, TABLE_INTERVALS)
-            return table
+            chunks = sysm.pfs.stat("/pdc/index/energy").chunks
+            assert_table_matches_indexes(obj.indexes, chunks, TABLE_INTERVALS)
+            assert_index_fresh(sysm, obj)
+            return obj.indexes.bin_min
 
         first = check()
+        sysm.update_object_region("energy", 5, obj.data[5:300][::-1].copy())
+        assert check() is first  # the same bins: rows written in place
         sysm.update_object_region(
             "energy", 5, rng.uniform(3.0, 9.0, 300).astype(np.float32),
             maintenance="rebuild",
         )
-        rebuilt = check()
-        assert rebuilt is not first
+        widened = check()  # region 0 gained bins past every row's
+        assert widened is not first
         sysm.update_object_region(
             "energy", int(obj.offsets[2]) + 3,
             rng.uniform(0.0, 0.2, 100).astype(np.float32), maintenance="delta",
         )
-        assert obj.index_delta_counts[2] == 100 and check() is rebuilt
+        assert obj.indexes.delta[2] == 100 and check() is widened
         n_regions = obj.n_regions
         sysm.append_to_object(
             "energy", rng.gamma(2.0, 0.7, obj.region_elements + 10).astype(np.float32),
@@ -416,25 +463,22 @@ class TestProbeTable:
         )
         assert obj.n_regions > n_regions
         appended = check()
-        assert appended.header_bytes.size == obj.n_regions
+        assert appended is not widened and obj.indexes.header_bytes.size == obj.n_regions
         sysm.compact_region_index("energy", 2)
-        assert check() is not appended
+        check()
+        assert obj.indexes.delta[2] == 0
 
 
 class TestSerialization:
-    def test_array_roundtrip(self, idx, gamma_data):
-        idx2 = RegionBitmapIndex.from_arrays(idx.to_arrays())
-        iv = Interval(lo=1.0, hi=2.0)
-        assert resolve(idx2, iv, gamma_data) == resolve(idx, iv, gamma_data)
-        assert np.array_equal(idx2.bin_min, idx.bin_min)
-
     def test_bytes_roundtrip(self, idx, gamma_data):
         buf = idx.to_bytes()
         assert buf.dtype == np.uint8
         idx2 = RegionBitmapIndex.from_bytes(buf)
-        iv = Interval(lo=0.5, hi=1.5)
-        assert resolve(idx2, iv, gamma_data) == resolve(idx, iv, gamma_data)
+        for iv in (Interval(lo=0.5, hi=1.5), Interval(lo=1.0, hi=2.0)):
+            assert resolve(idx2, iv, gamma_data) == resolve(idx, iv, gamma_data)
         assert idx2.n_elements == idx.n_elements
+        for name in ("edges", "bin_ids", "bin_min", "bin_max", "bin_words", "bin_counts"):
+            assert np.array_equal(getattr(idx2, name), getattr(idx, name)), name
 
     def test_corrupt_bytes_rejected(self, idx):
         buf = idx.to_bytes()
@@ -455,13 +499,77 @@ class TestSerialization:
         recorded when each bin's words were a separate array; a re-read
         index writes the same bytes."""
         data = PIN_DRAWS[dtype](np.random.default_rng(2020)).astype(dtype)
-        idx = RegionBitmapIndex.build(data)
-        buf = idx.to_bytes()
+        index, (buf,) = ObjectIndex.build(data, [data.size])
+        idx = RegionBitmapIndex.from_bytes(buf)
         assert hashlib.sha256(buf.tobytes()).hexdigest() == sha
-        assert idx.nbytes == nbytes
-        reread = RegionBitmapIndex.from_bytes(buf)
-        assert np.array_equal(reread.to_bytes(), buf) and reread.nbytes == nbytes
+        assert idx.nbytes == nbytes and index.nbytes.tolist() == [nbytes]
+        assert np.array_equal(idx.to_bytes(), buf)
 
+    @pytest.mark.parametrize(
+        "dtype,shas",
+        [
+            ("f4", ("e4333a8d2030114b5055970522929487f3c23261280b248d5ec382b92e8c31a2",
+                    "5c924b8a3f4fee9f70267480885bb5f6a02b295478b4eb8c76b3c343cbc8d297",
+                    "1f6822814fc79f85da878ac9bd1eec8e26b352637a32b6185329ef449fa0ce3f",
+                    "f5b1083ae872577017856a123f7108db5e65642ca770498c5ae8b661f4305333")),
+            ("i4", ("810d20f1bfd12d706a32e764b76b53de43d0ac0591c3d57ce51e673928a323df",
+                    "57ae3c59afddef508d8cbda384588310a479c506ac0bc01956a082e09d43bcfd",
+                    "a9c31890064a97d86c8af21918193d940f5cdc8d430390b62a7496639318275a",
+                    "0a183065332cad8633feed51067208faa505b3e539a85990fc213a48c0278a38")),
+        ],
+        ids=["f4", "i4"],
+    )
+    def test_whole_index_file_pinned(self, dtype, shas):
+        """An object's whole index file, byte for byte, after ``build_index``,
+        a rebuild-mode overwrite, an append opening two regions and a
+        compaction — recorded when each region's index was its own object.
+        The object has a region crossing zero, a single-valued one and a
+        ragged tail."""
+        data = WHOLE_FILE_DRAWS[dtype](np.random.default_rng(2020)).astype(dtype)
+        sysm = PDCSystem(PDCConfig(n_servers=4, region_size_bytes=1 << 10))
+        sysm.create_object("o", data)
+        obj = sysm.get_object("o")
+
+        def digest():
+            assert_index_fresh(sysm, obj)
+            return hashlib.sha256(sysm.pfs.stat("/pdc/index/o").data.tobytes()).hexdigest()
+
+        sysm.build_index("o")
+        assert obj.counts.tolist() == [REGION] * 4 + [77]
+        got = [digest()]
+        sysm.update_object_region(
+            "o", REGION - 40, (data[:100][::-1] * 2).astype(dtype), maintenance="rebuild"
+        )
+        got.append(digest())
+        grown = sysm.append_to_object(
+            "o", np.concatenate([data[: 2 * REGION], data[REGION : REGION + 11]]),
+            maintenance="rebuild",
+        )
+        assert grown == [4, 5, 6]
+        got.append(digest())
+        sysm.update_object_region("o", 3, data[:50], maintenance="delta")
+        before = digest()  # a delta write leaves the file as it is
+        assert sysm.compact_region_index("o", 0) == 50
+        assert before == got[-1]
+        got.append(digest())
+        assert got == list(shas)
+
+
+#: Elements per region of ``test_whole_index_file_pinned`` (4-byte types).
+REGION = 256
+
+#: The seeded objects of ``test_whole_index_file_pinned``: the second region
+#: crosses zero, the third is single-valued, the tail is ragged.
+WHOLE_FILE_DRAWS = {
+    "f4": lambda rng: np.concatenate([
+        rng.gamma(2.0, 0.7, REGION), rng.normal(0.0, 3.0, REGION), np.full(REGION, 1.5),
+        rng.gamma(2.0, 0.7, REGION) * 100.0, rng.gamma(2.0, 0.7, 77),
+    ]),
+    "i4": lambda rng: np.concatenate([
+        rng.integers(0, 5000, REGION), rng.integers(-5000, 5000, REGION),
+        np.full(REGION, 42), rng.integers(-300, -1, REGION), rng.integers(0, 90, 77),
+    ]),
+}
 
 #: The seeded regions of ``test_index_file_format_pinned``.
 PIN_DRAWS = {

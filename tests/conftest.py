@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from repro.bitmap.index import IndexProbeTable, RegionBitmapIndex
+from repro.bitmap.index import ObjectIndex, RegionBitmapIndex
 from repro.histogram.global_hist import GlobalHistogram
 from repro.pdc import PDCConfig, PDCSystem
 from repro.strategies import Strategy
@@ -122,48 +122,45 @@ def assert_global_histogram_fresh(obj) -> None:
     )
 
 
-def assert_index_file_fresh(system, obj) -> None:
-    """The index file holds exactly the current index objects' bytes, and
-    every recorded extent decodes back to its region's index."""
-    stored = system.pfs.stat(f"/pdc/index/{obj.name}").data
-    parts = [idx.to_bytes() for idx in obj.indexes]
-    assert np.array_equal(stored, np.concatenate(parts))
-    extents = obj.index_extents
-    assert extents.size == obj.n_regions + 1
-    assert extents[0] == 0 and extents[-1] == stored.size
-    for rid, part in enumerate(parts):
-        decoded = RegionBitmapIndex.from_bytes(stored[extents[rid] : extents[rid + 1]])
-        assert np.array_equal(decoded.to_bytes(), part), rid
+#: An object index's per-bin rows and the pad past a region's bins.
+INDEX_ROWS = (("bin_min", np.inf), ("bin_max", -np.inf), ("bin_words", 0),
+              ("bin_counts", 0), ("bin_starts", 0))
 
 
-def assert_probe_table_fresh(obj) -> None:
-    """The maintained probe table describes the current indexes as
-    ``IndexProbeTable.stack`` does; past the stacked width (a row that
-    lost bins keeps the padding it was widened to) it holds only pads."""
-    table, fresh = obj.probe_table, IndexProbeTable.stack(obj.indexes)
-    width = fresh.bin_min.shape[1]
-    assert table.bin_min.shape[0] == obj.n_regions
-    assert np.array_equal(table.header_bytes, fresh.header_bytes)
-    assert np.array_equal(table.n_elements, fresh.n_elements)
-    for name, pad in (("bin_min", np.inf), ("bin_max", -np.inf),
-                      ("bin_words", 0), ("bin_counts", 0), ("bin_starts", 0)):
-        got = getattr(table, name)
-        assert np.array_equal(got[:, :width], getattr(fresh, name)), name
-        assert (got[:, width:] == pad).all(), name
+def region_index(values, precision=2) -> RegionBitmapIndex:
+    """One region's bitmap index: its chunk of a one-region build, read."""
+    values = np.asarray(values)
+    _, chunks = ObjectIndex.build(values, [values.size], precision)
+    return RegionBitmapIndex.from_bytes(chunks[0])
 
 
-def assert_index_positions_fresh(obj) -> None:
-    """Each index's bin-ordered positions are a view of its region's slice
-    of the object's one position store, and equal what its bitmaps decode
-    to (an index re-read from its bytes)."""
-    store = obj.index_positions
-    for rid, idx in enumerate(obj.indexes):
+def assert_index_fresh(system, obj) -> None:
+    """The object's index and index file equal a fresh build over the
+    current payload.  The file holds one chunk per region; a region whose
+    bitmaps are current (no uncompacted delta, as long as the region) has
+    the fresh build's chunk, and every region's index row, counts and
+    positions are what its chunk decodes to — pads past its bins."""
+    ix = obj.indexes
+    _, fresh = ObjectIndex.build(obj.data, obj.counts)
+    stored = system.pfs.stat(f"/pdc/index/{obj.name}")
+    assert len(stored.chunks) == obj.n_regions
+    assert np.array_equal(stored.data, np.concatenate(stored.chunks))
+    assert ix.bin_min.shape[0] == obj.n_regions
+    for name in ("words", "nbytes", "header_bytes", "n_elements", "delta"):
+        assert getattr(ix, name).shape == (obj.n_regions,), name
+    for rid, chunk in enumerate(stored.chunks):
+        if ix.delta[rid] == 0 and ix.n_elements[rid] == obj.counts[rid]:
+            assert np.array_equal(chunk, fresh[rid]), rid
+        region = RegionBitmapIndex.from_bytes(chunk)
+        k = region.n_occupied_bins
+        for name, pad in INDEX_ROWS:
+            row = getattr(ix, name)[rid]
+            assert np.array_equal(row[:k], getattr(region, name)), (name, rid)
+            assert (row[k:] == pad).all(), (name, rid)
+        assert (ix.words[rid], ix.nbytes[rid], ix.header_bytes[rid], ix.n_elements[rid]) == (
+            region.words.size, region.nbytes, region.header_bytes, region.n_elements), rid
         off = int(obj.offsets[rid])
-        assert np.shares_memory(idx.positions, store), rid
-        assert np.array_equal(store[off : off + idx.n_elements], idx.positions), rid
-        reread = RegionBitmapIndex.from_bytes(idx.to_bytes())
-        assert np.array_equal(reread.positions, idx.positions), rid
-        assert np.array_equal(reread.bin_starts, idx.bin_starts), rid
+        assert np.array_equal(ix.positions[off : off + region.n_elements], region.positions), rid
 
 
 def assert_payload_is_a_prefix_view(obj) -> None:

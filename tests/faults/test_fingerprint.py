@@ -112,7 +112,7 @@ def run(sysm, engine):
         out.append(attempt(engine.get_data, out[-1].selection, "x", strategy=strat))
     # PDC-HI over the delta segments: an on-grid window leaves only the
     # delta positions as candidates.
-    assert np.count_nonzero(sysm.get_object("energy").index_delta_counts) == 3
+    assert np.count_nonzero(sysm.get_object("energy").indexes.delta) == 3
     out.append(engine.execute(window("energy", 2.1, 2.2), strategy=Strategy.HIST_INDEX))
     sysm.drop_all_caches()  # the window's queries read (and lose) regions
     out.append(engine.execute_batch([

@@ -473,3 +473,49 @@ class TestQuantile:
             h.quantile(1.5)
         with pytest.raises(QueryError):
             h.quantile(-0.1)
+
+
+@st.composite
+def adjacent_values(draw):
+    """A handful of adjacent float64 values (a few ulps apart), or int64
+    values past 2**57, whose float64 copies step by 32 or more: either
+    way the bins Algorithm 1 picks are narrower than an ulp."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(2, 600))
+    if draw(st.booleans()):
+        base = draw(st.floats(min_value=1e-3, max_value=1e6))
+        values = base + np.arange(draw(st.integers(2, 40))) * np.spacing(base)
+        return values[rng.integers(0, values.size, n)]
+    base = 2 ** draw(st.integers(57, 61))
+    return (base + rng.integers(0, draw(st.integers(2, 2000)), n)).astype(np.int64)
+
+
+class TestBinsNarrowerThanAnUlp:
+    @given(adjacent_values())
+    @settings(max_examples=40, deadline=None)
+    def test_build_merge_and_delta_update_exactly(self, values):
+        """Each region's histogram counts its values, the global one is the
+        from-scratch merge, and a delta overwrite keeps both exact."""
+        from tests.conftest import assert_global_histogram_fresh, make_system
+
+        def assert_exact(obj):
+            for r, off, n in zip(obj.meta.regions, obj.offsets, obj.counts):
+                span = obj.data[off : off + n].astype(np.float64)
+                rebuilt = MergeableHistogram.from_data_width(span, r.histogram.bin_width)
+                assert r.histogram.equivalent(rebuilt)
+            assert_global_histogram_fresh(obj)
+            assert obj.meta.global_histogram.merged.total == obj.n_elements
+
+        sysm = make_system(region_size_bytes=8 * 64)  # 64 elements per region
+        sysm.create_object("o", values)
+        obj = sysm.get_object("o")
+        assert_exact(obj)
+        halves = np.array_split(values.astype(np.float64), 2)
+        merged = MergeableHistogram.from_data(halves[0], n_bins=50).merge(
+            MergeableHistogram.from_data(halves[1], n_bins=50))
+        assert merged.total == values.size
+        assert merged.equivalent(MergeableHistogram.from_data_width(
+            values.astype(np.float64), merged.bin_width))
+        sysm.update_object_region("o", values.size // 3, values[::-1][: values.size // 2 + 1],
+                                  maintenance="delta")
+        assert_exact(obj)

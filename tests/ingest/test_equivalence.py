@@ -200,10 +200,10 @@ class TestInterleavedEquivalence:
         # Fold every outstanding delta segment.
         for name in sorted(sys_d.objects):
             obj = sys_d.objects[name]
-            if obj.index_delta_counts is None:
+            if obj.indexes is None:
                 continue
             for rid in range(obj.n_regions):
-                if obj.index_delta_counts[rid]:
+                if obj.indexes.delta[rid]:
                     sys_d.compact_region_index(name, rid)
         # Replay the same payloads into a fresh deployment.
         sys_f = make_system(region_size_bytes=1 << 11)

@@ -9,7 +9,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.bitmap.index import RegionBitmapIndex
+from repro.bitmap.index import ObjectIndex
 from repro.ingest.maintain import INDEX_PRECISION
 from tests.conftest import assert_payload_is_a_prefix_view, make_system
 
@@ -107,14 +107,11 @@ def assert_matches_rebuild(sysm):
         assert obj.meta.regions[rid].histogram.equivalent(rebuilt), rid
         # Fold any delta segments: compaction must land exactly on the
         # from-scratch bitmap (deterministic build → byte-identical).
-        if (
-            obj.index_delta_counts is not None
-            and obj.index_delta_counts[rid]
-        ):
+        if obj.indexes.delta[rid]:
             sysm.compact_region_index("obj", rid)
-        expect = RegionBitmapIndex.build(span, precision=INDEX_PRECISION)
+        _, (expect,) = ObjectIndex.build(span, [span.size], INDEX_PRECISION)
         assert np.array_equal(
-            obj.indexes[rid].to_bytes(), expect.to_bytes()
+            sysm.pfs.stat("/pdc/index/obj").chunks[rid], expect
         ), rid
 
 

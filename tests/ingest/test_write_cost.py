@@ -1,6 +1,6 @@
 """A write costs what it wrote: an append lands in spare capacity, the
 global histogram swaps only the written regions' operands, the index file
-only their chunks and the probe table only their rows — and each result
+only their chunks and the object index only their rows — and each result
 equals the whole rebuilt (``tests/conftest.py``)."""
 
 from __future__ import annotations
@@ -8,17 +8,17 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.bitmap.index import IndexProbeTable, RegionBitmapIndex
+from repro.bitmap.index import ObjectIndex
 from repro.histogram.mergeable import MergeableHistogram
 from repro.query.ast import Condition
 from repro.query.executor import QueryEngine
 from repro.strategies import Strategy
 from repro.types import PDCType, QueryOp
 from tests.conftest import (
+    INDEX_ROWS,
     assert_global_histogram_fresh,
-    assert_index_file_fresh,
+    assert_index_fresh,
     assert_payload_is_a_prefix_view,
-    assert_probe_table_fresh,
     make_system,
 )
 
@@ -110,7 +110,7 @@ class TestAppendIntoCapacity:
         def boom(*args, **kwargs):
             raise RuntimeError("derive failed")
 
-        monkeypatch.setattr(RegionBitmapIndex, "build", boom)
+        monkeypatch.setattr(ObjectIndex, "build", boom)
         with pytest.raises(RuntimeError):
             sysm.append_to_object("obj", gamma(20))
         assert obj.data is data and obj.buffer is buffer
@@ -160,29 +160,31 @@ class TestIndexFileByRegion:
         path = f"/pdc/index/{obj.name}"
         before = sysm.pfs.stat(path)
         written = sysm.pfs.bytes_written
-        calls = counting(monkeypatch, RegionBitmapIndex, "to_bytes")
+        calls = counting(monkeypatch, ObjectIndex, "build")
         sysm.update_object_region("obj", 2 * REGION - 10, gamma(20), maintenance="rebuild")
         after = sysm.pfs.stat(path)
-        assert calls == [obj.indexes[1], obj.indexes[2]]
+        assert [c.size for c in calls] == [2 * REGION]  # regions 1 and 2, in one build
         assert len(after.chunks) == obj.n_regions
         for rid, chunk in enumerate(after.chunks):
             assert (chunk is before.chunks[rid]) == (rid not in (1, 2)), rid
         # The model still writes the whole file on every rewrite.
         assert sysm.pfs.bytes_written - written == sysm.cost.virtual_bytes(after.nbytes)
-        assert_index_file_fresh(sysm, obj)
+        assert_index_fresh(sysm, obj)
 
     def test_an_append_adds_chunks(self):
         sysm, obj = indexed()
         sysm.append_to_object("obj", gamma(2 * REGION + 1), maintenance="rebuild")
         assert len(sysm.pfs.stat(f"/pdc/index/{obj.name}").chunks) == N // REGION + 3
-        assert_index_file_fresh(sysm, obj)
+        assert_index_fresh(sysm, obj)
 
 
 class TestProbeTableRows:
     def test_an_index_install_never_restacks(self, monkeypatch):
+        """Every write builds the bitmaps of the regions it rebuilds, and
+        no others: an overwrite its one region, an append the two regions
+        it opens, a compaction its one region."""
         sysm, obj = indexed()
-        obj.index_probe_table()
-        calls = counting(monkeypatch, IndexProbeTable, "stack")
+        calls = counting(monkeypatch, ObjectIndex, "build")
         sysm.update_object_region("obj", 5, gamma(300) * 4, maintenance="rebuild")
         sysm.append_to_object("obj", gamma(REGION + 9), maintenance="rebuild")
         sysm.update_object_region("obj", REGION + 1, gamma(9), maintenance="delta")
@@ -190,25 +192,34 @@ class TestProbeTableRows:
         res = QueryEngine(sysm).execute(
             Condition("obj", QueryOp.GT, PDCType.FLOAT, 2.0), strategy=Strategy.HIST_INDEX
         )
-        assert calls == []
+        assert [c.size for c in calls] == [REGION, REGION + 9, REGION]
         assert res.nhits == int((obj.data > np.float32(2.0)).sum())
-        assert_probe_table_fresh(obj)
+        assert_index_fresh(sysm, obj)
 
     def test_put_widens_appends_and_narrows(self, rng):
+        """Rows widen for a region with more bins than any, grow for a
+        region past the last, and keep their width for one with fewer;
+        each region's positions land at its offset (3000 apart here)."""
         regions = [rng.gamma(2.0, 0.7, 300), rng.uniform(2.0, 2.3, 300)]
-        indexes = [RegionBitmapIndex.build(r) for r in regions]
-        table = IndexProbeTable.stack(indexes)
-        wide = RegionBitmapIndex.build(rng.uniform(-5.0, 5.0, 3000))
-        narrow = RegionBitmapIndex.build(np.full(40, 2.15))
-        assert wide.bin_ids.size > table.bin_min.shape[1]
-        for rid, ix in ((1, wide), (2, indexes[0]), (0, narrow)):
-            grown = table.put(rid, ix)
-            assert grown is not table
-            indexes[rid:rid + 1] = [ix]
-            table = grown
-            fresh = IndexProbeTable.stack(indexes)
-            width = fresh.bin_min.shape[1]
-            assert table.bin_min.shape == (len(indexes), max(width, table.bin_min.shape[1]))
-            for name in ("bin_min", "bin_max", "bin_words", "bin_counts"):
-                assert np.array_equal(getattr(table, name)[:, :width], getattr(fresh, name))
-            assert np.array_equal(table.header_bytes, fresh.header_bytes)
+        table, _ = ObjectIndex.build(np.concatenate(regions), [300, 300])
+        offsets = np.arange(3) * 3000
+        for rid, values in ((1, rng.uniform(-5.0, 5.0, 3000)), (2, regions[0]),
+                            (0, np.full(40, 2.15))):
+            part, _ = ObjectIndex.build(values, [values.size])
+            assert rid != 1 or part.bin_min.shape[1] > table.bin_min.shape[1]
+            regions[rid:rid + 1] = [values]
+            width = table.bin_min.shape[1]
+            table.put([rid], part, offsets, 9000)
+            counts = [r.size for r in regions]
+            fresh, _ = ObjectIndex.build(np.concatenate(regions), counts)
+            k = fresh.bin_min.shape[1]
+            assert table.bin_min.shape == (len(regions), max(width, k))
+            for name, pad in INDEX_ROWS:
+                got = getattr(table, name)
+                assert np.array_equal(got[:, :k], getattr(fresh, name)), name
+                assert (got[:, k:] == pad).all(), name
+            for name in ("words", "nbytes", "header_bytes", "n_elements", "delta"):
+                assert np.array_equal(getattr(table, name), getattr(fresh, name)), name
+            for r, (start, n) in enumerate(zip(np.cumsum(counts) - counts, counts)):
+                at = offsets[r]
+                assert np.array_equal(table.positions[at : at + n], fresh.positions[start : start + n])

@@ -38,7 +38,7 @@ def snapshot(sysm):
     obj = sysm.get_object("obj")
     return (
         obj.data.copy(),
-        obj.index_delta_counts,
+        obj.indexes.delta.copy(),
         [c.now for c in sysm.all_clocks()],
         sysm.pfs.bytes_written,
     )
@@ -47,7 +47,7 @@ def snapshot(sysm):
 def assert_unchanged(sysm, before):
     data, deltas, clocks, written = snapshot(sysm)
     assert np.array_equal(data, before[0])
-    assert deltas is before[1]
+    assert np.array_equal(deltas, before[1])
     assert clocks == before[2]
     assert written == before[3]
 
@@ -122,10 +122,10 @@ class TestWritePosition:
             sysm.update_object_region(
                 "obj", int(obj.offsets[5]), PAYLOAD, maintenance="delta"
             )
-            assert obj.index_delta_counts[5] == PAYLOAD.size
+            assert obj.indexes.delta[5] == PAYLOAD.size
         write_through(door, sysm, np.int64(5))
         if door == "compact_region_index":
-            assert obj.index_delta_counts[5] == 0
+            assert obj.indexes.delta[5] == 0
         else:
             assert np.array_equal(obj.data[5 : 5 + PAYLOAD.size], PAYLOAD)
 

@@ -165,8 +165,8 @@ class TestIndexes:
         sysm.create_object("o", rng.gamma(2, 0.7, 4096).astype(np.float32))
         sysm.build_index("o")
         obj = sysm.get_object("o")
-        assert obj.indexes is not None and len(obj.indexes) == obj.n_regions
-        assert sysm.index_size_bytes("o") == int(obj.index_nbytes.sum())
+        assert obj.indexes is not None and obj.indexes.nbytes.size == obj.n_regions
+        assert sysm.index_size_bytes("o") == int(obj.indexes.nbytes.sum())
         assert sysm.pfs.exists("/pdc/index/o")
 
     def test_idempotent(self, rng):

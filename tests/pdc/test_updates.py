@@ -4,14 +4,14 @@ replicas, caches)."""
 import numpy as np
 import pytest
 
-from repro.bitmap.index import RegionBitmapIndex
+from repro.bitmap.index import ObjectIndex
 from repro.errors import PDCError
 from repro.query.ast import Condition
 from repro.query.executor import QueryEngine
 from repro.strategies import Strategy
 from repro.types import PDCType, QueryOp
 from tests.conftest import (
-    assert_global_histogram_fresh, assert_index_file_fresh, make_system,
+    assert_global_histogram_fresh, assert_index_fresh, make_system,
 )
 
 
@@ -101,7 +101,7 @@ class TestDerivedStateMaintenance:
         assert res.nhits == 512
         obj = sysm.get_object("obj")
         # The region's rebuilt index has one occupied bin.
-        assert obj.indexes[0].n_occupied_bins == 1
+        assert np.count_nonzero(obj.indexes.bin_counts[0]) == 1
         assert sysm.pfs.exists("/pdc/index/obj")
 
     def test_replica_dropped_on_update(self, env, rng):
@@ -155,13 +155,11 @@ class TestDerivedStateMaintenance:
 
 def _state(sysm, name):
     """Everything a write may touch.  Arrays are copied (compared by
-    value); histograms, index objects and PFS files are kept as the
-    objects themselves (compared by identity — a failed write must not
-    even have replaced one with an equal copy)."""
+    value); histograms, the object index, its arrays and PFS files are
+    kept as the objects themselves (compared by identity — a failed write
+    must not even have replaced one with an equal copy)."""
     obj = sysm.get_object(name)
-    arrays = ("data", "offsets", "counts", "rmin", "rmax", "index_nbytes",
-              "index_words", "index_extents", "index_delta_counts",
-              "hist_dirty_elements")
+    arrays = ("data", "offsets", "counts", "rmin", "rmax", "hist_dirty_elements")
     ghist = obj.meta.global_histogram
     return {
         "arrays": {
@@ -169,6 +167,7 @@ def _state(sysm, name):
                 a: None if getattr(obj, a) is None else getattr(obj, a).copy()
                 for a in arrays
             },
+            **{f"index {a}": v.copy() for a, v in vars(obj.indexes).items()},
             "index file": sysm.pfs.stat(f"/pdc/index/{name}").data.copy(),
             "merged counts": ghist.merged.counts.copy(),
         },
@@ -176,7 +175,7 @@ def _state(sysm, name):
         "replicas": {k: g.replica.dirty.tolist() for k, g in sysm.replicas.items()},
         "sizes": (obj.n_elements, obj.n_regions, len(obj.meta.regions)),
         "objects": [r.histogram for r in obj.meta.regions]
-        + [obj.meta.global_histogram, *obj.indexes]
+        + [obj.meta.global_histogram, obj.indexes, *vars(obj.indexes).values()]
         + [h for operand in ghist.operands.values() for h in operand]
         + [sysm.pfs.stat(path) for path in sysm.pfs.listdir()],
         "files": sysm.pfs.listdir(),
@@ -275,14 +274,14 @@ class TestAtomicCommit:
         # What the write maintained piecewise equals the whole rebuilt.
         obj = sysm.get_object("obj")
         assert_global_histogram_fresh(obj)
-        assert_index_file_fresh(sysm, obj)
+        assert_index_fresh(sysm, obj)
         replica = sysm.replicas["obj"].replica
         written = np.flatnonzero(obj.data == np.float32(123.0))
         assert np.array_equal(replica.dirty_coords(obj.n_elements), written)
         if maintenance == "rebuild":
-            for rid, (off, n) in enumerate(zip(obj.offsets, obj.counts)):
-                fresh = RegionBitmapIndex.build(obj.data[off : off + n])
-                assert np.array_equal(obj.indexes[rid].to_bytes(), fresh.to_bytes())
+            _, fresh = ObjectIndex.build(obj.data, obj.counts)
+            for rid, chunk in enumerate(sysm.pfs.stat("/pdc/index/obj").chunks):
+                assert np.array_equal(chunk, fresh[rid]), rid
 
     @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
     @pytest.mark.parametrize("maintenance", ["rebuild", "delta"])

@@ -149,7 +149,7 @@ def delta_segments(sysm, engine):
             "energy", int(obj.offsets[rid]) + 11,
             rng.uniform(0.0, 6.0, 40).astype(np.float32), maintenance="delta",
         )
-    assert np.count_nonzero(obj.index_delta_counts) == 3
+    assert np.count_nonzero(obj.indexes.delta) == 3
     node = window("energy", 2.1, 2.2)  # on the bin grid: only deltas are candidates
     return [engine.execute(node, strategy=Strategy.HIST_INDEX) for _ in range(2)]
 

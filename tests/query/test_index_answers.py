@@ -1,7 +1,7 @@
 """PDC-HI answers its first condition from the probed bins.
 
-A region's bitmap index keeps its positions in bin order (one store per
-object, region ``rid``'s at ``offsets[rid]``); the bins an interval
+An object's bitmap index keeps each region's positions in bin order (one
+store per object, region ``rid``'s at ``offsets[rid]``); the bins an interval
 overlaps are one run of them, whose full bins' members are hits and whose
 two boundary bins' members are checked on the raw values
 (``repro.query.kernels.index_coords``).  What holds it:
@@ -28,8 +28,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.bitmap.binning import sig_digit_edges
 from repro.bitmap.index import RegionBitmapIndex
 from repro.errors import QueryError
+from repro.ingest.maintain import INDEX_PRECISION
 from repro.interval import Interval
 from repro.query import kernels
 from repro.query.ast import Condition, combine_and
@@ -39,7 +41,7 @@ from repro.query.region_constraint import HyperSlab
 from repro.strategies import Strategy
 from repro.types import PDCType, QueryOp
 
-from tests.conftest import assert_index_positions_fresh, make_system
+from tests.conftest import assert_index_fresh, make_system
 
 N = 1536
 TYPES = {
@@ -84,7 +86,9 @@ def bound(rng, obj, dtype):
     """A bound on a bin edge, on a stored value, or one ulp beside one."""
     kind = rng.integers(0, 4)
     if kind == 0:
-        edges = obj.indexes[int(rng.integers(0, obj.n_regions))].edges
+        rid = int(rng.integers(0, obj.n_regions))
+        region = obj.data[obj.offsets[rid] : obj.offsets[rid] + obj.counts[rid]]
+        edges = sig_digit_edges(float(region.min()), float(region.max()), INDEX_PRECISION)
         b = float(edges[rng.integers(0, edges.size)])
         if np.dtype(dtype).kind in "iu":
             b = float(np.clip(np.round(b), -(2**53), 2**53))
@@ -148,7 +152,7 @@ class TestIndexEqualsMask:
             if step:
                 write(sysm, rng, dtype)
             obj = sysm.get_object("v")
-            assert_index_positions_fresh(obj)
+            assert_index_fresh(sysm, obj)
             for _ in range(12):
                 iv = interval(rng, obj, dtype)
                 if iv is None:
@@ -220,9 +224,9 @@ class TestKernelChoice:
 
     @staticmethod
     def touched_share(obj, iv, rid):
-        ix = obj.indexes[rid]
-        overlap = iv.overlaps_range_arrays(ix.bin_min, ix.bin_max)
-        return ix.bin_counts[overlap].sum() / obj.counts[rid]
+        ix = obj.indexes
+        overlap = iv.overlaps_range_arrays(ix.bin_min[rid], ix.bin_max[rid])
+        return ix.bin_counts[rid][overlap].sum() / obj.counts[rid]
 
     def test_narrow_regions_skip_the_mask_and_wide_ones_take_it(self, masked):
         sysm, _ = deployment("float32", 1)
@@ -265,8 +269,8 @@ class TestKernelChoice:
         assert obj.n_regions - 1 == tail and tail in masked_now()
         # The index lags the payload by the appended elements: masked on
         # that alone, with the delta count cleared.
-        obj.index_delta_counts[tail] = 0
-        assert obj.indexes[tail].n_elements < obj.counts[tail]
+        obj.indexes.delta[tail] = 0
+        assert obj.indexes.n_elements[tail] < obj.counts[tail]
         assert tail in masked_now()
         sysm.update_object_region("v", int(obj.offsets[tail]), np.full(3, 1.04, np.float32),
                                   maintenance="rebuild")
@@ -286,14 +290,17 @@ class TestPositionStore:
         sysm.create_object("e", data)
         sysm.build_index("e")
         obj = sysm.get_object("e")
-        assert obj.index_positions.dtype == np.uint16
-        assert obj.index_positions.size == obj.buffer.size
-        assert_index_positions_fresh(obj)
-        for ix in obj.indexes:
-            assert ix.positions.base is not None  # a view, never its own copy
+        assert obj.indexes.positions.dtype == np.uint16
+        assert obj.indexes.positions.size == obj.buffer.size
+        assert_index_fresh(sysm, obj)
+        for rid, chunk in enumerate(sysm.pfs.stat("/pdc/index/e").chunks):
             # The index file does not carry them: its size and format stand.
-            assert ix.nbytes == RegionBitmapIndex.from_bytes(ix.to_bytes()).nbytes
-        before = obj.index_positions
+            assert obj.indexes.nbytes[rid] == RegionBitmapIndex.from_bytes(chunk).nbytes
+        before = obj.indexes.positions
         sysm.append_to_object("e", data[: 4096 * 3], maintenance="rebuild")
-        assert obj.index_positions is not before  # grown with the buffer
-        assert_index_positions_fresh(obj)
+        assert obj.indexes.positions is not before  # grown with the buffer
+        assert obj.indexes.positions.size == obj.buffer.size
+        assert_index_fresh(sysm, obj)
+        sysm.append_to_object("e", data[:10], maintenance="rebuild")
+        assert obj.indexes.positions.size == obj.buffer.size  # the room held it
+        assert_index_fresh(sysm, obj)

@@ -9,10 +9,10 @@ while holding the system to its core invariants:
 * every query answer equals a numpy model kept alongside;
 * simulated clocks never go backwards;
 * derived state (extents, region min/max, histogram totals, index
-  lists) always matches the model data;
+  rows) always matches the model data;
 * what a write maintains piecewise equals the whole rebuilt: the global
-  histogram a from-scratch merge, the index file the concatenation of the
-  index objects' bytes, the probe table a fresh stack of the indexes;
+  histogram a from-scratch merge, the object index and its file a fresh
+  build over the payload (``assert_index_fresh``);
 * the payload is a prefix view of its buffer (an append writes into spare
   capacity), and ``pfs.bytes_written`` counts every (re)written file
   whole;
@@ -20,8 +20,7 @@ while holding the system to its core invariants:
   its sorted run, dirty ones from the live payload — and its dirty set is
   the union of the spans written since its build;
 * PDC-HI's answer from the probed bins (``kernels.index_coords``) equals
-  the model, and each index's positions are its slice of the object's one
-  position store.
+  the model.
 
 The example budget comes from the hypothesis profile in
 ``tests/conftest.py`` (fixed-seed in tier-1, ``long`` in CI).
@@ -46,10 +45,8 @@ from repro.strategies import Strategy
 from repro.types import PDCType, QueryOp
 from tests.conftest import (
     assert_global_histogram_fresh,
-    assert_index_file_fresh,
-    assert_index_positions_fresh,
+    assert_index_fresh,
     assert_payload_is_a_prefix_view,
-    assert_probe_table_fresh,
 )
 
 N = 1 << 11
@@ -237,7 +234,8 @@ class PDCStateMachine(RuleBasedStateMachine):
             assert obj.n_elements == data.size
             assert int(obj.counts.sum()) == data.size
             assert len(obj.meta.regions) == obj.n_regions
-            assert len(obj.indexes or obj.meta.regions) == obj.n_regions
+            if obj.indexes is not None:
+                assert obj.indexes.n_elements.size == obj.n_regions
             for rid in range(obj.n_regions):
                 seg = data[obj.offsets[rid] : obj.offsets[rid] + obj.counts[rid]]
                 assert obj.rmin[rid] == seg.min()
@@ -254,11 +252,7 @@ class PDCStateMachine(RuleBasedStateMachine):
             assert_payload_is_a_prefix_view(obj)
             assert_global_histogram_fresh(obj)
             if obj.indexes is not None:
-                assert_index_file_fresh(self.system, obj)
-                # Stacked once here, the table is kept current by writes.
-                obj.index_probe_table()
-                assert_probe_table_fresh(obj)
-                assert_index_positions_fresh(obj)
+                assert_index_fresh(self.system, obj)
         assert self.system.pfs.bytes_written == self.bytes_written
 
     @invariant()

@@ -90,10 +90,10 @@ class TestClustering:
     def test_cell_order_locality_helps_wah(self, ds):
         """Within-cell sorting must make the bitmap index smaller than on
         shuffled data."""
-        from repro.bitmap import RegionBitmapIndex
+        from repro.bitmap import ObjectIndex
 
         e = ds.arrays["Energy"][: 1 << 13].astype(np.float64)
         shuffled = np.random.default_rng(0).permutation(e)
-        ordered_size = RegionBitmapIndex.build(e).nbytes
-        shuffled_size = RegionBitmapIndex.build(shuffled).nbytes
+        ordered_size = ObjectIndex.build(e, [e.size])[0].nbytes[0]
+        shuffled_size = ObjectIndex.build(shuffled, [e.size])[0].nbytes[0]
         assert ordered_size < shuffled_size
