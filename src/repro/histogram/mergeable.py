@@ -36,11 +36,15 @@ import numpy as np
 from ..errors import QueryError
 from ..interval import Interval
 
-__all__ = ["MAX_BINS", "MergeableHistogram", "round_down_pow2"]
+__all__ = ["MAX_BINS", "MergeableHistogram", "fit_grid", "round_down_pow2"]
 
 #: Most bins one histogram's grid may span: a counting pass coarsens past
 #: it, and a delta patch that would cross it rebuilds instead.
 MAX_BINS = 1 << 20
+#: The finest bin width, the least positive double (2^-1074).
+_FINEST = math.ulp(0.0)
+#: Share of a region's elements Algorithm 1 samples for its width.
+SAMPLE_FRACTION = 0.1
 
 
 def round_down_pow2(x: float) -> float:
@@ -57,6 +61,29 @@ def _constant_width(value: float) -> float:
     """Width for near-constant data: tiny, so the histogram still localizes
     the value."""
     return round_down_pow2(max(abs(value), 1.0) * 2 ** -20)
+
+
+def fit_grid(true_min: float, true_max: float, width: float) -> Tuple[float, float, int]:
+    """``(width, start, n_bins)``: the aligned grid of ``width`` over
+    ``[true_min, true_max]``, or of the least coarser power of two whose
+    grid spans it in at most :data:`MAX_BINS` bins."""
+    try:
+        start, n_bins = _aligned_grid(true_min, true_max, width)
+    except OverflowError:
+        # So fine a width for these values that the bin count overflows
+        # a double (a region whose sample held only its subnormals, say):
+        # jump to the largest power of two under span / MAX_BINS, below
+        # which no grid fits, and let the loop finish.
+        span = true_max / MAX_BINS - true_min / MAX_BINS
+        least = round_down_pow2(span) if span > 0.0 else _constant_width(true_min)
+        width = max(width, least)
+        start, n_bins = _aligned_grid(true_min, true_max, width)
+    # Guard against pathological widths producing absurd bin counts
+    # (e.g. one extreme outlier): coarsen until manageable.
+    while n_bins > MAX_BINS:
+        width *= 2.0
+        start, n_bins = _aligned_grid(true_min, true_max, width)
+    return width, start, n_bins
 
 
 def _aligned_grid(true_min: float, true_max: float, width: float) -> Tuple[float, int]:
@@ -98,7 +125,7 @@ class MergeableHistogram:
         cls,
         data: np.ndarray,
         n_bins: int = 64,
-        sample_fraction: float = 0.1,
+        sample_fraction: float = SAMPLE_FRACTION,
         seed: int = 0,
     ) -> "MergeableHistogram":
         """Algorithm 1: build a mergeable histogram of 1-D ``data``.
@@ -126,11 +153,13 @@ class MergeableHistogram:
         approx_max = float(sample.max())
 
         # Line 2-3: raw width for n_bins bins, rounded down to a power of 2.
+        # A span of a few subnormals over n_bins underflows to 0: the
+        # finest grid there is, 2^-1074, then.
         span = approx_max - approx_min
         if span <= 0.0:
             width = _constant_width(approx_min)
         else:
-            width = round_down_pow2(span / n_bins)
+            width = round_down_pow2(max(span / n_bins, _FINEST))
 
         return cls._count_into_grid(data, width)
 
@@ -156,23 +185,7 @@ class MergeableHistogram:
         """Exact O(N) counting pass on the aligned grid of ``width``."""
         true_min = float(data.min())
         true_max = float(data.max())
-        try:
-            start, n_bins = _aligned_grid(true_min, true_max, width)
-        except OverflowError:
-            # So fine a width for these values that the bin count overflows
-            # a double (a region whose sample held only its subnormals, say):
-            # jump to the largest power of two under span / MAX_BINS, below
-            # which no grid fits, and let the loop finish.
-            span = true_max / MAX_BINS - true_min / MAX_BINS
-            least = round_down_pow2(span) if span > 0.0 else _constant_width(true_min)
-            width = max(width, least)
-            start, n_bins = _aligned_grid(true_min, true_max, width)
-        # Guard against pathological widths producing absurd bin counts
-        # (e.g. one extreme outlier): coarsen until manageable.
-        while n_bins > MAX_BINS:
-            width *= 2.0
-            start, n_bins = _aligned_grid(true_min, true_max, width)
-
+        width, start, n_bins = fit_grid(true_min, true_max, width)
         # Lines 6-18, vectorized: element x lies in bin floor(x / width) - k
         # with k = start / width, and each step is exact: scaling by a power
         # of two (ldexp, subnormal widths included), the floor of an exact
@@ -471,7 +484,7 @@ class MergeableHistogram:
         width (coarsening keeps each one's extrema) into one
         span-covering count array, added in one ``np.add.at`` over the
         operands' stacked bin offsets."""
-        width, start, n_bins, data_min, data_max = _aligned_span(coarse)
+        width, start = coarse[0].bin_width, min([h.start for h in coarse])
         sizes = np.array([h.counts.size for h in coarse], dtype=np.int64)
         offsets = np.rint(
             (np.array([h.start for h in coarse]) - start) / width
@@ -481,38 +494,12 @@ class MergeableHistogram:
         idx = np.arange(int(sizes.sum()), dtype=np.int64) + np.repeat(
             offsets - first, sizes
         )
-        counts = np.zeros(n_bins, dtype=np.int64)
+        counts = np.zeros(_bins_spanned(start, width, coarse), dtype=np.int64)
         np.add.at(counts, idx, np.concatenate([h.counts for h in coarse]))
         return cls(
             bin_width=width, start=start, counts=counts,
-            data_min=data_min, data_max=data_max,
-        )
-
-    def replaced(
-        self,
-        coarse: Sequence["MergeableHistogram"],
-        removed: Sequence["MergeableHistogram"],
-        added: Sequence["MergeableHistogram"],
-    ) -> "MergeableHistogram":
-        """This :meth:`merge_aligned` result with the ``removed`` operands
-        taken out and the ``added`` ones put in, where ``coarse`` is the
-        whole new operand list: equal field for field to
-        ``merge_aligned(coarse)``.  The span and the extrema come from
-        ``coarse``; the counts are this merge's, minus and plus the changed
-        operands' — integers, so exact in any order — and the work follows
-        the changed operands, not all of them."""
-        width, start, n_bins, data_min, data_max = _aligned_span(coarse)
-        # Work on the union of the old and new spans, then cut the new one
-        # out: an operand that set the old span may be one just removed.
-        lo = min(start, self.start)
-        first = round((start - lo) / width)
-        counts = np.zeros(max(first + n_bins, _bins_spanned(lo, width, (self,))), dtype=np.int64)
-        for h, sign in ((self, 1), *((h, -1) for h in removed), *((h, 1) for h in added)):
-            off = round((h.start - lo) / width)
-            counts[off : off + h.n_bins] += sign * h.counts
-        return MergeableHistogram(
-            bin_width=width, start=start, counts=counts[first : first + n_bins],
-            data_min=data_min, data_max=data_max,
+            data_min=min([h.data_min for h in coarse]),
+            data_max=max([h.data_max for h in coarse]),
         )
 
 
@@ -524,20 +511,6 @@ def _exact_offset(start: float, new_start: float, width: float) -> int:
         x.as_integer_ratio() for x in (start, new_start, width)
     )
     return (a * db - b * da) * dw // (da * db * w)
-
-
-def _aligned_span(
-    coarse: Sequence[MergeableHistogram],
-) -> Tuple[float, float, int, float, float]:
-    """``(width, start, n_bins, data_min, data_max)`` of the merge of
-    histograms on one width: the grid spanning every operand's, and the
-    extrema of all."""
-    width = coarse[0].bin_width
-    start = min([h.start for h in coarse])
-    return (
-        width, start, _bins_spanned(start, width, coarse),
-        min([h.data_min for h in coarse]), max([h.data_max for h in coarse]),
-    )
 
 
 def _bins_spanned(

@@ -10,7 +10,7 @@ near-zero cost (bounded above/below by partially/fully overlapping bins).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from ..interval import Interval
 from .global_hist import GlobalHistogram
@@ -44,24 +44,16 @@ def estimate(hist: GlobalHistogram, interval: Interval) -> SelectivityEstimate:
 def order_by_selectivity(
     conditions: Sequence[Tuple[str, Interval]],
     histograms: Dict[str, GlobalHistogram],
-) -> List[Tuple[str, Interval, Optional[SelectivityEstimate]]]:
-    """Order (object, interval) conditions most-selective-first.
+) -> List[Tuple[str, Interval, SelectivityEstimate]]:
+    """Order (object, interval) conditions most-selective-first, by the
+    estimate's midpoint, preserving input order among ties — that keeps
+    plans deterministic.
 
-    Conditions on objects without a histogram sort *strictly* last
-    (unknown selectivity is worse than any estimate, including a known
-    midpoint of exactly 1.0), preserving input order among ties — that
-    keeps plans deterministic.
-
-    Returns ``(object_name, interval, estimate_or_None)`` triples.
+    Returns ``(object_name, interval, estimate)`` triples.
     """
     decorated = []
     for pos, (name, interval) in enumerate(conditions):
-        hist = histograms.get(name)
-        est = estimate(hist, interval) if hist is not None else None
-        # Rank before midpoint: an unknown must never tie with (and by
-        # input position beat) a condition whose estimate is genuinely 1.0.
-        rank = 0 if est is not None else 1
-        sort_key = est.midpoint if est is not None else 1.0
-        decorated.append((rank, sort_key, pos, name, interval, est))
-    decorated.sort(key=lambda t: (t[0], t[1], t[2]))
-    return [(name, interval, est) for _, _, _, name, interval, est in decorated]
+        est = estimate(histograms[name], interval)
+        decorated.append((est.midpoint, pos, name, interval, est))
+    decorated.sort(key=lambda t: (t[0], t[1]))
+    return [(name, interval, est) for _, _, name, interval, est in decorated]

@@ -6,7 +6,7 @@ from .metadata import ObjectMeta
 from .metaserver import MetadataService
 from .observability import SystemSnapshot, report, snapshot
 from .placement import assign_region_ids
-from .region import RegionMeta, partition, region_key
+from .region import partition, region_key
 from .server import PDCServer
 from .system import PDCConfig, PDCSystem, ReplicaGroup, StoredObject
 
@@ -18,7 +18,6 @@ __all__ = [
     "report",
     "snapshot",
     "assign_region_ids",
-    "RegionMeta",
     "partition",
     "region_key",
     "PDCServer",

@@ -10,13 +10,12 @@ time and stored as in-memory objects."*
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, Optional, Tuple
 
 from ..errors import MetadataError
-from ..histogram.global_hist import GlobalHistogram
+from ..histogram.global_hist import GlobalHistogram, HistogramTable
 from ..interval import Interval
 from ..types import PDCType, QueryOp
-from .region import RegionMeta
 
 __all__ = ["ObjectMeta", "TagValue", "TagPredicate", "tag_matches"]
 
@@ -60,10 +59,9 @@ class ObjectMeta:
     container: str = "default"
     #: User key-value attributes (H5BOSS carries RADEG/DECDEG/PLATE/...).
     tags: Dict[str, TagValue] = field(default_factory=dict)
-    #: Region descriptors, ascending by offset.
-    regions: List[RegionMeta] = field(default_factory=list)
-    #: Merged whole-object histogram (§III-D2 / §IV).
-    global_histogram: Optional[GlobalHistogram] = field(default=None, init=False)
+    #: Every region's histogram, one row each, and their merge (§III-D2 /
+    #: §IV): what the metadata service distributes to query servers.
+    histograms: Optional[HistogramTable] = field(default=None, init=False)
     #: Name of the sorted-replica key object when a sorted copy exists
     #: (§III-D3 user hint).
     sorted_by: Optional[str] = field(default=None, init=False)
@@ -73,6 +71,11 @@ class ObjectMeta:
     def __post_init__(self) -> None:
         if not self.name:
             raise MetadataError("object name must be non-empty")
+
+    @property
+    def global_histogram(self) -> GlobalHistogram:
+        """Merged whole-object histogram (§III-D2 / §IV)."""
+        return self.histograms.global_histogram
 
     def matches_tags(self, conditions: Dict[str, TagPredicate]) -> bool:
         """Key-value metadata predicate (§VI-C).

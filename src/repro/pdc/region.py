@@ -2,30 +2,17 @@
 
 Large objects are decomposed into fixed-size regions so data operations
 parallelize and subsets can be read without touching the whole object.
-Each region carries its own metadata: its mergeable histogram.
+Each region's metadata — its mergeable histogram — is a row of its object's
+:class:`~repro.histogram.global_hist.HistogramTable`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 from ..errors import PDCError
-from ..histogram.mergeable import MergeableHistogram
 
-__all__ = ["RegionMeta", "partition", "region_key"]
-
-
-@dataclass
-class RegionMeta:
-    """Metadata of one region of one object: what the metadata service
-    distributes to query servers.  The region's extent and payload live in
-    :class:`~repro.pdc.system.StoredObject`'s per-region arrays."""
-
-    region_id: int
-    #: Per-region mergeable histogram (built at import/production time —
-    #: §III-D2: "automatically generated ... at no additional cost").
-    histogram: Optional[MergeableHistogram] = field(default=None, init=False)
+__all__ = ["partition", "region_key"]
 
 
 def partition(n_elements: int, region_elements: int) -> List[Tuple[int, int]]:

@@ -203,11 +203,7 @@ def PDCquery_estimate_nhits(query: PDCQuery) -> Tuple[int, int]:
         for name, interval in conjunct.items():
             obj = system.get_object(name)
             domain = obj.n_elements
-            hist = obj.meta.global_histogram
-            if hist is None:
-                lo, hi = 0, obj.n_elements
-            else:
-                lo, hi = hist.estimate_hits(interval)
+            lo, hi = obj.meta.global_histogram.estimate_hits(interval)
             # AND: the count is at most the min upper bound; the lower
             # bound of an intersection is not derivable from marginals,
             # except that it cannot exceed any one condition's lower bound
@@ -344,11 +340,7 @@ def PDCquery_execute_batch(
 def PDCquery_get_histogram(system: PDCSystem, obj_id: int) -> GlobalHistogram:
     """The object's global histogram — generated automatically by PDC at
     import time, at no additional query cost."""
-    obj = system.get_object_by_id(obj_id)
-    hist = obj.meta.global_histogram
-    if hist is None:
-        raise QueryError(f"object {obj.name!r} was imported without histograms")
-    return hist
+    return system.get_object_by_id(obj_id).meta.global_histogram
 
 
 def PDCquery_tag(system: PDCSystem, name: str, value: object) -> List[int]:

@@ -1071,8 +1071,7 @@ class QueryEngine:
         sysm = self.system
         for name in names:
             obj = sysm.get_object(name)
-            hist = obj.meta.global_histogram
-            hist_bytes = hist.merged.nbytes if hist is not None else 0
+            hist_bytes = obj.meta.global_histogram.merged.nbytes
             for server in sysm.alive_servers:
                 if name in server.meta_cached:
                     continue

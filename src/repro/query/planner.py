@@ -172,16 +172,10 @@ def plan_conjunct(
     items = list(conjunct.items())
     proved_empty, replica = False, None
     if strategy.uses_histogram and ordering:
-        hists = {}
-        for name, _ in items:
-            hist = system.get_object(name).meta.global_histogram
-            if hist is not None:
-                hists[name] = hist
+        hists = {name: system.get_object(name).meta.global_histogram for name, _ in items}
         ordered = order_by_selectivity(items, hists)
         # An upper selectivity bound of zero: no histogram bin overlaps.
-        proved_empty = any(
-            est is not None and est.upper == 0.0 for _, _, est in ordered
-        )
+        proved_empty = any(est.upper == 0.0 for _, _, est in ordered)
     else:
         ordered = [(name, interval, None) for name, interval in items]
     if strategy.uses_histogram:

@@ -9,7 +9,9 @@ import pytest
 from hypothesis import settings
 
 from repro.bitmap.index import ObjectIndex, RegionBitmapIndex
-from repro.histogram.global_hist import GlobalHistogram
+from repro.histogram.global_hist import HistogramTable
+from repro.histogram.mergeable import MergeableHistogram
+from repro.ingest.maintain import histogram_bins_for, histogram_seeds
 from repro.pdc import PDCConfig, PDCSystem
 from repro.strategies import Strategy
 
@@ -98,28 +100,33 @@ def zero_clocks(system) -> None:
         clock._by_category.clear()
 
 
-def assert_same_global_histogram(got, want) -> None:
-    """Field for field: merged grid, counts and extrema, and each region's
-    kept operand in order — the same source histogram,
-    coarsened to the same thing."""
+def assert_same_histogram(got, want) -> None:
+    """Field for field: grid, extrema (``float.hex``: -0.0 is not 0.0) and
+    counts."""
     for field in ("bin_width", "start", "data_min", "data_max"):
-        assert getattr(got.merged, field) == getattr(want.merged, field), field
-    assert np.array_equal(got.merged.counts, want.merged.counts)
-    assert list(got.operands) == list(want.operands)
-    for rid, (source, coarse) in got.operands.items():
-        fresh_source, fresh = want.operands[rid]
-        assert source is fresh_source, rid
-        assert (coarse.bin_width, coarse.start) == (fresh.bin_width, fresh.start)
-        assert np.array_equal(coarse.counts, fresh.counts), rid
+        assert float(getattr(got, field)).hex() == float(getattr(want, field)).hex(), field
+    assert np.array_equal(got.counts, want.counts)
 
 
-def assert_global_histogram_fresh(obj) -> None:
-    """The maintained global histogram equals ``GlobalHistogram.build``
-    from scratch over the object's region histograms."""
-    assert_same_global_histogram(
-        obj.meta.global_histogram,
-        GlobalHistogram.build({r.region_id: r.histogram for r in obj.meta.regions}),
+def assert_histograms_fresh(system, obj) -> None:
+    """The object's histogram table and global histogram equal a fresh
+    build over the live payload: row for row the same multiset at the same
+    extrema (a delta patch keeps its region's older grid), and the global
+    histogram ``merge_many`` of the rows field for field."""
+    table = obj.meta.histograms
+    fresh = HistogramTable.build(
+        obj.data, obj.counts, histogram_seeds(obj, np.arange(obj.n_regions)),
+        histogram_bins_for(system.config.region_size_bytes),
     )
+    fresh.merge()
+    assert table.n_regions == obj.n_regions
+    assert np.array_equal(obj.rmin, fresh.data_min) and np.array_equal(obj.rmax, fresh.data_max)
+    rows = [table.view(rid) for rid in range(obj.n_regions)]
+    for rid, row in enumerate(rows):
+        assert row.equivalent(fresh.view(rid)), rid
+    merged = obj.meta.global_histogram.merged
+    assert_same_histogram(merged, MergeableHistogram.merge_many(rows))
+    assert merged.equivalent(fresh.global_histogram.merged)
 
 
 #: An object index's per-bin rows and the pad past a region's bins.

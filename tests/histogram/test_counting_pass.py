@@ -238,7 +238,7 @@ class TestCountingPass:
             assert_least_fitting_grid(h, data, algorithm1_width(data, seed=seed))
         sysm = make_system(region_size_bytes=data.size * 8)
         obj = sysm.create_object("subnormal", data)
-        assert obj.meta.regions[0].histogram.total == data.size
+        assert obj.meta.histograms.view(0).total == data.size
         assert (obj.rmin[0], obj.rmax[0]) == (0.0, 1.0)
 
     def test_coarsens_past_max_bins(self):

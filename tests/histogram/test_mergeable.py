@@ -251,17 +251,24 @@ class TestAlignedMerge:
 
     @pytest.mark.parametrize("changed", [[0], [3], [1, 3], [0, 1, 2, 3, 4]])
     def test_replaced_equals_a_full_merge(self, coarse, rng, changed):
-        """Swapping operands — the one that sets the span's top (3) or
-        bottom (2) included — equals merging the new list from scratch."""
-        previous = MergeableHistogram.merge_aligned(coarse)
-        width = previous.bin_width
+        """Replacing a histogram table's rows — the one that sets the span's
+        top (3) or bottom (2) included — trades them in the global counts
+        (``HistogramTable.put``) and equals merging the new list from
+        scratch."""
+        from repro.histogram.global_hist import HistogramTable
+
+        table = HistogramTable.of(coarse, [0] * len(coarse))
+        table.merge()
+        width = table.global_histogram.merged.bin_width
         new = list(coarse)
         for i in changed:
             fresh = MergeableHistogram.from_data(rng.uniform(1.0, 2.0, 300), n_bins=4)
             assert fresh.bin_width <= width
             new[i] = fresh.coarsened(width)
-        got = previous.replaced(new, [coarse[i] for i in changed], [new[i] for i in changed])
-        want = MergeableHistogram.merge_aligned(new)
+        table.put(changed, HistogramTable.of([new[i] for i in changed], [0] * len(changed)))
+        got = table.global_histogram.merged
+        want = MergeableHistogram.merge_many(new)
+        assert got.bin_width == width
         for field in ("bin_width", "start", "data_min", "data_max"):
             assert getattr(got, field) == getattr(want, field), field
         assert np.array_equal(got.counts, want.counts)
@@ -496,14 +503,14 @@ class TestBinsNarrowerThanAnUlp:
     def test_build_merge_and_delta_update_exactly(self, values):
         """Each region's histogram counts its values, the global one is the
         from-scratch merge, and a delta overwrite keeps both exact."""
-        from tests.conftest import assert_global_histogram_fresh, make_system
+        from tests.conftest import assert_histograms_fresh, make_system
 
         def assert_exact(obj):
-            for r, off, n in zip(obj.meta.regions, obj.offsets, obj.counts):
+            for rid, (off, n) in enumerate(zip(obj.offsets, obj.counts)):
                 span = obj.data[off : off + n].astype(np.float64)
-                rebuilt = MergeableHistogram.from_data_width(span, r.histogram.bin_width)
-                assert r.histogram.equivalent(rebuilt)
-            assert_global_histogram_fresh(obj)
+                row = obj.meta.histograms.view(rid)
+                assert row.equivalent(MergeableHistogram.from_data_width(span, row.bin_width))
+            assert_histograms_fresh(sysm, obj)
             assert obj.meta.global_histogram.merged.total == obj.n_elements
 
         sysm = make_system(region_size_bytes=8 * 64)  # 64 elements per region

@@ -130,10 +130,10 @@ def assert_state_equivalent(sys_a, sys_b):
         assert oa.data.tobytes() == ob.data.tobytes()
         assert oa.rmin.tobytes() == ob.rmin.tobytes()
         assert oa.rmax.tobytes() == ob.rmax.tobytes()
-        for ra, rb in zip(oa.meta.regions, ob.meta.regions):
-            assert ra.histogram.equivalent(rb.histogram), (
-                name, ra.region_id,
-            )
+        for rid in range(oa.n_regions):
+            assert oa.meta.histograms.view(rid).equivalent(
+                ob.meta.histograms.view(rid)
+            ), (name, rid)
         assert oa.meta.global_histogram.merged.equivalent(
             ob.meta.global_histogram.merged
         )

@@ -102,9 +102,9 @@ def assert_matches_rebuild(sysm):
 
         rebuilt = MergeableHistogram.from_data_width(
             span.astype(np.float64),
-            obj.meta.regions[rid].histogram.bin_width,
+            obj.meta.histograms.view(rid).bin_width,
         )
-        assert obj.meta.regions[rid].histogram.equivalent(rebuilt), rid
+        assert obj.meta.histograms.view(rid).equivalent(rebuilt), rid
         # Fold any delta segments: compaction must land exactly on the
         # from-scratch bitmap (deterministic build → byte-identical).
         if obj.indexes.delta[rid]:
@@ -204,12 +204,13 @@ class TestExplicitEdgeCases:
             "obj", np.full(79, np.finfo(np.float32).tiny, dtype=np.float32),
             maintenance="rebuild",
         )
-        tail = sysm.get_object("obj").meta.regions[-1].histogram
+        table = sysm.get_object("obj").meta.histograms
+        tail = table.view(table.n_regions - 1)
         assert not tail.grid_holds(np.ones(1))
         sysm.append_to_object("obj", np.ones(1, dtype=np.float32), maintenance="delta")
         assert sysm.last_write_stats["hist_rebuilds"] == 1
         obj = sysm.get_object("obj")
-        assert obj.rmax[-1] == 1.0 and obj.meta.regions[-1].histogram.total == 81
+        assert obj.rmax[-1] == 1.0 and table.view(table.n_regions - 1).total == 81
 
     def test_append_then_overwrite_new_tail(self):
         sysm = fresh_system()

@@ -8,13 +8,12 @@ from repro.pdc.metadata import ObjectMeta
 from repro.types import PDCType
 
 
-def make_meta(name="o", tags=None, regions=None):
+def make_meta(name="o", tags=None):
     return ObjectMeta(
         name=name,
         object_id=1,
         pdc_type=PDCType.FLOAT,
         tags=tags or {},
-        regions=regions or [],
     )
 
 

@@ -11,7 +11,7 @@ from repro.query.executor import QueryEngine
 from repro.strategies import Strategy
 from repro.types import PDCType, QueryOp
 from tests.conftest import (
-    assert_global_histogram_fresh, assert_index_fresh, make_system,
+    assert_histograms_fresh, assert_index_fresh, make_system,
 )
 
 
@@ -68,18 +68,18 @@ class TestDerivedStateMaintenance:
     ):
         """Region 1 alone carries the merged bin width; once overwritten,
         the re-merge must land on the finer grid a from-scratch merge
-        picks, not on the grid its kept operands were coarsened to."""
+        picks, not on the grid the other regions were coarsened to."""
         sysm = make_system(region_size_bytes=1 << 11)
         data = rng.random(1 << 12).astype(np.float32)
         data[512:1024] *= 64.0
         obj = sysm.create_object("obj", data)
         wide = obj.meta.global_histogram.merged.bin_width
-        assert wide == obj.meta.regions[1].histogram.bin_width
+        assert wide == obj.meta.histograms.view(1).bin_width
         sysm.update_object_region(
             "obj", 512, rng.random(512).astype(np.float32), maintenance=maintenance
         )
         assert obj.meta.global_histogram.merged.bin_width < wide
-        assert_global_histogram_fresh(obj)
+        assert_histograms_fresh(sysm, obj)
 
     def test_queries_correct_after_update(self, env):
         sysm, _ = env
@@ -155,28 +155,26 @@ class TestDerivedStateMaintenance:
 
 def _state(sysm, name):
     """Everything a write may touch.  Arrays are copied (compared by
-    value); histograms, the object index, its arrays and PFS files are
-    kept as the objects themselves (compared by identity — a failed write
-    must not even have replaced one with an equal copy)."""
+    value); the histogram table, the object index, their arrays and PFS
+    files are kept as the objects themselves (compared by identity — a
+    failed write must not even have replaced one with an equal copy)."""
     obj = sysm.get_object(name)
-    arrays = ("data", "offsets", "counts", "rmin", "rmax", "hist_dirty_elements")
-    ghist = obj.meta.global_histogram
+    arrays = ("data", "offsets", "counts", "rmin", "rmax")
+    table, ghist = obj.meta.histograms, obj.meta.global_histogram
+    columns = {a: v for a, v in vars(table).items() if isinstance(v, np.ndarray)}
     return {
         "arrays": {
-            **{
-                a: None if getattr(obj, a) is None else getattr(obj, a).copy()
-                for a in arrays
-            },
+            **{a: getattr(obj, a).copy() for a in arrays},
+            **{f"histogram {a}": v.copy() for a, v in columns.items()},
             **{f"index {a}": v.copy() for a, v in vars(obj.indexes).items()},
             "index file": sysm.pfs.stat(f"/pdc/index/{name}").data.copy(),
             "merged counts": ghist.merged.counts.copy(),
         },
         "global": (ghist.merged.bin_width, ghist.merged.start),
         "replicas": {k: g.replica.dirty.tolist() for k, g in sysm.replicas.items()},
-        "sizes": (obj.n_elements, obj.n_regions, len(obj.meta.regions)),
-        "objects": [r.histogram for r in obj.meta.regions]
-        + [obj.meta.global_histogram, obj.indexes, *vars(obj.indexes).values()]
-        + [h for operand in ghist.operands.values() for h in operand]
+        "sizes": (obj.n_elements, obj.n_regions, table.n_regions),
+        "objects": [table, ghist, ghist.merged, *columns.values()]
+        + [obj.indexes, *vars(obj.indexes).values()]
         + [sysm.pfs.stat(path) for path in sysm.pfs.listdir()],
         "files": sysm.pfs.listdir(),
         "clocks": {c.name: (c.now, c.breakdown()) for c in sysm.all_clocks()},
@@ -217,11 +215,14 @@ class TestAtomicCommit:
     def test_mid_write_failure_rolls_back_and_charges_nothing(
         self, write, maintenance, rng, monkeypatch
     ):
-        """A failure while deriving the *last* affected region — after
-        every other region was derived — must leave the system exactly
-        as before the write: payload, extents, metadata, derived state,
-        the replica's dirty set, PFS namespace and every clock; the same
-        write then succeeds and marks exactly its span dirty."""
+        """A failure in the write's *last* histogram construction — a
+        delta patch of the last patched region, or the one table build of
+        the regions it rebuilds, after every region was derived — must
+        leave the system exactly as before the write: payload, extents,
+        metadata, derived state, the replica's dirty set, PFS namespace and
+        every clock; the same write then succeeds and marks exactly its
+        span dirty."""
+        from repro.histogram.global_hist import HistogramTable
         from repro.histogram.mergeable import MergeableHistogram
 
         apply, n_values, regions = WRITES[write]
@@ -249,11 +250,11 @@ class TestAtomicCommit:
 
             return classmethod(wrapper)
 
-        for method in ("from_data", "from_data_width"):
-            monkeypatch.setattr(
-                MergeableHistogram, method,
-                counted(getattr(MergeableHistogram, method).__func__),
-            )
+        for cls, method in (
+            (MergeableHistogram, "from_data"), (MergeableHistogram, "from_data_width"),
+            (HistogramTable, "build"),
+        ):
+            monkeypatch.setattr(cls, method, counted(getattr(cls, method).__func__))
         # The twin counts the histogram constructions of the whole write,
         # so the write under test can fail in the very last of them.
         apply(twin, values, maintenance)
@@ -262,7 +263,7 @@ class TestAtomicCommit:
         before = _state(sysm, "obj")
         with pytest.raises(RuntimeError, match="simulated maintenance"):
             apply(sysm, values, maintenance)
-        assert calls["n"] == calls["fail_at"] >= len(regions)
+        assert calls["n"] == calls["fail_at"] >= 1
         _assert_untouched(before, _state(sysm, "obj"))
 
         # The system is fully usable afterwards: the same write succeeds
@@ -273,7 +274,7 @@ class TestAtomicCommit:
         assert res.nhits == n_values
         # What the write maintained piecewise equals the whole rebuilt.
         obj = sysm.get_object("obj")
-        assert_global_histogram_fresh(obj)
+        assert_histograms_fresh(sysm, obj)
         assert_index_fresh(sysm, obj)
         replica = sysm.replicas["obj"].replica
         written = np.flatnonzero(obj.data == np.float32(123.0))

@@ -151,14 +151,6 @@ class TestHistogramAndTags:
         h = PDCquery_get_histogram(sysm, eid)
         assert h.merged.total == e.size
 
-    def test_get_histogram_missing(self, env, rng):
-        sysm, _, _, _, _ = env
-        o = sysm.create_object(
-            "nohist", rng.random(1 << 12).astype(np.float32), build_histograms=False
-        )
-        with pytest.raises(QueryError):
-            PDCquery_get_histogram(sysm, o.meta.object_id)
-
     def test_tag_query(self, env):
         sysm, _, _, eid, _ = env
         assert PDCquery_tag(sysm, "unit", "mc2") == [eid]

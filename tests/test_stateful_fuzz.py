@@ -44,7 +44,7 @@ from repro.query.executor import QueryEngine
 from repro.strategies import Strategy
 from repro.types import PDCType, QueryOp
 from tests.conftest import (
-    assert_global_histogram_fresh,
+    assert_histograms_fresh,
     assert_index_fresh,
     assert_payload_is_a_prefix_view,
 )
@@ -233,14 +233,14 @@ class PDCStateMachine(RuleBasedStateMachine):
             obj = self.system.get_object(name)
             assert obj.n_elements == data.size
             assert int(obj.counts.sum()) == data.size
-            assert len(obj.meta.regions) == obj.n_regions
+            assert obj.meta.histograms.n_regions == obj.n_regions
             if obj.indexes is not None:
                 assert obj.indexes.n_elements.size == obj.n_regions
             for rid in range(obj.n_regions):
                 seg = data[obj.offsets[rid] : obj.offsets[rid] + obj.counts[rid]]
                 assert obj.rmin[rid] == seg.min()
                 assert obj.rmax[rid] == seg.max()
-                assert obj.meta.regions[rid].histogram.total == obj.counts[rid]
+                assert obj.meta.histograms.view(rid).total == obj.counts[rid]
 
     @invariant()
     def maintained_state_equals_rebuilt(self):
@@ -250,7 +250,7 @@ class PDCStateMachine(RuleBasedStateMachine):
             obj = self.system.get_object(name)
             assert np.array_equal(obj.data, data)
             assert_payload_is_a_prefix_view(obj)
-            assert_global_histogram_fresh(obj)
+            assert_histograms_fresh(self.system, obj)
             if obj.indexes is not None:
                 assert_index_fresh(self.system, obj)
         assert self.system.pfs.bytes_written == self.bytes_written

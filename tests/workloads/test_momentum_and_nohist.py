@@ -1,12 +1,10 @@
-"""Coverage for the remaining VPIC variables (Ux/Uy/Uz) and for objects
-imported without histograms."""
+"""Coverage for the remaining VPIC variables (Ux/Uy/Uz)."""
 
 import numpy as np
 import pytest
 
 from repro.query.ast import Condition, combine_and
 from repro.query.executor import QueryEngine
-from repro.strategies import Strategy
 from repro.types import PDCType, QueryOp
 from repro.workloads.vpic import VARIABLES, VPICConfig, generate_vpic
 from tests.conftest import make_system
@@ -53,45 +51,3 @@ class TestMomentumVariables:
         hot = np.abs(ux[e > 2.0]).mean()
         cold = np.abs(ux[e < 0.5]).mean()
         assert hot > cold
-
-
-class TestNoHistogramMode:
-    """Objects imported with build_histograms=False must still answer
-    every query exactly (the engine just loses pruning and ordering)."""
-
-    @pytest.fixture
-    def env(self, rng):
-        sysm = make_system(region_size_bytes=1 << 11)
-        e = rng.gamma(2.0, 0.7, 1 << 12).astype(np.float32)
-        x = (rng.random(1 << 12) * 300).astype(np.float32)
-        sysm.create_object("energy", e, build_histograms=False)
-        sysm.create_object("x", x)  # mixed: one with, one without
-        return sysm, e, x
-
-    @pytest.mark.parametrize(
-        "strategy", [Strategy.FULL_SCAN, Strategy.HISTOGRAM, Strategy.HIST_INDEX]
-    )
-    def test_exact_answers_without_histograms(self, env, strategy):
-        sysm, e, x = env
-        node = combine_and(cond("energy", ">", 2.0), cond("x", "<", 150.0))
-        res = QueryEngine(sysm).execute(node, strategy=strategy)
-        truth = int(((e > 2.0) & (x < 150.0)).sum())
-        assert res.nhits == truth
-
-    def test_minmax_pruning_still_works(self, env):
-        """Per-region min/max exists even without histograms, so region
-        elimination still applies."""
-        sysm, e, _ = env
-        res = QueryEngine(sysm).execute(
-            cond("energy", ">", float(e.max()) + 1.0), strategy=Strategy.HISTOGRAM
-        )
-        assert res.nhits == 0
-        assert res.regions_read == 0
-
-    def test_unknown_selectivity_sorts_last(self, env):
-        """The histogram-less object cannot be estimated: the planner puts
-        it after estimable conditions."""
-        sysm, _, _ = env
-        node = combine_and(cond("energy", ">", 0.0), cond("x", "<", 1.0))
-        res = QueryEngine(sysm).execute(node, strategy=Strategy.HISTOGRAM)
-        assert res.evaluation_order == ["x", "energy"]

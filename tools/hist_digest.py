@@ -6,12 +6,13 @@
 For each workload of ``benchmarks/e2e`` this builds the deployment the
 benchmark builds, runs one epoch of its requests (the writes of
 ``service_rw_mix`` included), and prints two digests: one right after
-set-up and one after the epoch.  Each covers every region histogram and
-every object's global histogram — the merged histogram, each kept coarsened
-operand and the region extrema — field by field: width, start, extrema (as
-``float.hex``, so -0.0 is not 0.0) and the int64 counts.  A change to how
-histograms are built must print the same lines as its parent.  ``--root``
-measures another checkout's ``src`` and benchmark.
+set-up and one after the epoch.  Each covers every region histogram (a row
+of the object's histogram table) and every object's global histogram — the
+merged histogram, each region histogram coarsened to its width and the
+region extrema — field by field: width, start, extrema (as ``float.hex``,
+so -0.0 is not 0.0) and the int64 counts.  A change to how histograms are
+built must print the same lines as its parent.  ``--root`` measures
+another checkout's ``src`` and benchmark.
 """
 
 from __future__ import annotations
@@ -34,19 +35,19 @@ def digest(system) -> str:
     h = hashlib.sha256()
     for name in sorted(system.objects):
         meta = system.objects[name].meta
-        for region in meta.regions:
-            h.update(f"{name}/{region.region_id}".encode())
-            _feed(h, region.histogram)
-        whole = meta.global_histogram
-        _feed(h, whole.merged)
-        for rid in sorted(whole.operands):
+        regions = [meta.histograms.view(rid) for rid in range(meta.histograms.n_regions)]
+        for rid, region in enumerate(regions):
+            h.update(f"{name}/{rid}".encode())
+            _feed(h, region)
+        merged = meta.global_histogram.merged
+        _feed(h, merged)
+        for rid, region in enumerate(regions):
             h.update(str(rid).encode())
-            _feed(h, whole.operands[rid][1])
+            _feed(h, region.coarsened(merged.bin_width))
         # The region extrema as (region id, (min, max)) pairs: the form the
         # digest has always hashed, so its lines compare across checkouts.
         h.update(repr(sorted(
-            (r.region_id, (r.histogram.data_min, r.histogram.data_max))
-            for r in meta.regions if r.histogram
+            (rid, (region.data_min, region.data_max)) for rid, region in enumerate(regions)
         )).encode())
     return h.hexdigest()
 
