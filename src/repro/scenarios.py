@@ -45,10 +45,13 @@ __all__ = [
 def demo_deployment(metrics=None):
     """The small two-object deployment shared by selftest/trace/metrics
     and the micro-suite: an indexed, replica-backed 4-server system plus
-    the demo condition tree and its ground-truth hit count."""
+    the demo condition tree and its ground-truth hit count.  Without
+    ``metrics`` it counts into a registry of its own, so what it reports
+    does not depend on whatever else ran in this process."""
     rng = np.random.default_rng(0)
     system = PDCSystem(
-        PDCConfig(n_servers=4, region_size_bytes=1 << 13), metrics=metrics
+        PDCConfig(n_servers=4, region_size_bytes=1 << 13),
+        metrics=metrics if metrics is not None else MetricsRegistry(),
     )
     n = 1 << 14
     e = rng.gamma(2.0, 0.7, n).astype(np.float32)
@@ -190,10 +193,7 @@ def demo_monitor_run(
     control: no monitor is installed and the system behaves exactly as a
     pre-monitor build.
     """
-    # An isolated registry: the scrape cadence records counter series,
-    # so sharing the process-wide registry would make the sample count
-    # depend on whatever else ran in this process.
-    system, _, _ = demo_deployment(metrics=MetricsRegistry())
+    system, _, _ = demo_deployment()
     monitor: Optional[ServiceMonitor] = None
     if monitored:
         monitor = ServiceMonitor(
