@@ -16,10 +16,24 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .errors import QueryError
+from .errors import QueryError, QueryTypeError
 from .types import PDCType, QueryOp, Scalar, check_value_type
 
 __all__ = ["Interval"]
+
+#: Magnitude from which a 64-bit integer has no exact float64 neighbourhood.
+_FLOAT64_EXACT = 2**53
+
+
+def _typed_bound(bound: Scalar, pdc_type: PDCType) -> float:
+    """One bound of :meth:`Interval.typed`."""
+    value = check_value_type(bound, pdc_type)
+    if pdc_type in (PDCType.INT64, PDCType.UINT64) and abs(value) >= _FLOAT64_EXACT:
+        raise QueryTypeError(
+            f"bound {bound!r} on a {pdc_type.value} object: 64-bit integers compare "
+            f"exactly only below 2**53 in magnitude"
+        )
+    return float(value)
 
 
 @dataclass(frozen=True)
@@ -66,11 +80,12 @@ class Interval:
         compared.  Such bounds are exact in the object's dtype, so mask,
         min/max pruning, bin classification and binary search cannot
         disagree.  Bounds that round onto one value with an open endpoint
-        raise like any empty interval."""
-        lo, hi = (
-            b if b is None else float(check_value_type(b, pdc_type))
-            for b in (self.lo, self.hi)
-        )
+        raise like any empty interval.  A 64-bit integral object refuses a
+        bound of magnitude 2**53 or more with :class:`QueryTypeError`: its
+        values meet a bound as float64 images, exact only below 2**53 (a
+        value past it rounds to at least 2**53, still beyond every accepted
+        bound)."""
+        lo, hi = (b if b is None else _typed_bound(b, pdc_type) for b in (self.lo, self.hi))
         return Interval(lo, hi, self.lo_closed, self.hi_closed)
 
     # ------------------------------------------------------------- operations

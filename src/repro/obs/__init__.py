@@ -50,11 +50,7 @@ from .metrics import (
     escape_label_value,
     format_labels,
 )
-from .monitor import (
-    NOOP_MONITOR,
-    NoopMonitor,
-    ServiceMonitor,
-)
+from .monitor import ServiceMonitor
 from .slo import SLI_NAMES, SLO, Alert, SLOMonitor, SLOState
 from .timeseries import (
     Sample,
@@ -108,8 +104,6 @@ __all__ = [
     "Alert",
     "SLOMonitor",
     "SLOState",
-    "NOOP_MONITOR",
-    "NoopMonitor",
     "ServiceMonitor",
     "render_openmetrics",
     "read_alerts_jsonl",

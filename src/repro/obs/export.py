@@ -25,6 +25,7 @@ import math
 from typing import Dict, Iterator, List, Optional
 
 from .metrics import format_labels
+from .monitor import MONITOR_WINDOW_S
 from .slo import Alert
 from .timeseries import TimeSeriesRecorder
 
@@ -52,16 +53,14 @@ def render_openmetrics(
     recorder: Optional[TimeSeriesRecorder] = None,
     slo_monitor=None,
     t_end: Optional[float] = None,
-    window_s: float = 0.05,
 ) -> str:
     """One OpenMetrics exposition of everything we know.
 
     Any of the sources may be None; the output always ends with
     ``# EOF``.  All derived values are computed from recorded samples at
-    simulated instant ``t_end`` (default: the recorder's latest sample).
+    simulated instant ``t_end`` (default: the recorder's latest sample)
+    over the monitor's window (:data:`~repro.obs.monitor.MONITOR_WINDOW_S`).
     """
-    if window_s <= 0.0:
-        raise ValueError("window_s must be positive")
     lines: List[str] = []
 
     if registry is not None:
@@ -71,7 +70,7 @@ def render_openmetrics(
         t = recorder.t_latest if t_end is None else t_end
         seen_types: set = set()
         for series in recorder.all_series():
-            ws = series.window(t, window_s)
+            ws = series.window(t, MONITOR_WINDOW_S)
             for fieldname in _WINDOW_FIELDS[series.kind]:
                 value = getattr(ws, fieldname)
                 if isinstance(value, float) and math.isnan(value):

@@ -34,6 +34,10 @@ __all__ = [
 
 #: Observations buffered before folding into the mergeable histogram.
 _HIST_FLUSH_THRESHOLD = 1024
+#: Cardinality guard: label sets one metric family may hold.
+MAX_SERIES_PER_METRIC = 4096
+#: Bins of a histogram metric's power-of-two grid.
+HISTOGRAM_BINS = 32
 
 
 class MetricsError(ValueError):
@@ -75,12 +79,10 @@ class _Metric:
     kind = "untyped"
 
     def __init__(self, name: str, help: str = "",
-                 label_names: Tuple[str, ...] = (),
-                 max_series: int = 4096) -> None:
+                 label_names: Tuple[str, ...] = ()) -> None:
         self.name = name
         self.help = help
         self.label_names = tuple(label_names)
-        self.max_series = max_series
         self._children: Dict[Tuple[str, ...], "_Metric"] = {}
         self._lock = threading.Lock()
 
@@ -99,10 +101,10 @@ class _Metric:
             with self._lock:
                 child = self._children.get(key)
                 if child is None:
-                    if len(self._children) >= self.max_series:
+                    if len(self._children) >= MAX_SERIES_PER_METRIC:
                         raise MetricsError(
                             f"metric {self.name!r} exceeds "
-                            f"{self.max_series} label sets (cardinality guard)"
+                            f"{MAX_SERIES_PER_METRIC} label sets (cardinality guard)"
                         )
                     child = type(self)(self.name, self.help)
                     self._children[key] = child
@@ -171,20 +173,12 @@ class HistogramMetric(_Metric):
 
     kind = "histogram"
 
-    def __init__(self, name: str, help: str = "",
-                 label_names: Tuple[str, ...] = (),
-                 max_series: int = 4096, n_bins: int = 32) -> None:
-        super().__init__(name, help, label_names, max_series)
-        self.n_bins = n_bins
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
         self._count = 0
         self._sum = 0.0
         self._pending: List[float] = []
         self._hist = None  # lazily a MergeableHistogram
-
-    def labels(self, **labels: object) -> "HistogramMetric":
-        child = super().labels(**labels)
-        child.n_bins = self.n_bins  # families propagate their binning
-        return child  # type: ignore[return-value]
 
     def observe(self, value: float) -> None:
         self._check_unlabeled()
@@ -201,7 +195,7 @@ class HistogramMetric(_Metric):
 
         batch = MergeableHistogram.from_data(
             np.asarray(self._pending, dtype=np.float64),
-            n_bins=self.n_bins,
+            n_bins=HISTOGRAM_BINS,
             sample_fraction=1.0,
         )
         self._hist = batch if self._hist is None else self._hist.merge(batch)
@@ -235,7 +229,7 @@ class HistogramMetric(_Metric):
 
         batch = MergeableHistogram.from_data(
             np.asarray(self._pending, dtype=np.float64),
-            n_bins=self.n_bins,
+            n_bins=HISTOGRAM_BINS,
             sample_fraction=1.0,
         )
         return batch if self._hist is None else self._hist.merge(batch)
@@ -260,14 +254,13 @@ class MetricsRegistry:
     match), so instrumentation sites need no global coordination.
     """
 
-    def __init__(self, max_series_per_metric: int = 4096) -> None:
-        self.max_series_per_metric = max_series_per_metric
+    def __init__(self) -> None:
         self._metrics: Dict[str, _Metric] = {}
         self._lock = threading.Lock()
 
     # ------------------------------------------------------------- declare
     def _declare(self, cls, name: str, help: str,
-                 labels: Iterable[str], **kwargs) -> _Metric:
+                 labels: Iterable[str]) -> _Metric:
         labels = tuple(labels)
         with self._lock:
             existing = self._metrics.get(name)
@@ -283,8 +276,7 @@ class MetricsRegistry:
                         f"{existing.label_names}, not {labels}"
                     )
                 return existing
-            metric = cls(name, help, labels,
-                         max_series=self.max_series_per_metric, **kwargs)
+            metric = cls(name, help, labels)
             self._metrics[name] = metric
             return metric
 
@@ -297,8 +289,8 @@ class MetricsRegistry:
         return self._declare(Gauge, name, help, labels)  # type: ignore[return-value]
 
     def histogram(self, name: str, help: str = "",
-                  labels: Iterable[str] = (), n_bins: int = 32) -> HistogramMetric:
-        return self._declare(HistogramMetric, name, help, labels, n_bins=n_bins)  # type: ignore[return-value]
+                  labels: Iterable[str] = ()) -> HistogramMetric:
+        return self._declare(HistogramMetric, name, help, labels)  # type: ignore[return-value]
 
     # ------------------------------------------------------------- inspect
     def total(self, name: str) -> float:

@@ -14,14 +14,13 @@ hangs them off the event points of a running deployment:
   evaluation emits the deterministic :class:`~repro.obs.slo.Alert`
   stream.
 
-Install with :meth:`PDCSystem.set_monitor`; the default on every system
-is :data:`NOOP_MONITOR`, which — like the no-op tracer — records
-nothing, charges nothing, and costs one attribute read per site, so a
-deployment without a monitor is bit-identical to one built before this
-module existed.  An installed monitor only ever *reads* simulated
-clocks (each hook receives the instant explicitly), so even enabled
-monitoring never changes results, clocks, or engine metrics; tests pin
-both properties.
+Install with :meth:`PDCSystem.set_monitor`; a system without one holds
+``None``, and every hook site tests that before building its arguments,
+so a deployment without a monitor costs one attribute read per site and
+is bit-identical to one built before this module existed.  An installed
+monitor only ever *reads* simulated clocks (each hook receives the
+instant explicitly), so even enabled monitoring never changes results,
+clocks, or engine metrics; tests pin both properties.
 
 The shared deterministic overload scenario that drives it (CLI, micro-suite
 pins, alert-determinism tests) is :func:`repro.scenarios.demo_monitor_run`.
@@ -36,88 +35,14 @@ from .slo import SLO, Alert, SLOMonitor
 from .timeseries import TimeSeriesRecorder, WindowStats
 
 __all__ = [
-    "NoopMonitor",
-    "NOOP_MONITOR",
+    "MONITOR_WINDOW_S",
     "ServiceMonitor",
 ]
 
 
-class NoopMonitor:
-    """Disabled monitor: every hook is a no-op.
-
-    ``enabled`` is False so instrumentation sites skip building hook
-    arguments entirely; safe to share across systems (stateless).
-    """
-
-    enabled = False
-
-    def on_submit(self, t_s: float, tenant: str) -> None:
-        return None
-
-    def on_reject(self, t_s: float, tenant: str, reason: str) -> None:
-        return None
-
-    def on_admit(self, t_s: float, tenant: str, depth: int) -> None:
-        return None
-
-    def on_shed(self, t_s: float, tenant: str, waited_s: float) -> None:
-        return None
-
-    def on_dispatch(
-        self, t_s: float, tenant: str, queue_wait_s: float, depth: int
-    ) -> None:
-        return None
-
-    def on_complete(
-        self,
-        t_s: float,
-        tenant: str,
-        status: str,
-        queue_wait_s: float,
-        service_s: float,
-        degraded: bool = False,
-        timed_out: bool = False,
-    ) -> None:
-        return None
-
-    def on_window(self, t_s: float, width: int, elapsed_s: float) -> None:
-        return None
-
-    def on_region_read(
-        self, server_id: int, reads: Sequence[Tuple[float, float, str]]
-    ) -> None:
-        return None
-
-    def on_ingest_epoch(
-        self,
-        t_s: float,
-        tenant: str,
-        epoch: int,
-        n_ops: int,
-        n_elements: int,
-        lag_s: float,
-        hist_merges: int = 0,
-        hist_rebuilds: int = 0,
-        compactions: int = 0,
-    ) -> None:
-        return None
-
-    def on_compaction(
-        self, t_s: float, object_name: str, region_id: int, delta_elements: int
-    ) -> None:
-        return None
-
-    def on_membership(
-        self, t_s: float, server_id: int, kind: str, n_serving: int
-    ) -> None:
-        return None
-
-    def on_tick(self, t_s: float) -> None:
-        return None
-
-
-#: The process-wide disabled monitor (the default on every PDCSystem).
-NOOP_MONITOR = NoopMonitor()
+#: Width of the monitor's windowed views (status table, tenant windows,
+#: the OpenMetrics ``:window_*`` gauges), in simulated seconds.
+MONITOR_WINDOW_S = 0.05
 
 
 class ServiceMonitor:
@@ -128,27 +53,20 @@ class ServiceMonitor:
     itself — no wall clock, no timers, fully deterministic.
     """
 
-    enabled = True
-
     def __init__(
         self,
         slos: Tuple[SLO, ...] = (),
         recorder: Optional[TimeSeriesRecorder] = None,
         registry=None,
         scrape_interval_s: Optional[float] = None,
-        window_s: float = 0.05,
     ) -> None:
         # ``not 0 < x < inf`` refuses NaN too.
         if scrape_interval_s is not None and not 0.0 < scrape_interval_s < math.inf:
             raise ValueError("scrape_interval_s must be positive and finite (or None)")
-        if not 0.0 < window_s < math.inf:
-            raise ValueError("window_s must be positive and finite")
         self.recorder = recorder if recorder is not None else TimeSeriesRecorder()
         self.slo = SLOMonitor(tuple(slos))
         self.registry = registry
         self.scrape_interval_s = scrape_interval_s
-        #: Default window width for :meth:`tenant_window` / status tables.
-        self.window_s = window_s
         self._next_scrape_s: Optional[float] = None
 
     # ------------------------------------------------------- service hooks
@@ -361,7 +279,7 @@ class ServiceMonitor:
         """Windowed per-tenant view at ``t_end`` (default: latest sample):
         queue wait distribution, completion/shed rates, queue depth."""
         t = self.recorder.t_latest if t_end is None else t_end
-        w = self.window_s if width_s is None else width_s
+        w = MONITOR_WINDOW_S if width_s is None else width_s
         out = {
             "queue_wait": self.recorder.window(
                 "pdc_service_queue_wait_sim_seconds", t, w, tenant=tenant
@@ -382,7 +300,7 @@ class ServiceMonitor:
         """One status table: per-SLO burn rates + per-tenant window stats
         — what ``python -m repro monitor`` prints."""
         t = self.recorder.t_latest if t_end is None else t_end
-        w = self.window_s if width_s is None else width_s
+        w = MONITOR_WINDOW_S if width_s is None else width_s
         lines = [
             f"monitor status @ t={t * 1e3:.3f} simulated ms "
             f"(window {w * 1e3:.1f} ms)"

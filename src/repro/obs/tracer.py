@@ -98,6 +98,8 @@ class NoopTracer:
 
     ``enabled`` is False so hot loops can skip building span attributes
     entirely.  Safe to share across systems and threads (stateless).
+    :meth:`Tracer.open_at` / :meth:`Tracer.close_at` have no no-op twin:
+    their one caller (``PDCServer.touch_share``) tests ``enabled`` first.
     """
 
     enabled = False
@@ -108,13 +110,6 @@ class NoopTracer:
 
     def instant(self, name: str, clock: Optional[SimClock] = None,
                 category: str = "event", **attrs: Any) -> None:
-        return None
-
-    def open_at(self, at: float, name: str, track: str,
-                category: str = "query", **attrs: Any) -> None:
-        return None
-
-    def close_at(self, span: None, at: float) -> None:
         return None
 
 

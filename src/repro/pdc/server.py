@@ -22,7 +22,7 @@ import math
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from ..errors import RegionUnavailableError
-from ..obs.monitor import NOOP_MONITOR
+from ..obs.monitor import ServiceMonitor
 from ..obs.tracer import NOOP_TRACER
 from ..storage.cache import RegionCache
 from ..storage.costmodel import CostModel, SimClock
@@ -44,7 +44,8 @@ class PDCServer:
         server_id: int,
         cost: CostModel,
         memory_limit_bytes: float = 64 * GB,
-        metrics=None,
+        *,
+        metrics,
     ) -> None:
         self.server_id = server_id
         self.cost = cost
@@ -63,9 +64,9 @@ class PDCServer:
         #: Tracer shared with the owning system (swapped by
         #: :meth:`PDCSystem.set_tracer`); the default no-op records nothing.
         self.tracer = NOOP_TRACER
-        #: Monitor shared with the owning system (swapped by
-        #: :meth:`PDCSystem.set_monitor`); the default no-op records nothing.
-        self.monitor = NOOP_MONITOR
+        #: Monitor shared with the owning system (installed by
+        #: :meth:`PDCSystem.set_monitor`); None records nothing.
+        self.monitor: Optional[ServiceMonitor] = None
         #: Fault plan shared with the owning system (installed by
         #: :meth:`PDCSystem.set_fault_plan`); None means no injection and
         #: leaves every charge bit-identical to the pre-fault code path.
@@ -137,7 +138,7 @@ class PDCServer:
         plan, tracer, cache, clock = self.fault_plan, self.tracer, self.cache, self.clock
         traced, lookup, admit, resident = tracer.enabled, cache.lookup, cache.admit, cache.resident
         by_category, drag, track = clock._by_category, clock.drag, clock.name
-        samples: Optional[list] = [] if self.monitor.enabled else None
+        samples: Optional[list] = [] if self.monitor is not None else None
         flags: List[Optional[bool]] = []
         n_hit = n_miss = n_evicted = 0
         dropping = error = opened = None
@@ -259,8 +260,7 @@ class PDCServer:
 
     def _count(self, name: str, help: str, **labels: str) -> None:
         """Add one to a labelled counter of the shared registry."""
-        if self.metrics is not None:
-            self.metrics.counter(name, help, labels=tuple(labels)).labels(**labels).inc()
+        self.metrics.counter(name, help, labels=tuple(labels)).labels(**labels).inc()
 
     def drop_caches(self) -> None:
         """Cold-start this server (ablation: caching on/off)."""

@@ -19,7 +19,7 @@ from ..errors import ObjectNotFoundError, PDCError, QueryError
 from ..histogram.global_hist import HistogramTable
 from ..ingest import maintain as write
 from ..obs.metrics import REGISTRY
-from ..obs.monitor import NOOP_MONITOR
+from ..obs.monitor import ServiceMonitor
 from ..obs.tracer import NOOP_TRACER
 from ..strategies import Strategy, strategy_from_env
 from ..sorting.reorganize import SortedReplica
@@ -197,10 +197,9 @@ class PDCSystem:
         #: unless the caller supplies an isolated registry.
         self.tracer = NOOP_TRACER
         self.metrics = metrics if metrics is not None else REGISTRY
-        #: Continuous-telemetry monitor; the default no-op records nothing
-        #: and costs one attribute read per event point (see
-        #: :meth:`set_monitor`).
-        self.monitor = NOOP_MONITOR
+        #: Continuous-telemetry monitor, None until :meth:`set_monitor`
+        #: installs one; each event point tests it before building a sample.
+        self.monitor: Optional[ServiceMonitor] = None
         self.cost = CostModel(virtual_scale=self.config.virtual_scale)
         self.pfs = ParallelFileSystem(cost=self.cost, metrics=self.metrics)
         self.metadata = MetadataService(self.config.n_servers, self.pfs, self.cost)
@@ -309,7 +308,7 @@ class PDCSystem:
                 labels=("kind",),
             )
         self._cluster_events_metric.labels(kind=kind).inc()
-        if self.monitor.enabled:
+        if self.monitor is not None:
             self.monitor.on_membership(
                 t_s=t, server_id=server_id, kind=kind, n_serving=len(self._serving)
             )
@@ -769,13 +768,13 @@ class PDCSystem:
         for s in self.servers:
             s.tracer = self.tracer
 
-    def set_monitor(self, monitor) -> None:
+    def set_monitor(self, monitor: Optional[ServiceMonitor]) -> None:
         """Install a :class:`repro.obs.monitor.ServiceMonitor` on this
-        system and every server (None restores the zero-cost no-op).
+        system and every server (None removes it).
         Monitor hooks only *read* simulated clocks — the instant is passed
         in by the instrumented site — so enabling monitoring never changes
         query results, costs, or engine metrics."""
-        self.monitor = monitor if monitor is not None else NOOP_MONITOR
+        self.monitor = monitor
         for s in self.servers:
             s.monitor = self.monitor
 

@@ -46,6 +46,9 @@ from .selection import Selection
 
 __all__ = ["QueryScheduler", "SelectionCache", "SelectionCacheStats", "WindowRecord"]
 
+#: LRU bound on a selection cache's entries per object.
+MAX_ENTRIES_PER_OBJECT = 32
+
 #: Hashable form of an interval: (lo, hi, lo_closed, hi_closed).
 _IKey = Tuple[Optional[float], Optional[float], bool, bool]
 
@@ -118,18 +121,12 @@ class SelectionCache:
 
     Only *complete* (non-degraded, non-timed-out) single-object interval
     answers are cached; see :meth:`QueryEngine.execute_batch`.  Per-object
-    entries are LRU-bounded.  Thread-safe: the invalidation hook runs on
-    whichever thread writes to the system, which need not be the
-    scheduler's.
+    entries are LRU-bounded (:data:`MAX_ENTRIES_PER_OBJECT`).  Thread-safe:
+    the invalidation hook runs on whichever thread writes to the system,
+    which need not be the scheduler's.
     """
 
-    def __init__(self, max_entries_per_object: int = 32) -> None:
-        if not is_count(max_entries_per_object):
-            raise ValueError(
-                f"max_entries_per_object must be an integer >= 1, not "
-                f"{max_entries_per_object!r}"
-            )
-        self.max_entries_per_object = max_entries_per_object
+    def __init__(self) -> None:
         self._entries: Dict[str, "OrderedDict[_IKey, _CachedSelection]"] = {}
         self._lock = threading.Lock()
         self.stats = SelectionCacheStats()
@@ -232,7 +229,7 @@ class SelectionCache:
             del per_obj[key]
         per_obj[key] = _CachedSelection(interval, selection.nhits, selection.domain_size)
         self.stats.inserts += 1
-        while len(per_obj) > self.max_entries_per_object:
+        while len(per_obj) > MAX_ENTRIES_PER_OBJECT:
             per_obj.popitem(last=False)
             self.stats.evictions += 1
 
@@ -412,7 +409,7 @@ class QueryScheduler:
             batch.semantic_repaired, batch.total_bytes_read_virtual,
         ))
         monitor = self.system.monitor
-        if monitor.enabled:
+        if monitor is not None:
             t_s = max(c.now for c in self.system.all_clocks())
             monitor.on_window(t_s, len(specs), batch.elapsed_s)
         return batch

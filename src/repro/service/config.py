@@ -7,8 +7,7 @@ when, matters as much as raw scan speed (Nieto-Santisteban et al.,
 astronomy query services).  A :class:`ServiceConfig` names the
 **tenants** of one deployment and the knobs that govern each:
 
-* ``weight`` — the tenant's fair share under the weighted-fair dispatch
-  policy;
+* ``weight`` — the tenant's fair share under weighted-fair dispatch;
 * ``rate_limit_qps`` / ``burst`` — a token bucket on *simulated* time
   that bounds the tenant's sustained admission rate;
 * ``queue_cap`` — bound on queued-but-undispatched requests (overflow is
@@ -19,7 +18,7 @@ astronomy query services).  A :class:`ServiceConfig` names the
   per-query simulated deadline when a request does not carry its own.
 
 Every knob defaults to "off", and :meth:`ServiceConfig.is_passthrough`
-identifies the configurations (one tenant, FIFO, no limits) that are
+identifies the configurations (one tenant, no limits) that are
 guaranteed bit-identical to driving :class:`~repro.query.scheduler.QueryScheduler`
 directly — see docs/service.md.
 """
@@ -33,10 +32,7 @@ from typing import Optional, Tuple
 from ..errors import PDCError
 from ..types import is_count
 
-__all__ = ["Tenant", "ServiceConfig", "POLICY_NAMES", "DEFAULT_TENANT"]
-
-#: Dispatch policies the frontend implements (see policies.py).
-POLICY_NAMES = ("fifo", "wfq")
+__all__ = ["Tenant", "ServiceConfig", "DEFAULT_TENANT"]
 
 
 @dataclass(frozen=True)
@@ -44,7 +40,7 @@ class Tenant:
     """One client population sharing the deployment."""
 
     name: str
-    #: Fair share under the weighted-fair (``wfq``) policy.
+    #: Fair share under weighted-fair dispatch.
     weight: float = 1.0
     #: Sustained admission rate in queries per *simulated* second
     #: (token-bucket refill); None disables rate limiting.
@@ -60,8 +56,8 @@ class Tenant:
     default_timeout_s: Optional[float] = None
     #: Workload class: ``"query"`` tenants submit queries, ``"write"``
     #: tenants submit ingest writes (:meth:`QueryService.submit_write`).
-    #: Both classes compete under the same admission control and dispatch
-    #: policy, so WFQ weights arbitrate reads against ingest.
+    #: Both classes compete under the same admission control and
+    #: weighted-fair dispatch, so the weights arbitrate reads against ingest.
     kind: str = "query"
 
     def __post_init__(self) -> None:
@@ -106,8 +102,8 @@ class ServiceConfig:
     """Configuration of one :class:`~repro.service.frontend.QueryService`."""
 
     tenants: Tuple[Tenant, ...] = (DEFAULT_TENANT,)
-    #: Dispatch policy: "fifo" or "wfq".
-    policy: str = "fifo"
+    #: Dispatch rule; weighted-fair queueing (``"wfq"``) is the only one.
+    policy: str = "wfq"
     #: Maximum queries per dispatched batch window.
     batch_window: int = 8
     #: Give the underlying scheduler a semantic selection cache.  Off by
@@ -127,10 +123,8 @@ class ServiceConfig:
         names = [t.name for t in self.tenants]
         if len(set(names)) != len(names):
             raise PDCError(f"duplicate tenant names: {sorted(names)}")
-        if self.policy not in POLICY_NAMES:
-            raise PDCError(
-                f"unknown dispatch policy {self.policy!r}; valid: {POLICY_NAMES}"
-            )
+        if self.policy != "wfq":
+            raise PDCError(f"unknown dispatch policy {self.policy!r}; valid: 'wfq'")
         if not is_count(self.batch_window):
             raise PDCError(
                 f"batch_window must be an integer >= 1, not {self.batch_window!r}"
@@ -147,10 +141,10 @@ class ServiceConfig:
 
     def is_passthrough(self) -> bool:
         """True when this configuration is covered by the bit-identity
-        guarantee: a single tenant, FIFO dispatch, and every admission /
-        deadline knob off — the service then adds zero simulated cost and
-        produces exactly what :meth:`QueryScheduler.run` would."""
-        if len(self.tenants) != 1 or self.policy != "fifo":
+        guarantee: a single tenant and every admission / deadline knob off
+        — the service then adds zero simulated cost and produces exactly
+        what :meth:`QueryScheduler.run` would."""
+        if len(self.tenants) != 1:
             return False
         t = self.tenants[0]
         return (

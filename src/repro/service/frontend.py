@@ -7,9 +7,9 @@ loop, which every iteration
 
 1. **sheds** queued requests whose queue deadline has passed,
 2. **waits** (advances all simulated clocks) if nothing has arrived yet,
-3. **selects** up to ``batch_window`` requests by the dispatch policy —
-   ranking per-tenant queue *heads* only, so one tenant's requests never
-   reorder among themselves — and
+3. **selects** up to ``batch_window`` requests by weighted-fair queueing
+   — ranking per-tenant queue *heads* only, so one tenant's requests
+   never reorder among themselves — and
 4. **executes** them as one :class:`QueryScheduler` window, so
    cross-tenant batching (one plan book, semantic cache, server region
    caches) works exactly as it does for a single caller.
@@ -22,16 +22,28 @@ wall clock, so identical seeds and configs replay identical decisions.
 **Write tenants.**  A tenant declared with ``kind="write"`` submits
 ingest writes (:meth:`QueryService.submit_write`) instead of queries.
 Writes ride the same admission control, queues, shedding, and dispatch
-policy — under WFQ the tenant weights arbitrate ingest against reads —
-and are applied through a service-owned
-:class:`~repro.ingest.stream.IngestStream` (one flushed epoch per
-write), *before* the same window's queries run.  See docs/ingest.md.
+— the tenant weights arbitrate ingest against reads — and are applied
+through a service-owned :class:`~repro.ingest.stream.IngestStream` (one
+flushed epoch per write), *before* the same window's queries run.  See
+docs/ingest.md.
+
+**Weighted-fair dispatch (WFQ).**  Start-time fair queueing in the style
+of SFQ: at admission a request is stamped with the virtual finish tag
+``max(vtime, tenant's last tag) + 1/weight``; a window takes the queue
+head with the smallest ``(finish tag, queue deadline, seq)`` — so among
+fair-share-equivalent candidates the most urgent deadline goes first —
+and advances ``vtime`` to the dispatched tag.  A tenant of weight *w*
+receives a ~``w``-proportional share of dispatch slots whenever it has
+queued work, and an idle tenant banks no credit (its next tag starts at
+the current virtual time).  Plain arithmetic on stamped tags: identical
+request sequences order identically on every run.
 
 **Passthrough bit-identity.**  Under a passthrough config
-(:meth:`ServiceConfig.is_passthrough`: one tenant, FIFO, no limits) the
-service performs *zero* clock charges and forms exactly the windows
-:meth:`QueryScheduler.run` would, so every simulated result, latency,
-and engine metric is bit-identical to driving the scheduler directly;
+(:meth:`ServiceConfig.is_passthrough`: one tenant, no limits) only one
+queue head is ever ranked, so the service performs *zero* clock charges
+and forms exactly the windows :meth:`QueryScheduler.run` would: every
+simulated result, latency, and engine metric is bit-identical to driving
+the scheduler directly;
 only ``pdc_service_*`` metrics differ.  tests/service/test_frontend.py
 pins this.
 
@@ -59,7 +71,6 @@ from ..query.executor import BatchResult, QueryResult, QuerySpec
 from ..query.scheduler import QueryScheduler
 from .admission import ADMIT, REJECT_QUEUE, REJECT_RATE, AdmissionDecision, TokenBucket
 from .config import ServiceConfig, Tenant
-from .policies import make_policy
 
 __all__ = ["QueryService", "ServiceTicket", "ServiceRequest", "TenantStats"]
 
@@ -86,7 +97,7 @@ class ServiceRequest:
     #: Absolute simulated instant after which the request is shed instead
     #: of dispatched (``arrival + queue_deadline_s``); None = never.
     deadline_s: Optional[float] = None
-    #: WFQ virtual finish tag (stamped by the policy at admission).
+    #: WFQ virtual finish tag (stamped at admission).
     finish_tag: float = 0.0
     #: "queued" | "done" | "failed" | "rejected" | "shed".
     status: str = "queued"
@@ -108,6 +119,13 @@ class ServiceRequest:
 
 #: Public alias: what callers hold while the service works.
 ServiceTicket = ServiceRequest
+
+
+def _wfq_rank(req: ServiceRequest) -> tuple:
+    """Dispatch rank of a queue head: least finish tag, then the most
+    urgent queue deadline (none sorts last), then admission order."""
+    deadline = req.deadline_s if req.deadline_s is not None else math.inf
+    return (req.finish_tag, deadline, req.seq)
 
 
 @dataclass
@@ -167,7 +185,9 @@ class QueryService:
             max_width=self.config.batch_window,
             use_selection_cache=self.config.use_selection_cache,
         )
-        self._policy = make_policy(self.config.policy)
+        #: WFQ virtual time and each tenant's last stamped finish tag.
+        self._vtime = 0.0
+        self._last_finish: Dict[str, float] = {}
         self._queues: Dict[str, Deque[ServiceRequest]] = {
             t.name: deque() for t in self.config.tenants
         }
@@ -332,11 +352,11 @@ class QueryService:
 
         ``offset=None`` appends at the object's tail; an int overwrites
         in place.  The write rides the same admission control, queues,
-        and dispatch policy as queries — under WFQ, the tenant's weight
-        is what arbitrates ingest against reads.  Within a dispatch
-        window, writes apply *before* queries, so a window's queries see
-        its writes (and the scheduler's semantic cache repairs itself
-        through the ordinary invalidation hooks).
+        and dispatch as queries — the tenant's weight is what arbitrates
+        ingest against reads.  Within a dispatch window, writes apply
+        *before* queries, so a window's queries see its writes (and the
+        scheduler's semantic cache repairs itself through the ordinary
+        invalidation hooks).
         """
         if self._closed:
             raise PDCError("service is closed")
@@ -376,7 +396,7 @@ class QueryService:
         st.submitted += 1
         self._m_requests.labels(tenant=ten.name).inc()
         monitor = self.system.monitor
-        if monitor.enabled:
+        if monitor is not None:
             monitor.on_submit(arrival, ten.name)
 
         decision = self._admit(req)
@@ -388,7 +408,7 @@ class QueryService:
             else:
                 st.rejected_queue += 1
             self._m_rejected.labels(tenant=ten.name, reason=decision.reason).inc()
-            if monitor.enabled:
+            if monitor is not None:
                 monitor.on_reject(arrival, ten.name, decision.reason)
             self.system.tracer.instant(
                 f"service.reject:{ten.name}",
@@ -399,12 +419,13 @@ class QueryService:
             )
             return req
 
-        self._policy.on_admit(req)
+        start = max(self._vtime, self._last_finish.get(ten.name, 0.0))
+        req.finish_tag = self._last_finish[ten.name] = start + 1.0 / ten.weight
         self._queues[ten.name].append(req)
         st.admitted += 1
         self._m_admitted.labels(tenant=ten.name).inc()
         self._m_depth.labels(tenant=ten.name).set(len(self._queues[ten.name]))
-        if monitor.enabled:
+        if monitor is not None:
             monitor.on_admit(arrival, ten.name, len(self._queues[ten.name]))
         if self.system.tracer.enabled:
             self.system.tracer.instant(
@@ -444,7 +465,7 @@ class QueryService:
         monitor = self.system.monitor
         while self.queued():
             now = self._now()
-            if monitor.enabled:
+            if monitor is not None:
                 monitor.on_tick(now)
             processed.extend(self._shed_expired(now))
             eligible = self._eligible_heads(now)
@@ -478,7 +499,7 @@ class QueryService:
                     r.queue_wait_s = now - r.arrival_s
                     self.stats[name].shed += 1
                     self._m_shed.labels(tenant=name).inc()
-                    if monitor.enabled:
+                    if monitor is not None:
                         monitor.on_shed(now, name, r.queue_wait_s)
                     self.system.tracer.instant(
                         f"service.shed:{name}",
@@ -505,15 +526,17 @@ class QueryService:
     def _select_window(
         self, heads: List[ServiceRequest], now: float
     ) -> List[ServiceRequest]:
-        """Fill one batch window by repeatedly taking the policy's best
-        eligible queue head.  Re-ranking after every pick lets the next
-        request of the picked tenant compete immediately, which is what
-        makes WFQ interleave within a single window."""
+        """Fill one batch window by repeatedly taking the eligible queue
+        head of least ``(finish tag, queue deadline, seq)``.  Re-ranking
+        after every pick lets the next request of the picked tenant
+        compete immediately, which is what makes WFQ interleave within a
+        single window.  Virtual time tracks the frontier of dispatched
+        service, so a tenant that went idle cannot bank credit."""
         window: List[ServiceRequest] = []
         while len(window) < self.config.batch_window and heads:
-            best = min(heads, key=self._policy.key)
+            best = min(heads, key=_wfq_rank)
             self._queues[best.tenant.name].popleft()
-            self._policy.on_dispatch(best)
+            self._vtime = max(self._vtime, best.finish_tag)
             window.append(best)
             heads = self._eligible_heads(now)
         return window
@@ -535,7 +558,7 @@ class QueryService:
             self._m_dispatched.labels(tenant=name).inc()
             self._m_qwait.labels(tenant=name).observe(r.queue_wait_s)
             self._m_depth.labels(tenant=name).set(len(self._queues[name]))
-            if monitor.enabled:
+            if monitor is not None:
                 monitor.on_dispatch(
                     now, name, r.queue_wait_s, len(self._queues[name])
                 )
@@ -631,7 +654,7 @@ class QueryService:
         monitor = self.system.monitor
         # Completions land at the post-execution simulated frontier (a
         # pure read, like every monitor instant).
-        t_done = self._now() if monitor.enabled else 0.0
+        t_done = self._now() if monitor is not None else 0.0
         for i, r in enumerate(window):
             name = r.tenant.name
             st = self.stats[name]
@@ -641,7 +664,7 @@ class QueryService:
                 r.error = err
                 st.failed += 1
                 self._m_failed.labels(tenant=name).inc()
-                if monitor.enabled:
+                if monitor is not None:
                     monitor.on_complete(
                         t_done, name, "failed", r.queue_wait_s, 0.0
                     )
@@ -659,7 +682,7 @@ class QueryService:
             if result.timed_out:
                 st.timed_out += 1
                 self._m_timeout.labels(tenant=name).inc()
-            if monitor.enabled:
+            if monitor is not None:
                 monitor.on_complete(
                     t_done,
                     name,

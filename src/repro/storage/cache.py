@@ -55,8 +55,9 @@ class RegionCache:
         self,
         capacity_bytes: float,
         virtual_scale: float = 1.0,
-        metrics=None,
-        owner: str = "",
+        *,
+        metrics,
+        owner: str,
     ) -> None:
         if capacity_bytes <= 0:
             raise ValueError("cache capacity must be positive")
@@ -66,30 +67,27 @@ class RegionCache:
         self._entries: "OrderedDict[Hashable, float]" = OrderedDict()
         self._used = 0.0
         self.stats = CacheStats()
-        # Optional MetricsRegistry feed; labeled children are resolved once
-        # here so the per-lookup cost is a single counter increment.
-        self._m_hit = self._m_miss = None
-        self._m_evict = self._m_invalidate = self._m_clear = None
-        if metrics is not None:
-            lookups = metrics.counter(
-                "pdc_cache_lookups_total",
-                "Region-cache lookups by server and result.",
-                labels=("server", "result"),
-            )
-            self._m_hit = lookups.labels(server=owner, result="hit")
-            self._m_miss = lookups.labels(server=owner, result="miss")
-            # Every way an entry leaves the cache feeds the same family so
-            # dashboards can reconcile used_bytes against inserts minus
-            # removals: capacity evictions, explicit invalidations, and
-            # whole-cache clears each get their own reason label.
-            removals = metrics.counter(
-                "pdc_cache_evictions_total",
-                "Region-cache entry removals by server and reason.",
-                labels=("server", "reason"),
-            )
-            self._m_evict = removals.labels(server=owner, reason="capacity")
-            self._m_invalidate = removals.labels(server=owner, reason="invalidate")
-            self._m_clear = removals.labels(server=owner, reason="clear")
+        # The owner's MetricsRegistry feed; labeled children are resolved
+        # once here so the per-lookup cost is a single counter increment.
+        lookups = metrics.counter(
+            "pdc_cache_lookups_total",
+            "Region-cache lookups by server and result.",
+            labels=("server", "result"),
+        )
+        self._m_hit = lookups.labels(server=owner, result="hit")
+        self._m_miss = lookups.labels(server=owner, result="miss")
+        # Every way an entry leaves the cache feeds the same family so
+        # dashboards can reconcile used_bytes against inserts minus
+        # removals: capacity evictions, explicit invalidations, and
+        # whole-cache clears each get their own reason label.
+        removals = metrics.counter(
+            "pdc_cache_evictions_total",
+            "Region-cache entry removals by server and reason.",
+            labels=("server", "reason"),
+        )
+        self._m_evict = removals.labels(server=owner, reason="capacity")
+        self._m_invalidate = removals.labels(server=owner, reason="invalidate")
+        self._m_clear = removals.labels(server=owner, reason="clear")
 
     # ------------------------------------------------------------------- api
     def lookup(self, key: Hashable) -> bool:
@@ -124,11 +122,10 @@ class RegionCache:
         self.stats.hits += hits
         self.stats.misses += misses
         self.stats.evictions += evictions
-        if self._m_hit is not None:
-            self._m_hit.inc(hits)
-            self._m_miss.inc(misses)
-            if evictions:
-                self._m_evict.inc(evictions)
+        self._m_hit.inc(hits)
+        self._m_miss.inc(misses)
+        if evictions:
+            self._m_evict.inc(evictions)
 
     def contains(self, key: Hashable) -> bool:
         """Presence check that does not disturb LRU order or stats."""
@@ -146,8 +143,7 @@ class RegionCache:
             return False
         self._used -= vbytes
         self.stats.invalidations += 1
-        if self._m_invalidate is not None:
-            self._m_invalidate.inc()
+        self._m_invalidate.inc()
         return True
 
     def clear(self) -> None:
@@ -155,7 +151,7 @@ class RegionCache:
         self._entries.clear()
         self._used = 0.0
         self.stats.clears += dropped
-        if dropped and self._m_clear is not None:
+        if dropped:
             self._m_clear.inc(dropped)
 
     # ------------------------------------------------------------ inspection

@@ -89,19 +89,17 @@ class ParallelFileSystem:
     clock when one is supplied.
     """
 
-    def __init__(self, cost: Optional[CostModel] = None, metrics=None) -> None:
+    def __init__(self, cost: Optional[CostModel] = None, *, metrics) -> None:
         self.cost = cost or CostModel()
         self._files: Dict[str, SimFile] = {}
         #: Total (virtual) bytes written since creation.  PDC query reads
         #: are counted where they are charged (``PDCServer.touch_share``).
         self.bytes_written: float = 0.0
-        # Optional MetricsRegistry feed (child resolved once).
-        self._m_bytes_written = None
-        if metrics is not None:
-            self._m_bytes_written = metrics.counter(
-                "pdc_pfs_bytes_written_virtual_total",
-                "Virtual bytes written to the simulated PFS.",
-            )
+        # The deployment's MetricsRegistry feed (child resolved once).
+        self._m_bytes_written = metrics.counter(
+            "pdc_pfs_bytes_written_virtual_total",
+            "Virtual bytes written to the simulated PFS.",
+        )
 
     # -------------------------------------------------------------- namespace
     def exists(self, path: str) -> bool:
@@ -147,8 +145,7 @@ class ParallelFileSystem:
         )
         self._files[path] = f
         self.bytes_written += self.cost.virtual_bytes(f.nbytes)
-        if self._m_bytes_written is not None:
-            self._m_bytes_written.inc(self.cost.virtual_bytes(f.nbytes))
+        self._m_bytes_written.inc(self.cost.virtual_bytes(f.nbytes))
         if clock is not None:
             clock.charge(
                 self.cost.pfs_write_time(f.nbytes, 1, f.stripe_count),

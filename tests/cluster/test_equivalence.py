@@ -111,7 +111,7 @@ class TestInterleavings:
         sysm.set_monitor(monitor)
         svc = QueryService(
             sysm,
-            ServiceConfig(tenants=(Tenant("t"),), policy="fifo", batch_window=2),
+            ServiceConfig(tenants=(Tenant("t"),), batch_window=2),
         )
         rng = np.random.default_rng(seed)
         truth = np.array(sysm.get_object("energy").data)

@@ -41,7 +41,7 @@ class TestBuffering:
         assert len(stream._pending) == 2
         # Nothing applied yet: payload untouched.
         assert np.array_equal(sysm.get_object("obj").data, before)
-        assert stream.epochs == []
+        assert stream.totals()["epochs"] == 0
 
     def test_rejects_bad_payloads(self):
         sysm = loaded()
@@ -132,16 +132,19 @@ class TestEpochs:
         stream = IngestStream(
             sysm, IngestConfig(epoch_interval_s=0.5, maintenance="delta")
         )
+        applied = []
         for i in range(4):
             stream.update(
                 "obj", 32 * i, np.ones(16, dtype=np.float32),
                 t_s=0.6 * i + 0.1,
             )
-            stream.advance_to(0.6 * i + 0.3)
-        stream.flush()
+            applied += stream.advance_to(0.6 * i + 0.3)
+        applied.append(stream.flush())
+        applied = [e for e in applied if e is not None]
         t = stream.totals()
         assert t["ops"] == 4 and t["elements"] == 64
-        assert t["epochs"] == len(stream.epochs)
+        assert t["epochs"] == len(applied)
+        assert t["max_lag_s"] == max(e.lag_s for e in applied)
         assert t["hist_merges"] + t["hist_rebuilds"] >= 4
 
 

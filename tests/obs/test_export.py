@@ -48,13 +48,13 @@ class TestOpenMetrics:
         assert render_openmetrics() == "# EOF"
         rec = TimeSeriesRecorder()
         rec.observe("x", 1.0, 2.0)
-        text = render_openmetrics(recorder=rec, t_end=1.0, window_s=1.0)
-        assert "x:window_rate 1" in text
+        text = render_openmetrics(recorder=rec, t_end=1.0)
+        assert "x:window_rate 20" in text  # one event in the 0.05 s window
 
     def test_label_escaping_in_windowed_series(self):
         rec = TimeSeriesRecorder()
         rec.observe("x", 1.0, 2.0, labels={"q": 'say "hi"\\'})
-        text = render_openmetrics(recorder=rec, t_end=1.0, window_s=1.0)
+        text = render_openmetrics(recorder=rec, t_end=1.0)
         assert r'q="say \"hi\"\\"' in text
 
     def test_deterministic(self, run):
@@ -65,10 +65,6 @@ class TestOpenMetrics:
             t_end=run.t_end,
         )
         assert render_openmetrics(**kwargs) == render_openmetrics(**kwargs)
-
-    def test_bad_window(self):
-        with pytest.raises(ValueError):
-            render_openmetrics(window_s=0.0)
 
 
 class TestAlertJsonl:

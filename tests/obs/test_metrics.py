@@ -6,7 +6,7 @@ import pytest
 
 from repro.histogram.mergeable import MergeableHistogram, round_down_pow2
 from repro.obs import MetricsError, MetricsRegistry
-from repro.obs.metrics import escape_label_value, format_labels
+from repro.obs.metrics import HISTOGRAM_BINS, escape_label_value, format_labels
 from tests.conftest import metric_sample
 
 
@@ -49,8 +49,9 @@ class TestCounter:
         with pytest.raises(MetricsError):
             unlabeled.labels(op="read")
 
-    def test_cardinality_guard(self):
-        reg = MetricsRegistry(max_series_per_metric=8)
+    def test_cardinality_guard(self, monkeypatch):
+        monkeypatch.setattr("repro.obs.metrics.MAX_SERIES_PER_METRIC", 8)
+        reg = MetricsRegistry()
         c = reg.counter("ops_total", labels=("op",))
         for i in range(8):
             c.labels(op=f"op{i}").inc()
@@ -104,8 +105,9 @@ class TestRegistry:
         assert "# TYPE ops_total counter" in text
         assert 'ops_total{op="read"} 2' in text
 
-    def test_collect_histogram_samples(self, reg):
-        h = reg.histogram("lat_seconds", n_bins=8)
+    def test_collect_histogram_samples(self, reg, monkeypatch):
+        monkeypatch.setattr("repro.obs.metrics.HISTOGRAM_BINS", 8)
+        h = reg.histogram("lat_seconds")
         for v in (0.1, 0.2, 0.4):
             h.observe(v)
         samples = {name: value for name, _, labels, value in reg.collect()
@@ -163,11 +165,11 @@ class TestHistogramBucketAlignment:
     def test_buckets_match_mergeable_histogram(self, reg):
         rng = np.random.default_rng(7)
         data = rng.gamma(2.0, 0.7, 2000)
-        h = reg.histogram("d", n_bins=32)
+        h = reg.histogram("d")
         for v in data:
             h.observe(v)
         direct = MergeableHistogram.from_data(
-            data.astype(np.float64), n_bins=32, sample_fraction=1.0
+            data.astype(np.float64), n_bins=HISTOGRAM_BINS, sample_fraction=1.0
         )
         folded = h.histogram
         # Same power-of-two grid...
@@ -176,8 +178,9 @@ class TestHistogramBucketAlignment:
         # ...and identical counts (buffered batches merge exactly).
         np.testing.assert_array_equal(folded.counts, direct.counts)
 
-    def test_bin_width_is_power_of_two(self, reg):
-        h = reg.histogram("d", n_bins=16)
+    def test_bin_width_is_power_of_two(self, reg, monkeypatch):
+        monkeypatch.setattr("repro.obs.metrics.HISTOGRAM_BINS", 16)
+        h = reg.histogram("d")
         for v in np.linspace(0.0, 10.0, 500):
             h.observe(float(v))
         width = h.histogram.bin_width
@@ -189,21 +192,22 @@ class TestHistogramBucketAlignment:
         a_data = rng.normal(5, 2, 1500)
         b_data = rng.normal(5, 2, 1500)
         ra, rb = MetricsRegistry(), MetricsRegistry()
-        ha = ra.histogram("d", n_bins=32)
-        hb = rb.histogram("d", n_bins=32)
+        ha = ra.histogram("d")
+        hb = rb.histogram("d")
         for v in a_data:
             ha.observe(float(v))
         for v in b_data:
             hb.observe(float(v))
         merged = ha.histogram.merge(hb.histogram)
         direct = MergeableHistogram.from_data(
-            np.concatenate([a_data, b_data]), n_bins=32, sample_fraction=1.0
+            np.concatenate([a_data, b_data]), n_bins=HISTOGRAM_BINS, sample_fraction=1.0
         ).coarsened(merged.bin_width)
         assert merged.total == 3000
         assert merged.bin_width == direct.bin_width
 
-    def test_buffer_flush_threshold(self, reg):
-        h = reg.histogram("d", n_bins=8)
+    def test_buffer_flush_threshold(self, reg, monkeypatch):
+        monkeypatch.setattr("repro.obs.metrics.HISTOGRAM_BINS", 8)
+        h = reg.histogram("d")
         for i in range(2000):
             h.observe(float(i % 50))
         assert h.count == 2000

@@ -4,7 +4,7 @@ with pinned fire/clear instants, and behavior under fault injection."""
 import pytest
 
 from repro.faults import FaultConfig, FaultPlan
-from repro.obs.monitor import NOOP_MONITOR, NoopMonitor, ServiceMonitor
+from repro.obs.monitor import ServiceMonitor
 from repro.obs.slo import SLO
 from repro.scenarios import MonitorRun, demo_monitor_run
 
@@ -26,31 +26,14 @@ def run() -> MonitorRun:
     return demo_monitor_run()
 
 
-class TestNoopMonitor:
-    def test_disabled_and_inert(self):
-        assert NOOP_MONITOR.enabled is False
-        assert isinstance(NOOP_MONITOR, NoopMonitor)
-        # Every hook is callable and returns None.
-        NOOP_MONITOR.on_submit(0.0, "a")
-        NOOP_MONITOR.on_reject(0.0, "a", "rate_limited")
-        NOOP_MONITOR.on_admit(0.0, "a", 1)
-        NOOP_MONITOR.on_shed(0.0, "a", 0.1)
-        NOOP_MONITOR.on_dispatch(0.0, "a", 0.1, 0)
-        NOOP_MONITOR.on_complete(0.0, "a", "done", 0.1, 0.2)
-        NOOP_MONITOR.on_window(0.0, 4, 0.1)
-        NOOP_MONITOR.on_region_read(0, [(0.0, 1024.0, "read")])
-        NOOP_MONITOR.on_membership(0.0, 1, "crash", 3)
-        NOOP_MONITOR.on_tick(0.0)
-
-
 class TestWiring:
     def test_set_monitor_installs_and_uninstalls(self, run):
         system = run.system
         assert system.monitor is run.monitor
         assert all(s.monitor is run.monitor for s in system.servers)
         system.set_monitor(None)
-        assert system.monitor is NOOP_MONITOR
-        assert all(s.monitor is NOOP_MONITOR for s in system.servers)
+        assert system.monitor is None
+        assert all(s.monitor is None for s in system.servers)
         system.set_monitor(run.monitor)
 
     def test_service_series_recorded(self, run):
@@ -174,13 +157,13 @@ class TestStatusSurfaces:
     def test_monitor_validation(self):
         with pytest.raises(ValueError):
             ServiceMonitor(scrape_interval_s=0.0)
-        with pytest.raises(ValueError):
-            ServiceMonitor(window_s=-1.0)
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
     def test_non_finite_window_rejected(self, bad):
+        """The window is a constant; a caller's own width still passes the
+        recorder's check."""
         with pytest.raises(ValueError, match="finite"):
-            ServiceMonitor(window_s=bad)
+            ServiceMonitor().tenant_window("t", 1.0, width_s=bad)
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
     def test_non_finite_scrape_interval_rejected(self, bad):

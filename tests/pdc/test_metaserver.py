@@ -5,13 +5,14 @@ import pytest
 from repro.errors import MetadataError, ObjectNotFoundError
 from repro.pdc.metadata import ObjectMeta
 from repro.pdc.metaserver import MetadataService
+from repro.obs.metrics import MetricsRegistry
 from repro.storage.costmodel import CostModel, SimClock
 from repro.storage.file import ParallelFileSystem
 from repro.types import PDCType
 
 
 def make_service(n_shards=4):
-    pfs = ParallelFileSystem(cost=CostModel())
+    pfs = ParallelFileSystem(cost=CostModel(), metrics=MetricsRegistry())
     return MetadataService(n_shards, pfs)
 
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.errors import ObjectNotFoundError, PDCError, QueryError
+from repro.obs.metrics import MetricsRegistry
 from repro.pdc import PDCConfig, PDCSystem
 from repro.pdc.server import PDCServer
 from repro.storage.costmodel import CostModel
@@ -260,7 +261,7 @@ class TestServerAndClocks:
         assert all(c.now == 5.0 for c in sysm.all_clocks())
 
     def test_ensure_region_miss_then_hit(self):
-        server = PDCServer(0, CostModel())
+        server = PDCServer(0, CostModel(), metrics=MetricsRegistry())
         t0 = server.clock.now
         hit = server.ensure_region("k", 1 << 20, 1, 8, 1)
         assert not hit and server.clock.now > t0
@@ -271,7 +272,7 @@ class TestServerAndClocks:
         assert hit and server.clock.now > t1  # get_data hits pay the copy
 
     def test_drop_caches(self):
-        server = PDCServer(0, CostModel())
+        server = PDCServer(0, CostModel(), metrics=MetricsRegistry())
         server.ensure_region("k", 100, 1, 8, 1)
         server.meta_cached.add("o")
         server.drop_caches()

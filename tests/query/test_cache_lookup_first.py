@@ -124,11 +124,12 @@ class TestLookupBeforePlanning:
         for name, iv, serves in probes:
             assert (cache.fetch(sysm, name, iv) is not None) is serves
 
-    def test_an_entry_evicted_in_the_window_executes(self):
+    def test_an_entry_evicted_in_the_window_executes(self, monkeypatch):
         """With room for one entry per object, the miss's insert evicts the
         entry the second query was going to be served from."""
+        monkeypatch.setattr("repro.query.scheduler.MAX_ENTRIES_PER_OBJECT", 1)
         sysm = deployment()
-        sched = QueryScheduler(sysm, selection_cache=SelectionCache(max_entries_per_object=1))
+        sched = QueryScheduler(sysm, selection_cache=SelectionCache())
         first, evicted = auto(cond("energy", "<", 1.0)), auto(cond("energy", ">", 2.0))
         sched.execute_window([evicted])
         batch = sched.execute_window([first, evicted])

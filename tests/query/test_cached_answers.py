@@ -303,12 +303,13 @@ class TestSharedAnswers:
 
 
 class TestNarrowingUsesItsSuperset:
-    def test_a_served_superset_is_not_evicted_by_its_narrowing(self):
+    def test_a_served_superset_is_not_evicted_by_its_narrowing(self, monkeypatch):
         """With room for two entries, holding [0, 50] then [60, 70]: the
         narrowing's own insert evicted [0, 50], the superset it had just
         used, so [1, 2], [3, 4], [5, 6] went narrowed, miss, miss."""
+        monkeypatch.setattr("repro.query.scheduler.MAX_ENTRIES_PER_OBJECT", 2)
         sysm = deployment()
-        cache = SelectionCache(max_entries_per_object=2)
+        cache = SelectionCache()
         for lo, hi in ((0.0, 50.0), (60.0, 70.0)):
             iv = Interval(lo, hi)
             cache.put("p", iv, Selection(live(sysm, "p", iv), N))
@@ -342,9 +343,10 @@ class TestServeSequence:
         "invalidations": 0, "marked_dirty": 8, "repaired": 4,
     }
 
-    def test_kinds_charges_and_counters_repeat(self):
+    def test_kinds_charges_and_counters_repeat(self, monkeypatch):
+        monkeypatch.setattr("repro.query.scheduler.MAX_ENTRIES_PER_OBJECT", 3)
         sysm = deployment()
-        cache = SelectionCache(max_entries_per_object=3)
+        cache = SelectionCache()
         QueryScheduler(sysm, selection_cache=cache)  # hooks the cache to writes
         seq = []
 

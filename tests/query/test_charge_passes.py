@@ -105,7 +105,7 @@ def state(sysm):
         "reads": [
             r for r in sysm.monitor.recorder.to_jsonl_records()
             if r.get("name") == "pdc_server_read_bytes"
-        ] if sysm.monitor.enabled else None,
+        ] if sysm.monitor is not None else None,
     }
 
 
@@ -326,7 +326,7 @@ def reference_loop(server, accesses, on_lost):
             continue
         if flag and on_hit is not None:
             clock.charge(*on_hit)
-        if sampled and server.monitor.enabled:  # one sample at a time
+        if sampled and server.monitor is not None:  # one sample at a time
             server.monitor.recorder.observe(
                 "pdc_server_read_bytes", clock.now, float(nbytes),
                 server=f"server{server.server_id}", result="hit" if flag else "read",
@@ -395,7 +395,7 @@ def server_state(server):
         "spans": events,
         "plan": server.fault_plan and server.fault_plan.snapshot(),
         "retries": server.retries_total,
-        "reads": server.monitor.enabled and server.monitor.recorder.to_jsonl_records(),
+        "reads": server.monitor is not None and server.monitor.recorder.to_jsonl_records(),
     }
 
 

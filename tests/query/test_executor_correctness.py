@@ -588,6 +588,58 @@ class TestPropertyBased:
         assert np.array_equal(res.selection.coords, truth)
 
 
+class TestInt64AtTheFloat64Limit:
+    """19 int64 values around ±2**53, where float64 stops being exact: a
+    bound of magnitude 2**53 - 1 gets NumPy's integer answer from the five
+    strategies and HDF5-F, and one of 2**53 is refused by all six (its
+    float64 image made ``v > 2**53`` miss ``2**53 + 1``)."""
+
+    @pytest.fixture(scope="class", params=[1, -1], ids=["pos", "neg"])
+    def deployment(self, request):
+        from repro.baselines import HDF5FullScanEngine
+
+        sign = request.param
+        data = (sign * (2**53 + np.arange(-9, 10))).astype(np.int64)
+        sysm = make_system(n_servers=2, region_size_bytes=4 * 8)
+        sysm.create_object("v", data)
+        sysm.build_index("v")
+        sysm.build_sorted_replica("v", [])
+        h5 = HDF5FullScanEngine(sysm)
+        h5.preload(["v"])
+        return sign, data, QueryEngine(sysm), h5
+
+    def answers(self, engine, h5, op, bound):
+        from repro.workloads.queries import QuerySpec
+
+        node = Condition("v", op, PDCType.INT64, bound)
+        out = [engine.execute(node, strategy=s, want_selection=True).selection.coords
+               for s in ALL_STRATEGIES]
+        spec = QuerySpec("t", (("v", op.value, bound),))
+        return out + [h5.query(spec, want_selection=True).coords]
+
+    @pytest.mark.parametrize("op", list(QueryOp), ids=lambda op: op.name)
+    def test_last_exact_bound_equals_numpy(self, deployment, op):
+        sign, data, engine, h5 = deployment
+        for bound in (2**53 - 1, -(2**53 - 1)):
+            truth = np.flatnonzero(op.apply(data, bound))
+            answers = self.answers(engine, h5, op, bound)
+            assert len(answers) == 6
+            for got in answers:
+                assert np.array_equal(got, truth), (op, bound)
+
+    @pytest.mark.parametrize("op", list(QueryOp), ids=lambda op: op.name)
+    def test_bound_of_2_53_refused_everywhere(self, deployment, op):
+        from repro.workloads.queries import QuerySpec
+
+        sign, data, engine, h5 = deployment
+        node = Condition("v", op, PDCType.INT64, sign * 2**53)
+        for strategy in ALL_STRATEGIES:
+            with pytest.raises(QueryTypeError, match="2\\*\\*53"):
+                engine.execute(node, strategy=strategy)
+        with pytest.raises(QueryTypeError, match="2\\*\\*53"):
+            h5.query(QuerySpec("t", (("v", op.value, sign * 2**53),)))
+
+
 class TestHDF5BaselineAgreement:
     def test_baseline_matches_truth(self, env):
         from repro.baselines import HDF5FullScanEngine

@@ -101,7 +101,8 @@ def bound(rng, obj, dtype):
 
 
 def interval(rng, obj, dtype):
-    """A typed interval: closed, open or one-sided; None when empty."""
+    """A typed interval: closed, open or one-sided; None when empty or
+    refused (an int64 bound of magnitude 2**53)."""
     lo, hi = sorted((bound(rng, obj, dtype), bound(rng, obj, dtype)))
     side = rng.integers(0, 4)
     lo, hi = (None, hi) if side == 0 else (lo, None) if side == 1 else (lo, hi)
@@ -114,11 +115,13 @@ def interval(rng, obj, dtype):
 
 
 def truth(data, iv, constraint):
+    """NumPy's answer; an integral object's bounds compare as integers."""
+    lo, hi = (b if b is None or data.dtype.kind == "f" else int(b) for b in (iv.lo, iv.hi))
     keep = np.ones(data.size, dtype=bool)
-    if iv.lo is not None:
-        keep &= (data >= iv.lo) if iv.lo_closed else (data > iv.lo)
-    if iv.hi is not None:
-        keep &= (data <= iv.hi) if iv.hi_closed else (data < iv.hi)
+    if lo is not None:
+        keep &= (data >= lo) if iv.lo_closed else (data > lo)
+    if hi is not None:
+        keep &= (data <= hi) if iv.hi_closed else (data < hi)
     coords = np.flatnonzero(keep)
     return coords[(coords >= constraint[0]) & (coords < constraint[1])]
 
@@ -176,8 +179,8 @@ class TestIndexEqualsMask:
         obj, engine = sysm.get_object("v"), QueryEngine(sysm)
         data = obj.data.copy()
         lo, hi = (np.sort(data)[[data.size // 5, 4 * data.size // 5]]).tolist()
-        if np.dtype(dtype).kind in "iu":
-            lo, hi = (int(np.clip(b, -(2**53), 2**53)) for b in (lo, hi))
+        if np.dtype(dtype).kind in "iu":  # the bounds an int64 object accepts
+            lo, hi = (int(np.clip(b, 1 - 2**53, 2**53 - 1)) for b in (lo, hi))
         pdc_type = TYPES[dtype]
         node = combine_and(Condition("v", QueryOp.GTE, pdc_type, lo),
                            Condition("v", QueryOp.LT, pdc_type, hi))

@@ -102,7 +102,6 @@ class TestServiceConfig:
     @pytest.mark.parametrize(
         "cfg",
         [
-            ServiceConfig(policy="wfq"),
             ServiceConfig(tenants=(Tenant("a"), Tenant("b"))),
             ServiceConfig(tenants=(Tenant("a", rate_limit_qps=1.0),)),
             ServiceConfig(tenants=(Tenant("a", queue_cap=4),)),

@@ -252,12 +252,13 @@ class TestFairness:
             heavy_before = pos + 1 - k
             assert heavy_before <= 3 * k, (k, order)
 
-    def test_fifo_would_starve_where_wfq_does_not(self):
+    def test_a_late_light_request_is_not_starved(self):
+        """Eight heavy requests queued before one light one, equal
+        weights: the light request's tag ties the first heavy one's, so
+        it goes second, not last (arrival order would serve it ninth)."""
         sysm = fresh_deployment()
         cfg = ServiceConfig(
-            tenants=(Tenant("heavy"), Tenant("light")),
-            policy="fifo",
-            batch_window=1,
+            tenants=(Tenant("heavy"), Tenant("light")), batch_window=1,
         )
         svc = QueryService(sysm, cfg)
         for q in queries(8):
@@ -265,7 +266,7 @@ class TestFairness:
         svc.submit("light", queries(1)[0])
         order = [r.tenant.name for r in svc.drain()]
         svc.close()
-        assert order == ["heavy"] * 8 + ["light"]
+        assert order == ["heavy", "light"] + ["heavy"] * 7
 
 
 class TestDeterminism:
@@ -365,12 +366,15 @@ class TestRetention:
     #: are tens of KiB here.
     BOUND_PER_WINDOW = 4096
 
-    def service(self, max_entries_per_object):
+    def service(self, monkeypatch, max_entries_per_object):
         """A seeded two-object deployment behind a three-tenant WFQ service
         with the selection cache on, and the burst that drives it: shaped
         like the service benchmark's (windows of eight: a hot repeat, a
         narrowing of it, fresh misses).  ``burst()`` returns its tickets,
         all done."""
+        monkeypatch.setattr(
+            "repro.query.scheduler.MAX_ENTRIES_PER_OBJECT", max_entries_per_object
+        )
         rng = np.random.default_rng(7)
         sysm = make_system(metrics=MetricsRegistry())
         n = 1 << 13
@@ -379,7 +383,6 @@ class TestRetention:
         svc = QueryService(sysm, ServiceConfig(
             tenants=self.TENANTS, policy="wfq", batch_window=8, use_selection_cache=True,
         ))
-        svc.scheduler.selection_cache.max_entries_per_object = max_entries_per_object
 
         def between(name, lo, hi):
             return AndNode((Condition(name, QueryOp.GTE, PDCType.FLOAT, lo),
@@ -403,13 +406,13 @@ class TestRetention:
 
         return svc, burst
 
-    def test_memory_per_window_stays_bounded(self):
+    def test_memory_per_window_stays_bounded(self, monkeypatch):
         """Each burst's tickets dropped after its drain: from N to 4N
         bursts, traced memory minus the selection cache's coordinate bytes
         grows by less than ``BOUND_PER_WINDOW`` per window.  The cache keeps
         four entries per object, so it is full, and turning over, from the
         second burst on."""
-        svc, burst = self.service(max_entries_per_object=4)
+        svc, burst = self.service(monkeypatch, max_entries_per_object=4)
         cache = svc.scheduler.selection_cache
 
         def retained():
@@ -435,12 +438,12 @@ class TestRetention:
         growth = (bytes_4n - bytes_n) / (windows_4n - windows_n)
         assert growth < self.BOUND_PER_WINDOW
 
-    def test_only_answers_served_again_keep_coordinates(self):
+    def test_only_answers_served_again_keep_coordinates(self, monkeypatch):
         """With room for every entry (nothing evicted), the cache holds the
         coordinates of exactly the entries it served as hits: one array per
         entry, however often it was served, and none for an entry that was
         only put or only narrowed from."""
-        svc, burst = self.service(max_entries_per_object=32)
+        svc, burst = self.service(monkeypatch, max_entries_per_object=32)
         cache = svc.scheduler.selection_cache
         served = {}
         for _ in range(4):

@@ -1,109 +1,86 @@
-"""Unit tests for the dispatch policies' ordering semantics."""
+"""Weighted-fair dispatch: the finish tags QueryService stamps at admission
+and the order its windows take queue heads in."""
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.errors import PDCError
-from repro.service import Tenant, make_policy
-from repro.service.frontend import ServiceRequest
+from repro.obs.metrics import MetricsRegistry
+from repro.query.ast import Condition
+from repro.service import QueryService, ServiceConfig, Tenant
+from repro.types import PDCType, QueryOp
+
+from tests.conftest import make_system
 
 
-def req(seq, tenant, deadline_s=None):
-    return ServiceRequest(
-        seq=seq,
-        tenant=tenant,
-        spec=None,  # policies never look at the spec
-        arrival_s=0.0,
-        deadline_s=deadline_s,
-    )
+def service(*tenants):
+    """A one-object deployment behind a service of ``tenants`` that
+    dispatches one request per window, so the drain order is the rank
+    order."""
+    sysm = make_system(metrics=MetricsRegistry())
+    sysm.create_object("energy", np.random.default_rng(1).random(1 << 12).astype(np.float32))
+    return QueryService(sysm, ServiceConfig(tenants=tenants, batch_window=1))
 
 
-def dispatch_order(policy, requests):
-    """Drain a request set the way the frontend does (min key first)."""
-    pending = list(requests)
-    for r in pending:
-        policy.on_admit(r)
-    order = []
-    while pending:
-        best = min(pending, key=policy.key)
-        pending.remove(best)
-        policy.on_dispatch(best)
-        order.append(best.seq)
+def submit(svc, tenant):
+    return svc.submit(tenant, Condition("energy", QueryOp.GT, PDCType.FLOAT, 0.5))
+
+
+def dispatch_order(svc):
+    order = [r.seq for r in svc.drain()]
+    svc.close()
     return order
-
-
-class TestFifo:
-    def test_global_arrival_order(self):
-        a, b = Tenant("a"), Tenant("b")
-        rs = [req(0, a), req(1, b), req(2, a)]
-        assert dispatch_order(make_policy("fifo"), rs) == [0, 1, 2]
 
 
 class TestWfq:
     def test_finish_tags_proportional_to_weight(self):
-        heavy, light = Tenant("h", weight=4.0), Tenant("l", weight=1.0)
-        policy = make_policy("wfq")
-        h = [req(i, heavy) for i in range(4)]
-        li = req(4, light)
-        for r in [*h, li]:
-            policy.on_admit(r)
+        svc = service(Tenant("h", weight=4.0), Tenant("l", weight=1.0))
+        h = [submit(svc, "h") for _ in range(4)]
+        li = submit(svc, "l")
         # Four heavy back-to-back requests finish at 0.25, 0.5, ... while
         # the single light one finishes at 1.0.
         assert [r.finish_tag for r in h] == [0.25, 0.5, 0.75, 1.0]
         assert li.finish_tag == 1.0
+        svc.close()
 
     def test_interleaves_by_weight(self):
-        heavy, light = Tenant("h", weight=3.0), Tenant("l", weight=1.0)
-        rs = [req(i, heavy) for i in range(6)] + [req(6 + i, light) for i in range(2)]
-        order = dispatch_order(make_policy("wfq"), rs)
+        svc = service(Tenant("h", weight=3.0), Tenant("l", weight=1.0))
+        for _ in range(6):
+            submit(svc, "h")
+        for _ in range(2):
+            submit(svc, "l")
+        order = dispatch_order(svc)
         # Light's first dispatch must come after ~weight-share heavy ones,
         # not after all of them.
         assert order.index(6) <= 3
         assert order.index(7) <= 7
 
     def test_idle_tenant_banks_no_credit(self):
-        a, b = Tenant("a"), Tenant("b")
-        policy = make_policy("wfq")
-        # Tenant a works alone for a while; virtual time advances.
-        for i in range(5):
-            r = req(i, a)
-            policy.on_admit(r)
-            policy.on_dispatch(r)
-        late = req(5, b)
-        policy.on_admit(late)
-        # b's first tag starts at current vtime, not at 0: it cannot claim
-        # "missed" slots from the period it had nothing queued.
-        assert late.finish_tag >= policy.vtime
+        svc = service(Tenant("a"), Tenant("b"))
+        # Tenant a works alone for a while; virtual time advances to 5.
+        for _ in range(5):
+            submit(svc, "a")
+        svc.drain()
+        late = submit(svc, "b")
+        # b's first tag starts at the current virtual time, not at 0: it
+        # cannot claim "missed" slots from the period it had nothing queued.
+        assert late.finish_tag == 6.0
+        svc.close()
 
     def test_deadline_breaks_fair_share_ties(self):
-        a, b = Tenant("a"), Tenant("b")
-        policy = make_policy("wfq")
-        r1 = req(0, a, deadline_s=9.0)
-        r2 = req(1, b, deadline_s=1.0)
-        policy.on_admit(r1)
-        policy.on_admit(r2)
+        svc = service(Tenant("a", queue_deadline_s=9.0), Tenant("b", queue_deadline_s=1.0))
+        r1, r2 = submit(svc, "a"), submit(svc, "b")
         assert r1.finish_tag == r2.finish_tag  # equal weights, same vtime
-        assert policy.key(r2) < policy.key(r1)  # urgent deadline first
+        assert dispatch_order(svc) == [r2.seq, r1.seq]  # urgent deadline first
 
     def test_no_deadline_sorts_last_among_equal_tags(self):
-        a, b = Tenant("a"), Tenant("b")
-        policy = make_policy("wfq")
-        r1 = req(0, a)
-        r2 = req(1, b, deadline_s=5.0)
-        policy.on_admit(r1)
-        policy.on_admit(r2)
-        assert policy.key(r2) < policy.key(r1)
+        svc = service(Tenant("a"), Tenant("b", queue_deadline_s=5.0))
+        r1, r2 = submit(svc, "a"), submit(svc, "b")
+        assert dispatch_order(svc) == [r2.seq, r1.seq]
 
 
-def test_make_policy_unknown_name():
-    with pytest.raises(PDCError):
-        make_policy("srpt")
-
-
-def test_make_policy_fresh_state():
-    p1 = make_policy("wfq")
-    r = req(0, Tenant("a"))
-    p1.on_admit(r)
-    p1.on_dispatch(r)
-    assert make_policy("wfq").vtime == 0.0
+def test_unknown_policy_refused():
+    with pytest.raises(PDCError, match="wfq"):
+        ServiceConfig(policy="fifo")

@@ -10,6 +10,11 @@ from repro.storage.cache import RegionCache
 from repro.storage.costmodel import CostModel
 
 
+def cache(capacity, **kwargs):
+    """A bare cache counting into a registry of its own."""
+    return RegionCache(capacity, metrics=MetricsRegistry(), owner="s0", **kwargs)
+
+
 def put(c, key, nbytes):
     """Insert the way ``PDCServer.touch_share`` does: admit, then tally
     the evictions it made."""
@@ -18,7 +23,7 @@ def put(c, key, nbytes):
 
 class TestBasics:
     def test_miss_then_hit(self):
-        c = RegionCache(100)
+        c = cache(100)
         assert not c.lookup("a")
         assert c.admit("a", 10) == 0
         assert c.lookup("a")
@@ -27,7 +32,7 @@ class TestBasics:
         assert c.stats.inserts == 1
 
     def test_lookup_size_only_entry(self):
-        c = RegionCache(100)
+        c = cache(100)
         put(c, "a", nbytes=10)
         assert c.lookup("a")
         assert c.contains("a")
@@ -36,7 +41,7 @@ class TestBasics:
         """A miss whose read fails for good is counted, not inserted, and no
         key after it is looked up; with ``on_lost`` it is flagged None and
         the rest of its region is dropped."""
-        server = PDCServer(0, CostModel())
+        server = PDCServer(0, CostModel(), metrics=MetricsRegistry())
         c = server.cache
         put(c, "a", nbytes=10)
         plan = FaultPlan(0, FaultConfig(pfs_read_error_rate=1.0, max_retries=0))
@@ -81,21 +86,21 @@ class TestBasics:
 
     def test_admit_requires_size(self):
         with pytest.raises(TypeError):
-            RegionCache(100).admit("a")
+            cache(100).admit("a")
 
     def test_bad_capacity(self):
         with pytest.raises(ValueError):
-            RegionCache(0)
+            cache(0)
 
     def test_invalidate(self):
-        c = RegionCache(100)
+        c = cache(100)
         put(c, "a", 10)
         assert c.invalidate("a")
         assert not c.invalidate("a")
         assert not c.contains("a")
 
     def test_clear(self):
-        c = RegionCache(100)
+        c = cache(100)
         put(c, "a", 10)
         put(c, "b", 10)
         c.clear()
@@ -104,7 +109,7 @@ class TestBasics:
 
 class TestEviction:
     def test_lru_eviction_order(self):
-        c = RegionCache(30)
+        c = cache(30)
         put(c, "a", 10)
         put(c, "b", 10)
         put(c, "c", 10)
@@ -115,18 +120,18 @@ class TestEviction:
         assert c.stats.evictions == 1
 
     def test_oversized_entry_not_cached(self):
-        c = RegionCache(10)
+        c = cache(10)
         assert c.admit("big", 20) == 0
         assert len(c) == 0
 
     def test_replace_same_key(self):
-        c = RegionCache(100)
+        c = cache(100)
         put(c, "a", 10)
         put(c, "a", 30)
         assert c.used_bytes == 30 and len(c) == 1
 
     def test_capacity_respected(self):
-        c = RegionCache(50)
+        c = cache(50)
         for i in range(20):
             put(c, f"k{i}", 10)
         assert c.used_bytes <= 50
@@ -139,7 +144,7 @@ class TestRemovalAccounting:
     counted, so dashboards could not reconcile inserts against removals."""
 
     def test_invalidate_counted_in_stats(self):
-        c = RegionCache(100)
+        c = cache(100)
         put(c, "a", 10)
         put(c, "b", 10)
         assert c.invalidate("a")
@@ -149,7 +154,7 @@ class TestRemovalAccounting:
         assert c.stats.invalidations == 1
 
     def test_clear_counts_dropped_entries(self):
-        c = RegionCache(100)
+        c = cache(100)
         for i in range(3):
             put(c, f"k{i}", 10)
         c.clear()
@@ -158,7 +163,7 @@ class TestRemovalAccounting:
         assert c.stats.clears == 3
 
     def test_removal_reasons_reconcile_with_inserts(self):
-        c = RegionCache(30)
+        c = cache(30)
         for i in range(4):
             put(c, f"k{i}", 10)  # 4th insert evicts k0
         c.invalidate("k1")
@@ -189,7 +194,7 @@ class TestVirtualScale:
     def test_virtual_bytes_counted(self):
         # 64 "virtual GB" capacity with scale 1000: a 1 KB real payload
         # occupies 1 MB virtual.
-        c = RegionCache(5_000_000, virtual_scale=1000.0)
+        c = cache(5_000_000, virtual_scale=1000.0)
         put(c, "a", 1000)
         assert c.used_bytes == pytest.approx(1_000_000)
         for i in range(10):
@@ -197,7 +202,7 @@ class TestVirtualScale:
         assert c.used_bytes <= 5_000_000
 
     def test_contains_does_not_touch_stats(self):
-        c = RegionCache(100)
+        c = cache(100)
         put(c, "a", 10)
         h, m = c.stats.hits, c.stats.misses
         c.contains("a")
@@ -205,7 +210,7 @@ class TestVirtualScale:
         assert (c.stats.hits, c.stats.misses) == (h, m)
 
     def test_hit_rate(self):
-        c = RegionCache(100)
+        c = cache(100)
         assert c.stats.hit_rate == 0.0
         put(c, "a", 1)
         c.tally(c.lookup("a"), not c.lookup("b"), 0)

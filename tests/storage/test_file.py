@@ -4,13 +4,14 @@ import numpy as np
 import pytest
 
 from repro.errors import StorageError
+from repro.obs.metrics import MetricsRegistry
 from repro.storage.costmodel import CostModel, SimClock
 from repro.storage.file import ParallelFileSystem, SimFile
 
 
 @pytest.fixture
 def pfs():
-    return ParallelFileSystem(cost=CostModel())
+    return ParallelFileSystem(cost=CostModel(), metrics=MetricsRegistry())
 
 
 @pytest.fixture
