@@ -383,11 +383,11 @@ def handle_replica_staleness(
     its sorted base, and so its cached bytes, never change — and re-sort
     once dirty and appended elements reach ``replica_rebuild_threshold``
     of the base while every covered object has the key's length."""
-    counter = system.metrics.counter(
+    actions = system.metrics.counter(
         "pdc_replica_staleness_total",
         "Sorted-replica staleness actions taken on object writes",
         labels=("action",),
-    )
+    ).handles()
     for key_name in list(system.replicas):
         replica = system.replicas[key_name].replica
         covered = (key_name, *replica.companions)
@@ -407,5 +407,5 @@ def handle_replica_staleness(
             ):
                 system.refresh_sorted_replica(key_name)
                 action = "rebuild"
-        counter.labels(action=action).inc()
+        actions[action].inc()
         stats[f"replica_{action}"] = stats.get(f"replica_{action}", 0) + 1

@@ -1,4 +1,4 @@
-"""Observability: per-query distributed tracing and a process-wide
+"""Observability: per-query distributed tracing and a per-deployment
 metrics registry.
 
 Two complementary views of a running PDC deployment:
@@ -41,7 +41,6 @@ from .export import (
     write_alerts_jsonl,
 )
 from .metrics import (
-    REGISTRY,
     Counter,
     Gauge,
     HistogramMetric,
@@ -88,7 +87,6 @@ __all__ = [
     "HistogramMetric",
     "MetricsError",
     "MetricsRegistry",
-    "REGISTRY",
     "NOOP_TRACER",
     "NoopTracer",
     "Span",

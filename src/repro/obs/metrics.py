@@ -1,4 +1,4 @@
-"""Process-wide metrics: labeled counters, gauges, and power-of-two-bucket
+"""Metrics: labeled counters, gauges, and power-of-two-bucket
 histograms.
 
 The design follows the Prometheus client model — named metric *families*
@@ -9,15 +9,17 @@ observations land on an aligned power-of-two-width grid, so histograms of
 the same metric from different processes/servers merge exactly, the same
 property the paper exploits for per-region histograms.
 
-A module-level default registry (:data:`REGISTRY`) is what the library
-instruments against; tests and benchmarks that need isolation construct
-their own :class:`MetricsRegistry` and hand it to ``PDCSystem``.
+Each ``PDCSystem`` counts into its own :class:`MetricsRegistry` (one it
+is handed, or a fresh one), so two deployments in one process never mix
+their counters.  A site on the request path resolves its labelled child
+once, on first use (:meth:`_Metric.handles`), and after that pays one dict
+lookup plus the increment.
 """
 
 from __future__ import annotations
 
 import threading
-from typing import Dict, Iterable, Iterator, List, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -27,7 +29,7 @@ __all__ = [
     "Gauge",
     "HistogramMetric",
     "MetricsRegistry",
-    "REGISTRY",
+    "Handles",
     "escape_label_value",
     "format_labels",
 ]
@@ -68,6 +70,30 @@ def format_labels(labels: Dict[str, str]) -> str:
     return "{" + rendered + "}"
 
 
+class Handles(dict):
+    """``key -> handle``, each made by ``make(key)`` on the key's first
+    lookup and a plain dict hit after it: what a hot-path site holds so
+    that it declares its metric child or time series once, on first use,
+    never eagerly."""
+
+    def __init__(self, make) -> None:
+        super().__init__()
+        self.make = make
+
+    def __missing__(self, key):
+        handle = self[key] = self.make(key)
+        return handle
+
+
+def label_handles(resolve, names: Tuple[str, ...]) -> Handles:
+    """:class:`Handles` over ``resolve(labels dict)``, keyed by the value
+    of a one-label schema or by the tuple of values of any other."""
+    if len(names) == 1:
+        (label,) = names
+        return Handles(lambda value: resolve({label: value}))
+    return Handles(lambda values: resolve(dict(zip(names, values))))
+
+
 class _Metric:
     """Common family/child mechanics for all metric kinds.
 
@@ -84,18 +110,23 @@ class _Metric:
         self.help = help
         self.label_names = tuple(label_names)
         self._children: Dict[Tuple[str, ...], "_Metric"] = {}
+        self._handles: Optional[Handles] = None
         self._lock = threading.Lock()
 
     def labels(self, **labels: object) -> "_Metric":
         """The child for one label assignment (created on first use)."""
-        if not self.label_names:
-            raise MetricsError(f"metric {self.name!r} takes no labels")
-        if set(labels) != set(self.label_names):
+        names = self.label_names
+        try:  # the keyword names are distinct: same count + all found = same set
+            key = tuple([str(labels[n]) for n in names]) if len(labels) == len(names) else None
+        except KeyError:
+            key = None
+        if not key:
+            if not names:
+                raise MetricsError(f"metric {self.name!r} takes no labels")
             raise MetricsError(
-                f"metric {self.name!r} needs labels {self.label_names}, "
+                f"metric {self.name!r} needs labels {names}, "
                 f"got {tuple(sorted(labels))}"
             )
-        key = tuple(str(labels[n]) for n in self.label_names)
         child = self._children.get(key)
         if child is None:
             with self._lock:
@@ -109,6 +140,16 @@ class _Metric:
                     child = type(self)(self.name, self.help)
                     self._children[key] = child
         return child
+
+    def handles(self) -> Handles:
+        """This family's children as :class:`Handles` (one per family):
+        ``handles()[value]`` (one label) or ``handles()[(v1, v2)]`` is
+        :meth:`labels` resolved once per assignment."""
+        if self._handles is None:
+            self._handles = label_handles(
+                lambda labels: self.labels(**labels), self.label_names
+            )
+        return self._handles
 
     def _series(self) -> Iterator[Tuple[Dict[str, str], "_Metric"]]:
         """(labels dict, child) pairs — the family itself when unlabeled."""
@@ -136,8 +177,8 @@ class Counter(_Metric):
         self._value = 0.0
 
     def inc(self, amount: float = 1.0) -> None:
-        self._check_unlabeled()
-        if amount < 0:
+        if self.label_names or amount < 0:
+            self._check_unlabeled()
             raise MetricsError(f"counter {self.name!r} cannot decrease")
         self._value += amount
 
@@ -157,7 +198,8 @@ class Gauge(_Metric):
         self._value = 0.0
 
     def set(self, value: float) -> None:
-        self._check_unlabeled()
+        if self.label_names:
+            self._check_unlabeled()
         self._value = float(value)
 
 
@@ -181,7 +223,8 @@ class HistogramMetric(_Metric):
         self._hist = None  # lazily a MergeableHistogram
 
     def observe(self, value: float) -> None:
-        self._check_unlabeled()
+        if self.label_names:
+            self._check_unlabeled()
         self._count += 1
         self._sum += value
         self._pending.append(float(value))
@@ -339,6 +382,3 @@ class MetricsRegistry:
             lines.append(f"{name}{format_labels(labels)} {value:g}")
         return "\n".join(lines)
 
-
-#: The process-wide default registry the library instruments against.
-REGISTRY = MetricsRegistry()

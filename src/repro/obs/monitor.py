@@ -31,6 +31,7 @@ from __future__ import annotations
 import math
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from .metrics import Handles
 from .slo import SLO, Alert, SLOMonitor
 from .timeseries import TimeSeriesRecorder, WindowStats
 
@@ -68,6 +69,19 @@ class ServiceMonitor:
         self.registry = registry
         self.scrape_interval_s = scrape_interval_s
         self._next_scrape_s: Optional[float] = None
+        # Each hook's series, declared on its first sample and looked up
+        # after that (the recorder is fixed for the monitor's life).
+        rec = self.recorder
+        self._outcomes = rec.handles("pdc_service_outcomes", "event", "tenant", "outcome")
+        self._queue_wait = rec.handles("pdc_service_queue_wait_sim_seconds", "event", "tenant")
+        self._queue_depth = rec.handles("pdc_service_queue_depth", "gauge", "tenant")
+        self._service = rec.handles("pdc_service_service_sim_seconds", "event", "tenant")
+        self._ingest = Handles(lambda key: rec.declare(key[0], "event", tenant=key[1]))
+        self._maintenance = rec.handles("pdc_ingest_maintenance", "event", "tenant", "action")
+        self._windows = Handles(lambda name: rec.declare(name, "event"))
+        self._reads = Handles(lambda key: rec.declare(
+            "pdc_server_read_bytes", "event", server=f"server{key[0]}", result=key[1]
+        ))
 
     # ------------------------------------------------------- service hooks
     #
@@ -78,37 +92,23 @@ class ServiceMonitor:
     # nondecreasing across submit calls), never the drain-side series or
     # the scrape cadence — per-series sample order stays monotonic.
     def on_submit(self, t_s: float, tenant: str) -> None:
-        self.recorder.observe(
-            "pdc_service_outcomes", t_s, 1.0, tenant=tenant, outcome="submitted"
-        )
+        self._outcomes[tenant, "submitted"].append(t_s, 1.0)
 
     def on_reject(self, t_s: float, tenant: str, reason: str) -> None:
-        self.recorder.observe(
-            "pdc_service_outcomes", t_s, 1.0, tenant=tenant, outcome="rejected"
-        )
+        self._outcomes[tenant, "rejected"].append(t_s, 1.0)
 
     def on_admit(self, t_s: float, tenant: str, depth: int) -> None:
-        self.recorder.observe(
-            "pdc_service_outcomes", t_s, 1.0, tenant=tenant, outcome="admitted"
-        )
+        self._outcomes[tenant, "admitted"].append(t_s, 1.0)
 
     def on_shed(self, t_s: float, tenant: str, waited_s: float) -> None:
-        self.recorder.observe(
-            "pdc_service_outcomes", t_s, 1.0, tenant=tenant, outcome="shed"
-        )
+        self._outcomes[tenant, "shed"].append(t_s, 1.0)
         self.slo.observe(t_s, tenant, "shed", queue_wait_s=waited_s)
 
     def on_dispatch(
         self, t_s: float, tenant: str, queue_wait_s: float, depth: int
     ) -> None:
-        self.recorder.observe(
-            "pdc_service_queue_wait_sim_seconds", t_s, queue_wait_s,
-            tenant=tenant,
-        )
-        self.recorder.record(
-            "pdc_service_queue_depth", t_s, float(depth), kind="gauge",
-            tenant=tenant,
-        )
+        self._queue_wait[tenant].append(t_s, queue_wait_s)
+        self._queue_depth[tenant].append(t_s, float(depth))
 
     def on_complete(
         self,
@@ -120,32 +120,22 @@ class ServiceMonitor:
         degraded: bool = False,
         timed_out: bool = False,
     ) -> None:
-        self.recorder.observe(
-            "pdc_service_outcomes", t_s, 1.0, tenant=tenant, outcome=status
-        )
+        outcomes = self._outcomes
+        outcomes[tenant, status].append(t_s, 1.0)
         if status == "done":
-            self.recorder.observe(
-                "pdc_service_service_sim_seconds", t_s, service_s,
-                tenant=tenant,
-            )
+            self._service[tenant].append(t_s, service_s)
         if degraded:
-            self.recorder.observe(
-                "pdc_service_outcomes", t_s, 1.0, tenant=tenant,
-                outcome="degraded",
-            )
+            outcomes[tenant, "degraded"].append(t_s, 1.0)
         if timed_out:
-            self.recorder.observe(
-                "pdc_service_outcomes", t_s, 1.0, tenant=tenant,
-                outcome="timeout",
-            )
+            outcomes[tenant, "timeout"].append(t_s, 1.0)
         self.slo.observe(
             t_s, tenant, status, queue_wait_s=queue_wait_s, timed_out=timed_out
         )
 
     # ----------------------------------------------------- scheduler hooks
     def on_window(self, t_s: float, width: int, elapsed_s: float) -> None:
-        self.recorder.observe("pdc_window_width", t_s, float(width))
-        self.recorder.observe("pdc_window_sim_seconds", t_s, elapsed_s)
+        self._windows["pdc_window_width"].append(t_s, float(width))
+        self._windows["pdc_window_sim_seconds"].append(t_s, elapsed_s)
         self._maybe_scrape(t_s)
 
     # -------------------------------------------------------- server hooks
@@ -158,13 +148,13 @@ class ServiceMonitor:
         warm-cache accesses (served from memory, no PFS read); "read"
         samples actually paid storage time.  Both matter for the
         utilization view."""
-        for result in ("read", "hit"):
-            points = [(t_s, nbytes) for t_s, nbytes, r in reads if r == result]
+        points = [(t_s, nbytes) for t_s, nbytes, r in reads if r == "read"]
+        if points:
+            self._reads[server_id, "read"].extend(points)
+        if len(points) < len(reads):  # warm hits are the rare case
+            points = [(t_s, nbytes) for t_s, nbytes, r in reads if r == "hit"]
             if points:
-                self.recorder.declare(
-                    "pdc_server_read_bytes", "event",
-                    server=f"server{server_id}", result=result,
-                ).extend(points)
+                self._reads[server_id, "hit"].extend(points)
 
     # -------------------------------------------------------- ingest hooks
     def on_ingest_epoch(
@@ -182,30 +172,16 @@ class ServiceMonitor:
         """One applied ingest epoch: rate series plus the ingest-lag SLI
         (an epoch whose apply lag exceeds the SLO threshold is a bad
         event)."""
-        self.recorder.observe(
-            "pdc_ingest_ops", t_s, float(n_ops), tenant=tenant
-        )
-        self.recorder.observe(
-            "pdc_ingest_elements", t_s, float(n_elements), tenant=tenant
-        )
-        self.recorder.observe(
-            "pdc_ingest_lag_sim_seconds", t_s, float(lag_s), tenant=tenant
-        )
+        ingest, maintenance = self._ingest, self._maintenance
+        ingest["pdc_ingest_ops", tenant].append(t_s, float(n_ops))
+        ingest["pdc_ingest_elements", tenant].append(t_s, float(n_elements))
+        ingest["pdc_ingest_lag_sim_seconds", tenant].append(t_s, float(lag_s))
         if hist_merges:
-            self.recorder.observe(
-                "pdc_ingest_maintenance", t_s, float(hist_merges),
-                tenant=tenant, action="merge",
-            )
+            maintenance[tenant, "merge"].append(t_s, float(hist_merges))
         if hist_rebuilds:
-            self.recorder.observe(
-                "pdc_ingest_maintenance", t_s, float(hist_rebuilds),
-                tenant=tenant, action="rebuild",
-            )
+            maintenance[tenant, "rebuild"].append(t_s, float(hist_rebuilds))
         if compactions:
-            self.recorder.observe(
-                "pdc_ingest_maintenance", t_s, float(compactions),
-                tenant=tenant, action="compact",
-            )
+            maintenance[tenant, "compact"].append(t_s, float(compactions))
         self.slo.observe(t_s, tenant, "ingest_epoch", queue_wait_s=lag_s)
         self._maybe_scrape(t_s)
 

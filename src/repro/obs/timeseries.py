@@ -40,6 +40,8 @@ from typing import Deque, Dict, Iterable, Iterator, List, NamedTuple, Optional, 
 
 import numpy as np
 
+from .metrics import Handles, label_handles
+
 __all__ = [
     "SERIES_KINDS",
     "Sample",
@@ -299,6 +301,14 @@ class TimeSeriesRecorder:
                 f"series {name!r} is {series.kind!r}, not {kind!r}"
             )
         return series
+
+    def handles(self, name: str, kind: str, *label_names: str) -> Handles:
+        """:meth:`declare` resolved once per label assignment: keyed by
+        the value of one label name, or by the tuple of values of several
+        (``()`` for none) — what a hot-path hook holds."""
+        return label_handles(
+            lambda labels: self.declare(name, kind, labels), label_names
+        )
 
     def observe(self, name: str, t_s: float, value: float, **labels: object) -> None:
         """Record one occurrence (``event`` kind)."""

@@ -8,12 +8,10 @@ structured snapshot (:func:`snapshot`) and a rendered text report
 
 Counters come from two places.  Per-server exact numbers (cache hits,
 clock breakdowns) are read off the server instances themselves; the
-process-wide :class:`~repro.obs.metrics.MetricsRegistry` totals the
-system feeds (queries, planner decisions, PFS writes, cache lookups) are
-surfaced in :attr:`SystemSnapshot.metrics`.  Note the registry defaults
-to the shared process-wide one, so its totals span every system feeding
-it — pass an isolated registry to :class:`PDCSystem` for per-deployment
-numbers.
+totals the system feeds into its :class:`~repro.obs.metrics.MetricsRegistry`
+(queries, planner decisions, PFS writes, cache lookups) are surfaced in
+:attr:`SystemSnapshot.metrics`.  Each system counts into its own registry
+unless it was handed a shared one.
 """
 
 from __future__ import annotations

@@ -18,7 +18,7 @@ from ..bitmap.index import ObjectIndex
 from ..errors import ObjectNotFoundError, PDCError, QueryError
 from ..histogram.global_hist import HistogramTable
 from ..ingest import maintain as write
-from ..obs.metrics import REGISTRY
+from ..obs.metrics import Handles, MetricsRegistry
 from ..obs.monitor import ServiceMonitor
 from ..obs.tracer import NOOP_TRACER
 from ..strategies import Strategy, strategy_from_env
@@ -192,11 +192,16 @@ class PDCSystem:
     def __init__(self, config: Optional[PDCConfig] = None, metrics=None) -> None:
         self.config = config or PDCConfig()
         #: Observability hooks.  The tracer starts as the zero-cost no-op
-        #: (swap in a real one with :meth:`set_tracer`); metrics default to
-        #: the process-wide registry so counters accumulate across systems
-        #: unless the caller supplies an isolated registry.
+        #: (swap in a real one with :meth:`set_tracer`); metrics count into
+        #: the registry the caller hands in, else into the deployment's own.
         self.tracer = NOOP_TRACER
-        self.metrics = metrics if metrics is not None else REGISTRY
+        self.metrics = metrics if metrics is not None else MetricsRegistry()
+        #: ``strategy name -> pdc_plans_total child``: the AUTO planner's
+        #: decision counter, declared on the first decision.
+        self.plan_decisions = Handles(lambda name: self.metrics.counter(
+            "pdc_plans_total", "AUTO planner decisions, by chosen strategy.",
+            labels=("strategy",),
+        ).labels(strategy=name))
         #: Continuous-telemetry monitor, None until :meth:`set_monitor`
         #: installs one; each event point tests it before building a sample.
         self.monitor: Optional[ServiceMonitor] = None

@@ -39,6 +39,7 @@ from ..errors import (
     QueryTimeoutError,
 )
 from ..interval import Interval
+from ..obs.metrics import Handles
 from ..obs.tracer import Span
 from ..pdc.placement import assign_region_ids
 from ..pdc.region import region_key
@@ -72,6 +73,32 @@ _REGION_META_BYTES = 96
 _PROBE_BYTES = 4096
 #: Gap threshold (elements) for read aggregation in get_data (§III-E).
 _AGGREGATION_GAP_ELEMENTS = 256
+#: The registry metrics the engine feeds per query and per batch: name ->
+#: (kind, help, label names).  Each is declared on its first use.
+_ENGINE_METRICS = {
+    "pdc_queries_total": ("counter", "Queries executed, by strategy.", ("strategy",)),
+    "pdc_query_sim_seconds": (
+        "histogram", "End-to-end simulated query latency (seconds).", ()),
+    "pdc_query_regions_read_total": (
+        "counter", "Data regions read from storage during query evaluation.", ()),
+    "pdc_query_regions_pruned_total": (
+        "counter", "Regions eliminated by histogram min/max pruning.", ()),
+    "pdc_query_regions_cached_total": (
+        "counter", "Regions served from server caches during query evaluation.", ()),
+    "pdc_query_index_reads_total": ("counter", "Region index probes issued (PDC-HI).", ()),
+    "pdc_query_bytes_read_virtual_total": (
+        "counter", "Virtual bytes read from storage by queries.", ()),
+    "pdc_query_retries_total": (
+        "counter", "Storage-read retries performed during query evaluation.", ()),
+    "pdc_query_degraded_total": (
+        "counter", "Queries that returned a degraded (partial) result.", ()),
+    "pdc_query_timeouts_total": (
+        "counter", "Queries cut off by their simulated-time budget.", ()),
+    "pdc_batches_total": ("counter", "Query batch windows executed.", ()),
+    "pdc_batch_width": ("histogram", "Queries admitted per batch window.", ()),
+    "pdc_semantic_cache_lookups_total": (
+        "counter", "Semantic selection-cache lookups by result.", ("result",)),
+}
 
 
 def _interleave(selector: List[bool], index_file: list, data: list) -> list:
@@ -281,6 +308,14 @@ class QueryEngine:
         self.enable_pruning = enable_pruning
         #: Simulated-time deadline of the query in flight (None = no limit).
         self._deadline: Optional[float] = None
+        #: ``_ENGINE_METRICS`` name -> the metric, or a labelled family's
+        #: :meth:`~repro.obs.metrics._Metric.handles`, declared on first use.
+        self._metric = Handles(self._declare_metric)
+
+    def _declare_metric(self, name: str):
+        kind, help, labels = _ENGINE_METRICS[name]
+        metric = getattr(self.system.metrics, kind)(name, help, labels)
+        return metric.handles() if labels else metric
 
     def _check_deadline(self) -> None:
         """Raise :class:`QueryTimeoutError` once simulated time passes the
@@ -608,22 +643,14 @@ class QueryEngine:
 
     def _record_batch_metrics(self, batch: BatchResult) -> None:
         """Fold one batch's window accounting into the registry."""
-        m = self.system.metrics
-        m.counter(
-            "pdc_batches_total", "Query batch windows executed."
-        ).inc()
-        m.histogram(
-            "pdc_batch_width", "Queries admitted per batch window."
-        ).observe(batch.width)
-        lookups = m.counter(
-            "pdc_semantic_cache_lookups_total",
-            "Semantic selection-cache lookups by result.",
-            labels=("result",),
-        )
+        metric = self._metric
+        metric["pdc_batches_total"].inc()
+        metric["pdc_batch_width"].observe(batch.width)
+        lookups = metric["pdc_semantic_cache_lookups_total"]
         for result, n in (("hit", batch.semantic_hits), ("narrowed", batch.semantic_narrowed),
                           ("repaired", batch.semantic_repaired), ("miss", batch.semantic_misses)):
             if n:
-                lookups.labels(result=result).inc(n)
+                lookups[result].inc(n)
 
     def get_data(
         self,
@@ -1033,36 +1060,21 @@ class QueryEngine:
     # ---------------------------------------------------------- observability
     def _record_query_metrics(self, stats: QueryResult) -> None:
         """Fold one query's outcome into the system's metrics registry."""
-        m = self.system.metrics
-        m.counter(
-            "pdc_queries_total", "Queries executed, by strategy.",
-            labels=("strategy",),
-        ).labels(strategy=stats.strategy.name).inc()
-        m.histogram(
-            "pdc_query_sim_seconds",
-            "End-to-end simulated query latency (seconds).",
-        ).observe(stats.elapsed_s)
-        for name, help, n, always in (
-            ("pdc_query_regions_read_total",
-             "Data regions read from storage during query evaluation.", stats.regions_read, True),
-            ("pdc_query_regions_pruned_total",
-             "Regions eliminated by histogram min/max pruning.", stats.regions_pruned, True),
-            ("pdc_query_regions_cached_total",
-             "Regions served from server caches during query evaluation.",
-             stats.regions_cached, True),
-            ("pdc_query_index_reads_total",
-             "Region index probes issued (PDC-HI).", stats.index_reads, True),
-            ("pdc_query_bytes_read_virtual_total",
-             "Virtual bytes read from storage by queries.", stats.bytes_read_virtual, True),
-            ("pdc_query_retries_total",
-             "Storage-read retries performed during query evaluation.", stats.retries, False),
-            ("pdc_query_degraded_total",
-             "Queries that returned a degraded (partial) result.", int(not stats.complete), False),
-            ("pdc_query_timeouts_total",
-             "Queries cut off by their simulated-time budget.", int(stats.timed_out), False),
+        metric = self._metric
+        metric["pdc_queries_total"][stats.strategy.name].inc()
+        metric["pdc_query_sim_seconds"].observe(stats.elapsed_s)
+        for name, n, always in (
+            ("pdc_query_regions_read_total", stats.regions_read, True),
+            ("pdc_query_regions_pruned_total", stats.regions_pruned, True),
+            ("pdc_query_regions_cached_total", stats.regions_cached, True),
+            ("pdc_query_index_reads_total", stats.index_reads, True),
+            ("pdc_query_bytes_read_virtual_total", stats.bytes_read_virtual, True),
+            ("pdc_query_retries_total", stats.retries, False),
+            ("pdc_query_degraded_total", int(not stats.complete), False),
+            ("pdc_query_timeouts_total", int(stats.timed_out), False),
         ):
             if always or n:
-                m.counter(name, help).inc(n)
+                metric[name].inc(n)
 
     # ---------------------------------------------------------- cost helpers
     def _ensure_metadata(self, names: Sequence[str]) -> None:

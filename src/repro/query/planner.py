@@ -554,10 +554,7 @@ def choose_strategy(
     candidates.sort(key=lambda p: p.est_seconds)
     winner = candidates[0].strategy
     if record:
-        system.metrics.counter(
-            "pdc_plans_total", "AUTO planner decisions, by chosen strategy.",
-            labels=("strategy",),
-        ).labels(strategy=winner.name).inc()
+        system.plan_decisions[winner.name].inc()
         if system.tracer.enabled:
             system.tracer.instant(
                 "plan_decision", system.client_clock,

@@ -24,7 +24,6 @@ from typing import Callable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .obs.metrics import MetricsRegistry
 from .obs.monitor import ServiceMonitor
 from .obs.slo import SLO, Alert
 from .pdc import PDCConfig, PDCSystem
@@ -51,7 +50,7 @@ def demo_deployment(metrics=None):
     rng = np.random.default_rng(0)
     system = PDCSystem(
         PDCConfig(n_servers=4, region_size_bytes=1 << 13),
-        metrics=metrics if metrics is not None else MetricsRegistry(),
+        metrics=metrics,
     )
     n = 1 << 14
     e = rng.gamma(2.0, 0.7, n).astype(np.float32)

@@ -141,14 +141,16 @@ class ServiceConfig:
 
     def is_passthrough(self) -> bool:
         """True when this configuration is covered by the bit-identity
-        guarantee: a single tenant and every admission / deadline knob off
-        — the service then adds zero simulated cost and produces exactly
-        what :meth:`QueryScheduler.run` would."""
+        guarantee: a single query tenant and every admission / deadline
+        knob off — the service then adds zero simulated cost and produces
+        exactly what :meth:`QueryScheduler.run` would.  A write tenant's
+        writes are ingest epochs that charge the clocks, so it never is."""
         if len(self.tenants) != 1:
             return False
         t = self.tenants[0]
         return (
-            t.rate_limit_qps is None
+            t.kind == "query"
+            and t.rate_limit_qps is None
             and t.queue_cap is None
             and t.queue_deadline_s is None
             and t.default_timeout_s is None

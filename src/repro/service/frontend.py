@@ -39,7 +39,7 @@ the current virtual time).  Plain arithmetic on stamped tags: identical
 request sequences order identically on every run.
 
 **Passthrough bit-identity.**  Under a passthrough config
-(:meth:`ServiceConfig.is_passthrough`: one tenant, no limits) only one
+(:meth:`ServiceConfig.is_passthrough`: one query tenant, no limits) only one
 queue head is ever ranked, so the service performs *zero* clock charges
 and forms exactly the windows :meth:`QueryScheduler.run` would: every
 simulated result, latency, and engine metric is bit-identical to driving
@@ -220,45 +220,48 @@ class QueryService:
 
     # --------------------------------------------------------------- metrics
     def _declare_metrics(self) -> None:
+        """Declare the ``pdc_service_*`` families; each labelled one is
+        held as its :meth:`~repro.obs.metrics._Metric.handles`, so a tenant's
+        child is created on its first event and looked up after that."""
         m = self.system.metrics
         self._m_requests = m.counter(
             "pdc_service_requests_total", "Requests submitted", ("tenant",)
-        )
+        ).handles()
         self._m_admitted = m.counter(
             "pdc_service_admitted_total", "Requests admitted to a queue", ("tenant",)
-        )
+        ).handles()
         self._m_rejected = m.counter(
             "pdc_service_rejected_total",
             "Requests rejected at admission",
             ("tenant", "reason"),
-        )
+        ).handles()
         self._m_shed = m.counter(
             "pdc_service_shed_total",
             "Queued requests shed past their queue deadline",
             ("tenant",),
-        )
+        ).handles()
         self._m_dispatched = m.counter(
             "pdc_service_dispatched_total",
             "Requests dispatched into batch windows",
             ("tenant",),
-        )
+        ).handles()
         self._m_done = m.counter(
             "pdc_service_completed_total", "Requests completed", ("tenant",)
-        )
+        ).handles()
         self._m_failed = m.counter(
             "pdc_service_failed_total", "Requests that raised per-query errors",
             ("tenant",),
-        )
+        ).handles()
         self._m_degraded = m.counter(
             "pdc_service_degraded_total",
             "Completed requests with degraded (incomplete) results",
             ("tenant",),
-        )
+        ).handles()
         self._m_timeout = m.counter(
             "pdc_service_timeout_total",
             "Completed requests that hit their simulated execution deadline",
             ("tenant",),
-        )
+        ).handles()
         self._m_windows = m.counter(
             "pdc_service_windows_total", "Dispatch windows executed"
         )
@@ -266,15 +269,15 @@ class QueryService:
             "pdc_service_queue_wait_sim_seconds",
             "Simulated queue wait per dispatched request",
             ("tenant",),
-        )
+        ).handles()
         self._m_service = m.histogram(
             "pdc_service_service_sim_seconds",
             "Simulated service time per completed request",
             ("tenant",),
-        )
+        ).handles()
         self._m_depth = m.gauge(
             "pdc_service_queue_depth", "Queued (undispatched) requests", ("tenant",)
-        )
+        ).handles()
 
     # ------------------------------------------------------------------ time
     def _now(self) -> float:
@@ -394,7 +397,7 @@ class QueryService:
         self._seq += 1
         st = self.stats[ten.name]
         st.submitted += 1
-        self._m_requests.labels(tenant=ten.name).inc()
+        self._m_requests[ten.name].inc()
         monitor = self.system.monitor
         if monitor is not None:
             monitor.on_submit(arrival, ten.name)
@@ -407,7 +410,7 @@ class QueryService:
                 st.rejected_rate += 1
             else:
                 st.rejected_queue += 1
-            self._m_rejected.labels(tenant=ten.name, reason=decision.reason).inc()
+            self._m_rejected[ten.name, decision.reason].inc()
             if monitor is not None:
                 monitor.on_reject(arrival, ten.name, decision.reason)
             self.system.tracer.instant(
@@ -423,8 +426,8 @@ class QueryService:
         req.finish_tag = self._last_finish[ten.name] = start + 1.0 / ten.weight
         self._queues[ten.name].append(req)
         st.admitted += 1
-        self._m_admitted.labels(tenant=ten.name).inc()
-        self._m_depth.labels(tenant=ten.name).set(len(self._queues[ten.name]))
+        self._m_admitted[ten.name].inc()
+        self._m_depth[ten.name].set(len(self._queues[ten.name]))
         if monitor is not None:
             monitor.on_admit(arrival, ten.name, len(self._queues[ten.name]))
         if self.system.tracer.enabled:
@@ -498,7 +501,7 @@ class QueryService:
                     r.status = "shed"
                     r.queue_wait_s = now - r.arrival_s
                     self.stats[name].shed += 1
-                    self._m_shed.labels(tenant=name).inc()
+                    self._m_shed[name].inc()
                     if monitor is not None:
                         monitor.on_shed(now, name, r.queue_wait_s)
                     self.system.tracer.instant(
@@ -512,7 +515,7 @@ class QueryService:
                 else:
                     kept.append(r)
             self._queues[name] = kept
-            self._m_depth.labels(tenant=name).set(len(kept))
+            self._m_depth[name].set(len(kept))
         return shed
 
     def _eligible_heads(self, now: float) -> List[ServiceRequest]:
@@ -555,9 +558,9 @@ class QueryService:
             st.queue_wait_total_s += r.queue_wait_s
             st.queue_wait_max_s = max(st.queue_wait_max_s, r.queue_wait_s)
             st.queue_waits_s.append(r.queue_wait_s)
-            self._m_dispatched.labels(tenant=name).inc()
-            self._m_qwait.labels(tenant=name).observe(r.queue_wait_s)
-            self._m_depth.labels(tenant=name).set(len(self._queues[name]))
+            self._m_dispatched[name].inc()
+            self._m_qwait[name].observe(r.queue_wait_s)
+            self._m_depth[name].set(len(self._queues[name]))
             if monitor is not None:
                 monitor.on_dispatch(
                     now, name, r.queue_wait_s, len(self._queues[name])
@@ -663,7 +666,7 @@ class QueryService:
                 r.status = "failed"
                 r.error = err
                 st.failed += 1
-                self._m_failed.labels(tenant=name).inc()
+                self._m_failed[name].inc()
                 if monitor is not None:
                     monitor.on_complete(
                         t_done, name, "failed", r.queue_wait_s, 0.0
@@ -674,14 +677,14 @@ class QueryService:
             r.result = result
             st.done += 1
             st.service_total_s += result.elapsed_s
-            self._m_done.labels(tenant=name).inc()
-            self._m_service.labels(tenant=name).observe(result.elapsed_s)
+            self._m_done[name].inc()
+            self._m_service[name].observe(result.elapsed_s)
             if not result.complete:
                 st.degraded += 1
-                self._m_degraded.labels(tenant=name).inc()
+                self._m_degraded[name].inc()
             if result.timed_out:
                 st.timed_out += 1
-                self._m_timeout.labels(tenant=name).inc()
+                self._m_timeout[name].inc()
             if monitor is not None:
                 monitor.on_complete(
                     t_done,

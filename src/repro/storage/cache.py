@@ -122,8 +122,10 @@ class RegionCache:
         self.stats.hits += hits
         self.stats.misses += misses
         self.stats.evictions += evictions
-        self._m_hit.inc(hits)
-        self._m_miss.inc(misses)
+        if hits:
+            self._m_hit.inc(hits)
+        if misses:
+            self._m_miss.inc(misses)
         if evictions:
             self._m_evict.inc(evictions)
 

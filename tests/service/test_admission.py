@@ -112,6 +112,12 @@ class TestServiceConfig:
     def test_any_knob_disables_passthrough(self, cfg):
         assert not cfg.is_passthrough()
 
+    def test_a_lone_write_tenant_is_not_passthrough(self):
+        """Its writes are ingest epochs that charge the clocks, so the
+        service is no zero-cost wrapper of ``QueryScheduler.run``."""
+        assert not ServiceConfig(tenants=(Tenant("w", kind="write"),)).is_passthrough()
+        assert ServiceConfig(tenants=(Tenant("q", kind="query"),)).is_passthrough()
+
     def test_validation(self):
         with pytest.raises(PDCError):
             ServiceConfig(tenants=())
